@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("figure", type=int, choices=(3, 4, 5, 6, 7, 8))
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--jobs", type=int, default=1_000_000, help="simulated jobs per point")
-    p.add_argument("--parallel", type=int, default=1, help="worker processes for sweep points")
+    p.add_argument("--parallel", type=int, default=1,
+                   help="worker processes for the points of the simulated figures 6 and 7")
     p.add_argument("--out", help="CSV path; metadata goes to OUT.meta.json")
     p.set_defaults(fn=_cmd_figure)
 

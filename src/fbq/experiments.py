@@ -16,6 +16,8 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .baselines import fcfs_L, las_L
 from .models import (
     CostCoefficients,
@@ -29,7 +31,7 @@ from .models import (
 )
 from .multi import evaluate_cost_multi, solve_threshold
 from .simulate import SimConfig, ThreePhaseModel, simulate, two_phase_approximation
-from .single import evaluate_cost_single, solve_general, solve_k1_closed_form
+from .single import evaluate_cost_single, solve_k1_closed_form, solve_speed_family
 
 # power-law exponent of the cost experiments, recovered by matching the
 # published cost curve (only alpha = 2 reproduces its convex shape)
@@ -95,12 +97,10 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return [round(start + k * step, 10) for k in range(n + 1)]
 
 
-def _cost_at(model: SingleServerModel, costs: CostCoefficients, inter: tuple[float, ...]):
-    levels = (model.speeds.levels[0],) + inter + (model.speeds.levels[-1],)
-    profile = SpeedProfile(levels, alpha=model.speeds.alpha)
-    trial = SingleServerModel(model.lam, model.service, profile)
-    sol = solve_general(trial)
-    return evaluate_cost_single(sol, profile, costs), profile
+def _family_costs(model: SingleServerModel, costs: CostCoefficients, grid) -> np.ndarray:
+    """Costs of the profiles whose intermediate speeds are `grid` (B, K-1) times the top speed."""
+    sol = solve_speed_family(model, np.asarray(grid) * model.speeds.levels[-1])
+    return costs.c1 * sol.L + costs.c2 * sol.energy_rate
 
 
 def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCoefficients,
@@ -110,8 +110,10 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     The idle speed s_0 and the top speed s_K are taken from the base model;
     the K-1 intermediate levels are swept over multiples of `coarse` times
     the top speed (with s_1 <= s_2), then re-swept once at `fine` resolution
-    around the incumbent.  Returns (best profile, best cost, coarse curve);
-    for K = 3 the curve shows min-over-s2 cost as a function of s_1.
+    around the incumbent.  Each grid is solved as one speed family
+    (solve_speed_family), which gives the same costs as solving its profiles
+    one by one.  Returns (best profile, best cost, coarse curve); for K = 3
+    the curve shows min-over-s2 cost as a function of s_1.
     """
     if K not in (2, 3):
         raise ModelError(f"intermediate-speed search supports K in {{2, 3}}, got {K}")
@@ -127,52 +129,31 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     fracs = [round(k * coarse, 10) for k in range(1, round(1.0 / coarse) + 1)]
     fracs = [f for f in fracs if f >= lo_frac]
 
-    best_cost, best_profile = float("inf"), None
+    # grid points as indices into fracs, s_1 major and s_2 >= s_1 minor
+    index = np.arange(len(fracs))[:, None] if K == 2 else np.stack(np.triu_indices(len(fracs)), axis=1)
+    cost = _family_costs(model, costs, np.array(fracs)[index])
+    best = int(np.argmin(cost))
+    best_x, best_cost = tuple(fracs[i] for i in index[best]), float(cost[best])
     if K == 2:
-        xs, ys = [], []
-        for f in fracs:
-            cost, profile = _cost_at(model, costs, (f * top,))
-            xs.append(f)
-            ys.append(cost)
-            if cost < best_cost:
-                best_cost, best_profile, best_x = cost, profile, (f,)
-        curve = PolicyCurve("cost", xs, ys)
+        curve = PolicyCurve("cost", fracs, cost.tolist())
     else:
-        per_s1 = {}
-        for f1 in fracs:
-            for f2 in fracs:
-                if f2 < f1:
-                    continue
-                cost, profile = _cost_at(model, costs, (f1 * top, f2 * top))
-                if cost < per_s1.get(f1, float("inf")):
-                    per_s1[f1] = cost
-                if cost < best_cost:
-                    best_cost, best_profile, best_x = cost, profile, (f1, f2)
-        curve = PolicyCurve("cost_min_over_s2", list(per_s1), [per_s1[f] for f in per_s1])
+        starts = np.flatnonzero(index[:, 0] == index[:, 1])      # s_2 = s_1 opens each s_1 row
+        curve = PolicyCurve("cost_min_over_s2", fracs, np.minimum.reduceat(cost, starts).tolist())
 
     # one refinement pass around the incumbent
     span = [round(d * fine, 10) for d in range(-round(coarse / fine) + 1, round(coarse / fine))]
     if K == 2:
-        for d in span:
-            f = round(best_x[0] + d, 10)
-            if lo_frac <= f <= 1.0:
-                cost, profile = _cost_at(model, costs, (f * top,))
-                if cost < best_cost:
-                    best_cost, best_profile = cost, profile
+        near = [(f,) for f in (round(best_x[0] + d, 10) for d in span) if lo_frac <= f <= 1.0]
     else:
-        center = best_x
-        for d1 in span:
-            f1 = round(center[0] + d1, 10)
-            if not lo_frac <= f1 <= 1.0:
-                continue
-            for d2 in span:
-                f2 = round(center[1] + d2, 10)
-                if f2 < f1 or f2 > 1.0:
-                    continue
-                cost, profile = _cost_at(model, costs, (f1 * top, f2 * top))
-                if cost < best_cost:
-                    best_cost, best_profile = cost, profile
-    return best_profile, best_cost, curve
+        near = [(f1, f2)
+                for f1 in (round(best_x[0] + d1, 10) for d1 in span) if lo_frac <= f1 <= 1.0
+                for f2 in (round(best_x[1] + d2, 10) for d2 in span) if f1 <= f2 <= 1.0]
+    cost = _family_costs(model, costs, near)
+    k = int(np.argmin(cost))
+    if cost[k] < best_cost:
+        best_x, best_cost = near[k], float(cost[k])
+    levels = (s0,) + tuple(f * top for f in best_x) + (top,)
+    return SpeedProfile(levels, alpha=model.speeds.alpha), best_cost, curve
 
 
 def optimize_threshold(model: MultiServerModel, costs: CostCoefficients):
@@ -249,9 +230,9 @@ def _figure5_point(lam: float) -> tuple[float, float, float]:
     return c1, c2cost, min(c3cost, c2cost)  # the K=2 optimum embeds as s2 = top
 
 
-def _figure5(workers: int = 1) -> FigureResult:
+def _figure5() -> FigureResult:
     xs = _grid(0.6, 3.0, 0.2)
-    points = _map_points(_figure5_point, xs, workers)
+    points = [_figure5_point(lam) for lam in xs]
     unopt = [p[0] for p in points]
     k2 = [p[1] for p in points]
     k3 = [p[2] for p in points]
@@ -320,15 +301,17 @@ def reproduce_figure(figure: int, seed: int = DEFAULT_SEED, sim_jobs: int = 1_00
                      workers: int = 1) -> FigureResult:
     """Regenerate the data behind one of the published experiment figures.
 
-    Results are independent of `workers` (points carry their own seeds and
-    come back in grid order).
+    `workers` fans the points of the simulated figures 6 and 7 over worker
+    processes; results are independent of it (points carry their own seeds
+    and come back in grid order).  The analytic figures 3, 4, 5 and 8 run
+    serially, since a point costs less than starting a worker.
     """
     if figure == 3:
         return _figure3_like(CoxianService(5.0, 1.0, 0.1), 3)
     if figure == 4:
         return _figure4()
     if figure == 5:
-        return _figure5(workers)
+        return _figure5()
     if figure == 6:
         return _three_phase_figure(
             6, dict(mu1=5.0, mu2=1.0, mu3=0.5, q1=0.1, q2=0.5),

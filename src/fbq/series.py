@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .models import SolverError
 
 
@@ -136,17 +138,49 @@ def cancel_divide(num: PowerSeries, den: PowerSeries, drop: int, rtol: float = 1
     all sit below `num_floor` counts as identically zero (the ratio of an
     exactly-vanishing quantity), giving the zero series.
     """
-    if num_floor > 0.0 and max(abs(x) for x in num.c) <= num_floor:
-        return PowerSeries([0.0] * (len(num.c) - drop))
-    for s, name in ((num, "numerator"), (den, "denominator")):
-        scale = max(abs(x) for x in s.c) or 1.0
+    return PowerSeries(cancel_divide_coeffs(np.array([num.c]), den, drop, rtol, num_floor)[0])
+
+
+# --- one series against the rows of a coefficient array -----------------------
+
+
+def product_matrix(s: PowerSeries, n: int) -> np.ndarray:
+    """The (n, n) matrix T for which rows c @ T are the truncated products c * s."""
+    return np.array([[0.0] * i + s.c[: n - i] for i in range(n)])
+
+
+def cancel_divide_coeffs(num: np.ndarray, den: PowerSeries, drop: int, rtol: float = 1e-7,
+                         num_floor: float = 0.0) -> np.ndarray:
+    """cancel_divide of every row of num (B, n) by one series den.
+
+    Each row gets the checks of cancel_divide, and the first row that fails
+    one raises its SolverError; rows under `num_floor` give zero rows.
+    """
+    mag = np.abs(num)
+    scale = mag.max(axis=1)
+    bad = mag[:, :drop] > rtol * scale[:, None]
+    live = scale > num_floor if num_floor > 0.0 else None
+    if live is not None:
+        bad &= live[:, None]
+    if bad.any():
+        r, k = np.argwhere(bad)[0]
+        _nonvanishing("numerator", k, num[r, k], scale[r])
+    if live is None or live.any():
+        dscale = max(abs(x) for x in den.c)
         for k in range(drop):
-            if abs(s.c[k]) > rtol * scale:
-                raise SolverError(
-                    f"{name} coefficient {k} = {s.c[k]:.3e} does not vanish "
-                    f"(scale {scale:.3e}); limit pass invalid"
-                )
-    return divide(PowerSeries(num.c[drop:]), PowerSeries(den.c[drop:]))
+            if abs(den.c[k]) > rtol * dscale:
+                _nonvanishing("denominator", k, den.c[k], dscale)
+    n = min(num.shape[1], len(den.c)) - drop
+    inverse = divide(PowerSeries.constant(1.0, n - 1), PowerSeries(den.c[drop:drop + n]))
+    out = num[:, drop:drop + n] @ product_matrix(inverse, n)
+    if live is not None:
+        out[~live] = 0.0
+    return out
+
+
+def _nonvanishing(name: str, k: int, value: float, scale: float):
+    raise SolverError(f"{name} coefficient {k} = {value:.3e} does not vanish "
+                      f"(scale {scale or 1.0:.3e}); limit pass invalid")
 
 
 def kernel_root_series(rho: float, q: float, z0: float, order: int) -> PowerSeries:

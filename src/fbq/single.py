@@ -17,15 +17,22 @@ transform ratios vanish together) are done with truncated power series, so
 values and derivatives come out of a single expansion rather than repeated
 numerical differentiation.  Closed forms are provided for the two-speed case
 K = 1 and for profiles whose sub-threshold speeds are all zero.
+
+Profiles that share (lambda, service, s_0, s_K, K) share everything but the
+sub-threshold balance rows, so solve_speed_family solves a whole family of
+them at once; solve_general is its one-profile case.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 
-from .linsys import solve_probability_system
+import numpy as np
+
+from .linsys import solve_probability_stack
 from .models import (
     CostCoefficients,
     SingleServerModel,
@@ -33,11 +40,12 @@ from .models import (
     SpeedProfile,
     require_stable_single,
 )
-from .series import PowerSeries, cancel_divide, divide, kernel_root_series
+from .series import PowerSeries, cancel_divide_coeffs, divide, kernel_root_series, product_matrix
 
 log = logging.getLogger("fbq.single")
 
 SERIES_ORDER = 4          # expansion order used for the z = 1 limit passes
+FAMILY_CHUNK = 256        # profiles per stacked solve; bounds a family solve's working set
 
 
 @dataclass(frozen=True)
@@ -100,179 +108,289 @@ def solve_general(model: SingleServerModel) -> SingleServerSolution:
     """Exact solution for an arbitrary speed staircase (positive above idle).
 
     Speeds s_1 .. s_K must be positive; all-zero sub-threshold profiles have
-    their own closed form in solve_zero_speed.
+    their own closed form in solve_zero_speed.  This is the one-profile
+    family of solve_speed_family.
+    """
+    return solve_speed_family(model, [model.speeds.levels[1:-1]]).solution(0)
+
+
+@dataclass(frozen=True, eq=False)
+class SpeedFamilySolution:
+    """Stationary metrics of a family of speed profiles, one row per profile."""
+
+    levels: np.ndarray       # (B, K+1) speed levels s_0 .. s_K
+    boundary: np.ndarray     # (B, (K+1)(K+2)/2) pi_{i,j} by level i+j, then by i
+    g0_at_1: np.ndarray      # each field below is (B,) unless noted
+    L1: np.ndarray
+    L2: np.ndarray
+    L: np.ndarray
+    p_below_K: np.ndarray    # (B, K)
+    tail_mass: np.ndarray
+    energy_rate: np.ndarray
+
+    def solution(self, k: int) -> SingleServerSolution:
+        """The SingleServerSolution of profile k."""
+        K = self.levels.shape[1] - 1
+        values = dict(zip(_layout(K).states, self.boundary[k].tolist()))
+        return SingleServerSolution(
+            boundary=BoundaryProbabilities(K=K, values=values),
+            g0_at_1=float(self.g0_at_1[k]),
+            L1=float(self.L1[k]),
+            L2=float(self.L2[k]),
+            L=float(self.L[k]),
+            p_below_K=self.p_below_K[k].tolist(),
+            tail_mass=float(self.tail_mass[k]),
+            energy_rate=float(self.energy_rate[k]),
+        )
+
+
+def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
+    """Exact solutions of the profiles (s_0, inter[k], s_K) for every row k.
+
+    The arrival rate, service, power exponent and the end speeds s_0, s_K
+    come from `model` (its intermediate levels are ignored); `inter` is a
+    (B, K-1) array of intermediate speeds s_1 .. s_{K-1}.  The kernel-root
+    series, the Maclaurin and normalisation rows and the series skeleton of
+    the limit passes depend only on (lam, service, s_K, K), so they are built
+    once; the B sub-threshold blocks are stacked and solved FAMILY_CHUNK
+    profiles at a time.  Every profile gets every check of a single solve,
+    and the first profile that fails one raises its error.
     """
     require_stable_single(model)
-    K = model.K
     if model.lam == 0:
         raise ModelError("arrival rate must be positive to solve the chain")
-    if any(model.speeds.levels[n] <= 0 for n in range(1, K + 1)):
-        if all(model.speeds.levels[n] == 0 for n in range(K)):
+    inter = np.asarray(inter, dtype=float)
+    if inter.ndim != 2 or len(inter) == 0:
+        raise ModelError(f"a speed family needs a (B, K-1) array of speeds with B >= 1, got {inter.shape}")
+    levels = np.empty((len(inter), inter.shape[1] + 2))
+    levels[:, 0] = model.speeds.levels[0]
+    levels[:, 1:-1] = inter
+    levels[:, -1] = model.speeds.levels[-1]
+    _check_levels(levels)
+    family = _Family(model, levels.shape[1] - 1)
+    fields = family.solve(levels[:FAMILY_CHUNK])
+    if len(levels) > FAMILY_CHUNK:
+        first, fields = fields, {f: np.empty((len(levels),) + v.shape[1:]) for f, v in fields.items()}
+        for k in range(0, len(levels), FAMILY_CHUNK):
+            part = first if k == 0 else family.solve(levels[k:k + FAMILY_CHUNK])
+            for f, v in part.items():
+                fields[f][k:k + len(v)] = v
+    return SpeedFamilySolution(levels=levels, **fields)
+
+
+def _check_levels(levels: np.ndarray) -> None:
+    """The speed checks of SpeedProfile and of the general solver, per profile."""
+    K = levels.shape[1] - 1
+    for bad, message in (((levels < 0).any(axis=1), "speeds must be nonnegative"),
+                         ((levels[:, 1:] < levels[:, :-1]).any(axis=1), "speeds must be nondecreasing")):
+        if bad.any():
+            raise ModelError(f"{message}: {tuple(levels[np.flatnonzero(bad)[0]].tolist())}")
+    stopped = (levels[:, 1:] <= 0).any(axis=1)
+    if stopped.any():
+        if (levels[np.flatnonzero(stopped)[0], :K] == 0).all():
             raise ModelError("all sub-threshold speeds are zero: use solve_zero_speed")
         raise ModelError("speed levels 1..K must be positive for the general solver")
 
-    lam, q = model.lam, model.q
-    mu1, mu2 = model.mu1, model.mu2
-    rho1 = model.rho1
 
-    idx = {}
-    for t in range(K + 1):
-        for i in range(t + 1):
-            idx[(i, t - i)] = len(idx)
-    n_unknown = len(idx)
+@dataclass(frozen=True)
+class _Layout:
+    """Unknowns and sub-threshold balance entries of a K-level staircase.
 
-    rows = [[0.0] * n_unknown for _ in range(n_unknown)]
-    rhs = [0.0] * n_unknown
-    r = 0
+    Unknowns pi_{i,t-i} are ordered by level t, then by i.  Balance entry e
+    sits at (rows[e], cols[e]) and equals
+        lam * lam_coef[e] + (s_{level[e]} * sign[e] * nu) * factor
+    with nu = 0, nu1 or nu2 by nu_kind[e] and factor = 1, q or 1-q by
+    factor_kind[e].
+    """
 
-    # balance of the sub-threshold states
-    for t in range(K):
-        for i in range(t + 1):
-            j = t - i
-            row = rows[r]
-            if i == 0 and j == 0:
-                row[idx[(0, 0)]] += lam
-                row[idx[(0, 1)]] -= model.mu2_at(1)
-                row[idx[(1, 0)]] -= model.mu1_at(1) * (1 - q)
-            elif i == 0:
-                row[idx[(0, j)]] += lam + model.mu2_at(j)
-                row[idx[(0, j + 1)]] -= model.mu2_at(j + 1)
-                row[idx[(1, j - 1)]] -= model.mu1_at(j) * q
-                row[idx[(1, j)]] -= model.mu1_at(j + 1) * (1 - q)
-            else:
-                row[idx[(i, j)]] += lam + model.mu1_at(t)
-                row[idx[(i - 1, j)]] -= lam
-                if j > 0:
-                    row[idx[(i + 1, j - 1)]] -= model.mu1_at(t) * q
-                row[idx[(i + 1, j)]] -= model.mu1_at(t + 1) * (1 - q)
-            r += 1
-
-    # vanishing Maclaurin coefficients at z = 0 of the boundary combination
-    # sum_j z^{K-j} y1(z)^{j-1} [lam y1(z) pi_{j-1,K-j} - mu1 (1-q) pi_{j,K-j}]
-    y0 = kernel_root_series(rho1, q, 0.0, max(K - 1, 0))
-    ypow = [PowerSeries.constant(1.0, y0.order)]
-    for _ in range(K):
-        ypow.append(ypow[-1] * y0)
-    for t in range(K):
-        row = rows[r]
-        for j in range(1, K + 1):
-            s = t - (K - j)
-            if s < 0:
-                continue
-            row[idx[(j - 1, K - j)]] += lam * ypow[j].c[s]
-            row[idx[(j, K - j)]] -= mu1 * (1 - q) * ypow[j - 1].c[s]
-        r += 1
-
-    # normalisation: interior mass plus the saturated mass G(1,1), the latter
-    # expressed through the foreground restriction of the transform,
-    #   G(1,1) = [mu1 g0(1) + d/dy b(y,1)|_{y=1}] / (mu1 - lam),
-    # with g0(1) given by the limit ratio of the boundary combination.
-    dprime = lam * q / (1.0 - rho1) - mu2          # kernel-side derivative at z=1
-    yp1 = q / (1.0 - rho1)                         # y1'(1)
-    g0_coef = [0.0] * n_unknown                    # linear functional for g0(1)
-    b1_coef = [0.0] * n_unknown                    # linear functional for d/dy b(y,1)
-    g0_coef[idx[(0, K)]] += mu2 * K / dprime
-    b1_coef[idx[(0, K)]] -= mu2
-    for j in range(1, K + 1):
-        g0_coef[idx[(j - 1, K - j)]] -= lam * ((K + 1 - j) + j * yp1) / dprime
-        g0_coef[idx[(j, K - j)]] += mu1 * (1 - q) * ((K + 1 - j) + (j - 1) * yp1) / dprime
-        b1_coef[idx[(j - 1, K - j)]] += (j + 1) * lam
-        b1_coef[idx[(j, K - j)]] -= j * mu1 * (1 - q)
-    row = rows[r]
-    for t in range(K):
-        for i in range(t + 1):
-            row[idx[(i, t - i)]] += 1.0
-    for k in range(n_unknown):
-        row[k] += (mu1 * g0_coef[k] + b1_coef[k]) / (mu1 - lam)
-    rhs[r] = 1.0
-
-    x = solve_probability_system(rows, rhs)
-    boundary = {state: float(x[k]) for state, k in idx.items()}
-    return _finish(model, boundary)
+    states: list
+    index: dict                # state -> position among the unknowns
+    rows: np.ndarray
+    cols: np.ndarray
+    lam_coef: np.ndarray
+    level: np.ndarray
+    sign: np.ndarray
+    nu_kind: np.ndarray
+    factor_kind: np.ndarray
+    level_starts: np.ndarray   # first unknown of each level t < K
+    i_of: np.ndarray           # foreground count of each sub-threshold unknown
+    j_of: np.ndarray           # background count of each sub-threshold unknown
 
 
-def _binomial_poly(terms, order: int) -> PowerSeries:
-    """sum_k coef_k * z^{p_k} expanded around z = 1 as a series in t = z - 1."""
-    c = [0.0] * (order + 1)
-    for coef, p in terms:
-        for k in range(min(p, order) + 1):
-            c[k] += coef * math.comb(p, k)
-    return PowerSeries(c)
+@functools.lru_cache(maxsize=None)
+def _layout(K: int) -> _Layout:
+    states = [(i, t - i) for t in range(K + 1) for i in range(t + 1)]
+    idx = {state: k for k, state in enumerate(states)}
+    NU1, NU2, Q, ONE_MINUS_Q = 1, 2, 1, 2
+    entries = []
 
+    def add(r, state, lam_coef, level=0, sign=0, nu=0, factor=0):
+        entries.append((r, idx[state], lam_coef, level, sign, nu, factor))
 
-def _finish(model: SingleServerModel, boundary: dict) -> SingleServerSolution:
-    """Assemble all summary metrics from the solved boundary probabilities."""
-    K, lam, q = model.K, model.lam, model.q
-    mu1, mu2 = model.mu1, model.mu2
-    R = SERIES_ORDER
-
-    p = [sum(boundary[(i, t - i)] for i in range(t + 1)) for t in range(K)]
-    tail = 1.0 - sum(p)
-    sum_i = sum(i * boundary[(i, t - i)] for t in range(K) for i in range(t + 1))
-    sum_j = sum((t - i) * boundary[(i, t - i)] for t in range(K) for i in range(t + 1))
-
-    y1 = kernel_root_series(model.rho1, q, 1.0, R)
-    z = PowerSeries.variable(1.0, R)
-    ypow = [PowerSeries.constant(1.0, R)]
-    for _ in range(K):
-        ypow.append(ypow[-1] * y1)
-
-    # foreground-empty generating function as a limit ratio at z = 1;
-    # an all-roundoff numerator (q = 0: no background mass at all) is zero
-    num = mu2 * boundary[(0, K)] * z.pow(K)
-    for j in range(1, K + 1):
-        combo = lam * boundary[(j - 1, K - j)] * ypow[j] - mu1 * (1 - q) * boundary[(j, K - j)] * ypow[j - 1]
-        num = num - z.pow(K + 1 - j) * combo
-    den = PowerSeries([0.0, -mu2] + [0.0] * (R - 1)) - lam * z * (1.0 - y1)
-    floor = 1e-12 * (lam + mu1 + mu2) * 2.0**K
-    g0 = cancel_divide(num, den, 1, num_floor=floor)
-    g0_at_1 = g0.c[0]
-
-    # mean total count via the diagonal transform
-    p_km1 = p[K - 1] if K >= 1 else 0.0
-    num_d = (mu1 * (1 - q) - mu2) * g0 + lam * p_km1 * PowerSeries(z.pow(K).c[: g0.order + 1])
-    den_d = PowerSeries([mu1 * (1 - q) - lam, -lam] + [0.0] * (g0.order - 1))
-    if abs(mu1 * (1 - q) - lam) > 1e-9 * (mu1 * (1 - q) + lam):
-        gzz = divide(num_d, den_d)
-    else:
-        gzz = cancel_divide(num_d, den_d, 1)
-    L = sum_i + sum_j + gzz.c[1]
-
-    # mean foreground count via the y-restriction at z = 1
-    terms = [(-mu2 * boundary[(0, K)], 1)]
-    for j in range(1, K + 1):
-        terms.append((lam * boundary[(j - 1, K - j)], j + 1))
-        terms.append((-mu1 * (1 - q) * boundary[(j, K - j)], j))
-    num_y = _binomial_poly(terms, R)
-    num_y.c[1] += mu1 * g0_at_1
-    den_y = PowerSeries([0.0, mu1 - lam, -lam] + [0.0] * (R - 2))
-    gy = cancel_divide(num_y, den_y, 1)
-    L1 = sum_i + gy.c[1]
-
-    # mean background count via the z-restriction
-    if q == 0.0:
-        L2 = sum_j
-    else:
-        termsz = [(-mu2 * boundary[(0, K)], K)]
-        for j in range(1, K + 1):
-            termsz.append((lam * boundary[(j - 1, K - j)], K + 1 - j))
-            termsz.append((-mu1 * (1 - q) * boundary[(j, K - j)], K + 1 - j))
-        num_z = _binomial_poly(termsz, R) + PowerSeries([0.0, -1.0] + [0.0] * (R - 1)) * (mu1 * q * z + mu2) * g0
-        den_z = PowerSeries([0.0, -mu1 * q, -mu1 * q] + [0.0] * (R - 2))
-        gz = cancel_divide(num_z, den_z, 1)
-        L2 = sum_j + gz.c[1]
-
-    energy = sum(p[t] * model.speeds.power(t) for t in range(K)) + model.speeds.power(K) * tail
-    return SingleServerSolution(
-        boundary=BoundaryProbabilities(K=K, values=boundary),
-        g0_at_1=g0_at_1,
-        L1=L1,
-        L2=L2,
-        L=L,
-        p_below_K=p,
-        tail_mass=tail,
-        energy_rate=energy,
+    for r, (i, j) in enumerate(states[: K * (K + 1) // 2]):
+        t = i + j
+        if i == 0 and j == 0:
+            add(r, (0, 0), 1)
+            add(r, (0, 1), 0, 1, -1, NU2)
+            add(r, (1, 0), 0, 1, -1, NU1, ONE_MINUS_Q)
+        elif i == 0:
+            add(r, (0, j), 1, j, 1, NU2)
+            add(r, (0, j + 1), 0, j + 1, -1, NU2)
+            add(r, (1, j - 1), 0, j, -1, NU1, Q)
+            add(r, (1, j), 0, j + 1, -1, NU1, ONE_MINUS_Q)
+        else:
+            add(r, (i, j), 1, t, 1, NU1)
+            add(r, (i - 1, j), -1)
+            if j > 0:
+                add(r, (i + 1, j - 1), 0, t, -1, NU1, Q)
+            add(r, (i + 1, j), 0, t + 1, -1, NU1, ONE_MINUS_Q)
+    rows, cols, lam_coef, level, sign, nu_kind, factor_kind = np.array(entries).T
+    sub = states[: K * (K + 1) // 2]
+    return _Layout(
+        states=states, index=idx, rows=rows.astype(int), cols=cols.astype(int), lam_coef=lam_coef,
+        level=level.astype(int), sign=sign, nu_kind=nu_kind.astype(int),
+        factor_kind=factor_kind.astype(int),
+        level_starts=np.array([t * (t + 1) // 2 for t in range(K)]),
+        i_of=np.array([i for i, _ in sub], dtype=float),
+        j_of=np.array([j for _, j in sub], dtype=float),
     )
+
+
+class _Family:
+    """Everything a family of K-level profiles shares: all rows of the
+    boundary system except the sub-threshold balance rows, and the series
+    of the limit passes at z = 1 as linear maps of the boundary unknowns."""
+
+    def __init__(self, model: SingleServerModel, K: int):
+        lam, q = model.lam, model.q
+        mu1, mu2 = model.mu1, model.mu2            # top-speed rates
+        rho1 = lam / mu1
+        self.K, self.lam, self.q, self.mu1, self.mu2 = K, lam, q, mu1, mu2
+        self.alpha = model.speeds.alpha
+        lay = self.layout = _layout(K)
+        idx, n_unknown = lay.index, len(lay.states)
+        self.rate = lay.sign * np.array([0.0, model.service.nu1, model.service.nu2])[lay.nu_kind]
+        self.factor = np.array([1.0, q, 1 - q])[lay.factor_kind]
+
+        rows = [[0.0] * n_unknown for _ in range(K + 1)]
+        # vanishing Maclaurin coefficients at z = 0 of the boundary combination
+        # sum_j z^{K-j} y1(z)^{j-1} [lam y1(z) pi_{j-1,K-j} - mu1 (1-q) pi_{j,K-j}]
+        y0 = kernel_root_series(rho1, q, 0.0, K - 1)
+        ypow = [PowerSeries.constant(1.0, y0.order)]
+        for _ in range(K):
+            ypow.append(ypow[-1] * y0)
+        for t in range(K):
+            row = rows[t]
+            for j in range(1, K + 1):
+                s = t - (K - j)
+                if s < 0:
+                    continue
+                row[idx[(j - 1, K - j)]] += lam * ypow[j].c[s]
+                row[idx[(j, K - j)]] -= mu1 * (1 - q) * ypow[j - 1].c[s]
+
+        # normalisation: interior mass plus the saturated mass G(1,1), the latter
+        # expressed through the foreground restriction of the transform,
+        #   G(1,1) = [mu1 g0(1) + d/dy b(y,1)|_{y=1}] / (mu1 - lam),
+        # with g0(1) given by the limit ratio of the boundary combination.
+        dprime = lam * q / (1.0 - rho1) - mu2          # kernel-side derivative at z=1
+        yp1 = q / (1.0 - rho1)                         # y1'(1)
+        g0_coef = [0.0] * n_unknown                    # linear functional for g0(1)
+        b1_coef = [0.0] * n_unknown                    # linear functional for d/dy b(y,1)
+        g0_coef[idx[(0, K)]] += mu2 * K / dprime
+        b1_coef[idx[(0, K)]] -= mu2
+        for j in range(1, K + 1):
+            g0_coef[idx[(j - 1, K - j)]] -= lam * ((K + 1 - j) + j * yp1) / dprime
+            g0_coef[idx[(j, K - j)]] += mu1 * (1 - q) * ((K + 1 - j) + (j - 1) * yp1) / dprime
+            b1_coef[idx[(j - 1, K - j)]] += (j + 1) * lam
+            b1_coef[idx[(j, K - j)]] -= j * mu1 * (1 - q)
+        row = rows[K]
+        for k in range(K * (K + 1) // 2):
+            row[k] += 1.0
+        for k in range(n_unknown):
+            row[k] += (mu1 * g0_coef[k] + b1_coef[k]) / (mu1 - lam)
+        self.shared = np.array(rows)
+        self.rhs = np.zeros(n_unknown)
+        self.rhs[-1] = 1.0
+
+        # the limit passes at z = 1, in the local coordinate z - 1.  With
+        # a_i = pi_{i,K-1-i} and c_i = pi_{i,K-i}, the numerators of g0 and of
+        # the y- and z-restrictions are combinations of the fixed series
+        # z^p y1^j, one row of `maps` per unknown
+        R = SERIES_ORDER
+        y1 = kernel_root_series(rho1, q, 1.0, R)
+        z = PowerSeries.variable(1.0, R)
+        zpow = [PowerSeries([math.comb(p, k) for k in range(R + 1)]) for p in range(K + 2)]
+        ypow = [PowerSeries.constant(1.0, R)]
+        for _ in range(K):
+            ypow.append(ypow[-1] * y1)
+        c1q = mu1 * (1 - q)
+        series = [(zpow[K + 1 - j] * ypow[j], zpow[j + 1], zpow[K + 1 - j]) for j in range(1, K + 1)]
+        series += [(zpow[K], zpow[1], zpow[K])]
+        series += [(zpow[K + 1 - j] * ypow[j - 1], zpow[j], zpow[K + 1 - j]) for j in range(1, K + 1)]
+        weights = np.array([[-lam, lam, lam]] * K + [[mu2, -mu2, -mu2]] + [[c1q, -c1q, -c1q]] * K)
+        maps = np.array([[ser.c for ser in row] for row in series]) * weights[..., None]
+        self.maps = maps.reshape(2 * K + 1, 3 * (R + 1))
+        self.zK = np.array(zpow[K].c[:R])
+        self.den = PowerSeries([0.0, -mu2] + [0.0] * (R - 1)) - lam * z * (1.0 - y1)
+        # an all-roundoff numerator (q = 0: no background mass at all) is zero
+        self.floor = 1e-12 * (lam + mu1 + mu2) * 2.0**K
+        self.den_d = PowerSeries([c1q - lam, -lam] + [0.0] * (R - 2))
+        self.den_d_regular = abs(c1q - lam) > 1e-9 * (c1q + lam)
+        self.den_y = PowerSeries([0.0, mu1 - lam, -lam] + [0.0] * (R - 2))
+        # the z-restriction numerator adds (-(z-1)) (mu1 q z + mu2) g0(z)
+        self.w_z = product_matrix(PowerSeries([0.0, -1.0] + [0.0] * (R - 1)) * (mu1 * q * z + mu2), R)
+        self.den_z = PowerSeries([0.0, -mu1 * q, -mu1 * q] + [0.0] * (R - 2))
+
+    def solve(self, levels: np.ndarray) -> dict:
+        """Metrics of the profiles in `levels` (B, K+1), as arrays."""
+        lay = self.layout
+        n_unknown = len(lay.states)
+        a = np.empty((len(levels), n_unknown, n_unknown))
+        a[:, :-(self.K + 1)] = 0.0
+        a[:, lay.rows, lay.cols] = self.lam * lay.lam_coef + (levels[:, lay.level] * self.rate) * self.factor
+        a[:, -(self.K + 1):] = self.shared
+        x = solve_probability_stack(a, np.tile(self.rhs, (len(levels), 1)))
+        return self._finish(x, levels)
+
+    def _finish(self, x: np.ndarray, levels: np.ndarray) -> dict:
+        """All summary metrics from the solved boundary probabilities x (B, n)."""
+        K, lam, q, mu1, mu2 = self.K, self.lam, self.q, self.mu1, self.mu2
+        lay, R = self.layout, SERIES_ORDER
+        m = K * (K + 1) // 2
+        sub = x[:, :m]
+        p = np.add.reduceat(sub, lay.level_starts, axis=1)
+        tail = 1.0 - p.sum(axis=1)
+        sum_i, sum_j = sub @ lay.i_of, sub @ lay.j_of
+        nums = x[:, m - K:] @ self.maps
+        num, num_y, num_z = nums[:, :R + 1], nums[:, R + 1:2 * R + 2], nums[:, 2 * R + 2:]
+
+        # foreground-empty generating function as a limit ratio at z = 1
+        g0 = cancel_divide_coeffs(num, self.den, 1, num_floor=self.floor)
+        g0_at_1 = g0[:, 0]
+
+        # mean total count via the diagonal transform
+        num_d = (mu1 * (1 - q) - mu2) * g0 + (lam * p[:, K - 1])[:, None] * self.zK
+        gzz = cancel_divide_coeffs(num_d, self.den_d, 0 if self.den_d_regular else 1)
+        L = sum_i + sum_j + gzz[:, 1]
+
+        # mean foreground count via the y-restriction at z = 1
+        num_y[:, 1] += mu1 * g0_at_1
+        L1 = sum_i + cancel_divide_coeffs(num_y, self.den_y, 1)[:, 1]
+
+        # mean background count via the z-restriction
+        if q == 0.0:
+            L2 = sum_j
+        else:
+            num_z = num_z[:, :R] + g0 @ self.w_z
+            L2 = sum_j + cancel_divide_coeffs(num_z, self.den_z, 1)[:, 1]
+
+        if self.alpha == 0.0:
+            power = (levels != 0.0).astype(float)    # an idle stopped processor draws nothing
+        else:
+            power = levels**self.alpha
+        energy = (p * power[:, :K]).sum(axis=1) + power[:, K] * tail
+        return dict(boundary=x, g0_at_1=g0_at_1, L1=L1, L2=L2, L=L, p_below_K=p,
+                    tail_mass=tail, energy_rate=energy)
 
 
 def solve_k1_closed_form(model: SingleServerModel) -> SingleServerSolution:

@@ -1,0 +1,147 @@
+"""Family solves of speed profiles (fbq.single.solve_speed_family).
+
+data/family_solve_pins.json holds searches and figure-5 points recorded from
+the search that solved its grid one profile at a time with solve_general.
+The family solve must return the same speed levels, and costs and curves
+within 1e-12 relative.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from fbq.experiments import _figure5_point, optimize_intermediate_speeds
+from fbq.linsys import solve_probability_stack, solve_probability_system
+from fbq.models import (
+    CostCoefficients,
+    CoxianService,
+    ModelError,
+    SingleServerModel,
+    SolverError,
+    SpeedProfile,
+)
+from fbq.series import PowerSeries, cancel_divide, cancel_divide_coeffs
+from fbq.single import FAMILY_CHUNK, solve_general, solve_speed_family
+
+PINS = json.loads((pathlib.Path(__file__).parent / "data" / "family_solve_pins.json").read_text())
+FIELDS = ("L", "L1", "L2", "energy_rate")
+
+
+def base_model(b, levels=None):
+    return SingleServerModel(b["lam"], CoxianService(b["nu1"], b["nu2"], b["q"]),
+                             SpeedProfile(levels or (b["s0"], b["top"]), alpha=b["alpha"]))
+
+
+@pytest.mark.parametrize("pin", PINS["searches"], ids=lambda p: f"{p['base']}-K{p['K']}")
+def test_search_matches_pinned_values(pin):
+    b = PINS["bases"][pin["base"]]
+    profile, cost, curve = optimize_intermediate_speeds(base_model(b), pin["K"],
+                                                        CostCoefficients(b["c1"], b["c2"]))
+    assert list(profile.levels) == pin["levels"]
+    assert profile.alpha == b["alpha"]
+    assert cost == pytest.approx(pin["cost"], rel=1e-12, abs=0)
+    assert curve.label == pin["label"]
+    assert curve.xs == pin["xs"]
+    np.testing.assert_allclose(curve.ys, pin["ys"], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("pin", PINS["figure5"], ids=lambda p: f"lambda={p['lam']}")
+def test_figure5_point_matches_pinned_values(pin):
+    np.testing.assert_allclose(_figure5_point(pin["lam"]), pin["costs"], rtol=1e-12, atol=0)
+
+
+def test_profile_result_independent_of_its_batch():
+    b = PINS["bases"]["seed7"]
+    model = base_model(b)
+    rng = np.random.default_rng(7)
+    inter = np.sort(rng.uniform(b["s0"], b["top"], (FAMILY_CHUNK + 12, 2)), axis=1)
+    family = solve_speed_family(model, inter)
+    shifted = solve_speed_family(model, inter[5:])            # moves every chunk boundary
+    boundary = solve_speed_family(model, inter[FAMILY_CHUNK - 2:FAMILY_CHUNK + 2])
+    for k in (0, 6, FAMILY_CHUNK - 1, FAMILY_CHUNK, FAMILY_CHUNK + 11):
+        alone = solve_speed_family(model, inter[k:k + 1])
+        single = solve_general(base_model(b, (b["s0"], *inter[k], b["top"])))
+        for f in FIELDS:
+            got = [getattr(family, f)[k], getattr(single, f)]
+            if k >= 5:
+                got.append(getattr(shifted, f)[k - 5])
+            np.testing.assert_allclose(got, getattr(alone, f)[0], rtol=1e-13, atol=0, err_msg=f"{k} {f}")
+    for k in range(4):
+        alone = solve_speed_family(model, inter[FAMILY_CHUNK - 2 + k:FAMILY_CHUNK - 1 + k])
+        for f in FIELDS:
+            assert getattr(boundary, f)[k] == pytest.approx(getattr(alone, f)[0], rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("s0,bad", [
+    (0.2, (0.0, 0.5)),    # zero intermediate speed above a positive idle speed
+    (0.0, (0.0, 0.5)),    # zero intermediate speed: not positive above idle
+    (0.0, (0.0, 0.0)),    # every sub-threshold speed zero
+    (0.0, (0.6, 0.4)),    # decreasing pair
+])
+def test_one_invalid_profile_fails_the_family_as_it_fails_alone(s0, bad):
+    b = dict(PINS["bases"]["figure4"], s0=s0)
+    with pytest.raises(ModelError) as alone:
+        solve_general(base_model(b, (s0, *bad, b["top"])))
+    inter = [(0.3, 0.4)] * 300 + [bad] + [(0.5, 0.7)] * 5
+    with pytest.raises(ModelError) as family:
+        solve_speed_family(base_model(b), inter)
+    assert type(family.value) is type(alone.value)
+
+
+def test_family_needs_profiles():
+    with pytest.raises(ModelError):
+        solve_speed_family(base_model(PINS["bases"]["figure4"]), np.empty((0, 2)))
+
+
+class TestStackChecks:
+    GOOD = (np.eye(3), np.full(3, 1 / 3))
+    CASES = {
+        "zero row": (np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 1]]), np.ones(3)),
+        "singular": (np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]]), np.ones(3)),
+        "negative": (np.eye(3), np.array([-0.5, 1.0, 0.5])),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_failing_system_raises_inside_a_stack(self, case):
+        a, b = self.CASES[case]
+        with pytest.raises(SolverError) as alone:
+            solve_probability_system(a, b)
+        stack_a = np.stack([self.GOOD[0], a, self.GOOD[0]])
+        stack_b = np.stack([self.GOOD[1], b, self.GOOD[1]])
+        with pytest.raises(SolverError) as stacked:
+            solve_probability_stack(stack_a, stack_b)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_negative_probability_message_names_value_and_condition(self):
+        with pytest.raises(SolverError, match=r"-5\.000e-01 is below -1e-09; condition estimate") as err:
+            solve_probability_system(*self.CASES["negative"])
+        assert "formulation bug" not in str(err.value)
+
+    def test_roundoff_negatives_are_clamped_in_every_system(self):
+        b = np.array([[-1e-12, 0.5, 0.5], [0.2, -1e-11, 0.8]])
+        x = solve_probability_stack(np.stack([np.eye(3)] * 2), b)
+        assert (x >= 0).all()
+        assert x[0, 0] == 0.0 and x[1, 1] == 0.0
+
+
+class TestCancelDivideRows:
+    DEN = PowerSeries([0.0, 2.0, 1.0, 0.0])
+
+    def test_rows_match_the_single_series_division(self):
+        num = np.array([[0.0, 1.0, 1.0, 0.0], [1e-12, 3.0, -1.0, 2.0]])
+        out = cancel_divide_coeffs(num, self.DEN, 1)
+        for row, got in zip(num, out):
+            np.testing.assert_allclose(got, cancel_divide(PowerSeries(row), self.DEN, 1).c, rtol=1e-15)
+
+    def test_one_nonvanishing_row_raises(self):
+        num = np.array([[0.0, 1.0, 1.0, 0.0]] * 4 + [[1e-3, 1.0, 1.0, 0.0]])
+        with pytest.raises(SolverError, match="numerator coefficient 0"):
+            cancel_divide_coeffs(num, self.DEN, 1)
+
+    def test_rows_below_the_floor_are_zero(self):
+        num = np.array([[0.0, 1.0, 1.0, 0.0], [1e-14, -1e-14, 0.0, 0.0]])
+        out = cancel_divide_coeffs(num, self.DEN, 1, num_floor=1e-12)
+        assert out[1].tolist() == [0.0, 0.0, 0.0]
+        assert out[0, 0] == pytest.approx(0.5)
