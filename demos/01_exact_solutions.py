@@ -18,9 +18,9 @@ from fbq import (
     SingleServerModel,
     SpeedProfile,
     evaluate_cost_single,
+    solve,
     solve_general,
     solve_k1_closed_form,
-    solve_zero_speed,
     verify_single,
 )
 
@@ -50,10 +50,11 @@ for s1 in (0.3, 0.6, 1.0):
     sp = SpeedProfile((0.0, s1, 1.0), alpha=2.0)
     sol = solve_general(SingleServerModel(lam, service, sp))
     print(f"  s1={s1:.1f}: L={sol.L:.4f}  energy={sol.energy_rate:.4f}  "
-          f"cost={evaluate_cost_single(sol, sp, costs):.4f}")
+          f"cost={evaluate_cost_single(sol, costs):.4f}")
 
-print("\nall-stop profile (processor only works with K or more jobs):")
+print("\nall-stop profile (processor only works with K or more jobs);")
+print("solve() picks the zero-speed closed form for it:")
 m3 = SingleServerModel(2.0, service, SpeedProfile((0.0, 0.0, 0.0, 1.0)))
-sol3 = solve_zero_speed(m3)
+sol3 = solve(m3)
 print(f"  the background queue can never drop below K-1 = 2 jobs:")
 print(f"  L1={sol3.L1:.6f}  L2={sol3.L2:.6f} (= 2 + {sol3.L2 - 2:.6f})  L={sol3.L:.6f}")

@@ -34,7 +34,7 @@ print("\none vs two intermediate levels across the load range:")
 print(f"{'lambda':>7} {'plain two-speed':>16} {'one level':>10} {'two levels':>11}")
 for lam in (0.8, 1.6, 2.4, 3.0):
     m1 = SingleServerModel(lam, service, SpeedProfile((0.0, 1.0), alpha=ALPHA))
-    c1 = evaluate_cost_single(solve_k1_closed_form(m1), m1.speeds, costs)
+    c1 = evaluate_cost_single(solve_k1_closed_form(m1), costs)
     b2 = SingleServerModel(lam, service, SpeedProfile((0.0, 0.5, 1.0), alpha=ALPHA))
     _, c2, _ = optimize_intermediate_speeds(b2, 2, costs)
     b3 = SingleServerModel(lam, service, SpeedProfile((0.0, 0.4, 0.7, 1.0), alpha=ALPHA))

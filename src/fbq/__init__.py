@@ -12,7 +12,6 @@ from .models import (
     UnstableModelError,
     check_stability_multi,
     check_stability_single,
-    coxian_survival,
 )
 from .series import PowerSeries
 from .single import (
@@ -25,17 +24,15 @@ from .single import (
     solve_speed_family,
     solve_zero_speed,
     verify_single,
-    y1_series_at,
 )
 from .multi import (
     MultiServerSolution,
-    TriDiagonalSystem,
     d_roots,
     dprime_at_1,
     evaluate_cost_multi,
     mmm_marginal,
-    solve_fixed_m,
     solve_threshold,
+    sweep_thresholds,
     verify_multi,
 )
 from .baselines import TruncatedLoadFunctions, fcfs_L, las_L, priority_two_class_L
@@ -51,10 +48,10 @@ from .simulate import (
 from .experiments import (
     FigureResult,
     PolicyCurve,
-    SweepSpec,
     optimize_intermediate_speeds,
     optimize_threshold,
     reproduce_figure,
+    solve,
 )
 
 __version__ = "0.1.0"
@@ -77,14 +74,11 @@ __all__ = [
     "SolverError",
     "SpeedFamilySolution",
     "SpeedProfile",
-    "SweepSpec",
     "ThreePhaseModel",
-    "TriDiagonalSystem",
     "TruncatedLoadFunctions",
     "UnstableModelError",
     "check_stability_multi",
     "check_stability_single",
-    "coxian_survival",
     "ctmc_solve",
     "d_roots",
     "dprime_at_1",
@@ -99,14 +93,14 @@ __all__ = [
     "priority_two_class_L",
     "reproduce_figure",
     "simulate",
-    "solve_fixed_m",
+    "solve",
     "solve_general",
     "solve_k1_closed_form",
     "solve_speed_family",
     "solve_threshold",
     "solve_zero_speed",
+    "sweep_thresholds",
     "two_phase_approximation",
     "verify_multi",
     "verify_single",
-    "y1_series_at",
 ]

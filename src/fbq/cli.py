@@ -37,10 +37,10 @@ from .models import (
     single_model_from_json,
     single_model_to_json,
 )
-from .multi import d_roots, solve_threshold, verify_multi
+from .multi import verify_multi
 from .simulate import SimConfig, ThreePhaseModel, simulate
-from .single import solve_general, solve_k1_closed_form, solve_zero_speed, verify_single
-from .experiments import optimize_intermediate_speeds, optimize_threshold, reproduce_figure
+from .single import solve_general, solve_k1_closed_form, verify_single
+from .experiments import optimize_intermediate_speeds, optimize_threshold, reproduce_figure, solve
 
 log = logging.getLogger("fbq.cli")
 
@@ -112,31 +112,11 @@ def _add_multi_flags(p):
     p.add_argument("--threshold", type=int, default=0, help="switch-off threshold")
 
 
-def _pick_single_solver(model: SingleServerModel):
-    if all(s == 0 for s in model.speeds.levels[: model.K]):
-        return solve_zero_speed
-    if model.K == 1:
-        return solve_k1_closed_form
-    return solve_general
-
-
-def _cmd_solve_single(args) -> int:
-    model = _single_model(args)
-    if args.dump_model:
-        _emit(single_model_to_json(model), args.out)
-        return 0
-    sol = _pick_single_solver(model)(model)
-    _emit(sol.to_json(), args.out)
-    return 0
-
-
-def _cmd_solve_multi(args) -> int:
-    model = _multi_model(args)
-    if args.dump_model:
-        _emit(multi_model_to_json(model), args.out)
-        return 0
-    sol = solve_threshold(model)
-    _emit(sol.to_json(), args.out)
+def _cmd_solve(args) -> int:
+    """solve-single and solve-multi: `args.model_io` is the model's (reader, JSON writer) pair."""
+    read_model, model_to_json = args.model_io
+    model = read_model(args)
+    _emit(model_to_json(model) if args.dump_model else solve(model).to_json(), args.out)
     return 0
 
 
@@ -223,13 +203,12 @@ def _cmd_validate(args) -> int:
         stable = check_stability_single(model)
         checks.append(("stability", stable, f"offered load {model.offered_load():.6g}"))
         if stable:
-            solver = _pick_single_solver(model)
-            sol = solver(model)
+            sol = solve(model)
             res = verify_single(model, sol)
             checks.append(("normalization", res["normalization"] < 1e-10, f"{res['normalization']:.2e}"))
             checks.append(("flow_balance", res["flow_balance"] < 1e-9, f"{res['flow_balance']:.2e}"))
             checks.append(("L_decomposition", res["L_sum"] < 1e-9, f"{res['L_sum']:.2e}"))
-            if model.K == 1 and solver is not solve_zero_speed:
+            if model.K == 1 and not all(s == 0 for s in model.speeds.levels[: model.K]):
                 gen = solve_general(model)
                 cf = solve_k1_closed_form(model)
                 diff = max(abs(gen.L - cf.L), abs(gen.L1 - cf.L1), abs(gen.L2 - cf.L2))
@@ -239,10 +218,9 @@ def _cmd_validate(args) -> int:
         stable = check_stability_multi(model)
         checks.append(("stability", stable, f"offered load {model.offered_load():.6g} vs m={model.m}"))
         if stable:
-            roots = d_roots(model)
-            checks.append(("root_count", len(roots) == model.m - 1,
-                           f"{len(roots)} of {model.m - 1}"))
-            sol = solve_threshold(model)
+            sol = solve(model)
+            checks.append(("root_count", len(sol.roots) == model.m - 1,
+                           f"{len(sol.roots)} of {model.m - 1}"))
             res = verify_multi(model, sol)
             checks.append(("idle_server_identity", res["idle_server_identity"] < 1e-9,
                            f"{res['idle_server_identity']:.2e}"))
@@ -265,13 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_single_flags(p)
     p.add_argument("--dump-model", action="store_true", help="echo the parsed model as JSON")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_solve_single)
+    p.set_defaults(fn=_cmd_solve, model_io=(_single_model, single_model_to_json))
 
     p = sub.add_parser("solve-multi", help="exact multiserver solution")
     _add_multi_flags(p)
     p.add_argument("--dump-model", action="store_true", help="echo the parsed model as JSON")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_solve_multi)
+    p.set_defaults(fn=_cmd_solve, model_io=(_multi_model, multi_model_to_json))
 
     p = sub.add_parser("compare-policies", help="FCFS vs LAS vs two-phase FB")
     p.add_argument("--nu1", type=float, required=True)

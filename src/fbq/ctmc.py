@@ -46,10 +46,6 @@ class CtmcSolution:
     U: float = 0.0          # multiserver: mean count of operative servers
     fg_marginal: list[float] | None = None  # multiserver: P(foreground = i), i <= m
 
-    @property
-    def roots(self):  # parity with the analytic multiserver solution
-        return []
-
 
 def _stationary(rows, cols, rates, nstates) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)

@@ -29,9 +29,16 @@ from .models import (
     UnstableModelError,
     check_stability_single,
 )
-from .multi import evaluate_cost_multi, solve_threshold
+from .multi import MultiServerSolution, evaluate_cost_multi, solve_threshold, sweep_thresholds
 from .simulate import SimConfig, ThreePhaseModel, simulate, two_phase_approximation
-from .single import evaluate_cost_single, solve_k1_closed_form, solve_speed_family
+from .single import (
+    SingleServerSolution,
+    evaluate_cost_single,
+    solve_general,
+    solve_k1_closed_form,
+    solve_speed_family,
+    solve_zero_speed,
+)
 
 # power-law exponent of the cost experiments, recovered by matching the
 # published cost curve (only alpha = 2 reproduces its convex shape)
@@ -39,18 +46,20 @@ COST_ALPHA = 2.0
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A named one-dimensional parameter sweep."""
+def solve(model: SingleServerModel | MultiServerModel) -> SingleServerSolution | MultiServerSolution:
+    """Exact steady state of a single-server or pool model.
 
-    parameter: str
-    grid: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.grid:
-            raise ModelError("sweep grid must be nonempty")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ModelError("sweep grid must be strictly increasing")
+    A profile whose sub-threshold speeds are all zero gets the zero-speed
+    closed form, any other two-speed profile (K = 1) the K = 1 closed form,
+    every other profile solve_general, and a pool solve_threshold.
+    """
+    if isinstance(model, MultiServerModel):
+        return solve_threshold(model)
+    if all(s == 0 for s in model.speeds.levels[: model.K]):
+        return solve_zero_speed(model)
+    if model.K == 1:
+        return solve_k1_closed_form(model)
+    return solve_general(model)
 
 
 @dataclass
@@ -156,30 +165,27 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     return SpeedProfile(levels, alpha=model.speeds.alpha), best_cost, curve
 
 
+def _threshold_cost_curve(sweep: list[MultiServerSolution], costs: CostCoefficients,
+                          label: str = "cost") -> PolicyCurve:
+    """Switch-off cost over the thresholds of a sweep_thresholds result."""
+    return PolicyCurve(label, [float(sol.threshold) for sol in sweep],
+                       [evaluate_cost_multi(sol, costs) for sol in sweep])
+
+
 def optimize_threshold(model: MultiServerModel, costs: CostCoefficients):
     """Evaluate the switch-off cost at every threshold and return the best.
 
     Solver failures at individual thresholds propagate rather than being
     skipped, so a returned optimum always covers the full range 0 .. m-1.
     """
-    xs, ys = [], []
-    for K in range(model.m):
-        sol = solve_threshold(MultiServerModel(model.lam, model.mu1, model.mu2,
-                                               model.q, model.m, threshold=K))
-        xs.append(float(K))
-        ys.append(evaluate_cost_multi(sol, costs))
-    curve = PolicyCurve("cost", xs, ys)
-    best_k = int(curve.argmin())
-    return best_k, curve
+    curve = _threshold_cost_curve(sweep_thresholds(model), costs)
+    return int(curve.argmin()), curve
 
 
 # --- figure reproduction -------------------------------------------------------
 
-_COMPARISON_GRID = SweepSpec("lambda", tuple(_grid(2.1, 3.2, 0.1)))
-
-
 def _figure3_like(service: CoxianService, figure: int) -> FigureResult:
-    xs = list(_COMPARISON_GRID.grid)
+    xs = _grid(2.1, 3.2, 0.1)
     fcfs, las, fb = [], [], []
     for lam in xs:
         fcfs.append(fcfs_L(lam, service))
@@ -222,7 +228,7 @@ def _figure5_point(lam: float) -> tuple[float, float, float]:
     service = CoxianService(5.0, 1.0, 0.1)
     costs = CostCoefficients(1.0, 20.0)
     m1 = SingleServerModel(lam, service, SpeedProfile((0.0, 1.0), alpha=COST_ALPHA))
-    c1 = evaluate_cost_single(solve_k1_closed_form(m1), m1.speeds, costs)
+    c1 = evaluate_cost_single(solve_k1_closed_form(m1), costs)
     base2 = SingleServerModel(lam, service, SpeedProfile((0.0, 0.5, 1.0), alpha=COST_ALPHA))
     _, c2cost, _ = optimize_intermediate_speeds(base2, 2, costs)
     base3 = SingleServerModel(lam, service, SpeedProfile((0.0, 0.5, 0.75, 1.0), alpha=COST_ALPHA))
@@ -284,11 +290,9 @@ def _three_phase_figure(figure: int, params: dict, grid: list[float], seed: int,
 
 
 def _figure8() -> FigureResult:
-    base = MultiServerModel(5.0, 1.0, 0.2, 0.1, 10)
-    curves = []
-    for c2 in (0.5, 1.0, 1.5):
-        _, curve = optimize_threshold(base, CostCoefficients(1.0, c2))
-        curves.append(PolicyCurve(f"c2={c2:g}", curve.xs, curve.ys))
+    sweep = sweep_thresholds(MultiServerModel(5.0, 1.0, 0.2, 0.1, 10))
+    curves = [_threshold_cost_curve(sweep, CostCoefficients(1.0, c2), f"c2={c2:g}")
+              for c2 in (0.5, 1.0, 1.5)]
     return FigureResult(
         figure=8,
         curves=curves,

@@ -75,11 +75,6 @@ class CoxianService:
         return (1.0 - c) * self.nu1 * math.exp(-self.nu1 * t) + c * self.nu2 * math.exp(-self.nu2 * t)
 
 
-def coxian_survival(service: CoxianService, t: float) -> float:
-    """Complementary CDF of the service-time distribution at elapsed work t."""
-    return service.survival(t)
-
-
 @dataclass(frozen=True)
 class SpeedProfile:
     """Speed levels s_0 <= s_1 <= ... <= s_K and the power-law exponent alpha.

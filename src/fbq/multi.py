@@ -132,34 +132,6 @@ def _det_at(model: MultiServerModel, z: float) -> float:
     return _r_sequence(a, alam)[0]
 
 
-@dataclass(frozen=True)
-class TriDiagonalSystem:
-    """The z-parametrised tridiagonal matrix coupling the per-level
-    generating functions, with its principal-minor machinery.
-
-    Diagonal entries a_i(z) = lam z + i mu1 z + (m-i) mu2 (z-1) for
-    i <= m-2; the last one folds in the saturated region through the small
-    kernel root.  Off-diagonals are -lam z below and -alpha_i(z) =
-    -i mu1 z (1-q+qz) above.  The determinant vanishes at z = 1 and at
-    exactly m-1 interior points that close the boundary linear system.
-    """
-
-    model: MultiServerModel
-
-    def matrix(self, z: float):
-        return _dense_matrix(self.model, z)
-
-    def determinant(self, z: float) -> float:
-        return _det_at(self.model, z)
-
-    def principal_minors(self, z: float) -> list[float]:
-        """Q_0 .. Q_{m-1}, the leading principal minors (three-term
-        recurrence); their interlaced zeros bracket the determinant's."""
-        y1 = _y1_float(self.model, z) if 0.0 <= z <= 1.0 else 0.0
-        a, _, alam = _matrix_entries(self.model, z, z - 1.0, y1)
-        return list(_q_sequence(a, alam))
-
-
 def _b_coefficients(model: MultiServerModel, K: int, t: int, z, zm1):
     """Linear coefficients of b_t(z) in the unknown boundary probabilities."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
@@ -214,6 +186,8 @@ def d_roots(model: MultiServerModel) -> list[float]:
     Bisection inside each bracket is unconditionally convergent.
     """
     require_stable_multi(model)
+    if model.lam == 0:
+        raise ModelError("arrival rate must be positive to solve the chain")
     m = model.m
     if m == 1:
         return []
@@ -299,13 +273,9 @@ def _null_vectors(a0: np.ndarray):
     return u_svd[:, -1], vt[-1, :]
 
 
-def _solve_threshold(model: MultiServerModel, K: int) -> MultiServerSolution:
-    require_stable_multi(model)
-    if model.lam == 0:
-        raise ModelError("arrival rate must be positive to solve the chain")
+def _solve_threshold(model: MultiServerModel, K: int, roots: list[float]) -> MultiServerSolution:
+    """Steady state under threshold K; `roots` are d_roots(model), which do not depend on K."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    if not 0 <= K <= m - 1:
-        raise ModelError(f"threshold {K} outside [0, {m - 1}]")
 
     states = _unknowns(m, K)
     idx = {s: k for k, s in enumerate(states)}
@@ -336,7 +306,6 @@ def _solve_threshold(model: MultiServerModel, K: int) -> MultiServerSolution:
 
     # at each zero of the determinant the transform system A(z) g = b stays
     # solvable only if b is orthogonal to the left null vector of A(z)
-    roots = d_roots(model)
     for zk in roots:
         u, _ = _null_vectors(_dense_matrix(model, zk))
         row = rows[r]
@@ -439,14 +408,20 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, roots: list[float])
     )
 
 
-def solve_fixed_m(model: MultiServerModel) -> MultiServerSolution:
-    """Steady state of the uncontrolled pool (all servers always available)."""
-    return _solve_threshold(model, 0)
-
-
 def solve_threshold(model: MultiServerModel) -> MultiServerSolution:
-    """Steady state under the model's switch-off threshold."""
-    return _solve_threshold(model, model.threshold)
+    """Steady state under the model's switch-off threshold (0: the uncontrolled pool)."""
+    return _solve_threshold(model, model.threshold, d_roots(model))
+
+
+def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
+    """Steady states under every threshold K = 0 .. m-1, in order (the
+    model's own threshold is ignored).
+
+    The determinant zeros are isolated once and shared by all thresholds.
+    A failure at any threshold propagates.
+    """
+    roots = d_roots(model)
+    return [_solve_threshold(model, K, roots) for K in range(model.m)]
 
 
 def evaluate_cost_multi(solution: MultiServerSolution, costs: CostCoefficients) -> float:

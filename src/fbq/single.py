@@ -37,7 +37,6 @@ from .models import (
     CostCoefficients,
     SingleServerModel,
     ModelError,
-    SpeedProfile,
     require_stable_single,
 )
 from .series import PowerSeries, cancel_divide_coeffs, divide, kernel_root_series, product_matrix
@@ -90,12 +89,6 @@ class SingleServerSolution:
             "energy_rate": self.energy_rate,
             "boundary": self.boundary.as_triples(),
         }
-
-
-def y1_series_at(model: SingleServerModel, z0: float, order: int) -> PowerSeries:
-    """Taylor expansion at z0 of the small kernel root, top-speed rates."""
-    require_stable_single(model)
-    return kernel_root_series(model.rho1, model.q, z0, order)
 
 
 def _stable_y1_at_0(rho: float, q: float) -> float:
@@ -393,14 +386,12 @@ class _Family:
                     tail_mass=tail, energy_rate=energy)
 
 
-def solve_k1_closed_form(model: SingleServerModel) -> SingleServerSolution:
-    """Closed form for the two-speed profile: the foreground queue is M/M/1."""
-    if model.K != 1:
-        raise ModelError(f"closed form requires K = 1, got K = {model.K}")
+def _k1_core(model: SingleServerModel) -> tuple[float, float, float, float, float]:
+    """pi_00, g0(1), L1, L2 and pi_10 of the two-speed (K = 1) chain at top-speed rates."""
     require_stable_single(model)
     if model.lam == 0:
         raise ModelError("arrival rate must be positive to solve the chain")
-    lam, q, mu1, mu2 = model.lam, model.q, model.mu1, model.mu2
+    lam, q, mu1 = model.lam, model.q, model.mu1
     rho1, rho2 = model.rho1, model.rho2
 
     pi00 = 1.0 - rho1 - rho2 * q
@@ -411,7 +402,15 @@ def solve_k1_closed_form(model: SingleServerModel) -> SingleServerSolution:
 
     y10_over = _stable_y1_at_0(rho1, q) / (1.0 - q) if q < 1.0 else 1.0 / (1.0 + rho1)
     pi10 = lam * pi00 * y10_over / mu1          # y1(0)/(1-q) stays finite as q -> 1
-    pi01 = (lam * pi00 - mu1 * (1 - q) * pi10) / mu2
+    return pi00, g0_at_1, L1, L2, pi10
+
+
+def solve_k1_closed_form(model: SingleServerModel) -> SingleServerSolution:
+    """Closed form for the two-speed profile: the foreground queue is M/M/1."""
+    if model.K != 1:
+        raise ModelError(f"closed form requires K = 1, got K = {model.K}")
+    pi00, g0_at_1, L1, L2, pi10 = _k1_core(model)
+    pi01 = (model.lam * pi00 - model.mu1 * (1 - model.q) * pi10) / model.mu2
 
     boundary = {(0, 0): pi00, (0, 1): pi01, (1, 0): pi10}
     energy = pi00 * model.speeds.power(0) + model.speeds.power(1) * (1.0 - pi00)
@@ -437,26 +436,12 @@ def solve_zero_speed(model: SingleServerModel) -> SingleServerSolution:
     the sum of the saturated share (K-1)(rho1 + rho2 q) and the boundary
     share (K-1) pi_{0,K-1}.)
     """
-    require_stable_single(model)
+    pi0, g0_at_1, L1, L2_k1, pi_1Km1 = _k1_core(model)   # pi0: mass of the frozen state (0, K-1)
     K = model.K
-    if model.lam == 0:
-        raise ModelError("arrival rate must be positive to solve the chain")
     if any(model.speeds.levels[n] != 0 for n in range(K)):
         raise ModelError("zero-speed closed form requires s_n = 0 for every n < K")
-    lam, q, mu1, mu2 = model.lam, model.q, model.mu1, model.mu2
-    rho1, rho2 = model.rho1, model.rho2
-
-    pi0 = 1.0 - rho1 - rho2 * q                  # mass of the frozen state (0, K-1)
-    g0_at_1 = rho2 * q
-    L1 = rho1 / (1.0 - rho1)
-    bracket = 1.0 - rho1 + rho1 * q / (1.0 - rho1)
-    L2_k1 = (rho1 + rho2 * q) / (1.0 - rho1 - rho2 * q) * bracket - rho1
     L2 = (K - 1) + L2_k1
-
-    y10 = _stable_y1_at_0(rho1, q)
-    pi_0K = rho2 * pi0 * (1.0 - y10)
-    y10_over = _stable_y1_at_0(rho1, q) / (1.0 - q) if q < 1.0 else 1.0 / (1.0 + rho1)
-    pi_1Km1 = lam * pi0 * y10_over / mu1
+    pi_0K = model.rho2 * pi0 * (1.0 - _stable_y1_at_0(model.rho1, model.q))
 
     boundary = {(i, t - i): 0.0 for t in range(K + 1) for i in range(t + 1)}
     boundary[(0, K - 1)] = pi0
@@ -479,13 +464,9 @@ def solve_zero_speed(model: SingleServerModel) -> SingleServerSolution:
     )
 
 
-def evaluate_cost_single(solution: SingleServerSolution, speeds: SpeedProfile,
-                         costs: CostCoefficients) -> float:
+def evaluate_cost_single(solution: SingleServerSolution, costs: CostCoefficients) -> float:
     """Linear holding + energy cost of a solved stationary state."""
-    K = speeds.K
-    energy = sum(solution.p_below_K[n] * speeds.power(n) for n in range(K))
-    energy += speeds.power(K) * solution.tail_mass
-    return costs.c1 * solution.L + costs.c2 * energy
+    return costs.c1 * solution.L + costs.c2 * solution.energy_rate
 
 
 # --- consistency checks ------------------------------------------------------

@@ -30,7 +30,6 @@ from fbq.multi import (
     d_roots,
     dprime_at_1,
     mmm_marginal,
-    solve_fixed_m,
     solve_threshold,
     verify_multi,
 )

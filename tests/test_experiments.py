@@ -5,7 +5,6 @@ from fbq.experiments import (
     COST_ALPHA,
     FigureResult,
     PolicyCurve,
-    SweepSpec,
     optimize_intermediate_speeds,
     optimize_threshold,
     reproduce_figure,
@@ -25,13 +24,6 @@ FIG4_BASE = SingleServerModel(2.5, CoxianService(5.0, 1.0, 0.1),
 
 
 class TestSpecs:
-    def test_sweep_validation(self):
-        SweepSpec("lambda", (0.1, 0.2))
-        with pytest.raises(ModelError):
-            SweepSpec("lambda", ())
-        with pytest.raises(ModelError):
-            SweepSpec("lambda", (0.2, 0.1))
-
     def test_curve_validation(self):
         c = PolicyCurve("x", [0.0, 1.0], [3.0, 2.0])
         assert c.argmin() == 1.0

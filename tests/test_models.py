@@ -13,7 +13,6 @@ from fbq.models import (
     SpeedProfile,
     check_stability_multi,
     check_stability_single,
-    coxian_survival,
     multi_model_from_json,
     multi_model_to_json,
     single_model_from_json,
@@ -83,7 +82,7 @@ class TestStability:
 class TestCoxian:
     def test_survival_at_zero_and_monotone(self):
         svc = CoxianService(3.0, 0.7, 0.4)
-        assert coxian_survival(svc, 0.0) == 1.0
+        assert svc.survival(0.0) == 1.0
         ts = np.linspace(0.0, 8.0, 50)
         vals = [svc.survival(t) for t in ts]
         assert all(0.0 <= v <= 1.0 for v in vals)

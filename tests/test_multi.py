@@ -6,7 +6,7 @@ import pytest
 from fbq.ctmc import ctmc_solve
 from fbq.models import CostCoefficients, ModelError, MultiServerModel, UnstableModelError
 from fbq.multi import (
-    TriDiagonalSystem,
+    _dense_matrix,
     _det_at,
     _matrix_entries,
     _q_sequence,
@@ -15,7 +15,6 @@ from fbq.multi import (
     dprime_at_1,
     evaluate_cost_multi,
     mmm_marginal,
-    solve_fixed_m,
     solve_threshold,
     verify_multi,
 )
@@ -76,8 +75,7 @@ class TestTransformMatrix:
     MODEL = MultiServerModel(1.5, 1.0, 0.5, 0.3, 3)
 
     def test_entries(self):
-        sys = TriDiagonalSystem(self.MODEL)
-        a = sys.matrix(0.5)
+        a = _dense_matrix(self.MODEL, 0.5)
         lam, mu1, mu2, m = 1.5, 1.0, 0.5, 3
         z = 0.5
         assert a.shape == (3, 3)
@@ -88,19 +86,19 @@ class TestTransformMatrix:
         assert a[1, 2] == pytest.approx(-2 * mu1 * z * (1 - 0.3 + 0.3 * z))
 
     def test_singular_at_one(self):
-        sys = TriDiagonalSystem(self.MODEL)
-        scale = max(abs(sys.determinant(z)) for z in np.linspace(0.05, 0.95, 19))
-        assert abs(sys.determinant(1.0)) < 1e-12 * scale
+        scale = max(abs(_det_at(self.MODEL, z)) for z in np.linspace(0.05, 0.95, 19))
+        assert abs(_det_at(self.MODEL, 1.0)) < 1e-12 * scale
 
     def test_determinant_matches_dense(self):
-        sys = TriDiagonalSystem(self.MODEL)
         for z in (0.2, 0.7, 0.95):
-            assert sys.determinant(z) == pytest.approx(np.linalg.det(sys.matrix(z)), rel=1e-10)
+            assert _det_at(self.MODEL, z) == pytest.approx(
+                np.linalg.det(_dense_matrix(self.MODEL, z)), rel=1e-10)
 
     def test_minors_match_dense_leading_blocks(self):
-        sys = TriDiagonalSystem(self.MODEL)
-        a = sys.matrix(0.6)
-        minors = sys.principal_minors(0.6)
+        z = 0.6
+        a = _dense_matrix(self.MODEL, z)
+        entries, _, alam = _matrix_entries(self.MODEL, z, z - 1.0, _y1_float(self.MODEL, z))
+        minors = _q_sequence(entries, alam)
         assert minors[0] == 1.0
         for i in (1, 2):
             assert minors[i] == pytest.approx(np.linalg.det(a[:i, :i]), rel=1e-12)
@@ -176,12 +174,12 @@ class TestUncontrolledPool:
     def test_mm2_empty_probability(self):
         # with rho1 = 1 the two-server foreground idles a third of the time
         model = MultiServerModel(1.0, 1.0, 0.5, 0.3, 2)
-        sol = solve_fixed_m(model)
+        sol = solve_threshold(model)
         assert sol.g_at_1[0] == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_q_zero_is_erlang(self):
         model = MultiServerModel(1.5, 1.0, 0.7, 0.0, 3)
-        sol = solve_fixed_m(model)
+        sol = solve_threshold(model)
         p, L1 = mmm_marginal(3, 1.5)
         assert sol.L2 == pytest.approx(0.0, abs=1e-12)
         assert sol.L1 == pytest.approx(L1, rel=1e-12)
@@ -190,25 +188,18 @@ class TestUncontrolledPool:
 
     def test_reference_point(self):
         model = MultiServerModel(1.5, 1.0, 0.5, 0.3, 3)
-        sol = solve_fixed_m(model)
+        sol = solve_threshold(model)
         assert sol.L == pytest.approx(M3_EXAMPLE["L"], rel=1e-5)
         assert sol.L1 == pytest.approx(M3_EXAMPLE["L1"], rel=1e-5)
         assert sol.L2 == pytest.approx(M3_EXAMPLE["L2"], rel=1e-5)
 
     def test_single_server_pool_matches_two_queue_chain(self):
-        pool = solve_fixed_m(MultiServerModel(2.0, 5.0, 1.0, 0.1, 1))
+        pool = solve_threshold(MultiServerModel(2.0, 5.0, 1.0, 0.1, 1))
         assert pool.L1 == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert pool.L2 == pytest.approx(0.6, rel=1e-10)
 
 
 class TestThresholdPolicy:
-    def test_zero_threshold_delegates(self):
-        model = MultiServerModel(1.5, 1.0, 0.5, 0.3, 3, threshold=0)
-        a, b = solve_threshold(model), solve_fixed_m(model)
-        assert a.boundary == b.boundary
-        for pick in ("L", "L1", "L2", "U", "tail_mass"):
-            assert getattr(a, pick) == getattr(b, pick), pick
-
     def test_reference_point(self):
         model = MultiServerModel(1.0, 1.0, 0.5, 0.5, 4, threshold=2)
         sol = solve_threshold(model)
@@ -250,12 +241,12 @@ class TestThresholdPolicy:
 class TestCost:
     def test_holding_only(self):
         model = MultiServerModel(1.5, 1.0, 0.5, 0.3, 3)
-        sol = solve_fixed_m(model)
+        sol = solve_threshold(model)
         assert evaluate_cost_multi(sol, CostCoefficients(2.0, 0.0)) == pytest.approx(2 * sol.L)
 
     def test_light_traffic_energy_vanishes(self):
         model = MultiServerModel(1e-9, 1.0, 0.5, 0.3, 3)
-        sol = solve_fixed_m(model)
+        sol = solve_threshold(model)
         c = evaluate_cost_multi(sol, CostCoefficients(0.0, 1.0))
         assert c == pytest.approx(0.0, abs=1e-6)  # empty pool is switched off
 

@@ -18,8 +18,8 @@ from fbq.single import (
     solve_k1_closed_form,
     solve_zero_speed,
     verify_single,
-    y1_series_at,
 )
+from fbq.series import kernel_root_series
 
 # reference values computed with the truncated-chain oracle (ctmc_solve,
 # edge mass < 1e-10); kept frozen so regressions are loud
@@ -48,14 +48,10 @@ def random_stable_model(rng, K):
 class TestKernelRootOp:
     def test_at_one(self):
         m = single(2.0, 5.0, 1.0, 0.1, (1, 1))
-        s = y1_series_at(m, 1.0, 2)
+        s = kernel_root_series(m.rho1, m.q, 1.0, 2)
         assert s.c[0] == 1.0
         assert s.derivative(1) == pytest.approx(0.1 / 0.6, rel=1e-14)
         assert s.derivative(2) == pytest.approx(2 * 0.4 * 0.01 / 0.6**3, rel=1e-13)
-
-    def test_requires_stability(self):
-        with pytest.raises(UnstableModelError):
-            y1_series_at(single(4.0, 5.0, 1.0, 0.1, (1, 1)), 0.0, 2)
 
 
 class TestClosedFormK1:
@@ -223,16 +219,18 @@ class TestCost:
     def test_holding_only(self):
         m = single(2.0, 5.0, 1.0, 0.1, (0, 1))
         sol = solve_k1_closed_form(m)
-        assert evaluate_cost_single(sol, m.speeds, CostCoefficients(2.0, 0.0)) == pytest.approx(2 * sol.L)
+        assert evaluate_cost_single(sol, CostCoefficients(2.0, 0.0)) == pytest.approx(2 * sol.L)
 
     def test_energy_normalises_for_flat_profile(self):
         m = single(2.0, 5.0, 1.0, 0.1, (0.7, 0.7), alpha=1.0)
         sol = solve_k1_closed_form(m)
-        c = evaluate_cost_single(sol, m.speeds, CostCoefficients(0.0, 3.0))
+        c = evaluate_cost_single(sol, CostCoefficients(0.0, 3.0))
         assert c == pytest.approx(3.0 * 0.7)
 
     def test_solution_energy_field_matches(self):
         m = single(2.5, 5.0, 1.0, 0.1, (0.0, 0.6, 1.0), alpha=2.0)
         sol = solve_general(m)
-        c = evaluate_cost_single(sol, m.speeds, CostCoefficients(0.0, 1.0))
-        assert c == pytest.approx(sol.energy_rate, rel=1e-12)
+        s = m.speeds.levels
+        energy = sum(p * s[n] ** 2.0 for n, p in enumerate(sol.p_below_K)) + s[-1] ** 2.0 * sol.tail_mass
+        assert sol.energy_rate == pytest.approx(energy, rel=1e-12)
+        assert evaluate_cost_single(sol, CostCoefficients(0.0, 1.0)) == sol.energy_rate
