@@ -33,6 +33,13 @@ class SolverError(RuntimeError):
     """Numerical failure inside a solver (singular system, lost root, ...)."""
 
 
+def require_finite(**fields: float) -> None:
+    """Raise a ModelError naming the first field that is NaN or infinite."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ModelError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CoxianService:
     """Two-phase Coxian job-length distribution (rates per unit of speed)."""
@@ -42,6 +49,7 @@ class CoxianService:
     q: float
 
     def __post_init__(self):
+        require_finite(nu1=self.nu1, nu2=self.nu2)
         if not (self.nu1 > 0 and self.nu2 > 0):
             raise ModelError(f"phase rates must be positive, got nu1={self.nu1}, nu2={self.nu2}")
         if not 0.0 <= self.q <= 1.0:
@@ -92,6 +100,10 @@ class SpeedProfile:
         object.__setattr__(self, "levels", tuple(float(s) for s in self.levels))
         if len(self.levels) < 2:
             raise ModelError("need at least two speed levels (K >= 1)")
+        for n, s in enumerate(self.levels):
+            if not math.isfinite(s):
+                raise ModelError(f"speed s_{n} must be finite, got {s}")
+        require_finite(alpha=self.alpha)
         if any(s < 0 for s in self.levels):
             raise ModelError(f"speeds must be nonnegative: {self.levels}")
         if any(a > b for a, b in zip(self.levels, self.levels[1:])):
@@ -122,6 +134,7 @@ class SingleServerModel:
     speeds: SpeedProfile
 
     def __post_init__(self):
+        require_finite(lam=self.lam)
         if self.lam < 0:
             raise ModelError(f"arrival rate must be nonnegative, got {self.lam}")
 
@@ -179,6 +192,7 @@ class MultiServerModel:
     threshold: int = 0
 
     def __post_init__(self):
+        require_finite(lam=self.lam, mu1=self.mu1, mu2=self.mu2)
         if self.lam < 0:
             raise ModelError(f"arrival rate must be nonnegative, got {self.lam}")
         if not (self.mu1 > 0 and self.mu2 > 0):
@@ -213,6 +227,7 @@ class CostCoefficients:
     c2: float = 0.0
 
     def __post_init__(self):
+        require_finite(c1=self.c1, c2=self.c2)
         if self.c1 < 0 or self.c2 < 0:
             raise ModelError(f"cost coefficients must be nonnegative, got c1={self.c1}, c2={self.c2}")
 

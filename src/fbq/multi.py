@@ -20,10 +20,19 @@ The switch-off policy stops all m servers when the total job count drops to
 a threshold K (restarting them at the next arrival), which zeroes the states
 below the K-diagonal and modifies the inhomogeneous terms b_i(z) for i <= K;
 everything else is shared with the uncontrolled pool (K = 0).
+
+Everything that does not depend on K is computed once per pool
+(lam, mu1, mu2, q, m) and kept in a bounded cache shared by all thresholds
+and all calls: the determinant zeros, the left null vector of A(z) and the
+powers z^j at each zero, and the Taylor data of A(z) at z = 1 with the null
+pair of A(1).  The closure by the zeros is the spectral-expansion closure of
+Mitrani & Chakka, "Spectral expansion solution for a class of Markov
+models", Performance Evaluation 23 (1995).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +51,7 @@ from .series import PowerSeries, kernel_root_pair_at_1
 
 SERIES_ORDER = 3
 ROOT_REL_WIDTH = 1e-13
+POOL_CACHE_SIZE = 64   # pools whose threshold-independent data is kept
 
 
 @dataclass(frozen=True)
@@ -132,27 +142,22 @@ def _det_at(model: MultiServerModel, z: float) -> float:
     return _r_sequence(a, alam)[0]
 
 
-def _b_coefficients(model: MultiServerModel, K: int, t: int, z, zm1):
-    """Linear coefficients of b_t(z) in the unknown boundary probabilities."""
+def _b_coefficients(model: MultiServerModel, K: int, t: int, z, zm1, zpow):
+    """Linear coefficients of b_t(z) in the unknown boundary probabilities;
+    zpow[j] is z^j for j = 0 .. m-1."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
     coeffs = {}
     if K >= 1 and t <= K:
-        zpow = _pow(z, K - t)
-        coeffs[(t, K - t)] = (t * mu1 * z + (m - t) * mu2 * zm1) * zpow
+        zk = zpow[K - t]
+        coeffs[(t, K - t)] = (t * mu1 * z + (m - t) * mu2 * zm1) * zk
         if t <= K - 1:
-            coeffs[(t + 1, K - t - 1)] = -(t + 1) * mu1 * (1.0 - q + q * z) * zpow
+            coeffs[(t + 1, K - t - 1)] = -(t + 1) * mu1 * (1.0 - q + q * z) * zk
         for j in range(K - t + 1, m - t):
-            coeffs[(t, j)] = mu2 * zm1 * (m - t - j) * _pow(z, j)
+            coeffs[(t, j)] = mu2 * zm1 * (m - t - j) * zpow[j]
     else:
         for j in range(0, m - t):
-            coeffs[(t, j)] = mu2 * zm1 * (m - t - j) * _pow(z, j)
+            coeffs[(t, j)] = mu2 * zm1 * (m - t - j) * zpow[j]
     return coeffs
-
-
-def _pow(z, p: int):
-    if isinstance(z, PowerSeries):
-        return z.pow(p)
-    return z**p
 
 
 # --- root isolation -----------------------------------------------------------
@@ -177,31 +182,30 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def d_roots(model: MultiServerModel) -> list[float]:
-    """The m-1 zeros of the transform determinant in (0,1).
+def _minor_at(model: MultiServerModel, i: int, z: float) -> float:
+    """Q_i(z) from the matrix entries 0 .. i-1 alone, by the operations of
+    _matrix_entries and _q_sequence (so with the same rounding)."""
+    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    zm1 = z - 1.0
+    prev, cur = 1.0, 1.0
+    for k in range(i):
+        a = lam * z + k * mu1 * z + (m - k) * mu2 * zm1
+        if k == 0:
+            prev, cur = cur, a
+        else:
+            alam = k * mu1 * z * (1.0 - q + q * z) * (lam * z)
+            prev, cur = cur, a * cur - alam * prev
+    return cur
 
-    Descends the interlacing tree of the principal minors: the i zeros of
-    Q_i in (0,1) bracket the i+1 zeros of Q_{i+1} together with the interval
-    endpoints, and the zeros of Q_{m-1} bracket those of the determinant.
-    Bisection inside each bracket is unconditionally convergent.
-    """
-    require_stable_multi(model)
-    if model.lam == 0:
-        raise ModelError("arrival rate must be positive to solve the chain")
+
+def _isolate_roots(model: MultiServerModel) -> tuple[float, ...]:
+    """The bisection cascade of d_roots, without its checks."""
     m = model.m
     if m == 1:
-        return []
-
-    def q_level(i):
-        # Q_i as a float evaluator
-        def f(z):
-            a, _, alam = _matrix_entries(model, z, z - 1.0, _y1_float(model, z))
-            return _q_sequence(a, alam)[i]
-        return f
-
+        return ()
     roots = []
     for i in range(1, m):
-        f = q_level(i)
+        f = functools.partial(_minor_at, model, i)
         brackets = [0.0] + roots + [1.0]
         new = []
         vals = [f(x) for x in brackets]
@@ -227,7 +231,26 @@ def d_roots(model: MultiServerModel) -> list[float]:
                 f"determinant lost a bracketed zero (instability or precondition "
                 f"violation): {exc}; D'(1) = {dprime_at_1(model):.6g}"
             ) from exc
-    return out
+    return tuple(out)
+
+
+def d_roots(model: MultiServerModel) -> list[float]:
+    """The m-1 zeros of the transform determinant in (0,1).
+
+    Descends the interlacing tree of the principal minors: the i zeros of
+    Q_i in (0,1) bracket the i+1 zeros of Q_{i+1} together with the interval
+    endpoints, and the zeros of Q_{m-1} bracket those of the determinant.
+    Bisection inside each bracket is unconditionally convergent.
+
+    The stability and lam > 0 checks run on every call; the cascade runs
+    once per pool (lam, mu1, mu2, q, m) and its zeros are then served from
+    the pool cache, whatever the threshold.  The list returned is new on
+    every call.
+    """
+    require_stable_multi(model)
+    if model.lam == 0:
+        raise ModelError("arrival rate must be positive to solve the chain")
+    return list(_pool(model).roots)
 
 
 def dprime_at_1(model: MultiServerModel) -> float:
@@ -273,8 +296,93 @@ def _null_vectors(a0: np.ndarray):
     return u_svd[:, -1], vt[-1, :]
 
 
-def _solve_threshold(model: MultiServerModel, K: int, roots: list[float]) -> MultiServerSolution:
-    """Steady state under threshold K; `roots` are d_roots(model), which do not depend on K."""
+# --- threshold-independent data of a pool -------------------------------------
+
+
+@dataclass(frozen=True)
+class _AtOne:
+    """Taylor data at z = 1 of the transform system, shared by all thresholds."""
+
+    z: PowerSeries            # z as a series in t = z - 1
+    zm1: PowerSeries          # t itself, so its zero at z = 1 is exact
+    zpow: list                # z^j for j = 0 .. m-1
+    a0: np.ndarray            # A(z) = A0 + A1 t + A2 t^2 + ...
+    a1: np.ndarray
+    a2: np.ndarray
+    u: np.ndarray             # left and right null vectors of A0
+    v: np.ndarray
+    uA1v: float
+    y2v: float                # y2(1) and y2'(1)
+    y2d: float
+
+
+class _Pool:
+    """Everything a solve of the pool (lam, mu1, mu2, q, m) needs that does
+    not depend on the threshold.  The zeros are isolated on construction;
+    the rest is built on first use.  A failure is not kept, so it is raised
+    again, with the same message, by every solve that needs the failing part.
+    """
+
+    def __init__(self, model: MultiServerModel):
+        self.model = model
+        self.roots = _isolate_roots(model)
+
+    @functools.cached_property
+    def at_roots(self) -> list[tuple[float, np.ndarray, list[float]]]:
+        """(z_k, left null vector of A(z_k), [z_k^j for j = 0 .. m-1]) per zero."""
+        m = self.model.m
+        return [(zk, _frozen(_null_vectors(_dense_matrix(self.model, zk))[0]),
+                 [zk**j for j in range(m)]) for zk in self.roots]
+
+    @functools.cached_property
+    def at_one(self) -> _AtOne:
+        model = self.model
+        lam, mu1, q, m = model.lam, model.mu1, model.q, model.m
+        R_ORD = SERIES_ORDER
+        y1s, y2s = kernel_root_pair_at_1(lam / (m * mu1), q, R_ORD)
+        z = PowerSeries.variable(1.0, R_ORD)
+        zm1 = PowerSeries([0.0, 1.0] + [0.0] * (R_ORD - 1))
+
+        # A(z) expanded at z = 1 as A0 + A1 t + A2 t^2 + ...
+        a, alpha, _ = _matrix_entries(model, z, zm1, y1s)
+        amats = [np.zeros((m, m)) for _ in range(3)]
+        for order in range(3):
+            for i in range(m):
+                amats[order][i, i] = a[i].c[order]
+                if i + 1 < m:
+                    amats[order][i, i + 1] = -alpha[i + 1].c[order]
+                if i > 0:
+                    amats[order][i, i - 1] = -(lam * z).c[order] if order <= 1 else 0.0
+        a0, a1, a2 = map(_frozen, amats)
+
+        u, v = map(_frozen, _null_vectors(a0))
+        uA1v = u @ a1 @ v
+        if abs(uA1v) < 1e-12 * np.abs(a1).max():
+            raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
+        return _AtOne(z=z, zm1=zm1, zpow=[z.pow(j) for j in range(m)], a0=a0, a1=a1, a2=a2,
+                      u=u, v=v, uA1v=uA1v, y2v=y2s.c[0], y2d=y2s.c[1])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=POOL_CACHE_SIZE)
+def _pool_data(lam: float, mu1: float, mu2: float, q: float, m: int) -> _Pool:
+    return _Pool(MultiServerModel(lam, mu1, mu2, q, m))
+
+
+def _pool(model: MultiServerModel) -> _Pool:
+    """The cached data of the model's pool; its threshold is not part of the key."""
+    return _pool_data(model.lam, model.mu1, model.mu2, model.q, model.m)
+
+
+# --- one threshold ------------------------------------------------------------
+
+
+def _solve_threshold(model: MultiServerModel, K: int, pool: _Pool) -> MultiServerSolution:
+    """Steady state under threshold K from the pool's cached data."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
 
     states = _unknowns(m, K)
@@ -306,11 +414,10 @@ def _solve_threshold(model: MultiServerModel, K: int, roots: list[float]) -> Mul
 
     # at each zero of the determinant the transform system A(z) g = b stays
     # solvable only if b is orthogonal to the left null vector of A(z)
-    for zk in roots:
-        u, _ = _null_vectors(_dense_matrix(model, zk))
+    for zk, u, zpow in pool.at_roots:
         row = rows[r]
         for t in range(m):
-            for state, coef in _b_coefficients(model, K, t, zk, zk - 1.0).items():
+            for state, coef in _b_coefficients(model, K, t, zk, zk - 1.0, zpow).items():
                 row[idx[state]] += u[t] * coef
         r += 1
 
@@ -323,34 +430,21 @@ def _solve_threshold(model: MultiServerModel, K: int, roots: list[float]) -> Mul
 
     x = solve_probability_system(rows, rhs)
     boundary = {s: float(x[k]) for s, k in idx.items()}
-    return _finish(model, K, boundary, roots)
+    return _finish(model, K, boundary, pool)
 
 
-def _finish(model: MultiServerModel, K: int, boundary: dict, roots: list[float]) -> MultiServerSolution:
-    lam, mu1, q, m = model.lam, model.mu1, model.q, model.m
-    R_ORD = SERIES_ORDER
+def _finish(model: MultiServerModel, K: int, boundary: dict, pool: _Pool) -> MultiServerSolution:
+    lam, mu1, m = model.lam, model.mu1, model.m
+    one = pool.at_one
     rho_hat = lam / (m * mu1)
-    y1s, y2s = kernel_root_pair_at_1(rho_hat, q, R_ORD)
-    z = PowerSeries.variable(1.0, R_ORD)
-    zm1 = PowerSeries([0.0, 1.0] + [0.0] * (R_ORD - 1))
 
     # Taylor data of the transform system at z = 1: A(z) g(z) = b(z) expanded
     # as (A0 + A1 t + A2 t^2)(g0 + g1 t + ...) = b0 + b1 t + b2 t^2 + ...
-    a, alpha, _ = _matrix_entries(model, z, zm1, y1s)
-    amats = [np.zeros((m, m)) for _ in range(3)]
-    for order in range(3):
-        for i in range(m):
-            amats[order][i, i] = a[i].c[order]
-            if i + 1 < m:
-                amats[order][i, i + 1] = -alpha[i + 1].c[order]
-            if i > 0:
-                amats[order][i, i - 1] = -(lam * z).c[order] if order <= 1 else 0.0
-    a0, a1, a2 = amats
-
+    a0, a1, a2 = one.a0, one.a1, one.a2
     bvec = [np.zeros(m) for _ in range(3)]
     for t in range(m):
-        acc = PowerSeries.constant(0.0, R_ORD)
-        for state, coef in _b_coefficients(model, K, t, z, zm1).items():
+        acc = PowerSeries.constant(0.0, SERIES_ORDER)
+        for state, coef in _b_coefficients(model, K, t, one.z, one.zm1, one.zpow).items():
             acc = acc + coef * boundary[state]
         for order in range(3):
             bvec[order][t] = acc.c[order]
@@ -360,10 +454,7 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, roots: list[float])
     # cascade needs one solvability condition per order: each particular
     # solution is completed with the right-null-vector component that keeps
     # the next order consistent.
-    u, v = _null_vectors(a0)
-    uA1v = u @ a1 @ v
-    if abs(uA1v) < 1e-12 * np.abs(a1).max():
-        raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
+    u, v, uA1v = one.u, one.v, one.uA1v
     scale = np.abs(b0).max() + np.abs(b1).max()
     if abs(u @ b0) > 1e-7 * max(scale, 1e-300):
         raise SolverError(f"solvability residual {u @ b0:.3e} at z = 1; boundary solve inconsistent")
@@ -385,7 +476,7 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, roots: list[float])
         L1 = sum(i * gv1[i] for i in range(m)) + gm1 * (m * (1.0 - r) + r) / (1.0 - r) ** 2
 
     # saturated-tail contribution g(1,z) = g_{m-1}(z) / (y2(z) - 1)
-    y2v, y2d = y2s.c[0], y2s.c[1]
+    y2v, y2d = one.y2v, one.y2d
     tail_deriv = (gd1[m - 1] * (y2v - 1.0) - gv1[m - 1] * y2d) / (y2v - 1.0) ** 2
     L2 = sum(gd1) + tail_deriv
 
@@ -403,25 +494,29 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, roots: list[float])
         U=U,
         p=p,
         tail_mass=1.0 - sum(p),
-        roots=list(roots),
+        roots=list(pool.roots),
         threshold=K,
     )
 
 
 def solve_threshold(model: MultiServerModel) -> MultiServerSolution:
     """Steady state under the model's switch-off threshold (0: the uncontrolled pool)."""
-    return _solve_threshold(model, model.threshold, d_roots(model))
+    d_roots(model)   # checks the model and isolates the zeros on the pool's first solve
+    return _solve_threshold(model, model.threshold, _pool(model))
 
 
 def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
     """Steady states under every threshold K = 0 .. m-1, in order (the
     model's own threshold is ignored).
 
-    The determinant zeros are isolated once and shared by all thresholds.
-    A failure at any threshold propagates.
+    The determinant zeros, the null vectors at them and the z = 1 Taylor
+    data come from the pool cache, so they are built once per pool however
+    many sweeps or solves use it; each threshold solves only its own
+    boundary system.  A failure at any threshold propagates.
     """
-    roots = d_roots(model)
-    return [_solve_threshold(model, K, roots) for K in range(model.m)]
+    d_roots(model)
+    pool = _pool(model)
+    return [_solve_threshold(model, K, pool) for K in range(model.m)]
 
 
 def evaluate_cost_multi(solution: MultiServerSolution, costs: CostCoefficients) -> float:

@@ -24,6 +24,7 @@ from .models import (
     SingleServerModel,
     check_stability_multi,
     check_stability_single,
+    require_finite,
 )
 
 log = logging.getLogger("fbq.simulate")
@@ -43,6 +44,7 @@ class ThreePhaseModel:
     q2: float
 
     def __post_init__(self):
+        require_finite(lam=self.lam, mu1=self.mu1, mu2=self.mu2, mu3=self.mu3)
         if self.lam < 0:
             raise ModelError(f"arrival rate must be nonnegative, got {self.lam}")
         if min(self.mu1, self.mu2, self.mu3) <= 0:

@@ -131,3 +131,10 @@ class TestOtherCommands:
         assert out_path.exists()
         meta = json.loads((tmp_path / "fig8.csv.meta.json").read_text())
         assert meta["figure"] == 8
+
+    def test_non_finite_rate_names_the_field(self, capsys, caplog):
+        code, _ = run(capsys, "solve-multi", "--lambda", "nan", "--mu1", "1", "--mu2", "0.5",
+                      "--q", "0.2", "--m", "4")
+        assert code == 2
+        assert "lam must be finite, got nan" in caplog.text
+        assert "unstable" not in caplog.text

@@ -18,6 +18,7 @@ from fbq.models import (
     single_model_from_json,
     single_model_to_json,
 )
+from fbq.simulate import ThreePhaseModel
 
 
 def single(lam, nu1, nu2, q, speeds=(1.0, 1.0), alpha=1.0):
@@ -54,6 +55,41 @@ class TestValidation:
             MultiServerModel(1.0, 1.0, 1.0, 0.1, 3, threshold=3)
         with pytest.raises(ModelError):
             CostCoefficients(-1.0, 0.0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_arrival_rate_of_every_model_class(self, bad):
+        makers = [
+            lambda: single(bad, 5.0, 1.0, 0.1),
+            lambda: MultiServerModel(bad, 1.0, 0.5, 0.2, 3),
+            lambda: ThreePhaseModel(bad, 5.0, 1.0, 0.5, 0.1, 0.5),
+        ]
+        for make in makers:
+            with pytest.raises(ModelError, match=r"^lam must be finite"):
+                make()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_speed_levels_and_alpha(self, bad):
+        with pytest.raises(ModelError, match=r"^speed s_0 must be finite"):
+            SpeedProfile((bad, 1.0))
+        with pytest.raises(ModelError, match=r"^speed s_2 must be finite"):
+            SpeedProfile((0.0, 0.5, bad))
+        with pytest.raises(ModelError, match=r"^alpha must be finite"):
+            SpeedProfile((0.0, 1.0), alpha=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cost_coefficients(self, bad):
+        with pytest.raises(ModelError, match=r"^c1 must be finite"):
+            CostCoefficients(bad, 1.0)
+        with pytest.raises(ModelError, match=r"^c2 must be finite"):
+            CostCoefficients(1.0, bad)
+
+    def test_service_rates(self):
+        with pytest.raises(ModelError, match=r"^nu2 must be finite"):
+            CoxianService(1.0, math.inf, 0.5)
+        with pytest.raises(ModelError, match=r"^mu1 must be finite"):
+            MultiServerModel(1.0, math.inf, 0.5, 0.2, 3)
 
 
 class TestStability:
