@@ -44,6 +44,10 @@ from .experiments import optimize_intermediate_speeds, optimize_threshold, repro
 
 log = logging.getLogger("fbq.cli")
 
+# `validate` grows the oracle's rectangle to at most 513 x 513 states (about
+# 3 s, enough for loads up to about 0.95) instead of ctmc_solve's default cap
+ORACLE_MAX_N = 512
+
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -196,6 +200,17 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+def _oracle_agreement(model, sol):
+    """Relative gap in L between `sol` and the truncated-CTMC oracle;
+    FBQ_LOG=debug shows the oracle's growth steps."""
+    try:
+        ora = ctmc_solve(model, max_n=ORACLE_MAX_N)
+    except SolverError as exc:
+        return ("oracle_agreement", False, f"oracle failed: {exc}")
+    gap = abs(sol.L - ora.L) / max(abs(ora.L), 1e-12)
+    return ("oracle_agreement", gap < 1e-8, f"{gap:.2e} at truncation n = {ora.truncation[0]}")
+
+
 def _cmd_validate(args) -> int:
     checks = []
     if args.kind == "single":
@@ -213,6 +228,7 @@ def _cmd_validate(args) -> int:
                 cf = solve_k1_closed_form(model)
                 diff = max(abs(gen.L - cf.L), abs(gen.L1 - cf.L1), abs(gen.L2 - cf.L2))
                 checks.append(("closed_form_agreement", diff < 1e-9, f"{diff:.2e}"))
+            checks.append(_oracle_agreement(model, sol))
     else:
         model = _multi_model(args)
         stable = check_stability_multi(model)
@@ -226,6 +242,7 @@ def _cmd_validate(args) -> int:
                            f"{res['idle_server_identity']:.2e}"))
             checks.append(("normalization", res["normalization"] < 1e-10, f"{res['normalization']:.2e}"))
             checks.append(("geometric_tail", res["geometric_tail"] < 1e-8, f"{res['geometric_tail']:.2e}"))
+            checks.append(_oracle_agreement(model, sol))
     ok = True
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")

@@ -1,19 +1,32 @@
 """Truncated-CTMC reference solver.
 
-Builds the exact transition rates of the two-queue chain on a finite
-rectangle of states, solves the stationary equations with a sparse direct
-factorisation, and reports the same summary metrics as the analytic solvers.
-The truncation is enlarged geometrically until the probability mass sitting
-on the outer edge is negligible, so the result is an independent numerical
-oracle for the generating-function solutions.
+Builds the exact transition rates of the two-queue chain on the rectangle of
+states (i, j), 0 <= i, j <= n, with i foreground and j background jobs, by
+index arithmetic over the whole grid.  Arrivals at i = n are blocked.  A
+foreground completion that would feed the background queue past j = n stays
+on that edge instead, so the edge states keep every service exit and the
+truncated chain has a single recurrent class.
+
+The stationary equations are solved with one sparse direct factorisation.
+The probability of a state that is recurrent for every parameter set is
+fixed to 1 and its balance equation dropped; the balance equations of the
+states it reaches are solved and the vector is normalised afterwards
+(Stewart, *Introduction to the Numerical Solution of Markov Chains*, 1994,
+ch. 2).  The rectangle is doubled until the probability mass on its outer
+edge is negligible, so the result is an independent numerical oracle for
+the generating-function solutions.
 """
 
 from __future__ import annotations
 
+import logging
+import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .models import (
@@ -27,6 +40,8 @@ from .models import (
 TAIL_TOL = 1e-10
 START_N = 64
 MAX_N = 2048
+
+log = logging.getLogger("fbq.ctmc")
 
 
 @dataclass
@@ -47,46 +62,124 @@ class CtmcSolution:
     fg_marginal: list[float] | None = None  # multiserver: P(foreground = i), i <= m
 
 
-def _stationary(rows, cols, rates, nstates) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    rates = np.asarray(rates, dtype=np.float64)
-    diag = np.bincount(rows, weights=rates, minlength=nstates)
-    # assemble Q^T with the diagonal, then swap the last balance equation
-    # for the normalisation row
-    ar = np.concatenate([cols, np.arange(nstates)])
-    ac = np.concatenate([rows, np.arange(nstates)])
-    av = np.concatenate([rates, -diag])
-    keep = ar != nstates - 1
-    ar = np.concatenate([ar[keep], np.full(nstates, nstates - 1)])
-    ac = np.concatenate([ac[keep], np.arange(nstates)])
-    av = np.concatenate([av[keep], np.ones(nstates)])
-    a = sp.coo_matrix((av, (ar, ac)), shape=(nstates, nstates)).tocsc()
-    b = np.zeros(nstates)
-    b[nstates - 1] = 1.0
-    pi = spla.spsolve(a, b)
+def _transitions(n, lam, q, fg, bg):
+    """Generator entries (from, to, rate) on the (n+1) x (n+1) grid.
+
+    `fg[i, j]` and `bg[i, j]` are the foreground and background completion
+    rates in state (i, j), zero where that class is not served.  A foreground
+    completion leaves with probability 1 - q and joins the background queue
+    with probability q; on the edge j = n it joins as (i - 1, n).
+    """
+    i, j = np.indices((n + 1, n + 1))
+    src = i * (n + 1) + j
+    moves = (
+        (i < n, src + (n + 1), np.full(src.shape, float(lam))),
+        (i > 0, src - (n + 1), fg * (1.0 - q)),
+        (i > 0, src - (n + 1) + (j < n), fg * q),
+        (j > 0, src - 1, bg),
+    )
+    rows, cols, rates = [], [], []
+    for allowed, dst, rate in moves:
+        keep = allowed & (rate > 0.0)
+        rows.append(src[keep])
+        cols.append(dst[keep])
+        rates.append(rate[keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(rates)
+
+
+def _single_rates(model: SingleServerModel, n):
+    """Generator entries of the single server: the foreground is served
+    first, and both classes at speed s_min(i+j, K)."""
+    i, j = np.indices((n + 1, n + 1))
+    speed = np.asarray(model.speeds.levels)[np.minimum(i + j, model.K)]
+    fg = np.where(i > 0, model.service.nu1 * speed, 0.0)
+    bg = np.where(i == 0, model.service.nu2 * speed, 0.0)
+    return _transitions(n, model.lam, model.q, fg, bg)
+
+
+def _pool_rates(model: MultiServerModel, n):
+    """Generator entries of the m-server pool: servers run only above the
+    threshold, foreground jobs take up to m of them and background jobs the
+    rest."""
+    i, j = np.indices((n + 1, n + 1))
+    on = i + j > model.threshold
+    fg = np.where(on, np.minimum(i, model.m) * model.mu1, 0.0)
+    bg = np.where(on, np.minimum(j, np.maximum(model.m - i, 0)) * model.mu2, 0.0)
+    return _transitions(n, model.lam, model.q, fg, bg)
+
+
+def _stationary(rows, cols, rates, n, fixed) -> np.ndarray:
+    """Stationary vector of the chain on the (n+1)^2 grid, summing to 1.
+
+    `fixed` is the flat index of a recurrent state.  Its probability is set
+    to 1 and its balance equation dropped; the balance equations of the
+    other states reachable from it are solved with SuperLU and the vector is
+    then normalised.  States that `fixed` does not reach get probability
+    zero: they are transient, or they form a closed class the model's
+    convention leaves empty.  A reducible or otherwise singular system
+    raises SolverError instead of returning NaN.
+    """
+    nstates = (n + 1) * (n + 1)
+    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(nstates, nstates))
+    live = csgraph.breadth_first_order(graph, fixed, return_predecessors=False)
+    unknown = np.sort(live[live != fixed])
+    pos = np.full(nstates, -1)
+    pos[unknown] = np.arange(unknown.size)
+    at_from, at_to = pos[rows], pos[cols]
+    inner = (at_from >= 0) & (at_to >= 0)
+    diag = np.arange(unknown.size)
+    outflow = np.bincount(rows, weights=rates, minlength=nstates)
+    # balance of every unknown state: inflow from the other unknowns minus
+    # its own outflow equals minus the inflow from the fixed state
+    a = sp.csc_matrix(
+        (np.concatenate([rates[inner], -outflow[unknown]]),
+         (np.concatenate([at_to[inner], diag]), np.concatenate([at_from[inner], diag]))),
+        shape=(unknown.size, unknown.size),
+    )
+    fed = (rows == fixed) & (at_to >= 0)
+    b = -np.bincount(at_to[fed], weights=rates[fed], minlength=unknown.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", spla.MatrixRankWarning)
+        try:
+            x = spla.spsolve(a, b, "MMD_AT_PLUS_A")  # fill-reducing order of A + A^T
+        except spla.MatrixRankWarning:
+            raise SolverError(
+                f"stationary equations are singular at n = {n}: the truncated chain is reducible"
+            ) from None
+    pi = np.zeros(nstates)
+    pi[unknown] = x
+    pi[fixed] = 1.0
+    total = pi.sum()
+    if not (np.isfinite(total) and total > 0.0):
+        raise SolverError(f"stationary solve at n = {n} produced total probability {total:.3e}")
+    pi /= total
     # tiny negative entries are factorisation noise
     floor = pi.min()
     if floor < -1e-9:
-        raise SolverError(f"stationary solve produced probability {floor:.3e}")
+        raise SolverError(f"stationary solve at n = {n} produced probability {floor:.3e}")
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
 
 
-def _solve_rectangle(build_rates, n):
+def _solve_rectangle(build_rates, fixed, n):
     """Run the generator builder on an (n+1) x (n+1) rectangle and solve."""
-    nstates = (n + 1) * (n + 1)
-    rows, cols, rates = build_rates(n)
-    pi = _stationary(rows, cols, rates, nstates)
+    i, j = fixed
+    pi = _stationary(*build_rates(n), n, i * (n + 1) + j)
     grid = pi.reshape((n + 1, n + 1))  # grid[i, j]
     edge = grid[n, :].sum() + grid[:, n].sum() - grid[n, n]
     return grid, edge
 
 
-def _grow(build_rates, start_n=START_N, max_n=MAX_N, tail_tol=TAIL_TOL):
+def _grow(build_rates, fixed, start_n=START_N, max_n=MAX_N, tail_tol=TAIL_TOL):
+    """Double the rectangle from `start_n` until the edge mass is below
+    `tail_tol`; every solve is finite or raises, so a failing chain stops
+    at the first size rather than doubling up to `max_n`."""
     n = start_n
     while True:
-        grid, edge = _solve_rectangle(build_rates, n)
+        t0 = time.perf_counter()
+        grid, edge = _solve_rectangle(build_rates, fixed, n)
+        log.debug("n = %d: %d states, edge mass %.3e, %.3f s",
+                  n, (n + 1) * (n + 1), edge, time.perf_counter() - t0)
         if edge < tail_tol:
             return grid, edge, n
         if n >= max_n:
@@ -98,32 +191,18 @@ def _grow(build_rates, start_n=START_N, max_n=MAX_N, tail_tol=TAIL_TOL):
 
 def ctmc_solve_single(model: SingleServerModel, start_n: int = START_N,
                       max_n: int = MAX_N, tail_tol: float = TAIL_TOL) -> CtmcSolution:
-    """Stationary metrics of the speed-modulated single-server chain."""
+    """Stationary metrics of the speed-modulated single-server chain.
+
+    The fixed state is (0, 0).  When s_1 = ... = s_{k-1} = 0 < s_k, nothing
+    is served below k jobs and the background queue never drops below k - 1
+    once it is there, so the fixed state is (0, k - 1) and the states with
+    fewer background jobs are left empty (for q = 0 they form another closed
+    class; `solve_zero_speed` uses the same convention).
+    """
     require_stable_single(model)
-    lam, q, K = model.lam, model.q, model.K
-
-    def build(n):
-        rows, cols, rates = [], [], []
-
-        def add(i, j, i2, j2, rate):
-            if rate <= 0.0 or not (0 <= i2 <= n and 0 <= j2 <= n):
-                return
-            rows.append(i * (n + 1) + j)
-            cols.append(i2 * (n + 1) + j2)
-            rates.append(rate)
-
-        for i in range(n + 1):
-            for j in range(n + 1):
-                add(i, j, i + 1, j, lam)
-                if i > 0:
-                    m1 = model.mu1_at(i + j)
-                    add(i, j, i - 1, j, m1 * (1.0 - q))
-                    add(i, j, i - 1, j + 1, m1 * q)
-                elif j > 0:
-                    add(i, j, 0, j - 1, model.mu2_at(j))
-        return rows, cols, rates
-
-    grid, edge, n = _grow(build, start_n, max_n, tail_tol)
+    K = model.K
+    k = next(t for t, s in enumerate(model.speeds.levels) if t > 0 and s > 0.0)
+    grid, edge, n = _grow(lambda n: _single_rates(model, n), (0, k - 1), start_n, max_n, tail_tol)
     ii = np.arange(n + 1)
     L1 = float((grid.sum(axis=1) * ii).sum())
     L2 = float((grid.sum(axis=0) * ii).sum())
@@ -142,37 +221,14 @@ def ctmc_solve_multi(model: MultiServerModel, start_n: int = START_N,
                      max_n: int = MAX_N, tail_tol: float = TAIL_TOL) -> CtmcSolution:
     """Stationary metrics of the m-server chain under the switch-off threshold.
 
-    Servers run exactly when the total job count exceeds the threshold; states
-    below the threshold diagonal are transient and pick up zero mass.
+    Servers run exactly when the total job count exceeds the threshold K.
+    The fixed state is (K, 0); the states below the threshold diagonal are
+    transient and pick up zero mass, and so are those with background jobs
+    when q = 0.
     """
     require_stable_multi(model)
-    lam, q, m, thr = model.lam, model.q, model.m, model.threshold
-
-    def build(n):
-        rows, cols, rates = [], [], []
-
-        def add(i, j, i2, j2, rate):
-            if rate <= 0.0 or not (0 <= i2 <= n and 0 <= j2 <= n):
-                return
-            rows.append(i * (n + 1) + j)
-            cols.append(i2 * (n + 1) + j2)
-            rates.append(rate)
-
-        for i in range(n + 1):
-            for j in range(n + 1):
-                add(i, j, i + 1, j, lam)
-                if i + j <= thr:
-                    continue  # servers switched off
-                fg = min(i, m) * model.mu1
-                if i > 0:
-                    add(i, j, i - 1, j, fg * (1.0 - q))
-                    add(i, j, i - 1, j + 1, fg * q)
-                bg = min(j, max(m - i, 0)) * model.mu2
-                if j > 0:
-                    add(i, j, i, j - 1, bg)
-        return rows, cols, rates
-
-    grid, edge, n = _grow(build, start_n, max_n, tail_tol)
+    m, thr = model.m, model.threshold
+    grid, edge, n = _grow(lambda n: _pool_rates(model, n), (thr, 0), start_n, max_n, tail_tol)
     ii = np.arange(n + 1)
     L1 = float((grid.sum(axis=1) * ii).sum())
     L2 = float((grid.sum(axis=0) * ii).sum())

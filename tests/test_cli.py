@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -117,6 +118,15 @@ class TestOtherCommands:
                         "--nu2", "1", "--q", "0.1", "--speeds", "0,1")
         assert code == 0
         assert "PASS stability" in out and "FAIL" not in out
+
+    def test_validate_checks_the_oracle_and_logs_its_truncation(self, capsys, caplog):
+        with caplog.at_level(logging.DEBUG, logger="fbq.ctmc"):
+            code, out = run(capsys, "validate", "multi", "--lambda", "1.2", "--mu1", "1",
+                            "--mu2", "0.6", "--q", "1", "--m", "4", "--threshold", "2")
+        assert code == 0
+        assert "PASS oracle_agreement" in out and "at truncation n = 128" in out
+        steps = [r.getMessage() for r in caplog.records if r.name == "fbq.ctmc"]
+        assert [s.split(":")[0] for s in steps] == ["n = 64", "n = 128"]
 
     def test_validate_flags_unstable(self, capsys):
         code, out = run(capsys, "validate", "single", "--lambda", "4", "--nu1", "5",
