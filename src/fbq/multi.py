@@ -115,9 +115,9 @@ def _matrix_entries(model: MultiServerModel, z, zm1, y1):
 
 
 def _q_sequence(a, alam):
-    """Leading principal minors Q_0 .. Q_{m-1} of the transform matrix."""
+    """Leading principal minors Q_0 .. Q_{m-1} of the transform matrix at a real z."""
     m = len(a)
-    Q = [1.0 if not isinstance(a[0], PowerSeries) else PowerSeries.constant(1.0, a[0].order)]
+    Q = [1.0]
     if m >= 2:
         Q.append(a[0])
     for i in range(2, m):
@@ -126,11 +126,10 @@ def _q_sequence(a, alam):
 
 
 def _r_sequence(a, alam):
-    """Trailing principal minors R_m .. R_0; R_0 is the determinant."""
+    """Trailing principal minors R_m .. R_0 at a real z; R_0 is the determinant."""
     m = len(a)
-    one = 1.0 if not isinstance(a[0], PowerSeries) else PowerSeries.constant(1.0, a[0].order)
     R = [None] * (m + 1)
-    R[m] = one
+    R[m] = 1.0
     R[m - 1] = a[m - 1]
     for t in range(m - 2, -1, -1):
         R[t] = a[t] * R[t + 1] - alam[t + 1] * R[t + 2]

@@ -7,16 +7,24 @@ exponential holding time at each state change instead of keeping an event
 calendar; preemptions and speed changes then need no event cancellation.
 Queue-length averages are accumulated per batch (batches split by arrival
 count after a warmup) and a 95% confidence half-width comes from the batch
-means.
+means and the Student t quantile.
+
+All three models run through one event loop, `_run`, over a list of phase
+counts.  A model supplies only its branch probabilities and a function from
+the counts to its event rates.  Each event draws one exponential, one
+uniform to pick the event and, on a completion that can branch, one more
+uniform; the estimates for a given seed depend on that order.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .models import (
     ModelError,
@@ -112,7 +120,8 @@ class SimEstimate:
         }
 
 
-def _estimate(batch_time, batch_i, batch_j, batch_u, config) -> SimEstimate:
+def _estimate(sums, config) -> SimEstimate:
+    batch_time, batch_i, batch_j, batch_u = zip(*sums)
     tot_t = sum(batch_time)
     L1 = sum(batch_i) / tot_t
     L2 = sum(batch_j) / tot_t
@@ -120,7 +129,7 @@ def _estimate(batch_time, batch_i, batch_j, batch_u, config) -> SimEstimate:
     n = len(means)
     mean = sum(means) / n
     var = sum((x - mean) ** 2 for x in means) / (n - 1)
-    ci = float(student_t.ppf(0.975, n - 1)) * (var / n) ** 0.5
+    ci = float(stdtrit(n - 1, 0.975)) * (var / n) ** 0.5
     return SimEstimate(
         L=L1 + L2,
         L1=L1,
@@ -136,173 +145,111 @@ def simulate(config: SimConfig) -> SimEstimate:
     """Run one replication and return time-averaged queue lengths."""
     model = config.model
     if isinstance(model, SingleServerModel):
-        if not check_stability_single(model):
-            log.warning("simulating an unstable model; averages will drift")
-        return _sim_single(config)
-    if isinstance(model, MultiServerModel):
-        if not check_stability_multi(model):
-            log.warning("simulating an unstable model; averages will drift")
-        return _sim_multi(config)
-    if isinstance(model, ThreePhaseModel):
-        if model.offered_load() >= 1:
-            log.warning("simulating an unstable model; averages will drift")
-        return _sim_three_phase(config)
-    raise TypeError(f"no simulator for {type(model).__name__}")
+        stable, qs, rates = check_stability_single(model), (model.q,), _single_rates(model)
+    elif isinstance(model, MultiServerModel):
+        stable, qs, rates = check_stability_multi(model), (model.q,), _pool_rates(model)
+    elif isinstance(model, ThreePhaseModel):
+        stable, qs, rates = model.offered_load() < 1, (model.q1, model.q2), _three_phase_rates(model)
+    else:
+        raise TypeError(f"no simulator for {type(model).__name__}")
+    if not stable:
+        log.warning("simulating an unstable model; averages will drift")
+    return _run(config, model.lam, qs, rates)
 
 
-def _batch_edges(config):
-    measured = config.jobs - config.warmup_jobs
-    size = measured // config.batch_count
+def _run(config: SimConfig, lam: float, qs: tuple, rates) -> SimEstimate:
+    """The event loop shared by every model.
+
+    n[k] counts the jobs in phase k.  A phase-k completion sends its job on to
+    phase k + 1 with probability qs[k] and out of the system otherwise; the
+    last phase always sends it out.  rates(n) returns the total event rate
+    r, the cumulative bounds that split [lam, r) among the completions (phase
+    k completes when u falls below bound k but no earlier one) and the number
+    of operative servers.  u = unif() * r < r holds in floating point too, so
+    a bound equal to r is never passed.
+    """
+    if lam == 0:
+        return SimEstimate(0.0, 0.0, 0.0, 0.0, 0, config.seed)
+    rng = random.Random(config.seed)
+    unif, ln = rng.random, math.log
+    nb = config.batch_count
+    warm, total, last = config.warmup_jobs, config.jobs, len(qs)
+    size = (total - warm) // nb
     if size == 0:
         raise ModelError("too few jobs per batch")
-    return size
+    opens = {max(warm + b * size, 1) for b in range(nb)}  # arrival counts that open a batch
 
-
-def _sim_single(config: SimConfig) -> SimEstimate:
-    model: SingleServerModel = config.model
-    lam, q, K = model.lam, model.q, model.K
-    nu1, nu2 = model.service.nu1, model.service.nu2
-    levels = model.speeds.levels
-    if lam == 0:
-        return SimEstimate(0.0, 0.0, 0.0, 0.0, 0, config.seed)
-    rng = random.Random(config.seed)
-    expo, unif = rng.expovariate, rng.random
-    size = _batch_edges(config)
-    nb = config.batch_count
-    bt = [0.0] * nb
-    bi = [0.0] * nb
-    bj = [0.0] * nb
-    warm = config.warmup_jobs
-    total = config.jobs
-
-    i = j = 0
-    arrivals = 0
-    batch = -1  # warming up
+    n = [0] * (last + 1)
+    jobs = arrivals = 0
+    sums = []  # per batch: time and the time integrals of n[0], the later phases, the servers
+    t = ti = tj = tu = 0.0  # the open batch's sums; the first "batch" is the warm-up
     while arrivals < total:
-        if i > 0:
-            srate = nu1 * levels[min(i + j, K)]
-            fg = True
-        elif j > 0:
-            srate = nu2 * levels[min(j, K)]
-            fg = False
-        else:
-            srate = 0.0
-        rate = lam + srate
-        dt = expo(rate)
-        if batch >= 0:
-            bt[batch] += dt
-            bi[batch] += i * dt
-            bj[batch] += j * dt
-        if unif() * rate < lam:
-            arrivals += 1
-            i += 1
-            if arrivals >= warm:
-                batch = min((arrivals - warm) // size, nb - 1)
-        elif fg:
-            i -= 1
-            if unif() < q:
-                j += 1
-        else:
-            j -= 1
-    return _estimate(bt, bi, bj, [0.0] * nb, config)
-
-
-def _sim_multi(config: SimConfig) -> SimEstimate:
-    model: MultiServerModel = config.model
-    lam, q, m, thr = model.lam, model.q, model.m, model.threshold
-    mu1, mu2 = model.mu1, model.mu2
-    if lam == 0:
-        return SimEstimate(0.0, 0.0, 0.0, 0.0, 0, config.seed)
-    rng = random.Random(config.seed)
-    expo, unif = rng.expovariate, rng.random
-    size = _batch_edges(config)
-    nb = config.batch_count
-    bt = [0.0] * nb
-    bi = [0.0] * nb
-    bj = [0.0] * nb
-    bu = [0.0] * nb
-    warm = config.warmup_jobs
-    total = config.jobs
-
-    i = j = 0
-    arrivals = 0
-    batch = -1
-    while arrivals < total:
-        if i + j > thr:
-            fgrate = mu1 * (i if i < m else m)
-            bgrate = mu2 * min(j, m - i if i < m else 0)
-        else:
-            fgrate = bgrate = 0.0  # servers switched off until the next arrival
-        rate = lam + fgrate + bgrate
-        dt = expo(rate)
-        if batch >= 0:
-            bt[batch] += dt
-            bi[batch] += i * dt
-            bj[batch] += j * dt
-            if i + j > thr:
-                bu[batch] += m * dt
+        rate, bounds, servers = rates(n)
+        dt = -ln(1.0 - unif()) / rate  # rng.expovariate(rate) without the method call
+        t += dt
+        ti += n[0] * dt
+        tj += (jobs - n[0]) * dt
+        if servers:
+            tu += servers * dt
         u = unif() * rate
         if u < lam:
             arrivals += 1
-            i += 1
-            if arrivals >= warm:
-                batch = min((arrivals - warm) // size, nb - 1)
-        elif u < lam + fgrate:
-            i -= 1
-            if unif() < q:
-                j += 1
+            jobs += 1
+            n[0] += 1
+            if arrivals in opens:
+                sums.append((t, ti, tj, tu))
+                t = ti = tj = tu = 0.0
+            continue
+        k = bisect_right(bounds, u)
+        n[k] -= 1
+        if k < last and unif() < qs[k]:
+            n[k + 1] += 1
         else:
-            j -= 1
-    return _estimate(bt, bi, bj, bu, config)
+            jobs -= 1
+    sums.append((t, ti, tj, tu))
+    return _estimate(sums[1:], config)
 
 
-def _sim_three_phase(config: SimConfig) -> SimEstimate:
-    model: ThreePhaseModel = config.model
-    lam, q1, q2 = model.lam, model.q1, model.q2
-    mu1, mu2, mu3 = model.mu1, model.mu2, model.mu3
-    if lam == 0:
-        return SimEstimate(0.0, 0.0, 0.0, 0.0, 0, config.seed)
-    rng = random.Random(config.seed)
-    expo, unif = rng.expovariate, rng.random
-    size = _batch_edges(config)
-    nb = config.batch_count
-    bt = [0.0] * nb
-    bi = [0.0] * nb
-    bj = [0.0] * nb  # both background queues together
-    warm = config.warmup_jobs
-    total = config.jobs
+def _single_rates(model: SingleServerModel):
+    lam, K, levels = model.lam, model.K, model.speeds.levels
+    nu1, nu2 = model.service.nu1, model.service.nu2
+    fg = [(lam + nu1 * s, (lam + nu1 * s,), 0) for s in levels]  # indexed by min(i + j, K)
+    bg = [(lam + nu2 * s, (lam,), 0) for s in levels]  # indexed by min(j, K)
+    idle = (lam, (), 0)
 
-    a = b = c = 0
-    arrivals = 0
-    batch = -1
-    while arrivals < total:
-        if a > 0:
-            srate, stage = mu1, 1
-        elif b > 0:
-            srate, stage = mu2, 2
-        elif c > 0:
-            srate, stage = mu3, 3
-        else:
-            srate, stage = 0.0, 0
-        rate = lam + srate
-        dt = expo(rate)
-        if batch >= 0:
-            bt[batch] += dt
-            bi[batch] += a * dt
-            bj[batch] += (b + c) * dt
-        if unif() * rate < lam:
-            arrivals += 1
-            a += 1
-            if arrivals >= warm:
-                batch = min((arrivals - warm) // size, nb - 1)
-        elif stage == 1:
-            a -= 1
-            if unif() < q1:
-                b += 1
-        elif stage == 2:
-            b -= 1
-            if unif() < q2:
-                c += 1
-        else:
-            c -= 1
-    return _estimate(bt, bi, bj, [0.0] * nb, config)
+    def rates(n):
+        i, j = n
+        if i:
+            return fg[min(i + j, K)]
+        return bg[min(j, K)] if j else idle
+
+    return rates
+
+
+def _pool_rates(model: MultiServerModel):
+    lam, mu1, mu2, m, thr = model.lam, model.mu1, model.mu2, model.m, model.threshold
+    # on[i][j] for i < m, j <= m: i foreground and min(j, m - i) background jobs in service
+    on = [[(lam + mu1 * i + mu2 * min(j, m - i), (lam + mu1 * i,), m) for j in range(m + 1)]
+          for i in range(m)]
+    full = (lam + mu1 * m, (lam + mu1 * m,), m)  # i >= m: no server left for the background
+    off = (lam, (lam,), 0)  # servers switched off until the next arrival
+
+    def rates(n):
+        i, j = n
+        if i + j <= thr:
+            return off
+        return on[i][j if j < m else m] if i < m else full
+
+    return rates
+
+
+def _three_phase_rates(model: ThreePhaseModel):
+    lam = model.lam
+    r1, r2, r3 = lam + model.mu1, lam + model.mu2, lam + model.mu3
+    s1, s2, s3, idle = (r1, (r1, r1), 0), (r2, (lam, r2), 0), (r3, (lam, lam), 0), (lam, (), 0)
+
+    def rates(n):
+        a, b, c = n
+        return s1 if a else s2 if b else s3 if c else idle
+
+    return rates
