@@ -40,7 +40,8 @@ from .models import (
 from .multi import verify_multi
 from .simulate import SimConfig, ThreePhaseModel, simulate
 from .single import solve_general, solve_k1_closed_form, verify_single
-from .experiments import optimize_intermediate_speeds, optimize_threshold, reproduce_figure, solve
+from .experiments import (optimize_intermediate_speeds, optimize_threshold, reproduce_figure, solve,
+                          write_csv_rows)
 
 log = logging.getLogger("fbq.cli")
 
@@ -133,19 +134,8 @@ def _cmd_compare(args) -> int:
         rows.append((lam, "FCFS", fcfs_L(lam, service)))
         rows.append((lam, "LAS", las_L(lam, service)))
         rows.append((lam, "FB-ph2", solve_k1_closed_form(model).L))
-    _write_csv(rows, args.out)
+    write_csv_rows(rows, args.out)
     return 0
-
-
-def _write_csv(rows, out_path) -> None:
-    lines = ["x,series,value"]
-    lines += [f"{x:.12g},{s},{v:.12g}" for x, s, v in rows]
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_optimize_speeds(args) -> int:
@@ -155,7 +145,7 @@ def _cmd_optimize_speeds(args) -> int:
     _emit({"best_speeds": list(profile.levels), "best_cost": cost,
            "alpha": profile.alpha}, args.out)
     if args.curve_out:
-        _write_csv([(x, curve.label, y) for x, y in zip(curve.xs, curve.ys)], args.curve_out)
+        write_csv_rows([(x, curve.label, y) for x, y in zip(curve.xs, curve.ys)], args.curve_out)
     return 0
 
 
@@ -183,20 +173,19 @@ def _cmd_simulate(args) -> int:
         model = _single_model(args)
     est = simulate(SimConfig(model=model, jobs=args.jobs, warmup_jobs=args.warmup,
                              seed=args.seed, batch_count=args.batches))
-    _emit(est.to_json(), args.out)
+    doc = est.to_json()
+    if isinstance(model, MultiServerModel):
+        doc["U"] = est.U
+    _emit(doc, args.out)
     return 0
 
 
 def _cmd_figure(args) -> int:
     result = reproduce_figure(args.figure, seed=args.seed, sim_jobs=args.jobs,
                               workers=args.parallel)
-    rows = [(x, c.label, y) for c in result.curves for x, y in zip(c.xs, c.ys)]
-    # keep the x,series,value contract but grouped per curve
+    result.write_csv(args.out)
     if args.out:
-        result.write_csv(args.out)
         result.write_metadata(args.out + ".meta.json")
-    else:
-        _write_csv(rows, None)
     return 0
 
 

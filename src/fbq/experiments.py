@@ -11,8 +11,8 @@ as assumptions in the metadata.
 
 from __future__ import annotations
 
-import csv
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -87,18 +87,24 @@ class FigureResult:
     curves: list[PolicyCurve]
     metadata: dict = field(default_factory=dict)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "series", "value"])
-            for c in self.curves:
-                for x, y in zip(c.xs, c.ys):
-                    w.writerow([f"{x:.12g}", c.label, f"{y:.12g}"])
+    def write_csv(self, path=None) -> None:
+        write_csv_rows([(x, c.label, y) for c in self.curves for x, y in zip(c.xs, c.ys)], path)
 
     def write_metadata(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.metadata, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def write_csv_rows(rows, path=None) -> None:
+    """(x, series, value) rows as `x,series,value` CSV with 12 significant
+    digits and \\n line ends, to the file `path` or to stdout."""
+    text = "x,series,value\n" + "".join(f"{x:.12g},{s},{v:.12g}\n" for x, s, v in rows)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:

@@ -13,13 +13,19 @@ the balance equations of the boundary states, and the idle-server identity
 
 close a dense linear system for the boundary probabilities.  Determinants
 are always evaluated through the tridiagonal three-term recurrences (never
-generic elimination); their shared zero at z = 1 is removed by truncated
-series division, which yields g_i(1) and g_i'(1) in one pass.
+generic elimination).  g_i(1) and g_i'(1) come from the Taylor cascade of
+A(z) g(z) = b(z) at z = 1, where A(1) is singular and its null pair supplies
+one solvability condition per order.
 
 The switch-off policy stops all m servers when the total job count drops to
 a threshold K (restarting them at the next arrival), which zeroes the states
-below the K-diagonal and modifies the inhomogeneous terms b_i(z) for i <= K;
-everything else is shared with the uncontrolled pool (K = 0).
+below the K-diagonal; everything else is shared with the uncontrolled pool
+(K = 0).  Each kept state (i, j) enters the inhomogeneous vector b(z) by one
+rule.  A running state puts mu2 (z - 1)(m - i - j) z^j into b_i.  A stopped
+state, on the threshold diagonal i + j = K >= 1, puts
+(i mu1 z + (m - i) mu2 (z - 1)) z^j into b_i and
+-i mu1 (1 - q + q z) z^(j+1) into b_(i-1).  The root rows and the z = 1
+Taylor vectors of b are numpy expressions over the kept states.
 
 Everything that does not depend on K is computed once per pool
 (lam, mu1, mu2, q, m) and kept in a bounded cache shared by all thresholds
@@ -33,7 +39,9 @@ models", Performance Evaluation 23 (1995).
 from __future__ import annotations
 
 import functools
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +55,9 @@ from .models import (
     SolverError,
     require_stable_multi,
 )
-from .series import PowerSeries, kernel_root_pair_at_1
+from .series import kernel_root_pair_at_1
+
+log = logging.getLogger("fbq.multi")
 
 SERIES_ORDER = 3
 ROOT_REL_WIDTH = 1e-13
@@ -96,13 +106,10 @@ def _y1_float(model: MultiServerModel, z: float) -> float:
     return (1.0 + rho - math.sqrt(disc)) / (2.0 * rho)
 
 
-def _matrix_entries(model: MultiServerModel, z, zm1, y1):
-    """Diagonal a_i(z) and products alpha_i(z)*lam*z of the transform matrix.
-
-    Works on floats and on power series alike; `zm1` must be z - 1 formed so
-    that its zero at z = 1 is exact.
-    """
+def _matrix_entries(model: MultiServerModel, z: float, y1: float):
+    """Diagonal a_i(z) and products alpha_i(z)*lam*z of the transform matrix at a real z."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    zm1 = z - 1.0
     a = []
     for i in range(m - 1):
         a.append(lam * z + i * mu1 * z + (m - i) * mu2 * zm1)
@@ -137,26 +144,8 @@ def _r_sequence(a, alam):
 
 
 def _det_at(model: MultiServerModel, z: float) -> float:
-    a, _, alam = _matrix_entries(model, z, z - 1.0, _y1_float(model, z))
+    a, _, alam = _matrix_entries(model, z, _y1_float(model, z))
     return _r_sequence(a, alam)[0]
-
-
-def _b_coefficients(model: MultiServerModel, K: int, t: int, z, zm1, zpow):
-    """Linear coefficients of b_t(z) in the unknown boundary probabilities;
-    zpow[j] is z^j for j = 0 .. m-1."""
-    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    coeffs = {}
-    if K >= 1 and t <= K:
-        zk = zpow[K - t]
-        coeffs[(t, K - t)] = (t * mu1 * z + (m - t) * mu2 * zm1) * zk
-        if t <= K - 1:
-            coeffs[(t + 1, K - t - 1)] = -(t + 1) * mu1 * (1.0 - q + q * z) * zk
-        for j in range(K - t + 1, m - t):
-            coeffs[(t, j)] = mu2 * zm1 * (m - t - j) * zpow[j]
-    else:
-        for j in range(0, m - t):
-            coeffs[(t, j)] = mu2 * zm1 * (m - t - j) * zpow[j]
-    return coeffs
 
 
 # --- root isolation -----------------------------------------------------------
@@ -276,7 +265,7 @@ def _unknowns(m: int, K: int) -> list[tuple[int, int]]:
 
 def _dense_matrix(model: MultiServerModel, z: float) -> np.ndarray:
     lam, m = model.lam, model.m
-    a, alpha, _ = _matrix_entries(model, z, z - 1.0, _y1_float(model, z))
+    a, alpha, _ = _matrix_entries(model, z, _y1_float(model, z))
     out = np.zeros((m, m))
     for i in range(m):
         out[i, i] = a[i]
@@ -302,10 +291,7 @@ def _null_vectors(a0: np.ndarray):
 class _AtOne:
     """Taylor data at z = 1 of the transform system, shared by all thresholds."""
 
-    z: PowerSeries            # z as a series in t = z - 1
-    zm1: PowerSeries          # t itself, so its zero at z = 1 is exact
-    zpow: list                # z^j for j = 0 .. m-1
-    a0: np.ndarray            # A(z) = A0 + A1 t + A2 t^2 + ...
+    a0: np.ndarray            # A(z) = A0 + A1 t + A2 t^2 + ..., t = z - 1
     a1: np.ndarray
     a2: np.ndarray
     u: np.ndarray             # left and right null vectors of A0
@@ -324,42 +310,44 @@ class _Pool:
 
     def __init__(self, model: MultiServerModel):
         self.model = model
+        t0 = time.perf_counter()
         self.roots = _isolate_roots(model)
+        log.debug("m = %d: %d zeros isolated, %.3f s",
+                  model.m, len(self.roots), time.perf_counter() - t0)
 
     @functools.cached_property
-    def at_roots(self) -> list[tuple[float, np.ndarray, list[float]]]:
-        """(z_k, left null vector of A(z_k), [z_k^j for j = 0 .. m-1]) per zero."""
-        m = self.model.m
-        return [(zk, _frozen(_null_vectors(_dense_matrix(self.model, zk))[0]),
-                 [zk**j for j in range(m)]) for zk in self.roots]
+    def at_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The zeros z_k, the left null vectors of A(z_k) and the powers
+        z_k^j (j = 0 .. m-1), with one row per zero in the last two."""
+        shape = (len(self.roots), self.model.m)
+        zeros = np.array(self.roots)
+        null = np.array([_null_vectors(_dense_matrix(self.model, zk))[0] for zk in self.roots])
+        zpow = np.array([[zk**j for j in range(shape[1])] for zk in self.roots])
+        return _frozen(zeros), _frozen(null.reshape(shape)), _frozen(zpow.reshape(shape))
 
     @functools.cached_property
     def at_one(self) -> _AtOne:
         model = self.model
-        lam, mu1, q, m = model.lam, model.mu1, model.q, model.m
-        R_ORD = SERIES_ORDER
-        y1s, y2s = kernel_root_pair_at_1(lam / (m * mu1), q, R_ORD)
-        z = PowerSeries.variable(1.0, R_ORD)
-        zm1 = PowerSeries([0.0, 1.0] + [0.0] * (R_ORD - 1))
+        lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+        y1s, y2s = kernel_root_pair_at_1(lam / (m * mu1), q, SERIES_ORDER)
+        _, c1, c2 = y1s.c[:3]        # y1(1) = 1
 
-        # A(z) expanded at z = 1 as A0 + A1 t + A2 t^2 + ...
-        a, alpha, _ = _matrix_entries(model, z, zm1, y1s)
-        amats = [np.zeros((m, m)) for _ in range(3)]
-        for order in range(3):
-            for i in range(m):
-                amats[order][i, i] = a[i].c[order]
-                if i + 1 < m:
-                    amats[order][i, i + 1] = -alpha[i + 1].c[order]
-                if i > 0:
-                    amats[order][i, i - 1] = -(lam * z).c[order] if order <= 1 else 0.0
-        a0, a1, a2 = map(_frozen, amats)
+        # A(z) expanded at z = 1 + t as A0 + A1 t + A2 t^2.  The diagonal is
+        # a_i = (lam + i mu1) z + (m - i) mu2 t, except the last entry
+        # lam z (1 - y1(z)) + (m - 1) mu1 z + mu2 t; above it stands
+        # -alpha_(i+1) = -(i + 1) mu1 z (1 - q + q z), below it -lam z.
+        i = np.arange(m)
+        diag = np.array([lam + i * mu1, lam + i * mu1 + (m - i) * mu2, np.zeros(m)])
+        diag[:, -1] = ((m - 1) * mu1, (m - 1) * mu1 + mu2 - lam * c1, -lam * (c1 + c2))
+        a0, a1, a2 = (_frozen(np.diag(d) + np.diag(-i[1:] * mu1 * above, 1)
+                              + np.diag(np.full(m - 1, -lam * below), -1))
+                      for d, above, below in zip(diag, (1.0, 1.0 + q, q), (1.0, 1.0, 0.0)))
 
         u, v = map(_frozen, _null_vectors(a0))
         uA1v = u @ a1 @ v
         if abs(uA1v) < 1e-12 * np.abs(a1).max():
             raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
-        return _AtOne(z=z, zm1=zm1, zpow=[z.pow(j) for j in range(m)], a0=a0, a1=a1, a2=a2,
-                      u=u, v=v, uA1v=uA1v, y2v=y2s.c[0], y2d=y2s.c[1])
+        return _AtOne(a0=a0, a1=a1, a2=a2, u=u, v=v, uA1v=uA1v, y2v=y2s.c[0], y2d=y2s.c[1])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -387,14 +375,14 @@ def _solve_threshold(model: MultiServerModel, K: int, pool: _Pool) -> MultiServe
     states = _unknowns(m, K)
     idx = {s: k for k, s in enumerate(states)}
     n = len(states)
-    rows = [[0.0] * n for _ in range(n)]
-    rhs = [0.0] * n
+    a = np.zeros((n, n))
+    rhs = np.zeros(n)
     r = 0
 
     # balance equations that close inside the unknown set
     for i in range(m - 1):
         for j in range(max(0, K - i), m - i - 1):
-            row = rows[r]
+            row = a[r]
             if K >= 1 and i + j == K:
                 # servers stopped on the threshold diagonal: arrivals out,
                 # service inflows from the diagonal above
@@ -412,27 +400,40 @@ def _solve_threshold(model: MultiServerModel, K: int, pool: _Pool) -> MultiServe
             r += 1
 
     # at each zero of the determinant the transform system A(z) g = b stays
-    # solvable only if b is orthogonal to the left null vector of A(z)
-    for zk, u, zpow in pool.at_roots:
-        row = rows[r]
-        for t in range(m):
-            for state, coef in _b_coefficients(model, K, t, zk, zk - 1.0, zpow).items():
-                row[idx[state]] += u[t] * coef
-        r += 1
+    # solvable only if b is orthogonal to the left null vector u of A(z); the
+    # stopped states lie on the threshold diagonal, by increasing i from 0
+    i, j = np.array(states).T
+    stopped = (i + j == K) & (K > 0)
+    run, stop = np.flatnonzero(~stopped), np.flatnonzero(stopped)
+    ir, jr, i_, j_ = i[run], j[run], i[stop], j[stop]
+    z, u, zpow = pool.at_roots
+    z = z[:, None]
+    zm1 = z - 1.0
+    roots = a[r:n - 1]
+    roots[:, run] += u[:, ir] * (mu2 * zm1 * (m - ir - jr) * zpow[:, jr])
+    roots[:, stop[1:]] += u[:, i_[1:] - 1] * (
+        -i_[1:] * mu1 * (1.0 - q + q * z) * zpow[:, j_[1:] + 1])
+    roots[:, stop] += u[:, i_] * ((i_ * mu1 * z + (m - i_) * mu2 * zm1) * zpow[:, j_])
 
     # idle-or-stopped server identity as the normalisation
-    row = rows[r]
-    for (i, j), k in idx.items():
-        t = i + j
-        row[k] += float(m) if t == K else float(m - t)
-    rhs[r] = m - model.rho1 - model.rho2
+    a[n - 1] = np.where(i + j == K, m, m - i - j)
+    rhs[n - 1] = m - model.rho1 - model.rho2
 
-    x = solve_probability_system(rows, rhs)
-    boundary = {s: float(x[k]) for s, k in idx.items()}
-    return _finish(model, K, boundary, pool)
+    x = solve_probability_system(a, rhs)
+
+    # the same terms at z = 1 + t, each (c0 + c1 t) z^p with
+    # z^p = 1 + p t + p (p - 1)/2 t^2, give the Taylor coefficients b0, b1, b2
+    b = np.zeros((3, m))
+    for cols, t, c0, c1, p in ((run, ir, 0.0 * ir, mu2 * (m - ir - jr), jr),
+                               (stop[1:], i_[1:] - 1, -i_[1:] * mu1, -i_[1:] * mu1 * q, j_[1:] + 1),
+                               (stop, i_, i_ * mu1, i_ * mu1 + (m - i_) * mu2, j_)):
+        taylor = np.array([c0, c0 * p + c1, c0 * p * (p - 1) / 2 + c1 * p])
+        np.add.at(b, (slice(None), t), taylor * x[cols])
+    return _finish(model, K, dict(zip(states, map(float, x))), b, pool)
 
 
-def _finish(model: MultiServerModel, K: int, boundary: dict, pool: _Pool) -> MultiServerSolution:
+def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
+            pool: _Pool) -> MultiServerSolution:
     lam, mu1, m = model.lam, model.mu1, model.m
     one = pool.at_one
     rho_hat = lam / (m * mu1)
@@ -440,14 +441,7 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, pool: _Pool) -> Mul
     # Taylor data of the transform system at z = 1: A(z) g(z) = b(z) expanded
     # as (A0 + A1 t + A2 t^2)(g0 + g1 t + ...) = b0 + b1 t + b2 t^2 + ...
     a0, a1, a2 = one.a0, one.a1, one.a2
-    bvec = [np.zeros(m) for _ in range(3)]
-    for t in range(m):
-        acc = PowerSeries.constant(0.0, SERIES_ORDER)
-        for state, coef in _b_coefficients(model, K, t, one.z, one.zm1, one.zpow).items():
-            acc = acc + coef * boundary[state]
-        for order in range(3):
-            bvec[order][t] = acc.c[order]
-    b0, b1, b2 = bvec
+    b0, b1, b2 = b
 
     # A0 is singular (that is how the saturated region enters), so the Taylor
     # cascade needs one solvability condition per order: each particular

@@ -107,6 +107,21 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["L"] > 0
 
+    def test_pool_simulation_reports_U_near_the_exact_value(self, capsys):
+        pool = ("--lambda", "1", "--mu1", "1", "--mu2", "0.5", "--q", "0.5", "--m", "4",
+                "--threshold", "2")
+        code, out = run(capsys, "simulate", *pool, "--jobs", "200000", "--warmup", "5000")
+        assert code == 0
+        simulated = json.loads(out)
+        _, out = run(capsys, "solve-multi", *pool)
+        assert simulated["U"] == pytest.approx(json.loads(out)["U"], rel=0.02)
+
+    def test_single_server_simulation_prints_no_U(self, capsys):
+        code, out = run(capsys, "simulate", "--lambda", "1", "--nu1", "5", "--nu2", "1",
+                        "--q", "0.1", "--speeds", "1,1", "--jobs", "2000", "--warmup", "200")
+        assert code == 0
+        assert set(json.loads(out)) == {"L", "L1", "L2", "ci", "jobs", "seed"}
+
     def test_optimize_threshold(self, capsys):
         code, out = run(capsys, "optimize-threshold", "--lambda", "5", "--mu1", "1",
                         "--mu2", "0.2", "--q", "0.1", "--m", "10", "--c1", "1", "--c2", "0.5")
@@ -141,6 +156,13 @@ class TestOtherCommands:
         assert out_path.exists()
         meta = json.loads((tmp_path / "fig8.csv.meta.json").read_text())
         assert meta["figure"] == 8
+
+    def test_reproduce_figure_file_equals_stdout(self, capsys, tmp_path):
+        out_path = tmp_path / "fig8.csv"
+        run(capsys, "reproduce-figure", "8", "--out", str(out_path))
+        code, out = run(capsys, "reproduce-figure", "8")
+        assert code == 0
+        assert out_path.read_bytes() == out.encode()
 
     def test_non_finite_rate_names_the_field(self, capsys, caplog):
         code, _ = run(capsys, "solve-multi", "--lambda", "nan", "--mu1", "1", "--mu2", "0.5",

@@ -97,7 +97,7 @@ class TestTransformMatrix:
     def test_minors_match_dense_leading_blocks(self):
         z = 0.6
         a = _dense_matrix(self.MODEL, z)
-        entries, _, alam = _matrix_entries(self.MODEL, z, z - 1.0, _y1_float(self.MODEL, z))
+        entries, _, alam = _matrix_entries(self.MODEL, z, _y1_float(self.MODEL, z))
         minors = _q_sequence(entries, alam)
         assert minors[0] == 1.0
         for i in (1, 2):
@@ -115,7 +115,7 @@ class TestMinorSigns:
             # the leading minors never touch the kernel root, so a dummy
             # value stands in where the root is complex
             y1 = _y1_float(model, z) if 0 <= z <= 1 else 0.0
-            a, _, alam = _matrix_entries(model, z, z - 1.0, y1)
+            a, _, alam = _matrix_entries(model, z, y1)
             return _q_sequence(a, alam)
 
         # alternating at the origin, positive at one; far out on the side

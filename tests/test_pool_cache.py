@@ -8,6 +8,7 @@ call, and failures must not be cached.
 
 import dataclasses
 import json
+import logging
 import math
 import pathlib
 
@@ -92,6 +93,15 @@ def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
     assert calls == {"_null_vectors": model.m, "kernel_root_pair_at_1": 1}
 
 
+def test_building_a_pool_logs_one_debug_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="fbq.multi"):
+        for K in (0, 2):
+            solve_threshold(MultiServerModel(**POOL, threshold=K))
+    lines = [r.getMessage() for r in caplog.records if r.name == "fbq.multi"]
+    assert len(lines) == 1
+    assert lines[0].startswith("m = 6: 5 zeros isolated, ")
+
+
 def test_returned_roots_are_a_new_list_each_call():
     model = MultiServerModel(**POOL)
     roots = d_roots(model)
@@ -105,7 +115,7 @@ def test_returned_roots_are_a_new_list_each_call():
 def test_minor_at_equals_the_full_minor_sequence_bit_for_bit():
     model = MultiServerModel(**POOL)
     for z in np.linspace(0.0, 1.0, 23):
-        a, _, alam = _matrix_entries(model, z, z - 1.0, _y1_float(model, z))
+        a, _, alam = _matrix_entries(model, z, _y1_float(model, z))
         minors = _q_sequence(a, alam)
         for i in range(1, model.m):
             assert _minor_at(model, i, z) == minors[i], (z, i)
