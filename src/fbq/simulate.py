@@ -1,35 +1,34 @@
-"""Event-driven simulation of the two- and three-phase foreground-background
-systems under speed or capacity modulation.
+"""Simulation of the two- and three-phase foreground-background systems
+under speed or capacity modulation.
 
-Every sojourn in a state is exponential and the race between arrival and
-service completions is memoryless, so the simulator redraws a single
-exponential holding time at each state change instead of keeping an event
-calendar; preemptions and speed changes then need no event cancellation.
-Queue-length averages are accumulated per batch (batches split by arrival
-count after a warmup) and a 95% confidence half-width comes from the batch
-means and the Student t quantile.
-
-All three models run through one event loop, `_run`, over a list of phase
-counts.  A model supplies only its branch probabilities and a function from
-the counts to its event rates.  Each event draws one exponential, one
-uniform to pick the event and, on a completion that can branch, one more
-uniform; the estimates for a given seed depend on that order.
+The simulator walks the embedded jump chain and adds the mean holding time
+1/rate of each state it leaves instead of drawing an exponential: the time
+averages stay consistent and their variance is no larger (discrete-time
+conversion).  Averages are kept per batch of arrivals after a warmup, and a
+95% half-width comes from the batch means.  All three models run through one
+loop, `_run`, over a finite rate table whose rows are phase counts clamped
+where the rates stop changing; a model supplies only its servers and phase
+completion rates at such a state.  Each jump draws one uniform, which picks
+the arrival or a completion with its branch folded in; the estimates for a
+seed depend on that order.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import random
+import time
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from scipy.special import stdtrit
 
 from .models import (
+    CoxianService,
     ModelError,
     MultiServerModel,
     SingleServerModel,
+    SpeedProfile,
     check_stability_multi,
     check_stability_single,
     require_finite,
@@ -74,14 +73,9 @@ def match_three_phase(mu2: float, mu3: float, q2: float) -> float:
 
 def two_phase_approximation(model: ThreePhaseModel) -> "SingleServerModel":
     """Collapse the two background phases into one, first moment preserved."""
-    from .models import CoxianService, SpeedProfile
-
     xi = match_three_phase(model.mu2, model.mu3, model.q2)
-    return SingleServerModel(
-        lam=model.lam,
-        service=CoxianService(nu1=model.mu1, nu2=xi, q=model.q1),
-        speeds=SpeedProfile((1.0, 1.0)),
-    )
+    return SingleServerModel(model.lam, CoxianService(model.mu1, xi, model.q1),
+                             SpeedProfile((1.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -110,17 +104,12 @@ class SimEstimate:
     U: float = 0.0  # multiserver runs: mean operative servers
 
     def to_json(self) -> dict:
-        return {
-            "L": self.L,
-            "L1": self.L1,
-            "L2": self.L2,
-            "ci": self.ci_halfwidth,
-            "jobs": self.jobs_completed,
-            "seed": self.seed,
-        }
+        return {"L": self.L, "L1": self.L1, "L2": self.L2, "ci": self.ci_halfwidth,
+                "jobs": self.jobs_completed, "seed": self.seed}
 
 
-def _estimate(sums, config) -> SimEstimate:
+def _estimate(sums, config) -> tuple[SimEstimate, float]:
+    """The estimate from per-batch sums, and the batch means' lag-1 autocorrelation."""
     batch_time, batch_i, batch_j, batch_u = zip(*sums)
     tot_t = sum(batch_time)
     L1 = sum(batch_i) / tot_t
@@ -128,128 +117,139 @@ def _estimate(sums, config) -> SimEstimate:
     means = [(bi + bj) / bt for bi, bj, bt in zip(batch_i, batch_j, batch_time)]
     n = len(means)
     mean = sum(means) / n
-    var = sum((x - mean) ** 2 for x in means) / (n - 1)
-    ci = float(stdtrit(n - 1, 0.975)) * (var / n) ** 0.5
-    return SimEstimate(
-        L=L1 + L2,
-        L1=L1,
-        L2=L2,
-        ci_halfwidth=ci,
-        jobs_completed=config.jobs,
-        seed=config.seed,
-        U=sum(batch_u) / tot_t,
-    )
+    dev = [x - mean for x in means]
+    ss = sum(d * d for d in dev)
+    ci = float(stdtrit(n - 1, 0.975)) * (ss / (n - 1) / n) ** 0.5
+    lag1 = sum(a * b for a, b in zip(dev, dev[1:])) / ss if ss > 0 else 0.0
+    return SimEstimate(L1 + L2, L1, L2, ci, config.jobs, config.seed, sum(batch_u) / tot_t), lag1
 
 
 def simulate(config: SimConfig) -> SimEstimate:
     """Run one replication and return time-averaged queue lengths."""
     model = config.model
     if isinstance(model, SingleServerModel):
-        stable, qs, rates = check_stability_single(model), (model.q,), _single_rates(model)
+        stable, qs, clamp, service = check_stability_single(model), (model.q,), model.K, _single
     elif isinstance(model, MultiServerModel):
-        stable, qs, rates = check_stability_multi(model), (model.q,), _pool_rates(model)
+        stable, qs, clamp, service = check_stability_multi(model), (model.q,), model.m, _pool
     elif isinstance(model, ThreePhaseModel):
-        stable, qs, rates = model.offered_load() < 1, (model.q1, model.q2), _three_phase_rates(model)
+        stable, qs, clamp, service = model.offered_load() < 1, (model.q1, model.q2), 1, _three
     else:
         raise TypeError(f"no simulator for {type(model).__name__}")
     if not stable:
         log.warning("simulating an unstable model; averages will drift")
-    return _run(config, model.lam, qs, rates)
-
-
-def _run(config: SimConfig, lam: float, qs: tuple, rates) -> SimEstimate:
-    """The event loop shared by every model.
-
-    n[k] counts the jobs in phase k.  A phase-k completion sends its job on to
-    phase k + 1 with probability qs[k] and out of the system otherwise; the
-    last phase always sends it out.  rates(n) returns the total event rate
-    r, the cumulative bounds that split [lam, r) among the completions (phase
-    k completes when u falls below bound k but no earlier one) and the number
-    of operative servers.  u = unif() * r < r holds in floating point too, so
-    a bound equal to r is never passed.
-    """
-    if lam == 0:
+    if model.lam == 0:
         return SimEstimate(0.0, 0.0, 0.0, 0.0, 0, config.seed)
-    rng = random.Random(config.seed)
-    unif, ln = rng.random, math.log
-    nb = config.batch_count
-    warm, total, last = config.warmup_jobs, config.jobs, len(qs)
+    return _run(config, _table(model, service, qs, clamp), clamp)
+
+
+def _table(model, service, qs: tuple, clamp: int) -> list[tuple]:
+    """One row per phase-count state clamped at `clamp`, breadth-first from
+    the empty system: (1/rate, servers/rate, the arrival probability, the
+    cumulative probabilities that split the completions, the completions, the
+    arrival's next row).  A completion (p, on, lo, hi) moves a job from phase
+    p on to phase p + 1 or out; the next row is hi if phase p still holds
+    `clamp` jobs or more, else lo."""
+    index, states, rows = {}, [], []
+
+    def row_of(counts):
+        key = tuple(c if c < clamp else clamp for c in counts)
+        if key not in index:
+            index[key] = len(states)
+            states.append(key)
+        return index[key]
+
+    def bump(counts, p, d=1):
+        return counts[:p] + (counts[p] + d,) + counts[p + 1:]
+
+    row_of((0,) * (len(qs) + 1))
+    for state in states:  # grows while it is walked
+        servers, mus = service(model, *state)
+        rate = model.lam + sum(mus)
+        cum, moves = [model.lam / rate], []
+        for p, mu in enumerate(mus):
+            q = qs[p] if p < len(qs) else 0.0
+            for on, r in ((True, mu * q), (False, mu * (1.0 - q))):
+                if r > 0:
+                    hi = bump(state, p + 1) if on else state
+                    cum.append(cum[-1] + r / rate)
+                    moves.append((p, on, row_of(bump(hi, p, -1)), row_of(hi)))
+        rows.append((1.0 / rate, servers / rate, cum[0], tuple(cum[1:-1]), tuple(moves),
+                     row_of(bump(state, 0))))
+    return rows
+
+
+def _run(config: SimConfig, tab: list[tuple], clamp: int) -> SimEstimate:
+    """The jump-chain loop shared by every model.  Each jump adds the mean
+    holding time of the state it leaves to the batch sums, draws one uniform u
+    and takes the first outcome whose cumulative probability exceeds u: the
+    arrival, then each phase's completion, moving on before leaving.  n0, n1
+    and nl count the jobs in phase 0, in phase 1 and past phase 0."""
+    start = time.perf_counter()
+    unif = random.Random(config.seed).random
+    warm, total, nb = config.warmup_jobs, config.jobs, config.batch_count
     size = (total - warm) // nb
     if size == 0:
         raise ModelError("too few jobs per batch")
-    opens = {max(warm + b * size, 1) for b in range(nb)}  # arrival counts that open a batch
-
-    n = [0] * (last + 1)
-    jobs = arrivals = 0
-    sums = []  # per batch: time and the time integrals of n[0], the later phases, the servers
-    t = ti = tj = tu = 0.0  # the open batch's sums; the first "batch" is the warm-up
-    while arrivals < total:
-        rate, bounds, servers = rates(n)
-        dt = -ln(1.0 - unif()) / rate  # rng.expovariate(rate) without the method call
-        t += dt
-        ti += n[0] * dt
-        tj += (jobs - n[0]) * dt
-        if servers:
-            tu += servers * dt
-        u = unif() * rate
-        if u < lam:
-            arrivals += 1
-            jobs += 1
-            n[0] += 1
-            if arrivals in opens:
-                sums.append((t, ti, tj, tu))
-                t = ti = tj = tu = 0.0
-            continue
-        k = bisect_right(bounds, u)
-        n[k] -= 1
-        if k < last and unif() < qs[k]:
-            n[k + 1] += 1
-        else:
-            jobs -= 1
-    sums.append((t, ti, tj, tu))
-    return _estimate(sums[1:], config)
-
-
-def _single_rates(model: SingleServerModel):
-    lam, K, levels = model.lam, model.K, model.speeds.levels
-    nu1, nu2 = model.service.nu1, model.service.nu2
-    fg = [(lam + nu1 * s, (lam + nu1 * s,), 0) for s in levels]  # indexed by min(i + j, K)
-    bg = [(lam + nu2 * s, (lam,), 0) for s in levels]  # indexed by min(j, K)
-    idle = (lam, (), 0)
-
-    def rates(n):
-        i, j = n
-        if i:
-            return fg[min(i + j, K)]
-        return bg[min(j, K)] if j else idle
-
-    return rates
+    # arrival counts that close a batch; the first "batch" is the warm-up
+    stops = sorted({max(warm + b * size, 1) for b in range(nb)}) + [total]
+    sums = []  # per batch: time and the time integrals of n0, nl and the servers
+    n0 = n1 = nl = arrivals = completions = row = 0
+    for stop in stops:
+        t = ti = tj = tu = 0.0
+        while arrivals < stop:
+            inv, srv, pa, cum, moves, up = tab[row]
+            t += inv
+            ti += n0 * inv
+            tj += nl * inv
+            tu += srv
+            u = unif()
+            if u < pa:
+                n0 += 1
+                arrivals += 1
+                row = up
+                continue
+            completions += 1
+            p, on, lo, hi = moves[bisect_right(cum, u)]
+            if p == 0:
+                n0 = c = n0 - 1
+                if on:
+                    n1 += 1
+                    nl += 1
+            elif p == 1:
+                n1 = c = n1 - 1
+                if not on:
+                    nl -= 1
+            else:
+                nl -= 1
+                c = nl - n1
+            row = hi if c >= clamp else lo
+        sums.append((t, ti, tj, tu))
+    est, lag1 = _estimate(sums[1:], config)
+    took = time.perf_counter() - start
+    log.debug("%s: %d jumps, %d table rows, %.3f s, %.0f arrivals/s, batch-mean lag-1 "
+              "autocorrelation %.3f", type(config.model).__name__, arrivals + completions,
+              len(tab), took, total / took, lag1)
+    return est
 
 
-def _pool_rates(model: MultiServerModel):
-    lam, mu1, mu2, m, thr = model.lam, model.mu1, model.mu2, model.m, model.threshold
-    # on[i][j] for i < m, j <= m: i foreground and min(j, m - i) background jobs in service
-    on = [[(lam + mu1 * i + mu2 * min(j, m - i), (lam + mu1 * i,), m) for j in range(m + 1)]
-          for i in range(m)]
-    full = (lam + mu1 * m, (lam + mu1 * m,), m)  # i >= m: no server left for the background
-    off = (lam, (lam,), 0)  # servers switched off until the next arrival
-
-    def rates(n):
-        i, j = n
-        if i + j <= thr:
-            return off
-        return on[i][j if j < m else m] if i < m else full
-
-    return rates
+def _single(model: SingleServerModel, i: int, j: int):
+    """Servers and phase completion rates; the foreground has priority."""
+    levels, K = model.speeds.levels, model.K
+    if i:
+        return 0, (model.service.nu1 * levels[min(i + j, K)], 0.0)
+    return 0, (0.0, model.service.nu2 * levels[min(j, K)] if j else 0.0)
 
 
-def _three_phase_rates(model: ThreePhaseModel):
-    lam = model.lam
-    r1, r2, r3 = lam + model.mu1, lam + model.mu2, lam + model.mu3
-    s1, s2, s3, idle = (r1, (r1, r1), 0), (r2, (lam, r2), 0), (r3, (lam, lam), 0), (lam, (), 0)
+def _pool(model: MultiServerModel, i: int, j: int):
+    """All servers are off at or below the threshold; the foreground goes first."""
+    if i + j <= model.threshold:
+        return 0, (0.0, 0.0)
+    m = model.m
+    return m, (model.mu1 * min(i, m), model.mu2 * min(j, max(m - i, 0)))
 
-    def rates(n):
-        a, b, c = n
-        return s1 if a else s2 if b else s3 if c else idle
 
-    return rates
+def _three(model: ThreePhaseModel, a: int, b: int, c: int):
+    if a:
+        return 0, (model.mu1, 0.0, 0.0)
+    return 0, (0.0, model.mu2, 0.0) if b else (0.0, 0.0, model.mu3 if c else 0.0)
+

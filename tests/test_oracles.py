@@ -106,6 +106,17 @@ class TestSimulator:
         assert abs(est.L - exact.L) < 4 * est.ci_halfwidth
         assert est.U == pytest.approx(exact.U, rel=0.02)
 
+    @pytest.mark.parametrize("model, seed", [
+        (MultiServerModel(2.0, 1.0, 0.5, 0.0, 3, threshold=1), 21),
+        (MultiServerModel(1.0, 1.5, 0.5, 1.0, 4, threshold=2), 22),
+    ], ids=["q0", "q1"])
+    def test_switch_off_pool_against_chain_oracle(self, model, seed):
+        est = simulate(SimConfig(model=model, jobs=200_000, warmup_jobs=20_000, seed=seed))
+        exact = ctmc_solve(model)
+        for f in ("L", "L1", "L2"):
+            assert abs(getattr(est, f) - getattr(exact, f)) < 4 * est.ci_halfwidth, f
+        assert est.U == pytest.approx(exact.U, rel=0.02)
+
     def test_config_validation(self):
         with pytest.raises(ModelError):
             SimConfig(model=K1_MODEL, jobs=1000, warmup_jobs=500)
@@ -137,3 +148,11 @@ class TestThreePhase:
 
         approx = solve_k1_closed_form(two_phase_approximation(tp)).L
         assert abs(est.L - approx) / approx < 0.05
+
+    def test_q2_zero_matches_two_phase_closed_form(self):
+        tp = ThreePhaseModel(1.5, 5.0, 1.0, 0.5, 0.1, 0.0)  # the third phase is never entered
+        est = simulate(SimConfig(model=tp, jobs=200_000, warmup_jobs=20_000, seed=13))
+        from fbq.single import solve_k1_closed_form
+
+        exact = solve_k1_closed_form(two_phase_approximation(tp)).L
+        assert abs(est.L - exact) < 4 * est.ci_halfwidth

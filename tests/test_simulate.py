@@ -1,19 +1,24 @@
-"""Event simulator (fbq.simulate): exact pins of every SimEstimate field, and
-the import cost of the package.
+"""Simulator (fbq.simulate): exact pins of every SimEstimate field, the
+bounded rate table on unstable models, the per-run debug line, and the
+import cost of the package.
 
 data/sim_pins.json holds the full SimEstimate of 21 runs (30k arrivals each):
 single servers with K = 1..5, q = 0 and q = 1 and a zero-speed profile;
 pools with m = 1..7, switch-off thresholds and q = 0 / 0.4 / 1; one unstable
 pool; three-phase models with q2 = 0 / 0.5 / 1; and lam = 0 for each model
-type.  They were recorded with the earlier simulator, one event loop per
-model.  The draw order and every float expression are part of the contract,
-so the estimates must be equal, not close: a reordered rate sum or a moved
-uniform draw changes them.
+type.  They were recorded with the jump-chain kernel, each stable one within
+4 confidence half-widths of the exact value.  Each jump draws exactly one
+uniform, which picks the arrival or a completion in a fixed order (arrival,
+then each phase, moving on before leaving).  That order and every float
+expression are part of the contract, so the estimates must be equal, not
+close: a reordered outcome or rate sum, or one more draw, changes them.
 """
 
 import json
+import logging
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -50,3 +55,36 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def _debug_lines(caplog, cfg):
+    with caplog.at_level(logging.DEBUG, logger="fbq.simulate"):
+        est = simulate(cfg)
+    return est, [r.getMessage() for r in caplog.records
+                 if r.name == "fbq.simulate" and r.levelno == logging.DEBUG]
+
+
+@pytest.mark.parametrize("model, clamp", [
+    (MultiServerModel(4.0, 1.0, 0.5, 0.5, 3, threshold=1), 3),
+    (SingleServerModel(3.0, CoxianService(2.0, 1.0, 0.5), SpeedProfile((0.5, 1.0))), 1),
+], ids=["pool", "single"])
+def test_unstable_run_table_does_not_grow_with_run_length(caplog, model, clamp):
+    rows = []
+    for jobs in (30_000, 300_000):
+        caplog.clear()
+        _, (line,) = _debug_lines(caplog, SimConfig(model=model, jobs=jobs, warmup_jobs=jobs // 10,
+                                                    seed=5))
+        rows.append(int(re.search(r"(\d+) table rows", line).group(1)))
+    assert rows[1] <= rows[0] <= (clamp + 1) ** 2  # both phase counts clamped at `clamp`
+
+
+def test_debug_log_has_one_line_per_run(caplog):
+    model = ThreePhaseModel(1.5, 5.0, 1.0, 0.5, 0.1, 0.5)
+    est, lines = _debug_lines(caplog, SimConfig(model=model, jobs=20_000, warmup_jobs=2_000, seed=3))
+    assert est.L > 0 and len(lines) == 1
+    match = re.fullmatch(r"ThreePhaseModel: (\d+) jumps, (\d+) table rows, [\d.]+ s, \d+ arrivals/s, "
+                         r"batch-mean lag-1 autocorrelation (-?[\d.]+)", lines[0])
+    assert match, lines[0]
+    jumps, rows, lag1 = int(match[1]), int(match[2]), float(match[3])
+    assert 20_000 < jumps <= 4 * 20_000  # an arrival and up to three completions per job
+    assert rows == 8 and -1 <= lag1 <= 1
