@@ -16,6 +16,8 @@ from scipy.integrate import quad
 
 from .models import CoxianService, UnstableModelError
 
+LAS_ABS_TOL = 1e-8   # absolute error allowed in las_L's mean count
+
 
 @dataclass(frozen=True)
 class TruncatedLoadFunctions:
@@ -64,7 +66,7 @@ def fcfs_L(lam: float, service: CoxianService) -> float:
     return rho + lam**2 * m2 / (2.0 * (1.0 - rho))
 
 
-def las_L(lam: float, service: CoxianService, abs_tol: float = 1e-8) -> float:
+def las_L(lam: float, service: CoxianService) -> float:
     """Mean number in system under least-attained-service (Schrage's integral).
 
     The conditional response time of a job of length x is
@@ -86,10 +88,10 @@ def las_L(lam: float, service: CoxianService, abs_tol: float = 1e-8) -> float:
     # survival < 1e-14 past this point; slowest rate dominates the tail
     slow = min(service.nu1, service.nu2 if service.q > 0 else service.nu1)
     x_max = 14.0 * math.log(10.0) / slow + 10.0 / slow
-    eps = abs_tol * 0.1 / max(lam, 1.0)
+    eps = LAS_ABS_TOL * 0.1 / max(lam, 1.0)
     response, err = quad(integrand, 0.0, x_max, epsabs=eps, epsrel=1e-11, limit=200)
-    if lam * err > abs_tol:
-        raise RuntimeError(f"quadrature error estimate {lam * err:.3e} above {abs_tol:.0e}")
+    if lam * err > LAS_ABS_TOL:
+        raise RuntimeError(f"quadrature error estimate {lam * err:.3e} above {LAS_ABS_TOL:.0e}")
     return lam * response
 
 

@@ -161,96 +161,67 @@ def _stationary(rows, cols, rates, n, fixed) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _solve_rectangle(build_rates, fixed, n):
-    """Run the generator builder on an (n+1) x (n+1) rectangle and solve."""
+def _grow(build_rates, fixed, max_n):
+    """Solve the rectangles n = START_N, 2 START_N, ... until the edge mass
+    is below TAIL_TOL and return the probabilities grid[i, j], the edge mass
+    and n.  Every solve is finite or raises, so a failing chain stops at the
+    first size rather than doubling up to `max_n`."""
     i, j = fixed
-    pi = _stationary(*build_rates(n), n, i * (n + 1) + j)
-    grid = pi.reshape((n + 1, n + 1))  # grid[i, j]
-    edge = grid[n, :].sum() + grid[:, n].sum() - grid[n, n]
-    return grid, edge
-
-
-def _grow(build_rates, fixed, start_n=START_N, max_n=MAX_N, tail_tol=TAIL_TOL):
-    """Double the rectangle from `start_n` until the edge mass is below
-    `tail_tol`; every solve is finite or raises, so a failing chain stops
-    at the first size rather than doubling up to `max_n`."""
-    n = start_n
+    n = START_N
     while True:
         t0 = time.perf_counter()
-        grid, edge = _solve_rectangle(build_rates, fixed, n)
+        grid = _stationary(*build_rates(n), n, i * (n + 1) + j).reshape((n + 1, n + 1))
+        edge = grid[n, :].sum() + grid[:, n].sum() - grid[n, n]
         log.debug("n = %d: %d states, edge mass %.3e, %.3f s",
                   n, (n + 1) * (n + 1), edge, time.perf_counter() - t0)
-        if edge < tail_tol:
+        if edge < TAIL_TOL:
             return grid, edge, n
         if n >= max_n:
-            raise SolverError(
-                f"truncation cap {max_n} reached with edge mass {edge:.3e} > {tail_tol:.0e}"
-            )
+            raise SolverError(f"truncation cap {max_n} reached with edge mass {edge:.3e} "
+                              f"> {TAIL_TOL:.0e}")
         n *= 2
 
 
-def ctmc_solve_single(model: SingleServerModel, start_n: int = START_N,
-                      max_n: int = MAX_N, tail_tol: float = TAIL_TOL) -> CtmcSolution:
-    """Stationary metrics of the speed-modulated single-server chain.
-
-    The fixed state is (0, 0).  When s_1 = ... = s_{k-1} = 0 < s_k, nothing
-    is served below k jobs and the background queue never drops below k - 1
-    once it is there, so the fixed state is (0, k - 1) and the states with
-    fewer background jobs are left empty (for q = 0 they form another closed
-    class; `solve_zero_speed` uses the same convention).
-    """
-    require_stable_single(model)
+def _single_fields(model: SingleServerModel, grid, p) -> dict:
+    """The boundary states i + j <= K, g0(1) and the energy rate."""
     K = model.K
-    k = next(t for t, s in enumerate(model.speeds.levels) if t > 0 and s > 0.0)
-    grid, edge, n = _grow(lambda n: _single_rates(model, n), (0, k - 1), start_n, max_n, tail_tol)
-    ii = np.arange(n + 1)
-    L1 = float((grid.sum(axis=1) * ii).sum())
-    L2 = float((grid.sum(axis=0) * ii).sum())
-    p = [float(sum(grid[i, t - i] for i in range(t + 1))) for t in range(K)]
-    boundary = {(i, j): float(grid[i, j]) for t in range(K + 1) for i in range(t + 1) for j in [t - i]}
-    g0_at_1 = float(grid[0, K:].sum())
     energy = sum(p[t] * model.speeds.power(t) for t in range(K))
     energy += model.speeds.power(K) * (1.0 - sum(p))
-    return CtmcSolution(
-        L1=L1, L2=L2, L=L1 + L2, p=p, tail_mass=1.0 - sum(p), boundary=boundary,
-        truncation=(n, n), edge_mass=edge, g0_at_1=g0_at_1, energy_rate=float(energy),
-    )
+    boundary = {(i, t - i): float(grid[i, t - i]) for t in range(K + 1) for i in range(t + 1)}
+    return dict(boundary=boundary, g0_at_1=float(grid[0, K:].sum()), energy_rate=float(energy))
 
 
-def ctmc_solve_multi(model: MultiServerModel, start_n: int = START_N,
-                     max_n: int = MAX_N, tail_tol: float = TAIL_TOL) -> CtmcSolution:
-    """Stationary metrics of the m-server chain under the switch-off threshold.
-
-    Servers run exactly when the total job count exceeds the threshold K.
-    The fixed state is (K, 0); the states below the threshold diagonal are
-    transient and pick up zero mass, and so are those with background jobs
-    when q = 0.
-    """
-    require_stable_multi(model)
+def _pool_fields(model: MultiServerModel, grid, p) -> dict:
+    """The boundary states, the operative servers U and the foreground marginal."""
     m, thr = model.m, model.threshold
-    grid, edge, n = _grow(lambda n: _pool_rates(model, n), (thr, 0), start_n, max_n, tail_tol)
-    ii = np.arange(n + 1)
-    L1 = float((grid.sum(axis=1) * ii).sum())
-    L2 = float((grid.sum(axis=0) * ii).sum())
-    p = [float(sum(grid[i, t - i] for i in range(t + 1))) for t in range(m)]
-    boundary = {
-        (i, j): float(grid[i, j])
-        for i in range(m)
-        for j in range(max(0, thr - i), m - i)
-    }
-    diag_mass = sum(float(grid[i, thr - i]) for i in range(thr + 1))
-    U = m * (1.0 - diag_mass)
-    fg = [float(grid[i, :].sum()) for i in range(min(m + 4, n + 1))]
-    return CtmcSolution(
-        L1=L1, L2=L2, L=L1 + L2, p=p, tail_mass=1.0 - sum(p), boundary=boundary,
-        truncation=(n, n), edge_mass=edge, U=float(U), energy_rate=float(U), fg_marginal=fg,
-    )
+    boundary = {(i, j): float(grid[i, j]) for i in range(m) for j in range(max(0, thr - i), m - i)}
+    U = float(m * (1.0 - sum(float(grid[i, thr - i]) for i in range(thr + 1))))
+    fg = [float(grid[i, :].sum()) for i in range(min(m + 4, len(grid)))]
+    return dict(boundary=boundary, U=U, energy_rate=U, fg_marginal=fg)
 
 
-def ctmc_solve(model, **kwargs) -> CtmcSolution:
-    """Dispatch on the model type."""
+def ctmc_solve(model, max_n: int = MAX_N) -> CtmcSolution:
+    """Stationary metrics of a single server or a pool from the grown rectangle.
+
+    Fixed state of a single server: (0, 0), or (0, k - 1) when s_1 = ... =
+    s_(k-1) = 0 < s_k.  Nothing is then served below k jobs, and the states
+    with fewer than k - 1 background jobs are left empty (for q = 0 they form
+    another closed class; `solve_zero_speed` uses the same convention).
+    Fixed state of a pool with threshold K: (K, 0).  The states below the
+    threshold diagonal are transient and get zero mass, and so do those with
+    background jobs when q = 0.
+    """
     if isinstance(model, SingleServerModel):
-        return ctmc_solve_single(model, **kwargs)
-    if isinstance(model, MultiServerModel):
-        return ctmc_solve_multi(model, **kwargs)
-    raise TypeError(f"no CTMC builder for {type(model).__name__}")
+        require_stable_single(model)
+        k = next(t for t, s in enumerate(model.speeds.levels) if t > 0 and s > 0.0)
+        rates, fixed, levels, fields = _single_rates, (0, k - 1), model.K, _single_fields
+    elif isinstance(model, MultiServerModel):
+        require_stable_multi(model)
+        rates, fixed, levels, fields = _pool_rates, (model.threshold, 0), model.m, _pool_fields
+    else:
+        raise TypeError(f"no CTMC builder for {type(model).__name__}")
+    grid, edge, n = _grow(lambda n: rates(model, n), fixed, max_n)
+    L1, L2 = (float((grid.sum(axis=axis) * np.arange(n + 1)).sum()) for axis in (1, 0))
+    p = [float(sum(grid[i, t - i] for i in range(t + 1))) for t in range(levels)]
+    return CtmcSolution(L1=L1, L2=L2, L=L1 + L2, p=p, tail_mass=1.0 - sum(p),
+                        truncation=(n, n), edge_mass=edge, **fields(model, grid, p))

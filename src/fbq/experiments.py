@@ -44,6 +44,7 @@ from .single import (
 # published cost curve (only alpha = 2 reproduces its convex shape)
 COST_ALPHA = 2.0
 DEFAULT_SEED = 42
+COARSE_STEP, FINE_STEP = 0.01, 0.001   # speed-search grid steps, fractions of the top speed
 
 
 def solve(model: SingleServerModel | MultiServerModel) -> SingleServerSolution | MultiServerSolution:
@@ -118,13 +119,12 @@ def _family_costs(model: SingleServerModel, costs: CostCoefficients, grid) -> np
     return costs.c1 * sol.L + costs.c2 * sol.energy_rate
 
 
-def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCoefficients,
-                                 coarse: float = 0.01, fine: float = 0.001):
+def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCoefficients):
     """Grid-search the intermediate speed levels of a K-level staircase.
 
     The idle speed s_0 and the top speed s_K are taken from the base model;
-    the K-1 intermediate levels are swept over multiples of `coarse` times
-    the top speed (with s_1 <= s_2), then re-swept once at `fine` resolution
+    the K-1 intermediate levels are swept over multiples of COARSE_STEP
+    times the top speed (with s_1 <= s_2), then re-swept once at FINE_STEP resolution
     around the incumbent.  Each grid is solved as one speed family
     (solve_speed_family), which gives the same costs as solving its profiles
     one by one.  Returns (best profile, best cost, coarse curve); for K = 3
@@ -140,8 +140,8 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
         raise UnstableModelError("every grid point is unstable: top speed cannot carry the load")
     top = model.speeds.levels[-1]
     s0 = model.speeds.levels[0]
-    lo_frac = max(coarse, s0 / top)
-    fracs = [round(k * coarse, 10) for k in range(1, round(1.0 / coarse) + 1)]
+    lo_frac = max(COARSE_STEP, s0 / top)
+    fracs = [round(k * COARSE_STEP, 10) for k in range(1, round(1.0 / COARSE_STEP) + 1)]
     fracs = [f for f in fracs if f >= lo_frac]
 
     # grid points as indices into fracs, s_1 major and s_2 >= s_1 minor
@@ -156,7 +156,8 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
         curve = PolicyCurve("cost_min_over_s2", fracs, np.minimum.reduceat(cost, starts).tolist())
 
     # one refinement pass around the incumbent
-    span = [round(d * fine, 10) for d in range(-round(coarse / fine) + 1, round(coarse / fine))]
+    width = round(COARSE_STEP / FINE_STEP)
+    span = [round(d * FINE_STEP, 10) for d in range(-width + 1, width)]
     if K == 2:
         near = [(f,) for f in (round(best_x[0] + d, 10) for d in span) if lo_frac <= f <= 1.0]
     else:
@@ -190,7 +191,8 @@ def optimize_threshold(model: MultiServerModel, costs: CostCoefficients):
 
 # --- figure reproduction -------------------------------------------------------
 
-def _figure3_like(service: CoxianService, figure: int) -> FigureResult:
+def _figure3() -> FigureResult:
+    service = CoxianService(5.0, 1.0, 0.1)
     xs = _grid(2.1, 3.2, 0.1)
     fcfs, las, fb = [], [], []
     for lam in xs:
@@ -199,11 +201,11 @@ def _figure3_like(service: CoxianService, figure: int) -> FigureResult:
         model = SingleServerModel(lam, service, SpeedProfile((1.0, 1.0)))
         fb.append(solve_k1_closed_form(model).L)
     return FigureResult(
-        figure=figure,
+        figure=3,
         curves=[PolicyCurve("FCFS", xs, fcfs), PolicyCurve("LAS", xs, las),
                 PolicyCurve("FB-ph2", xs, fb)],
         metadata={
-            "figure": figure,
+            "figure": 3,
             "mu1": service.nu1, "mu2": service.nu2, "q": service.q,
             "lambda_grid": xs,
             "assumptions": ["lambda grid 2.1..3.2 step 0.1 inferred from plot geometry"],
@@ -317,7 +319,7 @@ def reproduce_figure(figure: int, seed: int = DEFAULT_SEED, sim_jobs: int = 1_00
     serially, since a point costs less than starting a worker.
     """
     if figure == 3:
-        return _figure3_like(CoxianService(5.0, 1.0, 0.1), 3)
+        return _figure3()
     if figure == 4:
         return _figure4()
     if figure == 5:

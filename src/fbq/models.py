@@ -156,12 +156,6 @@ class SingleServerModel:
     def q(self) -> float:
         return self.service.q
 
-    def mu1_at(self, n: int) -> float:
-        return self.service.nu1 * self.speeds.levels[min(n, self.K)]
-
-    def mu2_at(self, n: int) -> float:
-        return self.service.nu2 * self.speeds.levels[min(n, self.K)]
-
     @property
     def rho1(self) -> float:
         return self.lam / self.mu1

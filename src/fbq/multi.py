@@ -106,46 +106,18 @@ def _y1_float(model: MultiServerModel, z: float) -> float:
     return (1.0 + rho - math.sqrt(disc)) / (2.0 * rho)
 
 
-def _matrix_entries(model: MultiServerModel, z: float, y1: float):
-    """Diagonal a_i(z) and products alpha_i(z)*lam*z of the transform matrix at a real z."""
+def _det_at(model: MultiServerModel, z: float) -> float:
+    """The determinant R_0(z) of A(z) by the trailing-minor recurrence
+    R_t = a_t R_(t+1) - alpha_(t+1) lam z R_(t+2), from R_m = 1 and
+    R_(m-1) = a_(m-1), the one entry that holds the kernel root."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
     zm1 = z - 1.0
-    a = []
-    for i in range(m - 1):
-        a.append(lam * z + i * mu1 * z + (m - i) * mu2 * zm1)
-    a.append(lam * z * (1.0 - y1) + (m - 1) * mu1 * z + mu2 * zm1)
-    alpha = [None]
-    for i in range(1, m):
-        alpha.append(i * mu1 * z * (1.0 - q + q * z))
-    alam = [None] + [alpha[i] * (lam * z) for i in range(1, m)]
-    return a, alpha, alam
-
-
-def _q_sequence(a, alam):
-    """Leading principal minors Q_0 .. Q_{m-1} of the transform matrix at a real z."""
-    m = len(a)
-    Q = [1.0]
-    if m >= 2:
-        Q.append(a[0])
-    for i in range(2, m):
-        Q.append(a[i - 1] * Q[i - 1] - alam[i - 1] * Q[i - 2])
-    return Q  # exactly Q[0 .. m-1]
-
-
-def _r_sequence(a, alam):
-    """Trailing principal minors R_m .. R_0 at a real z; R_0 is the determinant."""
-    m = len(a)
-    R = [None] * (m + 1)
-    R[m] = 1.0
-    R[m - 1] = a[m - 1]
+    nxt, cur = 1.0, lam * z * (1.0 - _y1_float(model, z)) + (m - 1) * mu1 * z + mu2 * zm1
     for t in range(m - 2, -1, -1):
-        R[t] = a[t] * R[t + 1] - alam[t + 1] * R[t + 2]
-    return R
-
-
-def _det_at(model: MultiServerModel, z: float) -> float:
-    a, _, alam = _matrix_entries(model, z, _y1_float(model, z))
-    return _r_sequence(a, alam)[0]
+        a = lam * z + t * mu1 * z + (m - t) * mu2 * zm1
+        alam = (t + 1) * mu1 * z * (1.0 - q + q * z) * (lam * z)
+        nxt, cur = cur, a * cur - alam * nxt
+    return cur
 
 
 # --- root isolation -----------------------------------------------------------
@@ -171,8 +143,9 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
 
 
 def _minor_at(model: MultiServerModel, i: int, z: float) -> float:
-    """Q_i(z) from the matrix entries 0 .. i-1 alone, by the operations of
-    _matrix_entries and _q_sequence (so with the same rounding)."""
+    """The leading principal minor Q_i(z) of A(z) by the recurrence
+    Q_(k+1) = a_k Q_k - alpha_k lam z Q_(k-1), from Q_0 = 1; it reads only the
+    entries 0 .. i-1, so it never needs the kernel root and holds at every real z."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
     zm1 = z - 1.0
     prev, cur = 1.0, 1.0
@@ -259,20 +232,15 @@ def dprime_at_1(model: MultiServerModel) -> float:
 # --- the linear system ---------------------------------------------------------
 
 
-def _unknowns(m: int, K: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(max(0, K - i), m - i)]
-
-
 def _dense_matrix(model: MultiServerModel, z: float) -> np.ndarray:
-    lam, m = model.lam, model.m
-    a, alpha, _ = _matrix_entries(model, z, _y1_float(model, z))
-    out = np.zeros((m, m))
-    for i in range(m):
-        out[i, i] = a[i]
-        if i + 1 < m:
-            out[i, i + 1] = -alpha[i + 1]
-        if i > 0:
-            out[i, i - 1] = -lam * z
+    """A(z) at a real z: the entries of _det_at and _minor_at, with the same rounding."""
+    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    zm1 = z - 1.0
+    i = np.arange(m)
+    out = np.diag(lam * z + i * mu1 * z + (m - i) * mu2 * zm1)
+    out[-1, -1] = lam * z * (1.0 - _y1_float(model, z)) + (m - 1) * mu1 * z + mu2 * zm1
+    out[i[:-1], i[1:]] = -(i[1:] * mu1 * z * (1.0 - q + q * z))
+    out[i[1:], i[:-1]] = -lam * z
     return out
 
 
@@ -372,7 +340,7 @@ def _solve_threshold(model: MultiServerModel, K: int, pool: _Pool) -> MultiServe
     """Steady state under threshold K from the pool's cached data."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
 
-    states = _unknowns(m, K)
+    states = [(i, j) for i in range(m) for j in range(max(0, K - i), m - i)]
     idx = {s: k for k, s in enumerate(states)}
     n = len(states)
     a = np.zeros((n, n))

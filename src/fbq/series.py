@@ -18,6 +18,8 @@ import numpy as np
 
 from .models import SolverError
 
+CANCEL_RTOL = 1e-7   # vanishing leading coefficients, relative to their series' largest
+
 
 class PowerSeries:
     """Coefficients c[0..order] of a Taylor expansion around a fixed point.
@@ -127,18 +129,18 @@ def divide(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     return PowerSeries(out)
 
 
-def cancel_divide(num: PowerSeries, den: PowerSeries, drop: int, rtol: float = 1e-7,
+def cancel_divide(num: PowerSeries, den: PowerSeries, drop: int,
                   num_floor: float = 0.0) -> PowerSeries:
     """Quotient of two series sharing a zero of multiplicity `drop`.
 
     The leading `drop` coefficients of both operands are removed before the
-    division; those coefficients are required to be negligible relative to
+    division; those coefficients are required to be below CANCEL_RTOL times
     the largest coefficient of their series, otherwise the assumed limit does
     not exist and a SolverError is raised.  A numerator whose coefficients
     all sit below `num_floor` counts as identically zero (the ratio of an
     exactly-vanishing quantity), giving the zero series.
     """
-    return PowerSeries(cancel_divide_coeffs(np.array([num.c]), den, drop, rtol, num_floor)[0])
+    return PowerSeries(cancel_divide_coeffs(np.array([num.c]), den, drop, num_floor)[0])
 
 
 # --- one series against the rows of a coefficient array -----------------------
@@ -149,7 +151,7 @@ def product_matrix(s: PowerSeries, n: int) -> np.ndarray:
     return np.array([[0.0] * i + s.c[: n - i] for i in range(n)])
 
 
-def cancel_divide_coeffs(num: np.ndarray, den: PowerSeries, drop: int, rtol: float = 1e-7,
+def cancel_divide_coeffs(num: np.ndarray, den: PowerSeries, drop: int,
                          num_floor: float = 0.0) -> np.ndarray:
     """cancel_divide of every row of num (B, n) by one series den.
 
@@ -158,7 +160,7 @@ def cancel_divide_coeffs(num: np.ndarray, den: PowerSeries, drop: int, rtol: flo
     """
     mag = np.abs(num)
     scale = mag.max(axis=1)
-    bad = mag[:, :drop] > rtol * scale[:, None]
+    bad = mag[:, :drop] > CANCEL_RTOL * scale[:, None]
     live = scale > num_floor if num_floor > 0.0 else None
     if live is not None:
         bad &= live[:, None]
@@ -168,7 +170,7 @@ def cancel_divide_coeffs(num: np.ndarray, den: PowerSeries, drop: int, rtol: flo
     if live is None or live.any():
         dscale = max(abs(x) for x in den.c)
         for k in range(drop):
-            if abs(den.c[k]) > rtol * dscale:
+            if abs(den.c[k]) > CANCEL_RTOL * dscale:
                 _nonvanishing("denominator", k, den.c[k], dscale)
     n = min(num.shape[1], len(den.c)) - drop
     inverse = divide(PowerSeries.constant(1.0, n - 1), PowerSeries(den.c[drop:drop + n]))

@@ -99,7 +99,7 @@ class SimEstimate:
     L1: float
     L2: float
     ci_halfwidth: float
-    jobs_completed: int
+    jobs_completed: int       # jobs that left by the end of the run
     seed: int
     U: float = 0.0  # multiserver runs: mean operative servers
 
@@ -108,8 +108,8 @@ class SimEstimate:
                 "jobs": self.jobs_completed, "seed": self.seed}
 
 
-def _estimate(sums, config) -> tuple[SimEstimate, float]:
-    """The estimate from per-batch sums, and the batch means' lag-1 autocorrelation."""
+def _estimate(sums, config, completed: int) -> tuple[SimEstimate, float]:
+    """The estimate, given the jobs that left, and the batch means' lag-1 autocorrelation."""
     batch_time, batch_i, batch_j, batch_u = zip(*sums)
     tot_t = sum(batch_time)
     L1 = sum(batch_i) / tot_t
@@ -121,7 +121,7 @@ def _estimate(sums, config) -> tuple[SimEstimate, float]:
     ss = sum(d * d for d in dev)
     ci = float(stdtrit(n - 1, 0.975)) * (ss / (n - 1) / n) ** 0.5
     lag1 = sum(a * b for a, b in zip(dev, dev[1:])) / ss if ss > 0 else 0.0
-    return SimEstimate(L1 + L2, L1, L2, ci, config.jobs, config.seed, sum(batch_u) / tot_t), lag1
+    return SimEstimate(L1 + L2, L1, L2, ci, completed, config.seed, sum(batch_u) / tot_t), lag1
 
 
 def simulate(config: SimConfig) -> SimEstimate:
@@ -224,7 +224,7 @@ def _run(config: SimConfig, tab: list[tuple], clamp: int) -> SimEstimate:
                 c = nl - n1
             row = hi if c >= clamp else lo
         sums.append((t, ti, tj, tu))
-    est, lag1 = _estimate(sums[1:], config)
+    est, lag1 = _estimate(sums[1:], config, total - n0 - nl)
     took = time.perf_counter() - start
     log.debug("%s: %d jumps, %d table rows, %.3f s, %.0f arrivals/s, batch-mean lag-1 "
               "autocorrelation %.3f", type(config.model).__name__, arrivals + completions,

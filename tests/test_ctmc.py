@@ -60,8 +60,9 @@ def _loop_rates(model, n):
         for j in range(n + 1):
             add(i, j, i + 1, j, model.lam)
             if isinstance(model, SingleServerModel):
-                fg = model.mu1_at(i + j) if i > 0 else 0.0
-                bg = model.mu2_at(j) if i == 0 else 0.0
+                levels, K = model.speeds.levels, model.K
+                fg = model.service.nu1 * levels[min(i + j, K)] if i > 0 else 0.0
+                bg = model.service.nu2 * levels[min(j, K)] if i == 0 else 0.0
             elif i + j > model.threshold:
                 fg = min(i, model.m) * model.mu1
                 bg = min(j, max(model.m - i, 0)) * model.mu2
@@ -125,8 +126,8 @@ def test_reducible_chain_raises_at_first_size():
         bg = np.where(i == 0, 1.0, 0.0)
         return _transitions(n, 0.5, 1.0, fg, bg)
 
-    with pytest.raises(SolverError, match=r"singular at n = 4\b"):
-        _grow(build, (0, 0), start_n=4, max_n=64)
+    with pytest.raises(SolverError, match=r"singular at n = 64\b"):
+        _grow(build, (0, 0), max_n=2048)
 
 
 def test_high_load_matches_solve_general():

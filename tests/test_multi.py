@@ -8,9 +8,7 @@ from fbq.models import CostCoefficients, ModelError, MultiServerModel, UnstableM
 from fbq.multi import (
     _dense_matrix,
     _det_at,
-    _matrix_entries,
-    _q_sequence,
-    _y1_float,
+    _minor_at,
     d_roots,
     dprime_at_1,
     evaluate_cost_multi,
@@ -97,11 +95,9 @@ class TestTransformMatrix:
     def test_minors_match_dense_leading_blocks(self):
         z = 0.6
         a = _dense_matrix(self.MODEL, z)
-        entries, _, alam = _matrix_entries(self.MODEL, z, _y1_float(self.MODEL, z))
-        minors = _q_sequence(entries, alam)
-        assert minors[0] == 1.0
+        assert _minor_at(self.MODEL, 0, z) == 1.0
         for i in (1, 2):
-            assert minors[i] == pytest.approx(np.linalg.det(a[:i, :i]), rel=1e-12)
+            assert _minor_at(self.MODEL, i, z) == pytest.approx(np.linalg.det(a[:i, :i]), rel=1e-12)
 
 
 class TestMinorSigns:
@@ -112,11 +108,9 @@ class TestMinorSigns:
         model = random_stable_multi(rng, m, umax=0.8)
 
         def q_values(z):
-            # the leading minors never touch the kernel root, so a dummy
-            # value stands in where the root is complex
-            y1 = _y1_float(model, z) if 0 <= z <= 1 else 0.0
-            a, _, alam = _matrix_entries(model, z, y1)
-            return _q_sequence(a, alam)
+            # the leading minors never touch the kernel root, so they are
+            # defined where the root is complex
+            return [_minor_at(model, i, z) for i in range(m)]
 
         # alternating at the origin, positive at one; far out on the side
         # where the diagonal entries all go negative, alternating again

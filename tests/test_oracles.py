@@ -51,8 +51,10 @@ class TestCtmc:
     def test_truncation_reporting(self):
         sol = ctmc_solve(K1_MODEL)
         assert sol.edge_mass < 1e-10
-        with pytest.raises(SolverError):
-            ctmc_solve(K1_MODEL, start_n=8, max_n=8, tail_tol=1e-14)
+        # a load-0.9 model that needs n = 256 (tests/test_ctmc.py)
+        heavy = SingleServerModel(1.8, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 0.8, 1.0)))
+        with pytest.raises(SolverError, match="truncation cap 64 reached"):
+            ctmc_solve(heavy, max_n=64)
 
     def test_solution_is_a_distribution(self):
         sol = ctmc_solve(K1_MODEL)

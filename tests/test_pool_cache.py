@@ -3,7 +3,10 @@
 Roots, the null vectors at the roots and the z = 1 Taylor data are built once
 per (lam, mu1, mu2, q, m) and kept by `_pool_data`; a threshold never enters
 the key.  Cold and warm solves must agree exactly, checks must run on every
-call, and failures must not be cached.
+call, and failures must not be cached.  data/d_roots_pins.json holds, as
+float.hex strings, the zeros of the pools of threshold_sweep_pins.json and
+their determinant and leading minors at nine points of [0, 1]; they must be
+reproduced bit for bit, so a reordered product in either recurrence fails.
 """
 
 import dataclasses
@@ -12,24 +15,24 @@ import logging
 import math
 import pathlib
 
-import numpy as np
 import pytest
 
 from fbq import multi
 from fbq.models import ModelError, MultiServerModel, SolverError, UnstableModelError
 from fbq.multi import (
     POOL_CACHE_SIZE,
-    _matrix_entries,
+    _det_at,
     _minor_at,
     _pool_data,
-    _q_sequence,
-    _y1_float,
     d_roots,
     solve_threshold,
     sweep_thresholds,
 )
 
-PINS = json.loads((pathlib.Path(__file__).parent / "data" / "threshold_sweep_pins.json").read_text())
+DATA = pathlib.Path(__file__).parent / "data"
+PINS = json.loads((DATA / "threshold_sweep_pins.json").read_text())
+RECURRENCE_PINS = json.loads((DATA / "d_roots_pins.json").read_text())
+ROOT_PINS = RECURRENCE_PINS["roots"]
 POOL = dict(lam=2.2452256904831636, mu1=1.845410878679858, mu2=0.8178875656640092,
             q=0.252986981887458, m=6)
 
@@ -112,13 +115,24 @@ def test_returned_roots_are_a_new_list_each_call():
     assert solve_threshold(model).roots == expected
 
 
-def test_minor_at_equals_the_full_minor_sequence_bit_for_bit():
-    model = MultiServerModel(**POOL)
-    for z in np.linspace(0.0, 1.0, 23):
-        a, _, alam = _matrix_entries(model, z, _y1_float(model, z))
-        minors = _q_sequence(a, alam)
-        for i in range(1, model.m):
-            assert _minor_at(model, i, z) == minors[i], (z, i)
+def test_d_roots_match_the_pinned_zeros_bit_for_bit():
+    # the pools of threshold_sweep_pins.json; the failing m = 20 pool still
+    # isolates its 19 zeros and fails later, in its boundary solve
+    pools = {**PINS["pools"], "failing_pool": PINS["failing_pool"]}
+    assert sorted(ROOT_PINS) == sorted(pools)
+    for name, params in pools.items():
+        model = MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
+        assert len(ROOT_PINS[name]) == model.m - 1, name
+        assert [z.hex() for z in d_roots(model)] == ROOT_PINS[name], name
+
+
+def test_determinant_and_minors_match_the_pinned_values_bit_for_bit():
+    zs = [float.fromhex(z) for z in RECURRENCE_PINS["z"]]
+    for name, params in {**PINS["pools"], "failing_pool": PINS["failing_pool"]}.items():
+        model = MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
+        assert [_det_at(model, z).hex() for z in zs] == RECURRENCE_PINS["det"][name], name
+        minors = [[_minor_at(model, i, z).hex() for i in range(1, model.m)] for z in zs]
+        assert minors == RECURRENCE_PINS["minors"][name], name
 
 
 def test_failing_pool_raises_the_pinned_error_every_time():

@@ -12,6 +12,8 @@ uniform, which picks the arrival or a completion in a fixed order (arrival,
 then each phase, moving on before leaving).  That order and every float
 expression are part of the contract, so the estimates must be equal, not
 close: a reordered outcome or rate sum, or one more draw, changes them.
+`jobs_completed` counts the jobs that left by the end of the run, not the
+arrivals.
 """
 
 import json
@@ -88,3 +90,12 @@ def test_debug_log_has_one_line_per_run(caplog):
     jumps, rows, lag1 = int(match[1]), int(match[2]), float(match[3])
     assert 20_000 < jumps <= 4 * 20_000  # an arrival and up to three completions per job
     assert rows == 8 and -1 <= lag1 <= 1
+
+
+def test_jobs_completed_counts_only_the_jobs_that_left():
+    pin = next(p for p in PINS["pins"] if p["model"]["label"] == "pool_unstable")
+    est = simulate(SimConfig(model=_model(pin["model"]), jobs=PINS["jobs"],
+                             warmup_jobs=PINS["warmup_jobs"], seed=pin["seed"],
+                             batch_count=PINS["batch_count"]))
+    # the queue keeps growing, so more jobs are left at the end than its time average
+    assert 0 < est.jobs_completed < PINS["jobs"] - est.L
