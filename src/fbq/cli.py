@@ -212,7 +212,8 @@ def _cmd_validate(args) -> int:
             checks.append(("normalization", res["normalization"] < 1e-10, f"{res['normalization']:.2e}"))
             checks.append(("flow_balance", res["flow_balance"] < 1e-9, f"{res['flow_balance']:.2e}"))
             checks.append(("L_decomposition", res["L_sum"] < 1e-9, f"{res['L_sum']:.2e}"))
-            if model.K == 1 and not all(s == 0 for s in model.speeds.levels[: model.K]):
+            # the general solver rejects q = 1, where the closed form is the only exact solve
+            if model.K == 1 and model.q < 1 and not all(s == 0 for s in model.speeds.levels[: model.K]):
                 gen = solve_general(model)
                 cf = solve_k1_closed_form(model)
                 diff = max(abs(gen.L - cf.L), abs(gen.L1 - cf.L1), abs(gen.L2 - cf.L2))

@@ -11,6 +11,7 @@ as assumptions in the metadata.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -144,26 +145,20 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     fracs = [round(k * COARSE_STEP, 10) for k in range(1, round(1.0 / COARSE_STEP) + 1)]
     fracs = [f for f in fracs if f >= lo_frac]
 
-    # grid points as indices into fracs, s_1 major and s_2 >= s_1 minor
-    index = np.arange(len(fracs))[:, None] if K == 2 else np.stack(np.triu_indices(len(fracs)), axis=1)
-    cost = _family_costs(model, costs, np.array(fracs)[index])
+    # nondecreasing grid points, s_1 major; each s_1 group opens with s_1 = s_{K-1}
+    grid = np.array(list(itertools.combinations_with_replacement(fracs, K - 1)))
+    cost = _family_costs(model, costs, grid)
     best = int(np.argmin(cost))
-    best_x, best_cost = tuple(fracs[i] for i in index[best]), float(cost[best])
-    if K == 2:
-        curve = PolicyCurve("cost", fracs, cost.tolist())
-    else:
-        starts = np.flatnonzero(index[:, 0] == index[:, 1])      # s_2 = s_1 opens each s_1 row
-        curve = PolicyCurve("cost_min_over_s2", fracs, np.minimum.reduceat(cost, starts).tolist())
+    best_x, best_cost = tuple(grid[best].tolist()), float(cost[best])
+    starts = np.flatnonzero(grid[:, 0] == grid[:, -1])
+    curve = PolicyCurve("cost" if K == 2 else "cost_min_over_s2", fracs,
+                        np.minimum.reduceat(cost, starts).tolist())
 
     # one refinement pass around the incumbent
     width = round(COARSE_STEP / FINE_STEP)
     span = [round(d * FINE_STEP, 10) for d in range(-width + 1, width)]
-    if K == 2:
-        near = [(f,) for f in (round(best_x[0] + d, 10) for d in span) if lo_frac <= f <= 1.0]
-    else:
-        near = [(f1, f2)
-                for f1 in (round(best_x[0] + d1, 10) for d1 in span) if lo_frac <= f1 <= 1.0
-                for f2 in (round(best_x[1] + d2, 10) for d2 in span) if f1 <= f2 <= 1.0]
+    around = [[f for f in (round(x + d, 10) for d in span) if lo_frac <= f <= 1.0] for x in best_x]
+    near = [x for x in itertools.product(*around) if all(a <= b for a, b in zip(x, x[1:]))]
     cost = _family_costs(model, costs, near)
     k = int(np.argmin(cost))
     if cost[k] < best_cost:

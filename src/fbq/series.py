@@ -102,12 +102,6 @@ class PowerSeries:
             raise ValueError(f"series of order {self.order} has no coefficient {n}")
         return self.c[n] * math.factorial(n)
 
-    def eval(self, t: float) -> float:
-        acc = 0.0
-        for coef in reversed(self.c):
-            acc = acc * t + coef
-        return acc
-
     def pow(self, p: int) -> "PowerSeries":
         out = PowerSeries.constant(1.0, self.order)
         for _ in range(p):

@@ -9,8 +9,9 @@ linear system made of
   * the balance equations of the sub-threshold states (i+j < K),
   * K vanishing-coefficient conditions at z = 0, which force the
     foreground-empty generating function to start at order z^K, and
-  * one normalisation row expressing the total saturated mass through the
-    foreground restriction of the transform.
+  * one work-conservation row: the server does the arriving work lam E[S]
+    at speed s_min(n,K) whenever n >= 1 jobs are present, which fixes the
+    scale of the solution as the idle-server identity does for the pool.
 
 All limit evaluations at z = 1 (where numerator and denominator of the
 transform ratios vanish together) are done with truncated power series, so
@@ -19,8 +20,10 @@ numerical differentiation.  Closed forms are provided for the two-speed case
 K = 1 and for profiles whose sub-threshold speeds are all zero.
 
 Profiles that share (lambda, service, s_0, s_K, K) share everything but the
-sub-threshold balance rows, so solve_speed_family solves a whole family of
-them at once; solve_general is its one-profile case.
+sub-threshold balance rows and the work-conservation row, so
+solve_speed_family solves a whole family of them at once; solve_general is
+its one-profile case.  At q = 1 the Maclaurin conditions vanish identically,
+so the general solver rejects it; the closed forms cover q = 1.
 """
 
 from __future__ import annotations
@@ -143,15 +146,20 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     The arrival rate, service, power exponent and the end speeds s_0, s_K
     come from `model` (its intermediate levels are ignored); `inter` is a
     (B, K-1) array of intermediate speeds s_1 .. s_{K-1}.  The kernel-root
-    series, the Maclaurin and normalisation rows and the series skeleton of
-    the limit passes depend only on (lam, service, s_K, K), so they are built
-    once; the B sub-threshold blocks are stacked and solved FAMILY_CHUNK
-    profiles at a time.  Every profile gets every check of a single solve,
-    and the first profile that fails one raises its error.
+    series, the Maclaurin rows and the series skeleton of the limit passes
+    depend only on (lam, service, s_K, K), so they are built once; the
+    sub-threshold balance rows and the work-conservation row depend on the
+    profile's speeds and are filled per profile.  The B systems are stacked
+    and solved FAMILY_CHUNK profiles at a time.  Every profile gets every
+    check of a single solve, and the first profile that fails one raises
+    its error.
     """
     require_stable_single(model)
     if model.lam == 0:
         raise ModelError("arrival rate must be positive to solve the chain")
+    if model.q == 1.0:
+        raise ModelError("the general solver needs q < 1: at q = 1 the kernel root y1(0) is 0, "
+                         "so its K Maclaurin rows vanish identically")
     inter = np.asarray(inter, dtype=float)
     if inter.ndim != 2 or len(inter) == 0:
         raise ModelError(f"a speed family needs a (B, K-1) array of speeds with B >= 1, got {inter.shape}")
@@ -206,6 +214,7 @@ class _Layout:
     nu_kind: np.ndarray
     factor_kind: np.ndarray
     level_starts: np.ndarray   # first unknown of each level t < K
+    t_of: np.ndarray           # level i+j of each sub-threshold unknown
     i_of: np.ndarray           # foreground count of each sub-threshold unknown
     j_of: np.ndarray           # background count of each sub-threshold unknown
 
@@ -244,15 +253,17 @@ def _layout(K: int) -> _Layout:
         level=level.astype(int), sign=sign, nu_kind=nu_kind.astype(int),
         factor_kind=factor_kind.astype(int),
         level_starts=np.array([t * (t + 1) // 2 for t in range(K)]),
+        t_of=np.array([i + j for i, j in sub]),
         i_of=np.array([i for i, _ in sub], dtype=float),
         j_of=np.array([j for _, j in sub], dtype=float),
     )
 
 
 class _Family:
-    """Everything a family of K-level profiles shares: all rows of the
-    boundary system except the sub-threshold balance rows, and the series
-    of the limit passes at z = 1 as linear maps of the boundary unknowns."""
+    """Everything a family of K-level profiles shares: the K Maclaurin rows
+    of the boundary system, the arriving work of its work-conservation row,
+    and the series of the limit passes at z = 1 as linear maps of the
+    boundary unknowns."""
 
     def __init__(self, model: SingleServerModel, K: int):
         lam, q = model.lam, model.q
@@ -265,7 +276,7 @@ class _Family:
         self.rate = lay.sign * np.array([0.0, model.service.nu1, model.service.nu2])[lay.nu_kind]
         self.factor = np.array([1.0, q, 1 - q])[lay.factor_kind]
 
-        rows = [[0.0] * n_unknown for _ in range(K + 1)]
+        self.shared = np.zeros((K, n_unknown))
         # vanishing Maclaurin coefficients at z = 0 of the boundary combination
         # sum_j z^{K-j} y1(z)^{j-1} [lam y1(z) pi_{j-1,K-j} - mu1 (1-q) pi_{j,K-j}]
         y0 = kernel_root_series(rho1, q, 0.0, K - 1)
@@ -273,37 +284,14 @@ class _Family:
         for _ in range(K):
             ypow.append(ypow[-1] * y0)
         for t in range(K):
-            row = rows[t]
+            row = self.shared[t]
             for j in range(1, K + 1):
                 s = t - (K - j)
                 if s < 0:
                     continue
                 row[idx[(j - 1, K - j)]] += lam * ypow[j].c[s]
                 row[idx[(j, K - j)]] -= mu1 * (1 - q) * ypow[j - 1].c[s]
-
-        # normalisation: interior mass plus the saturated mass G(1,1), the latter
-        # expressed through the foreground restriction of the transform,
-        #   G(1,1) = [mu1 g0(1) + d/dy b(y,1)|_{y=1}] / (mu1 - lam),
-        # with g0(1) given by the limit ratio of the boundary combination.
-        dprime = lam * q / (1.0 - rho1) - mu2          # kernel-side derivative at z=1
-        yp1 = q / (1.0 - rho1)                         # y1'(1)
-        g0_coef = [0.0] * n_unknown                    # linear functional for g0(1)
-        b1_coef = [0.0] * n_unknown                    # linear functional for d/dy b(y,1)
-        g0_coef[idx[(0, K)]] += mu2 * K / dprime
-        b1_coef[idx[(0, K)]] -= mu2
-        for j in range(1, K + 1):
-            g0_coef[idx[(j - 1, K - j)]] -= lam * ((K + 1 - j) + j * yp1) / dprime
-            g0_coef[idx[(j, K - j)]] += mu1 * (1 - q) * ((K + 1 - j) + (j - 1) * yp1) / dprime
-            b1_coef[idx[(j - 1, K - j)]] += (j + 1) * lam
-            b1_coef[idx[(j, K - j)]] -= j * mu1 * (1 - q)
-        row = rows[K]
-        for k in range(K * (K + 1) // 2):
-            row[k] += 1.0
-        for k in range(n_unknown):
-            row[k] += (mu1 * g0_coef[k] + b1_coef[k]) / (mu1 - lam)
-        self.shared = np.array(rows)
-        self.rhs = np.zeros(n_unknown)
-        self.rhs[-1] = 1.0
+        self.work = lam * model.service.mean()      # work arriving per unit time
 
         # the limit passes at z = 1, in the local coordinate z - 1.  With
         # a_i = pi_{i,K-1-i} and c_i = pi_{i,K-i}, the numerators of g0 and of
@@ -336,13 +324,20 @@ class _Family:
 
     def solve(self, levels: np.ndarray) -> dict:
         """Metrics of the profiles in `levels` (B, K+1), as arrays."""
-        lay = self.layout
+        lay, K = self.layout, self.K
         n_unknown = len(lay.states)
-        a = np.empty((len(levels), n_unknown, n_unknown))
-        a[:, :-(self.K + 1)] = 0.0
+        m = K * (K + 1) // 2
+        top = levels[:, K]
+        a = np.zeros((len(levels), n_unknown, n_unknown))
         a[:, lay.rows, lay.cols] = self.lam * lay.lam_coef + (levels[:, lay.level] * self.rate) * self.factor
-        a[:, -(self.K + 1):] = self.shared
-        x = solve_probability_stack(a, np.tile(self.rhs, (len(levels), 1)))
+        a[:, m:-1] = self.shared
+        # work conservation: the server does the arriving work lam E[S] at
+        # speed s_min(n,K) whenever n >= 1, so
+        #   sum_{n<K} p_n (s_K - s_n [n >= 1]) = s_K - lam E[S]
+        a[:, -1, :m] = top[:, None] - levels[:, lay.t_of] * (lay.t_of > 0)
+        b = np.zeros((len(levels), n_unknown))
+        b[:, -1] = top - self.work
+        x = solve_probability_stack(a, b)
         return self._finish(x, levels)
 
     def _finish(self, x: np.ndarray, levels: np.ndarray) -> dict:

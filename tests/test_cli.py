@@ -134,6 +134,13 @@ class TestOtherCommands:
         assert code == 0
         assert "PASS stability" in out and "FAIL" not in out
 
+    def test_validate_single_q_one(self, capsys):
+        # the general solver rejects q = 1, so the closed-form cross-check is skipped
+        code, out = run(capsys, "validate", "single", "--lambda", "0.5", "--nu1", "4",
+                        "--nu2", "1", "--q", "1", "--speeds", "0.5,1")
+        assert code == 0
+        assert "PASS oracle_agreement" in out and "closed_form_agreement" not in out
+
     def test_validate_checks_the_oracle_and_logs_its_truncation(self, capsys, caplog):
         with caplog.at_level(logging.DEBUG, logger="fbq.ctmc"):
             code, out = run(capsys, "validate", "multi", "--lambda", "1.2", "--mu1", "1",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fbq.ctmc import ctmc_solve
+from fbq.experiments import solve
 from fbq.models import (
     CostCoefficients,
     CoxianService,
@@ -167,6 +168,19 @@ class TestGeneralSolver:
             # mixed zero and positive sub-threshold speeds fit neither solver
             solve_general(single(1.0, 5.0, 1.0, 0.1, (0.0, 0.0, 0.5, 1.0)))
 
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_rejects_q_one_by_name(self, K):
+        # y1(0) = 0 at q = 1, so every Maclaurin row is zero
+        m = single(0.5, 4.0, 1.0, 1.0, tuple(np.linspace(0.5, 1.0, K + 1)))
+        with pytest.raises(ModelError, match=r"q < 1.*y1\(0\) is 0"):
+            solve_general(m)
+
+    def test_q_one_k1_still_solves_by_closed_form(self):
+        m = single(0.5, 4.0, 1.0, 1.0, (0.5, 1.0))
+        sol = solve(m)
+        assert sol.L == solve_k1_closed_form(m).L
+        assert sol.L == pytest.approx(ctmc_solve(m).L, rel=1e-9)
+
     def test_raising_speed_never_slows_the_system(self):
         # expected property of the modulated chain; warn rather than fail
         rng = np.random.default_rng(9)
@@ -213,6 +227,37 @@ class TestZeroSpeed:
     def test_requires_all_zero(self):
         with pytest.raises(ModelError):
             solve_zero_speed(single(1.0, 5.0, 1.0, 0.1, (0.0, 0.5, 1.0)))
+
+
+def work_done(model, sol):
+    """Work done per unit time: speed s_min(n,K) whenever n >= 1 jobs are present."""
+    s = model.speeds.levels
+    return sum(p * s[n] for n, p in enumerate(sol.p_below_K) if n >= 1) + s[-1] * sol.tail_mass
+
+
+class TestWorkConservation:
+    """Every solver does the arriving work lam E[S]; only solve_general
+    imposes it, so the closed forms must satisfy it on their own."""
+
+    @pytest.mark.parametrize("K,q", [(1, 0.1), (2, 0.0), (3, 0.4), (5, 1.0)])
+    def test_zero_speed(self, K, q):
+        m = single(0.6, 5.0, 1.0, q, (0.0,) * K + (1.0,))
+        assert work_done(m, solve_zero_speed(m)) == pytest.approx(m.lam * m.service.mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("s0,q", [(0.0, 0.1), (0.3, 0.5), (0.5, 1.0)])
+    def test_k1_closed_form(self, s0, q):
+        m = single(0.5, 4.0, 1.0, q, (s0, 1.0))
+        assert work_done(m, solve_k1_closed_form(m)) == pytest.approx(m.lam * m.service.mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("K", range(2, 9))
+    @pytest.mark.parametrize("idle_speed", [False, True])
+    def test_general(self, K, idle_speed):
+        rng = np.random.default_rng(100 * K + idle_speed)
+        for _ in range(4):
+            m = random_stable_model(rng, K)
+            levels = (m.speeds.levels[1] / 2 if idle_speed else 0.0,) + m.speeds.levels[1:]
+            m = SingleServerModel(m.lam, m.service, SpeedProfile(levels))
+            assert work_done(m, solve_general(m)) == pytest.approx(m.lam * m.service.mean(), rel=1e-12)
 
 
 class TestCost:
