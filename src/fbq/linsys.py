@@ -66,7 +66,7 @@ def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"estimate of the row-scaled system {_condition_estimate(a[k]):.3e}"
         )
     if (x < 0).any():
-        log.warning("clamping %d slightly negative probabilities (min %.2e)", int((x < 0).sum()), x.min())
+        log.debug("clamping %d slightly negative probabilities (min %.2e)", int((x < 0).sum()), x.min())
         x = np.clip(x, 0.0, None)
     return x
 

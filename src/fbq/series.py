@@ -1,20 +1,16 @@
 """Truncated power-series arithmetic and Taylor expansions of the kernel roots.
 
-The exact solutions repeatedly need local Taylor data of analytic functions:
-Maclaurin coefficients of the small kernel root y1(z) at z = 0, expansions of
-generating-function numerators and denominators at z = 1 (where both vanish
-and a limit must be taken), and similar expansions of determinant ratios in
-the multiserver case.  All of that is mechanised here as arithmetic on short
+The exact solutions need local Taylor data of the small kernel root y1(z):
+its Maclaurin coefficients at z = 0 (the vanishing-coefficient rows of the
+single-server boundary system) and its expansion at z = 1 (the pool's
+transform matrix near z = 1).  That is mechanised here as arithmetic on short
 coefficient lists; a ratio whose numerator and denominator share a zero is
-handled by cancelling the vanishing leading coefficients, which performs the
-required repeated limit passes exactly at truncation order.
+handled by cancelling the vanishing leading coefficients (cancel_divide).
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .models import SolverError
 
@@ -123,60 +119,21 @@ def divide(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     return PowerSeries(out)
 
 
-def cancel_divide(num: PowerSeries, den: PowerSeries, drop: int,
-                  num_floor: float = 0.0) -> PowerSeries:
+def cancel_divide(num: PowerSeries, den: PowerSeries, drop: int) -> PowerSeries:
     """Quotient of two series sharing a zero of multiplicity `drop`.
 
     The leading `drop` coefficients of both operands are removed before the
     division; those coefficients are required to be below CANCEL_RTOL times
     the largest coefficient of their series, otherwise the assumed limit does
-    not exist and a SolverError is raised.  A numerator whose coefficients
-    all sit below `num_floor` counts as identically zero (the ratio of an
-    exactly-vanishing quantity), giving the zero series.
+    not exist and a SolverError is raised.
     """
-    return PowerSeries(cancel_divide_coeffs(np.array([num.c]), den, drop, num_floor)[0])
-
-
-# --- one series against the rows of a coefficient array -----------------------
-
-
-def product_matrix(s: PowerSeries, n: int) -> np.ndarray:
-    """The (n, n) matrix T for which rows c @ T are the truncated products c * s."""
-    return np.array([[0.0] * i + s.c[: n - i] for i in range(n)])
-
-
-def cancel_divide_coeffs(num: np.ndarray, den: PowerSeries, drop: int,
-                         num_floor: float = 0.0) -> np.ndarray:
-    """cancel_divide of every row of num (B, n) by one series den.
-
-    Each row gets the checks of cancel_divide, and the first row that fails
-    one raises its SolverError; rows under `num_floor` give zero rows.
-    """
-    mag = np.abs(num)
-    scale = mag.max(axis=1)
-    bad = mag[:, :drop] > CANCEL_RTOL * scale[:, None]
-    live = scale > num_floor if num_floor > 0.0 else None
-    if live is not None:
-        bad &= live[:, None]
-    if bad.any():
-        r, k = np.argwhere(bad)[0]
-        _nonvanishing("numerator", k, num[r, k], scale[r])
-    if live is None or live.any():
-        dscale = max(abs(x) for x in den.c)
+    for name, s in (("numerator", num), ("denominator", den)):
+        scale = max(abs(x) for x in s.c)
         for k in range(drop):
-            if abs(den.c[k]) > CANCEL_RTOL * dscale:
-                _nonvanishing("denominator", k, den.c[k], dscale)
-    n = min(num.shape[1], len(den.c)) - drop
-    inverse = divide(PowerSeries.constant(1.0, n - 1), PowerSeries(den.c[drop:drop + n]))
-    out = num[:, drop:drop + n] @ product_matrix(inverse, n)
-    if live is not None:
-        out[~live] = 0.0
-    return out
-
-
-def _nonvanishing(name: str, k: int, value: float, scale: float):
-    raise SolverError(f"{name} coefficient {k} = {value:.3e} does not vanish "
-                      f"(scale {scale or 1.0:.3e}); limit pass invalid")
+            if abs(s.c[k]) > CANCEL_RTOL * scale:
+                raise SolverError(f"{name} coefficient {k} = {s.c[k]:.3e} does not vanish "
+                                  f"(scale {scale or 1.0:.3e}); limit pass invalid")
+    return divide(PowerSeries(num.c[drop:]), PowerSeries(den.c[drop:]))
 
 
 def kernel_root_series(rho: float, q: float, z0: float, order: int) -> PowerSeries:

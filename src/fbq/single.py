@@ -13,10 +13,11 @@ linear system made of
     at speed s_min(n,K) whenever n >= 1 jobs are present, which fixes the
     scale of the solution as the idle-server identity does for the pool.
 
-All limit evaluations at z = 1 (where numerator and denominator of the
-transform ratios vanish together) are done with truncated power series, so
-values and derivatives come out of a single expansion rather than repeated
-numerical differentiation.  Closed forms are provided for the two-speed case
+The mean counts L1, L2 and the saturated foreground-empty mass g0(1) follow
+in closed form from the solved sub-threshold probabilities: the stationary
+drifts of i, i^2, i*j and j^2 vanish (rate conservation; Miyazawa 1994), and
+only the speed deficit 1 - s_{i+j}/s_K of the states below K enters them, so
+no limit at z = 1 is taken.  Closed forms are provided for the two-speed case
 K = 1 and for profiles whose sub-threshold speeds are all zero.
 
 Profiles that share (lambda, service, s_0, s_K, K) share everything but the
@@ -42,11 +43,10 @@ from .models import (
     ModelError,
     require_stable_single,
 )
-from .series import PowerSeries, cancel_divide_coeffs, divide, kernel_root_series, product_matrix
+from .series import PowerSeries, divide, kernel_root_series
 
 log = logging.getLogger("fbq.single")
 
-SERIES_ORDER = 4          # expansion order used for the z = 1 limit passes
 FAMILY_CHUNK = 256        # profiles per stacked solve; bounds a family solve's working set
 
 
@@ -146,13 +146,13 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     The arrival rate, service, power exponent and the end speeds s_0, s_K
     come from `model` (its intermediate levels are ignored); `inter` is a
     (B, K-1) array of intermediate speeds s_1 .. s_{K-1}.  The kernel-root
-    series, the Maclaurin rows and the series skeleton of the limit passes
-    depend only on (lam, service, s_K, K), so they are built once; the
-    sub-threshold balance rows and the work-conservation row depend on the
-    profile's speeds and are filled per profile.  The B systems are stacked
-    and solved FAMILY_CHUNK profiles at a time.  Every profile gets every
-    check of a single solve, and the first profile that fails one raises
-    its error.
+    series and the Maclaurin rows depend only on (lam, service, s_K, K), so
+    they are built once; the sub-threshold balance rows and the
+    work-conservation row depend on the profile's speeds and are filled per
+    profile.  The B systems are stacked and solved FAMILY_CHUNK profiles at a
+    time, and the mean counts of each come from its solved sub-threshold
+    probabilities.  Every profile gets every check of a single solve, and
+    the first profile that fails one raises its error.
     """
     require_stable_single(model)
     if model.lam == 0:
@@ -262,14 +262,12 @@ def _layout(K: int) -> _Layout:
 class _Family:
     """Everything a family of K-level profiles shares: the K Maclaurin rows
     of the boundary system, the arriving work of its work-conservation row,
-    and the series of the limit passes at z = 1 as linear maps of the
-    boundary unknowns."""
+    and the top-speed loads of the mean-drift identities."""
 
     def __init__(self, model: SingleServerModel, K: int):
-        lam, q = model.lam, model.q
-        mu1, mu2 = model.mu1, model.mu2            # top-speed rates
-        rho1 = lam / mu1
-        self.K, self.lam, self.q, self.mu1, self.mu2 = K, lam, q, mu1, mu2
+        lam, q, mu1 = model.lam, model.q, model.mu1     # mu1: top-speed rate
+        rho1 = self.rho1 = model.rho1
+        self.K, self.lam, self.q, self.rho2 = K, lam, q, model.rho2
         self.alpha = model.speeds.alpha
         lay = self.layout = _layout(K)
         idx, n_unknown = lay.index, len(lay.states)
@@ -293,35 +291,6 @@ class _Family:
                 row[idx[(j, K - j)]] -= mu1 * (1 - q) * ypow[j - 1].c[s]
         self.work = lam * model.service.mean()      # work arriving per unit time
 
-        # the limit passes at z = 1, in the local coordinate z - 1.  With
-        # a_i = pi_{i,K-1-i} and c_i = pi_{i,K-i}, the numerators of g0 and of
-        # the y- and z-restrictions are combinations of the fixed series
-        # z^p y1^j, one row of `maps` per unknown
-        R = SERIES_ORDER
-        y1 = kernel_root_series(rho1, q, 1.0, R)
-        z = PowerSeries.variable(1.0, R)
-        zpow = [PowerSeries([math.comb(p, k) for k in range(R + 1)]) for p in range(K + 2)]
-        ypow = [PowerSeries.constant(1.0, R)]
-        for _ in range(K):
-            ypow.append(ypow[-1] * y1)
-        c1q = mu1 * (1 - q)
-        series = [(zpow[K + 1 - j] * ypow[j], zpow[j + 1], zpow[K + 1 - j]) for j in range(1, K + 1)]
-        series += [(zpow[K], zpow[1], zpow[K])]
-        series += [(zpow[K + 1 - j] * ypow[j - 1], zpow[j], zpow[K + 1 - j]) for j in range(1, K + 1)]
-        weights = np.array([[-lam, lam, lam]] * K + [[mu2, -mu2, -mu2]] + [[c1q, -c1q, -c1q]] * K)
-        maps = np.array([[ser.c for ser in row] for row in series]) * weights[..., None]
-        self.maps = maps.reshape(2 * K + 1, 3 * (R + 1))
-        self.zK = np.array(zpow[K].c[:R])
-        self.den = PowerSeries([0.0, -mu2] + [0.0] * (R - 1)) - lam * z * (1.0 - y1)
-        # an all-roundoff numerator (q = 0: no background mass at all) is zero
-        self.floor = 1e-12 * (lam + mu1 + mu2) * 2.0**K
-        self.den_d = PowerSeries([c1q - lam, -lam] + [0.0] * (R - 2))
-        self.den_d_regular = abs(c1q - lam) > 1e-9 * (c1q + lam)
-        self.den_y = PowerSeries([0.0, mu1 - lam, -lam] + [0.0] * (R - 2))
-        # the z-restriction numerator adds (-(z-1)) (mu1 q z + mu2) g0(z)
-        self.w_z = product_matrix(PowerSeries([0.0, -1.0] + [0.0] * (R - 1)) * (mu1 * q * z + mu2), R)
-        self.den_z = PowerSeries([0.0, -mu1 * q, -mu1 * q] + [0.0] * (R - 2))
-
     def solve(self, levels: np.ndarray) -> dict:
         """Metrics of the profiles in `levels` (B, K+1), as arrays."""
         lay, K = self.layout, self.K
@@ -342,35 +311,15 @@ class _Family:
 
     def _finish(self, x: np.ndarray, levels: np.ndarray) -> dict:
         """All summary metrics from the solved boundary probabilities x (B, n)."""
-        K, lam, q, mu1, mu2 = self.K, self.lam, self.q, self.mu1, self.mu2
-        lay, R = self.layout, SERIES_ORDER
+        K, lay = self.K, self.layout
         m = K * (K + 1) // 2
         sub = x[:, :m]
         p = np.add.reduceat(sub, lay.level_starts, axis=1)
         tail = 1.0 - p.sum(axis=1)
-        sum_i, sum_j = sub @ lay.i_of, sub @ lay.j_of
-        nums = x[:, m - K:] @ self.maps
-        num, num_y, num_z = nums[:, :R + 1], nums[:, R + 1:2 * R + 2], nums[:, 2 * R + 2:]
-
-        # foreground-empty generating function as a limit ratio at z = 1
-        g0 = cancel_divide_coeffs(num, self.den, 1, num_floor=self.floor)
-        g0_at_1 = g0[:, 0]
-
-        # mean total count via the diagonal transform
-        num_d = (mu1 * (1 - q) - mu2) * g0 + (lam * p[:, K - 1])[:, None] * self.zK
-        gzz = cancel_divide_coeffs(num_d, self.den_d, 0 if self.den_d_regular else 1)
-        L = sum_i + sum_j + gzz[:, 1]
-
-        # mean foreground count via the y-restriction at z = 1
-        num_y[:, 1] += mu1 * g0_at_1
-        L1 = sum_i + cancel_divide_coeffs(num_y, self.den_y, 1)[:, 1]
-
-        # mean background count via the z-restriction
-        if q == 0.0:
-            L2 = sum_j
-        else:
-            num_z = num_z[:, :R] + g0 @ self.w_z
-            L2 = sum_j + cancel_divide_coeffs(num_z, self.den_z, 1)[:, 1]
+        w = (1.0 - levels[:, lay.t_of] / levels[:, K:]) * sub      # w_ij = (1 - s_{i+j}/s_K) pi_ij
+        g0_at_1, L1, L2 = _drift_means(self.rho1, self.rho2, self.q, sub @ (lay.i_of == 0),
+                                       w @ lay.i_of, w @ lay.j_of, w @ (lay.i_of > 0))
+        L = L1 + L2
 
         if self.alpha == 0.0:
             power = (levels != 0.0).astype(float)    # an idle stopped processor draws nothing
@@ -381,8 +330,31 @@ class _Family:
                     tail_mass=tail, energy_rate=energy)
 
 
+def _drift_means(rho1, rho2, q, pi_idle_fg, iw, jw, w_busy):
+    """g0(1), L1 and L2 from the mean-drift identities of the chain.
+
+    With u = s_{i+j}/s_K, the stationary drifts of i, i^2, i*j and j^2 vanish
+    (rate conservation, Miyazawa 1994), which gives E[u 1{i>0}] = rho1,
+    E[u i] = rho1 (L1 + 1) and E[u j] = R (L2 + q L1) + q rho2 with
+    R = rho1 + q rho2.  The speed deficit 1 - u is zero from level K on, so
+    only the weights w_ij = (1 - s_{i+j}/s_K) pi_ij >= 0 of the sub-threshold
+    states enter, through
+        iw = sum i w_ij,  jw = sum j w_ij,  w_busy = sum_{i>0} w_ij,
+    and g0(1) = P(i = 0) - pi_idle_fg with pi_idle_fg = sum_{j<K} pi_0j.
+    Works on floats and on (B,) arrays.
+    """
+    L1 = (rho1 + iw) / (1.0 - rho1)
+    R = rho1 + q * rho2
+    L2 = (jw + q * R * L1 + q * rho2) / (1.0 - R)
+    g0_at_1 = 1.0 - rho1 - pi_idle_fg - w_busy
+    return g0_at_1, L1, L2
+
+
 def _k1_core(model: SingleServerModel) -> tuple[float, float, float, float, float]:
-    """pi_00, g0(1), L1, L2 and pi_10 of the two-speed (K = 1) chain at top-speed rates."""
+    """pi_00, g0(1), L1, L2 and pi_10 of the two-speed (K = 1) chain at top-speed rates.
+
+    The only sub-threshold state is (0, 0), so every weighted sum of
+    _drift_means is zero."""
     require_stable_single(model)
     if model.lam == 0:
         raise ModelError("arrival rate must be positive to solve the chain")
@@ -390,10 +362,7 @@ def _k1_core(model: SingleServerModel) -> tuple[float, float, float, float, floa
     rho1, rho2 = model.rho1, model.rho2
 
     pi00 = 1.0 - rho1 - rho2 * q
-    g0_at_1 = rho2 * q
-    L1 = rho1 / (1.0 - rho1)
-    bracket = 1.0 - rho1 + rho1 * q / (1.0 - rho1)
-    L2 = (rho1 + rho2 * q) / (1.0 - rho1 - rho2 * q) * bracket - rho1
+    g0_at_1, L1, L2 = _drift_means(rho1, rho2, q, pi00, 0.0, 0.0, 0.0)
 
     y10_over = _stable_y1_at_0(rho1, q) / (1.0 - q) if q < 1.0 else 1.0 / (1.0 + rho1)
     pi10 = lam * pi00 * y10_over / mu1          # y1(0)/(1-q) stays finite as q -> 1

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,20 @@ from fbq.models import (
     SpeedProfile,
     UnstableModelError,
 )
+
+# every curve value of figures 3, 4 and 8, recorded while the single-server
+# mean counts still came from z = 1 limit passes; figure 5's points are
+# pinned in family_solve_pins.json
+FIGURE_PINS = json.loads((pathlib.Path(__file__).parent / "data" / "figure_pins.json").read_text())
+
+
+def assert_matches_pins(fig):
+    pins = FIGURE_PINS[str(fig.figure)]
+    assert [c.label for c in fig.curves] == [pin["label"] for pin in pins]
+    for curve, pin in zip(fig.curves, pins):
+        assert list(curve.xs) == pin["xs"], curve.label
+        np.testing.assert_allclose(curve.ys, pin["ys"], rtol=1e-12, atol=0, err_msg=curve.label)
+
 
 FIG4_BASE = SingleServerModel(2.5, CoxianService(5.0, 1.0, 0.1),
                               SpeedProfile((0.0, 0.5, 1.0), alpha=COST_ALPHA))
@@ -93,6 +110,7 @@ class TestFigures:
             assert f > l > b
         again = reproduce_figure(3)
         assert again.curves[0].ys == fcfs.ys
+        assert_matches_pins(fig)
 
     def test_figure4_shape(self):
         fig = reproduce_figure(4)
@@ -100,12 +118,14 @@ class TestFigures:
         assert curve.xs[0] == pytest.approx(0.1) and curve.xs[-1] == pytest.approx(1.0)
         assert 0.55 <= curve.argmin() <= 0.65
         assert fig.metadata["alpha"] == COST_ALPHA
+        assert_matches_pins(fig)
 
     def test_figure8_optima(self):
         fig = reproduce_figure(8)
         mins = {c.label: int(c.argmin()) for c in fig.curves}
         assert mins["c2=0.5"] == 3
         assert mins["c2=1.5"] == 7
+        assert_matches_pins(fig)
 
     def test_unknown_figure(self):
         with pytest.raises(ModelError):

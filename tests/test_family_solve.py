@@ -22,7 +22,6 @@ from fbq.models import (
     SolverError,
     SpeedProfile,
 )
-from fbq.series import PowerSeries, cancel_divide, cancel_divide_coeffs
 from fbq.single import FAMILY_CHUNK, solve_general, solve_speed_family
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "family_solve_pins.json").read_text())
@@ -124,24 +123,3 @@ class TestStackChecks:
         x = solve_probability_stack(np.stack([np.eye(3)] * 2), b)
         assert (x >= 0).all()
         assert x[0, 0] == 0.0 and x[1, 1] == 0.0
-
-
-class TestCancelDivideRows:
-    DEN = PowerSeries([0.0, 2.0, 1.0, 0.0])
-
-    def test_rows_match_the_single_series_division(self):
-        num = np.array([[0.0, 1.0, 1.0, 0.0], [1e-12, 3.0, -1.0, 2.0]])
-        out = cancel_divide_coeffs(num, self.DEN, 1)
-        for row, got in zip(num, out):
-            np.testing.assert_allclose(got, cancel_divide(PowerSeries(row), self.DEN, 1).c, rtol=1e-15)
-
-    def test_one_nonvanishing_row_raises(self):
-        num = np.array([[0.0, 1.0, 1.0, 0.0]] * 4 + [[1e-3, 1.0, 1.0, 0.0]])
-        with pytest.raises(SolverError, match="numerator coefficient 0"):
-            cancel_divide_coeffs(num, self.DEN, 1)
-
-    def test_rows_below_the_floor_are_zero(self):
-        num = np.array([[0.0, 1.0, 1.0, 0.0], [1e-14, -1e-14, 0.0, 0.0]])
-        out = cancel_divide_coeffs(num, self.DEN, 1, num_floor=1e-12)
-        assert out[1].tolist() == [0.0, 0.0, 0.0]
-        assert out[0, 0] == pytest.approx(0.5)

@@ -1,8 +1,10 @@
+import logging
 import warnings
 
 import numpy as np
 import pytest
 
+from fbq import ctmc
 from fbq.ctmc import ctmc_solve
 from fbq.experiments import solve
 from fbq.models import (
@@ -21,6 +23,7 @@ from fbq.single import (
     verify_single,
 )
 from fbq.series import kernel_root_series
+from test_acceptance import sample_single
 
 # reference values computed with the truncated-chain oracle (ctmc_solve,
 # edge mass < 1e-10); kept frozen so regressions are loud
@@ -31,6 +34,16 @@ ZERO_K3_EXAMPLE = dict(L2=2.6, pi_0_3=0.1211102551, pi_1_2=0.1508643878)
 
 def single(lam, nu1, nu2, q, speeds, alpha=1.0):
     return SingleServerModel(lam, CoxianService(nu1, nu2, q), SpeedProfile(speeds, alpha))
+
+
+# deep staircases: nu = (5, 1), q = 0.3 and 33 evenly spaced speeds from 0.3
+# to 1 (K = 32) at loads lam (1/5 + 0.3/1) = 0.5 and 0.3, and one drawn model
+# at each of K = 24, 32 and 40
+DEEP_MODELS = {
+    **{f"staircase-K32-load{load}": single(load / 0.5, 5.0, 1.0, 0.3, tuple(np.linspace(0.3, 1.0, 33)))
+       for load in (0.5, 0.3)},
+    **{f"sampled-K{K}": sample_single(np.random.default_rng(K), K, umax=0.6) for K in (24, 32, 40)},
+}
 
 
 def random_stable_model(rng, K):
@@ -140,6 +153,26 @@ class TestGeneralSolver:
             assert sol.L2 == pytest.approx(ora.L2, rel=1e-5, abs=1e-9)
             for state, val in sol.boundary.values.items():
                 assert val == pytest.approx(ora.boundary[state], abs=1e-8)
+
+    @pytest.mark.parametrize("name", DEEP_MODELS)
+    def test_deep_staircase_matches_oracle(self, name, monkeypatch):
+        # the oracle grows its rectangle until the edge mass is below 1e-16,
+        # so its truncation stays far below the tolerances
+        monkeypatch.setattr(ctmc, "TAIL_TOL", 1e-16)
+        m = DEEP_MODELS[name]
+        sol, ora = solve_general(m), ctmc_solve(m)
+        for pick in ("L", "L1", "L2"):
+            assert getattr(sol, pick) == pytest.approx(getattr(ora, pick), rel=1e-10, abs=0), pick
+        assert sol.g0_at_1 == pytest.approx(ora.g0_at_1, rel=0, abs=1e-12)
+
+    def test_q_zero_roundoff_clamps_log_no_warning(self, caplog):
+        # with q = 0 every state with j > 0 has probability 0 and the solve
+        # returns it as +-roundoff; clamping that is routine, so debug only
+        with caplog.at_level(logging.DEBUG, logger="fbq"):
+            for K in range(2, 7):
+                solve_general(single(1.0, 5.0, 1.0, 0.0, tuple(np.linspace(0.2, 1.0, K + 1))))
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert any(r.getMessage().startswith("clamping") for r in caplog.records)
 
     def test_identities_on_random_models(self):
         rng = np.random.default_rng(5)
