@@ -29,15 +29,19 @@ Taylor vectors of b are numpy expressions over the kept states.
 
 Everything that does not depend on K is computed once per pool
 (lam, mu1, mu2, q, m) and kept in a bounded cache shared by all thresholds
-and all calls: the determinant zeros, the left null vector of A(z) and the
-powers z^j at each zero, and the Taylor data of A(z) at z = 1 with the null
-pair of A(1).  The closure by the zeros is the spectral-expansion closure of
-Mitrani & Chakka, "Spectral expansion solution for a class of Markov
-models", Performance Evaluation 23 (1995).
+and all calls: the table of rates k mu1 and (m - k) mu2 that every minor
+and determinant evaluation reads, the determinant zeros, the left null
+vector of A(z) and the powers z^j at each zero, and the Taylor data of A(z)
+at z = 1 with the null pair of A(1).  The same cache keeps each threshold's
+solution, so a pool is solved once per threshold however many sweeps or
+cost vectors ask for it.  The closure by the zeros is the spectral-expansion
+closure of Mitrani & Chakka, "Spectral expansion solution for a class of
+Markov models", Performance Evaluation 23 (1995).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
 import math
@@ -110,13 +114,12 @@ def _det_at(model: MultiServerModel, z: float) -> float:
     """The determinant R_0(z) of A(z) by the trailing-minor recurrence
     R_t = a_t R_(t+1) - alpha_(t+1) lam z R_(t+2), from R_m = 1 and
     R_(m-1) = a_(m-1), the one entry that holds the kernel root."""
-    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    zm1 = z - 1.0
-    nxt, cur = 1.0, lam * z * (1.0 - _y1_float(model, z)) + (m - 1) * mu1 * z + mu2 * zm1
-    for t in range(m - 2, -1, -1):
-        a = lam * z + t * mu1 * z + (m - t) * mu2 * zm1
-        alam = (t + 1) * mu1 * z * (1.0 - q + q * z) * (lam * z)
-        nxt, cur = cur, a * cur - alam * nxt
+    rates = _pool(model).rates
+    lz, w, zm1 = model.lam * z, 1.0 - model.q + model.q * z, z - 1.0
+    nxt, cur = 1.0, lz * (1.0 - _y1_float(model, z)) + rates[-1][0] * z + model.mu2 * zm1
+    for t in range(model.m - 2, -1, -1):
+        k1, k2 = rates[t]
+        nxt, cur = cur, (lz + k1 * z + k2 * zm1) * cur - rates[t + 1][0] * z * w * lz * nxt
     return cur
 
 
@@ -146,16 +149,15 @@ def _minor_at(model: MultiServerModel, i: int, z: float) -> float:
     """The leading principal minor Q_i(z) of A(z) by the recurrence
     Q_(k+1) = a_k Q_k - alpha_k lam z Q_(k-1), from Q_0 = 1; it reads only the
     entries 0 .. i-1, so it never needs the kernel root and holds at every real z."""
-    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    zm1 = z - 1.0
-    prev, cur = 1.0, 1.0
-    for k in range(i):
-        a = lam * z + k * mu1 * z + (m - k) * mu2 * zm1
-        if k == 0:
-            prev, cur = cur, a
-        else:
-            alam = k * mu1 * z * (1.0 - q + q * z) * (lam * z)
-            prev, cur = cur, a * cur - alam * prev
+    if i == 0:
+        return 1.0
+    rates = _pool(model).rates
+    lz, w, zm1 = model.lam * z, 1.0 - model.q + model.q * z, z - 1.0
+    k1, k2 = rates[0]
+    prev, cur = 1.0, lz + k1 * z + k2 * zm1
+    for k1, k2 in rates[1:i]:
+        k1z = k1 * z
+        prev, cur = cur, (lz + k1z + k2 * zm1) * cur - k1z * w * lz * prev
     return cur
 
 
@@ -201,7 +203,10 @@ def d_roots(model: MultiServerModel) -> list[float]:
     Descends the interlacing tree of the principal minors: the i zeros of
     Q_i in (0,1) bracket the i+1 zeros of Q_{i+1} together with the interval
     endpoints, and the zeros of Q_{m-1} bracket those of the determinant.
-    Bisection inside each bracket is unconditionally convergent.
+    Bisection inside each bracket is unconditionally convergent.  Each
+    evaluation reads the pool's rate table and forms lam z and 1 - q + q z
+    once, with the float operations of the plain recurrence in their order,
+    so the zeros do not depend on how the entries are stored.
 
     The stability and lam > 0 checks run on every call; the cascade runs
     once per pool (lam, mu1, mu2, q, m) and its zeros are then served from
@@ -271,17 +276,25 @@ class _AtOne:
 
 class _Pool:
     """Everything a solve of the pool (lam, mu1, mu2, q, m) needs that does
-    not depend on the threshold.  The zeros are isolated on construction;
-    the rest is built on first use.  A failure is not kept, so it is raised
-    again, with the same message, by every solve that needs the failing part.
+    not depend on the threshold: the rate table (k mu1, (m - k) mu2) of the
+    recurrences, built on construction, then on first use the zeros, the data
+    at the zeros and at z = 1, and each threshold's solution, kept by K in
+    `solutions`.  A failure is not kept, so it is raised again, with the same
+    message, by every solve that needs the failing part.
     """
 
     def __init__(self, model: MultiServerModel):
         self.model = model
+        self.rates = tuple((k * model.mu1, (model.m - k) * model.mu2) for k in range(model.m))
+        self.solutions: dict[int, MultiServerSolution] = {}
+
+    @functools.cached_property
+    def roots(self) -> tuple[float, ...]:
         t0 = time.perf_counter()
-        self.roots = _isolate_roots(model)
+        roots = _isolate_roots(self.model)
         log.debug("m = %d: %d zeros isolated, %.3f s",
-                  model.m, len(self.roots), time.perf_counter() - t0)
+                  self.model.m, len(roots), time.perf_counter() - t0)
+        return roots
 
     @functools.cached_property
     def at_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,6 +350,17 @@ def _pool(model: MultiServerModel) -> _Pool:
 
 
 def _solve_threshold(model: MultiServerModel, K: int, pool: _Pool) -> MultiServerSolution:
+    """Steady state under threshold K, solved once per pool and threshold.
+    Every call gets its own containers, so a caller's edits never reach the
+    cache."""
+    sol = pool.solutions.get(K)
+    if sol is None:
+        sol = pool.solutions[K] = _solve_boundary(model, K, pool)
+    return dataclasses.replace(sol, boundary=dict(sol.boundary), g_at_1=list(sol.g_at_1),
+                               p=list(sol.p), roots=list(sol.roots))
+
+
+def _solve_boundary(model: MultiServerModel, K: int, pool: _Pool) -> MultiServerSolution:
     """Steady state under threshold K from the pool's cached data."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
 
@@ -461,7 +485,13 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
 
 
 def solve_threshold(model: MultiServerModel) -> MultiServerSolution:
-    """Steady state under the model's switch-off threshold (0: the uncontrolled pool)."""
+    """Steady state under the model's switch-off threshold (0: the uncontrolled pool).
+
+    The solution is kept in the pool cache by threshold, so a repeat solve
+    (here or in `sweep_thresholds`) returns the same values without solving
+    again, in containers of its own.  A failed solve is not kept: it is
+    attempted again and raises the same error on every call.
+    """
     d_roots(model)   # checks the model and isolates the zeros on the pool's first solve
     return _solve_threshold(model, model.threshold, _pool(model))
 
@@ -472,8 +502,10 @@ def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
 
     The determinant zeros, the null vectors at them and the z = 1 Taylor
     data come from the pool cache, so they are built once per pool however
-    many sweeps or solves use it; each threshold solves only its own
-    boundary system.  A failure at any threshold propagates.
+    many sweeps or solves use it.  Each threshold solves its own boundary
+    system once; later sweeps, solves and cost vectors of the pool are
+    served the kept solution, as in `solve_threshold`.  A failure at any
+    threshold propagates, and is not kept.
     """
     d_roots(model)
     pool = _pool(model)

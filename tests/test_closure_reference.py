@@ -139,7 +139,9 @@ def assert_close(got, want, rtol=1e-13):
 @pytest.fixture
 def handed_over(monkeypatch):
     """Every (a, rhs) given to solve_probability_system and every (boundary, b)
-    given to the z = 1 pass, in call order."""
+    given to the z = 1 pass, in call order.  The pool cache is cleared around
+    the test, since a threshold it already holds is served without a solve."""
+    multi._pool_data.cache_clear()
     seen = {"systems": [], "b": []}
     solve, finish = multi.solve_probability_system, multi._finish
 
@@ -153,7 +155,8 @@ def handed_over(monkeypatch):
 
     monkeypatch.setattr(multi, "solve_probability_system", spy_solve)
     monkeypatch.setattr(multi, "_finish", spy_finish)
-    return seen
+    yield seen
+    multi._pool_data.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(POOLS))

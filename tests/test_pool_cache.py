@@ -2,29 +2,40 @@
 
 Roots, the null vectors at the roots and the z = 1 Taylor data are built once
 per (lam, mu1, mu2, q, m) and kept by `_pool_data`; a threshold never enters
-the key.  Cold and warm solves must agree exactly, checks must run on every
-call, and failures must not be cached.  data/d_roots_pins.json holds, as
-float.hex strings, the zeros of the pools of threshold_sweep_pins.json and
-their determinant and leading minors at nine points of [0, 1]; they must be
-reproduced bit for bit, so a reordered product in either recurrence fails.
+the key.  Each threshold's solution is kept there too, by K, and served in
+containers of its own.  Cold and warm solves must agree exactly, checks must
+run on every call, and failures must not be cached.  data/d_roots_pins.json
+holds, as float.hex strings, the zeros of the pools of
+threshold_sweep_pins.json and their determinant and leading minors at nine
+points of [0, 1]; they must be reproduced bit for bit, so a reordered product
+in either recurrence fails.  Beyond those pools, the zeros of seeded pools
+with m = 2..24 must equal those of a plain-loop copy of the cascade, which
+forms every matrix entry from the rates inside the loop.
 """
 
+import copy
 import dataclasses
 import json
 import logging
 import math
 import pathlib
+import random
 
 import pytest
 
 from fbq import multi
+from fbq.experiments import optimize_threshold
 from fbq.models import ModelError, MultiServerModel, SolverError, UnstableModelError
+from fbq.models import CostCoefficients
 from fbq.multi import (
     POOL_CACHE_SIZE,
+    ROOT_REL_WIDTH,
     _det_at,
     _minor_at,
     _pool_data,
     d_roots,
+    dprime_at_1,
+    evaluate_cost_multi,
     solve_threshold,
     sweep_thresholds,
 )
@@ -168,3 +179,165 @@ def test_cache_stays_bounded():
     assert info.maxsize == POOL_CACHE_SIZE
     assert info.currsize <= POOL_CACHE_SIZE
     assert info.misses == POOL_CACHE_SIZE + 5
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The number of boundary systems handed to the solver."""
+    calls = [0]
+    solve = multi.solve_probability_system
+
+    def counted(a, rhs):
+        calls[0] += 1
+        return solve(a, rhs)
+    monkeypatch.setattr(multi, "solve_probability_system", counted)
+    return calls
+
+
+def test_each_threshold_is_solved_once_per_pool(solves):
+    model = MultiServerModel(**POOL)
+    first = sweep_thresholds(model)
+    assert solves[0] == model.m
+    assert_same_solutions(sweep_thresholds(model), first)
+    _, curve = optimize_threshold(model, CostCoefficients(1.0, 2.5))
+    assert curve.ys == [evaluate_cost_multi(sol, CostCoefficients(1.0, 2.5)) for sol in first]
+    for K in (4, 0, 5):
+        assert_same_solutions([solve_threshold(dataclasses.replace(model, threshold=K))],
+                              [first[K]])
+    assert solves[0] == model.m
+
+
+def test_a_failed_threshold_is_solved_again_every_time(solves):
+    pin = dict(PINS["failing_pool"])
+    message = pin.pop("message")
+    model = MultiServerModel(**pin)
+    for calls in (1, 2, 3):
+        with pytest.raises(SolverError) as exc:
+            solve_threshold(model) if calls == 2 else sweep_thresholds(model)
+        assert str(exc.value) == message
+        assert solves[0] == calls
+
+
+def test_edits_to_a_served_solution_do_not_reach_the_cache():
+    model = MultiServerModel(**POOL, threshold=2)
+    served = solve_threshold(model)
+    expected = copy.deepcopy(served)
+    served.boundary[(0, 2)] = -1.0
+    served.boundary[(9, 9)] = 1.0
+    served.p[0] = -1.0
+    served.g_at_1.append(2.0)
+    served.roots[0] = -1.0
+    assert_same_solutions([solve_threshold(model)], [expected])
+    assert_same_solutions([sweep_thresholds(model)[2]], [expected])
+    swept = sweep_thresholds(model)
+    swept[2].roots.clear()
+    swept[2].g_at_1[0] = 7.0
+    assert_same_solutions([solve_threshold(model)], [expected])
+
+
+# --- the cascade as a plain loop over the rates ------------------------------
+
+
+def reference_det(model, z):
+    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    zm1 = z - 1.0
+    nxt, cur = 1.0, lam * z * (1.0 - multi._y1_float(model, z)) + (m - 1) * mu1 * z + mu2 * zm1
+    for t in range(m - 2, -1, -1):
+        a = lam * z + t * mu1 * z + (m - t) * mu2 * zm1
+        alam = (t + 1) * mu1 * z * (1.0 - q + q * z) * (lam * z)
+        nxt, cur = cur, a * cur - alam * nxt
+    return cur
+
+
+def reference_minor(model, i, z):
+    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    zm1 = z - 1.0
+    prev, cur = 1.0, 1.0
+    for k in range(i):
+        a = lam * z + k * mu1 * z + (m - k) * mu2 * zm1
+        if k == 0:
+            prev, cur = cur, a
+        else:
+            alam = k * mu1 * z * (1.0 - q + q * z) * (lam * z)
+            prev, cur = cur, a * cur - alam * prev
+    return cur
+
+
+def reference_bisect(f, lo, hi, flo, fhi):
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise SolverError(f"no sign change on [{lo:.6g}, {hi:.6g}]")
+    while hi - lo > ROOT_REL_WIDTH * hi:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if flo * fm < 0:
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def reference_roots(model):
+    roots = []
+    for i in range(1, model.m):
+        def f(z):
+            return reference_minor(model, i, z)
+        brackets = [0.0] + roots + [1.0]
+        vals = [f(x) for x in brackets]
+        new = []
+        for k in range(len(brackets) - 1):
+            try:
+                new.append(reference_bisect(f, brackets[k], brackets[k + 1], vals[k], vals[k + 1]))
+            except SolverError as exc:
+                raise SolverError(f"minor Q_{i} lost a bracketed zero: {exc}; "
+                                  f"D'(1) = {dprime_at_1(model):.6g}") from exc
+        roots = new
+    brackets = [0.0] + roots
+    vals = [reference_det(model, x) for x in brackets]
+    out = []
+    for k in range(len(brackets) - 1):
+        try:
+            out.append(reference_bisect(lambda z: reference_det(model, z),
+                                        brackets[k], brackets[k + 1], vals[k], vals[k + 1]))
+        except SolverError as exc:
+            raise SolverError(f"determinant lost a bracketed zero (instability or precondition "
+                              f"violation): {exc}; D'(1) = {dprime_at_1(model):.6g}") from exc
+    return out
+
+
+def seeded_pools():
+    """One pool per m = 2..24, cycling q through 0, a drawn value and 1; the
+    cascade loses a zero on the m = 14 and m = 17 pools, both at q = 1."""
+    rng = random.Random(26)
+    for m in range(2, 25):
+        q = (0.0, rng.uniform(0.02, 0.98), 1.0)[m % 3]
+        mu1, mu2 = rng.uniform(0.5, 3.0), rng.uniform(0.1, 2.0)
+        lam = rng.uniform(0.3, 0.9) * m / (1.0 / mu1 + q / mu2)
+        yield MultiServerModel(lam, mu1, mu2, q, m)
+
+
+def outcome(find_roots, model):
+    try:
+        return [z.hex() for z in find_roots(model)]
+    except SolverError as exc:
+        return str(exc)
+
+
+def test_zeros_equal_the_plain_loop_cascade_bit_for_bit():
+    zs = [0.0, 0.25, 0.5, 0.999, 1.0]
+    failed = []
+    for model in seeded_pools():
+        expected = outcome(reference_roots, model)
+        assert outcome(d_roots, model) == expected, model
+        if isinstance(expected, str):
+            failed.append(model.m)
+        assert [_det_at(model, z).hex() for z in zs] == [reference_det(model, z).hex() for z in zs]
+        for i in range(model.m):
+            assert [_minor_at(model, i, z).hex() for z in zs] == \
+                [reference_minor(model, i, z).hex() for z in zs], (model, i)
+    assert failed == [14, 17]
