@@ -5,8 +5,8 @@ background queue, so the transform equations couple the per-level generating
 functions g_0(z) .. g_{m-1}(z) through a tridiagonal matrix A(z) whose last
 diagonal entry absorbs the saturated region via the small kernel root y1(z).
 Cramer's rule gives g_i = D_i/D; the determinant D has exactly m-1 simple
-real zeros in (0,1), located by descending the interlacing zeros of its
-leading principal minors (a Sturm-like bisection cascade).  Those zeros,
+real zeros in (0,1), isolated by the sign counts of the Sturm sequence of
+leading principal minors and refined by Brent's method.  Those zeros,
 the balance equations of the boundary states, and the idle-server identity
 
     E[servers not working] = m - rho1 - rho2
@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from .linsys import solve_probability_system
 from .models import (
@@ -64,7 +65,6 @@ from .series import kernel_root_pair_at_1
 log = logging.getLogger("fbq.multi")
 
 SERIES_ORDER = 3
-ROOT_REL_WIDTH = 1e-13
 POOL_CACHE_SIZE = 64   # pools whose threshold-independent data is kept
 
 
@@ -126,89 +126,91 @@ def _det_at(model: MultiServerModel, z: float) -> float:
 # --- root isolation -----------------------------------------------------------
 
 
-def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise SolverError(f"no sign change on [{lo:.6g}, {hi:.6g}]")
-    while hi - lo > ROOT_REL_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _minor_at(model: MultiServerModel, i: int, z: float) -> float:
-    """The leading principal minor Q_i(z) of A(z) by the recurrence
-    Q_(k+1) = a_k Q_k - alpha_k lam z Q_(k-1), from Q_0 = 1; it reads only the
-    entries 0 .. i-1, so it never needs the kernel root and holds at every real z."""
-    if i == 0:
-        return 1.0
+def _sturm_sequence(model: MultiServerModel, z: float) -> list[float]:
+    """The leading principal minors Q_0 .. Q_(m-1) of A(z) and its determinant
+    D = Q_m, by the recurrence Q_(k+1) = a_k Q_k - alpha_k lam z Q_(k-1) from
+    Q_0 = 1.  Only D reads the kernel root, in the last diagonal entry."""
     rates = _pool(model).rates
     lz, w, zm1 = model.lam * z, 1.0 - model.q + model.q * z, z - 1.0
-    k1, k2 = rates[0]
-    prev, cur = 1.0, lz + k1 * z + k2 * zm1
-    for k1, k2 in rates[1:i]:
-        k1z = k1 * z
-        prev, cur = cur, (lz + k1z + k2 * zm1) * cur - k1z * w * lz * prev
-    return cur
+    diag = [lz + k1 * z + k2 * zm1 for k1, k2 in rates]
+    diag[-1] = lz * (1.0 - _y1_float(model, z)) + rates[-1][0] * z + model.mu2 * zm1
+    seq = [1.0, diag[0]]
+    for k in range(1, model.m):
+        seq.append(diag[k] * seq[-1] - rates[k][0] * z * w * lz * seq[-2])
+    return seq
 
 
-def _isolate_roots(model: MultiServerModel) -> tuple[float, ...]:
-    """The bisection cascade of d_roots, without its checks."""
+def _sign_changes(seq) -> int:
+    """The sign changes along a sequence that starts positive, skipping exact zeros."""
+    signs = [x < 0.0 for x in seq if x != 0.0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _isolate_roots(model: MultiServerModel) -> tuple[tuple[float, ...], int, int]:
+    """The zeros of d_roots without its checks, with the number of sign
+    counts and of determinant evaluations they took."""
     m = model.m
-    if m == 1:
-        return ()
-    roots = []
-    for i in range(1, m):
-        f = functools.partial(_minor_at, model, i)
-        brackets = [0.0] + roots + [1.0]
-        new = []
-        vals = [f(x) for x in brackets]
-        for k in range(len(brackets) - 1):
-            try:
-                new.append(_bisect(f, brackets[k], brackets[k + 1], vals[k], vals[k + 1]))
-            except SolverError as exc:
-                raise SolverError(
-                    f"minor Q_{i} lost a bracketed zero: {exc}; "
-                    f"D'(1) = {dprime_at_1(model):.6g}"
-                ) from exc
-        roots = new
+    dprime = dprime_at_1(model)
 
-    vals = [_det_at(model, x) for x in [0.0] + roots]
-    brackets = [0.0] + roots
-    out = []
-    for k in range(len(brackets) - 1):
+    def failure(what: str) -> SolverError:
+        return SolverError(f"{what}; D'(1) = {dprime:.6g}")
+
+    # Q_0 .. Q_(m-1) are positive at z = 1 and D(1) = 0, so just below 1 D
+    # has the sign of -D'(1)
+    counts = [_sign_changes(_sturm_sequence(model, 0.0)),
+              _sign_changes(_sturm_sequence(model, 1.0)[:-1] + [-dprime])]
+    if counts != [m, 1]:
+        raise failure(f"Sturm counts read {counts[0]} at z = 0 and {counts[1]} below "
+                      f"z = 1, not {m} and 1")
+    brackets = []
+    stack = [(0.0, 1.0, m, 1)]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        # the count at z = 1 is not read at a point, so the top zero's
+        # interval is split until D has a value at both of its ends
+        if vlo - vhi == 1 and hi < 1.0:
+            brackets.append((lo, hi, vlo))
+            continue
+        mid = 0.5 * (lo + hi)
+        v = _sign_changes(_sturm_sequence(model, mid))
+        counts.append(v)
+        if not (vhi <= v <= vlo and lo < mid < hi):
+            raise failure(f"Sturm counts read {vlo}, {v}, {vhi} at z = {lo:.17g}, "
+                          f"{mid:.17g}, {hi:.17g}")
+        stack += [(mid, hi, v, vhi), (lo, mid, vlo, v)]
+
+    roots, evals = [], 0
+    det, fp = functools.partial(_det_at, model), np.finfo(float)
+    for lo, hi, v in brackets:
         try:
-            out.append(_bisect(lambda z: _det_at(model, z),
-                               brackets[k], brackets[k + 1], vals[k], vals[k + 1]))
-        except SolverError as exc:
-            raise SolverError(
-                f"determinant lost a bracketed zero (instability or precondition "
-                f"violation): {exc}; D'(1) = {dprime_at_1(model):.6g}"
-            ) from exc
-    return tuple(out)
+            zk, res = scipy.optimize.brentq(det, lo, hi, xtol=fp.tiny, rtol=4 * fp.eps,
+                                            full_output=True)
+        except ValueError as exc:
+            raise failure(f"determinant has no sign change on [{lo:.17g}, {hi:.17g}], "
+                          f"where the Sturm counts read {v} and {v - 1}") from exc
+        roots.append(zk)
+        evals += res.function_calls
+    return tuple(roots), len(counts), evals
 
 
 def d_roots(model: MultiServerModel) -> list[float]:
     """The m-1 zeros of the transform determinant in (0,1).
 
-    Descends the interlacing tree of the principal minors: the i zeros of
-    Q_i in (0,1) bracket the i+1 zeros of Q_{i+1} together with the interval
-    endpoints, and the zeros of Q_{m-1} bracket those of the determinant.
-    Bisection inside each bracket is unconditionally convergent.  Each
-    evaluation reads the pool's rate table and forms lam z and 1 - q + q z
-    once, with the float operations of the plain recurrence in their order,
-    so the zeros do not depend on how the entries are stored.
+    The leading principal minors Q_0 .. Q_(m-1) of A(z) and D = Q_m form a
+    Sturm sequence on (0, 1], where the off-diagonal products alpha_k lam z
+    are positive (Wilkinson, The Algebraic Eigenvalue Problem, 1965): its
+    number V(z) of sign changes moves only where D vanishes.  V(0) = m, as
+    the minors alternate at 0, and V = 1 just below 1, as every minor is
+    positive at 1 and D'(1) > 0, so each zero lowers V by one.  Bisection on
+    V splits (0, 1) until each interval holds one zero, which Brent's method
+    (Brent 1973) on the determinant then refines.  End counts other than m
+    and 1, a rising count, or an interval where D keeps its sign raise
+    SolverError with the counts and D'(1).  Each pass reads the pool's rate
+    table, with the float operations of the plain recurrence in their order.
 
-    The stability and lam > 0 checks run on every call; the cascade runs
+    The stability and lam > 0 checks run on every call; the search runs
     once per pool (lam, mu1, mu2, q, m) and its zeros are then served from
     the pool cache, whatever the threshold.  The list returned is new on
     every call.
@@ -238,7 +240,7 @@ def dprime_at_1(model: MultiServerModel) -> float:
 
 
 def _dense_matrix(model: MultiServerModel, z: float) -> np.ndarray:
-    """A(z) at a real z: the entries of _det_at and _minor_at, with the same rounding."""
+    """A(z) at a real z: the entries of _det_at and _sturm_sequence, with the same rounding."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
     zm1 = z - 1.0
     i = np.arange(m)
@@ -291,9 +293,9 @@ class _Pool:
     @functools.cached_property
     def roots(self) -> tuple[float, ...]:
         t0 = time.perf_counter()
-        roots = _isolate_roots(self.model)
-        log.debug("m = %d: %d zeros isolated, %.3f s",
-                  self.model.m, len(roots), time.perf_counter() - t0)
+        roots, counts, evals = _isolate_roots(self.model)
+        log.debug("m = %d: %d zeros isolated, %d sign counts, %d D evaluations, %.3f s",
+                  self.model.m, len(roots), counts, evals, time.perf_counter() - t0)
         return roots
 
     @functools.cached_property

@@ -454,7 +454,6 @@ def verify_single(model: SingleServerModel, sol: SingleServerSolution) -> dict:
     b = sol.boundary.values
     res = {}
     res["normalization"] = abs(sum(sol.p_below_K) + sol.tail_mass - 1.0)
-    res["L_sum"] = abs(sol.L - sol.L1 - sol.L2)
     # flow balance across the saturation boundary
     up = lam * sum(b[(j - 1, K - j)] for j in range(1, K + 1))
     down = mu2 * b[(0, K)] + mu1 * (1 - q) * sum(b[(j, K - j)] for j in range(1, K + 1))

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from fbq import multi
 from fbq.ctmc import ctmc_solve
-from fbq.models import CostCoefficients, ModelError, MultiServerModel, UnstableModelError
+from fbq.models import (CostCoefficients, ModelError, MultiServerModel, SolverError,
+                        UnstableModelError)
 from fbq.multi import (
     _dense_matrix,
     _det_at,
-    _minor_at,
+    _sign_changes,
+    _sturm_sequence,
     d_roots,
     dprime_at_1,
     evaluate_cost_multi,
@@ -68,6 +71,18 @@ class TestRoots:
         with pytest.raises(UnstableModelError):
             d_roots(MultiServerModel(5.0, 1.0, 1.0, 1.0, 2))
 
+    def test_counts_and_signs_are_checked(self, monkeypatch):
+        model = MultiServerModel(1.5, 1.0, 0.5, 0.3, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(multi, "dprime_at_1", lambda model: -1.0)
+            with pytest.raises(SolverError, match=r"^Sturm counts read 3 at z = 0 and 0 below "
+                                                  r"z = 1, not 3 and 1; D'\(1\) = -1$"):
+                multi._isolate_roots(model)
+        monkeypatch.setattr(multi, "_det_at", lambda model, z: 1.0)
+        with pytest.raises(SolverError, match=r"^determinant has no sign change on \[0, .*\], "
+                                              r"where the Sturm counts read 3 and 2; D'\(1\) = "):
+            multi._isolate_roots(model)
+
 
 class TestTransformMatrix:
     MODEL = MultiServerModel(1.5, 1.0, 0.5, 0.3, 3)
@@ -95,9 +110,11 @@ class TestTransformMatrix:
     def test_minors_match_dense_leading_blocks(self):
         z = 0.6
         a = _dense_matrix(self.MODEL, z)
-        assert _minor_at(self.MODEL, 0, z) == 1.0
+        seq = _sturm_sequence(self.MODEL, z)
+        assert len(seq) == 4 and seq[0] == 1.0
         for i in (1, 2):
-            assert _minor_at(self.MODEL, i, z) == pytest.approx(np.linalg.det(a[:i, :i]), rel=1e-12)
+            assert seq[i] == pytest.approx(np.linalg.det(a[:i, :i]), rel=1e-12)
+        assert seq[3] == pytest.approx(_det_at(self.MODEL, z), rel=1e-12)
 
 
 class TestMinorSigns:
@@ -108,9 +125,9 @@ class TestMinorSigns:
         model = random_stable_multi(rng, m, umax=0.8)
 
         def q_values(z):
-            # the leading minors never touch the kernel root, so they are
-            # defined where the root is complex
-            return [_minor_at(model, i, z) for i in range(m)]
+            # the leading minors Q_0 .. Q_(m-1) of the Sturm sequence; at
+            # z <= 1 the kernel root of its last entry D is real
+            return _sturm_sequence(model, z)[:m]
 
         # alternating at the origin, positive at one; far out on the side
         # where the diagonal entries all go negative, alternating again
@@ -122,6 +139,19 @@ class TestMinorSigns:
         far = q_values(-1e3)
         for i in range(1, m):
             assert math.copysign(1, far[i]) == (-1) ** i
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sign_count_falls_by_one_at_each_zero(self, seed):
+        # m sign changes at the origin, one just below z = 1, and one fewer
+        # past each zero of D
+        rng = np.random.default_rng(60 + seed)
+        m = int(rng.integers(2, 12))
+        model = random_stable_multi(rng, m, umax=0.9)
+        roots = d_roots(model)
+        for z in np.linspace(0.0, 1.0, 201)[:-1]:
+            below = sum(zk < z for zk in roots)
+            assert _sign_changes(_sturm_sequence(model, z)) == m - below, z
+        assert _sign_changes(_sturm_sequence(model, 1.0 - 1e-9)) == 1
 
 
 class TestDerivativeAtOne:

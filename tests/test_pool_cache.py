@@ -8,9 +8,11 @@ run on every call, and failures must not be cached.  data/d_roots_pins.json
 holds, as float.hex strings, the zeros of the pools of
 threshold_sweep_pins.json and their determinant and leading minors at nine
 points of [0, 1]; they must be reproduced bit for bit, so a reordered product
-in either recurrence fails.  Beyond those pools, the zeros of seeded pools
-with m = 2..24 must equal those of a plain-loop copy of the cascade, which
-forms every matrix entry from the rates inside the loop.
+in either recurrence fails.  It also holds 50-digit zeros of those pools and
+of seeded pools with m = 2..24, which every float zero must match to 2e-15
+relative.  The zeros of the seeded pools must also equal, bit for bit, those
+that the same Sturm search finds on plain-loop copies of the recurrences,
+which form every matrix entry from the rates inside the loop.
 """
 
 import copy
@@ -20,21 +22,22 @@ import logging
 import math
 import pathlib
 import random
+import re
 
+import numpy as np
 import pytest
 
 from fbq import multi
+from fbq.ctmc import ctmc_solve
 from fbq.experiments import optimize_threshold
 from fbq.models import ModelError, MultiServerModel, SolverError, UnstableModelError
 from fbq.models import CostCoefficients
 from fbq.multi import (
     POOL_CACHE_SIZE,
-    ROOT_REL_WIDTH,
     _det_at,
-    _minor_at,
     _pool_data,
+    _sturm_sequence,
     d_roots,
-    dprime_at_1,
     evaluate_cost_multi,
     solve_threshold,
     sweep_thresholds,
@@ -86,8 +89,9 @@ def test_a_pool_one_ulp_away_does_not_share_an_entry():
     assert _pool_data.cache_info().currsize == 2
 
 
-def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
-    calls = {"_null_vectors": 0, "kernel_root_pair_at_1": 0}
+def count_calls(monkeypatch, *names):
+    """Wrap the named functions of fbq.multi so that their calls are counted."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(multi, name)
@@ -97,8 +101,13 @@ def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(multi, name, counted(name))
+    return calls
+
+
+def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
+    calls = count_calls(monkeypatch, "_null_vectors", "kernel_root_pair_at_1")
     model = MultiServerModel(**POOL)
     sweep_thresholds(model)
     sweep_thresholds(model)
@@ -107,13 +116,20 @@ def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
     assert calls == {"_null_vectors": model.m, "kernel_root_pair_at_1": 1}
 
 
-def test_building_a_pool_logs_one_debug_line(caplog):
+def test_building_a_pool_logs_one_debug_line(caplog, monkeypatch):
+    calls = count_calls(monkeypatch, "_sturm_sequence", "_det_at")
     with caplog.at_level(logging.DEBUG, logger="fbq.multi"):
         for K in (0, 2):
             solve_threshold(MultiServerModel(**POOL, threshold=K))
     lines = [r.getMessage() for r in caplog.records if r.name == "fbq.multi"]
     assert len(lines) == 1
-    assert lines[0].startswith("m = 6: 5 zeros isolated, ")
+    found = re.fullmatch(r"m = 6: 5 zeros isolated, (\d+) sign counts, (\d+) D evaluations, "
+                         r"\d+\.\d{3} s", lines[0])
+    assert found, lines[0]
+    # the two ends and at least one count per split; at least two brentq
+    # evaluations per zero
+    assert int(found[1]) == calls["_sturm_sequence"] >= 2 + 4
+    assert int(found[2]) == calls["_det_at"] >= 2 * 5
 
 
 def test_returned_roots_are_a_new_list_each_call():
@@ -142,8 +158,20 @@ def test_determinant_and_minors_match_the_pinned_values_bit_for_bit():
     for name, params in {**PINS["pools"], "failing_pool": PINS["failing_pool"]}.items():
         model = MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
         assert [_det_at(model, z).hex() for z in zs] == RECURRENCE_PINS["det"][name], name
-        minors = [[_minor_at(model, i, z).hex() for i in range(1, model.m)] for z in zs]
+        minors = [[x.hex() for x in _sturm_sequence(model, z)[1:model.m]] for z in zs]
         assert minors == RECURRENCE_PINS["minors"][name], name
+
+
+def test_d_roots_match_the_50_digit_zeros():
+    pools = {name: MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
+             for name, params in {**PINS["pools"], "failing_pool": PINS["failing_pool"]}.items()}
+    pools.update((f"seed26_m{model.m}", model) for model in seeded_pools())
+    refs = RECURRENCE_PINS["roots_50_digits"]
+    assert sorted(refs) == sorted(pools)
+    for name, model in pools.items():
+        assert len(refs[name]) == model.m - 1, name
+        np.testing.assert_allclose(d_roots(model), [float(z) for z in refs[name]],
+                                   rtol=2e-15, atol=0, err_msg=name)
 
 
 def test_failing_pool_raises_the_pinned_error_every_time():
@@ -235,7 +263,7 @@ def test_edits_to_a_served_solution_do_not_reach_the_cache():
     assert_same_solutions([solve_threshold(model)], [expected])
 
 
-# --- the cascade as a plain loop over the rates ------------------------------
+# --- the Sturm search on plain loops over the rates ---------------------------
 
 
 def reference_det(model, z):
@@ -249,70 +277,26 @@ def reference_det(model, z):
     return cur
 
 
-def reference_minor(model, i, z):
+def reference_sequence(model, z):
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
     zm1 = z - 1.0
-    prev, cur = 1.0, 1.0
-    for k in range(i):
+    seq = [1.0]
+    for k in range(m):
         a = lam * z + k * mu1 * z + (m - k) * mu2 * zm1
+        if k == m - 1:
+            a = lam * z * (1.0 - multi._y1_float(model, z)) + (m - 1) * mu1 * z + mu2 * zm1
         if k == 0:
-            prev, cur = cur, a
+            seq.append(a)
         else:
             alam = k * mu1 * z * (1.0 - q + q * z) * (lam * z)
-            prev, cur = cur, a * cur - alam * prev
-    return cur
-
-
-def reference_bisect(f, lo, hi, flo, fhi):
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise SolverError(f"no sign change on [{lo:.6g}, {hi:.6g}]")
-    while hi - lo > ROOT_REL_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def reference_roots(model):
-    roots = []
-    for i in range(1, model.m):
-        def f(z):
-            return reference_minor(model, i, z)
-        brackets = [0.0] + roots + [1.0]
-        vals = [f(x) for x in brackets]
-        new = []
-        for k in range(len(brackets) - 1):
-            try:
-                new.append(reference_bisect(f, brackets[k], brackets[k + 1], vals[k], vals[k + 1]))
-            except SolverError as exc:
-                raise SolverError(f"minor Q_{i} lost a bracketed zero: {exc}; "
-                                  f"D'(1) = {dprime_at_1(model):.6g}") from exc
-        roots = new
-    brackets = [0.0] + roots
-    vals = [reference_det(model, x) for x in brackets]
-    out = []
-    for k in range(len(brackets) - 1):
-        try:
-            out.append(reference_bisect(lambda z: reference_det(model, z),
-                                        brackets[k], brackets[k + 1], vals[k], vals[k + 1]))
-        except SolverError as exc:
-            raise SolverError(f"determinant lost a bracketed zero (instability or precondition "
-                              f"violation): {exc}; D'(1) = {dprime_at_1(model):.6g}") from exc
-    return out
+            seq.append(a * seq[-1] - alam * seq[-2])
+    return seq
 
 
 def seeded_pools():
-    """One pool per m = 2..24, cycling q through 0, a drawn value and 1; the
-    cascade loses a zero on the m = 14 and m = 17 pools, both at q = 1."""
+    """One pool per m = 2..24, cycling q through 0, a drawn value and 1.  On
+    the m = 14 and m = 17 pools, both at q = 1, bisection down the interlacing
+    zeros of the leading minors loses a zero in floats; sign counts do not."""
     rng = random.Random(26)
     for m in range(2, 25):
         q = (0.0, rng.uniform(0.02, 0.98), 1.0)[m % 3]
@@ -328,7 +312,13 @@ def outcome(find_roots, model):
         return str(exc)
 
 
-def test_zeros_equal_the_plain_loop_cascade_bit_for_bit():
+def test_zeros_equal_the_plain_loop_cascade_bit_for_bit(monkeypatch):
+    def reference_roots(model):
+        with monkeypatch.context() as patch:
+            patch.setattr(multi, "_sturm_sequence", reference_sequence)
+            patch.setattr(multi, "_det_at", reference_det)
+            return multi._isolate_roots(model)[0]
+
     zs = [0.0, 0.25, 0.5, 0.999, 1.0]
     failed = []
     for model in seeded_pools():
@@ -337,7 +327,18 @@ def test_zeros_equal_the_plain_loop_cascade_bit_for_bit():
         if isinstance(expected, str):
             failed.append(model.m)
         assert [_det_at(model, z).hex() for z in zs] == [reference_det(model, z).hex() for z in zs]
-        for i in range(model.m):
-            assert [_minor_at(model, i, z).hex() for z in zs] == \
-                [reference_minor(model, i, z).hex() for z in zs], (model, i)
-    assert failed == [14, 17]
+        assert [[x.hex() for x in _sturm_sequence(model, z)] for z in zs] == \
+            [[x.hex() for x in reference_sequence(model, z)] for z in zs], model
+    assert failed == []
+
+
+@pytest.mark.parametrize("m", [14, 17])
+def test_q1_pools_that_lost_a_zero_match_the_oracle(m):
+    model = next(pool for pool in seeded_pools() if pool.m == m)
+    assert model.q == 1.0
+    sweep = sweep_thresholds(model)
+    for K in (0, m // 2):
+        oracle = ctmc_solve(dataclasses.replace(model, threshold=K))
+        for field in ("L1", "L2", "U"):
+            assert getattr(sweep[K], field) == pytest.approx(getattr(oracle, field), rel=1e-10), \
+                (K, field)
