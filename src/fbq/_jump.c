@@ -1,0 +1,97 @@
+/* The jump-chain loop of fbq.simulate._run, compiled.
+ *
+ * The uniforms are CPython's random.Random.random(): MT19937 (Matsumoto &
+ * Nishimura, ACM TOMACS 8, 1998) continued from a state that
+ * random.Random(seed).getstate() returns, and genrand_res53 on two tempered
+ * words.  Every float operation is the Python loop's, in its order, so the
+ * two agree bit for bit when this file is built with -ffp-contract=off and
+ * without -ffast-math.
+ */
+#include <stdint.h>
+
+enum { MT_N = 624, MT_M = 397 };
+
+static uint32_t mt_word(uint32_t *mt, int64_t *pos)
+{
+    if (*pos >= MT_N) {
+        for (int k = 0; k < MT_N; k++) {
+            uint32_t y = (mt[k] & 0x80000000u) | (mt[(k + 1) % MT_N] & 0x7fffffffu);
+            mt[k] = mt[(k + MT_M) % MT_N] ^ (y >> 1) ^ ((y & 1u) ? 0x9908b0dfu : 0u);
+        }
+        *pos = 0;
+    }
+    uint32_t y = mt[(*pos)++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680u;
+    y ^= (y << 15) & 0xefc60000u;
+    y ^= y >> 18;
+    return y;
+}
+
+static double mt_random(uint32_t *mt, int64_t *pos)
+{
+    uint32_t a = mt_word(mt, pos) >> 5, b = mt_word(mt, pos) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* Row r of the rate table: holding time inv[r], servers/rate srv[r], arrival
+ * probability pa[r] and the arrival's next row up[r].  Its completions are
+ * moves first[r], first[r] + 1, ...: move k is taken when u < bound[k] (the
+ * row's last bound is infinite) and is (phase, moves on, next row below the
+ * clamp, next row at or above it) in move[4k .. 4k + 3].  Arrivals close a
+ * batch at each of stops[0 .. nstops - 1]; sums gets the batch's time and the
+ * time integrals of n0, nl and the servers, counts the final n0, nl, arrivals
+ * and completions. */
+void fbq_jump_chain(uint32_t *mt, int64_t pos, const double *inv, const double *srv,
+                    const double *pa, const int64_t *up, const int64_t *first,
+                    const double *bound, const int64_t *move, int64_t clamp,
+                    const int64_t *stops, int64_t nstops, double *sums, int64_t *counts)
+{
+    int64_t n0 = 0, n1 = 0, nl = 0, arrivals = 0, completions = 0, row = 0;
+    for (int64_t s = 0; s < nstops; s++) {
+        double t = 0.0, ti = 0.0, tj = 0.0, tu = 0.0;
+        while (arrivals < stops[s]) {
+            double h = inv[row];
+            t += h;
+            ti += (double)n0 * h;
+            tj += (double)nl * h;
+            tu += srv[row];
+            double u = mt_random(mt, &pos);
+            if (u < pa[row]) {
+                n0++;
+                arrivals++;
+                row = up[row];
+                continue;
+            }
+            completions++;
+            int64_t k = first[row];
+            while (bound[k] <= u)
+                k++;
+            const int64_t *mv = move + 4 * k;
+            int64_t c;
+            if (mv[0] == 0) {
+                c = --n0;
+                if (mv[1]) {
+                    n1++;
+                    nl++;
+                }
+            } else if (mv[0] == 1) {
+                c = --n1;
+                if (!mv[1])
+                    nl--;
+            } else {
+                nl--;
+                c = nl - n1;
+            }
+            row = c >= clamp ? mv[3] : mv[2];
+        }
+        sums[4 * s] = t;
+        sums[4 * s + 1] = ti;
+        sums[4 * s + 2] = tj;
+        sums[4 * s + 3] = tu;
+    }
+    counts[0] = n0;
+    counts[1] = nl;
+    counts[2] = arrivals;
+    counts[3] = completions;
+}

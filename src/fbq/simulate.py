@@ -11,12 +11,27 @@ where the rates stop changing; a model supplies only its servers and phase
 completion rates at such a state.  Each jump draws one uniform, which picks
 the arrival or a completion with its branch folded in; the estimates for a
 seed depend on that order.
+
+The loop runs compiled: `_jump.c`, built on the first run with the system C
+compiler into the per-user cache and called through ctypes, continues the
+Mersenne Twister stream of `random.Random(seed)` and repeats `_run`'s float
+operations in their order, so its estimates equal the Python loop's.  Where
+the library cannot be built or loaded, `_run` itself runs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import hashlib
 import logging
+import math
+import os
+import pathlib
 import random
+import subprocess
+import tempfile
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -35,6 +50,7 @@ from .models import (
 )
 
 log = logging.getLogger("fbq.simulate")
+kernel_log = logging.getLogger("fbq.simulate.kernel")
 
 
 @dataclass(frozen=True)
@@ -87,6 +103,12 @@ class SimConfig:
     batch_count: int = 20
 
     def __post_init__(self):
+        for name in ("jobs", "warmup_jobs", "seed", "batch_count"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
+        if self.warmup_jobs < 0:
+            raise ModelError(f"warmup_jobs must be nonnegative, got {self.warmup_jobs}")
         if self.jobs < 10 * self.warmup_jobs:
             raise ModelError("need jobs >= 10 * warmup_jobs for a usable measurement window")
         if self.batch_count < 10:
@@ -139,7 +161,16 @@ def simulate(config: SimConfig) -> SimEstimate:
         log.warning("simulating an unstable model; averages will drift")
     if model.lam == 0:
         return SimEstimate(0.0, 0.0, 0.0, 0.0, 0, config.seed)
-    return _run(config, _table(model, service, qs, clamp), clamp)
+    tab = _table(model, service, qs, clamp)
+    run = _kernel() or _run
+    start = time.perf_counter()
+    sums, left, jumps = run(config.seed, tab, clamp, _stops(config))
+    est, lag1 = _estimate(sums[1:], config, config.jobs - left)
+    took = time.perf_counter() - start
+    log.debug("%s: %d jumps, %d table rows, %.3f s, %.0f arrivals/s, batch-mean lag-1 "
+              "autocorrelation %.3f", type(model).__name__, jumps, len(tab), took,
+              config.jobs / took, lag1)
+    return est
 
 
 def _table(model, service, qs: tuple, clamp: int) -> list[tuple]:
@@ -178,20 +209,24 @@ def _table(model, service, qs: tuple, clamp: int) -> list[tuple]:
     return rows
 
 
-def _run(config: SimConfig, tab: list[tuple], clamp: int) -> SimEstimate:
-    """The jump-chain loop shared by every model.  Each jump adds the mean
-    holding time of the state it leaves to the batch sums, draws one uniform u
-    and takes the first outcome whose cumulative probability exceeds u: the
-    arrival, then each phase's completion, moving on before leaving.  n0, n1
-    and nl count the jobs in phase 0, in phase 1 and past phase 0."""
-    start = time.perf_counter()
-    unif = random.Random(config.seed).random
+def _stops(config: SimConfig) -> list[int]:
+    """Arrival counts that close a batch; the first "batch" is the warm-up."""
     warm, total, nb = config.warmup_jobs, config.jobs, config.batch_count
     size = (total - warm) // nb
     if size == 0:
         raise ModelError("too few jobs per batch")
-    # arrival counts that close a batch; the first "batch" is the warm-up
-    stops = sorted({max(warm + b * size, 1) for b in range(nb)}) + [total]
+    return sorted({max(warm + b * size, 1) for b in range(nb)}) + [total]
+
+
+def _run(seed: int, tab: list[tuple], clamp: int, stops: list[int]) -> tuple[list, int, int]:
+    """The jump-chain loop shared by every model, and the reference for the
+    compiled one.  Each jump adds the mean holding time of the state it leaves
+    to the batch sums, draws one uniform u and takes the first outcome whose
+    cumulative probability exceeds u: the arrival, then each phase's
+    completion, moving on before leaving.  n0, n1 and nl count the jobs in
+    phase 0, in phase 1 and past phase 0.  Returns the per-batch sums, the
+    jobs left at the end and the number of jumps."""
+    unif = random.Random(seed).random
     sums = []  # per batch: time and the time integrals of n0, nl and the servers
     n0 = n1 = nl = arrivals = completions = row = 0
     for stop in stops:
@@ -224,12 +259,93 @@ def _run(config: SimConfig, tab: list[tuple], clamp: int) -> SimEstimate:
                 c = nl - n1
             row = hi if c >= clamp else lo
         sums.append((t, ti, tj, tu))
-    est, lag1 = _estimate(sums[1:], config, total - n0 - nl)
-    took = time.perf_counter() - start
-    log.debug("%s: %d jumps, %d table rows, %.3f s, %.0f arrivals/s, batch-mean lag-1 "
-              "autocorrelation %.3f", type(config.model).__name__, arrivals + completions,
-              len(tab), took, total / took, lag1)
-    return est
+    return sums, n0 + nl, arrivals + completions
+
+
+def _run_compiled(chain, seed: int, tab: list[tuple], clamp: int,
+                  stops: list[int]) -> tuple[list, int, int]:
+    """`_run` through the compiled `fbq_jump_chain`, from the same generator
+    state.  The table is flattened to arrays; each row's moves end at an
+    infinite bound, so the kernel's scan for the first bound above u stops in
+    the row."""
+    inv, srv, pa, cums, row_moves, up = zip(*tab)
+    first, bound, move = [], [], []
+    for cum, moves in zip(cums, row_moves):
+        first.append(len(bound))
+        if moves:
+            bound += (*cum, math.inf)
+            move += [x for m in moves for x in m]
+    state = random.Random(seed).getstate()[1]
+    sums = (ctypes.c_double * (4 * len(stops)))()
+    counts = (ctypes.c_int64 * 4)()
+    chain(_array(ctypes.c_uint32, state[:-1]), state[-1], _array(ctypes.c_double, inv),
+          _array(ctypes.c_double, srv), _array(ctypes.c_double, pa), _array(ctypes.c_int64, up),
+          _array(ctypes.c_int64, first), _array(ctypes.c_double, bound),
+          _array(ctypes.c_int64, move), clamp, _array(ctypes.c_int64, stops), len(stops), sums,
+          counts)
+    n0, nl, arrivals, completions = counts
+    return [tuple(sums[4 * s:4 * s + 4]) for s in range(len(stops))], n0 + nl, arrivals + completions
+
+
+def _array(ctype, values):
+    return (ctype * len(values))(*values)
+
+
+_SOURCE = pathlib.Path(__file__).with_name("_jump.c")
+_COMPILER = "cc"
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+@functools.cache
+def _kernel():
+    """`_run_compiled` bound to the compiled jump chain, built on first use,
+    or None when it cannot be built or loaded here; then `simulate` runs the
+    Python loop, and one debug line names the cause."""
+    try:
+        chain = ctypes.CDLL(str(_library())).fbq_jump_chain
+    except OSError as exc:
+        kernel_log.debug("compiled jump chain unavailable, simulating in Python: %s", exc)
+        return None
+    dbl, i64 = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+    chain.argtypes = [ctypes.POINTER(ctypes.c_uint32), ctypes.c_int64, dbl, dbl, dbl, i64, i64,
+                      dbl, i64, ctypes.c_int64, i64, ctypes.c_int64, dbl, i64]
+    chain.restype = None
+    return functools.partial(_run_compiled, chain)
+
+
+def _library() -> pathlib.Path:
+    """The shared library of `_jump.c` in the per-user cache, named by the
+    sha256 of the source and the flags.  It is compiled under a temporary
+    name and moved into place, so processes that build it at once each load
+    a whole file."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = pathlib.Path(base, "fbq")
+    if not cache.is_absolute():
+        raise OSError("no home directory for the kernel cache")
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = cache.stat()
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise OSError(f"{cache} is not a private directory")
+    digest = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_FLAGS).encode()).hexdigest()
+    lib = cache / f"_jump-{digest}.so"
+    if lib.exists():
+        return lib
+    start = time.perf_counter()
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        done = subprocess.run([_COMPILER, *_FLAGS, "-o", tmp, str(_SOURCE)], capture_output=True,
+                              text=True, errors="replace")
+        if done.returncode:
+            raise OSError(f"{_COMPILER} exited with status {done.returncode}: {done.stderr.strip()}")
+        os.replace(tmp, lib)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    kernel_log.debug("built %s in %.2f s", lib, time.perf_counter() - start)
+    return lib
 
 
 def _single(model: SingleServerModel, i: int, j: int):

@@ -1,6 +1,7 @@
-"""Simulator (fbq.simulate): exact pins of every SimEstimate field, the
-bounded rate table on unstable models, the per-run debug line, and the
-import cost of the package.
+"""Simulator (fbq.simulate): exact pins of every SimEstimate field on the
+compiled jump chain and on the Python loop, the kernel's build, cache and
+fallback, the bounded rate table on unstable models, the per-run debug line,
+the checks of SimConfig, and the import cost of the package.
 
 data/sim_pins.json holds the full SimEstimate of 21 runs (30k arrivals each):
 single servers with K = 1..5, q = 0 and q = 1 and a zero-speed profile;
@@ -21,16 +22,20 @@ import logging
 import os
 import pathlib
 import re
+import shutil
+import stat
 import subprocess
 import sys
 
 import pytest
 
 import fbq
-from fbq.models import CoxianService, MultiServerModel, SingleServerModel, SpeedProfile
+from fbq.models import CoxianService, ModelError, MultiServerModel, SingleServerModel, SpeedProfile
 from fbq.simulate import SimConfig, SimEstimate, ThreePhaseModel, simulate
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "sim_pins.json").read_text())
+SIM = sys.modules["fbq.simulate"]  # the package's `fbq.simulate` attribute is the function
+SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
 
 
 def _model(spec):
@@ -43,20 +48,83 @@ def _model(spec):
     return ThreePhaseModel(spec["lam"], spec["mu1"], spec["mu2"], spec["mu3"], spec["q1"], spec["q2"])
 
 
-@pytest.mark.parametrize("pin", PINS["pins"], ids=lambda p: p["model"]["label"])
-def test_matches_pinned_estimate(pin):
-    cfg = SimConfig(model=_model(pin["model"]), jobs=PINS["jobs"], warmup_jobs=PINS["warmup_jobs"],
-                    seed=pin["seed"], batch_count=PINS["batch_count"])
-    assert simulate(cfg) == SimEstimate(**pin["estimate"])
+def _pin_config(pin):
+    return SimConfig(model=_model(pin["model"]), jobs=PINS["jobs"], warmup_jobs=PINS["warmup_jobs"],
+                     seed=pin["seed"], batch_count=PINS["batch_count"])
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    src = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, fbq; print('scipy.stats' in sys.modules)"
+@pytest.fixture
+def fresh_kernel():
+    """Forget the loaded kernel before and after the test, so neither sees the other's."""
+    SIM._kernel.cache_clear()
+    yield
+    SIM._kernel.cache_clear()
+
+
+@pytest.mark.parametrize("pin, python_loop", [
+    *(pytest.param(p, False, id=p["model"]["label"]) for p in PINS["pins"]),
+    *(pytest.param(p, True, id=p["model"]["label"] + "-python_loop") for p in PINS["pins"]),
+])
+def test_matches_pinned_estimate(pin, python_loop, monkeypatch):
+    if python_loop:
+        monkeypatch.setattr(SIM, "_kernel", lambda: None)
+    elif SIM._kernel() is None:
+        assert shutil.which(SIM._COMPILER) is None, "a C compiler is on PATH but the kernel did not load"
+        pytest.skip("no C compiler to build the kernel with")
+    assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
+
+
+def test_missing_compiler_falls_back_to_the_python_loop(caplog, monkeypatch, tmp_path, fresh_kernel):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(SIM, "_COMPILER", str(tmp_path / "no-such-cc"))
+    pin = next(p for p in PINS["pins"] if p["model"]["label"] == "pool_m4_K1_q0.4")
+    with caplog.at_level(logging.DEBUG, logger="fbq.simulate"):
+        assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
+        assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
+    lines = [r.getMessage() for r in caplog.records if r.name == "fbq.simulate.kernel"]
+    assert len(lines) == 1 and "simulating in Python" in lines[0] and "no-such-cc" in lines[0], lines
+    assert SIM._kernel() is None
+
+
+def _kernel_loads(cache, compiler, processes=1):
+    """Whether each of `processes` fresh interpreters, started at once with this
+    kernel cache and compiler, loads the kernel."""
+    code = ("import sys, fbq; sim = sys.modules['fbq.simulate']; sim._COMPILER = sys.argv[1]; "
+            "print(sim._kernel() is not None)")
+    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(cache))
+    procs = [subprocess.Popen([sys.executable, "-c", code, compiler], stdout=subprocess.PIPE,
+                              text=True, env=env) for _ in range(processes)]
+    return [p.communicate(timeout=120)[0].strip() == "True" and p.returncode == 0 for p in procs]
+
+
+def test_processes_build_the_kernel_at_once_and_later_ones_only_load_it(tmp_path):
+    if shutil.which(SIM._COMPILER) is None:
+        pytest.skip("no C compiler to build the kernel with")
+    assert _kernel_loads(tmp_path, SIM._COMPILER, processes=3) == [True] * 3
+    cache = tmp_path / "fbq"
+    (lib,) = cache.iterdir()  # one library, and no temporary file left behind
+    assert lib.suffix == ".so" and stat.S_IMODE(cache.stat().st_mode) == 0o700
+    assert _kernel_loads(tmp_path, str(tmp_path / "no-such-cc")) == [True]
+    assert list(cache.iterdir()) == [lib]
+
+
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
+    code = ("import sys, fbq; print('scipy.stats' in sys.modules, "
+            "sys.modules['fbq.simulate']._kernel.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False 0"  # nor is the kernel built or loaded
+    assert not (tmp_path / "fbq").exists()
+
+
+@pytest.mark.parametrize("field, value", [("jobs", 30_000.5), ("warmup_jobs", 1_000.0),
+                                          ("seed", 1.5), ("batch_count", 20.0), ("seed", True),
+                                          ("warmup_jobs", -1)])
+def test_config_rejects_non_integer_or_negative_counts(field, value):
+    with pytest.raises(ModelError, match=field):
+        SimConfig(model=ThreePhaseModel(1.5, 5.0, 1.0, 0.5, 0.1, 0.5),
+                  **{"jobs": 30_000, "warmup_jobs": 1_000, field: value})
 
 
 def _debug_lines(caplog, cfg):
