@@ -45,9 +45,12 @@ from .experiments import (optimize_intermediate_speeds, optimize_threshold, repr
 
 log = logging.getLogger("fbq.cli")
 
-# `validate` grows the oracle's rectangle to at most 513 x 513 states (about
-# 3 s, enough for loads up to about 0.95) instead of ctmc_solve's default cap
-ORACLE_MAX_N = 512
+# `validate` caps each axis of the oracle's rectangle at 1024 levels instead
+# of ctmc_solve's default 2048.  On 2 vCPUs, m = 4 pools and K = 2 single
+# servers with q = 0.1, 0.5 and 1 fit in at most (167, 690) levels and 0.7 s
+# up to load 0.97; the foreground axis stays below 200 levels unless q is
+# near 0, and a q = 0.02 pool at load 0.97 took (478, 569) levels and 2.9 s
+ORACLE_MAX_N = 1024
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
@@ -197,7 +200,7 @@ def _oracle_agreement(model, sol):
     except SolverError as exc:
         return ("oracle_agreement", False, f"oracle failed: {exc}")
     gap = abs(sol.L - ora.L) / max(abs(ora.L), 1e-12)
-    return ("oracle_agreement", gap < 1e-8, f"{gap:.2e} at truncation n = {ora.truncation[0]}")
+    return ("oracle_agreement", gap < 1e-8, f"{gap:.2e} at truncation {ora.truncation}")
 
 
 def _cmd_validate(args) -> int:

@@ -1,28 +1,37 @@
 """Truncated-CTMC reference solver.
 
 Builds the exact transition rates of the two-queue chain on the rectangle of
-states (i, j), 0 <= i, j <= n, with i foreground and j background jobs, by
-index arithmetic over the whole grid.  Arrivals at i = n are blocked.  A
-foreground completion that would feed the background queue past j = n stays
-on that edge instead, so the edge states keep every service exit and the
-truncated chain has a single recurrent class.
+states (i, j), 0 <= i <= n1, 0 <= j <= n2, with i foreground and j
+background jobs, by index arithmetic over the whole grid.  Arrivals at
+i = n1 are blocked.  A foreground completion that would feed the background
+queue past j = n2 stays on that edge instead, so the edge states keep every
+service exit and the truncated chain has a single recurrent class.
 
 The stationary equations are solved with one sparse direct factorisation.
 The probability of a state that is recurrent for every parameter set is
 fixed to 1 and its balance equation dropped; the balance equations of the
 states it reaches are solved and the vector is normalised afterwards
 (Stewart, *Introduction to the Numerical Solution of Markov Chains*, 1994,
-ch. 2).  The rectangle is doubled until the probability mass on its outer
-edge is negligible, so the result is an independent numerical oracle for
-the generating-function solutions.
+ch. 2).
+
+Each axis is sized to its own tail.  Above the modulation level the cut
+equations between foreground levels make the foreground marginal exactly
+geometric, with ratio lam / (m mu1) in a pool and lam / (nu1 s_K) for a
+single server, so n1 has a closed form.  The background axis is the long
+one: it starts at START_N2 levels and grows by the decay ratio of its
+marginal.  A rectangle is accepted only when the mass on each axis's edge is
+below TAIL_TOL, so the result is an independent numerical oracle for the
+generating-function solutions.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,8 +46,11 @@ from .models import (
     require_stable_single,
 )
 
-TAIL_TOL = 1e-10
-START_N = 64
+TAIL_TOL = 1e-13        # bound on each axis's edge mass
+START_N2 = 16           # first background size, raised to the modulation level + 1
+FLAT_RATIO = 0.97       # background decay ratios above this double the axis
+PROBE_DEPTH = 4         # levels between the background edge and its ratio probes
+MAX_STEP = 4            # largest growth factor of the background axis per solve
 MAX_N = 2048
 
 log = logging.getLogger("fbq.ctmc")
@@ -55,27 +67,29 @@ class CtmcSolution:
     tail_mass: float
     boundary: dict          # (i, j) -> probability on the solver's unknown set
     truncation: tuple[int, int]
-    edge_mass: float
+    edge_mass: float        # the larger of the two axes' edge masses
     g0_at_1: float = 0.0    # single server: foreground empty, saturated region
     energy_rate: float = 0.0
     U: float = 0.0          # multiserver: mean count of operative servers
     fg_marginal: list[float] | None = None  # multiserver: P(foreground = i), i <= m
 
 
-def _transitions(n, lam, q, fg, bg):
-    """Generator entries (from, to, rate) on the (n+1) x (n+1) grid.
+def _transitions(lam, q, fg, bg):
+    """Generator entries (from, to, rate) on the grid of the rate arrays.
 
     `fg[i, j]` and `bg[i, j]` are the foreground and background completion
-    rates in state (i, j), zero where that class is not served.  A foreground
-    completion leaves with probability 1 - q and joins the background queue
-    with probability q; on the edge j = n it joins as (i - 1, n).
+    rates in state (i, j), 0 <= i <= n1, 0 <= j <= n2, zero where that class
+    is not served.  Arrivals at i = n1 are blocked.  A foreground completion
+    leaves with probability 1 - q and joins the background queue with
+    probability q; on the edge j = n2 it joins as (i - 1, n2).
     """
-    i, j = np.indices((n + 1, n + 1))
-    src = i * (n + 1) + j
+    n1, n2 = fg.shape[0] - 1, fg.shape[1] - 1
+    i, j = np.indices(fg.shape)
+    src = i * (n2 + 1) + j
     moves = (
-        (i < n, src + (n + 1), np.full(src.shape, float(lam))),
-        (i > 0, src - (n + 1), fg * (1.0 - q)),
-        (i > 0, src - (n + 1) + (j < n), fg * q),
+        (i < n1, src + (n2 + 1), np.full(src.shape, float(lam))),
+        (i > 0, src - (n2 + 1), fg * (1.0 - q)),
+        (i > 0, src - (n2 + 1) + (j < n2), fg * q),
         (j > 0, src - 1, bg),
     )
     rows, cols, rates = [], [], []
@@ -87,29 +101,29 @@ def _transitions(n, lam, q, fg, bg):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(rates)
 
 
-def _single_rates(model: SingleServerModel, n):
+def _single_rates(model: SingleServerModel, n1, n2):
     """Generator entries of the single server: the foreground is served
     first, and both classes at speed s_min(i+j, K)."""
-    i, j = np.indices((n + 1, n + 1))
+    i, j = np.indices((n1 + 1, n2 + 1))
     speed = np.asarray(model.speeds.levels)[np.minimum(i + j, model.K)]
     fg = np.where(i > 0, model.service.nu1 * speed, 0.0)
     bg = np.where(i == 0, model.service.nu2 * speed, 0.0)
-    return _transitions(n, model.lam, model.q, fg, bg)
+    return _transitions(model.lam, model.q, fg, bg)
 
 
-def _pool_rates(model: MultiServerModel, n):
+def _pool_rates(model: MultiServerModel, n1, n2):
     """Generator entries of the m-server pool: servers run only above the
     threshold, foreground jobs take up to m of them and background jobs the
     rest."""
-    i, j = np.indices((n + 1, n + 1))
+    i, j = np.indices((n1 + 1, n2 + 1))
     on = i + j > model.threshold
     fg = np.where(on, np.minimum(i, model.m) * model.mu1, 0.0)
     bg = np.where(on, np.minimum(j, np.maximum(model.m - i, 0)) * model.mu2, 0.0)
-    return _transitions(n, model.lam, model.q, fg, bg)
+    return _transitions(model.lam, model.q, fg, bg)
 
 
-def _stationary(rows, cols, rates, n, fixed) -> np.ndarray:
-    """Stationary vector of the chain on the (n+1)^2 grid, summing to 1.
+def _stationary(rows, cols, rates, shape, fixed) -> np.ndarray:
+    """Stationary vector of the chain on the grid of `shape`, summing to 1.
 
     `fixed` is the flat index of a recurrent state.  Its probability is set
     to 1 and its balance equation dropped; the balance equations of the
@@ -119,7 +133,8 @@ def _stationary(rows, cols, rates, n, fixed) -> np.ndarray:
     convention leaves empty.  A reducible or otherwise singular system
     raises SolverError instead of returning NaN.
     """
-    nstates = (n + 1) * (n + 1)
+    at = f"truncation ({shape[0] - 1}, {shape[1] - 1})"
+    nstates = shape[0] * shape[1]
     graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(nstates, nstates))
     live = csgraph.breadth_first_order(graph, fixed, return_predecessors=False)
     unknown = np.sort(live[live != fixed])
@@ -138,48 +153,86 @@ def _stationary(rows, cols, rates, n, fixed) -> np.ndarray:
     )
     fed = (rows == fixed) & (at_to >= 0)
     b = -np.bincount(at_to[fed], weights=rates[fed], minlength=unknown.size)
+    # fill-reducing order of A + A^T, except when no foreground completion
+    # leaves the system, i.e. no move (i, j) -> (i - 1, j) below the edge
+    # j = n2 (q = 1): on those thin rectangles SuperLU's minimum degree
+    # order of A + A^T took 100-300 times as long as COLAMD's column order
+    leaves = np.any((rows - cols == shape[1]) & (rows % shape[1] < shape[1] - 1))
+    ordering = "MMD_AT_PLUS_A" if leaves else "COLAMD"
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            x = spla.spsolve(a, b, "MMD_AT_PLUS_A")  # fill-reducing order of A + A^T
+            x = spla.spsolve(a, b, ordering)
         except spla.MatrixRankWarning:
             raise SolverError(
-                f"stationary equations are singular at n = {n}: the truncated chain is reducible"
+                f"stationary equations are singular at {at}: the truncated chain is reducible"
             ) from None
     pi = np.zeros(nstates)
     pi[unknown] = x
     pi[fixed] = 1.0
     total = pi.sum()
     if not (np.isfinite(total) and total > 0.0):
-        raise SolverError(f"stationary solve at n = {n} produced total probability {total:.3e}")
+        raise SolverError(f"stationary solve at {at} produced total probability {total:.3e}")
     pi /= total
     # tiny negative entries are factorisation noise
     floor = pi.min()
     if floor < -1e-9:
-        raise SolverError(f"stationary solve at n = {n} produced probability {floor:.3e}")
+        raise SolverError(f"stationary solve at {at} produced probability {floor:.3e}")
     pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+    return (pi / pi.sum()).reshape(shape)
 
 
-def _grow(build_rates, fixed, max_n):
-    """Solve the rectangles n = START_N, 2 START_N, ... until the edge mass
-    is below TAIL_TOL and return the probabilities grid[i, j], the edge mass
-    and n.  Every solve is finite or raises, so a failing chain stops at the
-    first size rather than doubling up to `max_n`."""
+def _foreground_size(base, ratio):
+    """Smallest n1 > base with ratio^(n1 - base) < TAIL_TOL.
+
+    From the modulation level `base` up, the cut equations between
+    foreground levels i and i + 1 make the truncated chain's foreground
+    marginal exactly geometric with this ratio, whatever n2 is, so the mass
+    on the edge i = n1 is at most ratio^(n1 - base) (Latouche & Ramaswami
+    1999, ch. 6)."""
+    if ratio == 0.0:
+        return base + 1
+    return base + 1 + math.floor(math.log(TAIL_TOL) / math.log(ratio))
+
+
+def _background_size(marginal, n2, edge):
+    """Next background size: `marginal`'s decay ratio read PROBE_DEPTH
+    levels inside the edge j = n2, where the mass piled on the edge does not
+    reach, extrapolated until the edge mass falls below TAIL_TOL, and at
+    least a quarter and at most MAX_STEP times more than n2.  A flat or
+    rising marginal doubles n2."""
+    inner, outer = marginal[n2 - 2 * PROBE_DEPTH], marginal[n2 - PROBE_DEPTH]
+    ratio = (outer / inner) ** (1.0 / PROBE_DEPTH) if inner > 0.0 else 1.0
+    if not 0.0 < ratio < FLAT_RATIO:
+        return 2 * n2
+    steps = math.ceil(math.log(TAIL_TOL / edge) / math.log(ratio))
+    return min(max(n2 + steps + PROBE_DEPTH, n2 + n2 // 4), MAX_STEP * n2)
+
+
+def _grow(build_rates, fixed, n1, n2, max_n):
+    """Solve the rectangle (n1 + 1) x (n2 + 1), growing each axis whose edge
+    mass is not below TAIL_TOL, and return the probabilities grid[i, j] and
+    the two edge masses.  The foreground axis doubles; the background axis
+    follows its marginal's decay (`_background_size`).  Every solve is
+    finite or raises, so a failing chain stops at the first size."""
     i, j = fixed
-    n = START_N
+    n1, n2 = min(n1, max_n), min(n2, max_n)
     while True:
         t0 = time.perf_counter()
-        grid = _stationary(*build_rates(n), n, i * (n + 1) + j).reshape((n + 1, n + 1))
-        edge = grid[n, :].sum() + grid[:, n].sum() - grid[n, n]
-        log.debug("n = %d: %d states, edge mass %.3e, %.3f s",
-                  n, (n + 1) * (n + 1), edge, time.perf_counter() - t0)
-        if edge < TAIL_TOL:
-            return grid, edge, n
-        if n >= max_n:
-            raise SolverError(f"truncation cap {max_n} reached with edge mass {edge:.3e} "
+        grid = _stationary(*build_rates(n1, n2), (n1 + 1, n2 + 1), i * (n2 + 1) + j)
+        fg_marginal, bg_marginal = grid.sum(axis=1), grid.sum(axis=0)
+        edges = (float(fg_marginal[n1]), float(bg_marginal[n2]))
+        log.debug("(%d, %d): %d states, edge mass %.3e foreground, %.3e background, %.3f s",
+                  n1, n2, grid.size, *edges, time.perf_counter() - t0)
+        if max(edges) < TAIL_TOL:
+            return grid, edges
+        if (edges[0] >= TAIL_TOL and n1 >= max_n) or (edges[1] >= TAIL_TOL and n2 >= max_n):
+            raise SolverError(f"truncation cap {max_n} reached with edge mass {max(edges):.3e} "
                               f"> {TAIL_TOL:.0e}")
-        n *= 2
+        if edges[0] >= TAIL_TOL:
+            n1 = min(2 * n1, max_n)
+        if edges[1] >= TAIL_TOL:
+            n2 = min(_background_size(bg_marginal, n2, edges[1]), max_n)
 
 
 def _single_fields(model: SingleServerModel, grid, p) -> dict:
@@ -200,8 +253,10 @@ def _pool_fields(model: MultiServerModel, grid, p) -> dict:
     return dict(boundary=boundary, U=U, energy_rate=U, fg_marginal=fg)
 
 
-def ctmc_solve(model, max_n: int = MAX_N) -> CtmcSolution:
-    """Stationary metrics of a single server or a pool from the grown rectangle.
+def _chain(model):
+    """The model's rate builder, fixed state, modulation level (K, or m for
+    a pool), fields, and the ratio of its foreground marginal above that
+    level.
 
     Fixed state of a single server: (0, 0), or (0, k - 1) when s_1 = ... =
     s_(k-1) = 0 < s_k.  Nothing is then served below k jobs, and the states
@@ -214,14 +269,26 @@ def ctmc_solve(model, max_n: int = MAX_N) -> CtmcSolution:
     if isinstance(model, SingleServerModel):
         require_stable_single(model)
         k = next(t for t, s in enumerate(model.speeds.levels) if t > 0 and s > 0.0)
-        rates, fixed, levels, fields = _single_rates, (0, k - 1), model.K, _single_fields
-    elif isinstance(model, MultiServerModel):
+        return _single_rates, (0, k - 1), model.K, _single_fields, model.lam / model.mu1
+    if isinstance(model, MultiServerModel):
         require_stable_multi(model)
-        rates, fixed, levels, fields = _pool_rates, (model.threshold, 0), model.m, _pool_fields
-    else:
-        raise TypeError(f"no CTMC builder for {type(model).__name__}")
-    grid, edge, n = _grow(lambda n: rates(model, n), fixed, max_n)
-    L1, L2 = (float((grid.sum(axis=axis) * np.arange(n + 1)).sum()) for axis in (1, 0))
+        return (_pool_rates, (model.threshold, 0), model.m, _pool_fields,
+                model.lam / (model.m * model.mu1))
+    raise TypeError(f"no CTMC builder for {type(model).__name__}")
+
+
+def ctmc_solve(model, max_n: int = MAX_N) -> CtmcSolution:
+    """Stationary metrics of a single server or a pool from the fitted
+    rectangle: the foreground axis starts at its closed-form size and the
+    background axis at START_N2 levels, at least one past the modulation
+    level, and `_grow` fits the background axis to its tail.  Neither axis
+    exceeds `max_n`."""
+    rates, fixed, levels, fields, ratio = _chain(model)
+    n1, n2 = _foreground_size(levels, ratio), max(START_N2, levels + 1)
+    grid, edges = _grow(partial(rates, model), fixed, n1, n2, max_n)
+    n1, n2 = grid.shape[0] - 1, grid.shape[1] - 1
+    L1 = float(grid.sum(axis=1) @ np.arange(n1 + 1))
+    L2 = float(grid.sum(axis=0) @ np.arange(n2 + 1))
     p = [float(sum(grid[i, t - i] for i in range(t + 1))) for t in range(levels)]
     return CtmcSolution(L1=L1, L2=L2, L=L1 + L2, p=p, tail_mass=1.0 - sum(p),
-                        truncation=(n, n), edge_mass=edge, **fields(model, grid, p))
+                        truncation=(n1, n2), edge_mass=max(edges), **fields(model, grid, p))

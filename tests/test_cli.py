@@ -146,9 +146,9 @@ class TestOtherCommands:
             code, out = run(capsys, "validate", "multi", "--lambda", "1.2", "--mu1", "1",
                             "--mu2", "0.6", "--q", "1", "--m", "4", "--threshold", "2")
         assert code == 0
-        assert "PASS oracle_agreement" in out and "at truncation n = 128" in out
+        assert "PASS oracle_agreement" in out and "at truncation (29, 161)" in out
         steps = [r.getMessage() for r in caplog.records if r.name == "fbq.ctmc"]
-        assert [s.split(":")[0] for s in steps] == ["n = 64", "n = 128"]
+        assert [s.split(":")[0] for s in steps] == ["(29, 16)", "(29, 64)", "(29, 161)"]
 
     def test_validate_flags_unstable(self, capsys):
         code, out = run(capsys, "validate", "single", "--lambda", "4", "--nu1", "5",

@@ -1,5 +1,6 @@
 """Truncated-CTMC oracle (fbq.ctmc): the fixed-state stationary solve, the
-edge j = n of the rectangle, error reporting and the growth log.
+edge j = n2 of the rectangle, the size of each axis, error reporting and
+the growth log.
 
 data/ctmc_pins.json holds L, L1, L2, U, energy_rate, g0_at_1 and the boundary
 probabilities of 21 models (c02/c03 samples, q = 0, q = 0.9, a zero-speed
@@ -7,6 +8,9 @@ profile and pools with thresholds), recorded with the earlier solver, which
 normalised through a dense all-ones row and blocked every jump past the
 edge.  The fixed-state solve must agree to 1e-10 relative, beyond the
 truncation error n * edge_mass that redirecting the edge jumps may move.
+Those pins were solved on the square n = 64; the fitted rectangle
+must instead keep both axes' edge masses below TAIL_TOL with the foreground
+axis at its closed-form size.
 """
 
 import json
@@ -17,7 +21,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fbq.ctmc import _grow, _pool_rates, _single_rates, _transitions, ctmc_solve
+from fbq import ctmc
+from fbq.ctmc import (
+    MAX_N,
+    START_N2,
+    TAIL_TOL,
+    _chain,
+    _foreground_size,
+    _grow,
+    _pool_rates,
+    _single_rates,
+    _transitions,
+    ctmc_solve,
+)
 from fbq.models import CoxianService, MultiServerModel, SingleServerModel, SolverError, SpeedProfile
 from fbq.multi import solve_threshold
 from fbq.single import solve_general, solve_k1_closed_form
@@ -33,10 +49,22 @@ def _model(spec):
                             threshold=spec["threshold"])
 
 
+def _foreground_n(model):
+    _, _, level, _, ratio = _chain(model)
+    return _foreground_size(level, ratio)
+
+
+def _grid(model, n1, n2):
+    """Stationary grid of `model` grown from the rectangle (n1, n2)."""
+    rates, fixed, *_ = _chain(model)
+    return _grow(lambda a, b: rates(model, a, b), fixed, n1, n2, MAX_N)[0]
+
+
 @pytest.mark.parametrize("pin", PINS["models"], ids=lambda p: p["label"])
 def test_matches_pinned_oracle(pin):
-    sol = ctmc_solve(_model(pin["model"]))
-    assert list(sol.truncation) == pin["truncation"]
+    model = _model(pin["model"])
+    sol = ctmc_solve(model)
+    assert sol.edge_mass < TAIL_TOL and sol.truncation[0] == _foreground_n(model)
     slack = pin["truncation"][0] * pin["edge_mass"]
     pairs = [(getattr(sol, f), pin[f]) for f in ("L", "L1", "L2", "U", "energy_rate", "g0_at_1")]
     pairs += [(sol.boundary[(i, j)], v) for i, j, v in pin["boundary"]]
@@ -45,19 +73,19 @@ def test_matches_pinned_oracle(pin):
     assert sum(sol.p) + sol.tail_mass == pytest.approx(1.0, abs=1e-12)
 
 
-def _loop_rates(model, n):
+def _loop_rates(model, n1, n2):
     """Per-state loop over the rectangle, the reference for the builders."""
     rows, cols, rates = [], [], []
 
     def add(i, j, i2, j2, rate):
-        if rate > 0.0 and 0 <= i2 <= n and 0 <= j2 <= n:
-            rows.append(i * (n + 1) + j)
-            cols.append(i2 * (n + 1) + j2)
+        if rate > 0.0 and 0 <= i2 <= n1 and 0 <= j2 <= n2:
+            rows.append(i * (n2 + 1) + j)
+            cols.append(i2 * (n2 + 1) + j2)
             rates.append(rate)
 
     q = model.q
-    for i in range(n + 1):
-        for j in range(n + 1):
+    for i in range(n1 + 1):
+        for j in range(n2 + 1):
             add(i, j, i + 1, j, model.lam)
             if isinstance(model, SingleServerModel):
                 levels, K = model.speeds.levels, model.K
@@ -70,14 +98,14 @@ def _loop_rates(model, n):
                 continue
             if i > 0:
                 add(i, j, i - 1, j, fg * (1.0 - q))
-                add(i, j, i - 1, min(j + 1, n), fg * q)
+                add(i, j, i - 1, min(j + 1, n2), fg * q)
             if j > 0:
                 add(i, j, i, j - 1, bg)
     return rows, cols, rates
 
 
-def _dense(rows, cols, rates, n):
-    return sp.coo_matrix((rates, (rows, cols)), shape=((n + 1) ** 2,) * 2).toarray()
+def _dense(rows, cols, rates, n1, n2):
+    return sp.coo_matrix((rates, (rows, cols)), shape=((n1 + 1) * (n2 + 1),) * 2).toarray()
 
 
 @pytest.mark.parametrize("model", [
@@ -90,8 +118,9 @@ def _dense(rows, cols, rates, n):
 ], ids=["single-K3", "single-q1", "single-zero-speed-q0", "pool-m3", "pool-q1", "pool-q0"])
 def test_builders_match_the_per_state_loop(model):
     build = _single_rates if isinstance(model, SingleServerModel) else _pool_rates
-    for n in (1, 5):
-        got, want = _dense(*build(model, n), n), _dense(*_loop_rates(model, n), n)
+    for n1, n2 in ((1, 5), (5, 1), (5, 5)):
+        got = _dense(*build(model, n1, n2), n1, n2)
+        want = _dense(*_loop_rates(model, n1, n2), n1, n2)
         np.testing.assert_array_equal(got, want)
         assert np.count_nonzero(got.diagonal()) == 0
 
@@ -118,23 +147,95 @@ def test_background_feeding_pools_match_solve_threshold(lam, q, K):
 
 
 def test_reducible_chain_raises_at_first_size():
-    # no foreground service on the edge j = n and q = 1: the states (i, n)
-    # only see arrivals, so (n, n) is absorbing and reachable from (0, 0)
-    def build(n):
-        i, j = np.indices((n + 1, n + 1))
-        fg = np.where((i > 0) & (j < n), 5.0, 0.0)
+    # no foreground service on the edge j = n2 and q = 1: the states (i, n2)
+    # only see arrivals, so (n1, n2) is absorbing and reachable from (0, 0)
+    def build(n1, n2):
+        i, j = np.indices((n1 + 1, n2 + 1))
+        fg = np.where((i > 0) & (j < n2), 5.0, 0.0)
         bg = np.where(i == 0, 1.0, 0.0)
-        return _transitions(n, 0.5, 1.0, fg, bg)
+        return _transitions(0.5, 1.0, fg, bg)
 
-    with pytest.raises(SolverError, match=r"singular at n = 64\b"):
-        _grow(build, (0, 0), max_n=2048)
+    with pytest.raises(SolverError, match=r"singular at truncation \(30, 16\)"):
+        _grow(build, (0, 0), 30, 16, max_n=2048)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("model", [
+    SingleServerModel(1.1, CoxianService(4.0, 3.0, 0.0), SpeedProfile((0.0, 0.4, 0.7, 1.0))),
+    SingleServerModel(1.1, CoxianService(4.0, 3.0, 0.0), SpeedProfile((0.0, 0.0, 0.7, 1.0))),
+    MultiServerModel(1.2, 1.0, 2.0, 0.0, 4, threshold=2),
+    MultiServerModel(1.5, 1.0, 2.0, 0.0, 3, threshold=0),
+], ids=["single-K3", "single-zero-speed", "pool-m4-K2", "pool-m3"])
+def test_foreground_marginal_is_geometric_above_the_modulation_level(model, q):
+    # the premise of the closed-form foreground size: the cut between
+    # levels i and i + 1 gives lam P(i) = (foreground rate at i + 1) P(i + 1)
+    if isinstance(model, SingleServerModel):
+        model = SingleServerModel(model.lam, CoxianService(4.0, 3.0, q), model.speeds)
+        first, rate = model.K - 1, lambda i: model.mu1
+    else:
+        model = MultiServerModel(model.lam, model.mu1, model.mu2, q, model.m, model.threshold)
+        first, rate = model.threshold, lambda i: min(i + 1, model.m) * model.mu1
+    marginal = _grid(model, _foreground_n(model), START_N2).sum(axis=1)
+    # levels of mass below 1e-6 carry the solve's absolute roundoff
+    for i in range(first, len(marginal) - 1):
+        if marginal[i + 1] > 1e-6:
+            assert marginal[i + 1] / marginal[i] == pytest.approx(model.lam / rate(i), rel=1e-12)
+
+
+def _accuracy_models():
+    """Seeded pools (m = 2..8, every threshold) and single servers (K = 1..8)
+    at loads up to 0.95, with q cycling through 0, 1 and a drawn value; the
+    single servers from K = 4 on have zero speeds below k = K // 2 + 1."""
+    rng = np.random.default_rng(16)
+    for m in range(2, 9):
+        for K in range(m):
+            q = (0.0, 1.0, rng.uniform(0.05, 0.95))[(m + K) % 3]
+            mu1, mu2, load = rng.uniform(0.5, 3.0), rng.uniform(0.2, 2.0), rng.uniform(0.2, 0.95)
+            model = MultiServerModel(load * m / (1 / mu1 + q / mu2), mu1, mu2, q, m, threshold=K)
+            yield pytest.param(model, id=f"pool-m{m}-K{K}")
+    for K in range(1, 9):
+        q = (0.0, 1.0, rng.uniform(0.05, 0.95))[K % 3]
+        nu1, nu2, load = rng.uniform(1.0, 8.0), rng.uniform(0.3, 3.0), rng.uniform(0.2, 0.95)
+        levels = np.sort(rng.uniform(0.2, 1.0, K + 1))
+        levels[-1], levels[:K // 2] = 1.0, 0.0
+        model = SingleServerModel(load / (1 / nu1 + q / nu2), CoxianService(nu1, nu2, q),
+                                  SpeedProfile(tuple(levels)))
+        yield pytest.param(model, id=f"single-K{K}")
+
+
+@pytest.mark.parametrize("model", _accuracy_models())
+def test_fitted_rectangle_matches_a_larger_one(model):
+    sol = ctmc_solve(model)
+    n1, n2 = sol.truncation
+    grid = _grid(model, n1 + 16, 2 * n2)
+    L1 = grid.sum(axis=1) @ np.arange(grid.shape[0])
+    L2 = grid.sum(axis=0) @ np.arange(grid.shape[1])
+    assert sol.L1 == pytest.approx(L1, rel=1e-10)
+    assert sol.L2 == pytest.approx(L2, rel=1e-10)
+    assert sol.L == pytest.approx(L1 + L2, rel=1e-10)
+    for (i, j), v in sol.boundary.items():
+        assert v == pytest.approx(grid[i, j], rel=1e-10), (i, j)
+
+
+@pytest.mark.parametrize("q,ordering", [(0.4, "MMD_AT_PLUS_A"), (1.0, "COLAMD")])
+def test_column_order_unless_every_foreground_completion_feeds_back(q, ordering, monkeypatch):
+    solve, seen = ctmc.spla.spsolve, []
+
+    def spy(a, b, order):
+        seen.append(order)
+        return solve(a, b, order)
+
+    monkeypatch.setattr(ctmc.spla, "spsolve", spy)
+    ctmc_solve(SingleServerModel(0.5, CoxianService(5.0, 1.0, q), SpeedProfile((0.5, 1.0))))
+    assert seen and set(seen) == {ordering}
 
 
 def test_high_load_matches_solve_general():
     model = SingleServerModel(1.8, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 0.8, 1.0)))
     sol, ref = ctmc_solve(model), solve_general(model)
     assert model.offered_load() == pytest.approx(0.9)
-    assert sol.truncation == (256, 256)
+    n1, n2 = sol.truncation
+    assert (n1 + 1) * (n2 + 1) < 257**2 / 4  # the square the oracle once solved
     for f in ("L", "L1", "L2"):
         assert getattr(sol, f) == pytest.approx(getattr(ref, f), rel=1e-8)
 
@@ -144,6 +245,6 @@ def test_debug_log_has_one_line_per_size(caplog):
     with caplog.at_level(logging.DEBUG, logger="fbq.ctmc"):
         sol = ctmc_solve(model)
     lines = [r.getMessage() for r in caplog.records if r.name == "fbq.ctmc"]
-    assert sol.truncation == (128, 128)
-    assert [line.split(":")[0] for line in lines] == ["n = 64", "n = 128"]
-    assert "16641 states" in lines[1] and f"edge mass {sol.edge_mass:.3e}" in lines[1]
+    assert sol.truncation == (29, 108)
+    assert [line.split(":")[0] for line in lines] == ["(29, 16)", "(29, 64)", "(29, 108)"]
+    assert "3270 states" in lines[2] and f"{sol.edge_mass:.3e} background" in lines[2]
