@@ -184,8 +184,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    result = reproduce_figure(args.figure, seed=args.seed, sim_jobs=args.jobs,
-                              workers=args.parallel)
+    result = reproduce_figure(args.figure, seed=args.seed, sim_jobs=args.jobs)
     result.write_csv(args.out)
     if args.out:
         result.write_metadata(args.out + ".meta.json")
@@ -303,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("figure", type=int, choices=(3, 4, 5, 6, 7, 8))
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--jobs", type=int, default=1_000_000, help="simulated jobs per point")
-    p.add_argument("--parallel", type=int, default=1,
-                   help="worker processes for the points of the simulated figures 6 and 7")
     p.add_argument("--out", help="CSV path; metadata goes to OUT.meta.json")
     p.set_defaults(fn=_cmd_figure)
 

@@ -7,12 +7,15 @@ i = n1 are blocked.  A foreground completion that would feed the background
 queue past j = n2 stays on that edge instead, so the edge states keep every
 service exit and the truncated chain has a single recurrent class.
 
-The stationary equations are solved with one sparse direct factorisation.
-The probability of a state that is recurrent for every parameter set is
-fixed to 1 and its balance equation dropped; the balance equations of the
-states it reaches are solved and the vector is normalised afterwards
-(Stewart, *Introduction to the Numerical Solution of Markov Chains*, 1994,
-ch. 2).
+The stationary equations are solved with one direct factorisation.  The
+probability of a state that is recurrent for every parameter set is fixed to
+1 and its balance equation dropped; the balance equations of the states it
+reaches are solved and the vector is normalised afterwards (Stewart,
+*Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 2).
+Numbered along the short axis first, those equations are a column
+diagonally dominant band matrix whose half-width is the short axis + 1, and
+LAPACK's band LU factors it; rectangles whose short axis has more than
+BAND_MAX levels go to SuperLU, which is faster there.
 
 Each axis is sized to its own tail.  Above the modulation level the cut
 equations between foreground levels make the foreground marginal exactly
@@ -37,6 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .models import (
     MultiServerModel,
@@ -52,6 +56,7 @@ FLAT_RATIO = 0.97       # background decay ratios above this double the axis
 PROBE_DEPTH = 4         # levels between the background edge and its ratio probes
 MAX_STEP = 4            # largest growth factor of the background axis per solve
 MAX_N = 2048
+BAND_MAX = 64           # widest short axis, in levels, solved by the band LU
 
 log = logging.getLogger("fbq.ctmc")
 
@@ -122,13 +127,33 @@ def _pool_rates(model: MultiServerModel, n1, n2):
     return _transitions(model.lam, model.q, fg, bg)
 
 
-def _stationary(rows, cols, rates, shape, fixed) -> np.ndarray:
-    """Stationary vector of the chain on the grid of `shape`, summing to 1.
+def _band_lu(values, rows, cols, b):
+    """Solve the system with entries `values` at (rows, cols), repeats
+    summed, by LAPACK's band LU (dgbsv).  Returns x, the band widths and
+    whether a pivot was exactly zero."""
+    n = b.size
+    kl, ku = int((rows - cols).max()), int((cols - rows).max())
+    height = 2 * kl + ku + 1
+    # entry (r, c) sits in row kl + ku + r - c of column c of the band
+    # layout; the first kl rows are dgbsv's room for fill
+    ab = np.bincount(cols * height + kl + ku + rows - cols, weights=values,
+                     minlength=n * height).reshape(n, height).T
+    _, _, x, info = lapack.dgbsv(kl, ku, ab, b[:, None], overwrite_ab=1, overwrite_b=1)
+    return x[:, 0], kl, ku, info > 0
+
+
+def _stationary(rows, cols, rates, shape, fixed) -> tuple[np.ndarray, str]:
+    """Stationary vector of the chain on the grid of `shape`, summing to 1,
+    and the factorisation that solved it.
 
     `fixed` is the flat index of a recurrent state.  Its probability is set
     to 1 and its balance equation dropped; the balance equations of the
-    other states reachable from it are solved with SuperLU and the vector is
-    then normalised.  States that `fixed` does not reach get probability
+    other states reachable from it are solved and the vector is then
+    normalised.  Numbered along the short axis first, those equations form
+    a band matrix of half-width the short axis + 1, which is column
+    diagonally dominant, so a band LU factors it without row swaps; a
+    rectangle whose short axis has more than BAND_MAX levels is solved with
+    SuperLU instead.  States that `fixed` does not reach get probability
     zero: they are transient, or they form a closed class the model's
     convention leaves empty.  A reducible or otherwise singular system
     raises SolverError instead of returning NaN.
@@ -137,7 +162,14 @@ def _stationary(rows, cols, rates, shape, fixed) -> np.ndarray:
     nstates = shape[0] * shape[1]
     graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(nstates, nstates))
     live = csgraph.breadth_first_order(graph, fixed, return_predecessors=False)
-    unknown = np.sort(live[live != fixed])
+    unknown = live[live != fixed]
+    # dgbsv rejects an empty system, which lam = 0 leaves
+    band = 0 < unknown.size and min(shape) <= BAND_MAX
+    if band and shape[1] > shape[0]:
+        # foreground-major numbering: (i, j) -> j (n1 + 1) + i
+        unknown = unknown[np.argsort(unknown % shape[1] * shape[0] + unknown // shape[1])]
+    else:
+        unknown = np.sort(unknown)
     pos = np.full(nstates, -1)
     pos[unknown] = np.arange(unknown.size)
     at_from, at_to = pos[rows], pos[cols]
@@ -146,27 +178,30 @@ def _stationary(rows, cols, rates, shape, fixed) -> np.ndarray:
     outflow = np.bincount(rows, weights=rates, minlength=nstates)
     # balance of every unknown state: inflow from the other unknowns minus
     # its own outflow equals minus the inflow from the fixed state
-    a = sp.csc_matrix(
-        (np.concatenate([rates[inner], -outflow[unknown]]),
-         (np.concatenate([at_to[inner], diag]), np.concatenate([at_from[inner], diag]))),
-        shape=(unknown.size, unknown.size),
-    )
+    values = np.concatenate([rates[inner], -outflow[unknown]])
+    eq, var = np.concatenate([at_to[inner], diag]), np.concatenate([at_from[inner], diag])
     fed = (rows == fixed) & (at_to >= 0)
     b = -np.bincount(at_to[fed], weights=rates[fed], minlength=unknown.size)
-    # fill-reducing order of A + A^T, except when no foreground completion
-    # leaves the system, i.e. no move (i, j) -> (i - 1, j) below the edge
-    # j = n2 (q = 1): on those thin rectangles SuperLU's minimum degree
-    # order of A + A^T took 100-300 times as long as COLAMD's column order
-    leaves = np.any((rows - cols == shape[1]) & (rows % shape[1] < shape[1] - 1))
-    ordering = "MMD_AT_PLUS_A" if leaves else "COLAMD"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", spla.MatrixRankWarning)
-        try:
-            x = spla.spsolve(a, b, ordering)
-        except spla.MatrixRankWarning:
-            raise SolverError(
-                f"stationary equations are singular at {at}: the truncated chain is reducible"
-            ) from None
+    if band:
+        x, kl, ku, singular = _band_lu(values, eq, var, b)
+        solver = f"band LU kl={kl} ku={ku}"
+    else:
+        a = sp.csc_matrix((values, (eq, var)), shape=(unknown.size, unknown.size))
+        # fill-reducing order of A + A^T, except when no foreground completion
+        # leaves the system, i.e. no move (i, j) -> (i - 1, j) below the edge
+        # j = n2 (q = 1): on those thin rectangles SuperLU's minimum degree
+        # order of A + A^T took 100-300 times as long as COLAMD's column order
+        leaves = np.any((rows - cols == shape[1]) & (rows % shape[1] < shape[1] - 1))
+        ordering = "MMD_AT_PLUS_A" if leaves else "COLAMD"
+        solver = f"SuperLU {ordering}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", spla.MatrixRankWarning)
+            try:
+                x, singular = spla.spsolve(a, b, ordering), False
+            except spla.MatrixRankWarning:
+                singular = True
+    if singular:
+        raise SolverError(f"stationary equations are singular at {at}: the truncated chain is reducible")
     pi = np.zeros(nstates)
     pi[unknown] = x
     pi[fixed] = 1.0
@@ -179,7 +214,7 @@ def _stationary(rows, cols, rates, shape, fixed) -> np.ndarray:
     if floor < -1e-9:
         raise SolverError(f"stationary solve at {at} produced probability {floor:.3e}")
     pi = np.clip(pi, 0.0, None)
-    return (pi / pi.sum()).reshape(shape)
+    return (pi / pi.sum()).reshape(shape), solver
 
 
 def _foreground_size(base, ratio):
@@ -219,11 +254,11 @@ def _grow(build_rates, fixed, n1, n2, max_n):
     n1, n2 = min(n1, max_n), min(n2, max_n)
     while True:
         t0 = time.perf_counter()
-        grid = _stationary(*build_rates(n1, n2), (n1 + 1, n2 + 1), i * (n2 + 1) + j)
+        grid, solver = _stationary(*build_rates(n1, n2), (n1 + 1, n2 + 1), i * (n2 + 1) + j)
         fg_marginal, bg_marginal = grid.sum(axis=1), grid.sum(axis=0)
         edges = (float(fg_marginal[n1]), float(bg_marginal[n2]))
-        log.debug("(%d, %d): %d states, edge mass %.3e foreground, %.3e background, %.3f s",
-                  n1, n2, grid.size, *edges, time.perf_counter() - t0)
+        log.debug("(%d, %d): %d states, edge mass %.3e foreground, %.3e background, %.3f s, %s",
+                  n1, n2, grid.size, *edges, time.perf_counter() - t0, solver)
         if max(edges) < TAIL_TOL:
             return grid, edges
         if (edges[0] >= TAIL_TOL and n1 >= max_n) or (edges[1] >= TAIL_TOL and n2 >= max_n):

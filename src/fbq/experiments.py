@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,26 +258,15 @@ def _figure5() -> FigureResult:
     )
 
 
-def _map_points(fn, items, workers: int):
-    """Ordered map, optionally fanned over worker processes."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _three_phase_point(args) -> tuple[float, float]:
-    params, lam, seed, jobs = args
+def _three_phase_point(params, lam, seed, jobs) -> tuple[float, float]:
     tp = ThreePhaseModel(lam=lam, **params)
     est = simulate(SimConfig(model=tp, jobs=jobs, warmup_jobs=jobs // 20, seed=seed))
     return est.L, solve_k1_closed_form(two_phase_approximation(tp)).L
 
 
 def _three_phase_figure(figure: int, params: dict, grid: list[float], seed: int,
-                        jobs: int, workers: int = 1) -> FigureResult:
-    points = _map_points(_three_phase_point,
-                         [(params, lam, seed + k, jobs) for k, lam in enumerate(grid)],
-                         workers)
+                        jobs: int) -> FigureResult:
+    points = [_three_phase_point(params, lam, seed + k, jobs) for k, lam in enumerate(grid)]
     sim_ys = [p[0] for p in points]
     approx_ys = [p[1] for p in points]
     return FigureResult(
@@ -304,14 +292,12 @@ def _figure8() -> FigureResult:
     )
 
 
-def reproduce_figure(figure: int, seed: int = DEFAULT_SEED, sim_jobs: int = 1_000_000,
-                     workers: int = 1) -> FigureResult:
+def reproduce_figure(figure: int, seed: int = DEFAULT_SEED,
+                     sim_jobs: int = 1_000_000) -> FigureResult:
     """Regenerate the data behind one of the published experiment figures.
 
-    `workers` fans the points of the simulated figures 6 and 7 over worker
-    processes; results are independent of it (points carry their own seeds
-    and come back in grid order).  The analytic figures 3, 4, 5 and 8 run
-    serially, since a point costs less than starting a worker.
+    Each point of the simulated figures 6 and 7 carries its own seed, the
+    base seed plus its grid index.
     """
     if figure == 3:
         return _figure3()
@@ -322,11 +308,11 @@ def reproduce_figure(figure: int, seed: int = DEFAULT_SEED, sim_jobs: int = 1_00
     if figure == 6:
         return _three_phase_figure(
             6, dict(mu1=5.0, mu2=1.0, mu3=0.5, q1=0.1, q2=0.5),
-            _grid(1.4, 2.3, 0.1), seed, sim_jobs, workers)
+            _grid(1.4, 2.3, 0.1), seed, sim_jobs)
     if figure == 7:
         return _three_phase_figure(
             7, dict(mu1=5.0, mu2=3.0, mu3=3.0, q1=0.6, q2=0.8),
-            _grid(0.7, 1.6, 0.1), seed, sim_jobs, workers)
+            _grid(0.7, 1.6, 0.1), seed, sim_jobs)
     if figure == 8:
         return _figure8()
     raise ModelError(f"no figure {figure}; choose from 3..8")

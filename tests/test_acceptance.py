@@ -185,7 +185,7 @@ def test_c07_intermediate_speed_optimum():
 
 @pytest.fixture(scope="module")
 def figure5():
-    return reproduce_figure(5, workers=4)
+    return reproduce_figure(5)
 
 
 def test_c08a_speed_staircase_ordering(figure5):
@@ -221,12 +221,12 @@ def test_c10_simulator_calibration_and_three_phase():
     est = simulate(SimConfig(model=model, jobs=1_000_000, warmup_jobs=50_000, seed=42))
     calibrated = abs(est.L - FB_FIRST_POINT) < 3 * est.ci_halfwidth
 
-    fig6 = reproduce_figure(6, workers=4)
+    fig6 = reproduce_figure(6)
     approx, sim = fig6.curves
     dev = max(abs(a - s) / s for x, a, s in zip(approx.xs, approx.ys, sim.ys)
               if x <= 2.1 + 1e-9)
 
-    fig7 = reproduce_figure(7, workers=4)
+    fig7 = reproduce_figure(7)
     approx7, sim7 = fig7.curves
     under = all(a < s for x, a, s in zip(approx7.xs, approx7.ys, sim7.ys)
                 if x >= 1.4 - 1e-9)

@@ -1,6 +1,6 @@
-"""Truncated-CTMC oracle (fbq.ctmc): the fixed-state stationary solve, the
-edge j = n2 of the rectangle, the size of each axis, error reporting and
-the growth log.
+"""Truncated-CTMC oracle (fbq.ctmc): the fixed-state stationary solve, its
+band LU against SuperLU, the edge j = n2 of the rectangle, the size of each
+axis, error reporting and the growth log.
 
 data/ctmc_pins.json holds L, L1, L2, U, energy_rate, g0_at_1 and the boundary
 probabilities of 21 models (c02/c03 samples, q = 0, q = 0.9, a zero-speed
@@ -31,6 +31,7 @@ from fbq.ctmc import (
     _grow,
     _pool_rates,
     _single_rates,
+    _stationary,
     _transitions,
     ctmc_solve,
 )
@@ -146,17 +147,36 @@ def test_background_feeding_pools_match_solve_threshold(lam, q, K):
         assert getattr(sol, f) == pytest.approx(getattr(ref, f), rel=1e-8)
 
 
-def test_reducible_chain_raises_at_first_size():
+def _absorbing_edge(n1, n2):
     # no foreground service on the edge j = n2 and q = 1: the states (i, n2)
     # only see arrivals, so (n1, n2) is absorbing and reachable from (0, 0)
-    def build(n1, n2):
-        i, j = np.indices((n1 + 1, n2 + 1))
-        fg = np.where((i > 0) & (j < n2), 5.0, 0.0)
-        bg = np.where(i == 0, 1.0, 0.0)
-        return _transitions(0.5, 1.0, fg, bg)
+    i, j = np.indices((n1 + 1, n2 + 1))
+    fg = np.where((i > 0) & (j < n2), 5.0, 0.0)
+    bg = np.where(i == 0, 1.0, 0.0)
+    return _transitions(0.5, 1.0, fg, bg)
 
+
+def test_reducible_chain_raises_at_first_size():
     with pytest.raises(SolverError, match=r"singular at truncation \(30, 16\)"):
-        _grow(build, (0, 0), 30, 16, max_n=2048)
+        _grow(_absorbing_edge, (0, 0), 30, 16, max_n=2048)
+
+
+@pytest.mark.parametrize("n1,n2", [(30, 16), (16, 30)])
+def test_reducible_chain_raises_the_same_error_on_both_paths(n1, n2, monkeypatch):
+    messages = []
+    for band_max in (ctmc.BAND_MAX, 0):
+        monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
+        with pytest.raises(SolverError, match=rf"singular at truncation \({n1}, {n2}\)") as err:
+            _stationary(*_absorbing_edge(n1, n2), (n1 + 1, n2 + 1), 0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_zero_arrival_rate_leaves_only_the_fixed_state():
+    # no state is reachable from the fixed one, so no system is solved
+    single = SingleServerModel(0.0, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 1.0)))
+    pool = MultiServerModel(0.0, 1.0, 0.5, 0.3, 3, threshold=1)
+    assert ctmc_solve(single).L == 0.0 and ctmc_solve(pool).L == 1.0
 
 
 @pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
@@ -226,8 +246,32 @@ def test_column_order_unless_every_foreground_completion_feeds_back(q, ordering,
         return solve(a, b, order)
 
     monkeypatch.setattr(ctmc.spla, "spsolve", spy)
-    ctmc_solve(SingleServerModel(0.5, CoxianService(5.0, 1.0, q), SpeedProfile((0.5, 1.0))))
+    # a 71 x 71 rectangle is wider than the band LU takes, so SuperLU solves it
+    model = SingleServerModel(0.5, CoxianService(5.0, 1.0, q), SpeedProfile((0.5, 1.0)))
+    _stationary(*_single_rates(model, 70, 70), (71, 71), 0)
     assert seen and set(seen) == {ordering}
+
+
+@pytest.mark.parametrize("n1,n2", [(12, 30), (30, 12)], ids=["wide", "tall"])
+@pytest.mark.parametrize("model", _accuracy_models())
+def test_band_lu_matches_superlu(model, n1, n2, monkeypatch):
+    # the band LU in both numberings (foreground-major when n2 > n1) against
+    # SuperLU on the same rectangle; thresholds, q = 0 and zero speeds leave
+    # unreachable states out of the system
+    rates, (i, j), levels, fields, _ = _chain(model)
+    solved = []
+    for band_max, solver in ((ctmc.BAND_MAX, "band LU"), (0, "SuperLU")):
+        monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
+        grid, how = _stationary(*rates(model, n1, n2), (n1 + 1, n2 + 1), i * (n2 + 1) + j)
+        assert how.startswith(solver)
+        L1 = grid.sum(axis=1) @ np.arange(n1 + 1)
+        L2 = grid.sum(axis=0) @ np.arange(n2 + 1)
+        # p only feeds the energy rate
+        solved.append(([L1, L2, L1 + L2], fields(model, grid, [0.0] * levels)["boundary"]))
+    (band, band_boundary), (superlu, superlu_boundary) = solved
+    assert band == pytest.approx(superlu, rel=1e-12)
+    for state, v in superlu_boundary.items():
+        assert band_boundary[state] == pytest.approx(v, rel=1e-12), state
 
 
 def test_high_load_matches_solve_general():
@@ -248,3 +292,17 @@ def test_debug_log_has_one_line_per_size(caplog):
     assert sol.truncation == (29, 108)
     assert [line.split(":")[0] for line in lines] == ["(29, 16)", "(29, 64)", "(29, 108)"]
     assert "3270 states" in lines[2] and f"{sol.edge_mass:.3e} background" in lines[2]
+
+
+def test_debug_log_names_the_factorisation(caplog, monkeypatch):
+    # the band's half-width is the short axis + 1: n2 + 1 while the
+    # foreground axis is longer, n1 + 1 once the numbering turns
+    model = SingleServerModel(1.6, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 0.8, 1.0)))
+    for band_max, want in ((ctmc.BAND_MAX, ["band LU kl=17 ku=17"] + 2 * ["band LU kl=29 ku=30"]),
+                           (0, 3 * ["SuperLU MMD_AT_PLUS_A"])):
+        monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fbq.ctmc"):
+            ctmc_solve(model)
+        lines = [r.getMessage() for r in caplog.records if r.name == "fbq.ctmc"]
+        assert [line.rsplit(", ", 1)[1] for line in lines] == want
