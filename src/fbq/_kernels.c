@@ -1,11 +1,17 @@
-/* The jump-chain loop of fbq.simulate._run, compiled.
+/* The package's compiled loops, called through ctypes.
  *
- * The uniforms are CPython's random.Random.random(): MT19937 (Matsumoto &
- * Nishimura, ACM TOMACS 8, 1998) continued from a state that
- * random.Random(seed).getstate() returns, and genrand_res53 on two tempered
- * words.  Every float operation is the Python loop's, in its order, so the
- * two agree bit for bit when this file is built with -ffp-contract=off and
- * without -ffast-math.
+ * fbq_jump_chain is the jump-chain loop of fbq.simulate._run.  Its uniforms
+ * are CPython's random.Random.random(): MT19937 (Matsumoto & Nishimura, ACM
+ * TOMACS 8, 1998) continued from a state that random.Random(seed).getstate()
+ * returns, and genrand_res53 on two tempered words.  Every float operation
+ * is the Python loop's, in its order, so the two agree bit for bit when this
+ * file is built with -ffp-contract=off and without -ffast-math.
+ *
+ * fbq_lu_stack is the factor-and-solve loop of
+ * fbq.linsys.solve_probability_stack.  It calls the LAPACK getrf and getrs
+ * that scipy.linalg.lapack wraps, through the pointers that
+ * scipy.linalg.cython_lapack exports, so no LAPACK is linked here and each
+ * system gets the Python loop's answer bit for bit.
  */
 #include <stdint.h>
 
@@ -94,4 +100,34 @@ void fbq_jump_chain(uint32_t *mt, int64_t pos, const double *inv, const double *
     counts[1] = nl;
     counts[2] = arrivals;
     counts[3] = completions;
+}
+
+typedef void getrf_fn(int *m, int *n, double *a, int *lda, int *ipiv, int *info);
+typedef void getrs_fn(char *trans, int *n, int *nrhs, double *a, int *lda, int *ipiv,
+                      double *b, int *ldb, int *info);
+
+/* Solves the count row-major n x n systems a[k] x[k] = b[k] one at a time,
+ * as scipy's dgetrf(a[k]) and dgetrs(lu, piv, b[k]) do: each is copied into
+ * column-major order in lu, LU-factored with partial pivoting, and solved.
+ * pivots[k] gets the diagonal of the LU factor of system k; lu (n * n) and
+ * ipiv (n) are scratch.  A singular factor is not an error here: its zero
+ * pivot is in pivots for the caller to check. */
+void fbq_lu_stack(getrf_fn *getrf, getrs_fn *getrs, int64_t count, int n, const double *a,
+                  const double *b, double *lu, int *ipiv, double *x, double *pivots)
+{
+    int nrhs = 1, info;
+    char trans = 'N';
+    for (int64_t k = 0; k < count; k++) {
+        const double *ak = a + k * n * n;
+        double *xk = x + k * n;
+        for (int c = 0; c < n; c++) {
+            for (int r = 0; r < n; r++)
+                lu[c * n + r] = ak[r * n + c];
+            xk[c] = b[k * n + c];
+        }
+        getrf(&n, &n, lu, &n, ipiv, &info);
+        for (int r = 0; r < n; r++)
+            pivots[k * n + r] = lu[r * n + r];
+        getrs(&trans, &n, &nrhs, lu, &n, ipiv, xk, &n, &info);
+    }
 }

@@ -160,7 +160,12 @@ def _stationary(rows, cols, rates, shape, fixed) -> tuple[np.ndarray, str]:
     """
     at = f"truncation ({shape[0] - 1}, {shape[1] - 1})"
     nstates = shape[0] * shape[1]
-    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(nstates, nstates))
+    # the transition graph in CSR form: row pointers from the row counts, and
+    # the target states sorted by source state
+    indptr = np.zeros(nstates + 1, dtype=rows.dtype)
+    np.cumsum(np.bincount(rows, minlength=nstates), out=indptr[1:])
+    graph = sp.csr_matrix((np.ones(rows.size), cols[np.argsort(rows, kind="stable")], indptr),
+                          shape=(nstates, nstates))
     live = csgraph.breadth_first_order(graph, fixed, return_predecessors=False)
     unknown = live[live != fixed]
     # dgbsv rejects an empty system, which lam = 0 leaves

@@ -12,8 +12,8 @@ completion rates at such a state.  Each jump draws one uniform, which picks
 the arrival or a completion with its branch folded in; the estimates for a
 seed depend on that order.
 
-The loop runs compiled: `_jump.c`, built on the first run with the system C
-compiler into the per-user cache and called through ctypes, continues the
+The loop runs compiled: `fbq_jump_chain` of `_kernels.c`, built on the first
+run (see `fbq._kernels`) and called through ctypes, continues the
 Mersenne Twister stream of `random.Random(seed)` and repeats `_run`'s float
 operations in their order, so its estimates equal the Python loop's.  Where
 the library cannot be built or loaded, `_run` itself runs.
@@ -21,23 +21,18 @@ the library cannot be built or loaded, `_run` itself runs.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
-import hashlib
 import logging
 import math
-import os
-import pathlib
 import random
-import subprocess
-import tempfile
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from scipy.special import stdtrit
 
+from . import _kernels
 from .models import (
     CoxianService,
     ModelError,
@@ -291,18 +286,13 @@ def _array(ctype, values):
     return (ctype * len(values))(*values)
 
 
-_SOURCE = pathlib.Path(__file__).with_name("_jump.c")
-_COMPILER = "cc"
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-
 @functools.cache
 def _kernel():
     """`_run_compiled` bound to the compiled jump chain, built on first use,
     or None when it cannot be built or loaded here; then `simulate` runs the
     Python loop, and one debug line names the cause."""
     try:
-        chain = ctypes.CDLL(str(_library())).fbq_jump_chain
+        chain = _kernels.load("fbq_jump_chain")
     except OSError as exc:
         kernel_log.debug("compiled jump chain unavailable, simulating in Python: %s", exc)
         return None
@@ -311,41 +301,6 @@ def _kernel():
                       dbl, i64, ctypes.c_int64, i64, ctypes.c_int64, dbl, i64]
     chain.restype = None
     return functools.partial(_run_compiled, chain)
-
-
-def _library() -> pathlib.Path:
-    """The shared library of `_jump.c` in the per-user cache, named by the
-    sha256 of the source and the flags.  It is compiled under a temporary
-    name and moved into place, so processes that build it at once each load
-    a whole file."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    cache = pathlib.Path(base, "fbq")
-    if not cache.is_absolute():
-        raise OSError("no home directory for the kernel cache")
-    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-    st = cache.stat()
-    if st.st_uid != os.getuid() or st.st_mode & 0o022:
-        raise OSError(f"{cache} is not a private directory")
-    digest = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_FLAGS).encode()).hexdigest()
-    lib = cache / f"_jump-{digest}.so"
-    if lib.exists():
-        return lib
-    start = time.perf_counter()
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-    os.close(fd)
-    try:
-        done = subprocess.run([_COMPILER, *_FLAGS, "-o", tmp, str(_SOURCE)], capture_output=True,
-                              text=True, errors="replace")
-        if done.returncode:
-            raise OSError(f"{_COMPILER} exited with status {done.returncode}: {done.stderr.strip()}")
-        os.replace(tmp, lib)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-    kernel_log.debug("built %s in %.2f s", lib, time.perf_counter() - start)
-    return lib
 
 
 def _single(model: SingleServerModel, i: int, j: int):

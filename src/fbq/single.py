@@ -150,9 +150,10 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     they are built once; the sub-threshold balance rows and the
     work-conservation row depend on the profile's speeds and are filled per
     profile.  The B systems are stacked and solved FAMILY_CHUNK profiles at a
-    time, and the mean counts of each come from its solved sub-threshold
-    probabilities.  Every profile gets every check of a single solve, and
-    the first profile that fails one raises its error.
+    time, each chunk in one call of linsys's compiled LU loop, and the mean
+    counts of each profile come from its solved sub-threshold probabilities.
+    Every profile gets every check of a single solve and the answer it gets
+    alone, and the first profile that fails a check raises its error.
     """
     require_stable_single(model)
     if model.lam == 0:

@@ -1,18 +1,26 @@
-"""Family solves of speed profiles (fbq.single.solve_speed_family).
+"""Family solves of speed profiles (fbq.single.solve_speed_family) and the
+stacked solves under them (fbq.linsys).
 
 data/family_solve_pins.json holds searches and figure-5 points recorded from
 the search that solved its grid one profile at a time with solve_general.
 The family solve must return the same speed levels, and costs and curves
-within 1e-12 relative.
+within 1e-12 relative.  The compiled LU loop and the Python loop it replaces
+call the same LAPACK routines, so every result, error message included, must
+be equal on the two paths, not close.
 """
 
 import json
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fbq.experiments import _figure5_point, optimize_intermediate_speeds
+import fbq
+from fbq.experiments import _figure5_point, optimize_intermediate_speeds, optimize_threshold, reproduce_figure
 from fbq.linsys import solve_probability_stack, solve_probability_system
 from fbq.models import (
     CostCoefficients,
@@ -22,10 +30,41 @@ from fbq.models import (
     SolverError,
     SpeedProfile,
 )
+from fbq.multi import _pool_data, sweep_thresholds
 from fbq.single import FAMILY_CHUNK, solve_general, solve_speed_family
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "family_solve_pins.json").read_text())
+SWEEP_PINS = json.loads((pathlib.Path(__file__).parent / "data" / "threshold_sweep_pins.json").read_text())
 FIELDS = ("L", "L1", "L2", "energy_rate")
+KERNELS = sys.modules["fbq._kernels"]
+LINSYS = sys.modules["fbq.linsys"]
+SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
+
+
+def require_compiled_loop():
+    if LINSYS._kernel() is None:
+        assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the LU loop did not load"
+        pytest.skip("no C compiler to build the LU loop with")
+
+
+def on_both_paths(monkeypatch, run):
+    """run() with the compiled LU loop, then with the Python loop; the pool
+    cache is emptied before each so that neither reuses the other's solves."""
+    require_compiled_loop()
+    _pool_data.cache_clear()
+    compiled = run()
+    with monkeypatch.context() as m:
+        m.setattr(LINSYS, "_kernel", lambda: None)
+        _pool_data.cache_clear()
+        python = run()
+    _pool_data.cache_clear()
+    return compiled, python
+
+
+def raised(run):
+    with pytest.raises(SolverError) as exc:
+        run()
+    return str(exc.value)
 
 
 def base_model(b, levels=None):
@@ -49,6 +88,62 @@ def test_search_matches_pinned_values(pin):
 @pytest.mark.parametrize("pin", PINS["figure5"], ids=lambda p: f"lambda={p['lam']}")
 def test_figure5_point_matches_pinned_values(pin):
     np.testing.assert_allclose(_figure5_point(pin["lam"]), pin["costs"], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("pin", PINS["searches"], ids=lambda p: f"{p['base']}-K{p['K']}")
+def test_search_is_equal_on_both_lu_paths(pin, monkeypatch):
+    b = PINS["bases"][pin["base"]]
+    compiled, python = on_both_paths(monkeypatch, lambda: optimize_intermediate_speeds(
+        base_model(b), pin["K"], CostCoefficients(b["c1"], b["c2"])))
+    assert compiled == python
+
+
+@pytest.mark.parametrize("pin", PINS["figure5"], ids=lambda p: f"lambda={p['lam']}")
+def test_figure5_point_is_equal_on_both_lu_paths(pin, monkeypatch):
+    compiled, python = on_both_paths(monkeypatch, lambda: _figure5_point(pin["lam"]))
+    assert compiled == python
+
+
+def test_family_straddling_a_chunk_is_equal_on_both_lu_paths(monkeypatch):
+    b = PINS["bases"]["seed7"]
+    rng = np.random.default_rng(18)
+    inter = np.sort(rng.uniform(b["s0"], b["top"], (FAMILY_CHUNK + 12, 2)), axis=1)
+    compiled, python = on_both_paths(monkeypatch, lambda: solve_speed_family(base_model(b), inter))
+    for f in ("boundary", "g0_at_1", "L1", "L2", "L", "p_below_K", "tail_mass", "energy_rate"):
+        assert np.array_equal(getattr(compiled, f), getattr(python, f)), f
+
+
+def test_figure8_is_equal_on_both_lu_paths(monkeypatch):
+    compiled, python = on_both_paths(monkeypatch, lambda: reproduce_figure(8).curves)
+    assert compiled == python
+
+
+def test_failing_pool_raises_the_same_error_on_both_lu_paths(monkeypatch):
+    pin = dict(SWEEP_PINS["failing_pool"])
+    message = pin.pop("message")
+    model = fbq.MultiServerModel(**pin)
+    for run in (lambda: sweep_thresholds(model),
+                lambda: optimize_threshold(model, CostCoefficients(1.0, 0.5))):
+        assert on_both_paths(monkeypatch, lambda: raised(run)) == (message, message)
+
+
+def test_import_neither_builds_nor_loads_the_lu_loop(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
+    code = "\n".join([
+        "import os, sys, fbq",
+        "kernel = sys.modules['fbq.linsys']._kernel",
+        "print(kernel.cache_info().currsize, os.path.exists(sys.argv[1]))",
+        "fbq.solve_general(fbq.SingleServerModel(0.5, fbq.CoxianService(2.0, 1.0, 0.5),",
+        "                                        fbq.SpeedProfile((0.5, 0.75, 1.0))))",
+        "print(kernel.cache_info().currsize, kernel() is not None)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fbq")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[0] == "0 False"  # nothing built, loaded or looked up
+    if shutil.which(KERNELS._COMPILER) is not None:  # the first stack solve does both
+        assert out.stdout.splitlines()[1] == "1 True"
+        (lib,) = (tmp_path / "fbq").iterdir()
+        assert lib.suffix == ".so"
 
 
 def test_profile_result_independent_of_its_batch():
@@ -95,12 +190,19 @@ def test_family_needs_profiles():
 
 
 class TestStackChecks:
+    """The checks and their order, on the compiled LU loop; TestStackChecksPythonLoop
+    repeats them on the Python loop."""
+
     GOOD = (np.eye(3), np.full(3, 1 / 3))
     CASES = {
         "zero row": (np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 1]]), np.ones(3)),
         "singular": (np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]]), np.ones(3)),
         "negative": (np.eye(3), np.array([-0.5, 1.0, 0.5])),
     }
+
+    @pytest.fixture(autouse=True)
+    def lu_path(self):
+        require_compiled_loop()
 
     @pytest.mark.parametrize("case", CASES)
     def test_failing_system_raises_inside_a_stack(self, case):
@@ -123,3 +225,18 @@ class TestStackChecks:
         x = solve_probability_stack(np.stack([np.eye(3)] * 2), b)
         assert (x >= 0).all()
         assert x[0, 0] == 0.0 and x[1, 1] == 0.0
+
+    def test_zero_row_late_in_the_stack_wins_over_a_tiny_pivot_earlier(self):
+        tiny_pivot = np.array([[1.0, 1, 0], [1, 1 + 1e-14, 0], [0, 0, 1]])
+        zero_row, b = self.CASES["zero row"]
+        with pytest.raises(SolverError, match="pivot"):
+            solve_probability_system(tiny_pivot, np.ones(3))
+        with pytest.raises(SolverError, match="zero row"):
+            solve_probability_stack(np.stack([tiny_pivot, self.GOOD[0], zero_row]),
+                                    np.stack([np.ones(3), self.GOOD[1], b]))
+
+
+class TestStackChecksPythonLoop(TestStackChecks):
+    @pytest.fixture(autouse=True)
+    def lu_path(self, monkeypatch):
+        monkeypatch.setattr(LINSYS, "_kernel", lambda: None)

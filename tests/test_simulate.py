@@ -35,6 +35,8 @@ from fbq.simulate import SimConfig, SimEstimate, ThreePhaseModel, simulate
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "sim_pins.json").read_text())
 SIM = sys.modules["fbq.simulate"]  # the package's `fbq.simulate` attribute is the function
+KERNELS = sys.modules["fbq._kernels"]
+LINSYS = sys.modules["fbq.linsys"]
 SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
 
 
@@ -55,10 +57,12 @@ def _pin_config(pin):
 
 @pytest.fixture
 def fresh_kernel():
-    """Forget the loaded kernel before and after the test, so neither sees the other's."""
+    """Forget the loaded kernels before and after the test, so neither sees the other's."""
     SIM._kernel.cache_clear()
+    LINSYS._kernel.cache_clear()
     yield
     SIM._kernel.cache_clear()
+    LINSYS._kernel.cache_clear()
 
 
 @pytest.mark.parametrize("pin, python_loop", [
@@ -69,28 +73,32 @@ def test_matches_pinned_estimate(pin, python_loop, monkeypatch):
     if python_loop:
         monkeypatch.setattr(SIM, "_kernel", lambda: None)
     elif SIM._kernel() is None:
-        assert shutil.which(SIM._COMPILER) is None, "a C compiler is on PATH but the kernel did not load"
+        assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the kernel did not load"
         pytest.skip("no C compiler to build the kernel with")
     assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
 
 
 def test_missing_compiler_falls_back_to_the_python_loop(caplog, monkeypatch, tmp_path, fresh_kernel):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(SIM, "_COMPILER", str(tmp_path / "no-such-cc"))
+    monkeypatch.setattr(KERNELS, "_COMPILER", str(tmp_path / "no-such-cc"))
     pin = next(p for p in PINS["pins"] if p["model"]["label"] == "pool_m4_K1_q0.4")
-    with caplog.at_level(logging.DEBUG, logger="fbq.simulate"):
+    model = SingleServerModel(0.5, CoxianService(2.0, 1.0, 0.5), SpeedProfile((0.5, 0.75, 1.0)))
+    with caplog.at_level(logging.DEBUG, logger="fbq"):
         assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
         assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
-    lines = [r.getMessage() for r in caplog.records if r.name == "fbq.simulate.kernel"]
-    assert len(lines) == 1 and "simulating in Python" in lines[0] and "no-such-cc" in lines[0], lines
-    assert SIM._kernel() is None
+        assert fbq.solve_general(model) == fbq.solve_general(model)
+    for logger, cause in (("fbq.simulate.kernel", "simulating in Python"),
+                          ("fbq.linsys.kernel", "solving in Python")):
+        lines = [r.getMessage() for r in caplog.records if r.name == logger]
+        assert len(lines) == 1 and cause in lines[0] and "no-such-cc" in lines[0], lines
+    assert SIM._kernel() is None and LINSYS._kernel() is None
 
 
 def _kernel_loads(cache, compiler, processes=1):
     """Whether each of `processes` fresh interpreters, started at once with this
-    kernel cache and compiler, loads the kernel."""
-    code = ("import sys, fbq; sim = sys.modules['fbq.simulate']; sim._COMPILER = sys.argv[1]; "
-            "print(sim._kernel() is not None)")
+    kernel cache and compiler, loads both compiled loops."""
+    code = ("import sys, fbq; sys.modules['fbq._kernels']._COMPILER = sys.argv[1]; "
+            "print(all(sys.modules[m]._kernel() is not None for m in ('fbq.simulate', 'fbq.linsys')))")
     env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(cache))
     procs = [subprocess.Popen([sys.executable, "-c", code, compiler], stdout=subprocess.PIPE,
                               text=True, env=env) for _ in range(processes)]
@@ -98,9 +106,9 @@ def _kernel_loads(cache, compiler, processes=1):
 
 
 def test_processes_build_the_kernel_at_once_and_later_ones_only_load_it(tmp_path):
-    if shutil.which(SIM._COMPILER) is None:
+    if shutil.which(KERNELS._COMPILER) is None:
         pytest.skip("no C compiler to build the kernel with")
-    assert _kernel_loads(tmp_path, SIM._COMPILER, processes=3) == [True] * 3
+    assert _kernel_loads(tmp_path, KERNELS._COMPILER, processes=3) == [True] * 3
     cache = tmp_path / "fbq"
     (lib,) = cache.iterdir()  # one library, and no temporary file left behind
     assert lib.suffix == ".so" and stat.S_IMODE(cache.stat().st_mode) == 0o700
