@@ -5,13 +5,14 @@ per-user cache, `$XDG_CACHE_HOME/fbq` or `~/.cache/fbq`, a private
 directory.  The library is named by the sha256 of the source and the flags,
 so an edited source gets a new library and later processes only load it.
 Each caller keeps its Python loop as the reference and falls back to it when
-`load` raises OSError.
+`load` raises OSError.  A process tries the build once and keeps its outcome.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import hashlib
 import logging
 import os
@@ -30,7 +31,19 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 def load(name: str):
     """The C function `name` of the library, built first if the cache lacks
     it.  Raises OSError when it cannot be built or loaded here."""
-    return getattr(ctypes.CDLL(str(_library())), name)
+    lib = _outcome()
+    if isinstance(lib, OSError):
+        raise lib
+    return getattr(ctypes.CDLL(str(lib)), name)
+
+
+@functools.cache
+def _outcome() -> pathlib.Path | OSError:
+    """`_library()`'s path, or the OSError it raised, kept for the process."""
+    try:
+        return _library()
+    except OSError as exc:
+        return exc
 
 
 def _library() -> pathlib.Path:

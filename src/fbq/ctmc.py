@@ -2,7 +2,7 @@
 
 Builds the exact transition rates of the two-queue chain on the rectangle of
 states (i, j), 0 <= i <= n1, 0 <= j <= n2, with i foreground and j
-background jobs, by index arithmetic over the whole grid.  Arrivals at
+background jobs, from the model's `rates` on its index arrays.  Arrivals at
 i = n1 are blocked.  A foreground completion that would feed the background
 queue past j = n2 stays on that edge instead, so the edge states keep every
 service exit and the truncated chain has a single recurrent class.
@@ -34,7 +34,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,24 +105,9 @@ def _transitions(lam, q, fg, bg):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(rates)
 
 
-def _single_rates(model: SingleServerModel, n1, n2):
-    """Generator entries of the single server: the foreground is served
-    first, and both classes at speed s_min(i+j, K)."""
-    i, j = np.indices((n1 + 1, n2 + 1))
-    speed = np.asarray(model.speeds.levels)[np.minimum(i + j, model.K)]
-    fg = np.where(i > 0, model.service.nu1 * speed, 0.0)
-    bg = np.where(i == 0, model.service.nu2 * speed, 0.0)
-    return _transitions(model.lam, model.q, fg, bg)
-
-
-def _pool_rates(model: MultiServerModel, n1, n2):
-    """Generator entries of the m-server pool: servers run only above the
-    threshold, foreground jobs take up to m of them and background jobs the
-    rest."""
-    i, j = np.indices((n1 + 1, n2 + 1))
-    on = i + j > model.threshold
-    fg = np.where(on, np.minimum(i, model.m) * model.mu1, 0.0)
-    bg = np.where(on, np.minimum(j, np.maximum(model.m - i, 0)) * model.mu2, 0.0)
+def _rates(model, n1, n2):
+    """Generator entries of the model's chain on the rectangle (n1, n2)."""
+    _, fg, bg = model.rates(*np.indices((n1 + 1, n2 + 1)))
     return _transitions(model.lam, model.q, fg, bg)
 
 
@@ -249,17 +233,17 @@ def _background_size(marginal, n2, edge):
     return min(max(n2 + steps + PROBE_DEPTH, n2 + n2 // 4), MAX_STEP * n2)
 
 
-def _grow(build_rates, fixed, n1, n2, max_n):
-    """Solve the rectangle (n1 + 1) x (n2 + 1), growing each axis whose edge
-    mass is not below TAIL_TOL, and return the probabilities grid[i, j] and
-    the two edge masses.  The foreground axis doubles; the background axis
-    follows its marginal's decay (`_background_size`).  Every solve is
-    finite or raises, so a failing chain stops at the first size."""
+def _grow(model, fixed, n1, n2, max_n):
+    """Solve the model's chain on the rectangle (n1 + 1) x (n2 + 1), growing
+    each axis whose edge mass is not below TAIL_TOL; return the probabilities
+    grid[i, j] and the two edge masses.  The foreground axis doubles; the
+    background axis follows its marginal's decay (`_background_size`).  Every
+    solve is finite or raises, so a failing chain stops at the first size."""
     i, j = fixed
     n1, n2 = min(n1, max_n), min(n2, max_n)
     while True:
         t0 = time.perf_counter()
-        grid, solver = _stationary(*build_rates(n1, n2), (n1 + 1, n2 + 1), i * (n2 + 1) + j)
+        grid, solver = _stationary(*_rates(model, n1, n2), (n1 + 1, n2 + 1), i * (n2 + 1) + j)
         fg_marginal, bg_marginal = grid.sum(axis=1), grid.sum(axis=0)
         edges = (float(fg_marginal[n1]), float(bg_marginal[n2]))
         log.debug("(%d, %d): %d states, edge mass %.3e foreground, %.3e background, %.3f s, %s",
@@ -294,9 +278,8 @@ def _pool_fields(model: MultiServerModel, grid, p) -> dict:
 
 
 def _chain(model):
-    """The model's rate builder, fixed state, modulation level (K, or m for
-    a pool), fields, and the ratio of its foreground marginal above that
-    level.
+    """The model's fixed state, modulation level (K, or m for a pool),
+    fields, and the ratio of its foreground marginal above that level.
 
     Fixed state of a single server: (0, 0), or (0, k - 1) when s_1 = ... =
     s_(k-1) = 0 < s_k.  Nothing is then served below k jobs, and the states
@@ -309,11 +292,10 @@ def _chain(model):
     if isinstance(model, SingleServerModel):
         require_stable_single(model)
         k = next(t for t, s in enumerate(model.speeds.levels) if t > 0 and s > 0.0)
-        return _single_rates, (0, k - 1), model.K, _single_fields, model.lam / model.mu1
+        return (0, k - 1), model.K, _single_fields, model.lam / model.mu1
     if isinstance(model, MultiServerModel):
         require_stable_multi(model)
-        return (_pool_rates, (model.threshold, 0), model.m, _pool_fields,
-                model.lam / (model.m * model.mu1))
+        return (model.threshold, 0), model.m, _pool_fields, model.lam / (model.m * model.mu1)
     raise TypeError(f"no CTMC builder for {type(model).__name__}")
 
 
@@ -323,9 +305,9 @@ def ctmc_solve(model, max_n: int = MAX_N) -> CtmcSolution:
     background axis at START_N2 levels, at least one past the modulation
     level, and `_grow` fits the background axis to its tail.  Neither axis
     exceeds `max_n`."""
-    rates, fixed, levels, fields, ratio = _chain(model)
+    fixed, levels, fields, ratio = _chain(model)
     n1, n2 = _foreground_size(levels, ratio), max(START_N2, levels + 1)
-    grid, edges = _grow(partial(rates, model), fixed, n1, n2, max_n)
+    grid, edges = _grow(model, fixed, n1, n2, max_n)
     n1, n2 = grid.shape[0] - 1, grid.shape[1] - 1
     L1 = float(grid.sum(axis=1) @ np.arange(n1 + 1))
     L2 = float(grid.sum(axis=0) @ np.arange(n2 + 1))

@@ -9,12 +9,17 @@ background queue at lower priority.  For a single speed-modulated server the
 effective rates scale with the current speed level: mu_{1,n} = nu1*s_n and
 mu_{2,n} = nu2*s_n when n jobs are present (capped at level K).  For a pool
 of m identical servers the per-server rates mu1, mu2 are given directly.
+Each model's `rates(i, j)`, on ints or integer arrays alike, gives the servers
+working and the two completion rates, zero for an empty queue, in state (i, j).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # Two rates closer than this (relatively) are treated as equal so the
 # two-exponential survival mixture can switch to its confluent limit form.
@@ -168,6 +173,13 @@ class SingleServerModel:
         """Work arriving per unit of top-speed capacity; < 1 means stable."""
         return self.lam * (1.0 / self.mu1 + self.q / self.mu2)
 
+    def rates(self, i, j):
+        """Servers counted in U (none) and the completion rates at (i, j):
+        the foreground goes first, both at speed s_min(i+j, K)."""
+        speed = np.asarray(self.speeds.levels)[np.minimum(i + j, self.K)]
+        return (0, np.where(i > 0, self.service.nu1 * speed, 0.0),
+                np.where((i == 0) & (j > 0), self.service.nu2 * speed, 0.0))
+
 
 @dataclass(frozen=True)
 class MultiServerModel:
@@ -193,6 +205,9 @@ class MultiServerModel:
             raise ModelError(f"service rates must be positive, got mu1={self.mu1}, mu2={self.mu2}")
         if not 0.0 <= self.q <= 1.0:
             raise ModelError(f"branch probability q must lie in [0,1], got {self.q}")
+        for name, value in (("m", self.m), ("threshold", self.threshold)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
         if self.m < 1:
             raise ModelError(f"server count must be >= 1, got {self.m}")
         if not 0 <= self.threshold <= self.m - 1:
@@ -211,6 +226,13 @@ class MultiServerModel:
     def offered_load(self) -> float:
         """Total server-equivalents of work offered; < m means stable."""
         return self.rho1 + self.rho2
+
+    def rates(self, i, j):
+        """Servers working and the completion rates at (i, j): all m run above
+        the threshold, the foreground takes up to m and the background the rest."""
+        on = i + j > self.threshold
+        return (np.where(on, self.m, 0), np.where(on, np.minimum(i, self.m) * self.mu1, 0.0),
+                np.where(on, np.minimum(j, np.maximum(self.m - i, 0)) * self.mu2, 0.0))
 
 
 @dataclass(frozen=True)

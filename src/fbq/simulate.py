@@ -7,10 +7,10 @@ averages stay consistent and their variance is no larger (discrete-time
 conversion).  Averages are kept per batch of arrivals after a warmup, and a
 95% half-width comes from the batch means.  All three models run through one
 loop, `_run`, over a finite rate table whose rows are phase counts clamped
-where the rates stop changing; a model supplies only its servers and phase
-completion rates at such a state.  Each jump draws one uniform, which picks
-the arrival or a completion with its branch folded in; the estimates for a
-seed depend on that order.
+where the rates stop changing, with the servers and phase completion rates
+that the model's `rates` gives there.  Each jump draws one uniform, which
+picks the arrival or a completion with its branch folded in; the estimates
+for a seed depend on that order.
 
 The loop runs compiled: `fbq_jump_chain` of `_kernels.c`, built on the first
 run (see `fbq._kernels`) and called through ctypes, continues the
@@ -30,6 +30,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import stdtrit
 
 from . import _kernels
@@ -72,6 +73,12 @@ class ThreePhaseModel:
 
     def offered_load(self) -> float:
         return self.lam * (1 / self.mu1 + self.q1 / self.mu2 + self.q1 * self.q2 / self.mu3)
+
+    def rates(self, a, b, c):
+        """Servers counted in U (none) and the completion rates of the three
+        phases, each served only while the earlier ones are empty."""
+        return (0, np.where(a > 0, self.mu1, 0.0), np.where((a == 0) & (b > 0), self.mu2, 0.0),
+                np.where((a == 0) & (b == 0) & (c > 0), self.mu3, 0.0))
 
 
 def match_three_phase(mu2: float, mu3: float, q2: float) -> float:
@@ -145,18 +152,18 @@ def simulate(config: SimConfig) -> SimEstimate:
     """Run one replication and return time-averaged queue lengths."""
     model = config.model
     if isinstance(model, SingleServerModel):
-        stable, qs, clamp, service = check_stability_single(model), (model.q,), model.K, _single
+        stable, qs, clamp = check_stability_single(model), (model.q,), model.K
     elif isinstance(model, MultiServerModel):
-        stable, qs, clamp, service = check_stability_multi(model), (model.q,), model.m, _pool
+        stable, qs, clamp = check_stability_multi(model), (model.q,), model.m
     elif isinstance(model, ThreePhaseModel):
-        stable, qs, clamp, service = model.offered_load() < 1, (model.q1, model.q2), 1, _three
+        stable, qs, clamp = model.offered_load() < 1, (model.q1, model.q2), 1
     else:
         raise TypeError(f"no simulator for {type(model).__name__}")
     if not stable:
         log.warning("simulating an unstable model; averages will drift")
     if model.lam == 0:
         return SimEstimate(0.0, 0.0, 0.0, 0.0, 0, config.seed)
-    tab = _table(model, service, qs, clamp)
+    tab = _table(model, qs, clamp)
     run = _kernel() or _run
     start = time.perf_counter()
     sums, left, jumps = run(config.seed, tab, clamp, _stops(config))
@@ -168,28 +175,25 @@ def simulate(config: SimConfig) -> SimEstimate:
     return est
 
 
-def _table(model, service, qs: tuple, clamp: int) -> list[tuple]:
-    """One row per phase-count state clamped at `clamp`, breadth-first from
-    the empty system: (1/rate, servers/rate, the arrival probability, the
+def _table(model, qs: tuple, clamp: int) -> list[tuple]:
+    """One row per phase-count state clamped at `clamp`, in C order from the
+    empty system, with the servers and rates of one `model.rates` call on the
+    grid's index arrays: (1/rate, servers/rate, the arrival probability, the
     cumulative probabilities that split the completions, the completions, the
     arrival's next row).  A completion (p, on, lo, hi) moves a job from phase
     p on to phase p + 1 or out; the next row is hi if phase p still holds
     `clamp` jobs or more, else lo."""
-    index, states, rows = {}, [], []
+    shape = (clamp + 1,) * (len(qs) + 1)
+    grid = (np.broadcast_to(r, shape).ravel().tolist() for r in model.rates(*np.indices(shape)))
 
     def row_of(counts):
-        key = tuple(c if c < clamp else clamp for c in counts)
-        if key not in index:
-            index[key] = len(states)
-            states.append(key)
-        return index[key]
+        return functools.reduce(lambda row, c: row * (clamp + 1) + (c if c < clamp else clamp), counts, 0)
 
     def bump(counts, p, d=1):
         return counts[:p] + (counts[p] + d,) + counts[p + 1:]
 
-    row_of((0,) * (len(qs) + 1))
-    for state in states:  # grows while it is walked
-        servers, mus = service(model, *state)
+    rows = []
+    for state, (servers, *mus) in zip(np.ndindex(shape), zip(*grid)):
         rate = model.lam + sum(mus)
         cum, moves = [model.lam / rate], []
         for p, mu in enumerate(mus):
@@ -301,26 +305,4 @@ def _kernel():
                       dbl, i64, ctypes.c_int64, i64, ctypes.c_int64, dbl, i64]
     chain.restype = None
     return functools.partial(_run_compiled, chain)
-
-
-def _single(model: SingleServerModel, i: int, j: int):
-    """Servers and phase completion rates; the foreground has priority."""
-    levels, K = model.speeds.levels, model.K
-    if i:
-        return 0, (model.service.nu1 * levels[min(i + j, K)], 0.0)
-    return 0, (0.0, model.service.nu2 * levels[min(j, K)] if j else 0.0)
-
-
-def _pool(model: MultiServerModel, i: int, j: int):
-    """All servers are off at or below the threshold; the foreground goes first."""
-    if i + j <= model.threshold:
-        return 0, (0.0, 0.0)
-    m = model.m
-    return m, (model.mu1 * min(i, m), model.mu2 * min(j, max(m - i, 0)))
-
-
-def _three(model: ThreePhaseModel, a: int, b: int, c: int):
-    if a:
-        return 0, (model.mu1, 0.0, 0.0)
-    return 0, (0.0, model.mu2, 0.0) if b else (0.0, 0.0, model.mu3 if c else 0.0)
 

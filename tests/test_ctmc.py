@@ -29,8 +29,7 @@ from fbq.ctmc import (
     _chain,
     _foreground_size,
     _grow,
-    _pool_rates,
-    _single_rates,
+    _rates,
     _stationary,
     _transitions,
     ctmc_solve,
@@ -51,14 +50,14 @@ def _model(spec):
 
 
 def _foreground_n(model):
-    _, _, level, _, ratio = _chain(model)
+    _, level, _, ratio = _chain(model)
     return _foreground_size(level, ratio)
 
 
 def _grid(model, n1, n2):
     """Stationary grid of `model` grown from the rectangle (n1, n2)."""
-    rates, fixed, *_ = _chain(model)
-    return _grow(lambda a, b: rates(model, a, b), fixed, n1, n2, MAX_N)[0]
+    fixed, *_ = _chain(model)
+    return _grow(model, fixed, n1, n2, MAX_N)[0]
 
 
 @pytest.mark.parametrize("pin", PINS["models"], ids=lambda p: p["label"])
@@ -118,9 +117,8 @@ def _dense(rows, cols, rates, n1, n2):
     MultiServerModel(1.2, 1.0, 0.6, 0.0, 4, threshold=3),
 ], ids=["single-K3", "single-q1", "single-zero-speed-q0", "pool-m3", "pool-q1", "pool-q0"])
 def test_builders_match_the_per_state_loop(model):
-    build = _single_rates if isinstance(model, SingleServerModel) else _pool_rates
     for n1, n2 in ((1, 5), (5, 1), (5, 5)):
-        got = _dense(*build(model, n1, n2), n1, n2)
+        got = _dense(*_rates(model, n1, n2), n1, n2)
         want = _dense(*_loop_rates(model, n1, n2), n1, n2)
         np.testing.assert_array_equal(got, want)
         assert np.count_nonzero(got.diagonal()) == 0
@@ -156,9 +154,18 @@ def _absorbing_edge(n1, n2):
     return _transitions(0.5, 1.0, fg, bg)
 
 
+class _AbsorbingEdge:
+    """`_absorbing_edge` on the rectangle (30, 16) as a model for `_grow`."""
+
+    lam, q = 0.5, 1.0
+
+    def rates(self, i, j):
+        return 0, np.where((i > 0) & (j < 16), 5.0, 0.0), np.where(i == 0, 1.0, 0.0)
+
+
 def test_reducible_chain_raises_at_first_size():
     with pytest.raises(SolverError, match=r"singular at truncation \(30, 16\)"):
-        _grow(_absorbing_edge, (0, 0), 30, 16, max_n=2048)
+        _grow(_AbsorbingEdge(), (0, 0), 30, 16, max_n=2048)
 
 
 @pytest.mark.parametrize("n1,n2", [(30, 16), (16, 30)])
@@ -248,7 +255,7 @@ def test_column_order_unless_every_foreground_completion_feeds_back(q, ordering,
     monkeypatch.setattr(ctmc.spla, "spsolve", spy)
     # a 71 x 71 rectangle is wider than the band LU takes, so SuperLU solves it
     model = SingleServerModel(0.5, CoxianService(5.0, 1.0, q), SpeedProfile((0.5, 1.0)))
-    _stationary(*_single_rates(model, 70, 70), (71, 71), 0)
+    _stationary(*_rates(model, 70, 70), (71, 71), 0)
     assert seen and set(seen) == {ordering}
 
 
@@ -258,11 +265,11 @@ def test_band_lu_matches_superlu(model, n1, n2, monkeypatch):
     # the band LU in both numberings (foreground-major when n2 > n1) against
     # SuperLU on the same rectangle; thresholds, q = 0 and zero speeds leave
     # unreachable states out of the system
-    rates, (i, j), levels, fields, _ = _chain(model)
+    (i, j), levels, fields, _ = _chain(model)
     solved = []
     for band_max, solver in ((ctmc.BAND_MAX, "band LU"), (0, "SuperLU")):
         monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
-        grid, how = _stationary(*rates(model, n1, n2), (n1 + 1, n2 + 1), i * (n2 + 1) + j)
+        grid, how = _stationary(*_rates(model, n1, n2), (n1 + 1, n2 + 1), i * (n2 + 1) + j)
         assert how.startswith(solver)
         L1 = grid.sum(axis=1) @ np.arange(n1 + 1)
         L2 = grid.sum(axis=0) @ np.arange(n2 + 1)

@@ -56,6 +56,15 @@ class TestValidation:
         with pytest.raises(ModelError):
             CostCoefficients(-1.0, 0.0)
 
+    @pytest.mark.parametrize("field, value", [("m", 2.5), ("m", 3.0), ("m", True),
+                                              ("threshold", 1.5), ("threshold", 1.0),
+                                              ("threshold", False)])
+    def test_multi_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ModelError, match=rf"^{field} must be an integer"):
+            MultiServerModel(1.0, 1.0, 0.5, 0.2, **{"m": 3, "threshold": 1, field: value})
+        doc = {"lambda": 1, "mu1": 1, "mu2": 0.5, "q": 0.2, "m": 3, "threshold": 2}
+        assert multi_model_from_json(doc) == MultiServerModel(1.0, 1.0, 0.5, 0.2, 3, threshold=2)
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -177,3 +186,38 @@ class TestJson:
     def test_missing_field(self):
         with pytest.raises(ModelError):
             single_model_from_json({"lambda": 1.0})
+
+
+def _rate_models():
+    for levels in ((0.5, 1.0), (0.2, 0.4, 0.6, 0.8, 1.0), (0.0, 0.5, 1.0), (0.0, 0.0, 0.3, 0.7, 1.0)):
+        for q in (0.0, 1.0):
+            yield pytest.param(single(0.7, 3.0, 1.3, q, speeds=levels), id=f"single-{levels}-q{q}")
+    for m in (1, 4):
+        for threshold in sorted({0, m - 1}):
+            for q in (0.0, 1.0):
+                yield pytest.param(MultiServerModel(2.0, 1.1, 0.7, q, m, threshold=threshold),
+                                   id=f"pool-m{m}-K{threshold}-q{q}")
+    yield pytest.param(ThreePhaseModel(1.5, 5.0, 1.0, 0.5, 0.4, 0.5), id="three-phase")
+
+
+@pytest.mark.parametrize("model", _rate_models())
+def test_rates_on_index_arrays_equal_the_per_state_calls(model):
+    # the CTMC oracle calls `rates` on index arrays and the simulator on
+    # clamped states; both must see the same floats, on a grid past K or m
+    if isinstance(model, ThreePhaseModel):
+        shape = (4, 4, 4)
+    else:
+        n = (model.m if isinstance(model, MultiServerModel) else model.K) + 3
+        shape = (n, n)
+    idx = np.indices(shape)
+    servers, *phases = (np.broadcast_to(r, shape) for r in model.rates(*idx))
+    for state in np.ndindex(shape):
+        got = model.rates(*state)
+        assert got[0] == servers[state]
+        assert all(g == r[state] for g, r in zip(got[1:], phases)), state
+    for count, rate in zip(idx, phases):
+        assert not rate[count == 0].any()  # no completion from an empty phase
+    if isinstance(model, MultiServerModel):
+        np.testing.assert_array_equal(servers, model.m * (idx.sum(axis=0) > model.threshold))
+    else:
+        assert not servers.any()

@@ -57,12 +57,13 @@ def _pin_config(pin):
 
 @pytest.fixture
 def fresh_kernel():
-    """Forget the loaded kernels before and after the test, so neither sees the other's."""
-    SIM._kernel.cache_clear()
-    LINSYS._kernel.cache_clear()
+    """Forget the library and the loaded kernels before and after the test,
+    so neither sees the other's."""
+    for forget in (KERNELS._outcome, SIM._kernel, LINSYS._kernel):
+        forget.cache_clear()
     yield
-    SIM._kernel.cache_clear()
-    LINSYS._kernel.cache_clear()
+    for forget in (KERNELS._outcome, SIM._kernel, LINSYS._kernel):
+        forget.cache_clear()
 
 
 @pytest.mark.parametrize("pin, python_loop", [
@@ -92,6 +93,15 @@ def test_missing_compiler_falls_back_to_the_python_loop(caplog, monkeypatch, tmp
         lines = [r.getMessage() for r in caplog.records if r.name == logger]
         assert len(lines) == 1 and cause in lines[0] and "no-such-cc" in lines[0], lines
     assert SIM._kernel() is None and LINSYS._kernel() is None
+
+
+def test_missing_compiler_is_tried_once_for_both_loops(monkeypatch, tmp_path, fresh_kernel):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(KERNELS, "_COMPILER", str(tmp_path / "no-such-cc"))
+    run, builds = KERNELS.subprocess.run, []
+    monkeypatch.setattr(KERNELS.subprocess, "run", lambda cmd, **kw: builds.append(cmd) or run(cmd, **kw))
+    assert SIM._kernel() is None and LINSYS._kernel() is None
+    assert len(builds) == 1 and builds[0][0] == KERNELS._COMPILER
 
 
 def _kernel_loads(cache, compiler, processes=1):
