@@ -139,7 +139,7 @@ def _condition_estimate(a: np.ndarray) -> float:
     """LAPACK's estimate (getrf + gecon) of the infinity-norm condition number
     of a, which it overwrites: a.T is factored in place, and
     cond_1(a.T) = cond_inf(a)."""
-    anorm = max(np.abs(row).sum() for row in a)
+    anorm = np.abs(a).sum(axis=1).max()
     lu, _, _ = lapack.dgetrf(a.T, overwrite_a=1)
     rcond, _ = lapack.dgecon(lu, anorm, norm="1")
     return 1.0 / rcond if rcond > 0 else float("inf")

@@ -311,6 +311,16 @@ def multi_model_to_json(model: MultiServerModel) -> dict:
     }
 
 
+def _whole(name: str, value) -> int:
+    """A count read from JSON, where 3 may come as 3.0; a fractional value
+    raises a ModelError naming the field instead of being truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def multi_model_from_json(doc: dict) -> MultiServerModel:
     try:
         return MultiServerModel(
@@ -318,8 +328,8 @@ def multi_model_from_json(doc: dict) -> MultiServerModel:
             mu1=float(doc["mu1"]),
             mu2=float(doc["mu2"]),
             q=float(doc["q"]),
-            m=int(doc["m"]),
-            threshold=int(doc.get("threshold", 0)),
+            m=_whole("m", doc["m"]),
+            threshold=_whole("threshold", doc.get("threshold", 0)),
         )
     except KeyError as exc:
         raise ModelError(f"missing model field {exc}") from exc

@@ -24,33 +24,40 @@ below the K-diagonal; everything else is shared with the uncontrolled pool
 rule.  A running state puts mu2 (z - 1)(m - i - j) z^j into b_i.  A stopped
 state, on the threshold diagonal i + j = K >= 1, puts
 (i mu1 z + (m - i) mu2 (z - 1)) z^j into b_i and
--i mu1 (1 - q + q z) z^(j+1) into b_(i-1).  The root rows and the z = 1
-Taylor vectors of b are numpy expressions over the kept states.
+-i mu1 (1 - q + q z) z^(j+1) into b_(i-1).
 
 Everything that does not depend on K is computed once per pool
 (lam, mu1, mu2, q, m) and kept in a bounded cache shared by all thresholds
 and all calls: the table of rates k mu1 and (m - k) mu2 that every minor
 and determinant evaluation reads, the determinant zeros, the left null
-vector of A(z) and the powers z^j at each zero, and the Taylor data of A(z)
+vector of A(z) and the powers z^j at each zero, the Taylor data of A(z)
 at z = 1 with the null pair of A(1).  The same cache keeps each threshold's
 solution, so a pool is solved once per threshold however many sweeps or
-cost vectors ask for it.  The closure by the zeros is the spectral-expansion
-closure of Mitrani & Chakka, "Spectral expansion solution for a class of
-Markov models", Performance Evaluation 23 (1995).
+cost vectors ask for it.  A call that solves builds, at its first threshold
+not yet kept, the boundary tables: over every state i + j < m, its
+balance-row entries as a running and as a stopped state, its root-row
+coefficients and the z = 1 Taylor coefficients of its terms of b.  Each
+threshold of the call selects the states i + j >= K from them and scatters
+them into its dense system, then solves it and the Taylor cascade.  The
+tables are not kept past the call: once a sweep has kept every threshold
+no solve reads them again.  The closure by the zeros is the
+spectral-expansion closure of Mitrani & Chakka, "Spectral expansion
+solution for a class of Markov models", Performance Evaluation 23 (1995).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import logging
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
+from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .linsys import solve_probability_system
 from .models import (
@@ -253,10 +260,52 @@ def _dense_matrix(model: MultiServerModel, z: float) -> np.ndarray:
 
 def _null_vectors(a0: np.ndarray):
     """Left and right null vectors of a (numerically) singular matrix."""
-    u_svd, sv, vt = scipy.linalg.svd(a0)
+    u_svd, sv, vt = _svd(a0)
     if sv[-1] > 1e-6 * sv[0]:
         raise SolverError(f"matrix expected singular has sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
     return u_svd[:, -1], vt[-1, :]
+
+
+# scipy.linalg.svd(a) and scipy.linalg.lstsq(a, b)[0] for square float
+# matrices, by the LAPACK calls those wrappers make, with the work sizes they
+# compute, once per order, and their checks and errors
+
+
+@functools.cache
+def _gesdd(n: int):
+    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64,
+                                          ilp64="preferred")
+    return gesdd, _compute_lwork(gesdd_lwork, n, n, compute_uv=True, full_matrices=True)
+
+
+@functools.cache
+def _gelsd(n: int):
+    gelsd, gelsd_lwork = get_lapack_funcs(("gelsd", "gelsd_lwork"), dtype=np.float64)
+    cond = np.finfo(np.float64).eps
+    return gelsd, *_compute_lwork(gelsd_lwork, n, n, 1, cond), cond
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _svd(a: np.ndarray):
+    _require_finite(a)
+    gesdd, lwork = _gesdd(len(a))
+    u, s, vt, info = gesdd(a, compute_uv=True, lwork=lwork, full_matrices=True, overwrite_a=False)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return u, s, vt
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _require_finite(b)      # a is A0, which its SVD has checked
+    gelsd, lwork, iwork, cond = _gelsd(len(b))
+    x, _, _, info = gelsd(a, b, lwork, iwork, cond, False, False)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return x
 
 
 # --- threshold-independent data of a pool -------------------------------------
@@ -287,7 +336,8 @@ class _Pool:
 
     def __init__(self, model: MultiServerModel):
         self.model = model
-        self.rates = tuple((k * model.mu1, (model.m - k) * model.mu2) for k in range(model.m))
+        _, fg, bg = model.rates(np.arange(model.m), model.m)
+        self.rates = tuple(zip(fg.tolist(), bg.tolist()))
         self.solutions: dict[int, MultiServerSolution] = {}
 
     @functools.cached_property
@@ -333,6 +383,91 @@ class _Pool:
         return _AtOne(a0=a0, a1=a1, a2=a2, u=u, v=v, uA1v=uA1v, y2v=y2s.c[0], y2d=y2s.c[1])
 
 
+@dataclass(frozen=True)
+class _Tables:
+    """What every threshold's boundary system and z = 1 vector b take from
+    each state, over all states (i, j) with i + j < m in row-major order,
+    the order of the unknowns at every threshold.  The balance entries
+    (row state, column state, value) of the states i + j <= m - 2, as
+    running and as stopped states, are sorted by the diagonal i + j of their
+    row state, which starts at `run_from` and `stop_from`; each value is the
+    0.0 + x or 0.0 - x that updating a zeroed cell by x gives.  The root-row
+    coefficients hold one row per zero, and the Taylor coefficients the
+    three orders (c0, c0 p + c1, c0 p (p - 1)/2 + c1 p) of a term
+    (c0 + c1 t) z^p of b at z = 1 + t."""
+
+    states: list               # (i, j)
+    i: np.ndarray
+    t: np.ndarray              # i + j
+    by_diagonal: np.ndarray    # state indices ordered by (i + j, i)
+    run: tuple                 # balance entries of running states: rows, columns, values
+    run_from: np.ndarray
+    stop: tuple                # balance entries of states stopped on their diagonal
+    stop_from: np.ndarray
+    run_roots: np.ndarray      # root-row coefficients of running and stopped states
+    stop_roots: np.ndarray
+    run_taylor: np.ndarray     # a running state's term of b_i
+    below_taylor: np.ndarray   # a stopped state's terms of b_(i-1) (i >= 1) and b_i
+    own_taylor: np.ndarray
+
+
+def _boundary_tables(model: MultiServerModel, at_roots) -> _Tables:
+    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    i, j = np.array([(i, j) for i in range(m) for j in range(m - i)]).T
+    t = i + j
+
+    def index(i, j):
+        return i * m - i * (i - 1) // 2 + j
+
+    def sorted_entries(parts):
+        # by the diagonal of the row state, keeping the order of each row's entries
+        rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+        order = np.argsort(t[rows], kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        return (rows, cols, vals), np.searchsorted(t[rows], np.arange(m + 1))
+
+    # balance equations of the states i + j <= m - 2, whose neighbours all
+    # lie in the unknown set (there min(j, m - i) = j and min(j + 1, m - i)
+    # = j + 1); a running state has arrivals and both services out, a
+    # stopped one arrivals out and service inflows from the diagonal above
+    rows = np.flatnonzero(t <= m - 2)
+    ib, jb = i[rows], j[rows]
+    left, down = ib > 0, jb > 0
+    run, run_from = sorted_entries([
+        (rows, rows, 0.0 + (lam + ib * mu1 + jb * mu2)),
+        (rows[left], index(ib - 1, jb)[left], np.full(left.sum(), 0.0 - lam)),
+        (rows, index(ib + 1, jb), 0.0 - (ib + 1) * mu1 * (1.0 - q)),
+        (rows[down], index(ib + 1, jb - 1)[down], 0.0 - (ib + 1)[down] * mu1 * q),
+        (rows, index(ib, jb + 1), 0.0 - (jb + 1) * mu2)])
+    stop, stop_from = sorted_entries([
+        (rows, rows, np.full(len(rows), 0.0 + lam)),
+        (rows, index(ib + 1, jb), 0.0 - (ib + 1) * (1.0 - q) * mu1),
+        (rows, index(ib, jb + 1), 0.0 - (jb + 1) * mu2)])
+
+    # at each zero of the determinant the transform system A(z) g = b stays
+    # solvable only if b is orthogonal to the left null vector u of A(z)
+    z, u, zpow = at_roots
+    z = z[:, None]
+    zm1 = z - 1.0
+    run_roots = 0.0 + u[:, i] * (mu2 * zm1 * (m - i - j) * zpow[:, j])
+    own = u[:, i] * ((i * mu1 * z + (m - i) * mu2 * zm1) * zpow[:, j])
+    stop_roots = 0.0 + own
+    hi = i > 0
+    stop_roots[:, hi] = (0.0 + u[:, i[hi] - 1] * (
+        -i[hi] * mu1 * (1.0 - q + q * z) * zpow[:, j[hi] + 1])) + own[:, hi]
+
+    def taylor(c0, c1, p):
+        return np.array([c0, c0 * p + c1, c0 * p * (p - 1) / 2 + c1 * p])
+
+    return _Tables(
+        states=list(zip(i.tolist(), j.tolist())), i=i, t=t,
+        by_diagonal=np.lexsort((i, t)), run=run, run_from=run_from, stop=stop,
+        stop_from=stop_from, run_roots=run_roots, stop_roots=stop_roots,
+        run_taylor=taylor(0.0 * i, mu2 * (m - i - j), j),
+        below_taylor=taylor(-i * mu1, -i * mu1 * q, j + 1),
+        own_taylor=taylor(i * mu1, i * mu1 + (m - i) * mu2, j))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -351,79 +486,72 @@ def _pool(model: MultiServerModel) -> _Pool:
 # --- one threshold ------------------------------------------------------------
 
 
-def _solve_threshold(model: MultiServerModel, K: int, pool: _Pool) -> MultiServerSolution:
-    """Steady state under threshold K, solved once per pool and threshold.
-    Every call gets its own containers, so a caller's edits never reach the
-    cache."""
-    sol = pool.solutions.get(K)
-    if sol is None:
-        sol = pool.solutions[K] = _solve_boundary(model, K, pool)
-    return dataclasses.replace(sol, boundary=dict(sol.boundary), g_at_1=list(sol.g_at_1),
-                               p=list(sol.p), roots=list(sol.roots))
+def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[MultiServerSolution]:
+    """Steady states under the given thresholds, each solved once per pool
+    and threshold.  The boundary tables are built at the first threshold
+    not yet kept and serve the rest of the call.  Every solution returned
+    has containers of its own, so a caller's edits never reach the cache."""
+    tables, out = None, []
+    for K in thresholds:
+        sol = pool.solutions.get(K)
+        if sol is None:
+            if tables is None:
+                tables = _boundary_tables(model, pool.at_roots)
+            sol = pool.solutions[K] = _solve_boundary(model, K, pool, tables)
+        out.append(dataclasses.replace(sol, boundary=dict(sol.boundary), g_at_1=list(sol.g_at_1),
+                                       p=list(sol.p), roots=list(sol.roots)))
+    return out
 
 
-def _solve_boundary(model: MultiServerModel, K: int, pool: _Pool) -> MultiServerSolution:
-    """Steady state under threshold K from the pool's cached data."""
-    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-
-    states = [(i, j) for i in range(m) for j in range(max(0, K - i), m - i)]
-    idx = {s: k for k, s in enumerate(states)}
-    n = len(states)
+def _solve_boundary(model: MultiServerModel, K: int, pool: _Pool,
+                    tab: _Tables) -> MultiServerSolution:
+    """Steady state under threshold K: the boundary tables restricted to the
+    states i + j >= K and scattered into the dense system."""
+    m = model.m
+    keep = tab.t >= K
+    kept = np.flatnonzero(keep)
+    rank = np.cumsum(keep) - 1        # the unknown of each kept state
+    n = len(kept)
     a = np.zeros((n, n))
     rhs = np.zeros(n)
-    r = 0
 
-    # balance equations that close inside the unknown set
-    for i in range(m - 1):
-        for j in range(max(0, K - i), m - i - 1):
-            row = a[r]
-            if K >= 1 and i + j == K:
-                # servers stopped on the threshold diagonal: arrivals out,
-                # service inflows from the diagonal above
-                row[idx[(i, j)]] += lam
-                row[idx[(i + 1, j)]] -= (i + 1) * (1.0 - q) * mu1
-                row[idx[(i, j + 1)]] -= (j + 1) * mu2
-            else:
-                row[idx[(i, j)]] += lam + i * mu1 + min(j, m - i) * mu2
-                if i > 0:
-                    row[idx[(i - 1, j)]] -= lam
-                row[idx[(i + 1, j)]] -= (i + 1) * mu1 * (1.0 - q)
-                if j > 0:
-                    row[idx[(i + 1, j - 1)]] -= (i + 1) * mu1 * q
-                row[idx[(i, j + 1)]] -= min(j + 1, m - i) * mu2
-            r += 1
+    # balance equations that close inside the unknown set: the rows i + j > K
+    # as running states (all of them at K = 0), the rows i + j = K as stopped
+    # ones; a row sits below the i states i + j = m - 1 that end the rows above
+    row_of = rank - tab.i
+    lo = tab.run_from[K + 1] if K else 0
+    rows, cols, vals = (x[lo:] for x in tab.run)
+    a[row_of[rows], rank[cols]] = vals
+    # the stopped states lie on the threshold diagonal, by increasing i from 0
+    diagonal = tab.by_diagonal[K * (K + 1) // 2:(K + 1) * (K + 2) // 2] if K else kept[:0]
+    if K:
+        rows, cols, vals = (x[tab.stop_from[K]:tab.stop_from[K + 1]] for x in tab.stop)
+        a[row_of[rows], rank[cols]] = vals
 
-    # at each zero of the determinant the transform system A(z) g = b stays
-    # solvable only if b is orthogonal to the left null vector u of A(z); the
-    # stopped states lie on the threshold diagonal, by increasing i from 0
-    i, j = np.array(states).T
-    stopped = (i + j == K) & (K > 0)
-    run, stop = np.flatnonzero(~stopped), np.flatnonzero(stopped)
-    ir, jr, i_, j_ = i[run], j[run], i[stop], j[stop]
-    z, u, zpow = pool.at_roots
-    z = z[:, None]
-    zm1 = z - 1.0
-    roots = a[r:n - 1]
-    roots[:, run] += u[:, ir] * (mu2 * zm1 * (m - ir - jr) * zpow[:, jr])
-    roots[:, stop[1:]] += u[:, i_[1:] - 1] * (
-        -i_[1:] * mu1 * (1.0 - q + q * z) * zpow[:, j_[1:] + 1])
-    roots[:, stop] += u[:, i_] * ((i_ * mu1 * z + (m - i_) * mu2 * zm1) * zpow[:, j_])
+    # one row per zero of the determinant
+    roots = tab.run_roots[:, kept]
+    roots[:, rank[diagonal]] = tab.stop_roots[:, diagonal]
+    a[n - m:n - 1] = roots
 
     # idle-or-stopped server identity as the normalisation
-    a[n - 1] = np.where(i + j == K, m, m - i - j)
+    t = tab.t[kept]
+    a[n - 1] = np.where(t == K, m, m - t)
     rhs[n - 1] = m - model.rho1 - model.rho2
 
     x = solve_probability_system(a, rhs)
 
-    # the same terms at z = 1 + t, each (c0 + c1 t) z^p with
-    # z^p = 1 + p t + p (p - 1)/2 t^2, give the Taylor coefficients b0, b1, b2
+    # the Taylor coefficients b0, b1, b2 of b, added up in the order of the
+    # running states, the stopped states' terms of b_(i-1), then of b_i
+    run = kept[t != K] if K else kept
+    below = diagonal[1:]
+    cols = rank[np.concatenate((run, below, diagonal))]
+    terms = np.concatenate((tab.run_taylor[:, run], tab.below_taylor[:, below],
+                            tab.own_taylor[:, diagonal]), axis=1)
     b = np.zeros((3, m))
-    for cols, t, c0, c1, p in ((run, ir, 0.0 * ir, mu2 * (m - ir - jr), jr),
-                               (stop[1:], i_[1:] - 1, -i_[1:] * mu1, -i_[1:] * mu1 * q, j_[1:] + 1),
-                               (stop, i_, i_ * mu1, i_ * mu1 + (m - i_) * mu2, j_)):
-        taylor = np.array([c0, c0 * p + c1, c0 * p * (p - 1) / 2 + c1 * p])
-        np.add.at(b, (slice(None), t), taylor * x[cols])
-    return _finish(model, K, dict(zip(states, map(float, x))), b, pool)
+    np.add.at(b, (slice(None), np.concatenate((tab.i[run], tab.i[below] - 1, tab.i[diagonal]))),
+              terms * x[cols])
+    return _finish(model, K, dict(zip(itertools.compress(tab.states, keep.tolist()), x.tolist())),
+                   b, pool)
 
 
 def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
@@ -445,15 +573,15 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
     scale = np.abs(b0).max() + np.abs(b1).max()
     if abs(u @ b0) > 1e-7 * max(scale, 1e-300):
         raise SolverError(f"solvability residual {u @ b0:.3e} at z = 1; boundary solve inconsistent")
-    p0 = scipy.linalg.lstsq(a0, b0)[0]
+    p0 = _lstsq(a0, b0)
     c0 = (u @ b1 - u @ a1 @ p0) / uA1v
     g0 = p0 + c0 * v
-    p1 = scipy.linalg.lstsq(a0, b1 - a1 @ g0)[0]
+    p1 = _lstsq(a0, b1 - a1 @ g0)
     c1 = (u @ b2 - u @ a2 @ g0 - u @ a1 @ p1) / uA1v
     g1 = p1 + c1 * v
 
-    gv1 = [float(x) for x in g0]       # g_i(1)
-    gd1 = [float(x) for x in g1]       # g_i'(1)
+    gv1 = g0.tolist()       # g_i(1)
+    gd1 = g1.tolist()       # g_i'(1)
     r = rho_hat
     gm1 = r * gv1[m - 1]
 
@@ -467,9 +595,11 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
     tail_deriv = (gd1[m - 1] * (y2v - 1.0) - gv1[m - 1] * y2d) / (y2v - 1.0) ** 2
     L2 = sum(gd1) + tail_deriv
 
-    diag = sum(boundary.get((i, K - i), 0.0) for i in range(K + 1))
-    U = m * (1.0 - diag)
-    p = [sum(boundary.get((i, t - i), 0.0) for i in range(t + 1)) for t in range(m)]
+    # the total-count marginal, each diagonal summed by increasing i; the
+    # servers are stopped on the threshold diagonal
+    p = [0.0] * m
+    for (i, j), x in boundary.items():
+        p[i + j] += x
 
     return MultiServerSolution(
         boundary=boundary,
@@ -478,7 +608,7 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
         L1=L1,
         L2=L2,
         L=L1 + L2,
-        U=U,
+        U=m * (1.0 - p[K]),
         p=p,
         tail_mass=1.0 - sum(p),
         roots=list(pool.roots),
@@ -495,7 +625,7 @@ def solve_threshold(model: MultiServerModel) -> MultiServerSolution:
     attempted again and raises the same error on every call.
     """
     d_roots(model)   # checks the model and isolates the zeros on the pool's first solve
-    return _solve_threshold(model, model.threshold, _pool(model))
+    return _solve_thresholds(model, [model.threshold], _pool(model))[0]
 
 
 def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
@@ -505,13 +635,13 @@ def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
     The determinant zeros, the null vectors at them and the z = 1 Taylor
     data come from the pool cache, so they are built once per pool however
     many sweeps or solves use it.  Each threshold solves its own boundary
-    system once; later sweeps, solves and cost vectors of the pool are
-    served the kept solution, as in `solve_threshold`.  A failure at any
-    threshold propagates, and is not kept.
+    system once, scattered from boundary tables that the sweep builds once;
+    later sweeps, solves and cost vectors of the pool are served the kept
+    solution, as in `solve_threshold`.  A failure at any threshold
+    propagates, and is not kept.
     """
     d_roots(model)
-    pool = _pool(model)
-    return [_solve_threshold(model, K, pool) for K in range(model.m)]
+    return _solve_thresholds(model, range(model.m), _pool(model))
 
 
 def evaluate_cost_multi(solution: MultiServerSolution, costs: CostCoefficients) -> float:

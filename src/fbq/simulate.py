@@ -25,6 +25,7 @@ import ctypes
 import functools
 import logging
 import math
+import numbers
 import random
 import time
 from bisect import bisect_right
@@ -107,8 +108,10 @@ class SimConfig:
     def __post_init__(self):
         for name in ("jobs", "warmup_jobs", "seed", "batch_count"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ModelError(f"{name} must be an integer, got {value!r}")
+            # a Python int, which random.Random takes as a seed and numpy integers are not
+            object.__setattr__(self, name, int(value))
         if self.warmup_jobs < 0:
             raise ModelError(f"warmup_jobs must be nonnegative, got {self.warmup_jobs}")
         if self.jobs < 10 * self.warmup_jobs:

@@ -65,6 +65,19 @@ class TestValidation:
         doc = {"lambda": 1, "mu1": 1, "mu2": 0.5, "q": 0.2, "m": 3, "threshold": 2}
         assert multi_model_from_json(doc) == MultiServerModel(1.0, 1.0, 0.5, 0.2, 3, threshold=2)
 
+    @pytest.mark.parametrize("field, value", [("m", 2.5), ("threshold", 1.5), ("m", True),
+                                              ("threshold", "1"), ("m", None)])
+    def test_multi_json_rejects_fractional_counts_by_name(self, field, value):
+        doc = {"lambda": 1, "mu1": 1, "mu2": 0.5, "q": 0.2, "m": 3, "threshold": 1, field: value}
+        with pytest.raises(ModelError, match=rf"^{field} must be an integer, got {value!r}$"):
+            multi_model_from_json(doc)
+
+    def test_multi_json_reads_whole_floats_as_counts(self):
+        doc = {"lambda": 1, "mu1": 1, "mu2": 0.5, "q": 0.2, "m": 3.0, "threshold": 2.0}
+        model = multi_model_from_json(doc)
+        assert model == MultiServerModel(1.0, 1.0, 0.5, 0.2, 3, threshold=2)
+        assert type(model.m) is type(model.threshold) is int
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

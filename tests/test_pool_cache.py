@@ -13,6 +13,14 @@ of seeded pools with m = 2..24, which every float zero must match to 2e-15
 relative.  The zeros of the seeded pools must also equal, bit for bit, those
 that the same Sturm search finds on plain-loop copies of the recurrences,
 which form every matrix entry from the rates inside the loop.
+
+Each threshold's system is scattered from boundary tables built once per
+call, and its Taylor cascade and the null vectors call LAPACK's gelsd and
+gesdd directly; every
+threshold of the seeded and pinned pools must hand the solver the same
+system bytes, and give the same solution or error, as the per-state
+assembly with scipy.linalg.lstsq and svd kept below as the reference.
+A sweep builds the tables once for all its thresholds, and no pool keeps them.
 """
 
 import copy
@@ -26,6 +34,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fbq import multi
 from fbq.ctmc import ctmc_solve
@@ -107,13 +116,30 @@ def count_calls(monkeypatch, *names):
 
 
 def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
-    calls = count_calls(monkeypatch, "_null_vectors", "kernel_root_pair_at_1")
+    calls = count_calls(monkeypatch, "_null_vectors", "kernel_root_pair_at_1", "_boundary_tables")
     model = MultiServerModel(**POOL)
     sweep_thresholds(model)
     sweep_thresholds(model)
     solve_threshold(dataclasses.replace(model, threshold=2))
-    # one null vector per root, one null pair of A(1)
-    assert calls == {"_null_vectors": model.m, "kernel_root_pair_at_1": 1}
+    # one null vector per root, one null pair of A(1), and one set of
+    # boundary tables for the m thresholds of the first sweep
+    assert calls == {"_null_vectors": model.m, "kernel_root_pair_at_1": 1, "_boundary_tables": 1}
+
+
+def test_boundary_tables_are_built_once_per_call_that_solves(monkeypatch, solves):
+    calls = count_calls(monkeypatch, "_boundary_tables")
+    model = MultiServerModel(**POOL)
+    for K in (3, 0):
+        solve_threshold(dataclasses.replace(model, threshold=K))
+    sweep_thresholds(model)
+    assert (calls["_boundary_tables"], solves[0]) == (3, model.m)
+    pin = {k: v for k, v in PINS["failing_pool"].items() if k != "message"}
+    for attempt in (1, 2):
+        with pytest.raises(SolverError):
+            sweep_thresholds(MultiServerModel(**pin))
+        assert calls["_boundary_tables"] == 3 + attempt
+    # no pool keeps them
+    assert not any(isinstance(x, multi._Tables) for x in vars(multi._pool(model)).values())
 
 
 def test_building_a_pool_logs_one_debug_line(caplog, monkeypatch):
@@ -342,3 +368,144 @@ def test_q1_pools_that_lost_a_zero_match_the_oracle(m):
         for field in ("L1", "L2", "U"):
             assert getattr(sweep[K], field) == pytest.approx(getattr(oracle, field), rel=1e-10), \
                 (K, field)
+
+
+# --- each threshold's solve against the per-state reference --------------------
+
+
+def reference_null_vectors(a0):
+    u_svd, sv, vt = scipy.linalg.svd(a0)
+    if sv[-1] > 1e-6 * sv[0]:
+        raise SolverError(f"matrix expected singular has sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
+    return u_svd[:, -1], vt[-1, :]
+
+
+def reference_solve_boundary(model, K, pool, tables=None):
+    """The boundary solve assembled state by state from the pool's zeros."""
+    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    states = [(i, j) for i in range(m) for j in range(max(0, K - i), m - i)]
+    idx = {s: k for k, s in enumerate(states)}
+    n = len(states)
+    a = np.zeros((n, n))
+    rhs = np.zeros(n)
+    r = 0
+    for i in range(m - 1):
+        for j in range(max(0, K - i), m - i - 1):
+            row = a[r]
+            if K >= 1 and i + j == K:
+                row[idx[(i, j)]] += lam
+                row[idx[(i + 1, j)]] -= (i + 1) * (1.0 - q) * mu1
+                row[idx[(i, j + 1)]] -= (j + 1) * mu2
+            else:
+                row[idx[(i, j)]] += lam + i * mu1 + min(j, m - i) * mu2
+                if i > 0:
+                    row[idx[(i - 1, j)]] -= lam
+                row[idx[(i + 1, j)]] -= (i + 1) * mu1 * (1.0 - q)
+                if j > 0:
+                    row[idx[(i + 1, j - 1)]] -= (i + 1) * mu1 * q
+                row[idx[(i, j + 1)]] -= min(j + 1, m - i) * mu2
+            r += 1
+
+    i, j = np.array(states).T
+    stopped = (i + j == K) & (K > 0)
+    run, stop = np.flatnonzero(~stopped), np.flatnonzero(stopped)
+    ir, jr, i_, j_ = i[run], j[run], i[stop], j[stop]
+    z, u, zpow = pool.at_roots
+    z = z[:, None]
+    zm1 = z - 1.0
+    roots = a[r:n - 1]
+    roots[:, run] += u[:, ir] * (mu2 * zm1 * (m - ir - jr) * zpow[:, jr])
+    roots[:, stop[1:]] += u[:, i_[1:] - 1] * (
+        -i_[1:] * mu1 * (1.0 - q + q * z) * zpow[:, j_[1:] + 1])
+    roots[:, stop] += u[:, i_] * ((i_ * mu1 * z + (m - i_) * mu2 * zm1) * zpow[:, j_])
+    a[n - 1] = np.where(i + j == K, m, m - i - j)
+    rhs[n - 1] = m - model.rho1 - model.rho2
+
+    x = multi.solve_probability_system(a, rhs)
+
+    b = np.zeros((3, m))
+    for cols, t, c0, c1, p in ((run, ir, 0.0 * ir, mu2 * (m - ir - jr), jr),
+                               (stop[1:], i_[1:] - 1, -i_[1:] * mu1, -i_[1:] * mu1 * q, j_[1:] + 1),
+                               (stop, i_, i_ * mu1, i_ * mu1 + (m - i_) * mu2, j_)):
+        taylor = np.array([c0, c0 * p + c1, c0 * p * (p - 1) / 2 + c1 * p])
+        np.add.at(b, (slice(None), t), taylor * x[cols])
+    return reference_finish(model, K, dict(zip(states, map(float, x))), b, pool)
+
+
+def reference_finish(model, K, boundary, b, pool):
+    m, one = model.m, pool.at_one
+    a0, a1, a2 = one.a0, one.a1, one.a2
+    b0, b1, b2 = b
+    u, v, uA1v = one.u, one.v, one.uA1v
+    scale = np.abs(b0).max() + np.abs(b1).max()
+    if abs(u @ b0) > 1e-7 * max(scale, 1e-300):
+        raise SolverError(f"solvability residual {u @ b0:.3e} at z = 1; boundary solve inconsistent")
+    p0 = scipy.linalg.lstsq(a0, b0)[0]
+    c0 = (u @ b1 - u @ a1 @ p0) / uA1v
+    g0 = p0 + c0 * v
+    p1 = scipy.linalg.lstsq(a0, b1 - a1 @ g0)[0]
+    c1 = (u @ b2 - u @ a2 @ g0 - u @ a1 @ p1) / uA1v
+    g1 = p1 + c1 * v
+
+    gv1 = [float(x) for x in g0]
+    gd1 = [float(x) for x in g1]
+    r = model.lam / (m * model.mu1)
+    gm1 = r * gv1[m - 1]
+    if K == 0:
+        _, L1 = multi.mmm_marginal(m, model.rho1)
+    else:
+        L1 = sum(i * gv1[i] for i in range(m)) + gm1 * (m * (1.0 - r) + r) / (1.0 - r) ** 2
+    y2v, y2d = one.y2v, one.y2d
+    tail_deriv = (gd1[m - 1] * (y2v - 1.0) - gv1[m - 1] * y2d) / (y2v - 1.0) ** 2
+    L2 = sum(gd1) + tail_deriv
+    diag = sum(boundary.get((i, K - i), 0.0) for i in range(K + 1))
+    p = [sum(boundary.get((i, t - i), 0.0) for i in range(t + 1)) for t in range(m)]
+    return multi.MultiServerSolution(
+        boundary=boundary, g_at_1=gv1, g_m_at_1=gm1, L1=L1, L2=L2, L=L1 + L2,
+        U=m * (1.0 - diag), p=p, tail_mass=1.0 - sum(p), roots=list(pool.roots), threshold=K)
+
+
+def every_threshold(model, monkeypatch):
+    """Per threshold, each solved system's bytes and the solution or the error,
+    from a cold pool cache."""
+    handed = []
+    solve = multi.solve_probability_system
+
+    def spy(a, rhs):
+        handed.append((np.asarray(a, dtype=float).tobytes(), np.asarray(rhs, dtype=float).tobytes()))
+        return solve(a, rhs)
+
+    out = []
+    _pool_data.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(multi, "solve_probability_system", spy)
+        for K in range(model.m):
+            handed.clear()
+            try:
+                result = solve_threshold(dataclasses.replace(model, threshold=K))
+            except SolverError as exc:
+                result = str(exc)
+            out.append((list(handed), result))
+    return out
+
+
+def test_each_threshold_equals_the_per_state_reference_bit_for_bit(monkeypatch):
+    models = [MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
+              for params in (*PINS["pools"].values(), PINS["failing_pool"])]
+    failed = 0
+    for model in models + list(seeded_pools()):
+        with monkeypatch.context() as patch:
+            patch.setattr(multi, "_null_vectors", reference_null_vectors)
+            patch.setattr(multi, "_solve_boundary", reference_solve_boundary)
+            expected = every_threshold(model, monkeypatch)
+        got = every_threshold(model, monkeypatch)
+        for K, ((systems, result), (ref_systems, ref_result)) in enumerate(zip(got, expected)):
+            assert systems == ref_systems and len(systems) == 1, (model, K)
+            if isinstance(ref_result, str):
+                assert result == ref_result, (model, K)
+                failed += 1
+            else:
+                assert_same_solutions([result], [ref_result])
+                assert [x.hex() for x in result.p] == [x.hex() for x in ref_result.p]
+    # the failing pool at every threshold, and the large seeded pools
+    assert failed >= PINS["failing_pool"]["m"]

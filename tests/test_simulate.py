@@ -27,6 +27,7 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fbq
@@ -143,6 +144,15 @@ def test_config_rejects_non_integer_or_negative_counts(field, value):
     with pytest.raises(ModelError, match=field):
         SimConfig(model=ThreePhaseModel(1.5, 5.0, 1.0, 0.5, 0.1, 0.5),
                   **{"jobs": 30_000, "warmup_jobs": 1_000, field: value})
+
+
+def test_config_takes_numpy_integers_as_counts():
+    model = ThreePhaseModel(1.5, 5.0, 1.0, 0.5, 0.1, 0.5)
+    counts = {"jobs": 30_000, "warmup_jobs": 1_000, "seed": 7, "batch_count": 20}
+    cfg = SimConfig(model=model, **{k: np.int64(v) for k, v in counts.items()})
+    assert cfg == SimConfig(model=model, **counts)
+    assert all(type(getattr(cfg, k)) is int for k in counts)
+    assert simulate(cfg) == simulate(SimConfig(model=model, **counts))
 
 
 def _debug_lines(caplog, cfg):
