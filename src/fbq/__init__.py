@@ -35,7 +35,7 @@ from .multi import (
     sweep_thresholds,
     verify_multi,
 )
-from .baselines import TruncatedLoadFunctions, fcfs_L, las_L, priority_two_class_L
+from .baselines import fcfs_L, las_L, priority_two_class_L
 from .ctmc import CtmcSolution, ctmc_solve
 from .simulate import (
     SimConfig,
@@ -75,7 +75,6 @@ __all__ = [
     "SpeedFamilySolution",
     "SpeedProfile",
     "ThreePhaseModel",
-    "TruncatedLoadFunctions",
     "UnstableModelError",
     "check_stability_multi",
     "check_stability_single",

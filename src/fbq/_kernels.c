@@ -7,12 +7,13 @@
  * is the Python loop's, in its order, so the two agree bit for bit when this
  * file is built with -ffp-contract=off and without -ffast-math.
  *
- * fbq_lu_stack is the factor-and-solve loop of
+ * fbq_lu_stack is the check, scale, factor and solve loop of
  * fbq.linsys.solve_probability_stack.  It calls the LAPACK getrf and getrs
  * that scipy.linalg.lapack wraps, through the pointers that
  * scipy.linalg.cython_lapack exports, so no LAPACK is linked here and each
  * system gets the Python loop's answer bit for bit.
  */
+#include <math.h>
 #include <stdint.h>
 
 enum { MT_N = 624, MT_M = 397 };
@@ -106,28 +107,74 @@ typedef void getrf_fn(int *m, int *n, double *a, int *lda, int *ipiv, int *info)
 typedef void getrs_fn(char *trans, int *n, int *nrhs, double *a, int *lda, int *ipiv,
                       double *b, int *ldb, int *info);
 
-/* Solves the count row-major n x n systems a[k] x[k] = b[k] one at a time,
- * as scipy's dgetrf(a[k]) and dgetrs(lu, piv, b[k]) do: each is copied into
- * column-major order in lu, LU-factored with partial pivoting, and solved.
- * pivots[k] gets the diagonal of the LU factor of system k; lu (n * n) and
- * ipiv (n) are scratch.  A singular factor is not an error here: its zero
- * pivot is in pivots for the caller to check. */
-void fbq_lu_stack(getrf_fn *getrf, getrs_fn *getrs, int64_t count, int n, const double *a,
-                  const double *b, double *lu, int *ipiv, double *x, double *pivots)
+/* The row-scaled solves of fbq.linsys.solve_probability_stack, as its Python
+ * loop _solve_each does them.  A first pass over the whole stack returns 1
+ * if an entry of a or b is not finite, else 2 if a row of a is all zeros,
+ * before any solve.  Then each row of a[k] and its entry of b[k] are divided
+ * in place by the row's largest |a_ij|, and the system is copied into
+ * column-major order in lu, LU-factored with partial pivoting by getrf and
+ * solved by getrs into x[k].  pivmin[k] gets the smallest |pivot| of system
+ * k (NaN if one is NaN, as numpy's min gives).  summary gets the first
+ * system with a pivot below pivot_tol, the first with a solved value below
+ * -neg_tol (each -1 if none) and the count of negative solved values.  lu
+ * (n * n) and ipiv (n) are scratch.  Returns 0 after the solves. */
+int fbq_lu_stack(getrf_fn *getrf, getrs_fn *getrs, int64_t count, int n, double pivot_tol,
+                 double neg_tol, double *a, double *b, double *lu, int *ipiv, double *x,
+                 double *pivmin, int64_t *summary)
 {
+    int zero_row = 0;
+    for (int64_t r = 0; r < count * n; r++) {
+        int nonzero = 0;
+        for (int c = 0; c < n; c++) {
+            if (!isfinite(a[r * n + c]))
+                return 1;
+            nonzero |= a[r * n + c] != 0.0;
+        }
+        if (!isfinite(b[r]))
+            return 1;
+        zero_row |= !nonzero;
+    }
+    if (zero_row)
+        return 2;
+
     int nrhs = 1, info;
     char trans = 'N';
+    summary[0] = summary[1] = -1;
+    summary[2] = 0;
     for (int64_t k = 0; k < count; k++) {
-        const double *ak = a + k * n * n;
-        double *xk = x + k * n;
+        double *ak = a + k * n * n, *bk = b + k * n, *xk = x + k * n;
+        for (int r = 0; r < n; r++) {
+            double scale = 0.0;
+            for (int c = 0; c < n; c++)
+                if (fabs(ak[r * n + c]) > scale)
+                    scale = fabs(ak[r * n + c]);
+            for (int c = 0; c < n; c++)
+                ak[r * n + c] /= scale;
+            bk[r] /= scale;
+        }
         for (int c = 0; c < n; c++) {
             for (int r = 0; r < n; r++)
                 lu[c * n + r] = ak[r * n + c];
-            xk[c] = b[k * n + c];
+            xk[c] = bk[c];
         }
         getrf(&n, &n, lu, &n, ipiv, &info);
-        for (int r = 0; r < n; r++)
-            pivots[k * n + r] = lu[r * n + r];
+        double least = fabs(lu[0]);
+        for (int r = 1; r < n; r++) {
+            double p = fabs(lu[r * n + r]);
+            if (p < least || p != p)
+                least = p;
+        }
+        pivmin[k] = least;
+        if (summary[0] < 0 && least < pivot_tol)
+            summary[0] = k;
         getrs(&trans, &n, &nrhs, lu, &n, ipiv, xk, &n, &info);
+        for (int r = 0; r < n; r++) {
+            if (xk[r] < 0.0) {
+                summary[2]++;
+                if (summary[1] < 0 && xk[r] < -neg_tol)
+                    summary[1] = k;
+            }
+        }
     }
+    return 0;
 }

@@ -208,6 +208,7 @@ class MultiServerModel:
         for name, value in (("m", self.m), ("threshold", self.threshold)):
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ModelError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))   # a Python int, which json.dumps takes
         if self.m < 1:
             raise ModelError(f"server count must be >= 1, got {self.m}")
         if not 0 <= self.threshold <= self.m - 1:

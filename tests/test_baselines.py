@@ -1,12 +1,45 @@
+import os
+import pathlib
+import subprocess
+import sys
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fbq.baselines import TruncatedLoadFunctions, fcfs_L, las_L, priority_two_class_L
+from fbq import baselines
+from fbq.baselines import _las_terms, fcfs_L, las_L, priority_two_class_L
 from fbq.models import CoxianService, SingleServerModel, SpeedProfile, UnstableModelError
 from fbq.single import solve_k1_closed_form
 
 SERVICE = CoxianService(5.0, 1.0, 0.1)
+FIG3_LAMBDAS = [2.1 + 0.1 * k for k in range(12)]
+
+
+def schrage_reference(lam, service, dps=30):
+    """Schrage's LAS mean count, lam times the integral of f(x) T(x) over
+    [0, inf), by mpmath's tanh-sinh quadrature at `dps` digits."""
+    with mp.workdps(dps):
+        lam, nu1, nu2, q = (mp.mpf(v) for v in (lam, service.nu1, service.nu2, service.q))
+
+        def integrand(x):
+            if service._equal_rates():   # the mixture's confluent limit nu2 -> nu1
+                e = mp.exp(-nu1 * x)
+                ramp = (1 - e * (1 + nu1 * x)) / nu1**2                        # int_0^x t e^{-nu1 t}
+                square = (2 - e * (nu1**2 * x**2 + 2 * nu1 * x + 2)) / nu1**3  # int_0^x t^2 e^{-nu1 t}
+                dens = nu1 * e * (1 - q + q * nu1 * x)
+                load = lam * ((1 - e) / nu1 + q * nu1 * ramp)
+                m2 = 2 * (ramp + q * nu1 * square)
+            else:
+                c = nu1 * q / (nu1 - nu2)
+                e1, e2 = mp.exp(-nu1 * x), mp.exp(-nu2 * x)
+                dens = (1 - c) * nu1 * e1 + c * nu2 * e2
+                load = lam * ((1 - c) * (1 - e1) / nu1 + c * (1 - e2) / nu2)
+                m2 = 2 * ((1 - c) * (1 - e1 * (1 + nu1 * x)) / nu1**2 + c * (1 - e2 * (1 + nu2 * x)) / nu2**2)
+            return dens * (x / (1 - load) + lam * m2 / (2 * (1 - load) ** 2))
+
+        return float(lam * mp.quad(integrand, [0, 1 / max(nu1, nu2), 1 / min(nu1, nu2), mp.inf]))
 
 
 def fb_L(lam, service):
@@ -51,39 +84,75 @@ class TestLas:
         with pytest.raises(UnstableModelError):
             las_L(3.4, SERVICE)
 
+    @pytest.mark.parametrize("lam", FIG3_LAMBDAS)
+    def test_figure3_loads_match_30_digit_reference(self, lam):
+        assert las_L(lam, SERVICE) == pytest.approx(schrage_reference(lam, SERVICE), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("lam, svc", [
+        (0.8, CoxianService(2.0, 2.0, 0.5)),                    # equal rates: the confluent branch
+        (0.5 / (1e-4 + 0.05), CoxianService(1e4, 1.0, 0.05)),   # a fast phase 1e4 times the slow one
+    ], ids=["equal-rates", "rate-ratio-1e4"])
+    def test_edge_services_match_30_digit_reference(self, lam, svc):
+        assert las_L(lam, svc) == pytest.approx(schrage_reference(lam, svc), rel=1e-13, abs=0)
+
+    def test_speed_search_draws_match_30_digit_reference(self):
+        # the services and loads of the speed_search benchmark's figure-3 tasks
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            svc = CoxianService(rng.uniform(2.0, 8.0), rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.5))
+            lam = rng.uniform(0.63, 0.96) / svc.mean()
+            assert las_L(lam, svc) == pytest.approx(schrage_reference(lam, svc), rel=1e-13, abs=0)
+
+    def test_q_zero_is_mm1(self):
+        svc = CoxianService(2.0, 1.0, 0.0)
+        for lam in (0.2, 1.0, 1.8):
+            assert las_L(lam, svc) == pytest.approx(fcfs_L(lam, svc), rel=1e-13, abs=0)
+
+    def test_disagreeing_rules_raise(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_LAS_CHECK_NODES", 2)
+        with pytest.raises(RuntimeError, match="rules differ"):
+            las_L(2.1, SERVICE)
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = str(pathlib.Path(baselines.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", "import sys, fbq; print('scipy.integrate' in sys.modules)"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
 
 class TestTruncatedLoad:
+    """The closed forms of baselines._las_terms, which las_L integrates."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_forms_match_quadrature(self, seed):
         rng = np.random.default_rng(seed)
         svc = CoxianService(rng.uniform(0.5, 6.0), rng.uniform(0.2, 3.0), rng.uniform(0.0, 1.0))
         lam = 0.8 / svc.mean() * rng.uniform(0.2, 1.0)
-        tl = TruncatedLoadFunctions(lam, svc)
         for x in rng.uniform(0.01, 6.0, 5):
+            _, load, m2 = _las_terms(lam, svc, x)
             load_num = lam * quad(svc.survival, 0.0, x, epsabs=1e-13, limit=200)[0]
             m2_num = 2 * quad(lambda t: t * svc.survival(t), 0.0, x, epsabs=1e-13, limit=200)[0]
-            assert tl.load(x) == pytest.approx(load_num, abs=1e-9)
-            assert tl.second_moment(x) == pytest.approx(m2_num, abs=1e-9)
+            assert load == pytest.approx(load_num, abs=1e-9)
+            assert m2 == pytest.approx(m2_num, abs=1e-9)
 
     def test_limits(self):
-        tl = TruncatedLoadFunctions(2.1, SERVICE)
-        assert tl.load(0.0) == 0.0
-        assert tl.load(200.0) == pytest.approx(2.1 * SERVICE.mean(), rel=1e-12)
-        assert tl.second_moment(200.0) == pytest.approx(SERVICE.second_moment(), rel=1e-12)
+        assert _las_terms(2.1, SERVICE, 0.0)[1] == 0.0
+        _, load, m2 = _las_terms(2.1, SERVICE, 200.0)
+        assert load == pytest.approx(2.1 * SERVICE.mean(), rel=1e-12)
+        assert m2 == pytest.approx(SERVICE.second_moment(), rel=1e-12)
 
     def test_monotone(self):
-        tl = TruncatedLoadFunctions(2.1, SERVICE)
-        xs = np.linspace(0, 10, 40)
-        loads = [tl.load(x) for x in xs]
-        assert all(b >= a for a, b in zip(loads, loads[1:]))
+        loads = _las_terms(2.1, SERVICE, np.linspace(0, 10, 40))[1]
+        assert (np.diff(loads) >= 0).all()
 
     def test_equal_rate_branch(self):
         svc = CoxianService(2.0, 2.0, 0.5)
-        tl = TruncatedLoadFunctions(0.8, svc)
+        _, load, m2 = _las_terms(0.8, svc, 2.0)
         load_num = 0.8 * quad(svc.survival, 0.0, 2.0, epsabs=1e-13)[0]
         m2_num = 2 * quad(lambda t: t * svc.survival(t), 0.0, 2.0, epsabs=1e-13)[0]
-        assert tl.load(2.0) == pytest.approx(load_num, abs=1e-10)
-        assert tl.second_moment(2.0) == pytest.approx(m2_num, abs=1e-10)
+        assert load == pytest.approx(load_num, abs=1e-10)
+        assert m2 == pytest.approx(m2_num, abs=1e-10)
 
 
 class TestPriorityLimit:

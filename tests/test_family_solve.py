@@ -236,6 +236,69 @@ class TestStackChecks:
                                     np.stack([np.ones(3), self.GOOD[1], b]))
 
 
+def crafted_stack(*faults):
+    """A (8, 4, 4) stack of well-conditioned systems with known solutions in
+    (0.1, 1), and the named faults put in: "nan" in b of system 6, a "zero
+    row" in system 5, a nearly "singular" system 3 (pivot below 1e-12), a
+    "negative" solution -0.5 in system 1 and "roundoff" negatives in
+    [-1e-9, 0) in systems 2 and 6."""
+    rng = np.random.default_rng(21)
+    a = rng.uniform(-1.0, 1.0, (8, 4, 4)) + 4.0 * np.eye(4)
+    x = rng.uniform(0.1, 1.0, (8, 4))
+    if "negative" in faults:
+        x[1, 2] = -0.5
+    if "roundoff" in faults:
+        x[2, 0], x[6, 3] = -5e-10, -1e-12
+    if "singular" in faults:
+        a[3, 1] = a[3, 0] + 1e-14 * a[3, 2]
+    b = np.einsum("kij,kj->ki", a, x)
+    if "zero row" in faults:
+        a[5, 2] = 0.0
+    if "nan" in faults:
+        b[6, 1] = np.nan
+    return a, b
+
+
+def stack_outcome(a, b):
+    """solve_probability_stack's solution on copies of a and b, or the type
+    and message of the error it raises."""
+    try:
+        return solve_probability_stack(a.copy(), b.copy())
+    except (ValueError, SolverError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("faults, expected", [
+    (("nan", "zero row", "singular", "negative"), (ValueError, "array must not contain infs or NaNs")),
+    (("zero row", "singular", "negative"),
+     (SolverError, "degenerate parameter set: zero row in the linear system")),
+])
+def test_first_pass_errors_win_on_both_lu_paths(faults, expected, monkeypatch):
+    compiled, python = on_both_paths(monkeypatch, lambda: stack_outcome(*crafted_stack(*faults)))
+    assert compiled == python == expected
+
+
+def test_later_singular_system_wins_over_earlier_negative_one_on_both_lu_paths(monkeypatch):
+    a, b = crafted_stack("singular", "negative")
+    compiled, python = on_both_paths(monkeypatch, lambda: stack_outcome(a, b))
+    assert compiled == python
+    scaled = a[3] / np.abs(a[3]).max(axis=1)[:, None]
+    cond = LINSYS._condition_estimate(scaled)
+    assert cond > 1e12
+    assert compiled[0] is SolverError
+    assert compiled[1].startswith("singular linear system (pivot ")
+    assert compiled[1].endswith(f"cond ~ {cond:.3e}); degenerate parameter set")
+    assert stack_outcome(a[1:2], b[1:2])[1].startswith("solved probability -5.000e-01")
+
+
+def test_roundoff_negatives_are_clamped_equally_on_both_lu_paths(monkeypatch):
+    a, b = crafted_stack("roundoff")
+    compiled, python = on_both_paths(monkeypatch, lambda: stack_outcome(a, b))
+    assert np.array_equal(compiled, python)
+    assert (compiled >= 0).all() and compiled[2, 0] == 0.0 and compiled[6, 3] == 0.0
+    np.testing.assert_allclose(compiled[0], np.linalg.solve(a[0], b[0]), rtol=1e-13)
+
+
 class TestStackChecksPythonLoop(TestStackChecks):
     @pytest.fixture(autouse=True)
     def lu_path(self, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from fbq.models import (
     single_model_from_json,
     single_model_to_json,
 )
+from fbq.multi import solve_threshold
 from fbq.simulate import ThreePhaseModel
 
 
@@ -199,6 +201,13 @@ class TestJson:
     def test_missing_field(self):
         with pytest.raises(ModelError):
             single_model_from_json({"lambda": 1.0})
+
+    def test_numpy_counts_are_stored_as_ints_and_dump(self):
+        m = MultiServerModel(1.0, 1.0, 0.5, 0.2, np.int64(3), threshold=np.int64(1))
+        assert type(m.m) is type(m.threshold) is int
+        assert json.loads(json.dumps(multi_model_to_json(m))) == multi_model_to_json(m)
+        doc = json.loads(json.dumps(solve_threshold(m).to_json()))
+        assert doc["threshold"] == 1
 
 
 def _rate_models():
