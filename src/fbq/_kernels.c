@@ -12,8 +12,17 @@
  * that scipy.linalg.lapack wraps, through the pointers that
  * scipy.linalg.cython_lapack exports, so no LAPACK is linked here and each
  * system gets the Python loop's answer bit for bit.
+ *
+ * fbq_pool_roots is the zero search of fbq.multi._isolate_roots: Sturm sign
+ * counts and bisection over the pool's leading minors (Wilkinson 1965), then
+ * Brent's method (Brent 1973) on its determinant as scipy.optimize.brentq
+ * runs it.  Its recurrences are multi._sturm_sequence and multi._det_at with
+ * every float operation in their order, and the kernel root squares by
+ * libm's pow, as CPython does, so the zeros, the counts and each failure's
+ * data equal the Python search's.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 enum { MT_N = 624, MT_M = 397 };
@@ -177,4 +186,263 @@ int fbq_lu_stack(getrf_fn *getrf, getrs_fn *getrs, int64_t count, int n, double 
         }
     }
     return 0;
+}
+
+/* The pool (lam, mu1, mu2, q, m) of fbq.multi and its rate table, rates[2k]
+ * = k mu1 and rates[2k + 1] = (m - k) mu2. */
+struct pool {
+    int64_t m;
+    double lam, mu1, mu2, q;
+    const double *rates;
+};
+
+enum {
+    ROOTS_FOUND,
+    ROOTS_END_COUNTS,      /* the Sturm counts at 0 and below 1 are not m and 1 */
+    ROOTS_SPLIT_COUNTS,    /* a split point's count lies outside its ends' counts */
+    ROOTS_NO_SIGN_CHANGE,  /* the determinant keeps its sign on a bracket, or is NaN */
+    ROOTS_DISCRIMINANT,    /* the kernel root's discriminant is not positive */
+    ROOTS_NO_CONVERGENCE,  /* Brent's method took all its steps */
+    ROOTS_STACK_FULL       /* the bisection went deeper than ROOTS_STACK */
+};
+
+/* Halving an interval of [0, 1] until no float lies inside takes at most
+ * about 1080 splits, and the bisection stack holds at most one interval
+ * more than the depth of the split it is at. */
+enum { ROOTS_STACK = 2048 };
+
+/* 1 - y1(z) of multi._y1_float, or 0 with *failed set when its
+ * discriminant is not positive. */
+static double one_minus_y1(const struct pool *p, double z, int *failed)
+{
+    /* CPython squares by libm's pow, which may differ from x * x in the last
+     * bit; a volatile exponent keeps the compiler from folding the call */
+    static volatile double two = 2.0;
+    double rho = p->lam / ((double)p->m * p->mu1);
+    double disc = pow(1.0 - rho, two) - 4.0 * rho * p->q * (z - 1.0);
+    if (disc <= 0) {
+        *failed = 1;
+        return 0.0;
+    }
+    return 1.0 - (1.0 + rho - sqrt(disc)) / (2.0 * rho);
+}
+
+/* The sign changes of multi._sturm_sequence at z, exact zeros skipped; its
+ * last term D is replaced by *last when last is not NULL. */
+static int64_t sturm_count(const struct pool *p, double z, const double *last, int *failed)
+{
+    const double *r = p->rates;
+    int64_t m = p->m;
+    double lz = p->lam * z, w = 1.0 - p->q + p->q * z, zm1 = z - 1.0;
+    double dlast = lz * one_minus_y1(p, z, failed) + r[2 * (m - 1)] * z + p->mu2 * zm1;
+    if (*failed)
+        return 0;
+    double prev = 1.0, cur = m > 1 ? lz + r[0] * z + r[1] * zm1 : dlast;
+    int64_t changes = 0;
+    int neg = 0;   /* Q_0 = 1 is positive */
+    for (int64_t k = 1;; k++) {
+        double x = k == m && last ? *last : cur;
+        if (x != 0.0) {
+            changes += (x < 0.0) != neg;
+            neg = x < 0.0;
+        }
+        if (k == m)
+            return changes;
+        double d = k == m - 1 ? dlast : lz + r[2 * k] * z + r[2 * k + 1] * zm1;
+        double next = d * cur - r[2 * k] * z * w * lz * prev;
+        prev = cur;
+        cur = next;
+    }
+}
+
+/* The determinant of multi._det_at at z. */
+static double det_at(const struct pool *p, double z, int *failed)
+{
+    const double *r = p->rates;
+    int64_t m = p->m;
+    double lz = p->lam * z, w = 1.0 - p->q + p->q * z, zm1 = z - 1.0;
+    double nxt = 1.0, cur = lz * one_minus_y1(p, z, failed) + r[2 * (m - 1)] * z + p->mu2 * zm1;
+    for (int64_t t = m - 2; t >= 0; t--) {
+        double a = lz + r[2 * t] * z + r[2 * t + 1] * zm1;
+        double next = a * cur - r[2 * (t + 1)] * z * w * lz * nxt;
+        nxt = cur;
+        cur = next;
+    }
+    return cur;
+}
+
+#define MIN(a, b) ((a) < (b) ? (a) : (b))
+
+/* scipy.optimize.brentq on det_at over [xa, xb], as scipy's brentq.c runs
+ * it, with its wrapper's stop at the first NaN value.  Returns ROOTS_FOUND
+ * with the zero in *root, or the status that stopped it; *evals counts the
+ * evaluations. */
+static int brent(const struct pool *p, double xa, double xb, double xtol, double rtol,
+                 int maxiter, double *root, int64_t *evals, double *where)
+{
+    double xpre = xa, xcur = xb, xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0;
+    int failed = 0;
+    double fpre = det_at(p, xpre, &failed);
+    if (failed) {
+        *where = xpre;
+        return ROOTS_DISCRIMINANT;
+    }
+    if (isnan(fpre))
+        return ROOTS_NO_SIGN_CHANGE;
+    double fcur = det_at(p, xcur, &failed);
+    if (failed) {
+        *where = xcur;
+        return ROOTS_DISCRIMINANT;
+    }
+    if (isnan(fcur))
+        return ROOTS_NO_SIGN_CHANGE;
+    *evals += 2;
+    if (fpre == 0) {
+        *root = xpre;
+        return ROOTS_FOUND;
+    }
+    if (fcur == 0) {
+        *root = xcur;
+        return ROOTS_FOUND;
+    }
+    if (signbit(fpre) == signbit(fcur))
+        return ROOTS_NO_SIGN_CHANGE;
+    for (int i = 0; i < maxiter; i++) {
+        if (fpre != 0 && fcur != 0 && signbit(fpre) != signbit(fcur)) {
+            xblk = xpre;
+            fblk = fpre;
+            spre = scur = xcur - xpre;
+        }
+        if (fabs(fblk) < fabs(fcur)) {
+            xpre = xcur;
+            xcur = xblk;
+            xblk = xpre;
+            fpre = fcur;
+            fcur = fblk;
+            fblk = fpre;
+        }
+        double delta = (xtol + rtol * fabs(xcur)) / 2;
+        double sbis = (xblk - xcur) / 2;
+        if (fcur == 0 || fabs(sbis) < delta) {
+            *root = xcur;
+            return ROOTS_FOUND;
+        }
+        if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
+            double stry;
+            if (xpre == xblk) {
+                stry = -fcur * (xcur - xpre) / (fcur - fpre);   /* interpolate */
+            } else {                                            /* extrapolate */
+                double dpre = (fpre - fcur) / (xpre - xcur);
+                double dblk = (fblk - fcur) / (xblk - xcur);
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre));
+            }
+            if (2 * fabs(stry) < MIN(fabs(spre), 3 * fabs(sbis) - delta)) {
+                spre = scur;   /* good short step */
+                scur = stry;
+            } else {
+                spre = scur = sbis;
+            }
+        } else {
+            spre = scur = sbis;
+        }
+        xpre = xcur;
+        fpre = fcur;
+        xcur += fabs(scur) > delta ? scur : (sbis > 0 ? delta : -delta);
+        fcur = det_at(p, xcur, &failed);
+        if (failed) {
+            *where = xcur;
+            return ROOTS_DISCRIMINANT;
+        }
+        if (isnan(fcur))
+            return ROOTS_NO_SIGN_CHANGE;
+        ++*evals;
+    }
+    return ROOTS_NO_CONVERGENCE;
+}
+
+/* The zero search of fbq.multi._isolate_roots: the Sturm counts at 0 and,
+ * with D replaced by -dprime = -D'(1), just below 1; the bisection of
+ * (0, 1) on a stack, in the Python loop's push and pop order, until each
+ * interval holds one zero and ends below 1, each such bracket's ends going
+ * to brackets[2k], brackets[2k + 1]; then Brent's method with tolerances
+ * xtol and rtol and at most maxiter steps on each bracket in turn, its zero
+ * going to roots[k].  The count drops from m - k to m - k - 1 across
+ * bracket k.  info[0] and
+ * info[1] get the number of sign counts and of determinant evaluations,
+ * and a failure what its message needs: the two end counts in info[2 .. 3]
+ * (ROOTS_END_COUNTS); the counts at lo, mid and hi in info[2 .. 4] and
+ * those points in where[0 .. 2] (ROOTS_SPLIT_COUNTS); the index of the
+ * bracket in info[2] (ROOTS_NO_SIGN_CHANGE); the point in where[0]
+ * (ROOTS_DISCRIMINANT).  Returns ROOTS_FOUND or the failure's status. */
+int fbq_pool_roots(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
+                   double dprime, double xtol, double rtol, int maxiter, double *brackets,
+                   double *roots, int64_t *info, double *where)
+{
+    struct pool p = {m, lam, mu1, mu2, q, rates};
+    struct span {
+        double lo, hi;
+        int64_t vlo, vhi;
+    } stack[ROOTS_STACK];
+    int failed = 0;
+    double below_one = -dprime;
+    info[0] = info[1] = 0;
+    int64_t v0 = sturm_count(&p, 0.0, NULL, &failed);
+    if (failed) {
+        where[0] = 0.0;
+        return ROOTS_DISCRIMINANT;
+    }
+    int64_t v1 = sturm_count(&p, 1.0, &below_one, &failed);
+    if (failed) {
+        where[0] = 1.0;
+        return ROOTS_DISCRIMINANT;
+    }
+    info[0] = 2;
+    if (v0 != m || v1 != 1) {
+        info[2] = v0;
+        info[3] = v1;
+        return ROOTS_END_COUNTS;
+    }
+
+    int64_t found = 0;
+    int top = 0;
+    stack[0] = (struct span){0.0, 1.0, m, 1};
+    while (top >= 0) {
+        struct span s = stack[top--];
+        if (s.vlo == s.vhi)
+            continue;
+        if (s.vlo - s.vhi == 1 && s.hi < 1.0) {
+            brackets[2 * found] = s.lo;
+            brackets[2 * found++ + 1] = s.hi;
+            continue;
+        }
+        double mid = 0.5 * (s.lo + s.hi);
+        int64_t v = sturm_count(&p, mid, NULL, &failed);
+        if (failed) {
+            where[0] = mid;
+            return ROOTS_DISCRIMINANT;
+        }
+        info[0]++;
+        if (!(s.vhi <= v && v <= s.vlo && s.lo < mid && mid < s.hi)) {
+            info[2] = s.vlo;
+            info[3] = v;
+            info[4] = s.vhi;
+            where[0] = s.lo;
+            where[1] = mid;
+            where[2] = s.hi;
+            return ROOTS_SPLIT_COUNTS;
+        }
+        if (top + 2 >= ROOTS_STACK)
+            return ROOTS_STACK_FULL;
+        stack[++top] = (struct span){mid, s.hi, v, s.vhi};
+        stack[++top] = (struct span){s.lo, mid, s.vlo, v};
+    }
+    for (int64_t k = 0; k < found; k++) {
+        int status = brent(&p, brackets[2 * k], brackets[2 * k + 1], xtol, rtol, maxiter,
+                           roots + k, info + 1, where);
+        if (status == ROOTS_NO_SIGN_CHANGE)
+            info[2] = k;
+        if (status != ROOTS_FOUND)
+            return status;
+    }
+    return ROOTS_FOUND;
 }

@@ -15,10 +15,11 @@ import math
 import numpy as np
 from scipy.linalg import block_diag
 
-from .models import CoxianService, UnstableModelError
+from .models import CoxianService, SolverError, UnstableModelError
 
 LAS_ABS_TOL = 1e-8   # absolute error allowed in las_L's mean count
 _LAS_PANELS = 12     # geometric panels [0, 2^-11], [2^-11, 2^-10], ..., [1/2, 1] of [0, x_max]
+_LAS_PANEL_RATIO = 1e3   # rate ratio up to which _LAS_PANELS serve; one more panel per doubling
 _LAS_NODES, _LAS_CHECK_NODES = 48, 32   # Gauss-Legendre nodes per panel of the two rules
 
 
@@ -41,13 +42,22 @@ def _las_terms(lam: float, service: CoxianService, x):
                    + c * (1.0 - e2 * (1.0 + nu2 * x)) / nu2**2))
 
 
+def _las_panels(service: CoxianService) -> int:
+    """_LAS_PANELS up to a fast-to-slow rate ratio of _LAS_PANEL_RATIO, and
+    one panel more per doubling of the ratio above it, so that the first
+    panel spans as many decay lengths of the fast phase as at that ratio."""
+    rates = (service.nu1, service.nu2) if service.q > 0 else (service.nu1,)
+    ratio = max(rates) / min(rates)
+    return _LAS_PANELS + max(0, math.ceil(math.log2(ratio / _LAS_PANEL_RATIO)))
+
+
 @functools.cache
-def _las_rule(nodes: int, check_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _las_rule(nodes: int, check_nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """The nodes on [0, 1] of two composite Gauss-Legendre rules, `nodes` and
-    `check_nodes` points on each of the geometric panels, which halve towards
-    0 where the fast phase decays, and a (2, N) weight matrix whose rows
-    integrate with the first rule and with the second."""
-    edges = np.concatenate(([0.0], 2.0 ** np.arange(1 - _LAS_PANELS, 1)))
+    `check_nodes` points on each of `panels` geometric panels, which halve
+    towards 0 where the fast phase decays, and a (2, N) weight matrix whose
+    rows integrate with the first rule and with the second."""
+    edges = np.concatenate(([0.0], 2.0 ** np.arange(1 - panels, 1)))
     lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2
     (t, w), (tc, wc) = map(np.polynomial.legendre.leggauss, (nodes, check_nodes))
     return (np.concatenate([(lo + half * (1.0 + u)).ravel() for u in (t, tc)]),
@@ -73,7 +83,9 @@ def las_L(lam: float, service: CoxianService) -> float:
     integrand decays like the service density, so the integral is cut where
     the survival drops below 1e-14.  The integrand is analytic, so fixed
     Gauss-Legendre rules converge on it exponentially (Trefethen, SIAM Review
-    50, 2008): a 48-node and a 32-node rule per panel must agree to LAS_ABS_TOL.
+    50, 2008): a 48-node and a 32-node rule per panel must agree to
+    LAS_ABS_TOL, or SolverError is raised.  The panels halve towards 0, and
+    their number grows with the log of the ratio of the phase rates.
     """
     rho = lam * service.mean()
     if rho >= 1.0:
@@ -81,14 +93,14 @@ def las_L(lam: float, service: CoxianService) -> float:
     # survival < 1e-14 past this point; slowest rate dominates the tail
     slow = min(service.nu1, service.nu2 if service.q > 0 else service.nu1)
     x_max = 14.0 * math.log(10.0) / slow + 10.0 / slow
-    unit, weights = _las_rule(_LAS_NODES, _LAS_CHECK_NODES)
+    unit, weights = _las_rule(_LAS_NODES, _LAS_CHECK_NODES, _las_panels(service))
     x = x_max * unit
     density, rx, m2 = _las_terms(lam, service, x)
     response = x / (1.0 - rx) + lam * m2 / (2.0 * (1.0 - rx) ** 2)   # of a job of length x
     fine, coarse = lam * x_max * (weights @ (density * response))
     if abs(fine - coarse) > LAS_ABS_TOL:
-        raise RuntimeError(f"the {_LAS_NODES}- and {_LAS_CHECK_NODES}-node rules differ by "
-                           f"{abs(fine - coarse):.3e}, above {LAS_ABS_TOL:.0e}")
+        raise SolverError(f"the {_LAS_NODES}- and {_LAS_CHECK_NODES}-node rules differ by "
+                          f"{abs(fine - coarse):.3e}, above {LAS_ABS_TOL:.0e}")
     return float(fine)
 
 

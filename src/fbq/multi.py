@@ -6,7 +6,9 @@ functions g_0(z) .. g_{m-1}(z) through a tridiagonal matrix A(z) whose last
 diagonal entry absorbs the saturated region via the small kernel root y1(z).
 Cramer's rule gives g_i = D_i/D; the determinant D has exactly m-1 simple
 real zeros in (0,1), isolated by the sign counts of the Sturm sequence of
-leading principal minors and refined by Brent's method.  Those zeros,
+leading principal minors and refined by Brent's method, in one call of the
+compiled search of `_kernels.c` (the Python search `_isolate_roots` is its
+reference, and runs where the library cannot be built).  Those zeros,
 the balance equations of the boundary states, and the idle-server identity
 
     E[servers not working] = m - rho1 - rho2
@@ -32,21 +34,23 @@ and all calls: the table of rates k mu1 and (m - k) mu2 that every minor
 and determinant evaluation reads, the determinant zeros, the left null
 vector of A(z) and the powers z^j at each zero, the Taylor data of A(z)
 at z = 1 with the null pair of A(1).  The same cache keeps each threshold's
-solution, so a pool is solved once per threshold however many sweeps or
-cost vectors ask for it.  A call that solves builds, at its first threshold
-not yet kept, the boundary tables: over every state i + j < m, its
-balance-row entries as a running and as a stopped state, its root-row
-coefficients and the z = 1 Taylor coefficients of its terms of b.  Each
-threshold of the call selects the states i + j >= K from them and scatters
-them into its dense system, then solves it and the Taylor cascade.  The
-tables are not kept past the call: once a sweep has kept every threshold
-no solve reads them again.  The closure by the zeros is the
-spectral-expansion closure of Mitrani & Chakka, "Spectral expansion
-solution for a class of Markov models", Performance Evaluation 23 (1995).
+solution, or the type and message of the SolverError its solve raised, so a
+pool is solved once per threshold however many sweeps or cost vectors ask
+for it.  A call that solves builds, at its first threshold not yet kept,
+the boundary tables: over every state i + j < m, its balance-row entries
+as a running and as a stopped state, its root-row coefficients and the
+z = 1 Taylor coefficients of its terms of b.  Each threshold of the call
+selects the states i + j >= K from them and scatters them into its dense
+system, then solves it and the Taylor cascade.  The tables are not kept
+past the call: once a sweep has kept every threshold no solve reads them
+again.  The closure by the zeros is the spectral-expansion closure of
+Mitrani & Chakka, "Spectral expansion solution for a class of Markov
+models", Performance Evaluation 23 (1995).
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import itertools
@@ -59,6 +63,7 @@ import numpy as np
 import scipy.optimize
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
+from . import _kernels
 from .linsys import solve_probability_system
 from .models import (
     CostCoefficients,
@@ -70,6 +75,7 @@ from .models import (
 from .series import kernel_root_pair_at_1
 
 log = logging.getLogger("fbq.multi")
+kernel_log = logging.getLogger("fbq.multi.kernel")
 
 SERIES_ORDER = 3
 POOL_CACHE_SIZE = 64   # pools whose threshold-independent data is kept
@@ -202,6 +208,70 @@ def _isolate_roots(model: MultiServerModel) -> tuple[tuple[float, ...], int, int
     return tuple(roots), len(counts), evals
 
 
+# outcomes of the compiled search, fbq_pool_roots in _kernels.c
+(_FOUND, _END_COUNTS, _SPLIT_COUNTS, _NO_SIGN_CHANGE, _DISCRIMINANT, _NO_CONVERGENCE,
+ _STACK_FULL) = range(7)
+_BRENT_MAXITER = 100   # scipy.optimize.brentq's default, which _isolate_roots uses
+
+
+def _roots_compiled(pool_roots, model: MultiServerModel) -> tuple[tuple[float, ...], int, int]:
+    """`_isolate_roots` in one call of the compiled `fbq_pool_roots`, which
+    runs its recurrences, sign counts, bisection and scipy's brentq loop with
+    the same float operations in the same order; each failure is raised here
+    with the type and message that `_isolate_roots` gives it."""
+    m = model.m
+    dprime = dprime_at_1(model)
+    fp = np.finfo(float)
+    rates = np.array(_pool(model).rates)
+    brackets, roots = np.empty(2 * m), np.empty(m)   # one zero more than m - 1, so never empty
+    info, where = np.zeros(5, dtype=np.int64), np.zeros(3)
+    dbl = ctypes.c_double.from_buffer
+    status = pool_roots(m, model.lam, model.mu1, model.mu2, model.q, dbl(rates), dprime,
+                        fp.tiny, 4 * fp.eps, _BRENT_MAXITER, dbl(brackets), dbl(roots),
+                        ctypes.c_int64.from_buffer(info), dbl(where))
+    counts, evals, *failed = info.tolist()
+    lo, mid, hi = where.tolist()
+
+    def failure(what: str) -> SolverError:
+        return SolverError(f"{what}; D'(1) = {dprime:.6g}")
+
+    if status == _END_COUNTS:
+        raise failure(f"Sturm counts read {failed[0]} at z = 0 and {failed[1]} below "
+                      f"z = 1, not {m} and 1")
+    if status == _SPLIT_COUNTS:
+        raise failure(f"Sturm counts read {failed[0]}, {failed[1]}, {failed[2]} at z = {lo:.17g}, "
+                      f"{mid:.17g}, {hi:.17g}")
+    if status == _NO_SIGN_CHANGE:
+        k = failed[0]
+        lo, hi = brackets[2 * k:2 * k + 2].tolist()
+        raise failure(f"determinant has no sign change on [{lo:.17g}, {hi:.17g}], where the "
+                      f"Sturm counts read {m - k} and {m - k - 1}")
+    if status == _NO_CONVERGENCE:
+        raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+    if status == _DISCRIMINANT:
+        _y1_float(model, lo)     # raises the discriminant's SolverError at that point
+    if status != _FOUND:         # a full bisection stack, which no search of (0, 1) reaches
+        return _isolate_roots(model)
+    return tuple(roots[:m - 1].tolist()), counts, evals
+
+
+@functools.cache
+def _roots_kernel():
+    """`_roots_compiled` bound to the compiled zero search, or None when the
+    library cannot be built or loaded here; then pools run `_isolate_roots`,
+    and one debug line names the cause."""
+    try:
+        pool_roots = _kernels.load("fbq_pool_roots")
+    except OSError as exc:
+        kernel_log.debug("compiled zero search unavailable, searching in Python: %s", exc)
+        return None
+    dbl, i64 = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+    pool_roots.argtypes = [ctypes.c_int64, *[ctypes.c_double] * 4, dbl, *[ctypes.c_double] * 3,
+                           ctypes.c_int, dbl, dbl, i64, dbl]
+    pool_roots.restype = ctypes.c_int
+    return functools.partial(_roots_compiled, pool_roots)
+
+
 def d_roots(model: MultiServerModel) -> list[float]:
     """The m-1 zeros of the transform determinant in (0,1).
 
@@ -329,21 +399,28 @@ class _Pool:
     """Everything a solve of the pool (lam, mu1, mu2, q, m) needs that does
     not depend on the threshold: the rate table (k mu1, (m - k) mu2) of the
     recurrences, built on construction, then on first use the zeros, the data
-    at the zeros and at z = 1, and each threshold's solution, kept by K in
-    `solutions`.  A failure is not kept, so it is raised again, with the same
-    message, by every solve that needs the failing part.
+    at the zeros and at z = 1, and each threshold's outcome, kept by K in
+    `solutions`: its solution, or the type and message of the SolverError its
+    boundary solve raised, which every later solve of K raises afresh without
+    solving again.  The message is kept rather than the exception, whose
+    traceback would hold the frames of the failed solve.  The zeros and the
+    data at the zeros and at z = 1 keep no failure: each solve that needs a
+    part that failed builds it again and raises the same message (a
+    threshold whose solve raised it keeps that message as its own).
+    The zeros come from the compiled search `fbq_pool_roots` of `_kernels.c`,
+    or from `_isolate_roots` where the library cannot be built or loaded.
     """
 
     def __init__(self, model: MultiServerModel):
         self.model = model
         _, fg, bg = model.rates(np.arange(model.m), model.m)
         self.rates = tuple(zip(fg.tolist(), bg.tolist()))
-        self.solutions: dict[int, MultiServerSolution] = {}
+        self.solutions: dict[int, MultiServerSolution | tuple[type, str]] = {}
 
     @functools.cached_property
     def roots(self) -> tuple[float, ...]:
         t0 = time.perf_counter()
-        roots, counts, evals = _isolate_roots(self.model)
+        roots, counts, evals = (_roots_kernel() or _isolate_roots)(self.model)
         log.debug("m = %d: %d zeros isolated, %d sign counts, %d D evaluations, %.3f s",
                   self.model.m, len(roots), counts, evals, time.perf_counter() - t0)
         return roots
@@ -489,7 +566,9 @@ def _pool(model: MultiServerModel) -> _Pool:
 def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[MultiServerSolution]:
     """Steady states under the given thresholds, each solved once per pool
     and threshold.  The boundary tables are built at the first threshold
-    not yet kept and serve the rest of the call.  Every solution returned
+    not yet kept and serve the rest of the call.  A SolverError of a
+    threshold's solve is kept as its type and message and raised afresh by
+    every later call that reaches that threshold.  Every solution returned
     has containers of its own, so a caller's edits never reach the cache."""
     tables, out = None, []
     for K in thresholds:
@@ -497,7 +576,14 @@ def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[
         if sol is None:
             if tables is None:
                 tables = _boundary_tables(model, pool.at_roots)
-            sol = pool.solutions[K] = _solve_boundary(model, K, pool, tables)
+            try:
+                sol = pool.solutions[K] = _solve_boundary(model, K, pool, tables)
+            except SolverError as exc:
+                pool.solutions[K] = type(exc), str(exc)
+                raise
+        elif not isinstance(sol, MultiServerSolution):
+            kind, message = sol
+            raise kind(message)
         out.append(dataclasses.replace(sol, boundary=dict(sol.boundary), g_at_1=list(sol.g_at_1),
                                        p=list(sol.p), roots=list(sol.roots)))
     return out
@@ -621,8 +707,9 @@ def solve_threshold(model: MultiServerModel) -> MultiServerSolution:
 
     The solution is kept in the pool cache by threshold, so a repeat solve
     (here or in `sweep_thresholds`) returns the same values without solving
-    again, in containers of its own.  A failed solve is not kept: it is
-    attempted again and raises the same error on every call.
+    again, in containers of its own.  A boundary solve that raised
+    SolverError is kept as its type and message: a repeat raises a new error
+    of that type and text without building or solving anything.
     """
     d_roots(model)   # checks the model and isolates the zeros on the pool's first solve
     return _solve_thresholds(model, [model.threshold], _pool(model))[0]
@@ -638,7 +725,9 @@ def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
     system once, scattered from boundary tables that the sweep builds once;
     later sweeps, solves and cost vectors of the pool are served the kept
     solution, as in `solve_threshold`.  A failure at any threshold
-    propagates, and is not kept.
+    propagates; a SolverError of its boundary solve is kept, as in
+    `solve_threshold`, so a repeat sweep raises it again at that threshold
+    without solving it.
     """
     d_roots(model)
     return _solve_thresholds(model, range(model.m), _pool(model))

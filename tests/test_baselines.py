@@ -10,7 +10,8 @@ from scipy.integrate import quad
 
 from fbq import baselines
 from fbq.baselines import _las_terms, fcfs_L, las_L, priority_two_class_L
-from fbq.models import CoxianService, SingleServerModel, SpeedProfile, UnstableModelError
+from fbq.models import (CoxianService, SingleServerModel, SolverError, SpeedProfile,
+                        UnstableModelError)
 from fbq.single import solve_k1_closed_form
 
 SERVICE = CoxianService(5.0, 1.0, 0.1)
@@ -112,6 +113,27 @@ class TestLas:
         monkeypatch.setattr(baselines, "_LAS_CHECK_NODES", 2)
         with pytest.raises(RuntimeError, match="rules differ"):
             las_L(2.1, SERVICE)
+
+    def test_disagreeing_rules_raise_a_solver_error(self, monkeypatch):
+        monkeypatch.setattr(baselines, "LAS_ABS_TOL", 0.0)
+        with pytest.raises(SolverError, match=r"^the 48- and 32-node rules differ by .*, "
+                                              r"above 0e\+00$"):
+            las_L(2.1, SERVICE)
+
+    @pytest.mark.parametrize("ratio", [3e4, 1e5, 1e6])
+    @pytest.mark.parametrize("fast", ["nu1", "nu2"])
+    def test_wide_rate_ratios_match_30_digit_reference(self, ratio, fast):
+        svc = CoxianService(ratio, 1.0, 0.05) if fast == "nu1" else CoxianService(1.0, ratio, 0.5)
+        lam = 0.5 / svc.mean()
+        assert las_L(lam, svc) == pytest.approx(schrage_reference(lam, svc), rel=0,
+                                                abs=baselines.LAS_ABS_TOL)
+
+    def test_panels_grow_only_above_a_rate_ratio_of_1e3(self):
+        panels = [baselines._las_panels(svc) for svc in (
+            SERVICE, CoxianService(1e3, 1.0, 0.05), CoxianService(1.0, 1e3, 0.5),
+            CoxianService(1e6, 1.0, 0.0), CoxianService(1.001e3, 1.0, 0.05),
+            CoxianService(1e6, 1.0, 0.05))]
+        assert panels == [12, 12, 12, 12, 13, 22]
 
 
 def test_import_does_not_load_scipy_integrate():

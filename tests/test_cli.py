@@ -3,6 +3,7 @@ import logging
 
 import pytest
 
+from fbq import baselines
 from fbq.cli import main
 
 
@@ -77,6 +78,15 @@ class TestModelFiles:
 
 
 class TestOtherCommands:
+    def test_a_solver_failure_exits_1_without_a_traceback(self, capsys, caplog, monkeypatch):
+        monkeypatch.setattr(baselines, "LAS_ABS_TOL", 0.0)   # LAS's two rules never agree
+        with caplog.at_level(logging.ERROR, logger="fbq"):
+            code, _ = run(capsys, "compare-policies", "--lambda", "0.5", "--nu1", "30000",
+                          "--nu2", "1", "--q", "0.05")
+        assert code == 1
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["internal solver failure"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_compare_policies_csv(self, capsys):
         code, out = run(capsys, "compare-policies", "--nu1", "5", "--nu2", "1",
                         "--q", "0.1", "--lambdas", "2.1")

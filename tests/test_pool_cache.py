@@ -3,16 +3,19 @@
 Roots, the null vectors at the roots and the z = 1 Taylor data are built once
 per (lam, mu1, mu2, q, m) and kept by `_pool_data`; a threshold never enters
 the key.  Each threshold's solution is kept there too, by K, and served in
-containers of its own.  Cold and warm solves must agree exactly, checks must
-run on every call, and failures must not be cached.  data/d_roots_pins.json
-holds, as float.hex strings, the zeros of the pools of
-threshold_sweep_pins.json and their determinant and leading minors at nine
+containers of its own, and so is the type and message of a threshold whose
+solve raised SolverError.  Cold and warm solves must agree exactly, checks
+must run on every call, and no other failure may be cached.
+data/d_roots_pins.json holds, as float.hex strings, the zeros of the pools
+of threshold_sweep_pins.json and their determinant and leading minors at nine
 points of [0, 1]; they must be reproduced bit for bit, so a reordered product
 in either recurrence fails.  It also holds 50-digit zeros of those pools and
 of seeded pools with m = 2..24, which every float zero must match to 2e-15
 relative.  The zeros of the seeded pools must also equal, bit for bit, those
 that the same Sturm search finds on plain-loop copies of the recurrences,
-which form every matrix entry from the rates inside the loop.
+which form every matrix entry from the rates inside the loop.  The compiled
+search must give the zeros, counts and error messages of the Python search
+`_isolate_roots` on the pinned, seeded and scanned pools.
 
 Each threshold's system is scattered from boundary tables built once per
 call, and its Taylor cascade and the null vectors call LAPACK's gelsd and
@@ -31,6 +34,8 @@ import math
 import pathlib
 import random
 import re
+import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +58,7 @@ from fbq.multi import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+KERNELS = sys.modules["fbq._kernels"]
 PINS = json.loads((DATA / "threshold_sweep_pins.json").read_text())
 RECURRENCE_PINS = json.loads((DATA / "d_roots_pins.json").read_text())
 ROOT_PINS = RECURRENCE_PINS["roots"]
@@ -137,13 +143,13 @@ def test_boundary_tables_are_built_once_per_call_that_solves(monkeypatch, solves
     for attempt in (1, 2):
         with pytest.raises(SolverError):
             sweep_thresholds(MultiServerModel(**pin))
-        assert calls["_boundary_tables"] == 3 + attempt
+        # the failure at K = 0 is kept, so the second attempt builds nothing
+        assert calls["_boundary_tables"] == 3 + 1
     # no pool keeps them
     assert not any(isinstance(x, multi._Tables) for x in vars(multi._pool(model)).values())
 
 
-def test_building_a_pool_logs_one_debug_line(caplog, monkeypatch):
-    calls = count_calls(monkeypatch, "_sturm_sequence", "_det_at")
+def test_building_a_pool_logs_one_debug_line(caplog):
     with caplog.at_level(logging.DEBUG, logger="fbq.multi"):
         for K in (0, 2):
             solve_threshold(MultiServerModel(**POOL, threshold=K))
@@ -152,10 +158,11 @@ def test_building_a_pool_logs_one_debug_line(caplog, monkeypatch):
     found = re.fullmatch(r"m = 6: 5 zeros isolated, (\d+) sign counts, (\d+) D evaluations, "
                          r"\d+\.\d{3} s", lines[0])
     assert found, lines[0]
-    # the two ends and at least one count per split; at least two brentq
-    # evaluations per zero
-    assert int(found[1]) == calls["_sturm_sequence"] >= 2 + 4
-    assert int(found[2]) == calls["_det_at"] >= 2 * 5
+    # the counts of the Python search, which are the two ends and at least
+    # one count per split, and at least two brentq evaluations per zero
+    counts, evals = multi._isolate_roots(MultiServerModel(**POOL))[1:]
+    assert (int(found[1]), int(found[2])) == (counts, evals)
+    assert counts >= 2 + 4 and evals >= 2 * 5
 
 
 def test_returned_roots_are_a_new_list_each_call():
@@ -261,15 +268,15 @@ def test_each_threshold_is_solved_once_per_pool(solves):
     assert solves[0] == model.m
 
 
-def test_a_failed_threshold_is_solved_again_every_time(solves):
+def test_a_failed_threshold_is_solved_once_and_raises_the_same_message_every_time(solves):
     pin = dict(PINS["failing_pool"])
     message = pin.pop("message")
     model = MultiServerModel(**pin)
     for calls in (1, 2, 3):
         with pytest.raises(SolverError) as exc:
             solve_threshold(model) if calls == 2 else sweep_thresholds(model)
-        assert str(exc.value) == message
-        assert solves[0] == calls
+        assert type(exc.value) is SolverError and str(exc.value) == message
+        assert solves[0] == 1
 
 
 def test_edits_to_a_served_solution_do_not_reach_the_cache():
@@ -356,6 +363,90 @@ def test_zeros_equal_the_plain_loop_cascade_bit_for_bit(monkeypatch):
         assert [[x.hex() for x in _sturm_sequence(model, z)] for z in zs] == \
             [[x.hex() for x in reference_sequence(model, z)] for z in zs], model
     assert failed == []
+
+
+# --- the compiled zero search against _isolate_roots ---------------------------
+
+
+def compiled_search():
+    search = multi._roots_kernel()
+    if search is None:
+        assert shutil.which(KERNELS._COMPILER) is None, \
+            "a C compiler is on PATH but the zero search did not load"
+        pytest.skip("no C compiler to build the zero search with")
+    return search
+
+
+def search_outcome(search, model):
+    """The zeros in float.hex with the sign-count and evaluation totals, or
+    the type and message of the error."""
+    try:
+        roots, counts, evals = search(model)
+    except RuntimeError as exc:     # SolverError, or brentq's non-convergence
+        return type(exc), str(exc)
+    return [z.hex() for z in roots], counts, evals
+
+
+def scanned_pools(count=322):
+    """Seeded pools cycling m through 2..24 and q through 0, 1, a drawn value
+    and figure 8's ratios (mu2 = 0.2 mu1, q = 0.1), at loads 0.05-0.95."""
+    rng = random.Random(22)
+    for n in range(count):
+        m, kind = 2 + n % 23, n % 4
+        mu1 = rng.uniform(0.2, 5.0)
+        mu2, q = ((rng.uniform(0.05, 3.0), (0.0, 1.0, rng.uniform(0.0, 1.0))[kind]) if kind < 3
+                  else (0.2 * mu1, 0.1))
+        lam = rng.uniform(0.05, 0.95) * m / (1.0 / mu1 + q / mu2)
+        yield MultiServerModel(lam, mu1, mu2, q, m)
+
+
+# large pools whose searches fail: a split point's count outside its ends'
+# counts (m = 100 and 150) and end counts other than m and 1 (m = 60)
+FAILING_SEARCHES = [
+    MultiServerModel(3795.8090149841732, 66.76990312384083, 0.2688898431209203, 1e-09, 100),
+    MultiServerModel(22.24931437591496, 4.002317579332027, 0.15403766275109268, 0.999999999, 150),
+    MultiServerModel(0.04526512574093838, 763.580112576094, 62879.28626269506, 1.0, 60),
+]
+
+
+# a pool whose (1 - rho) ** 2, libm's pow as CPython computes it, is one ulp
+# above (1 - rho) * (1 - rho); squaring by a product moves two of its zeros
+SQUARE_POOL = MultiServerModel(1.8638949188421554, 2.6578697898601344, 0.7521782126293933,
+                               0.7080589529042267, 23)
+
+
+def test_compiled_search_equals_the_python_search_bit_for_bit():
+    search = compiled_search()
+    pools = [MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
+             for params in (*PINS["pools"].values(), PINS["failing_pool"])]
+    pools += [*seeded_pools(), *scanned_pools(), SQUARE_POOL, *FAILING_SEARCHES]
+    failed = []
+    for model in pools:
+        expected = search_outcome(multi._isolate_roots, model)
+        assert search_outcome(search, model) == expected, model
+        if len(expected) == 2:
+            failed.append(expected[1].split(" at ")[0])
+    assert failed == ["Sturm counts read 100, 1, 2", "Sturm counts read 2, 0, 1",
+                      "Sturm counts read 50"]
+
+
+def test_compiled_search_raises_the_python_message(monkeypatch):
+    search = compiled_search()
+    monkeypatch.setattr(multi, "dprime_at_1", lambda model: -1.0)
+    model = MultiServerModel(1.5, 1.0, 0.5, 0.3, 3)
+    expected = search_outcome(multi._isolate_roots, model)
+    assert expected == (SolverError, "Sturm counts read 3 at z = 0 and 0 below z = 1, not 3 and 1; "
+                                     "D'(1) = -1")
+    assert search_outcome(search, model) == expected
+
+
+def test_pools_search_in_python_without_the_kernel(monkeypatch):
+    compiled_search()
+    compiled = {model: d_roots(model) for model in seeded_pools()}
+    _pool_data.cache_clear()
+    monkeypatch.setattr(multi, "_roots_kernel", lambda: None)
+    for model, roots in compiled.items():
+        assert [z.hex() for z in d_roots(model)] == [z.hex() for z in roots], model
 
 
 @pytest.mark.parametrize("m", [14, 17])
