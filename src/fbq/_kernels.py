@@ -1,15 +1,18 @@
-"""Build and load the package's compiled loops, `_kernels.c`.
+"""Build, load and bind the package's compiled loops, `_kernels.c`.
 
 The source is compiled on first use with the system C compiler into the
 per-user cache, `$XDG_CACHE_HOME/fbq` or `~/.cache/fbq`, a private
 directory.  The library is named by the sha256 of the source and the flags,
 so an edited source gets a new library and later processes only load it.
-Each caller keeps its Python loop as the reference and falls back to it when
-`load` raises OSError.  A process tries the build once and keeps its outcome.
+`compiled()` is the one switch between the compiled loops and their Python
+references: it returns the three loops bound and typed, or None, and a
+process tries the build once and keeps that outcome.  Each caller runs its
+compiled loop when `compiled()` returns them and its Python loop otherwise.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -21,29 +24,47 @@ import subprocess
 import tempfile
 import time
 
+from scipy.linalg import cython_lapack
+
 log = logging.getLogger("fbq.kernels")
 
 _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-
-def load(name: str):
-    """The C function `name` of the library, built first if the cache lacks
-    it.  Raises OSError when it cannot be built or loaded here."""
-    lib = _outcome()
-    if isinstance(lib, OSError):
-        raise lib
-    return getattr(ctypes.CDLL(str(lib)), name)
+Loops = collections.namedtuple("Loops", "jump_chain lu_stack pool_roots")
 
 
 @functools.cache
-def _outcome() -> pathlib.Path | OSError:
-    """`_library()`'s path, or the OSError it raised, kept for the process."""
+def compiled() -> Loops | None:
+    """The library's `fbq_jump_chain`, `fbq_lu_stack` and `fbq_pool_roots`
+    with their C signatures, the LU loop bound to LAPACK's dgetrf and dgetrs
+    from the capsules of `scipy.linalg.cython_lapack`; the library is built
+    first if the cache lacks it.  None when it cannot be built or loaded
+    here, and then one debug line names the cause."""
     try:
-        return _library()
+        lib = ctypes.CDLL(str(_library()))
     except OSError as exc:
-        return exc
+        log.debug("compiled loops unavailable, running the Python loops: %s", exc)
+        return None
+    ptr, i32, i64, dbl = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_double
+    p_dbl, p_i64 = ctypes.POINTER(dbl), ctypes.POINTER(i64)
+    chain, lu_stack, pool_roots = lib.fbq_jump_chain, lib.fbq_lu_stack, lib.fbq_pool_roots
+    chain.argtypes = [ctypes.POINTER(ctypes.c_uint32), i64, p_dbl, p_dbl, p_dbl, p_i64, p_i64,
+                      p_dbl, p_i64, i64, p_i64, i64, p_dbl, p_i64]
+    chain.restype = None
+    lu_stack.argtypes = [ptr, ptr, i64, i32, dbl, dbl, p_dbl, p_dbl, p_dbl, ctypes.POINTER(i32),
+                         p_dbl, p_dbl, p_i64]
+    lu_stack.restype = i32
+    pool_roots.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 3, i32, p_dbl, p_dbl, p_i64, p_dbl]
+    pool_roots.restype = i32
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ptr, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    getrf, getrs = (capsule_pointer(c, capsule_name(c))
+                    for c in (cython_lapack.__pyx_capi__[name] for name in ("dgetrf", "dgetrs")))
+    return Loops(chain, functools.partial(lu_stack, getrf, getrs), pool_roots)
 
 
 def _library() -> pathlib.Path:

@@ -1,27 +1,25 @@
 """Small dense linear solves shared by the exact solvers.
 
 A stack of systems is checked, row-scaled, factored and solved in one call
-of the compiled `fbq_lu_stack` of `_kernels.c` (built on first use, see
-`fbq._kernels`), which calls the LAPACK getrf and getrs that
-`scipy.linalg.lapack` wraps through the pointers `scipy.linalg.cython_lapack`
-exports, so each system gets the answer of the Python loop `_solve_each`,
-which runs where the library cannot be built or loaded.
+of the compiled `fbq_lu_stack` of `_kernels.c`, which calls the LAPACK getrf
+and getrs that `scipy.linalg.lapack` wraps through the pointers
+`scipy.linalg.cython_lapack` exports, so each system gets the answer of the
+Python loop `_solve_each`, which runs where `fbq._kernels.compiled()` finds
+no compiled loops.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import logging
 
 import numpy as np
-from scipy.linalg import cython_lapack, lapack
+from scipy.linalg import lapack
 
 from . import _kernels
 from .models import SolverError
 
 log = logging.getLogger("fbq.linsys")
-kernel_log = logging.getLogger("fbq.linsys.kernel")
 
 PIVOT_RTOL = 1e-12   # relative pivot threshold declaring the system singular
 NEG_PROB_TOL = 1e-9  # solved probabilities below -tol abort; above are clamped
@@ -53,7 +51,8 @@ def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
-    status, x, pivmin, (singular, below, negatives) = (_kernel() or _solve_each)(a, b)
+    solve = _solve_compiled if _kernels.compiled() else _solve_each
+    status, x, pivmin, (singular, below, negatives) = solve(a, b)
     if status == _NOT_FINITE:
         raise ValueError("array must not contain infs or NaNs")
     if status == _ZERO_ROW:
@@ -96,7 +95,7 @@ def _solve_each(a: np.ndarray, b: np.ndarray):
                           int((x < 0).sum()))
 
 
-def _solve_compiled(lu_stack, getrf, getrs, a: np.ndarray, b: np.ndarray):
+def _solve_compiled(a: np.ndarray, b: np.ndarray):
     """`_solve_each` in one call of the compiled `fbq_lu_stack`; a and b are
     C-contiguous float arrays, scaled in place."""
     count, n = b.shape
@@ -106,35 +105,10 @@ def _solve_compiled(lu_stack, getrf, getrs, a: np.ndarray, b: np.ndarray):
     lu, ipiv = np.empty(n * n), np.empty(n, dtype=np.intc)   # scratch
     # from_buffer views keep their arrays alive and pass as pointers
     dbl = ctypes.c_double.from_buffer
-    status = lu_stack(getrf, getrs, count, n, PIVOT_RTOL, NEG_PROB_TOL, dbl(a), dbl(b), dbl(lu),
-                      ctypes.c_int.from_buffer(ipiv), dbl(x), dbl(pivmin),
-                      ctypes.c_int64.from_buffer(summary))
+    status = _kernels.compiled().lu_stack(count, n, PIVOT_RTOL, NEG_PROB_TOL, dbl(a), dbl(b),
+                                          dbl(lu), ctypes.c_int.from_buffer(ipiv), dbl(x),
+                                          dbl(pivmin), ctypes.c_int64.from_buffer(summary))
     return status, x, pivmin, summary.tolist()
-
-
-@functools.cache
-def _kernel():
-    """`_solve_compiled` bound to the compiled loop and to LAPACK's dgetrf
-    and dgetrs, read from the capsules of `scipy.linalg.cython_lapack`, or
-    None when the loop cannot be built or loaded here; then the stack solves
-    run `_solve_each`, and one debug line names the cause."""
-    try:
-        lu_stack = _kernels.load("fbq_lu_stack")
-    except OSError as exc:
-        kernel_log.debug("compiled LU loop unavailable, solving in Python: %s", exc)
-        return None
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    getrf, getrs = (capsule_pointer(c, capsule_name(c))
-                    for c in (cython_lapack.__pyx_capi__[name] for name in ("dgetrf", "dgetrs")))
-    ptr, dbl = ctypes.c_void_p, ctypes.POINTER(ctypes.c_double)
-    lu_stack.argtypes = [ptr, ptr, ctypes.c_int64, ctypes.c_int, ctypes.c_double, ctypes.c_double,
-                         dbl, dbl, dbl, ctypes.POINTER(ctypes.c_int), dbl, dbl,
-                         ctypes.POINTER(ctypes.c_int64)]
-    lu_stack.restype = ctypes.c_int
-    return functools.partial(_solve_compiled, lu_stack, getrf, getrs)
 
 
 def _condition_estimate(a: np.ndarray) -> float:

@@ -8,8 +8,9 @@ Cramer's rule gives g_i = D_i/D; the determinant D has exactly m-1 simple
 real zeros in (0,1), isolated by the sign counts of the Sturm sequence of
 leading principal minors and refined by Brent's method, in one call of the
 compiled search of `_kernels.c` (the Python search `_isolate_roots` is its
-reference, and runs where the library cannot be built).  Those zeros,
-the balance equations of the boundary states, and the idle-server identity
+reference, and runs where `fbq._kernels.compiled()` finds no compiled
+loops).  Those zeros, the balance equations of the boundary states, and the
+idle-server identity
 
     E[servers not working] = m - rho1 - rho2
 
@@ -75,7 +76,6 @@ from .models import (
 from .series import kernel_root_pair_at_1
 
 log = logging.getLogger("fbq.multi")
-kernel_log = logging.getLogger("fbq.multi.kernel")
 
 SERIES_ORDER = 3
 POOL_CACHE_SIZE = 64   # pools whose threshold-independent data is kept
@@ -214,7 +214,7 @@ def _isolate_roots(model: MultiServerModel) -> tuple[tuple[float, ...], int, int
 _BRENT_MAXITER = 100   # scipy.optimize.brentq's default, which _isolate_roots uses
 
 
-def _roots_compiled(pool_roots, model: MultiServerModel) -> tuple[tuple[float, ...], int, int]:
+def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, int]:
     """`_isolate_roots` in one call of the compiled `fbq_pool_roots`, which
     runs its recurrences, sign counts, bisection and scipy's brentq loop with
     the same float operations in the same order; each failure is raised here
@@ -226,9 +226,10 @@ def _roots_compiled(pool_roots, model: MultiServerModel) -> tuple[tuple[float, .
     brackets, roots = np.empty(2 * m), np.empty(m)   # one zero more than m - 1, so never empty
     info, where = np.zeros(5, dtype=np.int64), np.zeros(3)
     dbl = ctypes.c_double.from_buffer
-    status = pool_roots(m, model.lam, model.mu1, model.mu2, model.q, dbl(rates), dprime,
-                        fp.tiny, 4 * fp.eps, _BRENT_MAXITER, dbl(brackets), dbl(roots),
-                        ctypes.c_int64.from_buffer(info), dbl(where))
+    status = _kernels.compiled().pool_roots(m, model.lam, model.mu1, model.mu2, model.q, dbl(rates),
+                                            dprime, fp.tiny, 4 * fp.eps, _BRENT_MAXITER,
+                                            dbl(brackets), dbl(roots),
+                                            ctypes.c_int64.from_buffer(info), dbl(where))
     counts, evals, *failed = info.tolist()
     lo, mid, hi = where.tolist()
 
@@ -253,23 +254,6 @@ def _roots_compiled(pool_roots, model: MultiServerModel) -> tuple[tuple[float, .
     if status != _FOUND:         # a full bisection stack, which no search of (0, 1) reaches
         return _isolate_roots(model)
     return tuple(roots[:m - 1].tolist()), counts, evals
-
-
-@functools.cache
-def _roots_kernel():
-    """`_roots_compiled` bound to the compiled zero search, or None when the
-    library cannot be built or loaded here; then pools run `_isolate_roots`,
-    and one debug line names the cause."""
-    try:
-        pool_roots = _kernels.load("fbq_pool_roots")
-    except OSError as exc:
-        kernel_log.debug("compiled zero search unavailable, searching in Python: %s", exc)
-        return None
-    dbl, i64 = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
-    pool_roots.argtypes = [ctypes.c_int64, *[ctypes.c_double] * 4, dbl, *[ctypes.c_double] * 3,
-                           ctypes.c_int, dbl, dbl, i64, dbl]
-    pool_roots.restype = ctypes.c_int
-    return functools.partial(_roots_compiled, pool_roots)
 
 
 def d_roots(model: MultiServerModel) -> list[float]:
@@ -302,15 +286,19 @@ def dprime_at_1(model: MultiServerModel) -> float:
     """Closed-form derivative of the transform determinant at z = 1.
 
     Obtained by summing all rows into the last one, dividing it by z - 1 and
-    expanding; positive exactly when the model is stable.
+    expanding; positive exactly when the model is stable.  Raises
+    SolverError where its Erlang sums overflow a float.
     """
     m, mu1, mu2 = model.m, model.mu1, model.mu2
     rho1, rho2 = model.rho1, model.rho2
     if rho1 == m:
         raise ModelError("rho1 equals the server count; derivative form is singular")
-    bracket = sum(rho1**j / math.factorial(j) for j in range(m))
-    bracket += m * rho1**m / ((m - rho1) * math.factorial(m))
-    return mu1 ** (m - 1) * math.factorial(m - 1) * mu2 * (m - rho1 - rho2) * bracket
+    try:
+        bracket = sum(rho1**j / math.factorial(j) for j in range(m))
+        bracket += m * rho1**m / ((m - rho1) * math.factorial(m))
+        return mu1 ** (m - 1) * math.factorial(m - 1) * mu2 * (m - rho1 - rho2) * bracket
+    except OverflowError as exc:
+        raise SolverError(f"the Erlang sums of the m = {m} pool overflow a float ({exc})") from exc
 
 
 # --- the linear system ---------------------------------------------------------
@@ -408,7 +396,8 @@ class _Pool:
     part that failed builds it again and raises the same message (a
     threshold whose solve raised it keeps that message as its own).
     The zeros come from the compiled search `fbq_pool_roots` of `_kernels.c`,
-    or from `_isolate_roots` where the library cannot be built or loaded.
+    or from `_isolate_roots` where `fbq._kernels.compiled()` finds no
+    compiled loops.
     """
 
     def __init__(self, model: MultiServerModel):
@@ -420,7 +409,7 @@ class _Pool:
     @functools.cached_property
     def roots(self) -> tuple[float, ...]:
         t0 = time.perf_counter()
-        roots, counts, evals = (_roots_kernel() or _isolate_roots)(self.model)
+        roots, counts, evals = (_roots_compiled if _kernels.compiled() else _isolate_roots)(self.model)
         log.debug("m = %d: %d zeros isolated, %d sign counts, %d D evaluations, %.3f s",
                   self.model.m, len(roots), counts, evals, time.perf_counter() - t0)
         return roots
@@ -739,12 +728,16 @@ def evaluate_cost_multi(solution: MultiServerSolution, costs: CostCoefficients) 
 
 
 def mmm_marginal(m: int, rho1: float) -> tuple[list[float], float]:
-    """Erlang-C marginals p_0 .. p_m and mean count for an m-server queue."""
+    """Erlang-C marginals p_0 .. p_m and mean count for an m-server queue.
+    Raises SolverError where its Erlang sums overflow a float."""
     if rho1 >= m:
         raise ModelError(f"foreground load {rho1} >= m = {m}")
-    p0 = 1.0 / (sum(rho1**k / math.factorial(k) for k in range(m))
-                + m * rho1**m / ((m - rho1) * math.factorial(m)))
-    p = [p0 * rho1**i / math.factorial(i) for i in range(m + 1)]
+    try:
+        p0 = 1.0 / (sum(rho1**k / math.factorial(k) for k in range(m))
+                    + m * rho1**m / ((m - rho1) * math.factorial(m)))
+        p = [p0 * rho1**i / math.factorial(i) for i in range(m + 1)]
+    except OverflowError as exc:
+        raise SolverError(f"the Erlang sums of the m = {m} pool overflow a float ({exc})") from exc
     rr = rho1 / m
     L1 = rho1 + p[m] * rr / (1.0 - rr) ** 2
     return p, L1

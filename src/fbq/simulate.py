@@ -12,11 +12,11 @@ that the model's `rates` gives there.  Each jump draws one uniform, which
 picks the arrival or a completion with its branch folded in; the estimates
 for a seed depend on that order.
 
-The loop runs compiled: `fbq_jump_chain` of `_kernels.c`, built on the first
-run (see `fbq._kernels`) and called through ctypes, continues the
-Mersenne Twister stream of `random.Random(seed)` and repeats `_run`'s float
-operations in their order, so its estimates equal the Python loop's.  Where
-the library cannot be built or loaded, `_run` itself runs.
+The loop runs compiled: `fbq_jump_chain` of `_kernels.c`, called through
+ctypes, continues the Mersenne Twister stream of `random.Random(seed)` and
+repeats `_run`'s float operations in their order, so its estimates equal the
+Python loop's.  Where `fbq._kernels.compiled()` finds no compiled loops,
+`_run` itself runs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .models import (
 )
 
 log = logging.getLogger("fbq.simulate")
-kernel_log = logging.getLogger("fbq.simulate.kernel")
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def simulate(config: SimConfig) -> SimEstimate:
     if model.lam == 0:
         return SimEstimate(0.0, 0.0, 0.0, 0.0, 0, config.seed)
     tab = _table(model, qs, clamp)
-    run = _kernel() or _run
+    run = _run_compiled if _kernels.compiled() else _run
     start = time.perf_counter()
     sums, left, jumps = run(config.seed, tab, clamp, _stops(config))
     est, lag1 = _estimate(sums[1:], config, config.jobs - left)
@@ -264,8 +263,7 @@ def _run(seed: int, tab: list[tuple], clamp: int, stops: list[int]) -> tuple[lis
     return sums, n0 + nl, arrivals + completions
 
 
-def _run_compiled(chain, seed: int, tab: list[tuple], clamp: int,
-                  stops: list[int]) -> tuple[list, int, int]:
+def _run_compiled(seed: int, tab: list[tuple], clamp: int, stops: list[int]) -> tuple[list, int, int]:
     """`_run` through the compiled `fbq_jump_chain`, from the same generator
     state.  The table is flattened to arrays; each row's moves end at an
     infinite bound, so the kernel's scan for the first bound above u stops in
@@ -280,32 +278,16 @@ def _run_compiled(chain, seed: int, tab: list[tuple], clamp: int,
     state = random.Random(seed).getstate()[1]
     sums = (ctypes.c_double * (4 * len(stops)))()
     counts = (ctypes.c_int64 * 4)()
-    chain(_array(ctypes.c_uint32, state[:-1]), state[-1], _array(ctypes.c_double, inv),
-          _array(ctypes.c_double, srv), _array(ctypes.c_double, pa), _array(ctypes.c_int64, up),
-          _array(ctypes.c_int64, first), _array(ctypes.c_double, bound),
-          _array(ctypes.c_int64, move), clamp, _array(ctypes.c_int64, stops), len(stops), sums,
-          counts)
+    _kernels.compiled().jump_chain(
+        _array(ctypes.c_uint32, state[:-1]), state[-1], _array(ctypes.c_double, inv),
+        _array(ctypes.c_double, srv), _array(ctypes.c_double, pa), _array(ctypes.c_int64, up),
+        _array(ctypes.c_int64, first), _array(ctypes.c_double, bound),
+        _array(ctypes.c_int64, move), clamp, _array(ctypes.c_int64, stops), len(stops), sums,
+        counts)
     n0, nl, arrivals, completions = counts
     return [tuple(sums[4 * s:4 * s + 4]) for s in range(len(stops))], n0 + nl, arrivals + completions
 
 
 def _array(ctype, values):
     return (ctype * len(values))(*values)
-
-
-@functools.cache
-def _kernel():
-    """`_run_compiled` bound to the compiled jump chain, built on first use,
-    or None when it cannot be built or loaded here; then `simulate` runs the
-    Python loop, and one debug line names the cause."""
-    try:
-        chain = _kernels.load("fbq_jump_chain")
-    except OSError as exc:
-        kernel_log.debug("compiled jump chain unavailable, simulating in Python: %s", exc)
-        return None
-    dbl, i64 = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
-    chain.argtypes = [ctypes.POINTER(ctypes.c_uint32), ctypes.c_int64, dbl, dbl, dbl, i64, i64,
-                      dbl, i64, ctypes.c_int64, i64, ctypes.c_int64, dbl, i64]
-    chain.restype = None
-    return functools.partial(_run_compiled, chain)
 

@@ -87,6 +87,15 @@ class TestOtherCommands:
         assert [r.getMessage().split(":")[0] for r in caplog.records] == ["internal solver failure"]
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_an_overflowing_pool_exits_1_without_a_traceback(self, capsys, caplog):
+        with caplog.at_level(logging.ERROR, logger="fbq"):
+            code, _ = run(capsys, "optimize-threshold", "--lambda", "85.5", "--mu1", "1", "--mu2", "0.5",
+                          "--q", "0.2", "--m", "171")
+        assert code == 1
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["internal solver failure"]
+        assert "m = 171" in caplog.records[0].getMessage()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_compare_policies_csv(self, capsys):
         code, out = run(capsys, "compare-policies", "--nu1", "5", "--nu2", "1",
                         "--q", "0.1", "--lambdas", "2.1")

@@ -42,7 +42,7 @@ SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
 
 
 def require_compiled_loop():
-    if LINSYS._kernel() is None:
+    if KERNELS.compiled() is None:
         assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the LU loop did not load"
         pytest.skip("no C compiler to build the LU loop with")
 
@@ -54,7 +54,7 @@ def on_both_paths(monkeypatch, run):
     _pool_data.cache_clear()
     compiled = run()
     with monkeypatch.context() as m:
-        m.setattr(LINSYS, "_kernel", lambda: None)
+        m.setattr(KERNELS, "compiled", lambda: None)
         _pool_data.cache_clear()
         python = run()
     _pool_data.cache_clear()
@@ -131,7 +131,7 @@ def test_import_neither_builds_nor_loads_the_lu_loop(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
     code = "\n".join([
         "import os, sys, fbq",
-        "kernel = sys.modules['fbq.linsys']._kernel",
+        "kernel = sys.modules['fbq._kernels'].compiled",
         "print(kernel.cache_info().currsize, os.path.exists(sys.argv[1]))",
         "fbq.solve_general(fbq.SingleServerModel(0.5, fbq.CoxianService(2.0, 1.0, 0.5),",
         "                                        fbq.SpeedProfile((0.5, 0.75, 1.0))))",
@@ -302,4 +302,4 @@ def test_roundoff_negatives_are_clamped_equally_on_both_lu_paths(monkeypatch):
 class TestStackChecksPythonLoop(TestStackChecks):
     @pytest.fixture(autouse=True)
     def lu_path(self, monkeypatch):
-        monkeypatch.setattr(LINSYS, "_kernel", lambda: None)
+        monkeypatch.setattr(KERNELS, "compiled", lambda: None)

@@ -1,11 +1,24 @@
-"""The compiled loops' source, `_kernels.c`, builds without a warning."""
+"""The compiled loops' source, `_kernels.c`, builds without a warning, and
+the ctypes signatures that `fbq._kernels.compiled` gives its three loops are
+the C definitions' parameter lists."""
 
+import ctypes
+import functools
+import re
 import shutil
 import subprocess
 
 import pytest
 
 from fbq import _kernels
+
+# each C parameter type of the fbq_* definitions, as ctypes passes it
+C_TYPES = {
+    "int": ctypes.c_int, "int64_t": ctypes.c_int64, "double": ctypes.c_double,
+    "int *": ctypes.POINTER(ctypes.c_int), "uint32_t *": ctypes.POINTER(ctypes.c_uint32),
+    "int64_t *": ctypes.POINTER(ctypes.c_int64), "double *": ctypes.POINTER(ctypes.c_double),
+    "getrf_fn *": ctypes.c_void_p, "getrs_fn *": ctypes.c_void_p,
+}
 
 
 def test_kernels_build_without_warnings(tmp_path):
@@ -15,3 +28,26 @@ def test_kernels_build_without_warnings(tmp_path):
                            "-Werror", "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE)],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def c_definitions():
+    """{loop: (return type, [parameter types])} of the fbq_* functions
+    defined in `_kernels.c`, with `const` dropped."""
+    found = re.findall(r"^(\w+) fbq_(\w+)\(([^)]*)\)\s*\{", _kernels._SOURCE.read_text(), re.M)
+    return {name: (ret, [re.sub(r"^const |\s*\w+$", "", " ".join(p.split())) for p in params.split(",")])
+            for ret, name, params in found}
+
+
+def test_bound_loops_match_the_c_signatures():
+    if shutil.which(_kernels._COMPILER) is None:
+        pytest.skip("no C compiler")
+    loops = _kernels.compiled()
+    defs = c_definitions()
+    assert sorted(defs) == sorted(loops._fields)
+    for name, (ret, params) in defs.items():
+        fn = getattr(loops, name)
+        fn = fn.func if isinstance(fn, functools.partial) else fn   # the LU loop, with getrf and getrs
+        assert len(fn.argtypes) == len(params), name
+        assert list(fn.argtypes) == [C_TYPES[p] for p in params], name
+        assert (fn.restype is None) == (ret == "void"), name
+        assert ret == "void" or fn.restype is C_TYPES[ret], name

@@ -170,6 +170,19 @@ class TestDerivativeAtOne:
         assert dprime_at_1(model) == pytest.approx(fd, rel=1e-6)
         assert dprime_at_1(model) > 0  # stable models only
 
+    # stable pools whose Erlang sums overflow a float: rho1**j overflows in
+    # the first and the m = 170..172 pools, j! does not convert in the second
+    @pytest.mark.parametrize("model", [
+        MultiServerModel(7.197034580073093, 0.035985213688173506, 0.00026963221185348913, 1e-09, 200),
+        MultiServerModel(11.45790235908757, 0.24143902141107626, 186.63123484344524, 1e-09, 200),
+        *(MultiServerModel(0.5 * m, 1.0, 0.5, 0.2, m) for m in (170, 171, 172)),
+    ], ids=["rho1-power", "factorial", "m170", "m171", "m172"])
+    def test_overflowing_erlang_sums_raise_a_solver_error(self, model):
+        for solve in (dprime_at_1, lambda model: mmm_marginal(model.m, model.rho1), d_roots,
+                      solve_threshold):
+            with pytest.raises(SolverError, match=f"Erlang sums of the m = {model.m} pool overflow"):
+                solve(model)
+
 
 class TestKernelRootPair:
     @pytest.mark.parametrize("seed", range(5))

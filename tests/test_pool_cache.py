@@ -369,12 +369,11 @@ def test_zeros_equal_the_plain_loop_cascade_bit_for_bit(monkeypatch):
 
 
 def compiled_search():
-    search = multi._roots_kernel()
-    if search is None:
+    if KERNELS.compiled() is None:
         assert shutil.which(KERNELS._COMPILER) is None, \
             "a C compiler is on PATH but the zero search did not load"
         pytest.skip("no C compiler to build the zero search with")
-    return search
+    return multi._roots_compiled
 
 
 def search_outcome(search, model):
@@ -444,7 +443,7 @@ def test_pools_search_in_python_without_the_kernel(monkeypatch):
     compiled_search()
     compiled = {model: d_roots(model) for model in seeded_pools()}
     _pool_data.cache_clear()
-    monkeypatch.setattr(multi, "_roots_kernel", lambda: None)
+    monkeypatch.setattr(KERNELS, "compiled", lambda: None)
     for model, roots in compiled.items():
         assert [z.hex() for z in d_roots(model)] == [z.hex() for z in roots], model
 

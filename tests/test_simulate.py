@@ -34,10 +34,16 @@ import fbq
 from fbq.models import CoxianService, ModelError, MultiServerModel, SingleServerModel, SpeedProfile
 from fbq.simulate import SimConfig, SimEstimate, ThreePhaseModel, simulate
 
-PINS = json.loads((pathlib.Path(__file__).parent / "data" / "sim_pins.json").read_text())
-SIM = sys.modules["fbq.simulate"]  # the package's `fbq.simulate` attribute is the function
+DATA = pathlib.Path(__file__).parent / "data"
+PINS = json.loads((DATA / "sim_pins.json").read_text())
 KERNELS = sys.modules["fbq._kernels"]
-LINSYS = sys.modules["fbq.linsys"]
+MULTI = sys.modules["fbq.multi"]
+# one caller of each compiled loop: a simulated pool, a single server's
+# stack solve, and figure 8's pool with the zeros the compiled search pinned
+POOL_PIN = next(p for p in PINS["pins"] if p["model"]["label"] == "pool_m4_K1_q0.4")
+SINGLE = SingleServerModel(0.5, CoxianService(2.0, 1.0, 0.5), SpeedProfile((0.5, 0.75, 1.0)))
+POOL = MultiServerModel(5.0, 1.0, 0.2, 0.1, 10)
+ZEROS = json.loads((DATA / "d_roots_pins.json").read_text())["roots"]["figure8"]
 SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
 
 
@@ -58,13 +64,11 @@ def _pin_config(pin):
 
 @pytest.fixture
 def fresh_kernel():
-    """Forget the library and the loaded kernels before and after the test,
+    """Forget the library and the loaded loops before and after the test,
     so neither sees the other's."""
-    for forget in (KERNELS._outcome, SIM._kernel, LINSYS._kernel):
-        forget.cache_clear()
+    KERNELS.compiled.cache_clear()
     yield
-    for forget in (KERNELS._outcome, SIM._kernel, LINSYS._kernel):
-        forget.cache_clear()
+    KERNELS.compiled.cache_clear()
 
 
 @pytest.mark.parametrize("pin, python_loop", [
@@ -73,8 +77,8 @@ def fresh_kernel():
 ])
 def test_matches_pinned_estimate(pin, python_loop, monkeypatch):
     if python_loop:
-        monkeypatch.setattr(SIM, "_kernel", lambda: None)
-    elif SIM._kernel() is None:
+        monkeypatch.setattr(KERNELS, "compiled", lambda: None)
+    elif KERNELS.compiled() is None:
         assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the kernel did not load"
         pytest.skip("no C compiler to build the kernel with")
     assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
@@ -83,17 +87,16 @@ def test_matches_pinned_estimate(pin, python_loop, monkeypatch):
 def test_missing_compiler_falls_back_to_the_python_loop(caplog, monkeypatch, tmp_path, fresh_kernel):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(KERNELS, "_COMPILER", str(tmp_path / "no-such-cc"))
-    pin = next(p for p in PINS["pins"] if p["model"]["label"] == "pool_m4_K1_q0.4")
-    model = SingleServerModel(0.5, CoxianService(2.0, 1.0, 0.5), SpeedProfile((0.5, 0.75, 1.0)))
     with caplog.at_level(logging.DEBUG, logger="fbq"):
-        assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
-        assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
-        assert fbq.solve_general(model) == fbq.solve_general(model)
-    for logger, cause in (("fbq.simulate.kernel", "simulating in Python"),
-                          ("fbq.linsys.kernel", "solving in Python")):
-        lines = [r.getMessage() for r in caplog.records if r.name == logger]
-        assert len(lines) == 1 and cause in lines[0] and "no-such-cc" in lines[0], lines
-    assert SIM._kernel() is None and LINSYS._kernel() is None
+        assert simulate(_pin_config(POOL_PIN)) == SimEstimate(**POOL_PIN["estimate"])
+        assert simulate(_pin_config(POOL_PIN)) == SimEstimate(**POOL_PIN["estimate"])
+        assert fbq.solve_general(SINGLE) == fbq.solve_general(SINGLE)
+        MULTI._pool_data.cache_clear()   # so that the pool's zeros are searched for again
+        zeros = [z.hex() for z in fbq.d_roots(POOL)]
+    assert zeros == ZEROS
+    lines = [r.getMessage() for r in caplog.records if r.name == "fbq.kernels"]
+    assert len(lines) == 1 and "running the Python loops" in lines[0] and "no-such-cc" in lines[0], lines
+    assert KERNELS.compiled() is None
 
 
 def test_missing_compiler_is_tried_once_for_both_loops(monkeypatch, tmp_path, fresh_kernel):
@@ -101,15 +104,19 @@ def test_missing_compiler_is_tried_once_for_both_loops(monkeypatch, tmp_path, fr
     monkeypatch.setattr(KERNELS, "_COMPILER", str(tmp_path / "no-such-cc"))
     run, builds = KERNELS.subprocess.run, []
     monkeypatch.setattr(KERNELS.subprocess, "run", lambda cmd, **kw: builds.append(cmd) or run(cmd, **kw))
-    assert SIM._kernel() is None and LINSYS._kernel() is None
+    simulate(_pin_config(POOL_PIN))
+    fbq.solve_general(SINGLE)
+    MULTI._pool_data.cache_clear()
+    fbq.d_roots(POOL)
+    assert KERNELS.compiled() is None
     assert len(builds) == 1 and builds[0][0] == KERNELS._COMPILER
 
 
 def _kernel_loads(cache, compiler, processes=1):
     """Whether each of `processes` fresh interpreters, started at once with this
-    kernel cache and compiler, loads both compiled loops."""
-    code = ("import sys, fbq; sys.modules['fbq._kernels']._COMPILER = sys.argv[1]; "
-            "print(all(sys.modules[m]._kernel() is not None for m in ('fbq.simulate', 'fbq.linsys')))")
+    kernel cache and compiler, loads the compiled loops."""
+    code = ("import sys, fbq; kernels = sys.modules['fbq._kernels']; kernels._COMPILER = sys.argv[1]; "
+            "print(kernels.compiled() is not None)")
     env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(cache))
     procs = [subprocess.Popen([sys.executable, "-c", code, compiler], stdout=subprocess.PIPE,
                               text=True, env=env) for _ in range(processes)]
@@ -130,7 +137,7 @@ def test_processes_build_the_kernel_at_once_and_later_ones_only_load_it(tmp_path
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
     code = ("import sys, fbq; print('scipy.stats' in sys.modules, "
-            "sys.modules['fbq.simulate']._kernel.cache_info().currsize)")
+            "sys.modules['fbq._kernels'].compiled.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False 0"  # nor is the kernel built or loaded
