@@ -7,11 +7,25 @@
  * is the Python loop's, in its order, so the two agree bit for bit when this
  * file is built with -ffp-contract=off and without -ffast-math.
  *
- * fbq_lu_stack is the check, scale, factor and solve loop of
- * fbq.linsys.solve_probability_stack.  It calls the LAPACK getrf and getrs
- * that scipy.linalg.lapack wraps, through the pointers that
- * scipy.linalg.cython_lapack exports, so no LAPACK is linked here and each
- * system gets the Python loop's answer bit for bit.
+ * fbq_lu_lockstep is the check, scale, factor and solve loop of
+ * fbq.linsys.solve_probability_stack, which solves the small systems of a
+ * speed family.  It runs Gaussian elimination with partial pivoting on tiles
+ * of LU_TILE systems in lockstep, the system index innermost so that the row
+ * updates vectorise, and does the float operations of its numpy loop,
+ * fbq.linsys._lockstep, in their order: each system gets the same answer on
+ * either loop, wherever it sits in the stack, and on any CPU, since no BLAS
+ * is called.  At these sizes (6 to 45 unknowns) a LAPACK call per system
+ * spends more on its fixed cost than on arithmetic; batching small
+ * factorisations is the usual remedy (Dongarra et al., Procedia Computer
+ * Science 108, 2017).
+ *
+ * fbq_lu_lapack does the same checks and scaling around LAPACK's getrf and
+ * getrs, for fbq.linsys.solve_probability_system, which solves one pool
+ * system of up to a few hundred unknowns, where LAPACK is the faster
+ * factorisation.  It calls the getrf and getrs that scipy.linalg.lapack
+ * wraps, through the pointers that scipy.linalg.cython_lapack exports, so
+ * no LAPACK is linked here and each system gets the Python loop's answer
+ * bit for bit.
  *
  * fbq_pool_roots is the zero search of fbq.multi._isolate_roots: Sturm sign
  * counts and bisection over the pool's leading minors (Wilkinson 1965), then
@@ -24,6 +38,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 enum { MT_N = 624, MT_M = 397 };
 
@@ -116,20 +131,10 @@ typedef void getrf_fn(int *m, int *n, double *a, int *lda, int *ipiv, int *info)
 typedef void getrs_fn(char *trans, int *n, int *nrhs, double *a, int *lda, int *ipiv,
                       double *b, int *ldb, int *info);
 
-/* The row-scaled solves of fbq.linsys.solve_probability_stack, as its Python
- * loop _solve_each does them.  A first pass over the whole stack returns 1
- * if an entry of a or b is not finite, else 2 if a row of a is all zeros,
- * before any solve.  Then each row of a[k] and its entry of b[k] are divided
- * in place by the row's largest |a_ij|, and the system is copied into
- * column-major order in lu, LU-factored with partial pivoting by getrf and
- * solved by getrs into x[k].  pivmin[k] gets the smallest |pivot| of system
- * k (NaN if one is NaN, as numpy's min gives).  summary gets the first
- * system with a pivot below pivot_tol, the first with a solved value below
- * -neg_tol (each -1 if none) and the count of negative solved values.  lu
- * (n * n) and ipiv (n) are scratch.  Returns 0 after the solves. */
-int fbq_lu_stack(getrf_fn *getrf, getrs_fn *getrs, int64_t count, int n, double pivot_tol,
-                 double neg_tol, double *a, double *b, double *lu, int *ipiv, double *x,
-                 double *pivmin, int64_t *summary)
+/* The first pass of both LU loops over the (count, n, n) stack a and its
+ * right-hand sides b, before any solve: 1 if an entry of a or b is not
+ * finite, else 2 if a row of a is all zeros, else 0. */
+static int check_stack(int64_t count, int n, const double *a, const double *b)
 {
     int zero_row = 0;
     for (int64_t r = 0; r < count * n; r++) {
@@ -143,24 +148,64 @@ int fbq_lu_stack(getrf_fn *getrf, getrs_fn *getrs, int64_t count, int n, double 
             return 1;
         zero_row |= !nonzero;
     }
-    if (zero_row)
-        return 2;
+    return zero_row ? 2 : 0;
+}
 
+/* Divides each row of the n x n system (a, b) and its entry of b in place
+ * by the row's largest |a_ij|. */
+static void scale_rows(int n, double *a, double *b)
+{
+    for (int r = 0; r < n; r++) {
+        double scale = 0.0;
+        for (int c = 0; c < n; c++)
+            if (fabs(a[r * n + c]) > scale)
+                scale = fabs(a[r * n + c]);
+        for (int c = 0; c < n; c++)
+            a[r * n + c] /= scale;
+        b[r] /= scale;
+    }
+}
+
+/* Books system k, with smallest |pivot| least and solution xk, in pivmin[k]
+ * and summary: the first system whose least is below pivot_tol, the
+ * first with a value below -neg_tol, and the count of negative values. */
+static void note_system(int64_t k, int n, double least, const double *xk, double pivot_tol,
+                        double neg_tol, double *pivmin, int64_t *summary)
+{
+    pivmin[k] = least;
+    if (summary[0] < 0 && least < pivot_tol)
+        summary[0] = k;
+    for (int r = 0; r < n; r++) {
+        if (xk[r] < 0.0) {
+            summary[2]++;
+            if (summary[1] < 0 && xk[r] < -neg_tol)
+                summary[1] = k;
+        }
+    }
+}
+
+/* The row-scaled solves of fbq.linsys.solve_probability_system, as its
+ * Python loop _lapack does them.  check_stack's pass returns its
+ * status, if not 0, before any solve.  Then each system k is row-scaled in
+ * place, copied into column-major order in lu, LU-factored with partial
+ * pivoting by getrf and solved by getrs into x[k]; note_system books it,
+ * pivmin[k] being its smallest |pivot| (NaN if one is NaN, as numpy's min
+ * gives).  summary[0 .. 1] are -1 if no system qualifies.  lu (n * n) and
+ * ipiv (n) are scratch.  Returns 0 after the solves. */
+int fbq_lu_lapack(getrf_fn *getrf, getrs_fn *getrs, int64_t count, int n, double pivot_tol,
+                  double neg_tol, double *a, double *b, double *lu, int *ipiv, double *x,
+                  double *pivmin, int64_t *summary)
+{
+    int status = check_stack(count, n, a, b);
+    if (status)
+        return status;
     int nrhs = 1, info;
     char trans = 'N';
     summary[0] = summary[1] = -1;
     summary[2] = 0;
     for (int64_t k = 0; k < count; k++) {
         double *ak = a + k * n * n, *bk = b + k * n, *xk = x + k * n;
-        for (int r = 0; r < n; r++) {
-            double scale = 0.0;
-            for (int c = 0; c < n; c++)
-                if (fabs(ak[r * n + c]) > scale)
-                    scale = fabs(ak[r * n + c]);
-            for (int c = 0; c < n; c++)
-                ak[r * n + c] /= scale;
-            bk[r] /= scale;
-        }
+        scale_rows(n, ak, bk);
         for (int c = 0; c < n; c++) {
             for (int r = 0; r < n; r++)
                 lu[c * n + r] = ak[r * n + c];
@@ -173,18 +218,144 @@ int fbq_lu_stack(getrf_fn *getrf, getrs_fn *getrs, int64_t count, int n, double 
             if (p < least || p != p)
                 least = p;
         }
-        pivmin[k] = least;
-        if (summary[0] < 0 && least < pivot_tol)
-            summary[0] = k;
         getrs(&trans, &n, &nrhs, lu, &n, ipiv, xk, &n, &info);
-        for (int r = 0; r < n; r++) {
-            if (xk[r] < 0.0) {
-                summary[2]++;
-                if (summary[1] < 0 && xk[r] < -neg_tol)
-                    summary[1] = k;
+        note_system(k, n, least, xk, pivot_tol, neg_tol, pivmin, summary);
+    }
+    return 0;
+}
+
+enum { LU_TILE = 8 };   /* systems per tile of fbq_lu_lockstep */
+
+/* dst[s] -= a[s] b[s] over the w lanes of a tile row; restrict tells the
+ * compiler that dst overlaps neither a nor b, so the loop vectorises. */
+static inline void sub_products(int w, double *restrict dst, const double *restrict a,
+                                const double *restrict b)
+{
+    for (int s = 0; s < w; s++)
+        dst[s] -= a[s] * b[s];
+}
+
+/* Row scaling, Gaussian elimination with partial pivoting and back
+ * substitution on the w systems of a tile in lockstep.  Entry (r, c) of
+ * system s is t[(r n + c) w + s] and its right-hand side y[r w + s], so each
+ * loop over the systems runs innermost; each system gets the operations it
+ * would get alone, in the same order.  Each row and its y are divided by the
+ * row's largest |t_rc|.  Then for each column j the pivot is the first
+ * largest |t_rj|, r >= j (a NaN counts as largest, as numpy's argmax has
+ * it), rows r and j swap, and each row r > j loses l = t_rj / t_jj times
+ * row j (l = t_rj / 1 when the pivot is 0, since then t_rj is 0 too), and
+ * so does its y.  Then, for j from n - 1 down, y_j /= t_jj and each y_r,
+ * r < j, loses t_rj y_j.  y ends as the solution and least[s] as the
+ * smallest |pivot| (NaN if one is NaN).  Called with a constant w, which
+ * the compiler unrolls or drops. */
+static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *t, double *y,
+                                                          double *least)
+{
+    double big[LU_TILE], piv[LU_TILE], l[LU_TILE];
+    int64_t row[LU_TILE];
+    for (int r = 0; r < n; r++) {
+        double *tr = t + r * n * w;
+        for (int s = 0; s < w; s++)
+            big[s] = 0.0;
+        for (int c = 0; c < n; c++)
+            for (int s = 0; s < w; s++)
+                big[s] = fabs(tr[c * w + s]) > big[s] ? fabs(tr[c * w + s]) : big[s];
+        for (int c = 0; c < n; c++)
+            for (int s = 0; s < w; s++)
+                tr[c * w + s] /= big[s];
+        for (int s = 0; s < w; s++)
+            y[r * w + s] /= big[s];
+    }
+    for (int j = 0; j < n; j++) {
+        double *top = t + j * n * w;
+        for (int s = 0; s < w; s++) {
+            big[s] = fabs(top[j * w + s]);
+            row[s] = j;
+        }
+        for (int r = j + 1; r < n; r++) {
+            for (int s = 0; s < w; s++) {
+                double v = fabs(t[(r * n + j) * w + s]);
+                int take = big[s] == big[s] && !(v <= big[s]);
+                big[s] = take ? v : big[s];
+                row[s] = take ? r : row[s];
             }
         }
+        for (int s = 0; s < w; s++) {
+            int64_t p = row[s];
+            if (p == j)
+                continue;
+            for (int c = j; c < n; c++) {
+                double v = top[c * w + s];
+                top[c * w + s] = t[(p * n + c) * w + s];
+                t[(p * n + c) * w + s] = v;
+            }
+            double v = y[j * w + s];
+            y[j * w + s] = y[p * w + s];
+            y[p * w + s] = v;
+        }
+        for (int s = 0; s < w; s++) {
+            least[s] = j == 0 || big[s] < least[s] || big[s] != big[s] ? big[s] : least[s];
+            piv[s] = top[j * w + s] == 0.0 ? 1.0 : top[j * w + s];
+        }
+        for (int r = j + 1; r < n; r++) {
+            double *tr = t + r * n * w;
+            for (int s = 0; s < w; s++)
+                l[s] = tr[j * w + s] / piv[s];
+            for (int c = j + 1; c < n; c++)
+                sub_products(w, tr + c * w, l, top + c * w);
+            sub_products(w, y + r * w, l, y + j * w);
+        }
     }
+    for (int j = n - 1; j >= 0; j--) {
+        for (int s = 0; s < w; s++)
+            y[j * w + s] /= t[(j * n + j) * w + s];
+        for (int r = 0; r < j; r++)
+            sub_products(w, y + r * w, t + (r * n + j) * w, y + j * w);
+    }
+}
+
+/* The row-scaled solves of fbq.linsys.solve_probability_stack, as its numpy
+ * loop _lockstep does them.  check_stack's pass returns its status, if not
+ * 0, before any solve.  Then the stack is solved LU_TILE systems at a time
+ * by lu_tile, and each solution goes to x[k] and is booked by note_system.
+ * A tile of one system is solved alone; a last tile of 2 .. LU_TILE - 1
+ * fills its other lanes with copies of its first system and drops their
+ * results.  a and b are left as they are.  Returns 0 after the solves, or
+ * 3 if the tile cannot be allocated. */
+int fbq_lu_lockstep(int64_t count, int n, double pivot_tol, double neg_tol, const double *a,
+                    const double *b, double *x, double *pivmin, int64_t *summary)
+{
+    int status = check_stack(count, n, a, b);
+    if (status)
+        return status;
+    double *tile = malloc(sizeof(double) * LU_TILE * n * (n + 1));
+    if (!tile)
+        return 3;
+    double *y = tile + LU_TILE * n * n, least[LU_TILE];
+    summary[0] = summary[1] = -1;
+    summary[2] = 0;
+    for (int64_t k0 = 0; k0 < count; k0 += LU_TILE) {
+        int used = count - k0 < LU_TILE ? (int)(count - k0) : LU_TILE;
+        int w = used == 1 ? 1 : LU_TILE;
+        for (int s = 0; s < w; s++) {
+            int64_t k = k0 + (s < used ? s : 0);
+            for (int i = 0; i < n * n; i++)
+                tile[i * w + s] = a[k * n * n + i];
+            for (int r = 0; r < n; r++)
+                y[r * w + s] = b[k * n + r];
+        }
+        if (w == 1)
+            lu_tile(n, 1, tile, y, least);
+        else
+            lu_tile(n, LU_TILE, tile, y, least);
+        for (int s = 0; s < used; s++) {
+            double *xk = x + (k0 + s) * n;
+            for (int r = 0; r < n; r++)
+                xk[r] = y[r * w + s];
+            note_system(k0 + s, n, least[s], xk, pivot_tol, neg_tol, pivmin, summary);
+        }
+    }
+    free(tile);
     return 0;
 }
 

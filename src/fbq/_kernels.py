@@ -32,14 +32,14 @@ _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-Loops = collections.namedtuple("Loops", "jump_chain lu_stack pool_roots")
+Loops = collections.namedtuple("Loops", "jump_chain lu_lapack lu_lockstep pool_roots")
 
 
 @functools.cache
 def compiled() -> Loops | None:
-    """The library's `fbq_jump_chain`, `fbq_lu_stack` and `fbq_pool_roots`
-    with their C signatures, the LU loop bound to LAPACK's dgetrf and dgetrs
-    from the capsules of `scipy.linalg.cython_lapack`; the library is built
+    """The library's `fbq_jump_chain`, `fbq_lu_lapack`, `fbq_lu_lockstep` and
+    `fbq_pool_roots` with their C signatures, the LAPACK loop bound to dgetrf
+    and dgetrs from the capsules of `scipy.linalg.cython_lapack`; the library is built
     first if the cache lacks it.  None when it cannot be built or loaded
     here, and then one debug line names the cause."""
     try:
@@ -49,13 +49,16 @@ def compiled() -> Loops | None:
         return None
     ptr, i32, i64, dbl = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_double
     p_dbl, p_i64 = ctypes.POINTER(dbl), ctypes.POINTER(i64)
-    chain, lu_stack, pool_roots = lib.fbq_jump_chain, lib.fbq_lu_stack, lib.fbq_pool_roots
+    chain, lu_lapack, lockstep, pool_roots = (lib.fbq_jump_chain, lib.fbq_lu_lapack, lib.fbq_lu_lockstep,
+                                              lib.fbq_pool_roots)
     chain.argtypes = [ctypes.POINTER(ctypes.c_uint32), i64, p_dbl, p_dbl, p_dbl, p_i64, p_i64,
                       p_dbl, p_i64, i64, p_i64, i64, p_dbl, p_i64]
     chain.restype = None
-    lu_stack.argtypes = [ptr, ptr, i64, i32, dbl, dbl, p_dbl, p_dbl, p_dbl, ctypes.POINTER(i32),
-                         p_dbl, p_dbl, p_i64]
-    lu_stack.restype = i32
+    lu_lapack.argtypes = [ptr, ptr, i64, i32, dbl, dbl, p_dbl, p_dbl, p_dbl, ctypes.POINTER(i32),
+                          p_dbl, p_dbl, p_i64]
+    lu_lapack.restype = i32
+    lockstep.argtypes = [i64, i32, dbl, dbl, p_dbl, p_dbl, p_dbl, p_dbl, p_i64]
+    lockstep.restype = i32
     pool_roots.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 3, i32, p_dbl, p_dbl, p_i64, p_dbl]
     pool_roots.restype = i32
     capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -64,7 +67,7 @@ def compiled() -> Loops | None:
         ("PyCapsule_GetPointer", ctypes.pythonapi))
     getrf, getrs = (capsule_pointer(c, capsule_name(c))
                     for c in (cython_lapack.__pyx_capi__[name] for name in ("dgetrf", "dgetrs")))
-    return Loops(chain, functools.partial(lu_stack, getrf, getrs), pool_roots)
+    return Loops(chain, functools.partial(lu_lapack, getrf, getrs), lockstep, pool_roots)
 
 
 def _library() -> pathlib.Path:

@@ -61,7 +61,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from . import _kernels
@@ -193,6 +192,8 @@ def _isolate_roots(model: MultiServerModel) -> tuple[tuple[float, ...], int, int
             raise failure(f"Sturm counts read {vlo}, {v}, {vhi} at z = {lo:.17g}, "
                           f"{mid:.17g}, {hi:.17g}")
         stack += [(mid, hi, v, vhi), (lo, mid, vlo, v)]
+
+    import scipy.optimize   # here, so that importing fbq does not load it
 
     roots, evals = [], 0
     det, fp = functools.partial(_det_at, model), np.finfo(float)

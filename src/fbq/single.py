@@ -150,10 +150,11 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     they are built once; the sub-threshold balance rows and the
     work-conservation row depend on the profile's speeds and are filled per
     profile.  The B systems are stacked and solved FAMILY_CHUNK profiles at a
-    time, each chunk in one call of linsys's compiled LU loop, and the mean
-    counts of each profile come from its solved sub-threshold probabilities.
-    Every profile gets every check of a single solve and the answer it gets
-    alone, and the first profile that fails a check raises its error.
+    time, each chunk in one call of linsys's lockstep LU loop, and the mean
+    counts of each profile come from its solved sub-threshold probabilities
+    by row sums, not BLAS products.  Every profile gets every check of a
+    single solve and the answer it gets alone, bit for bit and on any CPU,
+    and the first profile that fails a check raises its error.
     """
     require_stable_single(model)
     if model.lam == 0:
@@ -318,8 +319,10 @@ class _Family:
         p = np.add.reduceat(sub, lay.level_starts, axis=1)
         tail = 1.0 - p.sum(axis=1)
         w = (1.0 - levels[:, lay.t_of] / levels[:, K:]) * sub      # w_ij = (1 - s_{i+j}/s_K) pi_ij
-        g0_at_1, L1, L2 = _drift_means(self.rho1, self.rho2, self.q, sub @ (lay.i_of == 0),
-                                       w @ lay.i_of, w @ lay.j_of, w @ (lay.i_of > 0))
+        # row sums, not BLAS products, whose rounding depends on the batch and the CPU
+        g0_at_1, L1, L2 = _drift_means(self.rho1, self.rho2, self.q, (sub * (lay.i_of == 0)).sum(axis=1),
+                                       (w * lay.i_of).sum(axis=1), (w * lay.j_of).sum(axis=1),
+                                       (w * (lay.i_of > 0)).sum(axis=1))
         L = L1 + L2
 
         if self.alpha == 0.0:

@@ -143,6 +143,14 @@ def test_import_does_not_load_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_import_does_not_load_scipy_optimize():
+    # only the Python zero search of fbq.multi calls brentq, and imports it there
+    src = str(pathlib.Path(baselines.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", "import sys, fbq; print('scipy.optimize' in sys.modules)"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestTruncatedLoad:
     """The closed forms of baselines._las_terms, which las_L integrates."""
 

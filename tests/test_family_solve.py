@@ -4,20 +4,24 @@ stacked solves under them (fbq.linsys).
 data/family_solve_pins.json holds searches and figure-5 points recorded from
 the search that solved its grid one profile at a time with solve_general.
 The family solve must return the same speed levels, and costs and curves
-within 1e-12 relative.  The compiled LU loop and the Python loop it replaces
-call the same LAPACK routines, so every result, error message included, must
-be equal on the two paths, not close.
+within 1e-12 relative.  Each LU loop of fbq.linsys, the lockstep one behind
+the family stacks and the LAPACK one behind pool systems, does the same float
+operations as its Python reference, so every result, error message included,
+must be equal on the two paths, not close; and a profile's lockstep solve
+must not depend on its position in the stack or on the other systems there.
 """
 
 import json
 import os
 import pathlib
+import platform
 import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fbq
 from fbq.experiments import _figure5_point, optimize_intermediate_speeds, optimize_threshold, reproduce_figure
@@ -31,7 +35,9 @@ from fbq.models import (
     SpeedProfile,
 )
 from fbq.multi import _pool_data, sweep_thresholds
+from fbq import single
 from fbq.single import FAMILY_CHUNK, solve_general, solve_speed_family
+from test_threshold_sweep import same_failure
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "family_solve_pins.json").read_text())
 SWEEP_PINS = json.loads((pathlib.Path(__file__).parent / "data" / "threshold_sweep_pins.json").read_text())
@@ -124,7 +130,9 @@ def test_failing_pool_raises_the_same_error_on_both_lu_paths(monkeypatch):
     model = fbq.MultiServerModel(**pin)
     for run in (lambda: sweep_thresholds(model),
                 lambda: optimize_threshold(model, CostCoefficients(1.0, 0.5))):
-        assert on_both_paths(monkeypatch, lambda: raised(run)) == (message, message)
+        compiled, python = on_both_paths(monkeypatch, lambda: raised(run))
+        assert compiled == python
+        assert same_failure(compiled, message), compiled
 
 
 def test_import_neither_builds_nor_loads_the_lu_loop(tmp_path):
@@ -146,6 +154,29 @@ def test_import_neither_builds_nor_loads_the_lu_loop(tmp_path):
         assert lib.suffix == ".so"
 
 
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS x86 core names")
+def test_family_bits_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks the kernels of an OpenBLAS built for several
+    # CPUs (and is ignored by others); a family solve calls no BLAS
+    code = "\n".join([
+        "import json, sys, numpy as np, fbq",
+        "from fbq.single import solve_speed_family",
+        "b = json.loads(sys.argv[1])",
+        "model = fbq.SingleServerModel(b['lam'], fbq.CoxianService(b['nu1'], b['nu2'], b['q']),",
+        "                              fbq.SpeedProfile((b['s0'], b['top']), alpha=b['alpha']))",
+        "inter = np.sort(np.random.default_rng(5).uniform(b['s0'], b['top'], (40, 2)), axis=1)",
+        "family = solve_speed_family(model, inter)",
+        "print(np.concatenate([family.boundary.ravel(), family.g0_at_1, family.L1, family.L2,",
+        "                      family.energy_rate]).tobytes().hex())",
+    ])
+    outs = set()
+    for core in ("Prescott", "Haswell", "SkylakeX"):
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_CORETYPE=core)
+        outs.add(subprocess.run([sys.executable, "-c", code, json.dumps(PINS["bases"]["seed7"])], env=env,
+                                capture_output=True, text=True, check=True).stdout)
+    assert len(outs) == 1
+
+
 def test_profile_result_independent_of_its_batch():
     b = PINS["bases"]["seed7"]
     model = base_model(b)
@@ -156,16 +187,16 @@ def test_profile_result_independent_of_its_batch():
     boundary = solve_speed_family(model, inter[FAMILY_CHUNK - 2:FAMILY_CHUNK + 2])
     for k in (0, 6, FAMILY_CHUNK - 1, FAMILY_CHUNK, FAMILY_CHUNK + 11):
         alone = solve_speed_family(model, inter[k:k + 1])
-        single = solve_general(base_model(b, (b["s0"], *inter[k], b["top"])))
+        one = solve_general(base_model(b, (b["s0"], *inter[k], b["top"])))
         for f in FIELDS:
-            got = [getattr(family, f)[k], getattr(single, f)]
+            got = [getattr(family, f)[k], getattr(one, f)]
             if k >= 5:
                 got.append(getattr(shifted, f)[k - 5])
-            np.testing.assert_allclose(got, getattr(alone, f)[0], rtol=1e-13, atol=0, err_msg=f"{k} {f}")
+            assert got == [getattr(alone, f)[0]] * len(got), f"{k} {f}"
     for k in range(4):
         alone = solve_speed_family(model, inter[FAMILY_CHUNK - 2 + k:FAMILY_CHUNK - 1 + k])
         for f in FIELDS:
-            assert getattr(boundary, f)[k] == pytest.approx(getattr(alone, f)[0], rel=1e-13, abs=0)
+            assert getattr(boundary, f)[k] == getattr(alone, f)[0]
 
 
 @pytest.mark.parametrize("s0,bad", [
@@ -225,6 +256,13 @@ class TestStackChecks:
         x = solve_probability_stack(np.stack([np.eye(3)] * 2), b)
         assert (x >= 0).all()
         assert x[0, 0] == 0.0 and x[1, 1] == 0.0
+
+    def test_mismatched_shapes_raise_before_any_loop_runs(self):
+        for solve, a, b in ((solve_probability_system, np.eye(3), np.ones(2)),
+                            (solve_probability_stack, np.eye(3), np.ones(3)),
+                            (solve_probability_stack, np.ones((2, 3, 3)), np.ones((2, 4)))):
+            with pytest.raises(ValueError, match="does not match right-hand sides"):
+                solve(a, b)
 
     def test_zero_row_late_in_the_stack_wins_over_a_tiny_pivot_earlier(self):
         tiny_pivot = np.array([[1.0, 1, 0], [1, 1 + 1e-14, 0], [0, 0, 1]])
@@ -297,6 +335,91 @@ def test_roundoff_negatives_are_clamped_equally_on_both_lu_paths(monkeypatch):
     assert np.array_equal(compiled, python)
     assert (compiled >= 0).all() and compiled[2, 0] == 0.0 and compiled[6, 3] == 0.0
     np.testing.assert_allclose(compiled[0], np.linalg.solve(a[0], b[0]), rtol=1e-13)
+
+
+def pinned_search_stacks(monkeypatch):
+    """Every stack, (a, b), that the pinned searches hand to the lockstep solve."""
+    stacks = []
+    solve = single.solve_probability_stack
+
+    def spy(a, b):
+        stacks.append((a.copy(), b.copy()))
+        return solve(a, b)
+    with monkeypatch.context() as m:
+        m.setattr(single, "solve_probability_stack", spy)
+        for pin in PINS["searches"]:
+            b = PINS["bases"][pin["base"]]
+            optimize_intermediate_speeds(base_model(b), pin["K"], CostCoefficients(b["c1"], b["c2"]))
+    assert {a.shape[1] for a, _ in stacks} == {6, 10}   # the K = 2 and K = 3 families
+    return stacks
+
+
+def assert_same_loop_results(got, expected):
+    status, x, pivmin, summary = got
+    assert (status, list(summary)) == (expected[0], list(expected[3]))
+    assert np.array_equal(x, expected[1]) and np.array_equal(pivmin, expected[2])
+
+
+def test_lockstep_loops_are_equal_on_the_pinned_searches_stacks(monkeypatch):
+    require_compiled_loop()
+    for a, b in pinned_search_stacks(monkeypatch):
+        assert_same_loop_results(LINSYS._lockstep_compiled(a.copy(), b.copy()),
+                                 LINSYS._lockstep(a.copy(), b.copy()))
+
+
+def test_lockstep_agrees_with_scipy_lu_on_the_pinned_searches_stacks(monkeypatch):
+    for a, b in pinned_search_stacks(monkeypatch):
+        x = solve_probability_stack(a, b)
+        reference = np.array([scipy.linalg.lu_solve(scipy.linalg.lu_factor(a[k]), b[k]) for k in range(len(a))])
+        # relative to each system's largest value: its smallest ones, down
+        # to 1e-6 of it, are known to fewer digits by either solve
+        assert (np.abs(x - reference).max(axis=1) <= 1e-12 * np.abs(reference).max(axis=1)).all()
+
+
+def pivoting_stack(count, shared):
+    """count random 5 x 5 systems whose largest entry in each column lies off
+    the diagonal, so that partial pivoting swaps rows.  With shared, every
+    system is one matrix with its entries scaled by up to 1%, so the tile's
+    systems pivot alike; else each system has its own row order."""
+    rng = np.random.default_rng(24 + count)
+    base = rng.uniform(-1.0, 1.0, (5, 5)) + 3.0 * np.eye(5)[::-1]
+    a = base * rng.uniform(0.99, 1.01, (count, 5, 5))
+    if not shared:
+        a = np.stack([m[rng.permutation(5)] for m in a])
+    return a, rng.uniform(0.0, 1.0, (count, 5))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-pivots", "own-pivots"])
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 17])
+def test_lockstep_is_equal_on_both_loops_wherever_a_system_sits(count, shared):
+    a, b = pivoting_stack(count, shared)
+    assert (np.abs(a).argmax(axis=1) != np.arange(5)).any(axis=1).all()   # every system pivots
+    other_a, other_b = pivoting_stack(3, not shared)
+    expected = LINSYS._lockstep(a.copy(), b.copy())
+    np.testing.assert_allclose(expected[1], np.linalg.solve(a, b[..., None])[..., 0], rtol=1e-13)
+    loops = [LINSYS._lockstep] + ([LINSYS._lockstep_compiled] if KERNELS.compiled() else [])
+    for solve in loops:
+        assert_same_loop_results(solve(a.copy(), b.copy()), expected)
+        shifted = solve(np.concatenate([other_a, a]), np.concatenate([other_b, b]))[1]
+        assert np.array_equal(shifted[3:], expected[1])
+        for k in range(count):
+            assert np.array_equal(solve(a[k:k + 1].copy(), b[k:k + 1].copy())[1][0], expected[1][k])
+
+
+@pytest.mark.parametrize("faults", [("nan", "zero row", "singular", "negative"),
+                                    ("zero row", "singular", "negative"), ("singular", "negative"),
+                                    ("negative",), ("roundoff",)])
+def test_stack_outcomes_keep_their_order_across_tiles(faults, monkeypatch):
+    a, b = crafted_stack(*faults)
+    good_a, good_b = crafted_stack()
+    long_a, long_b = np.concatenate([good_a[:3], a, good_a[:6]]), np.concatenate([good_b[:3], b, good_b[:6]])
+    compiled, python = on_both_paths(monkeypatch, lambda: (stack_outcome(a, b), stack_outcome(long_a, long_b)))
+    if isinstance(python[0], tuple):
+        assert compiled == python
+        assert python[0] == python[1]     # the same error from 8 systems in one tile or 17 in three
+    else:
+        for got in (*compiled, python[1]):
+            assert np.array_equal(got[3:11] if len(got) == 17 else got, python[0])
 
 
 class TestStackChecksPythonLoop(TestStackChecks):

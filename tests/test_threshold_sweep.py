@@ -5,12 +5,17 @@ results on figure 8's pool and on two seeded pools for figure 8's three cost
 vectors, and the SolverError of a 20-server pool at figure 8's rate ratios,
 all recorded when every threshold isolated the determinant zeros again.  The
 sweep isolates them once per pool and must give the same optima, costs within
-1e-12 relative, and the same error.
+1e-12 relative, and the same error.  That error quotes a solved probability
+of a system with condition estimate 7.4e17, which is BLAS rounding: it reads
+-9.3e-5 to -8.4e-4 under the OpenBLAS kernels of different CPUs.  So the pin
+is compared without it (`same_failure`); where two paths or repeat calls must
+agree, the whole messages are compared.
 """
 
 import dataclasses
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +25,15 @@ from fbq.models import CostCoefficients, ModelError, MultiServerModel, SolverErr
 from fbq.multi import solve_threshold, sweep_thresholds
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "threshold_sweep_pins.json").read_text())
+
+
+def same_failure(message, pinned):
+    """Whether a failure message equals the pinned one in its fixed text and
+    condition estimate, the solved probability it quotes left out."""
+    def without_value(text):
+        blanked, found = re.subn(r"^solved probability -\d\.\d{3}e[-+]\d\d ", "solved probability <p> ", text)
+        return blanked if found == 1 else None
+    return without_value(pinned) is not None and without_value(message) == without_value(pinned)
 
 
 @pytest.mark.parametrize("pin", PINS["optima"], ids=lambda p: f"{p['pool']}-c2={p['c2']:g}")
@@ -57,10 +71,11 @@ def test_failure_at_a_threshold_propagates_with_the_pinned_error():
     model = MultiServerModel(**pin)
     with pytest.raises(SolverError) as exc:
         sweep_thresholds(model)
-    assert str(exc.value) == message
+    swept = str(exc.value)
+    assert same_failure(swept, message), swept
     with pytest.raises(SolverError) as exc:
         optimize_threshold(model, CostCoefficients(1.0, 0.5))
-    assert str(exc.value) == message
+    assert str(exc.value) == swept
 
 
 def test_zero_arrival_rate_is_rejected():
