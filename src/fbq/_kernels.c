@@ -3,9 +3,14 @@
  * fbq_jump_chain is the jump-chain loop of fbq.simulate._run.  Its uniforms
  * are CPython's random.Random.random(): MT19937 (Matsumoto & Nishimura, ACM
  * TOMACS 8, 1998) continued from a state that random.Random(seed).getstate()
- * returns, and genrand_res53 on two tempered words.  Every float operation
- * is the Python loop's, in its order, so the two agree bit for bit when this
- * file is built with -ffp-contract=off and without -ffast-math.
+ * returns, and genrand_res53 on each pair of tempered words.  They are made
+ * a block at a time: one pass regenerates the 624 words and a second
+ * tempers and pairs them into 312 doubles in a buffer on the chain's stack
+ * (Saito & Matsumoto, "SIMD-oriented Fast Mersenne Twister", 2008, do the
+ * same), which is the reference generator's stream bit for bit.  Every
+ * float operation is the Python loop's, in its order, so the two agree bit
+ * for bit when this file is built with -ffp-contract=off and without
+ * -ffast-math.
  *
  * fbq_lu_lockstep is the check, scale, factor and solve loop of
  * fbq.linsys.solve_probability_stack, which solves the small systems of a
@@ -42,43 +47,58 @@
 
 enum { MT_N = 624, MT_M = 397 };
 
-static uint32_t mt_word(uint32_t *mt, int64_t *pos)
+/* The next word at index k, from the words at k, k + 1 and k + MT_M (mod MT_N). */
+static uint32_t mt_twist(uint32_t at, uint32_t after, uint32_t far)
 {
-    if (*pos >= MT_N) {
-        for (int k = 0; k < MT_N; k++) {
-            uint32_t y = (mt[k] & 0x80000000u) | (mt[(k + 1) % MT_N] & 0x7fffffffu);
-            mt[k] = mt[(k + MT_M) % MT_N] ^ (y >> 1) ^ ((y & 1u) ? 0x9908b0dfu : 0u);
-        }
-        *pos = 0;
-    }
-    uint32_t y = mt[(*pos)++];
+    uint32_t y = (at & 0x80000000u) | (after & 0x7fffffffu);
+    return far ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu);
+}
+
+static uint32_t mt_temper(uint32_t y)
+{
     y ^= y >> 11;
     y ^= (y << 7) & 0x9d2c5680u;
     y ^= (y << 15) & 0xefc60000u;
-    y ^= y >> 18;
-    return y;
+    return y ^ (y >> 18);
 }
 
-static double mt_random(uint32_t *mt, int64_t *pos)
+/* One block of the stream: the 624 words of mt regenerated in place in the
+ * reference genrand_int32's three segments, then tempered and paired into
+ * the block's 312 genrand_res53 doubles, out[0 .. MT_N / 2 - 1] in stream
+ * order. */
+static void mt_block(uint32_t *mt, double *out)
 {
-    uint32_t a = mt_word(mt, pos) >> 5, b = mt_word(mt, pos) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+    int k = 0;
+    for (; k < MT_N - MT_M; k++)
+        mt[k] = mt_twist(mt[k], mt[k + 1], mt[k + MT_M]);
+    for (; k < MT_N - 1; k++)
+        mt[k] = mt_twist(mt[k], mt[k + 1], mt[k + MT_M - MT_N]);
+    mt[MT_N - 1] = mt_twist(mt[MT_N - 1], mt[0], mt[MT_M - 1]);
+    for (k = 0; k < MT_N / 2; k++) {
+        uint32_t a = mt_temper(mt[2 * k]) >> 5, b = mt_temper(mt[2 * k + 1]) >> 6;
+        out[k] = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+    }
 }
 
-/* Row r of the rate table: holding time inv[r], servers/rate srv[r], arrival
- * probability pa[r] and the arrival's next row up[r].  Its completions are
- * moves first[r], first[r] + 1, ...: move k is taken when u < bound[k] (the
- * row's last bound is infinite) and is (phase, moves on, next row below the
- * clamp, next row at or above it) in move[4k .. 4k + 3].  Arrivals close a
- * batch at each of stops[0 .. nstops - 1]; sums gets the batch's time and the
- * time integrals of n0, nl and the servers, counts the final n0, nl, arrivals
- * and completions. */
-void fbq_jump_chain(uint32_t *mt, int64_t pos, const double *inv, const double *srv,
-                    const double *pa, const int64_t *up, const int64_t *first,
-                    const double *bound, const int64_t *move, int64_t clamp,
-                    const int64_t *stops, int64_t nstops, double *sums, int64_t *counts)
+/* mt holds the 624 words of a generator state whose index is at its end,
+ * as random.Random(seed) always leaves it, so the first draw regenerates
+ * them; the chain advances mt in place.  Row r of the rate table: holding
+ * time inv[r], servers/rate srv[r], arrival probability pa[r] and the
+ * arrival's next row up[r].  Its completions are moves first[r], first[r] +
+ * 1, ...: move k is taken when u < bound[k] (the row's last bound is
+ * infinite) and is (phase, moves on, next row below the clamp, next row at
+ * or above it) in move[4k .. 4k + 3].  Arrivals close a batch at each of
+ * stops[0 .. nstops - 1]; sums gets the batch's time and the time integrals
+ * of n0, nl and the servers, counts the final n0, nl, arrivals and
+ * completions. */
+void fbq_jump_chain(uint32_t *mt, const double *inv, const double *srv, const double *pa,
+                    const int64_t *up, const int64_t *first, const double *bound,
+                    const int64_t *move, int64_t clamp, const int64_t *stops, int64_t nstops,
+                    double *sums, int64_t *counts)
 {
     int64_t n0 = 0, n1 = 0, nl = 0, arrivals = 0, completions = 0, row = 0;
+    double unif[MT_N / 2];
+    int next = MT_N / 2;
     for (int64_t s = 0; s < nstops; s++) {
         double t = 0.0, ti = 0.0, tj = 0.0, tu = 0.0;
         while (arrivals < stops[s]) {
@@ -87,7 +107,11 @@ void fbq_jump_chain(uint32_t *mt, int64_t pos, const double *inv, const double *
             ti += (double)n0 * h;
             tj += (double)nl * h;
             tu += srv[row];
-            double u = mt_random(mt, &pos);
+            if (next == MT_N / 2) {
+                mt_block(mt, unif);
+                next = 0;
+            }
+            double u = unif[next++];
             if (u < pa[row]) {
                 n0++;
                 arrivals++;

@@ -51,8 +51,8 @@ def compiled() -> Loops | None:
     p_dbl, p_i64 = ctypes.POINTER(dbl), ctypes.POINTER(i64)
     chain, lu_lapack, lockstep, pool_roots = (lib.fbq_jump_chain, lib.fbq_lu_lapack, lib.fbq_lu_lockstep,
                                               lib.fbq_pool_roots)
-    chain.argtypes = [ctypes.POINTER(ctypes.c_uint32), i64, p_dbl, p_dbl, p_dbl, p_i64, p_i64,
-                      p_dbl, p_i64, i64, p_i64, i64, p_dbl, p_i64]
+    chain.argtypes = [ctypes.POINTER(ctypes.c_uint32), p_dbl, p_dbl, p_dbl, p_i64, p_i64, p_dbl,
+                      p_i64, i64, p_i64, i64, p_dbl, p_i64]
     chain.restype = None
     lu_lapack.argtypes = [ptr, ptr, i64, i32, dbl, dbl, p_dbl, p_dbl, p_dbl, ctypes.POINTER(i32),
                           p_dbl, p_dbl, p_i64]

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from fbq import _kernels
 from fbq.baselines import fcfs_L, las_L
 from fbq.ctmc import ctmc_solve
 from fbq.experiments import COST_ALPHA, optimize_intermediate_speeds, optimize_threshold, reproduce_figure
@@ -69,6 +70,7 @@ def sample_multi(rng, m, threshold=0, umax=0.6):
 
 def test_c01_closed_form_vs_general():
     rng = np.random.default_rng(2024_01)
+    _kernels.compiled()  # a cold cache builds the compiled loops here, outside the timed solves
     t0 = time.time()
     worst = 0.0
     for _ in range(50):

@@ -1,6 +1,7 @@
-"""The compiled loops' source, `_kernels.c`, builds without a warning, and
-the ctypes signatures that `fbq._kernels.compiled` gives its three loops are
-the C definitions' parameter lists."""
+"""The compiled loops' source, `_kernels.c`, builds without a warning under
+the package's own compiler and flags, and the ctypes signatures that
+`fbq._kernels.compiled` gives its loops are the C definitions' parameter
+lists."""
 
 import ctypes
 import functools
@@ -22,10 +23,10 @@ C_TYPES = {
 
 
 def test_kernels_build_without_warnings(tmp_path):
-    if shutil.which("cc") is None:
+    if shutil.which(_kernels._COMPILER) is None:
         pytest.skip("no C compiler")
-    done = subprocess.run(["cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-Wall", "-Wextra",
-                           "-Werror", "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE)],
+    done = subprocess.run([_kernels._COMPILER, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE)],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

@@ -1,5 +1,6 @@
 """Simulator (fbq.simulate): exact pins of every SimEstimate field on the
-compiled jump chain and on the Python loop, the kernel's build, cache and
+compiled jump chain and on the Python loop, the two loops compared with `==`
+around the compiled chain's 312-uniform blocks, the kernel's build, cache and
 fallback, the bounded rate table on unstable models, the per-run debug line,
 the checks of SimConfig, and the import cost of the package.
 
@@ -21,6 +22,7 @@ import json
 import logging
 import os
 import pathlib
+import random
 import re
 import shutil
 import stat
@@ -37,6 +39,7 @@ from fbq.simulate import SimConfig, SimEstimate, ThreePhaseModel, simulate
 DATA = pathlib.Path(__file__).parent / "data"
 PINS = json.loads((DATA / "sim_pins.json").read_text())
 KERNELS = sys.modules["fbq._kernels"]
+SIM = sys.modules["fbq.simulate"]
 MULTI = sys.modules["fbq.multi"]
 # one caller of each compiled loop: a simulated pool, a single server's
 # stack solve, and figure 8's pool with the zeros the compiled search pinned
@@ -82,6 +85,53 @@ def test_matches_pinned_estimate(pin, python_loop, monkeypatch):
         assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the kernel did not load"
         pytest.skip("no C compiler to build the kernel with")
     assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
+
+
+# (model, the phases' branch probabilities, the clamp) as `simulate` builds its table
+CHAINS = {
+    "single": (SINGLE, (SINGLE.service.q,), SINGLE.K),
+    "pool": (MultiServerModel(3.0, 1.0, 0.5, 0.4, 4, threshold=2), (0.4,), 4),
+    "three_phase": (ThreePhaseModel(0.4, 3.0, 1.0, 0.8, 0.5, 0.5), (0.5, 0.5), 1),
+}
+BLOCK = 312  # uniforms per block of the compiled chain: one regeneration of 624 words
+
+
+def _end_at_jump(seed, tab, clamp, jump):
+    """The smallest arrival count whose run takes at least `jump` jumps on the Python loop."""
+    lo, hi = 1, jump
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if SIM._run(seed, tab, clamp, [mid])[2] >= jump:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_compiled_chain_equals_the_python_loop(chain, seed):
+    if KERNELS.compiled() is None:
+        assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the kernel did not load"
+        pytest.skip("no C compiler to build the kernel with")
+    model, qs, clamp = CHAINS[chain]
+    tab = SIM._table(model, qs, clamp)
+    assert random.Random(seed).getstate()[1][-1] == 624  # so the chain starts with a regeneration
+    refill = _end_at_jump(seed, tab, clamp, BLOCK + 1)
+    runs = {
+        "inside the first block": [1, 3, 40],
+        "at the last arrival before the refill": [refill - 1],
+        "at the first arrival after the refill": [refill],
+        "over many refills, stops at scattered offsets": [*range(1, 6_000, 137), 6_000],
+    }
+    jumps = {}
+    for name, stops in runs.items():
+        expected = SIM._run(seed, tab, clamp, stops)
+        assert SIM._run_compiled(seed, tab, clamp, stops) == expected, name
+        jumps[name] = expected[2]
+    assert jumps["inside the first block"] < BLOCK
+    assert jumps["at the last arrival before the refill"] <= BLOCK < jumps["at the first arrival after the refill"]
+    assert jumps["over many refills, stops at scattered offsets"] > 20 * BLOCK
 
 
 def test_missing_compiler_falls_back_to_the_python_loop(caplog, monkeypatch, tmp_path, fresh_kernel):
@@ -136,11 +186,11 @@ def test_processes_build_the_kernel_at_once_and_later_ones_only_load_it(tmp_path
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
-    code = ("import sys, fbq; print('scipy.stats' in sys.modules, "
+    code = ("import sys, fbq; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules, "
             "sys.modules['fbq._kernels'].compiled.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False 0"  # nor is the kernel built or loaded
+    assert out.stdout.strip() == "False False 0"  # nor scipy.special, nor is the kernel built or loaded
     assert not (tmp_path / "fbq").exists()
 
 
