@@ -24,14 +24,6 @@
  * factorisations is the usual remedy (Dongarra et al., Procedia Computer
  * Science 108, 2017).
  *
- * fbq_lu_lapack does the same checks and scaling around LAPACK's getrf and
- * getrs, for fbq.linsys.solve_probability_system, which solves one pool
- * system of up to a few hundred unknowns, where LAPACK is the faster
- * factorisation.  It calls the getrf and getrs that scipy.linalg.lapack
- * wraps, through the pointers that scipy.linalg.cython_lapack exports, so
- * no LAPACK is linked here and each system gets the Python loop's answer
- * bit for bit.
- *
  * fbq_pool_roots is the zero search of fbq.multi._isolate_roots: Sturm sign
  * counts and bisection over the pool's leading minors (Wilkinson 1965), then
  * Brent's method (Brent 1973) on its determinant as scipy.optimize.brentq
@@ -151,11 +143,7 @@ void fbq_jump_chain(uint32_t *mt, const double *inv, const double *srv, const do
     counts[3] = completions;
 }
 
-typedef void getrf_fn(int *m, int *n, double *a, int *lda, int *ipiv, int *info);
-typedef void getrs_fn(char *trans, int *n, int *nrhs, double *a, int *lda, int *ipiv,
-                      double *b, int *ldb, int *info);
-
-/* The first pass of both LU loops over the (count, n, n) stack a and its
+/* The first pass of fbq_lu_lockstep over the (count, n, n) stack a and its
  * right-hand sides b, before any solve: 1 if an entry of a or b is not
  * finite, else 2 if a row of a is all zeros, else 0. */
 static int check_stack(int64_t count, int n, const double *a, const double *b)
@@ -175,21 +163,6 @@ static int check_stack(int64_t count, int n, const double *a, const double *b)
     return zero_row ? 2 : 0;
 }
 
-/* Divides each row of the n x n system (a, b) and its entry of b in place
- * by the row's largest |a_ij|. */
-static void scale_rows(int n, double *a, double *b)
-{
-    for (int r = 0; r < n; r++) {
-        double scale = 0.0;
-        for (int c = 0; c < n; c++)
-            if (fabs(a[r * n + c]) > scale)
-                scale = fabs(a[r * n + c]);
-        for (int c = 0; c < n; c++)
-            a[r * n + c] /= scale;
-        b[r] /= scale;
-    }
-}
-
 /* Books system k, with smallest |pivot| least and solution xk, in pivmin[k]
  * and summary: the first system whose least is below pivot_tol, the
  * first with a value below -neg_tol, and the count of negative values. */
@@ -206,46 +179,6 @@ static void note_system(int64_t k, int n, double least, const double *xk, double
                 summary[1] = k;
         }
     }
-}
-
-/* The row-scaled solves of fbq.linsys.solve_probability_system, as its
- * Python loop _lapack does them.  check_stack's pass returns its
- * status, if not 0, before any solve.  Then each system k is row-scaled in
- * place, copied into column-major order in lu, LU-factored with partial
- * pivoting by getrf and solved by getrs into x[k]; note_system books it,
- * pivmin[k] being its smallest |pivot| (NaN if one is NaN, as numpy's min
- * gives).  summary[0 .. 1] are -1 if no system qualifies.  lu (n * n) and
- * ipiv (n) are scratch.  Returns 0 after the solves. */
-int fbq_lu_lapack(getrf_fn *getrf, getrs_fn *getrs, int64_t count, int n, double pivot_tol,
-                  double neg_tol, double *a, double *b, double *lu, int *ipiv, double *x,
-                  double *pivmin, int64_t *summary)
-{
-    int status = check_stack(count, n, a, b);
-    if (status)
-        return status;
-    int nrhs = 1, info;
-    char trans = 'N';
-    summary[0] = summary[1] = -1;
-    summary[2] = 0;
-    for (int64_t k = 0; k < count; k++) {
-        double *ak = a + k * n * n, *bk = b + k * n, *xk = x + k * n;
-        scale_rows(n, ak, bk);
-        for (int c = 0; c < n; c++) {
-            for (int r = 0; r < n; r++)
-                lu[c * n + r] = ak[r * n + c];
-            xk[c] = bk[c];
-        }
-        getrf(&n, &n, lu, &n, ipiv, &info);
-        double least = fabs(lu[0]);
-        for (int r = 1; r < n; r++) {
-            double p = fabs(lu[r * n + r]);
-            if (p < least || p != p)
-                least = p;
-        }
-        getrs(&trans, &n, &nrhs, lu, &n, ipiv, xk, &n, &info);
-        note_system(k, n, least, xk, pivot_tol, neg_tol, pivmin, summary);
-    }
-    return 0;
 }
 
 enum { LU_TILE = 8 };   /* systems per tile of fbq_lu_lockstep */

@@ -5,8 +5,8 @@ per-user cache, `$XDG_CACHE_HOME/fbq` or `~/.cache/fbq`, a private
 directory.  The library is named by the sha256 of the source and the flags,
 so an edited source gets a new library and later processes only load it.
 `compiled()` is the one switch between the compiled loops and their Python
-references: it returns the three loops bound and typed, or None, and a
-process tries the build once and keeps that outcome.  Each caller runs its
+references: it returns the three loops typed, or None, and a process tries
+the build once and keeps that outcome.  Each caller runs its
 compiled loop when `compiled()` returns them and its Python loop otherwise.
 """
 
@@ -24,50 +24,37 @@ import subprocess
 import tempfile
 import time
 
-from scipy.linalg import cython_lapack
-
 log = logging.getLogger("fbq.kernels")
 
 _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-Loops = collections.namedtuple("Loops", "jump_chain lu_lapack lu_lockstep pool_roots")
+Loops = collections.namedtuple("Loops", "jump_chain lu_lockstep pool_roots")
 
 
 @functools.cache
 def compiled() -> Loops | None:
-    """The library's `fbq_jump_chain`, `fbq_lu_lapack`, `fbq_lu_lockstep` and
-    `fbq_pool_roots` with their C signatures, the LAPACK loop bound to dgetrf
-    and dgetrs from the capsules of `scipy.linalg.cython_lapack`; the library is built
-    first if the cache lacks it.  None when it cannot be built or loaded
-    here, and then one debug line names the cause."""
+    """The library's `fbq_jump_chain`, `fbq_lu_lockstep` and `fbq_pool_roots`
+    with their C signatures; the library is built first if the cache lacks
+    it.  None when it cannot be built or loaded here, and then one debug
+    line names the cause."""
     try:
         lib = ctypes.CDLL(str(_library()))
     except OSError as exc:
         log.debug("compiled loops unavailable, running the Python loops: %s", exc)
         return None
-    ptr, i32, i64, dbl = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_double
+    i32, i64, dbl = ctypes.c_int, ctypes.c_int64, ctypes.c_double
     p_dbl, p_i64 = ctypes.POINTER(dbl), ctypes.POINTER(i64)
-    chain, lu_lapack, lockstep, pool_roots = (lib.fbq_jump_chain, lib.fbq_lu_lapack, lib.fbq_lu_lockstep,
-                                              lib.fbq_pool_roots)
+    chain, lockstep, pool_roots = lib.fbq_jump_chain, lib.fbq_lu_lockstep, lib.fbq_pool_roots
     chain.argtypes = [ctypes.POINTER(ctypes.c_uint32), p_dbl, p_dbl, p_dbl, p_i64, p_i64, p_dbl,
                       p_i64, i64, p_i64, i64, p_dbl, p_i64]
     chain.restype = None
-    lu_lapack.argtypes = [ptr, ptr, i64, i32, dbl, dbl, p_dbl, p_dbl, p_dbl, ctypes.POINTER(i32),
-                          p_dbl, p_dbl, p_i64]
-    lu_lapack.restype = i32
     lockstep.argtypes = [i64, i32, dbl, dbl, p_dbl, p_dbl, p_dbl, p_dbl, p_i64]
     lockstep.restype = i32
     pool_roots.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 3, i32, p_dbl, p_dbl, p_i64, p_dbl]
     pool_roots.restype = i32
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    capsule_pointer = ctypes.PYFUNCTYPE(ptr, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    getrf, getrs = (capsule_pointer(c, capsule_name(c))
-                    for c in (cython_lapack.__pyx_capi__[name] for name in ("dgetrf", "dgetrs")))
-    return Loops(chain, functools.partial(lu_lapack, getrf, getrs), lockstep, pool_roots)
+    return Loops(chain, lockstep, pool_roots)
 
 
 def _library() -> pathlib.Path:

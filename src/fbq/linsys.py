@@ -1,21 +1,19 @@
 """Small dense linear solves shared by the exact solvers.
 
-Both solves row-scale their systems and share one set of checks and errors,
-raised in `_checked`; each has a compiled loop in `_kernels.c` and a Python
-loop that is its reference and runs where `fbq._kernels.compiled()` finds no
-compiled loops.
+Both solves row-scale copies of their systems and share one set of checks
+and errors, raised in `_checked`.
 
 * `solve_probability_stack` solves a speed family's stack of small systems
   by Gaussian elimination with partial pivoting in lockstep, a tile of
-  systems at a time (`fbq_lu_lockstep`, numpy loop `_lockstep`).  Both loops
-  do the same float operations in the same order, so a system gets the same
+  systems at a time (`fbq_lu_lockstep`, or its numpy reference `_lockstep`
+  where `fbq._kernels.compiled()` finds no compiled loops).  Both loops do
+  the same float operations in the same order, so a system gets the same
   bits on either loop, in any stack and at any position in it, and on any
   machine: no BLAS kernel that the CPU selects is involved.
 * `solve_probability_system` solves one pool system, up to a few hundred
-  unknowns, by the LAPACK getrf and getrs that `scipy.linalg.lapack` wraps
-  (`fbq_lu_lapack`, called through the pointers `scipy.linalg.cython_lapack`
-  exports, and the f2py loop `_lapack`), as scipy's lu_factor/lu_solve
-  do; LAPACK is faster than a plain loop at those sizes.
+  unknowns, by one f2py call each of the LAPACK getrf and getrs that
+  `scipy.linalg.lapack` wraps (`_lapack`), as scipy's lu_factor/lu_solve
+  do, on every machine; LAPACK is faster than a plain loop at those sizes.
 """
 
 from __future__ import annotations
@@ -42,8 +40,7 @@ def solve_probability_system(a_rows, b_vec) -> np.ndarray:
     probabilities, by LAPACK getrf/getrs; the checks and errors of
     solve_probability_stack."""
     a, b = _stack(np.array(a_rows, dtype=float)[None], np.array(b_vec, dtype=float)[None])
-    solve = _lapack_compiled if _kernels.compiled() else _lapack
-    return _checked(a, *solve(a, b))[0]     # the LAPACK loops row-scale a in place
+    return _checked(a, *_lapack(a, b))[0]
 
 
 def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,12 +58,12 @@ def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a, b = _stack(a, b)
     solve = _lockstep_compiled if _kernels.compiled() else _lockstep
-    return _checked(a, *solve(a, b), row_scaled=False)
+    return _checked(a, *solve(a, b))
 
 
 def _stack(a, b):
     """a and b as C-contiguous float arrays, once their shapes are checked to
-    be (B, n, n) and (B, n): the compiled loops take them as pointers."""
+    be (B, n, n) and (B, n): the compiled loop takes them as pointers."""
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     if b.ndim != 2 or a.shape != b.shape + b.shape[-1:]:
@@ -74,13 +71,9 @@ def _stack(a, b):
     return a, b
 
 
-def _checked(a, status, x, pivmin, summary, row_scaled=True):
+def _checked(a, status, x, pivmin, summary):
     """x after the errors that a loop's outcome on the stack a calls for, in
-    their order, with roundoff negatives clamped.  The condition estimates
-    are of the row-scaled systems: a's own, if the loop scaled it in place."""
-    def estimate(k):
-        return _condition_estimate(a[k] if row_scaled else a[k] / np.abs(a[k]).max(axis=1)[:, None])
-
+    their order, with roundoff negatives clamped."""
     singular, below, negatives = summary
     if status == _NOT_FINITE:
         raise ValueError("array must not contain infs or NaNs")
@@ -90,10 +83,10 @@ def _checked(a, status, x, pivmin, summary, row_scaled=True):
         raise MemoryError("no memory for a tile of the lockstep LU loop")
     if singular >= 0:
         raise SolverError(f"singular linear system (pivot {pivmin[singular]:.3e}, cond ~ "
-                          f"{estimate(singular):.3e}); degenerate parameter set")
+                          f"{_condition_estimate(a[singular]):.3e}); degenerate parameter set")
     if below >= 0:
         raise SolverError(f"solved probability {x[below].min():.3e} is below -{NEG_PROB_TOL:g}; condition "
-                          f"estimate of the row-scaled system {estimate(below):.3e}")
+                          f"estimate of the row-scaled system {_condition_estimate(a[below]):.3e}")
     if negatives:
         log.debug("clamping %d slightly negative probabilities (min %.2e)", negatives, x.min())
         x = np.clip(x, 0.0, None)
@@ -101,12 +94,12 @@ def _checked(a, status, x, pivmin, summary, row_scaled=True):
 
 
 def _first_pass(a: np.ndarray, b: np.ndarray):
-    """The compiled loops' first pass over the stack: (_NOT_FINITE or
-    _ZERO_ROW, None) if it fails, else (0, the row scale: each row's largest
-    |a_ij|)."""
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    """The first pass of both loops over the stack, as `check_stack` in
+    `_kernels.c` makes it: (_NOT_FINITE or _ZERO_ROW, None) if it fails, else
+    (0, the row scale: each row's largest |a_ij|)."""
+    scale = np.abs(a).max(axis=2)   # inf or NaN where a row of a holds one
+    if not (np.isfinite(scale).all() and np.isfinite(b).all()):
         return _NOT_FINITE, None
-    scale = np.abs(a).max(axis=2)
     return (_ZERO_ROW, None) if (scale == 0).any() else (0, scale)
 
 
@@ -164,40 +157,24 @@ def _lockstep_compiled(a: np.ndarray, b: np.ndarray):
 
 
 def _lapack(a: np.ndarray, b: np.ndarray):
-    """The compiled `fbq_lu_lapack` in Python, one f2py getrf and getrs call
-    per system: (status, x, pivmin, summary) as `_lockstep` gives them; a and
-    b are row-scaled in place."""
+    """A stack of one system, (1, n, n) and (1, n), by one f2py getrf and
+    getrs call on its row-scaled copy: (status, x, pivmin, summary) as
+    `_lockstep` gives them; a and b are left as they are."""
     status, scale = _first_pass(a, b)
     if status:
         return status, None, None, _NO_SUMMARY
-    a /= scale[..., None]
-    b /= scale
-    x = np.empty_like(b)
-    pivmin = np.empty(len(a))
-    for k in range(len(a)):
-        lu, piv, _ = lapack.dgetrf(a[k])
-        pivmin[k] = np.abs(lu.diagonal()).min()
-        x[k] = lapack.dgetrs(lu, piv, b[k])[0]
+    # the copy is made in column-major order, so getrf factors it in place
+    lu, piv, _ = lapack.dgetrf(np.divide(a[0], scale[0, :, None], order="F"), overwrite_a=1)
+    x = lapack.dgetrs(lu, piv, b[0] / scale[0])[0][None]
+    pivmin = np.abs(lu.diagonal()).min(keepdims=True)
     return 0, x, pivmin, _summary(x, pivmin)
-
-
-def _lapack_compiled(a: np.ndarray, b: np.ndarray):
-    """`_lapack` in one call of the compiled `fbq_lu_lapack`; a and b are
-    C-contiguous float arrays, scaled in place."""
-    count, n = b.shape
-    x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
-    lu, ipiv = np.empty(n * n), np.empty(n, dtype=np.intc)   # scratch
-    dbl = ctypes.c_double.from_buffer
-    status = _kernels.compiled().lu_lapack(count, n, PIVOT_RTOL, NEG_PROB_TOL, dbl(a), dbl(b),
-                                           dbl(lu), ctypes.c_int.from_buffer(ipiv), dbl(x),
-                                           dbl(pivmin), ctypes.c_int64.from_buffer(summary))
-    return status, x, pivmin, summary.tolist()
 
 
 def _condition_estimate(a: np.ndarray) -> float:
     """LAPACK's estimate (getrf + gecon) of the infinity-norm condition number
-    of a, which it overwrites: a.T is factored in place, and
-    cond_1(a.T) = cond_inf(a)."""
+    of a with each row divided by its largest |a_ij|: the scaled copy's
+    transpose is factored in place, and cond_1(a.T) = cond_inf(a)."""
+    a = a / np.abs(a).max(axis=1)[:, None]
     anorm = np.abs(a).sum(axis=1).max()
     lu, _, _ = lapack.dgetrf(a.T, overwrite_a=1)
     rcond, _ = lapack.dgecon(lu, anorm, norm="1")

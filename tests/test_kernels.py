@@ -4,7 +4,6 @@ the package's own compiler and flags, and the ctypes signatures that
 lists."""
 
 import ctypes
-import functools
 import re
 import shutil
 import subprocess
@@ -16,9 +15,8 @@ from fbq import _kernels
 # each C parameter type of the fbq_* definitions, as ctypes passes it
 C_TYPES = {
     "int": ctypes.c_int, "int64_t": ctypes.c_int64, "double": ctypes.c_double,
-    "int *": ctypes.POINTER(ctypes.c_int), "uint32_t *": ctypes.POINTER(ctypes.c_uint32),
-    "int64_t *": ctypes.POINTER(ctypes.c_int64), "double *": ctypes.POINTER(ctypes.c_double),
-    "getrf_fn *": ctypes.c_void_p, "getrs_fn *": ctypes.c_void_p,
+    "uint32_t *": ctypes.POINTER(ctypes.c_uint32), "int64_t *": ctypes.POINTER(ctypes.c_int64),
+    "double *": ctypes.POINTER(ctypes.c_double),
 }
 
 
@@ -47,7 +45,6 @@ def test_bound_loops_match_the_c_signatures():
     assert sorted(defs) == sorted(loops._fields)
     for name, (ret, params) in defs.items():
         fn = getattr(loops, name)
-        fn = fn.func if isinstance(fn, functools.partial) else fn   # the LU loop, with getrf and getrs
         assert len(fn.argtypes) == len(params), name
         assert list(fn.argtypes) == [C_TYPES[p] for p in params], name
         assert (fn.restype is None) == (ret == "void"), name
