@@ -31,6 +31,12 @@
  * every float operation in their order, and the kernel root squares by
  * libm's pow, as CPython does, so the zeros, the counts and each failure's
  * data equal the Python search's.
+ *
+ * fbq_ctmc_band finds the states of fbq.ctmc's truncated chain that its
+ * fixed state reaches and fills the band system of their balance equations
+ * for LAPACK's dgbsv, as fbq.ctmc._solve_reference does with a sparse graph
+ * search and bincounts; each cell is summed in the reference's order, so
+ * the two systems are equal bit for bit.
  */
 #include <math.h>
 #include <stddef.h>
@@ -573,4 +579,121 @@ int fbq_pool_roots(int64_t m, double lam, double mu1, double mu2, double q, cons
             return status;
     }
     return ROOTS_FOUND;
+}
+
+/* The truncated chain of fbq.ctmc on the rectangle 0 <= i <= n1, 0 <= j <=
+ * n2, state (i, j) at flat index i (n2 + 1) + j, with the foreground and
+ * background completion rates fg and bg in that order. */
+struct chain {
+    int64_t n1, n2;
+    double lam, q;
+    const double *fg, *bg;
+};
+
+/* The moves out of state s that fbq.ctmc._transitions keeps, in its order:
+ * arrival, foreground leaving, foreground joining the background (as (i -
+ * 1, n2) on the edge j = n2), background completion, each only where it is
+ * allowed and its rate is > 0.  Their targets go to to[], their rates to
+ * rate[]; returns their count. */
+static int chain_moves(const struct chain *c, int64_t s, int64_t *to, double *rate)
+{
+    int64_t w = c->n2 + 1, i = s / w, j = s % w;
+    const int allowed[4] = {i < c->n1, i > 0, i > 0, j > 0};
+    const int64_t target[4] = {s + w, s - w, s - w + (j < c->n2), s - 1};
+    const double r[4] = {c->lam, c->fg[s] * (1.0 - c->q), c->fg[s] * c->q, c->bg[s]};
+    int k = 0;
+    for (int m = 0; m < 4; m++) {
+        if (allowed[m] && r[m] > 0.0) {
+            to[k] = target[m];
+            rate[k++] = r[m];
+        }
+    }
+    return k;
+}
+
+/* The band system of fbq.ctmc._stationary for the chain (n1, n2, lam, q,
+ * fg, bg) with the state `fixed` set to 1, in two calls, so that the
+ * caller can size ab exactly in between.  The first, with ab NULL, finds
+ * the states reachable from `fixed` by a breadth-first search and numbers
+ * the others among them, the unknowns, along the short axis first: in
+ * order of their flat index, or of j (n1 + 1) + i when n2 > n1.  order[k]
+ * is the state of unknown k, pos[s] the number of state s or -1, and
+ * sizes[0 .. 2] get the count of unknowns n and kl and ku, the farthest
+ * entries below and above the diagonal.  The second takes pos, order and
+ * sizes as the first left them and fills dgbsv's column-major band ab, n
+ * columns of 2 kl + ku + 1 rows with entry (r, c) in row kl + ku + r - c of
+ * column c, and the right-hand side b: each unknown's inflow from the
+ * other unknowns minus its own outflow equals minus its inflow from
+ * `fixed`.  Each cell is summed from 0 in the order of the reference's
+ * bincounts, which is move order, so ab and b are the reference's bit for
+ * bit. */
+void fbq_ctmc_band(int64_t n1, int64_t n2, double lam, double q, const double *fg,
+                   const double *bg, int64_t fixed, int64_t *pos, int64_t *order,
+                   int64_t *sizes, double *ab, double *b)
+{
+    const struct chain c = {n1, n2, lam, q, fg, bg};
+    int64_t states = (n1 + 1) * (n2 + 1), to[4];
+    double rate[4];
+    int moves;
+    if (!ab) {
+        /* order is the search's queue until the unknowns are numbered;
+         * pos marks a reached state -2 */
+        for (int64_t s = 0; s < states; s++)
+            pos[s] = -1;
+        int64_t head = 0, tail = 1, n = 0, kl = 0, ku = 0;
+        order[0] = fixed;
+        pos[fixed] = -2;
+        while (head < tail) {
+            moves = chain_moves(&c, order[head++], to, rate);
+            for (int m = 0; m < moves; m++) {
+                if (pos[to[m]] == -1) {
+                    pos[to[m]] = -2;
+                    order[tail++] = to[m];
+                }
+            }
+        }
+        pos[fixed] = -1;
+        for (int64_t k = 0; k < states; k++) {
+            int64_t s = n2 > n1 ? k % (n1 + 1) * (n2 + 1) + k / (n1 + 1) : k;
+            if (pos[s] == -2) {
+                pos[s] = n;
+                order[n++] = s;
+            }
+        }
+        for (int64_t k = 0; k < n; k++) {
+            moves = chain_moves(&c, order[k], to, rate);
+            for (int m = 0; m < moves; m++) {
+                int64_t r = pos[to[m]];
+                if (r >= 0) {
+                    kl = r - k > kl ? r - k : kl;
+                    ku = k - r > ku ? k - r : ku;
+                }
+            }
+        }
+        sizes[0] = n;
+        sizes[1] = kl;
+        sizes[2] = ku;
+        return;
+    }
+    int64_t n = sizes[0], diag = sizes[1] + sizes[2], height = diag + sizes[1] + 1;
+    for (int64_t k = 0; k < n * height; k++)
+        ab[k] = 0.0;
+    for (int64_t k = 0; k < n; k++) {
+        double out = 0.0;
+        moves = chain_moves(&c, order[k], to, rate);
+        for (int m = 0; m < moves; m++) {
+            out += rate[m];
+            if (pos[to[m]] >= 0)
+                ab[k * height + diag + pos[to[m]] - k] += rate[m];
+        }
+        ab[k * height + diag] += -out;
+    }
+    for (int64_t k = 0; k < n; k++)
+        b[k] = 0.0;
+    moves = chain_moves(&c, fixed, to, rate);
+    for (int m = 0; m < moves; m++)
+        if (pos[to[m]] >= 0)
+            b[pos[to[m]]] += rate[m];
+    for (int64_t k = 0; k < n; k++)
+        b[k] = -b[k];
 }

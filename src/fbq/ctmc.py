@@ -15,7 +15,12 @@ reaches are solved and the vector is normalised afterwards (Stewart,
 Numbered along the short axis first, those equations are a column
 diagonally dominant band matrix whose half-width is the short axis + 1, and
 LAPACK's band LU factors it; rectangles whose short axis has more than
-BAND_MAX levels go to SuperLU, which is faster there.
+BAND_MAX levels go to SuperLU, which is faster there.  One call pair of the
+compiled loop `fbq_ctmc_band` finds the reachable states and fills the band
+system from the rate grids.  Its Python reference, the generator entries
+of `_transitions`, a breadth-first search of their graph and bincounts over
+them, gives the same bits, runs where `fbq._kernels.compiled()` finds no
+compiled loops, and is the only assembly for SuperLU.
 
 Each axis is sized to its own tail.  Above the modulation level the cut
 equations between foreground levels make the foreground marginal exactly
@@ -29,6 +34,7 @@ generating-function solutions.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import time
@@ -41,6 +47,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
+from . import _kernels
 from .models import (
     MultiServerModel,
     SingleServerModel,
@@ -106,43 +113,48 @@ def _transitions(lam, q, fg, bg):
 
 
 def _rates(model, n1, n2):
-    """Generator entries of the model's chain on the rectangle (n1, n2)."""
+    """The model's chain on the rectangle (n1, n2): lam, q and the
+    foreground and background completion rates on its grid of states."""
     _, fg, bg = model.rates(*np.indices((n1 + 1, n2 + 1)))
-    return _transitions(model.lam, model.q, fg, bg)
+    return model.lam, model.q, fg, bg
 
 
-def _band_lu(values, rows, cols, b):
-    """Solve the system with entries `values` at (rows, cols), repeats
-    summed, by LAPACK's band LU (dgbsv).  Returns x, the band widths and
-    whether a pivot was exactly zero."""
-    n = b.size
-    kl, ku = int((rows - cols).max()), int((cols - rows).max())
-    height = 2 * kl + ku + 1
-    # entry (r, c) sits in row kl + ku + r - c of column c of the band
-    # layout; the first kl rows are dgbsv's room for fill
-    ab = np.bincount(cols * height + kl + ku + rows - cols, weights=values,
-                     minlength=n * height).reshape(n, height).T
+def _band_compiled(band, lam, q, fg, bg, fixed):
+    """The band system of the chain by the compiled `fbq_ctmc_band`: the
+    unknown states in numbering order, dgbsv's ab, kl, ku and b; None when
+    `fixed` reaches no other state."""
+    fg, bg = np.ascontiguousarray(fg, dtype=float), np.ascontiguousarray(bg, dtype=float)
+    if fg.shape != bg.shape:   # the loop reads both over the whole grid
+        raise ValueError(f"rate grids of shapes {fg.shape} and {bg.shape}")
+    n1, n2 = fg.shape[0] - 1, fg.shape[1] - 1
+    pos, order, sizes = np.empty(fg.size, np.int64), np.empty(fg.size, np.int64), np.empty(3, np.int64)
+    # from_buffer views keep their arrays alive and pass as pointers
+    dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
+    args = (n1, n2, lam, q, dbl(fg), dbl(bg), fixed, i64(pos), i64(order), i64(sizes))
+    band(*args, None, None)
+    n, kl, ku = sizes.tolist()
+    if not n:
+        return None
+    # column-major band of n columns, as the reference's bincount lays it out
+    ab, b = np.empty((n, 2 * kl + ku + 1)), np.empty(n)
+    band(*args, dbl(ab), dbl(b))
+    return order[:n], ab.T, kl, ku, b
+
+
+def _band_lu(ab, kl, ku, b):
+    """Solve the band system by LAPACK's band LU (dgbsv), overwriting ab and
+    b.  Returns x and whether a pivot was exactly zero."""
     _, _, x, info = lapack.dgbsv(kl, ku, ab, b[:, None], overwrite_ab=1, overwrite_b=1)
-    return x[:, 0], kl, ku, info > 0
+    return x[:, 0], info > 0
 
 
-def _stationary(rows, cols, rates, shape, fixed) -> tuple[np.ndarray, str]:
-    """Stationary vector of the chain on the grid of `shape`, summing to 1,
-    and the factorisation that solved it.
-
-    `fixed` is the flat index of a recurrent state.  Its probability is set
-    to 1 and its balance equation dropped; the balance equations of the
-    other states reachable from it are solved and the vector is then
-    normalised.  Numbered along the short axis first, those equations form
-    a band matrix of half-width the short axis + 1, which is column
-    diagonally dominant, so a band LU factors it without row swaps; a
-    rectangle whose short axis has more than BAND_MAX levels is solved with
-    SuperLU instead.  States that `fixed` does not reach get probability
-    zero: they are transient, or they form a closed class the model's
-    convention leaves empty.  A reducible or otherwise singular system
-    raises SolverError instead of returning NaN.
-    """
-    at = f"truncation ({shape[0] - 1}, {shape[1] - 1})"
+def _solve_reference(rows, cols, rates, shape, fixed):
+    """`_stationary`'s solve from the generator entries (from, to, rate):
+    the unknown states, their solution, whether the system is singular, and
+    the factorisation.  The reachable states come from a breadth-first
+    search of the transition graph and the equations from bincounts over
+    the entries; the reference of `_band_compiled` and the only assembly
+    for SuperLU."""
     nstates = shape[0] * shape[1]
     # the transition graph in CSR form: row pointers from the row counts, and
     # the target states sorted by source state
@@ -172,26 +184,64 @@ def _stationary(rows, cols, rates, shape, fixed) -> tuple[np.ndarray, str]:
     fed = (rows == fixed) & (at_to >= 0)
     b = -np.bincount(at_to[fed], weights=rates[fed], minlength=unknown.size)
     if band:
-        x, kl, ku, singular = _band_lu(values, eq, var, b)
-        solver = f"band LU kl={kl} ku={ku}"
+        kl, ku = int((eq - var).max()), int((var - eq).max())
+        height = 2 * kl + ku + 1
+        # entry (r, c) sits in row kl + ku + r - c of column c of the band
+        # layout; the first kl rows are dgbsv's room for fill
+        ab = np.bincount(var * height + kl + ku + eq - var, weights=values,
+                         minlength=unknown.size * height).reshape(unknown.size, height).T
+        return unknown, *_band_lu(ab, kl, ku, b), f"band LU kl={kl} ku={ku}"
+    a = sp.csc_matrix((values, (eq, var)), shape=(unknown.size, unknown.size))
+    # fill-reducing order of A + A^T, except when no foreground completion
+    # leaves the system, i.e. no move (i, j) -> (i - 1, j) below the edge
+    # j = n2 (q = 1): on those thin rectangles SuperLU's minimum degree
+    # order of A + A^T took 100-300 times as long as COLAMD's column order
+    leaves = np.any((rows - cols == shape[1]) & (rows % shape[1] < shape[1] - 1))
+    ordering = "MMD_AT_PLUS_A" if leaves else "COLAMD"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", spla.MatrixRankWarning)
+        try:
+            x, singular = spla.spsolve(a, b, ordering), False
+        except spla.MatrixRankWarning:
+            x, singular = None, True
+    return unknown, x, singular, f"SuperLU {ordering}"
+
+
+def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, str, str]:
+    """Stationary vector of the chain (lam, q, fg, bg) of `_transitions` on
+    the grid of fg's shape, summing to 1, the assembly that built its
+    equations ("compiled" or "Python") and the factorisation that solved
+    them.
+
+    `fixed` is the flat index of a recurrent state.  Its probability is set
+    to 1 and its balance equation dropped; the balance equations of the
+    other states reachable from it are solved and the vector is then
+    normalised.  Numbered along the short axis first, those equations form
+    a band matrix of half-width the short axis + 1, which is column
+    diagonally dominant, so a band LU factors it without row swaps; a
+    rectangle whose short axis has more than BAND_MAX levels is solved with
+    SuperLU instead.  The band system is found and filled by the compiled
+    `fbq_ctmc_band` where `fbq._kernels.compiled()` binds it, and by
+    `_solve_reference` otherwise; both give the same bits.  States that
+    `fixed` does not reach get probability zero: they are transient, or
+    they form a closed class the model's convention leaves empty.  A
+    reducible or otherwise singular system raises SolverError instead of
+    returning NaN.
+    """
+    shape = fg.shape
+    at = f"truncation ({shape[0] - 1}, {shape[1] - 1})"
+    loops = _kernels.compiled() if min(shape) <= BAND_MAX else None
+    system = loops and _band_compiled(loops.ctmc_band, lam, q, fg, bg, fixed)
+    if system:
+        unknown, ab, kl, ku, b = system
+        assembly, solver = "compiled", f"band LU kl={kl} ku={ku}"
+        x, singular = _band_lu(ab, kl, ku, b)
     else:
-        a = sp.csc_matrix((values, (eq, var)), shape=(unknown.size, unknown.size))
-        # fill-reducing order of A + A^T, except when no foreground completion
-        # leaves the system, i.e. no move (i, j) -> (i - 1, j) below the edge
-        # j = n2 (q = 1): on those thin rectangles SuperLU's minimum degree
-        # order of A + A^T took 100-300 times as long as COLAMD's column order
-        leaves = np.any((rows - cols == shape[1]) & (rows % shape[1] < shape[1] - 1))
-        ordering = "MMD_AT_PLUS_A" if leaves else "COLAMD"
-        solver = f"SuperLU {ordering}"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", spla.MatrixRankWarning)
-            try:
-                x, singular = spla.spsolve(a, b, ordering), False
-            except spla.MatrixRankWarning:
-                singular = True
+        assembly = "Python"
+        unknown, x, singular, solver = _solve_reference(*_transitions(lam, q, fg, bg), shape, fixed)
     if singular:
         raise SolverError(f"stationary equations are singular at {at}: the truncated chain is reducible")
-    pi = np.zeros(nstates)
+    pi = np.zeros(shape[0] * shape[1])
     pi[unknown] = x
     pi[fixed] = 1.0
     total = pi.sum()
@@ -203,7 +253,7 @@ def _stationary(rows, cols, rates, shape, fixed) -> tuple[np.ndarray, str]:
     if floor < -1e-9:
         raise SolverError(f"stationary solve at {at} produced probability {floor:.3e}")
     pi = np.clip(pi, 0.0, None)
-    return (pi / pi.sum()).reshape(shape), solver
+    return (pi / pi.sum()).reshape(shape), assembly, solver
 
 
 def _foreground_size(base, ratio):
@@ -243,11 +293,11 @@ def _grow(model, fixed, n1, n2, max_n):
     n1, n2 = min(n1, max_n), min(n2, max_n)
     while True:
         t0 = time.perf_counter()
-        grid, solver = _stationary(*_rates(model, n1, n2), (n1 + 1, n2 + 1), i * (n2 + 1) + j)
+        grid, assembly, solver = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
         fg_marginal, bg_marginal = grid.sum(axis=1), grid.sum(axis=0)
         edges = (float(fg_marginal[n1]), float(bg_marginal[n2]))
-        log.debug("(%d, %d): %d states, edge mass %.3e foreground, %.3e background, %.3f s, %s",
-                  n1, n2, grid.size, *edges, time.perf_counter() - t0, solver)
+        log.debug("(%d, %d): %d states, edge mass %.3e foreground, %.3e background, %.3f s, "
+                  "%s assembly, %s", n1, n2, grid.size, *edges, time.perf_counter() - t0, assembly, solver)
         if max(edges) < TAIL_TOL:
             return grid, edges
         if (edges[0] >= TAIL_TOL and n1 >= max_n) or (edges[1] >= TAIL_TOL and n2 >= max_n):

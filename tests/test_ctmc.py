@@ -1,6 +1,7 @@
 """Truncated-CTMC oracle (fbq.ctmc): the fixed-state stationary solve, its
-band LU against SuperLU, the edge j = n2 of the rectangle, the size of each
-axis, error reporting and the growth log.
+band LU against SuperLU, the compiled band assembly against the Python one,
+the edge j = n2 of the rectangle, the size of each axis, error reporting
+and the growth log.
 
 data/ctmc_pins.json holds L, L1, L2, U, energy_rate, g0_at_1 and the boundary
 probabilities of 21 models (c02/c03 samples, q = 0, q = 0.9, a zero-speed
@@ -16,6 +17,8 @@ axis at its closed-form size.
 import json
 import logging
 import pathlib
+import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from fbq.multi import solve_threshold
 from fbq.single import solve_general, solve_k1_closed_form
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "ctmc_pins.json").read_text())
+KERNELS = sys.modules["fbq._kernels"]
 
 
 def _model(spec):
@@ -118,7 +122,7 @@ def _dense(rows, cols, rates, n1, n2):
 ], ids=["single-K3", "single-q1", "single-zero-speed-q0", "pool-m3", "pool-q1", "pool-q0"])
 def test_builders_match_the_per_state_loop(model):
     for n1, n2 in ((1, 5), (5, 1), (5, 5)):
-        got = _dense(*_rates(model, n1, n2), n1, n2)
+        got = _dense(*_transitions(*_rates(model, n1, n2)), n1, n2)
         want = _dense(*_loop_rates(model, n1, n2), n1, n2)
         np.testing.assert_array_equal(got, want)
         assert np.count_nonzero(got.diagonal()) == 0
@@ -151,7 +155,7 @@ def _absorbing_edge(n1, n2):
     i, j = np.indices((n1 + 1, n2 + 1))
     fg = np.where((i > 0) & (j < n2), 5.0, 0.0)
     bg = np.where(i == 0, 1.0, 0.0)
-    return _transitions(0.5, 1.0, fg, bg)
+    return 0.5, 1.0, fg, bg
 
 
 class _AbsorbingEdge:
@@ -174,7 +178,7 @@ def test_reducible_chain_raises_the_same_error_on_both_paths(n1, n2, monkeypatch
     for band_max in (ctmc.BAND_MAX, 0):
         monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
         with pytest.raises(SolverError, match=rf"singular at truncation \({n1}, {n2}\)") as err:
-            _stationary(*_absorbing_edge(n1, n2), (n1 + 1, n2 + 1), 0)
+            _stationary(*_absorbing_edge(n1, n2), 0)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
@@ -255,7 +259,7 @@ def test_column_order_unless_every_foreground_completion_feeds_back(q, ordering,
     monkeypatch.setattr(ctmc.spla, "spsolve", spy)
     # a 71 x 71 rectangle is wider than the band LU takes, so SuperLU solves it
     model = SingleServerModel(0.5, CoxianService(5.0, 1.0, q), SpeedProfile((0.5, 1.0)))
-    _stationary(*_rates(model, 70, 70), (71, 71), 0)
+    _stationary(*_rates(model, 70, 70), 0)
     assert seen and set(seen) == {ordering}
 
 
@@ -269,7 +273,7 @@ def test_band_lu_matches_superlu(model, n1, n2, monkeypatch):
     solved = []
     for band_max, solver in ((ctmc.BAND_MAX, "band LU"), (0, "SuperLU")):
         monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
-        grid, how = _stationary(*_rates(model, n1, n2), (n1 + 1, n2 + 1), i * (n2 + 1) + j)
+        grid, _, how = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
         assert how.startswith(solver)
         L1 = grid.sum(axis=1) @ np.arange(n1 + 1)
         L2 = grid.sum(axis=0) @ np.arange(n2 + 1)
@@ -279,6 +283,82 @@ def test_band_lu_matches_superlu(model, n1, n2, monkeypatch):
     assert band == pytest.approx(superlu, rel=1e-12)
     for state, v in superlu_boundary.items():
         assert band_boundary[state] == pytest.approx(v, rel=1e-12), state
+
+
+def on_both_assemblies(monkeypatch, run):
+    """run() with the compiled band assembly, then with the Python one."""
+    if KERNELS.compiled() is None:
+        assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the kernel did not load"
+        pytest.skip("no C compiler to build the kernel with")
+    compiled = run()
+    with monkeypatch.context() as m:
+        m.setattr(KERNELS, "compiled", lambda: None)
+        python = run()
+    return compiled, python
+
+
+def _stationary_bits(model, n1, n2):
+    """`_stationary` on the rectangle (n1, n2): the grid's bytes, the assembly
+    and the factorisation."""
+    (i, j), *_ = _chain(model)
+    grid, assembly, solver = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
+    return grid.tobytes(), assembly, solver
+
+
+# lam = 0, q = 0 and q = 1, and zero speeds below the third job, beside the
+# seeded models: chains where the fixed state reaches few or no states
+EDGE_MODELS = [
+    pytest.param(SingleServerModel(0.0, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 1.0))),
+                 id="single-lam0"),
+    pytest.param(MultiServerModel(0.0, 1.0, 0.5, 0.3, 3, threshold=1), id="pool-lam0"),
+    *(pytest.param(SingleServerModel(1.1, CoxianService(4.0, 3.0, q), SpeedProfile((0.0, 0.0, 0.7, 1.0))),
+                   id=f"single-zero-speed-q{q:g}") for q in (0.0, 1.0)),
+    *(pytest.param(MultiServerModel(1.2, 1.0, 0.6, q, 4, threshold=2), id=f"pool-K2-q{q:g}")
+      for q in (0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("n1,n2", [(12, 30), (30, 12)], ids=["wide", "tall"])
+@pytest.mark.parametrize("model", [*_accuracy_models(), *EDGE_MODELS])
+def test_stationary_is_equal_on_both_assemblies(model, n1, n2, monkeypatch):
+    # the band system handed to dgbsv too, signed zeros included
+    band_lu, systems = ctmc._band_lu, []
+
+    def spy(ab, kl, ku, b):
+        systems.append((ab.tobytes(order="F"), kl, ku, b.tobytes()))
+        return band_lu(ab, kl, ku, b)
+
+    monkeypatch.setattr(ctmc, "_band_lu", spy)
+    compiled, python = on_both_assemblies(monkeypatch, lambda: _stationary_bits(model, n1, n2))
+    assert compiled[0] == python[0] and compiled[2] == python[2]
+    assert len(systems) == (0 if model.lam == 0 else 2) and systems[:1] == systems[1:]
+    # lam = 0 leaves no equation to assemble, so the Python path solves it
+    assert compiled[1] == ("Python" if model.lam == 0 else "compiled") and python[1] == "Python"
+
+
+@pytest.mark.parametrize("model", [*(pytest.param(_model(p["model"]), id=p["label"]) for p in PINS["models"]),
+                                   *EDGE_MODELS])
+def test_ctmc_solve_is_equal_on_both_assemblies(model, monkeypatch):
+    compiled, python = on_both_assemblies(monkeypatch, lambda: ctmc_solve(model))
+    assert compiled == python
+
+
+@pytest.mark.parametrize("n1,n2", [(30, 16), (16, 30)])
+def test_reducible_chain_raises_the_same_error_on_both_assemblies(n1, n2, monkeypatch):
+    def message():
+        with pytest.raises(SolverError, match=rf"singular at truncation \({n1}, {n2}\)") as err:
+            _stationary(*_absorbing_edge(n1, n2), 0)
+        return str(err.value)
+
+    compiled, python = on_both_assemblies(monkeypatch, message)
+    assert compiled == python
+
+
+def test_compiled_assembly_rejects_rate_grids_of_different_shapes():
+    if KERNELS.compiled() is None:
+        pytest.skip("no compiled loops")
+    with pytest.raises(ValueError, match=r"shapes \(3, 4\) and \(3, 1\)"):
+        ctmc._band_compiled(KERNELS.compiled().ctmc_band, 1.0, 0.5, np.ones((3, 4)), np.ones((3, 1)), 0)
 
 
 def test_high_load_matches_solve_general():
@@ -313,3 +393,21 @@ def test_debug_log_names_the_factorisation(caplog, monkeypatch):
             ctmc_solve(model)
         lines = [r.getMessage() for r in caplog.records if r.name == "fbq.ctmc"]
         assert [line.rsplit(", ", 1)[1] for line in lines] == want
+
+
+def test_debug_log_names_the_assembly(caplog, monkeypatch):
+    # the field before the factorisation: the compiled loop fills band
+    # systems, the Python assembly every SuperLU one
+    model = SingleServerModel(1.6, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 0.8, 1.0)))
+
+    def assemblies(band_max):
+        monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fbq.ctmc"):
+            ctmc_solve(model)
+        return [r.getMessage().rsplit(", ", 2)[1] for r in caplog.records if r.name == "fbq.ctmc"]
+
+    band_max = ctmc.BAND_MAX
+    compiled, python = on_both_assemblies(monkeypatch, lambda: (assemblies(band_max), assemblies(0)))
+    assert compiled == (3 * ["compiled assembly"], 3 * ["Python assembly"])
+    assert python == (3 * ["Python assembly"], 3 * ["Python assembly"])

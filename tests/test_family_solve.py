@@ -4,11 +4,13 @@ stacked solves under them (fbq.linsys).
 data/family_solve_pins.json holds searches and figure-5 points recorded from
 the search that solved its grid one profile at a time with solve_general.
 The family solve must return the same speed levels, and costs and curves
-within 1e-12 relative.  Each LU loop of fbq.linsys, the lockstep one behind
-the family stacks and the LAPACK one behind pool systems, does the same float
-operations as its Python reference, so every result, error message included,
-must be equal on the two paths, not close; and a profile's lockstep solve
-must not depend on its position in the stack or on the other systems there.
+within 1e-12 relative.  The lockstep LU loop of fbq.linsys behind the family
+stacks does the same float operations as its Python reference, so every
+result, error message included, must be equal on the two paths, not close;
+and a profile's lockstep solve must not depend on its position in the stack
+or on the other systems there.  Pool systems take the one LAPACK loop on
+either path, so the pool tests run on both paths compare the two loops of
+the pool's zero search (fbq.multi), which must be equal too.
 """
 
 import json
@@ -54,7 +56,7 @@ def require_compiled_loop():
 
 
 def on_both_paths(monkeypatch, run):
-    """run() with the compiled LU loop, then with the Python loop; the pool
+    """run() with the compiled loops, then with the Python ones; the pool
     cache is emptied before each so that neither reuses the other's solves."""
     require_compiled_loop()
     _pool_data.cache_clear()
@@ -120,11 +122,14 @@ def test_family_straddling_a_chunk_is_equal_on_both_lu_paths(monkeypatch):
 
 
 def test_figure8_is_equal_on_both_lu_paths(monkeypatch):
+    # the pools' LU is one LAPACK loop on both paths: this compares the two
+    # zero searches, the compiled fbq_pool_roots and multi._isolate_roots
     compiled, python = on_both_paths(monkeypatch, lambda: reproduce_figure(8).curves)
     assert compiled == python
 
 
 def test_failing_pool_raises_the_same_error_on_both_lu_paths(monkeypatch):
+    # as for figure 8, the two paths differ only in the pool's zero search
     pin = dict(SWEEP_PINS["failing_pool"])
     message = pin.pop("message")
     model = fbq.MultiServerModel(**pin)

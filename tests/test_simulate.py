@@ -42,7 +42,8 @@ KERNELS = sys.modules["fbq._kernels"]
 SIM = sys.modules["fbq.simulate"]
 MULTI = sys.modules["fbq.multi"]
 # one caller of each compiled loop: a simulated pool, a single server's
-# stack solve, and figure 8's pool with the zeros the compiled search pinned
+# stack solve and CTMC oracle, and figure 8's pool with the zeros the
+# compiled search pinned
 POOL_PIN = next(p for p in PINS["pins"] if p["model"]["label"] == "pool_m4_K1_q0.4")
 SINGLE = SingleServerModel(0.5, CoxianService(2.0, 1.0, 0.5), SpeedProfile((0.5, 0.75, 1.0)))
 POOL = MultiServerModel(5.0, 1.0, 0.2, 0.1, 10)
@@ -135,17 +136,22 @@ def test_compiled_chain_equals_the_python_loop(chain, seed):
 
 
 def test_missing_compiler_falls_back_to_the_python_loop(caplog, monkeypatch, tmp_path, fresh_kernel):
+    oracle = fbq.ctmc_solve(SINGLE)  # with the compiled assembly wherever it builds
+    KERNELS.compiled.cache_clear()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(KERNELS, "_COMPILER", str(tmp_path / "no-such-cc"))
     with caplog.at_level(logging.DEBUG, logger="fbq"):
         assert simulate(_pin_config(POOL_PIN)) == SimEstimate(**POOL_PIN["estimate"])
         assert simulate(_pin_config(POOL_PIN)) == SimEstimate(**POOL_PIN["estimate"])
         assert fbq.solve_general(SINGLE) == fbq.solve_general(SINGLE)
+        assert fbq.ctmc_solve(SINGLE) == oracle
         MULTI._pool_data.cache_clear()   # so that the pool's zeros are searched for again
         zeros = [z.hex() for z in fbq.d_roots(POOL)]
     assert zeros == ZEROS
     lines = [r.getMessage() for r in caplog.records if r.name == "fbq.kernels"]
     assert len(lines) == 1 and "running the Python loops" in lines[0] and "no-such-cc" in lines[0], lines
+    sizes = [r.getMessage() for r in caplog.records if r.name == "fbq.ctmc"]
+    assert sizes and all("Python assembly" in line for line in sizes), sizes
     assert KERNELS.compiled() is None
 
 
@@ -156,6 +162,7 @@ def test_missing_compiler_is_tried_once_for_both_loops(monkeypatch, tmp_path, fr
     monkeypatch.setattr(KERNELS.subprocess, "run", lambda cmd, **kw: builds.append(cmd) or run(cmd, **kw))
     simulate(_pin_config(POOL_PIN))
     fbq.solve_general(SINGLE)
+    fbq.ctmc_solve(SINGLE)
     MULTI._pool_data.cache_clear()
     fbq.d_roots(POOL)
     assert KERNELS.compiled() is None
