@@ -13,9 +13,9 @@
  * -ffast-math.
  *
  * fbq_lu_lockstep is the check, scale, factor and solve loop of
- * fbq.linsys.solve_probability_stack, which solves the small systems of a
- * speed family.  It runs Gaussian elimination with partial pivoting on tiles
- * of LU_TILE systems in lockstep, the system index innermost so that the row
+ * fbq.linsys.solve_probability_stack, which solves a stack of small
+ * systems.  It runs Gaussian elimination with partial pivoting on tiles of
+ * LU_TILE systems in lockstep, the system index innermost so that the row
  * updates vectorise, and does the float operations of its numpy loop,
  * fbq.linsys._lockstep, in their order: each system gets the same answer on
  * either loop, wherever it sits in the stack, and on any CPU, since no BLAS
@@ -23,6 +23,15 @@
  * spends more on its fixed cost than on arithmetic; batching small
  * factorisations is the usual remedy (Dongarra et al., Procedia Computer
  * Science 108, 2017).
+ *
+ * fbq_speed_family solves a chunk of a speed family of fbq.single from its
+ * layout and the profiles' speed levels: it fills each tile of systems as
+ * single._Family._stack builds them, in the same float operations, factors
+ * it with the tile core of fbq_lu_lockstep (solve_tile, the one elimination
+ * loop here) and sums each solution's rows for _Family._finish in numpy's
+ * order, so the Python assembly, solve_probability_stack and _finish give
+ * the same bits.  Batching the factorisations pays only when the data
+ * movement around them is batched too (Dongarra et al., above).
  *
  * fbq_pool_roots is the zero search of fbq.multi._isolate_roots: Sturm sign
  * counts and bisection over the pool's leading minors (Wilkinson 1965), then
@@ -149,20 +158,22 @@ void fbq_jump_chain(uint32_t *mt, const double *inv, const double *srv, const do
     counts[3] = completions;
 }
 
-/* The first pass of fbq_lu_lockstep over the (count, n, n) stack a and its
- * right-hand sides b, before any solve: 1 if an entry of a or b is not
- * finite, else 2 if a row of a is all zeros, else 0. */
-static int check_stack(int64_t count, int n, const double *a, const double *b)
+/* The first pass over rows 0 .. rows - 1 of n entries, entry c of row r
+ * at a[(r n + c) stride] and its right-hand side at b[r stride], before any
+ * solve: 1 if an entry of a or b is not finite, else 2 if a row of a is all
+ * zeros, else 0. */
+static int check_rows(int64_t rows, int n, const double *a, const double *b, int64_t stride)
 {
     int zero_row = 0;
-    for (int64_t r = 0; r < count * n; r++) {
+    for (int64_t r = 0; r < rows; r++) {
         int nonzero = 0;
         for (int c = 0; c < n; c++) {
-            if (!isfinite(a[r * n + c]))
+            double v = a[(r * n + c) * stride];
+            if (!isfinite(v))
                 return 1;
-            nonzero |= a[r * n + c] != 0.0;
+            nonzero |= v != 0.0;
         }
-        if (!isfinite(b[r]))
+        if (!isfinite(b[r * stride]))
             return 1;
         zero_row |= !nonzero;
     }
@@ -187,7 +198,7 @@ static void note_system(int64_t k, int n, double least, const double *xk, double
     }
 }
 
-enum { LU_TILE = 8 };   /* systems per tile of fbq_lu_lockstep */
+enum { LU_TILE = 8 };   /* systems per tile of the lockstep LU */
 
 /* dst[s] -= a[s] b[s] over the w lanes of a tile row; restrict tells the
  * compiler that dst overlaps neither a nor b, so the loop vectorises. */
@@ -277,29 +288,54 @@ static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *
     }
 }
 
+/* The lanes of the tile that holds `used` systems: a tile of one system is
+ * solved alone, a larger one fills all LU_TILE lanes, the lanes past
+ * `used` with copies of its first system whose results are dropped. */
+static int tile_width(int used)
+{
+    return used == 1 ? 1 : LU_TILE;
+}
+
+/* The tile core of both entry points: lu_tile on the tile (t, y) of the
+ * `used` systems k0, k0 + 1, ..., filled as tile_width(used) lanes; each
+ * solution goes to x[k] and is booked by note_system. */
+static void solve_tile(int n, int used, int64_t k0, double *t, double *y, double pivot_tol,
+                       double neg_tol, double *x, double *pivmin, int64_t *summary)
+{
+    double least[LU_TILE];
+    int w = tile_width(used);
+    if (w == 1)
+        lu_tile(n, 1, t, y, least);
+    else
+        lu_tile(n, LU_TILE, t, y, least);
+    for (int s = 0; s < used; s++) {
+        double *xk = x + (k0 + s) * n;
+        for (int r = 0; r < n; r++)
+            xk[r] = y[r * w + s];
+        note_system(k0 + s, n, least[s], xk, pivot_tol, neg_tol, pivmin, summary);
+    }
+}
+
 /* The row-scaled solves of fbq.linsys.solve_probability_stack, as its numpy
- * loop _lockstep does them.  check_stack's pass returns its status, if not
- * 0, before any solve.  Then the stack is solved LU_TILE systems at a time
- * by lu_tile, and each solution goes to x[k] and is booked by note_system.
- * A tile of one system is solved alone; a last tile of 2 .. LU_TILE - 1
- * fills its other lanes with copies of its first system and drops their
- * results.  a and b are left as they are.  Returns 0 after the solves, or
- * 3 if the tile cannot be allocated. */
+ * loop _lockstep does them.  check_rows' pass over the stack returns its
+ * status, if not 0, before any solve.  Then the stack is solved LU_TILE
+ * systems at a time by solve_tile.  a and b are left as they are.  Returns
+ * 0 after the solves, or 3 if the tile cannot be allocated. */
 int fbq_lu_lockstep(int64_t count, int n, double pivot_tol, double neg_tol, const double *a,
                     const double *b, double *x, double *pivmin, int64_t *summary)
 {
-    int status = check_stack(count, n, a, b);
+    int status = check_rows(count * n, n, a, b, 1);
     if (status)
         return status;
     double *tile = malloc(sizeof(double) * LU_TILE * n * (n + 1));
     if (!tile)
         return 3;
-    double *y = tile + LU_TILE * n * n, least[LU_TILE];
+    double *y = tile + LU_TILE * n * n;
     summary[0] = summary[1] = -1;
     summary[2] = 0;
     for (int64_t k0 = 0; k0 < count; k0 += LU_TILE) {
         int used = count - k0 < LU_TILE ? (int)(count - k0) : LU_TILE;
-        int w = used == 1 ? 1 : LU_TILE;
+        int w = tile_width(used);
         for (int s = 0; s < w; s++) {
             int64_t k = k0 + (s < used ? s : 0);
             for (int i = 0; i < n * n; i++)
@@ -307,18 +343,140 @@ int fbq_lu_lockstep(int64_t count, int n, double pivot_tol, double neg_tol, cons
             for (int r = 0; r < n; r++)
                 y[r * w + s] = b[k * n + r];
         }
-        if (w == 1)
-            lu_tile(n, 1, tile, y, least);
-        else
-            lu_tile(n, LU_TILE, tile, y, least);
-        for (int s = 0; s < used; s++) {
-            double *xk = x + (k0 + s) * n;
-            for (int r = 0; r < n; r++)
-                xk[r] = y[r * w + s];
-            note_system(k0 + s, n, least[s], xk, pivot_tol, neg_tol, pivmin, summary);
-        }
+        solve_tile(n, used, k0, tile, y, pivot_tol, neg_tol, x, pivmin, summary);
     }
     free(tile);
+    return 0;
+}
+
+/* The layout of a speed family of fbq.single: K levels and n = (K + 1)(K +
+ * 2) / 2 unknowns pi_{i,t-i}, ordered by level t, then by i, the first m =
+ * K (K + 1) / 2 of them below level K.  Balance entry e of the profile
+ * with speed levels s_0 .. s_K sits at row at[3e] and column at[3e + 1]
+ * and is coef[3e] + (s_{at[3e + 2]} coef[3e + 1]) coef[3e + 2], that is
+ * lam lam_coef + (s_level rate) factor; rows m .. n - 2 are the K
+ * Maclaurin rows `shared` (K, n), and row n - 1 is the work-conservation
+ * row, whose right-hand side is s_K - work. */
+struct family {
+    int K, n, m;
+    int64_t entries;
+    const int64_t *at;
+    const double *coef, *shared;
+    double work;
+};
+
+/* Lane s of the tile (a, y) of w lanes gets the system and right-hand side
+ * of the profile whose speed levels are lev, as single._Family._stack
+ * builds them: the balance entries and the Maclaurin rows, the work row
+ * s_K - s_t [t > 0] over the unknowns of each level t < K, zero elsewhere,
+ * and y zero but for s_K - work in its last row. */
+static void fill_lane(const struct family *f, const double *lev, int w, int s, double *a, double *y)
+{
+    int n = f->n;
+    double top = lev[f->K];
+    for (int i = 0; i < n * n; i++)
+        a[i * w + s] = 0.0;
+    for (int64_t e = 0; e < f->entries; e++) {
+        const int64_t *at = f->at + 3 * e;
+        const double *c = f->coef + 3 * e;
+        a[(at[0] * n + at[1]) * w + s] = c[0] + (lev[at[2]] * c[1]) * c[2];
+    }
+    for (int i = 0; i < f->K * n; i++)
+        a[(f->m * n + i) * w + s] = f->shared[i];
+    for (int t = 0, u = 0; t < f->K; t++)
+        for (int i = 0; i <= t; i++, u++)
+            a[((n - 1) * n + u) * w + s] = top - lev[t] * (t > 0 ? 1.0 : 0.0);
+    for (int r = 0; r < n - 1; r++)
+        y[r * w + s] = 0.0;
+    y[(n - 1) * w + s] = top - f->work;
+}
+
+/* The row sums of single._Family._finish from the solution x of the
+ * profile with speed levels lev: p[t] = P(level t) for t < K, and sums[0],
+ * sums[stride], ... sums[4 stride] get the tail mass 1 - sum p, pi_idle_fg
+ * = sum_j pi_0j, iw = sum i w_ij, jw = sum j w_ij and w_busy = sum_{i>0}
+ * w_ij, with w_ij = (1 - s_{i+j} / s_K) pi_ij.  Each sum is in numpy's
+ * order for fewer than 8 terms: np.add.reduceat makes p[t] its level's
+ * first pi plus (-0.0 plus the others in turn), and sum(axis=1) adds its
+ * terms in turn to 0.0.  With clamp set, x is read as np.clip(x, 0.0,
+ * None) gives it, a value below 0 or -0.0 as 0.0. */
+static void finish_system(int K, const double *lev, const double *x, int clamp, double *p,
+                          double *sums, int64_t stride)
+{
+    double total = 0.0, idle = 0.0, iw = 0.0, jw = 0.0, busy = 0.0;
+    for (int t = 0, u = 0; t < K; t++) {
+        double first = 0.0, rest = -0.0;
+        for (int i = 0; i <= t; i++, u++) {
+            double v = x[u];
+            if (clamp && !(v > 0.0) && v == v)
+                v = 0.0;
+            double w = (1.0 - lev[t] / lev[K]) * v;
+            if (i == 0)
+                first = v;
+            else
+                rest += v;
+            idle += v * (i == 0 ? 1.0 : 0.0);
+            iw += w * (double)i;
+            jw += w * (double)(t - i);
+            busy += w * (i > 0 ? 1.0 : 0.0);
+        }
+        p[t] = first + rest;
+        total += p[t];
+    }
+    sums[0] = 1.0 - total;
+    sums[stride] = idle;
+    sums[2 * stride] = iw;
+    sums[3 * stride] = jw;
+    sums[4 * stride] = busy;
+}
+
+/* The solves of a chunk of a speed family, single._Family.solve: for the
+ * count profiles whose speed levels s_0 .. s_K are the rows of `levels`
+ * (count, K + 1), each tile of systems is filled by fill_lane, checked by
+ * check_rows and solved by solve_tile, so x, pivmin and summary are
+ * fbq_lu_lockstep's on the stack that single._Family._stack builds.  Its
+ * statuses are too: 1 if an entry is not finite anywhere in the chunk,
+ * else 2 if a row is all zeros, else 0 once every system is solved, or 3
+ * if the tile cannot be allocated.  With status 0 and p not NULL,
+ * finish_system then books each profile's row sums in p (count, K) and
+ * sums (5, count), with x clamped if any value in the chunk is negative;
+ * its order is numpy's for K <= 3. */
+int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, const double *coef,
+                     const double *shared, double work, const double *levels, double pivot_tol,
+                     double neg_tol, double *x, double *pivmin, int64_t *summary, double *p,
+                     double *sums)
+{
+    const struct family f = {K, (K + 1) * (K + 2) / 2, K * (K + 1) / 2, entries, at, coef, shared,
+                             work};
+    int n = f.n, zero_row = 0;
+    summary[0] = summary[1] = -1;
+    summary[2] = 0;
+    double *tile = malloc(sizeof(double) * LU_TILE * n * (n + 1));
+    if (!tile)
+        return 3;
+    double *y = tile + LU_TILE * n * n;
+    for (int64_t k0 = 0; k0 < count; k0 += LU_TILE) {
+        int used = count - k0 < LU_TILE ? (int)(count - k0) : LU_TILE;
+        int w = tile_width(used);
+        for (int s = 0; s < w; s++)
+            fill_lane(&f, levels + (k0 + (s < used ? s : 0)) * (K + 1), w, s, tile, y);
+        for (int s = 0; s < used; s++) {
+            int status = check_rows(n, n, tile + s, y + s, w);
+            if (status == 1) {
+                free(tile);
+                return 1;
+            }
+            zero_row |= status == 2;
+        }
+        if (!zero_row)
+            solve_tile(n, used, k0, tile, y, pivot_tol, neg_tol, x, pivmin, summary);
+    }
+    free(tile);
+    if (zero_row)
+        return 2;
+    for (int64_t k = 0; p && k < count; k++)
+        finish_system(K, levels + k * (K + 1), x + k * n, summary[2] > 0, p + k * K, sums + k,
+                      count);
     return 0;
 }
 

@@ -5,7 +5,7 @@ per-user cache, `$XDG_CACHE_HOME/fbq` or `~/.cache/fbq`, a private
 directory.  The library is named by the sha256 of the source and the flags,
 so an edited source gets a new library and later processes only load it.
 `compiled()` is the one switch between the compiled loops and their Python
-references: it returns the four loops typed, or None, and a process tries
+references: it returns the five loops typed, or None, and a process tries
 the build once and keeps that outcome.  Each caller runs its
 compiled loop when `compiled()` returns them and its Python loop otherwise.
 """
@@ -30,14 +30,14 @@ _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-Loops = collections.namedtuple("Loops", "jump_chain lu_lockstep pool_roots ctmc_band")
+Loops = collections.namedtuple("Loops", "jump_chain lu_lockstep pool_roots ctmc_band speed_family")
 
 
 @functools.cache
 def compiled() -> Loops | None:
-    """The library's `fbq_jump_chain`, `fbq_lu_lockstep`, `fbq_pool_roots`
-    and `fbq_ctmc_band` with their C signatures; the library is built first
-    if the cache lacks it.  None when it cannot be built or loaded here,
+    """The library's `fbq_jump_chain`, `fbq_lu_lockstep`, `fbq_pool_roots`,
+    `fbq_ctmc_band` and `fbq_speed_family` with their C signatures; the
+    library is built first if the cache lacks it.  None when it cannot be built or loaded here,
     and then one debug line names the cause."""
     try:
         lib = ctypes.CDLL(str(_library()))
@@ -57,7 +57,11 @@ def compiled() -> Loops | None:
     ctmc_band = lib.fbq_ctmc_band
     ctmc_band.argtypes = [i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_i64, p_i64, p_i64, p_dbl, p_dbl]
     ctmc_band.restype = None
-    return Loops(chain, lockstep, pool_roots, ctmc_band)
+    family = lib.fbq_speed_family
+    family.argtypes = [i64, i32, i64, p_i64, p_dbl, p_dbl, dbl, p_dbl, dbl, dbl, p_dbl, p_dbl, p_i64,
+                       p_dbl, p_dbl]
+    family.restype = i32
+    return Loops(chain, lockstep, pool_roots, ctmc_band, family)
 
 
 def _library() -> pathlib.Path:

@@ -11,7 +11,6 @@ as assumptions in the metadata.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -119,6 +118,24 @@ def _family_costs(model: SingleServerModel, costs: CostCoefficients, grid) -> np
     return costs.c1 * sol.L + costs.c2 * sol.energy_rate
 
 
+def _coarse_grid(fracs: list[float], K: int) -> np.ndarray:
+    """The rows of itertools.combinations_with_replacement(fracs, K - 1) for
+    K in {2, 3}, with fracs increasing, built by index."""
+    f = np.array(fracs)
+    return f[:, None] if K == 2 else f[np.stack(np.triu_indices(len(f)), axis=1)]
+
+
+def _fine_grid(around: list[list[float]]) -> np.ndarray:
+    """The nondecreasing rows of itertools.product(*around), in its order, for
+    one or two increasing axes, built by index."""
+    if len(around) == 1:
+        return np.array(around[0])[:, None]
+    a, b = np.array(around[0]), np.array(around[1])
+    i, j = np.indices((len(a), len(b))).reshape(2, -1)
+    keep = a[i] <= b[j]
+    return np.stack((a[i[keep]], b[j[keep]]), axis=1)
+
+
 def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCoefficients):
     """Grid-search the intermediate speed levels of a K-level staircase.
 
@@ -145,7 +162,7 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     fracs = [f for f in fracs if f >= lo_frac]
 
     # nondecreasing grid points, s_1 major; each s_1 group opens with s_1 = s_{K-1}
-    grid = np.array(list(itertools.combinations_with_replacement(fracs, K - 1)))
+    grid = _coarse_grid(fracs, K)
     cost = _family_costs(model, costs, grid)
     best = int(np.argmin(cost))
     best_x, best_cost = tuple(grid[best].tolist()), float(cost[best])
@@ -157,11 +174,11 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     width = round(COARSE_STEP / FINE_STEP)
     span = [round(d * FINE_STEP, 10) for d in range(-width + 1, width)]
     around = [[f for f in (round(x + d, 10) for d in span) if lo_frac <= f <= 1.0] for x in best_x]
-    near = [x for x in itertools.product(*around) if all(a <= b for a, b in zip(x, x[1:]))]
+    near = _fine_grid(around)
     cost = _family_costs(model, costs, near)
     k = int(np.argmin(cost))
     if cost[k] < best_cost:
-        best_x, best_cost = near[k], float(cost[k])
+        best_x, best_cost = tuple(near[k].tolist()), float(cost[k])
     levels = (s0,) + tuple(f * top for f in best_x) + (top,)
     return SpeedProfile(levels, alpha=model.speeds.alpha), best_cost, curve
 

@@ -3,13 +3,15 @@
 Both solves row-scale copies of their systems and share one set of checks
 and errors, raised in `_checked`.
 
-* `solve_probability_stack` solves a speed family's stack of small systems
-  by Gaussian elimination with partial pivoting in lockstep, a tile of
-  systems at a time (`fbq_lu_lockstep`, or its numpy reference `_lockstep`
-  where `fbq._kernels.compiled()` finds no compiled loops).  Both loops do
-  the same float operations in the same order, so a system gets the same
-  bits on either loop, in any stack and at any position in it, and on any
-  machine: no BLAS kernel that the CPU selects is involved.
+* `solve_probability_stack` solves a stack of small systems, a speed
+  family's on the Python path, by Gaussian elimination with partial
+  pivoting in lockstep, a tile of systems at a time (`fbq_lu_lockstep`, or
+  its numpy reference `_lockstep` where `fbq._kernels.compiled()` finds no
+  compiled loops).  Both loops do the same float operations in the same
+  order, so a system gets the same bits on either loop, in any stack and at
+  any position in it, and on any machine: no BLAS kernel that the CPU
+  selects is involved.  The compiled family loop `fbq_speed_family` of
+  `fbq.single` runs the same tile core and reports to `_checked` too.
 * `solve_probability_system` solves one pool system, up to a few hundred
   unknowns, by one f2py call each of the LAPACK getrf and getrs that
   `scipy.linalg.lapack` wraps (`_lapack`), as scipy's lu_factor/lu_solve
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+import math
 
 import numpy as np
 from scipy.linalg import lapack
@@ -98,15 +101,18 @@ def _first_pass(a: np.ndarray, b: np.ndarray):
     `_kernels.c` makes it: (_NOT_FINITE or _ZERO_ROW, None) if it fails, else
     (0, the row scale: each row's largest |a_ij|)."""
     scale = np.abs(a).max(axis=2)   # inf or NaN where a row of a holds one
-    if not (np.isfinite(scale).all() and np.isfinite(b).all()):
+    # the largest row maximum is not finite if any is, and the least is 0 if any is
+    if not (math.isfinite(scale.max(initial=0.0)) and np.isfinite(b).all()):
         return _NOT_FINITE, None
-    return (_ZERO_ROW, None) if (scale == 0).any() else (0, scale)
+    return (_ZERO_ROW, None) if scale.min(initial=1.0) == 0 else (0, scale)
 
 
 def _summary(x: np.ndarray, pivmin: np.ndarray):
     """The first system with a pivot below PIVOT_RTOL and the first
     with a value below -NEG_PROB_TOL (-1 if none), and the count of negative
     values."""
+    if pivmin.min(initial=PIVOT_RTOL) >= PIVOT_RTOL and x.min(initial=0.0) >= 0:   # the common case
+        return -1, -1, 0
     singular = np.flatnonzero(pivmin < PIVOT_RTOL)
     below = np.flatnonzero((x < -NEG_PROB_TOL).any(axis=1))
     return (singular[0] if singular.size else -1, below[0] if below.size else -1,

@@ -29,6 +29,7 @@ so the general solver rejects it; the closed forms cover q = 1.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import logging
 import math
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import solve_probability_stack
+from . import _kernels
+from .linsys import NEG_PROB_TOL, PIVOT_RTOL, _checked, solve_probability_stack
 from .models import (
     CostCoefficients,
     SingleServerModel,
@@ -149,12 +151,16 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     series and the Maclaurin rows depend only on (lam, service, s_K, K), so
     they are built once; the sub-threshold balance rows and the
     work-conservation row depend on the profile's speeds and are filled per
-    profile.  The B systems are stacked and solved FAMILY_CHUNK profiles at a
-    time, each chunk in one call of linsys's lockstep LU loop, and the mean
-    counts of each profile come from its solved sub-threshold probabilities
-    by row sums, not BLAS products.  Every profile gets every check of a
-    single solve and the answer it gets alone, bit for bit and on any CPU,
-    and the first profile that fails a check raises its error.
+    profile.  The B systems are solved FAMILY_CHUNK profiles at a time, each
+    chunk in one call of the compiled loop fbq_speed_family, which fills
+    the systems, solves them by the lockstep LU and sums the rows of the
+    finish (or, with no compiled loops, by the numpy assembly,
+    linsys.solve_probability_stack and _Family._finish, with the same
+    bits); the mean counts of each profile come from its solved
+    sub-threshold probabilities by row sums, not BLAS products.  Every
+    profile gets every check of a single solve and the answer it gets
+    alone, bit for bit and on any CPU, and the first profile that fails a
+    check raises its error.
     """
     require_stable_single(model)
     if model.lam == 0:
@@ -264,7 +270,11 @@ def _layout(K: int) -> _Layout:
 class _Family:
     """Everything a family of K-level profiles shares: the K Maclaurin rows
     of the boundary system, the arriving work of its work-conservation row,
-    and the top-speed loads of the mean-drift identities."""
+    the top-speed loads of the mean-drift identities, and the balance
+    entries as the compiled loop reads them.  solve runs a chunk in one call
+    of fbq_speed_family where fbq._kernels.compiled() finds the loops, and
+    else builds the stack (_stack), solves it by solve_probability_stack and
+    sums it (_finish), the reference the loop matches bit for bit."""
 
     def __init__(self, model: SingleServerModel, K: int):
         lam, q, mu1 = model.lam, model.q, model.mu1     # mu1: top-speed rate
@@ -292,9 +302,36 @@ class _Family:
                 row[idx[(j - 1, K - j)]] += lam * ypow[j].c[s]
                 row[idx[(j, K - j)]] -= mu1 * (1 - q) * ypow[j - 1].c[s]
         self.work = lam * model.service.mean()      # work arriving per unit time
+        # the balance entries as the compiled loop reads them: (row, column,
+        # level) and (lam lam_coef, rate, factor) of each
+        self.at = np.stack([lay.rows, lay.cols, lay.level], axis=1).astype(np.int64)
+        self.coef = np.stack([lam * lay.lam_coef, self.rate, self.factor], axis=1)
 
     def solve(self, levels: np.ndarray) -> dict:
         """Metrics of the profiles in `levels` (B, K+1), as arrays."""
+        loops = _kernels.compiled()
+        if loops is None:
+            return self._finish(solve_probability_stack(*self._stack(levels)), levels)
+        K, count, n = self.K, len(levels), len(self.layout.states)
+        levels = np.ascontiguousarray(levels, dtype=float)
+        x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
+        p, sums = np.empty((count, K)), np.empty((5, count))
+        # numpy sums a row of fewer than 8 terms in turn, as the loop does, and
+        # a longer one (K >= 4) pairwise; the loop leaves those rows to _finish
+        short = K <= 3
+        dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
+        status = loops.speed_family(count, K, len(self.at), i64(self.at), dbl(self.coef), dbl(self.shared),
+                                    self.work, dbl(levels), PIVOT_RTOL, NEG_PROB_TOL, dbl(x), dbl(pivmin),
+                                    i64(summary), dbl(p) if short else None, dbl(sums) if short else None)
+        summary = summary.tolist()
+        # only the message of a failed system reads the stack
+        a = self._stack(levels)[0] if not status and max(summary[:2]) >= 0 else None
+        x = _checked(a, status, x, pivmin, summary)
+        return self._metrics(x, levels, p, *sums) if short else self._finish(x, levels)
+
+    def _stack(self, levels: np.ndarray):
+        """The boundary systems (B, n, n) and right-hand sides (B, n) of the
+        profiles in `levels`."""
         lay, K = self.layout, self.K
         n_unknown = len(lay.states)
         m = K * (K + 1) // 2
@@ -308,8 +345,7 @@ class _Family:
         a[:, -1, :m] = top[:, None] - levels[:, lay.t_of] * (lay.t_of > 0)
         b = np.zeros((len(levels), n_unknown))
         b[:, -1] = top - self.work
-        x = solve_probability_stack(a, b)
-        return self._finish(x, levels)
+        return a, b
 
     def _finish(self, x: np.ndarray, levels: np.ndarray) -> dict:
         """All summary metrics from the solved boundary probabilities x (B, n)."""
@@ -320,9 +356,15 @@ class _Family:
         tail = 1.0 - p.sum(axis=1)
         w = (1.0 - levels[:, lay.t_of] / levels[:, K:]) * sub      # w_ij = (1 - s_{i+j}/s_K) pi_ij
         # row sums, not BLAS products, whose rounding depends on the batch and the CPU
-        g0_at_1, L1, L2 = _drift_means(self.rho1, self.rho2, self.q, (sub * (lay.i_of == 0)).sum(axis=1),
-                                       (w * lay.i_of).sum(axis=1), (w * lay.j_of).sum(axis=1),
-                                       (w * (lay.i_of > 0)).sum(axis=1))
+        return self._metrics(x, levels, p, tail, (sub * (lay.i_of == 0)).sum(axis=1),
+                             (w * lay.i_of).sum(axis=1), (w * lay.j_of).sum(axis=1),
+                             (w * (lay.i_of > 0)).sum(axis=1))
+
+    def _metrics(self, x, levels, p, tail, pi_idle_fg, iw, jw, w_busy) -> dict:
+        """The metrics of solve from x, the level masses p, the tail mass and
+        the weighted sums of _drift_means."""
+        K = self.K
+        g0_at_1, L1, L2 = _drift_means(self.rho1, self.rho2, self.q, pi_idle_fg, iw, jw, w_busy)
         L = L1 + L2
 
         if self.alpha == 0.0:

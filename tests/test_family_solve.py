@@ -4,15 +4,17 @@ stacked solves under them (fbq.linsys).
 data/family_solve_pins.json holds searches and figure-5 points recorded from
 the search that solved its grid one profile at a time with solve_general.
 The family solve must return the same speed levels, and costs and curves
-within 1e-12 relative.  The lockstep LU loop of fbq.linsys behind the family
-stacks does the same float operations as its Python reference, so every
-result, error message included, must be equal on the two paths, not close;
+within 1e-12 relative.  The compiled family loop (fill, lockstep LU and row
+sums) and the lockstep LU loop of fbq.linsys do the same float operations
+as their Python references (the numpy assembly, _lockstep and _finish), so
+every result, error message included, must be equal on the two paths, not close;
 and a profile's lockstep solve must not depend on its position in the stack
 or on the other systems there.  Pool systems take the one LAPACK loop on
 either path, so the pool tests run on both paths compare the two loops of
 the pool's zero search (fbq.multi), which must be equal too.
 """
 
+import itertools
 import json
 import os
 import pathlib
@@ -26,7 +28,16 @@ import pytest
 import scipy.linalg
 
 import fbq
-from fbq.experiments import _figure5_point, optimize_intermediate_speeds, optimize_threshold, reproduce_figure
+from fbq.experiments import (
+    COARSE_STEP,
+    FINE_STEP,
+    _coarse_grid,
+    _figure5_point,
+    _fine_grid,
+    optimize_intermediate_speeds,
+    optimize_threshold,
+    reproduce_figure,
+)
 from fbq.linsys import solve_probability_stack, solve_probability_system
 from fbq.models import (
     CostCoefficients,
@@ -112,13 +123,60 @@ def test_figure5_point_is_equal_on_both_lu_paths(pin, monkeypatch):
     assert compiled == python
 
 
+FAMILY_FIELDS = ("levels", "boundary", "g0_at_1", "L1", "L2", "L", "p_below_K", "tail_mass", "energy_rate")
+# seed7 has s_0 > 0; at q = 0 every pi_ij with j > 0 is 0 and its roundoff
+# negatives are clamped, alpha = 0 takes the stopped-processor power, and
+# K = 4 leaves the row sums to numpy on the compiled path too
+STRADDLING = {"seed7": {}, "q=0": {"q": 0.0}, "alpha=0": {"alpha": 0.0}, "s0=0": {"s0": 0.0}}
+
+
 def test_family_straddling_a_chunk_is_equal_on_both_lu_paths(monkeypatch):
-    b = PINS["bases"]["seed7"]
     rng = np.random.default_rng(18)
-    inter = np.sort(rng.uniform(b["s0"], b["top"], (FAMILY_CHUNK + 12, 2)), axis=1)
-    compiled, python = on_both_paths(monkeypatch, lambda: solve_speed_family(base_model(b), inter))
-    for f in ("boundary", "g0_at_1", "L1", "L2", "L", "p_below_K", "tail_mass", "energy_rate"):
-        assert np.array_equal(getattr(compiled, f), getattr(python, f)), f
+    for name, change in STRADDLING.items():
+        b = dict(PINS["bases"]["seed7"], **change)
+        for K in (2, 3, 4):
+            inter = np.sort(rng.uniform(b["s0"], b["top"], (FAMILY_CHUNK + 12, K - 1)), axis=1)
+            compiled, python = on_both_paths(monkeypatch, lambda: solve_speed_family(base_model(b), inter))
+            for f in FAMILY_FIELDS:   # bytes, so that a zero keeps its sign
+                assert getattr(compiled, f).tobytes() == getattr(python, f).tobytes(), (name, K, f)
+
+
+# q = 0 with a slow phase 2: s_1 = 1e-20 gives a singular system, s_1 = 1e-8
+# a solved probability below -NEG_PROB_TOL, and (0.3, 0.6) a good one
+FAILING_BASE = dict(lam=1.2, nu1=170.0, nu2=0.6, q=0.0, s0=0.0, top=1.0, alpha=2.0)
+SINGULAR, NEGATIVE, GOOD = (1e-20, 0.5), (1e-8, 0.04), (0.3, 0.6)
+
+
+@pytest.mark.parametrize("second_chunk, fails_as", [
+    ([GOOD, NEGATIVE, GOOD, SINGULAR, GOOD], SINGULAR),   # singular wins over an earlier negative
+    ([GOOD, GOOD, NEGATIVE], NEGATIVE),
+], ids=["singular-and-negative", "negative"])
+def test_failing_profiles_in_a_later_chunk_raise_the_same_error_on_both_lu_paths(second_chunk, fails_as,
+                                                                                 monkeypatch):
+    model = base_model(FAILING_BASE)
+    inter = [GOOD] * FAMILY_CHUNK + second_chunk
+    compiled, python = on_both_paths(monkeypatch, lambda: raised(lambda: solve_speed_family(model, inter)))
+    assert compiled == python == raised(lambda: solve_speed_family(model, [fails_as]))
+    assert compiled.startswith("singular" if fails_as is SINGULAR else "solved probability"), compiled
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("s0", [0.0, 0.137, 0.6], ids=["s0=0", "s0=0.137", "s0=0.6"])
+def test_index_built_grids_equal_the_itertools_grids(K, s0):
+    # the fractions and the refinement axes as optimize_intermediate_speeds makes them
+    lo_frac = max(COARSE_STEP, s0)
+    fracs = [f for f in (round(k * COARSE_STEP, 10) for k in range(1, round(1.0 / COARSE_STEP) + 1))
+             if f >= lo_frac]
+    coarse = np.array(list(itertools.combinations_with_replacement(fracs, K - 1)))
+    got = _coarse_grid(fracs, K)
+    assert (got.shape, got.dtype, got.tobytes()) == (coarse.shape, coarse.dtype, coarse.tobytes())
+    width = round(COARSE_STEP / FINE_STEP)
+    span = [round(d * FINE_STEP, 10) for d in range(-width + 1, width)]
+    for best_x in coarse[[0, len(coarse) // 2, -2, -1]].tolist():
+        around = [[f for f in (round(x + d, 10) for d in span) if lo_frac <= f <= 1.0] for x in best_x]
+        fine = np.array([x for x in itertools.product(*around) if all(a <= b for a, b in zip(x, x[1:]))])
+        got = _fine_grid(around)
+        assert (got.shape, got.dtype, got.tobytes()) == (fine.shape, fine.dtype, fine.tobytes()), best_x
 
 
 def test_figure8_is_equal_on_both_lu_paths(monkeypatch):
@@ -343,7 +401,9 @@ def test_roundoff_negatives_are_clamped_equally_on_both_lu_paths(monkeypatch):
 
 
 def pinned_search_stacks(monkeypatch):
-    """Every stack, (a, b), that the pinned searches hand to the lockstep solve."""
+    """Every stack, (a, b), that the pinned searches hand to the lockstep solve
+    on the Python path, where the family's numpy assembly builds them (the
+    compiled family loop fills the same systems tile by tile)."""
     stacks = []
     solve = single.solve_probability_stack
 
@@ -351,6 +411,7 @@ def pinned_search_stacks(monkeypatch):
         stacks.append((a.copy(), b.copy()))
         return solve(a, b)
     with monkeypatch.context() as m:
+        m.setattr(KERNELS, "compiled", lambda: None)
         m.setattr(single, "solve_probability_stack", spy)
         for pin in PINS["searches"]:
             b = PINS["bases"][pin["base"]]
