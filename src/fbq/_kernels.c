@@ -12,26 +12,22 @@
  * for bit when this file is built with -ffp-contract=off and without
  * -ffast-math.
  *
- * fbq_lu_lockstep is the check, scale, factor and solve loop of
- * fbq.linsys.solve_probability_stack, which solves a stack of small
- * systems.  It runs Gaussian elimination with partial pivoting on tiles of
- * LU_TILE systems in lockstep, the system index innermost so that the row
- * updates vectorise, and does the float operations of its numpy loop,
- * fbq.linsys._lockstep, in their order: each system gets the same answer on
- * either loop, wherever it sits in the stack, and on any CPU, since no BLAS
- * is called.  At these sizes (6 to 45 unknowns) a LAPACK call per system
- * spends more on its fixed cost than on arithmetic; batching small
- * factorisations is the usual remedy (Dongarra et al., Procedia Computer
- * Science 108, 2017).
- *
  * fbq_speed_family solves a chunk of a speed family of fbq.single from its
  * layout and the profiles' speed levels: it fills each tile of systems as
- * single._Family._stack builds them, in the same float operations, factors
- * it with the tile core of fbq_lu_lockstep (solve_tile, the one elimination
- * loop here) and sums each solution's rows for _Family._finish in numpy's
+ * single._Family._stack builds them, in the same float operations, and
+ * checks, scales and factors it by Gaussian elimination with partial
+ * pivoting on tiles of LU_TILE systems in lockstep (solve_tile), the system
+ * index innermost so that the row updates vectorise.  The elimination does
+ * the float operations of fbq.linsys._lockstep, the numpy loop of
+ * solve_probability_stack, in their order, so each system gets the same
+ * answer wherever it sits in the stack, and on any CPU, since no BLAS is
+ * called.  It then sums each solution's rows for _Family._finish in numpy's
  * order, so the Python assembly, solve_probability_stack and _finish give
- * the same bits.  Batching the factorisations pays only when the data
- * movement around them is batched too (Dongarra et al., above).
+ * the same bits.  At these sizes (6 to 45 unknowns) a LAPACK call per
+ * system spends more on its fixed cost than on arithmetic; batching small
+ * factorisations is the usual remedy, and it pays only when the data
+ * movement around them is batched too (Dongarra et al., Procedia Computer
+ * Science 108, 2017).
  *
  * fbq_pool_roots is the zero search of fbq.multi._isolate_roots: Sturm sign
  * counts and bisection over the pool's leading minors (Wilkinson 1965), then
@@ -46,6 +42,15 @@
  * for LAPACK's dgbsv, as fbq.ctmc._solve_reference does with a sparse graph
  * search and bincounts; each cell is summed in the reference's order, so
  * the two systems are equal bit for bit.
+ *
+ * fbq_pool_system fills the boundary system of one threshold of a pool of
+ * fbq.multi, row-scaled and column-major, ready for LAPACK's getrf, from
+ * the pool's rate table, zeros, left null vectors and powers, with the
+ * float operations of multi._boundary_tables and the scatter of
+ * multi._solve_boundary; after the solve it adds up the Taylor vectors
+ * b0, b1, b2 of the z = 1 cascade in the order of their np.add.at.  The
+ * LAPACK calls stay f2py calls in fbq.linsys, so both pool paths hand
+ * getrf the same bytes.
  */
 #include <math.h>
 #include <stddef.h>
@@ -210,7 +215,8 @@ static inline void sub_products(int w, double *restrict dst, const double *restr
 }
 
 /* Row scaling, Gaussian elimination with partial pivoting and back
- * substitution on the w systems of a tile in lockstep.  Entry (r, c) of
+ * substitution on the w systems of a tile in lockstep, as fbq.linsys._lockstep
+ * does them over a whole stack.  Entry (r, c) of
  * system s is t[(r n + c) w + s] and its right-hand side y[r w + s], so each
  * loop over the systems runs innermost; each system gets the operations it
  * would get alone, in the same order.  Each row and its y are divided by the
@@ -296,7 +302,7 @@ static int tile_width(int used)
     return used == 1 ? 1 : LU_TILE;
 }
 
-/* The tile core of both entry points: lu_tile on the tile (t, y) of the
+/* The tile core of fbq_speed_family: lu_tile on the tile (t, y) of the
  * `used` systems k0, k0 + 1, ..., filled as tile_width(used) lanes; each
  * solution goes to x[k] and is booked by note_system. */
 static void solve_tile(int n, int used, int64_t k0, double *t, double *y, double pivot_tol,
@@ -314,39 +320,6 @@ static void solve_tile(int n, int used, int64_t k0, double *t, double *y, double
             xk[r] = y[r * w + s];
         note_system(k0 + s, n, least[s], xk, pivot_tol, neg_tol, pivmin, summary);
     }
-}
-
-/* The row-scaled solves of fbq.linsys.solve_probability_stack, as its numpy
- * loop _lockstep does them.  check_rows' pass over the stack returns its
- * status, if not 0, before any solve.  Then the stack is solved LU_TILE
- * systems at a time by solve_tile.  a and b are left as they are.  Returns
- * 0 after the solves, or 3 if the tile cannot be allocated. */
-int fbq_lu_lockstep(int64_t count, int n, double pivot_tol, double neg_tol, const double *a,
-                    const double *b, double *x, double *pivmin, int64_t *summary)
-{
-    int status = check_rows(count * n, n, a, b, 1);
-    if (status)
-        return status;
-    double *tile = malloc(sizeof(double) * LU_TILE * n * (n + 1));
-    if (!tile)
-        return 3;
-    double *y = tile + LU_TILE * n * n;
-    summary[0] = summary[1] = -1;
-    summary[2] = 0;
-    for (int64_t k0 = 0; k0 < count; k0 += LU_TILE) {
-        int used = count - k0 < LU_TILE ? (int)(count - k0) : LU_TILE;
-        int w = tile_width(used);
-        for (int s = 0; s < w; s++) {
-            int64_t k = k0 + (s < used ? s : 0);
-            for (int i = 0; i < n * n; i++)
-                tile[i * w + s] = a[k * n * n + i];
-            for (int r = 0; r < n; r++)
-                y[r * w + s] = b[k * n + r];
-        }
-        solve_tile(n, used, k0, tile, y, pivot_tol, neg_tol, x, pivmin, summary);
-    }
-    free(tile);
-    return 0;
 }
 
 /* The layout of a speed family of fbq.single: K levels and n = (K + 1)(K +
@@ -434,8 +407,8 @@ static void finish_system(int K, const double *lev, const double *x, int clamp, 
  * count profiles whose speed levels s_0 .. s_K are the rows of `levels`
  * (count, K + 1), each tile of systems is filled by fill_lane, checked by
  * check_rows and solved by solve_tile, so x, pivmin and summary are
- * fbq_lu_lockstep's on the stack that single._Family._stack builds.  Its
- * statuses are too: 1 if an entry is not finite anywhere in the chunk,
+ * fbq.linsys._lockstep's on the stack that single._Family._stack builds.
+ * Its statuses are too: 1 if an entry is not finite anywhere in the chunk,
  * else 2 if a row is all zeros, else 0 once every system is solved, or 3
  * if the tile cannot be allocated.  With status 0 and p not NULL,
  * finish_system then books each profile's row sums in p (count, K) and
@@ -854,4 +827,188 @@ void fbq_ctmc_band(int64_t n1, int64_t n2, double lam, double q, const double *f
             b[pos[to[m]]] += rate[m];
     for (int64_t k = 0; k < n; k++)
         b[k] = -b[k];
+}
+
+/* The unknowns of threshold K of the pool of m servers are the states (i, j)
+ * with K <= i + j <= m - 1 in row-major order; row i holds j = max(0, K -
+ * i) .. m - 1 - i.  The number of unknowns before row i, and the unknown of
+ * (i, j); kept_before(m, K, m) is their count n. */
+static int64_t kept_before(int64_t m, int64_t K, int64_t i)
+{
+    if (i <= K)
+        return i * (m - K);
+    return K * (m - K) + (i - K) * m - (i * (i - 1) - K * (K - 1)) / 2;
+}
+
+static int64_t unknown(int64_t m, int64_t K, int64_t i, int64_t j)
+{
+    return kept_before(m, K, i) + j - (K > i ? K - i : 0);
+}
+
+/* Row `row` of the column-major n x n system a gets the e values vals at
+ * the columns cols, its other cells and its right-hand side being 0, each
+ * divided by their largest |value| when scale is set, as fbq.linsys scales
+ * a system before its LU.  Returns 1 if a value is not finite, else 2 if
+ * all are 0, else 0. */
+static int put_row(int64_t n, int64_t row, int e, const int64_t *cols, const double *vals, int scale,
+                   double *a)
+{
+    double big = 0.0;
+    int finite = 1;
+    for (int c = 0; c < e; c++) {
+        finite &= isfinite(vals[c]) != 0;
+        big = fabs(vals[c]) > big ? fabs(vals[c]) : big;
+    }
+    for (int c = 0; c < e; c++)
+        a[cols[c] * n + row] = scale ? vals[c] / big : vals[c];
+    return !finite ? 1 : big == 0.0 ? 2 : 0;
+}
+
+/* Row `row` of the column-major n x n system (a, rhs), already filled,
+ * divided with its right-hand side by the row's largest |a_rc| when scale
+ * is set; the statuses of put_row, for rhs[row] too. */
+static int scale_row(int64_t n, int64_t row, int scale, double *a, double *rhs)
+{
+    double big = 0.0;
+    int finite = isfinite(rhs[row]) != 0;
+    for (int64_t c = 0; c < n; c++) {
+        double v = fabs(a[c * n + row]);
+        finite &= isfinite(v) != 0;
+        big = v > big ? v : big;
+    }
+    for (int64_t c = 0; scale && c < n; c++)
+        a[c * n + row] /= big;
+    if (scale)
+        rhs[row] /= big;
+    return !finite ? 1 : big == 0.0 ? 2 : 0;
+}
+
+/* The boundary system of threshold K of the pool p, as multi._solve_boundary
+ * scatters it from multi._boundary_tables, into the column-major n x n a and
+ * rhs: the balance rows of the states i + j <= m - 2, the state (i, j) at
+ * row unknown(i, j) - i, as a running state or, when K >= 1 and i + j = K,
+ * a stopped one; one row per zero z_k (k = 0 .. m - 2), with the left null
+ * vector null[k m ..] and the powers zpow[k m + j] = z_k^j; and the idle-
+ * or-stopped servers row, whose right-hand side is idle.  Each cell gets
+ * the value that updating a zeroed cell by the table's entry gives (0.0 +
+ * x, 0.0 - x), in the tables' float operations.  With scale set each row
+ * is then divided by its largest |a_rc|.  Returns 1 if a cell or
+ * right-hand side is not finite, else 2 if a row is all zeros, else 0, as
+ * linsys._first_pass finds them on the unscaled system; a is not a scaled
+ * system then. */
+static int pool_fill(const struct pool *p, int64_t K, const double *zeros, const double *null,
+                     const double *zpow, double idle, int scale, double *a, double *rhs)
+{
+    const double *r = p->rates;
+    int64_t m = p->m, n = kept_before(m, K, m);
+    double lam = p->lam, mu1 = p->mu1, mu2 = p->mu2, q = p->q;
+    int status = 0;
+    for (int64_t c = 0; c < n * n; c++)
+        a[c] = 0.0;
+    for (int64_t c = 0; c < n; c++)
+        rhs[c] = 0.0;
+    for (int64_t i = 0; i + 1 < m; i++) {
+        for (int64_t j = K > i ? K - i : 0; i + j <= m - 2; j++) {
+            int64_t cols[5];
+            double vals[5];
+            int e = 0;
+            cols[e] = unknown(m, K, i, j);
+            if (K && i + j == K) {
+                vals[e++] = 0.0 + lam;
+                cols[e] = unknown(m, K, i + 1, j);
+                vals[e++] = 0.0 - (double)(i + 1) * (1.0 - q) * mu1;
+            } else {
+                vals[e++] = 0.0 + (lam + r[2 * i] + (double)j * mu2);
+                if (i > 0) {
+                    cols[e] = unknown(m, K, i - 1, j);
+                    vals[e++] = 0.0 - lam;
+                }
+                cols[e] = unknown(m, K, i + 1, j);
+                vals[e++] = 0.0 - r[2 * (i + 1)] * (1.0 - q);
+                if (j > 0) {
+                    cols[e] = unknown(m, K, i + 1, j - 1);
+                    vals[e++] = 0.0 - r[2 * (i + 1)] * q;
+                }
+            }
+            cols[e] = unknown(m, K, i, j + 1);
+            vals[e++] = 0.0 - (double)(j + 1) * mu2;
+            status |= put_row(n, cols[0] - i, e, cols, vals, scale, a);
+        }
+    }
+    for (int64_t k = 0; k + 1 < m; k++) {
+        const double *u = null + k * m, *zp = zpow + k * m;
+        double z = zeros[k], zm1 = z - 1.0, w = 1.0 - q + q * z;
+        int64_t row = n - m + k, c = 0;
+        for (int64_t i = 0; i < m; i++) {
+            for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++) {
+                double v;
+                if (K && i + j == K) {
+                    double own = u[i] * ((r[2 * i] * z + r[2 * i + 1] * zm1) * zp[j]);
+                    v = i > 0 ? (0.0 + u[i - 1] * ((double)(-i) * mu1 * w * zp[j + 1])) + own : 0.0 + own;
+                } else {
+                    v = 0.0 + u[i] * (mu2 * zm1 * (double)(m - i - j) * zp[j]);
+                }
+                a[c * n + row] = v;
+            }
+        }
+        status |= scale_row(n, row, scale, a, rhs);
+    }
+    for (int64_t i = 0, c = 0; i < m; i++)
+        for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++)
+            a[c * n + n - 1] = (double)(i + j == K ? m : m - i - j);
+    rhs[n - 1] = idle;
+    status |= scale_row(n, n - 1, scale, a, rhs);
+    return status & 1 ? 1 : status;
+}
+
+/* Adds the terms (c0 + c1 t) z^pw x of a state's entry of b_t at z = 1 + t,
+ * expanded to order 2 as multi._boundary_tables' taylor expands them, to
+ * b[t], b[m + t] and b[2 m + t]. */
+static void add_taylor(double *b, int64_t m, int64_t t, double c0, double c1, double pw, double x)
+{
+    b[t] += c0 * x;
+    b[m + t] += (c0 * pw + c1) * x;
+    b[2 * m + t] += (c0 * pw * (pw - 1) / 2 + c1 * pw) * x;
+}
+
+/* The Taylor vectors b0, b1, b2 (b, 3 x m) of threshold K of the pool p from
+ * the solved, clamped boundary probabilities x, summed from 0 in the order
+ * of multi._solve_boundary's np.add.at: the running states in the order of
+ * the unknowns, then the stopped states' terms of b_(i-1) (i >= 1), then
+ * their terms of b_i, each by increasing i. */
+static void pool_taylor(const struct pool *p, int64_t K, const double *x, double *b)
+{
+    const double *r = p->rates;
+    int64_t m = p->m;
+    for (int64_t c = 0; c < 3 * m; c++)
+        b[c] = 0.0;
+    for (int64_t i = 0, c = 0; i < m; i++)
+        for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++)
+            if (!K || i + j != K)
+                add_taylor(b, m, i, 0.0 * (double)i, p->mu2 * (double)(m - i - j), (double)j, x[c]);
+    for (int64_t i = 1; K && i <= K; i++) {
+        double c0 = (double)(-i) * p->mu1;
+        add_taylor(b, m, i - 1, c0, c0 * p->q, (double)(K - i + 1), x[unknown(m, K, i, K - i)]);
+    }
+    for (int64_t i = 0; K && i <= K; i++)
+        add_taylor(b, m, i, r[2 * i], r[2 * i] + r[2 * i + 1], (double)(K - i), x[unknown(m, K, i, K - i)]);
+}
+
+/* One threshold K of the pool (m, lam, mu1, mu2, q) with the rate table
+ * `rates` of fbq_pool_roots, in two calls.  The first, with x NULL, fills
+ * the boundary system a (column-major, n x n, n = kept_before(m, K, m)) and
+ * rhs by pool_fill, row-scaled if scale is set, and returns pool_fill's
+ * status; zeros, null and zpow are the pool's at_roots data, and idle is
+ * m - rho1 - rho2.  The second, given the solution x, fills b (3 x m) by
+ * pool_taylor and returns 0. */
+int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
+                    const double *zeros, const double *null, const double *zpow, int64_t K,
+                    double idle, int scale, double *a, double *rhs, const double *x, double *b)
+{
+    const struct pool p = {m, lam, mu1, mu2, q, rates};
+    if (x) {
+        pool_taylor(&p, K, x, b);
+        return 0;
+    }
+    return pool_fill(&p, K, zeros, null, zpow, idle, scale, a, rhs);
 }

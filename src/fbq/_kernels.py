@@ -30,13 +30,13 @@ _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-Loops = collections.namedtuple("Loops", "jump_chain lu_lockstep pool_roots ctmc_band speed_family")
+Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_band speed_family pool_system")
 
 
 @functools.cache
 def compiled() -> Loops | None:
-    """The library's `fbq_jump_chain`, `fbq_lu_lockstep`, `fbq_pool_roots`,
-    `fbq_ctmc_band` and `fbq_speed_family` with their C signatures; the
+    """The library's `fbq_jump_chain`, `fbq_pool_roots`, `fbq_ctmc_band`,
+    `fbq_speed_family` and `fbq_pool_system` with their C signatures; the
     library is built first if the cache lacks it.  None when it cannot be built or loaded here,
     and then one debug line names the cause."""
     try:
@@ -46,12 +46,10 @@ def compiled() -> Loops | None:
         return None
     i32, i64, dbl = ctypes.c_int, ctypes.c_int64, ctypes.c_double
     p_dbl, p_i64 = ctypes.POINTER(dbl), ctypes.POINTER(i64)
-    chain, lockstep, pool_roots = lib.fbq_jump_chain, lib.fbq_lu_lockstep, lib.fbq_pool_roots
+    chain, pool_roots = lib.fbq_jump_chain, lib.fbq_pool_roots
     chain.argtypes = [ctypes.POINTER(ctypes.c_uint32), p_dbl, p_dbl, p_dbl, p_i64, p_i64, p_dbl,
                       p_i64, i64, p_i64, i64, p_dbl, p_i64]
     chain.restype = None
-    lockstep.argtypes = [i64, i32, dbl, dbl, p_dbl, p_dbl, p_dbl, p_dbl, p_i64]
-    lockstep.restype = i32
     pool_roots.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 3, i32, p_dbl, p_dbl, p_i64, p_dbl]
     pool_roots.restype = i32
     ctmc_band = lib.fbq_ctmc_band
@@ -61,7 +59,10 @@ def compiled() -> Loops | None:
     family.argtypes = [i64, i32, i64, p_i64, p_dbl, p_dbl, dbl, p_dbl, dbl, dbl, p_dbl, p_dbl, p_i64,
                        p_dbl, p_dbl]
     family.restype = i32
-    return Loops(chain, lockstep, pool_roots, ctmc_band, family)
+    pool_system = lib.fbq_pool_system
+    pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 4, i64, dbl, i32, *[p_dbl] * 4]
+    pool_system.restype = i32
+    return Loops(chain, pool_roots, ctmc_band, family, pool_system)
 
 
 def _library() -> pathlib.Path:

@@ -5,29 +5,31 @@ and errors, raised in `_checked`.
 
 * `solve_probability_stack` solves a stack of small systems, a speed
   family's on the Python path, by Gaussian elimination with partial
-  pivoting in lockstep, a tile of systems at a time (`fbq_lu_lockstep`, or
-  its numpy reference `_lockstep` where `fbq._kernels.compiled()` finds no
-  compiled loops).  Both loops do the same float operations in the same
-  order, so a system gets the same bits on either loop, in any stack and at
-  any position in it, and on any machine: no BLAS kernel that the CPU
-  selects is involved.  The compiled family loop `fbq_speed_family` of
-  `fbq.single` runs the same tile core and reports to `_checked` too.
-* `solve_probability_system` solves one pool system, up to a few hundred
-  unknowns, by one f2py call each of the LAPACK getrf and getrs that
-  `scipy.linalg.lapack` wraps (`_lapack`), as scipy's lu_factor/lu_solve
-  do, on every machine; LAPACK is faster than a plain loop at those sizes.
+  pivoting in lockstep over the whole stack (`_lockstep`).  The compiled
+  family loop `fbq_speed_family` of `fbq.single` runs the same float
+  operations in the same order, a tile of systems at a time, and reports to
+  `_checked` too, so a system gets the same bits on either path, in any
+  stack and at any position in it, and on any machine: no BLAS kernel that
+  the CPU selects is involved.
+* `solve_scaled_system` is the one LU-and-check call of a pool's boundary
+  system, up to a few hundred unknowns: it takes the system already
+  row-scaled, in column-major order, and makes one f2py call each of the
+  LAPACK getrf and getrs that `scipy.linalg.lapack` wraps, as scipy's
+  lu_factor/lu_solve do, on every machine; LAPACK is faster than a plain
+  loop at those sizes.  The compiled fill `fbq_pool_system` of `fbq.multi`
+  hands it its system, and `solve_probability_system` scales a copy of an
+  unscaled one, as the numpy reference of `fbq.multi` builds it, and makes
+  the same call.
 """
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
 
 import numpy as np
 from scipy.linalg import lapack
 
-from . import _kernels
 from .models import SolverError
 
 log = logging.getLogger("fbq.linsys")
@@ -40,10 +42,35 @@ _NO_SUMMARY = (-1, -1, 0)   # what a loop books for a stack that failed its firs
 
 def solve_probability_system(a_rows, b_vec) -> np.ndarray:
     """Row-scaled dense solve of one system a x = b whose unknowns are
-    probabilities, by LAPACK getrf/getrs; the checks and errors of
+    probabilities: a copy of it divided row by row by the largest |a_ij|
+    is solved by `solve_scaled_system`, with the checks and errors of
     solve_probability_stack."""
     a, b = _stack(np.array(a_rows, dtype=float)[None], np.array(b_vec, dtype=float)[None])
-    return _checked(a, *_lapack(a, b))[0]
+    status, scale = _first_pass(a, b)
+    if status:
+        return solve_scaled_system(None, None, status, None)
+    # the copy is made in column-major order, so getrf factors it in place
+    return solve_scaled_system(np.divide(a[0], scale[0, :, None], order="F"), b[0] / scale[0], 0,
+                               lambda: a[0])
+
+
+def solve_scaled_system(a: np.ndarray, b: np.ndarray, status: int, system) -> np.ndarray:
+    """x of one system a x = b whose unknowns are probabilities and whose
+    rows are already divided by their largest |a_ij|, by one f2py getrf and
+    getrs call; getrf factors the column-major a in place.  status is the
+    first pass's outcome on the unscaled system, as `_first_pass` gives it:
+    0, or _NOT_FINITE or _ZERO_ROW, which raise before a and b are read.
+    Then a pivot below PIVOT_RTOL and then a value below -NEG_PROB_TOL
+    raise SolverError, quoting the condition estimate of the unscaled
+    system that system() returns, C-ordered; it is called only for such a
+    message.  Values in [-NEG_PROB_TOL, 0) are roundoff and get clamped."""
+    if status:
+        return _checked(None, status, None, None, _NO_SUMMARY)
+    lu, piv, _ = lapack.dgetrf(a, overwrite_a=1)
+    x = lapack.dgetrs(lu, piv, b)[0][None]
+    pivmin = np.abs(lu.diagonal()).min(keepdims=True)
+    summary = _summary(x, pivmin)
+    return _checked(system()[None] if max(summary[:2]) >= 0 else None, 0, x, pivmin, summary)[0]
 
 
 def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -57,16 +84,15 @@ def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a condition estimate), and then the first with a solved value below
     -NEG_PROB_TOL; values in [-NEG_PROB_TOL, 0) are roundoff and get clamped.
     The systems are solved in lockstep by Gaussian elimination with partial
-    pivoting, so a system gets the same answer in any stack, on either loop.
+    pivoting, so a system gets the same answer in any stack.
     """
     a, b = _stack(a, b)
-    solve = _lockstep_compiled if _kernels.compiled() else _lockstep
-    return _checked(a, *solve(a, b))
+    return _checked(a, *_lockstep(a, b))
 
 
 def _stack(a, b):
     """a and b as C-contiguous float arrays, once their shapes are checked to
-    be (B, n, n) and (B, n): the compiled loop takes them as pointers."""
+    be (B, n, n) and (B, n)."""
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     if b.ndim != 2 or a.shape != b.shape + b.shape[-1:]:
@@ -97,8 +123,8 @@ def _checked(a, status, x, pivmin, summary):
 
 
 def _first_pass(a: np.ndarray, b: np.ndarray):
-    """The first pass of both loops over the stack, as `check_stack` in
-    `_kernels.c` makes it: (_NOT_FINITE or _ZERO_ROW, None) if it fails, else
+    """The first pass over the stack, as `check_rows` and `pool_fill` in
+    `_kernels.c` make it: (_NOT_FINITE or _ZERO_ROW, None) if it fails, else
     (0, the row scale: each row's largest |a_ij|)."""
     scale = np.abs(a).max(axis=2)   # inf or NaN where a row of a holds one
     # the largest row maximum is not finite if any is, and the least is 0 if any is
@@ -120,7 +146,7 @@ def _summary(x: np.ndarray, pivmin: np.ndarray):
 
 
 def _lockstep(a: np.ndarray, b: np.ndarray):
-    """The compiled `fbq_lu_lockstep` in numpy, over the whole stack at once:
+    """The elimination of the compiled `fbq_speed_family`, over the whole stack at once:
     (status, x, pivmin, summary) as `_summary` gives it, where status is 0,
     _NOT_FINITE or _ZERO_ROW and pivmin holds each system's smallest |pivot|.
     For each column j the pivot is the first largest |t_rj|, r >= j, rows r
@@ -148,32 +174,6 @@ def _lockstep(a: np.ndarray, b: np.ndarray):
             y[:, :j] -= t[:, :j, j] * y[:, None, j]
     pivmin = pivots.min(axis=1)
     return 0, y, pivmin, _summary(y, pivmin)
-
-
-def _lockstep_compiled(a: np.ndarray, b: np.ndarray):
-    """`_lockstep` in one call of the compiled `fbq_lu_lockstep`; a and b are
-    C-contiguous float arrays."""
-    count, n = b.shape
-    x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
-    # from_buffer views keep their arrays alive and pass as pointers
-    dbl = ctypes.c_double.from_buffer
-    status = _kernels.compiled().lu_lockstep(count, n, PIVOT_RTOL, NEG_PROB_TOL, dbl(a), dbl(b), dbl(x),
-                                             dbl(pivmin), ctypes.c_int64.from_buffer(summary))
-    return status, x, pivmin, summary.tolist()
-
-
-def _lapack(a: np.ndarray, b: np.ndarray):
-    """A stack of one system, (1, n, n) and (1, n), by one f2py getrf and
-    getrs call on its row-scaled copy: (status, x, pivmin, summary) as
-    `_lockstep` gives them; a and b are left as they are."""
-    status, scale = _first_pass(a, b)
-    if status:
-        return status, None, None, _NO_SUMMARY
-    # the copy is made in column-major order, so getrf factors it in place
-    lu, piv, _ = lapack.dgetrf(np.divide(a[0], scale[0, :, None], order="F"), overwrite_a=1)
-    x = lapack.dgetrs(lu, piv, b[0] / scale[0])[0][None]
-    pivmin = np.abs(lu.diagonal()).min(keepdims=True)
-    return 0, x, pivmin, _summary(x, pivmin)
 
 
 def _condition_estimate(a: np.ndarray) -> float:

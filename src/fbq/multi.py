@@ -37,16 +37,23 @@ vector of A(z) and the powers z^j at each zero, the Taylor data of A(z)
 at z = 1 with the null pair of A(1).  The same cache keeps each threshold's
 solution, or the type and message of the SolverError its solve raised, so a
 pool is solved once per threshold however many sweeps or cost vectors ask
-for it.  A call that solves builds, at its first threshold not yet kept,
-the boundary tables: over every state i + j < m, its balance-row entries
-as a running and as a stopped state, its root-row coefficients and the
-z = 1 Taylor coefficients of its terms of b.  Each threshold of the call
-selects the states i + j >= K from them and scatters them into its dense
-system, then solves it and the Taylor cascade.  The tables are not kept
-past the call: once a sweep has kept every threshold no solve reads them
-again.  The closure by the zeros is the spectral-expansion closure of
-Mitrani & Chakka, "Spectral expansion solution for a class of Markov
-models", Performance Evaluation 23 (1995).
+for it.  Each threshold's boundary system is filled by the compiled loop
+`fbq_pool_system` of `_kernels.c`, from the rate table and the data at
+the zeros, its cells row-scaled and column-major, as the LAPACK LU of
+`linsys.solve_scaled_system` takes them; a second call of the loop sums
+the z = 1 Taylor vectors of b from the clamped solution.  Where
+`fbq._kernels.compiled()` finds no compiled loops, a call that solves
+builds, at its first threshold not yet kept, the boundary tables: over
+every state i + j < m, its balance-row entries as a running and as a
+stopped state, its root-row coefficients and the z = 1 Taylor
+coefficients of its terms of b.  Each threshold of the call selects the
+states i + j >= K from them, scatters them into its dense system and sums
+b with np.add.at; this numpy path is the compiled loop's reference, and
+both hand getrf the same bytes.  The tables are not kept past the call:
+once a sweep has kept every threshold no solve reads them again.  The
+closure by the zeros is the spectral-expansion closure of Mitrani &
+Chakka, "Spectral expansion solution for a class of Markov models",
+Performance Evaluation 23 (1995).
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ import numpy as np
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from . import _kernels
-from .linsys import solve_probability_system
+from .linsys import solve_probability_system, solve_scaled_system
 from .models import (
     CostCoefficients,
     ModelError,
@@ -305,15 +312,19 @@ def dprime_at_1(model: MultiServerModel) -> float:
 # --- the linear system ---------------------------------------------------------
 
 
-def _dense_matrix(model: MultiServerModel, z: float) -> np.ndarray:
-    """A(z) at a real z: the entries of _det_at and _sturm_sequence, with the same rounding."""
+def _dense_matrix(model: MultiServerModel, z) -> np.ndarray:
+    """A(z) at a real z, or one A(z_k) per entry of a 1-D array z, stacked:
+    the entries of _det_at and _sturm_sequence, with the same rounding."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    y1 = np.array([_y1_float(model, zk) for zk in np.ravel(z).tolist()]).reshape(np.shape(z))[..., None]
+    z = np.asarray(z, dtype=float)[..., None]
     zm1 = z - 1.0
     i = np.arange(m)
-    out = np.diag(lam * z + i * mu1 * z + (m - i) * mu2 * zm1)
-    out[-1, -1] = lam * z * (1.0 - _y1_float(model, z)) + (m - 1) * mu1 * z + mu2 * zm1
-    out[i[:-1], i[1:]] = -(i[1:] * mu1 * z * (1.0 - q + q * z))
-    out[i[1:], i[:-1]] = -lam * z
+    out = np.zeros(z.shape[:-1] + (m, m))
+    out[..., i, i] = lam * z + i * mu1 * z + (m - i) * mu2 * zm1
+    out[..., -1, -1] = (lam * z * (1.0 - y1) + (m - 1) * mu1 * z + mu2 * zm1)[..., 0]
+    out[..., i[:-1], i[1:]] = -(i[1:] * mu1 * z * (1.0 - q + q * z))
+    out[..., i[1:], i[:-1]] = -lam * z
     return out
 
 
@@ -398,7 +409,8 @@ class _Pool:
     threshold whose solve raised it keeps that message as its own).
     The zeros come from the compiled search `fbq_pool_roots` of `_kernels.c`,
     or from `_isolate_roots` where `fbq._kernels.compiled()` finds no
-    compiled loops.
+    compiled loops; the null vectors at the zeros from one SVD each of the
+    matrices A(z_k), built in one numpy expression.
     """
 
     def __init__(self, model: MultiServerModel):
@@ -421,9 +433,18 @@ class _Pool:
         z_k^j (j = 0 .. m-1), with one row per zero in the last two."""
         shape = (len(self.roots), self.model.m)
         zeros = np.array(self.roots)
-        null = np.array([_null_vectors(_dense_matrix(self.model, zk))[0] for zk in self.roots])
+        null = np.array([_null_vectors(a)[0] for a in _dense_matrix(self.model, zeros)])
         zpow = np.array([[zk**j for j in range(shape[1])] for zk in self.roots])
         return _frozen(zeros), _frozen(null.reshape(shape)), _frozen(zpow.reshape(shape))
+
+    @functools.cached_property
+    def loop_args(self) -> tuple:
+        """The leading arguments of the compiled `fbq_pool_system`: the pool,
+        its rate table and its at_roots data."""
+        model, data = self.model, (np.array(self.rates), *self.at_roots)
+        # data_as keeps its array alive; the at_roots arrays are read-only
+        return (model.m, model.lam, model.mu1, model.mu2, model.q,
+                *(a.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for a in data))
 
     @functools.cached_property
     def at_one(self) -> _AtOne:
@@ -461,7 +482,8 @@ class _Tables:
     0.0 + x or 0.0 - x that updating a zeroed cell by x gives.  The root-row
     coefficients hold one row per zero, and the Taylor coefficients the
     three orders (c0, c0 p + c1, c0 p (p - 1)/2 + c1 p) of a term
-    (c0 + c1 t) z^p of b at z = 1 + t."""
+    (c0 + c1 t) z^p of b at z = 1 + t.  Only the Python path builds them;
+    `fbq_pool_system` computes each cell it fills with the same operations."""
 
     states: list               # (i, j)
     i: np.ndarray
@@ -555,19 +577,23 @@ def _pool(model: MultiServerModel) -> _Pool:
 
 def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[MultiServerSolution]:
     """Steady states under the given thresholds, each solved once per pool
-    and threshold.  The boundary tables are built at the first threshold
-    not yet kept and serve the rest of the call.  A SolverError of a
-    threshold's solve is kept as its type and message and raised afresh by
-    every later call that reaches that threshold.  Every solution returned
-    has containers of its own, so a caller's edits never reach the cache."""
-    tables, out = None, []
+    and threshold, by the compiled fill (`_solve_compiled`) or, with no
+    compiled loops, from boundary tables built at the first threshold not
+    yet kept, which serve the rest of the call (`_solve_boundary`).  A
+    SolverError of a threshold's solve is kept as its type and message and
+    raised afresh by every later call that reaches that threshold.  Every
+    solution returned has containers of its own, so a caller's edits never
+    reach the cache."""
+    loops, tables, out = _kernels.compiled(), None, []
     for K in thresholds:
         sol = pool.solutions.get(K)
         if sol is None:
-            if tables is None:
-                tables = _boundary_tables(model, pool.at_roots)
+            at_roots = pool.at_roots    # a failure here is the pool's, not the threshold's
+            if loops is None and tables is None:
+                tables = _boundary_tables(model, at_roots)
             try:
-                sol = pool.solutions[K] = _solve_boundary(model, K, pool, tables)
+                sol = pool.solutions[K] = (_solve_boundary(model, K, pool, tables) if loops is None
+                                           else _solve_compiled(model, K, pool, loops.pool_system))
             except SolverError as exc:
                 pool.solutions[K] = type(exc), str(exc)
                 raise
@@ -582,7 +608,9 @@ def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[
 def _solve_boundary(model: MultiServerModel, K: int, pool: _Pool,
                     tab: _Tables) -> MultiServerSolution:
     """Steady state under threshold K: the boundary tables restricted to the
-    states i + j >= K and scattered into the dense system."""
+    states i + j >= K and scattered into the dense system, which
+    solve_probability_system scales for the LU of solve_scaled_system; the
+    reference of `_solve_compiled`."""
     m = model.m
     keep = tab.t >= K
     kept = np.flatnonzero(keep)
@@ -628,6 +656,29 @@ def _solve_boundary(model: MultiServerModel, K: int, pool: _Pool,
               terms * x[cols])
     return _finish(model, K, dict(zip(itertools.compress(tab.states, keep.tolist()), x.tolist())),
                    b, pool)
+
+
+def _solve_compiled(model: MultiServerModel, K: int, pool: _Pool, loop) -> MultiServerSolution:
+    """`_solve_boundary` on the compiled loop `fbq_pool_system`, with the same
+    bits: the loop fills the row-scaled system for solve_scaled_system's LU
+    and then sums b from the clamped solution."""
+    m = model.m
+    n = (m - K) * (m + K + 1) // 2       # the states K <= i + j <= m - 1
+    args, idle = pool.loop_args, m - model.rho1 - model.rho2
+    dbl = ctypes.c_double.from_buffer
+
+    def system(scale):
+        # the loop writes column-major, so the C-ordered buffer holds the transpose
+        at, rhs = np.empty((n, n)), np.empty(n)
+        return loop(*args, K, idle, scale, dbl(at), dbl(rhs), None, None), at.T, rhs
+
+    status, a, rhs = system(1)
+    # only a message reads the unscaled system
+    x = solve_scaled_system(a, rhs, status, lambda: np.ascontiguousarray(system(0)[1]))
+    b = np.empty((3, m))
+    loop(*args, K, idle, 0, None, None, dbl(x), dbl(b))
+    states = [(i, j) for i in range(m) for j in range(max(0, K - i), m - i)]
+    return _finish(model, K, dict(zip(states, x.tolist())), b, pool)
 
 
 def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
@@ -712,12 +763,12 @@ def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
     The determinant zeros, the null vectors at them and the z = 1 Taylor
     data come from the pool cache, so they are built once per pool however
     many sweeps or solves use it.  Each threshold solves its own boundary
-    system once, scattered from boundary tables that the sweep builds once;
-    later sweeps, solves and cost vectors of the pool are served the kept
-    solution, as in `solve_threshold`.  A failure at any threshold
-    propagates; a SolverError of its boundary solve is kept, as in
-    `solve_threshold`, so a repeat sweep raises it again at that threshold
-    without solving it.
+    system once, filled by the compiled loop or scattered from boundary
+    tables that the sweep builds once; later sweeps, solves and cost vectors
+    of the pool are served the kept solution, as in `solve_threshold`.  A
+    failure at any threshold propagates; a SolverError of its boundary solve
+    is kept, as in `solve_threshold`, so a repeat sweep raises it again at
+    that threshold without solving it.
     """
     d_roots(model)
     return _solve_thresholds(model, range(model.m), _pool(model))
@@ -730,7 +781,9 @@ def evaluate_cost_multi(solution: MultiServerSolution, costs: CostCoefficients) 
 
 def mmm_marginal(m: int, rho1: float) -> tuple[list[float], float]:
     """Erlang-C marginals p_0 .. p_m and mean count for an m-server queue.
-    Raises SolverError where its Erlang sums overflow a float."""
+    Where the closed form's powers or factorials overflow a float, the terms
+    rho1^k / k! come from the recurrence t_k = t_(k-1) rho1 / k and are
+    normalised at the end; SolverError only where those overflow too."""
     if rho1 >= m:
         raise ModelError(f"foreground load {rho1} >= m = {m}")
     try:
@@ -738,7 +791,13 @@ def mmm_marginal(m: int, rho1: float) -> tuple[list[float], float]:
                     + m * rho1**m / ((m - rho1) * math.factorial(m)))
         p = [p0 * rho1**i / math.factorial(i) for i in range(m + 1)]
     except OverflowError as exc:
-        raise SolverError(f"the Erlang sums of the m = {m} pool overflow a float ({exc})") from exc
+        terms = [1.0]
+        for k in range(1, m + 1):
+            terms.append(terms[-1] * rho1 / k)
+        total = sum(terms[:m]) + m * terms[m] / (m - rho1)
+        if not math.isfinite(total):
+            raise SolverError(f"the Erlang sums of the m = {m} pool overflow a float ({exc})") from exc
+        p = [t / total for t in terms]
     rr = rho1 / m
     L1 = rho1 + p[m] * rr / (1.0 - rr) ** 2
     return p, L1

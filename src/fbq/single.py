@@ -189,6 +189,13 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
 
 def _check_levels(levels: np.ndarray) -> None:
     """The speed checks of SpeedProfile and of the general solver, per profile."""
+    # the common case, where every profile passes, by whole-array tests: a
+    # nondecreasing row from s_0 >= 0 with s_1 > 0 passes all three checks,
+    # and a NaN fails a comparison, so its row takes the per-row scans.  The
+    # levels are copied one row per level, so each test reads contiguous memory.
+    by_level = levels.T.copy()
+    if (by_level[0] >= 0).all() and (by_level[1] > 0).all() and (by_level[1:] >= by_level[:-1]).all():
+        return
     K = levels.shape[1] - 1
     for bad, message in (((levels < 0).any(axis=1), "speeds must be nonnegative"),
                          ((levels[:, 1:] < levels[:, :-1]).any(axis=1), "speeds must be nondecreasing")):

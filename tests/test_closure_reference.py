@@ -4,8 +4,9 @@ The reference below states the per-state rules of the inhomogeneous vector
 b(z) as loops over t and j and builds every threshold's boundary system from
 them: the balance rows, one row per zero of the transform determinant and
 the idle-or-stopped server normalisation.  The system that fbq.multi hands
-to solve_probability_system must equal it exactly, at every threshold and
-also where the solve then fails.  The Taylor data at z = 1 (A0, A1, A2 and
+to the LU of fbq.linsys must equal it exactly, unscaled as a message would
+quote it and row-scaled as getrf gets it, at every threshold and also where
+the solve then fails.  The Taylor data at z = 1 (A0, A1, A2 and
 b0, b1, b2) are checked against PowerSeries arithmetic.
 """
 
@@ -137,23 +138,19 @@ def assert_close(got, want, rtol=1e-13):
 
 
 @pytest.fixture
-def handed_over(monkeypatch):
-    """Every (a, rhs) given to solve_probability_system and every (boundary, b)
-    given to the z = 1 pass, in call order.  The pool cache is cleared around
-    the test, since a threshold it already holds is served without a solve."""
+def handed_over(monkeypatch, pool_systems):
+    """Every (status, scaled a, scaled rhs, unscaled a) given to the pool LU
+    and every (boundary, b) given to the z = 1 pass, in call order.  The pool
+    cache is cleared around the test, since a threshold it already holds is
+    served without a solve."""
     multi._pool_data.cache_clear()
-    seen = {"systems": [], "b": []}
-    solve, finish = multi.solve_probability_system, multi._finish
-
-    def spy_solve(a, rhs):
-        seen["systems"].append((np.array(a, dtype=float), np.array(rhs, dtype=float)))
-        return solve(a, rhs)
+    seen = {"systems": pool_systems, "b": []}
+    finish = multi._finish
 
     def spy_finish(model, K, boundary, b, pool):
         seen["b"].append((boundary, np.array(b)))
         return finish(model, K, boundary, b, pool)
 
-    monkeypatch.setattr(multi, "solve_probability_system", spy_solve)
     monkeypatch.setattr(multi, "_finish", spy_finish)
     yield seen
     multi._pool_data.cache_clear()
@@ -171,9 +168,12 @@ def test_every_threshold_hands_over_the_reference_system(name, handed_over):
         except SolverError:
             sol = None
         states, a_ref, rhs_ref = reference_system(model, K)
-        [(a, rhs)] = handed_over["systems"]
+        [(status, scaled, scaled_rhs, a)] = handed_over["systems"]
         assert np.array_equal(a, a_ref), (name, K)
-        assert np.array_equal(rhs, rhs_ref), (name, K)
+        # each row divided by its largest |a_ij|, as linsys scales a system
+        scale = np.abs(a_ref).max(axis=1)
+        assert status == 0 and np.array_equal(scaled, a_ref / scale[:, None]), (name, K)
+        assert np.array_equal(scaled_rhs, rhs_ref / scale), (name, K)
         if sol is not None:
             [(boundary, b)] = handed_over["b"]
             assert list(boundary) == states

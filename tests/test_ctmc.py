@@ -17,7 +17,6 @@ axis at its closed-form size.
 import json
 import logging
 import pathlib
-import shutil
 import sys
 
 import numpy as np
@@ -285,18 +284,6 @@ def test_band_lu_matches_superlu(model, n1, n2, monkeypatch):
         assert band_boundary[state] == pytest.approx(v, rel=1e-12), state
 
 
-def on_both_assemblies(monkeypatch, run):
-    """run() with the compiled band assembly, then with the Python one."""
-    if KERNELS.compiled() is None:
-        assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the kernel did not load"
-        pytest.skip("no C compiler to build the kernel with")
-    compiled = run()
-    with monkeypatch.context() as m:
-        m.setattr(KERNELS, "compiled", lambda: None)
-        python = run()
-    return compiled, python
-
-
 def _stationary_bits(model, n1, n2):
     """`_stationary` on the rectangle (n1, n2): the grid's bytes, the assembly
     and the factorisation."""
@@ -320,7 +307,7 @@ EDGE_MODELS = [
 
 @pytest.mark.parametrize("n1,n2", [(12, 30), (30, 12)], ids=["wide", "tall"])
 @pytest.mark.parametrize("model", [*_accuracy_models(), *EDGE_MODELS])
-def test_stationary_is_equal_on_both_assemblies(model, n1, n2, monkeypatch):
+def test_stationary_is_equal_on_both_assemblies(model, n1, n2, monkeypatch, on_both_paths):
     # the band system handed to dgbsv too, signed zeros included
     band_lu, systems = ctmc._band_lu, []
 
@@ -329,7 +316,7 @@ def test_stationary_is_equal_on_both_assemblies(model, n1, n2, monkeypatch):
         return band_lu(ab, kl, ku, b)
 
     monkeypatch.setattr(ctmc, "_band_lu", spy)
-    compiled, python = on_both_assemblies(monkeypatch, lambda: _stationary_bits(model, n1, n2))
+    compiled, python = on_both_paths(lambda: _stationary_bits(model, n1, n2))
     assert compiled[0] == python[0] and compiled[2] == python[2]
     assert len(systems) == (0 if model.lam == 0 else 2) and systems[:1] == systems[1:]
     # lam = 0 leaves no equation to assemble, so the Python path solves it
@@ -338,19 +325,19 @@ def test_stationary_is_equal_on_both_assemblies(model, n1, n2, monkeypatch):
 
 @pytest.mark.parametrize("model", [*(pytest.param(_model(p["model"]), id=p["label"]) for p in PINS["models"]),
                                    *EDGE_MODELS])
-def test_ctmc_solve_is_equal_on_both_assemblies(model, monkeypatch):
-    compiled, python = on_both_assemblies(monkeypatch, lambda: ctmc_solve(model))
+def test_ctmc_solve_is_equal_on_both_assemblies(model, on_both_paths):
+    compiled, python = on_both_paths(lambda: ctmc_solve(model))
     assert compiled == python
 
 
 @pytest.mark.parametrize("n1,n2", [(30, 16), (16, 30)])
-def test_reducible_chain_raises_the_same_error_on_both_assemblies(n1, n2, monkeypatch):
+def test_reducible_chain_raises_the_same_error_on_both_assemblies(n1, n2, on_both_paths):
     def message():
         with pytest.raises(SolverError, match=rf"singular at truncation \({n1}, {n2}\)") as err:
             _stationary(*_absorbing_edge(n1, n2), 0)
         return str(err.value)
 
-    compiled, python = on_both_assemblies(monkeypatch, message)
+    compiled, python = on_both_paths(message)
     assert compiled == python
 
 
@@ -395,7 +382,7 @@ def test_debug_log_names_the_factorisation(caplog, monkeypatch):
         assert [line.rsplit(", ", 1)[1] for line in lines] == want
 
 
-def test_debug_log_names_the_assembly(caplog, monkeypatch):
+def test_debug_log_names_the_assembly(caplog, monkeypatch, on_both_paths):
     # the field before the factorisation: the compiled loop fills band
     # systems, the Python assembly every SuperLU one
     model = SingleServerModel(1.6, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 0.8, 1.0)))
@@ -408,6 +395,6 @@ def test_debug_log_names_the_assembly(caplog, monkeypatch):
         return [r.getMessage().rsplit(", ", 2)[1] for r in caplog.records if r.name == "fbq.ctmc"]
 
     band_max = ctmc.BAND_MAX
-    compiled, python = on_both_assemblies(monkeypatch, lambda: (assemblies(band_max), assemblies(0)))
+    compiled, python = on_both_paths(lambda: (assemblies(band_max), assemblies(0)))
     assert compiled == (3 * ["compiled assembly"], 3 * ["Python assembly"])
     assert python == (3 * ["Python assembly"], 3 * ["Python assembly"])

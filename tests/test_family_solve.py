@@ -5,15 +5,16 @@ data/family_solve_pins.json holds searches and figure-5 points recorded from
 the search that solved its grid one profile at a time with solve_general.
 The family solve must return the same speed levels, and costs and curves
 within 1e-12 relative.  The compiled family loop (fill, lockstep LU and row
-sums) and the lockstep LU loop of fbq.linsys do the same float operations
-as their Python references (the numpy assembly, _lockstep and _finish), so
-every result, error message included, must be equal on the two paths, not close;
-and a profile's lockstep solve must not depend on its position in the stack
-or on the other systems there.  Pool systems take the one LAPACK loop on
-either path, so the pool tests run on both paths compare the two loops of
-the pool's zero search (fbq.multi), which must be equal too.
+sums) does the same float operations as its Python references (the numpy
+assembly, fbq.linsys._lockstep and _finish), so every result, error message
+included, must be equal on the two paths, not close; and a profile's
+lockstep solve must not depend on its position in the stack or on the
+other systems there.  The pool tests run on both paths compare the compiled
+zero search and boundary fill of fbq.multi with their Python references,
+which must be equal too.
 """
 
+import ctypes
 import itertools
 import json
 import os
@@ -47,7 +48,7 @@ from fbq.models import (
     SolverError,
     SpeedProfile,
 )
-from fbq.multi import _pool_data, sweep_thresholds
+from fbq.multi import sweep_thresholds
 from fbq import single
 from fbq.single import FAMILY_CHUNK, solve_general, solve_speed_family
 from test_threshold_sweep import same_failure
@@ -58,26 +59,6 @@ FIELDS = ("L", "L1", "L2", "energy_rate")
 KERNELS = sys.modules["fbq._kernels"]
 LINSYS = sys.modules["fbq.linsys"]
 SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
-
-
-def require_compiled_loop():
-    if KERNELS.compiled() is None:
-        assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the LU loop did not load"
-        pytest.skip("no C compiler to build the LU loop with")
-
-
-def on_both_paths(monkeypatch, run):
-    """run() with the compiled loops, then with the Python ones; the pool
-    cache is emptied before each so that neither reuses the other's solves."""
-    require_compiled_loop()
-    _pool_data.cache_clear()
-    compiled = run()
-    with monkeypatch.context() as m:
-        m.setattr(KERNELS, "compiled", lambda: None)
-        _pool_data.cache_clear()
-        python = run()
-    _pool_data.cache_clear()
-    return compiled, python
 
 
 def raised(run):
@@ -110,16 +91,16 @@ def test_figure5_point_matches_pinned_values(pin):
 
 
 @pytest.mark.parametrize("pin", PINS["searches"], ids=lambda p: f"{p['base']}-K{p['K']}")
-def test_search_is_equal_on_both_lu_paths(pin, monkeypatch):
+def test_search_is_equal_on_both_lu_paths(pin, on_both_paths):
     b = PINS["bases"][pin["base"]]
-    compiled, python = on_both_paths(monkeypatch, lambda: optimize_intermediate_speeds(
+    compiled, python = on_both_paths(lambda: optimize_intermediate_speeds(
         base_model(b), pin["K"], CostCoefficients(b["c1"], b["c2"])))
     assert compiled == python
 
 
 @pytest.mark.parametrize("pin", PINS["figure5"], ids=lambda p: f"lambda={p['lam']}")
-def test_figure5_point_is_equal_on_both_lu_paths(pin, monkeypatch):
-    compiled, python = on_both_paths(monkeypatch, lambda: _figure5_point(pin["lam"]))
+def test_figure5_point_is_equal_on_both_lu_paths(pin, on_both_paths):
+    compiled, python = on_both_paths(lambda: _figure5_point(pin["lam"]))
     assert compiled == python
 
 
@@ -130,13 +111,13 @@ FAMILY_FIELDS = ("levels", "boundary", "g0_at_1", "L1", "L2", "L", "p_below_K", 
 STRADDLING = {"seed7": {}, "q=0": {"q": 0.0}, "alpha=0": {"alpha": 0.0}, "s0=0": {"s0": 0.0}}
 
 
-def test_family_straddling_a_chunk_is_equal_on_both_lu_paths(monkeypatch):
+def test_family_straddling_a_chunk_is_equal_on_both_lu_paths(on_both_paths):
     rng = np.random.default_rng(18)
     for name, change in STRADDLING.items():
         b = dict(PINS["bases"]["seed7"], **change)
         for K in (2, 3, 4):
             inter = np.sort(rng.uniform(b["s0"], b["top"], (FAMILY_CHUNK + 12, K - 1)), axis=1)
-            compiled, python = on_both_paths(monkeypatch, lambda: solve_speed_family(base_model(b), inter))
+            compiled, python = on_both_paths(lambda: solve_speed_family(base_model(b), inter))
             for f in FAMILY_FIELDS:   # bytes, so that a zero keeps its sign
                 assert getattr(compiled, f).tobytes() == getattr(python, f).tobytes(), (name, K, f)
 
@@ -152,10 +133,10 @@ SINGULAR, NEGATIVE, GOOD = (1e-20, 0.5), (1e-8, 0.04), (0.3, 0.6)
     ([GOOD, GOOD, NEGATIVE], NEGATIVE),
 ], ids=["singular-and-negative", "negative"])
 def test_failing_profiles_in_a_later_chunk_raise_the_same_error_on_both_lu_paths(second_chunk, fails_as,
-                                                                                 monkeypatch):
+                                                                                 on_both_paths):
     model = base_model(FAILING_BASE)
     inter = [GOOD] * FAMILY_CHUNK + second_chunk
-    compiled, python = on_both_paths(monkeypatch, lambda: raised(lambda: solve_speed_family(model, inter)))
+    compiled, python = on_both_paths(lambda: raised(lambda: solve_speed_family(model, inter)))
     assert compiled == python == raised(lambda: solve_speed_family(model, [fails_as]))
     assert compiled.startswith("singular" if fails_as is SINGULAR else "solved probability"), compiled
 
@@ -179,21 +160,22 @@ def test_index_built_grids_equal_the_itertools_grids(K, s0):
         assert (got.shape, got.dtype, got.tobytes()) == (fine.shape, fine.dtype, fine.tobytes()), best_x
 
 
-def test_figure8_is_equal_on_both_lu_paths(monkeypatch):
-    # the pools' LU is one LAPACK loop on both paths: this compares the two
-    # zero searches, the compiled fbq_pool_roots and multi._isolate_roots
-    compiled, python = on_both_paths(monkeypatch, lambda: reproduce_figure(8).curves)
+def test_figure8_is_equal_on_both_lu_paths(on_both_paths):
+    # the compiled zero search and boundary fill (fbq_pool_roots and
+    # fbq_pool_system) against multi._isolate_roots and the numpy scatter;
+    # the LAPACK calls are the same on both paths
+    compiled, python = on_both_paths(lambda: reproduce_figure(8).curves)
     assert compiled == python
 
 
-def test_failing_pool_raises_the_same_error_on_both_lu_paths(monkeypatch):
-    # as for figure 8, the two paths differ only in the pool's zero search
+def test_failing_pool_raises_the_same_error_on_both_lu_paths(on_both_paths):
+    # as for figure 8, the paths differ in the pool's zero search and fill
     pin = dict(SWEEP_PINS["failing_pool"])
     message = pin.pop("message")
     model = fbq.MultiServerModel(**pin)
     for run in (lambda: sweep_thresholds(model),
                 lambda: optimize_threshold(model, CostCoefficients(1.0, 0.5))):
-        compiled, python = on_both_paths(monkeypatch, lambda: raised(run))
+        compiled, python = on_both_paths(lambda: raised(run))
         assert compiled == python
         assert same_failure(compiled, message), compiled
 
@@ -278,14 +260,58 @@ def test_one_invalid_profile_fails_the_family_as_it_fails_alone(s0, bad):
     assert type(family.value) is type(alone.value)
 
 
+def per_row_level_checks(levels):
+    """The per-row scans of single._check_levels, as they ran on every family
+    before its whole-array test: None, or the ModelError's message."""
+    K = levels.shape[1] - 1
+    for bad, message in (((levels < 0).any(axis=1), "speeds must be nonnegative"),
+                         ((levels[:, 1:] < levels[:, :-1]).any(axis=1), "speeds must be nondecreasing")):
+        if bad.any():
+            return f"{message}: {tuple(levels[np.flatnonzero(bad)[0]].tolist())}"
+    stopped = (levels[:, 1:] <= 0).any(axis=1)
+    if stopped.any():
+        if (levels[np.flatnonzero(stopped)[0], :K] == 0).all():
+            return "all sub-threshold speeds are zero: use solve_zero_speed"
+        return "speed levels 1..K must be positive for the general solver"
+    return None
+
+
+def level_check_outcome(levels):
+    try:
+        single._check_levels(levels)
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+# (row, level, value) put into a valid family: NaN anywhere passes both ways
+LEVEL_FAULTS = {
+    "valid": [], "nan-s0": [(3, 0, np.nan)], "nan-inner": [(40, 2, np.nan)], "nan-top": [(0, 3, np.nan)],
+    "negative-s0": [(7, 0, -0.1)], "decreasing": [(11, 2, 0.01)], "zero-s1-below-s0": [(5, 1, 0.0)],
+    "all-zero": [(9, 1, 0.0), (9, 2, 0.0), (9, 0, 0.0)], "zero-s0-and-s1": [(2, 1, 0.0), (2, 0, 0.0)],
+    "decreasing-before-negative": [(4, 2, 0.01), (30, 0, -1.0)],
+    "nan-and-decreasing": [(1, 1, np.nan), (6, 2, 0.01)],
+}
+
+
+@pytest.mark.parametrize("faults", LEVEL_FAULTS.values(), ids=LEVEL_FAULTS)
+def test_level_checks_give_the_per_row_outcome(faults):
+    rng = np.random.default_rng(31)
+    levels = np.column_stack([np.full(50, 0.05), np.sort(rng.uniform(0.1, 1.0, (50, 2)), axis=1), np.ones(50)])
+    for row, level, value in faults:
+        levels[row, level] = value
+    assert level_check_outcome(levels) == per_row_level_checks(levels)
+    assert (level_check_outcome(levels) is None) == (faults == [] or all(np.isnan(v) for *_, v in faults))
+
+
 def test_family_needs_profiles():
     with pytest.raises(ModelError):
         solve_speed_family(base_model(PINS["bases"]["figure4"]), np.empty((0, 2)))
 
 
 class TestStackChecks:
-    """The checks and their order, on the compiled LU loop; TestStackChecksPythonLoop
-    repeats them on the Python loop."""
+    """The checks and their order, with the compiled loops loaded;
+    TestStackChecksPythonLoop repeats them without."""
 
     GOOD = (np.eye(3), np.full(3, 1 / 3))
     CASES = {
@@ -295,8 +321,8 @@ class TestStackChecks:
     }
 
     @pytest.fixture(autouse=True)
-    def lu_path(self):
-        require_compiled_loop()
+    def lu_path(self, compiled_loops):
+        pass
 
     @pytest.mark.parametrize("case", CASES)
     def test_failing_system_raises_inside_a_stack(self, case):
@@ -374,14 +400,14 @@ def stack_outcome(a, b):
     (("zero row", "singular", "negative"),
      (SolverError, "degenerate parameter set: zero row in the linear system")),
 ])
-def test_first_pass_errors_win_on_both_lu_paths(faults, expected, monkeypatch):
-    compiled, python = on_both_paths(monkeypatch, lambda: stack_outcome(*crafted_stack(*faults)))
+def test_first_pass_errors_win_on_both_lu_paths(faults, expected, on_both_paths):
+    compiled, python = on_both_paths(lambda: stack_outcome(*crafted_stack(*faults)))
     assert compiled == python == expected
 
 
-def test_later_singular_system_wins_over_earlier_negative_one_on_both_lu_paths(monkeypatch):
+def test_later_singular_system_wins_over_earlier_negative_one_on_both_lu_paths(on_both_paths):
     a, b = crafted_stack("singular", "negative")
-    compiled, python = on_both_paths(monkeypatch, lambda: stack_outcome(a, b))
+    compiled, python = on_both_paths(lambda: stack_outcome(a, b))
     assert compiled == python
     scaled = a[3] / np.abs(a[3]).max(axis=1)[:, None]
     cond = LINSYS._condition_estimate(scaled)
@@ -392,32 +418,53 @@ def test_later_singular_system_wins_over_earlier_negative_one_on_both_lu_paths(m
     assert stack_outcome(a[1:2], b[1:2])[1].startswith("solved probability -5.000e-01")
 
 
-def test_roundoff_negatives_are_clamped_equally_on_both_lu_paths(monkeypatch):
+def test_roundoff_negatives_are_clamped_equally_on_both_lu_paths(on_both_paths):
     a, b = crafted_stack("roundoff")
-    compiled, python = on_both_paths(monkeypatch, lambda: stack_outcome(a, b))
+    compiled, python = on_both_paths(lambda: stack_outcome(a, b))
     assert np.array_equal(compiled, python)
     assert (compiled >= 0).all() and compiled[2, 0] == 0.0 and compiled[6, 3] == 0.0
     np.testing.assert_allclose(compiled[0], np.linalg.solve(a[0], b[0]), rtol=1e-13)
+
+
+def pinned_search_families(monkeypatch):
+    """Every (family, chunk of speed levels) that the pinned searches solve,
+    on the Python path."""
+    chunks = []
+    solve = single._Family.solve
+
+    def spy(family, levels):
+        chunks.append((family, levels.copy()))
+        return solve(family, levels)
+    with monkeypatch.context() as m:
+        m.setattr(KERNELS, "compiled", lambda: None)
+        m.setattr(single._Family, "solve", spy)
+        for pin in PINS["searches"]:
+            b = PINS["bases"][pin["base"]]
+            optimize_intermediate_speeds(base_model(b), pin["K"], CostCoefficients(b["c1"], b["c2"]))
+    return chunks
 
 
 def pinned_search_stacks(monkeypatch):
     """Every stack, (a, b), that the pinned searches hand to the lockstep solve
     on the Python path, where the family's numpy assembly builds them (the
     compiled family loop fills the same systems tile by tile)."""
-    stacks = []
-    solve = single.solve_probability_stack
-
-    def spy(a, b):
-        stacks.append((a.copy(), b.copy()))
-        return solve(a, b)
-    with monkeypatch.context() as m:
-        m.setattr(KERNELS, "compiled", lambda: None)
-        m.setattr(single, "solve_probability_stack", spy)
-        for pin in PINS["searches"]:
-            b = PINS["bases"][pin["base"]]
-            optimize_intermediate_speeds(base_model(b), pin["K"], CostCoefficients(b["c1"], b["c2"]))
+    stacks = [family._stack(levels) for family, levels in pinned_search_families(monkeypatch)]
     assert {a.shape[1] for a, _ in stacks} == {6, 10}   # the K = 2 and K = 3 families
     return stacks
+
+
+def family_loop(loops, family, levels):
+    """(status, x, pivmin, summary) of the compiled fbq_speed_family on the
+    profiles `levels` of `family`, without its row sums: its elimination
+    is the compiled twin of _lockstep."""
+    levels = np.ascontiguousarray(levels, dtype=float)
+    count, n = len(levels), len(family.layout.states)
+    x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
+    dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
+    status = loops.speed_family(count, family.K, len(family.at), i64(family.at), dbl(family.coef),
+                                dbl(family.shared), family.work, dbl(levels), LINSYS.PIVOT_RTOL,
+                                LINSYS.NEG_PROB_TOL, dbl(x), dbl(pivmin), i64(summary), None, None)
+    return status, x, pivmin, summary.tolist()
 
 
 def assert_same_loop_results(got, expected):
@@ -426,11 +473,10 @@ def assert_same_loop_results(got, expected):
     assert np.array_equal(x, expected[1]) and np.array_equal(pivmin, expected[2])
 
 
-def test_lockstep_loops_are_equal_on_the_pinned_searches_stacks(monkeypatch):
-    require_compiled_loop()
-    for a, b in pinned_search_stacks(monkeypatch):
-        assert_same_loop_results(LINSYS._lockstep_compiled(a.copy(), b.copy()),
-                                 LINSYS._lockstep(a.copy(), b.copy()))
+def test_lockstep_loops_are_equal_on_the_pinned_searches_stacks(monkeypatch, compiled_loops):
+    for family, levels in pinned_search_families(monkeypatch):
+        assert_same_loop_results(family_loop(compiled_loops, family, levels),
+                                 LINSYS._lockstep(*family._stack(levels)))
 
 
 def test_lockstep_agrees_with_scipy_lu_on_the_pinned_searches_stacks(monkeypatch):
@@ -455,6 +501,20 @@ def pivoting_stack(count, shared):
     return a, rng.uniform(0.0, 1.0, (count, 5))
 
 
+def seed7_profiles(count, shared):
+    """count K = 3 profiles of the seed7 family and the family: with shared,
+    one profile with its inner speeds moved by up to 1%, so that the tile's
+    systems pivot alike; else inner speeds drawn across the family's range."""
+    b = PINS["bases"]["seed7"]
+    rng = np.random.default_rng(42 + count)
+    if shared:
+        inter = np.array([0.4, 0.7]) * rng.uniform(0.99, 1.01, (count, 2))
+    else:
+        inter = np.sort(rng.uniform(b["s0"], b["top"], (count, 2)), axis=1)
+    levels = np.column_stack([np.full(count, b["s0"]), inter, np.full(count, b["top"])])
+    return single._Family(base_model(b), 3), levels
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-pivots", "own-pivots"])
 @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 17])
 def test_lockstep_is_equal_on_both_loops_wherever_a_system_sits(count, shared):
@@ -463,23 +523,33 @@ def test_lockstep_is_equal_on_both_loops_wherever_a_system_sits(count, shared):
     other_a, other_b = pivoting_stack(3, not shared)
     expected = LINSYS._lockstep(a.copy(), b.copy())
     np.testing.assert_allclose(expected[1], np.linalg.solve(a, b[..., None])[..., 0], rtol=1e-13)
-    loops = [LINSYS._lockstep] + ([LINSYS._lockstep_compiled] if KERNELS.compiled() else [])
-    for solve in loops:
-        assert_same_loop_results(solve(a.copy(), b.copy()), expected)
-        shifted = solve(np.concatenate([other_a, a]), np.concatenate([other_b, b]))[1]
-        assert np.array_equal(shifted[3:], expected[1])
-        for k in range(count):
-            assert np.array_equal(solve(a[k:k + 1].copy(), b[k:k + 1].copy())[1][0], expected[1][k])
+    solve = LINSYS._lockstep
+    assert_same_loop_results(solve(a.copy(), b.copy()), expected)
+    shifted = solve(np.concatenate([other_a, a]), np.concatenate([other_b, b]))[1]
+    assert np.array_equal(shifted[3:], expected[1])
+    for k in range(count):
+        assert np.array_equal(solve(a[k:k + 1].copy(), b[k:k + 1].copy())[1][0], expected[1][k])
+    # the compiled elimination, inside the family loop: the profiles' systems
+    # alone, after three other profiles, and one at a time
+    loops = KERNELS.compiled()
+    if loops is None:
+        return
+    family, levels = seed7_profiles(count + 3, shared)
+    expected = LINSYS._lockstep(*family._stack(levels[3:]))
+    assert_same_loop_results(family_loop(loops, family, levels[3:]), expected)
+    assert np.array_equal(family_loop(loops, family, levels)[1][3:], expected[1])
+    for k in range(count):
+        assert np.array_equal(family_loop(loops, family, levels[3 + k:4 + k])[1][0], expected[1][k])
 
 
 @pytest.mark.parametrize("faults", [("nan", "zero row", "singular", "negative"),
                                     ("zero row", "singular", "negative"), ("singular", "negative"),
                                     ("negative",), ("roundoff",)])
-def test_stack_outcomes_keep_their_order_across_tiles(faults, monkeypatch):
+def test_stack_outcomes_keep_their_order_across_tiles(faults, on_both_paths):
     a, b = crafted_stack(*faults)
     good_a, good_b = crafted_stack()
     long_a, long_b = np.concatenate([good_a[:3], a, good_a[:6]]), np.concatenate([good_b[:3], b, good_b[:6]])
-    compiled, python = on_both_paths(monkeypatch, lambda: (stack_outcome(a, b), stack_outcome(long_a, long_b)))
+    compiled, python = on_both_paths(lambda: (stack_outcome(a, b), stack_outcome(long_a, long_b)))
     if isinstance(python[0], tuple):
         assert compiled == python
         assert python[0] == python[1]     # the same error from 8 systems in one tile or 17 in three

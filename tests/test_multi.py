@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -171,17 +172,50 @@ class TestDerivativeAtOne:
         assert dprime_at_1(model) > 0  # stable models only
 
     # stable pools whose Erlang sums overflow a float: rho1**j overflows in
-    # the first and the m = 170..172 pools, j! does not convert in the second
+    # the first and the m = 170..172 pools, j! does not convert in the second;
+    # mmm_marginal takes its recurrence there instead (TestErlangMarginal)
     @pytest.mark.parametrize("model", [
         MultiServerModel(7.197034580073093, 0.035985213688173506, 0.00026963221185348913, 1e-09, 200),
         MultiServerModel(11.45790235908757, 0.24143902141107626, 186.63123484344524, 1e-09, 200),
         *(MultiServerModel(0.5 * m, 1.0, 0.5, 0.2, m) for m in (170, 171, 172)),
     ], ids=["rho1-power", "factorial", "m170", "m171", "m172"])
     def test_overflowing_erlang_sums_raise_a_solver_error(self, model):
-        for solve in (dprime_at_1, lambda model: mmm_marginal(model.m, model.rho1), d_roots,
-                      solve_threshold):
+        for solve in (dprime_at_1, d_roots, solve_threshold):
             with pytest.raises(SolverError, match=f"Erlang sums of the m = {model.m} pool overflow"):
                 solve(model)
+        p, L1 = mmm_marginal(model.m, model.rho1)
+        assert math.isfinite(L1) and all(math.isfinite(x) and x >= 0 for x in p)
+
+
+class TestErlangMarginal:
+    """mmm_marginal against the Erlang-C marginals in 50-digit arithmetic,
+    where its closed form's powers and factorials overflow a float."""
+
+    @pytest.mark.parametrize("m", [171, 400])
+    def test_overflowing_closed_form_takes_the_recurrence(self, m):
+        rho1 = 0.5 * m
+        p, L1 = mmm_marginal(m, rho1)
+        with mpmath.workdps(50):
+            r = mpmath.mpf(rho1)
+            terms = [r**k / mpmath.factorial(k) for k in range(m + 1)]
+            total = mpmath.fsum(terms[:m]) + m * terms[m] / (m - r)
+            ref = [t / total for t in terms]
+            ref_L1 = r + ref[m] * (r / m) / (1 - r / m) ** 2
+        assert len(p) == m + 1
+        for got, want in zip(p, ref):
+            assert abs(got - want) <= 1e-12 * want
+        assert abs(L1 - ref_L1) <= 1e-12 * ref_L1
+
+    def test_pools_whose_recurrence_overflows_raise_a_solver_error(self):
+        with pytest.raises(SolverError, match="Erlang sums of the m = 800 pool overflow"):
+            mmm_marginal(800, 750.0)
+
+    @pytest.mark.parametrize("m, rho1", [(3, 1.5), (10, 5.0), (150, 75.0)])
+    def test_values_in_range_keep_the_closed_form(self, m, rho1):
+        p0 = 1.0 / (sum(rho1**k / math.factorial(k) for k in range(m))
+                    + m * rho1**m / ((m - rho1) * math.factorial(m)))
+        p, _ = mmm_marginal(m, rho1)
+        assert [x.hex() for x in p] == [(p0 * rho1**i / math.factorial(i)).hex() for i in range(m + 1)]
 
 
 class TestKernelRootPair:

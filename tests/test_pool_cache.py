@@ -17,17 +17,22 @@ which form every matrix entry from the rates inside the loop.  The compiled
 search must give the zeros, counts and error messages of the Python search
 `_isolate_roots` on the pinned, seeded and scanned pools.
 
-Each threshold's system is scattered from boundary tables built once per
-call, and its Taylor cascade and the null vectors call LAPACK's gelsd and
-gesdd directly; every
-threshold of the seeded and pinned pools must hand the solver the same
-system bytes, and give the same solution or error, as the per-state
-assembly with scipy.linalg.lstsq and svd kept below as the reference.
-A sweep builds the tables once for all its thresholds, and no pool keeps them.
+Each threshold's system is filled by the compiled loop fbq_pool_system, or
+on the Python path scattered from boundary tables built once per call, and
+its Taylor cascade and the null vectors call LAPACK's gelsd and gesdd
+directly; every threshold of the seeded and pinned pools must hand the LU
+the same system bytes, and give the same solution or error, as the
+per-state assembly with scipy.linalg.lstsq and svd kept below as the
+reference.  A sweep on the Python path builds the tables once for all its
+thresholds, the compiled path builds none, and no pool keeps them.  The two
+paths must hand the LU the same bytes, signed zeros included, and return
+the same solution bits or error, on figure 8, a seeded threshold_sweep
+block, q = 0 and q = 1 pools, at every threshold.
 """
 
 import copy
 import dataclasses
+import importlib.util
 import json
 import logging
 import math
@@ -59,7 +64,9 @@ from fbq.multi import (
 from test_threshold_sweep import same_failure
 
 DATA = pathlib.Path(__file__).parent / "data"
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 KERNELS = sys.modules["fbq._kernels"]
+LINSYS = sys.modules["fbq.linsys"]
 PINS = json.loads((DATA / "threshold_sweep_pins.json").read_text())
 RECURRENCE_PINS = json.loads((DATA / "d_roots_pins.json").read_text())
 ROOT_PINS = RECURRENCE_PINS["roots"]
@@ -123,6 +130,7 @@ def count_calls(monkeypatch, *names):
 
 
 def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
+    monkeypatch.setattr(KERNELS, "compiled", lambda: None)   # the tables are the Python path's
     calls = count_calls(monkeypatch, "_null_vectors", "kernel_root_pair_at_1", "_boundary_tables")
     model = MultiServerModel(**POOL)
     sweep_thresholds(model)
@@ -134,6 +142,7 @@ def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
 
 
 def test_boundary_tables_are_built_once_per_call_that_solves(monkeypatch, solves):
+    monkeypatch.setattr(KERNELS, "compiled", lambda: None)
     calls = count_calls(monkeypatch, "_boundary_tables")
     model = MultiServerModel(**POOL)
     for K in (3, 0):
@@ -250,12 +259,13 @@ def test_cache_stays_bounded():
 def solves(monkeypatch):
     """The number of boundary systems handed to the solver."""
     calls = [0]
-    solve = multi.solve_probability_system
+    solve = LINSYS.solve_scaled_system
 
-    def counted(a, rhs):
+    def counted(*args):
         calls[0] += 1
-        return solve(a, rhs)
-    monkeypatch.setattr(multi, "solve_probability_system", counted)
+        return solve(*args)
+    for module in (LINSYS, multi):    # the Python path calls it through solve_probability_system
+        monkeypatch.setattr(module, "solve_scaled_system", counted)
     return calls
 
 
@@ -563,40 +573,37 @@ def reference_finish(model, K, boundary, b, pool):
         U=m * (1.0 - diag), p=p, tail_mass=1.0 - sum(p), roots=list(pool.roots), threshold=K)
 
 
-def every_threshold(model, monkeypatch):
-    """Per threshold, each solved system's bytes and the solution or the error,
-    from a cold pool cache."""
-    handed = []
-    solve = multi.solve_probability_system
+def system_bytes(status, a, b, unscaled):
+    return status, *(None if x is None else x.tobytes() for x in (a, b, unscaled))
 
-    def spy(a, rhs):
-        handed.append((np.asarray(a, dtype=float).tobytes(), np.asarray(rhs, dtype=float).tobytes()))
-        return solve(a, rhs)
 
+def every_threshold(model, handed):
+    """Per threshold, the bytes of each system handed to the LU, as the
+    pool_systems fixture `handed` records them, and the solution or the
+    error, from a cold pool cache."""
     out = []
     _pool_data.cache_clear()
-    with monkeypatch.context() as patch:
-        patch.setattr(multi, "solve_probability_system", spy)
-        for K in range(model.m):
-            handed.clear()
-            try:
-                result = solve_threshold(dataclasses.replace(model, threshold=K))
-            except SolverError as exc:
-                result = str(exc)
-            out.append((list(handed), result))
+    for K in range(model.m):
+        handed.clear()
+        try:
+            result = solve_threshold(dataclasses.replace(model, threshold=K))
+        except SolverError as exc:
+            result = str(exc)
+        out.append(([system_bytes(*h) for h in handed], result))
     return out
 
 
-def test_each_threshold_equals_the_per_state_reference_bit_for_bit(monkeypatch):
+def test_each_threshold_equals_the_per_state_reference_bit_for_bit(monkeypatch, pool_systems):
     models = [MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
               for params in (*PINS["pools"].values(), PINS["failing_pool"])]
     failed = 0
     for model in models + list(seeded_pools()):
         with monkeypatch.context() as patch:
+            patch.setattr(KERNELS, "compiled", lambda: None)   # so that _solve_boundary runs
             patch.setattr(multi, "_null_vectors", reference_null_vectors)
             patch.setattr(multi, "_solve_boundary", reference_solve_boundary)
-            expected = every_threshold(model, monkeypatch)
-        got = every_threshold(model, monkeypatch)
+            expected = every_threshold(model, pool_systems)
+        got = every_threshold(model, pool_systems)
         for K, ((systems, result), (ref_systems, ref_result)) in enumerate(zip(got, expected)):
             assert systems == ref_systems and len(systems) == 1, (model, K)
             if isinstance(ref_result, str):
@@ -607,3 +614,84 @@ def test_each_threshold_equals_the_per_state_reference_bit_for_bit(monkeypatch):
                 assert [x.hex() for x in result.p] == [x.hex() for x in ref_result.p]
     # the failing pool at every threshold, and the large seeded pools
     assert failed >= PINS["failing_pool"]["m"]
+
+
+# --- the compiled fill against the numpy scatter ---------------------------------
+
+
+def sweep_block_pools():
+    """The pools of one seeded block of the benchmark's threshold_sweep
+    workload: figure 8's pool and one pool of its family per m = 2 .. 20."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    tasks = workloads.generate("threshold_sweep", 1, workloads.BLOCK_SECONDS["threshold_sweep"])["tasks"]
+    return list({workloads.pool_model(t["params"]): None for t in tasks})
+
+
+def solution_hex(sol):
+    """Every field of a MultiServerSolution, its floats as float.hex."""
+    out = {}
+    for field in dataclasses.fields(sol):
+        v = getattr(sol, field.name)
+        if isinstance(v, dict):
+            v = [(k, x.hex()) for k, x in v.items()]
+        elif isinstance(v, list):
+            v = [x.hex() for x in v]
+        out[field.name] = v.hex() if isinstance(v, float) else v
+    return out
+
+
+def threshold_outcomes(model, handed):
+    """Per threshold, from a cold pool cache: the bytes of the system handed
+    to the LU and every solution field in float.hex, or the error's type and
+    message."""
+    out = []
+    _pool_data.cache_clear()
+    for K in range(model.m):
+        handed.clear()
+        try:
+            result = solution_hex(solve_threshold(dataclasses.replace(model, threshold=K)))
+        except SolverError as exc:
+            result = type(exc), str(exc)
+        out.append(([system_bytes(*h) for h in handed], result))
+    return out
+
+
+def test_both_pool_paths_hand_the_lu_the_same_bytes_and_give_the_same_bits(on_both_paths, pool_systems):
+    q_pools = [model for model in seeded_pools() if model.m in (2, 3, 5, 6)]
+    assert {model.q for model in q_pools} == {0.0, 1.0}
+    block = sweep_block_pools()
+    assert sorted(model.m for model in block) == [2, 4, 6, 8, 10, 10, 12, 14, 17, 18, 19, 20]
+    figure8 = MultiServerModel(**PINS["pools"]["figure8"])
+    assert figure8 in block
+    failed = []
+    for model in [*block, *q_pools]:
+        compiled, python = on_both_paths(lambda: threshold_outcomes(model, pool_systems))
+        assert compiled == python, model
+        for K, (systems, result) in enumerate(compiled):
+            assert len(systems) == 1 and systems[0][0] == 0, (model, K)
+            if isinstance(result, tuple):
+                failed.append(model.m)
+    # the m = 17 .. 20 pools raise at some thresholds on both paths, and only they
+    assert sorted(set(failed)) == [17, 18, 19, 20]
+
+
+def test_the_compiled_path_builds_no_boundary_tables(compiled_loops, monkeypatch):
+    calls = count_calls(monkeypatch, "_boundary_tables", "_solve_boundary")
+    sweep_thresholds(MultiServerModel(**POOL))
+    assert calls == {"_boundary_tables": 0, "_solve_boundary": 0}
+
+
+def test_failing_pool_quotes_the_unscaled_systems_condition_on_both_paths(on_both_paths):
+    pin = dict(PINS["failing_pool"])
+    message = pin.pop("message")
+
+    def raised():
+        with pytest.raises(SolverError) as exc:
+            sweep_thresholds(MultiServerModel(**pin))
+        return str(exc.value)
+
+    compiled, python = on_both_paths(raised)
+    assert compiled == python
+    assert same_failure(compiled, message), compiled

@@ -138,6 +138,8 @@ def test_compiled_chain_equals_the_python_loop(chain, seed):
 def test_missing_compiler_falls_back_to_the_python_loop(caplog, monkeypatch, tmp_path, fresh_kernel):
     oracle = fbq.ctmc_solve(SINGLE)  # with the compiled assembly wherever it builds
     general = fbq.solve_general(SINGLE)  # with the compiled family loop wherever it builds
+    MULTI._pool_data.cache_clear()
+    sweep = fbq.sweep_thresholds(POOL)  # with the compiled boundary fill wherever it builds
     KERNELS.compiled.cache_clear()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(KERNELS, "_COMPILER", str(tmp_path / "no-such-cc"))
@@ -148,6 +150,7 @@ def test_missing_compiler_falls_back_to_the_python_loop(caplog, monkeypatch, tmp
         assert fbq.ctmc_solve(SINGLE) == oracle
         MULTI._pool_data.cache_clear()   # so that the pool's zeros are searched for again
         zeros = [z.hex() for z in fbq.d_roots(POOL)]
+        assert fbq.sweep_thresholds(POOL) == sweep
     assert zeros == ZEROS
     lines = [r.getMessage() for r in caplog.records if r.name == "fbq.kernels"]
     assert len(lines) == 1 and "running the Python loops" in lines[0] and "no-such-cc" in lines[0], lines
