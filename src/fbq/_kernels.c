@@ -45,10 +45,10 @@
  *
  * fbq_pool_system fills the boundary system of one threshold of a pool of
  * fbq.multi, row-scaled and column-major, ready for LAPACK's getrf, from
- * the pool's rate table, zeros, left null vectors and powers, with the
- * float operations of multi._boundary_tables and the scatter of
- * multi._solve_boundary; after the solve it adds up the Taylor vectors
- * b0, b1, b2 of the z = 1 cascade in the order of their np.add.at.  The
+ * the pool's rate table, zeros, left null vectors and powers; after the
+ * solve it adds up the Taylor vectors b0, b1, b2 of the z = 1 cascade.
+ * multi._pool_fill and multi._pool_taylor are its Python transcription,
+ * statement for statement, with every float operation in its order.  The
  * LAPACK calls stay f2py calls in fbq.linsys, so both pool paths hand
  * getrf the same bytes.
  */
@@ -883,19 +883,18 @@ static int scale_row(int64_t n, int64_t row, int scale, double *a, double *rhs)
     return !finite ? 1 : big == 0.0 ? 2 : 0;
 }
 
-/* The boundary system of threshold K of the pool p, as multi._solve_boundary
- * scatters it from multi._boundary_tables, into the column-major n x n a and
- * rhs: the balance rows of the states i + j <= m - 2, the state (i, j) at
- * row unknown(i, j) - i, as a running state or, when K >= 1 and i + j = K,
- * a stopped one; one row per zero z_k (k = 0 .. m - 2), with the left null
- * vector null[k m ..] and the powers zpow[k m + j] = z_k^j; and the idle-
- * or-stopped servers row, whose right-hand side is idle.  Each cell gets
- * the value that updating a zeroed cell by the table's entry gives (0.0 +
- * x, 0.0 - x), in the tables' float operations.  With scale set each row
- * is then divided by its largest |a_rc|.  Returns 1 if a cell or
- * right-hand side is not finite, else 2 if a row is all zeros, else 0, as
- * linsys._first_pass finds them on the unscaled system; a is not a scaled
- * system then. */
+/* The boundary system of threshold K of the pool p, as multi._pool_fill
+ * fills it, into the column-major n x n a and rhs: the balance rows of the
+ * states i + j <= m - 2, the state (i, j) at row unknown(i, j) - i, as a
+ * running state or, when K >= 1 and i + j = K, a stopped one; one row per
+ * zero z_k (k = 0 .. m - 2), with the left null vector null[k m ..] and
+ * the powers zpow[k m + j] = z_k^j; and the idle-or-stopped servers row,
+ * whose right-hand side is idle.  Each balance and root cell gets the
+ * value that adding its terms to a zeroed cell gives (0.0 + x, 0.0 - x,
+ * (0.0 + x) + y).  With scale set each row is then divided by its largest
+ * |a_rc|.  Returns 1 if a cell or right-hand side is not finite, else 2 if
+ * a row is all zeros, else 0, as linsys._first_pass finds them on the
+ * unscaled system; a is not a scaled system then. */
 static int pool_fill(const struct pool *p, int64_t K, const double *zeros, const double *null,
                      const double *zpow, double idle, int scale, double *a, double *rhs)
 {
@@ -962,8 +961,8 @@ static int pool_fill(const struct pool *p, int64_t K, const double *zeros, const
 }
 
 /* Adds the terms (c0 + c1 t) z^pw x of a state's entry of b_t at z = 1 + t,
- * expanded to order 2 as multi._boundary_tables' taylor expands them, to
- * b[t], b[m + t] and b[2 m + t]. */
+ * expanded to order 2 as multi._pool_taylor expands them, to b[t],
+ * b[m + t] and b[2 m + t]. */
 static void add_taylor(double *b, int64_t m, int64_t t, double c0, double c1, double pw, double x)
 {
     b[t] += c0 * x;
@@ -973,9 +972,9 @@ static void add_taylor(double *b, int64_t m, int64_t t, double c0, double c1, do
 
 /* The Taylor vectors b0, b1, b2 (b, 3 x m) of threshold K of the pool p from
  * the solved, clamped boundary probabilities x, summed from 0 in the order
- * of multi._solve_boundary's np.add.at: the running states in the order of
- * the unknowns, then the stopped states' terms of b_(i-1) (i >= 1), then
- * their terms of b_i, each by increasing i. */
+ * of multi._pool_taylor: the running states in the order of the unknowns,
+ * then the stopped states' terms of b_(i-1) (i >= 1), then their terms of
+ * b_i, each by increasing i. */
 static void pool_taylor(const struct pool *p, int64_t K, const double *x, double *b)
 {
     const double *r = p->rates;

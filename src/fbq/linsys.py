@@ -18,8 +18,8 @@ and errors, raised in `_checked`.
   lu_factor/lu_solve do, on every machine; LAPACK is faster than a plain
   loop at those sizes.  The compiled fill `fbq_pool_system` of `fbq.multi`
   hands it its system, and `solve_probability_system` scales a copy of an
-  unscaled one, as the numpy reference of `fbq.multi` builds it, and makes
-  the same call.
+  unscaled one, as the per-state Python fill `_pool_fill` of `fbq.multi`
+  builds it where no compiled loops load, and makes the same call.
 """
 
 from __future__ import annotations

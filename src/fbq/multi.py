@@ -42,18 +42,12 @@ for it.  Each threshold's boundary system is filled by the compiled loop
 the zeros, its cells row-scaled and column-major, as the LAPACK LU of
 `linsys.solve_scaled_system` takes them; a second call of the loop sums
 the z = 1 Taylor vectors of b from the clamped solution.  Where
-`fbq._kernels.compiled()` finds no compiled loops, a call that solves
-builds, at its first threshold not yet kept, the boundary tables: over
-every state i + j < m, its balance-row entries as a running and as a
-stopped state, its root-row coefficients and the z = 1 Taylor
-coefficients of its terms of b.  Each threshold of the call selects the
-states i + j >= K from them, scatters them into its dense system and sums
-b with np.add.at; this numpy path is the compiled loop's reference, and
-both hand getrf the same bytes.  The tables are not kept past the call:
-once a sweep has kept every threshold no solve reads them again.  The
-closure by the zeros is the spectral-expansion closure of Mitrani &
-Chakka, "Spectral expansion solution for a class of Markov models",
-Performance Evaluation 23 (1995).
+`fbq._kernels.compiled()` finds no compiled loops, `_pool_fill` and
+`_pool_taylor` do the same state by state in Python, statement for
+statement as the loop's pool_fill and pool_taylor, so both paths hand
+getrf the same bytes and sum the same b.  The closure by the zeros is the
+spectral-expansion closure of Mitrani & Chakka, "Spectral expansion
+solution for a class of Markov models", Performance Evaluation 23 (1995).
 """
 
 from __future__ import annotations
@@ -61,7 +55,6 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
-import itertools
 import logging
 import math
 import time
@@ -471,92 +464,6 @@ class _Pool:
         return _AtOne(a0=a0, a1=a1, a2=a2, u=u, v=v, uA1v=uA1v, y2v=y2s.c[0], y2d=y2s.c[1])
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """What every threshold's boundary system and z = 1 vector b take from
-    each state, over all states (i, j) with i + j < m in row-major order,
-    the order of the unknowns at every threshold.  The balance entries
-    (row state, column state, value) of the states i + j <= m - 2, as
-    running and as stopped states, are sorted by the diagonal i + j of their
-    row state, which starts at `run_from` and `stop_from`; each value is the
-    0.0 + x or 0.0 - x that updating a zeroed cell by x gives.  The root-row
-    coefficients hold one row per zero, and the Taylor coefficients the
-    three orders (c0, c0 p + c1, c0 p (p - 1)/2 + c1 p) of a term
-    (c0 + c1 t) z^p of b at z = 1 + t.  Only the Python path builds them;
-    `fbq_pool_system` computes each cell it fills with the same operations."""
-
-    states: list               # (i, j)
-    i: np.ndarray
-    t: np.ndarray              # i + j
-    by_diagonal: np.ndarray    # state indices ordered by (i + j, i)
-    run: tuple                 # balance entries of running states: rows, columns, values
-    run_from: np.ndarray
-    stop: tuple                # balance entries of states stopped on their diagonal
-    stop_from: np.ndarray
-    run_roots: np.ndarray      # root-row coefficients of running and stopped states
-    stop_roots: np.ndarray
-    run_taylor: np.ndarray     # a running state's term of b_i
-    below_taylor: np.ndarray   # a stopped state's terms of b_(i-1) (i >= 1) and b_i
-    own_taylor: np.ndarray
-
-
-def _boundary_tables(model: MultiServerModel, at_roots) -> _Tables:
-    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    i, j = np.array([(i, j) for i in range(m) for j in range(m - i)]).T
-    t = i + j
-
-    def index(i, j):
-        return i * m - i * (i - 1) // 2 + j
-
-    def sorted_entries(parts):
-        # by the diagonal of the row state, keeping the order of each row's entries
-        rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-        order = np.argsort(t[rows], kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        return (rows, cols, vals), np.searchsorted(t[rows], np.arange(m + 1))
-
-    # balance equations of the states i + j <= m - 2, whose neighbours all
-    # lie in the unknown set (there min(j, m - i) = j and min(j + 1, m - i)
-    # = j + 1); a running state has arrivals and both services out, a
-    # stopped one arrivals out and service inflows from the diagonal above
-    rows = np.flatnonzero(t <= m - 2)
-    ib, jb = i[rows], j[rows]
-    left, down = ib > 0, jb > 0
-    run, run_from = sorted_entries([
-        (rows, rows, 0.0 + (lam + ib * mu1 + jb * mu2)),
-        (rows[left], index(ib - 1, jb)[left], np.full(left.sum(), 0.0 - lam)),
-        (rows, index(ib + 1, jb), 0.0 - (ib + 1) * mu1 * (1.0 - q)),
-        (rows[down], index(ib + 1, jb - 1)[down], 0.0 - (ib + 1)[down] * mu1 * q),
-        (rows, index(ib, jb + 1), 0.0 - (jb + 1) * mu2)])
-    stop, stop_from = sorted_entries([
-        (rows, rows, np.full(len(rows), 0.0 + lam)),
-        (rows, index(ib + 1, jb), 0.0 - (ib + 1) * (1.0 - q) * mu1),
-        (rows, index(ib, jb + 1), 0.0 - (jb + 1) * mu2)])
-
-    # at each zero of the determinant the transform system A(z) g = b stays
-    # solvable only if b is orthogonal to the left null vector u of A(z)
-    z, u, zpow = at_roots
-    z = z[:, None]
-    zm1 = z - 1.0
-    run_roots = 0.0 + u[:, i] * (mu2 * zm1 * (m - i - j) * zpow[:, j])
-    own = u[:, i] * ((i * mu1 * z + (m - i) * mu2 * zm1) * zpow[:, j])
-    stop_roots = 0.0 + own
-    hi = i > 0
-    stop_roots[:, hi] = (0.0 + u[:, i[hi] - 1] * (
-        -i[hi] * mu1 * (1.0 - q + q * z) * zpow[:, j[hi] + 1])) + own[:, hi]
-
-    def taylor(c0, c1, p):
-        return np.array([c0, c0 * p + c1, c0 * p * (p - 1) / 2 + c1 * p])
-
-    return _Tables(
-        states=list(zip(i.tolist(), j.tolist())), i=i, t=t,
-        by_diagonal=np.lexsort((i, t)), run=run, run_from=run_from, stop=stop,
-        stop_from=stop_from, run_roots=run_roots, stop_roots=stop_roots,
-        run_taylor=taylor(0.0 * i, mu2 * (m - i - j), j),
-        below_taylor=taylor(-i * mu1, -i * mu1 * q, j + 1),
-        own_taylor=taylor(i * mu1, i * mu1 + (m - i) * mu2, j))
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -577,23 +484,20 @@ def _pool(model: MultiServerModel) -> _Pool:
 
 def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[MultiServerSolution]:
     """Steady states under the given thresholds, each solved once per pool
-    and threshold, by the compiled fill (`_solve_compiled`) or, with no
-    compiled loops, from boundary tables built at the first threshold not
-    yet kept, which serve the rest of the call (`_solve_boundary`).  A
+    and threshold by `_solve_one`, on the compiled loops or, where
+    `fbq._kernels.compiled()` finds none, on the Python fill.  A
     SolverError of a threshold's solve is kept as its type and message and
     raised afresh by every later call that reaches that threshold.  Every
     solution returned has containers of its own, so a caller's edits never
     reach the cache."""
-    loops, tables, out = _kernels.compiled(), None, []
+    loops, out = _kernels.compiled(), []
+    loop = None if loops is None else loops.pool_system
     for K in thresholds:
         sol = pool.solutions.get(K)
         if sol is None:
-            at_roots = pool.at_roots    # a failure here is the pool's, not the threshold's
-            if loops is None and tables is None:
-                tables = _boundary_tables(model, at_roots)
+            pool.at_roots    # a failure here is the pool's, not the threshold's
             try:
-                sol = pool.solutions[K] = (_solve_boundary(model, K, pool, tables) if loops is None
-                                           else _solve_compiled(model, K, pool, loops.pool_system))
+                sol = pool.solutions[K] = _solve_one(model, K, pool, loop)
             except SolverError as exc:
                 pool.solutions[K] = type(exc), str(exc)
                 raise
@@ -605,80 +509,100 @@ def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[
     return out
 
 
-def _solve_boundary(model: MultiServerModel, K: int, pool: _Pool,
-                    tab: _Tables) -> MultiServerSolution:
-    """Steady state under threshold K: the boundary tables restricted to the
-    states i + j >= K and scattered into the dense system, which
-    solve_probability_system scales for the LU of solve_scaled_system; the
-    reference of `_solve_compiled`."""
+def _solve_one(model: MultiServerModel, K: int, pool: _Pool, loop) -> MultiServerSolution:
+    """Steady state under threshold K.  The compiled loop `fbq_pool_system`
+    fills the row-scaled system for solve_scaled_system's LU and then sums
+    the z = 1 vector b from the clamped solution; where loop is None,
+    `_pool_fill` and `_pool_taylor` do the same in Python, the unscaled
+    system going to solve_probability_system, with the same bits."""
     m = model.m
-    keep = tab.t >= K
-    kept = np.flatnonzero(keep)
-    rank = np.cumsum(keep) - 1        # the unknown of each kept state
-    n = len(kept)
-    a = np.zeros((n, n))
-    rhs = np.zeros(n)
-
-    # balance equations that close inside the unknown set: the rows i + j > K
-    # as running states (all of them at K = 0), the rows i + j = K as stopped
-    # ones; a row sits below the i states i + j = m - 1 that end the rows above
-    row_of = rank - tab.i
-    lo = tab.run_from[K + 1] if K else 0
-    rows, cols, vals = (x[lo:] for x in tab.run)
-    a[row_of[rows], rank[cols]] = vals
-    # the stopped states lie on the threshold diagonal, by increasing i from 0
-    diagonal = tab.by_diagonal[K * (K + 1) // 2:(K + 1) * (K + 2) // 2] if K else kept[:0]
-    if K:
-        rows, cols, vals = (x[tab.stop_from[K]:tab.stop_from[K + 1]] for x in tab.stop)
-        a[row_of[rows], rank[cols]] = vals
-
-    # one row per zero of the determinant
-    roots = tab.run_roots[:, kept]
-    roots[:, rank[diagonal]] = tab.stop_roots[:, diagonal]
-    a[n - m:n - 1] = roots
-
-    # idle-or-stopped server identity as the normalisation
-    t = tab.t[kept]
-    a[n - 1] = np.where(t == K, m, m - t)
-    rhs[n - 1] = m - model.rho1 - model.rho2
-
-    x = solve_probability_system(a, rhs)
-
-    # the Taylor coefficients b0, b1, b2 of b, added up in the order of the
-    # running states, the stopped states' terms of b_(i-1), then of b_i
-    run = kept[t != K] if K else kept
-    below = diagonal[1:]
-    cols = rank[np.concatenate((run, below, diagonal))]
-    terms = np.concatenate((tab.run_taylor[:, run], tab.below_taylor[:, below],
-                            tab.own_taylor[:, diagonal]), axis=1)
-    b = np.zeros((3, m))
-    np.add.at(b, (slice(None), np.concatenate((tab.i[run], tab.i[below] - 1, tab.i[diagonal]))),
-              terms * x[cols])
-    return _finish(model, K, dict(zip(itertools.compress(tab.states, keep.tolist()), x.tolist())),
-                   b, pool)
-
-
-def _solve_compiled(model: MultiServerModel, K: int, pool: _Pool, loop) -> MultiServerSolution:
-    """`_solve_boundary` on the compiled loop `fbq_pool_system`, with the same
-    bits: the loop fills the row-scaled system for solve_scaled_system's LU
-    and then sums b from the clamped solution."""
-    m = model.m
-    n = (m - K) * (m + K + 1) // 2       # the states K <= i + j <= m - 1
-    args, idle = pool.loop_args, m - model.rho1 - model.rho2
-    dbl = ctypes.c_double.from_buffer
-
-    def system(scale):
-        # the loop writes column-major, so the C-ordered buffer holds the transpose
-        at, rhs = np.empty((n, n)), np.empty(n)
-        return loop(*args, K, idle, scale, dbl(at), dbl(rhs), None, None), at.T, rhs
-
-    status, a, rhs = system(1)
-    # only a message reads the unscaled system
-    x = solve_scaled_system(a, rhs, status, lambda: np.ascontiguousarray(system(0)[1]))
-    b = np.empty((3, m))
-    loop(*args, K, idle, 0, None, None, dbl(x), dbl(b))
     states = [(i, j) for i in range(m) for j in range(max(0, K - i), m - i)]
-    return _finish(model, K, dict(zip(states, x.tolist())), b, pool)
+    if loop is None:
+        x = solve_probability_system(*_pool_fill(model, K, pool, states)).tolist()
+        b = _pool_taylor(model, K, pool, states, x)
+    else:
+        n, args, idle = len(states), pool.loop_args, m - model.rho1 - model.rho2
+        dbl = ctypes.c_double.from_buffer
+
+        def system(scale):
+            # the loop writes column-major, so the C-ordered buffer holds the transpose
+            at, rhs = np.empty((n, n)), np.empty(n)
+            return loop(*args, K, idle, scale, dbl(at), dbl(rhs), None, None), at.T, rhs
+
+        status, a, rhs = system(1)
+        # only a message reads the unscaled system
+        x = solve_scaled_system(a, rhs, status, lambda: np.ascontiguousarray(system(0)[1]))
+        b = np.empty((3, m))
+        loop(*args, K, idle, 0, None, None, dbl(x), dbl(b))
+        x = x.tolist()
+    return _finish(model, K, dict(zip(states, x)), b, pool)
+
+
+def _pool_fill(model: MultiServerModel, K: int, pool: _Pool, states: list):
+    """The unscaled boundary system (a, rhs) of threshold K over the kept
+    states, in their order, as pool_fill of `_kernels.c` fills it, cell by
+    cell in its float operations: the balance rows of the states
+    i + j <= m - 2, the state (i, j) at row col[i, j] - i, as a stopped
+    state on the diagonal i + j = K >= 1 and as a running one elsewhere;
+    one row per zero z_k, from the left null vector u of A(z_k), where b is
+    orthogonal to u; and the idle-or-stopped server identity."""
+    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    r, n = pool.rates, len(states)
+    col = {s: c for c, s in enumerate(states)}
+    a, rhs = np.zeros((n, n)), np.zeros(n)
+    for i in range(m - 1):
+        for j in range(max(0, K - i), m - 1 - i):
+            row = a[col[i, j] - i]
+            if K and i + j == K:
+                row[col[i, j]] = 0.0 + lam
+                row[col[i + 1, j]] = 0.0 - (i + 1) * (1.0 - q) * mu1
+            else:
+                row[col[i, j]] = 0.0 + (lam + r[i][0] + j * mu2)
+                if i > 0:
+                    row[col[i - 1, j]] = 0.0 - lam
+                row[col[i + 1, j]] = 0.0 - r[i + 1][0] * (1.0 - q)
+                if j > 0:
+                    row[col[i + 1, j - 1]] = 0.0 - r[i + 1][0] * q
+            row[col[i, j + 1]] = 0.0 - (j + 1) * mu2
+    zeros, null, zpow = pool.at_roots
+    for k, (z, u, zp) in enumerate(zip(zeros.tolist(), null.tolist(), zpow.tolist())):
+        zm1, w, row = z - 1.0, 1.0 - q + q * z, a[n - m + k]
+        for c, (i, j) in enumerate(states):
+            if K and i + j == K:
+                own = u[i] * ((r[i][0] * z + r[i][1] * zm1) * zp[j])
+                row[c] = (0.0 + u[i - 1] * (-i * mu1 * w * zp[j + 1])) + own if i > 0 else 0.0 + own
+            else:
+                row[c] = 0.0 + u[i] * (mu2 * zm1 * (m - i - j) * zp[j])
+    a[n - 1] = [m if i + j == K else m - i - j for i, j in states]
+    rhs[n - 1] = m - model.rho1 - model.rho2
+    return a, rhs
+
+
+def _pool_taylor(model: MultiServerModel, K: int, pool: _Pool, states: list, x: list) -> np.ndarray:
+    """The Taylor vectors b0, b1, b2 (3 x m) of b at z = 1 + t from the
+    solved boundary probabilities x, summed from 0 in pool_taylor's order:
+    the running states' terms of b_i in the order of the unknowns, then the
+    stopped states' terms of b_(i-1) (i >= 1), then their terms of b_i, by
+    increasing i.  A term (c0 + c1 t) z^p adds c0, c0 p + c1 and
+    c0 p (p - 1)/2 + c1 p times its probability to the three orders."""
+    mu1, mu2, q, m = model.mu1, model.mu2, model.q, model.m
+    r, b, diagonal = pool.rates, [0.0] * (3 * m), []
+
+    def add(t, c0, c1, p, xc):
+        b[t] += c0 * xc
+        b[m + t] += (c0 * p + c1) * xc
+        b[2 * m + t] += (c0 * p * (p - 1) / 2 + c1 * p) * xc
+
+    for (i, j), xc in zip(states, x):
+        if K and i + j == K:
+            diagonal.append(xc)     # the stopped states, by increasing i from 0
+        else:
+            add(i, 0.0 * i, mu2 * (m - i - j), j, xc)
+    for i in range(1, len(diagonal)):
+        add(i - 1, -i * mu1, -i * mu1 * q, K - i + 1, diagonal[i])
+    for i, xc in enumerate(diagonal):
+        add(i, r[i][0], r[i][0] + r[i][1], K - i, xc)
+    return np.array(b).reshape(3, m)
 
 
 def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
@@ -763,12 +687,12 @@ def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
     The determinant zeros, the null vectors at them and the z = 1 Taylor
     data come from the pool cache, so they are built once per pool however
     many sweeps or solves use it.  Each threshold solves its own boundary
-    system once, filled by the compiled loop or scattered from boundary
-    tables that the sweep builds once; later sweeps, solves and cost vectors
-    of the pool are served the kept solution, as in `solve_threshold`.  A
-    failure at any threshold propagates; a SolverError of its boundary solve
-    is kept, as in `solve_threshold`, so a repeat sweep raises it again at
-    that threshold without solving it.
+    system once, filled by the compiled loop or, without it, state by state
+    in Python; later sweeps, solves and cost vectors of the pool are served
+    the kept solution, as in `solve_threshold`.  A failure at any threshold
+    propagates; a SolverError of its boundary solve is kept, as in
+    `solve_threshold`, so a repeat sweep raises it again at that threshold
+    without solving it.
     """
     d_roots(model)
     return _solve_thresholds(model, range(model.m), _pool(model))

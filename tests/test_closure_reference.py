@@ -6,8 +6,10 @@ them: the balance rows, one row per zero of the transform determinant and
 the idle-or-stopped server normalisation.  The system that fbq.multi hands
 to the LU of fbq.linsys must equal it exactly, unscaled as a message would
 quote it and row-scaled as getrf gets it, at every threshold and also where
-the solve then fails.  The Taylor data at z = 1 (A0, A1, A2 and
-b0, b1, b2) are checked against PowerSeries arithmetic.
+the solve then fails, on both paths: the compiled fill `fbq_pool_system`
+and, with `fbq._kernels.compiled()` patched to None, the Python fill
+`_pool_fill`.  The Taylor data at z = 1 (A0, A1, A2 and b0, b1, b2) are
+checked against PowerSeries arithmetic.
 """
 
 import json
@@ -157,27 +159,44 @@ def handed_over(monkeypatch, pool_systems):
 
 
 @pytest.mark.parametrize("name", sorted(POOLS))
-def test_every_threshold_hands_over_the_reference_system(name, handed_over):
+def test_every_threshold_hands_over_the_reference_system(name, handed_over, monkeypatch):
     pool = POOLS[name]
-    for K in range(pool["m"]):
-        model = MultiServerModel(**pool, threshold=K)
-        handed_over["systems"].clear()
-        handed_over["b"].clear()
-        try:
-            sol = multi.solve_threshold(model)
-        except SolverError:
-            sol = None
-        states, a_ref, rhs_ref = reference_system(model, K)
-        [(status, scaled, scaled_rhs, a)] = handed_over["systems"]
-        assert np.array_equal(a, a_ref), (name, K)
-        # each row divided by its largest |a_ij|, as linsys scales a system
-        scale = np.abs(a_ref).max(axis=1)
-        assert status == 0 and np.array_equal(scaled, a_ref / scale[:, None]), (name, K)
-        assert np.array_equal(scaled_rhs, rhs_ref / scale), (name, K)
-        if sol is not None:
-            [(boundary, b)] = handed_over["b"]
-            assert list(boundary) == states
-            assert_close(b, series_b(model, K, boundary))
+    bs = []
+    for python_path in (False, True):
+        with monkeypatch.context() as patch:
+            if python_path:
+                patch.setattr(multi._kernels, "compiled", lambda: None)
+            multi._pool_data.cache_clear()
+            bs.append([assert_hands_over_the_reference_system(MultiServerModel(**pool, threshold=K),
+                                                              handed_over, (name, K, python_path))
+                       for K in range(pool["m"])])
+    # and both paths sum the same b, bit for bit
+    assert bs[0] == bs[1], name
+
+
+def assert_hands_over_the_reference_system(model, handed_over, where):
+    """Checks the system and b that the solve of model hands over; returns
+    b's bytes, or None where the solve failed."""
+    K = model.threshold
+    handed_over["systems"].clear()
+    handed_over["b"].clear()
+    try:
+        sol = multi.solve_threshold(model)
+    except SolverError:
+        sol = None
+    states, a_ref, rhs_ref = reference_system(model, K)
+    [(status, scaled, scaled_rhs, a)] = handed_over["systems"]
+    assert np.array_equal(a, a_ref), where
+    # each row divided by its largest |a_ij|, as linsys scales a system
+    scale = np.abs(a_ref).max(axis=1)
+    assert status == 0 and np.array_equal(scaled, a_ref / scale[:, None]), where
+    assert np.array_equal(scaled_rhs, rhs_ref / scale), where
+    if sol is not None:
+        [(boundary, b)] = handed_over["b"]
+        assert list(boundary) == states
+        assert_close(b, series_b(model, K, boundary))
+        return b.tobytes()
+    return None
 
 
 @pytest.mark.parametrize("name", sorted(POOLS))

@@ -160,15 +160,15 @@ def test_index_built_grids_equal_the_itertools_grids(K, s0):
         assert (got.shape, got.dtype, got.tobytes()) == (fine.shape, fine.dtype, fine.tobytes()), best_x
 
 
-def test_figure8_is_equal_on_both_lu_paths(on_both_paths):
+def test_figure8_is_equal_on_both_pool_paths(on_both_paths):
     # the compiled zero search and boundary fill (fbq_pool_roots and
-    # fbq_pool_system) against multi._isolate_roots and the numpy scatter;
-    # the LAPACK calls are the same on both paths
+    # fbq_pool_system) against multi._isolate_roots and the Python fill
+    # (_pool_fill and _pool_taylor); both paths make the same LAPACK calls
     compiled, python = on_both_paths(lambda: reproduce_figure(8).curves)
     assert compiled == python
 
 
-def test_failing_pool_raises_the_same_error_on_both_lu_paths(on_both_paths):
+def test_failing_pool_raises_the_same_error_on_both_pool_paths(on_both_paths):
     # as for figure 8, the paths differ in the pool's zero search and fill
     pin = dict(SWEEP_PINS["failing_pool"])
     message = pin.pop("message")

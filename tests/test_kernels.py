@@ -1,9 +1,12 @@
 """The compiled loops' source, `_kernels.c`, builds without a warning under
-the package's own compiler and flags, and the ctypes signatures that
+the package's own compiler and flags, the ctypes signatures that
 `fbq._kernels.compiled` gives its loops are the C definitions' parameter
-lists."""
+lists, and every Python function that its comments cite as a loop's
+reference exists in fbq."""
 
 import ctypes
+import functools
+import importlib
 import re
 import shutil
 import subprocess
@@ -49,3 +52,18 @@ def test_bound_loops_match_the_c_signatures():
         assert list(fn.argtypes) == [C_TYPES[p] for p in params], name
         assert (fn.restype is None) == (ret == "void"), name
         assert ret == "void" or fn.restype is C_TYPES[ret], name
+
+
+def test_python_names_in_the_comments_resolve_in_fbq():
+    # a renamed or removed reference would leave the C comments citing code that is gone
+    comments = " ".join(re.findall(r"/\*.*?\*/", _kernels._SOURCE.read_text(), re.S))
+    cited = set(re.findall(r"\b(?:multi|single|linsys|ctmc|simulate)(?:\.\w+)+", comments))
+    assert len(cited) >= 15
+    missing = []
+    for name in sorted(cited):
+        module, *path = name.split(".")
+        try:
+            functools.reduce(getattr, path, importlib.import_module(f"fbq.{module}"))
+        except AttributeError:
+            missing.append(name)
+    assert missing == []

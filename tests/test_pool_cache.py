@@ -18,16 +18,17 @@ search must give the zeros, counts and error messages of the Python search
 `_isolate_roots` on the pinned, seeded and scanned pools.
 
 Each threshold's system is filled by the compiled loop fbq_pool_system, or
-on the Python path scattered from boundary tables built once per call, and
-its Taylor cascade and the null vectors call LAPACK's gelsd and gesdd
-directly; every threshold of the seeded and pinned pools must hand the LU
-the same system bytes, and give the same solution or error, as the
-per-state assembly with scipy.linalg.lstsq and svd kept below as the
-reference.  A sweep on the Python path builds the tables once for all its
-thresholds, the compiled path builds none, and no pool keeps them.  The two
-paths must hand the LU the same bytes, signed zeros included, and return
-the same solution bits or error, on figure 8, a seeded threshold_sweep
-block, q = 0 and q = 1 pools, at every threshold.
+on the Python path state by state by `_pool_fill`, with b summed by
+`_pool_taylor`, and its Taylor cascade and the null vectors call LAPACK's
+gelsd and gesdd directly; every threshold of the seeded and pinned pools
+must hand the LU the same system bytes, and give the same solution or
+error, as the per-state assembly with scipy.linalg.lstsq and svd kept below
+as the reference.  Each threshold is filled and solved once per pool, a
+kept failure is raised again with no fill and no solve, and the compiled
+path never calls the Python fill.  The two paths must hand the LU the same
+bytes, signed zeros included, and return the same solution bits or error,
+on figure 8, a seeded threshold_sweep block, q = 0 and q = 1 pools, at
+every threshold.
 """
 
 import copy
@@ -130,33 +131,30 @@ def count_calls(monkeypatch, *names):
 
 
 def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
-    monkeypatch.setattr(KERNELS, "compiled", lambda: None)   # the tables are the Python path's
-    calls = count_calls(monkeypatch, "_null_vectors", "kernel_root_pair_at_1", "_boundary_tables")
+    monkeypatch.setattr(KERNELS, "compiled", lambda: None)
+    calls = count_calls(monkeypatch, "_null_vectors", "kernel_root_pair_at_1")
     model = MultiServerModel(**POOL)
     sweep_thresholds(model)
     sweep_thresholds(model)
     solve_threshold(dataclasses.replace(model, threshold=2))
-    # one null vector per root, one null pair of A(1), and one set of
-    # boundary tables for the m thresholds of the first sweep
-    assert calls == {"_null_vectors": model.m, "kernel_root_pair_at_1": 1, "_boundary_tables": 1}
+    # one null vector per root and one null pair of A(1)
+    assert calls == {"_null_vectors": model.m, "kernel_root_pair_at_1": 1}
 
 
-def test_boundary_tables_are_built_once_per_call_that_solves(monkeypatch, solves):
+def test_a_kept_failure_is_raised_again_with_no_fill_and_no_solve(monkeypatch, solves):
     monkeypatch.setattr(KERNELS, "compiled", lambda: None)
-    calls = count_calls(monkeypatch, "_boundary_tables")
+    calls = count_calls(monkeypatch, "_pool_fill")
     model = MultiServerModel(**POOL)
     for K in (3, 0):
         solve_threshold(dataclasses.replace(model, threshold=K))
     sweep_thresholds(model)
-    assert (calls["_boundary_tables"], solves[0]) == (3, model.m)
+    assert (calls["_pool_fill"], solves[0]) == (model.m, model.m)
     pin = {k: v for k, v in PINS["failing_pool"].items() if k != "message"}
     for attempt in (1, 2):
         with pytest.raises(SolverError):
             sweep_thresholds(MultiServerModel(**pin))
-        # the failure at K = 0 is kept, so the second attempt builds nothing
-        assert calls["_boundary_tables"] == 3 + 1
-    # no pool keeps them
-    assert not any(isinstance(x, multi._Tables) for x in vars(multi._pool(model)).values())
+        # the failure at K = 0 is kept, so the second attempt fills and solves nothing
+        assert (calls["_pool_fill"], solves[0]) == (model.m + 1, model.m + 1)
 
 
 def test_building_a_pool_logs_one_debug_line(caplog):
@@ -488,8 +486,9 @@ def reference_null_vectors(a0):
     return u_svd[:, -1], vt[-1, :]
 
 
-def reference_solve_boundary(model, K, pool, tables=None):
-    """The boundary solve assembled state by state from the pool's zeros."""
+def reference_solve(model, K, pool, loop=None):
+    """The boundary solve assembled state by state from the pool's zeros, on
+    numpy arrays, in place of multi._solve_one on either path."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
     states = [(i, j) for i in range(m) for j in range(max(0, K - i), m - i)]
     idx = {s: k for k, s in enumerate(states)}
@@ -599,9 +598,9 @@ def test_each_threshold_equals_the_per_state_reference_bit_for_bit(monkeypatch, 
     failed = 0
     for model in models + list(seeded_pools()):
         with monkeypatch.context() as patch:
-            patch.setattr(KERNELS, "compiled", lambda: None)   # so that _solve_boundary runs
+            patch.setattr(KERNELS, "compiled", lambda: None)   # the Python zero search
             patch.setattr(multi, "_null_vectors", reference_null_vectors)
-            patch.setattr(multi, "_solve_boundary", reference_solve_boundary)
+            patch.setattr(multi, "_solve_one", reference_solve)
             expected = every_threshold(model, pool_systems)
         got = every_threshold(model, pool_systems)
         for K, ((systems, result), (ref_systems, ref_result)) in enumerate(zip(got, expected)):
@@ -616,7 +615,7 @@ def test_each_threshold_equals_the_per_state_reference_bit_for_bit(monkeypatch, 
     assert failed >= PINS["failing_pool"]["m"]
 
 
-# --- the compiled fill against the numpy scatter ---------------------------------
+# --- the compiled fill against the Python fill -----------------------------------
 
 
 def sweep_block_pools():
@@ -677,10 +676,10 @@ def test_both_pool_paths_hand_the_lu_the_same_bytes_and_give_the_same_bits(on_bo
     assert sorted(set(failed)) == [17, 18, 19, 20]
 
 
-def test_the_compiled_path_builds_no_boundary_tables(compiled_loops, monkeypatch):
-    calls = count_calls(monkeypatch, "_boundary_tables", "_solve_boundary")
+def test_the_compiled_path_never_calls_the_python_fill(compiled_loops, monkeypatch):
+    calls = count_calls(monkeypatch, "_pool_fill", "_pool_taylor", "_solve_one")
     sweep_thresholds(MultiServerModel(**POOL))
-    assert calls == {"_boundary_tables": 0, "_solve_boundary": 0}
+    assert calls == {"_pool_fill": 0, "_pool_taylor": 0, "_solve_one": POOL["m"]}
 
 
 def test_failing_pool_quotes_the_unscaled_systems_condition_on_both_paths(on_both_paths):
