@@ -1,6 +1,10 @@
 /* The package's compiled loops, called through ctypes.
  *
- * fbq_jump_chain is the jump-chain loop of fbq.simulate._run.  Its uniforms
+ * Each loop is tested bit for bit against a Python reference, named below,
+ * in the test suite's module `reference`.
+ *
+ * fbq_jump_chain is the jump-chain loop of fbq.simulate, reference.run in
+ * Python, which fbq.simulate._jump_chain calls.  Its uniforms
  * are CPython's random.Random.random(): MT19937 (Matsumoto & Nishimura, ACM
  * TOMACS 8, 1998) continued from a state that random.Random(seed).getstate()
  * returns, and genrand_res53 on each pair of tempered words.  They are made
@@ -18,21 +22,21 @@
  * checks, scales and factors it by Gaussian elimination with partial
  * pivoting on tiles of LU_TILE systems in lockstep (solve_tile), the system
  * index innermost so that the row updates vectorise.  The elimination does
- * the float operations of fbq.linsys._lockstep, the numpy loop of
- * solve_probability_stack, in their order, so each system gets the same
+ * the float operations of reference.lockstep, the numpy loop of
+ * reference.solve_probability_stack, in their order, so each system gets the same
  * answer wherever it sits in the stack, and on any CPU, since no BLAS is
  * called.  It then sums each solution's rows for _Family._finish in numpy's
- * order, so the Python assembly, solve_probability_stack and _finish give
- * the same bits.  At these sizes (6 to 45 unknowns) a LAPACK call per
+ * order, so reference.family_solve, which sums them in single._Family._finish,
+ * gives the same bits.  At these sizes (6 to 45 unknowns) a LAPACK call per
  * system spends more on its fixed cost than on arithmetic; batching small
  * factorisations is the usual remedy, and it pays only when the data
  * movement around them is batched too (Dongarra et al., Procedia Computer
  * Science 108, 2017).
  *
- * fbq_pool_roots is the zero search of fbq.multi._isolate_roots: Sturm sign
+ * fbq_pool_roots is the zero search of reference.isolate_roots: Sturm sign
  * counts and bisection over the pool's leading minors (Wilkinson 1965), then
  * Brent's method (Brent 1973) on its determinant as scipy.optimize.brentq
- * runs it.  Its recurrences are multi._sturm_sequence and multi._det_at with
+ * runs it.  Its recurrences are reference.sturm_sequence and multi._det_at with
  * every float operation in their order, and the kernel root squares by
  * libm's pow, as CPython does, so the zeros, the counts and each failure's
  * data equal the Python search's.
@@ -47,7 +51,7 @@
  * fbq.multi, row-scaled and column-major, ready for LAPACK's getrf, from
  * the pool's rate table, zeros, left null vectors and powers; after the
  * solve it adds up the Taylor vectors b0, b1, b2 of the z = 1 cascade.
- * multi._pool_fill and multi._pool_taylor are its Python transcription,
+ * reference.pool_fill and reference.pool_taylor are its Python transcription,
  * statement for statement, with every float operation in its order.  The
  * LAPACK calls stay f2py calls in fbq.linsys, so both pool paths hand
  * getrf the same bytes.
@@ -215,7 +219,7 @@ static inline void sub_products(int w, double *restrict dst, const double *restr
 }
 
 /* Row scaling, Gaussian elimination with partial pivoting and back
- * substitution on the w systems of a tile in lockstep, as fbq.linsys._lockstep
+ * substitution on the w systems of a tile in lockstep, as reference.lockstep
  * does them over a whole stack.  Entry (r, c) of
  * system s is t[(r n + c) w + s] and its right-hand side y[r w + s], so each
  * loop over the systems runs innermost; each system gets the operations it
@@ -407,7 +411,7 @@ static void finish_system(int K, const double *lev, const double *x, int clamp, 
  * count profiles whose speed levels s_0 .. s_K are the rows of `levels`
  * (count, K + 1), each tile of systems is filled by fill_lane, checked by
  * check_rows and solved by solve_tile, so x, pivmin and summary are
- * fbq.linsys._lockstep's on the stack that single._Family._stack builds.
+ * reference.lockstep's on the stack that single._Family._stack builds.
  * Its statuses are too: 1 if an entry is not finite anywhere in the chunk,
  * else 2 if a row is all zeros, else 0 once every system is solved, or 3
  * if the tile cannot be allocated.  With status 0 and p not NULL,
@@ -492,7 +496,7 @@ static double one_minus_y1(const struct pool *p, double z, int *failed)
     return 1.0 - (1.0 + rho - sqrt(disc)) / (2.0 * rho);
 }
 
-/* The sign changes of multi._sturm_sequence at z, exact zeros skipped; its
+/* The sign changes of reference.sturm_sequence at z, exact zeros skipped; its
  * last term D is replaced by *last when last is not NULL. */
 static int64_t sturm_count(const struct pool *p, double z, const double *last, int *failed)
 {
@@ -625,7 +629,7 @@ static int brent(const struct pool *p, double xa, double xb, double xtol, double
     return ROOTS_NO_CONVERGENCE;
 }
 
-/* The zero search of fbq.multi._isolate_roots: the Sturm counts at 0 and,
+/* The zero search of reference.isolate_roots: the Sturm counts at 0 and,
  * with D replaced by -dprime = -D'(1), just below 1; the bisection of
  * (0, 1) on a stack, in the Python loop's push and pop order, until each
  * interval holds one zero and ends below 1, each such bracket's ends going
@@ -883,7 +887,7 @@ static int scale_row(int64_t n, int64_t row, int scale, double *a, double *rhs)
     return !finite ? 1 : big == 0.0 ? 2 : 0;
 }
 
-/* The boundary system of threshold K of the pool p, as multi._pool_fill
+/* The boundary system of threshold K of the pool p, as reference.pool_fill
  * fills it, into the column-major n x n a and rhs: the balance rows of the
  * states i + j <= m - 2, the state (i, j) at row unknown(i, j) - i, as a
  * running state or, when K >= 1 and i + j = K, a stopped one; one row per
@@ -961,7 +965,7 @@ static int pool_fill(const struct pool *p, int64_t K, const double *zeros, const
 }
 
 /* Adds the terms (c0 + c1 t) z^pw x of a state's entry of b_t at z = 1 + t,
- * expanded to order 2 as multi._pool_taylor expands them, to b[t],
+ * expanded to order 2 as reference.pool_taylor expands them, to b[t],
  * b[m + t] and b[2 m + t]. */
 static void add_taylor(double *b, int64_t m, int64_t t, double c0, double c1, double pw, double x)
 {
@@ -972,7 +976,7 @@ static void add_taylor(double *b, int64_t m, int64_t t, double c0, double c1, do
 
 /* The Taylor vectors b0, b1, b2 (b, 3 x m) of threshold K of the pool p from
  * the solved, clamped boundary probabilities x, summed from 0 in the order
- * of multi._pool_taylor: the running states in the order of the unknowns,
+ * of reference.pool_taylor: the running states in the order of the unknowns,
  * then the stopped states' terms of b_(i-1) (i >= 1), then their terms of
  * b_i, each by increasing i. */
 static void pool_taylor(const struct pool *p, int64_t K, const double *x, double *b)

@@ -4,10 +4,11 @@ The source is compiled on first use with the system C compiler into the
 per-user cache, `$XDG_CACHE_HOME/fbq` or `~/.cache/fbq`, a private
 directory.  The library is named by the sha256 of the source and the flags,
 so an edited source gets a new library and later processes only load it.
-`compiled()` is the one switch between the compiled loops and their Python
-references: it returns the five loops typed, or None, and a process tries
-the build once and keeps that outcome.  Each caller runs its
-compiled loop when `compiled()` returns them and its Python loop otherwise.
+`compiled()` returns the five loops typed; every solver and the simulator
+run on them, and fbq has no other coding of them.  A process tries the
+build once and keeps the outcome: where the library cannot be built or
+loaded (no C compiler, no private cache directory), each call raises an
+OSError that names the cause.
 """
 
 from __future__ import annotations
@@ -33,17 +34,24 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_band speed_family pool_system")
 
 
-@functools.cache
-def compiled() -> Loops | None:
+def compiled() -> Loops:
     """The library's `fbq_jump_chain`, `fbq_pool_roots`, `fbq_ctmc_band`,
     `fbq_speed_family` and `fbq_pool_system` with their C signatures; the
-    library is built first if the cache lacks it.  None when it cannot be built or loaded here,
-    and then one debug line names the cause."""
+    library is built first if the cache lacks it.  Raises OSError, naming
+    the cause, when it cannot be built or loaded here."""
+    loops = _bound()
+    if isinstance(loops, str):
+        raise OSError(f"fbq needs its compiled loops, which cannot be built or loaded here: {loops}")
+    return loops
+
+
+@functools.cache
+def _bound() -> Loops | str:
+    """The loops of `compiled`, or why the library could not be built or loaded."""
     try:
         lib = ctypes.CDLL(str(_library()))
     except OSError as exc:
-        log.debug("compiled loops unavailable, running the Python loops: %s", exc)
-        return None
+        return str(exc)
     i32, i64, dbl = ctypes.c_int, ctypes.c_int64, ctypes.c_double
     p_dbl, p_i64 = ctypes.POINTER(dbl), ctypes.POINTER(i64)
     chain, pool_roots = lib.fbq_jump_chain, lib.fbq_pool_roots

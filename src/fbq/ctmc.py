@@ -17,10 +17,10 @@ diagonally dominant band matrix whose half-width is the short axis + 1, and
 LAPACK's band LU factors it; rectangles whose short axis has more than
 BAND_MAX levels go to SuperLU, which is faster there.  One call pair of the
 compiled loop `fbq_ctmc_band` finds the reachable states and fills the band
-system from the rate grids.  Its Python reference, the generator entries
-of `_transitions`, a breadth-first search of their graph and bincounts over
-them, gives the same bits, runs where `fbq._kernels.compiled()` finds no
-compiled loops, and is the only assembly for SuperLU.
+system from the rate grids.  SuperLU's systems, and the empty one of
+lam = 0, are assembled from the generator entries of `_transitions` by a
+breadth-first search of their graph and bincounts over them, which give a
+band system the same bits.
 
 Each axis is sized to its own tail.  Above the modulation level the cut
 equations between foreground levels make the foreground marginal exactly
@@ -119,7 +119,7 @@ def _rates(model, n1, n2):
     return model.lam, model.q, fg, bg
 
 
-def _band_compiled(band, lam, q, fg, bg, fixed):
+def _band_compiled(lam, q, fg, bg, fixed):
     """The band system of the chain by the compiled `fbq_ctmc_band`: the
     unknown states in numbering order, dgbsv's ab, kl, ku and b; None when
     `fixed` reaches no other state."""
@@ -131,11 +131,12 @@ def _band_compiled(band, lam, q, fg, bg, fixed):
     # from_buffer views keep their arrays alive and pass as pointers
     dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
     args = (n1, n2, lam, q, dbl(fg), dbl(bg), fixed, i64(pos), i64(order), i64(sizes))
+    band = _kernels.compiled().ctmc_band
     band(*args, None, None)
     n, kl, ku = sizes.tolist()
     if not n:
         return None
-    # column-major band of n columns, as the reference's bincount lays it out
+    # column-major band of n columns, as _solve_reference's bincount lays it out
     ab, b = np.empty((n, 2 * kl + ku + 1)), np.empty(n)
     band(*args, dbl(ab), dbl(b))
     return order[:n], ab.T, kl, ku, b
@@ -153,8 +154,8 @@ def _solve_reference(rows, cols, rates, shape, fixed):
     the unknown states, their solution, whether the system is singular, and
     the factorisation.  The reachable states come from a breadth-first
     search of the transition graph and the equations from bincounts over
-    the entries; the reference of `_band_compiled` and the only assembly
-    for SuperLU."""
+    the entries; the assembly of SuperLU's systems, and of a band system
+    with the same bits as `_band_compiled`'s."""
     nstates = shape[0] * shape[1]
     # the transition graph in CSR form: row pointers from the row counts, and
     # the target states sorted by source state
@@ -221,17 +222,15 @@ def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, str, str]:
     diagonally dominant, so a band LU factors it without row swaps; a
     rectangle whose short axis has more than BAND_MAX levels is solved with
     SuperLU instead.  The band system is found and filled by the compiled
-    `fbq_ctmc_band` where `fbq._kernels.compiled()` binds it, and by
-    `_solve_reference` otherwise; both give the same bits.  States that
-    `fixed` does not reach get probability zero: they are transient, or
-    they form a closed class the model's convention leaves empty.  A
-    reducible or otherwise singular system raises SolverError instead of
-    returning NaN.
+    `fbq_ctmc_band`, and SuperLU's, or the empty one that lam = 0 leaves,
+    by `_solve_reference`.  States that `fixed` does not reach get
+    probability zero: they are transient, or they form a closed class the
+    model's convention leaves empty.  A reducible or otherwise singular
+    system raises SolverError instead of returning NaN.
     """
     shape = fg.shape
     at = f"truncation ({shape[0] - 1}, {shape[1] - 1})"
-    loops = _kernels.compiled() if min(shape) <= BAND_MAX else None
-    system = loops and _band_compiled(loops.ctmc_band, lam, q, fg, bg, fixed)
+    system = min(shape) <= BAND_MAX and _band_compiled(lam, q, fg, bg, fixed)
     if system:
         unknown, ab, kl, ku, b = system
         assembly, solver = "compiled", f"band LU kl={kl} ku={ku}"

@@ -1,25 +1,22 @@
 """Small dense linear solves shared by the exact solvers.
 
-Both solves row-scale copies of their systems and share one set of checks
-and errors, raised in `_checked`.
+Both solves row-scale their systems and share one set of checks and
+errors, raised in `_checked`.
 
-* `solve_probability_stack` solves a stack of small systems, a speed
-  family's on the Python path, by Gaussian elimination with partial
-  pivoting in lockstep over the whole stack (`_lockstep`).  The compiled
-  family loop `fbq_speed_family` of `fbq.single` runs the same float
-  operations in the same order, a tile of systems at a time, and reports to
-  `_checked` too, so a system gets the same bits on either path, in any
-  stack and at any position in it, and on any machine: no BLAS kernel that
-  the CPU selects is involved.
+* A speed family's stack of small systems is solved by the compiled loop
+  `fbq_speed_family` of `fbq.single`, by Gaussian elimination with partial
+  pivoting on tiles of systems in lockstep; it reports its outcome to
+  `_checked`, so a system gets the same bits in any stack, at any position
+  in it and on any machine: no BLAS kernel that the CPU selects is
+  involved.
 * `solve_scaled_system` is the one LU-and-check call of a pool's boundary
   system, up to a few hundred unknowns: it takes the system already
-  row-scaled, in column-major order, and makes one f2py call each of the
-  LAPACK getrf and getrs that `scipy.linalg.lapack` wraps, as scipy's
-  lu_factor/lu_solve do, on every machine; LAPACK is faster than a plain
-  loop at those sizes.  The compiled fill `fbq_pool_system` of `fbq.multi`
-  hands it its system, and `solve_probability_system` scales a copy of an
-  unscaled one, as the per-state Python fill `_pool_fill` of `fbq.multi`
-  builds it where no compiled loops load, and makes the same call.
+  row-scaled, in column-major order, as the compiled fill `fbq_pool_system`
+  of `fbq.multi` hands it over, and makes one f2py call each of the LAPACK
+  getrf and getrs that `scipy.linalg.lapack` wraps, as scipy's
+  lu_factor/lu_solve do; LAPACK is faster than a plain loop at those
+  sizes.  `solve_probability_system` scales a copy of an unscaled system
+  and makes the same call.
 """
 
 from __future__ import annotations
@@ -43,8 +40,8 @@ _NO_SUMMARY = (-1, -1, 0)   # what a loop books for a stack that failed its firs
 def solve_probability_system(a_rows, b_vec) -> np.ndarray:
     """Row-scaled dense solve of one system a x = b whose unknowns are
     probabilities: a copy of it divided row by row by the largest |a_ij|
-    is solved by `solve_scaled_system`, with the checks and errors of
-    solve_probability_stack."""
+    is solved by `solve_scaled_system`, with the checks and errors of a
+    stack solve."""
     a, b = _stack(np.array(a_rows, dtype=float)[None], np.array(b_vec, dtype=float)[None])
     status, scale = _first_pass(a, b)
     if status:
@@ -71,23 +68,6 @@ def solve_scaled_system(a: np.ndarray, b: np.ndarray, status: int, system) -> np
     pivmin = np.abs(lu.diagonal()).min(keepdims=True)
     summary = _summary(x, pivmin)
     return _checked(system()[None] if max(summary[:2]) >= 0 else None, 0, x, pivmin, summary)[0]
-
-
-def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-scaled dense solves of a stack of systems a[k] x[k] = b[k].
-
-    a is (B, n, n) and b is (B, n); the solve leaves them as they are.  Each
-    row of a system is divided by its largest |a_ij|.  The unknowns are
-    probabilities.  A non-finite entry anywhere in the stack raises
-    ValueError, and then a zero row SolverError, before any solve; then the
-    first system in stack order with a pivot below PIVOT_RTOL raises it (with
-    a condition estimate), and then the first with a solved value below
-    -NEG_PROB_TOL; values in [-NEG_PROB_TOL, 0) are roundoff and get clamped.
-    The systems are solved in lockstep by Gaussian elimination with partial
-    pivoting, so a system gets the same answer in any stack.
-    """
-    a, b = _stack(a, b)
-    return _checked(a, *_lockstep(a, b))
 
 
 def _stack(a, b):
@@ -143,37 +123,6 @@ def _summary(x: np.ndarray, pivmin: np.ndarray):
     below = np.flatnonzero((x < -NEG_PROB_TOL).any(axis=1))
     return (singular[0] if singular.size else -1, below[0] if below.size else -1,
             int((x < 0).sum()))
-
-
-def _lockstep(a: np.ndarray, b: np.ndarray):
-    """The elimination of the compiled `fbq_speed_family`, over the whole stack at once:
-    (status, x, pivmin, summary) as `_summary` gives it, where status is 0,
-    _NOT_FINITE or _ZERO_ROW and pivmin holds each system's smallest |pivot|.
-    For each column j the pivot is the first largest |t_rj|, r >= j, rows r
-    and j swap, and each row below loses t_rj / t_jj times row j (a zero
-    pivot divides by 1); back substitution then runs column by column."""
-    status, scale = _first_pass(a, b)
-    if status:
-        return status, None, None, _NO_SUMMARY
-    t, y = a / scale[..., None], b / scale     # every row now has max |a_ij| = 1
-    count, n = y.shape
-    systems = np.arange(count)
-    pivots = np.empty((count, n))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(n):
-            p = j + np.argmax(np.abs(t[:, j:, j]), axis=1)
-            t[systems, j], t[systems, p] = t[systems, p], t[systems, j]
-            y[systems, j], y[systems, p] = y[systems, p], y[systems, j]
-            pivot = t[:, j, j]
-            pivots[:, j] = np.abs(pivot)
-            l = t[:, j + 1:, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
-            t[:, j + 1:, j + 1:] -= l[:, :, None] * t[:, None, j, j + 1:]
-            y[:, j + 1:] -= l * y[:, None, j]
-        for j in reversed(range(n)):
-            y[:, j] /= t[:, j, j]
-            y[:, :j] -= t[:, :j, j] * y[:, None, j]
-    pivmin = pivots.min(axis=1)
-    return 0, y, pivmin, _summary(y, pivmin)
 
 
 def _condition_estimate(a: np.ndarray) -> float:

@@ -7,10 +7,8 @@ diagonal entry absorbs the saturated region via the small kernel root y1(z).
 Cramer's rule gives g_i = D_i/D; the determinant D has exactly m-1 simple
 real zeros in (0,1), isolated by the sign counts of the Sturm sequence of
 leading principal minors and refined by Brent's method, in one call of the
-compiled search of `_kernels.c` (the Python search `_isolate_roots` is its
-reference, and runs where `fbq._kernels.compiled()` finds no compiled
-loops).  Those zeros, the balance equations of the boundary states, and the
-idle-server identity
+compiled search of `_kernels.c`.  Those zeros, the balance equations of the
+boundary states, and the idle-server identity
 
     E[servers not working] = m - rho1 - rho2
 
@@ -41,13 +39,10 @@ for it.  Each threshold's boundary system is filled by the compiled loop
 `fbq_pool_system` of `_kernels.c`, from the rate table and the data at
 the zeros, its cells row-scaled and column-major, as the LAPACK LU of
 `linsys.solve_scaled_system` takes them; a second call of the loop sums
-the z = 1 Taylor vectors of b from the clamped solution.  Where
-`fbq._kernels.compiled()` finds no compiled loops, `_pool_fill` and
-`_pool_taylor` do the same state by state in Python, statement for
-statement as the loop's pool_fill and pool_taylor, so both paths hand
-getrf the same bytes and sum the same b.  The closure by the zeros is the
-spectral-expansion closure of Mitrani & Chakka, "Spectral expansion
-solution for a class of Markov models", Performance Evaluation 23 (1995).
+the z = 1 Taylor vectors of b from the clamped solution.  The closure by
+the zeros is the spectral-expansion closure of Mitrani & Chakka, "Spectral
+expansion solution for a class of Markov models", Performance Evaluation 23
+(1995).
 """
 
 from __future__ import annotations
@@ -64,7 +59,7 @@ import numpy as np
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from . import _kernels
-from .linsys import solve_probability_system, solve_scaled_system
+from .linsys import solve_scaled_system
 from .models import (
     CostCoefficients,
     ModelError,
@@ -138,88 +133,19 @@ def _det_at(model: MultiServerModel, z: float) -> float:
 # --- root isolation -----------------------------------------------------------
 
 
-def _sturm_sequence(model: MultiServerModel, z: float) -> list[float]:
-    """The leading principal minors Q_0 .. Q_(m-1) of A(z) and its determinant
-    D = Q_m, by the recurrence Q_(k+1) = a_k Q_k - alpha_k lam z Q_(k-1) from
-    Q_0 = 1.  Only D reads the kernel root, in the last diagonal entry."""
-    rates = _pool(model).rates
-    lz, w, zm1 = model.lam * z, 1.0 - model.q + model.q * z, z - 1.0
-    diag = [lz + k1 * z + k2 * zm1 for k1, k2 in rates]
-    diag[-1] = lz * (1.0 - _y1_float(model, z)) + rates[-1][0] * z + model.mu2 * zm1
-    seq = [1.0, diag[0]]
-    for k in range(1, model.m):
-        seq.append(diag[k] * seq[-1] - rates[k][0] * z * w * lz * seq[-2])
-    return seq
-
-
-def _sign_changes(seq) -> int:
-    """The sign changes along a sequence that starts positive, skipping exact zeros."""
-    signs = [x < 0.0 for x in seq if x != 0.0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _isolate_roots(model: MultiServerModel) -> tuple[tuple[float, ...], int, int]:
-    """The zeros of d_roots without its checks, with the number of sign
-    counts and of determinant evaluations they took."""
-    m = model.m
-    dprime = dprime_at_1(model)
-
-    def failure(what: str) -> SolverError:
-        return SolverError(f"{what}; D'(1) = {dprime:.6g}")
-
-    # Q_0 .. Q_(m-1) are positive at z = 1 and D(1) = 0, so just below 1 D
-    # has the sign of -D'(1)
-    counts = [_sign_changes(_sturm_sequence(model, 0.0)),
-              _sign_changes(_sturm_sequence(model, 1.0)[:-1] + [-dprime])]
-    if counts != [m, 1]:
-        raise failure(f"Sturm counts read {counts[0]} at z = 0 and {counts[1]} below "
-                      f"z = 1, not {m} and 1")
-    brackets = []
-    stack = [(0.0, 1.0, m, 1)]
-    while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        if vlo == vhi:
-            continue
-        # the count at z = 1 is not read at a point, so the top zero's
-        # interval is split until D has a value at both of its ends
-        if vlo - vhi == 1 and hi < 1.0:
-            brackets.append((lo, hi, vlo))
-            continue
-        mid = 0.5 * (lo + hi)
-        v = _sign_changes(_sturm_sequence(model, mid))
-        counts.append(v)
-        if not (vhi <= v <= vlo and lo < mid < hi):
-            raise failure(f"Sturm counts read {vlo}, {v}, {vhi} at z = {lo:.17g}, "
-                          f"{mid:.17g}, {hi:.17g}")
-        stack += [(mid, hi, v, vhi), (lo, mid, vlo, v)]
-
-    import scipy.optimize   # here, so that importing fbq does not load it
-
-    roots, evals = [], 0
-    det, fp = functools.partial(_det_at, model), np.finfo(float)
-    for lo, hi, v in brackets:
-        try:
-            zk, res = scipy.optimize.brentq(det, lo, hi, xtol=fp.tiny, rtol=4 * fp.eps,
-                                            full_output=True)
-        except ValueError as exc:
-            raise failure(f"determinant has no sign change on [{lo:.17g}, {hi:.17g}], "
-                          f"where the Sturm counts read {v} and {v - 1}") from exc
-        roots.append(zk)
-        evals += res.function_calls
-    return tuple(roots), len(counts), evals
-
-
 # outcomes of the compiled search, fbq_pool_roots in _kernels.c
 (_FOUND, _END_COUNTS, _SPLIT_COUNTS, _NO_SIGN_CHANGE, _DISCRIMINANT, _NO_CONVERGENCE,
  _STACK_FULL) = range(7)
-_BRENT_MAXITER = 100   # scipy.optimize.brentq's default, which _isolate_roots uses
+_BRENT_MAXITER = 100   # scipy.optimize.brentq's default
 
 
 def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, int]:
-    """`_isolate_roots` in one call of the compiled `fbq_pool_roots`, which
-    runs its recurrences, sign counts, bisection and scipy's brentq loop with
-    the same float operations in the same order; each failure is raised here
-    with the type and message that `_isolate_roots` gives it."""
+    """The zeros of d_roots without its checks, with the number of sign
+    counts and of determinant evaluations they took, in one call of the
+    compiled `fbq_pool_roots`: Sturm counts at 0 and, with D replaced by
+    -D'(1), just below 1, bisection on the counts and scipy's brentq loop on
+    each bracket.  Each failure raises SolverError with the counts or the
+    bracket and D'(1), and brentq's non-convergence RuntimeError."""
     m = model.m
     dprime = dprime_at_1(model)
     fp = np.finfo(float)
@@ -252,8 +178,10 @@ def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, in
         raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
     if status == _DISCRIMINANT:
         _y1_float(model, lo)     # raises the discriminant's SolverError at that point
+        raise failure(f"the zero search stopped with status _DISCRIMINANT at z = {lo:.17g}, where "
+                      "the kernel discriminant is positive")
     if status != _FOUND:         # a full bisection stack, which no search of (0, 1) reaches
-        return _isolate_roots(model)
+        raise failure("the zero search stopped with status _STACK_FULL")
     return tuple(roots[:m - 1].tolist()), counts, evals
 
 
@@ -307,7 +235,7 @@ def dprime_at_1(model: MultiServerModel) -> float:
 
 def _dense_matrix(model: MultiServerModel, z) -> np.ndarray:
     """A(z) at a real z, or one A(z_k) per entry of a 1-D array z, stacked:
-    the entries of _det_at and _sturm_sequence, with the same rounding."""
+    the entries of _det_at, with the same rounding."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
     y1 = np.array([_y1_float(model, zk) for zk in np.ravel(z).tolist()]).reshape(np.shape(z))[..., None]
     z = np.asarray(z, dtype=float)[..., None]
@@ -400,10 +328,9 @@ class _Pool:
     data at the zeros and at z = 1 keep no failure: each solve that needs a
     part that failed builds it again and raises the same message (a
     threshold whose solve raised it keeps that message as its own).
-    The zeros come from the compiled search `fbq_pool_roots` of `_kernels.c`,
-    or from `_isolate_roots` where `fbq._kernels.compiled()` finds no
-    compiled loops; the null vectors at the zeros from one SVD each of the
-    matrices A(z_k), built in one numpy expression.
+    The zeros come from the compiled search `fbq_pool_roots` of `_kernels.c`;
+    the null vectors at the zeros from one SVD each of the matrices A(z_k),
+    built in one numpy expression.
     """
 
     def __init__(self, model: MultiServerModel):
@@ -415,7 +342,7 @@ class _Pool:
     @functools.cached_property
     def roots(self) -> tuple[float, ...]:
         t0 = time.perf_counter()
-        roots, counts, evals = (_roots_compiled if _kernels.compiled() else _isolate_roots)(self.model)
+        roots, counts, evals = _roots_compiled(self.model)
         log.debug("m = %d: %d zeros isolated, %d sign counts, %d D evaluations, %.3f s",
                   self.model.m, len(roots), counts, evals, time.perf_counter() - t0)
         return roots
@@ -484,14 +411,11 @@ def _pool(model: MultiServerModel) -> _Pool:
 
 def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[MultiServerSolution]:
     """Steady states under the given thresholds, each solved once per pool
-    and threshold by `_solve_one`, on the compiled loops or, where
-    `fbq._kernels.compiled()` finds none, on the Python fill.  A
-    SolverError of a threshold's solve is kept as its type and message and
-    raised afresh by every later call that reaches that threshold.  Every
-    solution returned has containers of its own, so a caller's edits never
-    reach the cache."""
-    loops, out = _kernels.compiled(), []
-    loop = None if loops is None else loops.pool_system
+    and threshold by `_solve_one`.  A SolverError of a threshold's solve is
+    kept as its type and message and raised afresh by every later call that
+    reaches that threshold.  Every solution returned has containers of its
+    own, so a caller's edits never reach the cache."""
+    loop, out = _kernels.compiled().pool_system, []
     for K in thresholds:
         sol = pool.solutions.get(K)
         if sol is None:
@@ -510,99 +434,30 @@ def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[
 
 
 def _solve_one(model: MultiServerModel, K: int, pool: _Pool, loop) -> MultiServerSolution:
-    """Steady state under threshold K.  The compiled loop `fbq_pool_system`
-    fills the row-scaled system for solve_scaled_system's LU and then sums
-    the z = 1 vector b from the clamped solution; where loop is None,
-    `_pool_fill` and `_pool_taylor` do the same in Python, the unscaled
-    system going to solve_probability_system, with the same bits."""
+    """Steady state under threshold K, by the compiled `loop`
+    `fbq_pool_system`: it fills the kept states' boundary system, row-scaled
+    for solve_scaled_system's LU, and then sums the z = 1 vector b from the
+    clamped solution.  The system holds the balance rows of the states
+    i + j <= m - 2, as a stopped state on the diagonal i + j = K >= 1 and as
+    a running one elsewhere; one row per zero z_k, from the left null vector
+    of A(z_k), to which b is orthogonal; and the idle-or-stopped server
+    identity."""
     m = model.m
     states = [(i, j) for i in range(m) for j in range(max(0, K - i), m - i)]
-    if loop is None:
-        x = solve_probability_system(*_pool_fill(model, K, pool, states)).tolist()
-        b = _pool_taylor(model, K, pool, states, x)
-    else:
-        n, args, idle = len(states), pool.loop_args, m - model.rho1 - model.rho2
-        dbl = ctypes.c_double.from_buffer
+    n, args, idle = len(states), pool.loop_args, m - model.rho1 - model.rho2
+    dbl = ctypes.c_double.from_buffer
 
-        def system(scale):
-            # the loop writes column-major, so the C-ordered buffer holds the transpose
-            at, rhs = np.empty((n, n)), np.empty(n)
-            return loop(*args, K, idle, scale, dbl(at), dbl(rhs), None, None), at.T, rhs
+    def system(scale):
+        # the loop writes column-major, so the C-ordered buffer holds the transpose
+        at, rhs = np.empty((n, n)), np.empty(n)
+        return loop(*args, K, idle, scale, dbl(at), dbl(rhs), None, None), at.T, rhs
 
-        status, a, rhs = system(1)
-        # only a message reads the unscaled system
-        x = solve_scaled_system(a, rhs, status, lambda: np.ascontiguousarray(system(0)[1]))
-        b = np.empty((3, m))
-        loop(*args, K, idle, 0, None, None, dbl(x), dbl(b))
-        x = x.tolist()
-    return _finish(model, K, dict(zip(states, x)), b, pool)
-
-
-def _pool_fill(model: MultiServerModel, K: int, pool: _Pool, states: list):
-    """The unscaled boundary system (a, rhs) of threshold K over the kept
-    states, in their order, as pool_fill of `_kernels.c` fills it, cell by
-    cell in its float operations: the balance rows of the states
-    i + j <= m - 2, the state (i, j) at row col[i, j] - i, as a stopped
-    state on the diagonal i + j = K >= 1 and as a running one elsewhere;
-    one row per zero z_k, from the left null vector u of A(z_k), where b is
-    orthogonal to u; and the idle-or-stopped server identity."""
-    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    r, n = pool.rates, len(states)
-    col = {s: c for c, s in enumerate(states)}
-    a, rhs = np.zeros((n, n)), np.zeros(n)
-    for i in range(m - 1):
-        for j in range(max(0, K - i), m - 1 - i):
-            row = a[col[i, j] - i]
-            if K and i + j == K:
-                row[col[i, j]] = 0.0 + lam
-                row[col[i + 1, j]] = 0.0 - (i + 1) * (1.0 - q) * mu1
-            else:
-                row[col[i, j]] = 0.0 + (lam + r[i][0] + j * mu2)
-                if i > 0:
-                    row[col[i - 1, j]] = 0.0 - lam
-                row[col[i + 1, j]] = 0.0 - r[i + 1][0] * (1.0 - q)
-                if j > 0:
-                    row[col[i + 1, j - 1]] = 0.0 - r[i + 1][0] * q
-            row[col[i, j + 1]] = 0.0 - (j + 1) * mu2
-    zeros, null, zpow = pool.at_roots
-    for k, (z, u, zp) in enumerate(zip(zeros.tolist(), null.tolist(), zpow.tolist())):
-        zm1, w, row = z - 1.0, 1.0 - q + q * z, a[n - m + k]
-        for c, (i, j) in enumerate(states):
-            if K and i + j == K:
-                own = u[i] * ((r[i][0] * z + r[i][1] * zm1) * zp[j])
-                row[c] = (0.0 + u[i - 1] * (-i * mu1 * w * zp[j + 1])) + own if i > 0 else 0.0 + own
-            else:
-                row[c] = 0.0 + u[i] * (mu2 * zm1 * (m - i - j) * zp[j])
-    a[n - 1] = [m if i + j == K else m - i - j for i, j in states]
-    rhs[n - 1] = m - model.rho1 - model.rho2
-    return a, rhs
-
-
-def _pool_taylor(model: MultiServerModel, K: int, pool: _Pool, states: list, x: list) -> np.ndarray:
-    """The Taylor vectors b0, b1, b2 (3 x m) of b at z = 1 + t from the
-    solved boundary probabilities x, summed from 0 in pool_taylor's order:
-    the running states' terms of b_i in the order of the unknowns, then the
-    stopped states' terms of b_(i-1) (i >= 1), then their terms of b_i, by
-    increasing i.  A term (c0 + c1 t) z^p adds c0, c0 p + c1 and
-    c0 p (p - 1)/2 + c1 p times its probability to the three orders."""
-    mu1, mu2, q, m = model.mu1, model.mu2, model.q, model.m
-    r, b, diagonal = pool.rates, [0.0] * (3 * m), []
-
-    def add(t, c0, c1, p, xc):
-        b[t] += c0 * xc
-        b[m + t] += (c0 * p + c1) * xc
-        b[2 * m + t] += (c0 * p * (p - 1) / 2 + c1 * p) * xc
-
-    for (i, j), xc in zip(states, x):
-        if K and i + j == K:
-            diagonal.append(xc)     # the stopped states, by increasing i from 0
-        else:
-            add(i, 0.0 * i, mu2 * (m - i - j), j, xc)
-    for i in range(1, len(diagonal)):
-        add(i - 1, -i * mu1, -i * mu1 * q, K - i + 1, diagonal[i])
-    for i, xc in enumerate(diagonal):
-        add(i, r[i][0], r[i][0] + r[i][1], K - i, xc)
-    return np.array(b).reshape(3, m)
+    status, a, rhs = system(1)
+    # only a message reads the unscaled system
+    x = solve_scaled_system(a, rhs, status, lambda: np.ascontiguousarray(system(0)[1]))
+    b = np.empty((3, m))
+    loop(*args, K, idle, 0, None, None, dbl(x), dbl(b))
+    return _finish(model, K, dict(zip(states, x.tolist())), b, pool)
 
 
 def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
@@ -687,9 +542,9 @@ def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
     The determinant zeros, the null vectors at them and the z = 1 Taylor
     data come from the pool cache, so they are built once per pool however
     many sweeps or solves use it.  Each threshold solves its own boundary
-    system once, filled by the compiled loop or, without it, state by state
-    in Python; later sweeps, solves and cost vectors of the pool are served
-    the kept solution, as in `solve_threshold`.  A failure at any threshold
+    system once, filled by the compiled loop; later sweeps, solves and cost
+    vectors of the pool are served the kept solution, as in
+    `solve_threshold`.  A failure at any threshold
     propagates; a SolverError of its boundary solve is kept, as in
     `solve_threshold`, so a repeat sweep raises it again at that threshold
     without solving it.

@@ -6,20 +6,17 @@ The simulator walks the embedded jump chain and adds the mean holding time
 averages stay consistent and their variance is no larger (discrete-time
 conversion).  Averages are kept per batch of arrivals after a warmup, and a
 95% half-width comes from the batch means.  All three models run through one
-loop, `_run`, over a finite rate table whose rows are phase counts clamped
-where the rates stop changing, with the servers and phase completion rates
-that the model's `rates` gives there.  Each jump draws one uniform, which
-picks the arrival or a completion with its branch folded in; the estimates
-for a seed depend on that order.
+loop over a finite rate table whose rows are phase counts clamped where
+the rates stop changing, with the servers and phase completion rates that
+the model's `rates` gives there.  Each jump draws one uniform, which picks
+the arrival or a completion with its branch folded in; the estimates for a
+seed depend on that order.
 
-The loop runs compiled: `fbq_jump_chain` of `_kernels.c`, called through
-ctypes, continues the Mersenne Twister stream of `random.Random(seed)` and
-repeats `_run`'s float operations in their order, so its estimates equal the
-Python loop's.  It makes the stream's uniforms a block of 312 at a time, one
-regeneration of the generator's 624 words each, and runs about 60 million
-jumps a second on a 2-vCPU x86 machine, some 20 times the Python loop's
-rate.  Where `fbq._kernels.compiled()` finds no compiled loops, `_run`
-itself runs.
+The loop is compiled: `fbq_jump_chain` of `_kernels.c`, called through
+ctypes, continues the Mersenne Twister stream of `random.Random(seed)`.  It
+makes the stream's uniforms a block of 312 at a time, one regeneration of
+the generator's 624 words each, and runs about 60 million jumps a second
+on a 2-vCPU x86 machine.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import math
 import numbers
 import random
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,9 +166,8 @@ def simulate(config: SimConfig) -> SimEstimate:
     if model.lam == 0:
         return SimEstimate(0.0, 0.0, 0.0, 0.0, 0, config.seed)
     tab = _table(model, qs, clamp)
-    run = _run_compiled if _kernels.compiled() else _run
     start = time.perf_counter()
-    sums, left, jumps = run(config.seed, tab, clamp, _stops(config))
+    sums, left, jumps = _jump_chain(config.seed, tab, clamp, _stops(config))
     est, lag1 = _estimate(sums[1:], config, config.jobs - left)
     took = time.perf_counter() - start
     log.debug("%s: %d jumps, %d table rows, %.3f s, %.0f arrivals/s, batch-mean lag-1 "
@@ -223,55 +218,17 @@ def _stops(config: SimConfig) -> list[int]:
     return sorted({max(warm + b * size, 1) for b in range(nb)}) + [total]
 
 
-def _run(seed: int, tab: list[tuple], clamp: int, stops: list[int]) -> tuple[list, int, int]:
-    """The jump-chain loop shared by every model, and the reference for the
-    compiled one.  Each jump adds the mean holding time of the state it leaves
-    to the batch sums, draws one uniform u and takes the first outcome whose
+def _jump_chain(seed: int, tab: list[tuple], clamp: int, stops: list[int]) -> tuple[list, int, int]:
+    """The jump chain shared by every model, run by the compiled
+    `fbq_jump_chain` from the state of `random.Random(seed)`: the per-batch
+    sums of time and of the time integrals of the foreground, background
+    and working-server counts, the jobs left at the end and the number of
+    jumps.  Each jump adds the mean holding time of the state it leaves to
+    the batch sums, draws one uniform u and takes the first outcome whose
     cumulative probability exceeds u: the arrival, then each phase's
-    completion, moving on before leaving.  n0, n1 and nl count the jobs in
-    phase 0, in phase 1 and past phase 0.  Returns the per-batch sums, the
-    jobs left at the end and the number of jumps."""
-    unif = random.Random(seed).random
-    sums = []  # per batch: time and the time integrals of n0, nl and the servers
-    n0 = n1 = nl = arrivals = completions = row = 0
-    for stop in stops:
-        t = ti = tj = tu = 0.0
-        while arrivals < stop:
-            inv, srv, pa, cum, moves, up = tab[row]
-            t += inv
-            ti += n0 * inv
-            tj += nl * inv
-            tu += srv
-            u = unif()
-            if u < pa:
-                n0 += 1
-                arrivals += 1
-                row = up
-                continue
-            completions += 1
-            p, on, lo, hi = moves[bisect_right(cum, u)]
-            if p == 0:
-                n0 = c = n0 - 1
-                if on:
-                    n1 += 1
-                    nl += 1
-            elif p == 1:
-                n1 = c = n1 - 1
-                if not on:
-                    nl -= 1
-            else:
-                nl -= 1
-                c = nl - n1
-            row = hi if c >= clamp else lo
-        sums.append((t, ti, tj, tu))
-    return sums, n0 + nl, arrivals + completions
-
-
-def _run_compiled(seed: int, tab: list[tuple], clamp: int, stops: list[int]) -> tuple[list, int, int]:
-    """`_run` through the compiled `fbq_jump_chain`, from the same generator
-    state.  The table is flattened to arrays; each row's moves end at an
-    infinite bound, so the kernel's scan for the first bound above u stops in
-    the row."""
+    completion, moving on before leaving.  The table is flattened to
+    arrays; each row's moves end at an infinite bound, so the kernel's scan
+    for the first bound above u stops in the row."""
     inv, srv, pa, cums, row_moves, up = zip(*tab)
     first, bound, move = [], [], []
     for cum, moves in zip(cums, row_moves):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .linsys import NEG_PROB_TOL, PIVOT_RTOL, _checked, solve_probability_stack
+from .linsys import NEG_PROB_TOL, PIVOT_RTOL, _checked
 from .models import (
     CostCoefficients,
     SingleServerModel,
@@ -154,9 +154,7 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     profile.  The B systems are solved FAMILY_CHUNK profiles at a time, each
     chunk in one call of the compiled loop fbq_speed_family, which fills
     the systems, solves them by the lockstep LU and sums the rows of the
-    finish (or, with no compiled loops, by the numpy assembly,
-    linsys.solve_probability_stack and _Family._finish, with the same
-    bits); the mean counts of each profile come from its solved
+    finish; the mean counts of each profile come from its solved
     sub-threshold probabilities by row sums, not BLAS products.  Every
     profile gets every check of a single solve and the answer it gets
     alone, bit for bit and on any CPU, and the first profile that fails a
@@ -279,9 +277,9 @@ class _Family:
     of the boundary system, the arriving work of its work-conservation row,
     the top-speed loads of the mean-drift identities, and the balance
     entries as the compiled loop reads them.  solve runs a chunk in one call
-    of fbq_speed_family where fbq._kernels.compiled() finds the loops, and
-    else builds the stack (_stack), solves it by solve_probability_stack and
-    sums it (_finish), the reference the loop matches bit for bit."""
+    of fbq_speed_family.  _stack builds the chunk's systems as the loop
+    fills them, for the condition estimate of an error message, and _finish
+    sums the rows of the solutions where the loop leaves them to numpy."""
 
     def __init__(self, model: SingleServerModel, K: int):
         lam, q, mu1 = model.lam, model.q, model.mu1     # mu1: top-speed rate
@@ -317,8 +315,6 @@ class _Family:
     def solve(self, levels: np.ndarray) -> dict:
         """Metrics of the profiles in `levels` (B, K+1), as arrays."""
         loops = _kernels.compiled()
-        if loops is None:
-            return self._finish(solve_probability_stack(*self._stack(levels)), levels)
         K, count, n = self.K, len(levels), len(self.layout.states)
         levels = np.ascontiguousarray(levels, dtype=float)
         x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)

@@ -1,14 +1,14 @@
 """Fixtures shared by the test modules: the compiled loops, one call run on
-both the compiled and the Python loops, and the systems that either pool
-path hands to the LU of fbq.linsys."""
+both the compiled loops and their references, and the systems that either
+pool path hands to the LU of fbq.linsys."""
 
-import shutil
 import sys
 
 import numpy as np
 import pytest
 
 import fbq  # noqa: F401  (loads the modules below)
+import reference
 
 KERNELS = sys.modules["fbq._kernels"]
 LINSYS = sys.modules["fbq.linsys"]
@@ -17,26 +17,24 @@ MULTI = sys.modules["fbq.multi"]
 
 @pytest.fixture
 def compiled_loops():
-    """The compiled loops.  The test is skipped where no C compiler is on
-    PATH, and fails where one is but the loops did not load."""
-    loops = KERNELS.compiled()
-    if loops is None:
-        assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the compiled loops did not load"
-        pytest.skip("no C compiler to build the compiled loops with")
-    return loops
+    """The compiled loops; the test fails where they do not build or load."""
+    return KERNELS.compiled()
 
 
 @pytest.fixture
 def on_both_paths(compiled_loops, monkeypatch):
-    """A function that calls run() on the compiled loops, then on the Python
-    ones, and returns both results.  The pool cache is emptied before each
-    call, so that neither reuses the other's solves, and after them."""
+    """A function that calls run() on the compiled loops, then with every
+    compiled entry point of fbq replaced by its Python reference
+    (reference.REFERENCES), and returns both results.  The pool cache is
+    emptied before each call, so that neither reuses the other's solves,
+    and after them."""
 
     def both(run):
         MULTI._pool_data.cache_clear()
         compiled = run()
         with monkeypatch.context() as m:
-            m.setattr(KERNELS, "compiled", lambda: None)
+            for owner, name, ref in reference.REFERENCES:
+                m.setattr(owner, name, ref)
             MULTI._pool_data.cache_clear()
             python = run()
         MULTI._pool_data.cache_clear()

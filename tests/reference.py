@@ -1,0 +1,300 @@
+"""The Python references of the compiled loops of `fbq._kernels`.
+
+Each function here is the specification that one loop of `_kernels.c` is
+tested against bit for bit: it does the loop's float operations in the
+loop's order, so the two give equal results, errors included.
+
+* `run`: the jump chain of `fbq_jump_chain`, behind `simulate._jump_chain`.
+* `lockstep` and `solve_probability_stack`: the elimination of
+  `fbq_speed_family`; `family_solve` is the whole family loop, with the
+  systems of `single._Family._stack` and the row sums of `_Family._finish`.
+* `sturm_sequence`, `sign_changes` and `isolate_roots`: the zero search of
+  `fbq_pool_roots`, behind `multi._roots_compiled`.
+* `pool_fill` and `pool_taylor`: the boundary fill and the z = 1 Taylor
+  sums of `fbq_pool_system`; `solve_one` is `multi._solve_one` on them.
+* `ctmc._solve_reference`, which stays in fbq for SuperLU's systems, is the
+  reference of `fbq_ctmc_band`.
+
+`REFERENCES` names each compiled entry point of fbq with its reference, so
+that a test can run any call on the references instead.
+"""
+
+import functools
+import random
+import sys
+from bisect import bisect_right
+
+import numpy as np
+import scipy.optimize
+
+from fbq import ctmc, linsys, multi, single
+from fbq.models import SolverError
+
+SIMULATE = sys.modules["fbq.simulate"]   # fbq.simulate is the function the package exports
+
+
+# --- the jump chain ------------------------------------------------------------
+
+
+def run(seed: int, tab: list[tuple], clamp: int, stops: list[int]) -> tuple[list, int, int]:
+    """The jump-chain loop shared by every model.  Each jump adds the mean
+    holding time of the state it leaves to the batch sums, draws one uniform
+    u and takes the first outcome whose cumulative probability exceeds u:
+    the arrival, then each phase's completion, moving on before leaving.
+    n0, n1 and nl count the jobs in phase 0, in phase 1 and past phase 0.
+    Returns the per-batch sums, the jobs left at the end and the number of
+    jumps."""
+    unif = random.Random(seed).random
+    sums = []  # per batch: time and the time integrals of n0, nl and the servers
+    n0 = n1 = nl = arrivals = completions = row = 0
+    for stop in stops:
+        t = ti = tj = tu = 0.0
+        while arrivals < stop:
+            inv, srv, pa, cum, moves, up = tab[row]
+            t += inv
+            ti += n0 * inv
+            tj += nl * inv
+            tu += srv
+            u = unif()
+            if u < pa:
+                n0 += 1
+                arrivals += 1
+                row = up
+                continue
+            completions += 1
+            p, on, lo, hi = moves[bisect_right(cum, u)]
+            if p == 0:
+                n0 = c = n0 - 1
+                if on:
+                    n1 += 1
+                    nl += 1
+            elif p == 1:
+                n1 = c = n1 - 1
+                if not on:
+                    nl -= 1
+            else:
+                nl -= 1
+                c = nl - n1
+            row = hi if c >= clamp else lo
+        sums.append((t, ti, tj, tu))
+    return sums, n0 + nl, arrivals + completions
+
+
+# --- the lockstep LU of a speed family -------------------------------------------
+
+
+def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-scaled dense solves of a stack of systems a[k] x[k] = b[k].
+
+    a is (B, n, n) and b is (B, n); the solve leaves them as they are.  Each
+    row of a system is divided by its largest |a_ij|.  The unknowns are
+    probabilities.  A non-finite entry anywhere in the stack raises
+    ValueError, and then a zero row SolverError, before any solve; then the
+    first system in stack order with a pivot below PIVOT_RTOL raises it (with
+    a condition estimate), and then the first with a solved value below
+    -NEG_PROB_TOL; values in [-NEG_PROB_TOL, 0) are roundoff and get clamped.
+    """
+    a, b = linsys._stack(a, b)
+    return linsys._checked(a, *lockstep(a, b))
+
+
+def lockstep(a: np.ndarray, b: np.ndarray):
+    """The elimination of the compiled `fbq_speed_family`, over the whole stack at once:
+    (status, x, pivmin, summary) as `linsys._summary` gives it, where status
+    is 0, _NOT_FINITE or _ZERO_ROW and pivmin holds each system's smallest
+    |pivot|.  For each column j the pivot is the first largest |t_rj|,
+    r >= j, rows r and j swap, and each row below loses t_rj / t_jj times
+    row j (a zero pivot divides by 1); back substitution then runs column by
+    column."""
+    status, scale = linsys._first_pass(a, b)
+    if status:
+        return status, None, None, linsys._NO_SUMMARY
+    t, y = a / scale[..., None], b / scale     # every row now has max |a_ij| = 1
+    count, n = y.shape
+    systems = np.arange(count)
+    pivots = np.empty((count, n))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(n):
+            p = j + np.argmax(np.abs(t[:, j:, j]), axis=1)
+            t[systems, j], t[systems, p] = t[systems, p], t[systems, j]
+            y[systems, j], y[systems, p] = y[systems, p], y[systems, j]
+            pivot = t[:, j, j]
+            pivots[:, j] = np.abs(pivot)
+            l = t[:, j + 1:, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+            t[:, j + 1:, j + 1:] -= l[:, :, None] * t[:, None, j, j + 1:]
+            y[:, j + 1:] -= l * y[:, None, j]
+        for j in reversed(range(n)):
+            y[:, j] /= t[:, j, j]
+            y[:, :j] -= t[:, :j, j] * y[:, None, j]
+    pivmin = pivots.min(axis=1)
+    return 0, y, pivmin, linsys._summary(y, pivmin)
+
+
+def family_solve(family, levels: np.ndarray) -> dict:
+    """`single._Family.solve` on the references: the numpy assembly, the
+    lockstep solve and the numpy row sums."""
+    return family._finish(solve_probability_stack(*family._stack(levels)), levels)
+
+
+# --- the zero search of a pool -----------------------------------------------------
+
+
+def sturm_sequence(model, z: float) -> list[float]:
+    """The leading principal minors Q_0 .. Q_(m-1) of A(z) and its determinant
+    D = Q_m, by the recurrence Q_(k+1) = a_k Q_k - alpha_k lam z Q_(k-1) from
+    Q_0 = 1.  Only D reads the kernel root, in the last diagonal entry."""
+    rates = multi._pool(model).rates
+    lz, w, zm1 = model.lam * z, 1.0 - model.q + model.q * z, z - 1.0
+    diag = [lz + k1 * z + k2 * zm1 for k1, k2 in rates]
+    diag[-1] = lz * (1.0 - multi._y1_float(model, z)) + rates[-1][0] * z + model.mu2 * zm1
+    seq = [1.0, diag[0]]
+    for k in range(1, model.m):
+        seq.append(diag[k] * seq[-1] - rates[k][0] * z * w * lz * seq[-2])
+    return seq
+
+
+def sign_changes(seq) -> int:
+    """The sign changes along a sequence that starts positive, skipping exact zeros."""
+    signs = [x < 0.0 for x in seq if x != 0.0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def isolate_roots(model) -> tuple[tuple[float, ...], int, int]:
+    """The zeros of d_roots without its checks, with the number of sign
+    counts and of determinant evaluations they took, and each failure's
+    type and message, as `multi._roots_compiled` gives them."""
+    m = model.m
+    dprime = multi.dprime_at_1(model)
+
+    def failure(what: str) -> SolverError:
+        return SolverError(f"{what}; D'(1) = {dprime:.6g}")
+
+    # Q_0 .. Q_(m-1) are positive at z = 1 and D(1) = 0, so just below 1 D
+    # has the sign of -D'(1)
+    counts = [sign_changes(sturm_sequence(model, 0.0)),
+              sign_changes(sturm_sequence(model, 1.0)[:-1] + [-dprime])]
+    if counts != [m, 1]:
+        raise failure(f"Sturm counts read {counts[0]} at z = 0 and {counts[1]} below "
+                      f"z = 1, not {m} and 1")
+    brackets = []
+    stack = [(0.0, 1.0, m, 1)]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        # the count at z = 1 is not read at a point, so the top zero's
+        # interval is split until D has a value at both of its ends
+        if vlo - vhi == 1 and hi < 1.0:
+            brackets.append((lo, hi, vlo))
+            continue
+        mid = 0.5 * (lo + hi)
+        v = sign_changes(sturm_sequence(model, mid))
+        counts.append(v)
+        if not (vhi <= v <= vlo and lo < mid < hi):
+            raise failure(f"Sturm counts read {vlo}, {v}, {vhi} at z = {lo:.17g}, "
+                          f"{mid:.17g}, {hi:.17g}")
+        stack += [(mid, hi, v, vhi), (lo, mid, vlo, v)]
+
+    roots, evals = [], 0
+    det, fp = functools.partial(multi._det_at, model), np.finfo(float)
+    for lo, hi, v in brackets:
+        try:
+            zk, res = scipy.optimize.brentq(det, lo, hi, xtol=fp.tiny, rtol=4 * fp.eps,
+                                            full_output=True)
+        except ValueError as exc:
+            raise failure(f"determinant has no sign change on [{lo:.17g}, {hi:.17g}], "
+                          f"where the Sturm counts read {v} and {v - 1}") from exc
+        roots.append(zk)
+        evals += res.function_calls
+    return tuple(roots), len(counts), evals
+
+
+# --- the boundary system of a pool's threshold ----------------------------------------
+
+
+def pool_fill(model, K: int, pool, states: list):
+    """The unscaled boundary system (a, rhs) of threshold K over the kept
+    states, in their order, cell by cell in pool_fill's float operations:
+    the balance rows of the states i + j <= m - 2, the state (i, j) at row
+    col[i, j] - i, as a stopped state on the diagonal i + j = K >= 1 and as
+    a running one elsewhere; one row per zero z_k, from the left null vector
+    u of A(z_k), where b is orthogonal to u; and the idle-or-stopped server
+    identity."""
+    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    r, n = pool.rates, len(states)
+    col = {s: c for c, s in enumerate(states)}
+    a, rhs = np.zeros((n, n)), np.zeros(n)
+    for i in range(m - 1):
+        for j in range(max(0, K - i), m - 1 - i):
+            row = a[col[i, j] - i]
+            if K and i + j == K:
+                row[col[i, j]] = 0.0 + lam
+                row[col[i + 1, j]] = 0.0 - (i + 1) * (1.0 - q) * mu1
+            else:
+                row[col[i, j]] = 0.0 + (lam + r[i][0] + j * mu2)
+                if i > 0:
+                    row[col[i - 1, j]] = 0.0 - lam
+                row[col[i + 1, j]] = 0.0 - r[i + 1][0] * (1.0 - q)
+                if j > 0:
+                    row[col[i + 1, j - 1]] = 0.0 - r[i + 1][0] * q
+            row[col[i, j + 1]] = 0.0 - (j + 1) * mu2
+    zeros, null, zpow = pool.at_roots
+    for k, (z, u, zp) in enumerate(zip(zeros.tolist(), null.tolist(), zpow.tolist())):
+        zm1, w, row = z - 1.0, 1.0 - q + q * z, a[n - m + k]
+        for c, (i, j) in enumerate(states):
+            if K and i + j == K:
+                own = u[i] * ((r[i][0] * z + r[i][1] * zm1) * zp[j])
+                row[c] = (0.0 + u[i - 1] * (-i * mu1 * w * zp[j + 1])) + own if i > 0 else 0.0 + own
+            else:
+                row[c] = 0.0 + u[i] * (mu2 * zm1 * (m - i - j) * zp[j])
+    a[n - 1] = [m if i + j == K else m - i - j for i, j in states]
+    rhs[n - 1] = m - model.rho1 - model.rho2
+    return a, rhs
+
+
+def pool_taylor(model, K: int, pool, states: list, x: list) -> np.ndarray:
+    """The Taylor vectors b0, b1, b2 (3 x m) of b at z = 1 + t from the
+    solved boundary probabilities x, summed from 0 in pool_taylor's order:
+    the running states' terms of b_i in the order of the unknowns, then the
+    stopped states' terms of b_(i-1) (i >= 1), then their terms of b_i, by
+    increasing i.  A term (c0 + c1 t) z^p adds c0, c0 p + c1 and
+    c0 p (p - 1)/2 + c1 p times its probability to the three orders."""
+    mu1, mu2, q, m = model.mu1, model.mu2, model.q, model.m
+    r, b, diagonal = pool.rates, [0.0] * (3 * m), []
+
+    def add(t, c0, c1, p, xc):
+        b[t] += c0 * xc
+        b[m + t] += (c0 * p + c1) * xc
+        b[2 * m + t] += (c0 * p * (p - 1) / 2 + c1 * p) * xc
+
+    for (i, j), xc in zip(states, x):
+        if K and i + j == K:
+            diagonal.append(xc)     # the stopped states, by increasing i from 0
+        else:
+            add(i, 0.0 * i, mu2 * (m - i - j), j, xc)
+    for i in range(1, len(diagonal)):
+        add(i - 1, -i * mu1, -i * mu1 * q, K - i + 1, diagonal[i])
+    for i, xc in enumerate(diagonal):
+        add(i, r[i][0], r[i][0] + r[i][1], K - i, xc)
+    return np.array(b).reshape(3, m)
+
+
+def solve_one(model, K: int, pool, loop=None):
+    """`multi._solve_one` on the references: the unscaled system of
+    `pool_fill` goes to `linsys.solve_probability_system`, which scales it
+    as the compiled fill does and makes the same LAPACK calls, and b comes
+    from `pool_taylor`."""
+    states = [(i, j) for i in range(model.m) for j in range(max(0, K - i), model.m - i)]
+    x = linsys.solve_probability_system(*pool_fill(model, K, pool, states)).tolist()
+    return multi._finish(model, K, dict(zip(states, x)), pool_taylor(model, K, pool, states, x), pool)
+
+
+# (owner, name, reference) of each compiled entry point; a band system that
+# `ctmc._band_compiled` leaves to `_solve_reference` is assembled there
+REFERENCES = (
+    (SIMULATE, "_jump_chain", run),
+    (single._Family, "solve", family_solve),
+    (multi, "_roots_compiled", isolate_roots),
+    (multi, "_solve_one", solve_one),
+    (ctmc, "_band_compiled", lambda *args: None),
+)

@@ -1,8 +1,3 @@
-import os
-import pathlib
-import subprocess
-import sys
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -134,21 +129,6 @@ class TestLas:
             CoxianService(1e6, 1.0, 0.0), CoxianService(1.001e3, 1.0, 0.05),
             CoxianService(1e6, 1.0, 0.05))]
         assert panels == [12, 12, 12, 12, 13, 22]
-
-
-def test_import_does_not_load_scipy_integrate():
-    src = str(pathlib.Path(baselines.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", "import sys, fbq; print('scipy.integrate' in sys.modules)"],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_import_does_not_load_scipy_optimize():
-    # only the Python zero search of fbq.multi calls brentq, and imports it there
-    src = str(pathlib.Path(baselines.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", "import sys, fbq; print('scipy.optimize' in sys.modules)"],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 class TestTruncatedLoad:

@@ -7,9 +7,9 @@ the idle-or-stopped server normalisation.  The system that fbq.multi hands
 to the LU of fbq.linsys must equal it exactly, unscaled as a message would
 quote it and row-scaled as getrf gets it, at every threshold and also where
 the solve then fails, on both paths: the compiled fill `fbq_pool_system`
-and, with `fbq._kernels.compiled()` patched to None, the Python fill
-`_pool_fill`.  The Taylor data at z = 1 (A0, A1, A2 and b0, b1, b2) are
-checked against PowerSeries arithmetic.
+and its Python reference, reference.pool_fill, which states the rule
+state by state rather than by t.  The Taylor data at z = 1 (A0, A1, A2 and
+b0, b1, b2) are checked against PowerSeries arithmetic.
 """
 
 import json
@@ -159,19 +159,13 @@ def handed_over(monkeypatch, pool_systems):
 
 
 @pytest.mark.parametrize("name", sorted(POOLS))
-def test_every_threshold_hands_over_the_reference_system(name, handed_over, monkeypatch):
+def test_every_threshold_hands_over_the_reference_system(name, handed_over, on_both_paths):
     pool = POOLS[name]
-    bs = []
-    for python_path in (False, True):
-        with monkeypatch.context() as patch:
-            if python_path:
-                patch.setattr(multi._kernels, "compiled", lambda: None)
-            multi._pool_data.cache_clear()
-            bs.append([assert_hands_over_the_reference_system(MultiServerModel(**pool, threshold=K),
-                                                              handed_over, (name, K, python_path))
-                       for K in range(pool["m"])])
+    compiled, python = on_both_paths(lambda: [
+        assert_hands_over_the_reference_system(MultiServerModel(**pool, threshold=K), handed_over, (name, K))
+        for K in range(pool["m"])])
     # and both paths sum the same b, bit for bit
-    assert bs[0] == bs[1], name
+    assert compiled == python, name
 
 
 def assert_hands_over_the_reference_system(model, handed_over, where):

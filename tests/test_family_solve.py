@@ -5,13 +5,13 @@ data/family_solve_pins.json holds searches and figure-5 points recorded from
 the search that solved its grid one profile at a time with solve_general.
 The family solve must return the same speed levels, and costs and curves
 within 1e-12 relative.  The compiled family loop (fill, lockstep LU and row
-sums) does the same float operations as its Python references (the numpy
-assembly, fbq.linsys._lockstep and _finish), so every result, error message
-included, must be equal on the two paths, not close; and a profile's
-lockstep solve must not depend on its position in the stack or on the
-other systems there.  The pool tests run on both paths compare the compiled
-zero search and boundary fill of fbq.multi with their Python references,
-which must be equal too.
+sums) does the same float operations as its Python reference
+(reference.family_solve: the numpy assembly, reference.lockstep and
+_finish), so every result, error message included, must be equal on the
+two paths, not close; and a profile's lockstep solve must not depend on its
+position in the stack or on the other systems there.  The pool tests run
+on both paths compare the compiled zero search and boundary fill of
+fbq.multi with their Python references, which must be equal too.
 """
 
 import ctypes
@@ -20,7 +20,6 @@ import json
 import os
 import pathlib
 import platform
-import shutil
 import subprocess
 import sys
 
@@ -39,7 +38,7 @@ from fbq.experiments import (
     optimize_threshold,
     reproduce_figure,
 )
-from fbq.linsys import solve_probability_stack, solve_probability_system
+from fbq.linsys import solve_probability_system
 from fbq.models import (
     CostCoefficients,
     CoxianService,
@@ -51,6 +50,7 @@ from fbq.models import (
 from fbq.multi import sweep_thresholds
 from fbq import single
 from fbq.single import FAMILY_CHUNK, solve_general, solve_speed_family
+from reference import lockstep, solve_probability_stack
 from test_threshold_sweep import same_failure
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "family_solve_pins.json").read_text())
@@ -162,8 +162,8 @@ def test_index_built_grids_equal_the_itertools_grids(K, s0):
 
 def test_figure8_is_equal_on_both_pool_paths(on_both_paths):
     # the compiled zero search and boundary fill (fbq_pool_roots and
-    # fbq_pool_system) against multi._isolate_roots and the Python fill
-    # (_pool_fill and _pool_taylor); both paths make the same LAPACK calls
+    # fbq_pool_system) against reference.isolate_roots and the Python fill
+    # (reference.pool_fill and pool_taylor); both paths make the same LAPACK calls
     compiled, python = on_both_paths(lambda: reproduce_figure(8).curves)
     assert compiled == python
 
@@ -178,25 +178,6 @@ def test_failing_pool_raises_the_same_error_on_both_pool_paths(on_both_paths):
         compiled, python = on_both_paths(lambda: raised(run))
         assert compiled == python
         assert same_failure(compiled, message), compiled
-
-
-def test_import_neither_builds_nor_loads_the_lu_loop(tmp_path):
-    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
-    code = "\n".join([
-        "import os, sys, fbq",
-        "kernel = sys.modules['fbq._kernels'].compiled",
-        "print(kernel.cache_info().currsize, os.path.exists(sys.argv[1]))",
-        "fbq.solve_general(fbq.SingleServerModel(0.5, fbq.CoxianService(2.0, 1.0, 0.5),",
-        "                                        fbq.SpeedProfile((0.5, 0.75, 1.0))))",
-        "print(kernel.cache_info().currsize, kernel() is not None)",
-    ])
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fbq")], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[0] == "0 False"  # nothing built, loaded or looked up
-    if shutil.which(KERNELS._COMPILER) is not None:  # the first stack solve does both
-        assert out.stdout.splitlines()[1] == "1 True"
-        (lib,) = (tmp_path / "fbq").iterdir()
-        assert lib.suffix == ".so"
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS x86 core names")
@@ -310,8 +291,10 @@ def test_family_needs_profiles():
 
 
 class TestStackChecks:
-    """The checks and their order, with the compiled loops loaded;
-    TestStackChecksPythonLoop repeats them without."""
+    """The checks and their order, with a lone system solved by LAPACK in
+    solve_probability_system and a stack by the reference lockstep;
+    TestStackChecksPythonLoop repeats them with the lone system solved by
+    the lockstep too."""
 
     GOOD = (np.eye(3), np.full(3, 1 / 3))
     CASES = {
@@ -320,15 +303,13 @@ class TestStackChecks:
         "negative": (np.eye(3), np.array([-0.5, 1.0, 0.5])),
     }
 
-    @pytest.fixture(autouse=True)
-    def lu_path(self, compiled_loops):
-        pass
+    lone = staticmethod(solve_probability_system)
 
     @pytest.mark.parametrize("case", CASES)
     def test_failing_system_raises_inside_a_stack(self, case):
         a, b = self.CASES[case]
         with pytest.raises(SolverError) as alone:
-            solve_probability_system(a, b)
+            self.lone(a, b)
         stack_a = np.stack([self.GOOD[0], a, self.GOOD[0]])
         stack_b = np.stack([self.GOOD[1], b, self.GOOD[1]])
         with pytest.raises(SolverError) as stacked:
@@ -337,7 +318,7 @@ class TestStackChecks:
 
     def test_negative_probability_message_names_value_and_condition(self):
         with pytest.raises(SolverError, match=r"-5\.000e-01 is below -1e-09; condition estimate") as err:
-            solve_probability_system(*self.CASES["negative"])
+            self.lone(*self.CASES["negative"])
         assert "formulation bug" not in str(err.value)
 
     def test_roundoff_negatives_are_clamped_in_every_system(self):
@@ -347,7 +328,7 @@ class TestStackChecks:
         assert x[0, 0] == 0.0 and x[1, 1] == 0.0
 
     def test_mismatched_shapes_raise_before_any_loop_runs(self):
-        for solve, a, b in ((solve_probability_system, np.eye(3), np.ones(2)),
+        for solve, a, b in ((self.lone, np.eye(3), np.ones(2)),
                             (solve_probability_stack, np.eye(3), np.ones(3)),
                             (solve_probability_stack, np.ones((2, 3, 3)), np.ones((2, 4)))):
             with pytest.raises(ValueError, match="does not match right-hand sides"):
@@ -357,7 +338,7 @@ class TestStackChecks:
         tiny_pivot = np.array([[1.0, 1, 0], [1, 1 + 1e-14, 0], [0, 0, 1]])
         zero_row, b = self.CASES["zero row"]
         with pytest.raises(SolverError, match="pivot"):
-            solve_probability_system(tiny_pivot, np.ones(3))
+            self.lone(tiny_pivot, np.ones(3))
         with pytest.raises(SolverError, match="zero row"):
             solve_probability_stack(np.stack([tiny_pivot, self.GOOD[0], zero_row]),
                                     np.stack([np.ones(3), self.GOOD[1], b]))
@@ -427,8 +408,7 @@ def test_roundoff_negatives_are_clamped_equally_on_both_lu_paths(on_both_paths):
 
 
 def pinned_search_families(monkeypatch):
-    """Every (family, chunk of speed levels) that the pinned searches solve,
-    on the Python path."""
+    """Every (family, chunk of speed levels) that the pinned searches solve."""
     chunks = []
     solve = single._Family.solve
 
@@ -436,7 +416,6 @@ def pinned_search_families(monkeypatch):
         chunks.append((family, levels.copy()))
         return solve(family, levels)
     with monkeypatch.context() as m:
-        m.setattr(KERNELS, "compiled", lambda: None)
         m.setattr(single._Family, "solve", spy)
         for pin in PINS["searches"]:
             b = PINS["bases"][pin["base"]]
@@ -445,9 +424,9 @@ def pinned_search_families(monkeypatch):
 
 
 def pinned_search_stacks(monkeypatch):
-    """Every stack, (a, b), that the pinned searches hand to the lockstep solve
-    on the Python path, where the family's numpy assembly builds them (the
-    compiled family loop fills the same systems tile by tile)."""
+    """Every stack, (a, b), of the pinned searches, as the family's numpy
+    assembly builds them (the compiled family loop fills the same systems
+    tile by tile)."""
     stacks = [family._stack(levels) for family, levels in pinned_search_families(monkeypatch)]
     assert {a.shape[1] for a, _ in stacks} == {6, 10}   # the K = 2 and K = 3 families
     return stacks
@@ -456,7 +435,7 @@ def pinned_search_stacks(monkeypatch):
 def family_loop(loops, family, levels):
     """(status, x, pivmin, summary) of the compiled fbq_speed_family on the
     profiles `levels` of `family`, without its row sums: its elimination
-    is the compiled twin of _lockstep."""
+    is the compiled twin of reference.lockstep."""
     levels = np.ascontiguousarray(levels, dtype=float)
     count, n = len(levels), len(family.layout.states)
     x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
@@ -476,7 +455,7 @@ def assert_same_loop_results(got, expected):
 def test_lockstep_loops_are_equal_on_the_pinned_searches_stacks(monkeypatch, compiled_loops):
     for family, levels in pinned_search_families(monkeypatch):
         assert_same_loop_results(family_loop(compiled_loops, family, levels),
-                                 LINSYS._lockstep(*family._stack(levels)))
+                                 lockstep(*family._stack(levels)))
 
 
 def test_lockstep_agrees_with_scipy_lu_on_the_pinned_searches_stacks(monkeypatch):
@@ -521,21 +500,17 @@ def test_lockstep_is_equal_on_both_loops_wherever_a_system_sits(count, shared):
     a, b = pivoting_stack(count, shared)
     assert (np.abs(a).argmax(axis=1) != np.arange(5)).any(axis=1).all()   # every system pivots
     other_a, other_b = pivoting_stack(3, not shared)
-    expected = LINSYS._lockstep(a.copy(), b.copy())
+    expected = lockstep(a.copy(), b.copy())
     np.testing.assert_allclose(expected[1], np.linalg.solve(a, b[..., None])[..., 0], rtol=1e-13)
-    solve = LINSYS._lockstep
-    assert_same_loop_results(solve(a.copy(), b.copy()), expected)
-    shifted = solve(np.concatenate([other_a, a]), np.concatenate([other_b, b]))[1]
+    shifted = lockstep(np.concatenate([other_a, a]), np.concatenate([other_b, b]))[1]
     assert np.array_equal(shifted[3:], expected[1])
     for k in range(count):
-        assert np.array_equal(solve(a[k:k + 1].copy(), b[k:k + 1].copy())[1][0], expected[1][k])
+        assert np.array_equal(lockstep(a[k:k + 1].copy(), b[k:k + 1].copy())[1][0], expected[1][k])
     # the compiled elimination, inside the family loop: the profiles' systems
     # alone, after three other profiles, and one at a time
     loops = KERNELS.compiled()
-    if loops is None:
-        return
     family, levels = seed7_profiles(count + 3, shared)
-    expected = LINSYS._lockstep(*family._stack(levels[3:]))
+    expected = lockstep(*family._stack(levels[3:]))
     assert_same_loop_results(family_loop(loops, family, levels[3:]), expected)
     assert np.array_equal(family_loop(loops, family, levels)[1][3:], expected[1])
     for k in range(count):
@@ -559,6 +534,6 @@ def test_stack_outcomes_keep_their_order_across_tiles(faults, on_both_paths):
 
 
 class TestStackChecksPythonLoop(TestStackChecks):
-    @pytest.fixture(autouse=True)
-    def lu_path(self, monkeypatch):
-        monkeypatch.setattr(KERNELS, "compiled", lambda: None)
+    @staticmethod
+    def lone(a, b):
+        return solve_probability_stack(np.asarray(a, dtype=float)[None], np.asarray(b, dtype=float)[None])[0]

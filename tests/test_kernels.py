@@ -1,17 +1,17 @@
 """The compiled loops' source, `_kernels.c`, builds without a warning under
 the package's own compiler and flags, the ctypes signatures that
 `fbq._kernels.compiled` gives its loops are the C definitions' parameter
-lists, and every Python function that its comments cite as a loop's
-reference exists in fbq."""
+lists, every Python function that its comments cite exists in fbq or in
+the test module `reference`, and importing fbq builds and loads nothing."""
 
 import ctypes
 import functools
 import importlib
+import os
+import pathlib
 import re
-import shutil
 import subprocess
-
-import pytest
+import sys
 
 from fbq import _kernels
 
@@ -24,8 +24,6 @@ C_TYPES = {
 
 
 def test_kernels_build_without_warnings(tmp_path):
-    if shutil.which(_kernels._COMPILER) is None:
-        pytest.skip("no C compiler")
     done = subprocess.run([_kernels._COMPILER, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror",
                            "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE)],
                           capture_output=True, text=True)
@@ -41,8 +39,6 @@ def c_definitions():
 
 
 def test_bound_loops_match_the_c_signatures():
-    if shutil.which(_kernels._COMPILER) is None:
-        pytest.skip("no C compiler")
     loops = _kernels.compiled()
     defs = c_definitions()
     assert sorted(defs) == sorted(loops._fields)
@@ -57,13 +53,37 @@ def test_bound_loops_match_the_c_signatures():
 def test_python_names_in_the_comments_resolve_in_fbq():
     # a renamed or removed reference would leave the C comments citing code that is gone
     comments = " ".join(re.findall(r"/\*.*?\*/", _kernels._SOURCE.read_text(), re.S))
-    cited = set(re.findall(r"\b(?:multi|single|linsys|ctmc|simulate)(?:\.\w+)+", comments))
+    cited = set(re.findall(r"\b(?:multi|single|linsys|ctmc|simulate|reference)(?:\.\w+)+", comments))
     assert len(cited) >= 15
     missing = []
     for name in sorted(cited):
         module, *path = name.split(".")
         try:
-            functools.reduce(getattr, path, importlib.import_module(f"fbq.{module}"))
+            functools.reduce(getattr, path,
+                             importlib.import_module(module if module == "reference" else f"fbq.{module}"))
         except AttributeError:
             missing.append(name)
     assert missing == []
+
+
+def test_import_builds_nothing_and_defers_its_slow_imports(tmp_path):
+    # one fresh interpreter: importing fbq neither builds, loads nor looks up
+    # the compiled loops, and loads none of the scipy modules that the
+    # simulator's estimate (scipy.special, scipy.stats) or the tests
+    # (scipy.integrate, scipy.optimize) import; fbq calls no brentq.  The
+    # first family solve then builds the library into the fresh cache.
+    src = str(pathlib.Path(_kernels.__file__).resolve().parents[1])
+    code = "\n".join([
+        "import os, sys, fbq",
+        "bound = sys.modules['fbq._kernels']._bound",
+        "print(bound.cache_info().currsize, os.path.exists(sys.argv[1]), *(name in sys.modules for name in",
+        "      ('scipy.stats', 'scipy.special', 'scipy.integrate', 'scipy.optimize')))",
+        "fbq.solve_general(fbq.SingleServerModel(0.5, fbq.CoxianService(2.0, 1.0, 0.5),",
+        "                                        fbq.SpeedProfile((0.5, 0.75, 1.0))))",
+        "print(bound.cache_info().currsize)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fbq")], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(tmp_path)), check=True)
+    assert out.stdout.splitlines() == ["0 False False False False False", "1"]
+    (lib,) = (tmp_path / "fbq").iterdir()
+    assert lib.suffix == ".so"

@@ -11,8 +11,6 @@ from fbq.models import (CostCoefficients, ModelError, MultiServerModel, SolverEr
 from fbq.multi import (
     _dense_matrix,
     _det_at,
-    _sign_changes,
-    _sturm_sequence,
     d_roots,
     dprime_at_1,
     evaluate_cost_multi,
@@ -21,6 +19,7 @@ from fbq.multi import (
     verify_multi,
 )
 from fbq.series import kernel_root_pair_at_1
+from reference import isolate_roots, sign_changes, sturm_sequence
 
 # frozen truncated-chain oracle values (edge mass < 1e-10)
 M3_EXAMPLE = dict(L=4.7286157247, L1=1.7368421053, L2=2.9917736195)
@@ -78,11 +77,11 @@ class TestRoots:
             patch.setattr(multi, "dprime_at_1", lambda model: -1.0)
             with pytest.raises(SolverError, match=r"^Sturm counts read 3 at z = 0 and 0 below "
                                                   r"z = 1, not 3 and 1; D'\(1\) = -1$"):
-                multi._isolate_roots(model)
+                isolate_roots(model)
         monkeypatch.setattr(multi, "_det_at", lambda model, z: 1.0)
         with pytest.raises(SolverError, match=r"^determinant has no sign change on \[0, .*\], "
                                               r"where the Sturm counts read 3 and 2; D'\(1\) = "):
-            multi._isolate_roots(model)
+            isolate_roots(model)
 
 
 class TestTransformMatrix:
@@ -111,7 +110,7 @@ class TestTransformMatrix:
     def test_minors_match_dense_leading_blocks(self):
         z = 0.6
         a = _dense_matrix(self.MODEL, z)
-        seq = _sturm_sequence(self.MODEL, z)
+        seq = sturm_sequence(self.MODEL, z)
         assert len(seq) == 4 and seq[0] == 1.0
         for i in (1, 2):
             assert seq[i] == pytest.approx(np.linalg.det(a[:i, :i]), rel=1e-12)
@@ -128,7 +127,7 @@ class TestMinorSigns:
         def q_values(z):
             # the leading minors Q_0 .. Q_(m-1) of the Sturm sequence; at
             # z <= 1 the kernel root of its last entry D is real
-            return _sturm_sequence(model, z)[:m]
+            return sturm_sequence(model, z)[:m]
 
         # alternating at the origin, positive at one; far out on the side
         # where the diagonal entries all go negative, alternating again
@@ -151,8 +150,8 @@ class TestMinorSigns:
         roots = d_roots(model)
         for z in np.linspace(0.0, 1.0, 201)[:-1]:
             below = sum(zk < z for zk in roots)
-            assert _sign_changes(_sturm_sequence(model, z)) == m - below, z
-        assert _sign_changes(_sturm_sequence(model, 1.0 - 1e-9)) == 1
+            assert sign_changes(sturm_sequence(model, z)) == m - below, z
+        assert sign_changes(sturm_sequence(model, 1.0 - 1e-9)) == 1
 
 
 class TestDerivativeAtOne:

@@ -15,20 +15,20 @@ relative.  The zeros of the seeded pools must also equal, bit for bit, those
 that the same Sturm search finds on plain-loop copies of the recurrences,
 which form every matrix entry from the rates inside the loop.  The compiled
 search must give the zeros, counts and error messages of the Python search
-`_isolate_roots` on the pinned, seeded and scanned pools.
+reference.isolate_roots on the pinned, seeded and scanned pools, and a
+search that stops early must raise its status.
 
-Each threshold's system is filled by the compiled loop fbq_pool_system, or
-on the Python path state by state by `_pool_fill`, with b summed by
-`_pool_taylor`, and its Taylor cascade and the null vectors call LAPACK's
+Each threshold's system is filled, and b summed, by the compiled loop
+fbq_pool_system, and its Taylor cascade and the null vectors call LAPACK's
 gelsd and gesdd directly; every threshold of the seeded and pinned pools
 must hand the LU the same system bytes, and give the same solution or
-error, as the per-state assembly with scipy.linalg.lstsq and svd kept below
-as the reference.  Each threshold is filled and solved once per pool, a
-kept failure is raised again with no fill and no solve, and the compiled
-path never calls the Python fill.  The two paths must hand the LU the same
-bytes, signed zeros included, and return the same solution bits or error,
-on figure 8, a seeded threshold_sweep block, q = 0 and q = 1 pools, at
-every threshold.
+error, as the Python fill reference.pool_fill and pool_taylor with the
+null vectors and the cascade of scipy.linalg.svd and lstsq kept below.
+Each threshold is filled and solved once per pool, and a kept failure is
+raised again with no fill and no solve.  The compiled loops and their
+references must hand the LU the same bytes, signed zeros included, and
+return the same solution bits or error, on figure 8, a seeded
+threshold_sweep block, q = 0 and q = 1 pools, at every threshold.
 """
 
 import copy
@@ -40,7 +40,6 @@ import math
 import pathlib
 import random
 import re
-import shutil
 import sys
 
 import numpy as np
@@ -56,12 +55,12 @@ from fbq.multi import (
     POOL_CACHE_SIZE,
     _det_at,
     _pool_data,
-    _sturm_sequence,
     d_roots,
     evaluate_cost_multi,
     solve_threshold,
     sweep_thresholds,
 )
+import reference
 from test_threshold_sweep import same_failure
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -131,7 +130,6 @@ def count_calls(monkeypatch, *names):
 
 
 def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
-    monkeypatch.setattr(KERNELS, "compiled", lambda: None)
     calls = count_calls(monkeypatch, "_null_vectors", "kernel_root_pair_at_1")
     model = MultiServerModel(**POOL)
     sweep_thresholds(model)
@@ -142,19 +140,18 @@ def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
 
 
 def test_a_kept_failure_is_raised_again_with_no_fill_and_no_solve(monkeypatch, solves):
-    monkeypatch.setattr(KERNELS, "compiled", lambda: None)
-    calls = count_calls(monkeypatch, "_pool_fill")
+    calls = count_calls(monkeypatch, "_solve_one")   # which fills, solves and sums b
     model = MultiServerModel(**POOL)
     for K in (3, 0):
         solve_threshold(dataclasses.replace(model, threshold=K))
     sweep_thresholds(model)
-    assert (calls["_pool_fill"], solves[0]) == (model.m, model.m)
+    assert (calls["_solve_one"], solves[0]) == (model.m, model.m)
     pin = {k: v for k, v in PINS["failing_pool"].items() if k != "message"}
     for attempt in (1, 2):
         with pytest.raises(SolverError):
             sweep_thresholds(MultiServerModel(**pin))
         # the failure at K = 0 is kept, so the second attempt fills and solves nothing
-        assert (calls["_pool_fill"], solves[0]) == (model.m + 1, model.m + 1)
+        assert (calls["_solve_one"], solves[0]) == (model.m + 1, model.m + 1)
 
 
 def test_building_a_pool_logs_one_debug_line(caplog):
@@ -168,7 +165,7 @@ def test_building_a_pool_logs_one_debug_line(caplog):
     assert found, lines[0]
     # the counts of the Python search, which are the two ends and at least
     # one count per split, and at least two brentq evaluations per zero
-    counts, evals = multi._isolate_roots(MultiServerModel(**POOL))[1:]
+    counts, evals = reference.isolate_roots(MultiServerModel(**POOL))[1:]
     assert (int(found[1]), int(found[2])) == (counts, evals)
     assert counts >= 2 + 4 and evals >= 2 * 5
 
@@ -199,7 +196,7 @@ def test_determinant_and_minors_match_the_pinned_values_bit_for_bit():
     for name, params in {**PINS["pools"], "failing_pool": PINS["failing_pool"]}.items():
         model = MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
         assert [_det_at(model, z).hex() for z in zs] == RECURRENCE_PINS["det"][name], name
-        minors = [[x.hex() for x in _sturm_sequence(model, z)[1:model.m]] for z in zs]
+        minors = [[x.hex() for x in reference.sturm_sequence(model, z)[1:model.m]] for z in zs]
         assert minors == RECURRENCE_PINS["minors"][name], name
 
 
@@ -257,13 +254,12 @@ def test_cache_stays_bounded():
 def solves(monkeypatch):
     """The number of boundary systems handed to the solver."""
     calls = [0]
-    solve = LINSYS.solve_scaled_system
+    solve = multi.solve_scaled_system
 
     def counted(*args):
         calls[0] += 1
         return solve(*args)
-    for module in (LINSYS, multi):    # the Python path calls it through solve_probability_system
-        monkeypatch.setattr(module, "solve_scaled_system", counted)
+    monkeypatch.setattr(multi, "solve_scaled_system", counted)
     return calls
 
 
@@ -364,9 +360,9 @@ def outcome(find_roots, model):
 def test_zeros_equal_the_plain_loop_cascade_bit_for_bit(monkeypatch):
     def reference_roots(model):
         with monkeypatch.context() as patch:
-            patch.setattr(multi, "_sturm_sequence", reference_sequence)
+            patch.setattr(reference, "sturm_sequence", reference_sequence)
             patch.setattr(multi, "_det_at", reference_det)
-            return multi._isolate_roots(model)[0]
+            return reference.isolate_roots(model)[0]
 
     zs = [0.0, 0.25, 0.5, 0.999, 1.0]
     failed = []
@@ -376,20 +372,12 @@ def test_zeros_equal_the_plain_loop_cascade_bit_for_bit(monkeypatch):
         if isinstance(expected, str):
             failed.append(model.m)
         assert [_det_at(model, z).hex() for z in zs] == [reference_det(model, z).hex() for z in zs]
-        assert [[x.hex() for x in _sturm_sequence(model, z)] for z in zs] == \
+        assert [[x.hex() for x in reference.sturm_sequence(model, z)] for z in zs] == \
             [[x.hex() for x in reference_sequence(model, z)] for z in zs], model
     assert failed == []
 
 
-# --- the compiled zero search against _isolate_roots ---------------------------
-
-
-def compiled_search():
-    if KERNELS.compiled() is None:
-        assert shutil.which(KERNELS._COMPILER) is None, \
-            "a C compiler is on PATH but the zero search did not load"
-        pytest.skip("no C compiler to build the zero search with")
-    return multi._roots_compiled
+# --- the compiled zero search against reference.isolate_roots ---------------------
 
 
 def search_outcome(search, model):
@@ -431,14 +419,13 @@ SQUARE_POOL = MultiServerModel(1.8638949188421554, 2.6578697898601344, 0.7521782
 
 
 def test_compiled_search_equals_the_python_search_bit_for_bit():
-    search = compiled_search()
     pools = [MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
              for params in (*PINS["pools"].values(), PINS["failing_pool"])]
     pools += [*seeded_pools(), *scanned_pools(), SQUARE_POOL, *FAILING_SEARCHES]
     failed = []
     for model in pools:
-        expected = search_outcome(multi._isolate_roots, model)
-        assert search_outcome(search, model) == expected, model
+        expected = search_outcome(reference.isolate_roots, model)
+        assert search_outcome(multi._roots_compiled, model) == expected, model
         if len(expected) == 2:
             failed.append(expected[1].split(" at ")[0])
     assert failed == ["Sturm counts read 100, 1, 2", "Sturm counts read 2, 0, 1",
@@ -446,22 +433,22 @@ def test_compiled_search_equals_the_python_search_bit_for_bit():
 
 
 def test_compiled_search_raises_the_python_message(monkeypatch):
-    search = compiled_search()
     monkeypatch.setattr(multi, "dprime_at_1", lambda model: -1.0)
     model = MultiServerModel(1.5, 1.0, 0.5, 0.3, 3)
-    expected = search_outcome(multi._isolate_roots, model)
+    expected = search_outcome(reference.isolate_roots, model)
     assert expected == (SolverError, "Sturm counts read 3 at z = 0 and 0 below z = 1, not 3 and 1; "
                                      "D'(1) = -1")
-    assert search_outcome(search, model) == expected
+    assert search_outcome(multi._roots_compiled, model) == expected
 
 
-def test_pools_search_in_python_without_the_kernel(monkeypatch):
-    compiled_search()
-    compiled = {model: d_roots(model) for model in seeded_pools()}
-    _pool_data.cache_clear()
-    monkeypatch.setattr(KERNELS, "compiled", lambda: None)
-    for model, roots in compiled.items():
-        assert [z.hex() for z in d_roots(model)] == [z.hex() for z in roots], model
+@pytest.mark.parametrize("status", ["_STACK_FULL", "_DISCRIMINANT"])
+def test_a_search_that_stops_early_raises_its_status(status, monkeypatch):
+    # a full bisection stack, and a discriminant that the search found
+    # nonpositive at z = 0 where _y1_float finds it positive
+    stub = KERNELS.compiled()._replace(pool_roots=lambda *args: getattr(multi, status))
+    monkeypatch.setattr(KERNELS, "compiled", lambda: stub)
+    with pytest.raises(SolverError, match=f"^the zero search stopped with status {status}.*; D'\\(1\\) = "):
+        multi._roots_compiled(MultiServerModel(**POOL))
 
 
 @pytest.mark.parametrize("m", [14, 17])
@@ -487,56 +474,12 @@ def reference_null_vectors(a0):
 
 
 def reference_solve(model, K, pool, loop=None):
-    """The boundary solve assembled state by state from the pool's zeros, on
-    numpy arrays, in place of multi._solve_one on either path."""
-    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    states = [(i, j) for i in range(m) for j in range(max(0, K - i), m - i)]
-    idx = {s: k for k, s in enumerate(states)}
-    n = len(states)
-    a = np.zeros((n, n))
-    rhs = np.zeros(n)
-    r = 0
-    for i in range(m - 1):
-        for j in range(max(0, K - i), m - i - 1):
-            row = a[r]
-            if K >= 1 and i + j == K:
-                row[idx[(i, j)]] += lam
-                row[idx[(i + 1, j)]] -= (i + 1) * (1.0 - q) * mu1
-                row[idx[(i, j + 1)]] -= (j + 1) * mu2
-            else:
-                row[idx[(i, j)]] += lam + i * mu1 + min(j, m - i) * mu2
-                if i > 0:
-                    row[idx[(i - 1, j)]] -= lam
-                row[idx[(i + 1, j)]] -= (i + 1) * mu1 * (1.0 - q)
-                if j > 0:
-                    row[idx[(i + 1, j - 1)]] -= (i + 1) * mu1 * q
-                row[idx[(i, j + 1)]] -= min(j + 1, m - i) * mu2
-            r += 1
-
-    i, j = np.array(states).T
-    stopped = (i + j == K) & (K > 0)
-    run, stop = np.flatnonzero(~stopped), np.flatnonzero(stopped)
-    ir, jr, i_, j_ = i[run], j[run], i[stop], j[stop]
-    z, u, zpow = pool.at_roots
-    z = z[:, None]
-    zm1 = z - 1.0
-    roots = a[r:n - 1]
-    roots[:, run] += u[:, ir] * (mu2 * zm1 * (m - ir - jr) * zpow[:, jr])
-    roots[:, stop[1:]] += u[:, i_[1:] - 1] * (
-        -i_[1:] * mu1 * (1.0 - q + q * z) * zpow[:, j_[1:] + 1])
-    roots[:, stop] += u[:, i_] * ((i_ * mu1 * z + (m - i_) * mu2 * zm1) * zpow[:, j_])
-    a[n - 1] = np.where(i + j == K, m, m - i - j)
-    rhs[n - 1] = m - model.rho1 - model.rho2
-
-    x = multi.solve_probability_system(a, rhs)
-
-    b = np.zeros((3, m))
-    for cols, t, c0, c1, p in ((run, ir, 0.0 * ir, mu2 * (m - ir - jr), jr),
-                               (stop[1:], i_[1:] - 1, -i_[1:] * mu1, -i_[1:] * mu1 * q, j_[1:] + 1),
-                               (stop, i_, i_ * mu1, i_ * mu1 + (m - i_) * mu2, j_)):
-        taylor = np.array([c0, c0 * p + c1, c0 * p * (p - 1) / 2 + c1 * p])
-        np.add.at(b, (slice(None), t), taylor * x[cols])
-    return reference_finish(model, K, dict(zip(states, map(float, x))), b, pool)
+    """reference.solve_one with the Taylor cascade of reference_finish, in
+    place of multi._solve_one."""
+    states = [(i, j) for i in range(model.m) for j in range(max(0, K - i), model.m - i)]
+    x = LINSYS.solve_probability_system(*reference.pool_fill(model, K, pool, states)).tolist()
+    b = reference.pool_taylor(model, K, pool, states, x)
+    return reference_finish(model, K, dict(zip(states, x)), b, pool)
 
 
 def reference_finish(model, K, boundary, b, pool):
@@ -598,7 +541,7 @@ def test_each_threshold_equals_the_per_state_reference_bit_for_bit(monkeypatch, 
     failed = 0
     for model in models + list(seeded_pools()):
         with monkeypatch.context() as patch:
-            patch.setattr(KERNELS, "compiled", lambda: None)   # the Python zero search
+            patch.setattr(multi, "_roots_compiled", reference.isolate_roots)
             patch.setattr(multi, "_null_vectors", reference_null_vectors)
             patch.setattr(multi, "_solve_one", reference_solve)
             expected = every_threshold(model, pool_systems)
@@ -615,7 +558,7 @@ def test_each_threshold_equals_the_per_state_reference_bit_for_bit(monkeypatch, 
     assert failed >= PINS["failing_pool"]["m"]
 
 
-# --- the compiled fill against the Python fill -----------------------------------
+# --- the compiled fill against reference.pool_fill ---------------------------------
 
 
 def sweep_block_pools():
@@ -674,12 +617,6 @@ def test_both_pool_paths_hand_the_lu_the_same_bytes_and_give_the_same_bits(on_bo
                 failed.append(model.m)
     # the m = 17 .. 20 pools raise at some thresholds on both paths, and only they
     assert sorted(set(failed)) == [17, 18, 19, 20]
-
-
-def test_the_compiled_path_never_calls_the_python_fill(compiled_loops, monkeypatch):
-    calls = count_calls(monkeypatch, "_pool_fill", "_pool_taylor", "_solve_one")
-    sweep_thresholds(MultiServerModel(**POOL))
-    assert calls == {"_pool_fill": 0, "_pool_taylor": 0, "_solve_one": POOL["m"]}
 
 
 def test_failing_pool_quotes_the_unscaled_systems_condition_on_both_paths(on_both_paths):

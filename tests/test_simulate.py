@@ -1,8 +1,9 @@
 """Simulator (fbq.simulate): exact pins of every SimEstimate field on the
-compiled jump chain and on the Python loop, the two loops compared with `==`
-around the compiled chain's 312-uniform blocks, the kernel's build, cache and
-fallback, the bounded rate table on unstable models, the per-run debug line,
-the checks of SimConfig, and the import cost of the package.
+compiled jump chain and on its Python reference, reference.run, the two
+loops compared with `==` around the compiled chain's 312-uniform blocks, the
+kernel's build and cache and the typed error where it cannot be built, the
+bounded rate table on unstable models, the per-run debug line and the
+checks of SimConfig.
 
 data/sim_pins.json holds the full SimEstimate of 21 runs (30k arrivals each):
 single servers with K = 1..5, q = 0 and q = 1 and a zero-speed profile;
@@ -18,13 +19,13 @@ close: a reordered outcome or rate sum, or one more draw, changes them.
 arrivals.
 """
 
+import importlib
 import json
 import logging
 import os
 import pathlib
 import random
 import re
-import shutil
 import stat
 import subprocess
 import sys
@@ -33,6 +34,7 @@ import numpy as np
 import pytest
 
 import fbq
+import reference
 from fbq.models import CoxianService, ModelError, MultiServerModel, SingleServerModel, SpeedProfile
 from fbq.simulate import SimConfig, SimEstimate, ThreePhaseModel, simulate
 
@@ -42,12 +44,10 @@ KERNELS = sys.modules["fbq._kernels"]
 SIM = sys.modules["fbq.simulate"]
 MULTI = sys.modules["fbq.multi"]
 # one caller of each compiled loop: a simulated pool, a single server's
-# stack solve and CTMC oracle, and figure 8's pool with the zeros the
-# compiled search pinned
+# stack solve and CTMC oracle, and figure 8's pool
 POOL_PIN = next(p for p in PINS["pins"] if p["model"]["label"] == "pool_m4_K1_q0.4")
 SINGLE = SingleServerModel(0.5, CoxianService(2.0, 1.0, 0.5), SpeedProfile((0.5, 0.75, 1.0)))
 POOL = MultiServerModel(5.0, 1.0, 0.2, 0.1, 10)
-ZEROS = json.loads((DATA / "d_roots_pins.json").read_text())["roots"]["figure8"]
 SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
 
 
@@ -70,9 +70,9 @@ def _pin_config(pin):
 def fresh_kernel():
     """Forget the library and the loaded loops before and after the test,
     so neither sees the other's."""
-    KERNELS.compiled.cache_clear()
+    KERNELS._bound.cache_clear()
     yield
-    KERNELS.compiled.cache_clear()
+    KERNELS._bound.cache_clear()
 
 
 @pytest.mark.parametrize("pin, python_loop", [
@@ -81,10 +81,7 @@ def fresh_kernel():
 ])
 def test_matches_pinned_estimate(pin, python_loop, monkeypatch):
     if python_loop:
-        monkeypatch.setattr(KERNELS, "compiled", lambda: None)
-    elif KERNELS.compiled() is None:
-        assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the kernel did not load"
-        pytest.skip("no C compiler to build the kernel with")
+        monkeypatch.setattr(SIM, "_jump_chain", reference.run)
     assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
 
 
@@ -98,11 +95,11 @@ BLOCK = 312  # uniforms per block of the compiled chain: one regeneration of 624
 
 
 def _end_at_jump(seed, tab, clamp, jump):
-    """The smallest arrival count whose run takes at least `jump` jumps on the Python loop."""
+    """The smallest arrival count whose run takes at least `jump` jumps on the reference loop."""
     lo, hi = 1, jump
     while lo < hi:
         mid = (lo + hi) // 2
-        if SIM._run(seed, tab, clamp, [mid])[2] >= jump:
+        if reference.run(seed, tab, clamp, [mid])[2] >= jump:
             hi = mid
         else:
             lo = mid + 1
@@ -112,9 +109,6 @@ def _end_at_jump(seed, tab, clamp, jump):
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5])
 @pytest.mark.parametrize("chain", sorted(CHAINS))
 def test_compiled_chain_equals_the_python_loop(chain, seed):
-    if KERNELS.compiled() is None:
-        assert shutil.which(KERNELS._COMPILER) is None, "a C compiler is on PATH but the kernel did not load"
-        pytest.skip("no C compiler to build the kernel with")
     model, qs, clamp = CHAINS[chain]
     tab = SIM._table(model, qs, clamp)
     assert random.Random(seed).getstate()[1][-1] == 624  # so the chain starts with a regeneration
@@ -127,50 +121,31 @@ def test_compiled_chain_equals_the_python_loop(chain, seed):
     }
     jumps = {}
     for name, stops in runs.items():
-        expected = SIM._run(seed, tab, clamp, stops)
-        assert SIM._run_compiled(seed, tab, clamp, stops) == expected, name
+        expected = reference.run(seed, tab, clamp, stops)
+        assert SIM._jump_chain(seed, tab, clamp, stops) == expected, name
         jumps[name] = expected[2]
     assert jumps["inside the first block"] < BLOCK
     assert jumps["at the last arrival before the refill"] <= BLOCK < jumps["at the first arrival after the refill"]
     assert jumps["over many refills, stops at scattered offsets"] > 20 * BLOCK
 
 
-def test_missing_compiler_falls_back_to_the_python_loop(caplog, monkeypatch, tmp_path, fresh_kernel):
-    oracle = fbq.ctmc_solve(SINGLE)  # with the compiled assembly wherever it builds
-    general = fbq.solve_general(SINGLE)  # with the compiled family loop wherever it builds
-    MULTI._pool_data.cache_clear()
-    sweep = fbq.sweep_thresholds(POOL)  # with the compiled boundary fill wherever it builds
-    KERNELS.compiled.cache_clear()
+def test_missing_compiler_raises_a_typed_error_after_one_build(monkeypatch, tmp_path, fresh_kernel):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(KERNELS, "_COMPILER", str(tmp_path / "no-such-cc"))
-    with caplog.at_level(logging.DEBUG, logger="fbq"):
-        assert simulate(_pin_config(POOL_PIN)) == SimEstimate(**POOL_PIN["estimate"])
-        assert simulate(_pin_config(POOL_PIN)) == SimEstimate(**POOL_PIN["estimate"])
-        assert fbq.solve_general(SINGLE) == general
-        assert fbq.ctmc_solve(SINGLE) == oracle
-        MULTI._pool_data.cache_clear()   # so that the pool's zeros are searched for again
-        zeros = [z.hex() for z in fbq.d_roots(POOL)]
-        assert fbq.sweep_thresholds(POOL) == sweep
-    assert zeros == ZEROS
-    lines = [r.getMessage() for r in caplog.records if r.name == "fbq.kernels"]
-    assert len(lines) == 1 and "running the Python loops" in lines[0] and "no-such-cc" in lines[0], lines
-    sizes = [r.getMessage() for r in caplog.records if r.name == "fbq.ctmc"]
-    assert sizes and all("Python assembly" in line for line in sizes), sizes
-    assert KERNELS.compiled() is None
-
-
-def test_missing_compiler_is_tried_once_for_both_loops(monkeypatch, tmp_path, fresh_kernel):
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(KERNELS, "_COMPILER", str(tmp_path / "no-such-cc"))
-    run, builds = KERNELS.subprocess.run, []
-    monkeypatch.setattr(KERNELS.subprocess, "run", lambda cmd, **kw: builds.append(cmd) or run(cmd, **kw))
-    simulate(_pin_config(POOL_PIN))
-    fbq.solve_general(SINGLE)
-    fbq.ctmc_solve(SINGLE)
-    MULTI._pool_data.cache_clear()
-    fbq.d_roots(POOL)
-    assert KERNELS.compiled() is None
+    run, builds = subprocess.run, []
+    monkeypatch.setattr(subprocess, "run", lambda cmd, **kw: builds.append(cmd) or run(cmd, **kw))
+    # a fresh import of every fbq module builds nothing
+    for name in [n for n in sys.modules if n.split(".")[0] == "fbq"]:
+        monkeypatch.delitem(sys.modules, name)
+    importlib.import_module("fbq")
+    assert builds == []
+    MULTI._pool_data.cache_clear()   # so that the pool's zeros are searched for
+    for call in (lambda: fbq.solve_general(SINGLE), lambda: fbq.sweep_thresholds(POOL),
+                 lambda: fbq.ctmc_solve(SINGLE), lambda: simulate(_pin_config(POOL_PIN))):
+        with pytest.raises(OSError, match="cannot be built or loaded here: .*no-such-cc"):
+            call()
     assert len(builds) == 1 and builds[0][0] == KERNELS._COMPILER
+    assert list((tmp_path / "fbq").iterdir()) == []   # no temporary file left behind
 
 
 def _kernel_loads(cache, compiler, processes=1):
@@ -185,24 +160,12 @@ def _kernel_loads(cache, compiler, processes=1):
 
 
 def test_processes_build_the_kernel_at_once_and_later_ones_only_load_it(tmp_path):
-    if shutil.which(KERNELS._COMPILER) is None:
-        pytest.skip("no C compiler to build the kernel with")
     assert _kernel_loads(tmp_path, KERNELS._COMPILER, processes=3) == [True] * 3
     cache = tmp_path / "fbq"
     (lib,) = cache.iterdir()  # one library, and no temporary file left behind
     assert lib.suffix == ".so" and stat.S_IMODE(cache.stat().st_mode) == 0o700
     assert _kernel_loads(tmp_path, str(tmp_path / "no-such-cc")) == [True]
     assert list(cache.iterdir()) == [lib]
-
-
-def test_import_leaves_scipy_stats_unloaded(tmp_path):
-    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
-    code = ("import sys, fbq; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules, "
-            "sys.modules['fbq._kernels'].compiled.cache_info().currsize)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False False 0"  # nor scipy.special, nor is the kernel built or loaded
-    assert not (tmp_path / "fbq").exists()
 
 
 @pytest.mark.parametrize("field, value", [("jobs", 30_000.5), ("warmup_jobs", 1_000.0),
