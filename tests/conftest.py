@@ -1,7 +1,12 @@
 """Fixtures shared by the test modules: the compiled loops, one call run on
-both the compiled loops and their references, and the systems that either
-pool path hands to the LU of fbq.linsys."""
+both the compiled loops and their references, the systems that either
+pool path hands to the LU of fbq.linsys, and what a fresh interpreter
+loads when it imports fbq."""
 
+import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -13,6 +18,22 @@ import reference
 KERNELS = sys.modules["fbq._kernels"]
 LINSYS = sys.modules["fbq.linsys"]
 MULTI = sys.modules["fbq.multi"]
+SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
+
+# run in a fresh interpreter with an empty kernel cache (argv[1]): what
+# `import fbq` loaded, then what the first family solve left in the cache
+_IMPORT_PROBE = """
+import json, os, sys, fbq
+bound = sys.modules['fbq._kernels']._bound
+seen = {'lookups': bound.cache_info().currsize, 'cache made': os.path.exists(sys.argv[1]),
+        'loaded': [name for name in ('scipy.stats', 'scipy.special', 'scipy.integrate', 'scipy.optimize')
+                   if name in sys.modules]}
+fbq.solve_general(fbq.SingleServerModel(0.5, fbq.CoxianService(2.0, 1.0, 0.5),
+                                        fbq.SpeedProfile((0.5, 0.75, 1.0))))
+seen['lookups after a solve'] = bound.cache_info().currsize
+seen['cache after a solve'] = sorted(os.listdir(sys.argv[1]))
+print(json.dumps(seen))
+"""
 
 
 @pytest.fixture
@@ -61,3 +82,16 @@ def pool_systems(monkeypatch):
     monkeypatch.setattr(LINSYS, "solve_scaled_system", spy)
     monkeypatch.setattr(MULTI, "solve_scaled_system", spy)
     return seen
+
+
+@pytest.fixture(scope="session")
+def fresh_import(tmp_path_factory):
+    """What one fresh interpreter with an empty kernel cache reports (see
+    _IMPORT_PROBE): right after `import fbq`, how often the compiled loops
+    were looked up, whether the cache directory exists and which of the
+    slow scipy modules are loaded; after one family solve, the lookups and
+    the files in the cache.  The import tests share this one subprocess."""
+    cache = tmp_path_factory.mktemp("import-probe")
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cache / "fbq")], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(cache)), check=True)
+    return json.loads(out.stdout)

@@ -131,6 +131,15 @@ class TestLas:
         assert panels == [12, 12, 12, 12, 13, 22]
 
 
+def test_import_does_not_load_scipy_integrate(fresh_import):
+    assert "scipy.integrate" not in fresh_import["loaded"]
+
+
+def test_import_does_not_load_scipy_optimize(fresh_import):
+    # no code in fbq calls brentq; only the tests' reference zero search does
+    assert "scipy.optimize" not in fresh_import["loaded"]
+
+
 class TestTruncatedLoad:
     """The closed forms of baselines._las_terms, which las_L integrates."""
 

@@ -180,6 +180,13 @@ def test_failing_pool_raises_the_same_error_on_both_pool_paths(on_both_paths):
         assert same_failure(compiled, message), compiled
 
 
+def test_import_neither_builds_nor_loads_the_lu_loop(fresh_import):
+    assert fresh_import["lookups"] == 0 and not fresh_import["cache made"]  # nothing built, loaded or looked up
+    assert fresh_import["lookups after a solve"] == 1  # the first stack solve does both
+    (lib,) = fresh_import["cache after a solve"]
+    assert lib.endswith(".so")
+
+
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS x86 core names")
 def test_family_bits_do_not_depend_on_the_blas_kernel(tmp_path):
     # OPENBLAS_CORETYPE picks the kernels of an OpenBLAS built for several

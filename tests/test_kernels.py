@@ -1,17 +1,14 @@
 """The compiled loops' source, `_kernels.c`, builds without a warning under
 the package's own compiler and flags, the ctypes signatures that
 `fbq._kernels.compiled` gives its loops are the C definitions' parameter
-lists, every Python function that its comments cite exists in fbq or in
-the test module `reference`, and importing fbq builds and loads nothing."""
+lists, and every Python function that its comments cite exists in fbq or
+in the test module `reference`."""
 
 import ctypes
 import functools
 import importlib
-import os
-import pathlib
 import re
 import subprocess
-import sys
 
 from fbq import _kernels
 
@@ -65,25 +62,3 @@ def test_python_names_in_the_comments_resolve_in_fbq():
             missing.append(name)
     assert missing == []
 
-
-def test_import_builds_nothing_and_defers_its_slow_imports(tmp_path):
-    # one fresh interpreter: importing fbq neither builds, loads nor looks up
-    # the compiled loops, and loads none of the scipy modules that the
-    # simulator's estimate (scipy.special, scipy.stats) or the tests
-    # (scipy.integrate, scipy.optimize) import; fbq calls no brentq.  The
-    # first family solve then builds the library into the fresh cache.
-    src = str(pathlib.Path(_kernels.__file__).resolve().parents[1])
-    code = "\n".join([
-        "import os, sys, fbq",
-        "bound = sys.modules['fbq._kernels']._bound",
-        "print(bound.cache_info().currsize, os.path.exists(sys.argv[1]), *(name in sys.modules for name in",
-        "      ('scipy.stats', 'scipy.special', 'scipy.integrate', 'scipy.optimize')))",
-        "fbq.solve_general(fbq.SingleServerModel(0.5, fbq.CoxianService(2.0, 1.0, 0.5),",
-        "                                        fbq.SpeedProfile((0.5, 0.75, 1.0))))",
-        "print(bound.cache_info().currsize)",
-    ])
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fbq")], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(tmp_path)), check=True)
-    assert out.stdout.splitlines() == ["0 False False False False False", "1"]
-    (lib,) = (tmp_path / "fbq").iterdir()
-    assert lib.suffix == ".so"

@@ -129,7 +129,10 @@ def test_compiled_chain_equals_the_python_loop(chain, seed):
     assert jumps["over many refills, stops at scattered offsets"] > 20 * BLOCK
 
 
-def test_missing_compiler_raises_a_typed_error_after_one_build(monkeypatch, tmp_path, fresh_kernel):
+def test_missing_compiler_is_tried_once_for_both_loops(monkeypatch, tmp_path, fresh_kernel):
+    # the failed build is tried once, then raised again as the same typed
+    # error by each caller: the LU loop, the pool loops, the band assembly
+    # and the jump chain
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(KERNELS, "_COMPILER", str(tmp_path / "no-such-cc"))
     run, builds = subprocess.run, []
@@ -166,6 +169,12 @@ def test_processes_build_the_kernel_at_once_and_later_ones_only_load_it(tmp_path
     assert lib.suffix == ".so" and stat.S_IMODE(cache.stat().st_mode) == 0o700
     assert _kernel_loads(tmp_path, str(tmp_path / "no-such-cc")) == [True]
     assert list(cache.iterdir()) == [lib]
+
+
+def test_import_leaves_scipy_stats_unloaded(fresh_import):
+    assert "scipy.stats" not in fresh_import["loaded"]
+    assert "scipy.special" not in fresh_import["loaded"]
+    assert fresh_import["lookups"] == 0 and not fresh_import["cache made"]  # nor is the kernel built or loaded
 
 
 @pytest.mark.parametrize("field, value", [("jobs", 30_000.5), ("warmup_jobs", 1_000.0),
