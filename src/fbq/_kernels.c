@@ -16,22 +16,20 @@
  * for bit when this file is built with -ffp-contract=off and without
  * -ffast-math.
  *
- * fbq_speed_family solves a chunk of a speed family of fbq.single from its
- * layout and the profiles' speed levels: it fills each tile of systems as
+ * fbq_speed_family solves a speed family of fbq.single from its layout and
+ * the profiles' speed levels: it fills each tile of systems as
  * single._Family._stack builds them, in the same float operations, and
  * checks, scales and factors it by Gaussian elimination with partial
  * pivoting on tiles of LU_TILE systems in lockstep (solve_tile), the system
  * index innermost so that the row updates vectorise.  The elimination does
- * the float operations of reference.lockstep, the numpy loop of
- * reference.solve_probability_stack, in their order, so each system gets the same
- * answer wherever it sits in the stack, and on any CPU, since no BLAS is
- * called.  It then sums each solution's rows for _Family._finish in numpy's
- * order, so reference.family_solve, which sums them in single._Family._finish,
- * gives the same bits.  At these sizes (6 to 45 unknowns) a LAPACK call per
- * system spends more on its fixed cost than on arithmetic; batching small
- * factorisations is the usual remedy, and it pays only when the data
- * movement around them is batched too (Dongarra et al., Procedia Computer
- * Science 108, 2017).
+ * the float operations of reference.lockstep, in their order, so each
+ * system gets the same answer wherever it sits in the family, and on any
+ * CPU, since no BLAS is called.  It then sums each solution's rows for the
+ * finish (finish_system); reference.family_solve sums them in that order.
+ * At these sizes (6 to 45 unknowns) a LAPACK call per system spends more
+ * on its fixed cost than on arithmetic; batching small factorisations is
+ * the usual remedy, and it pays only when the data movement around them is
+ * batched too (Dongarra et al., Procedia Computer Science 108, 2017).
  *
  * fbq_pool_roots is the zero search of reference.isolate_roots: Sturm sign
  * counts and bisection over the pool's leading minors (Wilkinson 1965), then
@@ -43,7 +41,7 @@
  *
  * fbq_ctmc_band finds the states of fbq.ctmc's truncated chain that its
  * fixed state reaches and fills the band system of their balance equations
- * for LAPACK's dgbsv, as fbq.ctmc._solve_reference does with a sparse graph
+ * for LAPACK's dgbsv, as reference.band_system does with a sparse graph
  * search and bincounts; each cell is summed in the reference's order, so
  * the two systems are equal bit for bit.
  *
@@ -368,15 +366,14 @@ static void fill_lane(const struct family *f, const double *lev, int w, int s, d
     y[(n - 1) * w + s] = top - f->work;
 }
 
-/* The row sums of single._Family._finish from the solution x of the
- * profile with speed levels lev: p[t] = P(level t) for t < K, and sums[0],
- * sums[stride], ... sums[4 stride] get the tail mass 1 - sum p, pi_idle_fg
- * = sum_j pi_0j, iw = sum i w_ij, jw = sum j w_ij and w_busy = sum_{i>0}
- * w_ij, with w_ij = (1 - s_{i+j} / s_K) pi_ij.  Each sum is in numpy's
- * order for fewer than 8 terms: np.add.reduceat makes p[t] its level's
- * first pi plus (-0.0 plus the others in turn), and sum(axis=1) adds its
- * terms in turn to 0.0.  With clamp set, x is read as np.clip(x, 0.0,
- * None) gives it, a value below 0 or -0.0 as 0.0. */
+/* The row sums of the finish of single._Family.solve from the solution x
+ * of the profile with speed levels lev: p[t] = P(level t) for t < K, and
+ * sums[0], sums[stride], ... sums[4 stride] get the tail mass 1 - sum p,
+ * pi_idle_fg = sum_j pi_0j, iw = sum i w_ij, jw = sum j w_ij and w_busy =
+ * sum_{i>0} w_ij, with w_ij = (1 - s_{i+j} / s_K) pi_ij.  p[t] is its
+ * level's first pi plus (-0.0 plus the others in turn), and every other sum
+ * adds its terms in turn to 0.0, by level and then by i.  With clamp set,
+ * x is read as linsys._checked clamps it, a value below 0 or -0.0 as 0.0. */
 static void finish_system(int K, const double *lev, const double *x, int clamp, double *p,
                           double *sums, int64_t stride)
 {
@@ -407,17 +404,16 @@ static void finish_system(int K, const double *lev, const double *x, int clamp, 
     sums[4 * stride] = busy;
 }
 
-/* The solves of a chunk of a speed family, single._Family.solve: for the
- * count profiles whose speed levels s_0 .. s_K are the rows of `levels`
- * (count, K + 1), each tile of systems is filled by fill_lane, checked by
+/* The solves of a speed family, single._Family.solve: for the count
+ * profiles whose speed levels s_0 .. s_K are the rows of `levels` (count,
+ * K + 1), each tile of systems is filled by fill_lane, checked by
  * check_rows and solved by solve_tile, so x, pivmin and summary are
  * reference.lockstep's on the stack that single._Family._stack builds.
- * Its statuses are too: 1 if an entry is not finite anywhere in the chunk,
+ * Its statuses are too: 1 if an entry is not finite anywhere in the family,
  * else 2 if a row is all zeros, else 0 once every system is solved, or 3
- * if the tile cannot be allocated.  With status 0 and p not NULL,
- * finish_system then books each profile's row sums in p (count, K) and
- * sums (5, count), with x clamped if any value in the chunk is negative;
- * its order is numpy's for K <= 3. */
+ * if the tile cannot be allocated.  With status 0, finish_system then books
+ * each profile's row sums in p (count, K) and sums (5, count), with x
+ * clamped if any value in the family is negative. */
 int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, const double *coef,
                      const double *shared, double work, const double *levels, double pivot_tol,
                      double neg_tol, double *x, double *pivmin, int64_t *summary, double *p,
@@ -451,7 +447,7 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
     free(tile);
     if (zero_row)
         return 2;
-    for (int64_t k = 0; p && k < count; k++)
+    for (int64_t k = 0; k < count; k++)
         finish_system(K, levels + k * (K + 1), x + k * n, summary[2] > 0, p + k * K, sums + k,
                       count);
     return 0;
@@ -893,12 +889,10 @@ static int scale_row(int64_t n, int64_t row, int scale, double *a, double *rhs)
  * running state or, when K >= 1 and i + j = K, a stopped one; one row per
  * zero z_k (k = 0 .. m - 2), with the left null vector null[k m ..] and
  * the powers zpow[k m + j] = z_k^j; and the idle-or-stopped servers row,
- * whose right-hand side is idle.  Each balance and root cell gets the
- * value that adding its terms to a zeroed cell gives (0.0 + x, 0.0 - x,
- * (0.0 + x) + y).  With scale set each row is then divided by its largest
- * |a_rc|.  Returns 1 if a cell or right-hand side is not finite, else 2 if
- * a row is all zeros, else 0, as linsys._first_pass finds them on the
- * unscaled system; a is not a scaled system then. */
+ * whose right-hand side is idle.  With scale set each row is then divided
+ * by its largest |a_rc|.  Returns 1 if a cell or right-hand side is not
+ * finite, else 2 if a row is all zeros, else 0, as linsys._first_pass finds
+ * them on the unscaled system; a is not a scaled system then. */
 static int pool_fill(const struct pool *p, int64_t K, const double *zeros, const double *null,
                      const double *zpow, double idle, int scale, double *a, double *rhs)
 {
@@ -917,24 +911,24 @@ static int pool_fill(const struct pool *p, int64_t K, const double *zeros, const
             int e = 0;
             cols[e] = unknown(m, K, i, j);
             if (K && i + j == K) {
-                vals[e++] = 0.0 + lam;
+                vals[e++] = lam;
                 cols[e] = unknown(m, K, i + 1, j);
-                vals[e++] = 0.0 - (double)(i + 1) * (1.0 - q) * mu1;
+                vals[e++] = -((double)(i + 1) * (1.0 - q) * mu1);
             } else {
-                vals[e++] = 0.0 + (lam + r[2 * i] + (double)j * mu2);
+                vals[e++] = lam + r[2 * i] + (double)j * mu2;
                 if (i > 0) {
                     cols[e] = unknown(m, K, i - 1, j);
-                    vals[e++] = 0.0 - lam;
+                    vals[e++] = -lam;
                 }
                 cols[e] = unknown(m, K, i + 1, j);
-                vals[e++] = 0.0 - r[2 * (i + 1)] * (1.0 - q);
+                vals[e++] = -(r[2 * (i + 1)] * (1.0 - q));
                 if (j > 0) {
                     cols[e] = unknown(m, K, i + 1, j - 1);
-                    vals[e++] = 0.0 - r[2 * (i + 1)] * q;
+                    vals[e++] = -(r[2 * (i + 1)] * q);
                 }
             }
             cols[e] = unknown(m, K, i, j + 1);
-            vals[e++] = 0.0 - (double)(j + 1) * mu2;
+            vals[e++] = -((double)(j + 1) * mu2);
             status |= put_row(n, cols[0] - i, e, cols, vals, scale, a);
         }
     }
@@ -947,9 +941,9 @@ static int pool_fill(const struct pool *p, int64_t K, const double *zeros, const
                 double v;
                 if (K && i + j == K) {
                     double own = u[i] * ((r[2 * i] * z + r[2 * i + 1] * zm1) * zp[j]);
-                    v = i > 0 ? (0.0 + u[i - 1] * ((double)(-i) * mu1 * w * zp[j + 1])) + own : 0.0 + own;
+                    v = i > 0 ? u[i - 1] * ((double)(-i) * mu1 * w * zp[j + 1]) + own : own;
                 } else {
-                    v = 0.0 + u[i] * (mu2 * zm1 * (double)(m - i - j) * zp[j]);
+                    v = u[i] * (mu2 * zm1 * (double)(m - i - j) * zp[j]);
                 }
                 a[c * n + row] = v;
             }
@@ -988,7 +982,7 @@ static void pool_taylor(const struct pool *p, int64_t K, const double *x, double
     for (int64_t i = 0, c = 0; i < m; i++)
         for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++)
             if (!K || i + j != K)
-                add_taylor(b, m, i, 0.0 * (double)i, p->mu2 * (double)(m - i - j), (double)j, x[c]);
+                add_taylor(b, m, i, 0.0, p->mu2 * (double)(m - i - j), (double)j, x[c]);
     for (int64_t i = 1; K && i <= K; i++) {
         double c0 = (double)(-i) * p->mu1;
         add_taylor(b, m, i - 1, c0, c0 * p->q, (double)(K - i + 1), x[unknown(m, K, i, K - i)]);

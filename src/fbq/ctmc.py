@@ -19,8 +19,7 @@ BAND_MAX levels go to SuperLU, which is faster there.  One call pair of the
 compiled loop `fbq_ctmc_band` finds the reachable states and fills the band
 system from the rate grids.  SuperLU's systems, and the empty one of
 lam = 0, are assembled from the generator entries of `_transitions` by a
-breadth-first search of their graph and bincounts over them, which give a
-band system the same bits.
+breadth-first search of their graph and bincounts over them.
 
 Each axis is sized to its own tail.  Above the modulation level the cut
 equations between foreground levels make the foreground marginal exactly
@@ -136,7 +135,7 @@ def _band_compiled(lam, q, fg, bg, fixed):
     n, kl, ku = sizes.tolist()
     if not n:
         return None
-    # column-major band of n columns, as _solve_reference's bincount lays it out
+    # column-major band of n columns
     ab, b = np.empty((n, 2 * kl + ku + 1)), np.empty(n)
     band(*args, dbl(ab), dbl(b))
     return order[:n], ab.T, kl, ku, b
@@ -149,13 +148,12 @@ def _band_lu(ab, kl, ku, b):
     return x[:, 0], info > 0
 
 
-def _solve_reference(rows, cols, rates, shape, fixed):
-    """`_stationary`'s solve from the generator entries (from, to, rate):
-    the unknown states, their solution, whether the system is singular, and
-    the factorisation.  The reachable states come from a breadth-first
-    search of the transition graph and the equations from bincounts over
-    the entries; the assembly of SuperLU's systems, and of a band system
-    with the same bits as `_band_compiled`'s."""
+def _solve_sparse(rows, cols, rates, shape, fixed):
+    """`_stationary`'s SuperLU solve from the generator entries (from, to,
+    rate): the unknown states, their solution, whether the system is
+    singular, and the factorisation.  The reachable states come from a
+    breadth-first search of the transition graph and the equations from
+    bincounts over the entries."""
     nstates = shape[0] * shape[1]
     # the transition graph in CSR form: row pointers from the row counts, and
     # the target states sorted by source state
@@ -164,14 +162,7 @@ def _solve_reference(rows, cols, rates, shape, fixed):
     graph = sp.csr_matrix((np.ones(rows.size), cols[np.argsort(rows, kind="stable")], indptr),
                           shape=(nstates, nstates))
     live = csgraph.breadth_first_order(graph, fixed, return_predecessors=False)
-    unknown = live[live != fixed]
-    # dgbsv rejects an empty system, which lam = 0 leaves
-    band = 0 < unknown.size and min(shape) <= BAND_MAX
-    if band and shape[1] > shape[0]:
-        # foreground-major numbering: (i, j) -> j (n1 + 1) + i
-        unknown = unknown[np.argsort(unknown % shape[1] * shape[0] + unknown // shape[1])]
-    else:
-        unknown = np.sort(unknown)
+    unknown = np.sort(live[live != fixed])
     pos = np.full(nstates, -1)
     pos[unknown] = np.arange(unknown.size)
     at_from, at_to = pos[rows], pos[cols]
@@ -184,14 +175,6 @@ def _solve_reference(rows, cols, rates, shape, fixed):
     eq, var = np.concatenate([at_to[inner], diag]), np.concatenate([at_from[inner], diag])
     fed = (rows == fixed) & (at_to >= 0)
     b = -np.bincount(at_to[fed], weights=rates[fed], minlength=unknown.size)
-    if band:
-        kl, ku = int((eq - var).max()), int((var - eq).max())
-        height = 2 * kl + ku + 1
-        # entry (r, c) sits in row kl + ku + r - c of column c of the band
-        # layout; the first kl rows are dgbsv's room for fill
-        ab = np.bincount(var * height + kl + ku + eq - var, weights=values,
-                         minlength=unknown.size * height).reshape(unknown.size, height).T
-        return unknown, *_band_lu(ab, kl, ku, b), f"band LU kl={kl} ku={ku}"
     a = sp.csc_matrix((values, (eq, var)), shape=(unknown.size, unknown.size))
     # fill-reducing order of A + A^T, except when no foreground completion
     # leaves the system, i.e. no move (i, j) -> (i - 1, j) below the edge
@@ -208,11 +191,10 @@ def _solve_reference(rows, cols, rates, shape, fixed):
     return unknown, x, singular, f"SuperLU {ordering}"
 
 
-def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, str, str]:
+def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, str]:
     """Stationary vector of the chain (lam, q, fg, bg) of `_transitions` on
-    the grid of fg's shape, summing to 1, the assembly that built its
-    equations ("compiled" or "Python") and the factorisation that solved
-    them.
+    the grid of fg's shape, summing to 1, and the factorisation that solved
+    its equations ("band LU ..." or "SuperLU ...").
 
     `fixed` is the flat index of a recurrent state.  Its probability is set
     to 1 and its balance equation dropped; the balance equations of the
@@ -223,7 +205,7 @@ def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, str, str]:
     rectangle whose short axis has more than BAND_MAX levels is solved with
     SuperLU instead.  The band system is found and filled by the compiled
     `fbq_ctmc_band`, and SuperLU's, or the empty one that lam = 0 leaves,
-    by `_solve_reference`.  States that `fixed` does not reach get
+    by `_solve_sparse`.  States that `fixed` does not reach get
     probability zero: they are transient, or they form a closed class the
     model's convention leaves empty.  A reducible or otherwise singular
     system raises SolverError instead of returning NaN.
@@ -233,11 +215,10 @@ def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, str, str]:
     system = min(shape) <= BAND_MAX and _band_compiled(lam, q, fg, bg, fixed)
     if system:
         unknown, ab, kl, ku, b = system
-        assembly, solver = "compiled", f"band LU kl={kl} ku={ku}"
+        solver = f"band LU kl={kl} ku={ku}"
         x, singular = _band_lu(ab, kl, ku, b)
     else:
-        assembly = "Python"
-        unknown, x, singular, solver = _solve_reference(*_transitions(lam, q, fg, bg), shape, fixed)
+        unknown, x, singular, solver = _solve_sparse(*_transitions(lam, q, fg, bg), shape, fixed)
     if singular:
         raise SolverError(f"stationary equations are singular at {at}: the truncated chain is reducible")
     pi = np.zeros(shape[0] * shape[1])
@@ -252,7 +233,7 @@ def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, str, str]:
     if floor < -1e-9:
         raise SolverError(f"stationary solve at {at} produced probability {floor:.3e}")
     pi = np.clip(pi, 0.0, None)
-    return (pi / pi.sum()).reshape(shape), assembly, solver
+    return (pi / pi.sum()).reshape(shape), solver
 
 
 def _foreground_size(base, ratio):
@@ -292,11 +273,11 @@ def _grow(model, fixed, n1, n2, max_n):
     n1, n2 = min(n1, max_n), min(n2, max_n)
     while True:
         t0 = time.perf_counter()
-        grid, assembly, solver = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
+        grid, solver = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
         fg_marginal, bg_marginal = grid.sum(axis=1), grid.sum(axis=0)
         edges = (float(fg_marginal[n1]), float(bg_marginal[n2]))
-        log.debug("(%d, %d): %d states, edge mass %.3e foreground, %.3e background, %.3f s, "
-                  "%s assembly, %s", n1, n2, grid.size, *edges, time.perf_counter() - t0, assembly, solver)
+        log.debug("(%d, %d): %d states, edge mass %.3e foreground, %.3e background, %.3f s, %s",
+                  n1, n2, grid.size, *edges, time.perf_counter() - t0, solver)
         if max(edges) < TAIL_TOL:
             return grid, edges
         if (edges[0] >= TAIL_TOL and n1 >= max_n) or (edges[1] >= TAIL_TOL and n2 >= max_n):

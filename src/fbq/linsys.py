@@ -1,14 +1,15 @@
 """Small dense linear solves shared by the exact solvers.
 
 Both solves row-scale their systems and share one set of checks and
-errors, raised in `_checked`.
+errors, raised in `_checked`; a message's condition estimate reads only
+the failing system, built again for it.
 
-* A speed family's stack of small systems is solved by the compiled loop
-  `fbq_speed_family` of `fbq.single`, by Gaussian elimination with partial
-  pivoting on tiles of systems in lockstep; it reports its outcome to
-  `_checked`, so a system gets the same bits in any stack, at any position
-  in it and on any machine: no BLAS kernel that the CPU selects is
-  involved.
+* A speed family's small systems are solved in one call of the compiled
+  loop `fbq_speed_family` of `fbq.single`, by Gaussian elimination with
+  partial pivoting on tiles of systems in lockstep; it reports its outcome
+  to `_checked`, so a system gets the same bits in any family, at any
+  position in it and on any machine: no BLAS kernel that the CPU selects
+  is involved.
 * `solve_scaled_system` is the one LU-and-check call of a pool's boundary
   system, up to a few hundred unknowns: it takes the system already
   row-scaled, in column-major order, as the compiled fill `fbq_pool_system`
@@ -67,7 +68,7 @@ def solve_scaled_system(a: np.ndarray, b: np.ndarray, status: int, system) -> np
     x = lapack.dgetrs(lu, piv, b)[0][None]
     pivmin = np.abs(lu.diagonal()).min(keepdims=True)
     summary = _summary(x, pivmin)
-    return _checked(system()[None] if max(summary[:2]) >= 0 else None, 0, x, pivmin, summary)[0]
+    return _checked(lambda k: system(), 0, x, pivmin, summary)[0]
 
 
 def _stack(a, b):
@@ -80,9 +81,12 @@ def _stack(a, b):
     return a, b
 
 
-def _checked(a, status, x, pivmin, summary):
-    """x after the errors that a loop's outcome on the stack a calls for, in
-    their order, with roundoff negatives clamped."""
+def _checked(system, status, x, pivmin, summary):
+    """x after the errors that a loop's outcome on a stack of systems calls
+    for, in their order, with roundoff negatives clamped: a non-finite
+    entry, a zero row, the first singular system, the first with a value
+    below -NEG_PROB_TOL.  system(k) returns the unscaled system k, C-ordered;
+    it is called only for the message of a failing system."""
     singular, below, negatives = summary
     if status == _NOT_FINITE:
         raise ValueError("array must not contain infs or NaNs")
@@ -92,10 +96,10 @@ def _checked(a, status, x, pivmin, summary):
         raise MemoryError("no memory for a tile of the lockstep LU loop")
     if singular >= 0:
         raise SolverError(f"singular linear system (pivot {pivmin[singular]:.3e}, cond ~ "
-                          f"{_condition_estimate(a[singular]):.3e}); degenerate parameter set")
+                          f"{_condition_estimate(system(singular)):.3e}); degenerate parameter set")
     if below >= 0:
         raise SolverError(f"solved probability {x[below].min():.3e} is below -{NEG_PROB_TOL:g}; condition "
-                          f"estimate of the row-scaled system {_condition_estimate(a[below]):.3e}")
+                          f"estimate of the row-scaled system {_condition_estimate(system(below)):.3e}")
     if negatives:
         log.debug("clamping %d slightly negative probabilities (min %.2e)", negatives, x.min())
         x = np.clip(x, 0.0, None)

@@ -49,8 +49,6 @@ from .series import PowerSeries, divide, kernel_root_series
 
 log = logging.getLogger("fbq.single")
 
-FAMILY_CHUNK = 256        # profiles per stacked solve; bounds a family solve's working set
-
 
 @dataclass(frozen=True)
 class BoundaryProbabilities:
@@ -151,14 +149,15 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     series and the Maclaurin rows depend only on (lam, service, s_K, K), so
     they are built once; the sub-threshold balance rows and the
     work-conservation row depend on the profile's speeds and are filled per
-    profile.  The B systems are solved FAMILY_CHUNK profiles at a time, each
-    chunk in one call of the compiled loop fbq_speed_family, which fills
-    the systems, solves them by the lockstep LU and sums the rows of the
-    finish; the mean counts of each profile come from its solved
-    sub-threshold probabilities by row sums, not BLAS products.  Every
-    profile gets every check of a single solve and the answer it gets
-    alone, bit for bit and on any CPU, and the first profile that fails a
-    check raises its error.
+    profile.  The B systems are solved in one call of the compiled loop
+    fbq_speed_family, which fills them, solves them by the lockstep LU and
+    sums the rows of the finish; the mean counts of each profile come from
+    its solved sub-threshold probabilities by row sums, not BLAS products.
+    Every profile gets every check of a single solve and the answer it gets
+    alone, bit for bit and on any CPU.  A family that fails raises one
+    error, whatever its size: a non-finite entry in any system first, then
+    a zero row, then the first profile with a singular system, then the
+    first with a solved value below -NEG_PROB_TOL.
     """
     require_stable_single(model)
     if model.lam == 0:
@@ -174,15 +173,7 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     levels[:, 1:-1] = inter
     levels[:, -1] = model.speeds.levels[-1]
     _check_levels(levels)
-    family = _Family(model, levels.shape[1] - 1)
-    fields = family.solve(levels[:FAMILY_CHUNK])
-    if len(levels) > FAMILY_CHUNK:
-        first, fields = fields, {f: np.empty((len(levels),) + v.shape[1:]) for f, v in fields.items()}
-        for k in range(0, len(levels), FAMILY_CHUNK):
-            part = first if k == 0 else family.solve(levels[k:k + FAMILY_CHUNK])
-            for f, v in part.items():
-                fields[f][k:k + len(v)] = v
-    return SpeedFamilySolution(levels=levels, **fields)
+    return SpeedFamilySolution(levels=levels, **_Family(model, levels.shape[1] - 1).solve(levels))
 
 
 def _check_levels(levels: np.ndarray) -> None:
@@ -195,7 +186,8 @@ def _check_levels(levels: np.ndarray) -> None:
     if (by_level[0] >= 0).all() and (by_level[1] > 0).all() and (by_level[1:] >= by_level[:-1]).all():
         return
     K = levels.shape[1] - 1
-    for bad, message in (((levels < 0).any(axis=1), "speeds must be nonnegative"),
+    for bad, message in ((~np.isfinite(levels).all(axis=1), "speeds must be finite"),
+                         ((levels < 0).any(axis=1), "speeds must be nonnegative"),
                          ((levels[:, 1:] < levels[:, :-1]).any(axis=1), "speeds must be nondecreasing")):
         if bad.any():
             raise ModelError(f"{message}: {tuple(levels[np.flatnonzero(bad)[0]].tolist())}")
@@ -226,10 +218,7 @@ class _Layout:
     sign: np.ndarray
     nu_kind: np.ndarray
     factor_kind: np.ndarray
-    level_starts: np.ndarray   # first unknown of each level t < K
     t_of: np.ndarray           # level i+j of each sub-threshold unknown
-    i_of: np.ndarray           # foreground count of each sub-threshold unknown
-    j_of: np.ndarray           # background count of each sub-threshold unknown
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,15 +249,11 @@ def _layout(K: int) -> _Layout:
                 add(r, (i + 1, j - 1), 0, t, -1, NU1, Q)
             add(r, (i + 1, j), 0, t + 1, -1, NU1, ONE_MINUS_Q)
     rows, cols, lam_coef, level, sign, nu_kind, factor_kind = np.array(entries).T
-    sub = states[: K * (K + 1) // 2]
     return _Layout(
         states=states, index=idx, rows=rows.astype(int), cols=cols.astype(int), lam_coef=lam_coef,
         level=level.astype(int), sign=sign, nu_kind=nu_kind.astype(int),
         factor_kind=factor_kind.astype(int),
-        level_starts=np.array([t * (t + 1) // 2 for t in range(K)]),
-        t_of=np.array([i + j for i, j in sub]),
-        i_of=np.array([i for i, _ in sub], dtype=float),
-        j_of=np.array([j for _, j in sub], dtype=float),
+        t_of=np.array([i + j for i, j in states[: K * (K + 1) // 2]]),
     )
 
 
@@ -276,10 +261,10 @@ class _Family:
     """Everything a family of K-level profiles shares: the K Maclaurin rows
     of the boundary system, the arriving work of its work-conservation row,
     the top-speed loads of the mean-drift identities, and the balance
-    entries as the compiled loop reads them.  solve runs a chunk in one call
-    of fbq_speed_family.  _stack builds the chunk's systems as the loop
-    fills them, for the condition estimate of an error message, and _finish
-    sums the rows of the solutions where the loop leaves them to numpy."""
+    entries as the compiled loop reads them.  solve runs the family in one
+    call of fbq_speed_family.  _stack builds systems as the loop fills
+    them; solve builds only a failing profile's, for the condition estimate
+    of its error message."""
 
     def __init__(self, model: SingleServerModel, K: int):
         lam, q, mu1 = model.lam, model.q, model.mu1     # mu1: top-speed rate
@@ -319,18 +304,13 @@ class _Family:
         levels = np.ascontiguousarray(levels, dtype=float)
         x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
         p, sums = np.empty((count, K)), np.empty((5, count))
-        # numpy sums a row of fewer than 8 terms in turn, as the loop does, and
-        # a longer one (K >= 4) pairwise; the loop leaves those rows to _finish
-        short = K <= 3
         dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
         status = loops.speed_family(count, K, len(self.at), i64(self.at), dbl(self.coef), dbl(self.shared),
                                     self.work, dbl(levels), PIVOT_RTOL, NEG_PROB_TOL, dbl(x), dbl(pivmin),
-                                    i64(summary), dbl(p) if short else None, dbl(sums) if short else None)
-        summary = summary.tolist()
-        # only the message of a failed system reads the stack
-        a = self._stack(levels)[0] if not status and max(summary[:2]) >= 0 else None
-        x = _checked(a, status, x, pivmin, summary)
-        return self._metrics(x, levels, p, *sums) if short else self._finish(x, levels)
+                                    i64(summary), dbl(p), dbl(sums))
+        # only the message of a failed system reads that system
+        x = _checked(lambda k: self._stack(levels[k:k + 1])[0][0], status, x, pivmin, summary.tolist())
+        return self._metrics(x, levels, p, *sums)
 
     def _stack(self, levels: np.ndarray):
         """The boundary systems (B, n, n) and right-hand sides (B, n) of the
@@ -350,22 +330,9 @@ class _Family:
         b[:, -1] = top - self.work
         return a, b
 
-    def _finish(self, x: np.ndarray, levels: np.ndarray) -> dict:
-        """All summary metrics from the solved boundary probabilities x (B, n)."""
-        K, lay = self.K, self.layout
-        m = K * (K + 1) // 2
-        sub = x[:, :m]
-        p = np.add.reduceat(sub, lay.level_starts, axis=1)
-        tail = 1.0 - p.sum(axis=1)
-        w = (1.0 - levels[:, lay.t_of] / levels[:, K:]) * sub      # w_ij = (1 - s_{i+j}/s_K) pi_ij
-        # row sums, not BLAS products, whose rounding depends on the batch and the CPU
-        return self._metrics(x, levels, p, tail, (sub * (lay.i_of == 0)).sum(axis=1),
-                             (w * lay.i_of).sum(axis=1), (w * lay.j_of).sum(axis=1),
-                             (w * (lay.i_of > 0)).sum(axis=1))
-
     def _metrics(self, x, levels, p, tail, pi_idle_fg, iw, jw, w_busy) -> dict:
         """The metrics of solve from x, the level masses p, the tail mass and
-        the weighted sums of _drift_means."""
+        the weighted sums of _drift_means, as fbq_speed_family sums them."""
         K = self.K
         g0_at_1, L1, L2 = _drift_means(self.rho1, self.rho2, self.q, pi_idle_fg, iw, jw, w_busy)
         L = L1 + L2

@@ -7,13 +7,13 @@ loop's order, so the two give equal results, errors included.
 * `run`: the jump chain of `fbq_jump_chain`, behind `simulate._jump_chain`.
 * `lockstep` and `solve_probability_stack`: the elimination of
   `fbq_speed_family`; `family_solve` is the whole family loop, with the
-  systems of `single._Family._stack` and the row sums of `_Family._finish`.
+  systems of `single._Family._stack` and the row sums of `finish_sums`.
 * `sturm_sequence`, `sign_changes` and `isolate_roots`: the zero search of
   `fbq_pool_roots`, behind `multi._roots_compiled`.
 * `pool_fill` and `pool_taylor`: the boundary fill and the z = 1 Taylor
   sums of `fbq_pool_system`; `solve_one` is `multi._solve_one` on them.
-* `ctmc._solve_reference`, which stays in fbq for SuperLU's systems, is the
-  reference of `fbq_ctmc_band`.
+* `band_system`: the band system of `fbq_ctmc_band`, behind
+  `ctmc._band_compiled`.
 
 `REFERENCES` names each compiled entry point of fbq with its reference, so
 that a test can run any call on the references instead.
@@ -26,6 +26,8 @@ from bisect import bisect_right
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from fbq import ctmc, linsys, multi, single
 from fbq.models import SolverError
@@ -95,7 +97,7 @@ def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     -NEG_PROB_TOL; values in [-NEG_PROB_TOL, 0) are roundoff and get clamped.
     """
     a, b = linsys._stack(a, b)
-    return linsys._checked(a, *lockstep(a, b))
+    return linsys._checked(a.__getitem__, *lockstep(a, b))
 
 
 def lockstep(a: np.ndarray, b: np.ndarray):
@@ -132,8 +134,36 @@ def lockstep(a: np.ndarray, b: np.ndarray):
 
 def family_solve(family, levels: np.ndarray) -> dict:
     """`single._Family.solve` on the references: the numpy assembly, the
-    lockstep solve and the numpy row sums."""
-    return family._finish(solve_probability_stack(*family._stack(levels)), levels)
+    lockstep solve and the row sums of `finish_sums`."""
+    x = solve_probability_stack(*family._stack(levels))
+    return family._metrics(x, levels, *finish_sums(family.K, levels, x))
+
+
+def finish_sums(K: int, levels: np.ndarray, x: np.ndarray):
+    """The row sums of `finish_system` over every profile at once, from the
+    clamped solutions x: the level masses p (B, K), then the tail mass,
+    pi_idle_fg, iw, jw and w_busy, each (B,).  p[t] is its level's first pi
+    plus (-0.0 plus the others in turn); every other sum adds its terms in
+    turn to 0.0, by level and then by i."""
+    count = len(levels)
+    p = np.empty((count, K))
+    total, idle, iw, jw, busy = (np.zeros(count) for _ in range(5))
+    u = 0
+    for t in range(K):
+        share, first, rest = 1.0 - levels[:, t] / levels[:, K], x[:, u], np.full(count, -0.0)
+        for i in range(t + 1):
+            v = x[:, u + i]
+            w = share * v
+            if i > 0:
+                rest = rest + v
+            idle = idle + v * (1.0 if i == 0 else 0.0)
+            iw = iw + w * float(i)
+            jw = jw + w * float(t - i)
+            busy = busy + w * (1.0 if i > 0 else 0.0)
+        u += t + 1
+        p[:, t] = first + rest
+        total = total + p[:, t]
+    return p, 1.0 - total, idle, iw, jw, busy
 
 
 # --- the zero search of a pool -----------------------------------------------------
@@ -228,25 +258,25 @@ def pool_fill(model, K: int, pool, states: list):
         for j in range(max(0, K - i), m - 1 - i):
             row = a[col[i, j] - i]
             if K and i + j == K:
-                row[col[i, j]] = 0.0 + lam
-                row[col[i + 1, j]] = 0.0 - (i + 1) * (1.0 - q) * mu1
+                row[col[i, j]] = lam
+                row[col[i + 1, j]] = -((i + 1) * (1.0 - q) * mu1)
             else:
-                row[col[i, j]] = 0.0 + (lam + r[i][0] + j * mu2)
+                row[col[i, j]] = lam + r[i][0] + j * mu2
                 if i > 0:
-                    row[col[i - 1, j]] = 0.0 - lam
-                row[col[i + 1, j]] = 0.0 - r[i + 1][0] * (1.0 - q)
+                    row[col[i - 1, j]] = -lam
+                row[col[i + 1, j]] = -(r[i + 1][0] * (1.0 - q))
                 if j > 0:
-                    row[col[i + 1, j - 1]] = 0.0 - r[i + 1][0] * q
-            row[col[i, j + 1]] = 0.0 - (j + 1) * mu2
+                    row[col[i + 1, j - 1]] = -(r[i + 1][0] * q)
+            row[col[i, j + 1]] = -((j + 1) * mu2)
     zeros, null, zpow = pool.at_roots
     for k, (z, u, zp) in enumerate(zip(zeros.tolist(), null.tolist(), zpow.tolist())):
         zm1, w, row = z - 1.0, 1.0 - q + q * z, a[n - m + k]
         for c, (i, j) in enumerate(states):
             if K and i + j == K:
                 own = u[i] * ((r[i][0] * z + r[i][1] * zm1) * zp[j])
-                row[c] = (0.0 + u[i - 1] * (-i * mu1 * w * zp[j + 1])) + own if i > 0 else 0.0 + own
+                row[c] = u[i - 1] * (-i * mu1 * w * zp[j + 1]) + own if i > 0 else own
             else:
-                row[c] = 0.0 + u[i] * (mu2 * zm1 * (m - i - j) * zp[j])
+                row[c] = u[i] * (mu2 * zm1 * (m - i - j) * zp[j])
     a[n - 1] = [m if i + j == K else m - i - j for i, j in states]
     rhs[n - 1] = m - model.rho1 - model.rho2
     return a, rhs
@@ -271,7 +301,7 @@ def pool_taylor(model, K: int, pool, states: list, x: list) -> np.ndarray:
         if K and i + j == K:
             diagonal.append(xc)     # the stopped states, by increasing i from 0
         else:
-            add(i, 0.0 * i, mu2 * (m - i - j), j, xc)
+            add(i, 0.0, mu2 * (m - i - j), j, xc)
     for i in range(1, len(diagonal)):
         add(i - 1, -i * mu1, -i * mu1 * q, K - i + 1, diagonal[i])
     for i, xc in enumerate(diagonal):
@@ -289,12 +319,51 @@ def solve_one(model, K: int, pool, loop=None):
     return multi._finish(model, K, dict(zip(states, x)), pool_taylor(model, K, pool, states, x), pool)
 
 
-# (owner, name, reference) of each compiled entry point; a band system that
-# `ctmc._band_compiled` leaves to `_solve_reference` is assembled there
+# --- the band system of the CTMC oracle --------------------------------------------
+
+
+def band_system(lam, q, fg, bg, fixed):
+    """`ctmc._band_compiled` from the generator entries of
+    `ctmc._transitions`: the states that `fixed` reaches, by a breadth-first
+    search of the transition graph, numbered along the short axis first,
+    and the band system of their balance equations, scattered into dgbsv's
+    layout by bincounts, which sum each cell in move order.  Returns the
+    unknown states in numbering order, ab, kl, ku and b, or None when
+    `fixed` reaches no other state."""
+    rows, cols, rates = ctmc._transitions(lam, q, fg, bg)
+    (n1, n2), nstates = (fg.shape[0] - 1, fg.shape[1] - 1), fg.size
+    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(nstates, nstates))
+    live = csgraph.breadth_first_order(graph, fixed, return_predecessors=False)
+    unknown = live[live != fixed]
+    if not unknown.size:
+        return None
+    i, j = np.divmod(unknown, n2 + 1)
+    unknown = unknown[np.argsort(j * (n1 + 1) + i if n2 > n1 else unknown)]
+    pos = np.full(nstates, -1)
+    pos[unknown] = np.arange(unknown.size)
+    at_from, at_to = pos[rows], pos[cols]
+    inner = (at_from >= 0) & (at_to >= 0)
+    diag = np.arange(unknown.size)
+    outflow = np.bincount(rows, weights=rates, minlength=nstates)
+    # balance of every unknown state: inflow from the other unknowns minus
+    # its own outflow equals minus the inflow from the fixed state
+    values = np.concatenate([rates[inner], -outflow[unknown]])
+    eq, var = np.concatenate([at_to[inner], diag]), np.concatenate([at_from[inner], diag])
+    fed = (rows == fixed) & (at_to >= 0)
+    b = -np.bincount(at_to[fed], weights=rates[fed], minlength=unknown.size)
+    kl, ku = int((eq - var).max()), int((var - eq).max())
+    height = 2 * kl + ku + 1
+    # entry (r, c) sits in row kl + ku + r - c of column c of the band
+    # layout; the first kl rows are dgbsv's room for fill
+    ab = np.bincount(var * height + kl + ku + eq - var, weights=values, minlength=unknown.size * height)
+    return unknown, ab.reshape(unknown.size, height).T, kl, ku, b
+
+
+# (owner, name, reference) of each compiled entry point
 REFERENCES = (
     (SIMULATE, "_jump_chain", run),
     (single._Family, "solve", family_solve),
     (multi, "_roots_compiled", isolate_roots),
     (multi, "_solve_one", solve_one),
-    (ctmc, "_band_compiled", lambda *args: None),
+    (ctmc, "_band_compiled", band_system),
 )

@@ -1,6 +1,6 @@
 """Truncated-CTMC oracle (fbq.ctmc): the fixed-state stationary solve, its
-band LU against SuperLU, the compiled band assembly against the Python one
-(`_solve_reference`, which also assembles SuperLU's systems),
+band LU against SuperLU, the compiled band assembly against its Python
+reference (`reference.band_system`),
 the edge j = n2 of the rectangle, the size of each axis, error reporting
 and the growth log.
 
@@ -271,7 +271,7 @@ def test_band_lu_matches_superlu(model, n1, n2, monkeypatch):
     solved = []
     for band_max, solver in ((ctmc.BAND_MAX, "band LU"), (0, "SuperLU")):
         monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
-        grid, _, how = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
+        grid, how = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
         assert how.startswith(solver)
         L1 = grid.sum(axis=1) @ np.arange(n1 + 1)
         L2 = grid.sum(axis=0) @ np.arange(n2 + 1)
@@ -284,11 +284,11 @@ def test_band_lu_matches_superlu(model, n1, n2, monkeypatch):
 
 
 def _stationary_bits(model, n1, n2):
-    """`_stationary` on the rectangle (n1, n2): the grid's bytes, the assembly
-    and the factorisation."""
+    """`_stationary` on the rectangle (n1, n2): the grid's bytes and the
+    factorisation."""
     (i, j), *_ = _chain(model)
-    grid, assembly, solver = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
-    return grid.tobytes(), assembly, solver
+    grid, solver = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
+    return grid.tobytes(), solver
 
 
 # lam = 0, q = 0 and q = 1, and zero speeds below the third job, beside the
@@ -316,10 +316,10 @@ def test_stationary_is_equal_on_both_assemblies(model, n1, n2, monkeypatch, on_b
 
     monkeypatch.setattr(ctmc, "_band_lu", spy)
     compiled, python = on_both_paths(lambda: _stationary_bits(model, n1, n2))
-    assert compiled[0] == python[0] and compiled[2] == python[2]
+    assert compiled == python
     assert len(systems) == (0 if model.lam == 0 else 2) and systems[:1] == systems[1:]
-    # lam = 0 leaves no equation to assemble, so the Python path solves it
-    assert compiled[1] == ("Python" if model.lam == 0 else "compiled") and python[1] == "Python"
+    # lam = 0 leaves no equation to assemble, so SuperLU's path solves it
+    assert compiled[1].startswith("SuperLU" if model.lam == 0 else "band LU")
 
 
 @pytest.mark.parametrize("model", [*(pytest.param(_model(p["model"]), id=p["label"]) for p in PINS["models"]),
@@ -380,18 +380,17 @@ def test_debug_log_names_the_factorisation(caplog, monkeypatch):
 
 
 def test_debug_log_names_the_assembly(caplog, monkeypatch, on_both_paths):
-    # the field before the factorisation: the compiled loop fills band
-    # systems, the Python assembly every SuperLU one
+    # the factorisation names the assembly too: `fbq_ctmc_band` (or its
+    # reference) fills every band system, `_solve_sparse` every SuperLU one
     model = SingleServerModel(1.6, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 0.8, 1.0)))
 
-    def assemblies(band_max):
+    def solvers(band_max):
         monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="fbq.ctmc"):
             ctmc_solve(model)
-        return [r.getMessage().rsplit(", ", 2)[1] for r in caplog.records if r.name == "fbq.ctmc"]
+        return [r.getMessage().rsplit(", ", 1)[1].split()[0] for r in caplog.records if r.name == "fbq.ctmc"]
 
     band_max = ctmc.BAND_MAX
-    compiled, python = on_both_paths(lambda: (assemblies(band_max), assemblies(0)))
-    assert compiled == (3 * ["compiled assembly"], 3 * ["Python assembly"])
-    assert python == (3 * ["Python assembly"], 3 * ["Python assembly"])
+    compiled, python = on_both_paths(lambda: (solvers(band_max), solvers(0)))
+    assert compiled == python == (3 * ["band"], 3 * ["SuperLU"])

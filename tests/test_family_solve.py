@@ -7,11 +7,11 @@ The family solve must return the same speed levels, and costs and curves
 within 1e-12 relative.  The compiled family loop (fill, lockstep LU and row
 sums) does the same float operations as its Python reference
 (reference.family_solve: the numpy assembly, reference.lockstep and
-_finish), so every result, error message included, must be equal on the
-two paths, not close; and a profile's lockstep solve must not depend on its
-position in the stack or on the other systems there.  The pool tests run
-on both paths compare the compiled zero search and boundary fill of
-fbq.multi with their Python references, which must be equal too.
+reference.finish_sums), so every result, error message included, must be
+equal on the two paths, not close; and a profile's lockstep solve must not
+depend on its position in the family or on the other systems there.  The
+pool tests run on both paths compare the compiled zero search and boundary
+fill of fbq.multi with their Python references, which must be equal too.
 """
 
 import ctypes
@@ -49,7 +49,7 @@ from fbq.models import (
 )
 from fbq.multi import sweep_thresholds
 from fbq import single
-from fbq.single import FAMILY_CHUNK, solve_general, solve_speed_family
+from fbq.single import solve_general, solve_speed_family
 from reference import lockstep, solve_probability_stack
 from test_threshold_sweep import same_failure
 
@@ -107,7 +107,7 @@ def test_figure5_point_is_equal_on_both_lu_paths(pin, on_both_paths):
 FAMILY_FIELDS = ("levels", "boundary", "g0_at_1", "L1", "L2", "L", "p_below_K", "tail_mass", "energy_rate")
 # seed7 has s_0 > 0; at q = 0 every pi_ij with j > 0 is 0 and its roundoff
 # negatives are clamped, alpha = 0 takes the stopped-processor power, and
-# K = 4 leaves the row sums to numpy on the compiled path too
+# from K = 4 on a row sum has 8 or more terms
 STRADDLING = {"seed7": {}, "q=0": {"q": 0.0}, "alpha=0": {"alpha": 0.0}, "s0=0": {"s0": 0.0}}
 
 
@@ -115,8 +115,8 @@ def test_family_straddling_a_chunk_is_equal_on_both_lu_paths(on_both_paths):
     rng = np.random.default_rng(18)
     for name, change in STRADDLING.items():
         b = dict(PINS["bases"]["seed7"], **change)
-        for K in (2, 3, 4):
-            inter = np.sort(rng.uniform(b["s0"], b["top"], (FAMILY_CHUNK + 12, K - 1)), axis=1)
+        for K in (2, 3, 4, 8):
+            inter = np.sort(rng.uniform(b["s0"], b["top"], (256 + 12, K - 1)), axis=1)
             compiled, python = on_both_paths(lambda: solve_speed_family(base_model(b), inter))
             for f in FAMILY_FIELDS:   # bytes, so that a zero keeps its sign
                 assert getattr(compiled, f).tobytes() == getattr(python, f).tobytes(), (name, K, f)
@@ -135,10 +135,20 @@ SINGULAR, NEGATIVE, GOOD = (1e-20, 0.5), (1e-8, 0.04), (0.3, 0.6)
 def test_failing_profiles_in_a_later_chunk_raise_the_same_error_on_both_lu_paths(second_chunk, fails_as,
                                                                                  on_both_paths):
     model = base_model(FAILING_BASE)
-    inter = [GOOD] * FAMILY_CHUNK + second_chunk
+    inter = [GOOD] * 256 + second_chunk
     compiled, python = on_both_paths(lambda: raised(lambda: solve_speed_family(model, inter)))
     assert compiled == python == raised(lambda: solve_speed_family(model, [fails_as]))
     assert compiled.startswith("singular" if fails_as is SINGULAR else "solved probability"), compiled
+
+
+def test_a_singular_profile_wins_over_an_earlier_negative_one_however_far_apart(on_both_paths):
+    # one rule whatever the family's size: the first singular system raises
+    # before the first negative value, 301 profiles earlier here
+    model = base_model(FAILING_BASE)
+    inter = [NEGATIVE] + [GOOD] * 300 + [SINGULAR]
+    compiled, python = on_both_paths(lambda: raised(lambda: solve_speed_family(model, inter)))
+    assert compiled == python == raised(lambda: solve_speed_family(model, [SINGULAR]))
+    assert compiled.startswith("singular linear system"), compiled
 
 
 @pytest.mark.parametrize("K", [2, 3])
@@ -214,11 +224,11 @@ def test_profile_result_independent_of_its_batch():
     b = PINS["bases"]["seed7"]
     model = base_model(b)
     rng = np.random.default_rng(7)
-    inter = np.sort(rng.uniform(b["s0"], b["top"], (FAMILY_CHUNK + 12, 2)), axis=1)
+    inter = np.sort(rng.uniform(b["s0"], b["top"], (256 + 12, 2)), axis=1)
     family = solve_speed_family(model, inter)
-    shifted = solve_speed_family(model, inter[5:])            # moves every chunk boundary
-    boundary = solve_speed_family(model, inter[FAMILY_CHUNK - 2:FAMILY_CHUNK + 2])
-    for k in (0, 6, FAMILY_CHUNK - 1, FAMILY_CHUNK, FAMILY_CHUNK + 11):
+    shifted = solve_speed_family(model, inter[5:])            # moves every tile boundary
+    boundary = solve_speed_family(model, inter[256 - 2:256 + 2])
+    for k in (0, 6, 256 - 1, 256, 256 + 11):
         alone = solve_speed_family(model, inter[k:k + 1])
         one = solve_general(base_model(b, (b["s0"], *inter[k], b["top"])))
         for f in FIELDS:
@@ -227,7 +237,7 @@ def test_profile_result_independent_of_its_batch():
                 got.append(getattr(shifted, f)[k - 5])
             assert got == [getattr(alone, f)[0]] * len(got), f"{k} {f}"
     for k in range(4):
-        alone = solve_speed_family(model, inter[FAMILY_CHUNK - 2 + k:FAMILY_CHUNK - 1 + k])
+        alone = solve_speed_family(model, inter[256 - 2 + k:256 - 1 + k])
         for f in FIELDS:
             assert getattr(boundary, f)[k] == getattr(alone, f)[0]
 
@@ -249,10 +259,11 @@ def test_one_invalid_profile_fails_the_family_as_it_fails_alone(s0, bad):
 
 
 def per_row_level_checks(levels):
-    """The per-row scans of single._check_levels, as they ran on every family
-    before its whole-array test: None, or the ModelError's message."""
+    """The per-row scans of single._check_levels, as they would run on every
+    family without its whole-array test: None, or the ModelError's message."""
     K = levels.shape[1] - 1
-    for bad, message in (((levels < 0).any(axis=1), "speeds must be nonnegative"),
+    for bad, message in ((~np.isfinite(levels).all(axis=1), "speeds must be finite"),
+                         ((levels < 0).any(axis=1), "speeds must be nonnegative"),
                          ((levels[:, 1:] < levels[:, :-1]).any(axis=1), "speeds must be nondecreasing")):
         if bad.any():
             return f"{message}: {tuple(levels[np.flatnonzero(bad)[0]].tolist())}"
@@ -272,7 +283,7 @@ def level_check_outcome(levels):
     return None
 
 
-# (row, level, value) put into a valid family: NaN anywhere passes both ways
+# (row, level, value) put into a valid family
 LEVEL_FAULTS = {
     "valid": [], "nan-s0": [(3, 0, np.nan)], "nan-inner": [(40, 2, np.nan)], "nan-top": [(0, 3, np.nan)],
     "negative-s0": [(7, 0, -0.1)], "decreasing": [(11, 2, 0.01)], "zero-s1-below-s0": [(5, 1, 0.0)],
@@ -289,7 +300,16 @@ def test_level_checks_give_the_per_row_outcome(faults):
     for row, level, value in faults:
         levels[row, level] = value
     assert level_check_outcome(levels) == per_row_level_checks(levels)
-    assert (level_check_outcome(levels) is None) == (faults == [] or all(np.isnan(v) for *_, v in faults))
+    assert (level_check_outcome(levels) is None) == (faults == [])
+
+
+@pytest.mark.parametrize("inter", [[[np.nan]], [[0.5]] * 20 + [[np.nan]], [[np.inf]]],
+                         ids=["nan", "late-nan", "inf"])
+def test_a_non_finite_speed_fails_the_family_naming_its_profile(inter):
+    # as SpeedProfile rejects a non-finite speed, before any system is filled
+    b = PINS["bases"]["figure4"]
+    with pytest.raises(ModelError, match=rf"speeds must be finite: \(0\.0, {inter[-1][0]}, 1\.0\)"):
+        solve_speed_family(base_model(b), inter)
 
 
 def test_family_needs_profiles():
@@ -388,46 +408,43 @@ def stack_outcome(a, b):
     (("zero row", "singular", "negative"),
      (SolverError, "degenerate parameter set: zero row in the linear system")),
 ])
-def test_first_pass_errors_win_on_both_lu_paths(faults, expected, on_both_paths):
-    compiled, python = on_both_paths(lambda: stack_outcome(*crafted_stack(*faults)))
-    assert compiled == python == expected
+def test_checked_raises_first_pass_errors_first(faults, expected):
+    assert stack_outcome(*crafted_stack(*faults)) == expected
 
 
-def test_later_singular_system_wins_over_earlier_negative_one_on_both_lu_paths(on_both_paths):
+def test_checked_raises_a_later_singular_system_before_an_earlier_negative_one():
     a, b = crafted_stack("singular", "negative")
-    compiled, python = on_both_paths(lambda: stack_outcome(a, b))
-    assert compiled == python
+    got = stack_outcome(a, b)
     scaled = a[3] / np.abs(a[3]).max(axis=1)[:, None]
     cond = LINSYS._condition_estimate(scaled)
     assert cond > 1e12
-    assert compiled[0] is SolverError
-    assert compiled[1].startswith("singular linear system (pivot ")
-    assert compiled[1].endswith(f"cond ~ {cond:.3e}); degenerate parameter set")
+    assert got[0] is SolverError
+    assert got[1].startswith("singular linear system (pivot ")
+    assert got[1].endswith(f"cond ~ {cond:.3e}); degenerate parameter set")
     assert stack_outcome(a[1:2], b[1:2])[1].startswith("solved probability -5.000e-01")
 
 
-def test_roundoff_negatives_are_clamped_equally_on_both_lu_paths(on_both_paths):
+def test_checked_clamps_roundoff_negatives_of_a_stack():
     a, b = crafted_stack("roundoff")
-    compiled, python = on_both_paths(lambda: stack_outcome(a, b))
-    assert np.array_equal(compiled, python)
-    assert (compiled >= 0).all() and compiled[2, 0] == 0.0 and compiled[6, 3] == 0.0
-    np.testing.assert_allclose(compiled[0], np.linalg.solve(a[0], b[0]), rtol=1e-13)
+    got = stack_outcome(a, b)
+    assert (got >= 0).all() and got[2, 0] == 0.0 and got[6, 3] == 0.0
+    np.testing.assert_allclose(got[0], np.linalg.solve(a[0], b[0]), rtol=1e-13)
 
 
 def pinned_search_families(monkeypatch):
-    """Every (family, chunk of speed levels) that the pinned searches solve."""
-    chunks = []
+    """Every (family, speed levels) that the pinned searches solve."""
+    families = []
     solve = single._Family.solve
 
     def spy(family, levels):
-        chunks.append((family, levels.copy()))
+        families.append((family, levels.copy()))
         return solve(family, levels)
     with monkeypatch.context() as m:
         m.setattr(single._Family, "solve", spy)
         for pin in PINS["searches"]:
             b = PINS["bases"][pin["base"]]
             optimize_intermediate_speeds(base_model(b), pin["K"], CostCoefficients(b["c1"], b["c2"]))
-    return chunks
+    return families
 
 
 def pinned_search_stacks(monkeypatch):
@@ -441,15 +458,16 @@ def pinned_search_stacks(monkeypatch):
 
 def family_loop(loops, family, levels):
     """(status, x, pivmin, summary) of the compiled fbq_speed_family on the
-    profiles `levels` of `family`, without its row sums: its elimination
+    profiles `levels` of `family`, its row sums dropped: its elimination
     is the compiled twin of reference.lockstep."""
     levels = np.ascontiguousarray(levels, dtype=float)
     count, n = len(levels), len(family.layout.states)
     x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
+    p, sums = np.empty((count, family.K)), np.empty((5, count))
     dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
     status = loops.speed_family(count, family.K, len(family.at), i64(family.at), dbl(family.coef),
                                 dbl(family.shared), family.work, dbl(levels), LINSYS.PIVOT_RTOL,
-                                LINSYS.NEG_PROB_TOL, dbl(x), dbl(pivmin), i64(summary), None, None)
+                                LINSYS.NEG_PROB_TOL, dbl(x), dbl(pivmin), i64(summary), dbl(p), dbl(sums))
     return status, x, pivmin, summary.tolist()
 
 
@@ -527,17 +545,15 @@ def test_lockstep_is_equal_on_both_loops_wherever_a_system_sits(count, shared):
 @pytest.mark.parametrize("faults", [("nan", "zero row", "singular", "negative"),
                                     ("zero row", "singular", "negative"), ("singular", "negative"),
                                     ("negative",), ("roundoff",)])
-def test_stack_outcomes_keep_their_order_across_tiles(faults, on_both_paths):
+def test_checked_keeps_its_error_order_in_a_longer_stack(faults):
     a, b = crafted_stack(*faults)
     good_a, good_b = crafted_stack()
     long_a, long_b = np.concatenate([good_a[:3], a, good_a[:6]]), np.concatenate([good_b[:3], b, good_b[:6]])
-    compiled, python = on_both_paths(lambda: (stack_outcome(a, b), stack_outcome(long_a, long_b)))
-    if isinstance(python[0], tuple):
-        assert compiled == python
-        assert python[0] == python[1]     # the same error from 8 systems in one tile or 17 in three
+    short, long = stack_outcome(a, b), stack_outcome(long_a, long_b)
+    if isinstance(short, tuple):
+        assert long == short     # the same error from the 8 systems alone or among 17
     else:
-        for got in (*compiled, python[1]):
-            assert np.array_equal(got[3:11] if len(got) == 17 else got, python[0])
+        assert np.array_equal(long[3:11], short)
 
 
 class TestStackChecksPythonLoop(TestStackChecks):
