@@ -48,6 +48,7 @@ from scipy.linalg import lapack
 
 from . import _kernels
 from .models import (
+    FrozenDict,
     MultiServerModel,
     SingleServerModel,
     SolverError,
@@ -66,22 +67,22 @@ BAND_MAX = 64           # widest short axis, in levels, solved by the band LU
 log = logging.getLogger("fbq.ctmc")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CtmcSolution:
     """Stationary summary of the truncated chain."""
 
     L1: float
     L2: float
     L: float
-    p: list[float]          # total-count marginal below the modulation level
+    p: tuple[float, ...]    # total-count marginal below the modulation level
     tail_mass: float
-    boundary: dict          # (i, j) -> probability on the solver's unknown set
+    boundary: FrozenDict    # (i, j) -> probability on the solver's unknown set
     truncation: tuple[int, int]
     edge_mass: float        # the larger of the two axes' edge masses
     g0_at_1: float = 0.0    # single server: foreground empty, saturated region
     energy_rate: float = 0.0
     U: float = 0.0          # multiserver: mean count of operative servers
-    fg_marginal: list[float] | None = None  # multiserver: P(foreground = i), i <= m
+    fg_marginal: tuple[float, ...] | None = None  # multiserver: P(foreground = i), i <= m
 
 
 def _transitions(lam, q, fg, bg):
@@ -294,16 +295,17 @@ def _single_fields(model: SingleServerModel, grid, p) -> dict:
     K = model.K
     energy = sum(p[t] * model.speeds.power(t) for t in range(K))
     energy += model.speeds.power(K) * (1.0 - sum(p))
-    boundary = {(i, t - i): float(grid[i, t - i]) for t in range(K + 1) for i in range(t + 1)}
+    boundary = FrozenDict(((i, t - i), float(grid[i, t - i])) for t in range(K + 1) for i in range(t + 1))
     return dict(boundary=boundary, g0_at_1=float(grid[0, K:].sum()), energy_rate=float(energy))
 
 
 def _pool_fields(model: MultiServerModel, grid, p) -> dict:
     """The boundary states, the operative servers U and the foreground marginal."""
     m, thr = model.m, model.threshold
-    boundary = {(i, j): float(grid[i, j]) for i in range(m) for j in range(max(0, thr - i), m - i)}
+    boundary = FrozenDict(((i, j), float(grid[i, j]))
+                          for i in range(m) for j in range(max(0, thr - i), m - i))
     U = float(m * (1.0 - sum(float(grid[i, thr - i]) for i in range(thr + 1))))
-    fg = [float(grid[i, :].sum()) for i in range(min(m + 4, len(grid)))]
+    fg = tuple(float(grid[i, :].sum()) for i in range(min(m + 4, len(grid))))
     return dict(boundary=boundary, U=U, energy_rate=U, fg_marginal=fg)
 
 
@@ -341,6 +343,6 @@ def ctmc_solve(model, max_n: int = MAX_N) -> CtmcSolution:
     n1, n2 = grid.shape[0] - 1, grid.shape[1] - 1
     L1 = float(grid.sum(axis=1) @ np.arange(n1 + 1))
     L2 = float(grid.sum(axis=0) @ np.arange(n2 + 1))
-    p = [float(sum(grid[i, t - i] for i in range(t + 1))) for t in range(levels)]
+    p = tuple(float(sum(grid[i, t - i] for i in range(t + 1))) for t in range(levels))
     return CtmcSolution(L1=L1, L2=L2, L=L1 + L2, p=p, tail_mass=1.0 - sum(p),
                         truncation=(n1, n2), edge_mass=max(edges), **fields(model, grid, p))

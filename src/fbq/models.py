@@ -1,6 +1,6 @@
 """Domain types shared by every solver: Coxian-2 service, speed profiles,
-single- and multi-server model definitions, stability checks and the JSON
-wire format used by the CLI.
+single- and multi-server model definitions, stability checks, the JSON
+wire format used by the CLI and the read-only containers of solutions.
 
 Rate conventions.  A job consists of an exponential first phase (rate nu1)
 followed, with probability q, by an exponential second phase (rate nu2).
@@ -43,6 +43,25 @@ def require_finite(**fields: float) -> None:
     for name, value in fields.items():
         if not math.isfinite(value):
             raise ModelError(f"{name} must be finite, got {value}")
+
+
+class FrozenDict(dict):
+    """A dict that rejects edits, for solutions that caches share; unlike
+    types.MappingProxyType it pickles and deep-copies."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return FrozenDict, (dict(self),)
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """The array a, made read-only in place."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)

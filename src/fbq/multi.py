@@ -39,16 +39,16 @@ for it.  Each threshold's boundary system is filled by the compiled loop
 `fbq_pool_system` of `_kernels.c`, from the rate table and the data at
 the zeros, its cells row-scaled and column-major, as the LAPACK LU of
 `linsys.solve_scaled_system` takes them; a second call of the loop sums
-the z = 1 Taylor vectors of b from the clamped solution.  The closure by
-the zeros is the spectral-expansion closure of Mitrani & Chakka, "Spectral
-expansion solution for a class of Markov models", Performance Evaluation 23
-(1995).
+the z = 1 Taylor vectors of b from the clamped solution.  Solutions are
+read-only values, and the cache serves each one's object to every caller.
+The closure by the zeros is the spectral-expansion closure of Mitrani &
+Chakka, "Spectral expansion solution for a class of Markov models",
+Performance Evaluation 23 (1995).
 """
 
 from __future__ import annotations
 
 import ctypes
-import dataclasses
 import functools
 import logging
 import math
@@ -62,9 +62,11 @@ from . import _kernels
 from .linsys import solve_scaled_system
 from .models import (
     CostCoefficients,
+    FrozenDict,
     ModelError,
     MultiServerModel,
     SolverError,
+    frozen,
     require_stable_multi,
 )
 from .series import kernel_root_pair_at_1
@@ -79,16 +81,16 @@ POOL_CACHE_SIZE = 64   # pools whose threshold-independent data is kept
 class MultiServerSolution:
     """Stationary metrics of a solved multiserver model."""
 
-    boundary: dict            # (i, j) -> pi_{i,j} on the solver's unknown set
-    g_at_1: list[float]       # foreground marginal P(fg = i), i = 0 .. m-1
-    g_m_at_1: float           # P(fg = m)
+    boundary: FrozenDict       # (i, j) -> pi_{i,j} on the solver's unknown set
+    g_at_1: tuple[float, ...]  # foreground marginal P(fg = i), i = 0 .. m-1
+    g_m_at_1: float            # P(fg = m)
     L1: float
     L2: float
     L: float
-    U: float                  # mean number of operative servers
-    p: list[float]            # total-count marginal p_0 .. p_{m-1}
-    tail_mass: float          # P(total >= m)
-    roots: list[float]        # zeros of the transform determinant in (0,1)
+    U: float                   # mean number of operative servers
+    p: tuple[float, ...]       # total-count marginal p_0 .. p_{m-1}
+    tail_mass: float           # P(total >= m) = 1 - sum(p); absolute, not relative, accuracy
+    roots: tuple[float, ...]   # zeros of the transform determinant in (0,1)
     threshold: int
 
     def to_json(self) -> dict:
@@ -185,7 +187,7 @@ def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, in
     return tuple(roots[:m - 1].tolist()), counts, evals
 
 
-def d_roots(model: MultiServerModel) -> list[float]:
+def d_roots(model: MultiServerModel) -> tuple[float, ...]:
     """The m-1 zeros of the transform determinant in (0,1).
 
     The leading principal minors Q_0 .. Q_(m-1) of A(z) and D = Q_m form a
@@ -202,13 +204,12 @@ def d_roots(model: MultiServerModel) -> list[float]:
 
     The stability and lam > 0 checks run on every call; the search runs
     once per pool (lam, mu1, mu2, q, m) and its zeros are then served from
-    the pool cache, whatever the threshold.  The list returned is new on
-    every call.
+    the pool cache, whatever the threshold, as the pool's one tuple.
     """
     require_stable_multi(model)
     if model.lam == 0:
         raise ModelError("arrival rate must be positive to solve the chain")
-    return list(_pool(model).roots)
+    return _pool(model).roots
 
 
 def dprime_at_1(model: MultiServerModel) -> float:
@@ -355,7 +356,7 @@ class _Pool:
         zeros = np.array(self.roots)
         null = np.array([_null_vectors(a)[0] for a in _dense_matrix(self.model, zeros)])
         zpow = np.array([[zk**j for j in range(shape[1])] for zk in self.roots])
-        return _frozen(zeros), _frozen(null.reshape(shape)), _frozen(zpow.reshape(shape))
+        return frozen(zeros), frozen(null.reshape(shape)), frozen(zpow.reshape(shape))
 
     @functools.cached_property
     def loop_args(self) -> tuple:
@@ -380,20 +381,15 @@ class _Pool:
         i = np.arange(m)
         diag = np.array([lam + i * mu1, lam + i * mu1 + (m - i) * mu2, np.zeros(m)])
         diag[:, -1] = ((m - 1) * mu1, (m - 1) * mu1 + mu2 - lam * c1, -lam * (c1 + c2))
-        a0, a1, a2 = (_frozen(np.diag(d) + np.diag(-i[1:] * mu1 * above, 1)
-                              + np.diag(np.full(m - 1, -lam * below), -1))
+        a0, a1, a2 = (frozen(np.diag(d) + np.diag(-i[1:] * mu1 * above, 1)
+                             + np.diag(np.full(m - 1, -lam * below), -1))
                       for d, above, below in zip(diag, (1.0, 1.0 + q, q), (1.0, 1.0, 0.0)))
 
-        u, v = map(_frozen, _null_vectors(a0))
+        u, v = map(frozen, _null_vectors(a0))
         uA1v = u @ a1 @ v
         if abs(uA1v) < 1e-12 * np.abs(a1).max():
             raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
         return _AtOne(a0=a0, a1=a1, a2=a2, u=u, v=v, uA1v=uA1v, y2v=y2s.c[0], y2d=y2s.c[1])
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @functools.lru_cache(maxsize=POOL_CACHE_SIZE)
@@ -413,8 +409,7 @@ def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[
     """Steady states under the given thresholds, each solved once per pool
     and threshold by `_solve_one`.  A SolverError of a threshold's solve is
     kept as its type and message and raised afresh by every later call that
-    reaches that threshold.  Every solution returned has containers of its
-    own, so a caller's edits never reach the cache."""
+    reaches that threshold.  Each solution returned is the kept object."""
     loop, out = _kernels.compiled().pool_system, []
     for K in thresholds:
         sol = pool.solutions.get(K)
@@ -428,8 +423,7 @@ def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[
         elif not isinstance(sol, MultiServerSolution):
             kind, message = sol
             raise kind(message)
-        out.append(dataclasses.replace(sol, boundary=dict(sol.boundary), g_at_1=list(sol.g_at_1),
-                                       p=list(sol.p), roots=list(sol.roots)))
+        out.append(sol)
     return out
 
 
@@ -508,16 +502,16 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
         p[i + j] += x
 
     return MultiServerSolution(
-        boundary=boundary,
-        g_at_1=gv1,
+        boundary=FrozenDict(boundary),
+        g_at_1=tuple(gv1),
         g_m_at_1=gm1,
         L1=L1,
         L2=L2,
         L=L1 + L2,
         U=m * (1.0 - p[K]),
-        p=p,
+        p=tuple(p),
         tail_mass=1.0 - sum(p),
-        roots=list(pool.roots),
+        roots=pool.roots,
         threshold=K,
     )
 
@@ -526,10 +520,10 @@ def solve_threshold(model: MultiServerModel) -> MultiServerSolution:
     """Steady state under the model's switch-off threshold (0: the uncontrolled pool).
 
     The solution is kept in the pool cache by threshold, so a repeat solve
-    (here or in `sweep_thresholds`) returns the same values without solving
-    again, in containers of its own.  A boundary solve that raised
-    SolverError is kept as its type and message: a repeat raises a new error
-    of that type and text without building or solving anything.
+    (here or in `sweep_thresholds`) returns the same object without solving
+    again.  A boundary solve that raised SolverError is kept as its type and
+    message: a repeat raises a new error of that type and text without
+    building or solving anything.
     """
     d_roots(model)   # checks the model and isolates the zeros on the pool's first solve
     return _solve_thresholds(model, [model.threshold], _pool(model))[0]
@@ -543,7 +537,7 @@ def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
     data come from the pool cache, so they are built once per pool however
     many sweeps or solves use it.  Each threshold solves its own boundary
     system once, filled by the compiled loop; later sweeps, solves and cost
-    vectors of the pool are served the kept solution, as in
+    vectors of the pool are served the kept solution object, as in
     `solve_threshold`.  A failure at any threshold
     propagates; a SolverError of its boundary solve is kept, as in
     `solve_threshold`, so a repeat sweep raises it again at that threshold

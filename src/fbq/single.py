@@ -41,8 +41,10 @@ from . import _kernels
 from .linsys import NEG_PROB_TOL, PIVOT_RTOL, _checked
 from .models import (
     CostCoefficients,
+    FrozenDict,
     SingleServerModel,
     ModelError,
+    frozen,
     require_stable_single,
 )
 from .series import PowerSeries, divide, kernel_root_series
@@ -55,7 +57,7 @@ class BoundaryProbabilities:
     """Triangular array pi_{i,j} for i + j <= K."""
 
     K: int
-    values: dict
+    values: FrozenDict
 
     def __post_init__(self):
         want = (self.K + 1) * (self.K + 2) // 2
@@ -74,13 +76,13 @@ class SingleServerSolution:
     """Stationary metrics of a solved single-server model."""
 
     boundary: BoundaryProbabilities
-    g0_at_1: float          # mass of foreground-empty states in the saturated region
-    L1: float               # mean foreground jobs
-    L2: float               # mean background jobs
-    L: float                # mean total jobs
-    p_below_K: list[float]  # total-count marginal p_0 .. p_{K-1}
-    tail_mass: float        # P(total >= K)
-    energy_rate: float      # sum_n p_n s_n^alpha + s_K^alpha * tail
+    g0_at_1: float                # foreground-empty saturated mass; absolute, not relative, accuracy
+    L1: float                     # mean foreground jobs
+    L2: float                     # mean background jobs
+    L: float                      # mean total jobs
+    p_below_K: tuple[float, ...]  # total-count marginal p_0 .. p_{K-1}
+    tail_mass: float              # P(total >= K) = 1 - sum(p_below_K); absolute, not relative, accuracy
+    energy_rate: float            # sum_n p_n s_n^alpha + s_K^alpha * tail
 
     def to_json(self) -> dict:
         return {
@@ -112,7 +114,7 @@ def solve_general(model: SingleServerModel) -> SingleServerSolution:
 
 @dataclass(frozen=True, eq=False)
 class SpeedFamilySolution:
-    """Stationary metrics of a family of speed profiles, one row per profile."""
+    """Stationary metrics of a family of speed profiles, one read-only row per profile."""
 
     levels: np.ndarray       # (B, K+1) speed levels s_0 .. s_K
     boundary: np.ndarray     # (B, (K+1)(K+2)/2) pi_{i,j} by level i+j, then by i
@@ -124,17 +126,24 @@ class SpeedFamilySolution:
     tail_mass: np.ndarray
     energy_rate: np.ndarray
 
+    def __post_init__(self):
+        for array in vars(self).values():
+            frozen(array)
+
+    def __reduce__(self):      # through __init__, so that copies are read-only too
+        return SpeedFamilySolution, tuple(vars(self).values())
+
     def solution(self, k: int) -> SingleServerSolution:
         """The SingleServerSolution of profile k."""
         K = self.levels.shape[1] - 1
-        values = dict(zip(_layout(K).states, self.boundary[k].tolist()))
+        values = FrozenDict(zip(_layout(K).states, self.boundary[k].tolist()))
         return SingleServerSolution(
             boundary=BoundaryProbabilities(K=K, values=values),
             g0_at_1=float(self.g0_at_1[k]),
             L1=float(self.L1[k]),
             L2=float(self.L2[k]),
             L=float(self.L[k]),
-            p_below_K=self.p_below_K[k].tolist(),
+            p_below_K=tuple(self.p_below_K[k].tolist()),
             tail_mass=float(self.tail_mass[k]),
             energy_rate=float(self.energy_rate[k]),
         )
@@ -392,7 +401,7 @@ def solve_k1_closed_form(model: SingleServerModel) -> SingleServerSolution:
     pi00, g0_at_1, L1, L2, pi10 = _k1_core(model)
     pi01 = (model.lam * pi00 - model.mu1 * (1 - model.q) * pi10) / model.mu2
 
-    boundary = {(0, 0): pi00, (0, 1): pi01, (1, 0): pi10}
+    boundary = FrozenDict({(0, 0): pi00, (0, 1): pi01, (1, 0): pi10})
     energy = pi00 * model.speeds.power(0) + model.speeds.power(1) * (1.0 - pi00)
     return SingleServerSolution(
         boundary=BoundaryProbabilities(K=1, values=boundary),
@@ -400,7 +409,7 @@ def solve_k1_closed_form(model: SingleServerModel) -> SingleServerSolution:
         L1=L1,
         L2=L2,
         L=L1 + L2,
-        p_below_K=[pi00],
+        p_below_K=(pi00,),
         tail_mass=1.0 - pi00,
         energy_rate=energy,
     )
@@ -433,12 +442,12 @@ def solve_zero_speed(model: SingleServerModel) -> SingleServerSolution:
     tail = 1.0 - pi0
     energy = model.speeds.power(K) * tail  # sub-threshold levels draw nothing
     return SingleServerSolution(
-        boundary=BoundaryProbabilities(K=K, values=boundary),
+        boundary=BoundaryProbabilities(K=K, values=FrozenDict(boundary)),
         g0_at_1=g0_at_1,
         L1=L1,
         L2=L2,
         L=L1 + L2,
-        p_below_K=p,
+        p_below_K=tuple(p),
         tail_mass=tail,
         energy_rate=energy,
     )

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,8 +22,10 @@ from fbq.models import (
     single_model_from_json,
     single_model_to_json,
 )
+from fbq.ctmc import ctmc_solve
 from fbq.multi import solve_threshold
 from fbq.simulate import ThreePhaseModel
+from fbq.single import solve_speed_family, solve_zero_speed
 
 
 def single(lam, nu1, nu2, q, speeds=(1.0, 1.0), alpha=1.0):
@@ -243,3 +248,65 @@ def test_rates_on_index_arrays_equal_the_per_state_calls(model):
         np.testing.assert_array_equal(servers, model.m * (idx.sum(axis=0) > model.threshold))
     else:
         assert not servers.any()
+
+
+# --- solutions are read-only values that survive pickle and deepcopy ----------
+
+
+def _family():
+    return solve_speed_family(single(0.6, 1.0, 0.5, 0.3, speeds=(0.2, 0.5, 1.0)), [[0.3], [0.5], [0.8]])
+
+
+POOL = MultiServerModel(2.0, 1.1, 0.7, 0.4, 4, threshold=2)
+SOLUTIONS = {
+    "multi": lambda: solve_threshold(POOL),
+    "single": lambda: _family().solution(1),
+    "zero_speed": lambda: solve_zero_speed(single(0.6, 1.0, 0.5, 0.3, speeds=(0.0, 0.0, 1.0))),
+    "family": _family,
+    "ctmc_pool": lambda: ctmc_solve(POOL),
+    "ctmc_single": lambda: ctmc_solve(single(0.6, 1.0, 0.5, 0.3, speeds=(0.2, 0.5, 1.0))),
+}
+
+
+def _fields(sol):
+    return {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)}
+
+
+def _assert_read_only(sol):
+    for name, value in _fields(sol).items():
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+        elif isinstance(value, dict):
+            with pytest.raises(TypeError, match="read-only"):
+                value[next(iter(value))] = 0.0
+            with pytest.raises(TypeError, match="read-only"):
+                value.update({})
+        elif name == "boundary":
+            _assert_read_only(value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sol, name, value)
+    for value in _fields(sol).values():
+        assert not isinstance(value, (list, set)), value
+
+
+@pytest.mark.parametrize("name", SOLUTIONS)
+def test_solutions_reject_edits(name):
+    _assert_read_only(SOLUTIONS[name]())
+
+
+@pytest.mark.parametrize("name", SOLUTIONS)
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_solutions_survive_pickle_and_deepcopy_with_equal_fields(name, clone):
+    sol = SOLUTIONS[name]()
+    twin = clone(sol)
+    assert type(twin) is type(sol)
+    for field, value in _fields(sol).items():
+        got = getattr(twin, field)
+        assert type(got) is type(value), field
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(got, value)
+        else:
+            assert got == value, field
+    _assert_read_only(twin)

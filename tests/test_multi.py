@@ -36,7 +36,7 @@ def random_stable_multi(rng, m, threshold=0, umax=0.6):
 
 class TestRoots:
     def test_single_server_has_none(self):
-        assert d_roots(MultiServerModel(0.5, 1.0, 1.0, 0.5, 1)) == []
+        assert d_roots(MultiServerModel(0.5, 1.0, 1.0, 0.5, 1)) == ()
 
     def test_two_servers_match_brute_force(self):
         model = MultiServerModel(1.0, 1.0, 1.0, 0.5, 2)

@@ -2,10 +2,11 @@
 
 Roots, the null vectors at the roots and the z = 1 Taylor data are built once
 per (lam, mu1, mu2, q, m) and kept by `_pool_data`; a threshold never enters
-the key.  Each threshold's solution is kept there too, by K, and served in
-containers of its own, and so is the type and message of a threshold whose
-solve raised SolverError.  Cold and warm solves must agree exactly, checks
-must run on every call, and no other failure may be cached.
+the key.  Each threshold's solution is kept there too, by K, as a read-only
+value whose one object every hit serves, and so is the type and message of
+a threshold whose solve raised SolverError.  Cold and warm solves must
+agree exactly, checks must run on every call, and no other failure may be
+cached.
 data/d_roots_pins.json holds, as float.hex strings, the zeros of the pools
 of threshold_sweep_pins.json and their determinant and leading minors at nine
 points of [0, 1]; they must be reproduced bit for bit, so a reordered product
@@ -31,7 +32,6 @@ return the same solution bits or error, on figure 8, a seeded
 threshold_sweep block, q = 0 and q = 1 pools, at every threshold.
 """
 
-import copy
 import dataclasses
 import importlib.util
 import json
@@ -49,7 +49,7 @@ import scipy.linalg
 from fbq import multi
 from fbq.ctmc import ctmc_solve
 from fbq.experiments import optimize_threshold
-from fbq.models import ModelError, MultiServerModel, SolverError, UnstableModelError
+from fbq.models import FrozenDict, ModelError, MultiServerModel, SolverError, UnstableModelError
 from fbq.models import CostCoefficients
 from fbq.multi import (
     POOL_CACHE_SIZE,
@@ -170,14 +170,14 @@ def test_building_a_pool_logs_one_debug_line(caplog):
     assert counts >= 2 + 4 and evals >= 2 * 5
 
 
-def test_returned_roots_are_a_new_list_each_call():
-    model = MultiServerModel(**POOL)
-    roots = d_roots(model)
-    expected = list(roots)
-    roots[0] = -1.0
-    roots.append(2.0)
-    assert d_roots(model) == expected
-    assert solve_threshold(model).roots == expected
+def test_a_hit_serves_the_kept_objects():
+    model = MultiServerModel(**POOL, threshold=2)
+    served = solve_threshold(model)
+    assert solve_threshold(model) is served
+    assert sweep_thresholds(model)[2] is served
+    for K, sol in enumerate(sweep_thresholds(model)):
+        assert solve_threshold(dataclasses.replace(model, threshold=K)) is sol
+    assert d_roots(model) is d_roots(model) is served.roots
 
 
 def test_d_roots_match_the_pinned_zeros_bit_for_bit():
@@ -291,21 +291,25 @@ def test_a_failed_threshold_is_solved_once_and_raises_the_same_message_every_tim
     assert same_failure(first, message), first
 
 
-def test_edits_to_a_served_solution_do_not_reach_the_cache():
+def test_a_served_solution_rejects_edits_and_the_next_serve_is_unchanged():
     model = MultiServerModel(**POOL, threshold=2)
     served = solve_threshold(model)
-    expected = copy.deepcopy(served)
-    served.boundary[(0, 2)] = -1.0
-    served.boundary[(9, 9)] = 1.0
-    served.p[0] = -1.0
-    served.g_at_1.append(2.0)
-    served.roots[0] = -1.0
-    assert_same_solutions([solve_threshold(model)], [expected])
-    assert_same_solutions([sweep_thresholds(model)[2]], [expected])
-    swept = sweep_thresholds(model)
-    swept[2].roots.clear()
-    swept[2].g_at_1[0] = 7.0
-    assert_same_solutions([solve_threshold(model)], [expected])
+    expected = solution_hex(served)
+    edits = [lambda: served.boundary.__setitem__((0, 2), -1.0),
+             lambda: served.boundary.__setitem__((9, 9), 1.0),
+             lambda: served.boundary.pop((0, 2)),
+             lambda: served.boundary.update({(0, 2): -1.0}),
+             lambda: served.boundary.clear(),
+             lambda: served.p.__setitem__(0, -1.0),
+             lambda: served.g_at_1.append(2.0),
+             lambda: served.roots.__setitem__(0, -1.0),
+             lambda: d_roots(model).__setitem__(0, -1.0),
+             lambda: setattr(served, "L", 0.0)]
+    for edit in edits:
+        with pytest.raises((TypeError, AttributeError)):
+            edit()
+    assert solution_hex(solve_threshold(model)) == expected
+    assert solution_hex(sweep_thresholds(model)[2]) == expected
 
 
 # --- the Sturm search on plain loops over the rates ---------------------------
@@ -511,8 +515,8 @@ def reference_finish(model, K, boundary, b, pool):
     diag = sum(boundary.get((i, K - i), 0.0) for i in range(K + 1))
     p = [sum(boundary.get((i, t - i), 0.0) for i in range(t + 1)) for t in range(m)]
     return multi.MultiServerSolution(
-        boundary=boundary, g_at_1=gv1, g_m_at_1=gm1, L1=L1, L2=L2, L=L1 + L2,
-        U=m * (1.0 - diag), p=p, tail_mass=1.0 - sum(p), roots=list(pool.roots), threshold=K)
+        boundary=FrozenDict(boundary), g_at_1=tuple(gv1), g_m_at_1=gm1, L1=L1, L2=L2, L=L1 + L2,
+        U=m * (1.0 - diag), p=tuple(p), tail_mass=1.0 - sum(p), roots=pool.roots, threshold=K)
 
 
 def system_bytes(status, a, b, unscaled):
@@ -553,7 +557,7 @@ def test_each_threshold_equals_the_per_state_reference_bit_for_bit(monkeypatch, 
                 failed += 1
             else:
                 assert_same_solutions([result], [ref_result])
-                assert [x.hex() for x in result.p] == [x.hex() for x in ref_result.p]
+                assert solution_hex(result) == solution_hex(ref_result)
     # the failing pool at every threshold, and the large seeded pools
     assert failed >= PINS["failing_pool"]["m"]
 
@@ -572,14 +576,15 @@ def sweep_block_pools():
 
 
 def solution_hex(sol):
-    """Every field of a MultiServerSolution, its floats as float.hex."""
+    """Every field of a MultiServerSolution, its floats as float.hex, so
+    that a signed zero differs from 0.0, with each container's type."""
     out = {}
     for field in dataclasses.fields(sol):
         v = getattr(sol, field.name)
         if isinstance(v, dict):
-            v = [(k, x.hex()) for k, x in v.items()]
-        elif isinstance(v, list):
-            v = [x.hex() for x in v]
+            v = type(v), [(k, x.hex()) for k, x in v.items()]
+        elif isinstance(v, (list, tuple)):
+            v = type(v), [x.hex() for x in v]
         out[field.name] = v.hex() if isinstance(v, float) else v
     return out
 
