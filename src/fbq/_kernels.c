@@ -45,15 +45,23 @@
  * search and bincounts; each cell is summed in the reference's order, so
  * the two systems are equal bit for bit.
  *
- * fbq_pool_system fills the boundary system of one threshold of a pool of
- * fbq.multi, row-scaled and column-major, ready for LAPACK's getrf, from
- * the pool's rate table, zeros, left null vectors and powers; after the
- * solve it adds up the Taylor vectors b0, b1, b2 of the z = 1 cascade.
- * reference.pool_fill and reference.pool_taylor are its Python transcription,
- * statement for statement, with every float operation in its order.  The
- * LAPACK calls stay f2py calls in fbq.linsys, so both pool paths hand
- * getrf the same bytes.
+ * fbq_pool_system solves one threshold of a pool of fbq.multi whole: it
+ * fills the boundary system from the pool's rate table, zeros, left null
+ * vectors and powers (reference.pool_fill), factors it on the one-system
+ * instantiation of the lockstep LU (reference.lockstep), sums the Taylor
+ * vectors b0, b1, b2 of the z = 1 cascade from the clamped solution in the
+ * order of the unknowns (reference.pool_taylor), and runs the cascade on
+ * the bordered system [[A0, u], [v^T, 0]] with row sums in its own order
+ * (reference.cascade).  A failed system's message gets Hager's condition
+ * estimate (lu_condition, reference.condition) from the same factors;
+ * fbq_condition makes that estimate for one system given whole, as the
+ * speed families' messages take it.  fbq_null_vectors gives the null
+ * vectors of a stack of tridiagonal matrices by their twisted
+ * factorisations (reference.null_vectors): the left null vectors of A(z_k)
+ * at the zeros and A0's null pair.  None of these calls BLAS or LAPACK, so
+ * a pool gives the same bits on every CPU.
  */
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -216,6 +224,15 @@ static inline void sub_products(int w, double *restrict dst, const double *restr
         dst[s] -= a[s] * b[s];
 }
 
+/* What lu_tile keeps of a one-system factorisation for later solves
+ * (lu_solve, lu_solve_transposed): each row's scale, the pivot row of each
+ * column, and the infinity norm of the row-scaled system. */
+struct lu_keep {
+    double *scale;
+    int64_t *perm;
+    double norm;
+};
+
 /* Row scaling, Gaussian elimination with partial pivoting and back
  * substitution on the w systems of a tile in lockstep, as reference.lockstep
  * does them over a whole stack.  Entry (r, c) of
@@ -226,15 +243,22 @@ static inline void sub_products(int w, double *restrict dst, const double *restr
  * largest |t_rj|, r >= j (a NaN counts as largest, as numpy's argmax has
  * it), rows r and j swap, and each row r > j loses l = t_rj / t_jj times
  * row j (l = t_rj / 1 when the pivot is 0, since then t_rj is 0 too), and
- * so does its y.  Then, for j from n - 1 down, y_j /= t_jj and each y_r,
- * r < j, loses t_rj y_j.  y ends as the solution and least[s] as the
- * smallest |pivot| (NaN if one is NaN).  Called with a constant w, which
- * the compiler unrolls or drops. */
+ * so does its y; l is left in place of t_rj, which no later step reads.
+ * Then, for j from n - 1 down, y_j /= t_jj and each y_r, r < j, loses
+ * t_rj y_j.  y ends as the solution and least[s] as the smallest |pivot|
+ * (NaN if one is NaN).  Called with a constant w, which the compiler
+ * unrolls or drops.  The one-system instantiation (w = 1) skips a row whose
+ * l is 0 and the zero tail of the pivot row: with |l| <= 1 and finite
+ * entries the skipped products are zeros, so a skip can change the sign of
+ * a zero cell but no other value.  With keep (w = 1 only) the row scales,
+ * the pivot rows and the scaled system's infinity norm are kept too. */
 static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *t, double *y,
-                                                          double *least)
+                                                          double *least, struct lu_keep *keep)
 {
     double big[LU_TILE], piv[LU_TILE], l[LU_TILE];
     int64_t row[LU_TILE];
+    if (keep)
+        keep->norm = 0.0;
     for (int r = 0; r < n; r++) {
         double *tr = t + r * n * w;
         for (int s = 0; s < w; s++)
@@ -247,6 +271,13 @@ static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *
                 tr[c * w + s] /= big[s];
         for (int s = 0; s < w; s++)
             y[r * w + s] /= big[s];
+        if (keep) {
+            double sum = 0.0;
+            for (int c = 0; c < n; c++)
+                sum += fabs(tr[c]);
+            keep->scale[r] = big[0];
+            keep->norm = sum > keep->norm ? sum : keep->norm;
+        }
     }
     for (int j = 0; j < n; j++) {
         double *top = t + j * n * w;
@@ -275,15 +306,24 @@ static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *
             y[j * w + s] = y[p * w + s];
             y[p * w + s] = v;
         }
+        if (keep)
+            keep->perm[j] = row[0];
         for (int s = 0; s < w; s++) {
             least[s] = j == 0 || big[s] < least[s] || big[s] != big[s] ? big[s] : least[s];
             piv[s] = top[j * w + s] == 0.0 ? 1.0 : top[j * w + s];
         }
+        int end = n;
+        while (w == 1 && end > j + 1 && top[end - 1] == 0.0)
+            end--;
         for (int r = j + 1; r < n; r++) {
             double *tr = t + r * n * w;
-            for (int s = 0; s < w; s++)
+            for (int s = 0; s < w; s++) {
                 l[s] = tr[j * w + s] / piv[s];
-            for (int c = j + 1; c < n; c++)
+                tr[j * w + s] = l[s];
+            }
+            if (w == 1 && l[0] == 0.0)
+                continue;
+            for (int c = j + 1; c < end; c++)
                 sub_products(w, tr + c * w, l, top + c * w);
             sub_products(w, y + r * w, l, y + j * w);
         }
@@ -294,6 +334,141 @@ static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *
         for (int r = 0; r < j; r++)
             sub_products(w, y + r * w, t + (r * n + j) * w, y + j * w);
     }
+}
+
+/* S x = y for the row-scaled system S that lu_tile factored into t with
+ * the pivot rows perm, y overwritten by x: the elimination's steps on y,
+ * then the back substitution, each as lu_tile does them (y is not
+ * row-scaled here). */
+static void lu_solve(int n, const double *t, const int64_t *perm, double *y)
+{
+    for (int j = 0; j < n; j++) {
+        int64_t p = perm[j];
+        double v = y[j];
+        y[j] = y[p];
+        y[p] = v;
+        for (int r = j + 1; r < n; r++)
+            if (t[r * n + j] != 0.0)
+                y[r] -= t[r * n + j] * y[j];
+    }
+    for (int j = n - 1; j >= 0; j--) {
+        y[j] /= t[j * n + j];
+        for (int r = 0; r < j; r++)
+            y[r] -= t[r * n + j] * y[j];
+    }
+}
+
+/* S^T x = y for the S of lu_solve, y overwritten by x: U^T, column by
+ * column, then the transposes of the elimination's steps in reverse. */
+static void lu_solve_transposed(int n, const double *t, const int64_t *perm, double *y)
+{
+    for (int j = 0; j < n; j++) {
+        y[j] /= t[j * n + j];
+        for (int c = j + 1; c < n; c++)
+            y[c] -= t[j * n + c] * y[j];
+    }
+    for (int j = n - 1; j >= 0; j--) {
+        double v = y[j];
+        for (int r = j + 1; r < n; r++)
+            v -= t[r * n + j] * y[r];
+        int64_t p = perm[j];
+        y[j] = y[p];
+        y[p] = v;
+    }
+}
+
+static double abs_sum(int n, const double *x)
+{
+    double sum = 0.0;
+    for (int i = 0; i < n; i++)
+        sum += fabs(x[i]);
+    return sum;
+}
+
+/* The first index of the largest |x_i|. */
+static int arg_abs_max(int n, const double *x)
+{
+    int j = 0;
+    for (int i = 1; i < n; i++)
+        j = fabs(x[i]) > fabs(x[j]) ? i : j;
+    return j;
+}
+
+/* x_i = sign(x_i) (+1 at 0) in place; returns 1 if that equals xi, then
+ * copies x to xi. */
+static int take_signs(int n, double *x, double *xi)
+{
+    int same = 1;
+    for (int i = 0; i < n; i++) {
+        x[i] = x[i] >= 0.0 ? 1.0 : -1.0;
+        same &= x[i] == xi[i];
+        xi[i] = x[i];
+    }
+    return same;
+}
+
+/* The infinity-norm condition number of the row-scaled system S that
+ * lu_tile factored with keep, estimated as norm ||S^-T||_1 by Hager's
+ * method as LAPACK's dlacn2 runs it (Higham, ACM TOMS 14, 1988): at most
+ * five steps from x = (1/n, ..., 1/n), then the alternating-sign vector's
+ * estimate if larger.  Solves with S^-T are lu_solve_transposed, with S^-1
+ * lu_solve; x and xi are n doubles of work.  Infinite if a pivot is 0 or
+ * the estimate is not finite. */
+static double lu_condition(int n, const double *t, const struct lu_keep *keep, double *x, double *xi)
+{
+    for (int j = 0; j < n; j++)
+        if (t[j * n + j] == 0.0)
+            return INFINITY;
+    for (int i = 0; i < n; i++)
+        x[i] = 1.0 / n;
+    lu_solve_transposed(n, t, keep->perm, x);
+    double est = abs_sum(n, x);
+    if (n > 1) {
+        for (int i = 0; i < n; i++)
+            xi[i] = 0.0;
+        take_signs(n, x, xi);
+        lu_solve(n, t, keep->perm, x);
+        int j = arg_abs_max(n, x);
+        for (int step = 2;; step++) {
+            for (int i = 0; i < n; i++)
+                x[i] = i == j ? 1.0 : 0.0;
+            lu_solve_transposed(n, t, keep->perm, x);
+            double old = est;
+            est = abs_sum(n, x);
+            if (take_signs(n, x, xi) || est <= old)
+                break;
+            lu_solve(n, t, keep->perm, x);
+            int last = j;
+            j = arg_abs_max(n, x);
+            if (fabs(x[last]) == fabs(x[j]) || step == 5)
+                break;
+        }
+        for (int i = 0; i < n; i++)
+            x[i] = (i % 2 ? -1.0 : 1.0) * (1.0 + (double)i / (double)(n - 1));
+        lu_solve_transposed(n, t, keep->perm, x);
+        double alt = 2.0 * abs_sum(n, x) / (3.0 * (double)n);
+        est = alt > est ? alt : est;
+    }
+    double cond = keep->norm * est;
+    return cond < INFINITY ? cond : INFINITY;
+}
+
+/* The condition estimate of lu_condition for the n x n system a
+ * (row-major), which is row-scaled and factored in place by lu_tile: the
+ * estimate that fbq.linsys quotes in the message of a failed system.
+ * Returns -1 if the work cannot be allocated. */
+double fbq_condition(int64_t n, double *a)
+{
+    double *work = malloc(sizeof(double) * 3 * n + sizeof(int64_t) * n), least = 0.0;
+    if (!work)
+        return -1.0;
+    struct lu_keep keep = {work, (int64_t *)(work + 3 * n), 0.0};
+    for (int64_t i = 0; i < n; i++)
+        work[n + i] = 0.0;
+    lu_tile((int)n, 1, a, work + n, &least, &keep);
+    double cond = lu_condition((int)n, a, &keep, work + n, work + 2 * n);
+    free(work);
+    return cond;
 }
 
 /* The lanes of the tile that holds `used` systems: a tile of one system is
@@ -313,9 +488,9 @@ static void solve_tile(int n, int used, int64_t k0, double *t, double *y, double
     double least[LU_TILE];
     int w = tile_width(used);
     if (w == 1)
-        lu_tile(n, 1, t, y, least);
+        lu_tile(n, 1, t, y, least, NULL);
     else
-        lu_tile(n, LU_TILE, t, y, least);
+        lu_tile(n, LU_TILE, t, y, least, NULL);
     for (int s = 0; s < used; s++) {
         double *xk = x + (k0 + s) * n;
         for (int r = 0; r < n; r++)
@@ -845,122 +1020,64 @@ static int64_t unknown(int64_t m, int64_t K, int64_t i, int64_t j)
     return kept_before(m, K, i) + j - (K > i ? K - i : 0);
 }
 
-/* Row `row` of the column-major n x n system a gets the e values vals at
- * the columns cols, its other cells and its right-hand side being 0, each
- * divided by their largest |value| when scale is set, as fbq.linsys scales
- * a system before its LU.  Returns 1 if a value is not finite, else 2 if
- * all are 0, else 0. */
-static int put_row(int64_t n, int64_t row, int e, const int64_t *cols, const double *vals, int scale,
-                   double *a)
-{
-    double big = 0.0;
-    int finite = 1;
-    for (int c = 0; c < e; c++) {
-        finite &= isfinite(vals[c]) != 0;
-        big = fabs(vals[c]) > big ? fabs(vals[c]) : big;
-    }
-    for (int c = 0; c < e; c++)
-        a[cols[c] * n + row] = scale ? vals[c] / big : vals[c];
-    return !finite ? 1 : big == 0.0 ? 2 : 0;
-}
-
-/* Row `row` of the column-major n x n system (a, rhs), already filled,
- * divided with its right-hand side by the row's largest |a_rc| when scale
- * is set; the statuses of put_row, for rhs[row] too. */
-static int scale_row(int64_t n, int64_t row, int scale, double *a, double *rhs)
-{
-    double big = 0.0;
-    int finite = isfinite(rhs[row]) != 0;
-    for (int64_t c = 0; c < n; c++) {
-        double v = fabs(a[c * n + row]);
-        finite &= isfinite(v) != 0;
-        big = v > big ? v : big;
-    }
-    for (int64_t c = 0; scale && c < n; c++)
-        a[c * n + row] /= big;
-    if (scale)
-        rhs[row] /= big;
-    return !finite ? 1 : big == 0.0 ? 2 : 0;
-}
-
 /* The boundary system of threshold K of the pool p, as reference.pool_fill
- * fills it, into the column-major n x n a and rhs: the balance rows of the
- * states i + j <= m - 2, the state (i, j) at row unknown(i, j) - i, as a
- * running state or, when K >= 1 and i + j = K, a stopped one; one row per
- * zero z_k (k = 0 .. m - 2), with the left null vector null[k m ..] and
- * the powers zpow[k m + j] = z_k^j; and the idle-or-stopped servers row,
- * whose right-hand side is idle.  With scale set each row is then divided
- * by its largest |a_rc|.  Returns 1 if a cell or right-hand side is not
- * finite, else 2 if a row is all zeros, else 0, as linsys._first_pass finds
- * them on the unscaled system; a is not a scaled system then. */
-static int pool_fill(const struct pool *p, int64_t K, const double *zeros, const double *null,
-                     const double *zpow, double idle, int scale, double *a, double *rhs)
+ * fills it, into the row-major n x n a and rhs (n = kept_before(m, K, m)):
+ * the balance rows of the states i + j <= m - 2, the state (i, j) at row
+ * unknown(i, j) - i, as a running state or, when K >= 1 and i + j = K, a
+ * stopped one; one row per zero z_k (k = 0 .. m - 2), with the left null
+ * vector null[k m ..] and the powers zpow[k m + j] = z_k^j; and the
+ * idle-or-stopped servers row, whose right-hand side is idle. */
+static void pool_fill(const struct pool *p, int64_t K, const double *zeros, const double *null,
+                      const double *zpow, double idle, double *a, double *rhs)
 {
     const double *r = p->rates;
     int64_t m = p->m, n = kept_before(m, K, m);
     double lam = p->lam, mu1 = p->mu1, mu2 = p->mu2, q = p->q;
-    int status = 0;
     for (int64_t c = 0; c < n * n; c++)
         a[c] = 0.0;
     for (int64_t c = 0; c < n; c++)
         rhs[c] = 0.0;
     for (int64_t i = 0; i + 1 < m; i++) {
         for (int64_t j = K > i ? K - i : 0; i + j <= m - 2; j++) {
-            int64_t cols[5];
-            double vals[5];
-            int e = 0;
-            cols[e] = unknown(m, K, i, j);
+            int64_t own = unknown(m, K, i, j);
+            double *row = a + (own - i) * n;
             if (K && i + j == K) {
-                vals[e++] = lam;
-                cols[e] = unknown(m, K, i + 1, j);
-                vals[e++] = -((double)(i + 1) * (1.0 - q) * mu1);
+                row[own] = lam;
+                row[unknown(m, K, i + 1, j)] = -((double)(i + 1) * (1.0 - q) * mu1);
             } else {
-                vals[e++] = lam + r[2 * i] + (double)j * mu2;
-                if (i > 0) {
-                    cols[e] = unknown(m, K, i - 1, j);
-                    vals[e++] = -lam;
-                }
-                cols[e] = unknown(m, K, i + 1, j);
-                vals[e++] = -(r[2 * (i + 1)] * (1.0 - q));
-                if (j > 0) {
-                    cols[e] = unknown(m, K, i + 1, j - 1);
-                    vals[e++] = -(r[2 * (i + 1)] * q);
-                }
+                row[own] = lam + r[2 * i] + (double)j * mu2;
+                if (i > 0)
+                    row[unknown(m, K, i - 1, j)] = -lam;
+                row[unknown(m, K, i + 1, j)] = -(r[2 * (i + 1)] * (1.0 - q));
+                if (j > 0)
+                    row[unknown(m, K, i + 1, j - 1)] = -(r[2 * (i + 1)] * q);
             }
-            cols[e] = unknown(m, K, i, j + 1);
-            vals[e++] = -((double)(j + 1) * mu2);
-            status |= put_row(n, cols[0] - i, e, cols, vals, scale, a);
+            row[unknown(m, K, i, j + 1)] = -((double)(j + 1) * mu2);
         }
     }
     for (int64_t k = 0; k + 1 < m; k++) {
         const double *u = null + k * m, *zp = zpow + k * m;
         double z = zeros[k], zm1 = z - 1.0, w = 1.0 - q + q * z;
-        int64_t row = n - m + k, c = 0;
-        for (int64_t i = 0; i < m; i++) {
+        double *row = a + (n - m + k) * n;
+        for (int64_t i = 0, c = 0; i < m; i++) {
             for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++) {
-                double v;
                 if (K && i + j == K) {
                     double own = u[i] * ((r[2 * i] * z + r[2 * i + 1] * zm1) * zp[j]);
-                    v = i > 0 ? u[i - 1] * ((double)(-i) * mu1 * w * zp[j + 1]) + own : own;
+                    row[c] = i > 0 ? u[i - 1] * ((double)(-i) * mu1 * w * zp[j + 1]) + own : own;
                 } else {
-                    v = u[i] * (mu2 * zm1 * (double)(m - i - j) * zp[j]);
+                    row[c] = u[i] * (mu2 * zm1 * (double)(m - i - j) * zp[j]);
                 }
-                a[c * n + row] = v;
             }
         }
-        status |= scale_row(n, row, scale, a, rhs);
     }
     for (int64_t i = 0, c = 0; i < m; i++)
         for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++)
-            a[c * n + n - 1] = (double)(i + j == K ? m : m - i - j);
+            a[(n - 1) * n + c] = (double)(i + j == K ? m : m - i - j);
     rhs[n - 1] = idle;
-    status |= scale_row(n, n - 1, scale, a, rhs);
-    return status & 1 ? 1 : status;
 }
 
 /* Adds the terms (c0 + c1 t) z^pw x of a state's entry of b_t at z = 1 + t,
- * expanded to order 2 as reference.pool_taylor expands them, to b[t],
- * b[m + t] and b[2 m + t]. */
+ * expanded to order 2, to b[t], b[m + t] and b[2 m + t]. */
 static void add_taylor(double *b, int64_t m, int64_t t, double c0, double c1, double pw, double x)
 {
     b[t] += c0 * x;
@@ -968,44 +1085,215 @@ static void add_taylor(double *b, int64_t m, int64_t t, double c0, double c1, do
     b[2 * m + t] += (c0 * pw * (pw - 1) / 2 + c1 * pw) * x;
 }
 
-/* The Taylor vectors b0, b1, b2 (b, 3 x m) of threshold K of the pool p from
- * the solved, clamped boundary probabilities x, summed from 0 in the order
- * of reference.pool_taylor: the running states in the order of the unknowns,
- * then the stopped states' terms of b_(i-1) (i >= 1), then their terms of
- * b_i, each by increasing i. */
-static void pool_taylor(const struct pool *p, int64_t K, const double *x, double *b)
+/* The Taylor vectors b0, b1, b2 (b, 3 x m) of threshold K of the pool p
+ * from the solved boundary probabilities x, summed from 0 in the order of
+ * the unknowns: a running state's term of b_i, a stopped state's term of
+ * b_(i-1) (i >= 1) and then of b_i.  With clamp set, x is read as
+ * linsys._checked clamps it, a value below 0 or -0.0 as 0.0. */
+static void pool_taylor(const struct pool *p, int64_t K, const double *x, int clamp, double *b)
 {
     const double *r = p->rates;
     int64_t m = p->m;
     for (int64_t c = 0; c < 3 * m; c++)
         b[c] = 0.0;
-    for (int64_t i = 0, c = 0; i < m; i++)
-        for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++)
-            if (!K || i + j != K)
-                add_taylor(b, m, i, 0.0, p->mu2 * (double)(m - i - j), (double)j, x[c]);
-    for (int64_t i = 1; K && i <= K; i++) {
-        double c0 = (double)(-i) * p->mu1;
-        add_taylor(b, m, i - 1, c0, c0 * p->q, (double)(K - i + 1), x[unknown(m, K, i, K - i)]);
+    for (int64_t i = 0, c = 0; i < m; i++) {
+        for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++) {
+            double v = x[c];
+            if (clamp && !(v > 0.0) && v == v)
+                v = 0.0;
+            if (K && i + j == K) {
+                double c0 = (double)(-i) * p->mu1;
+                if (i > 0)
+                    add_taylor(b, m, i - 1, c0, c0 * p->q, (double)(K - i + 1), v);
+                add_taylor(b, m, i, r[2 * i], r[2 * i] + r[2 * i + 1], (double)(K - i), v);
+            } else {
+                add_taylor(b, m, i, 0.0, p->mu2 * (double)(m - i - j), (double)j, v);
+            }
+        }
     }
-    for (int64_t i = 0; K && i <= K; i++)
-        add_taylor(b, m, i, r[2 * i], r[2 * i] + r[2 * i + 1], (double)(K - i), x[unknown(m, K, i, K - i)]);
+}
+
+static double dot(int64_t m, const double *u, const double *x)
+{
+    double sum = 0.0;
+    for (int64_t i = 0; i < m; i++)
+        sum += u[i] * x[i];
+    return sum;
+}
+
+/* u^T (a x) for the m x m row-major a, each row summed first. */
+static double u_a_x(int64_t m, const double *u, const double *a, const double *x)
+{
+    double sum = 0.0;
+    for (int64_t r = 0; r < m; r++)
+        sum += u[r] * dot(m, a + r * m, x);
+    return sum;
+}
+
+/* g0 and g1 (g, 2 x m), the values and derivatives at z = 1 of the
+ * pool's generating functions, by the cascade of (A0 + A1 t + A2 t^2)(g0 +
+ * g1 t + ...) = b0 + b1 t + ..., from b (3 x m) and `one`: A0, A1 and A2
+ * (m x m, row-major), the left and right null vectors u and v of A0 and
+ * u^T A1 v.  Each order's particular solution p is the one that the
+ * bordered system [[A0, u], [v^T, 0]] of order m + 1 gives with the border
+ * rows' right-hand side 0, which is A0's minimum-norm least-squares
+ * solution: lu_tile factors it with [b0, 0], lu_solve takes [b1 - A1 g0, 0]
+ * scaled by the kept row scales.  Then g0 = p0 + c0 v with c0 = (u^T b1 -
+ * u^T A1 p0) / u^T A1 v, and g1 = p1 + c1 v with c1 = (u^T b2 - u^T A2 g0 -
+ * u^T A1 p1) / u^T A1 v.  check gets u^T b0 and max |b0| + max |b1|, the
+ * solvability test's residual and scale.  t, y, scale and perm are work of
+ * (m + 1)^2, m + 1, m + 1 and m + 1 entries. */
+static void pool_cascade(int64_t m, const double *one, const double *b, double *t, double *y,
+                         double *scale, int64_t *perm, double *g, double *check)
+{
+    const double *a0 = one, *a1 = one + m * m, *a2 = one + 2 * m * m, *u = one + 3 * m * m;
+    const double *v = u + m, *b0 = b, *b1 = b + m, *b2 = b + 2 * m;
+    double uA1v = v[m], big0 = 0.0, big1 = 0.0, least;
+    int64_t k = m + 1;
+    struct lu_keep keep = {scale, perm, 0.0};
+    for (int64_t i = 0; i < m; i++) {
+        big0 = fabs(b0[i]) > big0 ? fabs(b0[i]) : big0;
+        big1 = fabs(b1[i]) > big1 ? fabs(b1[i]) : big1;
+    }
+    check[0] = dot(m, u, b0);
+    check[1] = big0 + big1;
+    for (int64_t r = 0; r < m; r++) {
+        for (int64_t c = 0; c < m; c++)
+            t[r * k + c] = a0[r * m + c];
+        t[r * k + m] = u[r];
+        t[m * k + r] = v[r];
+        y[r] = b0[r];
+    }
+    t[m * k + m] = 0.0;
+    y[m] = 0.0;
+    lu_tile((int)k, 1, t, y, &least, &keep);
+    double *g0 = g, *g1 = g + m;
+    double c0 = (dot(m, u, b1) - u_a_x(m, u, a1, y)) / uA1v;
+    for (int64_t i = 0; i < m; i++)
+        g0[i] = y[i] + c0 * v[i];
+    for (int64_t r = 0; r < m; r++)
+        y[r] = (b1[r] - dot(m, a1 + r * m, g0)) / scale[r];
+    y[m] = 0.0;
+    lu_solve((int)k, t, perm, y);
+    double c1 = (dot(m, u, b2) - u_a_x(m, u, a2, g0) - u_a_x(m, u, a1, y)) / uA1v;
+    for (int64_t i = 0; i < m; i++)
+        g1[i] = y[i] + c1 * v[i];
 }
 
 /* One threshold K of the pool (m, lam, mu1, mu2, q) with the rate table
- * `rates` of fbq_pool_roots, in two calls.  The first, with x NULL, fills
- * the boundary system a (column-major, n x n, n = kept_before(m, K, m)) and
- * rhs by pool_fill, row-scaled if scale is set, and returns pool_fill's
- * status; zeros, null and zpow are the pool's at_roots data, and idle is
- * m - rho1 - rho2.  The second, given the solution x, fills b (3 x m) by
- * pool_taylor and returns 0. */
+ * `rates` of fbq_pool_roots, solved whole: pool_fill fills the boundary
+ * system, with the pool's at_roots data zeros, null and zpow and idle = m -
+ * rho1 - rho2; check_rows checks it and returns 1 or 2 as
+ * linsys._first_pass would; lu_tile solves it into x (n), and note_system
+ * books pivmin (info[0]) and summary as reference.lockstep would.  If a
+ * pivot is below pivot_tol or a value below -neg_tol, info[1] gets the
+ * lu_condition estimate from the same factors and nothing more is done.
+ * Else pool_taylor sums b from x, read clamped if a value is negative, and
+ * pool_cascade takes b and the pool's z = 1 data `one` (see there) to g (2
+ * x m), with the solvability residual and scale in info[2] and info[3].
+ * Returns 0, the check_rows status, or 3 if the work cannot be
+ * allocated. */
 int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
-                    const double *zeros, const double *null, const double *zpow, int64_t K,
-                    double idle, int scale, double *a, double *rhs, const double *x, double *b)
+                    const double *zeros, const double *null, const double *zpow, const double *one,
+                    int64_t K, double idle, double pivot_tol, double neg_tol, double *x, double *g,
+                    double *info, int64_t *summary)
 {
     const struct pool p = {m, lam, mu1, mu2, q, rates};
-    if (x) {
-        pool_taylor(&p, K, x, b);
-        return 0;
+    int64_t n = kept_before(m, K, m), k = m + 1;
+    double *a = malloc(sizeof(double) * (n * n + 3 * n + k * k + 2 * k + 3 * m)
+                       + sizeof(int64_t) * (n + k));
+    if (!a)
+        return 3;
+    double *scale = a + n * n, *work = scale + n, *t = work + 2 * n, *y = t + k * k;
+    double *kscale = y + k, *b = kscale + k;
+    int64_t *perm = (int64_t *)(b + 3 * m), *kperm = perm + n;
+    pool_fill(&p, K, zeros, null, zpow, idle, a, x);
+    int status = check_rows(n, (int)n, a, x, 1);
+    if (!status) {
+        struct lu_keep keep = {scale, perm, 0.0};
+        double least = 0.0;
+        summary[0] = summary[1] = -1;
+        summary[2] = 0;
+        lu_tile((int)n, 1, a, x, &least, &keep);
+        note_system(0, (int)n, least, x, pivot_tol, neg_tol, info, summary);
+        if (summary[0] >= 0 || summary[1] >= 0) {
+            info[1] = lu_condition((int)n, a, &keep, work, work + n);
+        } else {
+            pool_taylor(&p, K, x, summary[2] > 0, b);
+            pool_cascade(m, one, b, t, y, kscale, kperm, g, info + 2);
+        }
     }
-    return pool_fill(&p, K, zeros, null, zpow, idle, scale, a, rhs);
+    free(a);
+    return status;
+}
+
+/* The null vector x of the n x n tridiagonal matrix T with subdiagonal lo
+ * (lo[i] = T[i + 1][i]), diagonal d and superdiagonal up (up[i] = T[i][i +
+ * 1]) by its twisted factorisation (Fernando, SIAM J. Matrix Anal. Appl. 18,
+ * 1997; Parlett & Dhillon, Linear Algebra Appl. 267, 1997): the pivots
+ * dp[i] = d[i] - lo[i - 1] up[i - 1] / dp[i - 1] from the top and dm[i] =
+ * d[i] - lo[i] up[i] / dm[i + 1] from the bottom, an exact zero replaced by
+ * the least normal double; the twist r is the first index of the least
+ * |gamma_k|, gamma_k = dp[k] + dm[k] - d[k]; x_r = 1, x_i = -up[i] x_(i+1)
+ * / dp[i] above r and x_i = -lo[i - 1] x_(i-1) / dm[i] below it, so that T
+ * x = gamma_r e_r; then x is divided by its 2-norm.  Returns |gamma_r| /
+ * (||x||_2 ||T||_F), the relative residual of the unit vector, or 0 for a
+ * zero T; dp and dm are work of n entries. */
+static double twisted_null(int64_t n, const double *lo, const double *d, const double *up,
+                           double *dp, double *dm, double *x)
+{
+    dp[0] = d[0] == 0.0 ? DBL_MIN : d[0];
+    for (int64_t i = 1; i < n; i++) {
+        dp[i] = d[i] - lo[i - 1] * up[i - 1] / dp[i - 1];
+        dp[i] = dp[i] == 0.0 ? DBL_MIN : dp[i];
+    }
+    dm[n - 1] = d[n - 1] == 0.0 ? DBL_MIN : d[n - 1];
+    for (int64_t i = n - 2; i >= 0; i--) {
+        dm[i] = d[i] - lo[i] * up[i] / dm[i + 1];
+        dm[i] = dm[i] == 0.0 ? DBL_MIN : dm[i];
+    }
+    int64_t r = 0;
+    double gamma = dp[0] + dm[0] - d[0];
+    for (int64_t k = 1; k < n; k++) {
+        double gk = dp[k] + dm[k] - d[k];
+        if (fabs(gk) < fabs(gamma)) {
+            r = k;
+            gamma = gk;
+        }
+    }
+    x[r] = 1.0;
+    for (int64_t i = r - 1; i >= 0; i--)
+        x[i] = -up[i] * x[i + 1] / dp[i];
+    for (int64_t i = r + 1; i < n; i++)
+        x[i] = -lo[i - 1] * x[i - 1] / dm[i];
+    double norm = 0.0, frob = 0.0;
+    for (int64_t i = 0; i < n; i++)
+        norm += x[i] * x[i];
+    norm = sqrt(norm);
+    for (int64_t i = 0; i < n; i++)
+        x[i] /= norm;
+    for (int64_t i = 0; i < n; i++)
+        frob += d[i] * d[i];
+    for (int64_t i = 0; i + 1 < n; i++)
+        frob += lo[i] * lo[i] + up[i] * up[i];
+    frob = sqrt(frob);
+    return frob == 0.0 ? 0.0 : fabs(gamma) / (norm * frob);
+}
+
+/* twisted_null on each of the count tridiagonal n x n matrices whose
+ * subdiagonals, diagonals and superdiagonals are lo[k (n - 1) ..], d[k n
+ * ..] and up[k (n - 1) ..]: the null vector of matrix k to x[k n ..], its
+ * relative residual to ratio[k].  Returns 3 if the work cannot be
+ * allocated, else 0. */
+int fbq_null_vectors(int64_t count, int64_t n, const double *lo, const double *d, const double *up,
+                     double *x, double *ratio)
+{
+    double *work = malloc(sizeof(double) * 2 * n);
+    if (!work)
+        return 3;
+    for (int64_t k = 0; k < count; k++)
+        ratio[k] = twisted_null(n, lo + k * (n - 1), d + k * n, up + k * (n - 1), work, work + n,
+                                x + k * n);
+    free(work);
+    return 0;
 }

@@ -4,7 +4,7 @@ The source is compiled on first use with the system C compiler into the
 per-user cache, `$XDG_CACHE_HOME/fbq` or `~/.cache/fbq`, a private
 directory.  The library is named by the sha256 of the source and the flags,
 so an edited source gets a new library and later processes only load it.
-`compiled()` returns the five loops typed; every solver and the simulator
+`compiled()` returns the seven loops typed; every solver and the simulator
 run on them, and fbq has no other coding of them.  A process tries the
 build once and keeps the outcome: where the library cannot be built or
 loaded (no C compiler, no private cache directory), each call raises an
@@ -31,12 +31,14 @@ _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_band speed_family pool_system")
+Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_band speed_family pool_system "
+                                        "condition null_vectors")
 
 
 def compiled() -> Loops:
     """The library's `fbq_jump_chain`, `fbq_pool_roots`, `fbq_ctmc_band`,
-    `fbq_speed_family` and `fbq_pool_system` with their C signatures; the
+    `fbq_speed_family`, `fbq_pool_system`, `fbq_condition` and
+    `fbq_null_vectors` with their C signatures; the
     library is built first if the cache lacks it.  Raises OSError, naming
     the cause, when it cannot be built or loaded here."""
     loops = _bound()
@@ -68,9 +70,14 @@ def _bound() -> Loops | str:
                        p_dbl, p_dbl]
     family.restype = i32
     pool_system = lib.fbq_pool_system
-    pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 4, i64, dbl, i32, *[p_dbl] * 4]
+    pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 5, i64, *[dbl] * 3, *[p_dbl] * 3, p_i64]
     pool_system.restype = i32
-    return Loops(chain, pool_roots, ctmc_band, family, pool_system)
+    condition, null_vectors = lib.fbq_condition, lib.fbq_null_vectors
+    condition.argtypes = [i64, p_dbl]
+    condition.restype = dbl
+    null_vectors.argtypes = [i64, i64, *[p_dbl] * 5]
+    null_vectors.restype = i32
+    return Loops(chain, pool_roots, ctmc_band, family, pool_system, condition, null_vectors)
 
 
 def _library() -> pathlib.Path:

@@ -1,8 +1,9 @@
 """Small dense linear solves shared by the exact solvers.
 
-Both solves row-scale their systems and share one set of checks and
-errors, raised in `_checked`; a message's condition estimate reads only
-the failing system, built again for it.
+Their checks and errors are raised in one place, `_checked`, from a
+loop's outcome; a message's condition estimate is the compiled
+`fbq_condition` of `_kernels.c`, Hager's estimate from the factors of the
+one failing system, taken on the error path only.
 
 * A speed family's small systems are solved in one call of the compiled
   loop `fbq_speed_family` of `fbq.single`, by Gaussian elimination with
@@ -10,24 +11,24 @@ the failing system, built again for it.
   to `_checked`, so a system gets the same bits in any family, at any
   position in it and on any machine: no BLAS kernel that the CPU selects
   is involved.
-* `solve_scaled_system` is the one LU-and-check call of a pool's boundary
-  system, up to a few hundred unknowns: it takes the system already
-  row-scaled, in column-major order, as the compiled fill `fbq_pool_system`
-  of `fbq.multi` hands it over, and makes one f2py call each of the LAPACK
-  getrf and getrs that `scipy.linalg.lapack` wraps, as scipy's
-  lu_factor/lu_solve do; LAPACK is faster than a plain loop at those
-  sizes.  `solve_probability_system` scales a copy of an unscaled system
-  and makes the same call.
+* A pool's boundary system is solved inside the compiled loop
+  `fbq_pool_system` of `fbq.multi`, on the same elimination, which books
+  the condition estimate of a failed system from its own factors.
+* `solve_probability_system` solves one unscaled system by LAPACK's getrf
+  and getrs, as scipy's lu_factor/lu_solve call them, with the same scaling,
+  checks and errors: a reference for the compiled solves.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 
 import numpy as np
 from scipy.linalg import lapack
 
+from . import _kernels
 from .models import SolverError
 
 log = logging.getLogger("fbq.linsys")
@@ -41,34 +42,17 @@ _NO_SUMMARY = (-1, -1, 0)   # what a loop books for a stack that failed its firs
 def solve_probability_system(a_rows, b_vec) -> np.ndarray:
     """Row-scaled dense solve of one system a x = b whose unknowns are
     probabilities: a copy of it divided row by row by the largest |a_ij|
-    is solved by `solve_scaled_system`, with the checks and errors of a
-    stack solve."""
+    is factored by one f2py getrf call and solved by getrs, with the checks
+    and errors of a stack solve."""
     a, b = _stack(np.array(a_rows, dtype=float)[None], np.array(b_vec, dtype=float)[None])
     status, scale = _first_pass(a, b)
     if status:
-        return solve_scaled_system(None, None, status, None)
-    # the copy is made in column-major order, so getrf factors it in place
-    return solve_scaled_system(np.divide(a[0], scale[0, :, None], order="F"), b[0] / scale[0], 0,
-                               lambda: a[0])
-
-
-def solve_scaled_system(a: np.ndarray, b: np.ndarray, status: int, system) -> np.ndarray:
-    """x of one system a x = b whose unknowns are probabilities and whose
-    rows are already divided by their largest |a_ij|, by one f2py getrf and
-    getrs call; getrf factors the column-major a in place.  status is the
-    first pass's outcome on the unscaled system, as `_first_pass` gives it:
-    0, or _NOT_FINITE or _ZERO_ROW, which raise before a and b are read.
-    Then a pivot below PIVOT_RTOL and then a value below -NEG_PROB_TOL
-    raise SolverError, quoting the condition estimate of the unscaled
-    system that system() returns, C-ordered; it is called only for such a
-    message.  Values in [-NEG_PROB_TOL, 0) are roundoff and get clamped."""
-    if status:
         return _checked(None, status, None, None, _NO_SUMMARY)
-    lu, piv, _ = lapack.dgetrf(a, overwrite_a=1)
-    x = lapack.dgetrs(lu, piv, b)[0][None]
+    # the copy is made in column-major order, so getrf factors it in place
+    lu, piv, _ = lapack.dgetrf(np.divide(a[0], scale[0, :, None], order="F"), overwrite_a=1)
+    x = lapack.dgetrs(lu, piv, b[0] / scale[0])[0][None]
     pivmin = np.abs(lu.diagonal()).min(keepdims=True)
-    summary = _summary(x, pivmin)
-    return _checked(lambda k: system(), 0, x, pivmin, summary)[0]
+    return _checked(lambda k: _condition(a[0]), 0, x, pivmin, _summary(x, pivmin))[0]
 
 
 def _stack(a, b):
@@ -81,25 +65,25 @@ def _stack(a, b):
     return a, b
 
 
-def _checked(system, status, x, pivmin, summary):
+def _checked(cond, status, x, pivmin, summary):
     """x after the errors that a loop's outcome on a stack of systems calls
     for, in their order, with roundoff negatives clamped: a non-finite
     entry, a zero row, the first singular system, the first with a value
-    below -NEG_PROB_TOL.  system(k) returns the unscaled system k, C-ordered;
-    it is called only for the message of a failing system."""
+    below -NEG_PROB_TOL.  cond(k) returns the condition estimate of system
+    k; it is called only for the message of a failing system."""
     singular, below, negatives = summary
     if status == _NOT_FINITE:
         raise ValueError("array must not contain infs or NaNs")
     if status == _ZERO_ROW:
         raise SolverError("degenerate parameter set: zero row in the linear system")
     if status == _NO_MEMORY:
-        raise MemoryError("no memory for a tile of the lockstep LU loop")
+        raise MemoryError("no memory for the work of a compiled LU loop")
     if singular >= 0:
         raise SolverError(f"singular linear system (pivot {pivmin[singular]:.3e}, cond ~ "
-                          f"{_condition_estimate(system(singular)):.3e}); degenerate parameter set")
+                          f"{cond(singular):.3e}); degenerate parameter set")
     if below >= 0:
         raise SolverError(f"solved probability {x[below].min():.3e} is below -{NEG_PROB_TOL:g}; condition "
-                          f"estimate of the row-scaled system {_condition_estimate(system(below)):.3e}")
+                          f"estimate of the row-scaled system {cond(below):.3e}")
     if negatives:
         log.debug("clamping %d slightly negative probabilities (min %.2e)", negatives, x.min())
         x = np.clip(x, 0.0, None)
@@ -107,8 +91,8 @@ def _checked(system, status, x, pivmin, summary):
 
 
 def _first_pass(a: np.ndarray, b: np.ndarray):
-    """The first pass over the stack, as `check_rows` and `pool_fill` in
-    `_kernels.c` make it: (_NOT_FINITE or _ZERO_ROW, None) if it fails, else
+    """The first pass over the stack, as `check_rows` in `_kernels.c`
+    makes it: (_NOT_FINITE or _ZERO_ROW, None) if it fails, else
     (0, the row scale: each row's largest |a_ij|)."""
     scale = np.abs(a).max(axis=2)   # inf or NaN where a row of a holds one
     # the largest row maximum is not finite if any is, and the least is 0 if any is
@@ -129,12 +113,12 @@ def _summary(x: np.ndarray, pivmin: np.ndarray):
             int((x < 0).sum()))
 
 
-def _condition_estimate(a: np.ndarray) -> float:
-    """LAPACK's estimate (getrf + gecon) of the infinity-norm condition number
-    of a with each row divided by its largest |a_ij|: the scaled copy's
-    transpose is factored in place, and cond_1(a.T) = cond_inf(a)."""
-    a = a / np.abs(a).max(axis=1)[:, None]
-    anorm = np.abs(a).sum(axis=1).max()
-    lu, _, _ = lapack.dgetrf(a.T, overwrite_a=1)
-    rcond, _ = lapack.dgecon(lu, anorm, norm="1")
-    return 1.0 / rcond if rcond > 0 else float("inf")
+def _condition(a: np.ndarray) -> float:
+    """The estimate of the infinity-norm condition number of a with each
+    row divided by its largest |a_ij|, by the compiled `fbq_condition`,
+    which factors a copy of a."""
+    a = np.array(a, dtype=float, order="C")
+    cond = _kernels.compiled().condition(len(a), ctypes.c_double.from_buffer(a))
+    if cond < 0:
+        raise MemoryError("no memory for the condition estimate")
+    return cond

@@ -32,15 +32,19 @@ Everything that does not depend on K is computed once per pool
 and all calls: the table of rates k mu1 and (m - k) mu2 that every minor
 and determinant evaluation reads, the determinant zeros, the left null
 vector of A(z) and the powers z^j at each zero, the Taylor data of A(z)
-at z = 1 with the null pair of A(1).  The same cache keeps each threshold's
+at z = 1 with the null pair of A(1).  The null vectors of these
+tridiagonal matrices come from their twisted factorisations, one call of
+the compiled `fbq_null_vectors`.  The same cache keeps each threshold's
 solution, or the type and message of the SolverError its solve raised, so a
 pool is solved once per threshold however many sweeps or cost vectors ask
-for it.  Each threshold's boundary system is filled by the compiled loop
-`fbq_pool_system` of `_kernels.c`, from the rate table and the data at
-the zeros, its cells row-scaled and column-major, as the LAPACK LU of
-`linsys.solve_scaled_system` takes them; a second call of the loop sums
-the z = 1 Taylor vectors of b from the clamped solution.  Solutions are
-read-only values, and the cache serves each one's object to every caller.
+for it.  Each threshold is solved whole by one call of the compiled loop
+`fbq_pool_system` of `_kernels.c`: it fills the boundary system from the
+rate table and the data at the zeros, factors it on the lockstep LU of
+the speed families, sums the z = 1 Taylor vectors of b from the clamped
+solution and runs the Taylor cascade, all in its own float order, with no
+BLAS or LAPACK call, so a pool gives the same bits on every CPU.
+Solutions are read-only values, and the cache serves each one's object to
+every caller.
 The closure by the zeros is the spectral-expansion closure of Mitrani &
 Chakka, "Spectral expansion solution for a class of Markov models",
 Performance Evaluation 23 (1995).
@@ -56,10 +60,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from . import _kernels
-from .linsys import solve_scaled_system
+from .linsys import NEG_PROB_TOL, PIVOT_RTOL, _checked
 from .models import (
     CostCoefficients,
     FrozenDict,
@@ -234,69 +237,45 @@ def dprime_at_1(model: MultiServerModel) -> float:
 # --- the linear system ---------------------------------------------------------
 
 
-def _dense_matrix(model: MultiServerModel, z) -> np.ndarray:
-    """A(z) at a real z, or one A(z_k) per entry of a 1-D array z, stacked:
-    the entries of _det_at, with the same rounding."""
+def _tridiagonal(model: MultiServerModel, z: np.ndarray):
+    """The subdiagonal, diagonal and superdiagonal of A(z_k) for each entry
+    of the 1-D array z, one row per z_k: the entries of _det_at, with the
+    same rounding."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    y1 = np.array([_y1_float(model, zk) for zk in np.ravel(z).tolist()]).reshape(np.shape(z))[..., None]
-    z = np.asarray(z, dtype=float)[..., None]
-    zm1 = z - 1.0
-    i = np.arange(m)
-    out = np.zeros(z.shape[:-1] + (m, m))
-    out[..., i, i] = lam * z + i * mu1 * z + (m - i) * mu2 * zm1
-    out[..., -1, -1] = (lam * z * (1.0 - y1) + (m - 1) * mu1 * z + mu2 * zm1)[..., 0]
-    out[..., i[:-1], i[1:]] = -(i[1:] * mu1 * z * (1.0 - q + q * z))
-    out[..., i[1:], i[:-1]] = -lam * z
-    return out
+    y1 = np.array([_y1_float(model, zk) for zk in z.tolist()])[:, None]
+    z = z[:, None]
+    zm1, i = z - 1.0, np.arange(m)
+    diag = lam * z + i * mu1 * z + (m - i) * mu2 * zm1
+    diag[:, -1] = (lam * z * (1.0 - y1) + (m - 1) * mu1 * z + mu2 * zm1)[:, 0]
+    above = -(i[1:] * mu1 * z * (1.0 - q + q * z))
+    return np.broadcast_to(-lam * z, above.shape), diag, above
 
 
-def _null_vectors(a0: np.ndarray):
-    """Left and right null vectors of a (numerically) singular matrix."""
-    u_svd, sv, vt = _svd(a0)
-    if sv[-1] > 1e-6 * sv[0]:
-        raise SolverError(f"matrix expected singular has sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
-    return u_svd[:, -1], vt[-1, :]
+SINGULAR_RTOL = 1e-6   # largest relative null-vector residual of a matrix expected singular
 
 
-# scipy.linalg.svd(a) and scipy.linalg.lstsq(a, b)[0] for square float
-# matrices, by the LAPACK calls those wrappers make, with the work sizes they
-# compute, once per order, and their checks and errors
+def _nulls_compiled(lo: np.ndarray, d: np.ndarray, up: np.ndarray):
+    """The null vectors (count, n) of the count tridiagonal n x n matrices
+    with subdiagonals lo, diagonals d and superdiagonals up (count, n - 1),
+    with their relative residuals |gamma_r| / (||x|| ||A||_F), by one call of
+    the compiled `fbq_null_vectors`: each matrix's twisted factorisation."""
+    count, n = d.shape
+    lo, d, up = (np.ascontiguousarray(a, dtype=float) for a in (lo, d, up))
+    x, ratio = np.empty((count, n)), np.empty(count)
+    ptr = [a.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for a in (lo, d, up, x, ratio)]
+    if _kernels.compiled().null_vectors(count, n, *ptr):
+        raise MemoryError("no memory for the null-vector loop")
+    return x, ratio
 
 
-@functools.cache
-def _gesdd(n: int):
-    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64,
-                                          ilp64="preferred")
-    return gesdd, _compute_lwork(gesdd_lwork, n, n, compute_uv=True, full_matrices=True)
-
-
-@functools.cache
-def _gelsd(n: int):
-    gelsd, gelsd_lwork = get_lapack_funcs(("gelsd", "gelsd_lwork"), dtype=np.float64)
-    cond = np.finfo(np.float64).eps
-    return gelsd, *_compute_lwork(gelsd_lwork, n, n, 1, cond), cond
-
-
-def _require_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
-def _svd(a: np.ndarray):
-    _require_finite(a)
-    gesdd, lwork = _gesdd(len(a))
-    u, s, vt, info = gesdd(a, compute_uv=True, lwork=lwork, full_matrices=True, overwrite_a=False)
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return u, s, vt
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _require_finite(b)      # a is A0, which its SVD has checked
-    gelsd, lwork, iwork, cond = _gelsd(len(b))
-    x, _, _, info = gelsd(a, b, lwork, iwork, cond, False, False)
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+def _singular_nulls(lo: np.ndarray, d: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """The unit null vectors of _nulls_compiled; SolverError names the
+    residual of the first matrix whose residual is above SINGULAR_RTOL."""
+    x, ratio = _nulls_compiled(lo, d, up)
+    bad = np.flatnonzero(~(ratio <= SINGULAR_RTOL))
+    if bad.size:
+        raise SolverError(f"matrix expected singular has a null-vector residual of "
+                          f"{ratio[bad[0]]:.3e} times its norm")
     return x
 
 
@@ -330,8 +309,8 @@ class _Pool:
     part that failed builds it again and raises the same message (a
     threshold whose solve raised it keeps that message as its own).
     The zeros come from the compiled search `fbq_pool_roots` of `_kernels.c`;
-    the null vectors at the zeros from one SVD each of the matrices A(z_k),
-    built in one numpy expression.
+    the null vectors at the zeros and of A(1) from the compiled twisted
+    factorisations of `fbq_null_vectors`, one call for each of the two.
     """
 
     def __init__(self, model: MultiServerModel):
@@ -352,18 +331,21 @@ class _Pool:
     def at_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The zeros z_k, the left null vectors of A(z_k) and the powers
         z_k^j (j = 0 .. m-1), with one row per zero in the last two."""
-        shape = (len(self.roots), self.model.m)
         zeros = np.array(self.roots)
-        null = np.array([_null_vectors(a)[0] for a in _dense_matrix(self.model, zeros)])
-        zpow = np.array([[zk**j for j in range(shape[1])] for zk in self.roots])
-        return frozen(zeros), frozen(null.reshape(shape)), frozen(zpow.reshape(shape))
+        below, diag, above = _tridiagonal(self.model, zeros)
+        null = _singular_nulls(above, diag, below)     # the right null vectors of A(z_k)^T
+        zpow = np.array([[zk**j for j in range(self.model.m)] for zk in self.roots])
+        return frozen(zeros), frozen(null), frozen(zpow.reshape(null.shape))
 
     @functools.cached_property
     def loop_args(self) -> tuple:
         """The leading arguments of the compiled `fbq_pool_system`: the pool,
-        its rate table and its at_roots data."""
-        model, data = self.model, (np.array(self.rates), *self.at_roots)
-        # data_as keeps its array alive; the at_roots arrays are read-only
+        its rate table, its at_roots data and its at_one data packed as the
+        loop reads them."""
+        model, one = self.model, self.at_one
+        data = (np.array(self.rates), *self.at_roots,
+                np.concatenate([one.a0.ravel(), one.a1.ravel(), one.a2.ravel(), one.u, one.v, [one.uA1v]]))
+        # data_as keeps its array alive; nothing else holds the packed copies
         return (model.m, model.lam, model.mu1, model.mu2, model.q,
                 *(a.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for a in data))
 
@@ -381,12 +363,20 @@ class _Pool:
         i = np.arange(m)
         diag = np.array([lam + i * mu1, lam + i * mu1 + (m - i) * mu2, np.zeros(m)])
         diag[:, -1] = ((m - 1) * mu1, (m - 1) * mu1 + mu2 - lam * c1, -lam * (c1 + c2))
-        a0, a1, a2 = (frozen(np.diag(d) + np.diag(-i[1:] * mu1 * above, 1)
-                             + np.diag(np.full(m - 1, -lam * below), -1))
-                      for d, above, below in zip(diag, (1.0, 1.0 + q, q), (1.0, 1.0, 0.0)))
+        above = [-i[1:] * mu1 * f for f in (1.0, 1.0 + q, q)]
+        below = [np.full(m - 1, -lam * f) for f in (1.0, 1.0, 0.0)]
+        a0, a1, a2 = (frozen(np.diag(d) + np.diag(up, 1) + np.diag(lo, -1))
+                      for d, up, lo in zip(diag, above, below))
 
-        u, v = map(frozen, _null_vectors(a0))
-        uA1v = u @ a1 @ v
+        # the left null vector of A0 is the right one of its transpose
+        u, v = map(frozen, _singular_nulls(np.array([above[0], below[0]]), np.array([diag[0]] * 2),
+                                           np.array([below[0], above[0]])))
+        # u^T A1 v by rows, each row's three entries summed in turn, as the
+        # compiled cascade sums its products (no BLAS, whose order varies)
+        uA1v, vs = 0.0, [0.0, *v.tolist(), 0.0]
+        for r, (ur, lo, d, up) in enumerate(zip(u.tolist(), [0.0, *below[1].tolist()], diag[1].tolist(),
+                                                [*above[1].tolist(), 0.0])):
+            uA1v += ur * (lo * vs[r] + d * vs[r + 1] + up * vs[r + 2])
         if abs(uA1v) < 1e-12 * np.abs(a1).max():
             raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
         return _AtOne(a0=a0, a1=a1, a2=a2, u=u, v=v, uA1v=uA1v, y2v=y2s.c[0], y2d=y2s.c[1])
@@ -427,62 +417,47 @@ def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[
     return out
 
 
+@functools.lru_cache(maxsize=1024)
+def _states(m: int, K: int) -> tuple[tuple[int, int], ...]:
+    """The unknowns (i, j) of threshold K of an m-server pool, K <= i + j <= m - 1, by i and then j."""
+    return tuple((i, j) for i in range(m) for j in range(max(0, K - i), m - i))
+
+
 def _solve_one(model: MultiServerModel, K: int, pool: _Pool, loop) -> MultiServerSolution:
-    """Steady state under threshold K, by the compiled `loop`
-    `fbq_pool_system`: it fills the kept states' boundary system, row-scaled
-    for solve_scaled_system's LU, and then sums the z = 1 vector b from the
-    clamped solution.  The system holds the balance rows of the states
-    i + j <= m - 2, as a stopped state on the diagonal i + j = K >= 1 and as
-    a running one elsewhere; one row per zero z_k, from the left null vector
-    of A(z_k), to which b is orthogonal; and the idle-or-stopped server
-    identity."""
+    """Steady state under threshold K, by one call of the compiled `loop`
+    `fbq_pool_system`: it fills the kept states' boundary system, solves
+    it, and from the clamped solution sums the z = 1 vector b and runs the
+    Taylor cascade to g(1) and g'(1).  The system holds the balance rows of
+    the states i + j <= m - 2, as a stopped state on the diagonal
+    i + j = K >= 1 and as a running one elsewhere; one row per zero z_k,
+    from the left null vector of A(z_k), to which b is orthogonal; and the
+    idle-or-stopped server identity.  The loop's outcome raises the errors
+    of linsys._checked, quoting the condition estimate from its factors."""
     m = model.m
-    states = [(i, j) for i in range(m) for j in range(max(0, K - i), m - i)]
-    n, args, idle = len(states), pool.loop_args, m - model.rho1 - model.rho2
+    states = _states(m, K)
+    x, g, info = np.empty(len(states)), np.empty((2, m)), np.empty(4)
+    summary = np.empty(3, dtype=np.int64)
     dbl = ctypes.c_double.from_buffer
-
-    def system(scale):
-        # the loop writes column-major, so the C-ordered buffer holds the transpose
-        at, rhs = np.empty((n, n)), np.empty(n)
-        return loop(*args, K, idle, scale, dbl(at), dbl(rhs), None, None), at.T, rhs
-
-    status, a, rhs = system(1)
-    # only a message reads the unscaled system
-    x = solve_scaled_system(a, rhs, status, lambda: np.ascontiguousarray(system(0)[1]))
-    b = np.empty((3, m))
-    loop(*args, K, idle, 0, None, None, dbl(x), dbl(b))
-    return _finish(model, K, dict(zip(states, x.tolist())), b, pool)
+    status = loop(*pool.loop_args, K, m - model.rho1 - model.rho2, PIVOT_RTOL, NEG_PROB_TOL, dbl(x),
+                  dbl(g), dbl(info), ctypes.c_int64.from_buffer(summary))
+    cond = info[1]
+    x = _checked(lambda k: cond, status, x[None], info[:1], summary.tolist())[0]
+    return _finish(model, K, dict(zip(states, x.tolist())), g, info[2:].tolist(), pool)
 
 
-def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
+def _finish(model: MultiServerModel, K: int, boundary: dict, g: np.ndarray, check: list,
             pool: _Pool) -> MultiServerSolution:
+    """The solution from the boundary probabilities and g(1), g'(1) of the
+    Taylor cascade of A(z) g(z) = b(z) at z = 1.  A0 = A(1) is singular
+    (that is how the saturated region enters), so b0 must be orthogonal to
+    its left null vector u: check holds u^T b0 and max |b0| + max |b1|."""
     lam, mu1, m = model.lam, model.mu1, model.m
-    one = pool.at_one
-    rho_hat = lam / (m * mu1)
+    residual, scale = check
+    if abs(residual) > 1e-7 * max(scale, 1e-300):
+        raise SolverError(f"solvability residual {residual:.3e} at z = 1; boundary solve inconsistent")
 
-    # Taylor data of the transform system at z = 1: A(z) g(z) = b(z) expanded
-    # as (A0 + A1 t + A2 t^2)(g0 + g1 t + ...) = b0 + b1 t + b2 t^2 + ...
-    a0, a1, a2 = one.a0, one.a1, one.a2
-    b0, b1, b2 = b
-
-    # A0 is singular (that is how the saturated region enters), so the Taylor
-    # cascade needs one solvability condition per order: each particular
-    # solution is completed with the right-null-vector component that keeps
-    # the next order consistent.
-    u, v, uA1v = one.u, one.v, one.uA1v
-    scale = np.abs(b0).max() + np.abs(b1).max()
-    if abs(u @ b0) > 1e-7 * max(scale, 1e-300):
-        raise SolverError(f"solvability residual {u @ b0:.3e} at z = 1; boundary solve inconsistent")
-    p0 = _lstsq(a0, b0)
-    c0 = (u @ b1 - u @ a1 @ p0) / uA1v
-    g0 = p0 + c0 * v
-    p1 = _lstsq(a0, b1 - a1 @ g0)
-    c1 = (u @ b2 - u @ a2 @ g0 - u @ a1 @ p1) / uA1v
-    g1 = p1 + c1 * v
-
-    gv1 = g0.tolist()       # g_i(1)
-    gd1 = g1.tolist()       # g_i'(1)
-    r = rho_hat
+    gv1, gd1 = g.tolist()       # g_i(1) and g_i'(1)
+    r = lam / (m * mu1)
     gm1 = r * gv1[m - 1]
 
     if K == 0:
@@ -491,7 +466,7 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, b: np.ndarray,
         L1 = sum(i * gv1[i] for i in range(m)) + gm1 * (m * (1.0 - r) + r) / (1.0 - r) ** 2
 
     # saturated-tail contribution g(1,z) = g_{m-1}(z) / (y2(z) - 1)
-    y2v, y2d = one.y2v, one.y2d
+    y2v, y2d = pool.at_one.y2v, pool.at_one.y2d
     tail_deriv = (gd1[m - 1] * (y2v - 1.0) - gv1[m - 1] * y2d) / (y2v - 1.0) ** 2
     L2 = sum(gd1) + tail_deriv
 
@@ -535,8 +510,8 @@ def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
 
     The determinant zeros, the null vectors at them and the z = 1 Taylor
     data come from the pool cache, so they are built once per pool however
-    many sweeps or solves use it.  Each threshold solves its own boundary
-    system once, filled by the compiled loop; later sweeps, solves and cost
+    many sweeps or solves use it.  Each threshold is solved once, by one
+    call of the compiled loop; later sweeps, solves and cost
     vectors of the pool are served the kept solution object, as in
     `solve_threshold`.  A failure at any threshold
     propagates; a SolverError of its boundary solve is kept, as in

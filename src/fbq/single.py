@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .linsys import NEG_PROB_TOL, PIVOT_RTOL, _checked
+from .linsys import NEG_PROB_TOL, PIVOT_RTOL, _checked, _condition
 from .models import (
     CostCoefficients,
     FrozenDict,
@@ -317,8 +317,9 @@ class _Family:
         status = loops.speed_family(count, K, len(self.at), i64(self.at), dbl(self.coef), dbl(self.shared),
                                     self.work, dbl(levels), PIVOT_RTOL, NEG_PROB_TOL, dbl(x), dbl(pivmin),
                                     i64(summary), dbl(p), dbl(sums))
-        # only the message of a failed system reads that system
-        x = _checked(lambda k: self._stack(levels[k:k + 1])[0][0], status, x, pivmin, summary.tolist())
+        # only the message of a failed system builds and factors that system
+        x = _checked(lambda k: _condition(self._stack(levels[k:k + 1])[0][0]), status, x, pivmin,
+                     summary.tolist())
         return self._metrics(x, levels, p, *sums)
 
     def _stack(self, levels: np.ndarray):

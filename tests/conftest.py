@@ -1,7 +1,6 @@
 """Fixtures shared by the test modules: the compiled loops, one call run on
-both the compiled loops and their references, the systems that either
-pool path hands to the LU of fbq.linsys, and what a fresh interpreter
-loads when it imports fbq."""
+both the compiled loops and their references, and what a fresh
+interpreter loads when it imports fbq."""
 
 import json
 import os
@@ -9,14 +8,12 @@ import pathlib
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import fbq  # noqa: F401  (loads the modules below)
 import reference
 
 KERNELS = sys.modules["fbq._kernels"]
-LINSYS = sys.modules["fbq.linsys"]
 MULTI = sys.modules["fbq.multi"]
 SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
 
@@ -62,26 +59,6 @@ def on_both_paths(compiled_loops, monkeypatch):
         return compiled, python
 
     return both
-
-
-@pytest.fixture
-def pool_systems(monkeypatch):
-    """The list of every system that either pool path hands to
-    linsys.solve_scaled_system, in call order: its status, copies of the
-    row-scaled a and b taken before getrf factors a in place (None where
-    the status is not 0), and the unscaled system that a message would
-    quote."""
-    seen = []
-    solve = LINSYS.solve_scaled_system
-
-    def spy(a, b, status, system):
-        copies = (None, None, None) if status else (np.array(a), np.array(b), np.array(system()))
-        seen.append((status, *copies))
-        return solve(a, b, status, system)
-
-    monkeypatch.setattr(LINSYS, "solve_scaled_system", spy)
-    monkeypatch.setattr(MULTI, "solve_scaled_system", spy)
-    return seen
 
 
 @pytest.fixture(scope="session")

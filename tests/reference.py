@@ -6,12 +6,21 @@ loop's order, so the two give equal results, errors included.
 
 * `run`: the jump chain of `fbq_jump_chain`, behind `simulate._jump_chain`.
 * `lockstep` and `solve_probability_stack`: the elimination of
-  `fbq_speed_family`; `family_solve` is the whole family loop, with the
-  systems of `single._Family._stack` and the row sums of `finish_sums`.
+  `fbq_speed_family` and `fbq_pool_system`; `family_solve` is the whole
+  family loop, with the systems of `single._Family._stack` and the row sums
+  of `finish_sums`.
+* `factor`, `lu_solve` and `lu_solve_transposed`: one system's elimination
+  with its factors kept, and the solves with them; `condition` is the
+  condition estimate of `fbq_condition`, behind `linsys._condition`.
 * `sturm_sequence`, `sign_changes` and `isolate_roots`: the zero search of
   `fbq_pool_roots`, behind `multi._roots_compiled`.
-* `pool_fill` and `pool_taylor`: the boundary fill and the z = 1 Taylor
-  sums of `fbq_pool_system`; `solve_one` is `multi._solve_one` on them.
+* `twisted_null` and `null_vectors`: the twisted factorisations of
+  `fbq_null_vectors`, behind `multi._nulls_compiled`.
+* `pool_fill`, `pool_taylor` and `cascade`: the boundary fill, the z = 1
+  Taylor sums and the Taylor cascade of `fbq_pool_system`; `solve_one` is
+  `multi._solve_one` on them.
+
+`dense_matrix` is A(z) as a dense matrix, for the tests of its entries.
 * `band_system`: the band system of `fbq_ctmc_band`, behind
   `ctmc._band_compiled`.
 
@@ -20,6 +29,7 @@ that a test can run any call on the references instead.
 """
 
 import functools
+import math
 import random
 import sys
 from bisect import bisect_right
@@ -97,7 +107,7 @@ def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     -NEG_PROB_TOL; values in [-NEG_PROB_TOL, 0) are roundoff and get clamped.
     """
     a, b = linsys._stack(a, b)
-    return linsys._checked(a.__getitem__, *lockstep(a, b))
+    return linsys._checked(lambda k: condition(a[k]), *lockstep(a, b))
 
 
 def lockstep(a: np.ndarray, b: np.ndarray):
@@ -130,6 +140,112 @@ def lockstep(a: np.ndarray, b: np.ndarray):
             y[:, :j] -= t[:, :j, j] * y[:, None, j]
     pivmin = pivots.min(axis=1)
     return 0, y, pivmin, linsys._summary(y, pivmin)
+
+
+def factor(a: np.ndarray, y: np.ndarray):
+    """The elimination of `lockstep` on one system, on copies of a and y,
+    with its factors kept as the compiled `lu_tile` keeps them: (t, y, perm,
+    scale, norm), where t holds U on and above the diagonal and each
+    multiplier l in place of the t_rj it eliminated, y the solution, perm
+    the pivot row of each column, scale each row's largest |a_ij| and norm
+    the infinity norm of the row-scaled system, each row's |a_ij| / scale
+    summed in turn.  Rows swap from the pivot's column on."""
+    t, y = np.array(a, dtype=float), np.array(y, dtype=float)
+    n = len(y)
+    scale = np.abs(t).max(axis=1)
+    t /= scale[:, None]
+    y /= scale
+    norm = max(add_up(row) for row in np.abs(t).tolist())
+    perm = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(n):
+            p = j + int(np.argmax(np.abs(t[j:, j])))
+            t[[j, p], j:] = t[[p, j], j:]
+            y[[j, p]] = y[[p, j]]
+            perm.append(p)
+            l = t[j + 1:, j] / (1.0 if t[j, j] == 0.0 else t[j, j])
+            t[j + 1:, j] = l
+            t[j + 1:, j + 1:] -= l[:, None] * t[j, j + 1:]
+            y[j + 1:] -= l * y[j]
+        for j in reversed(range(n)):
+            y[j] /= t[j, j]
+            y[:j] -= t[:j, j] * y[j]
+    return t, y, perm, scale, norm
+
+
+def add_up(values) -> float:
+    """The values added in turn to 0.0, as the compiled loops sum."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def lu_solve(t: np.ndarray, perm: list, y: np.ndarray) -> None:
+    """S x = y in place, with the factors of `factor`: its steps on y, then
+    the back substitution."""
+    for j, p in enumerate(perm):
+        y[[j, p]] = y[[p, j]]
+        y[j + 1:] -= t[j + 1:, j] * y[j]
+    for j in reversed(range(len(y))):
+        y[j] /= t[j, j]
+        y[:j] -= t[:j, j] * y[j]
+
+
+def lu_solve_transposed(t: np.ndarray, perm: list, y: np.ndarray) -> None:
+    """S^T x = y in place: U^T column by column, then the transposes of
+    the steps in reverse, each a sum over the rows below in turn."""
+    n = len(y)
+    for j in range(n):
+        y[j] /= t[j, j]
+        y[j + 1:] -= t[j, j + 1:] * y[j]
+    low = t.tolist()
+    for j in reversed(range(n)):
+        v = float(y[j])
+        for r in range(j + 1, n):
+            v -= low[r][j] * float(y[r])
+        y[j], y[perm[j]] = y[perm[j]], v
+
+
+def condition(a: np.ndarray) -> float:
+    """The condition estimate of the compiled `fbq_condition`: the
+    infinity-norm condition number of a, row-scaled, as norm ||S^-T||_1 by
+    Hager's method as LAPACK's dlacn2 runs it."""
+    n = len(a)
+    t, _, perm, _, norm = factor(a, np.zeros(n))
+    if (t.diagonal() == 0.0).any():
+        return math.inf
+
+    def signs(x, xi):
+        x[:] = np.where(x >= 0.0, 1.0, -1.0)
+        same = bool((x == xi).all())
+        xi[:] = x
+        return same
+
+    x = np.full(n, 1.0 / n)
+    lu_solve_transposed(t, perm, x)
+    est = add_up(np.abs(x).tolist())
+    if n > 1:
+        xi = np.zeros(n)
+        signs(x, xi)
+        lu_solve(t, perm, x)
+        j = int(np.argmax(np.abs(x)))
+        for step in range(2, 6):
+            x = np.zeros(n)
+            x[j] = 1.0
+            lu_solve_transposed(t, perm, x)
+            old, est = est, add_up(np.abs(x).tolist())
+            if signs(x, xi) or est <= old:
+                break
+            lu_solve(t, perm, x)
+            last, j = j, int(np.argmax(np.abs(x)))
+            if abs(x[last]) == abs(x[j]):
+                break
+        x = np.array([(-1.0 if i % 2 else 1.0) * (1.0 + i / (n - 1)) for i in range(n)])
+        lu_solve_transposed(t, perm, x)
+        est = max(2.0 * add_up(np.abs(x).tolist()) / (3.0 * n), est)
+    cond = norm * est
+    return cond if cond < math.inf else math.inf
 
 
 def family_solve(family, levels: np.ndarray) -> dict:
@@ -284,13 +400,13 @@ def pool_fill(model, K: int, pool, states: list):
 
 def pool_taylor(model, K: int, pool, states: list, x: list) -> np.ndarray:
     """The Taylor vectors b0, b1, b2 (3 x m) of b at z = 1 + t from the
-    solved boundary probabilities x, summed from 0 in pool_taylor's order:
-    the running states' terms of b_i in the order of the unknowns, then the
-    stopped states' terms of b_(i-1) (i >= 1), then their terms of b_i, by
-    increasing i.  A term (c0 + c1 t) z^p adds c0, c0 p + c1 and
-    c0 p (p - 1)/2 + c1 p times its probability to the three orders."""
+    solved boundary probabilities x, summed from 0 in the order of the
+    unknowns: a running state's term of b_i, a stopped state's term of
+    b_(i-1) (i >= 1) and then of b_i.  A term (c0 + c1 t) z^p adds c0,
+    c0 p + c1 and c0 p (p - 1)/2 + c1 p times its probability to the three
+    orders."""
     mu1, mu2, q, m = model.mu1, model.mu2, model.q, model.m
-    r, b, diagonal = pool.rates, [0.0] * (3 * m), []
+    r, b = pool.rates, [0.0] * (3 * m)
 
     def add(t, c0, c1, p, xc):
         b[t] += c0 * xc
@@ -299,24 +415,107 @@ def pool_taylor(model, K: int, pool, states: list, x: list) -> np.ndarray:
 
     for (i, j), xc in zip(states, x):
         if K and i + j == K:
-            diagonal.append(xc)     # the stopped states, by increasing i from 0
+            if i > 0:
+                add(i - 1, -i * mu1, -i * mu1 * q, K - i + 1, xc)
+            add(i, r[i][0], r[i][0] + r[i][1], K - i, xc)
         else:
             add(i, 0.0, mu2 * (m - i - j), j, xc)
-    for i in range(1, len(diagonal)):
-        add(i - 1, -i * mu1, -i * mu1 * q, K - i + 1, diagonal[i])
-    for i, xc in enumerate(diagonal):
-        add(i, r[i][0], r[i][0] + r[i][1], K - i, xc)
     return np.array(b).reshape(3, m)
 
 
+def cascade(pool, b: np.ndarray):
+    """The Taylor cascade of `fbq_pool_system` from b (3 x m): g (2 x m)
+    and the solvability check's [u^T b0, max |b0| + max |b1|].  The
+    bordered system [[A0, u], [v^T, 0]] is factored with [b0, 0] by
+    `factor`, and [b1 - A1 g0, 0], scaled by its row scales, solved by
+    `lu_solve`; every product is a row sum in turn."""
+    one = pool.at_one
+    m = len(one.u)
+    a0, a1, a2, u, v = one.a0, one.a1.tolist(), one.a2.tolist(), one.u.tolist(), one.v.tolist()
+    b0, b1, b2 = b.tolist()
+
+    def dot(x, y):
+        return add_up(xi * yi for xi, yi in zip(x, y))
+
+    def u_a_x(a, x):
+        return add_up(ur * dot(row, x) for ur, row in zip(u, a))
+
+    check = [dot(u, b0), max(map(abs, b0)) + max(map(abs, b1))]
+    border = np.zeros((m + 1, m + 1))
+    border[:m, :m], border[:m, m], border[m, :m] = a0, u, v
+    t, y, perm, scale, _ = factor(border, b0 + [0.0])
+    p0 = y[:m].tolist()
+    c0 = (dot(u, b1) - u_a_x(a1, p0)) / one.uA1v
+    g0 = [p + c0 * vi for p, vi in zip(p0, v)]
+    y = np.array([(bi - dot(row, g0)) / s for bi, row, s in zip(b1, a1, scale)] + [0.0])
+    lu_solve(t, perm, y)
+    p1 = y[:m].tolist()
+    c1 = (dot(u, b2) - u_a_x(a2, g0) - u_a_x(a1, p1)) / one.uA1v
+    return np.array([g0, [p + c1 * vi for p, vi in zip(p1, v)]]), check
+
+
 def solve_one(model, K: int, pool, loop=None):
-    """`multi._solve_one` on the references: the unscaled system of
-    `pool_fill` goes to `linsys.solve_probability_system`, which scales it
-    as the compiled fill does and makes the same LAPACK calls, and b comes
-    from `pool_taylor`."""
+    """`multi._solve_one` on the references: the system of `pool_fill`
+    solved by `lockstep`, with the errors of `linsys._checked` and the
+    condition estimate of `condition`, then b from `pool_taylor` and g
+    from `cascade`."""
     states = [(i, j) for i in range(model.m) for j in range(max(0, K - i), model.m - i)]
-    x = linsys.solve_probability_system(*pool_fill(model, K, pool, states)).tolist()
-    return multi._finish(model, K, dict(zip(states, x)), pool_taylor(model, K, pool, states, x), pool)
+    a, rhs = pool_fill(model, K, pool, states)
+    x = linsys._checked(lambda k: condition(a), *lockstep(a[None], rhs[None]))[0].tolist()
+    g, check = cascade(pool, pool_taylor(model, K, pool, states, x))
+    return multi._finish(model, K, dict(zip(states, x)), g, check, pool)
+
+
+def twisted_null(lo: list, d: list, up: list):
+    """The null vector of the tridiagonal matrix (lo, d, up) and its
+    relative residual, as the compiled `twisted_null` finds them: the
+    pivots from the top and the bottom, an exact zero replaced by the least
+    normal float, the twist at the first least |gamma_k|, the vector from
+    x_r = 1 divided by its 2-norm."""
+    n, tiny = len(d), sys.float_info.min
+    dp, dm = [d[0] if d[0] != 0.0 else tiny], [0.0] * n
+    for i in range(1, n):
+        v = d[i] - lo[i - 1] * up[i - 1] / dp[i - 1]
+        dp.append(v if v != 0.0 else tiny)
+    dm[n - 1] = d[n - 1] if d[n - 1] != 0.0 else tiny
+    for i in reversed(range(n - 1)):
+        v = d[i] - lo[i] * up[i] / dm[i + 1]
+        dm[i] = v if v != 0.0 else tiny
+    gammas = [dp[k] + dm[k] - d[k] for k in range(n)]
+    r = min(range(n), key=lambda k: (abs(gammas[k]), k))
+    x = [0.0] * n
+    x[r] = 1.0
+    for i in reversed(range(r)):
+        x[i] = -up[i] * x[i + 1] / dp[i]
+    for i in range(r + 1, n):
+        x[i] = -lo[i - 1] * x[i - 1] / dm[i]
+    norm = math.sqrt(add_up(xi * xi for xi in x))
+    frob = math.sqrt(add_up([di * di for di in d] + [a * a + b * b for a, b in zip(lo, up)]))
+    ratio = 0.0 if frob == 0.0 else abs(gammas[r]) / (norm * frob)
+    return [xi / norm for xi in x], ratio
+
+
+def null_vectors(lo: np.ndarray, d: np.ndarray, up: np.ndarray):
+    """`multi._nulls_compiled` on `twisted_null`: the null vectors and
+    relative residuals of a stack of tridiagonal matrices."""
+    found = [twisted_null(*rows) for rows in zip(np.asarray(lo).tolist(), d.tolist(), np.asarray(up).tolist())]
+    return np.array([x for x, _ in found]).reshape(d.shape), np.array([ratio for _, ratio in found])
+
+
+def dense_matrix(model, z) -> np.ndarray:
+    """A(z) at a real z, or one A(z_k) per entry of a 1-D array z, stacked:
+    the entries of multi._det_at, with the same rounding."""
+    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    y1 = np.array([multi._y1_float(model, zk) for zk in np.ravel(z).tolist()]).reshape(np.shape(z))[..., None]
+    z = np.asarray(z, dtype=float)[..., None]
+    zm1 = z - 1.0
+    i = np.arange(m)
+    out = np.zeros(z.shape[:-1] + (m, m))
+    out[..., i, i] = lam * z + i * mu1 * z + (m - i) * mu2 * zm1
+    out[..., -1, -1] = (lam * z * (1.0 - y1) + (m - 1) * mu1 * z + mu2 * zm1)[..., 0]
+    out[..., i[:-1], i[1:]] = -(i[1:] * mu1 * z * (1.0 - q + q * z))
+    out[..., i[1:], i[:-1]] = -lam * z
+    return out
 
 
 # --- the band system of the CTMC oracle --------------------------------------------
@@ -364,6 +563,8 @@ REFERENCES = (
     (SIMULATE, "_jump_chain", run),
     (single._Family, "solve", family_solve),
     (multi, "_roots_compiled", isolate_roots),
+    (multi, "_nulls_compiled", null_vectors),
     (multi, "_solve_one", solve_one),
+    (linsys, "_condition", condition),
     (ctmc, "_band_compiled", band_system),
 )

@@ -3,13 +3,13 @@
 The reference below states the per-state rules of the inhomogeneous vector
 b(z) as loops over t and j and builds every threshold's boundary system from
 them: the balance rows, one row per zero of the transform determinant and
-the idle-or-stopped server normalisation.  The system that fbq.multi hands
-to the LU of fbq.linsys must equal it exactly, unscaled as a message would
-quote it and row-scaled as getrf gets it, at every threshold and also where
-the solve then fails, on both paths: the compiled fill `fbq_pool_system`
-and its Python reference, reference.pool_fill, which states the rule
-state by state rather than by t.  The Taylor data at z = 1 (A0, A1, A2 and
-b0, b1, b2) are checked against PowerSeries arithmetic.
+the idle-or-stopped server normalisation.  The fill that both pool paths
+solve, reference.pool_fill, which states the rule state by state rather
+than by t, must equal it exactly at every threshold, also where the solve
+then fails; the compiled loop `fbq_pool_system` must give the same
+solution bits or error as that Python path.  The Taylor data at z = 1 (A0,
+A1, A2, and the b0, b1, b2 that reference.pool_taylor sums) are checked
+against PowerSeries arithmetic.
 """
 
 import json
@@ -22,6 +22,7 @@ import pytest
 from fbq import multi
 from fbq.models import MultiServerModel, SolverError
 from fbq.series import PowerSeries, kernel_root_pair_at_1
+import reference
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "threshold_sweep_pins.json").read_text())
 
@@ -139,58 +140,38 @@ def assert_close(got, want, rtol=1e-13):
         assert np.abs(g - w).max() <= rtol * np.abs(w).max(), (order, np.abs(g - w).max())
 
 
-@pytest.fixture
-def handed_over(monkeypatch, pool_systems):
-    """Every (status, scaled a, scaled rhs, unscaled a) given to the pool LU
-    and every (boundary, b) given to the z = 1 pass, in call order.  The pool
-    cache is cleared around the test, since a threshold it already holds is
-    served without a solve."""
-    multi._pool_data.cache_clear()
-    seen = {"systems": pool_systems, "b": []}
-    finish = multi._finish
-
-    def spy_finish(model, K, boundary, b, pool):
-        seen["b"].append((boundary, np.array(b)))
-        return finish(model, K, boundary, b, pool)
-
-    monkeypatch.setattr(multi, "_finish", spy_finish)
-    yield seen
-    multi._pool_data.cache_clear()
+def outcome(model):
+    """The solution's fields, or the error's type and message."""
+    try:
+        sol = multi.solve_threshold(model)
+    except SolverError as exc:
+        return type(exc), str(exc)
+    return [getattr(sol, f) for f in ("boundary", "g_at_1", "g_m_at_1", "L1", "L2", "U", "p")]
 
 
 @pytest.mark.parametrize("name", sorted(POOLS))
-def test_every_threshold_hands_over_the_reference_system(name, handed_over, on_both_paths):
+def test_every_threshold_hands_over_the_reference_system(name, on_both_paths):
     pool = POOLS[name]
-    compiled, python = on_both_paths(lambda: [
-        assert_hands_over_the_reference_system(MultiServerModel(**pool, threshold=K), handed_over, (name, K))
-        for K in range(pool["m"])])
-    # and both paths sum the same b, bit for bit
+    models = [MultiServerModel(**pool, threshold=K) for K in range(pool["m"])]
+    compiled, python = on_both_paths(lambda: [outcome(model) for model in models])
     assert compiled == python, name
+    for model, result in zip(models, compiled):
+        assert_hands_over_the_reference_system(model, result, (name, model.threshold))
+    multi._pool_data.cache_clear()
 
 
-def assert_hands_over_the_reference_system(model, handed_over, where):
-    """Checks the system and b that the solve of model hands over; returns
-    b's bytes, or None where the solve failed."""
-    K = model.threshold
-    handed_over["systems"].clear()
-    handed_over["b"].clear()
-    try:
-        sol = multi.solve_threshold(model)
-    except SolverError:
-        sol = None
+def assert_hands_over_the_reference_system(model, result, where):
+    """Checks the system that reference.pool_fill fills for model, and the
+    b that reference.pool_taylor sums from the solved boundary."""
+    K, pool = model.threshold, multi._pool(model)
     states, a_ref, rhs_ref = reference_system(model, K)
-    [(status, scaled, scaled_rhs, a)] = handed_over["systems"]
-    assert np.array_equal(a, a_ref), where
-    # each row divided by its largest |a_ij|, as linsys scales a system
-    scale = np.abs(a_ref).max(axis=1)
-    assert status == 0 and np.array_equal(scaled, a_ref / scale[:, None]), where
-    assert np.array_equal(scaled_rhs, rhs_ref / scale), where
-    if sol is not None:
-        [(boundary, b)] = handed_over["b"]
+    a, rhs = reference.pool_fill(model, K, pool, states)
+    assert np.array_equal(a, a_ref) and np.array_equal(rhs, rhs_ref), where
+    if isinstance(result, list):
+        boundary = result[0]
         assert list(boundary) == states
+        b = reference.pool_taylor(model, K, pool, states, list(boundary.values()))
         assert_close(b, series_b(model, K, boundary))
-        return b.tobytes()
-    return None
 
 
 @pytest.mark.parametrize("name", sorted(POOLS))

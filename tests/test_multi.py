@@ -9,7 +9,6 @@ from fbq.ctmc import ctmc_solve
 from fbq.models import (CostCoefficients, ModelError, MultiServerModel, SolverError,
                         UnstableModelError)
 from fbq.multi import (
-    _dense_matrix,
     _det_at,
     d_roots,
     dprime_at_1,
@@ -19,7 +18,7 @@ from fbq.multi import (
     verify_multi,
 )
 from fbq.series import kernel_root_pair_at_1
-from reference import isolate_roots, sign_changes, sturm_sequence
+from reference import dense_matrix, isolate_roots, sign_changes, sturm_sequence
 
 # frozen truncated-chain oracle values (edge mass < 1e-10)
 M3_EXAMPLE = dict(L=4.7286157247, L1=1.7368421053, L2=2.9917736195)
@@ -88,7 +87,7 @@ class TestTransformMatrix:
     MODEL = MultiServerModel(1.5, 1.0, 0.5, 0.3, 3)
 
     def test_entries(self):
-        a = _dense_matrix(self.MODEL, 0.5)
+        a = dense_matrix(self.MODEL, 0.5)
         lam, mu1, mu2, m = 1.5, 1.0, 0.5, 3
         z = 0.5
         assert a.shape == (3, 3)
@@ -105,11 +104,11 @@ class TestTransformMatrix:
     def test_determinant_matches_dense(self):
         for z in (0.2, 0.7, 0.95):
             assert _det_at(self.MODEL, z) == pytest.approx(
-                np.linalg.det(_dense_matrix(self.MODEL, z)), rel=1e-10)
+                np.linalg.det(dense_matrix(self.MODEL, z)), rel=1e-10)
 
     def test_minors_match_dense_leading_blocks(self):
         z = 0.6
-        a = _dense_matrix(self.MODEL, z)
+        a = dense_matrix(self.MODEL, z)
         seq = sturm_sequence(self.MODEL, z)
         assert len(seq) == 4 and seq[0] == 1.0
         for i in (1, 2):

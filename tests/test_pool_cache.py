@@ -19,17 +19,18 @@ search must give the zeros, counts and error messages of the Python search
 reference.isolate_roots on the pinned, seeded and scanned pools, and a
 search that stops early must raise its status.
 
-Each threshold's system is filled, and b summed, by the compiled loop
-fbq_pool_system, and its Taylor cascade and the null vectors call LAPACK's
-gelsd and gesdd directly; every threshold of the seeded and pinned pools
-must hand the LU the same system bytes, and give the same solution or
-error, as the Python fill reference.pool_fill and pool_taylor with the
-null vectors and the cascade of scipy.linalg.svd and lstsq kept below.
-Each threshold is filled and solved once per pool, and a kept failure is
-raised again with no fill and no solve.  The compiled loops and their
-references must hand the LU the same bytes, signed zeros included, and
-return the same solution bits or error, on figure 8, a seeded
-threshold_sweep block, q = 0 and q = 1 pools, at every threshold.
+Each threshold is solved whole by the compiled loop fbq_pool_system, and
+the null vectors come from the compiled twisted factorisations of
+fbq_null_vectors; no LAPACK call is made.  Every threshold of the seeded
+and pinned pools must agree, within the rounding of the two methods, with
+a solve that takes the null vectors from scipy.linalg.svd, the boundary
+solve from LAPACK's getrf and the Taylor cascade from scipy.linalg.lstsq,
+kept below, and fail where it fails.  Each threshold is filled and solved
+once per pool, and a kept failure is raised again with no fill and no
+solve.  The compiled loops and their references (reference.null_vectors,
+pool_fill, lockstep, pool_taylor and cascade) must return the same
+solution bits or error on figure 8, a seeded threshold_sweep block, q = 0
+and q = 1 pools, at every threshold.
 """
 
 import dataclasses
@@ -37,9 +38,12 @@ import importlib.util
 import json
 import logging
 import math
+import os
 import pathlib
+import platform
 import random
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -49,7 +53,7 @@ import scipy.linalg
 from fbq import multi
 from fbq.ctmc import ctmc_solve
 from fbq.experiments import optimize_threshold
-from fbq.models import FrozenDict, ModelError, MultiServerModel, SolverError, UnstableModelError
+from fbq.models import ModelError, MultiServerModel, SolverError, UnstableModelError
 from fbq.models import CostCoefficients
 from fbq.multi import (
     POOL_CACHE_SIZE,
@@ -61,7 +65,6 @@ from fbq.multi import (
     sweep_thresholds,
 )
 import reference
-from test_threshold_sweep import same_failure
 
 DATA = pathlib.Path(__file__).parent / "data"
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -130,13 +133,13 @@ def count_calls(monkeypatch, *names):
 
 
 def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
-    calls = count_calls(monkeypatch, "_null_vectors", "kernel_root_pair_at_1")
+    calls = count_calls(monkeypatch, "_nulls_compiled", "kernel_root_pair_at_1")
     model = MultiServerModel(**POOL)
     sweep_thresholds(model)
     sweep_thresholds(model)
     solve_threshold(dataclasses.replace(model, threshold=2))
-    # one null vector per root and one null pair of A(1)
-    assert calls == {"_null_vectors": model.m, "kernel_root_pair_at_1": 1}
+    # one call for the null vectors at the roots and one for the null pair of A(1)
+    assert calls == {"_nulls_compiled": 2, "kernel_root_pair_at_1": 1}
 
 
 def test_a_kept_failure_is_raised_again_with_no_fill_and_no_solve(monkeypatch, solves):
@@ -222,7 +225,7 @@ def test_failing_pool_raises_the_pinned_error_every_time():
             sweep_thresholds(model)
         raised.append(str(exc.value))
     assert raised[0] == raised[1]
-    assert same_failure(raised[0], message), raised[0]
+    assert raised[0] == message
 
 
 def test_checks_run_after_a_neighbouring_pool_warmed_the_cache():
@@ -252,14 +255,15 @@ def test_cache_stays_bounded():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The number of boundary systems handed to the solver."""
+    """The number of boundary systems solved: calls of the compiled loop."""
     calls = [0]
-    solve = multi.solve_scaled_system
+    loops = KERNELS.compiled()
 
     def counted(*args):
         calls[0] += 1
-        return solve(*args)
-    monkeypatch.setattr(multi, "solve_scaled_system", counted)
+        return loops.pool_system(*args)
+    stub = loops._replace(pool_system=counted)
+    monkeypatch.setattr(KERNELS, "compiled", lambda: stub)
     return calls
 
 
@@ -288,7 +292,7 @@ def test_a_failed_threshold_is_solved_once_and_raises_the_same_message_every_tim
         raised.add(str(exc.value))
         assert solves[0] == 1
     (first,) = raised
-    assert same_failure(first, message), first
+    assert first == message
 
 
 def test_a_served_solution_rejects_edits_and_the_next_serve_is_unchanged():
@@ -467,19 +471,44 @@ def test_q1_pools_that_lost_a_zero_match_the_oracle(m):
                 (K, field)
 
 
-# --- each threshold's solve against the per-state reference --------------------
+# --- each threshold's solve against a LAPACK reference ---------------------------
 
 
-def reference_null_vectors(a0):
-    u_svd, sv, vt = scipy.linalg.svd(a0)
-    if sv[-1] > 1e-6 * sv[0]:
-        raise SolverError(f"matrix expected singular has sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
-    return u_svd[:, -1], vt[-1, :]
+def svd_null_vectors(lo, d, up):
+    """`multi._nulls_compiled` by scipy.linalg.svd: each tridiagonal
+    matrix's last right singular vector, and sigma_min / sigma_max."""
+    vectors, ratios = [], []
+    for below, diag, above in zip(np.asarray(lo), d, np.asarray(up)):
+        _, sv, vt = scipy.linalg.svd(np.diag(diag) + np.diag(below, -1) + np.diag(above, 1))
+        vectors.append(vt[-1])
+        ratios.append(sv[-1] / sv[0])
+    return np.array(vectors).reshape(d.shape), np.array(ratios)
+
+
+def test_twisted_null_vectors_agree_with_the_svd_ones():
+    # the left null vectors at the zeros and A0's null pair, against
+    # scipy.linalg.svd's, up to sign
+    models = [MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
+              for params in (*PINS["pools"].values(), PINS["failing_pool"])]
+    worst = 0.0
+    for model in models + list(seeded_pools()):
+        pool = multi._pool(model)
+        below, diag, above = multi._tridiagonal(model, np.array(pool.roots))
+        one = pool.at_one
+        lo0, up0 = np.diag(one.a0, -1), np.diag(one.a0, 1)
+        got = [*pool.at_roots[1], one.u, one.v]
+        want = [*svd_null_vectors(above, diag, below)[0],
+                *svd_null_vectors(np.array([up0, lo0]), np.array([np.diag(one.a0)] * 2),
+                                  np.array([lo0, up0]))[0]]
+        for x, y in zip(got, want, strict=True):
+            worst = max(worst, min(np.abs(x - y).max(), np.abs(x + y).max()))
+    assert worst < 1e-13
 
 
 def reference_solve(model, K, pool, loop=None):
-    """reference.solve_one with the Taylor cascade of reference_finish, in
-    place of multi._solve_one."""
+    """multi._solve_one by LAPACK: the system of reference.pool_fill solved
+    by linsys.solve_probability_system (getrf and getrs), b from
+    reference.pool_taylor and the Taylor cascade of reference_finish."""
     states = [(i, j) for i in range(model.m) for j in range(max(0, K - i), model.m - i)]
     x = LINSYS.solve_probability_system(*reference.pool_fill(model, K, pool, states)).tolist()
     b = reference.pool_taylor(model, K, pool, states, x)
@@ -487,82 +516,61 @@ def reference_solve(model, K, pool, loop=None):
 
 
 def reference_finish(model, K, boundary, b, pool):
-    m, one = model.m, pool.at_one
+    """multi._finish with the minimum-norm solves of scipy.linalg.lstsq."""
+    one = pool.at_one
     a0, a1, a2 = one.a0, one.a1, one.a2
     b0, b1, b2 = b
     u, v, uA1v = one.u, one.v, one.uA1v
-    scale = np.abs(b0).max() + np.abs(b1).max()
-    if abs(u @ b0) > 1e-7 * max(scale, 1e-300):
-        raise SolverError(f"solvability residual {u @ b0:.3e} at z = 1; boundary solve inconsistent")
     p0 = scipy.linalg.lstsq(a0, b0)[0]
     c0 = (u @ b1 - u @ a1 @ p0) / uA1v
     g0 = p0 + c0 * v
     p1 = scipy.linalg.lstsq(a0, b1 - a1 @ g0)[0]
     c1 = (u @ b2 - u @ a2 @ g0 - u @ a1 @ p1) / uA1v
-    g1 = p1 + c1 * v
-
-    gv1 = [float(x) for x in g0]
-    gd1 = [float(x) for x in g1]
-    r = model.lam / (m * model.mu1)
-    gm1 = r * gv1[m - 1]
-    if K == 0:
-        _, L1 = multi.mmm_marginal(m, model.rho1)
-    else:
-        L1 = sum(i * gv1[i] for i in range(m)) + gm1 * (m * (1.0 - r) + r) / (1.0 - r) ** 2
-    y2v, y2d = one.y2v, one.y2d
-    tail_deriv = (gd1[m - 1] * (y2v - 1.0) - gv1[m - 1] * y2d) / (y2v - 1.0) ** 2
-    L2 = sum(gd1) + tail_deriv
-    diag = sum(boundary.get((i, K - i), 0.0) for i in range(K + 1))
-    p = [sum(boundary.get((i, t - i), 0.0) for i in range(t + 1)) for t in range(m)]
-    return multi.MultiServerSolution(
-        boundary=FrozenDict(boundary), g_at_1=tuple(gv1), g_m_at_1=gm1, L1=L1, L2=L2, L=L1 + L2,
-        U=m * (1.0 - diag), p=tuple(p), tail_mass=1.0 - sum(p), roots=pool.roots, threshold=K)
+    check = [u @ b0, np.abs(b0).max() + np.abs(b1).max()]
+    return multi._finish(model, K, boundary, np.array([g0, p1 + c1 * v]), check, pool)
 
 
-def system_bytes(status, a, b, unscaled):
-    return status, *(None if x is None else x.tobytes() for x in (a, b, unscaled))
-
-
-def every_threshold(model, handed):
-    """Per threshold, the bytes of each system handed to the LU, as the
-    pool_systems fixture `handed` records them, and the solution or the
-    error, from a cold pool cache."""
+def every_threshold(model):
+    """Per threshold, from a cold pool cache, the solution or the error."""
     out = []
     _pool_data.cache_clear()
     for K in range(model.m):
-        handed.clear()
         try:
-            result = solve_threshold(dataclasses.replace(model, threshold=K))
+            out.append(solve_threshold(dataclasses.replace(model, threshold=K)))
         except SolverError as exc:
-            result = str(exc)
-        out.append(([system_bytes(*h) for h in handed], result))
+            out.append(str(exc))
     return out
 
 
-def test_each_threshold_equals_the_per_state_reference_bit_for_bit(monkeypatch, pool_systems):
+def test_each_threshold_agrees_with_the_svd_and_lstsq_reference(monkeypatch):
     models = [MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
               for params in (*PINS["pools"].values(), PINS["failing_pool"])]
-    failed = 0
+    failed = []
     for model in models + list(seeded_pools()):
         with monkeypatch.context() as patch:
-            patch.setattr(multi, "_roots_compiled", reference.isolate_roots)
-            patch.setattr(multi, "_null_vectors", reference_null_vectors)
+            patch.setattr(multi, "_nulls_compiled", svd_null_vectors)
             patch.setattr(multi, "_solve_one", reference_solve)
-            expected = every_threshold(model, pool_systems)
-        got = every_threshold(model, pool_systems)
-        for K, ((systems, result), (ref_systems, ref_result)) in enumerate(zip(got, expected)):
-            assert systems == ref_systems and len(systems) == 1, (model, K)
-            if isinstance(ref_result, str):
-                assert result == ref_result, (model, K)
-                failed += 1
-            else:
-                assert_same_solutions([result], [ref_result])
-                assert solution_hex(result) == solution_hex(ref_result)
-    # the failing pool at every threshold, and the large seeded pools
-    assert failed >= PINS["failing_pool"]["m"]
+            expected = every_threshold(model)
+        got = every_threshold(model)
+        for K, (result, ref) in enumerate(zip(got, expected)):
+            if isinstance(result, str):
+                failed.append((model.m, K))
+            if isinstance(result, str) or isinstance(ref, str):
+                continue
+            # past m = 8 both methods lose up to 1e-9 absolute to rounding on
+            # these pools, and the seeded q = 0 pools most (ROADMAP item 1)
+            tol = dict(rtol=1e-10, atol=1e-12) if model.m <= 8 else dict(rtol=2e-8, atol=2e-9)
+            for field in ("L", "U", "g_at_1", "p"):
+                np.testing.assert_allclose(getattr(result, field), getattr(ref, field), **tol,
+                                           err_msg=f"{model} {K} {field}")
+    # the failing pool fails at K = 0 .. 18 and the q = 0 pools with m = 18,
+    # 21 and 24 at every threshold, on every BLAS kernel; the LAPACK path's
+    # failures depend on the kernel (with SkylakeX kernels it fails the
+    # failing pool at K = 19 too, with Haswell ones also the m = 9 pool at K = 8)
+    assert failed == [(20, K) for K in range(19)] + [(m, K) for m in (18, 21, 24) for K in range(m)]
 
 
-# --- the compiled fill against reference.pool_fill ---------------------------------
+# --- the compiled loops against their references ---------------------------------
 
 
 def sweep_block_pools():
@@ -589,23 +597,20 @@ def solution_hex(sol):
     return out
 
 
-def threshold_outcomes(model, handed):
-    """Per threshold, from a cold pool cache: the bytes of the system handed
-    to the LU and every solution field in float.hex, or the error's type and
-    message."""
+def threshold_outcomes(model):
+    """Per threshold, from a cold pool cache: every solution field in
+    float.hex, or the error's type and message."""
     out = []
     _pool_data.cache_clear()
     for K in range(model.m):
-        handed.clear()
         try:
-            result = solution_hex(solve_threshold(dataclasses.replace(model, threshold=K)))
+            out.append(solution_hex(solve_threshold(dataclasses.replace(model, threshold=K))))
         except SolverError as exc:
-            result = type(exc), str(exc)
-        out.append(([system_bytes(*h) for h in handed], result))
+            out.append((type(exc), str(exc)))
     return out
 
 
-def test_both_pool_paths_hand_the_lu_the_same_bytes_and_give_the_same_bits(on_both_paths, pool_systems):
+def test_both_pool_paths_give_the_same_bits(on_both_paths):
     q_pools = [model for model in seeded_pools() if model.m in (2, 3, 5, 6)]
     assert {model.q for model in q_pools} == {0.0, 1.0}
     block = sweep_block_pools()
@@ -614,10 +619,9 @@ def test_both_pool_paths_hand_the_lu_the_same_bytes_and_give_the_same_bits(on_bo
     assert figure8 in block
     failed = []
     for model in [*block, *q_pools]:
-        compiled, python = on_both_paths(lambda: threshold_outcomes(model, pool_systems))
+        compiled, python = on_both_paths(lambda: threshold_outcomes(model))
         assert compiled == python, model
-        for K, (systems, result) in enumerate(compiled):
-            assert len(systems) == 1 and systems[0][0] == 0, (model, K)
+        for result in compiled:
             if isinstance(result, tuple):
                 failed.append(model.m)
     # the m = 17 .. 20 pools raise at some thresholds on both paths, and only they
@@ -635,4 +639,41 @@ def test_failing_pool_quotes_the_unscaled_systems_condition_on_both_paths(on_bot
 
     compiled, python = on_both_paths(raised)
     assert compiled == python
-    assert same_failure(compiled, message), compiled
+    assert compiled == message
+
+
+# run in a fresh interpreter: every threshold of the pools in argv[1], each
+# solution's fields in float.hex or the error's message, hashed
+_SWEEP_HASH = """
+import dataclasses, hashlib, json, sys
+from fbq.models import MultiServerModel, SolverError
+from fbq.multi import sweep_thresholds
+out = []
+for spec in json.loads(sys.argv[1]):
+    model = MultiServerModel(**spec)
+    for K in range(model.m):
+        try:
+            sol = sweep_thresholds(model)[K]
+        except SolverError as exc:
+            out.append(str(exc))
+            break
+        out.append(repr([v.hex() if isinstance(v, float) else
+                         [x.hex() for x in (v.values() if isinstance(v, dict) else v)]
+                         if isinstance(v, (dict, tuple)) else v
+                         for v in dataclasses.astuple(sol)]))
+print(hashlib.sha256(repr(out).encode()).hexdigest(), len(out))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS x86 core names")
+def test_pool_bits_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE picks the kernels of an OpenBLAS built for several
+    # CPUs (and is ignored by others); a pool solve calls no BLAS
+    from test_family_solve import BLAS_KERNELS, SRC
+    pools = [PINS["pools"]["figure8"]] + [dataclasses.asdict(model) for model in seeded_pools()]
+    outs = set()
+    for core in BLAS_KERNELS:
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_CORETYPE=core)
+        outs.add(subprocess.run([sys.executable, "-c", _SWEEP_HASH, json.dumps(pools)], env=env,
+                                capture_output=True, text=True, check=True).stdout)
+    assert len(outs) == 1, outs
