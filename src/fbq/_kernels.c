@@ -45,21 +45,22 @@
  * search and bincounts; each cell is summed in the reference's order, so
  * the two systems are equal bit for bit.
  *
- * fbq_pool_system solves one threshold of a pool of fbq.multi whole: it
- * fills the boundary system from the pool's rate table, zeros, left null
- * vectors and powers (reference.pool_fill), factors it on the one-system
- * instantiation of the lockstep LU (reference.lockstep), sums the Taylor
- * vectors b0, b1, b2 of the z = 1 cascade from the clamped solution in the
- * order of the unknowns (reference.pool_taylor), and runs the cascade on
- * the bordered system [[A0, u], [v^T, 0]] with row sums in its own order
+ * fbq_pool_data builds what every threshold of a pool of fbq.multi shares
+ * (reference.pool_data): at each zero the left null vector of A(z_k), by
+ * the twisted factorisation of the tridiagonal matrix, and the powers
+ * z_k^j; A(z)'s Taylor coefficients at z = 1 and A0's null pair.
+ * pool_matrix states A(z)'s entries once, for it and the zero search.
+ * fbq_pool_system then solves one threshold whole: it fills the boundary
+ * system (reference.pool_fill), factors it on the one-system instantiation
+ * of the lockstep LU (reference.lockstep), sums the Taylor vectors b0, b1,
+ * b2 of the z = 1 cascade from the clamped solution in the order of the
+ * unknowns (reference.pool_taylor), and runs the cascade on the bordered
+ * system [[A0, u], [v^T, 0]] with row sums in its own order
  * (reference.cascade).  A failed system's message gets Hager's condition
  * estimate (lu_condition, reference.condition) from the same factors;
  * fbq_condition makes that estimate for one system given whole, as the
- * speed families' messages take it.  fbq_null_vectors gives the null
- * vectors of a stack of tridiagonal matrices by their twisted
- * factorisations (reference.null_vectors): the left null vectors of A(z_k)
- * at the zeros and A0's null pair.  None of these calls BLAS or LAPACK, so
- * a pool gives the same bits on every CPU.
+ * speed families' messages take it.  None of these calls BLAS or LAPACK,
+ * so a pool gives the same bits on every CPU.
  */
 #include <float.h>
 #include <math.h>
@@ -628,12 +629,13 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
     return 0;
 }
 
-/* The pool (lam, mu1, mu2, q, m) of fbq.multi and its rate table, rates[2k]
- * = k mu1 and rates[2k + 1] = (m - k) mu2. */
+/* The pool (lam, mu1, mu2, q, m) of fbq.multi, its rate table, rates[2k] =
+ * k mu1 and rates[2k + 1] = (m - k) mu2, and work for A(z) (pool_matrix). */
 struct pool {
     int64_t m;
     double lam, mu1, mu2, q;
     const double *rates;
+    double *band;
 };
 
 enum {
@@ -667,17 +669,35 @@ static double one_minus_y1(const struct pool *p, double z, int *failed)
     return 1.0 - (1.0 + rho - sqrt(disc)) / (2.0 * rho);
 }
 
+/* A(z) of multi._det_at, with its rounding, into p->band: the subdiagonal
+ * lo[k] = -lam z, the diagonal and the superdiagonal up[k] = -alpha_(k+1) z
+ * w at band, band + m and band + 2 m; up[k] lo[k] is the recurrences'
+ * alpha_(k+1) z w lam z, bit for bit.  *failed is set where the kernel
+ * root's discriminant is not positive. */
+static void pool_matrix(const struct pool *p, double z, int *failed)
+{
+    const double *r = p->rates;
+    int64_t m = p->m;
+    double *lo = p->band, *d = lo + m, *up = d + m;
+    double lz = p->lam * z, w = 1.0 - p->q + p->q * z, zm1 = z - 1.0;
+    for (int64_t k = 0; k + 1 < m; k++) {
+        lo[k] = -lz;
+        d[k] = lz + r[2 * k] * z + r[2 * k + 1] * zm1;
+        up[k] = -(r[2 * (k + 1)] * z * w);
+    }
+    d[m - 1] = lz * one_minus_y1(p, z, failed) + r[2 * (m - 1)] * z + p->mu2 * zm1;
+}
+
 /* The sign changes of reference.sturm_sequence at z, exact zeros skipped; its
  * last term D is replaced by *last when last is not NULL. */
 static int64_t sturm_count(const struct pool *p, double z, const double *last, int *failed)
 {
-    const double *r = p->rates;
     int64_t m = p->m;
-    double lz = p->lam * z, w = 1.0 - p->q + p->q * z, zm1 = z - 1.0;
-    double dlast = lz * one_minus_y1(p, z, failed) + r[2 * (m - 1)] * z + p->mu2 * zm1;
+    const double *lo = p->band, *d = lo + m, *up = d + m;
+    pool_matrix(p, z, failed);
     if (*failed)
         return 0;
-    double prev = 1.0, cur = m > 1 ? lz + r[0] * z + r[1] * zm1 : dlast;
+    double prev = 1.0, cur = d[0];
     int64_t changes = 0;
     int neg = 0;   /* Q_0 = 1 is positive */
     for (int64_t k = 1;; k++) {
@@ -688,8 +708,7 @@ static int64_t sturm_count(const struct pool *p, double z, const double *last, i
         }
         if (k == m)
             return changes;
-        double d = k == m - 1 ? dlast : lz + r[2 * k] * z + r[2 * k + 1] * zm1;
-        double next = d * cur - r[2 * k] * z * w * lz * prev;
+        double next = d[k] * cur - up[k - 1] * lo[k - 1] * prev;
         prev = cur;
         cur = next;
     }
@@ -698,13 +717,12 @@ static int64_t sturm_count(const struct pool *p, double z, const double *last, i
 /* The determinant of multi._det_at at z. */
 static double det_at(const struct pool *p, double z, int *failed)
 {
-    const double *r = p->rates;
     int64_t m = p->m;
-    double lz = p->lam * z, w = 1.0 - p->q + p->q * z, zm1 = z - 1.0;
-    double nxt = 1.0, cur = lz * one_minus_y1(p, z, failed) + r[2 * (m - 1)] * z + p->mu2 * zm1;
+    const double *lo = p->band, *d = lo + m, *up = d + m;
+    pool_matrix(p, z, failed);
+    double nxt = 1.0, cur = d[m - 1];
     for (int64_t t = m - 2; t >= 0; t--) {
-        double a = lz + r[2 * t] * z + r[2 * t + 1] * zm1;
-        double next = a * cur - r[2 * (t + 1)] * z * w * lz * nxt;
+        double next = d[t] * cur - up[t] * lo[t] * nxt;
         nxt = cur;
         cur = next;
     }
@@ -813,12 +831,13 @@ static int brent(const struct pool *p, double xa, double xb, double xtol, double
  * (ROOTS_END_COUNTS); the counts at lo, mid and hi in info[2 .. 4] and
  * those points in where[0 .. 2] (ROOTS_SPLIT_COUNTS); the index of the
  * bracket in info[2] (ROOTS_NO_SIGN_CHANGE); the point in where[0]
- * (ROOTS_DISCRIMINANT).  Returns ROOTS_FOUND or the failure's status. */
+ * (ROOTS_DISCRIMINANT).  band is work of 3 m entries.  Returns ROOTS_FOUND
+ * or the failure's status. */
 int fbq_pool_roots(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
-                   double dprime, double xtol, double rtol, int maxiter, double *brackets,
-                   double *roots, int64_t *info, double *where)
+                   double dprime, double xtol, double rtol, int maxiter, double *band,
+                   double *brackets, double *roots, int64_t *info, double *where)
 {
-    struct pool p = {m, lam, mu1, mu2, q, rates};
+    struct pool p = {m, lam, mu1, mu2, q, rates, band};
     struct span {
         double lo, hi;
         int64_t vlo, vhi;
@@ -1121,20 +1140,31 @@ static double dot(int64_t m, const double *u, const double *x)
     return sum;
 }
 
-/* u^T (a x) for the m x m row-major a, each row summed first. */
+/* Row r of a x, for the m x m tridiagonal a of m - 1 subdiagonal, m
+ * diagonal and m - 1 superdiagonal entries: the row's three products summed
+ * from 0, which for finite entries is the sum of the whole row. */
+static double tri_row(int64_t m, const double *a, int64_t r, const double *x)
+{
+    double sum = r > 0 ? 0.0 + a[r - 1] * x[r - 1] : 0.0;
+    sum += a[m - 1 + r] * x[r];
+    return r + 1 < m ? sum + a[2 * m - 1 + r] * x[r + 1] : sum;
+}
+
+/* u^T (a x) for the m x m tridiagonal a of tri_row, each row summed first. */
 static double u_a_x(int64_t m, const double *u, const double *a, const double *x)
 {
     double sum = 0.0;
     for (int64_t r = 0; r < m; r++)
-        sum += u[r] * dot(m, a + r * m, x);
+        sum += u[r] * tri_row(m, a, r, x);
     return sum;
 }
 
 /* g0 and g1 (g, 2 x m), the values and derivatives at z = 1 of the
  * pool's generating functions, by the cascade of (A0 + A1 t + A2 t^2)(g0 +
- * g1 t + ...) = b0 + b1 t + ..., from b (3 x m) and `one`: A0, A1 and A2
- * (m x m, row-major), the left and right null vectors u and v of A0 and
- * u^T A1 v.  Each order's particular solution p is the one that the
+ * g1 t + ...) = b0 + b1 t + ..., from b (3 x m) and `one`, the z = 1 part
+ * of fbq_pool_data's data: A0, A1 and A2 as tridiagonals of 3 m - 2
+ * entries each (tri_row), the left and right null vectors u and v of A0
+ * and u^T A1 v.  Each order's particular solution p is the one that the
  * bordered system [[A0, u], [v^T, 0]] of order m + 1 gives with the border
  * rows' right-hand side 0, which is A0's minimum-norm least-squares
  * solution: lu_tile factors it with [b0, 0], lu_solve takes [b1 - A1 g0, 0]
@@ -1146,7 +1176,7 @@ static double u_a_x(int64_t m, const double *u, const double *a, const double *x
 static void pool_cascade(int64_t m, const double *one, const double *b, double *t, double *y,
                          double *scale, int64_t *perm, double *g, double *check)
 {
-    const double *a0 = one, *a1 = one + m * m, *a2 = one + 2 * m * m, *u = one + 3 * m * m;
+    const double *a0 = one, *a1 = a0 + 3 * m - 2, *a2 = a1 + 3 * m - 2, *u = a2 + 3 * m - 2;
     const double *v = u + m, *b0 = b, *b1 = b + m, *b2 = b + 2 * m;
     double uA1v = v[m], big0 = 0.0, big1 = 0.0, least;
     int64_t k = m + 1;
@@ -1158,8 +1188,9 @@ static void pool_cascade(int64_t m, const double *one, const double *b, double *
     check[0] = dot(m, u, b0);
     check[1] = big0 + big1;
     for (int64_t r = 0; r < m; r++) {
-        for (int64_t c = 0; c < m; c++)
-            t[r * k + c] = a0[r * m + c];
+        for (int64_t c = 0; c < m; c++)   /* A0's entry (r, c) */
+            t[r * k + c] = c == r - 1 ? a0[c] : c == r ? a0[m - 1 + r]
+                         : c == r + 1 ? a0[2 * m - 1 + r] : 0.0;
         t[r * k + m] = u[r];
         t[m * k + r] = v[r];
         y[r] = b0[r];
@@ -1172,7 +1203,7 @@ static void pool_cascade(int64_t m, const double *one, const double *b, double *
     for (int64_t i = 0; i < m; i++)
         g0[i] = y[i] + c0 * v[i];
     for (int64_t r = 0; r < m; r++)
-        y[r] = (b1[r] - dot(m, a1 + r * m, g0)) / scale[r];
+        y[r] = (b1[r] - tri_row(m, a1, r, g0)) / scale[r];
     y[m] = 0.0;
     lu_solve((int)k, t, perm, y);
     double c1 = (dot(m, u, b2) - u_a_x(m, u, a2, g0) - u_a_x(m, u, a1, y)) / uA1v;
@@ -1182,23 +1213,23 @@ static void pool_cascade(int64_t m, const double *one, const double *b, double *
 
 /* One threshold K of the pool (m, lam, mu1, mu2, q) with the rate table
  * `rates` of fbq_pool_roots, solved whole: pool_fill fills the boundary
- * system, with the pool's at_roots data zeros, null and zpow and idle = m -
- * rho1 - rho2; check_rows checks it and returns 1 or 2 as
- * linsys._first_pass would; lu_tile solves it into x (n), and note_system
- * books pivmin (info[0]) and summary as reference.lockstep would.  If a
- * pivot is below pivot_tol or a value below -neg_tol, info[1] gets the
- * lu_condition estimate from the same factors and nothing more is done.
- * Else pool_taylor sums b from x, read clamped if a value is negative, and
- * pool_cascade takes b and the pool's z = 1 data `one` (see there) to g (2
- * x m), with the solvability residual and scale in info[2] and info[3].
- * Returns 0, the check_rows status, or 3 if the work cannot be
- * allocated. */
+ * system, with the pool's zeros, the null vectors and powers at the head of
+ * its fbq_pool_data `data` and idle = m - rho1 - rho2; check_rows checks it
+ * and returns 1 or 2 as linsys._first_pass would; lu_tile solves it into x
+ * (n), and note_system books pivmin (info[0]) and summary as
+ * reference.lockstep would.  If a pivot is below pivot_tol or a value
+ * below -neg_tol, info[1] gets the lu_condition estimate from the same
+ * factors and nothing more is done.  Else pool_taylor sums b from x, read
+ * clamped if a value is negative, and pool_cascade takes b and the z = 1
+ * part of `data` to g (2 x m), with the solvability residual and scale in
+ * info[2] and info[3].  Returns 0, the check_rows status, or 3 if the work
+ * cannot be allocated. */
 int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
-                    const double *zeros, const double *null, const double *zpow, const double *one,
-                    int64_t K, double idle, double pivot_tol, double neg_tol, double *x, double *g,
-                    double *info, int64_t *summary)
+                    const double *zeros, const double *data, int64_t K, double idle,
+                    double pivot_tol, double neg_tol, double *x, double *g, double *info,
+                    int64_t *summary)
 {
-    const struct pool p = {m, lam, mu1, mu2, q, rates};
+    const struct pool p = {m, lam, mu1, mu2, q, rates, NULL};
     int64_t n = kept_before(m, K, m), k = m + 1;
     double *a = malloc(sizeof(double) * (n * n + 3 * n + k * k + 2 * k + 3 * m)
                        + sizeof(int64_t) * (n + k));
@@ -1207,7 +1238,7 @@ int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, con
     double *scale = a + n * n, *work = scale + n, *t = work + 2 * n, *y = t + k * k;
     double *kscale = y + k, *b = kscale + k;
     int64_t *perm = (int64_t *)(b + 3 * m), *kperm = perm + n;
-    pool_fill(&p, K, zeros, null, zpow, idle, a, x);
+    pool_fill(&p, K, zeros, data, data + (m - 1) * m, idle, a, x);
     int status = check_rows(n, (int)n, a, x, 1);
     if (!status) {
         struct lu_keep keep = {scale, perm, 0.0};
@@ -1220,7 +1251,7 @@ int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, con
             info[1] = lu_condition((int)n, a, &keep, work, work + n);
         } else {
             pool_taylor(&p, K, x, summary[2] > 0, b);
-            pool_cascade(m, one, b, t, y, kscale, kperm, g, info + 2);
+            pool_cascade(m, data + 2 * (m - 1) * m, b, t, y, kscale, kperm, g, info + 2);
         }
     }
     free(a);
@@ -1280,20 +1311,64 @@ static double twisted_null(int64_t n, const double *lo, const double *d, const d
     return frob == 0.0 ? 0.0 : fabs(gamma) / (norm * frob);
 }
 
-/* twisted_null on each of the count tridiagonal n x n matrices whose
- * subdiagonals, diagonals and superdiagonals are lo[k (n - 1) ..], d[k n
- * ..] and up[k (n - 1) ..]: the null vector of matrix k to x[k n ..], its
- * relative residual to ratio[k].  Returns 3 if the work cannot be
- * allocated, else 0. */
-int fbq_null_vectors(int64_t count, int64_t n, const double *lo, const double *d, const double *up,
-                     double *x, double *ratio)
+enum { DATA_BUILT, DATA_SINGULAR, DATA_DRIFT };
+
+/* What every threshold of the pool (m, lam, mu1, mu2, q) with the rate
+ * table `rates` shares, built from its m - 1 zeros (where the search found
+ * the kernel root real) as reference.pool_data builds it, into data: the
+ * left null vector of each A(z_k)^T by twisted_null at data[k m ..]; the
+ * powers z_k^j (j < m) by libm's pow, as CPython takes them, at data[(m - 1
+ * + k) m + j]; A(z)'s Taylor coefficients A0, A1, A2 at z = 1 + t as
+ * tridiagonals (tri_row), from the terms c1 t + c2 t^2 of y1(1 + t); A0's
+ * null pair u, v; and u^T A1 v, by rows.  Returns DATA_SINGULAR at the
+ * first null vector, in that order, whose relative residual *ratio is above
+ * rtol or NaN, DATA_DRIFT if |u^T A1 v| is below 1e-12 of A1's largest
+ * |entry|, else DATA_BUILT.  band is work of 5 m entries. */
+int fbq_pool_data(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
+                  const double *zeros, double c1, double c2, double rtol, double *band,
+                  double *data, double *ratio)
 {
-    double *work = malloc(sizeof(double) * 2 * n);
-    if (!work)
-        return 3;
-    for (int64_t k = 0; k < count; k++)
-        ratio[k] = twisted_null(n, lo + k * (n - 1), d + k * n, up + k * (n - 1), work, work + n,
-                                x + k * n);
-    free(work);
-    return 0;
+    const struct pool p = {m, lam, mu1, mu2, q, rates, band};
+    double *zpow = data + (m - 1) * m, *a0 = zpow + (m - 1) * m, *a1 = a0 + 3 * m - 2;
+    double *a2 = a1 + 3 * m - 2, *u = a2 + 3 * m - 2, *v = u + m;
+    double uA1v = 0.0, big = 0.0;
+    int failed = 0;
+    *ratio = 0.0;
+    for (int64_t k = 0; k + 1 < m && *ratio <= rtol; k++) {
+        pool_matrix(&p, zeros[k], &failed);
+        double *lo = band, *d = lo + m, *up = d + m;
+        *ratio = twisted_null(m, up, d, lo, up + m, up + 2 * m, data + k * m);
+        for (int64_t j = 0; j < m; j++)
+            zpow[k * m + j] = pow(zeros[k], (double)j);
+    }
+    for (int64_t i = 0; i < m; i++) {
+        if (i + 1 < m) {
+            a0[i] = a1[i] = -lam;
+            a2[i] = -lam * 0.0;
+            a0[2 * m - 1 + i] = -rates[2 * (i + 1)];
+            a1[2 * m - 1 + i] = -(rates[2 * (i + 1)] * (1.0 + q));
+            a2[2 * m - 1 + i] = -(rates[2 * (i + 1)] * q);
+        }
+        a0[m - 1 + i] = lam + rates[2 * i];
+        a1[m - 1 + i] = lam + rates[2 * i] + rates[2 * i + 1];
+        a2[m - 1 + i] = 0.0;
+    }
+    a0[2 * m - 2] = rates[2 * (m - 1)];
+    a1[2 * m - 2] = rates[2 * (m - 1)] + mu2 - lam * c1;
+    a2[2 * m - 2] = -lam * (c1 + c2);
+    if (*ratio <= rtol)   /* A0's left null vector is the right one of its transpose */
+        *ratio = twisted_null(m, a0 + 2 * m - 1, a0 + m - 1, a0, band, band + m, u);
+    if (*ratio <= rtol)
+        *ratio = twisted_null(m, a0, a0 + m - 1, a0 + 2 * m - 1, band, band + m, v);
+    if (!(*ratio <= rtol))
+        return DATA_SINGULAR;
+    for (int64_t r = 0; r < m; r++) {
+        double below = r > 0 ? a1[r - 1] * v[r - 1] : 0.0;
+        double above = r + 1 < m ? a1[2 * m - 1 + r] * v[r + 1] : 0.0;
+        uA1v += u[r] * (below + a1[m - 1 + r] * v[r] + above);
+    }
+    for (int64_t c = 0; c < 3 * m - 2; c++)   /* NaN if an entry is, as numpy's max */
+        big = fabs(a1[c]) > big || a1[c] != a1[c] ? fabs(a1[c]) : big;
+    v[m] = uA1v;
+    return fabs(uA1v) < 1e-12 * big ? DATA_DRIFT : DATA_BUILT;
 }

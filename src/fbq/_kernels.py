@@ -32,13 +32,13 @@ _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_band speed_family pool_system "
-                                        "condition null_vectors")
+                                        "condition pool_data")
 
 
 def compiled() -> Loops:
     """The library's `fbq_jump_chain`, `fbq_pool_roots`, `fbq_ctmc_band`,
     `fbq_speed_family`, `fbq_pool_system`, `fbq_condition` and
-    `fbq_null_vectors` with their C signatures; the
+    `fbq_pool_data` with their C signatures; the
     library is built first if the cache lacks it.  Raises OSError, naming
     the cause, when it cannot be built or loaded here."""
     loops = _bound()
@@ -60,7 +60,7 @@ def _bound() -> Loops | str:
     chain.argtypes = [ctypes.POINTER(ctypes.c_uint32), p_dbl, p_dbl, p_dbl, p_i64, p_i64, p_dbl,
                       p_i64, i64, p_i64, i64, p_dbl, p_i64]
     chain.restype = None
-    pool_roots.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 3, i32, p_dbl, p_dbl, p_i64, p_dbl]
+    pool_roots.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 3, i32, p_dbl, p_dbl, p_dbl, p_i64, p_dbl]
     pool_roots.restype = i32
     ctmc_band = lib.fbq_ctmc_band
     ctmc_band.argtypes = [i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_i64, p_i64, p_i64, p_dbl, p_dbl]
@@ -70,14 +70,14 @@ def _bound() -> Loops | str:
                        p_dbl, p_dbl]
     family.restype = i32
     pool_system = lib.fbq_pool_system
-    pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 5, i64, *[dbl] * 3, *[p_dbl] * 3, p_i64]
+    pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 3, i64, *[dbl] * 3, *[p_dbl] * 3, p_i64]
     pool_system.restype = i32
-    condition, null_vectors = lib.fbq_condition, lib.fbq_null_vectors
+    condition, pool_data = lib.fbq_condition, lib.fbq_pool_data
     condition.argtypes = [i64, p_dbl]
     condition.restype = dbl
-    null_vectors.argtypes = [i64, i64, *[p_dbl] * 5]
-    null_vectors.restype = i32
-    return Loops(chain, pool_roots, ctmc_band, family, pool_system, condition, null_vectors)
+    pool_data.argtypes = [i64, *[dbl] * 4, p_dbl, p_dbl, *[dbl] * 3, *[p_dbl] * 3]
+    pool_data.restype = i32
+    return Loops(chain, pool_roots, ctmc_band, family, pool_system, condition, pool_data)
 
 
 def _library() -> pathlib.Path:

@@ -27,24 +27,23 @@ state, on the threshold diagonal i + j = K >= 1, puts
 (i mu1 z + (m - i) mu2 (z - 1)) z^j into b_i and
 -i mu1 (1 - q + q z) z^(j+1) into b_(i-1).
 
-Everything that does not depend on K is computed once per pool
-(lam, mu1, mu2, q, m) and kept in a bounded cache shared by all thresholds
-and all calls: the table of rates k mu1 and (m - k) mu2 that every minor
-and determinant evaluation reads, the determinant zeros, the left null
-vector of A(z) and the powers z^j at each zero, the Taylor data of A(z)
-at z = 1 with the null pair of A(1).  The null vectors of these
-tridiagonal matrices come from their twisted factorisations, one call of
-the compiled `fbq_null_vectors`.  The same cache keeps each threshold's
-solution, or the type and message of the SolverError its solve raised, so a
-pool is solved once per threshold however many sweeps or cost vectors ask
-for it.  Each threshold is solved whole by one call of the compiled loop
-`fbq_pool_system` of `_kernels.c`: it fills the boundary system from the
-rate table and the data at the zeros, factors it on the lockstep LU of
-the speed families, sums the z = 1 Taylor vectors of b from the clamped
-solution and runs the Taylor cascade, all in its own float order, with no
-BLAS or LAPACK call, so a pool gives the same bits on every CPU.
-Solutions are read-only values, and the cache serves each one's object to
-every caller.
+Everything that does not depend on K is computed once per pool (lam, mu1,
+mu2, q, m) and kept in a bounded cache shared by all thresholds and all
+calls: the table of rates k mu1 and (m - k) mu2 that every minor and
+determinant evaluation reads, the determinant zeros, and what one call of
+the compiled `fbq_pool_data` builds from them: the left null vector of A(z)
+and the powers z^j at each zero, by the twisted factorisation of the
+tridiagonal A(z), and the Taylor data of A(z) at z = 1 with the null pair
+of A(1).  The same cache keeps each threshold's solution, or the type and
+message of the SolverError its solve raised, so a pool is solved once per
+threshold however many sweeps or cost vectors ask for it.  Each threshold is
+solved whole by one call of the compiled loop `fbq_pool_system` of
+`_kernels.c`: it fills the boundary system from the rate table and the data
+at the zeros, factors it on the lockstep LU of the speed families, sums the
+z = 1 Taylor vectors of b from the clamped solution and runs the Taylor
+cascade, all in its own float order, with no BLAS or LAPACK call, so a pool
+gives the same bits on every CPU.  Solutions are read-only values, and the
+cache serves each one's object to every caller.
 The closure by the zeros is the spectral-expansion closure of Mitrani &
 Chakka, "Spectral expansion solution for a class of Markov models",
 Performance Evaluation 23 (1995).
@@ -69,7 +68,6 @@ from .models import (
     ModelError,
     MultiServerModel,
     SolverError,
-    frozen,
     require_stable_multi,
 )
 from .series import kernel_root_pair_at_1
@@ -155,12 +153,12 @@ def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, in
     dprime = dprime_at_1(model)
     fp = np.finfo(float)
     rates = np.array(_pool(model).rates)
-    brackets, roots = np.empty(2 * m), np.empty(m)   # one zero more than m - 1, so never empty
+    band, brackets, roots = np.empty(3 * m), np.empty(2 * m), np.empty(m)   # m roots: never empty
     info, where = np.zeros(5, dtype=np.int64), np.zeros(3)
     dbl = ctypes.c_double.from_buffer
     status = _kernels.compiled().pool_roots(m, model.lam, model.mu1, model.mu2, model.q, dbl(rates),
                                             dprime, fp.tiny, 4 * fp.eps, _BRENT_MAXITER,
-                                            dbl(brackets), dbl(roots),
+                                            dbl(band), dbl(brackets), dbl(roots),
                                             ctypes.c_int64.from_buffer(info), dbl(where))
     counts, evals, *failed = info.tolist()
     lo, mid, hi = where.tolist()
@@ -234,83 +232,48 @@ def dprime_at_1(model: MultiServerModel) -> float:
         raise SolverError(f"the Erlang sums of the m = {m} pool overflow a float ({exc})") from exc
 
 
-# --- the linear system ---------------------------------------------------------
-
-
-def _tridiagonal(model: MultiServerModel, z: np.ndarray):
-    """The subdiagonal, diagonal and superdiagonal of A(z_k) for each entry
-    of the 1-D array z, one row per z_k: the entries of _det_at, with the
-    same rounding."""
-    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    y1 = np.array([_y1_float(model, zk) for zk in z.tolist()])[:, None]
-    z = z[:, None]
-    zm1, i = z - 1.0, np.arange(m)
-    diag = lam * z + i * mu1 * z + (m - i) * mu2 * zm1
-    diag[:, -1] = (lam * z * (1.0 - y1) + (m - 1) * mu1 * z + mu2 * zm1)[:, 0]
-    above = -(i[1:] * mu1 * z * (1.0 - q + q * z))
-    return np.broadcast_to(-lam * z, above.shape), diag, above
+# --- threshold-independent data of a pool -------------------------------------
 
 
 SINGULAR_RTOL = 1e-6   # largest relative null-vector residual of a matrix expected singular
 
-
-def _nulls_compiled(lo: np.ndarray, d: np.ndarray, up: np.ndarray):
-    """The null vectors (count, n) of the count tridiagonal n x n matrices
-    with subdiagonals lo, diagonals d and superdiagonals up (count, n - 1),
-    with their relative residuals |gamma_r| / (||x|| ||A||_F), by one call of
-    the compiled `fbq_null_vectors`: each matrix's twisted factorisation."""
-    count, n = d.shape
-    lo, d, up = (np.ascontiguousarray(a, dtype=float) for a in (lo, d, up))
-    x, ratio = np.empty((count, n)), np.empty(count)
-    ptr = [a.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for a in (lo, d, up, x, ratio)]
-    if _kernels.compiled().null_vectors(count, n, *ptr):
-        raise MemoryError("no memory for the null-vector loop")
-    return x, ratio
+_DATA_SINGULAR = 1   # fbq_pool_data's status for a residual above SINGULAR_RTOL; 2 is a vanishing drift
 
 
-def _singular_nulls(lo: np.ndarray, d: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """The unit null vectors of _nulls_compiled; SolverError names the
-    residual of the first matrix whose residual is above SINGULAR_RTOL."""
-    x, ratio = _nulls_compiled(lo, d, up)
-    bad = np.flatnonzero(~(ratio <= SINGULAR_RTOL))
-    if bad.size:
+def _data_compiled(model: MultiServerModel, zeros: np.ndarray, c1: float, c2: float) -> np.ndarray:
+    """The data that every threshold of the pool shares, from one call of
+    the compiled `fbq_pool_data`, laid out as `fbq_pool_system` reads it:
+    the left null vectors of A(z_k) and the powers z_k^j at the zeros, and
+    A(z)'s Taylor coefficients at z = 1, from the terms c1 t + c2 t^2 of the
+    small kernel root y1(1 + t), with A0's null pair.  SolverError names a
+    null-vector residual above SINGULAR_RTOL, or a vanishing u^T A1 v."""
+    m = model.m
+    data, ratio = np.empty(2 * (m - 1) * m + 3 * (3 * m - 2) + 2 * m + 1), np.empty(1)
+    ptr = [a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+           for a in (np.array(_pool(model).rates), zeros, np.empty(5 * m), data, ratio)]
+    status = _kernels.compiled().pool_data(m, model.lam, model.mu1, model.mu2, model.q, *ptr[:2], c1, c2,
+                                           SINGULAR_RTOL, *ptr[2:])
+    if status == _DATA_SINGULAR:
         raise SolverError(f"matrix expected singular has a null-vector residual of "
-                          f"{ratio[bad[0]]:.3e} times its norm")
-    return x
-
-
-# --- threshold-independent data of a pool -------------------------------------
-
-
-@dataclass(frozen=True)
-class _AtOne:
-    """Taylor data at z = 1 of the transform system, shared by all thresholds."""
-
-    a0: np.ndarray            # A(z) = A0 + A1 t + A2 t^2 + ..., t = z - 1
-    a1: np.ndarray
-    a2: np.ndarray
-    u: np.ndarray             # left and right null vectors of A0
-    v: np.ndarray
-    uA1v: float
-    y2v: float                # y2(1) and y2'(1)
-    y2d: float
+                          f"{ratio[0]:.3e} times its norm")
+    if status:
+        raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
+    return data
 
 
 class _Pool:
     """Everything a solve of the pool (lam, mu1, mu2, q, m) needs that does
     not depend on the threshold: the rate table (k mu1, (m - k) mu2) of the
-    recurrences, built on construction, then on first use the zeros, the data
-    at the zeros and at z = 1, and each threshold's outcome, kept by K in
-    `solutions`: its solution, or the type and message of the SolverError its
-    boundary solve raised, which every later solve of K raises afresh without
-    solving again.  The message is kept rather than the exception, whose
-    traceback would hold the frames of the failed solve.  The zeros and the
-    data at the zeros and at z = 1 keep no failure: each solve that needs a
-    part that failed builds it again and raises the same message (a
-    threshold whose solve raised it keeps that message as its own).
-    The zeros come from the compiled search `fbq_pool_roots` of `_kernels.c`;
-    the null vectors at the zeros and of A(1) from the compiled twisted
-    factorisations of `fbq_null_vectors`, one call for each of the two.
+    recurrences, built on construction, then on first use the zeros, from
+    the compiled search `fbq_pool_roots` of `_kernels.c`, and the data that
+    every threshold shares, from `fbq_pool_data`; and each threshold's
+    outcome, kept by K in `solutions`: its solution, or the type and message
+    of the SolverError its boundary solve raised, which every later solve of
+    K raises afresh without solving again.  The message is kept rather than
+    the exception, whose traceback would hold the frames of the failed
+    solve.  The zeros and the shared data keep no failure: each solve that
+    needs a part that failed builds it again and raises the same message,
+    before any threshold is solved.
     """
 
     def __init__(self, model: MultiServerModel):
@@ -328,58 +291,18 @@ class _Pool:
         return roots
 
     @functools.cached_property
-    def at_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The zeros z_k, the left null vectors of A(z_k) and the powers
-        z_k^j (j = 0 .. m-1), with one row per zero in the last two."""
-        zeros = np.array(self.roots)
-        below, diag, above = _tridiagonal(self.model, zeros)
-        null = _singular_nulls(above, diag, below)     # the right null vectors of A(z_k)^T
-        zpow = np.array([[zk**j for j in range(self.model.m)] for zk in self.roots])
-        return frozen(zeros), frozen(null), frozen(zpow.reshape(null.shape))
-
-    @functools.cached_property
-    def loop_args(self) -> tuple:
-        """The leading arguments of the compiled `fbq_pool_system`: the pool,
-        its rate table, its at_roots data and its at_one data packed as the
-        loop reads them."""
-        model, one = self.model, self.at_one
-        data = (np.array(self.rates), *self.at_roots,
-                np.concatenate([one.a0.ravel(), one.a1.ravel(), one.a2.ravel(), one.u, one.v, [one.uA1v]]))
-        # data_as keeps its array alive; nothing else holds the packed copies
-        return (model.m, model.lam, model.mu1, model.mu2, model.q,
-                *(a.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for a in data))
-
-    @functools.cached_property
-    def at_one(self) -> _AtOne:
+    def data(self) -> tuple:
+        """(args, shared, y2(1), y2'(1)): the leading arguments of the
+        compiled `fbq_pool_system` (the pool, its rate table, its zeros and
+        `shared`), the data of `_data_compiled`, and the large kernel root."""
         model = self.model
-        lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-        y1s, y2s = kernel_root_pair_at_1(lam / (m * mu1), q, SERIES_ORDER)
-        _, c1, c2 = y1s.c[:3]        # y1(1) = 1
-
-        # A(z) expanded at z = 1 + t as A0 + A1 t + A2 t^2.  The diagonal is
-        # a_i = (lam + i mu1) z + (m - i) mu2 t, except the last entry
-        # lam z (1 - y1(z)) + (m - 1) mu1 z + mu2 t; above it stands
-        # -alpha_(i+1) = -(i + 1) mu1 z (1 - q + q z), below it -lam z.
-        i = np.arange(m)
-        diag = np.array([lam + i * mu1, lam + i * mu1 + (m - i) * mu2, np.zeros(m)])
-        diag[:, -1] = ((m - 1) * mu1, (m - 1) * mu1 + mu2 - lam * c1, -lam * (c1 + c2))
-        above = [-i[1:] * mu1 * f for f in (1.0, 1.0 + q, q)]
-        below = [np.full(m - 1, -lam * f) for f in (1.0, 1.0, 0.0)]
-        a0, a1, a2 = (frozen(np.diag(d) + np.diag(up, 1) + np.diag(lo, -1))
-                      for d, up, lo in zip(diag, above, below))
-
-        # the left null vector of A0 is the right one of its transpose
-        u, v = map(frozen, _singular_nulls(np.array([above[0], below[0]]), np.array([diag[0]] * 2),
-                                           np.array([below[0], above[0]])))
-        # u^T A1 v by rows, each row's three entries summed in turn, as the
-        # compiled cascade sums its products (no BLAS, whose order varies)
-        uA1v, vs = 0.0, [0.0, *v.tolist(), 0.0]
-        for r, (ur, lo, d, up) in enumerate(zip(u.tolist(), [0.0, *below[1].tolist()], diag[1].tolist(),
-                                                [*above[1].tolist(), 0.0])):
-            uA1v += ur * (lo * vs[r] + d * vs[r + 1] + up * vs[r + 2])
-        if abs(uA1v) < 1e-12 * np.abs(a1).max():
-            raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
-        return _AtOne(a0=a0, a1=a1, a2=a2, u=u, v=v, uA1v=uA1v, y2v=y2s.c[0], y2d=y2s.c[1])
+        y1s, y2s = kernel_root_pair_at_1(model.lam / (model.m * model.mu1), model.q, SERIES_ORDER)
+        zeros = np.array(self.roots)
+        shared = _data_compiled(model, zeros, *y1s.c[1:3])     # y1(1) = 1
+        # data_as keeps its array alive; nothing else holds the rates and zeros
+        ptr = [a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+               for a in (np.array(self.rates), zeros, shared)]
+        return (model.m, model.lam, model.mu1, model.mu2, model.q, *ptr), shared, y2s.c[0], y2s.c[1]
 
 
 @functools.lru_cache(maxsize=POOL_CACHE_SIZE)
@@ -404,7 +327,7 @@ def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[
     for K in thresholds:
         sol = pool.solutions.get(K)
         if sol is None:
-            pool.at_roots    # a failure here is the pool's, not the threshold's
+            pool.data    # a failure here is the pool's, not the threshold's
             try:
                 sol = pool.solutions[K] = _solve_one(model, K, pool, loop)
             except SolverError as exc:
@@ -438,14 +361,14 @@ def _solve_one(model: MultiServerModel, K: int, pool: _Pool, loop) -> MultiServe
     x, g, info = np.empty(len(states)), np.empty((2, m)), np.empty(4)
     summary = np.empty(3, dtype=np.int64)
     dbl = ctypes.c_double.from_buffer
-    status = loop(*pool.loop_args, K, m - model.rho1 - model.rho2, PIVOT_RTOL, NEG_PROB_TOL, dbl(x),
+    status = loop(*pool.data[0], K, m - model.rho1 - model.rho2, PIVOT_RTOL, NEG_PROB_TOL, dbl(x),
                   dbl(g), dbl(info), ctypes.c_int64.from_buffer(summary))
     cond = info[1]
     x = _checked(lambda k: cond, status, x[None], info[:1], summary.tolist())[0]
-    return _finish(model, K, dict(zip(states, x.tolist())), g, info[2:].tolist(), pool)
+    return _finish(model, K, FrozenDict(zip(states, x.tolist())), g, info[2:].tolist(), pool)
 
 
-def _finish(model: MultiServerModel, K: int, boundary: dict, g: np.ndarray, check: list,
+def _finish(model: MultiServerModel, K: int, boundary: FrozenDict, g: np.ndarray, check: list,
             pool: _Pool) -> MultiServerSolution:
     """The solution from the boundary probabilities and g(1), g'(1) of the
     Taylor cascade of A(z) g(z) = b(z) at z = 1.  A0 = A(1) is singular
@@ -466,7 +389,7 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, g: np.ndarray, chec
         L1 = sum(i * gv1[i] for i in range(m)) + gm1 * (m * (1.0 - r) + r) / (1.0 - r) ** 2
 
     # saturated-tail contribution g(1,z) = g_{m-1}(z) / (y2(z) - 1)
-    y2v, y2d = pool.at_one.y2v, pool.at_one.y2d
+    _, _, y2v, y2d = pool.data
     tail_deriv = (gd1[m - 1] * (y2v - 1.0) - gv1[m - 1] * y2d) / (y2v - 1.0) ** 2
     L2 = sum(gd1) + tail_deriv
 
@@ -477,7 +400,7 @@ def _finish(model: MultiServerModel, K: int, boundary: dict, g: np.ndarray, chec
         p[i + j] += x
 
     return MultiServerSolution(
-        boundary=FrozenDict(boundary),
+        boundary=boundary,
         g_at_1=tuple(gv1),
         g_m_at_1=gm1,
         L1=L1,

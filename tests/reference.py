@@ -14,15 +14,17 @@ loop's order, so the two give equal results, errors included.
   condition estimate of `fbq_condition`, behind `linsys._condition`.
 * `sturm_sequence`, `sign_changes` and `isolate_roots`: the zero search of
   `fbq_pool_roots`, behind `multi._roots_compiled`.
-* `twisted_null` and `null_vectors`: the twisted factorisations of
-  `fbq_null_vectors`, behind `multi._nulls_compiled`.
+* `pool_data`: the data that `fbq_pool_data` builds for every threshold of
+  a pool, behind `multi._data_compiled`, on `tridiagonal` (A(z) at the
+  zeros) and the twisted factorisations of `twisted_null` and
+  `null_vectors`; `shared_parts` splits that data into its parts.
 * `pool_fill`, `pool_taylor` and `cascade`: the boundary fill, the z = 1
   Taylor sums and the Taylor cascade of `fbq_pool_system`; `solve_one` is
   `multi._solve_one` on them.
-
-`dense_matrix` is A(z) as a dense matrix, for the tests of its entries.
 * `band_system`: the band system of `fbq_ctmc_band`, behind
   `ctmc._band_compiled`.
+
+`dense_matrix` is A(z) as a dense matrix, for the tests of its entries.
 
 `REFERENCES` names each compiled entry point of fbq with its reference, so
 that a test can run any call on the references instead.
@@ -40,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from fbq import ctmc, linsys, multi, single
-from fbq.models import SolverError
+from fbq.models import FrozenDict, SolverError
 
 SIMULATE = sys.modules["fbq.simulate"]   # fbq.simulate is the function the package exports
 
@@ -384,8 +386,8 @@ def pool_fill(model, K: int, pool, states: list):
                 if j > 0:
                     row[col[i + 1, j - 1]] = -(r[i + 1][0] * q)
             row[col[i, j + 1]] = -((j + 1) * mu2)
-    zeros, null, zpow = pool.at_roots
-    for k, (z, u, zp) in enumerate(zip(zeros.tolist(), null.tolist(), zpow.tolist())):
+    null, zpow, *_ = shared_parts(m, pool.data[1])
+    for k, (z, u, zp) in enumerate(zip(pool.roots, null.tolist(), zpow.tolist())):
         zm1, w, row = z - 1.0, 1.0 - q + q * z, a[n - m + k]
         for c, (i, j) in enumerate(states):
             if K and i + j == K:
@@ -428,29 +430,38 @@ def cascade(pool, b: np.ndarray):
     and the solvability check's [u^T b0, max |b0| + max |b1|].  The
     bordered system [[A0, u], [v^T, 0]] is factored with [b0, 0] by
     `factor`, and [b1 - A1 g0, 0], scaled by its row scales, solved by
-    `lu_solve`; every product is a row sum in turn."""
-    one = pool.at_one
-    m = len(one.u)
-    a0, a1, a2, u, v = one.a0, one.a1.tolist(), one.a2.tolist(), one.u.tolist(), one.v.tolist()
+    `lu_solve`; every product is a sum in turn, and a row of A0, A1 or A2
+    times x sums only the products of the row's tridiagonal entries."""
+    m = pool.model.m
+    _, _, (a0, a1, a2), u, v, uA1v = shared_parts(m, pool.data[1])
+    u, v = u.tolist(), v.tolist()
     b0, b1, b2 = b.tolist()
 
     def dot(x, y):
         return add_up(xi * yi for xi, yi in zip(x, y))
 
+    def row(a, r, x):
+        lo, d, up = a
+        terms = [lo[r - 1] * x[r - 1]] if r > 0 else []
+        terms.append(d[r] * x[r])
+        if r + 1 < m:
+            terms.append(up[r] * x[r + 1])
+        return add_up(terms)
+
     def u_a_x(a, x):
-        return add_up(ur * dot(row, x) for ur, row in zip(u, a))
+        return add_up(ur * row(a, r, x) for r, ur in enumerate(u))
 
     check = [dot(u, b0), max(map(abs, b0)) + max(map(abs, b1))]
     border = np.zeros((m + 1, m + 1))
-    border[:m, :m], border[:m, m], border[m, :m] = a0, u, v
+    border[:m, :m], border[:m, m], border[m, :m] = dense(*a0), u, v
     t, y, perm, scale, _ = factor(border, b0 + [0.0])
     p0 = y[:m].tolist()
-    c0 = (dot(u, b1) - u_a_x(a1, p0)) / one.uA1v
+    c0 = (dot(u, b1) - u_a_x(a1, p0)) / uA1v
     g0 = [p + c0 * vi for p, vi in zip(p0, v)]
-    y = np.array([(bi - dot(row, g0)) / s for bi, row, s in zip(b1, a1, scale)] + [0.0])
+    y = np.array([(bi - row(a1, r, g0)) / s for r, (bi, s) in enumerate(zip(b1, scale))] + [0.0])
     lu_solve(t, perm, y)
     p1 = y[:m].tolist()
-    c1 = (dot(u, b2) - u_a_x(a2, g0) - u_a_x(a1, p1)) / one.uA1v
+    c1 = (dot(u, b2) - u_a_x(a2, g0) - u_a_x(a1, p1)) / uA1v
     return np.array([g0, [p + c1 * vi for p, vi in zip(p1, v)]]), check
 
 
@@ -463,7 +474,7 @@ def solve_one(model, K: int, pool, loop=None):
     a, rhs = pool_fill(model, K, pool, states)
     x = linsys._checked(lambda k: condition(a), *lockstep(a[None], rhs[None]))[0].tolist()
     g, check = cascade(pool, pool_taylor(model, K, pool, states, x))
-    return multi._finish(model, K, dict(zip(states, x)), g, check, pool)
+    return multi._finish(model, K, FrozenDict(zip(states, x)), g, check, pool)
 
 
 def twisted_null(lo: list, d: list, up: list):
@@ -496,26 +507,90 @@ def twisted_null(lo: list, d: list, up: list):
 
 
 def null_vectors(lo: np.ndarray, d: np.ndarray, up: np.ndarray):
-    """`multi._nulls_compiled` on `twisted_null`: the null vectors and
-    relative residuals of a stack of tridiagonal matrices."""
+    """`twisted_null` on a stack of tridiagonal matrices: their null vectors
+    and relative residuals."""
     found = [twisted_null(*rows) for rows in zip(np.asarray(lo).tolist(), d.tolist(), np.asarray(up).tolist())]
     return np.array([x for x, _ in found]).reshape(d.shape), np.array([ratio for _, ratio in found])
 
 
-def dense_matrix(model, z) -> np.ndarray:
-    """A(z) at a real z, or one A(z_k) per entry of a 1-D array z, stacked:
-    the entries of multi._det_at, with the same rounding."""
+def singular_nulls(lo: np.ndarray, d: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """The unit null vectors of null_vectors; SolverError names the
+    residual of the first matrix whose residual is above SINGULAR_RTOL."""
+    x, ratio = null_vectors(lo, d, up)
+    bad = np.flatnonzero(~(ratio <= multi.SINGULAR_RTOL))
+    if bad.size:
+        raise SolverError(f"matrix expected singular has a null-vector residual of "
+                          f"{ratio[bad[0]]:.3e} times its norm")
+    return x
+
+
+def tridiagonal(model, z: np.ndarray):
+    """The subdiagonal, diagonal and superdiagonal of A(z_k) for each entry
+    of the 1-D array z, one row per z_k: the entries of multi._det_at, with
+    the same rounding."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    y1 = np.array([multi._y1_float(model, zk) for zk in np.ravel(z).tolist()]).reshape(np.shape(z))[..., None]
-    z = np.asarray(z, dtype=float)[..., None]
-    zm1 = z - 1.0
+    y1 = np.array([multi._y1_float(model, zk) for zk in z.tolist()])[:, None]
+    z = z[:, None]
+    zm1, i = z - 1.0, np.arange(m)
+    diag = lam * z + i * mu1 * z + (m - i) * mu2 * zm1
+    diag[:, -1] = (lam * z * (1.0 - y1) + (m - 1) * mu1 * z + mu2 * zm1)[:, 0]
+    above = -(i[1:] * mu1 * z * (1.0 - q + q * z))
+    return np.broadcast_to(-lam * z, above.shape), diag, above
+
+
+def pool_data(model, zeros: np.ndarray, c1: float, c2: float) -> np.ndarray:
+    """`multi._data_compiled` in Python, with its errors: the left null
+    vectors of A(z_k) at the zeros and the powers z_k^j, then A0, A1, A2
+    of A(z) = A0 + A1 t + A2 t^2 + ..., t = z - 1, as closed forms in c1 and
+    c2, A0's null pair u, v and u^T A1 v, packed as `shared_parts` reads
+    them."""
+    lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
+    below, diag, above = tridiagonal(model, zeros)
+    null = singular_nulls(above, diag, below)     # the right null vectors of A(z_k)^T
+    zpow = np.array([[zk**j for j in range(m)] for zk in zeros.tolist()]).reshape(null.shape)
+
+    # The diagonal is a_i = (lam + i mu1) z + (m - i) mu2 t, except the
+    # last entry lam z (1 - y1(z)) + (m - 1) mu1 z + mu2 t; above it stands
+    # -alpha_(i+1) = -(i + 1) mu1 z (1 - q + q z), below it -lam z.
     i = np.arange(m)
-    out = np.zeros(z.shape[:-1] + (m, m))
-    out[..., i, i] = lam * z + i * mu1 * z + (m - i) * mu2 * zm1
-    out[..., -1, -1] = (lam * z * (1.0 - y1) + (m - 1) * mu1 * z + mu2 * zm1)[..., 0]
-    out[..., i[:-1], i[1:]] = -(i[1:] * mu1 * z * (1.0 - q + q * z))
-    out[..., i[1:], i[:-1]] = -lam * z
-    return out
+    diag = np.array([lam + i * mu1, lam + i * mu1 + (m - i) * mu2, np.zeros(m)])
+    diag[:, -1] = ((m - 1) * mu1, (m - 1) * mu1 + mu2 - lam * c1, -lam * (c1 + c2))
+    above = [-i[1:] * mu1 * f for f in (1.0, 1.0 + q, q)]
+    below = [np.full(m - 1, -lam * f) for f in (1.0, 1.0, 0.0)]
+
+    # the left null vector of A0 is the right one of its transpose
+    u, v = singular_nulls(np.array([above[0], below[0]]), np.array([diag[0]] * 2),
+                          np.array([below[0], above[0]]))
+    # u^T A1 v by rows, each row's three entries summed in turn
+    uA1v, vs = 0.0, [0.0, *v.tolist(), 0.0]
+    for r, (ur, lo, d, up) in enumerate(zip(u.tolist(), [0.0, *below[1].tolist()], diag[1].tolist(),
+                                            [*above[1].tolist(), 0.0])):
+        uA1v += ur * (lo * vs[r] + d * vs[r + 1] + up * vs[r + 2])
+    if abs(uA1v) < 1e-12 * np.abs(np.concatenate([below[1], diag[1], above[1]])).max():
+        raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
+    return np.concatenate([null.ravel(), zpow.ravel(), *(np.concatenate(t) for t in zip(below, diag, above)),
+                           u, v, [uA1v]])
+
+
+def shared_parts(m: int, shared: np.ndarray):
+    """The parts of the shared data of an m-server pool (`pool_data`): the
+    null vectors and the powers at the zeros, (m - 1) x m each; A0, A1 and
+    A2, each as its (subdiagonal, diagonal, superdiagonal); u, v and
+    u^T A1 v."""
+    null, zpow = shared[:2 * (m - 1) * m].reshape(2, m - 1, m)
+    tri = shared[2 * (m - 1) * m:-2 * m - 1].reshape(3, 3 * m - 2)
+    u, v = shared[-2 * m - 1:-1].reshape(2, m)
+    return null, zpow, [tuple(np.split(t, [m - 1, 2 * m - 1])) for t in tri], u, v, float(shared[-1])
+
+
+def dense(lo, d, up) -> np.ndarray:
+    """The tridiagonal matrix (lo, d, up) of `twisted_null` as a dense matrix."""
+    return np.diag(d) + np.diag(up, 1) + np.diag(lo, -1)
+
+
+def dense_matrix(model, z: float) -> np.ndarray:
+    """A(z) at a real z, from the entries of `tridiagonal`."""
+    return dense(*(x[0] for x in tridiagonal(model, np.array([z]))))
 
 
 # --- the band system of the CTMC oracle --------------------------------------------
@@ -563,7 +638,7 @@ REFERENCES = (
     (SIMULATE, "_jump_chain", run),
     (single._Family, "solve", family_solve),
     (multi, "_roots_compiled", isolate_roots),
-    (multi, "_nulls_compiled", null_vectors),
+    (multi, "_data_compiled", pool_data),
     (multi, "_solve_one", solve_one),
     (linsys, "_condition", condition),
     (ctmc, "_band_compiled", band_system),

@@ -85,8 +85,8 @@ def reference_system(model, K):
                     row[idx[(i + 1, j - 1)]] -= (i + 1) * mu1 * q
                 row[idx[(i, j + 1)]] -= min(j + 1, m - i) * mu2
             r += 1
-    zeros, null, _ = multi._pool(model).at_roots
-    for zk, u in zip(zeros.tolist(), null):
+    pool = multi._pool(model)
+    for zk, u in zip(pool.roots, reference.shared_parts(m, pool.data[1])[0]):
         row = rows[r]
         zpow = [zk**j for j in range(m)]
         for t in range(m):
@@ -177,5 +177,5 @@ def assert_hands_over_the_reference_system(model, result, where):
 @pytest.mark.parametrize("name", sorted(POOLS))
 def test_taylor_matrices_at_one_match_power_series(name):
     model = MultiServerModel(**POOLS[name])
-    one = multi._pool(model).at_one
-    assert_close(np.array([one.a0, one.a1, one.a2]), series_matrices(model))
+    tri = reference.shared_parts(model.m, multi._pool(model).data[1])[2]
+    assert_close(np.array([reference.dense(*t) for t in tri]), series_matrices(model))

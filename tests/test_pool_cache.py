@@ -1,7 +1,8 @@
 """The per-pool cache of fbq.multi: what a pool solve shares across thresholds.
 
-Roots, the null vectors at the roots and the z = 1 Taylor data are built once
-per (lam, mu1, mu2, q, m) and kept by `_pool_data`; a threshold never enters
+The roots and the data that every threshold shares (the null vectors and
+powers at the roots and the z = 1 Taylor data) are built once per (lam,
+mu1, mu2, q, m) and kept by `_pool_data`; a threshold never enters
 the key.  Each threshold's solution is kept there too, by K, as a read-only
 value whose one object every hit serves, and so is the type and message of
 a threshold whose solve raised SolverError.  Cold and warm solves must
@@ -20,17 +21,21 @@ reference.isolate_roots on the pinned, seeded and scanned pools, and a
 search that stops early must raise its status.
 
 Each threshold is solved whole by the compiled loop fbq_pool_system, and
-the null vectors come from the compiled twisted factorisations of
-fbq_null_vectors; no LAPACK call is made.  Every threshold of the seeded
+the shared data comes from one call of the compiled fbq_pool_data, whose
+null vectors are twisted factorisations; no LAPACK call is made.  A
+failure to build the shared data is the pool's: no threshold keeps it, and
+its message is the Python reference's.  Every threshold of the seeded
 and pinned pools must agree, within the rounding of the two methods, with
 a solve that takes the null vectors from scipy.linalg.svd, the boundary
 solve from LAPACK's getrf and the Taylor cascade from scipy.linalg.lstsq,
 kept below, and fail where it fails.  Each threshold is filled and solved
 once per pool, and a kept failure is raised again with no fill and no
-solve.  The compiled loops and their references (reference.null_vectors,
+solve.  The compiled loops and their references (reference.pool_data,
 pool_fill, lockstep, pool_taylor and cascade) must return the same
 solution bits or error on figure 8, a seeded threshold_sweep block, q = 0
-and q = 1 pools, at every threshold.
+and q = 1 pools, at every threshold.  Every threshold outcome of figure 8's
+family and the seeded pools must hash to the digests of
+data/pool_bits.json, which pool_bits.py writes.
 """
 
 import dataclasses
@@ -54,7 +59,7 @@ from fbq import multi
 from fbq.ctmc import ctmc_solve
 from fbq.experiments import optimize_threshold
 from fbq.models import ModelError, MultiServerModel, SolverError, UnstableModelError
-from fbq.models import CostCoefficients
+from fbq.models import CostCoefficients, FrozenDict
 from fbq.multi import (
     POOL_CACHE_SIZE,
     _det_at,
@@ -65,6 +70,8 @@ from fbq.multi import (
     sweep_thresholds,
 )
 import reference
+from pool_bits import seeded_pools, solution_hex, threshold_outcomes
+import pool_bits
 
 DATA = pathlib.Path(__file__).parent / "data"
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -133,13 +140,12 @@ def count_calls(monkeypatch, *names):
 
 
 def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
-    calls = count_calls(monkeypatch, "_nulls_compiled", "kernel_root_pair_at_1")
+    calls = count_calls(monkeypatch, "_data_compiled", "kernel_root_pair_at_1")
     model = MultiServerModel(**POOL)
     sweep_thresholds(model)
     sweep_thresholds(model)
     solve_threshold(dataclasses.replace(model, threshold=2))
-    # one call for the null vectors at the roots and one for the null pair of A(1)
-    assert calls == {"_nulls_compiled": 2, "kernel_root_pair_at_1": 1}
+    assert calls == {"_data_compiled": 1, "kernel_root_pair_at_1": 1}
 
 
 def test_a_kept_failure_is_raised_again_with_no_fill_and_no_solve(monkeypatch, solves):
@@ -316,6 +322,43 @@ def test_a_served_solution_rejects_edits_and_the_next_serve_is_unchanged():
     assert solution_hex(sweep_thresholds(model)[2]) == expected
 
 
+def test_a_singular_residual_fails_the_pool_not_a_threshold(monkeypatch, on_both_paths):
+    # with no residual allowed, the null vector at the first zero fails the
+    # shared data; no threshold keeps that failure, so each solve builds the
+    # data again and raises the same message, on both paths
+    model = MultiServerModel(**POOL, threshold=2)
+    monkeypatch.setattr(multi, "SINGULAR_RTOL", 0.0)
+
+    def raised():
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SolverError) as exc:
+                solve_threshold(model)
+            messages.append(str(exc.value))
+            assert multi._pool(model).solutions == {}
+        return messages
+
+    compiled, python = on_both_paths(raised)
+    assert compiled == python
+    assert compiled[0] == compiled[1]
+    assert re.fullmatch(r"matrix expected singular has a null-vector residual of "
+                        r"\d\.\d{3}e-\d\d times its norm", compiled[0]), compiled[0]
+
+
+def test_a_vanishing_drift_raises_the_references_message():
+    # A1's last diagonal entry holds -lam c1, so this c1 cancels u^T A1 v
+    model = MultiServerModel(**POOL)
+    zeros = np.array(d_roots(model))
+    *_, u, v, uA1v = reference.shared_parts(model.m, multi._data_compiled(model, zeros, 0.0, 0.0))
+    c1 = uA1v / (model.lam * u[-1] * v[-1])
+    raised = []
+    for build in (multi._data_compiled, reference.pool_data):
+        with pytest.raises(SolverError) as exc:
+            build(model, zeros, c1, 0.0)
+        raised.append(str(exc.value))
+    assert raised == ["transform system is degenerate at z = 1 (vanishing drift)"] * 2
+
+
 # --- the Sturm search on plain loops over the rates ---------------------------
 
 
@@ -344,18 +387,6 @@ def reference_sequence(model, z):
             alam = k * mu1 * z * (1.0 - q + q * z) * (lam * z)
             seq.append(a * seq[-1] - alam * seq[-2])
     return seq
-
-
-def seeded_pools():
-    """One pool per m = 2..24, cycling q through 0, a drawn value and 1.  On
-    the m = 14 and m = 17 pools, both at q = 1, bisection down the interlacing
-    zeros of the leading minors loses a zero in floats; sign counts do not."""
-    rng = random.Random(26)
-    for m in range(2, 25):
-        q = (0.0, rng.uniform(0.02, 0.98), 1.0)[m % 3]
-        mu1, mu2 = rng.uniform(0.5, 3.0), rng.uniform(0.1, 2.0)
-        lam = rng.uniform(0.3, 0.9) * m / (1.0 / mu1 + q / mu2)
-        yield MultiServerModel(lam, mu1, mu2, q, m)
 
 
 def outcome(find_roots, model):
@@ -475,7 +506,7 @@ def test_q1_pools_that_lost_a_zero_match_the_oracle(m):
 
 
 def svd_null_vectors(lo, d, up):
-    """`multi._nulls_compiled` by scipy.linalg.svd: each tridiagonal
+    """`reference.null_vectors` by scipy.linalg.svd: each tridiagonal
     matrix's last right singular vector, and sigma_min / sigma_max."""
     vectors, ratios = [], []
     for below, diag, above in zip(np.asarray(lo), d, np.asarray(up)):
@@ -493,13 +524,11 @@ def test_twisted_null_vectors_agree_with_the_svd_ones():
     worst = 0.0
     for model in models + list(seeded_pools()):
         pool = multi._pool(model)
-        below, diag, above = multi._tridiagonal(model, np.array(pool.roots))
-        one = pool.at_one
-        lo0, up0 = np.diag(one.a0, -1), np.diag(one.a0, 1)
-        got = [*pool.at_roots[1], one.u, one.v]
+        null, _, ((lo0, d0, up0), *_), u, v, _ = reference.shared_parts(model.m, pool.data[1])
+        below, diag, above = reference.tridiagonal(model, np.array(pool.roots))
+        got = [*null, u, v]
         want = [*svd_null_vectors(above, diag, below)[0],
-                *svd_null_vectors(np.array([up0, lo0]), np.array([np.diag(one.a0)] * 2),
-                                  np.array([lo0, up0]))[0]]
+                *svd_null_vectors(np.array([up0, lo0]), np.array([d0] * 2), np.array([lo0, up0]))[0]]
         for x, y in zip(got, want, strict=True):
             worst = max(worst, min(np.abs(x - y).max(), np.abs(x + y).max()))
     assert worst < 1e-13
@@ -512,15 +541,14 @@ def reference_solve(model, K, pool, loop=None):
     states = [(i, j) for i in range(model.m) for j in range(max(0, K - i), model.m - i)]
     x = LINSYS.solve_probability_system(*reference.pool_fill(model, K, pool, states)).tolist()
     b = reference.pool_taylor(model, K, pool, states, x)
-    return reference_finish(model, K, dict(zip(states, x)), b, pool)
+    return reference_finish(model, K, FrozenDict(zip(states, x)), b, pool)
 
 
 def reference_finish(model, K, boundary, b, pool):
     """multi._finish with the minimum-norm solves of scipy.linalg.lstsq."""
-    one = pool.at_one
-    a0, a1, a2 = one.a0, one.a1, one.a2
+    _, _, tri, u, v, uA1v = reference.shared_parts(model.m, pool.data[1])
+    a0, a1, a2 = (reference.dense(*t) for t in tri)
     b0, b1, b2 = b
-    u, v, uA1v = one.u, one.v, one.uA1v
     p0 = scipy.linalg.lstsq(a0, b0)[0]
     c0 = (u @ b1 - u @ a1 @ p0) / uA1v
     g0 = p0 + c0 * v
@@ -548,7 +576,8 @@ def test_each_threshold_agrees_with_the_svd_and_lstsq_reference(monkeypatch):
     failed = []
     for model in models + list(seeded_pools()):
         with monkeypatch.context() as patch:
-            patch.setattr(multi, "_nulls_compiled", svd_null_vectors)
+            patch.setattr(multi, "_data_compiled", reference.pool_data)
+            patch.setattr(reference, "null_vectors", svd_null_vectors)
             patch.setattr(multi, "_solve_one", reference_solve)
             expected = every_threshold(model)
         got = every_threshold(model)
@@ -583,33 +612,6 @@ def sweep_block_pools():
     return list({workloads.pool_model(t["params"]): None for t in tasks})
 
 
-def solution_hex(sol):
-    """Every field of a MultiServerSolution, its floats as float.hex, so
-    that a signed zero differs from 0.0, with each container's type."""
-    out = {}
-    for field in dataclasses.fields(sol):
-        v = getattr(sol, field.name)
-        if isinstance(v, dict):
-            v = type(v), [(k, x.hex()) for k, x in v.items()]
-        elif isinstance(v, (list, tuple)):
-            v = type(v), [x.hex() for x in v]
-        out[field.name] = v.hex() if isinstance(v, float) else v
-    return out
-
-
-def threshold_outcomes(model):
-    """Per threshold, from a cold pool cache: every solution field in
-    float.hex, or the error's type and message."""
-    out = []
-    _pool_data.cache_clear()
-    for K in range(model.m):
-        try:
-            out.append(solution_hex(solve_threshold(dataclasses.replace(model, threshold=K))))
-        except SolverError as exc:
-            out.append((type(exc), str(exc)))
-    return out
-
-
 def test_both_pool_paths_give_the_same_bits(on_both_paths):
     q_pools = [model for model in seeded_pools() if model.m in (2, 3, 5, 6)]
     assert {model.q for model in q_pools} == {0.0, 1.0}
@@ -640,6 +642,14 @@ def test_failing_pool_quotes_the_unscaled_systems_condition_on_both_paths(on_bot
     compiled, python = on_both_paths(raised)
     assert compiled == python
     assert compiled == message
+
+
+def test_every_threshold_outcome_keeps_its_pinned_digest():
+    pinned = json.loads(pool_bits.PINS.read_text())
+    got = pool_bits.digests()
+    assert sorted(got) == sorted(pinned)
+    moved = [name for name in pinned if got[name] != pinned[name]]
+    assert not moved, f"the outcomes of these pools moved: {', '.join(moved)}"
 
 
 # run in a fresh interpreter: every threshold of the pools in argv[1], each
