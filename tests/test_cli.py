@@ -5,6 +5,7 @@ import pytest
 
 from fbq import baselines
 from fbq.cli import main
+import output_bits
 
 
 def run(capsys, *argv):
@@ -196,3 +197,13 @@ class TestOtherCommands:
         assert code == 2
         assert "lam must be finite, got nan" in caplog.text
         assert "unstable" not in caplog.text
+
+
+def test_every_published_output_keeps_its_pinned_digest():
+    # figures 3-8, the CLI's JSON and the demos' stdout, as output_bits.py
+    # hashes them into data/output_bits.json
+    pinned = json.loads(output_bits.PINS.read_text())
+    got = output_bits.digests()
+    assert sorted(got) == sorted(pinned)
+    moved = [name for name in pinned if got[name] != pinned[name]]
+    assert not moved, f"these outputs moved: {', '.join(moved)}"
