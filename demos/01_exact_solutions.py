@@ -31,14 +31,14 @@ print("two-speed closed form (idle speed 0, full speed above):")
 m1 = SingleServerModel(lam, service, SpeedProfile((0.0, 1.0), alpha=2.0))
 sol1 = solve_k1_closed_form(m1)
 print(f"  L1={sol1.L1:.6f}  L2={sol1.L2:.6f}  L={sol1.L:.6f}")
-print(f"  P(empty)={sol1.boundary.get(0, 0):.6f}  energy rate={sol1.energy_rate:.6f}")
+print(f"  P(empty)={sol1.boundary[(0, 0)]:.6f}  energy rate={sol1.energy_rate:.6f}")
 
 print("\nthree-level staircase (0, 0.6, 1.0) solved by the transform method:")
 m2 = SingleServerModel(lam, service, SpeedProfile((0.0, 0.6, 1.0), alpha=2.0))
 sol2 = solve_general(m2)
 print(f"  L1={sol2.L1:.6f}  L2={sol2.L2:.6f}  L={sol2.L:.6f}")
 print("  boundary probabilities (i fg jobs, j bg jobs):")
-for (i, j), p in sorted(sol2.boundary.values.items()):
+for (i, j), p in sorted(sol2.boundary.items()):
     print(f"    pi({i},{j}) = {p:.6f}")
 res = verify_single(m2, sol2)
 print(f"  identity residuals: flow balance {res['flow_balance']:.1e}, "

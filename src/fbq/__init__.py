@@ -15,7 +15,6 @@ from .models import (
 )
 from .series import PowerSeries
 from .single import (
-    BoundaryProbabilities,
     SingleServerSolution,
     SpeedFamilySolution,
     evaluate_cost_single,
@@ -57,7 +56,6 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryProbabilities",
     "CostCoefficients",
     "CoxianService",
     "CtmcSolution",

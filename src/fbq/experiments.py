@@ -114,8 +114,8 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 
 def _family_costs(model: SingleServerModel, costs: CostCoefficients, grid) -> np.ndarray:
     """Costs of the profiles whose intermediate speeds are `grid` (B, K-1) times the top speed."""
-    sol = solve_speed_family(model, np.asarray(grid) * model.speeds.levels[-1])
-    return costs.c1 * sol.L + costs.c2 * sol.energy_rate
+    family = solve_speed_family(model, np.asarray(grid) * model.speeds.levels[-1])
+    return evaluate_cost_single(family, costs)
 
 
 def _coarse_grid(fracs: list[float], K: int) -> np.ndarray:

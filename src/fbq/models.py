@@ -1,6 +1,7 @@
 """Domain types shared by every solver: Coxian-2 service, speed profiles,
 single- and multi-server model definitions, stability checks, the JSON
-wire format used by the CLI and the read-only containers of solutions.
+wire format used by the CLI, and the read-only containers and shared JSON
+fields of solutions.
 
 Rate conventions.  A job consists of an exponential first phase (rate nu1)
 followed, with probability q, by an exponential second phase (rate nu2).
@@ -64,6 +65,21 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def solution_json(sol) -> dict:
+    """The JSON of the fields that every solution shares: the mean counts
+    L1, L2 and L, the total-count marginal p, the tail mass, the energy rate
+    and the boundary probabilities as sorted [i, j, pi_ij] triples."""
+    return {
+        "L1": sol.L1,
+        "L2": sol.L2,
+        "L": sol.L,
+        "p": list(sol.p),
+        "tail_mass": sol.tail_mass,
+        "energy_rate": sol.energy_rate,
+        "boundary": [[i, j, v] for (i, j), v in sorted(sol.boundary.items())],
+    }
+
+
 @dataclass(frozen=True)
 class CoxianService:
     """Two-phase Coxian job-length distribution (rates per unit of speed)."""
@@ -97,14 +113,6 @@ class CoxianService:
             return (1.0 + self.nu1 * self.q * t) * math.exp(-self.nu1 * t)
         c = self.nu1 * self.q / (self.nu1 - self.nu2)
         return (1.0 - c) * math.exp(-self.nu1 * t) + c * math.exp(-self.nu2 * t)
-
-    def density(self, t: float) -> float:
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        if self._equal_rates():
-            return self.nu1 * math.exp(-self.nu1 * t) * (1.0 - self.q + self.q * self.nu1 * t)
-        c = self.nu1 * self.q / (self.nu1 - self.nu2)
-        return (1.0 - c) * self.nu1 * math.exp(-self.nu1 * t) + c * self.nu2 * math.exp(-self.nu2 * t)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,9 @@ from .models import (
     ModelError,
     MultiServerModel,
     SolverError,
+    frozen,
     require_stable_multi,
+    solution_json,
 )
 from .series import kernel_root_pair_at_1
 
@@ -94,19 +96,13 @@ class MultiServerSolution:
     roots: tuple[float, ...]   # zeros of the transform determinant in (0,1)
     threshold: int
 
+    @property
+    def energy_rate(self) -> float:
+        """The energy drawn per unit time, one unit per operative server: U."""
+        return self.U
+
     def to_json(self) -> dict:
-        return {
-            "L1": self.L1,
-            "L2": self.L2,
-            "L": self.L,
-            "p": list(self.p),
-            "tail_mass": self.tail_mass,
-            "energy_rate": self.U,
-            "boundary": [[i, j, v] for (i, j), v in sorted(self.boundary.items())],
-            "U": self.U,
-            "threshold": self.threshold,
-            "roots": list(self.roots),
-        }
+        return {**solution_json(self), "U": self.U, "threshold": self.threshold, "roots": list(self.roots)}
 
 
 # --- kernel root and matrix entries ------------------------------------------
@@ -124,7 +120,7 @@ def _det_at(model: MultiServerModel, z: float) -> float:
     """The determinant R_0(z) of A(z) by the trailing-minor recurrence
     R_t = a_t R_(t+1) - alpha_(t+1) lam z R_(t+2), from R_m = 1 and
     R_(m-1) = a_(m-1), the one entry that holds the kernel root."""
-    rates = _pool(model).rates
+    rates = _pool(model).rates.tolist()
     lz, w, zm1 = model.lam * z, 1.0 - model.q + model.q * z, z - 1.0
     nxt, cur = 1.0, lz * (1.0 - _y1_float(model, z)) + rates[-1][0] * z + model.mu2 * zm1
     for t in range(model.m - 2, -1, -1):
@@ -152,11 +148,11 @@ def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, in
     m = model.m
     dprime = dprime_at_1(model)
     fp = np.finfo(float)
-    rates = np.array(_pool(model).rates)
     band, brackets, roots = np.empty(3 * m), np.empty(2 * m), np.empty(m)   # m roots: never empty
     info, where = np.zeros(5, dtype=np.int64), np.zeros(3)
     dbl = ctypes.c_double.from_buffer
-    status = _kernels.compiled().pool_roots(m, model.lam, model.mu1, model.mu2, model.q, dbl(rates),
+    rates = _pool(model).rates.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+    status = _kernels.compiled().pool_roots(m, model.lam, model.mu1, model.mu2, model.q, rates,
                                             dprime, fp.tiny, 4 * fp.eps, _BRENT_MAXITER,
                                             dbl(band), dbl(brackets), dbl(roots),
                                             ctypes.c_int64.from_buffer(info), dbl(where))
@@ -250,7 +246,7 @@ def _data_compiled(model: MultiServerModel, zeros: np.ndarray, c1: float, c2: fl
     m = model.m
     data, ratio = np.empty(2 * (m - 1) * m + 3 * (3 * m - 2) + 2 * m + 1), np.empty(1)
     ptr = [a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-           for a in (np.array(_pool(model).rates), zeros, np.empty(5 * m), data, ratio)]
+           for a in (_pool(model).rates, zeros, np.empty(5 * m), data, ratio)]
     status = _kernels.compiled().pool_data(m, model.lam, model.mu1, model.mu2, model.q, *ptr[:2], c1, c2,
                                            SINGULAR_RTOL, *ptr[2:])
     if status == _DATA_SINGULAR:
@@ -264,7 +260,8 @@ def _data_compiled(model: MultiServerModel, zeros: np.ndarray, c1: float, c2: fl
 class _Pool:
     """Everything a solve of the pool (lam, mu1, mu2, q, m) needs that does
     not depend on the threshold: the rate table (k mu1, (m - k) mu2) of the
-    recurrences, built on construction, then on first use the zeros, from
+    recurrences, built on construction as one read-only (m, 2) array that
+    every compiled call reads, then on first use the zeros, from
     the compiled search `fbq_pool_roots` of `_kernels.c`, and the data that
     every threshold shares, from `fbq_pool_data`; and each threshold's
     outcome, kept by K in `solutions`: its solution, or the type and message
@@ -279,7 +276,7 @@ class _Pool:
     def __init__(self, model: MultiServerModel):
         self.model = model
         _, fg, bg = model.rates(np.arange(model.m), model.m)
-        self.rates = tuple(zip(fg.tolist(), bg.tolist()))
+        self.rates = frozen(np.column_stack((fg, bg)))
         self.solutions: dict[int, MultiServerSolution | tuple[type, str]] = {}
 
     @functools.cached_property
@@ -299,9 +296,8 @@ class _Pool:
         y1s, y2s = kernel_root_pair_at_1(model.lam / (model.m * model.mu1), model.q, SERIES_ORDER)
         zeros = np.array(self.roots)
         shared = _data_compiled(model, zeros, *y1s.c[1:3])     # y1(1) = 1
-        # data_as keeps its array alive; nothing else holds the rates and zeros
-        ptr = [a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-               for a in (np.array(self.rates), zeros, shared)]
+        # data_as keeps its array alive; nothing else holds the zeros
+        ptr = [a.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for a in (self.rates, zeros, shared)]
         return (model.m, model.lam, model.mu1, model.mu2, model.q, *ptr), shared, y2s.c[0], y2s.c[1]
 
 
@@ -445,9 +441,11 @@ def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
     return _solve_thresholds(model, range(model.m), _pool(model))
 
 
-def evaluate_cost_multi(solution: MultiServerSolution, costs: CostCoefficients) -> float:
-    """Holding cost of the jobs plus energy cost of the operative servers."""
-    return costs.c1 * (solution.L1 + solution.L2) + costs.c2 * solution.U
+def evaluate_cost_multi(solution, costs: CostCoefficients) -> float:
+    """Linear holding + energy cost c1 L + c2 energy_rate of any solution,
+    the formula of single.evaluate_cost_single: for a pool the energy rate
+    is the mean count of operative servers U."""
+    return costs.c1 * solution.L + costs.c2 * solution.energy_rate
 
 
 def mmm_marginal(m: int, rho1: float) -> tuple[list[float], float]:

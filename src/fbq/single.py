@@ -46,6 +46,7 @@ from .models import (
     ModelError,
     frozen,
     require_stable_single,
+    solution_json,
 )
 from .series import PowerSeries, divide, kernel_root_series
 
@@ -53,47 +54,20 @@ log = logging.getLogger("fbq.single")
 
 
 @dataclass(frozen=True)
-class BoundaryProbabilities:
-    """Triangular array pi_{i,j} for i + j <= K."""
-
-    K: int
-    values: FrozenDict
-
-    def __post_init__(self):
-        want = (self.K + 1) * (self.K + 2) // 2
-        if len(self.values) != want:
-            raise ValueError(f"boundary needs {want} entries for K={self.K}, got {len(self.values)}")
-
-    def get(self, i: int, j: int) -> float:
-        return self.values[(i, j)]
-
-    def as_triples(self) -> list:
-        return [[i, j, self.values[(i, j)]] for (i, j) in sorted(self.values)]
-
-
-@dataclass(frozen=True)
 class SingleServerSolution:
     """Stationary metrics of a solved single-server model."""
 
-    boundary: BoundaryProbabilities
+    boundary: FrozenDict          # (i, j) -> pi_{i,j} for i + j <= K
     g0_at_1: float                # foreground-empty saturated mass; absolute, not relative, accuracy
     L1: float                     # mean foreground jobs
     L2: float                     # mean background jobs
     L: float                      # mean total jobs
-    p_below_K: tuple[float, ...]  # total-count marginal p_0 .. p_{K-1}
-    tail_mass: float              # P(total >= K) = 1 - sum(p_below_K); absolute, not relative, accuracy
+    p: tuple[float, ...]          # total-count marginal p_0 .. p_{K-1}
+    tail_mass: float              # P(total >= K) = 1 - sum(p); absolute, not relative, accuracy
     energy_rate: float            # sum_n p_n s_n^alpha + s_K^alpha * tail
 
     def to_json(self) -> dict:
-        return {
-            "L1": self.L1,
-            "L2": self.L2,
-            "L": self.L,
-            "p": list(self.p_below_K),
-            "tail_mass": self.tail_mass,
-            "energy_rate": self.energy_rate,
-            "boundary": self.boundary.as_triples(),
-        }
+        return solution_json(self)
 
 
 def _stable_y1_at_0(rho: float, q: float) -> float:
@@ -122,7 +96,7 @@ class SpeedFamilySolution:
     L1: np.ndarray
     L2: np.ndarray
     L: np.ndarray
-    p_below_K: np.ndarray    # (B, K)
+    p: np.ndarray            # (B, K)
     tail_mass: np.ndarray
     energy_rate: np.ndarray
 
@@ -136,14 +110,13 @@ class SpeedFamilySolution:
     def solution(self, k: int) -> SingleServerSolution:
         """The SingleServerSolution of profile k."""
         K = self.levels.shape[1] - 1
-        values = FrozenDict(zip(_layout(K).states, self.boundary[k].tolist()))
         return SingleServerSolution(
-            boundary=BoundaryProbabilities(K=K, values=values),
+            boundary=FrozenDict(zip(_layout(K).states, self.boundary[k].tolist())),
             g0_at_1=float(self.g0_at_1[k]),
             L1=float(self.L1[k]),
             L2=float(self.L2[k]),
             L=float(self.L[k]),
-            p_below_K=tuple(self.p_below_K[k].tolist()),
+            p=tuple(self.p[k].tolist()),
             tail_mass=float(self.tail_mass[k]),
             energy_rate=float(self.energy_rate[k]),
         )
@@ -352,7 +325,7 @@ class _Family:
         else:
             power = levels**self.alpha
         energy = (p * power[:, :K]).sum(axis=1) + power[:, K] * tail
-        return dict(boundary=x, g0_at_1=g0_at_1, L1=L1, L2=L2, L=L, p_below_K=p,
+        return dict(boundary=x, g0_at_1=g0_at_1, L1=L1, L2=L2, L=L, p=p,
                     tail_mass=tail, energy_rate=energy)
 
 
@@ -402,15 +375,14 @@ def solve_k1_closed_form(model: SingleServerModel) -> SingleServerSolution:
     pi00, g0_at_1, L1, L2, pi10 = _k1_core(model)
     pi01 = (model.lam * pi00 - model.mu1 * (1 - model.q) * pi10) / model.mu2
 
-    boundary = FrozenDict({(0, 0): pi00, (0, 1): pi01, (1, 0): pi10})
     energy = pi00 * model.speeds.power(0) + model.speeds.power(1) * (1.0 - pi00)
     return SingleServerSolution(
-        boundary=BoundaryProbabilities(K=1, values=boundary),
+        boundary=FrozenDict({(0, 0): pi00, (0, 1): pi01, (1, 0): pi10}),
         g0_at_1=g0_at_1,
         L1=L1,
         L2=L2,
         L=L1 + L2,
-        p_below_K=(pi00,),
+        p=(pi00,),
         tail_mass=1.0 - pi00,
         energy_rate=energy,
     )
@@ -443,19 +415,20 @@ def solve_zero_speed(model: SingleServerModel) -> SingleServerSolution:
     tail = 1.0 - pi0
     energy = model.speeds.power(K) * tail  # sub-threshold levels draw nothing
     return SingleServerSolution(
-        boundary=BoundaryProbabilities(K=K, values=FrozenDict(boundary)),
+        boundary=FrozenDict(boundary),
         g0_at_1=g0_at_1,
         L1=L1,
         L2=L2,
         L=L1 + L2,
-        p_below_K=tuple(p),
+        p=tuple(p),
         tail_mass=tail,
         energy_rate=energy,
     )
 
 
-def evaluate_cost_single(solution: SingleServerSolution, costs: CostCoefficients) -> float:
-    """Linear holding + energy cost of a solved stationary state."""
+def evaluate_cost_single(solution, costs: CostCoefficients):
+    """Linear holding + energy cost c1 L + c2 energy_rate of any solution,
+    or of each profile of a SpeedFamilySolution."""
     return costs.c1 * solution.L + costs.c2 * solution.energy_rate
 
 
@@ -477,9 +450,9 @@ def _numerator_at(model: SingleServerModel, boundary: dict, zv: float) -> float:
 def verify_single(model: SingleServerModel, sol: SingleServerSolution) -> dict:
     """Residuals of the structural identities; all should be ~ 0 on a valid solve."""
     K, lam, q, mu1, mu2 = model.K, model.lam, model.q, model.mu1, model.mu2
-    b = sol.boundary.values
+    b = sol.boundary
     res = {}
-    res["normalization"] = abs(sum(sol.p_below_K) + sol.tail_mass - 1.0)
+    res["normalization"] = abs(sum(sol.p) + sol.tail_mass - 1.0)
     # flow balance across the saturation boundary
     up = lam * sum(b[(j - 1, K - j)] for j in range(1, K + 1))
     down = mu2 * b[(0, K)] + mu1 * (1 - q) * sum(b[(j, K - j)] for j in range(1, K + 1))

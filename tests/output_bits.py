@@ -50,11 +50,12 @@ COMMANDS = {
 }
 
 
-def _stdout(run) -> str:
+def _run(fn, *args):
+    """fn(*args)'s return value and what it wrote to stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        run()
-    return out.getvalue()
+        value = fn(*args)
+    return value, out.getvalue()
 
 
 def outputs() -> dict[str, str]:
@@ -68,13 +69,12 @@ def outputs() -> dict[str, str]:
             texts[f"figure {n} csv"] = csv.read_text()
             texts[f"figure {n} metadata"] = pathlib.Path(f"{csv}.meta.json").read_text()
         for name, argv in COMMANDS.items():
-            code = []
-            text = _stdout(lambda: code.append(main(list(argv))))
-            texts[name] = f"exit {code[0]}\n{text}"
+            code, text = _run(main, list(argv))
+            texts[name] = f"exit {code}\n{text}"
         os.chdir(scratch)
         try:
             for demo in sorted((ROOT / "demos").glob("*.py")):
-                texts[f"demo {demo.name}"] = _stdout(lambda: runpy.run_path(str(demo), run_name="__main__"))
+                _, texts[f"demo {demo.name}"] = _run(runpy.run_path, str(demo), None, "__main__")
         finally:
             os.chdir(cwd)
     return texts

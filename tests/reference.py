@@ -291,7 +291,7 @@ def sturm_sequence(model, z: float) -> list[float]:
     """The leading principal minors Q_0 .. Q_(m-1) of A(z) and its determinant
     D = Q_m, by the recurrence Q_(k+1) = a_k Q_k - alpha_k lam z Q_(k-1) from
     Q_0 = 1.  Only D reads the kernel root, in the last diagonal entry."""
-    rates = multi._pool(model).rates
+    rates = multi._pool(model).rates.tolist()
     lz, w, zm1 = model.lam * z, 1.0 - model.q + model.q * z, z - 1.0
     diag = [lz + k1 * z + k2 * zm1 for k1, k2 in rates]
     diag[-1] = lz * (1.0 - multi._y1_float(model, z)) + rates[-1][0] * z + model.mu2 * zm1
@@ -369,7 +369,7 @@ def pool_fill(model, K: int, pool, states: list):
     u of A(z_k), where b is orthogonal to u; and the idle-or-stopped server
     identity."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
-    r, n = pool.rates, len(states)
+    r, n = pool.rates.tolist(), len(states)
     col = {s: c for c, s in enumerate(states)}
     a, rhs = np.zeros((n, n)), np.zeros(n)
     for i in range(m - 1):
@@ -408,7 +408,7 @@ def pool_taylor(model, K: int, pool, states: list, x: list) -> np.ndarray:
     c0 p + c1 and c0 p (p - 1)/2 + c1 p times its probability to the three
     orders."""
     mu1, mu2, q, m = model.mu1, model.mu2, model.q, model.m
-    r, b = pool.rates, [0.0] * (3 * m)
+    r, b = pool.rates.tolist(), [0.0] * (3 * m)
 
     def add(t, c0, c1, p, xc):
         b[t] += c0 * xc

@@ -80,10 +80,9 @@ def test_c01_closed_form_vs_general():
         fields = [
             (gen.L, cf.L), (gen.L1, cf.L1), (gen.L2, cf.L2),
             (gen.g0_at_1, cf.g0_at_1), (gen.tail_mass, cf.tail_mass),
-            (gen.energy_rate, cf.energy_rate), (gen.p_below_K[0], cf.p_below_K[0]),
+            (gen.energy_rate, cf.energy_rate), (gen.p[0], cf.p[0]),
         ]
-        fields += [(gen.boundary.get(i, j), cf.boundary.get(i, j))
-                   for (i, j) in gen.boundary.values]
+        fields += [(v, cf.boundary[state]) for state, v in gen.boundary.items()]
         for a, b in fields:
             worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
     took = time.time() - t0

@@ -73,7 +73,7 @@ class TestLas:
         assert las_L(2.1, SERVICE) == pytest.approx(1.4873204108, rel=1e-8)
 
     def test_density_normalises_on_the_same_support(self):
-        total, _ = quad(SERVICE.density, 0.0, 14 * np.log(10) / 1.0 + 10, epsabs=1e-12, limit=200)
+        total, _ = quad(lambda t: _las_terms(2.1, SERVICE, t)[0], 0.0, 14 * np.log(10) / 1.0 + 10, epsabs=1e-12, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_overload_rejected(self):

@@ -103,7 +103,7 @@ def test_figure5_point_is_equal_on_both_lu_paths(pin, on_both_paths):
     assert compiled == python
 
 
-FAMILY_FIELDS = ("levels", "boundary", "g0_at_1", "L1", "L2", "L", "p_below_K", "tail_mass", "energy_rate")
+FAMILY_FIELDS = ("levels", "boundary", "g0_at_1", "L1", "L2", "L", "p", "tail_mass", "energy_rate")
 # seed7 has s_0 > 0; at q = 0 every pi_ij with j > 0 is 0 and its roundoff
 # negatives are clamped, alpha = 0 takes the stopped-processor power, and
 # from K = 4 on a row sum has 8 or more terms

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from fbq.models import (
     CostCoefficients,
     CoxianService,
+    FrozenDict,
     ModelError,
     MultiServerModel,
     SingleServerModel,
@@ -22,10 +23,18 @@ from fbq.models import (
     single_model_from_json,
     single_model_to_json,
 )
+from fbq.baselines import _las_terms
 from fbq.ctmc import ctmc_solve
-from fbq.multi import solve_threshold
+from fbq.multi import evaluate_cost_multi, solve_threshold
 from fbq.simulate import ThreePhaseModel
-from fbq.single import solve_speed_family, solve_zero_speed
+from fbq.single import (evaluate_cost_single, solve_general, solve_k1_closed_form, solve_speed_family,
+                        solve_zero_speed)
+
+
+def density(svc):
+    """The length density of svc, the first column of baselines._las_terms,
+    which las_L integrates."""
+    return lambda t: float(_las_terms(1.0, svc, t)[0])
 
 
 def single(lam, nu1, nu2, q, speeds=(1.0, 1.0), alpha=1.0):
@@ -160,7 +169,7 @@ class TestCoxian:
         # tail probability equals the integrated density
         svc = CoxianService(5.0, 1.0, 0.1)
         t = 1.0
-        tail, _ = quad(svc.density, t, 60.0, epsabs=1e-13, limit=200)
+        tail, _ = quad(density(svc), t, 60.0, epsabs=1e-13, limit=200)
         assert svc.survival(t) == pytest.approx(tail, abs=1e-10)
 
     def test_rejects_negative_time(self):
@@ -172,7 +181,7 @@ class TestCoxian:
         rng = np.random.default_rng(seed)
         svc = CoxianService(rng.uniform(0.5, 6.0), rng.uniform(0.2, 3.0), rng.uniform(0.0, 1.0))
         hi = 40.0 / min(svc.nu1, svc.nu2)
-        total, _ = quad(svc.density, 0.0, hi, epsabs=1e-12, limit=300)
+        total, _ = quad(density(svc), 0.0, hi, epsabs=1e-12, limit=300)
         assert total == pytest.approx(1.0, abs=1e-8)
         mean_from_tail, _ = quad(svc.survival, 0.0, hi, epsabs=1e-12, limit=300)
         assert svc.mean() == pytest.approx(mean_from_tail, abs=1e-8)
@@ -182,7 +191,7 @@ class TestCoxian:
         lim = CoxianService(2.0, 2.0, 0.6)
         for t in (0.2, 1.0, 4.0):
             assert lim.survival(t) == pytest.approx(base.survival(t), rel=1e-6)
-            assert lim.density(t) == pytest.approx(base.density(t), rel=1e-6)
+            assert density(lim)(t) == pytest.approx(density(base)(t), rel=1e-6)
 
     def test_moments(self):
         svc = CoxianService(5.0, 1.0, 0.1)
@@ -282,8 +291,6 @@ def _assert_read_only(sol):
                 value[next(iter(value))] = 0.0
             with pytest.raises(TypeError, match="read-only"):
                 value.update({})
-        elif name == "boundary":
-            _assert_read_only(value)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sol, name, value)
     for value in _fields(sol).values():
@@ -310,3 +317,35 @@ def test_solutions_survive_pickle_and_deepcopy_with_equal_fields(name, clone):
         else:
             assert got == value, field
     _assert_read_only(twin)
+
+
+# --- every exact and oracle solution has one shape ----------------------------
+
+
+SHARED_FIELDS = ("L1", "L2", "L", "p", "tail_mass", "energy_rate", "boundary")
+EXACT = {
+    "general K=2": (solve_general, single(2.5, 5.0, 1.0, 0.1, speeds=(0.0, 0.6, 1.0), alpha=2.0)),
+    "closed form K=1": (solve_k1_closed_form, single(2.5, 5.0, 1.0, 0.1, speeds=(0.2, 1.0), alpha=2.0)),
+    "zero speed K=3": (solve_zero_speed, single(2.5, 5.0, 1.0, 0.1, speeds=(0.0, 0.0, 0.0, 1.0))),
+    "pool K=2": (solve_threshold, MultiServerModel(2.0, 1.0, 0.5, 0.25, 4, threshold=2)),
+}
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_exact_and_oracle_solutions_share_one_shape(name):
+    solver, model = EXACT[name]
+    exact, oracle = solver(model), ctmc_solve(model)
+    costs = CostCoefficients(1.0, 20.0)
+    for sol in (exact, oracle):
+        for field in SHARED_FIELDS:
+            assert hasattr(sol, field), (type(sol).__name__, field)
+        assert type(sol.boundary) is FrozenDict
+        assert all(isinstance(state, tuple) and len(state) == 2 for state in sol.boundary)
+        if isinstance(model, SingleServerModel):
+            # the boundary of a single server is the triangle i + j <= K
+            K = model.K
+            assert set(sol.boundary) == {(i, t - i) for t in range(K + 1) for i in range(t + 1)}
+        assert evaluate_cost_single(sol, costs) == evaluate_cost_multi(sol, costs)
+    assert set(exact.boundary) == set(oracle.boundary)
+    for field in SHARED_FIELDS[:-1]:
+        assert getattr(exact, field) == pytest.approx(getattr(oracle, field), rel=1e-10, abs=1e-10), field

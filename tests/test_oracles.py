@@ -59,7 +59,7 @@ class TestCtmc:
     def test_solution_is_a_distribution(self):
         sol = ctmc_solve(K1_MODEL)
         assert sum(sol.p) + sol.tail_mass == pytest.approx(1.0, abs=1e-12)
-        assert all(v >= 0 for v in sol.boundary.values())
+        assert all(v >= 0 for _, v in sol.boundary.items())
 
 
 class TestSimulator:

@@ -71,7 +71,7 @@ class TestKernelRootOp:
 class TestClosedFormK1:
     def test_reference_point(self):
         sol = solve_k1_closed_form(single(2.0, 5.0, 1.0, 0.1, (0, 1)))
-        assert sol.boundary.get(0, 0) == pytest.approx(0.4, abs=1e-12)
+        assert sol.boundary[(0, 0)] == pytest.approx(0.4, abs=1e-12)
         assert sol.L1 == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert sol.L2 == pytest.approx(0.6, rel=1e-12)
         assert sol.L == pytest.approx(1.2666666667, rel=1e-9)
@@ -86,12 +86,12 @@ class TestClosedFormK1:
 
     def test_light_traffic_limit(self):
         sol = solve_k1_closed_form(single(1e-8, 5.0, 1.0, 0.1, (0, 1)))
-        assert sol.boundary.get(0, 0) == pytest.approx(1.0, abs=1e-7)
+        assert sol.boundary[(0, 0)] == pytest.approx(1.0, abs=1e-7)
         assert sol.L == pytest.approx(0.0, abs=1e-7)
 
     def test_mm1_when_q_zero(self):
         sol = solve_k1_closed_form(single(1.0, 2.0, 1.0, 0.0, (1, 1)))
-        assert sol.boundary.get(0, 0) == pytest.approx(0.5, rel=1e-13)
+        assert sol.boundary[(0, 0)] == pytest.approx(0.5, rel=1e-13)
         assert sol.L == pytest.approx(1.0, rel=1e-13)
         assert sol.L2 == pytest.approx(0.0, abs=1e-13)
 
@@ -117,8 +117,8 @@ class TestGeneralSolver:
         assert sol.L == pytest.approx(K2_EXAMPLE["L"], rel=1e-6)
         assert sol.L1 == pytest.approx(K2_EXAMPLE["L1"], rel=1e-6)
         assert sol.L2 == pytest.approx(K2_EXAMPLE["L2"], rel=1e-6)
-        assert sol.p_below_K[0] == pytest.approx(K2_EXAMPLE["p0"], rel=1e-6)
-        assert sol.p_below_K[1] == pytest.approx(K2_EXAMPLE["p1"], rel=1e-6)
+        assert sol.p[0] == pytest.approx(K2_EXAMPLE["p0"], rel=1e-6)
+        assert sol.p[1] == pytest.approx(K2_EXAMPLE["p1"], rel=1e-6)
         assert sol.g0_at_1 == pytest.approx(K2_EXAMPLE["g0"], rel=1e-6)
         res = verify_single(m, sol)
         assert res["flow_balance"] < 1e-9
@@ -151,7 +151,7 @@ class TestGeneralSolver:
             assert sol.L == pytest.approx(ora.L, rel=1e-5)
             assert sol.L1 == pytest.approx(ora.L1, rel=1e-5)
             assert sol.L2 == pytest.approx(ora.L2, rel=1e-5, abs=1e-9)
-            for state, val in sol.boundary.values.items():
+            for state, val in sol.boundary.items():
                 assert val == pytest.approx(ora.boundary[state], abs=1e-8)
 
     @pytest.mark.parametrize("name", DEEP_MODELS)
@@ -188,7 +188,7 @@ class TestGeneralSolver:
             assert res["maclaurin_decay"] < 0.3 or res["maclaurin_at_1e3"] < 1e-12
             if all(s > 0 for s in m.speeds.levels):
                 # sub-threshold states are all reachable
-                assert all(v > 0 for (i, j), v in sol.boundary.values.items()
+                assert all(v > 0 for (i, j), v in sol.boundary.items()
                            if i + j < m.K)
 
     def test_rejects_unstable_and_zero_speed(self):
@@ -242,9 +242,9 @@ class TestZeroSpeed:
         sol = solve_zero_speed(m)
         assert sol.L1 == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert sol.L2 == pytest.approx(ZERO_K3_EXAMPLE["L2"], rel=1e-12)
-        assert sol.boundary.get(0, 2) == pytest.approx(0.4, rel=1e-12)
-        assert sol.boundary.get(0, 3) == pytest.approx(ZERO_K3_EXAMPLE["pi_0_3"], rel=1e-7)
-        assert sol.boundary.get(1, 2) == pytest.approx(ZERO_K3_EXAMPLE["pi_1_2"], rel=1e-7)
+        assert sol.boundary[(0, 2)] == pytest.approx(0.4, rel=1e-12)
+        assert sol.boundary[(0, 3)] == pytest.approx(ZERO_K3_EXAMPLE["pi_0_3"], rel=1e-7)
+        assert sol.boundary[(1, 2)] == pytest.approx(ZERO_K3_EXAMPLE["pi_1_2"], rel=1e-7)
 
     @pytest.mark.parametrize("K,q", [(2, 0.0), (2, 0.1), (4, 0.2)])
     def test_matches_oracle(self, K, q):
@@ -253,7 +253,7 @@ class TestZeroSpeed:
         ora = ctmc_solve(m)
         assert sol.L == pytest.approx(ora.L, rel=1e-8)
         assert sol.L2 == pytest.approx(ora.L2, rel=1e-8)
-        for state, val in sol.boundary.values.items():
+        for state, val in sol.boundary.items():
             assert val == pytest.approx(ora.boundary[state], abs=1e-9)
 
     def test_requires_all_zero(self):
@@ -264,7 +264,7 @@ class TestZeroSpeed:
 def work_done(model, sol):
     """Work done per unit time: speed s_min(n,K) whenever n >= 1 jobs are present."""
     s = model.speeds.levels
-    return sum(p * s[n] for n, p in enumerate(sol.p_below_K) if n >= 1) + s[-1] * sol.tail_mass
+    return sum(p * s[n] for n, p in enumerate(sol.p) if n >= 1) + s[-1] * sol.tail_mass
 
 
 class TestWorkConservation:
@@ -308,6 +308,6 @@ class TestCost:
         m = single(2.5, 5.0, 1.0, 0.1, (0.0, 0.6, 1.0), alpha=2.0)
         sol = solve_general(m)
         s = m.speeds.levels
-        energy = sum(p * s[n] ** 2.0 for n, p in enumerate(sol.p_below_K)) + s[-1] ** 2.0 * sol.tail_mass
+        energy = sum(p * s[n] ** 2.0 for n, p in enumerate(sol.p)) + s[-1] ** 2.0 * sol.tail_mass
         assert sol.energy_rate == pytest.approx(energy, rel=1e-12)
         assert evaluate_cost_single(sol, CostCoefficients(0.0, 1.0)) == sol.energy_rate
