@@ -24,8 +24,13 @@
  * index innermost so that the row updates vectorise.  The elimination does
  * the float operations of reference.lockstep, in their order, so each
  * system gets the same answer wherever it sits in the family, and on any
- * CPU, since no BLAS is called.  It then sums each solution's rows for the
- * finish (finish_system); reference.family_solve sums them in that order.
+ * CPU, since no BLAS is called.  A family of 2 FAMILY_SHARE profiles or
+ * more has its tiles claimed by several threads, started and joined within
+ * the call (family_tiles), and their outcomes are merged into the
+ * one-thread outcome; a system's float operations do not depend on the
+ * thread that runs them, so the bits do not depend on the thread count.
+ * It then sums each solution's rows for the finish (finish_system) on the
+ * calling thread; reference.family_solve sums them in that order.
  * At these sizes (6 to 45 unknowns) a LAPACK call per system spends more
  * on its fixed cost than on arithmetic; batching small factorisations is
  * the usual remedy, and it pays only when the data movement around them is
@@ -64,6 +69,8 @@
  */
 #include <float.h>
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -580,51 +587,138 @@ static void finish_system(int K, const double *lev, const double *x, int clamp, 
     sums[4 * stride] = busy;
 }
 
+/* A family is split over as many threads as each get FAMILY_SHARE profiles
+ * or more, so one of fewer than 2 FAMILY_SHARE profiles is solved on the
+ * calling thread alone: starting and joining a thread costs more than a
+ * smaller share of the family.  Each thread claims FAMILY_RUN tiles at a
+ * time. */
+enum { FAMILY_RUN = 4, FAMILY_SHARE = 128 };
+
+/* What the threads of one fbq_speed_family call share: the family, its
+ * profiles and outputs, the next tile that no thread has claimed, and the
+ * first-pass outcomes found so far (check_rows' statuses as bits). */
+struct family_job {
+    const struct family *f;
+    const double *levels;
+    int64_t count, tiles;
+    double pivot_tol, neg_tol;
+    double *x, *pivmin;
+    atomic_int_fast64_t next;
+    atomic_int seen;
+};
+
+/* One thread's share of a job: its own tile and, once it is done, the
+ * note_system summary of the systems it solved. */
+struct family_part {
+    struct family_job *job;
+    double *tile;
+    int64_t summary[3];
+    pthread_t id;
+};
+
+/* Claims FAMILY_RUN tiles at a time until none is left; fills each tile by
+ * fill_lane, checks it by check_rows and, while no zero row has been found
+ * anywhere, solves it by solve_tile.  Stops once a non-finite entry has
+ * been found anywhere, since that decides the call's status.  A thread
+ * claims tiles in increasing order, so its summary holds the first of its
+ * systems to be singular and the first with a value below -neg_tol. */
+static void *family_tiles(void *arg)
+{
+    struct family_part *part = arg;
+    struct family_job *job = part->job;
+    const struct family *f = job->f;
+    int n = f->n;
+    double *t = part->tile, *y = t + LU_TILE * n * n;
+    int64_t summary[3] = {-1, -1, 0}, first;
+    while ((first = atomic_fetch_add_explicit(&job->next, FAMILY_RUN, memory_order_relaxed)) <
+           job->tiles) {
+        for (int64_t tile = first; tile < first + FAMILY_RUN && tile < job->tiles; tile++) {
+            int64_t k0 = tile * LU_TILE;
+            int used = job->count - k0 < LU_TILE ? (int)(job->count - k0) : LU_TILE;
+            int w = tile_width(used), seen = 0;
+            for (int s = 0; s < w; s++)
+                fill_lane(f, job->levels + (k0 + (s < used ? s : 0)) * (f->K + 1), w, s, t, y);
+            for (int s = 0; s < used; s++)
+                seen |= check_rows(n, n, t + s, y + s, w);
+            if (seen)
+                atomic_fetch_or_explicit(&job->seen, seen, memory_order_relaxed);
+            seen = atomic_load_explicit(&job->seen, memory_order_relaxed);
+            if (seen & 1)
+                goto done;
+            if (!seen)
+                solve_tile(n, used, k0, t, y, job->pivot_tol, job->neg_tol, job->x, job->pivmin,
+                           summary);
+        }
+    }
+done:
+    for (int i = 0; i < 3; i++)
+        part->summary[i] = summary[i];
+    return NULL;
+}
+
 /* The solves of a speed family, single._Family.solve: for the count
  * profiles whose speed levels s_0 .. s_K are the rows of `levels` (count,
  * K + 1), each tile of systems is filled by fill_lane, checked by
  * check_rows and solved by solve_tile, so x, pivmin and summary are
  * reference.lockstep's on the stack that single._Family._stack builds.
  * Its statuses are too: 1 if an entry is not finite anywhere in the family,
- * else 2 if a row is all zeros, else 0 once every system is solved, or 3
- * if the tile cannot be allocated.  With status 0, finish_system then books
- * each profile's row sums in p (count, K) and sums (5, count), with x
- * clamped if any value in the family is negative. */
+ * else 2 if a row is all zeros, each with summary (-1, -1, 0), else 0 once
+ * every system is solved, or 3 if the tiles cannot be allocated.  With
+ * status 0, finish_system then books each profile's row sums in p (count,
+ * K) and sums (5, count), with x clamped if any value in the family is
+ * negative.
+ *
+ * A family of 2 FAMILY_SHARE profiles or more is solved by up to `threads`
+ * threads, the calling one among them (family_tiles), which are started
+ * and joined within the call, so none outlives it and a fork after it is
+ * safe.  The outcome is merged into the one-thread outcome: status 1 if any
+ * thread found a non-finite entry, else 2 if any found a zero row; the
+ * lowest singular system and the lowest with a value below -neg_tol over
+ * the threads' summaries, and the sum of their counts of negative values.
+ * Each system gets the same float operations on whichever thread solves
+ * it, and the row sums are made after the join, so every output is the
+ * same bits for any thread count.  A thread that cannot be started leaves
+ * its tiles to the others. */
 int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, const double *coef,
                      const double *shared, double work, const double *levels, double pivot_tol,
-                     double neg_tol, double *x, double *pivmin, int64_t *summary, double *p,
-                     double *sums)
+                     double neg_tol, int threads, double *x, double *pivmin, int64_t *summary,
+                     double *p, double *sums)
 {
     const struct family f = {K, (K + 1) * (K + 2) / 2, K * (K + 1) / 2, entries, at, coef, shared,
                              work};
-    int n = f.n, zero_row = 0;
+    int64_t tiles = (count + LU_TILE - 1) / LU_TILE, shares = count / FAMILY_SHARE;
+    int parts = shares < 2 || threads < 2 ? 1 : (shares < threads ? (int)shares : threads);
+    size_t tile = (size_t)LU_TILE * f.n * (f.n + 1);
+    struct family_part *part = malloc(parts * (sizeof *part + sizeof(double) * tile));
+    if (!part)
+        return 3;
+    struct family_job job = {&f, levels, count, tiles, pivot_tol, neg_tol, x, pivmin, 0, 0};
+    int started = 1;
+    for (int i = 0; i < parts; i++) {
+        part[i].job = &job;
+        part[i].tile = (double *)(part + parts) + i * tile;
+    }
+    while (started < parts && !pthread_create(&part[started].id, NULL, family_tiles, part + started))
+        started++;
+    family_tiles(part);
+    for (int i = 1; i < started; i++)
+        pthread_join(part[i].id, NULL);
+    int seen = atomic_load(&job.seen);
     summary[0] = summary[1] = -1;
     summary[2] = 0;
-    double *tile = malloc(sizeof(double) * LU_TILE * n * (n + 1));
-    if (!tile)
-        return 3;
-    double *y = tile + LU_TILE * n * n;
-    for (int64_t k0 = 0; k0 < count; k0 += LU_TILE) {
-        int used = count - k0 < LU_TILE ? (int)(count - k0) : LU_TILE;
-        int w = tile_width(used);
-        for (int s = 0; s < w; s++)
-            fill_lane(&f, levels + (k0 + (s < used ? s : 0)) * (K + 1), w, s, tile, y);
-        for (int s = 0; s < used; s++) {
-            int status = check_rows(n, n, tile + s, y + s, w);
-            if (status == 1) {
-                free(tile);
-                return 1;
-            }
-            zero_row |= status == 2;
+    for (int i = 0; i < started && !seen; i++) {
+        for (int j = 0; j < 2; j++) {
+            int64_t k = part[i].summary[j];
+            if (k >= 0 && (summary[j] < 0 || k < summary[j]))
+                summary[j] = k;
         }
-        if (!zero_row)
-            solve_tile(n, used, k0, tile, y, pivot_tol, neg_tol, x, pivmin, summary);
+        summary[2] += part[i].summary[2];
     }
-    free(tile);
-    if (zero_row)
-        return 2;
+    free(part);
+    if (seen)
+        return seen & 1 ? 1 : 2;
     for (int64_t k = 0; k < count; k++)
-        finish_system(K, levels + k * (K + 1), x + k * n, summary[2] > 0, p + k * K, sums + k,
+        finish_system(K, levels + k * (K + 1), x + k * f.n, summary[2] > 0, p + k * K, sums + k,
                       count);
     return 0;
 }

@@ -9,6 +9,15 @@ run on them, and fbq has no other coding of them.  A process tries the
 build once and keeps the outcome: where the library cannot be built or
 loaded (no C compiler, no private cache directory), each call raises an
 OSError that names the cause.
+
+The flags are `-O2`; `-ffp-contract=off`, so that no multiply and add is
+fused and each loop does its Python reference's float operations; `-fPIC
+-shared` for a library; and `-pthread`, since `fbq_speed_family` splits a
+large family over threads.  Those threads are started and joined within
+the call, so none outlives it and a fork between calls is safe, and the
+split leaves every output bit as it is on one thread.  `cpus()`, the count
+of `os.sched_getaffinity(0)`, is the thread count its callers pass; it is
+read on each call, and no option or environment variable sets it.
 """
 
 from __future__ import annotations
@@ -29,10 +38,16 @@ log = logging.getLogger("fbq.kernels")
 
 _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _COMPILER = "cc"
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 
 Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_band speed_family pool_system "
                                         "condition pool_data")
+
+
+def cpus() -> int:
+    """The number of CPUs this process may run on, `os.sched_getaffinity`'s
+    count: the threads that a split of independent work may use."""
+    return len(os.sched_getaffinity(0))
 
 
 def compiled() -> Loops:
@@ -66,8 +81,8 @@ def _bound() -> Loops | str:
     ctmc_band.argtypes = [i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_i64, p_i64, p_i64, p_dbl, p_dbl]
     ctmc_band.restype = None
     family = lib.fbq_speed_family
-    family.argtypes = [i64, i32, i64, p_i64, p_dbl, p_dbl, dbl, p_dbl, dbl, dbl, p_dbl, p_dbl, p_i64,
-                       p_dbl, p_dbl]
+    family.argtypes = [i64, i32, i64, p_i64, p_dbl, p_dbl, dbl, p_dbl, dbl, dbl, i32, p_dbl, p_dbl,
+                       p_i64, p_dbl, p_dbl]
     family.restype = i32
     pool_system = lib.fbq_pool_system
     pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 3, i64, *[dbl] * 3, *[p_dbl] * 3, p_i64]

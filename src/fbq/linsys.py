@@ -10,7 +10,9 @@ one failing system, taken on the error path only.
   partial pivoting on tiles of systems in lockstep; it reports its outcome
   to `_checked`, so a system gets the same bits in any family, at any
   position in it and on any machine: no BLAS kernel that the CPU selects
-  is involved.
+  is involved.  A large family's tiles are shared out among threads
+  within the call, and their outcomes merge into the one-thread outcome,
+  so the thread count moves no bit and no error.
 * A pool's boundary system is solved inside the compiled loop
   `fbq_pool_system` of `fbq.multi`, on the same elimination, which books
   the condition estimate of a failed system from its own factors.

@@ -135,8 +135,11 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     fbq_speed_family, which fills them, solves them by the lockstep LU and
     sums the rows of the finish; the mean counts of each profile come from
     its solved sub-threshold probabilities by row sums, not BLAS products.
-    Every profile gets every check of a single solve and the answer it gets
-    alone, bit for bit and on any CPU.  A family that fails raises one
+    A family of 256 profiles or more is split over a thread per CPU that
+    the process may use (`_kernels.cpus()`), inside that call; the threads
+    are joined before it returns.  Every profile gets every check of a
+    single solve and the answer it gets alone, bit for bit, on any CPU and
+    on any thread count.  A family that fails raises one
     error, whatever its size: a non-finite entry in any system first, then
     a zero row, then the first profile with a singular system, then the
     first with a solved value below -NEG_PROB_TOL.
@@ -288,8 +291,8 @@ class _Family:
         p, sums = np.empty((count, K)), np.empty((5, count))
         dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
         status = loops.speed_family(count, K, len(self.at), i64(self.at), dbl(self.coef), dbl(self.shared),
-                                    self.work, dbl(levels), PIVOT_RTOL, NEG_PROB_TOL, dbl(x), dbl(pivmin),
-                                    i64(summary), dbl(p), dbl(sums))
+                                    self.work, dbl(levels), PIVOT_RTOL, NEG_PROB_TOL, _kernels.cpus(), dbl(x),
+                                    dbl(pivmin), i64(summary), dbl(p), dbl(sums))
         # only the message of a failed system builds and factors that system
         x = _checked(lambda k: _condition(self._stack(levels[k:k + 1])[0][0]), status, x, pivmin,
                      summary.tolist())

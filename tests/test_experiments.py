@@ -1,9 +1,11 @@
 import json
 import pathlib
+import threading
 
 import numpy as np
 import pytest
 
+from fbq import _kernels, experiments
 from fbq.experiments import (
     COST_ALPHA,
     FigureResult,
@@ -158,3 +160,19 @@ class TestFigures:
         assert sim.ys[0] == pytest.approx(approx.ys[0], rel=0.15)
         again = reproduce_figure(6, sim_jobs=30_000)
         assert again.curves[1].ys == sim.ys  # a seeded run repeats its data
+
+    def test_simulated_figure_is_equal_on_one_and_on_two_threads(self, monkeypatch):
+        # the points run on a thread per CPU that the process may use; each
+        # keeps its seed, so the thread count cannot move an estimate
+        point, runs = experiments._three_phase_point, {}
+        for cpus in (1, 2):
+            threads = set()
+
+            def spy(*args):
+                threads.add(threading.get_ident())
+                return point(*args)
+            monkeypatch.setattr(_kernels, "cpus", lambda: cpus)
+            monkeypatch.setattr(experiments, "_three_phase_point", spy)
+            runs[cpus] = reproduce_figure(6, sim_jobs=30_000)
+            assert len(threads) == cpus
+        assert runs[1].curves == runs[2].curves and runs[1].metadata == runs[2].metadata

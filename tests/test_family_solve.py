@@ -20,6 +20,7 @@ import json
 import os
 import pathlib
 import platform
+import re
 import subprocess
 import sys
 
@@ -475,10 +476,9 @@ def pinned_search_stacks(monkeypatch):
     return stacks
 
 
-def family_loop(loops, family, levels):
-    """(status, x, pivmin, summary) of the compiled fbq_speed_family on the
-    profiles `levels` of `family`, its row sums dropped: its elimination
-    is the compiled twin of reference.lockstep."""
+def family_call(loops, family, levels, threads):
+    """(status, x, pivmin, summary, p, sums) of the compiled fbq_speed_family
+    on the profiles `levels` of `family`, run on up to `threads` threads."""
     levels = np.ascontiguousarray(levels, dtype=float)
     count, n = len(levels), len(family.layout.states)
     x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
@@ -486,8 +486,16 @@ def family_loop(loops, family, levels):
     dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
     status = loops.speed_family(count, family.K, len(family.at), i64(family.at), dbl(family.coef),
                                 dbl(family.shared), family.work, dbl(levels), LINSYS.PIVOT_RTOL,
-                                LINSYS.NEG_PROB_TOL, dbl(x), dbl(pivmin), i64(summary), dbl(p), dbl(sums))
-    return status, x, pivmin, summary.tolist()
+                                LINSYS.NEG_PROB_TOL, threads, dbl(x), dbl(pivmin), i64(summary), dbl(p),
+                                dbl(sums))
+    return status, x, pivmin, summary.tolist(), p, sums
+
+
+def family_loop(loops, family, levels):
+    """(status, x, pivmin, summary) of the compiled fbq_speed_family on one
+    thread, its row sums dropped: its elimination is the compiled twin of
+    reference.lockstep."""
+    return family_call(loops, family, levels, 1)[:4]
 
 
 def assert_same_loop_results(got, expected):
@@ -579,3 +587,121 @@ class TestStackChecksPythonLoop(TestStackChecks):
     @staticmethod
     def lone(a, b):
         return solve_probability_stack(np.asarray(a, dtype=float)[None], np.asarray(b, dtype=float)[None])[0]
+
+
+# --- the family loop on several threads ---------------------------------------
+
+# fbq_speed_family splits a family over up to `threads` threads, as many as
+# get FAMILY_SHARE profiles each, so from SPLIT profiles on; the tests below
+# ask for no more than three
+SPLIT = 2 * int(re.search(r"FAMILY_SHARE = (\d+)", KERNELS._SOURCE.read_text()).group(1))
+THREADS = (1, 2, 3)
+
+
+def task_count():
+    """The threads of this process, or None where /proc does not list them."""
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
+
+def coarse_k3_family(b):
+    """The coarse 5,050-profile K = 3 family of optimize_intermediate_speeds
+    on the base b (s0 = 0), and its speed levels."""
+    fracs = [round(k * COARSE_STEP, 10) for k in range(1, round(1.0 / COARSE_STEP) + 1)]
+    inter = _coarse_grid(fracs, 3) * b["top"]
+    levels = np.column_stack([np.full(len(inter), b["s0"]), inter, np.full(len(inter), b["top"])])
+    return single._Family(base_model(b), 3), levels
+
+
+def assert_same_bits(got, expected, what):
+    assert (got[0], got[3]) == (expected[0], expected[3]), what
+    for a, b in zip(got[1:], expected[1:]):
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), what
+
+
+def test_families_are_byte_equal_on_any_thread_count(monkeypatch, compiled_loops):
+    families = [(f, levels) for f, levels in pinned_search_families(monkeypatch) if len(levels) >= SPLIT]
+    # solve_general's one-profile families, all of the oracle traffic, stay below the split
+    assert 1 < SPLIT and 5050 in {len(levels) for _, levels in families}
+    # at q = 0 the roundoff negatives of many systems are clamped, so the
+    # threads' counts of negative values decide the clamp of the row sums
+    clamped = coarse_k3_family(dict(PINS["bases"]["figure4"], q=0.0))
+    before = task_count()
+    for family, levels in [*families, clamped]:
+        outs = [family_call(compiled_loops, family, levels, threads) for threads in THREADS]
+        assert outs[0][0] == 0
+        for threads, out in zip(THREADS[1:], outs[1:]):
+            assert_same_bits(out, outs[0], (family.K, len(levels), threads))
+    assert outs[0][3][2] > 0
+    assert task_count() == before   # every thread was joined within its call
+
+
+def fault_levels(count, faults):
+    """count K = 3 profiles of FAILING_BASE, GOOD but for faults {index:
+    levels}, and their family."""
+    levels = np.tile([0.0, *GOOD, 1.0], (count, 1))
+    for k, row in faults.items():
+        levels[k] = row
+    return single._Family(base_model(FAILING_BASE), 3), levels
+
+
+# speed levels (s_0 .. s_3) of FAILING_BASE profiles: an all-zero profile
+# has an all-zero work-conservation row, a NaN speed gives NaN entries
+ZERO_ROW, NOT_FINITE = (0.0, 0.0, 0.0, 0.0), (0.0, np.nan, 0.5, 1.0)
+SINGULAR_ROW, NEGATIVE_ROW = (0.0, *SINGULAR, 1.0), (0.0, *NEGATIVE, 1.0)
+LATE = 2048 - 10    # in the last claim, far from the first
+
+
+@pytest.mark.parametrize("faults, status", [
+    ({3: ZERO_ROW, LATE: NOT_FINITE}, 1),
+    ({3: SINGULAR_ROW, LATE: ZERO_ROW}, 2),
+    ({3: NEGATIVE_ROW, LATE: SINGULAR_ROW}, 0),
+    ({40: SINGULAR_ROW, 700: NEGATIVE_ROW, 1040: SINGULAR_ROW, 1500: SINGULAR_ROW, LATE: SINGULAR_ROW}, 0),
+], ids=["late-not-finite-before-early-zero-row", "late-zero-row-before-early-tiny-pivot",
+        "late-singular-before-early-negative", "lowest-of-several-singular"])
+def test_the_outcome_of_a_split_family_is_the_one_thread_outcome(faults, status, compiled_loops, monkeypatch):
+    family, levels = fault_levels(2048, faults)
+    expected = lockstep(*family._stack(levels))
+    assert expected[0] == status
+    if status == 0:   # the first singular profile and the first negative one
+        assert list(expected[3][:2]) == [min(k for k, row in faults.items() if row == fault)
+                                         for fault in (SINGULAR_ROW, NEGATIVE_ROW)]
+    for threads in THREADS:
+        for _ in range(5):   # which thread claims which tiles varies from call to call
+            got = family_call(compiled_loops, family, levels, threads)
+            assert (got[0], got[3]) == (expected[0], list(expected[3])), threads
+    if status == 0:
+        messages = set()
+        for cpus in THREADS:
+            monkeypatch.setattr(KERNELS, "cpus", lambda: cpus)
+            messages.add(raised(lambda: solve_speed_family(base_model(FAILING_BASE), levels[:, 1:-1])))
+        assert messages == {raised(lambda: solve_speed_family(base_model(FAILING_BASE), [SINGULAR]))}
+
+
+AFFINITY_PROBE = """
+import hashlib, os, sys
+import fbq
+from fbq import _kernels
+from fbq.experiments import COARSE_STEP, _coarse_grid, reproduce_figure
+from fbq.single import solve_speed_family
+if sys.argv[1] != "free":
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+model = fbq.SingleServerModel(2.5, fbq.CoxianService(5.0, 1.0, 0.1), fbq.SpeedProfile((0.0, 1.0), alpha=2.0))
+fracs = [round(k * COARSE_STEP, 10) for k in range(1, round(1.0 / COARSE_STEP) + 1)]
+family = solve_speed_family(model, _coarse_grid(fracs, 3))
+digest = hashlib.sha256(b"".join(array.tobytes() for array in vars(family).values()))
+digest.update(repr(reproduce_figure(6, sim_jobs=20_000).curves).encode())
+print(_kernels.cpus(), digest.hexdigest())
+"""
+
+
+def test_a_process_pinned_to_one_cpu_gets_the_same_bits():
+    # sched_setaffinity in the child acts on that child only
+    cpu = min(os.sched_getaffinity(0))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    runs = [subprocess.Popen([sys.executable, "-c", AFFINITY_PROBE, arg], env=env, stdout=subprocess.PIPE, text=True)
+            for arg in ("free", str(cpu))]
+    (free_cpus, free), (pinned_cpus, pinned) = (run.communicate()[0].split() for run in runs)
+    assert [run.returncode for run in runs] == [0, 0]
+    assert (int(free_cpus), int(pinned_cpus)) == (len(os.sched_getaffinity(0)), 1)
+    assert free == pinned
