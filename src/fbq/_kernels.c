@@ -29,8 +29,10 @@
  * the call (family_tiles), and their outcomes are merged into the
  * one-thread outcome; a system's float operations do not depend on the
  * thread that runs them, so the bits do not depend on the thread count.
- * It then sums each solution's rows for the finish (finish_system) on the
- * calling thread; reference.family_solve sums them in that order.
+ * The thread that solves a tile also sums each solution's rows for the
+ * finish (finish_system), unclamped; after the join the calling thread
+ * sums them again, clamped, only where the family holds a negative value.
+ * reference.family_solve sums them in that order.
  * At these sizes (6 to 45 unknowns) a LAPACK call per system spends more
  * on its fixed cost than on arithmetic; batching small factorisations is
  * the usual remedy, and it pays only when the data movement around them is
@@ -66,6 +68,21 @@
  * fbq_condition makes that estimate for one system given whole, as the
  * speed families' messages take it.  None of these calls BLAS or LAPACK,
  * so a pool gives the same bits on every CPU.
+ *
+ * The two hot batched loops, a speed family's tile loop (family_tiles) and
+ * the generator's block (mt_block), are built as AVX-512F, AVX2 and
+ * baseline clones (FBQ_CLONES), and the dynamic loader picks the one this
+ * CPU runs, through an ifunc, when the library is loaded.  The helpers
+ * they call are always inlined, so each clone carries its own copy of the
+ * whole tile loop; a baseline function called from inside a wide clone
+ * would also run its SSE code with the vector state dirty, which cost a
+ * third of the family call when finish_system was one.  No output bit depends on the clone: -ffp-contract=off
+ * forbids fused multiply-adds, GCC vectorises no floating-point reduction
+ * without -fassociative-math, and each lane of a vector does the float
+ * operations that its system or word gets alone.  Where the compiler or
+ * platform lacks target_clones or ifuncs (anything but GCC or clang on
+ * x86-64 ELF with glibc), FBQ_CLONES is empty and the plain loops are
+ * built for the baseline target.
  */
 #include <float.h>
 #include <math.h>
@@ -74,6 +91,20 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+/* Defined before this point (-DFBQ_CLONES=) it is left as given; an empty
+ * definition builds the baseline loops alone. */
+#ifndef FBQ_CLONES
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__) && defined(__ELF__) && \
+    defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define FBQ_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#endif
+#ifndef FBQ_CLONES
+#define FBQ_CLONES
+#endif
 
 enum { MT_N = 624, MT_M = 397 };
 
@@ -95,8 +126,10 @@ static uint32_t mt_temper(uint32_t y)
 /* One block of the stream: the 624 words of mt regenerated in place in the
  * reference genrand_int32's three segments, then tempered and paired into
  * the block's 312 genrand_res53 doubles, out[0 .. MT_N / 2 - 1] in stream
- * order. */
-static void mt_block(uint32_t *mt, double *out)
+ * order.  A clone per vector width (FBQ_CLONES): the twist and temper
+ * loops are integer work on independent words, and each double is the
+ * one product and sum of its pair, so every clone gives the same bits. */
+FBQ_CLONES static void mt_block(uint32_t *mt, double *out)
 {
     int k = 0;
     for (; k < MT_N - MT_M; k++)
@@ -181,33 +214,47 @@ void fbq_jump_chain(uint32_t *mt, const double *inv, const double *srv, const do
     counts[3] = completions;
 }
 
-/* The first pass over rows 0 .. rows - 1 of n entries, entry c of row r
- * at a[(r n + c) stride] and its right-hand side at b[r stride], before any
- * solve: 1 if an entry of a or b is not finite, else 2 if a row of a is all
- * zeros, else 0. */
-static int check_rows(int64_t rows, int n, const double *a, const double *b, int64_t stride)
+enum { LU_TILE = 8 };   /* systems per tile of the lockstep LU */
+
+/* The first pass over a tile of w lanes of n x n systems, entry (r, c) of
+ * lane s at a[(r n + c) w + s] and its right-hand side at b[r w + s],
+ * before any solve.  The status of a lane is 1 if an entry of its system
+ * or right-hand side is not finite, else 2 if a row of its system is all
+ * zeros, else 0; returns the statuses of lanes 0 .. used - 1 or'ed.  The
+ * lanes are checked side by side, so that the loops vectorise; called with
+ * a constant w. */
+static inline __attribute__((always_inline)) int check_lanes(int n, int w, int used, const double *a,
+                                                             const double *b)
 {
-    int zero_row = 0;
-    for (int64_t r = 0; r < rows; r++) {
-        int nonzero = 0;
+    int64_t bad[LU_TILE] = {0}, zero_row[LU_TILE] = {0}, nonzero[LU_TILE];
+    for (int64_t r = 0; r < n; r++) {
+        for (int s = 0; s < w; s++)
+            nonzero[s] = 0;
         for (int c = 0; c < n; c++) {
-            double v = a[(r * n + c) * stride];
-            if (!isfinite(v))
-                return 1;
-            nonzero |= v != 0.0;
+            for (int s = 0; s < w; s++) {
+                double v = a[(r * n + c) * w + s];
+                bad[s] |= !(fabs(v) <= DBL_MAX);
+                nonzero[s] |= v != 0.0;
+            }
         }
-        if (!isfinite(b[r * stride]))
-            return 1;
-        zero_row |= !nonzero;
+        for (int s = 0; s < w; s++) {
+            bad[s] |= !(fabs(b[r * w + s]) <= DBL_MAX);
+            zero_row[s] |= !nonzero[s];
+        }
     }
-    return zero_row ? 2 : 0;
+    int seen = 0;
+    for (int s = 0; s < used; s++)
+        seen |= bad[s] ? 1 : zero_row[s] ? 2 : 0;
+    return seen;
 }
 
 /* Books system k, with smallest |pivot| least and solution xk, in pivmin[k]
  * and summary: the first system whose least is below pivot_tol, the
  * first with a value below -neg_tol, and the count of negative values. */
-static void note_system(int64_t k, int n, double least, const double *xk, double pivot_tol,
-                        double neg_tol, double *pivmin, int64_t *summary)
+static inline __attribute__((always_inline)) void note_system(int64_t k, int n, double least,
+                                                              const double *xk, double pivot_tol,
+                                                              double neg_tol, double *pivmin,
+                                                              int64_t *summary)
 {
     pivmin[k] = least;
     if (summary[0] < 0 && least < pivot_tol)
@@ -220,8 +267,6 @@ static void note_system(int64_t k, int n, double least, const double *xk, double
         }
     }
 }
-
-enum { LU_TILE = 8 };   /* systems per tile of the lockstep LU */
 
 /* dst[s] -= a[s] b[s] over the w lanes of a tile row; restrict tells the
  * compiler that dst overlaps neither a nor b, so the loop vectorises. */
@@ -490,8 +535,10 @@ static int tile_width(int used)
 /* The tile core of fbq_speed_family: lu_tile on the tile (t, y) of the
  * `used` systems k0, k0 + 1, ..., filled as tile_width(used) lanes; each
  * solution goes to x[k] and is booked by note_system. */
-static void solve_tile(int n, int used, int64_t k0, double *t, double *y, double pivot_tol,
-                       double neg_tol, double *x, double *pivmin, int64_t *summary)
+static inline __attribute__((always_inline)) void solve_tile(int n, int used, int64_t k0, double *t,
+                                                             double *y, double pivot_tol,
+                                                             double neg_tol, double *x,
+                                                             double *pivmin, int64_t *summary)
 {
     double least[LU_TILE];
     int w = tile_width(used);
@@ -524,29 +571,44 @@ struct family {
 };
 
 /* Lane s of the tile (a, y) of w lanes gets the system and right-hand side
- * of the profile whose speed levels are lev, as single._Family._stack
- * builds them: the balance entries and the Maclaurin rows, the work row
- * s_K - s_t [t > 0] over the unknowns of each level t < K, zero elsewhere,
- * and y zero but for s_K - work in its last row. */
-static void fill_lane(const struct family *f, const double *lev, int w, int s, double *a, double *y)
+ * of the profile whose speed levels are row s of lev (row 0 for the lanes
+ * from `used` on), as single._Family._stack builds them: the balance
+ * entries and the Maclaurin rows, the work row s_K - s_t [t > 0] over the
+ * unknowns of each level t < K, zero elsewhere, and y zero but for s_K -
+ * work in its last row.  The levels are first copied to lv in lane order,
+ * level t of lane s at lv[t w + s], so that each entry is made for all
+ * lanes in one vectorised loop with the operations of one lane alone;
+ * called with a constant w. */
+static inline __attribute__((always_inline)) void fill_lanes(const struct family *f,
+                                                             const double *lev, int w, int used,
+                                                             double *a, double *y, double *lv)
 {
-    int n = f->n;
-    double top = lev[f->K];
-    for (int i = 0; i < n * n; i++)
-        a[i * w + s] = 0.0;
+    int n = f->n, K = f->K;
+    for (int t = 0; t <= K; t++)
+        for (int s = 0; s < w; s++)
+            lv[t * w + s] = lev[(s < used ? s : 0) * (K + 1) + t];
+    for (int i = 0; i < n * n * w; i++)
+        a[i] = 0.0;
     for (int64_t e = 0; e < f->entries; e++) {
         const int64_t *at = f->at + 3 * e;
-        const double *c = f->coef + 3 * e;
-        a[(at[0] * n + at[1]) * w + s] = c[0] + (lev[at[2]] * c[1]) * c[2];
+        double c0 = f->coef[3 * e], c1 = f->coef[3 * e + 1], c2 = f->coef[3 * e + 2];
+        double *restrict cell = a + (at[0] * n + at[1]) * w;
+        const double *restrict level = lv + at[2] * w;
+        for (int s = 0; s < w; s++)
+            cell[s] = c0 + (level[s] * c1) * c2;
     }
-    for (int i = 0; i < f->K * n; i++)
-        a[(f->m * n + i) * w + s] = f->shared[i];
-    for (int t = 0, u = 0; t < f->K; t++)
+    for (int i = 0; i < K * n; i++)
+        for (int s = 0; s < w; s++)
+            a[(f->m * n + i) * w + s] = f->shared[i];
+    const double *top = lv + K * w;
+    for (int t = 0, u = 0; t < K; t++)
         for (int i = 0; i <= t; i++, u++)
-            a[((n - 1) * n + u) * w + s] = top - lev[t] * (t > 0 ? 1.0 : 0.0);
-    for (int r = 0; r < n - 1; r++)
-        y[r * w + s] = 0.0;
-    y[(n - 1) * w + s] = top - f->work;
+            for (int s = 0; s < w; s++)
+                a[((n - 1) * n + u) * w + s] = top[s] - lv[t * w + s] * (t > 0 ? 1.0 : 0.0);
+    for (int i = 0; i < (n - 1) * w; i++)
+        y[i] = 0.0;
+    for (int s = 0; s < w; s++)
+        y[(n - 1) * w + s] = top[s] - f->work;
 }
 
 /* The row sums of the finish of single._Family.solve from the solution x
@@ -557,8 +619,10 @@ static void fill_lane(const struct family *f, const double *lev, int w, int s, d
  * level's first pi plus (-0.0 plus the others in turn), and every other sum
  * adds its terms in turn to 0.0, by level and then by i.  With clamp set,
  * x is read as linsys._checked clamps it, a value below 0 or -0.0 as 0.0. */
-static void finish_system(int K, const double *lev, const double *x, int clamp, double *p,
-                          double *sums, int64_t stride)
+static inline __attribute__((always_inline)) void finish_system(int K, const double *lev,
+                                                                const double *x, int clamp,
+                                                                double *p, double *sums,
+                                                                int64_t stride)
 {
     double total = 0.0, idle = 0.0, iw = 0.0, jw = 0.0, busy = 0.0;
     for (int t = 0, u = 0; t < K; t++) {
@@ -596,13 +660,13 @@ enum { FAMILY_RUN = 4, FAMILY_SHARE = 128 };
 
 /* What the threads of one fbq_speed_family call share: the family, its
  * profiles and outputs, the next tile that no thread has claimed, and the
- * first-pass outcomes found so far (check_rows' statuses as bits). */
+ * first-pass outcomes found so far (check_lanes' statuses as bits). */
 struct family_job {
     const struct family *f;
     const double *levels;
     int64_t count, tiles;
     double pivot_tol, neg_tol;
-    double *x, *pivmin;
+    double *x, *pivmin, *p, *sums;
     atomic_int_fast64_t next;
     atomic_int seen;
 };
@@ -617,37 +681,50 @@ struct family_part {
 };
 
 /* Claims FAMILY_RUN tiles at a time until none is left; fills each tile by
- * fill_lane, checks it by check_rows and, while no zero row has been found
- * anywhere, solves it by solve_tile.  Stops once a non-finite entry has
- * been found anywhere, since that decides the call's status.  A thread
- * claims tiles in increasing order, so its summary holds the first of its
- * systems to be singular and the first with a value below -neg_tol. */
-static void *family_tiles(void *arg)
+ * fill_lanes, checks it by check_lanes and, while no zero row has been found
+ * anywhere, solves it by solve_tile and sums each solution's rows,
+ * unclamped, by finish_system.  Stops once a non-finite entry has been
+ * found anywhere, since that decides the call's status.  A thread claims
+ * tiles in increasing order, so its summary holds the first of its systems
+ * to be singular and the first with a value below -neg_tol.  A clone per
+ * vector width (FBQ_CLONES), each with its own copy of the inlined fill,
+ * check, lockstep LU and row sums: a tile's row operations run across its
+ * LU_TILE lanes, one system to a lane, and the sums of one system add in
+ * their order, so every clone gives the same bits. */
+FBQ_CLONES static void *family_tiles(void *arg)
 {
     struct family_part *part = arg;
     struct family_job *job = part->job;
     const struct family *f = job->f;
     int n = f->n;
-    double *t = part->tile, *y = t + LU_TILE * n * n;
+    double *t = part->tile, *y = t + LU_TILE * n * n, *lv = y + LU_TILE * n;
     int64_t summary[3] = {-1, -1, 0}, first;
     while ((first = atomic_fetch_add_explicit(&job->next, FAMILY_RUN, memory_order_relaxed)) <
            job->tiles) {
         for (int64_t tile = first; tile < first + FAMILY_RUN && tile < job->tiles; tile++) {
             int64_t k0 = tile * LU_TILE;
             int used = job->count - k0 < LU_TILE ? (int)(job->count - k0) : LU_TILE;
-            int w = tile_width(used), seen = 0;
-            for (int s = 0; s < w; s++)
-                fill_lane(f, job->levels + (k0 + (s < used ? s : 0)) * (f->K + 1), w, s, t, y);
-            for (int s = 0; s < used; s++)
-                seen |= check_rows(n, n, t + s, y + s, w);
+            const double *lev = job->levels + k0 * (f->K + 1);
+            int seen;
+            if (tile_width(used) == 1) {
+                fill_lanes(f, lev, 1, 1, t, y, lv);
+                seen = check_lanes(n, 1, 1, t, y);
+            } else {
+                fill_lanes(f, lev, LU_TILE, used, t, y, lv);
+                seen = check_lanes(n, LU_TILE, used, t, y);
+            }
             if (seen)
                 atomic_fetch_or_explicit(&job->seen, seen, memory_order_relaxed);
             seen = atomic_load_explicit(&job->seen, memory_order_relaxed);
             if (seen & 1)
                 goto done;
-            if (!seen)
-                solve_tile(n, used, k0, t, y, job->pivot_tol, job->neg_tol, job->x, job->pivmin,
-                           summary);
+            if (seen)
+                continue;
+            solve_tile(n, used, k0, t, y, job->pivot_tol, job->neg_tol, job->x, job->pivmin,
+                       summary);
+            for (int64_t k = k0; k < k0 + used; k++)
+                finish_system(f->K, job->levels + k * (f->K + 1), job->x + k * n, 0,
+                              job->p + k * f->K, job->sums + k, job->count);
         }
     }
 done:
@@ -658,15 +735,14 @@ done:
 
 /* The solves of a speed family, single._Family.solve: for the count
  * profiles whose speed levels s_0 .. s_K are the rows of `levels` (count,
- * K + 1), each tile of systems is filled by fill_lane, checked by
- * check_rows and solved by solve_tile, so x, pivmin and summary are
+ * K + 1), each tile of systems is filled by fill_lanes, checked by
+ * check_lanes and solved by solve_tile, so x, pivmin and summary are
  * reference.lockstep's on the stack that single._Family._stack builds.
  * Its statuses are too: 1 if an entry is not finite anywhere in the family,
  * else 2 if a row is all zeros, each with summary (-1, -1, 0), else 0 once
  * every system is solved, or 3 if the tiles cannot be allocated.  With
- * status 0, finish_system then books each profile's row sums in p (count,
- * K) and sums (5, count), with x clamped if any value in the family is
- * negative.
+ * status 0, p (count, K) and sums (5, count) hold each profile's row sums
+ * by finish_system, with x clamped if any value in the family is negative.
  *
  * A family of 2 FAMILY_SHARE profiles or more is solved by up to `threads`
  * threads, the calling one among them (family_tiles), which are started
@@ -676,9 +752,10 @@ done:
  * lowest singular system and the lowest with a value below -neg_tol over
  * the threads' summaries, and the sum of their counts of negative values.
  * Each system gets the same float operations on whichever thread solves
- * it, and the row sums are made after the join, so every output is the
- * same bits for any thread count.  A thread that cannot be started leaves
- * its tiles to the others. */
+ * it, and so do its row sums: the solving thread sums them unclamped, and
+ * the calling thread sums every profile again, clamped, after the join if
+ * that count is above 0.  So every output is the same bits for any thread
+ * count.  A thread that cannot be started leaves its tiles to the others. */
 int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, const double *coef,
                      const double *shared, double work, const double *levels, double pivot_tol,
                      double neg_tol, int threads, double *x, double *pivmin, int64_t *summary,
@@ -688,11 +765,11 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
                              work};
     int64_t tiles = (count + LU_TILE - 1) / LU_TILE, shares = count / FAMILY_SHARE;
     int parts = shares < 2 || threads < 2 ? 1 : (shares < threads ? (int)shares : threads);
-    size_t tile = (size_t)LU_TILE * f.n * (f.n + 1);
+    size_t tile = (size_t)LU_TILE * (f.n * (f.n + 1) + K + 1);
     struct family_part *part = malloc(parts * (sizeof *part + sizeof(double) * tile));
     if (!part)
         return 3;
-    struct family_job job = {&f, levels, count, tiles, pivot_tol, neg_tol, x, pivmin, 0, 0};
+    struct family_job job = {&f, levels, count, tiles, pivot_tol, neg_tol, x, pivmin, p, sums, 0, 0};
     int started = 1;
     for (int i = 0; i < parts; i++) {
         part[i].job = &job;
@@ -717,9 +794,9 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
     free(part);
     if (seen)
         return seen & 1 ? 1 : 2;
-    for (int64_t k = 0; k < count; k++)
-        finish_system(K, levels + k * (K + 1), x + k * f.n, summary[2] > 0, p + k * K, sums + k,
-                      count);
+    if (summary[2] > 0)
+        for (int64_t k = 0; k < count; k++)
+            finish_system(K, levels + k * (K + 1), x + k * f.n, 1, p + k * K, sums + k, count);
     return 0;
 }
 
@@ -1308,7 +1385,7 @@ static void pool_cascade(int64_t m, const double *one, const double *b, double *
 /* One threshold K of the pool (m, lam, mu1, mu2, q) with the rate table
  * `rates` of fbq_pool_roots, solved whole: pool_fill fills the boundary
  * system, with the pool's zeros, the null vectors and powers at the head of
- * its fbq_pool_data `data` and idle = m - rho1 - rho2; check_rows checks it
+ * its fbq_pool_data `data` and idle = m - rho1 - rho2; check_lanes checks it
  * and returns 1 or 2 as linsys._first_pass would; lu_tile solves it into x
  * (n), and note_system books pivmin (info[0]) and summary as
  * reference.lockstep would.  If a pivot is below pivot_tol or a value
@@ -1316,7 +1393,7 @@ static void pool_cascade(int64_t m, const double *one, const double *b, double *
  * factors and nothing more is done.  Else pool_taylor sums b from x, read
  * clamped if a value is negative, and pool_cascade takes b and the z = 1
  * part of `data` to g (2 x m), with the solvability residual and scale in
- * info[2] and info[3].  Returns 0, the check_rows status, or 3 if the work
+ * info[2] and info[3].  Returns 0, the check_lanes status, or 3 if the work
  * cannot be allocated. */
 int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
                     const double *zeros, const double *data, int64_t K, double idle,
@@ -1333,7 +1410,7 @@ int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, con
     double *kscale = y + k, *b = kscale + k;
     int64_t *perm = (int64_t *)(b + 3 * m), *kperm = perm + n;
     pool_fill(&p, K, zeros, data, data + (m - 1) * m, idle, a, x);
-    int status = check_rows(n, (int)n, a, x, 1);
+    int status = check_lanes((int)n, 1, 1, a, x);
     if (!status) {
         struct lu_keep keep = {scale, perm, 0.0};
         double least = 0.0;

@@ -11,9 +11,16 @@ loaded (no C compiler, no private cache directory), each call raises an
 OSError that names the cause.
 
 The flags are `-O2`; `-ffp-contract=off`, so that no multiply and add is
-fused and each loop does its Python reference's float operations; `-fPIC
--shared` for a library; and `-pthread`, since `fbq_speed_family` splits a
-large family over threads.  Those threads are started and joined within
+fused and each loop does its Python reference's float operations;
+`-fvect-cost-model=dynamic`, without which GCC 12's `-O2` cost model
+leaves the generator's twist and temper loops scalar; `-fPIC -shared` for
+a library; and `-pthread`, since `fbq_speed_family` splits a large family
+over threads.  Where GCC or clang targets x86-64 ELF with glibc, a speed
+family's tile loop and the generator's block are built as AVX-512F, AVX2
+and baseline clones, and the dynamic loader picks one for the CPU when the
+library is loaded; elsewhere the baseline loops are built alone.  Every
+clone does each system's and each word's operations as the baseline loop
+does, so no output bit depends on the CPU.  Those threads are started and joined within
 the call, so none outlives it and a fork between calls is safe, and the
 split leaves every output bit as it is on one thread.  `cpus()`, the count
 of `os.sched_getaffinity(0)`, is the thread count its callers pass; it is
@@ -38,7 +45,7 @@ log = logging.getLogger("fbq.kernels")
 
 _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _COMPILER = "cc"
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
+_FLAGS = ("-O2", "-ffp-contract=off", "-fvect-cost-model=dynamic", "-fPIC", "-shared", "-pthread")
 
 Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_band speed_family pool_system "
                                         "condition pool_data")
@@ -66,9 +73,13 @@ def compiled() -> Loops:
 def _bound() -> Loops | str:
     """The loops of `compiled`, or why the library could not be built or loaded."""
     try:
-        lib = ctypes.CDLL(str(_library()))
+        return _bind(ctypes.CDLL(str(_library())))
     except OSError as exc:
         return str(exc)
+
+
+def _bind(lib: ctypes.CDLL) -> Loops:
+    """The loops of the loaded library `lib`, typed."""
     i32, i64, dbl = ctypes.c_int, ctypes.c_int64, ctypes.c_double
     p_dbl, p_i64 = ctypes.POINTER(dbl), ctypes.POINTER(i64)
     chain, pool_roots = lib.fbq_jump_chain, lib.fbq_pool_roots

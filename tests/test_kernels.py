@@ -1,16 +1,26 @@
 """The compiled loops' source, `_kernels.c`, builds without a warning under
-the package's own compiler and flags, the ctypes signatures that
-`fbq._kernels.compiled` gives its loops are the C definitions' parameter
-lists, and every Python function that its comments cite exists in fbq or
-in the test module `reference`."""
+the package's own compiler and flags, both as the package builds it and
+with its clone macro empty; the two builds give the same bits; the ctypes
+signatures that `fbq._kernels.compiled` gives its loops are the C
+definitions' parameter lists, and every Python function that its comments
+cite exists in fbq or in the test module `reference`."""
 
 import ctypes
 import functools
 import importlib
+import platform
 import re
 import subprocess
+import sys
 
-from fbq import _kernels
+import numpy as np
+import pytest
+
+from fbq import _kernels, single
+from test_family_solve import PINS, THREADS, assert_same_bits, base_model, coarse_k3_family, family_call
+from test_simulate import CHAINS
+
+SIM = sys.modules["fbq.simulate"]
 
 # each C parameter type of the fbq_* definitions, as ctypes passes it
 C_TYPES = {
@@ -20,11 +30,71 @@ C_TYPES = {
 }
 
 
-def test_kernels_build_without_warnings(tmp_path):
-    done = subprocess.run([_kernels._COMPILER, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE)],
-                          capture_output=True, text=True)
+# the clone macro defined empty: the loops built for the baseline target
+# alone, as on a platform without target_clones or ifuncs
+BASELINE = "-DFBQ_CLONES="
+
+
+def build(path, *options):
+    """`_kernels.c` built at path with the package's flags and options."""
+    done = subprocess.run([_kernels._COMPILER, *_kernels._FLAGS, *options, "-o", str(path),
+                           str(_kernels._SOURCE)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    return path
+
+
+def test_kernels_build_without_warnings(tmp_path):
+    for name, options in (("dispatched", ()), ("baseline", (BASELINE,))):
+        build(tmp_path / f"{name}.so", *options, "-Wall", "-Wextra", "-Werror")
+
+
+@pytest.fixture(scope="module")
+def baseline_loops(tmp_path_factory):
+    return _kernels._bind(ctypes.CDLL(str(build(tmp_path_factory.mktemp("baseline") / "k.so", BASELINE))))
+
+
+def random_family(K, count):
+    """count K-level profiles of the figure-4 base with inner speeds drawn
+    over its range, and their family."""
+    b = PINS["bases"]["figure4"]
+    inter = np.sort(np.random.default_rng(K).uniform(b["s0"], b["top"], (count, K - 1)), axis=1)
+    levels = np.column_stack([np.full(count, b["s0"]), inter, np.full(count, b["top"])])
+    return single._Family(base_model(b), K), levels
+
+
+def chain_run(loops, chain, monkeypatch):
+    """The batch sums, the final counts and the final generator state of
+    one 6,000-arrival jump chain of the CHAINS model `chain` on loops."""
+    model, qs, clamp = CHAINS[chain]
+    seen = []
+
+    def spy(mt, *args):
+        loops.jump_chain(mt, *args)
+        seen.extend(bytes(a) for a in (mt, args[-2], args[-1]))
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "compiled", lambda: loops._replace(jump_chain=spy))
+        SIM._jump_chain(7, SIM._table(model, qs, clamp), clamp, [*range(1, 6_000, 137), 6_000])
+    return seen
+
+
+def test_clones_give_the_bits_of_the_baseline_build(baseline_loops, monkeypatch):
+    dispatched = _kernels.compiled()
+    if platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
+        # the clones are there to be picked, so the comparison is not of one build with itself
+        assert re.search(rb"family_tiles\.avx2", _kernels._library().read_bytes())
+    figure4 = PINS["bases"]["figure4"]
+    families = [coarse_k3_family(figure4), coarse_k3_family(dict(figure4, q=0.0)),
+                *(random_family(K, 3_000) for K in (2, 4, 8))]
+    assert [f.K for f, _ in families] == [3, 3, 2, 4, 8] and len(families[0][1]) == 5050
+    for family, levels in families:
+        for threads in THREADS[:2]:
+            expected = family_call(baseline_loops, family, levels, threads)
+            assert expected[0] == 0
+            assert_same_bits(family_call(dispatched, family, levels, threads), expected,
+                             (family.K, len(levels), threads))
+    assert family_call(dispatched, *families[1], 1)[3][2] > 0   # the clamped row sums
+    for chain in sorted(CHAINS):
+        assert chain_run(dispatched, chain, monkeypatch) == chain_run(baseline_loops, chain, monkeypatch), chain
 
 
 def c_definitions():
