@@ -29,10 +29,14 @@
  * the call (family_tiles), and their outcomes are merged into the
  * one-thread outcome; a system's float operations do not depend on the
  * thread that runs them, so the bits do not depend on the thread count.
- * The thread that solves a tile also sums each solution's rows for the
- * finish (finish_system), unclamped; after the join the calling thread
- * sums them again, clamped, only where the family holds a negative value.
- * reference.family_solve sums them in that order.
+ * The thread that solves a tile also finishes each profile (finish_system):
+ * its level masses and row sums, then g0(1), L1, L2, L and the energy rate
+ * by the mean-drift identities, from the power draws that numpy computes,
+ * unclamped; after the join the calling thread finishes every profile
+ * again, clamped, only where the family holds a negative value.
+ * reference.family_solve finishes them in that order, by numpy's array
+ * operations (reference.finish_sums and reference.metrics), and the two
+ * agree bit for bit, each float operation done in numpy's order.
  * At these sizes (6 to 45 unknowns) a LAPACK call per system spends more
  * on its fixed cost than on arithmetic; batching small factorisations is
  * the usual remedy, and it pays only when the data movement around them is
@@ -561,13 +565,15 @@ static inline __attribute__((always_inline)) void solve_tile(int n, int used, in
  * and is coef[3e] + (s_{at[3e + 2]} coef[3e + 1]) coef[3e + 2], that is
  * lam lam_coef + (s_level rate) factor; rows m .. n - 2 are the K
  * Maclaurin rows `shared` (K, n), and row n - 1 is the work-conservation
- * row, whose right-hand side is s_K - work. */
+ * row, whose right-hand side is s_K - work.  rho1, rho2 and q are the
+ * model's top-speed loads and branch probability, which the mean-drift
+ * identities of the finish read (finish_system). */
 struct family {
     int K, n, m;
     int64_t entries;
     const int64_t *at;
     const double *coef, *shared;
-    double work;
+    double work, rho1, rho2, q;
 };
 
 /* Lane s of the tile (a, y) of w lanes gets the system and right-hand side
@@ -611,19 +617,66 @@ static inline __attribute__((always_inline)) void fill_lanes(const struct family
         y[(n - 1) * w + s] = top[s] - f->work;
 }
 
-/* The row sums of the finish of single._Family.solve from the solution x
- * of the profile with speed levels lev: p[t] = P(level t) for t < K, and
- * sums[0], sums[stride], ... sums[4 stride] get the tail mass 1 - sum p,
- * pi_idle_fg = sum_j pi_0j, iw = sum i w_ij, jw = sum j w_ij and w_busy =
- * sum_{i>0} w_ij, with w_ij = (1 - s_{i+j} / s_K) pi_ij.  p[t] is its
- * level's first pi plus (-0.0 plus the others in turn), and every other sum
- * adds its terms in turn to 0.0, by level and then by i.  With clamp set,
- * x is read as linsys._checked clamps it, a value below 0 or -0.0 as 0.0. */
-static inline __attribute__((always_inline)) void finish_system(int K, const double *lev,
-                                                                const double *x, int clamp,
-                                                                double *p, double *sums,
+/* The energy sum of the finish: the products a[i] b[i], i < n, summed as
+ * numpy's add.reduce sums a contiguous row, its pairwise_sum: fewer than 8
+ * terms in turn from -0.0; up to PAIRWISE_BLOCK terms in 8 accumulators,
+ * each started at its first term and combined as ((r0 + r1) + (r2 + r3)) +
+ * ((r4 + r5) + (r6 + r7)), the remainder past the last multiple of 8 then
+ * added in turn; longer rows split in two at a multiple of 8 near the
+ * middle (pairwise_sum).  A reduction adds that sum to its initial 0.0. */
+enum { PAIRWISE_BLOCK = 128 };
+
+static inline __attribute__((always_inline)) double block_sum(int n, const double *a,
+                                                              const double *b)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int i = 0; i < n; i++)
+            res += a[i] * b[i];
+        return res;
+    }
+    double r[8];
+    int i = 8;
+    for (int j = 0; j < 8; j++)
+        r[j] = a[j] * b[j];
+    for (; i < n - n % 8; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += a[i + j] * b[i + j];
+    double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += a[i] * b[i];
+    return res;
+}
+
+static double pairwise_sum(int n, const double *a, const double *b)
+{
+    if (n <= PAIRWISE_BLOCK)
+        return block_sum(n, a, b);
+    int half = n / 2 - n / 2 % 8;
+    return pairwise_sum(half, a, b) + pairwise_sum(n - half, a + half, b + half);
+}
+
+/* The finish of single._Family.solve from the solution x of the profile
+ * with speed levels lev and power draws pw (lev[t] ** alpha, by numpy):
+ * p[t] = P(level t) for t < K, and out[0], out[stride], ... out[5 stride]
+ * get the tail mass, g0(1), L1, L2, L and the energy rate.  The row sums
+ * first: the tail mass 1 - sum p, pi_idle_fg = sum_j pi_0j, iw = sum i w_ij,
+ * jw = sum j w_ij and w_busy = sum_{i>0} w_ij, with w_ij = (1 - s_{i+j} /
+ * s_K) pi_ij.  p[t] is its level's first pi plus (-0.0 plus the others in
+ * turn), and every other sum adds its terms in turn to 0.0, by level and
+ * then by i.  Then single._drift_means' identities, each operation in the
+ * order that Python evaluates them, with its scalar parts such as
+ * 1.0 - rho1 and q * R formed first, and the energy rate 0.0 plus the
+ * pairwise sum of p[t] pw[t], plus pw[K] times the tail mass, as
+ * reference.metrics computes them.  With clamp set, x is read as
+ * linsys._checked clamps it, a value below 0 or -0.0 as 0.0. */
+static inline __attribute__((always_inline)) void finish_system(const struct family *f,
+                                                                const double *lev,
+                                                                const double *pw, const double *x,
+                                                                int clamp, double *p, double *out,
                                                                 int64_t stride)
 {
+    int K = f->K;
     double total = 0.0, idle = 0.0, iw = 0.0, jw = 0.0, busy = 0.0;
     for (int t = 0, u = 0; t < K; t++) {
         double first = 0.0, rest = -0.0;
@@ -644,11 +697,17 @@ static inline __attribute__((always_inline)) void finish_system(int K, const dou
         p[t] = first + rest;
         total += p[t];
     }
-    sums[0] = 1.0 - total;
-    sums[stride] = idle;
-    sums[2 * stride] = iw;
-    sums[3 * stride] = jw;
-    sums[4 * stride] = busy;
+    double tail = 1.0 - total, rho1 = f->rho1, q = f->q;
+    double L1 = (rho1 + iw) / (1.0 - rho1);
+    double R = rho1 + q * f->rho2;
+    double L2 = (jw + q * R * L1 + q * f->rho2) / (1.0 - R);
+    double energy = K <= PAIRWISE_BLOCK ? block_sum(K, p, pw) : pairwise_sum(K, p, pw);
+    out[0] = tail;
+    out[stride] = 1.0 - rho1 - idle - busy;
+    out[2 * stride] = L1;
+    out[3 * stride] = L2;
+    out[4 * stride] = L1 + L2;
+    out[5 * stride] = (0.0 + energy) + pw[K] * tail;
 }
 
 /* A family is split over as many threads as each get FAMILY_SHARE profiles
@@ -663,10 +722,10 @@ enum { FAMILY_RUN = 4, FAMILY_SHARE = 128 };
  * first-pass outcomes found so far (check_lanes' statuses as bits). */
 struct family_job {
     const struct family *f;
-    const double *levels;
+    const double *levels, *power;
     int64_t count, tiles;
     double pivot_tol, neg_tol;
-    double *x, *pivmin, *p, *sums;
+    double *x, *pivmin, *p, *out;
     atomic_int_fast64_t next;
     atomic_int seen;
 };
@@ -682,15 +741,15 @@ struct family_part {
 
 /* Claims FAMILY_RUN tiles at a time until none is left; fills each tile by
  * fill_lanes, checks it by check_lanes and, while no zero row has been found
- * anywhere, solves it by solve_tile and sums each solution's rows,
- * unclamped, by finish_system.  Stops once a non-finite entry has been
+ * anywhere, solves it by solve_tile and finishes each profile, unclamped,
+ * by finish_system.  Stops once a non-finite entry has been
  * found anywhere, since that decides the call's status.  A thread claims
  * tiles in increasing order, so its summary holds the first of its systems
  * to be singular and the first with a value below -neg_tol.  A clone per
  * vector width (FBQ_CLONES), each with its own copy of the inlined fill,
- * check, lockstep LU and row sums: a tile's row operations run across its
- * LU_TILE lanes, one system to a lane, and the sums of one system add in
- * their order, so every clone gives the same bits. */
+ * check, lockstep LU and finish: a tile's row operations run across its
+ * LU_TILE lanes, one system to a lane, and the finish of one profile does
+ * its operations in their order, so every clone gives the same bits. */
 FBQ_CLONES static void *family_tiles(void *arg)
 {
     struct family_part *part = arg;
@@ -723,8 +782,8 @@ FBQ_CLONES static void *family_tiles(void *arg)
             solve_tile(n, used, k0, t, y, job->pivot_tol, job->neg_tol, job->x, job->pivmin,
                        summary);
             for (int64_t k = k0; k < k0 + used; k++)
-                finish_system(f->K, job->levels + k * (f->K + 1), job->x + k * n, 0,
-                              job->p + k * f->K, job->sums + k, job->count);
+                finish_system(f, job->levels + k * (f->K + 1), job->power + k * (f->K + 1),
+                              job->x + k * n, 0, job->p + k * f->K, job->out + k, job->count);
         }
     }
 done:
@@ -741,8 +800,10 @@ done:
  * Its statuses are too: 1 if an entry is not finite anywhere in the family,
  * else 2 if a row is all zeros, each with summary (-1, -1, 0), else 0 once
  * every system is solved, or 3 if the tiles cannot be allocated.  With
- * status 0, p (count, K) and sums (5, count) hold each profile's row sums
- * by finish_system, with x clamped if any value in the family is negative.
+ * status 0, p (count, K) holds each profile's level masses and the rows of
+ * out (6, count) its tail mass, g0(1), L1, L2, L and energy rate, by
+ * finish_system from the profile's row of `power` (count, K + 1), with x
+ * clamped if any value in the family is negative.
  *
  * A family of 2 FAMILY_SHARE profiles or more is solved by up to `threads`
  * threads, the calling one among them (family_tiles), which are started
@@ -752,24 +813,25 @@ done:
  * lowest singular system and the lowest with a value below -neg_tol over
  * the threads' summaries, and the sum of their counts of negative values.
  * Each system gets the same float operations on whichever thread solves
- * it, and so do its row sums: the solving thread sums them unclamped, and
- * the calling thread sums every profile again, clamped, after the join if
- * that count is above 0.  So every output is the same bits for any thread
+ * it, and so does its finish: the solving thread finishes it unclamped, and
+ * the calling thread finishes every profile again, clamped, after the join
+ * if that count is above 0.  So every output is the same bits for any thread
  * count.  A thread that cannot be started leaves its tiles to the others. */
 int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, const double *coef,
-                     const double *shared, double work, const double *levels, double pivot_tol,
-                     double neg_tol, int threads, double *x, double *pivmin, int64_t *summary,
-                     double *p, double *sums)
+                     const double *shared, double work, double rho1, double rho2, double q,
+                     const double *levels, const double *power, double pivot_tol, double neg_tol,
+                     int threads, double *x, double *pivmin, int64_t *summary, double *p, double *out)
 {
     const struct family f = {K, (K + 1) * (K + 2) / 2, K * (K + 1) / 2, entries, at, coef, shared,
-                             work};
+                             work, rho1, rho2, q};
     int64_t tiles = (count + LU_TILE - 1) / LU_TILE, shares = count / FAMILY_SHARE;
     int parts = shares < 2 || threads < 2 ? 1 : (shares < threads ? (int)shares : threads);
     size_t tile = (size_t)LU_TILE * (f.n * (f.n + 1) + K + 1);
     struct family_part *part = malloc(parts * (sizeof *part + sizeof(double) * tile));
     if (!part)
         return 3;
-    struct family_job job = {&f, levels, count, tiles, pivot_tol, neg_tol, x, pivmin, p, sums, 0, 0};
+    struct family_job job = {&f, levels, power, count, tiles, pivot_tol, neg_tol, x, pivmin, p, out,
+                             0, 0};
     int started = 1;
     for (int i = 0; i < parts; i++) {
         part[i].job = &job;
@@ -796,7 +858,8 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
         return seen & 1 ? 1 : 2;
     if (summary[2] > 0)
         for (int64_t k = 0; k < count; k++)
-            finish_system(K, levels + k * (K + 1), x + k * f.n, 1, p + k * K, sums + k, count);
+            finish_system(&f, levels + k * (K + 1), power + k * (K + 1), x + k * f.n, 1, p + k * K,
+                          out + k, count);
     return 0;
 }
 

@@ -92,8 +92,8 @@ def _bind(lib: ctypes.CDLL) -> Loops:
     ctmc_band.argtypes = [i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_i64, p_i64, p_i64, p_dbl, p_dbl]
     ctmc_band.restype = None
     family = lib.fbq_speed_family
-    family.argtypes = [i64, i32, i64, p_i64, p_dbl, p_dbl, dbl, p_dbl, dbl, dbl, i32, p_dbl, p_dbl,
-                       p_i64, p_dbl, p_dbl]
+    family.argtypes = [i64, i32, i64, p_i64, p_dbl, p_dbl, *[dbl] * 4, p_dbl, p_dbl, dbl, dbl, i32, p_dbl,
+                       p_dbl, p_i64, p_dbl, p_dbl]
     family.restype = i32
     pool_system = lib.fbq_pool_system
     pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 3, i64, *[dbl] * 3, *[p_dbl] * 3, p_i64]

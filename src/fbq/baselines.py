@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.linalg import block_diag
 
-from .models import CoxianService, SolverError, UnstableModelError
+from .models import CoxianService, SolverError, UnstableModelError, frozen
 
 LAS_ABS_TOL = 1e-8   # absolute error allowed in las_L's mean count
 _LAS_PANELS = 12     # geometric panels [0, 2^-11], [2^-11, 2^-10], ..., [1/2, 1] of [0, x_max]
@@ -64,6 +64,19 @@ def _las_rule(nodes: int, check_nodes: int, panels: int) -> tuple[np.ndarray, np
             block_diag((half * w).ravel(), (half * wc).ravel()))
 
 
+@functools.lru_cache(maxsize=32)   # the nodes of the last 32 services
+def _las_nodes(service: CoxianService, nodes: int, check_nodes: int):
+    """las_L's cut x_max, its nodes x on [0, x_max] and the weights of its two
+    rules of `nodes` and `check_nodes` points per panel for `service`, and
+    the density, rho(x) / lam and M2 at the nodes, all read-only."""
+    # survival < 1e-14 past x_max; the slowest rate dominates the tail
+    slow = min(service.nu1, service.nu2 if service.q > 0 else service.nu1)
+    x_max = 14.0 * math.log(10.0) / slow + 10.0 / slow
+    unit, weights = _las_rule(nodes, check_nodes, _las_panels(service))
+    x = x_max * unit
+    return (x_max, *map(frozen, (x, weights, *_las_terms(1.0, service, x))))
+
+
 def fcfs_L(lam: float, service: CoxianService) -> float:
     """Mean number in system under FCFS from the first two service moments."""
     rho = lam * service.mean()
@@ -85,17 +98,15 @@ def las_L(lam: float, service: CoxianService) -> float:
     Gauss-Legendre rules converge on it exponentially (Trefethen, SIAM Review
     50, 2008): a 48-node and a 32-node rule per panel must agree to
     LAS_ABS_TOL, or SolverError is raised.  The panels halve towards 0, and
-    their number grows with the log of the ratio of the phase rates.
+    their number grows with the log of the ratio of the phase rates.  The
+    nodes and the terms but lam are kept per service (_las_nodes); rho(x) is
+    lam times the kept load, the product that _las_terms forms, bit for bit.
     """
     rho = lam * service.mean()
     if rho >= 1.0:
         raise UnstableModelError(f"offered load {rho:.6g} >= 1")
-    # survival < 1e-14 past this point; slowest rate dominates the tail
-    slow = min(service.nu1, service.nu2 if service.q > 0 else service.nu1)
-    x_max = 14.0 * math.log(10.0) / slow + 10.0 / slow
-    unit, weights = _las_rule(_LAS_NODES, _LAS_CHECK_NODES, _las_panels(service))
-    x = x_max * unit
-    density, rx, m2 = _las_terms(lam, service, x)
+    x_max, x, weights, density, load, m2 = _las_nodes(service, _LAS_NODES, _LAS_CHECK_NODES)
+    rx = lam * load
     response = x / (1.0 - rx) + lam * m2 / (2.0 * (1.0 - rx) ** 2)   # of a job of length x
     fine, coarse = lam * x_max * (weights @ (density * response))
     if abs(fine - coarse) > LAS_ABS_TOL:

@@ -11,6 +11,7 @@ as assumptions in the metadata.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -29,15 +30,16 @@ from .models import (
     SpeedProfile,
     UnstableModelError,
     check_stability_single,
+    frozen,
 )
 from .multi import MultiServerSolution, evaluate_cost_multi, solve_threshold, sweep_thresholds
 from .simulate import SimConfig, ThreePhaseModel, simulate, two_phase_approximation
 from .single import (
     SingleServerSolution,
+    _Family,
     evaluate_cost_single,
     solve_general,
     solve_k1_closed_form,
-    solve_speed_family,
     solve_zero_speed,
 )
 
@@ -114,17 +116,21 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return [round(start + k * step, 10) for k in range(n + 1)]
 
 
-def _family_costs(model: SingleServerModel, costs: CostCoefficients, grid) -> np.ndarray:
-    """Costs of the profiles whose intermediate speeds are `grid` (B, K-1) times the top speed."""
-    family = solve_speed_family(model, np.asarray(grid) * model.speeds.levels[-1])
-    return evaluate_cost_single(family, costs)
-
-
 def _coarse_grid(fracs: list[float], K: int) -> np.ndarray:
     """The rows of itertools.combinations_with_replacement(fracs, K - 1) for
     K in {2, 3}, with fracs increasing, built by index."""
     f = np.array(fracs)
     return f[:, None] if K == 2 else f[np.stack(np.triu_indices(len(f)), axis=1)]
+
+
+@functools.lru_cache(maxsize=16)
+def _search_grids(lo_frac: float, K: int):
+    """A speed search's coarse fractions from lo_frac on, its read-only coarse grid and refinement offsets."""
+    fracs = tuple(f for f in (round(k * COARSE_STEP, 10) for k in range(1, round(1.0 / COARSE_STEP) + 1))
+                  if f >= lo_frac)
+    width = round(COARSE_STEP / FINE_STEP)
+    span = tuple(round(d * FINE_STEP, 10) for d in range(-width + 1, width))
+    return fracs, frozen(_coarse_grid(fracs, K)), span
 
 
 def _fine_grid(around: list[list[float]]) -> np.ndarray:
@@ -144,40 +150,31 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     The idle speed s_0 and the top speed s_K are taken from the base model;
     the K-1 intermediate levels are swept over multiples of COARSE_STEP
     times the top speed (with s_1 <= s_2), then re-swept once at FINE_STEP resolution
-    around the incumbent.  Each grid is solved as one speed family
-    (solve_speed_family), which gives the same costs as solving its profiles
-    one by one.  Returns (best profile, best cost, coarse curve); for K = 3
-    the curve shows min-over-s2 cost as a function of s_1.
+    around the incumbent.  Both grids are solved as speed families of one
+    _Family, as solve_speed_family solves them, which gives the same costs
+    as solving their profiles one by one.  Returns (best profile, best cost,
+    coarse curve); for K = 3 the curve shows min-over-s2 cost as a function of s_1.
     """
     if K not in (2, 3):
         raise ModelError(f"intermediate-speed search supports K in {{2, 3}}, got {K}")
-    if not check_stability_single(
-        SingleServerModel(model.lam, model.service,
-                          SpeedProfile((model.speeds.levels[0], model.speeds.levels[-1]),
-                                       alpha=model.speeds.alpha))
-    ):
+    if not check_stability_single(model):   # the load on the top speed, which every grid point shares
         raise UnstableModelError("every grid point is unstable: top speed cannot carry the load")
-    top = model.speeds.levels[-1]
-    s0 = model.speeds.levels[0]
+    family = _Family(model, K)
+    s0, top = family.ends
     lo_frac = max(COARSE_STEP, s0 / top)
-    fracs = [round(k * COARSE_STEP, 10) for k in range(1, round(1.0 / COARSE_STEP) + 1)]
-    fracs = [f for f in fracs if f >= lo_frac]
-
     # nondecreasing grid points, s_1 major; each s_1 group opens with s_1 = s_{K-1}
-    grid = _coarse_grid(fracs, K)
-    cost = _family_costs(model, costs, grid)
+    fracs, grid, span = _search_grids(lo_frac, K)
+    cost = evaluate_cost_single(family.profiles(grid * top), costs)
     best = int(np.argmin(cost))
     best_x, best_cost = tuple(grid[best].tolist()), float(cost[best])
     starts = np.flatnonzero(grid[:, 0] == grid[:, -1])
-    curve = PolicyCurve("cost" if K == 2 else "cost_min_over_s2", fracs,
+    curve = PolicyCurve("cost" if K == 2 else "cost_min_over_s2", list(fracs),
                         np.minimum.reduceat(cost, starts).tolist())
 
     # one refinement pass around the incumbent
-    width = round(COARSE_STEP / FINE_STEP)
-    span = [round(d * FINE_STEP, 10) for d in range(-width + 1, width)]
     around = [[f for f in (round(x + d, 10) for d in span) if lo_frac <= f <= 1.0] for x in best_x]
     near = _fine_grid(around)
-    cost = _family_costs(model, costs, near)
+    cost = evaluate_cost_single(family.profiles(near * top), costs)
     k = int(np.argmin(cost))
     if cost[k] < best_cost:
         best_x, best_cost = tuple(near[k].tolist()), float(cost[k])

@@ -129,12 +129,11 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     come from `model` (its intermediate levels are ignored); `inter` is a
     (B, K-1) array of intermediate speeds s_1 .. s_{K-1}.  The kernel-root
     series and the Maclaurin rows depend only on (lam, service, s_K, K), so
-    they are built once; the sub-threshold balance rows and the
+    they are built once (_Family); the sub-threshold balance rows and the
     work-conservation row depend on the profile's speeds and are filled per
-    profile.  The B systems are solved in one call of the compiled loop
-    fbq_speed_family, which fills them, solves them by the lockstep LU and
-    sums the rows of the finish; the mean counts of each profile come from
-    its solved sub-threshold probabilities by row sums, not BLAS products.
+    profile.  One call of the compiled loop fbq_speed_family fills the B
+    systems, solves them by the lockstep LU and computes every metric; only
+    the power draws s^alpha are taken in numpy, whose power loop sets their bits.
     A family of 256 profiles or more is split over a thread per CPU that
     the process may use (`_kernels.cpus()`), inside that call; the threads
     are joined before it returns.  Every profile gets every check of a
@@ -144,21 +143,10 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     a zero row, then the first profile with a singular system, then the
     first with a solved value below -NEG_PROB_TOL.
     """
-    require_stable_single(model)
-    if model.lam == 0:
-        raise ModelError("arrival rate must be positive to solve the chain")
-    if model.q == 1.0:
-        raise ModelError("the general solver needs q < 1: at q = 1 the kernel root y1(0) is 0, "
-                         "so its K Maclaurin rows vanish identically")
     inter = np.asarray(inter, dtype=float)
     if inter.ndim != 2 or len(inter) == 0:
         raise ModelError(f"a speed family needs a (B, K-1) array of speeds with B >= 1, got {inter.shape}")
-    levels = np.empty((len(inter), inter.shape[1] + 2))
-    levels[:, 0] = model.speeds.levels[0]
-    levels[:, 1:-1] = inter
-    levels[:, -1] = model.speeds.levels[-1]
-    _check_levels(levels)
-    return SpeedFamilySolution(levels=levels, **_Family(model, levels.shape[1] - 1).solve(levels))
+    return _Family(model, inter.shape[1] + 1).profiles(inter)
 
 
 def _check_levels(levels: np.ndarray) -> None:
@@ -243,19 +231,27 @@ def _layout(K: int) -> _Layout:
 
 
 class _Family:
-    """Everything a family of K-level profiles shares: the K Maclaurin rows
-    of the boundary system, the arriving work of its work-conservation row,
-    the top-speed loads of the mean-drift identities, and the balance
-    entries as the compiled loop reads them.  solve runs the family in one
-    call of fbq_speed_family.  _stack builds systems as the loop fills
-    them; solve builds only a failing profile's, for the condition estimate
-    of its error message."""
+    """Everything the K-level profiles of a model share, built once the
+    model passes the general solver's checks: the end speeds, the K Maclaurin
+    rows of the boundary system, the arriving work of its work-conservation
+    row, the top-speed loads of the mean-drift identities, and the balance
+    entries as the compiled loop reads them.  profiles solves a grid of
+    profiles, as often as asked, each in one call of fbq_speed_family,
+    which also finishes their metrics.  _stack builds systems as the loop
+    fills them; solve builds only a failing profile's, for the condition
+    estimate of its error message."""
 
     def __init__(self, model: SingleServerModel, K: int):
+        require_stable_single(model)
+        if model.lam == 0:
+            raise ModelError("arrival rate must be positive to solve the chain")
+        if model.q == 1.0:
+            raise ModelError("the general solver needs q < 1: at q = 1 the kernel root y1(0) is 0, "
+                             "so its K Maclaurin rows vanish identically")
         lam, q, mu1 = model.lam, model.q, model.mu1     # mu1: top-speed rate
         rho1 = self.rho1 = model.rho1
         self.K, self.lam, self.q, self.rho2 = K, lam, q, model.rho2
-        self.alpha = model.speeds.alpha
+        self.alpha, self.ends = model.speeds.alpha, (model.speeds.levels[0], model.speeds.levels[-1])
         lay = self.layout = _layout(K)
         idx, n_unknown = lay.index, len(lay.states)
         self.rate = lay.sign * np.array([0.0, model.service.nu1, model.service.nu2])[lay.nu_kind]
@@ -282,21 +278,32 @@ class _Family:
         self.at = np.stack([lay.rows, lay.cols, lay.level], axis=1).astype(np.int64)
         self.coef = np.stack([lam * lay.lam_coef, self.rate, self.factor], axis=1)
 
+    def profiles(self, inter: np.ndarray) -> SpeedFamilySolution:
+        """solve_speed_family's solution for the (B, K-1) float array inter."""
+        levels = np.empty((len(inter), self.K + 1))
+        levels[:, 0], levels[:, -1] = self.ends
+        levels[:, 1:-1] = inter
+        _check_levels(levels)
+        return SpeedFamilySolution(levels=levels, **self.solve(levels))
+
     def solve(self, levels: np.ndarray) -> dict:
         """Metrics of the profiles in `levels` (B, K+1), as arrays."""
         loops = _kernels.compiled()
         K, count, n = self.K, len(levels), len(self.layout.states)
         levels = np.ascontiguousarray(levels, dtype=float)
+        # numpy's power loop sets these bits; an idle stopped processor draws nothing
+        power = (levels != 0.0).astype(float) if self.alpha == 0.0 else levels**self.alpha
         x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
-        p, sums = np.empty((count, K)), np.empty((5, count))
+        p, out = np.empty((count, K)), np.empty((6, count))
         dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
         status = loops.speed_family(count, K, len(self.at), i64(self.at), dbl(self.coef), dbl(self.shared),
-                                    self.work, dbl(levels), PIVOT_RTOL, NEG_PROB_TOL, _kernels.cpus(), dbl(x),
-                                    dbl(pivmin), i64(summary), dbl(p), dbl(sums))
+                                    self.work, self.rho1, self.rho2, self.q, dbl(levels), dbl(power),
+                                    PIVOT_RTOL, NEG_PROB_TOL, _kernels.cpus(), dbl(x), dbl(pivmin),
+                                    i64(summary), dbl(p), dbl(out))
         # only the message of a failed system builds and factors that system
         x = _checked(lambda k: _condition(self._stack(levels[k:k + 1])[0][0]), status, x, pivmin,
                      summary.tolist())
-        return self._metrics(x, levels, p, *sums)
+        return dict(zip(("tail_mass", "g0_at_1", "L1", "L2", "L", "energy_rate"), out), boundary=x, p=p)
 
     def _stack(self, levels: np.ndarray):
         """The boundary systems (B, n, n) and right-hand sides (B, n) of the
@@ -315,21 +322,6 @@ class _Family:
         b = np.zeros((len(levels), n_unknown))
         b[:, -1] = top - self.work
         return a, b
-
-    def _metrics(self, x, levels, p, tail, pi_idle_fg, iw, jw, w_busy) -> dict:
-        """The metrics of solve from x, the level masses p, the tail mass and
-        the weighted sums of _drift_means, as fbq_speed_family sums them."""
-        K = self.K
-        g0_at_1, L1, L2 = _drift_means(self.rho1, self.rho2, self.q, pi_idle_fg, iw, jw, w_busy)
-        L = L1 + L2
-
-        if self.alpha == 0.0:
-            power = (levels != 0.0).astype(float)    # an idle stopped processor draws nothing
-        else:
-            power = levels**self.alpha
-        energy = (p * power[:, :K]).sum(axis=1) + power[:, K] * tail
-        return dict(boundary=x, g0_at_1=g0_at_1, L1=L1, L2=L2, L=L, p=p,
-                    tail_mass=tail, energy_rate=energy)
 
 
 def _drift_means(rho1, rho2, q, pi_idle_fg, iw, jw, w_busy):

@@ -7,8 +7,8 @@ loop's order, so the two give equal results, errors included.
 * `run`: the jump chain of `fbq_jump_chain`, behind `simulate._jump_chain`.
 * `lockstep` and `solve_probability_stack`: the elimination of
   `fbq_speed_family` and `fbq_pool_system`; `family_solve` is the whole
-  family loop, with the systems of `single._Family._stack` and the row sums
-  of `finish_sums`.
+  family loop, with the systems of `single._Family._stack`, the row sums
+  of `finish_sums` and the drift identities and energy rates of `metrics`.
 * `factor`, `lu_solve` and `lu_solve_transposed`: one system's elimination
   with its factors kept, and the solves with them; `condition` is the
   condition estimate of `fbq_condition`, behind `linsys._condition`.
@@ -252,9 +252,27 @@ def condition(a: np.ndarray) -> float:
 
 def family_solve(family, levels: np.ndarray) -> dict:
     """`single._Family.solve` on the references: the numpy assembly, the
-    lockstep solve and the row sums of `finish_sums`."""
+    lockstep solve, the row sums of `finish_sums` and the metrics of
+    `metrics`."""
     x = solve_probability_stack(*family._stack(levels))
-    return family._metrics(x, levels, *finish_sums(family.K, levels, x))
+    return metrics(family, x, levels, *finish_sums(family.K, levels, x))
+
+
+def metrics(family, x, levels, p, tail, pi_idle_fg, iw, jw, w_busy) -> dict:
+    """The finish of `finish_system` after its row sums, in numpy: the
+    metrics of `single._Family.solve` from x, the level masses p, the tail
+    mass and the weighted sums of `single._drift_means`."""
+    K = family.K
+    g0_at_1, L1, L2 = single._drift_means(family.rho1, family.rho2, family.q, pi_idle_fg, iw, jw, w_busy)
+    L = L1 + L2
+
+    if family.alpha == 0.0:
+        power = (levels != 0.0).astype(float)    # an idle stopped processor draws nothing
+    else:
+        power = levels**family.alpha
+    energy = (p * power[:, :K]).sum(axis=1) + power[:, K] * tail
+    return dict(boundary=x, g0_at_1=g0_at_1, L1=L1, L2=L2, L=L, p=p,
+                tail_mass=tail, energy_rate=energy)
 
 
 def finish_sums(K: int, levels: np.ndarray, x: np.ndarray):

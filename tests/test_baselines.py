@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -129,6 +131,53 @@ class TestLas:
             CoxianService(1e6, 1.0, 0.0), CoxianService(1.001e3, 1.0, 0.05),
             CoxianService(1e6, 1.0, 0.05))]
         assert panels == [12, 12, 12, 12, 13, 22]
+
+
+def fresh_las_L(lam, service):
+    """las_L with its nodes and terms evaluated afresh, _las_terms(lam, ...)
+    at lam itself, as las_L computed it before its nodes were kept."""
+    slow = min(service.nu1, service.nu2 if service.q > 0 else service.nu1)
+    x_max = 14.0 * math.log(10.0) / slow + 10.0 / slow
+    unit, weights = baselines._las_rule(baselines._LAS_NODES, baselines._LAS_CHECK_NODES,
+                                        baselines._las_panels(service))
+    x = x_max * unit
+    density, rx, m2 = _las_terms(lam, service, x)
+    response = x / (1.0 - rx) + lam * m2 / (2.0 * (1.0 - rx) ** 2)
+    return float((lam * x_max * (weights @ (density * response)))[0])
+
+
+class TestLasNodes:
+    """las_L keeps each service's nodes and lam-free terms (_las_nodes)."""
+
+    SERVICES = {
+        "figure3": SERVICE,
+        "equal-rates": CoxianService(2.0, 2.0, 0.3),        # the confluent branch of _las_terms
+        "q=0": CoxianService(2.0, 1.0, 0.0),
+        "q=1": CoxianService(3.0, 1.5, 1.0),
+        "ratio-3e4": CoxianService(3e4, 1.0, 0.05),          # 5 panels more than _LAS_PANELS
+    }
+
+    @pytest.mark.parametrize("name", sorted(SERVICES))
+    def test_kept_nodes_give_the_bits_of_a_fresh_evaluation(self, name):
+        svc = self.SERVICES[name]
+        assert svc._equal_rates() == (name == "equal-rates")
+        if name == "ratio-3e4":
+            assert baselines._las_panels(svc) > baselines._LAS_PANELS
+        baselines._las_nodes.cache_clear()
+        for load in (0.1, 0.5, 0.8, 0.95):   # the first call fills the cache, the others read it
+            lam = load / svc.mean()
+            assert las_L(lam, svc).hex() == fresh_las_L(lam, svc).hex(), load
+        assert baselines._las_nodes.cache_info().hits == 3
+
+    def test_the_cache_is_bounded_and_its_arrays_read_only(self):
+        size = baselines._las_nodes.cache_info().maxsize
+        assert size is not None and size > 0
+        baselines._las_nodes.cache_clear()
+        for k in range(size + 3):
+            las_L(0.5, CoxianService(2.0 + k / 64, 1.0, 0.2))
+        assert baselines._las_nodes.cache_info().currsize == size
+        x_max, *arrays = baselines._las_nodes(SERVICE, baselines._LAS_NODES, baselines._LAS_CHECK_NODES)
+        assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
 
 
 def test_import_does_not_load_scipy_integrate(fresh_import):

@@ -4,10 +4,11 @@ stacked solves under them (fbq.linsys).
 data/family_solve_pins.json holds searches and figure-5 points recorded from
 the search that solved its grid one profile at a time with solve_general.
 The family solve must return the same speed levels, and costs and curves
-within 1e-12 relative.  The compiled family loop (fill, lockstep LU and row
-sums) does the same float operations as its Python reference
-(reference.family_solve: the numpy assembly, reference.lockstep and
-reference.finish_sums), so every result, error message included, must be
+within 1e-12 relative.  The compiled family loop (fill, lockstep LU and
+finish) does the same float operations as its Python reference
+(reference.family_solve: the numpy assembly, reference.lockstep,
+reference.finish_sums and reference.metrics), so every result, error
+message included, must be
 equal on the two paths, not close; and a profile's lockstep solve must not
 depend on its position in the family or on the other systems there.  The
 pool tests run on both paths compare the compiled zero search and boundary
@@ -51,13 +52,14 @@ from fbq.models import (
 from fbq.multi import sweep_thresholds
 from fbq import single
 from fbq.single import solve_general, solve_speed_family
-from reference import condition, lockstep, solve_probability_stack
+from reference import condition, finish_sums, lockstep, metrics, solve_probability_stack
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "family_solve_pins.json").read_text())
 SWEEP_PINS = json.loads((pathlib.Path(__file__).parent / "data" / "threshold_sweep_pins.json").read_text())
 FIELDS = ("L", "L1", "L2", "energy_rate")
 KERNELS = sys.modules["fbq._kernels"]
 LINSYS = sys.modules["fbq.linsys"]
+EXPERIMENTS = sys.modules["fbq.experiments"]
 SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
 
 
@@ -477,23 +479,25 @@ def pinned_search_stacks(monkeypatch):
 
 
 def family_call(loops, family, levels, threads):
-    """(status, x, pivmin, summary, p, sums) of the compiled fbq_speed_family
-    on the profiles `levels` of `family`, run on up to `threads` threads."""
+    """(status, x, pivmin, summary, p, out) of the compiled fbq_speed_family
+    on the profiles `levels` of `family`, run on up to `threads` threads;
+    out holds the tail mass, g0(1), L1, L2, L and the energy rate."""
     levels = np.ascontiguousarray(levels, dtype=float)
+    power = (levels != 0.0).astype(float) if family.alpha == 0.0 else levels**family.alpha
     count, n = len(levels), len(family.layout.states)
     x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
-    p, sums = np.empty((count, family.K)), np.empty((5, count))
+    p, out = np.empty((count, family.K)), np.empty((6, count))
     dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
     status = loops.speed_family(count, family.K, len(family.at), i64(family.at), dbl(family.coef),
-                                dbl(family.shared), family.work, dbl(levels), LINSYS.PIVOT_RTOL,
-                                LINSYS.NEG_PROB_TOL, threads, dbl(x), dbl(pivmin), i64(summary), dbl(p),
-                                dbl(sums))
-    return status, x, pivmin, summary.tolist(), p, sums
+                                dbl(family.shared), family.work, family.rho1, family.rho2, family.q,
+                                dbl(levels), dbl(power), LINSYS.PIVOT_RTOL, LINSYS.NEG_PROB_TOL, threads,
+                                dbl(x), dbl(pivmin), i64(summary), dbl(p), dbl(out))
+    return status, x, pivmin, summary.tolist(), p, out
 
 
 def family_loop(loops, family, levels):
     """(status, x, pivmin, summary) of the compiled fbq_speed_family on one
-    thread, its row sums dropped: its elimination is the compiled twin of
+    thread, its finish dropped: its elimination is the compiled twin of
     reference.lockstep."""
     return family_call(loops, family, levels, 1)[:4]
 
@@ -624,7 +628,7 @@ def test_families_are_byte_equal_on_any_thread_count(monkeypatch, compiled_loops
     # solve_general's one-profile families, all of the oracle traffic, stay below the split
     assert 1 < SPLIT and 5050 in {len(levels) for _, levels in families}
     # at q = 0 the roundoff negatives of many systems are clamped, so the
-    # threads' counts of negative values decide the clamp of the row sums
+    # threads' counts of negative values decide the clamp of the finish
     clamped = coarse_k3_family(dict(PINS["bases"]["figure4"], q=0.0))
     before = task_count()
     for family, levels in [*families, clamped]:
@@ -676,6 +680,63 @@ def test_the_outcome_of_a_split_family_is_the_one_thread_outcome(faults, status,
             monkeypatch.setattr(KERNELS, "cpus", lambda: cpus)
             messages.add(raised(lambda: solve_speed_family(base_model(FAILING_BASE), levels[:, 1:-1])))
         assert messages == {raised(lambda: solve_speed_family(base_model(FAILING_BASE), [SINGULAR]))}
+
+
+# --- the compiled finish -------------------------------------------------------
+
+# numpy sums a row of fewer than 8 terms in turn and a longer one in 8
+# accumulators, so the energy sums of K = 1 .. 7 and of K >= 8 differ in kind
+FINISH_K = (*range(1, 13), 16, 24)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5, 2.0])
+def test_the_compiled_finish_equals_its_numpy_twin(alpha, monkeypatch):
+    # seed7 has s_0 > 0; the q = 0 coarse K = 3 family is clamped, and its
+    # s_0 = 0 draws no power at alpha = 0
+    b = dict(PINS["bases"]["seed7"], alpha=alpha)
+    rng = np.random.default_rng(39)
+    families = []
+    for K in FINISH_K:
+        count = SPLIT + 8 if K <= 12 else 24   # split over threads up to K = 12
+        inter = np.sort(rng.uniform(b["s0"], b["top"], (count, K - 1)), axis=1)
+        families.append((single._Family(base_model(b), K),
+                         np.column_stack([np.full(count, b["s0"]), inter, np.full(count, b["top"])])))
+    clamped = coarse_k3_family(dict(PINS["bases"]["figure4"], q=0.0, alpha=alpha))
+    assert family_call(KERNELS.compiled(), *clamped, 1)[3][2] > 0
+    for family, levels in [*families, clamped]:
+        for threads in (1, 2):
+            monkeypatch.setattr(KERNELS, "cpus", lambda: threads)
+            got = family.solve(levels)
+            x = got["boundary"]
+            expected = metrics(family, x, levels, *finish_sums(family.K, levels, x))
+            assert sorted(got) == sorted(expected)
+            for f, value in expected.items():   # bytes, so that a zero keeps its sign
+                assert got[f].tobytes() == value.tobytes(), (family.K, len(levels), threads, f)
+
+
+def test_a_search_builds_one_family_and_its_grids_once_per_lower_bound(monkeypatch):
+    calls = {"_Family": 0, "_coarse_grid": 0}
+    init, coarse = single._Family.__init__, EXPERIMENTS._coarse_grid
+
+    def counted_init(family, *args):
+        calls["_Family"] += 1
+        init(family, *args)
+
+    def counted_grid(*args):
+        calls["_coarse_grid"] += 1
+        return coarse(*args)
+    monkeypatch.setattr(single._Family, "__init__", counted_init)
+    monkeypatch.setattr(EXPERIMENTS, "_coarse_grid", counted_grid)
+    EXPERIMENTS._search_grids.cache_clear()
+    b = PINS["bases"]["figure4"]
+    optimize_intermediate_speeds(base_model(b), 3, CostCoefficients(b["c1"], b["c2"]))
+    assert calls == {"_Family": 1, "_coarse_grid": 1}   # one family for the coarse and the fine grid
+    # another model with the same lower bound reuses the grids
+    optimize_intermediate_speeds(base_model(dict(b, lam=2.0)), 3, CostCoefficients(b["c1"], 5.0))
+    assert calls == {"_Family": 2, "_coarse_grid": 1}
+    fracs, grid, span = EXPERIMENTS._search_grids(COARSE_STEP, 3)
+    assert not grid.flags.writeable and len(grid) == 5050
+    assert isinstance(fracs, tuple) and isinstance(span, tuple)
 
 
 AFFINITY_PROBE = """

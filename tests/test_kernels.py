@@ -92,7 +92,7 @@ def test_clones_give_the_bits_of_the_baseline_build(baseline_loops, monkeypatch)
             assert expected[0] == 0
             assert_same_bits(family_call(dispatched, family, levels, threads), expected,
                              (family.K, len(levels), threads))
-    assert family_call(dispatched, *families[1], 1)[3][2] > 0   # the clamped row sums
+    assert family_call(dispatched, *families[1], 1)[3][2] > 0   # the clamped finish
     for chain in sorted(CHAINS):
         assert chain_run(dispatched, chain, monkeypatch) == chain_run(baseline_loops, chain, monkeypatch), chain
 
