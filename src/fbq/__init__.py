@@ -1,6 +1,8 @@
 """fbq: exact solvers, simulator and cost optimizer for two-queue
 foreground-background systems with speed or capacity modulation."""
 
+import sys
+
 from .models import (
     CostCoefficients,
     CoxianService,
@@ -36,7 +38,7 @@ from .multi import (
 )
 from .baselines import fcfs_L, las_L, priority_two_class_L
 from .ctmc import CtmcSolution, ctmc_solve
-from .simulate import (
+from .simulation import (
     SimConfig,
     SimEstimate,
     ThreePhaseModel,
@@ -52,6 +54,10 @@ from .experiments import (
     reproduce_figure,
     solve,
 )
+
+# the simulator's module under the name of the function it exports, for
+# callers that look the module up by it, such as perfbench's tracer
+sys.modules[f"{__name__}.simulate"] = simulation
 
 __version__ = "0.1.0"
 

@@ -3,10 +3,12 @@
  * Each loop is tested bit for bit against a Python reference, named below,
  * in the test suite's module `reference`.
  *
- * fbq_jump_chain is the jump-chain loop of fbq.simulate, reference.run in
- * Python, which fbq.simulate._jump_chain calls.  Its uniforms
- * are CPython's random.Random.random(): MT19937 (Matsumoto & Nishimura, ACM
- * TOMACS 8, 1998) continued from a state that random.Random(seed).getstate()
+ * fbq_jump_chain runs the independent replications of fbq.simulation's
+ * jump chain, each of them reference.run in Python, on up to one thread
+ * per CPU, started and joined within the call; simulation._jump_chain
+ * calls it.  Each replication's uniforms are CPython's
+ * random.Random.random(): MT19937 (Matsumoto & Nishimura, ACM TOMACS 8,
+ * 1998) continued from a state that random.Random(seed).getstate()
  * returns, and genrand_res53 on each pair of tempered words.  They are made
  * a block at a time: one pass regenerates the 624 words and a second
  * tempers and pairs them into 312 doubles in a buffer on the chain's stack
@@ -14,7 +16,7 @@
  * same), which is the reference generator's stream bit for bit.  Every
  * float operation is the Python loop's, in its order, so the two agree bit
  * for bit when this file is built with -ffp-contract=off and without
- * -ffast-math.
+ * -ffast-math, on whichever thread a replication runs.
  *
  * fbq_speed_family solves a speed family of fbq.single from its layout and
  * the profiles' speed levels: it fills each tile of systems as
@@ -50,11 +52,14 @@
  * libm's pow, as CPython does, so the zeros, the counts and each failure's
  * data equal the Python search's.
  *
- * fbq_ctmc_band finds the states of fbq.ctmc's truncated chain that its
- * fixed state reaches and fills the band system of their balance equations
- * for LAPACK's dgbsv, as reference.band_system does with a sparse graph
- * search and bincounts; each cell is summed in the reference's order, so
- * the two systems are equal bit for bit.
+ * fbq_ctmc_rectangle solves one rectangle of fbq.ctmc's truncated chain
+ * in one call: it finds the states that the fixed state reaches, fills the
+ * band system of their balance equations, as reference.band_system does
+ * with a sparse graph search and bincounts, each cell summed in the
+ * reference's order, and solves it by LAPACK's dgbsv, which it is handed
+ * as a function pointer from scipy's cython_lapack; then it normalises
+ * the solution and sums both marginals in numpy's order (ctmc._finish),
+ * so grid and marginals equal reference.rectangle's bit for bit.
  *
  * fbq_pool_data builds what every threshold of a pool of fbq.multi shares
  * (reference.pool_data): at each zero the left null vector of A(z_k), by
@@ -86,7 +91,9 @@
  * operations that its system or word gets alone.  Where the compiler or
  * platform lacks target_clones or ifuncs (anything but GCC or clang on
  * x86-64 ELF with glibc), FBQ_CLONES is empty and the plain loops are
- * built for the baseline target.
+ * built for the baseline target.  The replication threads of
+ * fbq_jump_chain and fbq_ctmc_rectangle are not cloned: the chain's time
+ * is in its branches and the rectangle's in dgbsv.
  */
 #include <float.h>
 #include <math.h>
@@ -147,22 +154,30 @@ FBQ_CLONES static void mt_block(uint32_t *mt, double *out)
     }
 }
 
-/* mt holds the 624 words of a generator state whose index is at its end,
- * as random.Random(seed) always leaves it, so the first draw regenerates
- * them; the chain advances mt in place.  Row r of the rate table: holding
- * time inv[r], servers/rate srv[r], arrival probability pa[r] and the
- * arrival's next row up[r].  Its completions are moves first[r], first[r] +
- * 1, ...: move k is taken when u < bound[k] (the row's last bound is
- * infinite) and is (phase, moves on, next row below the clamp, next row at
- * or above it) in move[4k .. 4k + 3].  Arrivals close a batch at each of
+/* The rate table of a simulated model.  Row r: holding time inv[r],
+ * servers/rate srv[r], arrival probability pa[r] and the arrival's next row
+ * up[r].  Its completions are moves first[r], first[r] + 1, ...: move k is
+ * taken when u < bound[k] (the row's last bound is infinite) and is (phase,
+ * moves on, next row below the clamp, next row at or above it) in move[4k ..
+ * 4k + 3]. */
+struct table {
+    const double *inv, *srv, *pa, *bound;
+    const int64_t *up, *first, *move;
+    int64_t clamp;
+};
+
+/* One replication of the chain, from the empty system.  mt holds the 624
+ * words of a generator state whose index is at its end, as
+ * random.Random(seed) always leaves it, so the first draw regenerates them;
+ * the chain advances mt in place.  Arrivals close a batch at each of
  * stops[0 .. nstops - 1]; sums gets the batch's time and the time integrals
  * of n0, nl and the servers, counts the final n0, nl, arrivals and
  * completions. */
-void fbq_jump_chain(uint32_t *mt, const double *inv, const double *srv, const double *pa,
-                    const int64_t *up, const int64_t *first, const double *bound,
-                    const int64_t *move, int64_t clamp, const int64_t *stops, int64_t nstops,
-                    double *sums, int64_t *counts)
+static void chain_run(const struct table *tb, uint32_t *mt, const int64_t *stops, int64_t nstops,
+                      double *sums, int64_t *counts)
 {
+    const double *inv = tb->inv, *srv = tb->srv, *pa = tb->pa, *bound = tb->bound;
+    const int64_t *up = tb->up, *first = tb->first, *move = tb->move, clamp = tb->clamp;
     int64_t n0 = 0, n1 = 0, nl = 0, arrivals = 0, completions = 0, row = 0;
     double unif[MT_N / 2];
     int next = MT_N / 2;
@@ -216,6 +231,56 @@ void fbq_jump_chain(uint32_t *mt, const double *inv, const double *srv, const do
     counts[1] = nl;
     counts[2] = arrivals;
     counts[3] = completions;
+}
+
+/* What the threads of one fbq_jump_chain call share: the table, the
+ * replications and the next one that no thread has claimed. */
+struct chain_job {
+    const struct table *tb;
+    int64_t reps;
+    uint32_t *mt;
+    const int64_t *at, *stops;
+    double *sums;
+    int64_t *counts;
+    atomic_int_fast64_t next;
+};
+
+/* Claims replications one at a time until none is left and runs each. */
+static void *chain_reps(void *arg)
+{
+    struct chain_job *job = arg;
+    int64_t r;
+    while ((r = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) < job->reps)
+        chain_run(job->tb, job->mt + r * MT_N, job->stops + job->at[r], job->at[r + 1] - job->at[r],
+                  job->sums + 4 * job->at[r], job->counts + 4 * r);
+    return NULL;
+}
+
+/* The reps independent replications of fbq.simulation, each
+ * reference.run on its own generator state: replication r starts from the
+ * 624 words mt[624 r ..] and closes its batches at stops[at[r] ..
+ * at[r + 1] - 1], and chain_run writes its sums from sums[4 at[r]] and its
+ * counts to counts[4 r .. 4 r + 3].  The table is that of struct table.
+ * The replications are claimed by up to `threads` threads, the calling one
+ * among them, which are started and joined within the call, so none
+ * outlives it; a replication's float operations do not depend on the
+ * thread that runs it, so no output bit depends on the thread count.  A
+ * thread that cannot be started leaves its replications to the others. */
+void fbq_jump_chain(int64_t reps, int threads, uint32_t *mt, const double *inv, const double *srv,
+                    const double *pa, const int64_t *up, const int64_t *first, const double *bound,
+                    const int64_t *move, int64_t clamp, const int64_t *at, const int64_t *stops,
+                    double *sums, int64_t *counts)
+{
+    const struct table tb = {inv, srv, pa, bound, up, first, move, clamp};
+    struct chain_job job = {&tb, reps, mt, at, stops, sums, counts, 0};
+    int extra = threads - 1 < reps - 1 ? threads - 1 : (int)(reps - 1), started = 0;
+    pthread_t *id = extra > 0 ? malloc(extra * sizeof *id) : NULL;
+    while (id && started < extra && !pthread_create(&id[started], NULL, chain_reps, &job))
+        started++;
+    chain_reps(&job);
+    for (int i = 0; i < started; i++)
+        pthread_join(id[i], NULL);
+    free(id);
 }
 
 enum { LU_TILE = 8 };   /* systems per tile of the lockstep LU */
@@ -1170,91 +1235,172 @@ static int chain_moves(const struct chain *c, int64_t s, int64_t *to, double *ra
     return k;
 }
 
-/* The band system of fbq.ctmc._stationary for the chain (n1, n2, lam, q,
- * fg, bg) with the state `fixed` set to 1, in two calls, so that the
- * caller can size ab exactly in between.  The first, with ab NULL, finds
- * the states reachable from `fixed` by a breadth-first search and numbers
- * the others among them, the unknowns, along the short axis first: in
- * order of their flat index, or of j (n1 + 1) + i when n2 > n1.  order[k]
- * is the state of unknown k, pos[s] the number of state s or -1, and
- * sizes[0 .. 2] get the count of unknowns n and kl and ku, the farthest
- * entries below and above the diagonal.  The second takes pos, order and
- * sizes as the first left them and fills dgbsv's column-major band ab, n
- * columns of 2 kl + ku + 1 rows with entry (r, c) in row kl + ku + r - c of
- * column c, and the right-hand side b: each unknown's inflow from the
- * other unknowns minus its own outflow equals minus its inflow from
- * `fixed`.  Each cell is summed from 0 in the order of the reference's
- * bincounts, which is move order, so ab and b are the reference's bit for
- * bit. */
-void fbq_ctmc_band(int64_t n1, int64_t n2, double lam, double q, const double *fg,
-                   const double *bg, int64_t fixed, int64_t *pos, int64_t *order,
-                   int64_t *sizes, double *ab, double *b)
+/* LAPACK's dgbsv, as scipy.linalg.cython_lapack exports it. */
+typedef void dgbsv_fn(int *n, int *kl, int *ku, int *nrhs, double *ab, int *ldab, int *ipiv,
+                      double *b, int *ldb, int *info);
+
+/* Outcomes of fbq_ctmc_rectangle. */
+enum { RECT_SOLVED, RECT_SINGULAR, RECT_TOTAL, RECT_NEGATIVE, RECT_EMPTY, RECT_NO_MEMORY };
+
+/* numpy's add.reduce of the contiguous a[0 .. n - 1]: its initial 0.0 plus
+ * the pairwise sum, here that of the products a[i] 1.0, which are exact. */
+static double reduce_sum(int64_t n, const double *a, const double *ones)
+{
+    return 0.0 + pairwise_sum((int)n, a, ones);
+}
+
+/* One rectangle of fbq.ctmc._stationary's band path in one call, as
+ * reference.rectangle does it in numpy: the chain (n1, n2, lam, q, fg,
+ * bg), state (i, j) at flat index i (n2 + 1) + j, with the state `fixed`
+ * set to 1.  A breadth-first search from `fixed` finds the states it
+ * reaches, keeping each state's moves (chain_moves); the others among
+ * them, the unknowns, are numbered along the short axis first: in order of
+ * their flat index, or of j (n1 + 1) + i when n2 > n1.  band gets kl and
+ * ku, the farthest entries below and above the diagonal, and their balance
+ * equations are filled into dgbsv's column-major band, n columns of 2 kl +
+ * ku + 1 rows with entry (r, c) in row kl + ku + r - c of column c, with
+ * the right-hand side: each unknown's inflow from the other unknowns minus
+ * its own outflow equals minus its inflow from `fixed`.  Each cell is
+ * summed from 0 in move order, the order of reference.band_system's
+ * bincounts, so the system is the reference's bit for bit, and dgbsv
+ * solves it.  The solution, 1 at `fixed` and 0 elsewhere, is then
+ * normalised as ctmc._finish does it in numpy: divided by its sum,
+ * checked for a value below -1e-9, clipped at 0.0 and divided by its new
+ * sum; grid gets it, fg_marginal its row sums and bg_marginal its column
+ * sums, each sum in numpy's order (reduce_sum, and the column sums row by
+ * row).
+ * Returns RECT_SOLVED; RECT_EMPTY, with nothing written, when `fixed`
+ * reaches no other state; RECT_SINGULAR when dgbsv finds a zero pivot;
+ * RECT_TOTAL or RECT_NEGATIVE, with the total or the least value in
+ * *value, when the first sum is not finite and positive or a value is
+ * below -1e-9; RECT_NO_MEMORY when the work space cannot be allocated. */
+int fbq_ctmc_rectangle(dgbsv_fn *dgbsv, int64_t n1, int64_t n2, double lam, double q,
+                       const double *fg, const double *bg, int64_t fixed, double *grid,
+                       double *fg_marginal, double *bg_marginal, int64_t *band, double *value)
 {
     const struct chain c = {n1, n2, lam, q, fg, bg};
-    int64_t states = (n1 + 1) * (n2 + 1), to[4];
-    double rate[4];
-    int moves;
-    if (!ab) {
-        /* order is the search's queue until the unknowns are numbered;
-         * pos marks a reached state -2 */
-        for (int64_t s = 0; s < states; s++)
-            pos[s] = -1;
-        int64_t head = 0, tail = 1, n = 0, kl = 0, ku = 0;
-        order[0] = fixed;
-        pos[fixed] = -2;
-        while (head < tail) {
-            moves = chain_moves(&c, order[head++], to, rate);
-            for (int m = 0; m < moves; m++) {
-                if (pos[to[m]] == -1) {
-                    pos[to[m]] = -2;
-                    order[tail++] = to[m];
-                }
+    int64_t states = (n1 + 1) * (n2 + 1), w = n2 + 1;
+    int64_t *pos = malloc(states * (6 * sizeof(int64_t) + 4 * sizeof(double) + sizeof(int)));
+    if (!pos)
+        return RECT_NO_MEMORY;
+    int64_t *order = pos + states, *to = order + states;
+    double *rate = (double *)(to + 4 * states);
+    int *moves = (int *)(rate + 4 * states);
+    /* order is the search's queue until the unknowns are numbered; pos
+     * marks a reached state -2 */
+    for (int64_t s = 0; s < states; s++)
+        pos[s] = -1;
+    int64_t head = 0, tail = 1, n = 0, kl = 0, ku = 0;
+    order[0] = fixed;
+    pos[fixed] = -2;
+    while (head < tail) {
+        int64_t s = order[head++];
+        moves[s] = chain_moves(&c, s, to + 4 * s, rate + 4 * s);
+        for (int m = 0; m < moves[s]; m++) {
+            if (pos[to[4 * s + m]] == -1) {
+                pos[to[4 * s + m]] = -2;
+                order[tail++] = to[4 * s + m];
             }
         }
-        pos[fixed] = -1;
-        for (int64_t k = 0; k < states; k++) {
-            int64_t s = n2 > n1 ? k % (n1 + 1) * (n2 + 1) + k / (n1 + 1) : k;
-            if (pos[s] == -2) {
-                pos[s] = n;
-                order[n++] = s;
-            }
-        }
-        for (int64_t k = 0; k < n; k++) {
-            moves = chain_moves(&c, order[k], to, rate);
-            for (int m = 0; m < moves; m++) {
-                int64_t r = pos[to[m]];
-                if (r >= 0) {
-                    kl = r - k > kl ? r - k : kl;
-                    ku = k - r > ku ? k - r : ku;
-                }
-            }
-        }
-        sizes[0] = n;
-        sizes[1] = kl;
-        sizes[2] = ku;
-        return;
     }
-    int64_t n = sizes[0], diag = sizes[1] + sizes[2], height = diag + sizes[1] + 1;
-    for (int64_t k = 0; k < n * height; k++)
-        ab[k] = 0.0;
+    pos[fixed] = -1;
+    for (int64_t k = 0; k < states; k++) {
+        int64_t s = n2 > n1 ? k % (n1 + 1) * w + k / (n1 + 1) : k;
+        if (pos[s] == -2) {
+            pos[s] = n;
+            order[n++] = s;
+        }
+    }
+    if (!n) {
+        free(pos);
+        return RECT_EMPTY;
+    }
     for (int64_t k = 0; k < n; k++) {
-        double out = 0.0;
-        moves = chain_moves(&c, order[k], to, rate);
-        for (int m = 0; m < moves; m++) {
-            out += rate[m];
-            if (pos[to[m]] >= 0)
-                ab[k * height + diag + pos[to[m]] - k] += rate[m];
+        int64_t s = order[k];
+        for (int m = 0; m < moves[s]; m++) {
+            int64_t r = pos[to[4 * s + m]];
+            if (r >= 0) {
+                kl = r - k > kl ? r - k : kl;
+                ku = k - r > ku ? k - r : ku;
+            }
         }
-        ab[k * height + diag] += -out;
     }
-    for (int64_t k = 0; k < n; k++)
+    int64_t diag = kl + ku, height = diag + kl + 1;
+    double *ab = malloc((n * height + n + states) * sizeof *ab), *b = ab + n * height,
+           *ones = b + n;
+    int *ipiv = malloc(n * sizeof *ipiv);
+    if (!ab || !ipiv) {
+        free(ab);
+        free(ipiv);
+        free(pos);
+        return RECT_NO_MEMORY;
+    }
+    for (int64_t k = 0; k < n; k++) {
+        int64_t s = order[k];
+        double out = 0.0, *col = ab + k * height;
+        /* rows 0 .. kl - 1 are dgbsv's room for fill, which it zeroes
+         * before it uses them */
+        for (int64_t r = kl; r < height; r++)
+            col[r] = 0.0;
+        for (int m = 0; m < moves[s]; m++) {
+            out += rate[4 * s + m];
+            if (pos[to[4 * s + m]] >= 0)
+                col[diag + pos[to[4 * s + m]] - k] += rate[4 * s + m];
+        }
+        col[diag] += -out;
         b[k] = 0.0;
-    moves = chain_moves(&c, fixed, to, rate);
-    for (int m = 0; m < moves; m++)
-        if (pos[to[m]] >= 0)
-            b[pos[to[m]]] += rate[m];
+    }
+    for (int m = 0; m < moves[fixed]; m++)
+        if (pos[to[4 * fixed + m]] >= 0)
+            b[pos[to[4 * fixed + m]]] += rate[4 * fixed + m];
     for (int64_t k = 0; k < n; k++)
         b[k] = -b[k];
+    int nn = (int)n, ikl = (int)kl, iku = (int)ku, nrhs = 1, ld = (int)height, info = 0;
+    dgbsv(&nn, &ikl, &iku, &nrhs, ab, &ld, ipiv, b, &nn, &info);
+    band[0] = kl;
+    band[1] = ku;
+    int status = info > 0 ? RECT_SINGULAR : RECT_SOLVED;
+    if (status == RECT_SOLVED) {
+        for (int64_t s = 0; s < states; s++) {
+            grid[s] = 0.0;
+            ones[s] = 1.0;
+        }
+        for (int64_t k = 0; k < n; k++)
+            grid[order[k]] = b[k];
+        grid[fixed] = 1.0;
+        double total = reduce_sum(states, grid, ones), least = INFINITY;
+        if (!(isfinite(total) && total > 0.0)) {
+            *value = total;
+            status = RECT_TOTAL;
+        } else {
+            for (int64_t s = 0; s < states; s++) {
+                grid[s] /= total;
+                least = grid[s] < least ? grid[s] : least;
+            }
+            if (least < -1e-9) {
+                *value = least;
+                status = RECT_NEGATIVE;
+            }
+        }
+    }
+    if (status == RECT_SOLVED) {
+        for (int64_t s = 0; s < states; s++)
+            grid[s] = grid[s] > 0.0 ? grid[s] : 0.0;
+        double total = reduce_sum(states, grid, ones);
+        for (int64_t s = 0; s < states; s++)
+            grid[s] = grid[s] / total;
+        for (int64_t j = 0; j < w; j++)
+            bg_marginal[j] = 0.0;
+        for (int64_t i = 0; i <= n1; i++) {
+            fg_marginal[i] = reduce_sum(w, grid + i * w, ones);
+            for (int64_t j = 0; j < w; j++)
+                bg_marginal[j] += grid[i * w + j];
+        }
+    }
+    free(ab);
+    free(ipiv);
+    free(pos);
+    return status;
 }
 
 /* The unknowns of threshold K of the pool of m servers are the states (i, j)

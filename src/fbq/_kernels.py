@@ -8,23 +8,27 @@ so an edited source gets a new library and later processes only load it.
 run on them, and fbq has no other coding of them.  A process tries the
 build once and keeps the outcome: where the library cannot be built or
 loaded (no C compiler, no private cache directory), each call raises an
-OSError that names the cause.
+OSError that names the cause.  No LAPACK is linked: `fbq_ctmc_rectangle`
+calls the dgbsv that `dgbsv()` reads from scipy's `cython_lapack`
+capsule, on first use, as the function pointer its first argument takes.
 
 The flags are `-O2`; `-ffp-contract=off`, so that no multiply and add is
 fused and each loop does its Python reference's float operations;
 `-fvect-cost-model=dynamic`, without which GCC 12's `-O2` cost model
 leaves the generator's twist and temper loops scalar; `-fPIC -shared` for
 a library; and `-pthread`, since `fbq_speed_family` splits a large family
-over threads.  Where GCC or clang targets x86-64 ELF with glibc, a speed
-family's tile loop and the generator's block are built as AVX-512F, AVX2
-and baseline clones, and the dynamic loader picks one for the CPU when the
+over threads and `fbq_jump_chain` runs a simulation's replications on
+them.  Where GCC or clang targets x86-64 ELF with glibc, a speed family's
+tile loop and the generator's block are built as AVX-512F, AVX2 and
+baseline clones, and the dynamic loader picks one for the CPU when the
 library is loaded; elsewhere the baseline loops are built alone.  Every
 clone does each system's and each word's operations as the baseline loop
-does, so no output bit depends on the CPU.  Those threads are started and joined within
-the call, so none outlives it and a fork between calls is safe, and the
-split leaves every output bit as it is on one thread.  `cpus()`, the count
-of `os.sched_getaffinity(0)`, is the thread count its callers pass; it is
-read on each call, and no option or environment variable sets it.
+does, so no output bit depends on the CPU.  Those threads are started and
+joined within the call, so none outlives it and a fork between calls is
+safe, and the split leaves every output bit as it is on one thread.
+`cpus()`, the count of `os.sched_getaffinity(0)`, bounds the thread count
+its callers pass; it is read on each call, and no option or environment
+variable sets it.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fvect-cost-model=dynamic", "-fPIC", "-shared", "-pthread")
 
-Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_band speed_family pool_system "
-                                        "condition pool_data")
+Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_rectangle speed_family "
+                                        "pool_system condition pool_data")
 
 
 def cpus() -> int:
@@ -58,7 +62,7 @@ def cpus() -> int:
 
 
 def compiled() -> Loops:
-    """The library's `fbq_jump_chain`, `fbq_pool_roots`, `fbq_ctmc_band`,
+    """The library's `fbq_jump_chain`, `fbq_pool_roots`, `fbq_ctmc_rectangle`,
     `fbq_speed_family`, `fbq_pool_system`, `fbq_condition` and
     `fbq_pool_data` with their C signatures; the
     library is built first if the cache lacks it.  Raises OSError, naming
@@ -67,6 +71,21 @@ def compiled() -> Loops:
     if isinstance(loops, str):
         raise OSError(f"fbq needs its compiled loops, which cannot be built or loaded here: {loops}")
     return loops
+
+
+@functools.cache
+def dgbsv() -> int:
+    """The address of LAPACK's dgbsv in the capsule that
+    `scipy.linalg.cython_lapack` exports, the band solver that
+    `scipy.linalg.lapack.dgbsv` calls too."""
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dgbsv"]
+    # local prototypes, so that ctypes.pythonapi is left as it is
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return pointer(capsule, name(capsule))
 
 
 @functools.cache
@@ -83,14 +102,15 @@ def _bind(lib: ctypes.CDLL) -> Loops:
     i32, i64, dbl = ctypes.c_int, ctypes.c_int64, ctypes.c_double
     p_dbl, p_i64 = ctypes.POINTER(dbl), ctypes.POINTER(i64)
     chain, pool_roots = lib.fbq_jump_chain, lib.fbq_pool_roots
-    chain.argtypes = [ctypes.POINTER(ctypes.c_uint32), p_dbl, p_dbl, p_dbl, p_i64, p_i64, p_dbl,
-                      p_i64, i64, p_i64, i64, p_dbl, p_i64]
+    chain.argtypes = [i64, i32, ctypes.POINTER(ctypes.c_uint32), p_dbl, p_dbl, p_dbl, p_i64, p_i64,
+                      p_dbl, p_i64, i64, p_i64, p_i64, p_dbl, p_i64]
     chain.restype = None
     pool_roots.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 3, i32, p_dbl, p_dbl, p_dbl, p_i64, p_dbl]
     pool_roots.restype = i32
-    ctmc_band = lib.fbq_ctmc_band
-    ctmc_band.argtypes = [i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_i64, p_i64, p_i64, p_dbl, p_dbl]
-    ctmc_band.restype = None
+    ctmc_rectangle = lib.fbq_ctmc_rectangle
+    ctmc_rectangle.argtypes = [ctypes.c_void_p, i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_dbl, p_dbl,
+                               p_dbl, p_i64, p_dbl]
+    ctmc_rectangle.restype = i32
     family = lib.fbq_speed_family
     family.argtypes = [i64, i32, i64, p_i64, p_dbl, p_dbl, *[dbl] * 4, p_dbl, p_dbl, dbl, dbl, i32, p_dbl,
                        p_dbl, p_i64, p_dbl, p_dbl]
@@ -103,7 +123,7 @@ def _bind(lib: ctypes.CDLL) -> Loops:
     condition.restype = dbl
     pool_data.argtypes = [i64, *[dbl] * 4, p_dbl, p_dbl, *[dbl] * 3, *[p_dbl] * 3]
     pool_data.restype = i32
-    return Loops(chain, pool_roots, ctmc_band, family, pool_system, condition, pool_data)
+    return Loops(chain, pool_roots, ctmc_rectangle, family, pool_system, condition, pool_data)
 
 
 def _library() -> pathlib.Path:

@@ -38,7 +38,7 @@ from .models import (
     single_model_to_json,
 )
 from .multi import verify_multi
-from .simulate import SimConfig, ThreePhaseModel, simulate
+from .simulation import SimConfig, ThreePhaseModel, simulate
 from .single import solve_general, solve_k1_closed_form, verify_single
 from .experiments import (optimize_intermediate_speeds, optimize_threshold, reproduce_figure, solve,
                           write_csv_rows)

@@ -15,11 +15,15 @@ reaches are solved and the vector is normalised afterwards (Stewart,
 Numbered along the short axis first, those equations are a column
 diagonally dominant band matrix whose half-width is the short axis + 1, and
 LAPACK's band LU factors it; rectangles whose short axis has more than
-BAND_MAX levels go to SuperLU, which is faster there.  One call pair of the
-compiled loop `fbq_ctmc_band` finds the reachable states and fills the band
-system from the rate grids.  SuperLU's systems, and the empty one of
-lam = 0, are assembled from the generator entries of `_transitions` by a
-breadth-first search of their graph and bincounts over them.
+BAND_MAX levels go to SuperLU, which is faster there.  A band rectangle is
+one call of the compiled loop `fbq_ctmc_rectangle`: from the rate grids it
+finds the reachable states, fills the band system, solves it by the dgbsv
+of scipy's LAPACK, normalises the solution and sums both marginals, each
+float operation as numpy does it in `_finish`, so only `_grow`'s growth
+rule is left to Python.  SuperLU's systems, and the empty one of lam = 0,
+are assembled from the generator entries of `_transitions` by a
+breadth-first search of their graph and bincounts over them, and
+normalised by `_finish`.
 
 Each axis is sized to its own tail.  Above the modulation level the cut
 equations between foreground levels make the foreground marginal exactly
@@ -44,7 +48,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from . import _kernels
 from .models import (
@@ -119,34 +122,57 @@ def _rates(model, n1, n2):
     return model.lam, model.q, fg, bg
 
 
-def _band_compiled(lam, q, fg, bg, fixed):
-    """The band system of the chain by the compiled `fbq_ctmc_band`: the
-    unknown states in numbering order, dgbsv's ab, kl, ku and b; None when
-    `fixed` reaches no other state."""
+# outcomes of fbq_ctmc_rectangle besides a grid (0): a zero pivot, a total
+# probability that is not finite and positive, a probability below -1e-9, no
+# state reached from the fixed one, no memory for the work space
+_SINGULAR, _TOTAL, _NEGATIVE, _EMPTY, _NO_MEMORY = range(1, 6)
+
+
+def _band_rectangle(lam, q, fg, bg, fixed):
+    """The band path of `_stationary` in one call of the compiled
+    `fbq_ctmc_rectangle`, which finds the unknowns, fills their band
+    system, solves it by LAPACK's dgbsv and normalises the solution as
+    `_finish` does: the status (0 or one of _SINGULAR, _TOTAL and
+    _NEGATIVE), the offending total or probability, the grid, its two
+    marginals and the factorisation; None when `fixed` reaches no other
+    state."""
     fg, bg = np.ascontiguousarray(fg, dtype=float), np.ascontiguousarray(bg, dtype=float)
     if fg.shape != bg.shape:   # the loop reads both over the whole grid
         raise ValueError(f"rate grids of shapes {fg.shape} and {bg.shape}")
-    n1, n2 = fg.shape[0] - 1, fg.shape[1] - 1
-    pos, order, sizes = np.empty(fg.size, np.int64), np.empty(fg.size, np.int64), np.empty(3, np.int64)
+    (rows, cols), size = fg.shape, fg.size
+    # the grid, then its row sums and its column sums
+    out, band, value = np.empty(size + rows + cols), np.empty(2, np.int64), ctypes.c_double()
     # from_buffer views keep their arrays alive and pass as pointers
-    dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
-    args = (n1, n2, lam, q, dbl(fg), dbl(bg), fixed, i64(pos), i64(order), i64(sizes))
-    band = _kernels.compiled().ctmc_band
-    band(*args, None, None)
-    n, kl, ku = sizes.tolist()
-    if not n:
+    dbl = ctypes.c_double.from_buffer
+    status = _kernels.compiled().ctmc_rectangle(
+        _kernels.dgbsv(), rows - 1, cols - 1, lam, q, dbl(fg), dbl(bg), fixed, dbl(out),
+        dbl(out, 8 * size), dbl(out, 8 * (size + rows)), ctypes.c_int64.from_buffer(band),
+        ctypes.byref(value))
+    if status == _EMPTY:
         return None
-    # column-major band of n columns
-    ab, b = np.empty((n, 2 * kl + ku + 1)), np.empty(n)
-    band(*args, dbl(ab), dbl(b))
-    return order[:n], ab.T, kl, ku, b
+    if status == _NO_MEMORY:
+        raise MemoryError(f"no work space for the band system of {size} states")
+    solver = "band LU kl={} ku={}".format(*band.tolist())
+    if status:
+        return status, value.value, None, None, solver
+    return 0, 0.0, out[:size].reshape(fg.shape), (out[size:size + rows], out[size + rows:]), solver
 
 
-def _band_lu(ab, kl, ku, b):
-    """Solve the band system by LAPACK's band LU (dgbsv), overwriting ab and
-    b.  Returns x and whether a pivot was exactly zero."""
-    _, _, x, info = lapack.dgbsv(kl, ku, ab, b[:, None], overwrite_ab=1, overwrite_b=1)
-    return x[:, 0], info > 0
+def _finish(pi, shape):
+    """`_stationary`'s normalisation of the solution `pi` in numpy, which the
+    compiled rectangle mirrors: the status (0, _TOTAL or _NEGATIVE), the
+    offending value, the grid of `shape` and its marginals."""
+    total = pi.sum()
+    if not (np.isfinite(total) and total > 0.0):
+        return _TOTAL, total, None, None
+    pi /= total
+    # tiny negative entries are factorisation noise
+    floor = pi.min()
+    if floor < -1e-9:
+        return _NEGATIVE, floor, None, None
+    pi = np.clip(pi, 0.0, None)
+    grid = (pi / pi.sum()).reshape(shape)
+    return 0, 0.0, grid, (grid.sum(axis=1), grid.sum(axis=0))
 
 
 def _solve_sparse(rows, cols, rates, shape, fixed):
@@ -192,10 +218,11 @@ def _solve_sparse(rows, cols, rates, shape, fixed):
     return unknown, x, singular, f"SuperLU {ordering}"
 
 
-def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, str]:
+def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, tuple, str]:
     """Stationary vector of the chain (lam, q, fg, bg) of `_transitions` on
-    the grid of fg's shape, summing to 1, and the factorisation that solved
-    its equations ("band LU ..." or "SuperLU ...").
+    the grid of fg's shape, summing to 1, its foreground and background
+    marginals, and the factorisation that solved its equations ("band LU
+    ..." or "SuperLU ...").
 
     `fixed` is the flat index of a recurrent state.  Its probability is set
     to 1 and its balance equation dropped; the balance equations of the
@@ -204,37 +231,34 @@ def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, str]:
     a band matrix of half-width the short axis + 1, which is column
     diagonally dominant, so a band LU factors it without row swaps; a
     rectangle whose short axis has more than BAND_MAX levels is solved with
-    SuperLU instead.  The band system is found and filled by the compiled
-    `fbq_ctmc_band`, and SuperLU's, or the empty one that lam = 0 leaves,
-    by `_solve_sparse`.  States that `fixed` does not reach get
-    probability zero: they are transient, or they form a closed class the
-    model's convention leaves empty.  A reducible or otherwise singular
-    system raises SolverError instead of returning NaN.
+    SuperLU instead.  A band rectangle is found, filled, solved and
+    normalised by one compiled call (`_band_rectangle`), and SuperLU's, or
+    the empty one that lam = 0 leaves, by `_solve_sparse` and `_finish`.
+    States that `fixed` does not reach get probability zero: they are
+    transient, or they form a closed class the model's convention leaves
+    empty.  A reducible or otherwise singular system raises SolverError
+    instead of returning NaN.
     """
     shape = fg.shape
     at = f"truncation ({shape[0] - 1}, {shape[1] - 1})"
-    system = min(shape) <= BAND_MAX and _band_compiled(lam, q, fg, bg, fixed)
-    if system:
-        unknown, ab, kl, ku, b = system
-        solver = f"band LU kl={kl} ku={ku}"
-        x, singular = _band_lu(ab, kl, ku, b)
-    else:
+    solved = min(shape) <= BAND_MAX and _band_rectangle(lam, q, fg, bg, fixed)
+    if not solved:
         unknown, x, singular, solver = _solve_sparse(*_transitions(lam, q, fg, bg), shape, fixed)
-    if singular:
+        if singular:
+            solved = _SINGULAR, 0.0, None, None, solver
+        else:
+            pi = np.zeros(shape[0] * shape[1])
+            pi[unknown] = x
+            pi[fixed] = 1.0
+            solved = (*_finish(pi, shape), solver)
+    status, value, grid, marginals, solver = solved
+    if status == _SINGULAR:
         raise SolverError(f"stationary equations are singular at {at}: the truncated chain is reducible")
-    pi = np.zeros(shape[0] * shape[1])
-    pi[unknown] = x
-    pi[fixed] = 1.0
-    total = pi.sum()
-    if not (np.isfinite(total) and total > 0.0):
-        raise SolverError(f"stationary solve at {at} produced total probability {total:.3e}")
-    pi /= total
-    # tiny negative entries are factorisation noise
-    floor = pi.min()
-    if floor < -1e-9:
-        raise SolverError(f"stationary solve at {at} produced probability {floor:.3e}")
-    pi = np.clip(pi, 0.0, None)
-    return (pi / pi.sum()).reshape(shape), solver
+    if status == _TOTAL:
+        raise SolverError(f"stationary solve at {at} produced total probability {value:.3e}")
+    if status == _NEGATIVE:
+        raise SolverError(f"stationary solve at {at} produced probability {value:.3e}")
+    return grid, marginals, solver
 
 
 def _foreground_size(base, ratio):
@@ -267,20 +291,20 @@ def _background_size(marginal, n2, edge):
 def _grow(model, fixed, n1, n2, max_n):
     """Solve the model's chain on the rectangle (n1 + 1) x (n2 + 1), growing
     each axis whose edge mass is not below TAIL_TOL; return the probabilities
-    grid[i, j] and the two edge masses.  The foreground axis doubles; the
-    background axis follows its marginal's decay (`_background_size`).  Every
-    solve is finite or raises, so a failing chain stops at the first size."""
+    grid[i, j], their foreground and background marginals and the two edge
+    masses.  The foreground axis doubles; the background axis follows its
+    marginal's decay (`_background_size`).  Every solve is finite or raises,
+    so a failing chain stops at the first size."""
     i, j = fixed
     n1, n2 = min(n1, max_n), min(n2, max_n)
     while True:
         t0 = time.perf_counter()
-        grid, solver = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
-        fg_marginal, bg_marginal = grid.sum(axis=1), grid.sum(axis=0)
+        grid, (fg_marginal, bg_marginal), solver = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
         edges = (float(fg_marginal[n1]), float(bg_marginal[n2]))
         log.debug("(%d, %d): %d states, edge mass %.3e foreground, %.3e background, %.3f s, %s",
                   n1, n2, grid.size, *edges, time.perf_counter() - t0, solver)
         if max(edges) < TAIL_TOL:
-            return grid, edges
+            return grid, (fg_marginal, bg_marginal), edges
         if (edges[0] >= TAIL_TOL and n1 >= max_n) or (edges[1] >= TAIL_TOL and n2 >= max_n):
             raise SolverError(f"truncation cap {max_n} reached with edge mass {max(edges):.3e} "
                               f"> {TAIL_TOL:.0e}")
@@ -339,10 +363,10 @@ def ctmc_solve(model, max_n: int = MAX_N) -> CtmcSolution:
     exceeds `max_n`."""
     fixed, levels, fields, ratio = _chain(model)
     n1, n2 = _foreground_size(levels, ratio), max(START_N2, levels + 1)
-    grid, edges = _grow(model, fixed, n1, n2, max_n)
+    grid, (fg_marginal, bg_marginal), edges = _grow(model, fixed, n1, n2, max_n)
     n1, n2 = grid.shape[0] - 1, grid.shape[1] - 1
-    L1 = float(grid.sum(axis=1) @ np.arange(n1 + 1))
-    L2 = float(grid.sum(axis=0) @ np.arange(n2 + 1))
+    L1 = float(fg_marginal @ np.arange(n1 + 1))
+    L2 = float(bg_marginal @ np.arange(n2 + 1))
     p = tuple(float(sum(grid[i, t - i] for i in range(t + 1))) for t in range(levels))
     return CtmcSolution(L1=L1, L2=L2, L=L1 + L2, p=p, tail_mass=1.0 - sum(p),
                         truncation=(n1, n2), edge_mass=max(edges), **fields(model, grid, p))

@@ -4,23 +4,32 @@ under speed or capacity modulation.
 The simulator walks the embedded jump chain and adds the mean holding time
 1/rate of each state it leaves instead of drawing an exponential: the time
 averages stay consistent and their variance is no larger (discrete-time
-conversion).  Averages are kept per batch of arrivals after a warmup, and a
-95% half-width comes from the batch means.  All three models run through one
-loop over a finite rate table whose rows are phase counts clamped where
-the rates stop changing, with the servers and phase completion rates that
-the model's `rates` gives there.  Each jump draws one uniform, which picks
-the arrival or a completion with its branch folded in; the estimates for a
-seed depend on that order.
+conversion).  All three models run through one loop over a finite rate
+table whose rows are phase counts clamped where the rates stop changing,
+with the servers and phase completion rates that the model's `rates` gives
+there.  Each jump draws one uniform, which picks the arrival or a
+completion with its branch folded in; the estimates for a seed depend on
+that order.
+
+A run is REPLICATIONS independent replications, however many CPUs there
+are.  Replication r continues the Mersenne Twister stream of
+`random.Random(seed + r * 2**64)`, so replication 0 draws the seed's own
+stream and no two replications of seeds below 2**64 share one.  Each
+starts from the empty system, warms up for `warmup_jobs` arrivals and
+then takes its share of the `batch_count` batches of arrivals, the last
+replication the remainder; the averages and a 95% half-width come from
+the batch means of all replications pooled.
 
 The loop is compiled: `fbq_jump_chain` of `_kernels.c`, called through
-ctypes, continues the Mersenne Twister stream of `random.Random(seed)`.  It
-makes the stream's uniforms a block of 312 at a time, one regeneration of
-the generator's 624 words each, and runs about 60 million jumps a second
-on a 2-vCPU x86 machine.
+ctypes, runs the replications on up to one thread per CPU, started and
+joined within the call.  It makes each stream's uniforms a block of 312
+at a time, one regeneration of the generator's 624 words each, and runs
+about 80 million jumps a second per thread on a 2-vCPU x86 machine.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
 import functools
 import logging
@@ -123,7 +132,7 @@ class SimEstimate:
     L1: float
     L2: float
     ci_halfwidth: float
-    jobs_completed: int       # jobs that left by the end of the run
+    jobs_completed: int       # jobs that left by the end of the replications
     seed: int
     U: float = 0.0  # multiserver runs: mean operative servers
 
@@ -132,10 +141,16 @@ class SimEstimate:
                 "jobs": self.jobs_completed, "seed": self.seed}
 
 
-def _estimate(sums, config, completed: int) -> tuple[SimEstimate, float]:
-    """The estimate, given the jobs that left, and the batch means' lag-1 autocorrelation."""
+REPLICATIONS = 2   # independent replications of one run, whatever the CPU count
+
+
+def _estimate(runs, config) -> tuple[SimEstimate, float, list[float]]:
+    """The estimate from the per-replication batch sums and jobs that left,
+    the batch means' lag-1 autocorrelation within the replications, and
+    each replication's mean count."""
     from scipy.special import stdtrit   # here, so that importing fbq does not load it
 
+    sums = [s for batches, _ in runs for s in batches]
     batch_time, batch_i, batch_j, batch_u = zip(*sums)
     tot_t = sum(batch_time)
     L1 = sum(batch_i) / tot_t
@@ -146,12 +161,19 @@ def _estimate(sums, config, completed: int) -> tuple[SimEstimate, float]:
     dev = [x - mean for x in means]
     ss = sum(d * d for d in dev)
     ci = float(stdtrit(n - 1, 0.975)) * (ss / (n - 1) / n) ** 0.5
-    lag1 = sum(a * b for a, b in zip(dev, dev[1:])) / ss if ss > 0 else 0.0
-    return SimEstimate(L1 + L2, L1, L2, ci, completed, config.seed, sum(batch_u) / tot_t), lag1
+    lag1, k = 0.0, 0
+    for batches, _ in runs:   # adjacent batches of one replication
+        lag1 += sum(a * b for a, b in zip(dev[k:k + len(batches)], dev[k + 1:k + len(batches)]))
+        k += len(batches)
+    lag1 = lag1 / ss if ss > 0 else 0.0
+    rep_means = [sum(s[1] + s[2] for s in batches) / sum(s[0] for s in batches) for batches, _ in runs]
+    est = SimEstimate(L1 + L2, L1, L2, ci, sum(left for _, left in runs), config.seed,
+                      sum(batch_u) / tot_t)
+    return est, lag1, rep_means
 
 
 def simulate(config: SimConfig) -> SimEstimate:
-    """Run one replication and return time-averaged queue lengths."""
+    """Run REPLICATIONS replications and return time-averaged queue lengths."""
     model = config.model
     if isinstance(model, SingleServerModel):
         stable, qs, clamp = check_stability_single(model), (model.q,), model.K
@@ -167,12 +189,16 @@ def simulate(config: SimConfig) -> SimEstimate:
         return SimEstimate(0.0, 0.0, 0.0, 0.0, 0, config.seed)
     tab = _table(model, qs, clamp)
     start = time.perf_counter()
-    sums, left, jumps = _jump_chain(config.seed, tab, clamp, _stops(config))
-    est, lag1 = _estimate(sums[1:], config, config.jobs - left)
+    stops = _stops(config)
+    threads = min(len(stops), _kernels.cpus())
+    runs = _jump_chain([config.seed + r * 2**64 for r in range(len(stops))], tab, clamp, stops, threads)
+    est, lag1, means = _estimate([(sums[1:], stops[-1] - left) for (sums, left, _), stops
+                                  in zip(runs, stops)], config)
     took = time.perf_counter() - start
-    log.debug("%s: %d jumps, %d table rows, %.3f s, %.0f arrivals/s, batch-mean lag-1 "
-              "autocorrelation %.3f", type(model).__name__, jumps, len(tab), took,
-              config.jobs / took, lag1)
+    log.debug("%s: %d jumps, %d table rows, %d replications on %d threads, means %s, %.3f s, "
+              "%.0f arrivals/s, batch-mean lag-1 autocorrelation %.3f", type(model).__name__,
+              sum(jumps for *_, jumps in runs), len(tab), len(runs), threads,
+              " ".join(f"{m:.4g}" for m in means), took, config.jobs / took, lag1)
     return est
 
 
@@ -209,26 +235,34 @@ def _table(model, qs: tuple, clamp: int) -> list[tuple]:
     return rows
 
 
-def _stops(config: SimConfig) -> list[int]:
-    """Arrival counts that close a batch; the first "batch" is the warm-up."""
+def _stops(config: SimConfig) -> list[list[int]]:
+    """Each replication's arrival counts that close a batch; its first
+    "batch" is the warm-up.  The batches are split as evenly as they go,
+    the first replications taking one more, and the last batch of the last
+    replication takes the arrivals that do not fill a batch."""
     warm, total, nb = config.warmup_jobs, config.jobs, config.batch_count
     size = (total - warm) // nb
     if size == 0:
         raise ModelError("too few jobs per batch")
-    return sorted({max(warm + b * size, 1) for b in range(nb)}) + [total]
+    shares = [nb // REPLICATIONS + (r < nb % REPLICATIONS) for r in range(REPLICATIONS)]
+    runs = [sorted({max(warm + b * size, 1) for b in range(k)}) + [warm + k * size] for k in shares]
+    runs[-1][-1] += total - warm - nb * size
+    return runs
 
 
-def _jump_chain(seed: int, tab: list[tuple], clamp: int, stops: list[int]) -> tuple[list, int, int]:
-    """The jump chain shared by every model, run by the compiled
-    `fbq_jump_chain` from the state of `random.Random(seed)`: the per-batch
-    sums of time and of the time integrals of the foreground, background
-    and working-server counts, the jobs left at the end and the number of
-    jumps.  Each jump adds the mean holding time of the state it leaves to
-    the batch sums, draws one uniform u and takes the first outcome whose
-    cumulative probability exceeds u: the arrival, then each phase's
-    completion, moving on before leaving.  The table is flattened to
-    arrays; each row's moves end at an infinite bound, so the kernel's scan
-    for the first bound above u stops in the row."""
+def _jump_chain(seeds: list[int], tab: list[tuple], clamp: int, stops: list[list[int]],
+                threads: int) -> list[tuple[list, int, int]]:
+    """The replications of the jump chain shared by every model, run by the
+    compiled `fbq_jump_chain` on `threads` threads, replication r from the
+    state of `random.Random(seeds[r])` with the batch stops `stops[r]`: for
+    each, the per-batch sums of time and of the time integrals of the
+    foreground, background and working-server counts, the jobs left at the
+    end and the number of jumps.  Each jump adds the mean holding time of
+    the state it leaves to the batch sums, draws one uniform u and takes
+    the first outcome whose cumulative probability exceeds u: the arrival,
+    then each phase's completion, moving on before leaving.  The table is
+    flattened to arrays; each row's moves end at an infinite bound, so the
+    kernel's scan for the first bound above u stops in the row."""
     inv, srv, pa, cums, row_moves, up = zip(*tab)
     first, bound, move = [], [], []
     for cum, moves in zip(cums, row_moves):
@@ -236,19 +270,29 @@ def _jump_chain(seed: int, tab: list[tuple], clamp: int, stops: list[int]) -> tu
         if moves:
             bound += (*cum, math.inf)
             move += [x for m in moves for x in m]
-    words = random.Random(seed).getstate()[1][:-1]  # the index, last, is always 624 after seeding
-    sums = (ctypes.c_double * (4 * len(stops)))()
-    counts = (ctypes.c_int64 * 4)()
+    words = array.array("I")
+    for seed in seeds:
+        words.extend(random.Random(seed).getstate()[1][:-1])  # the index, last, is always 624 after seeding
+    at = np.cumsum([0, *map(len, stops)]).tolist()
+    sums = (ctypes.c_double * (4 * at[-1]))()
+    counts = (ctypes.c_int64 * (4 * len(seeds)))()
     _kernels.compiled().jump_chain(
-        _array(ctypes.c_uint32, words), _array(ctypes.c_double, inv),
-        _array(ctypes.c_double, srv), _array(ctypes.c_double, pa), _array(ctypes.c_int64, up),
-        _array(ctypes.c_int64, first), _array(ctypes.c_double, bound),
-        _array(ctypes.c_int64, move), clamp, _array(ctypes.c_int64, stops), len(stops), sums,
-        counts)
-    n0, nl, arrivals, completions = counts
-    return [tuple(sums[4 * s:4 * s + 4]) for s in range(len(stops))], n0 + nl, arrivals + completions
+        len(seeds), threads, _array("I", words), _array("d", inv), _array("d", srv), _array("d", pa),
+        _array("q", up), _array("q", first), _array("d", bound), _array("q", move), clamp,
+        _array("q", at), _array("q", [s for run in stops for s in run]), sums, counts)
+    runs = []
+    for r in range(len(seeds)):
+        n0, nl, arrivals, completions = counts[4 * r:4 * r + 4]
+        runs.append(([tuple(sums[4 * s:4 * s + 4]) for s in range(at[r], at[r + 1])], n0 + nl,
+                     arrivals + completions))
+    return runs
 
 
-def _array(ctype, values):
-    return (ctype * len(values))(*values)
+_CTYPES = {"I": ctypes.c_uint32, "d": ctypes.c_double, "q": ctypes.c_int64}
 
+
+def _array(code, values):
+    """`values` as a C array of the `array` type code `code`, which keeps
+    the array it views alive."""
+    values = array.array(code, values)
+    return (_CTYPES[code] * len(values)).from_buffer(values)

@@ -23,6 +23,7 @@ _IMPORT_PROBE = """
 import json, os, sys, fbq
 bound = sys.modules['fbq._kernels']._bound
 seen = {'lookups': bound.cache_info().currsize, 'cache made': os.path.exists(sys.argv[1]),
+        'capsule reads': sys.modules['fbq._kernels'].dgbsv.cache_info().currsize,
         'loaded': [name for name in ('scipy.stats', 'scipy.special', 'scipy.integrate', 'scipy.optimize')
                    if name in sys.modules]}
 fbq.solve_general(fbq.SingleServerModel(0.5, fbq.CoxianService(2.0, 1.0, 0.5),
@@ -65,9 +66,10 @@ def on_both_paths(compiled_loops, monkeypatch):
 def fresh_import(tmp_path_factory):
     """What one fresh interpreter with an empty kernel cache reports (see
     _IMPORT_PROBE): right after `import fbq`, how often the compiled loops
-    were looked up, whether the cache directory exists and which of the
-    slow scipy modules are loaded; after one family solve, the lookups and
-    the files in the cache.  The import tests share this one subprocess."""
+    were looked up, whether the cache directory exists, whether the CTMC
+    oracle's LAPACK capsule was read and which of the slow scipy modules
+    are loaded; after one family solve, the lookups and the files in the
+    cache.  The import tests share this one subprocess."""
     cache = tmp_path_factory.mktemp("import-probe")
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cache / "fbq")], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(cache)), check=True)

@@ -4,7 +4,8 @@ Each function here is the specification that one loop of `_kernels.c` is
 tested against bit for bit: it does the loop's float operations in the
 loop's order, so the two give equal results, errors included.
 
-* `run`: the jump chain of `fbq_jump_chain`, behind `simulate._jump_chain`.
+* `run`: one replication of the jump chain of `fbq_jump_chain`;
+  `replications`, each on its own seed, is `simulation._jump_chain`.
 * `lockstep` and `solve_probability_stack`: the elimination of
   `fbq_speed_family` and `fbq_pool_system`; `family_solve` is the whole
   family loop, with the systems of `single._Family._stack`, the row sums
@@ -21,8 +22,10 @@ loop's order, so the two give equal results, errors included.
 * `pool_fill`, `pool_taylor` and `cascade`: the boundary fill, the z = 1
   Taylor sums and the Taylor cascade of `fbq_pool_system`; `solve_one` is
   `multi._solve_one` on them.
-* `band_system`: the band system of `fbq_ctmc_band`, behind
-  `ctmc._band_compiled`.
+* `band_system`: the band system that `fbq_ctmc_rectangle` fills;
+  `rectangle` is that call whole, behind `ctmc._band_rectangle`: the
+  system solved by `scipy.linalg.lapack.dgbsv` and normalised by
+  `ctmc._finish`.
 
 `dense_matrix` is A(z) as a dense matrix, for the tests of its entries.
 
@@ -40,11 +43,10 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
+from scipy.linalg import lapack
 
-from fbq import ctmc, linsys, multi, single
+from fbq import ctmc, linsys, multi, simulation, single
 from fbq.models import FrozenDict, SolverError
-
-SIMULATE = sys.modules["fbq.simulate"]   # fbq.simulate is the function the package exports
 
 
 # --- the jump chain ------------------------------------------------------------
@@ -92,6 +94,13 @@ def run(seed: int, tab: list[tuple], clamp: int, stops: list[int]) -> tuple[list
             row = hi if c >= clamp else lo
         sums.append((t, ti, tj, tu))
     return sums, n0 + nl, arrivals + completions
+
+
+def replications(seeds: list[int], tab: list[tuple], clamp: int, stops: list[list[int]],
+                 threads: int) -> list[tuple[list, int, int]]:
+    """`run` for each replication, on its seed and its batch stops; one
+    thread runs them all."""
+    return [run(seed, tab, clamp, s) for seed, s in zip(seeds, stops)]
 
 
 # --- the lockstep LU of a speed family -------------------------------------------
@@ -615,7 +624,7 @@ def dense_matrix(model, z: float) -> np.ndarray:
 
 
 def band_system(lam, q, fg, bg, fixed):
-    """`ctmc._band_compiled` from the generator entries of
+    """The band system of `fbq_ctmc_rectangle` from the generator entries of
     `ctmc._transitions`: the states that `fixed` reaches, by a breadth-first
     search of the transition graph, numbered along the short axis first,
     and the band system of their balance equations, scattered into dgbsv's
@@ -651,13 +660,32 @@ def band_system(lam, q, fg, bg, fixed):
     return unknown, ab.reshape(unknown.size, height).T, kl, ku, b
 
 
+def rectangle(lam, q, fg, bg, fixed):
+    """`ctmc._band_rectangle` in numpy: the system of `band_system` solved
+    by scipy's dgbsv and normalised by `ctmc._finish`.  Returns the status,
+    the offending value, the grid, its marginals and the factorisation, or
+    None when `fixed` reaches no other state."""
+    system = band_system(lam, q, fg, bg, fixed)
+    if system is None:
+        return None
+    unknown, ab, kl, ku, b = system
+    solver = f"band LU kl={kl} ku={ku}"
+    _, _, x, info = lapack.dgbsv(kl, ku, ab, b[:, None], overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        return ctmc._SINGULAR, 0.0, None, None, solver
+    pi = np.zeros(fg.size)
+    pi[unknown] = x[:, 0]
+    pi[fixed] = 1.0
+    return (*ctmc._finish(pi, fg.shape), solver)
+
+
 # (owner, name, reference) of each compiled entry point
 REFERENCES = (
-    (SIMULATE, "_jump_chain", run),
+    (simulation, "_jump_chain", replications),
     (single._Family, "solve", family_solve),
     (multi, "_roots_compiled", isolate_roots),
     (multi, "_data_compiled", pool_data),
     (multi, "_solve_one", solve_one),
     (linsys, "_condition", condition),
-    (ctmc, "_band_compiled", band_system),
+    (ctmc, "_band_rectangle", rectangle),
 )

@@ -34,7 +34,7 @@ from fbq.multi import (
     solve_threshold,
     verify_multi,
 )
-from fbq.simulate import SimConfig, simulate
+from fbq.simulation import SimConfig, simulate
 from fbq.single import solve_general, solve_k1_closed_form, verify_single
 
 SERVICE_FIG3 = CoxianService(5.0, 1.0, 0.1)

@@ -1,8 +1,9 @@
 """Truncated-CTMC oracle (fbq.ctmc): the fixed-state stationary solve, its
-band LU against SuperLU, the compiled band assembly against its Python
-reference (`reference.band_system`),
-the edge j = n2 of the rectangle, the size of each axis, error reporting
-and the growth log.
+band LU against SuperLU, the compiled rectangle (fill, dgbsv and
+normalisation in one call) against its numpy reference
+(`reference.rectangle`) on the rectangles of the benchmark's oracle
+traffic and of seeded extreme-rate chains, the edge j = n2 of the
+rectangle, the size of each axis, error reporting and the growth log.
 
 data/ctmc_pins.json holds L, L1, L2, U, energy_rate, g0_at_1 and the boundary
 probabilities of 21 models (c02/c03 samples, q = 0, q = 0.9, a zero-speed
@@ -15,6 +16,7 @@ must instead keep both axes' edge masses below TAIL_TOL with the foreground
 axis at its closed-form size.
 """
 
+import importlib.util
 import json
 import logging
 import pathlib
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import reference
 from fbq import ctmc
 from fbq.ctmc import (
     MAX_N,
@@ -41,6 +44,7 @@ from fbq.multi import solve_threshold
 from fbq.single import solve_general, solve_k1_closed_form
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "ctmc_pins.json").read_text())
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _model(spec):
@@ -271,7 +275,7 @@ def test_band_lu_matches_superlu(model, n1, n2, monkeypatch):
     solved = []
     for band_max, solver in ((ctmc.BAND_MAX, "band LU"), (0, "SuperLU")):
         monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
-        grid, how = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
+        grid, _, how = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
         assert how.startswith(solver)
         L1 = grid.sum(axis=1) @ np.arange(n1 + 1)
         L2 = grid.sum(axis=0) @ np.arange(n2 + 1)
@@ -284,11 +288,11 @@ def test_band_lu_matches_superlu(model, n1, n2, monkeypatch):
 
 
 def _stationary_bits(model, n1, n2):
-    """`_stationary` on the rectangle (n1, n2): the grid's bytes and the
-    factorisation."""
+    """`_stationary` on the rectangle (n1, n2): the bytes of the grid and of
+    its marginals, and the factorisation."""
     (i, j), *_ = _chain(model)
-    grid, solver = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
-    return grid.tobytes(), solver
+    grid, marginals, solver = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
+    return grid.tobytes(), [m.tobytes() for m in marginals], solver
 
 
 # lam = 0, q = 0 and q = 1, and zero speeds below the third job, beside the
@@ -306,20 +310,12 @@ EDGE_MODELS = [
 
 @pytest.mark.parametrize("n1,n2", [(12, 30), (30, 12)], ids=["wide", "tall"])
 @pytest.mark.parametrize("model", [*_accuracy_models(), *EDGE_MODELS])
-def test_stationary_is_equal_on_both_assemblies(model, n1, n2, monkeypatch, on_both_paths):
-    # the band system handed to dgbsv too, signed zeros included
-    band_lu, systems = ctmc._band_lu, []
-
-    def spy(ab, kl, ku, b):
-        systems.append((ab.tobytes(order="F"), kl, ku, b.tobytes()))
-        return band_lu(ab, kl, ku, b)
-
-    monkeypatch.setattr(ctmc, "_band_lu", spy)
+def test_stationary_is_equal_on_both_assemblies(model, n1, n2, on_both_paths):
+    # the grid and its marginals, signed zeros included
     compiled, python = on_both_paths(lambda: _stationary_bits(model, n1, n2))
     assert compiled == python
-    assert len(systems) == (0 if model.lam == 0 else 2) and systems[:1] == systems[1:]
     # lam = 0 leaves no equation to assemble, so SuperLU's path solves it
-    assert compiled[1].startswith("SuperLU" if model.lam == 0 else "band LU")
+    assert compiled[2].startswith("SuperLU" if model.lam == 0 else "band LU")
 
 
 @pytest.mark.parametrize("model", [*(pytest.param(_model(p["model"]), id=p["label"]) for p in PINS["models"]),
@@ -340,9 +336,98 @@ def test_reducible_chain_raises_the_same_error_on_both_assemblies(n1, n2, on_bot
     assert compiled == python
 
 
+def _rectangle_bits(out):
+    """A rectangle's outcome (`ctmc._band_rectangle` or
+    `reference.rectangle`) with its arrays as bytes and the offending value
+    as its repr, which the message prints: a NaN total's sign bit depends on
+    the order of the operands of an add, which IEEE 754 leaves open."""
+    if out is None:
+        return None
+    status, value, grid, marginals, solver = out
+    arrays = [] if grid is None else [grid, *marginals]
+    return status, repr(float(value)), [a.tobytes() for a in arrays], solver
+
+
+def _oracle_models(seed):
+    """The distinct models that the benchmark's oracle_check traffic of this
+    seed hands to ctmc_solve."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    tasks = workloads.generate("oracle_check", seed, 20)["tasks"]
+    build = {"ctmc_single": workloads.single_model, "ctmc_pool": workloads.pool_model}
+    return [build[t["kind"]](t["params"]) for t in tasks if t["kind"] in build]
+
+
+def test_compiled_rectangle_equals_the_numpy_path_on_the_oracle_traffic(monkeypatch):
+    # every rectangle that ctmc_solve visits for the benchmark's oracle
+    # traffic on two seeds and for the pinned models: grid, marginals and
+    # factorisation, signed zeros included
+    compiled, rectangles = ctmc._band_rectangle, []
+
+    def spy(*args):
+        rectangles.append(args)
+        return compiled(*args)
+
+    models = [*_oracle_models(1), *_oracle_models(9001), *(_model(p["model"]) for p in PINS["models"])]
+    monkeypatch.setattr(ctmc, "_band_rectangle", spy)
+    for model in models:
+        ctmc_solve(model)
+    assert len(models) == 291 and len(rectangles) > 500
+    # and rectangles of the widest band, whose half-width of 65 takes
+    # LAPACK's blocked band LU
+    for model in models[-6:]:
+        (i, j), *_ = _chain(model)
+        for n1, n2 in ((64, 300), (300, 64)):
+            rectangles.append((*_rates(model, n1, n2), i * (n2 + 1) + j))
+    for args in rectangles:
+        got, want = _rectangle_bits(compiled(*args)), _rectangle_bits(reference.rectangle(*args))
+        assert got == want and got[0] == 0
+
+
+def _extreme_chains(count):
+    """Seeded chains on small rectangles whose rates span up to 600 decades,
+    with some rates zero: the band LU meets zero pivots, overflow and
+    cancellation there."""
+    rng = np.random.default_rng(42)
+    for _ in range(count):
+        shape = tuple(rng.integers(2, 7, 2))
+        span = rng.uniform(1, 300)
+
+        def rates():
+            return 10.0 ** rng.uniform(-span, span, shape) * (rng.random(shape) < 0.8)
+
+        fg, bg = rates(), rates()
+        lam, q = 10.0 ** rng.uniform(-span, span), rng.choice([0.0, 1.0, rng.random()])
+        yield lam, q, fg, bg, int(rng.integers(0, fg.size))
+
+
+def test_compiled_rectangle_equals_the_numpy_path_on_extreme_rates(on_both_paths):
+    seen = set()
+    with np.errstate(all="ignore"):
+        for chain in _extreme_chains(3_000):
+            got = _rectangle_bits(ctmc._band_rectangle(*chain))
+            assert got == _rectangle_bits(reference.rectangle(*chain)), chain
+            if got is not None and got[0] not in seen:
+                seen.add(got[0])
+                # and the message that _stationary raises on each outcome
+                compiled, python = on_both_paths(lambda: raised(lambda: _stationary(*chain)))
+                assert compiled == python
+    assert seen == {0, ctmc._SINGULAR, ctmc._TOTAL, ctmc._NEGATIVE}
+
+
+def raised(run):
+    """The SolverError message that run() raises, or None."""
+    try:
+        run()
+    except SolverError as exc:
+        return str(exc)
+    return None
+
+
 def test_compiled_assembly_rejects_rate_grids_of_different_shapes():
     with pytest.raises(ValueError, match=r"shapes \(3, 4\) and \(3, 1\)"):
-        ctmc._band_compiled(1.0, 0.5, np.ones((3, 4)), np.ones((3, 1)), 0)
+        ctmc._band_rectangle(1.0, 0.5, np.ones((3, 4)), np.ones((3, 1)), 0)
 
 
 def test_high_load_matches_solve_general():

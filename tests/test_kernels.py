@@ -11,22 +11,20 @@ import importlib
 import platform
 import re
 import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from fbq import _kernels, single
+from fbq import simulation as SIM
 from test_family_solve import PINS, THREADS, assert_same_bits, base_model, coarse_k3_family, family_call
 from test_simulate import CHAINS
-
-SIM = sys.modules["fbq.simulate"]
 
 # each C parameter type of the fbq_* definitions, as ctypes passes it
 C_TYPES = {
     "int": ctypes.c_int, "int64_t": ctypes.c_int64, "double": ctypes.c_double,
     "uint32_t *": ctypes.POINTER(ctypes.c_uint32), "int64_t *": ctypes.POINTER(ctypes.c_int64),
-    "double *": ctypes.POINTER(ctypes.c_double),
+    "double *": ctypes.POINTER(ctypes.c_double), "dgbsv_fn *": ctypes.c_void_p,
 }
 
 
@@ -63,17 +61,19 @@ def random_family(K, count):
 
 
 def chain_run(loops, chain, monkeypatch):
-    """The batch sums, the final counts and the final generator state of
-    one 6,000-arrival jump chain of the CHAINS model `chain` on loops."""
+    """The batch sums, the final counts and the final generator states of
+    two 6,000-arrival replications of the jump chain of the CHAINS model
+    `chain` on loops, on two threads."""
     model, qs, clamp = CHAINS[chain]
     seen = []
 
-    def spy(mt, *args):
-        loops.jump_chain(mt, *args)
+    def spy(reps, threads, mt, *args):
+        loops.jump_chain(reps, threads, mt, *args)
         seen.extend(bytes(a) for a in (mt, args[-2], args[-1]))
     with monkeypatch.context() as m:
         m.setattr(_kernels, "compiled", lambda: loops._replace(jump_chain=spy))
-        SIM._jump_chain(7, SIM._table(model, qs, clamp), clamp, [*range(1, 6_000, 137), 6_000])
+        SIM._jump_chain([7, 8], SIM._table(model, qs, clamp), clamp,
+                        [[*range(1, 6_000, 137), 6_000], [*range(1, 5_000, 99), 6_000]], 2)
     return seen
 
 
@@ -120,7 +120,7 @@ def test_bound_loops_match_the_c_signatures():
 def test_python_names_in_the_comments_resolve_in_fbq():
     # a renamed or removed reference would leave the C comments citing code that is gone
     comments = " ".join(re.findall(r"/\*.*?\*/", _kernels._SOURCE.read_text(), re.S))
-    cited = set(re.findall(r"\b(?:multi|single|linsys|ctmc|simulate|reference)(?:\.\w+)+", comments))
+    cited = set(re.findall(r"\b(?:multi|single|linsys|ctmc|simulation|reference)(?:\.\w+)+", comments))
     assert len(cited) >= 15
     missing = []
     for name in sorted(cited):

@@ -26,7 +26,7 @@ from fbq.models import (
 from fbq.baselines import _las_terms
 from fbq.ctmc import ctmc_solve
 from fbq.multi import evaluate_cost_multi, solve_threshold
-from fbq.simulate import ThreePhaseModel
+from fbq.simulation import ThreePhaseModel
 from fbq.single import (evaluate_cost_single, solve_general, solve_k1_closed_form, solve_speed_family,
                         solve_zero_speed)
 

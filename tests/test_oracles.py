@@ -16,7 +16,7 @@ from fbq.models import (
     SpeedProfile,
 )
 from fbq.multi import mmm_marginal
-from fbq.simulate import (
+from fbq.simulation import (
     SimConfig,
     SimEstimate,
     ThreePhaseModel,

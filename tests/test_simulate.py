@@ -1,11 +1,12 @@
-"""Simulator (fbq.simulate): exact pins of every SimEstimate field on the
-compiled jump chain and on its Python reference, reference.run, the two
-loops compared with `==` around the compiled chain's 312-uniform blocks, the
-kernel's build and cache and the typed error where it cannot be built, the
-bounded rate table on unstable models, the per-run debug line and the
-checks of SimConfig.
+"""Simulator (fbq.simulation): exact pins of every SimEstimate field on the
+compiled jump chain and on its Python reference, reference.replications,
+the two loops compared with `==` around the compiled chain's 312-uniform
+blocks, the same bits on one thread and on two, the kernel's build and
+cache and the typed error where it cannot be built, the bounded rate table
+on unstable models, the per-run debug line and the checks of SimConfig.
 
-data/sim_pins.json holds the full SimEstimate of 21 runs (30k arrivals each):
+data/sim_pins.json holds the full SimEstimate of 21 runs (30k arrivals each,
+as two replications):
 single servers with K = 1..5, q = 0 and q = 1 and a zero-speed profile;
 pools with m = 1..7, switch-off thresholds and q = 0 / 0.4 / 1; one unstable
 pool; three-phase models with q2 = 0 / 0.5 / 1; and lam = 0 for each model
@@ -15,8 +16,8 @@ uniform, which picks the arrival or a completion in a fixed order (arrival,
 then each phase, moving on before leaving).  That order and every float
 expression are part of the contract, so the estimates must be equal, not
 close: a reordered outcome or rate sum, or one more draw, changes them.
-`jobs_completed` counts the jobs that left by the end of the run, not the
-arrivals.
+`jobs_completed` counts the jobs that left by the end of the replications,
+not the arrivals.
 """
 
 import importlib
@@ -36,12 +37,12 @@ import pytest
 import fbq
 import reference
 from fbq.models import CoxianService, ModelError, MultiServerModel, SingleServerModel, SpeedProfile
-from fbq.simulate import SimConfig, SimEstimate, ThreePhaseModel, simulate
+from fbq import simulation as SIM
+from fbq.simulation import SimConfig, SimEstimate, ThreePhaseModel, simulate
 
 DATA = pathlib.Path(__file__).parent / "data"
 PINS = json.loads((DATA / "sim_pins.json").read_text())
 KERNELS = sys.modules["fbq._kernels"]
-SIM = sys.modules["fbq.simulate"]
 MULTI = sys.modules["fbq.multi"]
 # one caller of each compiled loop: a simulated pool, a single server's
 # stack solve and CTMC oracle, and figure 8's pool
@@ -81,7 +82,7 @@ def fresh_kernel():
 ])
 def test_matches_pinned_estimate(pin, python_loop, monkeypatch):
     if python_loop:
-        monkeypatch.setattr(SIM, "_jump_chain", reference.run)
+        monkeypatch.setattr(SIM, "_jump_chain", reference.replications)
     assert simulate(_pin_config(pin)) == SimEstimate(**pin["estimate"])
 
 
@@ -122,11 +123,62 @@ def test_compiled_chain_equals_the_python_loop(chain, seed):
     jumps = {}
     for name, stops in runs.items():
         expected = reference.run(seed, tab, clamp, stops)
-        assert SIM._jump_chain(seed, tab, clamp, stops) == expected, name
+        assert SIM._jump_chain([seed], tab, clamp, [stops], 1) == [expected], name
         jumps[name] = expected[2]
     assert jumps["inside the first block"] < BLOCK
     assert jumps["at the last arrival before the refill"] <= BLOCK < jumps["at the first arrival after the refill"]
     assert jumps["over many refills, stops at scattered offsets"] > 20 * BLOCK
+
+
+def _spied_run(cfg, monkeypatch, cpus):
+    """simulate(cfg) with `cpus` CPUs, and the seeds, stops and thread count
+    that it handed to `_jump_chain`."""
+    chain, calls = SIM._jump_chain, []
+
+    def spy(seeds, tab, clamp, stops, threads):
+        calls.append((seeds, tab, clamp, stops, threads))
+        return chain(seeds, tab, clamp, stops, threads)
+
+    with monkeypatch.context() as m:
+        m.setattr(KERNELS, "cpus", lambda: cpus)
+        m.setattr(SIM, "_jump_chain", spy)
+        est = simulate(cfg)
+    (call,) = calls
+    return est, call
+
+
+@pytest.mark.parametrize("pin", [p for p in PINS["pins"] if p["model"]["lam"] > 0][::4],
+                         ids=lambda p: p["model"]["label"])
+def test_each_replication_is_the_reference_run_on_its_seed(pin, monkeypatch):
+    est, (seeds, tab, clamp, stops, threads) = _spied_run(_pin_config(pin), monkeypatch, 2)
+    assert seeds == [pin["seed"] + r * 2**64 for r in range(SIM.REPLICATIONS)] and threads == 2
+    runs = SIM._jump_chain(seeds, tab, clamp, stops, threads)
+    assert runs == [reference.run(seed, tab, clamp, s) for seed, s in zip(seeds, stops)]
+    assert est == SimEstimate(**pin["estimate"])
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("pin", [p for p in PINS["pins"] if p["model"]["lam"] > 0][1::3],
+                         ids=lambda p: p["model"]["label"])
+def test_results_do_not_depend_on_the_thread_count(pin, cpus, monkeypatch):
+    # 3 CPUs still run one thread per replication
+    est, (*_, threads) = _spied_run(_pin_config(pin), monkeypatch, cpus)
+    assert threads == min(cpus, SIM.REPLICATIONS)
+    assert est == _spied_run(_pin_config(pin), monkeypatch, 2)[0] == SimEstimate(**pin["estimate"])
+
+
+@pytest.mark.parametrize("jobs, warmup, batches", [(30_000, 3_000, 20), (30_007, 0, 13), (10_000, 999, 11)])
+def test_replications_share_the_batches_and_the_measured_arrivals(jobs, warmup, batches):
+    model = ThreePhaseModel(1.5, 5.0, 1.0, 0.5, 0.1, 0.5)
+    stops = SIM._stops(SimConfig(model=model, jobs=jobs, warmup_jobs=warmup, seed=1, batch_count=batches))
+    assert len(stops) == SIM.REPLICATIONS
+    size = (jobs - warmup) // batches
+    # each replication warms up alone, then closes batches of `size` arrivals
+    assert all(run[0] == max(warmup, 1) for run in stops)
+    assert sorted((len(run) - 1 for run in stops), reverse=True) == [len(run) - 1 for run in stops]
+    assert sum(len(run) - 1 for run in stops) == batches
+    assert all(b - a == size for run in stops for a, b in zip(run[1:-1], run[2:-1]))
+    assert sum(run[-1] - warmup for run in stops) == jobs - warmup
 
 
 def test_missing_compiler_is_tried_once_for_both_loops(monkeypatch, tmp_path, fresh_kernel):
@@ -175,6 +227,7 @@ def test_import_leaves_scipy_stats_unloaded(fresh_import):
     assert "scipy.stats" not in fresh_import["loaded"]
     assert "scipy.special" not in fresh_import["loaded"]
     assert fresh_import["lookups"] == 0 and not fresh_import["cache made"]  # nor is the kernel built or loaded
+    assert fresh_import["capsule reads"] == 0  # nor is LAPACK's dgbsv looked up
 
 
 @pytest.mark.parametrize("field, value", [("jobs", 30_000.5), ("warmup_jobs", 1_000.0),
@@ -220,11 +273,17 @@ def test_debug_log_has_one_line_per_run(caplog):
     model = ThreePhaseModel(1.5, 5.0, 1.0, 0.5, 0.1, 0.5)
     est, lines = _debug_lines(caplog, SimConfig(model=model, jobs=20_000, warmup_jobs=2_000, seed=3))
     assert est.L > 0 and len(lines) == 1
-    match = re.fullmatch(r"ThreePhaseModel: (\d+) jumps, (\d+) table rows, [\d.]+ s, \d+ arrivals/s, "
+    match = re.fullmatch(r"ThreePhaseModel: (\d+) jumps, (\d+) table rows, (\d+) replications on (\d+) "
+                         r"threads, means ([\d.]+) ([\d.]+), [\d.]+ s, \d+ arrivals/s, "
                          r"batch-mean lag-1 autocorrelation (-?[\d.]+)", lines[0])
     assert match, lines[0]
-    jumps, rows, lag1 = int(match[1]), int(match[2]), float(match[3])
-    assert 20_000 < jumps <= 4 * 20_000  # an arrival and up to three completions per job
+    jumps, rows, reps, threads, lag1 = int(match[1]), int(match[2]), int(match[3]), int(match[4]), float(match[7])
+    assert (reps, threads) == (SIM.REPLICATIONS, min(SIM.REPLICATIONS, KERNELS.cpus()))
+    # the mean of the replications' means, each weighed by its simulated time
+    assert min(float(match[5]), float(match[6])) <= est.L * (1 + 1e-3)
+    assert max(float(match[5]), float(match[6])) >= est.L * (1 - 1e-3)
+    # an arrival and up to three completions per job, each replication warmed up
+    assert 20_000 < jumps <= 4 * (20_000 + 2_000)
     assert rows == 8 and -1 <= lag1 <= 1
 
 
