@@ -192,7 +192,8 @@ def simulate(config: SimConfig) -> SimEstimate:
     stops = _stops(config)
     threads = min(len(stops), _kernels.cpus())
     runs = _jump_chain([config.seed + r * 2**64 for r in range(len(stops))], tab, clamp, stops, threads)
-    est, lag1, means = _estimate([(sums[1:], stops[-1] - left) for (sums, left, _), stops
+    # each replication's batches after its warm-up, and its arrivals less the jobs left
+    est, lag1, means = _estimate([(sums[1:], ends[-1] - left) for (sums, left, _), ends
                                   in zip(runs, stops)], config)
     took = time.perf_counter() - start
     log.debug("%s: %d jumps, %d table rows, %d replications on %d threads, means %s, %.3f s, "
