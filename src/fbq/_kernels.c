@@ -66,16 +66,24 @@
  * the twisted factorisation of the tridiagonal matrix, and the powers
  * z_k^j; A(z)'s Taylor coefficients at z = 1 and A0's null pair.
  * pool_matrix states A(z)'s entries once, for it and the zero search.
- * fbq_pool_system then solves one threshold whole: it fills the boundary
- * system (reference.pool_fill), factors it on the one-system instantiation
- * of the lockstep LU (reference.lockstep), sums the Taylor vectors b0, b1,
- * b2 of the z = 1 cascade from the clamped solution in the order of the
- * unknowns (reference.pool_taylor), and runs the cascade on the bordered
- * system [[A0, u], [v^T, 0]] with row sums in its own order
- * (reference.cascade).  A failed system's message gets Hager's condition
- * estimate (lu_condition, reference.condition) from the same factors;
- * fbq_condition makes that estimate for one system given whole, as the
- * speed families' messages take it.  None of these calls BLAS or LAPACK,
+ * fbq_pool_system then solves one threshold whole.  It fills the boundary
+ * system (reference.pool_fill) on its envelope, each row stored from its
+ * first to its last nonzero column (Jennings, The Computer Journal 9,
+ * 1966): a balance row spans its 3 to 5 neighbours, the m - 1 zero rows and
+ * the idle row every column.  env_check checks it and lu_envelope scales
+ * and factors it there, visiting at each column only the rows whose
+ * envelope reaches it, with the float operations of the one-system
+ * instantiation of the lockstep LU (reference.lockstep) in their order, so
+ * the solution is the dense elimination's bit for bit.  Then it sums the
+ * Taylor vectors b0, b1, b2 of the z = 1 cascade from the clamped solution
+ * in the order of the unknowns (reference.pool_taylor), and runs the
+ * cascade on the bordered system [[A0, u], [v^T, 0]] with row sums in its
+ * own order (reference.cascade).  A failed system's message gets Hager's
+ * condition estimate (lu_condition, reference.condition) from the same
+ * factors, its solves reading only the envelopes; fbq_condition makes that
+ * estimate for one system given whole, as the speed families' messages
+ * take it.  The bordered system and fbq_condition's are factored by the
+ * same elimination on full envelopes.  None of these calls BLAS or LAPACK,
  * so a pool gives the same bits on every CPU.
  *
  * The two hot batched loops, a speed family's tile loop (family_tiles) and
@@ -346,15 +354,6 @@ static inline void sub_products(int w, double *restrict dst, const double *restr
         dst[s] -= a[s] * b[s];
 }
 
-/* What lu_tile keeps of a one-system factorisation for later solves
- * (lu_solve, lu_solve_transposed): each row's scale, the pivot row of each
- * column, and the infinity norm of the row-scaled system. */
-struct lu_keep {
-    double *scale;
-    int64_t *perm;
-    double norm;
-};
-
 /* Row scaling, Gaussian elimination with partial pivoting and back
  * substitution on the w systems of a tile in lockstep, as reference.lockstep
  * does them over a whole stack.  Entry (r, c) of
@@ -372,15 +371,13 @@ struct lu_keep {
  * unrolls or drops.  The one-system instantiation (w = 1) skips a row whose
  * l is 0 and the zero tail of the pivot row: with |l| <= 1 and finite
  * entries the skipped products are zeros, so a skip can change the sign of
- * a zero cell but no other value.  With keep (w = 1 only) the row scales,
- * the pivot rows and the scaled system's infinity norm are kept too. */
+ * a zero cell but no other value.  lu_envelope does the operations of that
+ * instantiation on a system's envelope. */
 static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *t, double *y,
-                                                          double *least, struct lu_keep *keep)
+                                                          double *least)
 {
     double big[LU_TILE], piv[LU_TILE], l[LU_TILE];
     int64_t row[LU_TILE];
-    if (keep)
-        keep->norm = 0.0;
     for (int r = 0; r < n; r++) {
         double *tr = t + r * n * w;
         for (int s = 0; s < w; s++)
@@ -393,13 +390,6 @@ static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *
                 tr[c * w + s] /= big[s];
         for (int s = 0; s < w; s++)
             y[r * w + s] /= big[s];
-        if (keep) {
-            double sum = 0.0;
-            for (int c = 0; c < n; c++)
-                sum += fabs(tr[c]);
-            keep->scale[r] = big[0];
-            keep->norm = sum > keep->norm ? sum : keep->norm;
-        }
     }
     for (int j = 0; j < n; j++) {
         double *top = t + j * n * w;
@@ -428,8 +418,6 @@ static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *
             y[j * w + s] = y[p * w + s];
             y[p * w + s] = v;
         }
-        if (keep)
-            keep->perm[j] = row[0];
         for (int s = 0; s < w; s++) {
             least[s] = j == 0 || big[s] < least[s] || big[s] != big[s] ? big[s] : least[s];
             piv[s] = top[j * w + s] == 0.0 ? 1.0 : top[j * w + s];
@@ -458,42 +446,279 @@ static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *
     }
 }
 
-/* S x = y for the row-scaled system S that lu_tile factored into t with
- * the pivot rows perm, y overwritten by x: the elimination's steps on y,
- * then the back substitution, each as lu_tile does them (y is not
- * row-scaled here). */
-static void lu_solve(int n, const double *t, const int64_t *perm, double *y)
+/* One n x n system stored on its envelope (Jennings, The Computer Journal
+ * 9, 1966): t is row-major, and row r holds its columns first[r] ..
+ * last[r]; every entry outside them is 0 and its cell is never read.
+ * lu_envelope factors it in place and keeps what the later solves need
+ * (lu_solve, lu_solve_transposed): each row's scale, the pivot row of each
+ * column, the infinity norm of the row-scaled system, and the rows of L's
+ * column j, rows[col[j]] .. rows[col[j + 1] - 1] in increasing order.
+ * start, order and active are its work. */
+struct envelope {
+    int n;
+    double *t, *scale, norm;
+    int64_t *perm;
+    int *first, *last, *col, *rows, *start, *order, *active;
+};
+
+/* The bytes of work that env_init takes for an n x n system, t apart. */
+static size_t env_bytes(int64_t n)
 {
-    for (int j = 0; j < n; j++) {
-        int64_t p = perm[j];
-        double v = y[j];
-        y[j] = y[p];
-        y[p] = v;
-        for (int r = j + 1; r < n; r++)
-            if (t[r * n + j] != 0.0)
-                y[r] -= t[r * n + j] * y[j];
-    }
-    for (int j = n - 1; j >= 0; j--) {
-        y[j] /= t[j * n + j];
-        for (int r = 0; r < j; r++)
-            y[r] -= t[r * n + j] * y[j];
+    size_t ints = 6 * (size_t)n + 2 + (size_t)n * (size_t)(n - 1) / 2;
+    return (sizeof(double) + sizeof(int64_t)) * (size_t)n + sizeof(int) * ints;
+}
+
+/* The envelope of the n x n system t on env_bytes(n) bytes of work, which
+ * start 8-byte aligned. */
+static void env_init(struct envelope *e, int n, double *t, void *work)
+{
+    e->n = n;
+    e->t = t;
+    e->scale = work;
+    e->perm = (int64_t *)(e->scale + n);
+    e->first = (int *)(e->perm + n);
+    e->last = e->first + n;
+    e->col = e->last + n;
+    e->start = e->col + n + 1;
+    e->order = e->start + n + 1;
+    e->active = e->order + n;
+    e->rows = e->active + n;
+}
+
+/* Every row's envelope is the whole row. */
+static void env_full(struct envelope *e)
+{
+    for (int r = 0; r < e->n; r++) {
+        e->first[r] = 0;
+        e->last[r] = e->n - 1;
     }
 }
 
-/* S^T x = y for the S of lu_solve, y overwritten by x: U^T, column by
- * column, then the transposes of the elimination's steps in reverse. */
-static void lu_solve_transposed(int n, const double *t, const int64_t *perm, double *y)
+/* check_lanes' first pass over the envelopes of one system and its
+ * right-hand side y: 1 if an entry is not finite, else 2 if a row is all
+ * zeros, else 0. */
+static int env_check(const struct envelope *e, const double *y)
 {
+    int bad = 0, zero_row = 0;
+    for (int r = 0; r < e->n; r++) {
+        const double *tr = e->t + (int64_t)r * e->n;
+        int nonzero = 0;
+        for (int c = e->first[r]; c <= e->last[r]; c++) {
+            bad |= !(fabs(tr[c]) <= DBL_MAX);
+            nonzero |= tr[c] != 0.0;
+        }
+        bad |= !(fabs(y[r]) <= DBL_MAX);
+        zero_row |= !nonzero;
+    }
+    return bad ? 1 : zero_row ? 2 : 0;
+}
+
+/* Rows t1 and t2 lose l1 and l2 times the pivot row top over columns from
+ * .. end - 1, each cell as lu_tile's row update does it; two rows at a time
+ * share the loads of top and the loop's overhead. */
+static inline void eliminate_two(int from, int end, double *restrict t1, double l1,
+                                 double *restrict t2, double l2, const double *restrict top)
+{
+    for (int c = from; c < end; c++) {
+        t1[c] -= l1 * top[c];
+        t2[c] -= l2 * top[c];
+    }
+}
+
+/* eliminate_two for one row. */
+static inline void eliminate_row(int from, int end, double *restrict tr, double l,
+                                 const double *restrict top)
+{
+    for (int c = from; c < end; c++)
+        tr[c] -= l * top[c];
+}
+
+/* The rows of column j's elimination step, which become L's column j:
+ * rows[col[j]] .. rows[col[j + 1] - 1], the rows below j whose envelope
+ * reaches j, in row order.  They are the rows of column j - 1's step that
+ * still reach j, and each row whose envelope starts at j, put in its
+ * place.  A row whose envelope ends before j holds only zeros from j on,
+ * and no later step reaches it again. */
+static void step_rows(struct envelope *e, int j)
+{
+    int *rows = e->rows, *col = e->col, k = col[j];
+    for (int a = j ? col[j - 1] : 0; a < col[j]; a++)
+        if (rows[a] > j && e->last[rows[a]] >= j)
+            rows[k++] = rows[a];
+    for (int b = e->start[j]; b < e->start[j + 1]; b++) {
+        int r = e->order[b], i = k;
+        if (r <= j)
+            continue;
+        for (; i > col[j] && rows[i - 1] > r; i--)
+            rows[i] = rows[i - 1];
+        rows[i] = r;
+        k++;
+    }
+    col[j + 1] = k;
+}
+
+/* Rows j and p swap their cells from column j on, a cell past a row's
+ * envelope read as 0, and their last columns; y_j and y_p swap too. */
+static void swap_rows(struct envelope *e, int j, int p, double *y)
+{
+    double *tj = e->t + (int64_t)j * e->n, *tp = e->t + (int64_t)p * e->n;
+    int lj = e->last[j], lp = e->last[p];
+    for (int c = j; c <= (lj > lp ? lj : lp); c++) {
+        double v = c <= lj ? tj[c] : 0.0;
+        tj[c] = c <= lp ? tp[c] : 0.0;
+        tp[c] = v;
+    }
+    e->last[j] = lp;
+    e->last[p] = lj;
+    double v = y[j];
+    y[j] = y[p];
+    y[p] = v;
+}
+
+/* U x = y for the U that lu_envelope leaves in e, y overwritten by x, row
+ * by row from the last: each y_r loses t_rc y_c for c from the row's last
+ * column down to r + 1 and is then divided by t_rr, which are lu_tile's
+ * operations on y_r in its order. */
+static void back_substitute(const struct envelope *e, double *y)
+{
+    for (int r = e->n - 1; r >= 0; r--) {
+        const double *tr = e->t + (int64_t)r * e->n;
+        double v = y[r];
+        for (int c = e->last[r]; c > r; c--)
+            v -= tr[c] * y[c];
+        y[r] = v / tr[r];
+    }
+}
+
+/* lu_tile's one-system elimination (w = 1) on the envelope e: every float
+ * operation that lu_tile does on a cell that may hold a nonzero, in
+ * lu_tile's order, so that the solution in y, the least |pivot|, the row
+ * scales, the pivot rows and the norm are lu_tile's bit for bit; only the
+ * sign of a zero cell may differ.  Each row is scaled over its envelope.
+ * Column j's step visits only the rows of step_rows, for the pivot too;
+ * the pivot row is first widened to column j with zeros, and a swap
+ * (swap_rows) exchanges the two rows from column j on.  Each row's l is
+ * taken, and where it is not 0 the row's envelope grows, its new cells
+ * zeroed, as far as the pivot row's fill reaches, and its y is updated;
+ * then the rows are updated two at a time.  back_substitute ends the
+ * solve. */
+static void lu_envelope(struct envelope *e, double *y, double *least)
+{
+    int n = e->n, *first = e->first, *last = e->last, *start = e->start, *active = e->active;
+    double *t = e->t;
+    e->norm = 0.0;
+    for (int r = 0; r < n; r++) {
+        double *tr = t + (int64_t)r * n, big = 0.0, sum = 0.0;
+        for (int c = first[r]; c <= last[r]; c++)
+            big = fabs(tr[c]) > big ? fabs(tr[c]) : big;
+        for (int c = first[r]; c <= last[r]; c++)
+            tr[c] /= big;
+        y[r] /= big;
+        for (int c = first[r]; c <= last[r]; c++)
+            sum += fabs(tr[c]);
+        e->scale[r] = big;
+        e->norm = sum > e->norm ? sum : e->norm;
+    }
+    /* order[start[c] .. start[c + 1] - 1]: the rows whose envelope starts at c */
+    for (int c = 0; c <= n; c++)
+        start[c] = 0;
+    for (int r = 0; r < n; r++)
+        start[first[r] + 1]++;
+    for (int c = 0; c < n; c++)
+        start[c + 1] += start[c];
+    for (int r = 0; r < n; r++)
+        e->order[start[first[r]]++] = r;
+    for (int c = n; c > 0; c--)
+        start[c] = start[c - 1];
+    start[0] = 0;
+    e->col[0] = 0;
     for (int j = 0; j < n; j++) {
-        y[j] /= t[j * n + j];
-        for (int c = j + 1; c < n; c++)
-            y[c] -= t[j * n + c] * y[j];
+        double *top = t + (int64_t)j * n;
+        step_rows(e, j);
+        for (int c = j; c < first[j]; c++)
+            top[c] = 0.0;
+        for (int c = last[j] + 1; c <= j; c++)
+            top[c] = 0.0;
+        first[j] = first[j] < j ? first[j] : j;
+        last[j] = last[j] > j ? last[j] : j;
+        double big = fabs(top[j]);
+        int p = j;
+        for (int i = e->col[j]; i < e->col[j + 1]; i++) {
+            double v = fabs(t[(int64_t)e->rows[i] * n + j]);
+            int take = big == big && !(v <= big);
+            big = take ? v : big;
+            p = take ? e->rows[i] : p;
+        }
+        if (p != j)
+            swap_rows(e, j, p, y);
+        e->perm[j] = p;
+        *least = j == 0 || big < *least || big != big ? big : *least;
+        double piv = top[j] == 0.0 ? 1.0 : top[j];
+        int end = last[j] + 1, used = 0;
+        while (end > j + 1 && top[end - 1] == 0.0)
+            end--;
+        for (int i = e->col[j]; i < e->col[j + 1]; i++) {
+            int r = e->rows[i];
+            double *tr = t + (int64_t)r * n;
+            tr[j] /= piv;
+            if (tr[j] == 0.0)
+                continue;
+            for (int c = last[r] + 1; c < end; c++)
+                tr[c] = 0.0;
+            last[r] = last[r] > end - 1 ? last[r] : end - 1;
+            y[r] -= tr[j] * y[j];
+            active[used++] = r;
+        }
+        int i = 0;
+        for (; i + 1 < used; i += 2) {
+            double *t1 = t + (int64_t)active[i] * n, *t2 = t + (int64_t)active[i + 1] * n;
+            eliminate_two(j + 1, end, t1, t1[j], t2, t2[j], top);
+        }
+        if (i < used)
+            eliminate_row(j + 1, end, t + (int64_t)active[i] * n, t[(int64_t)active[i] * n + j], top);
+    }
+    back_substitute(e, y);
+}
+
+/* S x = y for the row-scaled system S that lu_envelope factored into e, y
+ * overwritten by x: the elimination's steps on y, then back_substitute,
+ * each as lu_envelope does them (y is not row-scaled here). */
+static void lu_solve(const struct envelope *e, double *y)
+{
+    int n = e->n;
+    const double *t = e->t;
+    for (int j = 0; j < n; j++) {
+        int64_t p = e->perm[j];
+        double v = y[j];
+        y[j] = y[p];
+        y[p] = v;
+        for (int i = e->col[j]; i < e->col[j + 1]; i++) {
+            int r = e->rows[i];
+            if (t[(int64_t)r * n + j] != 0.0)
+                y[r] -= t[(int64_t)r * n + j] * y[j];
+        }
+    }
+    back_substitute(e, y);
+}
+
+/* S^T x = y for the S of lu_solve, y overwritten by x: U^T, column by
+ * column, then the transposes of the elimination's steps in reverse, each
+ * a sum over the rows of L's column in turn. */
+static void lu_solve_transposed(const struct envelope *e, double *y)
+{
+    int n = e->n;
+    const double *t = e->t;
+    for (int j = 0; j < n; j++) {
+        const double *tj = t + (int64_t)j * n;
+        y[j] /= tj[j];
+        for (int c = j + 1; c <= e->last[j]; c++)
+            y[c] -= tj[c] * y[j];
     }
     for (int j = n - 1; j >= 0; j--) {
         double v = y[j];
-        for (int r = j + 1; r < n; r++)
-            v -= t[r * n + j] * y[r];
-        int64_t p = perm[j];
+        for (int i = e->col[j]; i < e->col[j + 1]; i++)
+            v -= t[(int64_t)e->rows[i] * n + j] * y[e->rows[i]];
+        int64_t p = e->perm[j];
         y[j] = y[p];
         y[p] = v;
     }
@@ -530,36 +755,37 @@ static int take_signs(int n, double *x, double *xi)
 }
 
 /* The infinity-norm condition number of the row-scaled system S that
- * lu_tile factored with keep, estimated as norm ||S^-T||_1 by Hager's
+ * lu_envelope factored into e, estimated as norm ||S^-T||_1 by Hager's
  * method as LAPACK's dlacn2 runs it (Higham, ACM TOMS 14, 1988): at most
  * five steps from x = (1/n, ..., 1/n), then the alternating-sign vector's
  * estimate if larger.  Solves with S^-T are lu_solve_transposed, with S^-1
- * lu_solve; x and xi are n doubles of work.  Infinite if a pivot is 0 or
- * the estimate is not finite. */
-static double lu_condition(int n, const double *t, const struct lu_keep *keep, double *x, double *xi)
+ * lu_solve, both on the envelopes; x and xi are n doubles of work.
+ * Infinite if a pivot is 0 or the estimate is not finite. */
+static double lu_condition(const struct envelope *e, double *x, double *xi)
 {
+    int n = e->n;
     for (int j = 0; j < n; j++)
-        if (t[j * n + j] == 0.0)
+        if (e->t[(int64_t)j * n + j] == 0.0)
             return INFINITY;
     for (int i = 0; i < n; i++)
         x[i] = 1.0 / n;
-    lu_solve_transposed(n, t, keep->perm, x);
+    lu_solve_transposed(e, x);
     double est = abs_sum(n, x);
     if (n > 1) {
         for (int i = 0; i < n; i++)
             xi[i] = 0.0;
         take_signs(n, x, xi);
-        lu_solve(n, t, keep->perm, x);
+        lu_solve(e, x);
         int j = arg_abs_max(n, x);
         for (int step = 2;; step++) {
             for (int i = 0; i < n; i++)
                 x[i] = i == j ? 1.0 : 0.0;
-            lu_solve_transposed(n, t, keep->perm, x);
+            lu_solve_transposed(e, x);
             double old = est;
             est = abs_sum(n, x);
             if (take_signs(n, x, xi) || est <= old)
                 break;
-            lu_solve(n, t, keep->perm, x);
+            lu_solve(e, x);
             int last = j;
             j = arg_abs_max(n, x);
             if (fabs(x[last]) == fabs(x[j]) || step == 5)
@@ -567,28 +793,30 @@ static double lu_condition(int n, const double *t, const struct lu_keep *keep, d
         }
         for (int i = 0; i < n; i++)
             x[i] = (i % 2 ? -1.0 : 1.0) * (1.0 + (double)i / (double)(n - 1));
-        lu_solve_transposed(n, t, keep->perm, x);
+        lu_solve_transposed(e, x);
         double alt = 2.0 * abs_sum(n, x) / (3.0 * (double)n);
         est = alt > est ? alt : est;
     }
-    double cond = keep->norm * est;
+    double cond = e->norm * est;
     return cond < INFINITY ? cond : INFINITY;
 }
 
 /* The condition estimate of lu_condition for the n x n system a
- * (row-major), which is row-scaled and factored in place by lu_tile: the
- * estimate that fbq.linsys quotes in the message of a failed system.
- * Returns -1 if the work cannot be allocated. */
+ * (row-major), which lu_envelope scales and factors in place on full
+ * envelopes: the estimate that fbq.linsys quotes in the message of a failed
+ * system.  Returns -1 if the work cannot be allocated. */
 double fbq_condition(int64_t n, double *a)
 {
-    double *work = malloc(sizeof(double) * 3 * n + sizeof(int64_t) * n), least = 0.0;
+    double *work = malloc(sizeof(double) * 3 * n + env_bytes(n)), least = 0.0;
     if (!work)
         return -1.0;
-    struct lu_keep keep = {work, (int64_t *)(work + 3 * n), 0.0};
+    struct envelope e;
+    env_init(&e, (int)n, a, work + 3 * n);
+    env_full(&e);
     for (int64_t i = 0; i < n; i++)
-        work[n + i] = 0.0;
-    lu_tile((int)n, 1, a, work + n, &least, &keep);
-    double cond = lu_condition((int)n, a, &keep, work + n, work + 2 * n);
+        work[i] = 0.0;
+    lu_envelope(&e, work, &least);
+    double cond = lu_condition(&e, work + n, work + 2 * n);
     free(work);
     return cond;
 }
@@ -612,9 +840,9 @@ static inline __attribute__((always_inline)) void solve_tile(int n, int used, in
     double least[LU_TILE];
     int w = tile_width(used);
     if (w == 1)
-        lu_tile(n, 1, t, y, least, NULL);
+        lu_tile(n, 1, t, y, least);
     else
-        lu_tile(n, LU_TILE, t, y, least, NULL);
+        lu_tile(n, LU_TILE, t, y, least);
     for (int s = 0; s < used; s++) {
         double *xk = x + (k0 + s) * n;
         for (int r = 0; r < n; r++)
@@ -1420,44 +1648,52 @@ static int64_t unknown(int64_t m, int64_t K, int64_t i, int64_t j)
 }
 
 /* The boundary system of threshold K of the pool p, as reference.pool_fill
- * fills it, into the row-major n x n a and rhs (n = kept_before(m, K, m)):
+ * fills it, into the envelope e of n = kept_before(m, K, m) unknowns and rhs:
  * the balance rows of the states i + j <= m - 2, the state (i, j) at row
  * unknown(i, j) - i, as a running state or, when K >= 1 and i + j = K, a
  * stopped one; one row per zero z_k (k = 0 .. m - 2), with the left null
  * vector null[k m ..] and the powers zpow[k m + j] = z_k^j; and the
- * idle-or-stopped servers row, whose right-hand side is idle. */
+ * idle-or-stopped servers row, whose right-hand side is idle.  A balance
+ * row's envelope runs from its first to its last neighbour, (i - 1, j) or
+ * the state itself to (i + 1, j), and only it is zeroed; the m - 1 zero
+ * rows and the idle row span every column, each cell of them written. */
 static void pool_fill(const struct pool *p, int64_t K, const double *zeros, const double *null,
-                      const double *zpow, double idle, double *a, double *rhs)
+                      const double *zpow, double idle, struct envelope *e, double *rhs)
 {
     const double *r = p->rates;
-    int64_t m = p->m, n = kept_before(m, K, m);
+    int64_t m = p->m, n = e->n;
     double lam = p->lam, mu1 = p->mu1, mu2 = p->mu2, q = p->q;
-    for (int64_t c = 0; c < n * n; c++)
-        a[c] = 0.0;
     for (int64_t c = 0; c < n; c++)
         rhs[c] = 0.0;
     for (int64_t i = 0; i + 1 < m; i++) {
         for (int64_t j = K > i ? K - i : 0; i + j <= m - 2; j++) {
-            int64_t own = unknown(m, K, i, j);
-            double *row = a + (own - i) * n;
-            if (K && i + j == K) {
+            int64_t own = unknown(m, K, i, j), stopped = K && i + j == K;
+            int64_t lo = stopped || i == 0 ? own : unknown(m, K, i - 1, j), hi = unknown(m, K, i + 1, j);
+            double *row = e->t + (own - i) * n;
+            e->first[own - i] = (int)lo;
+            e->last[own - i] = (int)hi;
+            for (int64_t c = lo; c <= hi; c++)
+                row[c] = 0.0;
+            if (stopped) {
                 row[own] = lam;
-                row[unknown(m, K, i + 1, j)] = -((double)(i + 1) * (1.0 - q) * mu1);
+                row[hi] = -((double)(i + 1) * (1.0 - q) * mu1);
             } else {
                 row[own] = lam + r[2 * i] + (double)j * mu2;
                 if (i > 0)
-                    row[unknown(m, K, i - 1, j)] = -lam;
-                row[unknown(m, K, i + 1, j)] = -(r[2 * (i + 1)] * (1.0 - q));
+                    row[lo] = -lam;
+                row[hi] = -(r[2 * (i + 1)] * (1.0 - q));
                 if (j > 0)
                     row[unknown(m, K, i + 1, j - 1)] = -(r[2 * (i + 1)] * q);
             }
-            row[unknown(m, K, i, j + 1)] = -((double)(j + 1) * mu2);
+            row[own + 1] = -((double)(j + 1) * mu2);
         }
     }
     for (int64_t k = 0; k + 1 < m; k++) {
         const double *u = null + k * m, *zp = zpow + k * m;
         double z = zeros[k], zm1 = z - 1.0, w = 1.0 - q + q * z;
-        double *row = a + (n - m + k) * n;
+        double *row = e->t + (n - m + k) * n;
+        e->first[n - m + k] = 0;
+        e->last[n - m + k] = (int)n - 1;
         for (int64_t i = 0, c = 0; i < m; i++) {
             for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++) {
                 if (K && i + j == K) {
@@ -1469,9 +1705,11 @@ static void pool_fill(const struct pool *p, int64_t K, const double *zeros, cons
             }
         }
     }
+    e->first[n - 1] = 0;
+    e->last[n - 1] = (int)n - 1;
     for (int64_t i = 0, c = 0; i < m; i++)
         for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++)
-            a[(n - 1) * n + c] = (double)(i + j == K ? m : m - i - j);
+            e->t[(n - 1) * n + c] = (double)(i + j == K ? m : m - i - j);
     rhs[n - 1] = idle;
 }
 
@@ -1547,20 +1785,19 @@ static double u_a_x(int64_t m, const double *u, const double *a, const double *x
  * and u^T A1 v.  Each order's particular solution p is the one that the
  * bordered system [[A0, u], [v^T, 0]] of order m + 1 gives with the border
  * rows' right-hand side 0, which is A0's minimum-norm least-squares
- * solution: lu_tile factors it with [b0, 0], lu_solve takes [b1 - A1 g0, 0]
- * scaled by the kept row scales.  Then g0 = p0 + c0 v with c0 = (u^T b1 -
- * u^T A1 p0) / u^T A1 v, and g1 = p1 + c1 v with c1 = (u^T b2 - u^T A2 g0 -
- * u^T A1 p1) / u^T A1 v.  check gets u^T b0 and max |b0| + max |b1|, the
- * solvability test's residual and scale.  t, y, scale and perm are work of
- * (m + 1)^2, m + 1, m + 1 and m + 1 entries. */
-static void pool_cascade(int64_t m, const double *one, const double *b, double *t, double *y,
-                         double *scale, int64_t *perm, double *g, double *check)
+ * solution: lu_envelope factors it on full envelopes with [b0, 0], and
+ * lu_solve takes [b1 - A1 g0, 0] scaled by the kept row scales.  Then g0 =
+ * p0 + c0 v with c0 = (u^T b1 - u^T A1 p0) / u^T A1 v, and g1 = p1 + c1 v
+ * with c1 = (u^T b2 - u^T A2 g0 - u^T A1 p1) / u^T A1 v.  check gets u^T
+ * b0 and max |b0| + max |b1|, the solvability test's residual and scale.
+ * e is an envelope of m + 1 unknowns and y work of m + 1 entries. */
+static void pool_cascade(int64_t m, const double *one, const double *b, struct envelope *e, double *y,
+                         double *g, double *check)
 {
     const double *a0 = one, *a1 = a0 + 3 * m - 2, *a2 = a1 + 3 * m - 2, *u = a2 + 3 * m - 2;
     const double *v = u + m, *b0 = b, *b1 = b + m, *b2 = b + 2 * m;
-    double uA1v = v[m], big0 = 0.0, big1 = 0.0, least;
+    double uA1v = v[m], big0 = 0.0, big1 = 0.0, least, *t = e->t;
     int64_t k = m + 1;
-    struct lu_keep keep = {scale, perm, 0.0};
     for (int64_t i = 0; i < m; i++) {
         big0 = fabs(b0[i]) > big0 ? fabs(b0[i]) : big0;
         big1 = fabs(b1[i]) > big1 ? fabs(b1[i]) : big1;
@@ -1577,64 +1814,64 @@ static void pool_cascade(int64_t m, const double *one, const double *b, double *
     }
     t[m * k + m] = 0.0;
     y[m] = 0.0;
-    lu_tile((int)k, 1, t, y, &least, &keep);
+    env_full(e);
+    lu_envelope(e, y, &least);
     double *g0 = g, *g1 = g + m;
     double c0 = (dot(m, u, b1) - u_a_x(m, u, a1, y)) / uA1v;
     for (int64_t i = 0; i < m; i++)
         g0[i] = y[i] + c0 * v[i];
     for (int64_t r = 0; r < m; r++)
-        y[r] = (b1[r] - tri_row(m, a1, r, g0)) / scale[r];
+        y[r] = (b1[r] - tri_row(m, a1, r, g0)) / e->scale[r];
     y[m] = 0.0;
-    lu_solve((int)k, t, perm, y);
+    lu_solve(e, y);
     double c1 = (dot(m, u, b2) - u_a_x(m, u, a2, g0) - u_a_x(m, u, a1, y)) / uA1v;
     for (int64_t i = 0; i < m; i++)
         g1[i] = y[i] + c1 * v[i];
 }
 
 /* One threshold K of the pool (m, lam, mu1, mu2, q) with the rate table
- * `rates` of fbq_pool_roots, solved whole: pool_fill fills the boundary
- * system, with the pool's zeros, the null vectors and powers at the head of
- * its fbq_pool_data `data` and idle = m - rho1 - rho2; check_lanes checks it
- * and returns 1 or 2 as linsys._first_pass would; lu_tile solves it into x
- * (n), and note_system books pivmin (info[0]) and summary as
- * reference.lockstep would.  If a pivot is below pivot_tol or a value
- * below -neg_tol, info[1] gets the lu_condition estimate from the same
- * factors and nothing more is done.  Else pool_taylor sums b from x, read
- * clamped if a value is negative, and pool_cascade takes b and the z = 1
- * part of `data` to g (2 x m), with the solvability residual and scale in
- * info[2] and info[3].  Returns 0, the check_lanes status, or 3 if the work
- * cannot be allocated. */
+ * `rates` of fbq_pool_roots, solved whole into out: x (n), then g (2 x m),
+ * then info (4).  pool_fill fills the boundary system on its envelope, with
+ * the pool's zeros, the null vectors and powers at the head of its
+ * fbq_pool_data `data` and idle = m - rho1 - rho2; env_check checks it and
+ * returns 1 or 2 as linsys._first_pass would; lu_envelope solves it into x,
+ * and note_system books pivmin (info[0]) and summary as reference.lockstep
+ * would.  If a pivot is below pivot_tol or a value below -neg_tol, info[1]
+ * gets the lu_condition estimate from the same factors and nothing more is
+ * done.  Else pool_taylor sums b from x, read clamped if a value is
+ * negative, and pool_cascade takes b and the z = 1 part of `data` to g,
+ * with the solvability residual and scale in info[2] and info[3], on the
+ * same work.  Returns 0, the env_check status, or 3 if the work cannot be
+ * allocated. */
 int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
                     const double *zeros, const double *data, int64_t K, double idle,
-                    double pivot_tol, double neg_tol, double *x, double *g, double *info,
-                    int64_t *summary)
+                    double pivot_tol, double neg_tol, double *out, int64_t *summary)
 {
     const struct pool p = {m, lam, mu1, mu2, q, rates, NULL};
-    int64_t n = kept_before(m, K, m), k = m + 1;
-    double *a = malloc(sizeof(double) * (n * n + 3 * n + k * k + 2 * k + 3 * m)
-                       + sizeof(int64_t) * (n + k));
-    if (!a)
+    int64_t n = kept_before(m, K, m), big = n > m + 1 ? n : m + 1;
+    double *t = malloc(sizeof(double) * (big * big + 2 * big + 3 * m) + env_bytes(big));
+    if (!t)
         return 3;
-    double *scale = a + n * n, *work = scale + n, *t = work + 2 * n, *y = t + k * k;
-    double *kscale = y + k, *b = kscale + k;
-    int64_t *perm = (int64_t *)(b + 3 * m), *kperm = perm + n;
-    pool_fill(&p, K, zeros, data, data + (m - 1) * m, idle, a, x);
-    int status = check_lanes((int)n, 1, 1, a, x);
+    double *work = t + big * big, *b = work + 2 * big, *x = out, *g = out + n, *info = g + 2 * m;
+    struct envelope e;
+    env_init(&e, (int)n, t, b + 3 * m);
+    pool_fill(&p, K, zeros, data, data + (m - 1) * m, idle, &e, x);
+    int status = env_check(&e, x);
     if (!status) {
-        struct lu_keep keep = {scale, perm, 0.0};
         double least = 0.0;
         summary[0] = summary[1] = -1;
         summary[2] = 0;
-        lu_tile((int)n, 1, a, x, &least, &keep);
+        lu_envelope(&e, x, &least);
         note_system(0, (int)n, least, x, pivot_tol, neg_tol, info, summary);
         if (summary[0] >= 0 || summary[1] >= 0) {
-            info[1] = lu_condition((int)n, a, &keep, work, work + n);
+            info[1] = lu_condition(&e, work, work + n);
         } else {
             pool_taylor(&p, K, x, summary[2] > 0, b);
-            pool_cascade(m, data + 2 * (m - 1) * m, b, t, y, kscale, kperm, g, info + 2);
+            env_init(&e, (int)(m + 1), t, b + 3 * m);
+            pool_cascade(m, data + 2 * (m - 1) * m, b, &e, work, g, info + 2);
         }
     }
-    free(a);
+    free(t);
     return status;
 }
 

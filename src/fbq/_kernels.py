@@ -116,7 +116,7 @@ def _bind(lib: ctypes.CDLL) -> Loops:
                        p_dbl, p_i64, p_dbl, p_dbl]
     family.restype = i32
     pool_system = lib.fbq_pool_system
-    pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 3, i64, *[dbl] * 3, *[p_dbl] * 3, p_i64]
+    pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 3, i64, *[dbl] * 3, p_dbl, p_i64]
     pool_system.restype = i32
     condition, pool_data = lib.fbq_condition, lib.fbq_pool_data
     condition.argtypes = [i64, p_dbl]

@@ -14,8 +14,12 @@ one failing system, taken on the error path only.
   within the call, and their outcomes merge into the one-thread outcome,
   so the thread count moves no bit and no error.
 * A pool's boundary system is solved inside the compiled loop
-  `fbq_pool_system` of `fbq.multi`, on the same elimination, which books
-  the condition estimate of a failed system from its own factors.
+  `fbq_pool_system` of `fbq.multi` on its envelope: each row holds only
+  the columns from its first to its last nonzero, and the elimination
+  visits at each column only the rows that reach it, with the float
+  operations of the one-system elimination in their order, so it gives
+  that elimination's bits.  It books the condition estimate of a failed
+  system from its own factors.
 * `solve_probability_system` solves one unscaled system by LAPACK's getrf
   and getrs, as scipy's lu_factor/lu_solve call them, with the same scaling,
   checks and errors: a reference for the compiled solves.
@@ -93,7 +97,7 @@ def _checked(cond, status, x, pivmin, summary):
 
 
 def _first_pass(a: np.ndarray, b: np.ndarray):
-    """The first pass over the stack, as `check_rows` in `_kernels.c`
+    """The first pass over the stack, as `check_lanes` in `_kernels.c`
     makes it: (_NOT_FINITE or _ZERO_ROW, None) if it fails, else
     (0, the row scale: each row's largest |a_ij|)."""
     scale = np.abs(a).max(axis=2)   # inf or NaN where a row of a holds one

@@ -39,11 +39,13 @@ message of the SolverError its solve raised, so a pool is solved once per
 threshold however many sweeps or cost vectors ask for it.  Each threshold is
 solved whole by one call of the compiled loop `fbq_pool_system` of
 `_kernels.c`: it fills the boundary system from the rate table and the data
-at the zeros, factors it on the lockstep LU of the speed families, sums the
-z = 1 Taylor vectors of b from the clamped solution and runs the Taylor
-cascade, all in its own float order, with no BLAS or LAPACK call, so a pool
-gives the same bits on every CPU.  Solutions are read-only values, and the
-cache serves each one's object to every caller.
+at the zeros, each row only from its first to its last nonzero column,
+factors it there with the float operations of the speed families'
+one-system elimination in their order, sums the z = 1 Taylor vectors of b
+from the clamped solution and runs the Taylor cascade, all in its own float
+order, with no BLAS or LAPACK call, so a pool gives the same bits on every
+CPU.  Solutions are read-only values, and the cache serves each one's
+object to every caller.
 The closure by the zeros is the spectral-expansion closure of Mitrani &
 Chakka, "Spectral expansion solution for a class of Markov models",
 Performance Evaluation 23 (1995).
@@ -344,21 +346,22 @@ def _states(m: int, K: int) -> tuple[tuple[int, int], ...]:
 
 def _solve_one(model: MultiServerModel, K: int, pool: _Pool, loop) -> MultiServerSolution:
     """Steady state under threshold K, by one call of the compiled `loop`
-    `fbq_pool_system`: it fills the kept states' boundary system, solves
-    it, and from the clamped solution sums the z = 1 vector b and runs the
-    Taylor cascade to g(1) and g'(1).  The system holds the balance rows of
-    the states i + j <= m - 2, as a stopped state on the diagonal
+    `fbq_pool_system`, which writes x, g and its info into one buffer: it
+    fills the kept states' boundary system, solves it, and from the clamped
+    solution sums the z = 1 vector b and runs the Taylor cascade to g(1)
+    and g'(1).  The system holds the balance rows of the states
+    i + j <= m - 2, as a stopped state on the diagonal
     i + j = K >= 1 and as a running one elsewhere; one row per zero z_k,
     from the left null vector of A(z_k), to which b is orthogonal; and the
     idle-or-stopped server identity.  The loop's outcome raises the errors
     of linsys._checked, quoting the condition estimate from its factors."""
     m = model.m
     states = _states(m, K)
-    x, g, info = np.empty(len(states)), np.empty((2, m)), np.empty(4)
-    summary = np.empty(3, dtype=np.int64)
-    dbl = ctypes.c_double.from_buffer
-    status = loop(*pool.data[0], K, m - model.rho1 - model.rho2, PIVOT_RTOL, NEG_PROB_TOL, dbl(x),
-                  dbl(g), dbl(info), ctypes.c_int64.from_buffer(summary))
+    n = len(states)
+    out, summary = np.empty(n + 2 * m + 4), np.empty(3, dtype=np.int64)
+    status = loop(*pool.data[0], K, m - model.rho1 - model.rho2, PIVOT_RTOL, NEG_PROB_TOL,
+                  ctypes.c_double.from_buffer(out), ctypes.c_int64.from_buffer(summary))
+    x, g, info = out[:n], out[n:n + 2 * m].reshape(2, m), out[n + 2 * m:]
     cond = info[1]
     x = _checked(lambda k: cond, status, x[None], info[:1], summary.tolist())[0]
     return _finish(model, K, FrozenDict(zip(states, x.tolist())), g, info[2:].tolist(), pool)

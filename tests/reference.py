@@ -7,7 +7,7 @@ loop's order, so the two give equal results, errors included.
 * `run`: one replication of the jump chain of `fbq_jump_chain`;
   `replications`, each on its own seed, is `simulation._jump_chain`.
 * `lockstep` and `solve_probability_stack`: the elimination of
-  `fbq_speed_family` and `fbq_pool_system`; `family_solve` is the whole
+  `fbq_speed_family` and, on one system's envelope, of `fbq_pool_system`; `family_solve` is the whole
   family loop, with the systems of `single._Family._stack`, the row sums
   of `finish_sums` and the drift identities and energy rates of `metrics`.
 * `factor`, `lu_solve` and `lu_solve_transposed`: one system's elimination
@@ -155,12 +155,15 @@ def lockstep(a: np.ndarray, b: np.ndarray):
 
 def factor(a: np.ndarray, y: np.ndarray):
     """The elimination of `lockstep` on one system, on copies of a and y,
-    with its factors kept as the compiled `lu_tile` keeps them: (t, y, perm,
-    scale, norm), where t holds U on and above the diagonal and each
+    with its factors kept as the compiled `lu_envelope` keeps them: (t, y,
+    perm, scale, norm), where t holds U on and above the diagonal and each
     multiplier l in place of the t_rj it eliminated, y the solution, perm
     the pivot row of each column, scale each row's largest |a_ij| and norm
     the infinity norm of the row-scaled system, each row's |a_ij| / scale
-    summed in turn.  Rows swap from the pivot's column on."""
+    summed in turn.  Rows swap from the pivot's column on.  The compiled
+    elimination works on the rows' envelopes, dense here, and skips only
+    products with a zero factor, so the two agree in every value but the
+    sign of a zero."""
     t, y = np.array(a, dtype=float), np.array(y, dtype=float)
     n = len(y)
     scale = np.abs(t).max(axis=1)

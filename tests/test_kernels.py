@@ -1,9 +1,10 @@
 """The compiled loops' source, `_kernels.c`, builds without a warning under
 the package's own compiler and flags, both as the package builds it and
-with its clone macro empty; the two builds give the same bits; the ctypes
-signatures that `fbq._kernels.compiled` gives its loops are the C
-definitions' parameter lists, and every Python function that its comments
-cite exists in fbq or in the test module `reference`."""
+with its clone macro empty, each variant built once for the module; the
+two builds give the same bits; the ctypes signatures that
+`fbq._kernels.compiled` gives its loops are the C definitions' parameter
+lists, and every Python function that its comments cite exists in fbq or in
+the test module `reference`."""
 
 import ctypes
 import functools
@@ -34,21 +35,32 @@ BASELINE = "-DFBQ_CLONES="
 
 
 def build(path, *options):
-    """`_kernels.c` built at path with the package's flags and options."""
-    done = subprocess.run([_kernels._COMPILER, *_kernels._FLAGS, *options, "-o", str(path),
+    """`_kernels.c` built at path with the package's flags and options: the
+    compiler's CompletedProcess."""
+    return subprocess.run([_kernels._COMPILER, *_kernels._FLAGS, *options, "-o", str(path),
                            str(_kernels._SOURCE)], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return path
-
-
-def test_kernels_build_without_warnings(tmp_path):
-    for name, options in (("dispatched", ()), ("baseline", (BASELINE,))):
-        build(tmp_path / f"{name}.so", *options, "-Wall", "-Wextra", "-Werror")
 
 
 @pytest.fixture(scope="module")
-def baseline_loops(tmp_path_factory):
-    return _kernels._bind(ctypes.CDLL(str(build(tmp_path_factory.mktemp("baseline") / "k.so", BASELINE))))
+def builds(tmp_path_factory):
+    """{variant: (CompletedProcess, library path)} of the dispatched and the
+    baseline library, each built once with every warning an error, which
+    leaves the library's bytes as they are without those flags."""
+    where = tmp_path_factory.mktemp("kernels")
+    return {name: (build(where / f"{name}.so", *options, "-Wall", "-Wextra", "-Werror"), where / f"{name}.so")
+            for name, options in (("dispatched", ()), ("baseline", (BASELINE,)))}
+
+
+def test_kernels_build_without_warnings(builds):
+    for name, (done, _) in builds.items():
+        assert done.returncode == 0, (name, done.stderr)
+
+
+@pytest.fixture(scope="module")
+def baseline_loops(builds):
+    done, path = builds["baseline"]
+    assert done.returncode == 0, done.stderr
+    return _kernels._bind(ctypes.CDLL(str(path)))
 
 
 def random_family(K, count):

@@ -38,6 +38,7 @@ family and the seeded pools must hash to the digests of
 data/pool_bits.json, which pool_bits.py writes.
 """
 
+import contextlib
 import dataclasses
 import importlib.util
 import json
@@ -642,6 +643,37 @@ def test_failing_pool_quotes_the_unscaled_systems_condition_on_both_paths(on_bot
     compiled, python = on_both_paths(raised)
     assert compiled == python
     assert compiled == message
+
+
+def test_failing_thresholds_get_the_bits_of_the_reference_condition_estimate(monkeypatch):
+    # the estimate that fbq_pool_system books in info[1] from its own
+    # factors, which a message quotes to four digits, equals
+    # reference.condition of the system of reference.pool_fill in every bit,
+    # at each failing threshold of the benchmark block's m = 17 .. 20 pools
+    # and of the pinned failing pool
+    pin = {k: v for k, v in PINS["failing_pool"].items() if k != "message"}
+    models = [model for model in sweep_block_pools() if model.m >= 17] + [MultiServerModel(**pin)]
+    estimates, checked = [], multi._checked
+
+    def spy(cond, status, x, pivmin, summary):
+        if summary[0] >= 0 or summary[1] >= 0:
+            estimates.append(cond(0))
+        return checked(cond, status, x, pivmin, summary)
+
+    monkeypatch.setattr(multi, "_checked", spy)
+    _pool_data.cache_clear()
+    got = {}
+    for model in models:
+        for K in range(model.m):
+            with contextlib.suppress(SolverError):
+                solve_threshold(dataclasses.replace(model, threshold=K))
+            if len(estimates) > len(got):
+                got[model, K] = estimates[-1]
+    assert sorted({model.m for model, _ in got}) == [17, 18, 19, 20]
+    assert [K for model, K in got if model == models[-1]] == list(range(19))
+    for (model, K), cond in got.items():
+        a, _ = reference.pool_fill(model, K, multi._pool(model), list(multi._states(model.m, K)))
+        assert cond.hex() == reference.condition(a).hex(), (model, K)
 
 
 def test_every_threshold_outcome_keeps_its_pinned_digest():
