@@ -20,16 +20,18 @@
  *
  * fbq_speed_family solves a speed family of fbq.single from its layout and
  * the profiles' speed levels: it fills each tile of systems as
- * single._Family._stack builds them, in the same float operations, and
+ * reference.family_stack builds them, in the same float operations, and
  * checks, scales and factors it by Gaussian elimination with partial
  * pivoting on tiles of LU_TILE systems in lockstep (solve_tile), the system
- * index innermost so that the row updates vectorise.  The elimination does
- * the float operations of reference.lockstep, in their order, so each
- * system gets the same answer wherever it sits in the family, and on any
- * CPU, since no BLAS is called.  A family of 2 FAMILY_SHARE profiles or
- * more has its tiles claimed by several threads, started and joined within
- * the call (family_tiles), and their outcomes are merged into the
- * one-thread outcome; a system's float operations do not depend on the
+ * index innermost so that the row updates vectorise.  Every tile fills all
+ * LU_TILE lanes; a tile of fewer profiles, the last of a family or one
+ * profile alone, holds copies of its first system in the rest.  The
+ * elimination does the float operations of reference.lockstep, in their
+ * order, so each system gets the same answer wherever it sits in the family,
+ * and on any CPU, since no BLAS is called.  A family of 2 FAMILY_SHARE
+ * profiles or more has its tiles claimed by several threads, started and
+ * joined within the call (family_tiles), and their outcomes are merged into
+ * the one-thread outcome; a system's float operations do not depend on the
  * thread that runs them, so the bits do not depend on the thread count.
  * The thread that solves a tile also finishes each profile (finish_system):
  * its level masses and row sums, then g0(1), L1, L2, L and the energy rate
@@ -43,6 +45,9 @@
  * on its fixed cost than on arithmetic; batching small factorisations is
  * the usual remedy, and it pays only when the data movement around them is
  * batched too (Dongarra et al., Procedia Computer Science 108, 2017).
+ * When a profile fails, singular or with a negative probability, the call
+ * fills its system again after the merge and books Hager's condition
+ * estimate of it (lane_condition) for the error message.
  *
  * fbq_pool_roots is the zero search of reference.isolate_roots: Sturm sign
  * counts and bisection over the pool's leading minors (Wilkinson 1965), then
@@ -62,29 +67,28 @@
  * so grid and marginals equal reference.rectangle's bit for bit.
  *
  * fbq_pool_data builds what every threshold of a pool of fbq.multi shares
- * (reference.pool_data): at each zero the left null vector of A(z_k), by
- * the twisted factorisation of the tridiagonal matrix, and the powers
- * z_k^j; A(z)'s Taylor coefficients at z = 1 and A0's null pair.
- * pool_matrix states A(z)'s entries once, for it and the zero search.
- * fbq_pool_system then solves one threshold whole.  It fills the boundary
- * system (reference.pool_fill) on its envelope, each row stored from its
- * first to its last nonzero column (Jennings, The Computer Journal 9,
- * 1966): a balance row spans its 3 to 5 neighbours, the m - 1 zero rows and
- * the idle row every column.  env_check checks it and lu_envelope scales
- * and factors it there, visiting at each column only the rows whose
- * envelope reaches it, with the float operations of the one-system
- * instantiation of the lockstep LU (reference.lockstep) in their order, so
- * the solution is the dense elimination's bit for bit.  Then it sums the
- * Taylor vectors b0, b1, b2 of the z = 1 cascade from the clamped solution
- * in the order of the unknowns (reference.pool_taylor), and runs the
- * cascade on the bordered system [[A0, u], [v^T, 0]] with row sums in its
- * own order (reference.cascade).  A failed system's message gets Hager's
- * condition estimate (lu_condition, reference.condition) from the same
- * factors, its solves reading only the envelopes; fbq_condition makes that
- * estimate for one system given whole, as the speed families' messages
- * take it.  The bordered system and fbq_condition's are factored by the
- * same elimination on full envelopes.  None of these calls BLAS or LAPACK,
- * so a pool gives the same bits on every CPU.
+ * (reference.pool_data): at each zero the left null vector of A(z_k), by the
+ * twisted factorisation of the tridiagonal matrix, and the powers z_k^j;
+ * A(z)'s Taylor coefficients at z = 1 and A0's null pair.  pool_matrix states
+ * A(z)'s entries once, for it and the zero search.  fbq_pool_system then
+ * solves one threshold whole.  It fills the boundary system
+ * (reference.pool_fill) on its envelope, each row stored from its first to
+ * its last nonzero column (Jennings, The Computer Journal 9, 1966): a
+ * balance row spans its 3 to 5 neighbours, the m - 1 zero rows and the idle
+ * row every column.  env_check checks it and lu_envelope scales and factors
+ * it there, visiting at each column only the rows whose envelope reaches it,
+ * with the float operations of the one-system elimination reference.factor
+ * in their order, so the solution is the dense elimination's bit for bit.
+ * Then it sums the Taylor vectors b0, b1, b2 of the z = 1 cascade from the
+ * clamped solution in the order of the unknowns (reference.pool_taylor), and
+ * runs the cascade on the bordered system [[A0, u], [v^T, 0]] with row sums
+ * in its own order (reference.cascade).  A failed system's message gets
+ * Hager's condition estimate (lu_condition, reference.condition) from the
+ * same factors, its solves reading only the envelopes; lane_condition makes
+ * that estimate for a failed speed-family profile's system, given whole.  The
+ * bordered system and lane_condition's are factored by the same elimination
+ * on full envelopes.  None of these calls BLAS or LAPACK, so a pool gives
+ * the same bits on every CPU.
  *
  * The two hot batched loops, a speed family's tile loop (family_tiles) and
  * the generator's block (mt_block), are built as AVX-512F, AVX2 and
@@ -293,29 +297,29 @@ void fbq_jump_chain(int64_t reps, int threads, uint32_t *mt, const double *inv, 
 
 enum { LU_TILE = 8 };   /* systems per tile of the lockstep LU */
 
-/* The first pass over a tile of w lanes of n x n systems, entry (r, c) of
- * lane s at a[(r n + c) w + s] and its right-hand side at b[r w + s],
- * before any solve.  The status of a lane is 1 if an entry of its system
- * or right-hand side is not finite, else 2 if a row of its system is all
- * zeros, else 0; returns the statuses of lanes 0 .. used - 1 or'ed.  The
- * lanes are checked side by side, so that the loops vectorise; called with
- * a constant w. */
-static inline __attribute__((always_inline)) int check_lanes(int n, int w, int used, const double *a,
+/* The first pass over a tile of LU_TILE lanes of n x n systems, entry (r,
+ * c) of lane s at a[(r n + c) LU_TILE + s] and its right-hand side at b[r
+ * LU_TILE + s], before any solve.  The status of a lane is 1 if an entry of
+ * its system or right-hand side is not finite, else 2 if a row of its
+ * system is all zeros, else 0; returns the statuses of lanes 0 .. used - 1
+ * or'ed.  The lanes are checked side by side, so that the loops
+ * vectorise. */
+static inline __attribute__((always_inline)) int check_lanes(int n, int used, const double *a,
                                                              const double *b)
 {
     int64_t bad[LU_TILE] = {0}, zero_row[LU_TILE] = {0}, nonzero[LU_TILE];
     for (int64_t r = 0; r < n; r++) {
-        for (int s = 0; s < w; s++)
+        for (int s = 0; s < LU_TILE; s++)
             nonzero[s] = 0;
         for (int c = 0; c < n; c++) {
-            for (int s = 0; s < w; s++) {
-                double v = a[(r * n + c) * w + s];
+            for (int s = 0; s < LU_TILE; s++) {
+                double v = a[(r * n + c) * LU_TILE + s];
                 bad[s] |= !(fabs(v) <= DBL_MAX);
                 nonzero[s] |= v != 0.0;
             }
         }
-        for (int s = 0; s < w; s++) {
-            bad[s] |= !(fabs(b[r * w + s]) <= DBL_MAX);
+        for (int s = 0; s < LU_TILE; s++) {
+            bad[s] |= !(fabs(b[r * LU_TILE + s]) <= DBL_MAX);
             zero_row[s] |= !nonzero[s];
         }
     }
@@ -345,104 +349,93 @@ static inline __attribute__((always_inline)) void note_system(int64_t k, int n, 
     }
 }
 
-/* dst[s] -= a[s] b[s] over the w lanes of a tile row; restrict tells the
- * compiler that dst overlaps neither a nor b, so the loop vectorises. */
-static inline void sub_products(int w, double *restrict dst, const double *restrict a,
+/* dst[s] -= a[s] b[s] over the LU_TILE lanes of a tile row; restrict tells
+ * the compiler that dst overlaps neither a nor b, so the loop vectorises. */
+static inline void sub_products(double *restrict dst, const double *restrict a,
                                 const double *restrict b)
 {
-    for (int s = 0; s < w; s++)
+    for (int s = 0; s < LU_TILE; s++)
         dst[s] -= a[s] * b[s];
 }
 
 /* Row scaling, Gaussian elimination with partial pivoting and back
- * substitution on the w systems of a tile in lockstep, as reference.lockstep
- * does them over a whole stack.  Entry (r, c) of
- * system s is t[(r n + c) w + s] and its right-hand side y[r w + s], so each
- * loop over the systems runs innermost; each system gets the operations it
- * would get alone, in the same order.  Each row and its y are divided by the
- * row's largest |t_rc|.  Then for each column j the pivot is the first
- * largest |t_rj|, r >= j (a NaN counts as largest, as numpy's argmax has
- * it), rows r and j swap, and each row r > j loses l = t_rj / t_jj times
- * row j (l = t_rj / 1 when the pivot is 0, since then t_rj is 0 too), and
- * so does its y; l is left in place of t_rj, which no later step reads.
- * Then, for j from n - 1 down, y_j /= t_jj and each y_r, r < j, loses
- * t_rj y_j.  y ends as the solution and least[s] as the smallest |pivot|
- * (NaN if one is NaN).  Called with a constant w, which the compiler
- * unrolls or drops.  The one-system instantiation (w = 1) skips a row whose
- * l is 0 and the zero tail of the pivot row: with |l| <= 1 and finite
- * entries the skipped products are zeros, so a skip can change the sign of
- * a zero cell but no other value.  lu_envelope does the operations of that
- * instantiation on a system's envelope. */
-static inline __attribute__((always_inline)) void lu_tile(int n, int w, double *t, double *y,
-                                                          double *least)
+ * substitution on the LU_TILE systems of a tile in lockstep, as
+ * reference.lockstep does them over a whole stack.  Entry (r, c) of system
+ * s is t[(r n + c) LU_TILE + s] and its right-hand side y[r LU_TILE + s],
+ * so each loop over the systems runs innermost; each system gets the
+ * operations it would get alone, in the same order.  Each row and its y
+ * are divided by the row's largest |t_rc|.  Then for each column j the
+ * pivot is the first largest |t_rj|, r >= j (a NaN counts as largest, as
+ * numpy's argmax has it), rows r and j swap, and each row r > j loses l =
+ * t_rj / t_jj times row j (l = t_rj / 1 when the pivot is 0, since then
+ * t_rj is 0 too), and so does its y; l is left in place of t_rj, which no
+ * later step reads.  Then, for j from n - 1 down, y_j /= t_jj and each y_r,
+ * r < j, loses t_rj y_j.  y ends as the solution and least[s] as the
+ * smallest |pivot| (NaN if one is NaN). */
+static inline __attribute__((always_inline)) void lu_tile(int n, double *t, double *y, double *least)
 {
     double big[LU_TILE], piv[LU_TILE], l[LU_TILE];
     int64_t row[LU_TILE];
     for (int r = 0; r < n; r++) {
-        double *tr = t + r * n * w;
-        for (int s = 0; s < w; s++)
+        double *tr = t + r * n * LU_TILE;
+        for (int s = 0; s < LU_TILE; s++)
             big[s] = 0.0;
         for (int c = 0; c < n; c++)
-            for (int s = 0; s < w; s++)
-                big[s] = fabs(tr[c * w + s]) > big[s] ? fabs(tr[c * w + s]) : big[s];
+            for (int s = 0; s < LU_TILE; s++)
+                big[s] = fabs(tr[c * LU_TILE + s]) > big[s] ? fabs(tr[c * LU_TILE + s]) : big[s];
         for (int c = 0; c < n; c++)
-            for (int s = 0; s < w; s++)
-                tr[c * w + s] /= big[s];
-        for (int s = 0; s < w; s++)
-            y[r * w + s] /= big[s];
+            for (int s = 0; s < LU_TILE; s++)
+                tr[c * LU_TILE + s] /= big[s];
+        for (int s = 0; s < LU_TILE; s++)
+            y[r * LU_TILE + s] /= big[s];
     }
     for (int j = 0; j < n; j++) {
-        double *top = t + j * n * w;
-        for (int s = 0; s < w; s++) {
-            big[s] = fabs(top[j * w + s]);
+        double *top = t + j * n * LU_TILE;
+        for (int s = 0; s < LU_TILE; s++) {
+            big[s] = fabs(top[j * LU_TILE + s]);
             row[s] = j;
         }
         for (int r = j + 1; r < n; r++) {
-            for (int s = 0; s < w; s++) {
-                double v = fabs(t[(r * n + j) * w + s]);
+            for (int s = 0; s < LU_TILE; s++) {
+                double v = fabs(t[(r * n + j) * LU_TILE + s]);
                 int take = big[s] == big[s] && !(v <= big[s]);
                 big[s] = take ? v : big[s];
                 row[s] = take ? r : row[s];
             }
         }
-        for (int s = 0; s < w; s++) {
+        for (int s = 0; s < LU_TILE; s++) {
             int64_t p = row[s];
             if (p == j)
                 continue;
             for (int c = j; c < n; c++) {
-                double v = top[c * w + s];
-                top[c * w + s] = t[(p * n + c) * w + s];
-                t[(p * n + c) * w + s] = v;
+                double v = top[c * LU_TILE + s];
+                top[c * LU_TILE + s] = t[(p * n + c) * LU_TILE + s];
+                t[(p * n + c) * LU_TILE + s] = v;
             }
-            double v = y[j * w + s];
-            y[j * w + s] = y[p * w + s];
-            y[p * w + s] = v;
+            double v = y[j * LU_TILE + s];
+            y[j * LU_TILE + s] = y[p * LU_TILE + s];
+            y[p * LU_TILE + s] = v;
         }
-        for (int s = 0; s < w; s++) {
+        for (int s = 0; s < LU_TILE; s++) {
             least[s] = j == 0 || big[s] < least[s] || big[s] != big[s] ? big[s] : least[s];
-            piv[s] = top[j * w + s] == 0.0 ? 1.0 : top[j * w + s];
+            piv[s] = top[j * LU_TILE + s] == 0.0 ? 1.0 : top[j * LU_TILE + s];
         }
-        int end = n;
-        while (w == 1 && end > j + 1 && top[end - 1] == 0.0)
-            end--;
         for (int r = j + 1; r < n; r++) {
-            double *tr = t + r * n * w;
-            for (int s = 0; s < w; s++) {
-                l[s] = tr[j * w + s] / piv[s];
-                tr[j * w + s] = l[s];
+            double *tr = t + r * n * LU_TILE;
+            for (int s = 0; s < LU_TILE; s++) {
+                l[s] = tr[j * LU_TILE + s] / piv[s];
+                tr[j * LU_TILE + s] = l[s];
             }
-            if (w == 1 && l[0] == 0.0)
-                continue;
-            for (int c = j + 1; c < end; c++)
-                sub_products(w, tr + c * w, l, top + c * w);
-            sub_products(w, y + r * w, l, y + j * w);
+            for (int c = j + 1; c < n; c++)
+                sub_products(tr + c * LU_TILE, l, top + c * LU_TILE);
+            sub_products(y + r * LU_TILE, l, y + j * LU_TILE);
         }
     }
     for (int j = n - 1; j >= 0; j--) {
-        for (int s = 0; s < w; s++)
-            y[j * w + s] /= t[(j * n + j) * w + s];
+        for (int s = 0; s < LU_TILE; s++)
+            y[j * LU_TILE + s] /= t[(j * n + j) * LU_TILE + s];
         for (int r = 0; r < j; r++)
-            sub_products(w, y + r * w, t + (r * n + j) * w, y + j * w);
+            sub_products(y + r * LU_TILE, t + (r * n + j) * LU_TILE, y + j * LU_TILE);
     }
 }
 
@@ -590,18 +583,21 @@ static void back_substitute(const struct envelope *e, double *y)
     }
 }
 
-/* lu_tile's one-system elimination (w = 1) on the envelope e: every float
- * operation that lu_tile does on a cell that may hold a nonzero, in
- * lu_tile's order, so that the solution in y, the least |pivot|, the row
- * scales, the pivot rows and the norm are lu_tile's bit for bit; only the
- * sign of a zero cell may differ.  Each row is scaled over its envelope.
- * Column j's step visits only the rows of step_rows, for the pivot too;
- * the pivot row is first widened to column j with zeros, and a swap
- * (swap_rows) exchanges the two rows from column j on.  Each row's l is
- * taken, and where it is not 0 the row's envelope grows, its new cells
- * zeroed, as far as the pivot row's fill reaches, and its y is updated;
- * then the rows are updated two at a time.  back_substitute ends the
- * solve. */
+/* The elimination of reference.factor on the envelope e: every float
+ * operation that it does on a cell that may hold a nonzero, in its order,
+ * so that the solution in y, the least |pivot|, the row scales, the pivot
+ * rows and the norm are reference.factor's bit for bit, and the solution
+ * and least |pivot| those of one lane of lu_tile, whose operations
+ * reference.factor does on one system.  A row whose l is 0 and the zero
+ * tail of the pivot row are skipped: with |l| <= 1 and finite entries the
+ * skipped products are zeros, so a skip can change the sign of a zero cell
+ * but no other value.  Each row is scaled over its envelope.  Column j's
+ * step visits only the rows of step_rows, for the pivot too; the pivot row
+ * is first widened to column j with zeros, and a swap (swap_rows)
+ * exchanges the two rows from column j on.  Each row's l is taken, and
+ * where it is not 0 the row's envelope grows, its new cells zeroed, as far
+ * as the pivot row's fill reaches, and its y is updated; then the rows are
+ * updated two at a time.  back_substitute ends the solve. */
 static void lu_envelope(struct envelope *e, double *y, double *least)
 {
     int n = e->n, *first = e->first, *last = e->last, *start = e->start, *active = e->active;
@@ -801,52 +797,45 @@ static double lu_condition(const struct envelope *e, double *x, double *xi)
     return cond < INFINITY ? cond : INFINITY;
 }
 
-/* The condition estimate of lu_condition for the n x n system a
- * (row-major), which lu_envelope scales and factors in place on full
- * envelopes: the estimate that fbq.linsys quotes in the message of a failed
- * system.  Returns -1 if the work cannot be allocated. */
-double fbq_condition(int64_t n, double *a)
+/* The condition estimate of lu_condition for the n x n system in lane 0
+ * of the tile t, copied out row-major and then scaled and factored by
+ * lu_envelope on full envelopes: the estimate that fbq.linsys quotes in
+ * the message of a failed family profile.  Returns -1 if the work cannot
+ * be allocated. */
+static double lane_condition(int n, const double *t)
 {
-    double *work = malloc(sizeof(double) * 3 * n + env_bytes(n)), least = 0.0;
-    if (!work)
+    double *a = malloc(sizeof(double) * (n * n + 3 * n) + env_bytes(n)), least = 0.0;
+    if (!a)
         return -1.0;
+    double *work = a + n * n;
+    for (int i = 0; i < n * n; i++)
+        a[i] = t[i * LU_TILE];
     struct envelope e;
-    env_init(&e, (int)n, a, work + 3 * n);
+    env_init(&e, n, a, work + 3 * n);
     env_full(&e);
-    for (int64_t i = 0; i < n; i++)
+    for (int i = 0; i < n; i++)
         work[i] = 0.0;
     lu_envelope(&e, work, &least);
     double cond = lu_condition(&e, work + n, work + 2 * n);
-    free(work);
+    free(a);
     return cond;
 }
 
-/* The lanes of the tile that holds `used` systems: a tile of one system is
- * solved alone, a larger one fills all LU_TILE lanes, the lanes past
- * `used` with copies of its first system whose results are dropped. */
-static int tile_width(int used)
-{
-    return used == 1 ? 1 : LU_TILE;
-}
-
 /* The tile core of fbq_speed_family: lu_tile on the tile (t, y) of the
- * `used` systems k0, k0 + 1, ..., filled as tile_width(used) lanes; each
- * solution goes to x[k] and is booked by note_system. */
+ * `used` systems k0, k0 + 1, ..., the lanes past `used` holding copies of
+ * the first, whose results are dropped; each solution goes to x[k] and is
+ * booked by note_system. */
 static inline __attribute__((always_inline)) void solve_tile(int n, int used, int64_t k0, double *t,
                                                              double *y, double pivot_tol,
                                                              double neg_tol, double *x,
                                                              double *pivmin, int64_t *summary)
 {
     double least[LU_TILE];
-    int w = tile_width(used);
-    if (w == 1)
-        lu_tile(n, 1, t, y, least);
-    else
-        lu_tile(n, LU_TILE, t, y, least);
+    lu_tile(n, t, y, least);
     for (int s = 0; s < used; s++) {
         double *xk = x + (k0 + s) * n;
         for (int r = 0; r < n; r++)
-            xk[r] = y[r * w + s];
+            xk[r] = y[r * LU_TILE + s];
         note_system(k0 + s, n, least[s], xk, pivot_tol, neg_tol, pivmin, summary);
     }
 }
@@ -869,45 +858,45 @@ struct family {
     double work, rho1, rho2, q;
 };
 
-/* Lane s of the tile (a, y) of w lanes gets the system and right-hand side
- * of the profile whose speed levels are row s of lev (row 0 for the lanes
- * from `used` on), as single._Family._stack builds them: the balance
- * entries and the Maclaurin rows, the work row s_K - s_t [t > 0] over the
- * unknowns of each level t < K, zero elsewhere, and y zero but for s_K -
- * work in its last row.  The levels are first copied to lv in lane order,
- * level t of lane s at lv[t w + s], so that each entry is made for all
- * lanes in one vectorised loop with the operations of one lane alone;
- * called with a constant w. */
+/* Lane s of the tile (a, y) gets the system and right-hand side of the
+ * profile whose speed levels are row s of lev (row 0 for the lanes from
+ * `used` on), as reference.family_stack builds them: the balance entries
+ * and the Maclaurin rows, the work row s_K - s_t [t > 0] over the unknowns
+ * of each level t < K, zero elsewhere, and y zero but for s_K - work in its
+ * last row.  The levels are first copied to lv in lane order, level t of
+ * lane s at lv[t LU_TILE + s], so that each entry is made for all lanes in
+ * one vectorised loop with the operations of one lane alone. */
 static inline __attribute__((always_inline)) void fill_lanes(const struct family *f,
-                                                             const double *lev, int w, int used,
-                                                             double *a, double *y, double *lv)
+                                                             const double *lev, int used, double *a,
+                                                             double *y, double *lv)
 {
     int n = f->n, K = f->K;
     for (int t = 0; t <= K; t++)
-        for (int s = 0; s < w; s++)
-            lv[t * w + s] = lev[(s < used ? s : 0) * (K + 1) + t];
-    for (int i = 0; i < n * n * w; i++)
+        for (int s = 0; s < LU_TILE; s++)
+            lv[t * LU_TILE + s] = lev[(s < used ? s : 0) * (K + 1) + t];
+    for (int i = 0; i < n * n * LU_TILE; i++)
         a[i] = 0.0;
     for (int64_t e = 0; e < f->entries; e++) {
         const int64_t *at = f->at + 3 * e;
         double c0 = f->coef[3 * e], c1 = f->coef[3 * e + 1], c2 = f->coef[3 * e + 2];
-        double *restrict cell = a + (at[0] * n + at[1]) * w;
-        const double *restrict level = lv + at[2] * w;
-        for (int s = 0; s < w; s++)
+        double *restrict cell = a + (at[0] * n + at[1]) * LU_TILE;
+        const double *restrict level = lv + at[2] * LU_TILE;
+        for (int s = 0; s < LU_TILE; s++)
             cell[s] = c0 + (level[s] * c1) * c2;
     }
     for (int i = 0; i < K * n; i++)
-        for (int s = 0; s < w; s++)
-            a[(f->m * n + i) * w + s] = f->shared[i];
-    const double *top = lv + K * w;
+        for (int s = 0; s < LU_TILE; s++)
+            a[(f->m * n + i) * LU_TILE + s] = f->shared[i];
+    const double *top = lv + K * LU_TILE;
     for (int t = 0, u = 0; t < K; t++)
         for (int i = 0; i <= t; i++, u++)
-            for (int s = 0; s < w; s++)
-                a[((n - 1) * n + u) * w + s] = top[s] - lv[t * w + s] * (t > 0 ? 1.0 : 0.0);
-    for (int i = 0; i < (n - 1) * w; i++)
+            for (int s = 0; s < LU_TILE; s++)
+                a[((n - 1) * n + u) * LU_TILE + s] =
+                    top[s] - lv[t * LU_TILE + s] * (t > 0 ? 1.0 : 0.0);
+    for (int i = 0; i < (n - 1) * LU_TILE; i++)
         y[i] = 0.0;
-    for (int s = 0; s < w; s++)
-        y[(n - 1) * w + s] = top[s] - f->work;
+    for (int s = 0; s < LU_TILE; s++)
+        y[(n - 1) * LU_TILE + s] = top[s] - f->work;
 }
 
 /* The energy sum of the finish: the products a[i] b[i], i < n, summed as
@@ -1057,14 +1046,8 @@ FBQ_CLONES static void *family_tiles(void *arg)
             int64_t k0 = tile * LU_TILE;
             int used = job->count - k0 < LU_TILE ? (int)(job->count - k0) : LU_TILE;
             const double *lev = job->levels + k0 * (f->K + 1);
-            int seen;
-            if (tile_width(used) == 1) {
-                fill_lanes(f, lev, 1, 1, t, y, lv);
-                seen = check_lanes(n, 1, 1, t, y);
-            } else {
-                fill_lanes(f, lev, LU_TILE, used, t, y, lv);
-                seen = check_lanes(n, LU_TILE, used, t, y);
-            }
+            fill_lanes(f, lev, used, t, y, lv);
+            int seen = check_lanes(n, used, t, y);
             if (seen)
                 atomic_fetch_or_explicit(&job->seen, seen, memory_order_relaxed);
             seen = atomic_load_explicit(&job->seen, memory_order_relaxed);
@@ -1089,14 +1072,19 @@ done:
  * profiles whose speed levels s_0 .. s_K are the rows of `levels` (count,
  * K + 1), each tile of systems is filled by fill_lanes, checked by
  * check_lanes and solved by solve_tile, so x, pivmin and summary are
- * reference.lockstep's on the stack that single._Family._stack builds.
+ * reference.lockstep's on the stack that reference.family_stack builds.
  * Its statuses are too: 1 if an entry is not finite anywhere in the family,
  * else 2 if a row is all zeros, each with summary (-1, -1, 0), else 0 once
- * every system is solved, or 3 if the tiles cannot be allocated.  With
- * status 0, p (count, K) holds each profile's level masses and the rows of
- * out (6, count) its tail mass, g0(1), L1, L2, L and energy rate, by
- * finish_system from the profile's row of `power` (count, K + 1), with x
- * clamped if any value in the family is negative.
+ * every system is solved, or 3 if the tiles or the condition estimate's
+ * work cannot be allocated.  With status 0, p (count, K) holds each
+ * profile's level masses and the rows of out (6, count) its tail mass,
+ * g0(1), L1, L2, L and energy rate, by finish_system from the profile's row
+ * of `power` (count, K + 1), with x clamped if any value in the family is
+ * negative; and cond holds the condition estimate of the profile whose
+ * error linsys._checked raises, the first singular one (summary[0]), else
+ * the first with a value below -neg_tol (summary[1]), or 0 if there is
+ * none.  That profile's system is filled again by fill_lanes after the
+ * merge, and lane_condition takes the estimate from lane 0.
  *
  * A family of 2 FAMILY_SHARE profiles or more is solved by up to `threads`
  * threads, the calling one among them (family_tiles), which are started
@@ -1113,7 +1101,8 @@ done:
 int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, const double *coef,
                      const double *shared, double work, double rho1, double rho2, double q,
                      const double *levels, const double *power, double pivot_tol, double neg_tol,
-                     int threads, double *x, double *pivmin, int64_t *summary, double *p, double *out)
+                     int threads, double *x, double *pivmin, int64_t *summary, double *p, double *out,
+                     double *cond)
 {
     const struct family f = {K, (K + 1) * (K + 2) / 2, K * (K + 1) / 2, entries, at, coef, shared,
                              work, rho1, rho2, q};
@@ -1146,9 +1135,19 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
         }
         summary[2] += part[i].summary[2];
     }
+    double est = 0.0;
+    if (!seen && (summary[0] >= 0 || summary[1] >= 0)) {
+        int64_t k = summary[0] >= 0 ? summary[0] : summary[1];
+        double *t = part->tile, *y = t + LU_TILE * f.n * f.n;
+        fill_lanes(&f, levels + k * (K + 1), 1, t, y, y + LU_TILE * f.n);
+        est = lane_condition(f.n, t);
+    }
     free(part);
     if (seen)
         return seen & 1 ? 1 : 2;
+    if (est < 0)
+        return 3;
+    *cond = est;
     if (summary[2] > 0)
         for (int64_t k = 0; k < count; k++)
             finish_system(&f, levels + k * (K + 1), power + k * (K + 1), x + k * f.n, 1, p + k * K,

@@ -4,7 +4,7 @@ The source is compiled on first use with the system C compiler into the
 per-user cache, `$XDG_CACHE_HOME/fbq` or `~/.cache/fbq`, a private
 directory.  The library is named by the sha256 of the source and the flags,
 so an edited source gets a new library and later processes only load it.
-`compiled()` returns the seven loops typed; every solver and the simulator
+`compiled()` returns the six loops typed; every solver and the simulator
 run on them, and fbq has no other coding of them.  A process tries the
 build once and keeps the outcome: where the library cannot be built or
 loaded (no C compiler, no private cache directory), each call raises an
@@ -52,7 +52,7 @@ _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fvect-cost-model=dynamic", "-fPIC", "-shared", "-pthread")
 
 Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_rectangle speed_family "
-                                        "pool_system condition pool_data")
+                                        "pool_system pool_data")
 
 
 def cpus() -> int:
@@ -63,10 +63,9 @@ def cpus() -> int:
 
 def compiled() -> Loops:
     """The library's `fbq_jump_chain`, `fbq_pool_roots`, `fbq_ctmc_rectangle`,
-    `fbq_speed_family`, `fbq_pool_system`, `fbq_condition` and
-    `fbq_pool_data` with their C signatures; the
-    library is built first if the cache lacks it.  Raises OSError, naming
-    the cause, when it cannot be built or loaded here."""
+    `fbq_speed_family`, `fbq_pool_system` and `fbq_pool_data` with their C
+    signatures; the library is built first if the cache lacks it.  Raises
+    OSError, naming the cause, when it cannot be built or loaded here."""
     loops = _bound()
     if isinstance(loops, str):
         raise OSError(f"fbq needs its compiled loops, which cannot be built or loaded here: {loops}")
@@ -113,17 +112,15 @@ def _bind(lib: ctypes.CDLL) -> Loops:
     ctmc_rectangle.restype = i32
     family = lib.fbq_speed_family
     family.argtypes = [i64, i32, i64, p_i64, p_dbl, p_dbl, *[dbl] * 4, p_dbl, p_dbl, dbl, dbl, i32, p_dbl,
-                       p_dbl, p_i64, p_dbl, p_dbl]
+                       p_dbl, p_i64, p_dbl, p_dbl, p_dbl]
     family.restype = i32
     pool_system = lib.fbq_pool_system
     pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 3, i64, *[dbl] * 3, p_dbl, p_i64]
     pool_system.restype = i32
-    condition, pool_data = lib.fbq_condition, lib.fbq_pool_data
-    condition.argtypes = [i64, p_dbl]
-    condition.restype = dbl
+    pool_data = lib.fbq_pool_data
     pool_data.argtypes = [i64, *[dbl] * 4, p_dbl, p_dbl, *[dbl] * 3, *[p_dbl] * 3]
     pool_data.restype = i32
-    return Loops(chain, pool_roots, ctmc_rectangle, family, pool_system, condition, pool_data)
+    return Loops(chain, pool_roots, ctmc_rectangle, family, pool_system, pool_data)
 
 
 def _library() -> pathlib.Path:

@@ -1,9 +1,9 @@
 """Small dense linear solves shared by the exact solvers.
 
 Their checks and errors are raised in one place, `_checked`, from a
-loop's outcome; a message's condition estimate is the compiled
-`fbq_condition` of `_kernels.c`, Hager's estimate from the factors of the
-one failing system, taken on the error path only.
+loop's outcome; a message quotes the condition estimate that the loop
+booked for the failing system, Hager's estimate from its own LU factors,
+taken on the error path only.
 
 * A speed family's small systems are solved in one call of the compiled
   loop `fbq_speed_family` of `fbq.single`, by Gaussian elimination with
@@ -12,7 +12,8 @@ one failing system, taken on the error path only.
   position in it and on any machine: no BLAS kernel that the CPU selects
   is involved.  A large family's tiles are shared out among threads
   within the call, and their outcomes merge into the one-thread outcome,
-  so the thread count moves no bit and no error.
+  so the thread count moves no bit and no error.  When a profile fails,
+  the loop fills its system again and books its condition estimate.
 * A pool's boundary system is solved inside the compiled loop
   `fbq_pool_system` of `fbq.multi` on its envelope: each row holds only
   the columns from its first to its last nonzero, and the elimination
@@ -22,19 +23,18 @@ one failing system, taken on the error path only.
   system from its own factors.
 * `solve_probability_system` solves one unscaled system by LAPACK's getrf
   and getrs, as scipy's lu_factor/lu_solve call them, with the same scaling,
-  checks and errors: a reference for the compiled solves.
+  checks and errors, and quotes LAPACK's gecon estimate from the same
+  factors: a reference for the compiled solves.
 """
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
 
 import numpy as np
 from scipy.linalg import lapack
 
-from . import _kernels
 from .models import SolverError
 
 log = logging.getLogger("fbq.linsys")
@@ -49,16 +49,21 @@ def solve_probability_system(a_rows, b_vec) -> np.ndarray:
     """Row-scaled dense solve of one system a x = b whose unknowns are
     probabilities: a copy of it divided row by row by the largest |a_ij|
     is factored by one f2py getrf call and solved by getrs, with the checks
-    and errors of a stack solve."""
+    and errors of a stack solve.  A message quotes gecon's estimate of the
+    infinity-norm condition number of the row-scaled system, from the same
+    factors; an exactly zero pivot reads inf."""
     a, b = _stack(np.array(a_rows, dtype=float)[None], np.array(b_vec, dtype=float)[None])
     status, scale = _first_pass(a, b)
     if status:
         return _checked(None, status, None, None, _NO_SUMMARY)
     # the copy is made in column-major order, so getrf factors it in place
-    lu, piv, _ = lapack.dgetrf(np.divide(a[0], scale[0, :, None], order="F"), overwrite_a=1)
+    scaled = np.divide(a[0], scale[0, :, None], order="F")
+    norm = np.linalg.norm(scaled, np.inf)
+    lu, piv, _ = lapack.dgetrf(scaled, overwrite_a=1)
     x = lapack.dgetrs(lu, piv, b[0] / scale[0])[0][None]
     pivmin = np.abs(lu.diagonal()).min(keepdims=True)
-    return _checked(lambda k: _condition(a[0]), 0, x, pivmin, _summary(x, pivmin))[0]
+    rcond = lapack.dgecon(lu, norm, norm="I")[0]   # 0 where a pivot is exactly 0
+    return _checked(1.0 / rcond if rcond > 0 else math.inf, 0, x, pivmin, _summary(x, pivmin))[0]
 
 
 def _stack(a, b):
@@ -75,8 +80,9 @@ def _checked(cond, status, x, pivmin, summary):
     """x after the errors that a loop's outcome on a stack of systems calls
     for, in their order, with roundoff negatives clamped: a non-finite
     entry, a zero row, the first singular system, the first with a value
-    below -NEG_PROB_TOL.  cond(k) returns the condition estimate of system
-    k; it is called only for the message of a failing system."""
+    below -NEG_PROB_TOL.  cond is the condition estimate of the system
+    whose error is raised, the singular one, else the negative one; only a
+    message reads it."""
     singular, below, negatives = summary
     if status == _NOT_FINITE:
         raise ValueError("array must not contain infs or NaNs")
@@ -86,10 +92,10 @@ def _checked(cond, status, x, pivmin, summary):
         raise MemoryError("no memory for the work of a compiled LU loop")
     if singular >= 0:
         raise SolverError(f"singular linear system (pivot {pivmin[singular]:.3e}, cond ~ "
-                          f"{cond(singular):.3e}); degenerate parameter set")
+                          f"{cond:.3e}); degenerate parameter set")
     if below >= 0:
         raise SolverError(f"solved probability {x[below].min():.3e} is below -{NEG_PROB_TOL:g}; condition "
-                          f"estimate of the row-scaled system {cond(below):.3e}")
+                          f"estimate of the row-scaled system {cond:.3e}")
     if negatives:
         log.debug("clamping %d slightly negative probabilities (min %.2e)", negatives, x.min())
         x = np.clip(x, 0.0, None)
@@ -117,14 +123,3 @@ def _summary(x: np.ndarray, pivmin: np.ndarray):
     below = np.flatnonzero((x < -NEG_PROB_TOL).any(axis=1))
     return (singular[0] if singular.size else -1, below[0] if below.size else -1,
             int((x < 0).sum()))
-
-
-def _condition(a: np.ndarray) -> float:
-    """The estimate of the infinity-norm condition number of a with each
-    row divided by its largest |a_ij|, by the compiled `fbq_condition`,
-    which factors a copy of a."""
-    a = np.array(a, dtype=float, order="C")
-    cond = _kernels.compiled().condition(len(a), ctypes.c_double.from_buffer(a))
-    if cond < 0:
-        raise MemoryError("no memory for the condition estimate")
-    return cond

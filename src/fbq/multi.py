@@ -362,8 +362,7 @@ def _solve_one(model: MultiServerModel, K: int, pool: _Pool, loop) -> MultiServe
     status = loop(*pool.data[0], K, m - model.rho1 - model.rho2, PIVOT_RTOL, NEG_PROB_TOL,
                   ctypes.c_double.from_buffer(out), ctypes.c_int64.from_buffer(summary))
     x, g, info = out[:n], out[n:n + 2 * m].reshape(2, m), out[n + 2 * m:]
-    cond = info[1]
-    x = _checked(lambda k: cond, status, x[None], info[:1], summary.tolist())[0]
+    x = _checked(info[1], status, x[None], info[:1], summary.tolist())[0]
     return _finish(model, K, FrozenDict(zip(states, x.tolist())), g, info[2:].tolist(), pool)
 
 

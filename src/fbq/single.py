@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .linsys import NEG_PROB_TOL, PIVOT_RTOL, _checked, _condition
+from .linsys import NEG_PROB_TOL, PIVOT_RTOL, _checked
 from .models import (
     CostCoefficients,
     FrozenDict,
@@ -141,7 +141,9 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     on any thread count.  A family that fails raises one
     error, whatever its size: a non-finite entry in any system first, then
     a zero row, then the first profile with a singular system, then the
-    first with a solved value below -NEG_PROB_TOL.
+    first with a solved value below -NEG_PROB_TOL.  The message of the last
+    two quotes the condition estimate that the same call books, from that
+    profile's system filled again and factored alone.
     """
     inter = np.asarray(inter, dtype=float)
     if inter.ndim != 2 or len(inter) == 0:
@@ -191,7 +193,6 @@ class _Layout:
     sign: np.ndarray
     nu_kind: np.ndarray
     factor_kind: np.ndarray
-    t_of: np.ndarray           # level i+j of each sub-threshold unknown
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,7 +227,6 @@ def _layout(K: int) -> _Layout:
         states=states, index=idx, rows=rows.astype(int), cols=cols.astype(int), lam_coef=lam_coef,
         level=level.astype(int), sign=sign, nu_kind=nu_kind.astype(int),
         factor_kind=factor_kind.astype(int),
-        t_of=np.array([i + j for i, j in states[: K * (K + 1) // 2]]),
     )
 
 
@@ -237,9 +237,8 @@ class _Family:
     row, the top-speed loads of the mean-drift identities, and the balance
     entries as the compiled loop reads them.  profiles solves a grid of
     profiles, as often as asked, each in one call of fbq_speed_family,
-    which also finishes their metrics.  _stack builds systems as the loop
-    fills them; solve builds only a failing profile's, for the condition
-    estimate of its error message."""
+    which also finishes their metrics and books the condition estimate of
+    a failing profile for its error message."""
 
     def __init__(self, model: SingleServerModel, K: int):
         require_stable_single(model)
@@ -250,12 +249,10 @@ class _Family:
                              "so its K Maclaurin rows vanish identically")
         lam, q, mu1 = model.lam, model.q, model.mu1     # mu1: top-speed rate
         rho1 = self.rho1 = model.rho1
-        self.K, self.lam, self.q, self.rho2 = K, lam, q, model.rho2
+        self.K, self.q, self.rho2 = K, q, model.rho2
         self.alpha, self.ends = model.speeds.alpha, (model.speeds.levels[0], model.speeds.levels[-1])
         lay = self.layout = _layout(K)
         idx, n_unknown = lay.index, len(lay.states)
-        self.rate = lay.sign * np.array([0.0, model.service.nu1, model.service.nu2])[lay.nu_kind]
-        self.factor = np.array([1.0, q, 1 - q])[lay.factor_kind]
 
         self.shared = np.zeros((K, n_unknown))
         # vanishing Maclaurin coefficients at z = 0 of the boundary combination
@@ -276,7 +273,8 @@ class _Family:
         # the balance entries as the compiled loop reads them: (row, column,
         # level) and (lam lam_coef, rate, factor) of each
         self.at = np.stack([lay.rows, lay.cols, lay.level], axis=1).astype(np.int64)
-        self.coef = np.stack([lam * lay.lam_coef, self.rate, self.factor], axis=1)
+        rate = lay.sign * np.array([0.0, model.service.nu1, model.service.nu2])[lay.nu_kind]
+        self.coef = np.stack([lam * lay.lam_coef, rate, np.array([1.0, q, 1 - q])[lay.factor_kind]], axis=1)
 
     def profiles(self, inter: np.ndarray) -> SpeedFamilySolution:
         """solve_speed_family's solution for the (B, K-1) float array inter."""
@@ -294,34 +292,14 @@ class _Family:
         # numpy's power loop sets these bits; an idle stopped processor draws nothing
         power = (levels != 0.0).astype(float) if self.alpha == 0.0 else levels**self.alpha
         x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
-        p, out = np.empty((count, K)), np.empty((6, count))
+        p, out, cond = np.empty((count, K)), np.empty((6, count)), ctypes.c_double()
         dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
         status = loops.speed_family(count, K, len(self.at), i64(self.at), dbl(self.coef), dbl(self.shared),
                                     self.work, self.rho1, self.rho2, self.q, dbl(levels), dbl(power),
                                     PIVOT_RTOL, NEG_PROB_TOL, _kernels.cpus(), dbl(x), dbl(pivmin),
-                                    i64(summary), dbl(p), dbl(out))
-        # only the message of a failed system builds and factors that system
-        x = _checked(lambda k: _condition(self._stack(levels[k:k + 1])[0][0]), status, x, pivmin,
-                     summary.tolist())
+                                    i64(summary), dbl(p), dbl(out), ctypes.byref(cond))
+        x = _checked(cond.value, status, x, pivmin, summary.tolist())
         return dict(zip(("tail_mass", "g0_at_1", "L1", "L2", "L", "energy_rate"), out), boundary=x, p=p)
-
-    def _stack(self, levels: np.ndarray):
-        """The boundary systems (B, n, n) and right-hand sides (B, n) of the
-        profiles in `levels`."""
-        lay, K = self.layout, self.K
-        n_unknown = len(lay.states)
-        m = K * (K + 1) // 2
-        top = levels[:, K]
-        a = np.zeros((len(levels), n_unknown, n_unknown))
-        a[:, lay.rows, lay.cols] = self.lam * lay.lam_coef + (levels[:, lay.level] * self.rate) * self.factor
-        a[:, m:-1] = self.shared
-        # work conservation: the server does the arriving work lam E[S] at
-        # speed s_min(n,K) whenever n >= 1, so
-        #   sum_{n<K} p_n (s_K - s_n [n >= 1]) = s_K - lam E[S]
-        a[:, -1, :m] = top[:, None] - levels[:, lay.t_of] * (lay.t_of > 0)
-        b = np.zeros((len(levels), n_unknown))
-        b[:, -1] = top - self.work
-        return a, b
 
 
 def _drift_means(rho1, rho2, q, pi_idle_fg, iw, jw, w_busy):

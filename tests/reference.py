@@ -7,12 +7,14 @@ loop's order, so the two give equal results, errors included.
 * `run`: one replication of the jump chain of `fbq_jump_chain`;
   `replications`, each on its own seed, is `simulation._jump_chain`.
 * `lockstep` and `solve_probability_stack`: the elimination of
-  `fbq_speed_family` and, on one system's envelope, of `fbq_pool_system`; `family_solve` is the whole
-  family loop, with the systems of `single._Family._stack`, the row sums
-  of `finish_sums` and the drift identities and energy rates of `metrics`.
+  `fbq_speed_family` and, on one system's envelope, of `fbq_pool_system`;
+  `family_solve` is the whole family loop, with the systems of
+  `family_stack`, the row sums of `finish_sums` and the drift identities
+  and energy rates of `metrics`.
 * `factor`, `lu_solve` and `lu_solve_transposed`: one system's elimination
   with its factors kept, and the solves with them; `condition` is the
-  condition estimate of `fbq_condition`, behind `linsys._condition`.
+  condition estimate that `fbq_speed_family` and `fbq_pool_system` book
+  for a failing system, and `checked` is `linsys._checked` with it.
 * `sturm_sequence`, `sign_changes` and `isolate_roots`: the zero search of
   `fbq_pool_roots`, behind `multi._roots_compiled`.
 * `pool_data`: the data that `fbq_pool_data` builds for every threshold of
@@ -118,7 +120,15 @@ def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     -NEG_PROB_TOL; values in [-NEG_PROB_TOL, 0) are roundoff and get clamped.
     """
     a, b = linsys._stack(a, b)
-    return linsys._checked(lambda k: condition(a[k]), *lockstep(a, b))
+    return checked(a, *lockstep(a, b))
+
+
+def checked(a: np.ndarray, status, x, pivmin, summary):
+    """`linsys._checked` on the outcome of `lockstep` on the stack a, with
+    the `condition` estimate of the system whose error it raises: the first
+    singular one, else the first with a value below -NEG_PROB_TOL."""
+    k = summary[0] if summary[0] >= 0 else summary[1]
+    return linsys._checked(condition(a[k]) if k >= 0 else None, status, x, pivmin, summary)
 
 
 def lockstep(a: np.ndarray, b: np.ndarray):
@@ -222,7 +232,7 @@ def lu_solve_transposed(t: np.ndarray, perm: list, y: np.ndarray) -> None:
 
 
 def condition(a: np.ndarray) -> float:
-    """The condition estimate of the compiled `fbq_condition`: the
+    """The condition estimate of the compiled `lu_condition`: the
     infinity-norm condition number of a, row-scaled, as norm ||S^-T||_1 by
     Hager's method as LAPACK's dlacn2 runs it."""
     n = len(a)
@@ -266,8 +276,31 @@ def family_solve(family, levels: np.ndarray) -> dict:
     """`single._Family.solve` on the references: the numpy assembly, the
     lockstep solve, the row sums of `finish_sums` and the metrics of
     `metrics`."""
-    x = solve_probability_stack(*family._stack(levels))
+    x = solve_probability_stack(*family_stack(family, levels))
     return metrics(family, x, levels, *finish_sums(family.K, levels, x))
+
+
+def family_stack(family, levels: np.ndarray):
+    """The boundary systems (B, n, n) and right-hand sides (B, n) of the
+    profiles in `levels` (B, K + 1) of the `single._Family` family, as the
+    compiled `fill_lanes` fills them: balance entry e is c0 + (s_level c1)
+    c2 from the family's `at` and `coef`, rows m .. n - 2 are the K
+    Maclaurin rows, and the last row is work conservation: the server does
+    the arriving work lam E[S] at speed s_min(n, K) whenever n >= 1, so
+    sum_{t<K} p_t (s_K - s_t [t >= 1]) = s_K - lam E[S]."""
+    K, n = family.K, len(family.layout.states)
+    m = K * (K + 1) // 2
+    rows, cols, level = family.at.T
+    c0, c1, c2 = family.coef.T
+    t_of = np.array([i + j for i, j in family.layout.states[:m]])
+    top = levels[:, K]
+    a = np.zeros((len(levels), n, n))
+    a[:, rows, cols] = c0 + (levels[:, level] * c1) * c2
+    a[:, m:-1] = family.shared
+    a[:, -1, :m] = top[:, None] - levels[:, t_of] * (t_of > 0)
+    b = np.zeros((len(levels), n))
+    b[:, -1] = top - family.work
+    return a, b
 
 
 def metrics(family, x, levels, p, tail, pi_idle_fg, iw, jw, w_busy) -> dict:
@@ -497,12 +530,11 @@ def cascade(pool, b: np.ndarray):
 
 def solve_one(model, K: int, pool, loop=None):
     """`multi._solve_one` on the references: the system of `pool_fill`
-    solved by `lockstep`, with the errors of `linsys._checked` and the
-    condition estimate of `condition`, then b from `pool_taylor` and g
-    from `cascade`."""
+    solved by `lockstep`, with the errors of `checked`, then b from
+    `pool_taylor` and g from `cascade`."""
     states = [(i, j) for i in range(model.m) for j in range(max(0, K - i), model.m - i)]
     a, rhs = pool_fill(model, K, pool, states)
-    x = linsys._checked(lambda k: condition(a), *lockstep(a[None], rhs[None]))[0].tolist()
+    x = checked(a[None], *lockstep(a[None], rhs[None]))[0].tolist()
     g, check = cascade(pool, pool_taylor(model, K, pool, states, x))
     return multi._finish(model, K, FrozenDict(zip(states, x)), g, check, pool)
 
@@ -689,6 +721,5 @@ REFERENCES = (
     (multi, "_roots_compiled", isolate_roots),
     (multi, "_data_compiled", pool_data),
     (multi, "_solve_one", solve_one),
-    (linsys, "_condition", condition),
     (ctmc, "_band_rectangle", rectangle),
 )

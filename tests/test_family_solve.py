@@ -52,7 +52,7 @@ from fbq.models import (
 from fbq.multi import sweep_thresholds
 from fbq import single
 from fbq.single import solve_general, solve_speed_family
-from reference import condition, finish_sums, lockstep, metrics, solve_probability_stack
+from reference import condition, family_stack, finish_sums, lockstep, metrics, solve_probability_stack
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "family_solve_pins.json").read_text())
 SWEEP_PINS = json.loads((pathlib.Path(__file__).parent / "data" / "threshold_sweep_pins.json").read_text())
@@ -421,7 +421,7 @@ def test_checked_raises_first_pass_errors_first(faults, expected):
 def test_checked_raises_a_later_singular_system_before_an_earlier_negative_one():
     a, b = crafted_stack("singular", "negative")
     got = stack_outcome(a, b)
-    cond = LINSYS._condition(a[3])
+    cond = condition(a[3])
     assert cond > 1e12
     assert got[0] is SolverError
     assert got[1].startswith("singular linear system (pivot ")
@@ -430,20 +430,35 @@ def test_checked_raises_a_later_singular_system_before_an_earlier_negative_one()
 
 
 def test_condition_estimate_equals_its_reference_and_lapacks_estimate():
-    # Hager's estimate, as LAPACK's dlacn2 runs it, from the compiled LU's
-    # own factors: the bits of reference.condition, and the dgecon estimate
-    # of the same row-scaled system to its rounding
+    # Hager's estimate, as LAPACK's dlacn2 runs it: reference.condition
+    # equals the dgecon estimate of the same row-scaled system S, factored
+    # as S^T, to its rounding.  solve_probability_system quotes dgecon's
+    # estimate from its own factors of S; each system's right-hand side makes
+    # a solved value -0.5, so that the solve fails and quotes it.  On a
+    # well-conditioned system the two estimates agree to the message's
+    # rounding; on the nearly singular one, whose estimate is above 1 / eps,
+    # the factors of S and S^T round apart and the estimates agree only in
+    # magnitude.  The compiled lu_condition's bits are checked where the
+    # loops book it.
     rng = np.random.default_rng(34)
     systems = [crafted_stack("singular")[0][3], *crafted_stack()[0],
                *(rng.uniform(-1.0, 1.0, (n, n)) + d * np.eye(n) for n, d in ((1, 0.5), (2, 0.0), (7, 1.0),
                                                                             (30, 0.1)))]
     for a in systems:
-        got = LINSYS._condition(a)
-        assert got.hex() == condition(a).hex()
+        expected = condition(a)
         scaled = a / np.abs(a).max(axis=1)[:, None]
+        norm = np.abs(scaled).sum(axis=1).max()
         lu, _, _ = scipy.linalg.lapack.dgetrf(scaled.T)
-        rcond, _ = scipy.linalg.lapack.dgecon(lu, np.abs(scaled).sum(axis=1).max(), norm="1")
-        assert got == pytest.approx(1.0 / rcond, rel=1e-6)
+        assert expected == pytest.approx(1.0 / scipy.linalg.lapack.dgecon(lu, norm, norm="1")[0], rel=1e-6)
+        lu, _, _ = scipy.linalg.lapack.dgetrf(scaled)
+        own = 1.0 / scipy.linalg.lapack.dgecon(lu, norm, norm="I")[0]
+        x = np.linspace(-0.5, 1.0, len(a))
+        message = raised(lambda: solve_probability_system(a, a @ x))
+        assert re.search(r"(?:cond ~|row-scaled system) ([^);]+)", message).group(1) == f"{own:.3e}"
+        if expected < 1.0 / np.finfo(float).eps:
+            assert own == pytest.approx(expected, rel=1e-4)
+        else:
+            assert own > 1.0 / np.finfo(float).eps
 
 
 def test_checked_clamps_roundoff_negatives_of_a_stack():
@@ -473,26 +488,27 @@ def pinned_search_stacks(monkeypatch):
     """Every stack, (a, b), of the pinned searches, as the family's numpy
     assembly builds them (the compiled family loop fills the same systems
     tile by tile)."""
-    stacks = [family._stack(levels) for family, levels in pinned_search_families(monkeypatch)]
+    stacks = [family_stack(family, levels) for family, levels in pinned_search_families(monkeypatch)]
     assert {a.shape[1] for a, _ in stacks} == {6, 10}   # the K = 2 and K = 3 families
     return stacks
 
 
 def family_call(loops, family, levels, threads):
-    """(status, x, pivmin, summary, p, out) of the compiled fbq_speed_family
-    on the profiles `levels` of `family`, run on up to `threads` threads;
-    out holds the tail mass, g0(1), L1, L2, L and the energy rate."""
+    """(status, x, pivmin, summary, p, out, cond) of the compiled
+    fbq_speed_family on the profiles `levels` of `family`, run on up to
+    `threads` threads; out holds the tail mass, g0(1), L1, L2, L and the
+    energy rate, and cond the condition estimate of a failing profile."""
     levels = np.ascontiguousarray(levels, dtype=float)
     power = (levels != 0.0).astype(float) if family.alpha == 0.0 else levels**family.alpha
     count, n = len(levels), len(family.layout.states)
     x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
-    p, out = np.empty((count, family.K)), np.empty((6, count))
+    p, out, cond = np.empty((count, family.K)), np.empty((6, count)), ctypes.c_double()
     dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
     status = loops.speed_family(count, family.K, len(family.at), i64(family.at), dbl(family.coef),
                                 dbl(family.shared), family.work, family.rho1, family.rho2, family.q,
                                 dbl(levels), dbl(power), LINSYS.PIVOT_RTOL, LINSYS.NEG_PROB_TOL, threads,
-                                dbl(x), dbl(pivmin), i64(summary), dbl(p), dbl(out))
-    return status, x, pivmin, summary.tolist(), p, out
+                                dbl(x), dbl(pivmin), i64(summary), dbl(p), dbl(out), ctypes.byref(cond))
+    return status, x, pivmin, summary.tolist(), p, out, cond.value
 
 
 def family_loop(loops, family, levels):
@@ -511,7 +527,7 @@ def assert_same_loop_results(got, expected):
 def test_lockstep_loops_are_equal_on_the_pinned_searches_stacks(monkeypatch, compiled_loops):
     for family, levels in pinned_search_families(monkeypatch):
         assert_same_loop_results(family_loop(compiled_loops, family, levels),
-                                 lockstep(*family._stack(levels)))
+                                 lockstep(*family_stack(family, levels)))
 
 
 def test_lockstep_agrees_with_scipy_lu_on_the_pinned_searches_stacks(monkeypatch):
@@ -566,7 +582,7 @@ def test_lockstep_is_equal_on_both_loops_wherever_a_system_sits(count, shared):
     # alone, after three other profiles, and one at a time
     loops = KERNELS.compiled()
     family, levels = seed7_profiles(count + 3, shared)
-    expected = lockstep(*family._stack(levels[3:]))
+    expected = lockstep(*family_stack(family, levels[3:]))
     assert_same_loop_results(family_loop(loops, family, levels[3:]), expected)
     assert np.array_equal(family_loop(loops, family, levels)[1][3:], expected[1])
     for k in range(count):
@@ -665,7 +681,7 @@ LATE = 2048 - 10    # in the last claim, far from the first
         "late-singular-before-early-negative", "lowest-of-several-singular"])
 def test_the_outcome_of_a_split_family_is_the_one_thread_outcome(faults, status, compiled_loops, monkeypatch):
     family, levels = fault_levels(2048, faults)
-    expected = lockstep(*family._stack(levels))
+    expected = lockstep(*family_stack(family, levels))
     assert expected[0] == status
     if status == 0:   # the first singular profile and the first negative one
         assert list(expected[3][:2]) == [min(k for k, row in faults.items() if row == fault)
@@ -680,6 +696,33 @@ def test_the_outcome_of_a_split_family_is_the_one_thread_outcome(faults, status,
             monkeypatch.setattr(KERNELS, "cpus", lambda: cpus)
             messages.add(raised(lambda: solve_speed_family(base_model(FAILING_BASE), levels[:, 1:-1])))
         assert messages == {raised(lambda: solve_speed_family(base_model(FAILING_BASE), [SINGULAR]))}
+
+
+# the pinned messages of a lone SINGULAR_ROW and NEGATIVE_ROW profile, which
+# the profile raises wherever it sits in a family and on any thread count
+FAILING_MESSAGES = {
+    SINGULAR_ROW: "singular linear system (pivot 1.110e-16, cond ~ 1.020e+21); degenerate parameter set",
+    NEGATIVE_ROW: "solved probability -2.329e-08 is below -1e-09; condition estimate of the row-scaled "
+                  "system 3.410e+11",
+}
+
+
+@pytest.mark.parametrize("row", FAILING_MESSAGES, ids=["singular", "negative"])
+@pytest.mark.parametrize("count, k, threads", [(1, 0, 1), (9, 8, 1), (300, 290, 1), (300, 290, 2)],
+                         ids=["alone", "last-tile-of-9", "later-tile-of-300",
+                              "later-tile-of-300-on-2-threads"])
+def test_a_failing_family_books_the_estimate_of_its_failing_profile(row, count, k, threads,
+                                                                    compiled_loops, monkeypatch):
+    # fbq_speed_family fills the failing profile's system again after the
+    # merge and books lu_condition's estimate of it, which the message quotes
+    family, levels = fault_levels(count, {k: row})
+    got = family_call(compiled_loops, family, levels, threads)
+    assert got[0] == 0
+    assert (got[3][0] == k) if row == SINGULAR_ROW else (got[3][:2] == [-1, k])
+    assert got[6].hex() == condition(family_stack(family, levels)[0][k]).hex()
+    monkeypatch.setattr(KERNELS, "cpus", lambda: threads)
+    message = raised(lambda: solve_speed_family(base_model(FAILING_BASE), levels[:, 1:-1]))
+    assert message == FAILING_MESSAGES[row]
 
 
 # --- the compiled finish -------------------------------------------------------

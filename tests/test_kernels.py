@@ -3,8 +3,9 @@ the package's own compiler and flags, both as the package builds it and
 with its clone macro empty, each variant built once for the module; the
 two builds give the same bits; the ctypes signatures that
 `fbq._kernels.compiled` gives its loops are the C definitions' parameter
-lists, and every Python function that its comments cite exists in fbq or in
-the test module `reference`."""
+lists, every Python function that its comments cite exists in fbq or in
+the test module `reference`, and every `fbq_*` loop that its comments, the
+package's modules or the README cite is defined in it."""
 
 import ctypes
 import functools
@@ -144,3 +145,13 @@ def test_python_names_in_the_comments_resolve_in_fbq():
             missing.append(name)
     assert missing == []
 
+
+def test_cited_loops_are_defined_in_the_c_source():
+    # a renamed or removed loop would leave the comments, docstrings or README citing code that is gone
+    source = _kernels._SOURCE
+    texts = [" ".join(re.findall(r"/\*.*?\*/", source.read_text(), re.S)),
+             *(path.read_text() for path in sorted(source.parent.glob("*.py"))),
+             (source.parents[2] / "README.md").read_text()]
+    cited = {name for text in texts for name in re.findall(r"\bfbq_(\w+)", text)}
+    assert len(cited) >= 6
+    assert sorted(cited - set(c_definitions())) == []

@@ -657,7 +657,7 @@ def test_failing_thresholds_get_the_bits_of_the_reference_condition_estimate(mon
 
     def spy(cond, status, x, pivmin, summary):
         if summary[0] >= 0 or summary[1] >= 0:
-            estimates.append(cond(0))
+            estimates.append(cond)
         return checked(cond, status, x, pivmin, summary)
 
     monkeypatch.setattr(multi, "_checked", spy)
