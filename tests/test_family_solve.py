@@ -485,9 +485,9 @@ def pinned_search_families(monkeypatch):
 
 
 def pinned_search_stacks(monkeypatch):
-    """Every stack, (a, b), of the pinned searches, as the family's numpy
-    assembly builds them (the compiled family loop fills the same systems
-    tile by tile)."""
+    """Every stack, (a, b), of the pinned searches, as the numpy assembly
+    reference.family_stack builds them (the compiled family loop fills the
+    same systems tile by tile)."""
     stacks = [family_stack(family, levels) for family, levels in pinned_search_families(monkeypatch)]
     assert {a.shape[1] for a, _ in stacks} == {6, 10}   # the K = 2 and K = 3 families
     return stacks
