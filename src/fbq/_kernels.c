@@ -21,9 +21,10 @@
  * fbq_speed_family solves a speed family of fbq.single from its layout and
  * the profiles' speed levels: it fills each tile of systems as
  * reference.family_stack builds them, in the same float operations, and
- * checks, scales and factors it by Gaussian elimination with partial
- * pivoting on tiles of LU_TILE systems in lockstep (solve_tile), the system
- * index innermost so that the row updates vectorise.  Every tile fills all
+ * scales it, taking the first pass from the row maxima, and factors it by
+ * Gaussian elimination with partial pivoting on tiles of LU_TILE systems in
+ * lockstep (solve_tile), the system index innermost so that the row
+ * updates vectorise.  Every tile fills all
  * LU_TILE lanes; a tile of fewer profiles, the last of a family or one
  * profile alone, holds copies of its first system in the rest.  The
  * elimination does the float operations of reference.lockstep, in their
@@ -75,10 +76,11 @@
  * (reference.pool_fill) on its envelope, each row stored from its first to
  * its last nonzero column (Jennings, The Computer Journal 9, 1966): a
  * balance row spans its 3 to 5 neighbours, the m - 1 zero rows and the idle
- * row every column.  env_check checks it and lu_envelope scales and factors
- * it there, visiting at each column only the rows whose envelope reaches it,
- * with the float operations of the one-system elimination reference.factor
- * in their order, so the solution is the dense elimination's bit for bit.
+ * row every column.  lu_envelope scales it there, taking the first pass
+ * from the row maxima that it scales by, and factors it, visiting at each
+ * column only the rows whose envelope reaches it, with the float
+ * operations of the one-system elimination reference.factor in their
+ * order, so the solution is the dense elimination's bit for bit.
  * Then it sums the Taylor vectors b0, b1, b2 of the z = 1 cascade from the
  * clamped solution in the order of the unknowns (reference.pool_taylor), and
  * runs the cascade on the bordered system [[A0, u], [v^T, 0]] with row sums
@@ -297,38 +299,6 @@ void fbq_jump_chain(int64_t reps, int threads, uint32_t *mt, const double *inv, 
 
 enum { LU_TILE = 8 };   /* systems per tile of the lockstep LU */
 
-/* The first pass over a tile of LU_TILE lanes of n x n systems, entry (r,
- * c) of lane s at a[(r n + c) LU_TILE + s] and its right-hand side at b[r
- * LU_TILE + s], before any solve.  The status of a lane is 1 if an entry of
- * its system or right-hand side is not finite, else 2 if a row of its
- * system is all zeros, else 0; returns the statuses of lanes 0 .. used - 1
- * or'ed.  The lanes are checked side by side, so that the loops
- * vectorise. */
-static inline __attribute__((always_inline)) int check_lanes(int n, int used, const double *a,
-                                                             const double *b)
-{
-    int64_t bad[LU_TILE] = {0}, zero_row[LU_TILE] = {0}, nonzero[LU_TILE];
-    for (int64_t r = 0; r < n; r++) {
-        for (int s = 0; s < LU_TILE; s++)
-            nonzero[s] = 0;
-        for (int c = 0; c < n; c++) {
-            for (int s = 0; s < LU_TILE; s++) {
-                double v = a[(r * n + c) * LU_TILE + s];
-                bad[s] |= !(fabs(v) <= DBL_MAX);
-                nonzero[s] |= v != 0.0;
-            }
-        }
-        for (int s = 0; s < LU_TILE; s++) {
-            bad[s] |= !(fabs(b[r * LU_TILE + s]) <= DBL_MAX);
-            zero_row[s] |= !nonzero[s];
-        }
-    }
-    int seen = 0;
-    for (int s = 0; s < used; s++)
-        seen |= bad[s] ? 1 : zero_row[s] ? 2 : 0;
-    return seen;
-}
-
 /* Books system k, with smallest |pivot| least and solution xk, in pivmin[k]
  * and summary: the first system whose least is below pivot_tol, the
  * first with a value below -neg_tol, and the count of negative values. */
@@ -364,31 +334,45 @@ static inline void sub_products(double *restrict dst, const double *restrict a,
  * s is t[(r n + c) LU_TILE + s] and its right-hand side y[r LU_TILE + s],
  * so each loop over the systems runs innermost; each system gets the
  * operations it would get alone, in the same order.  Each row and its y
- * are divided by the row's largest |t_rc|.  Then for each column j the
- * pivot is the first largest |t_rj|, r >= j (a NaN counts as largest, as
- * numpy's argmax has it), rows r and j swap, and each row r > j loses l =
- * t_rj / t_jj times row j (l = t_rj / 1 when the pivot is 0, since then
- * t_rj is 0 too), and so does its y; l is left in place of t_rj, which no
- * later step reads.  Then, for j from n - 1 down, y_j /= t_jj and each y_r,
- * r < j, loses t_rj y_j.  y ends as the solution and least[s] as the
- * smallest |pivot| (NaN if one is NaN). */
-static inline __attribute__((always_inline)) void lu_tile(int n, double *t, double *y, double *least)
+ * are divided by the row's largest |t_rc|.  The loop that takes it makes
+ * the first pass too: before any elimination, lu_tile returns 1 if an
+ * entry or right-hand side is not finite (flagged apart from the largest
+ * |t_rc|, which skips a NaN), else 2 if a row's largest |t_rc| is 0.  Then
+ * for each column j the pivot is the first largest |t_rj|, r >= j (a NaN
+ * counts as largest, as numpy's argmax has it), rows r and j swap, and
+ * each row r > j loses l = t_rj / t_jj times row j (l = t_rj / 1 when the
+ * pivot is 0, since then t_rj is 0 too), and so does its y; l is left in
+ * place of t_rj, which no later step reads.  Then, for j from n - 1 down,
+ * y_j /= t_jj and each y_r, r < j, loses t_rj y_j.  y ends as the
+ * solution, least[s] as the smallest |pivot| (NaN if one is NaN), and 0
+ * is returned. */
+static inline __attribute__((always_inline)) int lu_tile(int n, double *t, double *y, double *least)
 {
     double big[LU_TILE], piv[LU_TILE], l[LU_TILE];
-    int64_t row[LU_TILE];
+    int64_t row[LU_TILE], bad = 0, zero_row = 0;
     for (int r = 0; r < n; r++) {
         double *tr = t + r * n * LU_TILE;
         for (int s = 0; s < LU_TILE; s++)
             big[s] = 0.0;
-        for (int c = 0; c < n; c++)
-            for (int s = 0; s < LU_TILE; s++)
-                big[s] = fabs(tr[c * LU_TILE + s]) > big[s] ? fabs(tr[c * LU_TILE + s]) : big[s];
+        for (int c = 0; c < n; c++) {
+            for (int s = 0; s < LU_TILE; s++) {
+                double v = fabs(tr[c * LU_TILE + s]);
+                big[s] = v > big[s] ? v : big[s];
+                bad |= !(v <= DBL_MAX);
+            }
+        }
+        for (int s = 0; s < LU_TILE; s++) {
+            bad |= !(fabs(y[r * LU_TILE + s]) <= DBL_MAX);
+            zero_row |= big[s] == 0.0;
+        }
         for (int c = 0; c < n; c++)
             for (int s = 0; s < LU_TILE; s++)
                 tr[c * LU_TILE + s] /= big[s];
         for (int s = 0; s < LU_TILE; s++)
             y[r * LU_TILE + s] /= big[s];
     }
+    if (bad || zero_row)
+        return bad ? 1 : 2;
     for (int j = 0; j < n; j++) {
         double *top = t + j * n * LU_TILE;
         for (int s = 0; s < LU_TILE; s++) {
@@ -437,6 +421,7 @@ static inline __attribute__((always_inline)) void lu_tile(int n, double *t, doub
         for (int r = 0; r < j; r++)
             sub_products(y + r * LU_TILE, t + (r * n + j) * LU_TILE, y + j * LU_TILE);
     }
+    return 0;
 }
 
 /* One n x n system stored on its envelope (Jennings, The Computer Journal
@@ -485,25 +470,6 @@ static void env_full(struct envelope *e)
         e->first[r] = 0;
         e->last[r] = e->n - 1;
     }
-}
-
-/* check_lanes' first pass over the envelopes of one system and its
- * right-hand side y: 1 if an entry is not finite, else 2 if a row is all
- * zeros, else 0. */
-static int env_check(const struct envelope *e, const double *y)
-{
-    int bad = 0, zero_row = 0;
-    for (int r = 0; r < e->n; r++) {
-        const double *tr = e->t + (int64_t)r * e->n;
-        int nonzero = 0;
-        for (int c = e->first[r]; c <= e->last[r]; c++) {
-            bad |= !(fabs(tr[c]) <= DBL_MAX);
-            nonzero |= tr[c] != 0.0;
-        }
-        bad |= !(fabs(y[r]) <= DBL_MAX);
-        zero_row |= !nonzero;
-    }
-    return bad ? 1 : zero_row ? 2 : 0;
 }
 
 /* Rows t1 and t2 lose l1 and l2 times the pivot row top over columns from
@@ -597,16 +563,23 @@ static void back_substitute(const struct envelope *e, double *y)
  * exchanges the two rows from column j on.  Each row's l is taken, and
  * where it is not 0 the row's envelope grows, its new cells zeroed, as far
  * as the pivot row's fill reaches, and its y is updated; then the rows are
- * updated two at a time.  back_substitute ends the solve. */
-static void lu_envelope(struct envelope *e, double *y, double *least)
+ * updated two at a time.  back_substitute ends the solve.  The scaling loop
+ * makes lu_tile's first pass over the envelopes and returns its status, 1
+ * or 2, before the first elimination step; else 0 is returned. */
+static int lu_envelope(struct envelope *e, double *y, double *least)
 {
     int n = e->n, *first = e->first, *last = e->last, *start = e->start, *active = e->active;
+    int bad = 0, zero_row = 0;
     double *t = e->t;
     e->norm = 0.0;
     for (int r = 0; r < n; r++) {
         double *tr = t + (int64_t)r * n, big = 0.0, sum = 0.0;
-        for (int c = first[r]; c <= last[r]; c++)
+        for (int c = first[r]; c <= last[r]; c++) {
             big = fabs(tr[c]) > big ? fabs(tr[c]) : big;
+            bad |= !(fabs(tr[c]) <= DBL_MAX);
+        }
+        bad |= !(fabs(y[r]) <= DBL_MAX);
+        zero_row |= big == 0.0;
         for (int c = first[r]; c <= last[r]; c++)
             tr[c] /= big;
         y[r] /= big;
@@ -615,6 +588,8 @@ static void lu_envelope(struct envelope *e, double *y, double *least)
         e->scale[r] = big;
         e->norm = sum > e->norm ? sum : e->norm;
     }
+    if (bad || zero_row)
+        return bad ? 1 : 2;
     /* order[start[c] .. start[c + 1] - 1]: the rows whose envelope starts at c */
     for (int c = 0; c <= n; c++)
         start[c] = 0;
@@ -674,6 +649,7 @@ static void lu_envelope(struct envelope *e, double *y, double *least)
             eliminate_row(j + 1, end, t + (int64_t)active[i] * n, t[(int64_t)active[i] * n + j], top);
     }
     back_substitute(e, y);
+    return 0;
 }
 
 /* S x = y for the row-scaled system S that lu_envelope factored into e, y
@@ -800,7 +776,8 @@ static double lu_condition(const struct envelope *e, double *x, double *xi)
 /* The condition estimate of lu_condition for the n x n system in lane 0
  * of the tile t, copied out row-major and then scaled and factored by
  * lu_envelope on full envelopes: the estimate that fbq.linsys quotes in
- * the message of a failed family profile.  Returns -1 if the work cannot
+ * the message of a failed family profile.  That system passed its tile's
+ * first pass, so lu_envelope's status is 0.  Returns -1 if the work cannot
  * be allocated. */
 static double lane_condition(int n, const double *t)
 {
@@ -823,21 +800,23 @@ static double lane_condition(int n, const double *t)
 
 /* The tile core of fbq_speed_family: lu_tile on the tile (t, y) of the
  * `used` systems k0, k0 + 1, ..., the lanes past `used` holding copies of
- * the first, whose results are dropped; each solution goes to x[k] and is
+ * the first, whose results are dropped; unless lu_tile returns a first-pass
+ * status, which solve_tile returns, each solution goes to x[k] and is
  * booked by note_system. */
-static inline __attribute__((always_inline)) void solve_tile(int n, int used, int64_t k0, double *t,
-                                                             double *y, double pivot_tol,
-                                                             double neg_tol, double *x,
-                                                             double *pivmin, int64_t *summary)
+static inline __attribute__((always_inline)) int solve_tile(int n, int used, int64_t k0, double *t,
+                                                            double *y, double pivot_tol,
+                                                            double neg_tol, double *x,
+                                                            double *pivmin, int64_t *summary)
 {
     double least[LU_TILE];
-    lu_tile(n, t, y, least);
-    for (int s = 0; s < used; s++) {
+    int status = lu_tile(n, t, y, least);
+    for (int s = 0; s < used && !status; s++) {
         double *xk = x + (k0 + s) * n;
         for (int r = 0; r < n; r++)
             xk[r] = y[r * LU_TILE + s];
         note_system(k0 + s, n, least[s], xk, pivot_tol, neg_tol, pivmin, summary);
     }
+    return status;
 }
 
 /* The layout of a speed family of fbq.single: K levels and n = (K + 1)(K +
@@ -1001,7 +980,7 @@ enum { FAMILY_RUN = 4, FAMILY_SHARE = 128 };
 
 /* What the threads of one fbq_speed_family call share: the family, its
  * profiles and outputs, the next tile that no thread has claimed, and the
- * first-pass outcomes found so far (check_lanes' statuses as bits). */
+ * first-pass outcomes found so far (lu_tile's statuses as bits). */
 struct family_job {
     const struct family *f;
     const double *levels, *power;
@@ -1022,16 +1001,16 @@ struct family_part {
 };
 
 /* Claims FAMILY_RUN tiles at a time until none is left; fills each tile by
- * fill_lanes, checks it by check_lanes and, while no zero row has been found
- * anywhere, solves it by solve_tile and finishes each profile, unclamped,
- * by finish_system.  Stops once a non-finite entry has been
- * found anywhere, since that decides the call's status.  A thread claims
- * tiles in increasing order, so its summary holds the first of its systems
- * to be singular and the first with a value below -neg_tol.  A clone per
- * vector width (FBQ_CLONES), each with its own copy of the inlined fill,
- * check, lockstep LU and finish: a tile's row operations run across its
- * LU_TILE lanes, one system to a lane, and the finish of one profile does
- * its operations in their order, so every clone gives the same bits. */
+ * fill_lanes, solves it by solve_tile, whose row scaling makes the first
+ * pass, and, while no tile anywhere has failed that pass, finishes each
+ * profile, unclamped, by finish_system.  Stops once a non-finite entry has
+ * been found anywhere, since that decides the call's status.  A thread
+ * claims tiles in increasing order, so its summary holds the first of its
+ * systems to be singular and the first with a value below -neg_tol.  A
+ * clone per vector width (FBQ_CLONES), each with its own copy of the
+ * inlined fill, lockstep LU and finish: a tile's row operations run across
+ * its LU_TILE lanes, one system to a lane, and the finish of one profile
+ * does its operations in their order, so every clone gives the same bits. */
 FBQ_CLONES static void *family_tiles(void *arg)
 {
     struct family_part *part = arg;
@@ -1047,7 +1026,8 @@ FBQ_CLONES static void *family_tiles(void *arg)
             int used = job->count - k0 < LU_TILE ? (int)(job->count - k0) : LU_TILE;
             const double *lev = job->levels + k0 * (f->K + 1);
             fill_lanes(f, lev, used, t, y, lv);
-            int seen = check_lanes(n, used, t, y);
+            int seen = solve_tile(n, used, k0, t, y, job->pivot_tol, job->neg_tol, job->x,
+                                  job->pivmin, summary);
             if (seen)
                 atomic_fetch_or_explicit(&job->seen, seen, memory_order_relaxed);
             seen = atomic_load_explicit(&job->seen, memory_order_relaxed);
@@ -1055,8 +1035,6 @@ FBQ_CLONES static void *family_tiles(void *arg)
                 goto done;
             if (seen)
                 continue;
-            solve_tile(n, used, k0, t, y, job->pivot_tol, job->neg_tol, job->x, job->pivmin,
-                       summary);
             for (int64_t k = k0; k < k0 + used; k++)
                 finish_system(f, job->levels + k * (f->K + 1), job->power + k * (f->K + 1),
                               job->x + k * n, 0, job->p + k * f->K, job->out + k, job->count);
@@ -1070,9 +1048,10 @@ done:
 
 /* The solves of a speed family, single._Family.solve: for the count
  * profiles whose speed levels s_0 .. s_K are the rows of `levels` (count,
- * K + 1), each tile of systems is filled by fill_lanes, checked by
- * check_lanes and solved by solve_tile, so x, pivmin and summary are
- * reference.lockstep's on the stack that reference.family_stack builds.
+ * K + 1), each tile of systems is filled by fill_lanes and solved by
+ * solve_tile, its first pass taken as lu_tile scales it, so x, pivmin and
+ * summary are reference.lockstep's on the stack that reference.family_stack
+ * builds.
  * Its statuses are too: 1 if an entry is not finite anywhere in the family,
  * else 2 if a row is all zeros, each with summary (-1, -1, 0), else 0 once
  * every system is solved, or 3 if the tiles or the condition estimate's
@@ -1789,9 +1768,10 @@ static double u_a_x(int64_t m, const double *u, const double *a, const double *x
  * p0 + c0 v with c0 = (u^T b1 - u^T A1 p0) / u^T A1 v, and g1 = p1 + c1 v
  * with c1 = (u^T b2 - u^T A2 g0 - u^T A1 p1) / u^T A1 v.  check gets u^T
  * b0 and max |b0| + max |b1|, the solvability test's residual and scale.
- * e is an envelope of m + 1 unknowns and y work of m + 1 entries. */
-static void pool_cascade(int64_t m, const double *one, const double *b, struct envelope *e, double *y,
-                         double *g, double *check)
+ * e is an envelope of m + 1 unknowns and y work of m + 1 entries.  Returns
+ * lu_envelope's first-pass status, and solves nothing more if it is not 0. */
+static int pool_cascade(int64_t m, const double *one, const double *b, struct envelope *e, double *y,
+                        double *g, double *check)
 {
     const double *a0 = one, *a1 = a0 + 3 * m - 2, *a2 = a1 + 3 * m - 2, *u = a2 + 3 * m - 2;
     const double *v = u + m, *b0 = b, *b1 = b + m, *b2 = b + 2 * m;
@@ -1814,7 +1794,9 @@ static void pool_cascade(int64_t m, const double *one, const double *b, struct e
     t[m * k + m] = 0.0;
     y[m] = 0.0;
     env_full(e);
-    lu_envelope(e, y, &least);
+    int status = lu_envelope(e, y, &least);
+    if (status)
+        return status;
     double *g0 = g, *g1 = g + m;
     double c0 = (dot(m, u, b1) - u_a_x(m, u, a1, y)) / uA1v;
     for (int64_t i = 0; i < m; i++)
@@ -1826,22 +1808,23 @@ static void pool_cascade(int64_t m, const double *one, const double *b, struct e
     double c1 = (dot(m, u, b2) - u_a_x(m, u, a2, g0) - u_a_x(m, u, a1, y)) / uA1v;
     for (int64_t i = 0; i < m; i++)
         g1[i] = y[i] + c1 * v[i];
+    return 0;
 }
 
 /* One threshold K of the pool (m, lam, mu1, mu2, q) with the rate table
  * `rates` of fbq_pool_roots, solved whole into out: x (n), then g (2 x m),
  * then info (4).  pool_fill fills the boundary system on its envelope, with
  * the pool's zeros, the null vectors and powers at the head of its
- * fbq_pool_data `data` and idle = m - rho1 - rho2; env_check checks it and
- * returns 1 or 2 as linsys._first_pass would; lu_envelope solves it into x,
- * and note_system books pivmin (info[0]) and summary as reference.lockstep
+ * fbq_pool_data `data` and idle = m - rho1 - rho2; lu_envelope solves it
+ * into x, or returns 1 or 2 from its first pass as linsys._first_pass
+ * would; note_system books pivmin (info[0]) and summary as reference.lockstep
  * would.  If a pivot is below pivot_tol or a value below -neg_tol, info[1]
  * gets the lu_condition estimate from the same factors and nothing more is
  * done.  Else pool_taylor sums b from x, read clamped if a value is
  * negative, and pool_cascade takes b and the z = 1 part of `data` to g,
  * with the solvability residual and scale in info[2] and info[3], on the
- * same work.  Returns 0, the env_check status, or 3 if the work cannot be
- * allocated. */
+ * same work.  Returns 0, the first-pass status of the boundary system, else
+ * of the cascade's bordered system, or 3 if the work cannot be allocated. */
 int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
                     const double *zeros, const double *data, int64_t K, double idle,
                     double pivot_tol, double neg_tol, double *out, int64_t *summary)
@@ -1855,19 +1838,18 @@ int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, con
     struct envelope e;
     env_init(&e, (int)n, t, b + 3 * m);
     pool_fill(&p, K, zeros, data, data + (m - 1) * m, idle, &e, x);
-    int status = env_check(&e, x);
+    double least = 0.0;
+    summary[0] = summary[1] = -1;
+    summary[2] = 0;
+    int status = lu_envelope(&e, x, &least);
     if (!status) {
-        double least = 0.0;
-        summary[0] = summary[1] = -1;
-        summary[2] = 0;
-        lu_envelope(&e, x, &least);
         note_system(0, (int)n, least, x, pivot_tol, neg_tol, info, summary);
         if (summary[0] >= 0 || summary[1] >= 0) {
             info[1] = lu_condition(&e, work, work + n);
         } else {
             pool_taylor(&p, K, x, summary[2] > 0, b);
             env_init(&e, (int)(m + 1), t, b + 3 * m);
-            pool_cascade(m, data + 2 * (m - 1) * m, b, &e, work, g, info + 2);
+            status = pool_cascade(m, data + 2 * (m - 1) * m, b, &e, work, g, info + 2);
         }
     }
     free(t);

@@ -103,9 +103,10 @@ def _checked(cond, status, x, pivmin, summary):
 
 
 def _first_pass(a: np.ndarray, b: np.ndarray):
-    """The first pass over the stack, as `check_lanes` in `_kernels.c`
-    makes it: (_NOT_FINITE or _ZERO_ROW, None) if it fails, else
-    (0, the row scale: each row's largest |a_ij|)."""
+    """The first pass over the stack, taken from the row maxima that it
+    scales by, as the row scaling of the compiled loops takes it:
+    (_NOT_FINITE or _ZERO_ROW, None) if it fails, else (0, the row scale:
+    each row's largest |a_ij|)."""
     scale = np.abs(a).max(axis=2)   # inf or NaN where a row of a holds one
     # the largest row maximum is not finite if any is, and the least is 0 if any is
     if not (math.isfinite(scale.max(initial=0.0)) and np.isfinite(b).all()):

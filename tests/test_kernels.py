@@ -5,11 +5,13 @@ two builds give the same bits; the ctypes signatures that
 `fbq._kernels.compiled` gives its loops are the C definitions' parameter
 lists, every Python function that its comments cite exists in fbq or in
 the test module `reference`, and every `fbq_*` loop that its comments, the
-package's modules or the README cite is defined in it."""
+package's modules or the README cite is defined in it; none of them, nor
+`reference`, cites a helper that was deleted from it."""
 
 import ctypes
 import functools
 import importlib
+import pathlib
 import platform
 import re
 import subprocess
@@ -19,6 +21,7 @@ import pytest
 
 from fbq import _kernels, single
 from fbq import simulation as SIM
+import reference
 from test_family_solve import PINS, THREADS, assert_same_bits, base_model, coarse_k3_family, family_call
 from test_simulate import CHAINS
 
@@ -146,12 +149,29 @@ def test_python_names_in_the_comments_resolve_in_fbq():
     assert missing == []
 
 
+def documenting_texts():
+    """{name: text} of the comments of `_kernels.c`, the package's modules
+    and the README."""
+    source = _kernels._SOURCE
+    return {"_kernels.c": " ".join(re.findall(r"/\*.*?\*/", source.read_text(), re.S)),
+            **{path.name: path.read_text() for path in sorted(source.parent.glob("*.py"))},
+            "README.md": (source.parents[2] / "README.md").read_text()}
+
+
 def test_cited_loops_are_defined_in_the_c_source():
     # a renamed or removed loop would leave the comments, docstrings or README citing code that is gone
-    source = _kernels._SOURCE
-    texts = [" ".join(re.findall(r"/\*.*?\*/", source.read_text(), re.S)),
-             *(path.read_text() for path in sorted(source.parent.glob("*.py"))),
-             (source.parents[2] / "README.md").read_text()]
-    cited = {name for text in texts for name in re.findall(r"\bfbq_(\w+)", text)}
+    cited = {name for text in documenting_texts().values() for name in re.findall(r"\bfbq_(\w+)", text)}
     assert len(cited) >= 6
     assert sorted(cited - set(c_definitions())) == []
+
+
+# helpers deleted from `_kernels.c`: the first passes of the tile and envelope
+# eliminations, now made by their row scaling, and the one-lane tile width
+DELETED_HELPERS = ("check_lanes", "env_check", "tile_width")
+
+
+def test_deleted_helpers_are_cited_nowhere():
+    texts = {**documenting_texts(), "reference.py": pathlib.Path(reference.__file__).read_text()}
+    cited = [(name, helper) for name, text in texts.items() for helper in DELETED_HELPERS
+             if re.search(rf"\b{helper}\b", text)]
+    assert cited == []

@@ -22,23 +22,26 @@ search that stops early must raise its status.
 
 Each threshold is solved whole by the compiled loop fbq_pool_system, and
 the shared data comes from one call of the compiled fbq_pool_data, whose
-null vectors are twisted factorisations; no LAPACK call is made.  A
-failure to build the shared data is the pool's: no threshold keeps it, and
-its message is the Python reference's.  Every threshold of the seeded
-and pinned pools must agree, within the rounding of the two methods, with
-a solve that takes the null vectors from scipy.linalg.svd, the boundary
-solve from LAPACK's getrf and the Taylor cascade from scipy.linalg.lstsq,
-kept below, and fail where it fails.  Each threshold is filled and solved
-once per pool, and a kept failure is raised again with no fill and no
-solve.  The compiled loops and their references (reference.pool_data,
-pool_fill, lockstep, pool_taylor and cascade) must return the same
-solution bits or error on figure 8, a seeded threshold_sweep block, q = 0
-and q = 1 pools, at every threshold.  Every threshold outcome of figure 8's
-family and the seeded pools must hash to the digests of
-data/pool_bits.json, which pool_bits.py writes.
+null vectors are twisted factorisations; no LAPACK call is made.  A failure
+to build the shared data is the pool's: no threshold keeps it, and its
+message is the Python reference's, and so is the error of a boundary
+system that fails the first pass of the loop's row scaling (a zero row, a
+NaN).  Every threshold of the seeded and pinned pools must agree, within
+the rounding of the two methods, with a solve that takes the null vectors
+from scipy.linalg.svd, the boundary solve from LAPACK's getrf and the
+Taylor cascade from scipy.linalg.lstsq, kept below, and fail where it
+fails.  Each threshold is filled and solved once per pool, and a kept
+failure is raised again with no fill and no solve.  The compiled loops and
+their references (reference.pool_data, pool_fill, lockstep, pool_taylor
+and cascade) must return the same solution bits or error on figure 8, a
+seeded threshold_sweep block, q = 0 and q = 1 pools, at every
+threshold.  Every threshold outcome of figure 8's family and the seeded
+pools must hash to the digests of data/pool_bits.json, which pool_bits.py
+writes.
 """
 
 import contextlib
+import ctypes
 import dataclasses
 import importlib.util
 import json
@@ -51,6 +54,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -344,6 +348,66 @@ def test_a_singular_residual_fails_the_pool_not_a_threshold(monkeypatch, on_both
     assert compiled[0] == compiled[1]
     assert re.fullmatch(r"matrix expected singular has a null-vector residual of "
                         r"\d\.\d{3}e-\d\d times its norm", compiled[0]), compiled[0]
+
+
+def edited_pool(model, edit):
+    """A stand-in for the model's pool whose shared data is a copy of the
+    real one, its null vectors at the zeros ((m - 1) x m, at its head)
+    handed to edit first."""
+    pool = multi._pool(model)
+    args, shared, *y2 = pool.data
+    shared = shared.copy()
+    edit(shared[:(model.m - 1) * model.m].reshape(model.m - 1, model.m))
+    data = ((*args[:-1], shared.ctypes.data_as(ctypes.POINTER(ctypes.c_double))), shared, *y2)
+    return types.SimpleNamespace(rates=pool.rates, roots=pool.roots, data=data)
+
+
+def zero_nulls(null):
+    null[:] = 0.0
+
+
+def nan_null(null):
+    null[1, 2] = math.nan
+
+
+def zero_and_nan_nulls(null):
+    zero_nulls(null)
+    nan_null(null)
+
+
+def first_pass_errors(model, pool):
+    """The type and message that multi._solve_one and then
+    reference.solve_one raise at each threshold of the model on pool."""
+    loop, raised = KERNELS.compiled().pool_system, []
+    for K in range(model.m):
+        for solve in (lambda: multi._solve_one(model, K, pool, loop),
+                      lambda: reference.solve_one(model, K, pool)):
+            with pytest.raises((SolverError, ValueError)) as exc:
+                solve()
+            raised.append((type(exc.value), str(exc.value)))
+    return raised
+
+
+@pytest.mark.parametrize("edit, error", [
+    (zero_nulls, (SolverError, "degenerate parameter set: zero row in the linear system")),
+    (nan_null, (ValueError, "array must not contain infs or NaNs")),
+    (zero_and_nan_nulls, (ValueError, "array must not contain infs or NaNs")),
+], ids=["zero-rows", "nan", "zero-rows-and-nan"])
+def test_a_boundary_system_that_fails_its_first_pass_raises_the_references_error(edit, error):
+    # zeroed null vectors leave the system's m - 1 zero rows all zeros, and
+    # a NaN in one makes its row non-finite, which takes precedence; the
+    # compiled loop's first pass must raise what reference.solve_one raises
+    model = MultiServerModel(**POOL)
+    assert first_pass_errors(model, edited_pool(model, edit)) == [error] * 2 * model.m
+
+
+def test_a_non_finite_right_hand_side_fails_the_first_pass_on_both_paths():
+    # the idle-or-stopped identity's right-hand side m - rho1 - rho2 is
+    # checked with the entries; a stand-in model with a NaN load makes it NaN
+    model = MultiServerModel(**POOL)
+    nan_load = types.SimpleNamespace(**POOL, rho1=math.nan, rho2=model.rho2)
+    assert first_pass_errors(nan_load, multi._pool(model)) == \
+        [(ValueError, "array must not contain infs or NaNs")] * 2 * model.m
 
 
 def test_a_vanishing_drift_raises_the_references_message():
