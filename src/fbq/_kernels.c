@@ -72,7 +72,9 @@
  * twisted factorisation of the tridiagonal matrix, and the powers z_k^j;
  * A(z)'s Taylor coefficients at z = 1 and A0's null pair.  pool_matrix states
  * A(z)'s entries once, for it and the zero search.  fbq_pool_system then
- * solves one threshold whole.  It fills the boundary system
+ * solves the thresholds that a call hands it, each whole and in order,
+ * into one outcome row per threshold, and stops at the first row that
+ * fails (reference.solve_rows).  It fills each boundary system
  * (reference.pool_fill) on its envelope, each row stored from its first to
  * its last nonzero column (Jennings, The Computer Journal 9, 1966): a
  * balance row spans its 3 to 5 neighbours, the m - 1 zero rows and the idle
@@ -84,7 +86,9 @@
  * Then it sums the Taylor vectors b0, b1, b2 of the z = 1 cascade from the
  * clamped solution in the order of the unknowns (reference.pool_taylor), and
  * runs the cascade on the bordered system [[A0, u], [v^T, 0]] with row sums
- * in its own order (reference.cascade).  A failed system's message gets
+ * in its own order (reference.cascade), and sums the solution's L1, L2, U
+ * and p in Python's float order (pool_finish, reference.finish); every
+ * row books the least |pivot|.  A failed system's message gets
  * Hager's condition estimate (lu_condition, reference.condition) from the
  * same factors, its solves reading only the envelopes; lane_condition makes
  * that estimate for a failed speed-family profile's system, given whole.  The
@@ -1811,49 +1815,140 @@ static int pool_cascade(int64_t m, const double *one, const double *b, struct en
     return 0;
 }
 
-/* One threshold K of the pool (m, lam, mu1, mu2, q) with the rate table
- * `rates` of fbq_pool_roots, solved whole into out: x (n), then g (2 x m),
- * then info (4).  pool_fill fills the boundary system on its envelope, with
- * the pool's zeros, the null vectors and powers at the head of its
- * fbq_pool_data `data` and idle = m - rho1 - rho2; lu_envelope solves it
- * into x, or returns 1 or 2 from its first pass as linsys._first_pass
- * would; note_system books pivmin (info[0]) and summary as reference.lockstep
- * would.  If a pivot is below pivot_tol or a value below -neg_tol, info[1]
- * gets the lu_condition estimate from the same factors and nothing more is
- * done.  Else pool_taylor sums b from x, read clamped if a value is
- * negative, and pool_cascade takes b and the z = 1 part of `data` to g,
- * with the solvability residual and scale in info[2] and info[3], on the
- * same work.  Returns 0, the first-pass status of the boundary system, else
- * of the cascade's bordered system, or 3 if the work cannot be allocated. */
-int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
-                    const double *zeros, const double *data, int64_t K, double idle,
-                    double pivot_tol, double neg_tol, double *out, int64_t *summary)
+/* An outcome row of fbq_pool_system: the status (0, the first-pass status
+ * 1 or 2 of the boundary system or else of the cascade's bordered system,
+ * 3 for no memory, POOL_INCONSISTENT for a failed solvability test), the
+ * note_system summary (singular, below, negatives) and least |pivot|, the
+ * condition estimate of a singular or negative system, the solvability
+ * residual and scale, L1, L2, L, U, the tail mass and g_m(1), then g0 (m),
+ * g1 (m) and p (m).  Every entry is a double; what a row does not reach
+ * stays 0. */
+enum { ROW_STATUS, ROW_SINGULAR, ROW_BELOW, ROW_NEGATIVES, ROW_PIVMIN, ROW_COND, ROW_RESIDUAL,
+       ROW_SCALE, ROW_L1, ROW_L2, ROW_L, ROW_U, ROW_TAIL, ROW_GM, ROW_G };
+
+enum { POOL_INCONSISTENT = 4 };
+
+/* The finish of threshold K of the pool p (multi.MultiServerSolution's
+ * fields, as reference.finish sums them) from x, read clamped with clamp
+ * set, and g0, g1 at row + ROW_G, into row: each operation in the order
+ * that Python evaluates it.  r = lam / (m mu1) and g_m(1) = r g0[m - 1];
+ * L1 is L1_at_0, the M/M/m value multi.mmm_marginal gives, at K = 0, else
+ * the sum of i g0[i] added in turn to 0.0 (sum() in CPython 3.11) plus g_m(1)
+ * (m (1 - r) + r) / (1 - r)^2; L2 is the sum of g1 plus (g1[m - 1] (y2 - 1)
+ * - g0[m - 1] dy2) / (y2 - 1)^2, with y2 and dy2 the large kernel root
+ * and its derivative at 1; each square is libm's pow, as CPython's ** 2.
+ * p[t] adds the clamped x of the diagonal i + j = t in the order of the
+ * unknowns to 0.0, U = m (1 - p[K]) and the tail mass is 1 minus the sum
+ * of p. */
+static void pool_finish(const struct pool *p, int64_t K, const double *x, int clamp, double L1_at_0,
+                        double y2, double dy2, double *row)
 {
-    const struct pool p = {m, lam, mu1, mu2, q, rates, NULL};
-    int64_t n = kept_before(m, K, m), big = n > m + 1 ? n : m + 1;
-    double *t = malloc(sizeof(double) * (big * big + 2 * big + 3 * m) + env_bytes(big));
-    if (!t)
-        return 3;
-    double *work = t + big * big, *b = work + 2 * big, *x = out, *g = out + n, *info = g + 2 * m;
-    struct envelope e;
-    env_init(&e, (int)n, t, b + 3 * m);
-    pool_fill(&p, K, zeros, data, data + (m - 1) * m, idle, &e, x);
-    double least = 0.0;
-    summary[0] = summary[1] = -1;
-    summary[2] = 0;
-    int status = lu_envelope(&e, x, &least);
-    if (!status) {
-        note_system(0, (int)n, least, x, pivot_tol, neg_tol, info, summary);
-        if (summary[0] >= 0 || summary[1] >= 0) {
-            info[1] = lu_condition(&e, work, work + n);
-        } else {
-            pool_taylor(&p, K, x, summary[2] > 0, b);
-            env_init(&e, (int)(m + 1), t, b + 3 * m);
-            status = pool_cascade(m, data + 2 * (m - 1) * m, b, &e, work, g, info + 2);
+    static volatile double two = 2.0;   /* as in one_minus_y1 */
+    int64_t m = p->m;
+    const double *g0 = row + ROW_G, *g1 = g0 + m;
+    double *pk = row + ROW_G + 2 * m;
+    double r = p->lam / ((double)m * p->mu1), gm = r * g0[m - 1], L1 = L1_at_0, L2 = 0.0, total = 0.0;
+    if (K) {
+        L1 = 0.0;
+        for (int64_t i = 0; i < m; i++)
+            L1 += (double)i * g0[i];
+        L1 += gm * ((double)m * (1.0 - r) + r) / pow(1.0 - r, two);
+    }
+    for (int64_t i = 0; i < m; i++)
+        L2 += g1[i];
+    L2 += (g1[m - 1] * (y2 - 1.0) - g0[m - 1] * dy2) / pow(y2 - 1.0, two);
+    for (int64_t t = 0; t < m; t++)
+        pk[t] = 0.0;
+    for (int64_t i = 0, c = 0; i < m; i++) {
+        for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++) {
+            double v = x[c];
+            if (clamp && !(v > 0.0) && v == v)
+                v = 0.0;
+            pk[i + j] += v;
         }
     }
+    for (int64_t t = 0; t < m; t++)
+        total += pk[t];
+    row[ROW_L1] = L1;
+    row[ROW_L2] = L2;
+    row[ROW_L] = L1 + L2;
+    row[ROW_U] = (double)m * (1.0 - pk[K]);
+    row[ROW_TAIL] = 1.0 - total;
+    row[ROW_GM] = gm;
+}
+
+/* The thresholds[0 .. count - 1] of the pool (m, lam, mu1, mu2, q) with the
+ * rate table `rates` of fbq_pool_roots, solved whole in that order, one
+ * outcome row each (ROW_G + 3 m entries at rows + k (ROW_G + 3 m)) and the
+ * solution x of each after those of the thresholds before it, until a row
+ * fails, as reference.solve_rows does.  For each K, pool_fill fills the
+ * boundary system on its envelope, with the pool's zeros, the null vectors
+ * and powers at the head of its fbq_pool_data `data` and idle = m - rho1 -
+ * rho2; lu_envelope solves it into x, or returns 1 or 2 from its first pass
+ * as linsys._first_pass would; note_system books the least |pivot| and the
+ * summary as reference.lockstep would, on every row.  If a pivot is below
+ * pivot_tol or a value below -neg_tol, the row gets the lu_condition
+ * estimate from the same factors and nothing more is done.  Else
+ * pool_taylor sums b from x, read clamped if a value is negative, and
+ * pool_cascade takes b and the z = 1 part of `data` to g0 and g1, with the
+ * solvability residual and scale, on the same work; a residual above 1e-7
+ * max(scale, 1e-300), as Python's max takes it, makes the status
+ * POOL_INCONSISTENT, and else pool_finish ends the row.  A row fails when
+ * its status is not 0 or its system is singular or negative, and no later
+ * threshold is solved.  Returns the number of rows written: the first
+ * gets status 3 if the work cannot be allocated. */
+int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
+                    const double *zeros, const double *data, int64_t count, const int64_t *thresholds,
+                    double idle, double L1_at_0, double y2, double dy2, double pivot_tol,
+                    double neg_tol, double *x, double *rows)
+{
+    const struct pool p = {m, lam, mu1, mu2, q, rates, NULL};
+    int64_t width = ROW_G + 3 * m, big = m + 1, done = 0;
+    for (int64_t k = 0; k < count; k++) {
+        int64_t n = kept_before(m, thresholds[k], m);
+        big = n > big ? n : big;
+    }
+    for (int64_t c = 0; c < count * width; c++)
+        rows[c] = 0.0;
+    double *t = malloc(sizeof(double) * (big * big + 2 * big + 3 * m) + env_bytes(big));
+    if (!t) {
+        rows[ROW_STATUS] = 3.0;
+        rows[ROW_SINGULAR] = rows[ROW_BELOW] = -1.0;
+        return 1;
+    }
+    double *work = t + big * big, *b = work + 2 * big, *xk = x;
+    for (int failed = 0; done < count && !failed; done++) {
+        int64_t K = thresholds[done], n = kept_before(m, K, m), summary[3] = {-1, -1, 0};
+        double *row = rows + done * width, least = 0.0;
+        struct envelope e;
+        env_init(&e, (int)n, t, b + 3 * m);
+        pool_fill(&p, K, zeros, data, data + (m - 1) * m, idle, &e, xk);
+        int status = lu_envelope(&e, xk, &least);
+        if (!status) {
+            note_system(0, (int)n, least, xk, pivot_tol, neg_tol, row + ROW_PIVMIN, summary);
+            if (summary[0] >= 0 || summary[1] >= 0) {
+                row[ROW_COND] = lu_condition(&e, work, work + n);
+            } else {
+                pool_taylor(&p, K, xk, summary[2] > 0, b);
+                env_init(&e, (int)(m + 1), t, b + 3 * m);
+                status = pool_cascade(m, data + 2 * (m - 1) * m, b, &e, work, row + ROW_G,
+                                      row + ROW_RESIDUAL);
+                double scale = row[ROW_SCALE];
+                if (!status && fabs(row[ROW_RESIDUAL]) > 1e-7 * (1e-300 > scale ? 1e-300 : scale))
+                    status = POOL_INCONSISTENT;
+                else if (!status)
+                    pool_finish(&p, K, xk, summary[2] > 0, L1_at_0, y2, dy2, row);
+            }
+        }
+        row[ROW_STATUS] = status;
+        row[ROW_SINGULAR] = (double)summary[0];
+        row[ROW_BELOW] = (double)summary[1];
+        row[ROW_NEGATIVES] = (double)summary[2];
+        failed = status || summary[0] >= 0 || summary[1] >= 0;
+        xk += n;
+    }
     free(t);
-    return status;
+    return (int)done;
 }
 
 /* The null vector x of the n x n tridiagonal matrix T with subdiagonal lo

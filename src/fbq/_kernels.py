@@ -5,12 +5,15 @@ per-user cache, `$XDG_CACHE_HOME/fbq` or `~/.cache/fbq`, a private
 directory.  The library is named by the sha256 of the source and the flags,
 so an edited source gets a new library and later processes only load it.
 `compiled()` returns the six loops typed; every solver and the simulator
-run on them, and fbq has no other coding of them.  A process tries the
-build once and keeps the outcome: where the library cannot be built or
-loaded (no C compiler, no private cache directory), each call raises an
-OSError that names the cause.  No LAPACK is linked: `fbq_ctmc_rectangle`
-calls the dgbsv that `dgbsv()` reads from scipy's `cython_lapack`
-capsule, on first use, as the function pointer its first argument takes.
+run on them, and fbq has no other coding of them.  `fbq_pool_system`
+takes the thresholds of a pool that a call still needs and returns the
+number of outcome rows it wrote, one per threshold solved.  A process
+tries the build once and keeps the outcome: where the library cannot be
+built or loaded (no C compiler, no private cache directory), each call
+raises an OSError that names the cause.  No LAPACK is linked:
+`fbq_ctmc_rectangle` calls the dgbsv that `dgbsv()` reads from scipy's
+`cython_lapack` capsule, on first use, as the function pointer its first
+argument takes.
 
 The flags are `-O2`; `-ffp-contract=off`, so that no multiply and add is
 fused and each loop does its Python reference's float operations;
@@ -115,7 +118,7 @@ def _bind(lib: ctypes.CDLL) -> Loops:
                        p_dbl, p_i64, p_dbl, p_dbl, p_dbl]
     family.restype = i32
     pool_system = lib.fbq_pool_system
-    pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 3, i64, *[dbl] * 3, p_dbl, p_i64]
+    pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 3, i64, p_i64, *[dbl] * 6, p_dbl, p_dbl]
     pool_system.restype = i32
     pool_data = lib.fbq_pool_data
     pool_data.argtypes = [i64, *[dbl] * 4, p_dbl, p_dbl, *[dbl] * 3, *[p_dbl] * 3]

@@ -14,13 +14,15 @@ taken on the error path only.
   within the call, and their outcomes merge into the one-thread outcome,
   so the thread count moves no bit and no error.  When a profile fails,
   the loop fills its system again and books its condition estimate.
-* A pool's boundary system is solved inside the compiled loop
-  `fbq_pool_system` of `fbq.multi` on its envelope: each row holds only
-  the columns from its first to its last nonzero, and the elimination
-  visits at each column only the rows that reach it, with the float
-  operations of the one-system elimination in their order, so it gives
-  that elimination's bits.  It books the condition estimate of a failed
-  system from its own factors.
+* A pool's boundary systems are solved inside the compiled loop
+  `fbq_pool_system` of `fbq.multi`, the thresholds of a call in order, each
+  on its envelope: each row holds only the columns from its first to its
+  last nonzero, and the elimination visits at each column only the rows
+  that reach it, with the float operations of the one-system elimination
+  in their order, so it gives that elimination's bits.  Each threshold's
+  outcome row holds its status, summary and least pivot, and a failed
+  system's condition estimate from its own factors; `_checked` raises
+  from the row, and the loop stops at the first row that it rejects.
 * `solve_probability_system` solves one unscaled system by LAPACK's getrf
   and getrs, as scipy's lu_factor/lu_solve call them, with the same scaling,
   checks and errors, and quotes LAPACK's gecon estimate from the same

@@ -29,23 +29,25 @@ state, on the threshold diagonal i + j = K >= 1, puts
 
 Everything that does not depend on K is computed once per pool (lam, mu1,
 mu2, q, m) and kept in a bounded cache shared by all thresholds and all
-calls: the table of rates k mu1 and (m - k) mu2 that every minor and
-determinant evaluation reads, the determinant zeros, and what one call of
-the compiled `fbq_pool_data` builds from them: the left null vector of A(z)
-and the powers z^j at each zero, by the twisted factorisation of the
-tridiagonal A(z), and the Taylor data of A(z) at z = 1 with the null pair
-of A(1).  The same cache keeps each threshold's solution, or the type and
-message of the SolverError its solve raised, so a pool is solved once per
-threshold however many sweeps or cost vectors ask for it.  Each threshold is
-solved whole by one call of the compiled loop `fbq_pool_system` of
-`_kernels.c`: it fills the boundary system from the rate table and the data
-at the zeros, each row only from its first to its last nonzero column,
-factors it there with the float operations of the speed families'
-one-system elimination in their order, sums the z = 1 Taylor vectors of b
-from the clamped solution and runs the Taylor cascade, all in its own float
-order, with no BLAS or LAPACK call, so a pool gives the same bits on every
-CPU.  Solutions are read-only values, and the cache serves each one's
-object to every caller.
+calls, in one work buffer whose pointers are taken once: the table of
+rates k mu1 and (m - k) mu2 that every minor and determinant evaluation
+reads, the determinant zeros, and what one call of the compiled
+`fbq_pool_data` builds from them: the left null vector of A(z) and the
+powers z^j at each zero, by the twisted factorisation of the tridiagonal
+A(z), and the Taylor data of A(z) at z = 1 with the null pair of A(1).  The
+same cache keeps each threshold's solution, or the type and message of the
+SolverError its solve raised, so a pool is solved once per threshold
+however many sweeps or cost vectors ask for it.  The thresholds that a
+call still needs are solved in order by one call of the compiled loop
+`fbq_pool_system` of `_kernels.c`, which stops at the first that fails and
+writes an outcome row per threshold, the solution built from it: it fills
+each boundary system on its envelope, factors it there with the float
+operations of the speed families' one-system elimination in their order,
+sums the z = 1 Taylor vectors of b from the clamped solution, runs the
+Taylor cascade and sums L1, L2, U and p in Python's float order, with no
+BLAS or LAPACK call, so a pool gives the same bits on every CPU.
+Solutions are read-only values, and the cache serves each one's object to
+every caller.
 The closure by the zeros is the spectral-expansion closure of Mitrani &
 Chakka, "Spectral expansion solution for a class of Markov models",
 Performance Evaluation 23 (1995).
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import logging
 import math
 import time
@@ -138,28 +141,24 @@ def _det_at(model: MultiServerModel, z: float) -> float:
 (_FOUND, _END_COUNTS, _SPLIT_COUNTS, _NO_SIGN_CHANGE, _DISCRIMINANT, _NO_CONVERGENCE,
  _STACK_FULL) = range(7)
 _BRENT_MAXITER = 100   # scipy.optimize.brentq's default
+_TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
 
 
 def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, int]:
     """The zeros of d_roots without its checks, with the number of sign
     counts and of determinant evaluations they took, in one call of the
-    compiled `fbq_pool_roots`: Sturm counts at 0 and, with D replaced by
-    -D'(1), just below 1, bisection on the counts and scipy's brentq loop on
-    each bracket.  Each failure raises SolverError with the counts or the
-    bracket and D'(1), and brentq's non-convergence RuntimeError."""
-    m = model.m
+    compiled `fbq_pool_roots` on the pool's work buffer: Sturm counts at 0
+    and, with D replaced by -D'(1), just below 1, bisection on the counts
+    and scipy's brentq loop on each bracket.  Each failure raises
+    SolverError with the counts or the bracket and D'(1), and brentq's
+    non-convergence RuntimeError."""
+    m, pool = model.m, _pool(model)
     dprime = dprime_at_1(model)
-    fp = np.finfo(float)
-    band, brackets, roots = np.empty(3 * m), np.empty(2 * m), np.empty(m)   # m roots: never empty
-    info, where = np.zeros(5, dtype=np.int64), np.zeros(3)
-    dbl = ctypes.c_double.from_buffer
-    rates = _pool(model).rates.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-    status = _kernels.compiled().pool_roots(m, model.lam, model.mu1, model.mu2, model.q, rates,
-                                            dprime, fp.tiny, 4 * fp.eps, _BRENT_MAXITER,
-                                            dbl(band), dbl(brackets), dbl(roots),
-                                            ctypes.c_int64.from_buffer(info), dbl(where))
-    counts, evals, *failed = info.tolist()
-    lo, mid, hi = where.tolist()
+    status = _kernels.compiled().pool_roots(m, model.lam, model.mu1, model.mu2, model.q, pool.c_rates,
+                                            dprime, _TINY, 4 * _EPS, _BRENT_MAXITER, pool.c_band,
+                                            pool.c_brackets, pool.c_zeros, pool.c_info, pool.c_where)
+    counts, evals, *failed = pool.info.tolist()
+    lo, mid, hi = pool.where.tolist()
 
     def failure(what: str) -> SolverError:
         return SolverError(f"{what}; D'(1) = {dprime:.6g}")
@@ -172,7 +171,7 @@ def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, in
                       f"{mid:.17g}, {hi:.17g}")
     if status == _NO_SIGN_CHANGE:
         k = failed[0]
-        lo, hi = brackets[2 * k:2 * k + 2].tolist()
+        lo, hi = pool.brackets[2 * k:2 * k + 2].tolist()
         raise failure(f"determinant has no sign change on [{lo:.17g}, {hi:.17g}], where the "
                       f"Sturm counts read {m - k} and {m - k - 1}")
     if status == _NO_CONVERGENCE:
@@ -183,7 +182,7 @@ def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, in
                       "the kernel discriminant is positive")
     if status != _FOUND:         # a full bisection stack, which no search of (0, 1) reaches
         raise failure("the zero search stopped with status _STACK_FULL")
-    return tuple(roots[:m - 1].tolist()), counts, evals
+    return tuple(pool.zeros[:m - 1].tolist()), counts, evals
 
 
 def d_roots(model: MultiServerModel) -> tuple[float, ...]:
@@ -245,15 +244,14 @@ def _data_compiled(model: MultiServerModel, zeros: np.ndarray, c1: float, c2: fl
     A(z)'s Taylor coefficients at z = 1, from the terms c1 t + c2 t^2 of the
     small kernel root y1(1 + t), with A0's null pair.  SolverError names a
     null-vector residual above SINGULAR_RTOL, or a vanishing u^T A1 v."""
-    m = model.m
-    data, ratio = np.empty(2 * (m - 1) * m + 3 * (3 * m - 2) + 2 * m + 1), np.empty(1)
-    ptr = [a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-           for a in (_pool(model).rates, zeros, np.empty(5 * m), data, ratio)]
-    status = _kernels.compiled().pool_data(m, model.lam, model.mu1, model.mu2, model.q, *ptr[:2], c1, c2,
-                                           SINGULAR_RTOL, *ptr[2:])
+    m, pool = model.m, _pool(model)
+    data, dbl = np.empty(2 * (m - 1) * m + 3 * (3 * m - 2) + 2 * m + 1), ctypes.c_double.from_buffer
+    status = _kernels.compiled().pool_data(m, model.lam, model.mu1, model.mu2, model.q, pool.c_rates,
+                                           dbl(zeros) if m > 1 else None, c1, c2, SINGULAR_RTOL, pool.c_band,
+                                           dbl(data), pool.c_ratio)   # m = 1 has no zeros
     if status == _DATA_SINGULAR:
         raise SolverError(f"matrix expected singular has a null-vector residual of "
-                          f"{ratio[0]:.3e} times its norm")
+                          f"{pool.ratio[0]:.3e} times its norm")
     if status:
         raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
     return data
@@ -261,25 +259,34 @@ def _data_compiled(model: MultiServerModel, zeros: np.ndarray, c1: float, c2: fl
 
 class _Pool:
     """Everything a solve of the pool (lam, mu1, mu2, q, m) needs that does
-    not depend on the threshold: the rate table (k mu1, (m - k) mu2) of the
-    recurrences, built on construction as one read-only (m, 2) array that
-    every compiled call reads, then on first use the zeros, from
-    the compiled search `fbq_pool_roots` of `_kernels.c`, and the data that
-    every threshold shares, from `fbq_pool_data`; and each threshold's
-    outcome, kept by K in `solutions`: its solution, or the type and message
-    of the SolverError its boundary solve raised, which every later solve of
-    K raises afresh without solving again.  The message is kept rather than
-    the exception, whose traceback would hold the frames of the failed
-    solve.  The zeros and the shared data keep no failure: each solve that
-    needs a part that failed builds it again and raises the same message,
-    before any threshold is solved.
+    not depend on the threshold, in one work buffer whose parts the compiled
+    calls get as pointers taken on construction: the rate table (k mu1,
+    (m - k) mu2), a read-only (m, 2) array, and on first use the zeros, by
+    the compiled search `fbq_pool_roots` on its part of the buffer, and the
+    data that every threshold shares, from `fbq_pool_data`; and each
+    threshold's outcome, kept by K in `solutions`: its solution, or the type
+    and message of the SolverError its row raised, which every later solve
+    of K raises afresh without solving again (the exception's traceback
+    would hold the frames of the failed solve).  The zeros and the shared
+    data keep no failure: each solve that needs a part that failed builds it
+    again and raises the same message, before any threshold is solved.
     """
 
     def __init__(self, model: MultiServerModel):
+        m = model.m
         self.model = model
-        _, fg, bg = model.rates(np.arange(model.m), model.m)
-        self.rates = frozen(np.column_stack((fg, bg)))
         self.solutions: dict[int, MultiServerSolution | tuple[type, str]] = {}
+        # rates (2 m), zeros (m), band (5 m), brackets (2 m), where (3), the
+        # null-vector ratio (1) and the search's info (5 int64)
+        work = np.zeros(10 * m + 9)
+        work[:2 * m] = [rate for k in range(m) for rate in (k * model.mu1, (m - k) * model.mu2)]
+        self.rates = frozen(work[:2 * m].reshape(m, 2))
+        self.zeros, self.brackets = work[2 * m:3 * m], work[8 * m:10 * m]
+        self.where, self.ratio = work[10 * m:10 * m + 3], work[10 * m + 3:10 * m + 4]
+        self.info = work[10 * m + 4:].view(np.int64)
+        self.c_rates, self.c_zeros, self.c_band, self.c_brackets, self.c_where, self.c_ratio = (
+            ctypes.c_double.from_buffer(work, 8 * at) for at in (0, 2 * m, 3 * m, 8 * m, 10 * m, 10 * m + 3))
+        self.c_info = ctypes.c_int64.from_buffer(work, 8 * (10 * m + 4))
 
     @functools.cached_property
     def roots(self) -> tuple[float, ...]:
@@ -296,11 +303,11 @@ class _Pool:
         `shared`), the data of `_data_compiled`, and the large kernel root."""
         model = self.model
         y1s, y2s = kernel_root_pair_at_1(model.lam / (model.m * model.mu1), model.q, SERIES_ORDER)
-        zeros = np.array(self.roots)
-        shared = _data_compiled(model, zeros, *y1s.c[1:3])     # y1(1) = 1
-        # data_as keeps its array alive; nothing else holds the zeros
-        ptr = [a.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for a in (self.rates, zeros, shared)]
-        return (model.m, model.lam, model.mu1, model.mu2, model.q, *ptr), shared, y2s.c[0], y2s.c[1]
+        self.zeros[:model.m - 1] = self.roots   # a no-op after the compiled search, which wrote them there
+        shared = _data_compiled(model, self.zeros[:model.m - 1], *y1s.c[1:3])     # y1(1) = 1
+        args = (model.m, model.lam, model.mu1, model.mu2, model.q, self.c_rates, self.c_zeros,
+                ctypes.c_double.from_buffer(shared))
+        return args, shared, y2s.c[0], y2s.c[1]
 
 
 @functools.lru_cache(maxsize=POOL_CACHE_SIZE)
@@ -313,25 +320,39 @@ def _pool(model: MultiServerModel) -> _Pool:
     return _pool_data(model.lam, model.mu1, model.mu2, model.q, model.m)
 
 
-# --- one threshold ------------------------------------------------------------
+# --- the thresholds of a pool -------------------------------------------------
+
+
+# the entries of an outcome row of fbq_pool_system, g0 (m), g1 (m) and p (m) from _G on
+(_STATUS, _SINGULAR, _BELOW, _NEGATIVES, _PIVMIN, _COND, _RESIDUAL, _SCALE, _L1, _L2, _L, _U, _TAIL,
+ _GM, _G) = range(15)
+_INCONSISTENT = 4   # the status of a row whose b0 fails the solvability test at z = 1
 
 
 def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[MultiServerSolution]:
     """Steady states under the given thresholds, each solved once per pool
-    and threshold by `_solve_one`.  A SolverError of a threshold's solve is
-    kept as its type and message and raised afresh by every later call that
-    reaches that threshold.  Each solution returned is the kept object."""
-    loop, out = _kernels.compiled().pool_system, []
+    and threshold: those not kept, up to the first kept failure, by one
+    `_pool_rows` call.  A row's SolverError is kept as its type and message
+    and raised afresh by every later call that reaches that threshold.
+    Each solution returned is the kept object."""
+    todo = []
     for K in thresholds:
-        sol = pool.solutions.get(K)
-        if sol is None:
-            pool.data    # a failure here is the pool's, not the threshold's
+        kept = pool.solutions.get(K)
+        if kept is None:
+            todo.append(K)
+        elif not isinstance(kept, MultiServerSolution):
+            break
+    if todo:
+        for K, (x, row) in zip(todo, _pool_rows(model, todo, pool)):
             try:
-                sol = pool.solutions[K] = _solve_one(model, K, pool, loop)
+                pool.solutions[K] = _solution(model, K, x, row, pool)
             except SolverError as exc:
                 pool.solutions[K] = type(exc), str(exc)
                 raise
-        elif not isinstance(sol, MultiServerSolution):
+    out = []
+    for K in thresholds:
+        sol = pool.solutions[K]
+        if not isinstance(sol, MultiServerSolution):
             kind, message = sol
             raise kind(message)
         out.append(sol)
@@ -344,72 +365,46 @@ def _states(m: int, K: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(m) for j in range(max(0, K - i), m - i))
 
 
-def _solve_one(model: MultiServerModel, K: int, pool: _Pool, loop) -> MultiServerSolution:
-    """Steady state under threshold K, by one call of the compiled `loop`
-    `fbq_pool_system`, which writes x, g and its info into one buffer: it
-    fills the kept states' boundary system, solves it, and from the clamped
-    solution sums the z = 1 vector b and runs the Taylor cascade to g(1)
-    and g'(1).  The system holds the balance rows of the states
-    i + j <= m - 2, as a stopped state on the diagonal
-    i + j = K >= 1 and as a running one elsewhere; one row per zero z_k,
-    from the left null vector of A(z_k), to which b is orthogonal; and the
-    idle-or-stopped server identity.  The loop's outcome raises the errors
-    of linsys._checked, quoting the condition estimate from its factors."""
+def _pool_rows(model: MultiServerModel, thresholds: list[int], pool: _Pool) -> list[tuple[list, list]]:
+    """(x, row) of each threshold that one call of the compiled loop
+    `fbq_pool_system` solves, in order until a row fails: the boundary
+    probabilities on the unknowns of `_states` and the outcome row (the
+    entries above).  Each boundary system holds the balance rows of the
+    states i + j <= m - 2, as a stopped state on the diagonal i + j = K >= 1
+    and as a running one elsewhere; one row per zero z_k, from the left null
+    vector of A(z_k), to which b is orthogonal; and the idle-or-stopped
+    server identity.  K = 0's L1 is mmm_marginal's."""
+    args, _, y2, dy2 = pool.data
+    m, count = model.m, len(thresholds)
+    width = _G + 3 * m
+    sizes = [(m * (m + 1) - K * (K + 1)) // 2 for K in thresholds]   # len(_states(m, K))
+    out = np.empty(count * width + sum(sizes))
+    L1_at_0 = mmm_marginal(m, model.rho1)[1] if 0 in thresholds else 0.0
+    done = _kernels.compiled().pool_system(*args, count, (ctypes.c_int64 * count)(*thresholds),
+                                           m - model.rho1 - model.rho2, L1_at_0, y2, dy2, PIVOT_RTOL,
+                                           NEG_PROB_TOL, ctypes.c_double.from_buffer(out, 8 * count * width),
+                                           ctypes.c_double.from_buffer(out))
+    rows = out[:done * width].reshape(done, width).tolist()
+    xs = iter(out[count * width:count * width + sum(sizes[:done])].tolist())
+    return [(list(itertools.islice(xs, n)), row) for n, row in zip(sizes, rows)]
+
+
+def _solution(model: MultiServerModel, K: int, x: list, row: list, pool: _Pool) -> MultiServerSolution:
+    """Threshold K's solution from its row and boundary probabilities x.
+    A row with a status, a failed system or a negative value goes through
+    linsys._checked, which raises its errors, quoting the row's condition
+    estimate, and clamps x; a failed solvability test at z = 1 (A(1) is
+    singular, so b0 must be orthogonal to its left null vector) raises."""
+    status, singular, below, negatives = row[:_PIVMIN]
+    if status or singular >= 0 or below >= 0 or negatives:
+        x = _checked(row[_COND], int(status), np.array([x]), row[_PIVMIN:_COND],
+                     (int(singular), int(below), int(negatives)))[0].tolist()
+        if status == _INCONSISTENT:
+            raise SolverError(f"solvability residual {row[_RESIDUAL]:.3e} at z = 1; boundary solve "
+                              "inconsistent")
     m = model.m
-    states = _states(m, K)
-    n = len(states)
-    out, summary = np.empty(n + 2 * m + 4), np.empty(3, dtype=np.int64)
-    status = loop(*pool.data[0], K, m - model.rho1 - model.rho2, PIVOT_RTOL, NEG_PROB_TOL,
-                  ctypes.c_double.from_buffer(out), ctypes.c_int64.from_buffer(summary))
-    x, g, info = out[:n], out[n:n + 2 * m].reshape(2, m), out[n + 2 * m:]
-    x = _checked(info[1], status, x[None], info[:1], summary.tolist())[0]
-    return _finish(model, K, FrozenDict(zip(states, x.tolist())), g, info[2:].tolist(), pool)
-
-
-def _finish(model: MultiServerModel, K: int, boundary: FrozenDict, g: np.ndarray, check: list,
-            pool: _Pool) -> MultiServerSolution:
-    """The solution from the boundary probabilities and g(1), g'(1) of the
-    Taylor cascade of A(z) g(z) = b(z) at z = 1.  A0 = A(1) is singular
-    (that is how the saturated region enters), so b0 must be orthogonal to
-    its left null vector u: check holds u^T b0 and max |b0| + max |b1|."""
-    lam, mu1, m = model.lam, model.mu1, model.m
-    residual, scale = check
-    if abs(residual) > 1e-7 * max(scale, 1e-300):
-        raise SolverError(f"solvability residual {residual:.3e} at z = 1; boundary solve inconsistent")
-
-    gv1, gd1 = g.tolist()       # g_i(1) and g_i'(1)
-    r = lam / (m * mu1)
-    gm1 = r * gv1[m - 1]
-
-    if K == 0:
-        _, L1 = mmm_marginal(m, model.rho1)
-    else:
-        L1 = sum(i * gv1[i] for i in range(m)) + gm1 * (m * (1.0 - r) + r) / (1.0 - r) ** 2
-
-    # saturated-tail contribution g(1,z) = g_{m-1}(z) / (y2(z) - 1)
-    _, _, y2v, y2d = pool.data
-    tail_deriv = (gd1[m - 1] * (y2v - 1.0) - gv1[m - 1] * y2d) / (y2v - 1.0) ** 2
-    L2 = sum(gd1) + tail_deriv
-
-    # the total-count marginal, each diagonal summed by increasing i; the
-    # servers are stopped on the threshold diagonal
-    p = [0.0] * m
-    for (i, j), x in boundary.items():
-        p[i + j] += x
-
-    return MultiServerSolution(
-        boundary=boundary,
-        g_at_1=tuple(gv1),
-        g_m_at_1=gm1,
-        L1=L1,
-        L2=L2,
-        L=L1 + L2,
-        U=m * (1.0 - p[K]),
-        p=tuple(p),
-        tail_mass=1.0 - sum(p),
-        roots=pool.roots,
-        threshold=K,
-    )
+    return MultiServerSolution(FrozenDict(zip(_states(m, K), x)), tuple(row[_G:_G + m]), row[_GM], row[_L1],
+                               row[_L2], row[_L], row[_U], tuple(row[_G + 2 * m:]), row[_TAIL], pool.roots, K)
 
 
 def solve_threshold(model: MultiServerModel) -> MultiServerSolution:

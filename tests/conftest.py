@@ -1,7 +1,9 @@
 """Fixtures shared by the test modules: the compiled loops, one call run on
-both the compiled loops and their references, and what a fresh
-interpreter loads when it imports fbq."""
+both the compiled loops and their references, what a fresh interpreter
+loads when it imports fbq, and the pool and family bits of a fresh
+interpreter per OpenBLAS kernel."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,7 +14,9 @@ import pytest
 
 import fbq  # noqa: F401  (loads the modules below)
 import reference
+from pool_bits import seeded_pools
 
+DATA = pathlib.Path(__file__).parent / "data"
 KERNELS = sys.modules["fbq._kernels"]
 MULTI = sys.modules["fbq.multi"]
 SRC = str(pathlib.Path(fbq.__file__).resolve().parent.parent)
@@ -31,6 +35,43 @@ fbq.solve_general(fbq.SingleServerModel(0.5, fbq.CoxianService(2.0, 1.0, 0.5),
 seen['lookups after a solve'] = bound.cache_info().currsize
 seen['cache after a solve'] = sorted(os.listdir(sys.argv[1]))
 print(json.dumps(seen))
+"""
+
+# OpenBLAS kernels that x86 CPUs of four generations select
+BLAS_KERNELS = ("Prescott", "Sandybridge", "Haswell", "SkylakeX")
+
+# run in a fresh interpreter (argv[1]: the pools and the family base): the
+# hash of every threshold of the pools, each solution's fields in float.hex
+# or the error's message, and the bytes of a speed family's solve
+_BLAS_PROBE = """
+import dataclasses, hashlib, json, sys
+import numpy as np
+import fbq
+from fbq.models import MultiServerModel, SolverError
+from fbq.multi import sweep_thresholds
+from fbq.single import solve_speed_family
+pools, b = json.loads(sys.argv[1])
+out = []
+for spec in pools:
+    model = MultiServerModel(**spec)
+    for K in range(model.m):
+        try:
+            sol = sweep_thresholds(model)[K]
+        except SolverError as exc:
+            out.append(str(exc))
+            break
+        out.append(repr([v.hex() if isinstance(v, float) else
+                         [x.hex() for x in (v.values() if isinstance(v, dict) else v)]
+                         if isinstance(v, (dict, tuple)) else v
+                         for v in dataclasses.astuple(sol)]))
+model = fbq.SingleServerModel(b['lam'], fbq.CoxianService(b['nu1'], b['nu2'], b['q']),
+                              fbq.SpeedProfile((b['s0'], b['top']), alpha=b['alpha']))
+inter = np.sort(np.random.default_rng(5).uniform(b['s0'], b['top'], (40, 2)), axis=1)
+family = solve_speed_family(model, inter)
+print(json.dumps({
+    "pools": [hashlib.sha256(repr(out).encode()).hexdigest(), len(out)],
+    "family": np.concatenate([family.boundary.ravel(), family.g0_at_1, family.L1, family.L2,
+                              family.energy_rate]).tobytes().hex()}))
 """
 
 
@@ -74,3 +115,23 @@ def fresh_import(tmp_path_factory):
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cache / "fbq")], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(cache)), check=True)
     return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="session")
+def blas_kernel_bits():
+    """{kernel: {"pools": [hash, count], "family": hex}} of one fresh
+    interpreter per OpenBLAS kernel of BLAS_KERNELS (OPENBLAS_CORETYPE picks
+    the kernels of an OpenBLAS built for several CPUs, and others ignore
+    it), each running _BLAS_PROBE on figure 8's pinned pool and the seeded
+    pools of pool_bits, then on the seed7 base of family_solve_pins.json.
+    The BLAS-kernel tests of pools and of families share these processes."""
+    sweep_pins = json.loads((DATA / "threshold_sweep_pins.json").read_text())
+    family_pins = json.loads((DATA / "family_solve_pins.json").read_text())
+    pools = [sweep_pins["pools"]["figure8"]] + [dataclasses.asdict(model) for model in seeded_pools()]
+    arg = json.dumps([pools, family_pins["bases"]["seed7"]])
+    out = {}
+    for core in BLAS_KERNELS:
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_CORETYPE=core)
+        out[core] = json.loads(subprocess.run([sys.executable, "-c", _BLAS_PROBE, arg], env=env,
+                                              capture_output=True, text=True, check=True).stdout)
+    return out

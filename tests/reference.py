@@ -21,9 +21,11 @@ loop's order, so the two give equal results, errors included.
   a pool, behind `multi._data_compiled`, on `tridiagonal` (A(z) at the
   zeros) and the twisted factorisations of `twisted_null` and
   `null_vectors`; `shared_parts` splits that data into its parts.
-* `pool_fill`, `pool_taylor` and `cascade`: the boundary fill, the z = 1
-  Taylor sums and the Taylor cascade of `fbq_pool_system`; `solve_one` is
-  `multi._solve_one` on them.
+* `pool_fill`, `pool_taylor`, `cascade` and `finish`: the boundary fill,
+  the z = 1 Taylor sums, the Taylor cascade and the sums of a solution of
+  `fbq_pool_system`; `solve_one` is one threshold's outcome row on them,
+  and `solve_rows`, the thresholds in turn until a row fails, is
+  `multi._pool_rows`.
 * `band_system`: the band system that `fbq_ctmc_rectangle` fills;
   `rectangle` is that call whole, behind `ctmc._band_rectangle`: the
   system solved by `scipy.linalg.lapack.dgbsv` and normalised by
@@ -48,7 +50,7 @@ import scipy.sparse.csgraph as csgraph
 from scipy.linalg import lapack
 
 from fbq import ctmc, linsys, multi, simulation, single
-from fbq.models import FrozenDict, SolverError
+from fbq.models import SolverError
 
 
 # --- the jump chain ------------------------------------------------------------
@@ -489,12 +491,14 @@ def pool_taylor(model, K: int, pool, states: list, x: list) -> np.ndarray:
 
 
 def cascade(pool, b: np.ndarray):
-    """The Taylor cascade of `fbq_pool_system` from b (3 x m): g (2 x m)
-    and the solvability check's [u^T b0, max |b0| + max |b1|].  The
-    bordered system [[A0, u], [v^T, 0]] is factored with [b0, 0] by
-    `factor`, and [b1 - A1 g0, 0], scaled by its row scales, solved by
-    `lu_solve`; every product is a sum in turn, and a row of A0, A1 or A2
-    times x sums only the products of the row's tridiagonal entries."""
+    """The Taylor cascade of `fbq_pool_system` from b (3 x m): (status, g
+    (2 x m), [u^T b0, max |b0| + max |b1|]), the check taken first.  The
+    bordered system [[A0, u], [v^T, 0]] with [b0, 0] gets the first pass of
+    `linsys._first_pass`, and a status other than 0 ends the cascade with g
+    None; else it is factored by `factor`, and [b1 - A1 g0, 0], scaled by
+    its row scales, solved by `lu_solve`; every product is a sum in turn,
+    and a row of A0, A1 or A2 times x sums only the products of the row's
+    tridiagonal entries."""
     m = pool.model.m
     _, _, (a0, a1, a2), u, v, uA1v = shared_parts(m, pool.data[1])
     u, v = u.tolist(), v.tolist()
@@ -517,6 +521,9 @@ def cascade(pool, b: np.ndarray):
     check = [dot(u, b0), max(map(abs, b0)) + max(map(abs, b1))]
     border = np.zeros((m + 1, m + 1))
     border[:m, :m], border[:m, m], border[m, :m] = dense(*a0), u, v
+    status, _ = linsys._first_pass(border[None], np.array([b0 + [0.0]]))
+    if status:
+        return status, None, check
     t, y, perm, scale, _ = factor(border, b0 + [0.0])
     p0 = y[:m].tolist()
     c0 = (dot(u, b1) - u_a_x(a1, p0)) / uA1v
@@ -525,18 +532,81 @@ def cascade(pool, b: np.ndarray):
     lu_solve(t, perm, y)
     p1 = y[:m].tolist()
     c1 = (dot(u, b2) - u_a_x(a2, g0) - u_a_x(a1, p1)) / uA1v
-    return np.array([g0, [p + c1 * vi for p, vi in zip(p1, v)]]), check
+    return 0, np.array([g0, [p + c1 * vi for p, vi in zip(p1, v)]]), check
 
 
-def solve_one(model, K: int, pool, loop=None):
-    """`multi._solve_one` on the references: the system of `pool_fill`
-    solved by `lockstep`, with the errors of `checked`, then b from
-    `pool_taylor` and g from `cascade`."""
+def solve_rows(model, thresholds, pool, solve=None):
+    """`multi._pool_rows` on the references: (x, row) of `solve`
+    (`solve_one` if None) at each threshold in turn, until a row fails."""
+    out = []
+    for K in thresholds:
+        x, row = (solve or solve_one)(model, K, pool)
+        out.append((x, row))
+        if row[multi._STATUS] or row[multi._SINGULAR] >= 0 or row[multi._BELOW] >= 0:
+            break
+    return out
+
+
+def solve_one(model, K: int, pool):
+    """The boundary probabilities x and the outcome row of threshold K, as
+    `fbq_pool_system` writes them: the system of `pool_fill` solved by
+    `lockstep`, its status, summary and least pivot on every row, and the
+    `condition` estimate of a singular or negative system; else b from
+    `pool_taylor` on x, clamped if a value is negative, and the row's
+    cascade and sums from `cascade` and `finish`.  x is None where the
+    system fails its first pass; it is not clamped."""
     states = [(i, j) for i in range(model.m) for j in range(max(0, K - i), model.m - i)]
     a, rhs = pool_fill(model, K, pool, states)
-    x = checked(a[None], *lockstep(a[None], rhs[None]))[0].tolist()
-    g, check = cascade(pool, pool_taylor(model, K, pool, states, x))
-    return multi._finish(model, K, FrozenDict(zip(states, x)), g, check, pool)
+    status, x, pivmin, summary = lockstep(a[None], rhs[None])
+    row = [float(status), *map(float, summary)] + [0.0] * (multi._G + 3 * model.m - multi._PIVMIN)
+    if status:
+        return None, row
+    x = x[0].tolist()
+    row[multi._PIVMIN] = float(pivmin[0])
+    if summary[0] >= 0 or summary[1] >= 0:
+        row[multi._COND] = condition(a)
+        return x, row
+    clamped = np.clip(x, 0.0, None).tolist() if summary[2] else x
+    b = pool_taylor(model, K, pool, states, clamped)
+    return x, finish(model, K, pool, clamped, *cascade(pool, b), row)
+
+
+def finish(model, K: int, pool, x: list, status: int, g, check: list, row: list) -> list:
+    """The rest of threshold K's outcome row after the cascade, as
+    `fbq_pool_system` fills it, from the clamped boundary probabilities x:
+    the check, then, unless the cascade's status ends the row, g(1) and
+    g'(1), and the solvability test, whose failure ends it with status
+    `multi._INCONSISTENT`; then the sums of `pool_finish` in Python's float
+    order: g_m(1) = r g_(m-1)(1) with r = lam / (m mu1), L1 from
+    multi.mmm_marginal at K = 0 and else from the sum of i g_i(1) and the
+    saturated tail, L2 from the sum of g'(1) and the tail's derivative
+    g(1, z) = g_(m-1)(z) / (y2(z) - 1), p by diagonal in the order of the
+    unknowns, U = m (1 - p_K) and the tail mass 1 - sum(p)."""
+    lam, mu1, m = model.lam, model.mu1, model.m
+    row[multi._RESIDUAL:multi._L1] = check
+    if status:
+        row[multi._STATUS] = float(status)
+        return row
+    gv1, gd1 = g.tolist()
+    row[multi._G:multi._G + 2 * m] = gv1 + gd1
+    residual, scale = check
+    if abs(residual) > 1e-7 * max(scale, 1e-300):
+        row[multi._STATUS] = float(multi._INCONSISTENT)
+        return row
+    r = lam / (m * mu1)
+    gm1 = r * gv1[m - 1]
+    if K == 0:
+        _, L1 = multi.mmm_marginal(m, model.rho1)
+    else:
+        L1 = add_up(i * gv1[i] for i in range(m)) + gm1 * (m * (1.0 - r) + r) / (1.0 - r) ** 2
+    _, _, y2v, y2d = pool.data
+    L2 = add_up(gd1) + (gd1[m - 1] * (y2v - 1.0) - gv1[m - 1] * y2d) / (y2v - 1.0) ** 2
+    p = [0.0] * m
+    for (i, j), xc in zip(multi._states(m, K), x):
+        p[i + j] += xc
+    row[multi._L1:multi._G] = [L1, L2, L1 + L2, m * (1.0 - p[K]), 1.0 - add_up(p), gm1]
+    row[multi._G + 2 * m:] = p
+    return row
 
 
 def twisted_null(lo: list, d: list, up: list):
@@ -720,6 +790,6 @@ REFERENCES = (
     (single._Family, "solve", family_solve),
     (multi, "_roots_compiled", isolate_roots),
     (multi, "_data_compiled", pool_data),
-    (multi, "_solve_one", solve_one),
+    (multi, "_pool_rows", solve_rows),
     (ctmc, "_band_rectangle", rectangle),
 )

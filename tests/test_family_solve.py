@@ -199,30 +199,11 @@ def test_import_neither_builds_nor_loads_the_lu_loop(fresh_import):
     assert lib.endswith(".so")
 
 
-# OpenBLAS kernels that x86 CPUs of four generations select
-BLAS_KERNELS = ("Prescott", "Sandybridge", "Haswell", "SkylakeX")
-
-
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS x86 core names")
-def test_family_bits_do_not_depend_on_the_blas_kernel(tmp_path):
-    # OPENBLAS_CORETYPE picks the kernels of an OpenBLAS built for several
-    # CPUs (and is ignored by others); a family solve calls no BLAS
-    code = "\n".join([
-        "import json, sys, numpy as np, fbq",
-        "from fbq.single import solve_speed_family",
-        "b = json.loads(sys.argv[1])",
-        "model = fbq.SingleServerModel(b['lam'], fbq.CoxianService(b['nu1'], b['nu2'], b['q']),",
-        "                              fbq.SpeedProfile((b['s0'], b['top']), alpha=b['alpha']))",
-        "inter = np.sort(np.random.default_rng(5).uniform(b['s0'], b['top'], (40, 2)), axis=1)",
-        "family = solve_speed_family(model, inter)",
-        "print(np.concatenate([family.boundary.ravel(), family.g0_at_1, family.L1, family.L2,",
-        "                      family.energy_rate]).tobytes().hex())",
-    ])
-    outs = set()
-    for core in BLAS_KERNELS:
-        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_CORETYPE=core)
-        outs.add(subprocess.run([sys.executable, "-c", code, json.dumps(PINS["bases"]["seed7"])], env=env,
-                                capture_output=True, text=True, check=True).stdout)
+def test_family_bits_do_not_depend_on_the_blas_kernel(blas_kernel_bits):
+    # one fresh interpreter per OpenBLAS kernel, shared with the pool test
+    # (conftest.blas_kernel_bits); a family solve calls no BLAS
+    outs = {bits["family"] for bits in blas_kernel_bits.values()}
     assert len(outs) == 1
 
 

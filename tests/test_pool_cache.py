@@ -20,9 +20,15 @@ search must give the zeros, counts and error messages of the Python search
 reference.isolate_roots on the pinned, seeded and scanned pools, and a
 search that stops early must raise its status.
 
-Each threshold is solved whole by the compiled loop fbq_pool_system, and
-the shared data comes from one call of the compiled fbq_pool_data, whose
-null vectors are twisted factorisations; no LAPACK call is made.  A failure
+The thresholds that a call still needs are solved whole, in order, by one
+call of the compiled loop fbq_pool_system, which writes one outcome row per
+threshold and stops at the first that fails; its rows, least pivots
+included, must equal those of reference.solve_rows in float.hex on every
+threshold of pool_bits' pools, and each threshold that a failing sweep
+leaves unsolved must carry reference.lockstep's least pivot when solved
+alone.  The shared data comes from one call of the compiled
+fbq_pool_data, whose null vectors are twisted factorisations; no LAPACK
+call is made.  A failure
 to build the shared data is the pool's: no threshold keeps it, and its
 message is the Python reference's, and so is the error of a boundary
 system that fails the first pass of the loop's row scaling (a zero row, a
@@ -30,10 +36,11 @@ NaN).  Every threshold of the seeded and pinned pools must agree, within
 the rounding of the two methods, with a solve that takes the null vectors
 from scipy.linalg.svd, the boundary solve from LAPACK's getrf and the
 Taylor cascade from scipy.linalg.lstsq, kept below, and fail where it
-fails.  Each threshold is filled and solved once per pool, and a kept
-failure is raised again with no fill and no solve.  The compiled loops and
-their references (reference.pool_data, pool_fill, lockstep, pool_taylor
-and cascade) must return the same solution bits or error on figure 8, a
+fails.  Each threshold is filled and solved once per pool, a sweep hands
+the loop only the thresholds it still needs, and a kept failure is raised
+again with no fill and no solve.  The compiled loops and their
+references (reference.pool_data, pool_fill, lockstep, pool_taylor, cascade
+and finish) must return the same solution bits or error on figure 8, a
 seeded threshold_sweep block, q = 0 and q = 1 pools, at every
 threshold.  Every threshold outcome of figure 8's family and the seeded
 pools must hash to the digests of data/pool_bits.json, which pool_bits.py
@@ -43,16 +50,15 @@ writes.
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import importlib.util
 import json
 import logging
 import math
-import os
 import pathlib
 import platform
 import random
 import re
-import subprocess
 import sys
 import types
 
@@ -64,7 +70,7 @@ from fbq import multi
 from fbq.ctmc import ctmc_solve
 from fbq.experiments import optimize_threshold
 from fbq.models import ModelError, MultiServerModel, SolverError, UnstableModelError
-from fbq.models import CostCoefficients, FrozenDict
+from fbq.models import CostCoefficients
 from fbq.multi import (
     POOL_CACHE_SIZE,
     _det_at,
@@ -153,19 +159,32 @@ def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
     assert calls == {"_data_compiled": 1, "kernel_root_pair_at_1": 1}
 
 
+def count_rows(monkeypatch):
+    """Wrap multi._pool_rows, which fills, solves and sums b, so that the
+    thresholds it solves, its rows, are counted."""
+    rows, original = [0], multi._pool_rows
+
+    def counted(*args):
+        out = original(*args)
+        rows[0] += len(out)
+        return out
+    monkeypatch.setattr(multi, "_pool_rows", counted)
+    return rows
+
+
 def test_a_kept_failure_is_raised_again_with_no_fill_and_no_solve(monkeypatch, solves):
-    calls = count_calls(monkeypatch, "_solve_one")   # which fills, solves and sums b
+    rows = count_rows(monkeypatch)
     model = MultiServerModel(**POOL)
     for K in (3, 0):
         solve_threshold(dataclasses.replace(model, threshold=K))
     sweep_thresholds(model)
-    assert (calls["_solve_one"], solves[0]) == (model.m, model.m)
+    assert (rows[0], solves[0]) == (model.m, model.m)
     pin = {k: v for k, v in PINS["failing_pool"].items() if k != "message"}
     for attempt in (1, 2):
         with pytest.raises(SolverError):
             sweep_thresholds(MultiServerModel(**pin))
         # the failure at K = 0 is kept, so the second attempt fills and solves nothing
-        assert (calls["_solve_one"], solves[0]) == (model.m + 1, model.m + 1)
+        assert (rows[0], solves[0]) == (model.m + 1, model.m + 1)
 
 
 def test_building_a_pool_logs_one_debug_line(caplog):
@@ -266,16 +285,18 @@ def test_cache_stays_bounded():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The number of boundary systems solved: calls of the compiled loop."""
-    calls = [0]
+    """The number of boundary systems solved: the rows that the compiled
+    loop writes, one per threshold it solves, which it returns."""
+    rows = [0]
     loops = KERNELS.compiled()
 
     def counted(*args):
-        calls[0] += 1
-        return loops.pool_system(*args)
+        done = loops.pool_system(*args)
+        rows[0] += done
+        return done
     stub = loops._replace(pool_system=counted)
     monkeypatch.setattr(KERNELS, "compiled", lambda: stub)
-    return calls
+    return rows
 
 
 def test_each_threshold_is_solved_once_per_pool(solves):
@@ -376,14 +397,15 @@ def zero_and_nan_nulls(null):
 
 
 def first_pass_errors(model, pool):
-    """The type and message that multi._solve_one and then
-    reference.solve_one raise at each threshold of the model on pool."""
-    loop, raised = KERNELS.compiled().pool_system, []
+    """The type and message that the outcome rows of multi._pool_rows and
+    then of reference.solve_rows raise at each threshold of the model on
+    pool."""
+    raised = []
     for K in range(model.m):
-        for solve in (lambda: multi._solve_one(model, K, pool, loop),
-                      lambda: reference.solve_one(model, K, pool)):
+        for solve_rows in (multi._pool_rows, reference.solve_rows):
             with pytest.raises((SolverError, ValueError)) as exc:
-                solve()
+                (x, row), = solve_rows(model, [K], pool)
+                multi._solution(model, K, x, row, pool)
             raised.append((type(exc.value), str(exc.value)))
     return raised
 
@@ -396,7 +418,7 @@ def first_pass_errors(model, pool):
 def test_a_boundary_system_that_fails_its_first_pass_raises_the_references_error(edit, error):
     # zeroed null vectors leave the system's m - 1 zero rows all zeros, and
     # a NaN in one makes its row non-finite, which takes precedence; the
-    # compiled loop's first pass must raise what reference.solve_one raises
+    # compiled loop's first pass must raise what reference.solve_one's row raises
     model = MultiServerModel(**POOL)
     assert first_pass_errors(model, edited_pool(model, edit)) == [error] * 2 * model.m
 
@@ -599,28 +621,25 @@ def test_twisted_null_vectors_agree_with_the_svd_ones():
     assert worst < 1e-13
 
 
-def reference_solve(model, K, pool, loop=None):
-    """multi._solve_one by LAPACK: the system of reference.pool_fill solved
-    by linsys.solve_probability_system (getrf and getrs), b from
-    reference.pool_taylor and the Taylor cascade of reference_finish."""
-    states = [(i, j) for i in range(model.m) for j in range(max(0, K - i), model.m - i)]
+def reference_solve(model, K, pool):
+    """reference.solve_one by LAPACK: the system of reference.pool_fill
+    solved by linsys.solve_probability_system (getrf and getrs), which
+    raises its errors and clamps, b from reference.pool_taylor, the Taylor
+    cascade by the minimum-norm solves of scipy.linalg.lstsq, and the rest
+    of the row by reference.finish."""
+    states = list(multi._states(model.m, K))
     x = LINSYS.solve_probability_system(*reference.pool_fill(model, K, pool, states)).tolist()
-    b = reference.pool_taylor(model, K, pool, states, x)
-    return reference_finish(model, K, FrozenDict(zip(states, x)), b, pool)
-
-
-def reference_finish(model, K, boundary, b, pool):
-    """multi._finish with the minimum-norm solves of scipy.linalg.lstsq."""
+    b0, b1, b2 = reference.pool_taylor(model, K, pool, states, x)
     _, _, tri, u, v, uA1v = reference.shared_parts(model.m, pool.data[1])
     a0, a1, a2 = (reference.dense(*t) for t in tri)
-    b0, b1, b2 = b
     p0 = scipy.linalg.lstsq(a0, b0)[0]
     c0 = (u @ b1 - u @ a1 @ p0) / uA1v
     g0 = p0 + c0 * v
     p1 = scipy.linalg.lstsq(a0, b1 - a1 @ g0)[0]
     c1 = (u @ b2 - u @ a2 @ g0 - u @ a1 @ p1) / uA1v
     check = [u @ b0, np.abs(b0).max() + np.abs(b1).max()]
-    return multi._finish(model, K, boundary, np.array([g0, p1 + c1 * v]), check, pool)
+    row = [0.0, -1.0, -1.0] + [0.0] * (multi._G + 3 * model.m - 3)
+    return x, reference.finish(model, K, pool, x, 0, np.array([g0, p1 + c1 * v]), check, row)
 
 
 def every_threshold(model):
@@ -643,7 +662,8 @@ def test_each_threshold_agrees_with_the_svd_and_lstsq_reference(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(multi, "_data_compiled", reference.pool_data)
             patch.setattr(reference, "null_vectors", svd_null_vectors)
-            patch.setattr(multi, "_solve_one", reference_solve)
+            patch.setattr(multi, "_pool_rows",
+                          functools.partial(reference.solve_rows, solve=reference_solve))
             expected = every_threshold(model)
         got = every_threshold(model)
         for K, (result, ref) in enumerate(zip(got, expected)):
@@ -740,6 +760,104 @@ def test_failing_thresholds_get_the_bits_of_the_reference_condition_estimate(mon
         assert cond.hex() == reference.condition(a).hex(), (model, K)
 
 
+def hex_list(values):
+    return [v.hex() for v in values]
+
+
+def assert_same_rows(got, want, where):
+    """(x, row) pairs of multi._pool_rows equal to those of
+    reference.solve_rows in float.hex; x is compared where the reference
+    solved the system."""
+    assert len(got) == len(want), where
+    for k, ((x, row), (x_ref, row_ref)) in enumerate(zip(got, want)):
+        assert hex_list(row) == hex_list(row_ref), (where, k)
+        assert x_ref is None or hex_list(x) == hex_list(x_ref), (where, k)
+
+
+def pinned_pools():
+    """The pools of threshold_sweep_pins.json, the failing one included."""
+    return {name: MultiServerModel(**{k: v for k, v in params.items() if k != "message"})
+            for name, params in {**PINS["pools"], "failing_pool": PINS["failing_pool"]}.items()}
+
+
+@pytest.fixture(scope="module")
+def sweep_rows():
+    """{name: (model, rows, reference rows)}: every threshold of each pool of
+    pool_bits and of the pinned pools handed to one call of multi._pool_rows
+    and of reference.solve_rows, each on a cold pool cache."""
+    out = {}
+    for name, model in {**pool_bits.pools(), **pinned_pools()}.items():
+        _pool_data.cache_clear()
+        every = list(range(model.m))
+        out[name] = model, multi._pool_rows(model, every, multi._pool(model)), \
+            reference.solve_rows(model, every, multi._pool(model))
+    _pool_data.cache_clear()
+    return out
+
+
+def test_one_call_per_sweep_gives_the_reference_rows_row_for_row(sweep_rows):
+    # the call stops at the first row that fails, as reference.solve_rows does
+    stopped = {}
+    for name, (model, rows, want) in sweep_rows.items():
+        assert_same_rows(rows, want, name)
+        if len(rows) < model.m:
+            stopped[name] = len(rows)
+    assert stopped == {"figure8_m16": 7, **{f"figure8_m{m}": 1 for m in range(17, 25)},
+                       **{f"seed26_m{m}": 1 for m in (18, 21, 24)}, "failing_pool": 1}
+
+
+def test_every_row_carries_the_least_pivot_of_the_reference_elimination(sweep_rows):
+    # the rows of a sweep carry reference.lockstep's least pivot (through
+    # reference.solve_one); each threshold that a failing sweep leaves
+    # unsolved is solved alone and read against reference.lockstep
+    names = [*pinned_pools(), *(f"seed26_m{model.m}" for model in seeded_pools())]
+    for name in names:
+        model, rows, want = sweep_rows[name]
+        assert [row[multi._PIVMIN].hex() for _, row in rows] == \
+            [row[multi._PIVMIN].hex() for _, row in want], name
+        pool = multi._pool(model)
+        for K in range(len(rows), model.m):
+            (_, row), = multi._pool_rows(model, [K], pool)
+            a, rhs = reference.pool_fill(model, K, pool, list(multi._states(model.m, K)))
+            _, _, pivmin, _ = reference.lockstep(a[None], rhs[None])
+            assert row[multi._PIVMIN].hex() == pivmin[0].hex(), (name, K)
+
+
+def test_sweeps_solve_only_the_thresholds_they_still_need_on_both_paths(monkeypatch, on_both_paths):
+    # a sweep after a solve of K = 3 mixes kept and new thresholds; a
+    # failing pool's sweep stops at its first failing threshold and leaves
+    # the later ones unsolved, and a repeat sweep solves nothing
+    pin = dict(PINS["failing_pool"])
+    message = pin.pop("message")
+    model, failing = MultiServerModel(**POOL), MultiServerModel(**pin)
+    solved, solution = [], multi._solution
+
+    def spy(model, K, *args):
+        solved.append((model.m, K))
+        return solution(model, K, *args)
+    monkeypatch.setattr(multi, "_solution", spy)
+
+    def run():
+        solved.clear()
+        cold = [solution_hex(sol) for sol in sweep_thresholds(model)]
+        _pool_data.cache_clear()
+        solve_threshold(dataclasses.replace(model, threshold=3))
+        mixed = [solution_hex(sol) for sol in sweep_thresholds(model)]
+        raised = []
+        for _ in range(2):
+            with pytest.raises(SolverError) as exc:
+                sweep_thresholds(failing)
+            raised.append(str(exc.value))
+        return cold, mixed, raised, list(solved), sorted(multi._pool(failing).solutions)
+
+    compiled, python = on_both_paths(run)
+    assert compiled == python
+    cold, mixed, raised, solved, kept = compiled
+    assert mixed == cold
+    assert solved == [(6, K) for K in (0, 1, 2, 3, 4, 5, 3, 0, 1, 2, 4, 5)] + [(20, 0)]
+    assert raised == [message] * 2 and kept == [0]
+
+
 def test_every_threshold_outcome_keeps_its_pinned_digest():
     pinned = json.loads(pool_bits.PINS.read_text())
     got = pool_bits.digests()
@@ -748,38 +866,9 @@ def test_every_threshold_outcome_keeps_its_pinned_digest():
     assert not moved, f"the outcomes of these pools moved: {', '.join(moved)}"
 
 
-# run in a fresh interpreter: every threshold of the pools in argv[1], each
-# solution's fields in float.hex or the error's message, hashed
-_SWEEP_HASH = """
-import dataclasses, hashlib, json, sys
-from fbq.models import MultiServerModel, SolverError
-from fbq.multi import sweep_thresholds
-out = []
-for spec in json.loads(sys.argv[1]):
-    model = MultiServerModel(**spec)
-    for K in range(model.m):
-        try:
-            sol = sweep_thresholds(model)[K]
-        except SolverError as exc:
-            out.append(str(exc))
-            break
-        out.append(repr([v.hex() if isinstance(v, float) else
-                         [x.hex() for x in (v.values() if isinstance(v, dict) else v)]
-                         if isinstance(v, (dict, tuple)) else v
-                         for v in dataclasses.astuple(sol)]))
-print(hashlib.sha256(repr(out).encode()).hexdigest(), len(out))
-"""
-
-
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS x86 core names")
-def test_pool_bits_do_not_depend_on_the_blas_kernel():
-    # OPENBLAS_CORETYPE picks the kernels of an OpenBLAS built for several
-    # CPUs (and is ignored by others); a pool solve calls no BLAS
-    from test_family_solve import BLAS_KERNELS, SRC
-    pools = [PINS["pools"]["figure8"]] + [dataclasses.asdict(model) for model in seeded_pools()]
-    outs = set()
-    for core in BLAS_KERNELS:
-        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_CORETYPE=core)
-        outs.add(subprocess.run([sys.executable, "-c", _SWEEP_HASH, json.dumps(pools)], env=env,
-                                capture_output=True, text=True, check=True).stdout)
+def test_pool_bits_do_not_depend_on_the_blas_kernel(blas_kernel_bits):
+    # one fresh interpreter per OpenBLAS kernel, shared with the family
+    # test (conftest.blas_kernel_bits); a pool solve calls no BLAS
+    outs = {tuple(bits["pools"]) for bits in blas_kernel_bits.values()}
     assert len(outs) == 1, outs
