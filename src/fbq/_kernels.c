@@ -21,20 +21,26 @@
  * fbq_speed_family solves a speed family of fbq.single from its layout and
  * the profiles' speed levels: it fills each tile of systems as
  * reference.family_stack builds them, in the same float operations, and
- * scales it, taking the first pass from the row maxima, and factors it by
- * Gaussian elimination with partial pivoting on tiles of LU_TILE systems in
- * lockstep (solve_tile), the system index innermost so that the row
- * updates vectorise.  Every tile fills all
- * LU_TILE lanes; a tile of fewer profiles, the last of a family or one
- * profile alone, holds copies of its first system in the rest.  The
- * elimination does the float operations of reference.lockstep, in their
- * order, so each system gets the same answer wherever it sits in the family,
- * and on any CPU, since no BLAS is called.  A family of 2 FAMILY_SHARE
- * profiles or more has its tiles claimed by several threads, started and
- * joined within the call (family_tiles), and their outcomes are merged into
- * the one-thread outcome; a system's float operations do not depend on the
- * thread that runs them, so the bits do not depend on the thread count.
- * The thread that solves a tile also finishes each profile (finish_system):
+ * lu_envelope, the one elimination of both exact solvers' boundary
+ * systems, scales it, taking the first pass from the row maxima, and
+ * factors it: Gaussian elimination with partial pivoting on row envelopes
+ * (Jennings, The Computer Journal 9, 1966) over the tile's systems in
+ * lockstep, the system index innermost so that the row updates vectorise,
+ * from the family's envelopes (family_envelopes), which its layout sets.
+ * A tile's rows share one envelope, the union over its lanes (George & Ng,
+ * SIAM J. Sci. Stat. Comput. 8, 1987, bound the fill that partial pivoting
+ * adds), and a solution with no zero pivot is the dense elimination's bit
+ * for bit.  Every tile fills all LU_TILE lanes; a tile of fewer profiles,
+ * the last of a family or one profile alone, holds copies of its first
+ * system in the rest.  The elimination does the float operations of
+ * reference.lockstep, in their order, so each system gets the same answer
+ * wherever it sits in the family, and on any CPU, since no BLAS is called.
+ * A family of 2 FAMILY_SHARE profiles or more has its tiles claimed by
+ * several threads, started and joined within the call (family_tiles), and
+ * their outcomes are merged into the one-thread outcome; a system's float
+ * operations do not depend on the thread that runs them, so the bits do
+ * not depend on the thread count.  The thread that solves a tile also
+ * finishes each profile (finish_system):
  * its level masses and row sums, then g0(1), L1, L2, L and the energy rate
  * by the mean-drift identities, from the power draws that numpy computes,
  * unclamped; after the join the calling thread finishes every profile
@@ -75,35 +81,34 @@
  * solves the thresholds that a call hands it, each whole and in order,
  * into one outcome row per threshold, and stops at the first row that
  * fails (reference.solve_rows).  It fills each boundary system
- * (reference.pool_fill) on its envelope, each row stored from its first to
- * its last nonzero column (Jennings, The Computer Journal 9, 1966): a
- * balance row spans its 3 to 5 neighbours, the m - 1 zero rows and the idle
- * row every column.  lu_envelope scales it there, taking the first pass
- * from the row maxima that it scales by, and factors it, visiting at each
- * column only the rows whose envelope reaches it, with the float
- * operations of the one-system elimination reference.factor in their
- * order, so the solution is the dense elimination's bit for bit.
- * Then it sums the Taylor vectors b0, b1, b2 of the z = 1 cascade from the
- * clamped solution in the order of the unknowns (reference.pool_taylor), and
- * runs the cascade on the bordered system [[A0, u], [v^T, 0]] with row sums
- * in its own order (reference.cascade), and sums the solution's L1, L2, U
- * and p in Python's float order (pool_finish, reference.finish); every
- * row books the least |pivot|.  A failed system's message gets
- * Hager's condition estimate (lu_condition, reference.condition) from the
- * same factors, its solves reading only the envelopes; lane_condition makes
- * that estimate for a failed speed-family profile's system, given whole.  The
- * bordered system and lane_condition's are factored by the same elimination
- * on full envelopes.  None of these calls BLAS or LAPACK, so a pool gives
+ * (reference.pool_fill) on its envelope: a balance row spans its 3 to 5
+ * neighbours, the m - 1 zero rows and the idle row every column.
+ * lu_system scales it there, taking the first pass from the row maxima that
+ * it scales by, and factors it, visiting at each column only the rows whose
+ * envelope reaches it, with the float operations of reference.lockstep on
+ * one system in their order.  Then it sums the Taylor vectors b0, b1, b2
+ * of the z = 1 cascade from the clamped solution in the order of the
+ * unknowns (reference.pool_taylor), and runs the cascade on the bordered
+ * system [[A0, u], [v^T, 0]], on its envelopes too, with row sums in its
+ * own order (reference.cascade), and sums the solution's L1, L2, U and p
+ * in Python's float order (pool_finish, reference.finish); every row
+ * books the least |pivot|.  A failed system's message gets Hager's
+ * condition estimate (lu_condition, reference.condition) from the same
+ * factors, its solves reading only the envelopes; lane_condition makes
+ * that estimate for a failed speed-family profile's system on the
+ * family's envelopes.  None of these calls BLAS or LAPACK, so a pool gives
  * the same bits on every CPU.
  *
  * The two hot batched loops, a speed family's tile loop (family_tiles) and
  * the generator's block (mt_block), are built as AVX-512F, AVX2 and
  * baseline clones (FBQ_CLONES), and the dynamic loader picks the one this
- * CPU runs, through an ifunc, when the library is loaded.  The helpers
- * they call are always inlined, so each clone carries its own copy of the
- * whole tile loop; a baseline function called from inside a wide clone
- * would also run its SSE code with the vector state dirty, which cost a
- * third of the family call when finish_system was one.  No output bit depends on the clone: -ffp-contract=off
+ * CPU runs, through an ifunc, when the library is loaded.  The tile loop's
+ * elimination, solve_tile, is cloned too, and each clone of family_tiles
+ * calls its own, so that its compiler copies build as functions apart; the
+ * other helpers they call that do float work are always inlined, since a
+ * baseline function called from inside a wide clone would run its SSE code
+ * with the vector state dirty, which cost a third of the family call when
+ * finish_system was one.  No output bit depends on the clone: -ffp-contract=off
  * forbids fused multiply-adds, GCC vectorises no floating-point reduction
  * without -fassociative-math, and each lane of a vector does the float
  * operations that its system or word gets alone.  Where the compiler or
@@ -301,7 +306,7 @@ void fbq_jump_chain(int64_t reps, int threads, uint32_t *mt, const double *inv, 
     free(id);
 }
 
-enum { LU_TILE = 8 };   /* systems per tile of the lockstep LU */
+enum { LU_TILE = 8 };   /* systems per tile of a speed family's elimination */
 
 /* Books system k, with smallest |pivot| least and solution xk, in pivmin[k]
  * and summary: the first system whose least is below pivot_tol, the
@@ -323,119 +328,16 @@ static inline __attribute__((always_inline)) void note_system(int64_t k, int n, 
     }
 }
 
-/* dst[s] -= a[s] b[s] over the LU_TILE lanes of a tile row; restrict tells
- * the compiler that dst overlaps neither a nor b, so the loop vectorises. */
-static inline void sub_products(double *restrict dst, const double *restrict a,
-                                const double *restrict b)
-{
-    for (int s = 0; s < LU_TILE; s++)
-        dst[s] -= a[s] * b[s];
-}
-
-/* Row scaling, Gaussian elimination with partial pivoting and back
- * substitution on the LU_TILE systems of a tile in lockstep, as
- * reference.lockstep does them over a whole stack.  Entry (r, c) of system
- * s is t[(r n + c) LU_TILE + s] and its right-hand side y[r LU_TILE + s],
- * so each loop over the systems runs innermost; each system gets the
- * operations it would get alone, in the same order.  Each row and its y
- * are divided by the row's largest |t_rc|.  The loop that takes it makes
- * the first pass too: before any elimination, lu_tile returns 1 if an
- * entry or right-hand side is not finite (flagged apart from the largest
- * |t_rc|, which skips a NaN), else 2 if a row's largest |t_rc| is 0.  Then
- * for each column j the pivot is the first largest |t_rj|, r >= j (a NaN
- * counts as largest, as numpy's argmax has it), rows r and j swap, and
- * each row r > j loses l = t_rj / t_jj times row j (l = t_rj / 1 when the
- * pivot is 0, since then t_rj is 0 too), and so does its y; l is left in
- * place of t_rj, which no later step reads.  Then, for j from n - 1 down,
- * y_j /= t_jj and each y_r, r < j, loses t_rj y_j.  y ends as the
- * solution, least[s] as the smallest |pivot| (NaN if one is NaN), and 0
- * is returned. */
-static inline __attribute__((always_inline)) int lu_tile(int n, double *t, double *y, double *least)
-{
-    double big[LU_TILE], piv[LU_TILE], l[LU_TILE];
-    int64_t row[LU_TILE], bad = 0, zero_row = 0;
-    for (int r = 0; r < n; r++) {
-        double *tr = t + r * n * LU_TILE;
-        for (int s = 0; s < LU_TILE; s++)
-            big[s] = 0.0;
-        for (int c = 0; c < n; c++) {
-            for (int s = 0; s < LU_TILE; s++) {
-                double v = fabs(tr[c * LU_TILE + s]);
-                big[s] = v > big[s] ? v : big[s];
-                bad |= !(v <= DBL_MAX);
-            }
-        }
-        for (int s = 0; s < LU_TILE; s++) {
-            bad |= !(fabs(y[r * LU_TILE + s]) <= DBL_MAX);
-            zero_row |= big[s] == 0.0;
-        }
-        for (int c = 0; c < n; c++)
-            for (int s = 0; s < LU_TILE; s++)
-                tr[c * LU_TILE + s] /= big[s];
-        for (int s = 0; s < LU_TILE; s++)
-            y[r * LU_TILE + s] /= big[s];
-    }
-    if (bad || zero_row)
-        return bad ? 1 : 2;
-    for (int j = 0; j < n; j++) {
-        double *top = t + j * n * LU_TILE;
-        for (int s = 0; s < LU_TILE; s++) {
-            big[s] = fabs(top[j * LU_TILE + s]);
-            row[s] = j;
-        }
-        for (int r = j + 1; r < n; r++) {
-            for (int s = 0; s < LU_TILE; s++) {
-                double v = fabs(t[(r * n + j) * LU_TILE + s]);
-                int take = big[s] == big[s] && !(v <= big[s]);
-                big[s] = take ? v : big[s];
-                row[s] = take ? r : row[s];
-            }
-        }
-        for (int s = 0; s < LU_TILE; s++) {
-            int64_t p = row[s];
-            if (p == j)
-                continue;
-            for (int c = j; c < n; c++) {
-                double v = top[c * LU_TILE + s];
-                top[c * LU_TILE + s] = t[(p * n + c) * LU_TILE + s];
-                t[(p * n + c) * LU_TILE + s] = v;
-            }
-            double v = y[j * LU_TILE + s];
-            y[j * LU_TILE + s] = y[p * LU_TILE + s];
-            y[p * LU_TILE + s] = v;
-        }
-        for (int s = 0; s < LU_TILE; s++) {
-            least[s] = j == 0 || big[s] < least[s] || big[s] != big[s] ? big[s] : least[s];
-            piv[s] = top[j * LU_TILE + s] == 0.0 ? 1.0 : top[j * LU_TILE + s];
-        }
-        for (int r = j + 1; r < n; r++) {
-            double *tr = t + r * n * LU_TILE;
-            for (int s = 0; s < LU_TILE; s++) {
-                l[s] = tr[j * LU_TILE + s] / piv[s];
-                tr[j * LU_TILE + s] = l[s];
-            }
-            for (int c = j + 1; c < n; c++)
-                sub_products(tr + c * LU_TILE, l, top + c * LU_TILE);
-            sub_products(y + r * LU_TILE, l, y + j * LU_TILE);
-        }
-    }
-    for (int j = n - 1; j >= 0; j--) {
-        for (int s = 0; s < LU_TILE; s++)
-            y[j * LU_TILE + s] /= t[(j * n + j) * LU_TILE + s];
-        for (int r = 0; r < j; r++)
-            sub_products(y + r * LU_TILE, t + (r * n + j) * LU_TILE, y + j * LU_TILE);
-    }
-    return 0;
-}
-
-/* One n x n system stored on its envelope (Jennings, The Computer Journal
- * 9, 1966): t is row-major, and row r holds its columns first[r] ..
- * last[r]; every entry outside them is 0 and its cell is never read.
- * lu_envelope factors it in place and keeps what the later solves need
- * (lu_solve, lu_solve_transposed): each row's scale, the pivot row of each
- * column, the infinity norm of the row-scaled system, and the rows of L's
- * column j, rows[col[j]] .. rows[col[j + 1] - 1] in increasing order.
- * start, order and active are its work. */
+/* A tile of `lanes` n x n systems on its row envelopes: entry (r, c) of
+ * lane s is t[(r n + c) lanes + s] and its right-hand side y[r lanes + s],
+ * and row r holds columns first[r] .. last[r] in every lane.  Every entry
+ * outside them is 0; on one lane, one system, its cell is never read, and
+ * a tile of more lanes, whose cells are all written, holds 0 there.
+ * lu_envelope factors it in place and keeps what the later solves of one
+ * system need (lu_solve, lu_solve_transposed): each row's scale, the pivot
+ * row of each column, the infinity norm of the row-scaled system, and the
+ * rows of L's column j, rows[col[j]] .. rows[col[j + 1] - 1] in increasing
+ * order.  start, order and active are its work. */
 struct envelope {
     int n;
     double *t, *scale, norm;
@@ -443,22 +345,24 @@ struct envelope {
     int *first, *last, *col, *rows, *start, *order, *active;
 };
 
-/* The bytes of work that env_init takes for an n x n system, t apart. */
-static size_t env_bytes(int64_t n)
+/* The bytes of work that env_init takes for a tile of `lanes` n x n
+ * systems, t apart: a multiple of 8. */
+static size_t env_bytes(int64_t n, int lanes)
 {
     size_t ints = 6 * (size_t)n + 2 + (size_t)n * (size_t)(n - 1) / 2;
-    return (sizeof(double) + sizeof(int64_t)) * (size_t)n + sizeof(int) * ints;
+    return (sizeof(double) + sizeof(int64_t)) * (size_t)(n * lanes) + sizeof(int) * (ints + ints % 2);
 }
 
-/* The envelope of the n x n system t on env_bytes(n) bytes of work, which
+/* The envelope of the tile t on env_bytes(n, lanes) bytes of work, which
  * start 8-byte aligned. */
-static void env_init(struct envelope *e, int n, double *t, void *work)
+static inline __attribute__((always_inline)) void env_init(struct envelope *e, int n, int lanes,
+                                                           double *t, void *work)
 {
     e->n = n;
     e->t = t;
     e->scale = work;
-    e->perm = (int64_t *)(e->scale + n);
-    e->first = (int *)(e->perm + n);
+    e->perm = (int64_t *)(e->scale + n * lanes);
+    e->first = (int *)(e->perm + n * lanes);
     e->last = e->first + n;
     e->col = e->last + n;
     e->start = e->col + n + 1;
@@ -467,44 +371,30 @@ static void env_init(struct envelope *e, int n, double *t, void *work)
     e->rows = e->active + n;
 }
 
-/* Every row's envelope is the whole row. */
-static void env_full(struct envelope *e)
-{
-    for (int r = 0; r < e->n; r++) {
-        e->first[r] = 0;
-        e->last[r] = e->n - 1;
-    }
-}
-
-/* Rows t1 and t2 lose l1 and l2 times the pivot row top over columns from
- * .. end - 1, each cell as lu_tile's row update does it; two rows at a time
- * share the loads of top and the loop's overhead. */
-static inline void eliminate_two(int from, int end, double *restrict t1, double l1,
-                                 double *restrict t2, double l2, const double *restrict top)
-{
-    for (int c = from; c < end; c++) {
-        t1[c] -= l1 * top[c];
-        t2[c] -= l2 * top[c];
-    }
-}
-
-/* eliminate_two for one row. */
-static inline void eliminate_row(int from, int end, double *restrict tr, double l,
-                                 const double *restrict top)
-{
-    for (int c = from; c < end; c++)
-        tr[c] -= l * top[c];
-}
-
 /* The rows of column j's elimination step, which become L's column j:
  * rows[col[j]] .. rows[col[j + 1] - 1], the rows below j whose envelope
  * reaches j, in row order.  They are the rows of column j - 1's step that
  * still reach j, and each row whose envelope starts at j, put in its
  * place.  A row whose envelope ends before j holds only zeros from j on,
- * and no later step reaches it again. */
+ * and no later step reaches it again.  Integer work alone, so it is built
+ * once and called from every clone. */
 static void step_rows(struct envelope *e, int j)
 {
-    int *rows = e->rows, *col = e->col, k = col[j];
+    int *rows = e->rows, *col = e->col, *start = e->start, n = e->n;
+    if (j == 0) {   /* order[start[c] .. start[c + 1] - 1]: the rows whose envelope starts at c */
+        for (int c = 0; c <= n; c++)
+            start[c] = 0;
+        for (int r = 0; r < n; r++)
+            start[e->first[r] + 1]++;
+        for (int c = 0; c < n; c++)
+            start[c + 1] += start[c];
+        for (int r = 0; r < n; r++)
+            e->order[start[e->first[r]]++] = r;
+        for (int c = n; c > 0; c--)
+            start[c] = start[c - 1];
+        start[0] = col[0] = 0;
+    }
+    int k = col[j];
     for (int a = j ? col[j - 1] : 0; a < col[j]; a++)
         if (rows[a] > j && e->last[rows[a]] >= j)
             rows[k++] = rows[a];
@@ -520,143 +410,220 @@ static void step_rows(struct envelope *e, int j)
     col[j + 1] = k;
 }
 
-/* Rows j and p swap their cells from column j on, a cell past a row's
- * envelope read as 0, and their last columns; y_j and y_p swap too. */
-static void swap_rows(struct envelope *e, int j, int p, double *y)
+/* Rows t1 and t2 lose their multipliers l1 and l2 times the pivot row top
+ * over columns from .. end - 1 in each lane, each cell as the dense
+ * elimination updates it; two rows at a time share the loads of top. */
+static inline __attribute__((always_inline)) void eliminate_two(int from, int end, int lanes,
+                                                                double *restrict t1,
+                                                                const double *restrict l1,
+                                                                double *restrict t2,
+                                                                const double *restrict l2,
+                                                                const double *restrict top)
 {
-    double *tj = e->t + (int64_t)j * e->n, *tp = e->t + (int64_t)p * e->n;
-    int lj = e->last[j], lp = e->last[p];
-    for (int c = j; c <= (lj > lp ? lj : lp); c++) {
-        double v = c <= lj ? tj[c] : 0.0;
-        tj[c] = c <= lp ? tp[c] : 0.0;
-        tp[c] = v;
+    for (int c = from; c < end; c++) {
+        for (int s = 0; s < lanes; s++) {
+            t1[c * lanes + s] -= l1[s] * top[c * lanes + s];
+            t2[c * lanes + s] -= l2[s] * top[c * lanes + s];
+        }
     }
-    e->last[j] = lp;
-    e->last[p] = lj;
-    double v = y[j];
-    y[j] = y[p];
-    y[p] = v;
+}
+
+/* eliminate_two for one row. */
+static inline __attribute__((always_inline)) void eliminate_row(int from, int end, int lanes,
+                                                                double *restrict tr,
+                                                                const double *restrict l,
+                                                                const double *restrict top)
+{
+    for (int c = from; c < end; c++)
+        for (int s = 0; s < lanes; s++)
+            tr[c * lanes + s] -= l[s] * top[c * lanes + s];
+}
+
+/* In each lane s whose pivot row p[s] is not j, rows j and p[s] swap their
+ * cells from column j on, a cell past a row's envelope read as 0 (a tile
+ * holds 0 there), and their y too.  On one lane the two rows then swap
+ * their last columns; on a tile a swap in any lane widens both rows to the
+ * later of the two, so that each row's envelope holds it in every lane. */
+static inline __attribute__((always_inline)) void swap_rows(struct envelope *e, int lanes, int j,
+                                                            const int64_t *p, double *restrict y)
+{
+    int n = e->n, *last = e->last, lj = last[j], wide = lj;
+    for (int s = 0; s < lanes; s++) {
+        int64_t q = p[s];
+        if (q == j)
+            continue;
+        int lp = last[q];
+        double *restrict tj = e->t + (int64_t)j * n * lanes + s, *restrict tp = e->t + q * n * lanes + s;
+        for (int c = j; c <= (lj > lp ? lj : lp); c++) {
+            double v = lanes > 1 || c <= lj ? tj[c * lanes] : 0.0;
+            tj[c * lanes] = lanes > 1 || c <= lp ? tp[c * lanes] : 0.0;
+            tp[c * lanes] = v;
+        }
+        double v = y[j * lanes + s];
+        y[j * lanes + s] = y[q * lanes + s];
+        y[q * lanes + s] = v;
+        last[q] = lanes == 1 || lj > lp ? lj : lp;
+        wide = lanes == 1 || lp > wide ? lp : wide;
+    }
+    last[j] = wide;
 }
 
 /* U x = y for the U that lu_envelope leaves in e, y overwritten by x, row
  * by row from the last: each y_r loses t_rc y_c for c from the row's last
- * column down to r + 1 and is then divided by t_rr, which are lu_tile's
- * operations on y_r in its order. */
-static void back_substitute(const struct envelope *e, double *y)
+ * column down to r + 1 and is then divided by t_rr, which are the dense
+ * elimination's operations on y_r in its order. */
+static inline __attribute__((always_inline)) void back_substitute(const struct envelope *e, int lanes,
+                                                                  double *restrict y)
 {
     for (int r = e->n - 1; r >= 0; r--) {
-        const double *tr = e->t + (int64_t)r * e->n;
-        double v = y[r];
+        const double *tr = e->t + (int64_t)r * e->n * lanes;
+        double v[LU_TILE];
+        for (int s = 0; s < lanes; s++)
+            v[s] = y[r * lanes + s];
         for (int c = e->last[r]; c > r; c--)
-            v -= tr[c] * y[c];
-        y[r] = v / tr[r];
+            for (int s = 0; s < lanes; s++)
+                v[s] -= tr[c * lanes + s] * y[c * lanes + s];
+        for (int s = 0; s < lanes; s++)
+            y[r * lanes + s] = v[s] / tr[r * lanes + s];
     }
 }
 
-/* The elimination of reference.factor on the envelope e: every float
- * operation that it does on a cell that may hold a nonzero, in its order,
- * so that the solution in y, the least |pivot|, the row scales, the pivot
- * rows and the norm are reference.factor's bit for bit, and the solution
- * and least |pivot| those of one lane of lu_tile, whose operations
- * reference.factor does on one system.  A row whose l is 0 and the zero
- * tail of the pivot row are skipped: with |l| <= 1 and finite entries the
- * skipped products are zeros, so a skip can change the sign of a zero cell
- * but no other value.  Each row is scaled over its envelope.  Column j's
- * step visits only the rows of step_rows, for the pivot too; the pivot row
- * is first widened to column j with zeros, and a swap (swap_rows)
- * exchanges the two rows from column j on.  Each row's l is taken, and
- * where it is not 0 the row's envelope grows, its new cells zeroed, as far
- * as the pivot row's fill reaches, and its y is updated; then the rows are
- * updated two at a time.  back_substitute ends the solve.  The scaling loop
- * makes lu_tile's first pass over the envelopes and returns its status, 1
- * or 2, before the first elimination step; else 0 is returned. */
-static int lu_envelope(struct envelope *e, double *y, double *least)
+/* The elimination of reference.lockstep on the tile e of `lanes` systems
+ * (1 or LU_TILE, a constant where it is inlined), each lane's own: each
+ * row and its y are divided by the row's largest |t_rc| in that lane;
+ * then for each column j the pivot is the first largest |t_rj|, r >= j (a
+ * NaN counts as largest, as numpy's argmax has it), rows r and j swap from
+ * column j on, and each row r > j loses l = t_rj / t_jj times row j (l =
+ * t_rj / 1 when the pivot is 0, since then t_rj is 0 too), and so does
+ * its y; l is kept in place of t_rj.  Back substitution ends the solve, y
+ * ends as the solution and least[s] as the smallest |pivot| of lane s
+ * (NaN if one is NaN).  Each float operation on a cell that may hold a
+ * nonzero is done in that order, on the envelopes: column j's step visits
+ * only the rows of step_rows, for the pivot too, once the pivot row is
+ * widened to column j with zeros.  A row whose l is 0 in every lane and
+ * the pivot row's tail that is 0 in every lane are skipped: with |l| <= 1
+ * and finite entries the skipped products are zeros, which can flip only
+ * the sign of a zero cell of the factors.  Each other row's envelope grows
+ * as far as the pivot row's fill reaches, a system's new cells zeroed;
+ * then the rows are updated two at a time.  The scaling loop makes the
+ * first pass: before any elimination step, 1 is returned if an entry or
+ * right-hand side is not finite (flagged apart from the largest |t_rc|,
+ * which skips a NaN), else 2 if a row's largest |t_rc| is 0 in some lane;
+ * else 0.  On one lane the row scales, the pivot rows and the norm are
+ * kept for lu_solve and lu_condition. */
+static inline __attribute__((always_inline)) int lu_envelope(struct envelope *e, int lanes,
+                                                             double *restrict y, double *least)
 {
-    int n = e->n, *first = e->first, *last = e->last, *start = e->start, *active = e->active;
-    int bad = 0, zero_row = 0;
-    double *t = e->t;
+    int n = e->n, *first = e->first, *last = e->last, *active = e->active;
+    int64_t seen[LU_TILE];   /* each lane's first pass: 1 for a non-finite value, 2 for a zero row */
+    double *t = e->t, big[LU_TILE], piv[LU_TILE], yj[LU_TILE];
+    int64_t p[LU_TILE];
     e->norm = 0.0;
+    for (int s = 0; s < lanes; s++)
+        seen[s] = 0;
     for (int r = 0; r < n; r++) {
-        double *tr = t + (int64_t)r * n, big = 0.0, sum = 0.0;
+        double *tr = t + (int64_t)r * n * lanes, sum = 0.0;
+        for (int s = 0; s < lanes; s++)
+            big[s] = 0.0;
         for (int c = first[r]; c <= last[r]; c++) {
-            big = fabs(tr[c]) > big ? fabs(tr[c]) : big;
-            bad |= !(fabs(tr[c]) <= DBL_MAX);
+            for (int s = 0; s < lanes; s++) {
+                double v = fabs(tr[c * lanes + s]);
+                big[s] = v > big[s] ? v : big[s];
+                seen[s] |= !(v <= DBL_MAX);
+            }
         }
-        bad |= !(fabs(y[r]) <= DBL_MAX);
-        zero_row |= big == 0.0;
-        for (int c = first[r]; c <= last[r]; c++)
-            tr[c] /= big;
-        y[r] /= big;
-        for (int c = first[r]; c <= last[r]; c++)
-            sum += fabs(tr[c]);
-        e->scale[r] = big;
+        for (int s = 0; s < lanes; s++) {
+            seen[s] |= !(fabs(y[r * lanes + s]) <= DBL_MAX);
+            seen[s] |= (big[s] == 0.0) << 1;
+        }
+        for (int c = first[r]; c <= last[r]; c++) {
+            for (int s = 0; s < lanes; s++)
+                tr[c * lanes + s] /= big[s];
+            if (lanes == 1)
+                sum += fabs(tr[c]);
+        }
+        for (int s = 0; s < lanes; s++) {
+            y[r * lanes + s] /= big[s];
+            e->scale[r * lanes + s] = big[s];
+        }
         e->norm = sum > e->norm ? sum : e->norm;
     }
-    if (bad || zero_row)
-        return bad ? 1 : 2;
-    /* order[start[c] .. start[c + 1] - 1]: the rows whose envelope starts at c */
-    for (int c = 0; c <= n; c++)
-        start[c] = 0;
-    for (int r = 0; r < n; r++)
-        start[first[r] + 1]++;
-    for (int c = 0; c < n; c++)
-        start[c + 1] += start[c];
-    for (int r = 0; r < n; r++)
-        e->order[start[first[r]]++] = r;
-    for (int c = n; c > 0; c--)
-        start[c] = start[c - 1];
-    start[0] = 0;
-    e->col[0] = 0;
+    for (int s = 1; s < lanes; s++)
+        seen[0] |= seen[s];
+    if (seen[0])
+        return seen[0] & 1 ? 1 : 2;
     for (int j = 0; j < n; j++) {
-        double *top = t + (int64_t)j * n;
+        double *top = t + (int64_t)j * n * lanes;
         step_rows(e, j);
-        for (int c = j; c < first[j]; c++)
-            top[c] = 0.0;
-        for (int c = last[j] + 1; c <= j; c++)
-            top[c] = 0.0;
+        int *rows = e->rows + e->col[j], step = e->col[j + 1] - e->col[j];
+        /* the pivot row widened to column j: at most one of these spans holds a column */
+        for (int c = first[j] > j ? j : last[j] + 1; c < first[j] || (c > last[j] && c <= j); c++)
+            for (int s = 0; s < lanes; s++)
+                top[c * lanes + s] = 0.0;
         first[j] = first[j] < j ? first[j] : j;
         last[j] = last[j] > j ? last[j] : j;
-        double big = fabs(top[j]);
-        int p = j;
-        for (int i = e->col[j]; i < e->col[j + 1]; i++) {
-            double v = fabs(t[(int64_t)e->rows[i] * n + j]);
-            int take = big == big && !(v <= big);
-            big = take ? v : big;
-            p = take ? e->rows[i] : p;
+        for (int s = 0; s < lanes; s++) {
+            big[s] = fabs(top[j * lanes + s]);
+            p[s] = j;
         }
-        if (p != j)
-            swap_rows(e, j, p, y);
-        e->perm[j] = p;
-        *least = j == 0 || big < *least || big != big ? big : *least;
-        double piv = top[j] == 0.0 ? 1.0 : top[j];
+        for (int i = 0; i < step; i++) {
+            const double *tr = t + ((int64_t)rows[i] * n + j) * lanes;
+            for (int s = 0; s < lanes; s++) {
+                double v = fabs(tr[s]);
+                int take = big[s] == big[s] && !(v <= big[s]);
+                big[s] = take ? v : big[s];
+                p[s] = take ? rows[i] : p[s];
+            }
+        }
+        swap_rows(e, lanes, j, p, y);
+        for (int s = 0; s < lanes; s++) {
+            yj[s] = y[j * lanes + s];
+            e->perm[j * lanes + s] = p[s];
+            least[s] = j == 0 || big[s] < least[s] || big[s] != big[s] ? big[s] : least[s];
+            piv[s] = top[j * lanes + s] == 0.0 ? 1.0 : top[j * lanes + s];
+        }
         int end = last[j] + 1, used = 0;
-        while (end > j + 1 && top[end - 1] == 0.0)
-            end--;
-        for (int i = e->col[j]; i < e->col[j + 1]; i++) {
-            int r = e->rows[i];
-            double *tr = t + (int64_t)r * n;
-            tr[j] /= piv;
-            if (tr[j] == 0.0)
+        for (int64_t zero = 1; zero && end > j + 1; end -= zero)   /* the tail that is 0 in every lane */
+            for (int s = 0; s < lanes; s++)
+                zero &= top[(end - 1) * lanes + s] == 0.0;
+        for (int i = 0; i < step; i++) {
+            int r = rows[i];
+            int64_t live = 0;
+            double *tr = t + (int64_t)r * n * lanes;
+            for (int s = 0; s < lanes; s++) {
+                tr[j * lanes + s] /= piv[s];
+                live |= tr[j * lanes + s] != 0.0;
+            }
+            if (!live)
                 continue;
-            for (int c = last[r] + 1; c < end; c++)
+            for (int c = last[r] + 1; lanes == 1 && c < end; c++)
                 tr[c] = 0.0;
             last[r] = last[r] > end - 1 ? last[r] : end - 1;
-            y[r] -= tr[j] * y[j];
+            for (int s = 0; s < lanes; s++)
+                y[r * lanes + s] -= tr[j * lanes + s] * yj[s];
             active[used++] = r;
         }
-        int i = 0;
-        for (; i + 1 < used; i += 2) {
-            double *t1 = t + (int64_t)active[i] * n, *t2 = t + (int64_t)active[i + 1] * n;
-            eliminate_two(j + 1, end, t1, t1[j], t2, t2[j], top);
+        for (int i = 0; i + 1 < used; i += 2) {
+            double *t1 = t + (int64_t)active[i] * n * lanes;
+            double *t2 = t + (int64_t)active[i + 1] * n * lanes;
+            eliminate_two(j + 1, end, lanes, t1, t1 + j * lanes, t2, t2 + j * lanes, top);
         }
-        if (i < used)
-            eliminate_row(j + 1, end, t + (int64_t)active[i] * n, t[(int64_t)active[i] * n + j], top);
+        if (used % 2) {
+            double *t1 = t + (int64_t)active[used - 1] * n * lanes;
+            eliminate_row(j + 1, end, lanes, t1, t1 + j * lanes, top);
+        }
     }
-    back_substitute(e, y);
+    back_substitute(e, lanes, y);
     return 0;
 }
 
-/* S x = y for the row-scaled system S that lu_envelope factored into e, y
+/* lu_envelope on one system: the pool loop's, its cascade's, lane_condition's. */
+static int lu_system(struct envelope *e, double *y, double *least)
+{
+    return lu_envelope(e, 1, y, least);
+}
+
+/* S x = y for the row-scaled system S that lu_system factored into e, y
  * overwritten by x: the elimination's steps on y, then back_substitute,
  * each as lu_envelope does them (y is not row-scaled here). */
 static void lu_solve(const struct envelope *e, double *y)
@@ -674,21 +641,21 @@ static void lu_solve(const struct envelope *e, double *y)
                 y[r] -= t[(int64_t)r * n + j] * y[j];
         }
     }
-    back_substitute(e, y);
+    back_substitute(e, 1, y);
 }
 
 /* S^T x = y for the S of lu_solve, y overwritten by x: U^T, column by
  * column, then the transposes of the elimination's steps in reverse, each
  * a sum over the rows of L's column in turn. */
-static void lu_solve_transposed(const struct envelope *e, double *y)
+static void lu_solve_transposed(const struct envelope *e, double *restrict y)
 {
     int n = e->n;
     const double *t = e->t;
     for (int j = 0; j < n; j++) {
         const double *tj = t + (int64_t)j * n;
-        y[j] /= tj[j];
+        double v = y[j] /= tj[j];
         for (int c = j + 1; c <= e->last[j]; c++)
-            y[c] -= tj[c] * y[j];
+            y[c] -= tj[c] * v;
     }
     for (int j = n - 1; j >= 0; j--) {
         double v = y[j];
@@ -731,7 +698,7 @@ static int take_signs(int n, double *x, double *xi)
 }
 
 /* The infinity-norm condition number of the row-scaled system S that
- * lu_envelope factored into e, estimated as norm ||S^-T||_1 by Hager's
+ * lu_system factored into e, estimated as norm ||S^-T||_1 by Hager's
  * method as LAPACK's dlacn2 runs it (Higham, ACM TOMS 14, 1988): at most
  * five steps from x = (1/n, ..., 1/n), then the alternating-sign vector's
  * estimate if larger.  Solves with S^-T are lu_solve_transposed, with S^-1
@@ -777,52 +744,6 @@ static double lu_condition(const struct envelope *e, double *x, double *xi)
     return cond < INFINITY ? cond : INFINITY;
 }
 
-/* The condition estimate of lu_condition for the n x n system in lane 0
- * of the tile t, copied out row-major and then scaled and factored by
- * lu_envelope on full envelopes: the estimate that fbq.linsys quotes in
- * the message of a failed family profile.  That system passed its tile's
- * first pass, so lu_envelope's status is 0.  Returns -1 if the work cannot
- * be allocated. */
-static double lane_condition(int n, const double *t)
-{
-    double *a = malloc(sizeof(double) * (n * n + 3 * n) + env_bytes(n)), least = 0.0;
-    if (!a)
-        return -1.0;
-    double *work = a + n * n;
-    for (int i = 0; i < n * n; i++)
-        a[i] = t[i * LU_TILE];
-    struct envelope e;
-    env_init(&e, n, a, work + 3 * n);
-    env_full(&e);
-    for (int i = 0; i < n; i++)
-        work[i] = 0.0;
-    lu_envelope(&e, work, &least);
-    double cond = lu_condition(&e, work + n, work + 2 * n);
-    free(a);
-    return cond;
-}
-
-/* The tile core of fbq_speed_family: lu_tile on the tile (t, y) of the
- * `used` systems k0, k0 + 1, ..., the lanes past `used` holding copies of
- * the first, whose results are dropped; unless lu_tile returns a first-pass
- * status, which solve_tile returns, each solution goes to x[k] and is
- * booked by note_system. */
-static inline __attribute__((always_inline)) int solve_tile(int n, int used, int64_t k0, double *t,
-                                                            double *y, double pivot_tol,
-                                                            double neg_tol, double *x,
-                                                            double *pivmin, int64_t *summary)
-{
-    double least[LU_TILE];
-    int status = lu_tile(n, t, y, least);
-    for (int s = 0; s < used && !status; s++) {
-        double *xk = x + (k0 + s) * n;
-        for (int r = 0; r < n; r++)
-            xk[r] = y[r * LU_TILE + s];
-        note_system(k0 + s, n, least[s], xk, pivot_tol, neg_tol, pivmin, summary);
-    }
-    return status;
-}
-
 /* The layout of a speed family of fbq.single: K levels and n = (K + 1)(K +
  * 2) / 2 unknowns pi_{i,t-i}, ordered by level t, then by i, the first m =
  * K (K + 1) / 2 of them below level K.  Balance entry e of the profile
@@ -839,7 +760,73 @@ struct family {
     const int64_t *at;
     const double *coef, *shared;
     double work, rho1, rho2, q;
+    int *env;   /* row r's envelope env[r] .. env[n + r], for every tile (family_envelopes) */
 };
+
+/* The envelopes of the family f's systems, from its layout alone: a
+ * balance row spans the columns of its entries, a Maclaurin row those of
+ * its nonzero values, and the work row the m unknowns below level K. */
+static void family_envelopes(const struct family *f)
+{
+    int n = f->n, *first = f->env, *last = f->env + n;
+    for (int r = 0; r < n; r++) {
+        first[r] = r < n - 1 ? n : 0;
+        last[r] = r < n - 1 ? -1 : f->m - 1;
+    }
+    for (int64_t i = 0; i < f->entries + (int64_t)f->K * n; i++) {   /* entries, then shared */
+        int64_t k = i - f->entries, r = k < 0 ? f->at[3 * i] : f->m + k / n;
+        int64_t c = k < 0 ? f->at[3 * i + 1] : k % n;
+        if (k < 0 || f->shared[k] != 0.0) {
+            first[r] = c < first[r] ? (int)c : first[r];
+            last[r] = c > last[r] ? (int)c : last[r];
+        }
+    }
+}
+
+/* The lu_condition estimate that fbq.linsys quotes for a failed family
+ * profile, the system in lane 0 of the family f's tile t: copied to the
+ * tile's head row-major, each cell read before one is written over it, it
+ * is factored there by lu_system on the family's envelopes, the rest of
+ * the tile its work (it passed its tile's first pass: the status is 0). */
+static double lane_condition(const struct family *f, double *t)
+{
+    int n = f->n;
+    double least = 0.0, *work = t + n * n;
+    for (int i = 0; i < n * n; i++)
+        t[i] = t[i * LU_TILE];
+    struct envelope e;
+    env_init(&e, n, 1, t, work + 3 * n);
+    for (int i = 0; i < 2 * n; i++)   /* e.last follows e.first */
+        e.first[i] = f->env[i];
+    for (int i = 0; i < n; i++)
+        work[i] = 0.0;
+    lu_system(&e, work, &least);
+    return lu_condition(&e, work + n, work + 2 * n);
+}
+
+/* The tile core of fbq_speed_family: lu_envelope on the LU_TILE lanes of
+ * the tile e, y of the `used` systems k0, k0 + 1, ..., from the family
+ * f's envelopes, the lanes past `used` holding copies of the first, whose
+ * results are dropped; unless lu_envelope returns a first-pass status,
+ * which solve_tile returns, each solution goes to x[k] and is booked by
+ * note_system.  A clone per vector width (FBQ_CLONES), as family_tiles. */
+FBQ_CLONES static int solve_tile(const struct family *f, struct envelope *e, int used, int64_t k0,
+                                 double *y, double pivot_tol, double neg_tol, double *x,
+                                 double *pivmin, int64_t *summary)
+{
+    int n = f->n;
+    double least[LU_TILE];
+    for (int i = 0; i < 2 * n; i++)   /* e->last follows e->first */
+        e->first[i] = f->env[i];
+    int status = lu_envelope(e, LU_TILE, y, least);
+    for (int s = 0; s < used && !status; s++) {
+        double *xk = x + (k0 + s) * n;
+        for (int r = 0; r < n; r++)
+            xk[r] = y[r * LU_TILE + s];
+        note_system(k0 + s, n, least[s], xk, pivot_tol, neg_tol, pivmin, summary);
+    }
+    return status;
+}
 
 /* Lane s of the tile (a, y) gets the system and right-hand side of the
  * profile whose speed levels are row s of lev (row 0 for the lanes from
@@ -984,7 +971,7 @@ enum { FAMILY_RUN = 4, FAMILY_SHARE = 128 };
 
 /* What the threads of one fbq_speed_family call share: the family, its
  * profiles and outputs, the next tile that no thread has claimed, and the
- * first-pass outcomes found so far (lu_tile's statuses as bits). */
+ * first-pass outcomes found so far (lu_envelope's statuses as bits). */
 struct family_job {
     const struct family *f;
     const double *levels, *power;
@@ -995,8 +982,9 @@ struct family_job {
     atomic_int seen;
 };
 
-/* One thread's share of a job: its own tile and, once it is done, the
- * note_system summary of the systems it solved. */
+/* One thread's share of a job: its own tile, with the work of its
+ * envelopes, and, once it is done, the note_system summary of the systems
+ * it solved. */
 struct family_part {
     struct family_job *job;
     double *tile;
@@ -1012,9 +1000,10 @@ struct family_part {
  * claims tiles in increasing order, so its summary holds the first of its
  * systems to be singular and the first with a value below -neg_tol.  A
  * clone per vector width (FBQ_CLONES), each with its own copy of the
- * inlined fill, lockstep LU and finish: a tile's row operations run across
- * its LU_TILE lanes, one system to a lane, and the finish of one profile
- * does its operations in their order, so every clone gives the same bits. */
+ * inlined fill and finish, calling its own clone of solve_tile: a tile's
+ * row operations run across its LU_TILE lanes, one system to a lane, and
+ * the finish of one profile does its operations in their order, so every
+ * clone gives the same bits. */
 FBQ_CLONES static void *family_tiles(void *arg)
 {
     struct family_part *part = arg;
@@ -1023,6 +1012,8 @@ FBQ_CLONES static void *family_tiles(void *arg)
     int n = f->n;
     double *t = part->tile, *y = t + LU_TILE * n * n, *lv = y + LU_TILE * n;
     int64_t summary[3] = {-1, -1, 0}, first;
+    struct envelope e;
+    env_init(&e, n, LU_TILE, t, lv + LU_TILE * (f->K + 1));
     while ((first = atomic_fetch_add_explicit(&job->next, FAMILY_RUN, memory_order_relaxed)) <
            job->tiles) {
         for (int64_t tile = first; tile < first + FAMILY_RUN && tile < job->tiles; tile++) {
@@ -1030,7 +1021,7 @@ FBQ_CLONES static void *family_tiles(void *arg)
             int used = job->count - k0 < LU_TILE ? (int)(job->count - k0) : LU_TILE;
             const double *lev = job->levels + k0 * (f->K + 1);
             fill_lanes(f, lev, used, t, y, lv);
-            int seen = solve_tile(n, used, k0, t, y, job->pivot_tol, job->neg_tol, job->x,
+            int seen = solve_tile(f, &e, used, k0, y, job->pivot_tol, job->neg_tol, job->x,
                                   job->pivmin, summary);
             if (seen)
                 atomic_fetch_or_explicit(&job->seen, seen, memory_order_relaxed);
@@ -1053,21 +1044,21 @@ done:
 /* The solves of a speed family, single._Family.solve: for the count
  * profiles whose speed levels s_0 .. s_K are the rows of `levels` (count,
  * K + 1), each tile of systems is filled by fill_lanes and solved by
- * solve_tile, its first pass taken as lu_tile scales it, so x, pivmin and
+ * solve_tile, its first pass taken as lu_envelope scales it, so x, pivmin and
  * summary are reference.lockstep's on the stack that reference.family_stack
  * builds.
  * Its statuses are too: 1 if an entry is not finite anywhere in the family,
  * else 2 if a row is all zeros, each with summary (-1, -1, 0), else 0 once
- * every system is solved, or 3 if the tiles or the condition estimate's
- * work cannot be allocated.  With status 0, p (count, K) holds each
- * profile's level masses and the rows of out (6, count) its tail mass,
- * g0(1), L1, L2, L and energy rate, by finish_system from the profile's row
- * of `power` (count, K + 1), with x clamped if any value in the family is
- * negative; and cond holds the condition estimate of the profile whose
- * error linsys._checked raises, the first singular one (summary[0]), else
- * the first with a value below -neg_tol (summary[1]), or 0 if there is
- * none.  That profile's system is filled again by fill_lanes after the
- * merge, and lane_condition takes the estimate from lane 0.
+ * every system is solved, or 3 if the tiles cannot be allocated.  With
+ * status 0, p (count, K) holds each profile's level masses and the rows
+ * of out (6, count) its tail mass, g0(1), L1, L2, L and energy rate, by
+ * finish_system from the profile's row of `power` (count, K + 1), with x
+ * clamped if any value in the family is negative; and cond holds the
+ * condition estimate of the profile whose error linsys._checked raises,
+ * the first singular one (summary[0]), else the first with a value below
+ * -neg_tol (summary[1]), or 0 if there is none.  That profile's system is
+ * filled again by fill_lanes after the merge, and lane_condition takes the
+ * estimate from lane 0 on that tile.
  *
  * A family of 2 FAMILY_SHARE profiles or more is solved by up to `threads`
  * threads, the calling one among them (family_tiles), which are started
@@ -1087,20 +1078,26 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
                      int threads, double *x, double *pivmin, int64_t *summary, double *p, double *out,
                      double *cond)
 {
-    const struct family f = {K, (K + 1) * (K + 2) / 2, K * (K + 1) / 2, entries, at, coef, shared,
-                             work, rho1, rho2, q};
+    int n = (K + 1) * (K + 2) / 2;
     int64_t tiles = (count + LU_TILE - 1) / LU_TILE, shares = count / FAMILY_SHARE;
     int parts = shares < 2 || threads < 2 ? 1 : (shares < threads ? (int)shares : threads);
-    size_t tile = (size_t)LU_TILE * (f.n * (f.n + 1) + K + 1);
-    struct family_part *part = malloc(parts * (sizeof *part + sizeof(double) * tile));
+    /* each thread's tile ends 64 bytes or more before the next begins, so
+     * that no cache line is written by two threads */
+    size_t tile = sizeof(double) * LU_TILE * (n * (n + 1) + K + 1) + env_bytes(n, LU_TILE);
+    tile = (tile + 127) / 64 * 64;
+    struct family_part *part = malloc(parts * (sizeof *part + tile) + 2 * sizeof(int) * n);
     if (!part)
         return 3;
+    int *env = (int *)((char *)(part + parts) + parts * tile);
+    const struct family f = {K, n, K * (K + 1) / 2, entries, at, coef, shared,
+                             work, rho1, rho2, q, env};
+    family_envelopes(&f);
     struct family_job job = {&f, levels, power, count, tiles, pivot_tol, neg_tol, x, pivmin, p, out,
                              0, 0};
     int started = 1;
     for (int i = 0; i < parts; i++) {
         part[i].job = &job;
-        part[i].tile = (double *)(part + parts) + i * tile;
+        part[i].tile = (double *)((char *)(part + parts) + i * tile);
     }
     while (started < parts && !pthread_create(&part[started].id, NULL, family_tiles, part + started))
         started++;
@@ -1123,13 +1120,11 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
         int64_t k = summary[0] >= 0 ? summary[0] : summary[1];
         double *t = part->tile, *y = t + LU_TILE * f.n * f.n;
         fill_lanes(&f, levels + k * (K + 1), 1, t, y, y + LU_TILE * f.n);
-        est = lane_condition(f.n, t);
+        est = lane_condition(&f, t);
     }
     free(part);
     if (seen)
         return seen & 1 ? 1 : 2;
-    if (est < 0)
-        return 3;
     *cond = est;
     if (summary[2] > 0)
         for (int64_t k = 0; k < count; k++)
@@ -1767,13 +1762,14 @@ static double u_a_x(int64_t m, const double *u, const double *a, const double *x
  * and u^T A1 v.  Each order's particular solution p is the one that the
  * bordered system [[A0, u], [v^T, 0]] of order m + 1 gives with the border
  * rows' right-hand side 0, which is A0's minimum-norm least-squares
- * solution: lu_envelope factors it on full envelopes with [b0, 0], and
- * lu_solve takes [b1 - A1 g0, 0] scaled by the kept row scales.  Then g0 =
+ * solution: lu_system factors it with [b0, 0] on its envelopes, row r < m
+ * from column max(r - 1, 0) to m and row m whole, and lu_solve takes [b1 -
+ * A1 g0, 0] scaled by the kept row scales.  Then g0 =
  * p0 + c0 v with c0 = (u^T b1 - u^T A1 p0) / u^T A1 v, and g1 = p1 + c1 v
  * with c1 = (u^T b2 - u^T A2 g0 - u^T A1 p1) / u^T A1 v.  check gets u^T
  * b0 and max |b0| + max |b1|, the solvability test's residual and scale.
  * e is an envelope of m + 1 unknowns and y work of m + 1 entries.  Returns
- * lu_envelope's first-pass status, and solves nothing more if it is not 0. */
+ * lu_system's first-pass status, and solves nothing more if it is not 0. */
 static int pool_cascade(int64_t m, const double *one, const double *b, struct envelope *e, double *y,
                         double *g, double *check)
 {
@@ -1788,7 +1784,9 @@ static int pool_cascade(int64_t m, const double *one, const double *b, struct en
     check[0] = dot(m, u, b0);
     check[1] = big0 + big1;
     for (int64_t r = 0; r < m; r++) {
-        for (int64_t c = 0; c < m; c++)   /* A0's entry (r, c) */
+        e->first[r] = r > 0 ? (int)r - 1 : 0;
+        e->last[r] = (int)m;
+        for (int64_t c = e->first[r]; c < m; c++)   /* A0's entry (r, c) */
             t[r * k + c] = c == r - 1 ? a0[c] : c == r ? a0[m - 1 + r]
                          : c == r + 1 ? a0[2 * m - 1 + r] : 0.0;
         t[r * k + m] = u[r];
@@ -1796,9 +1794,10 @@ static int pool_cascade(int64_t m, const double *one, const double *b, struct en
         y[r] = b0[r];
     }
     t[m * k + m] = 0.0;
+    e->first[m] = 0;
+    e->last[m] = (int)m;
     y[m] = 0.0;
-    env_full(e);
-    int status = lu_envelope(e, y, &least);
+    int status = lu_system(e, y, &least);
     if (status)
         return status;
     double *g0 = g, *g1 = g + m;
@@ -1884,7 +1883,7 @@ static void pool_finish(const struct pool *p, int64_t K, const double *x, int cl
  * fails, as reference.solve_rows does.  For each K, pool_fill fills the
  * boundary system on its envelope, with the pool's zeros, the null vectors
  * and powers at the head of its fbq_pool_data `data` and idle = m - rho1 -
- * rho2; lu_envelope solves it into x, or returns 1 or 2 from its first pass
+ * rho2; lu_system solves it into x, or returns 1 or 2 from its first pass
  * as linsys._first_pass would; note_system books the least |pivot| and the
  * summary as reference.lockstep would, on every row.  If a pivot is below
  * pivot_tol or a value below -neg_tol, the row gets the lu_condition
@@ -1910,7 +1909,7 @@ int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, con
     }
     for (int64_t c = 0; c < count * width; c++)
         rows[c] = 0.0;
-    double *t = malloc(sizeof(double) * (big * big + 2 * big + 3 * m) + env_bytes(big));
+    double *t = malloc(sizeof(double) * (big * big + 2 * big + 3 * m) + env_bytes(big, 1));
     if (!t) {
         rows[ROW_STATUS] = 3.0;
         rows[ROW_SINGULAR] = rows[ROW_BELOW] = -1.0;
@@ -1921,16 +1920,16 @@ int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, con
         int64_t K = thresholds[done], n = kept_before(m, K, m), summary[3] = {-1, -1, 0};
         double *row = rows + done * width, least = 0.0;
         struct envelope e;
-        env_init(&e, (int)n, t, b + 3 * m);
+        env_init(&e, (int)n, 1, t, b + 3 * m);
         pool_fill(&p, K, zeros, data, data + (m - 1) * m, idle, &e, xk);
-        int status = lu_envelope(&e, xk, &least);
+        int status = lu_system(&e, xk, &least);
         if (!status) {
             note_system(0, (int)n, least, xk, pivot_tol, neg_tol, row + ROW_PIVMIN, summary);
             if (summary[0] >= 0 || summary[1] >= 0) {
                 row[ROW_COND] = lu_condition(&e, work, work + n);
             } else {
                 pool_taylor(&p, K, xk, summary[2] > 0, b);
-                env_init(&e, (int)(m + 1), t, b + 3 * m);
+                env_init(&e, (int)(m + 1), 1, t, b + 3 * m);
                 status = pool_cascade(m, data + 2 * (m - 1) * m, b, &e, work, row + ROW_G,
                                       row + ROW_RESIDUAL);
                 double scale = row[ROW_SCALE];

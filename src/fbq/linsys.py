@@ -5,9 +5,17 @@ loop's outcome; a message quotes the condition estimate that the loop
 booked for the failing system, Hager's estimate from its own LU factors,
 taken on the error path only.
 
+* One elimination solves both kinds of boundary system: Gaussian
+  elimination with partial pivoting on row envelopes, each row holding
+  only the columns from its first to its last nonzero and each column's
+  step visiting only the rows that reach it, with the float operations of
+  the dense elimination in their order but for products with a zero
+  factor, so it gives the dense elimination's solution bit for bit
+  wherever no pivot is 0.
 * A speed family's small systems are solved in one call of the compiled
-  loop `fbq_speed_family` of `fbq.single`, by Gaussian elimination with
-  partial pivoting on tiles of systems in lockstep; it reports its outcome
+  loop `fbq_speed_family` of `fbq.single`, on tiles of systems in
+  lockstep whose rows share one envelope, taken from the family's layout
+  and widened by any system's pivoting and fill; it reports its outcome
   to `_checked`, so a system gets the same bits in any family, at any
   position in it and on any machine: no BLAS kernel that the CPU selects
   is involved.  A large family's tiles are shared out among threads
@@ -16,10 +24,7 @@ taken on the error path only.
   the loop fills its system again and books its condition estimate.
 * A pool's boundary systems are solved inside the compiled loop
   `fbq_pool_system` of `fbq.multi`, the thresholds of a call in order, each
-  on its envelope: each row holds only the columns from its first to its
-  last nonzero, and the elimination visits at each column only the rows
-  that reach it, with the float operations of the one-system elimination
-  in their order, so it gives that elimination's bits.  Each threshold's
+  by the same elimination on its own envelope.  Each threshold's
   outcome row holds its status, summary and least pivot, and a failed
   system's condition estimate from its own factors; `_checked` raises
   from the row, and the loop stops at the first row that it rejects.

@@ -41,8 +41,8 @@ however many sweeps or cost vectors ask for it.  The thresholds that a
 call still needs are solved in order by one call of the compiled loop
 `fbq_pool_system` of `_kernels.c`, which stops at the first that fails and
 writes an outcome row per threshold, the solution built from it: it fills
-each boundary system on its envelope, factors it there with the float
-operations of the speed families' one-system elimination in their order,
+each boundary system on its envelope, factors it there by the envelope
+elimination that solves the speed families' tiles, on one system,
 sums the z = 1 Taylor vectors of b from the clamped solution, runs the
 Taylor cascade and sums L1, L2, U and p in Python's float order, with no
 BLAS or LAPACK call, so a pool gives the same bits on every CPU.

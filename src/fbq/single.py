@@ -132,8 +132,9 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     they are built once (_Family); the sub-threshold balance rows and the
     work-conservation row depend on the profile's speeds and are filled per
     profile.  One call of the compiled loop fbq_speed_family fills the B
-    systems, solves them by the lockstep LU and computes every metric; only
-    the power draws s^alpha are taken in numpy, whose power loop sets their bits.
+    systems, solves them by its envelope elimination on tiles of systems in
+    lockstep and computes every metric; only the power draws s^alpha are
+    taken in numpy, whose power loop sets their bits.
     A family of 256 profiles or more is split over a thread per CPU that
     the process may use (`_kernels.cpus()`), inside that call; the threads
     are joined before it returns.  Every profile gets every check of a
@@ -235,10 +236,12 @@ class _Family:
     model passes the general solver's checks: the end speeds, the K Maclaurin
     rows of the boundary system, the arriving work of its work-conservation
     row, the top-speed loads of the mean-drift identities, and the balance
-    entries as the compiled loop reads them.  profiles solves a grid of
-    profiles, as often as asked, each in one call of fbq_speed_family,
-    which also finishes their metrics and books the condition estimate of
-    a failing profile for its error message."""
+    entries as the compiled loop reads them, which also set the row
+    envelopes that every tile of the family starts from.  profiles solves a
+    grid of profiles, as often as asked, each in one call of
+    fbq_speed_family, which factors them by the one envelope elimination
+    that a pool's systems get too, finishes their metrics and books the
+    condition estimate of a failing profile for its error message."""
 
     def __init__(self, model: SingleServerModel, K: int):
         require_stable_single(model)

@@ -6,15 +6,16 @@ loop's order, so the two give equal results, errors included.
 
 * `run`: one replication of the jump chain of `fbq_jump_chain`;
   `replications`, each on its own seed, is `simulation._jump_chain`.
-* `lockstep` and `solve_probability_stack`: the elimination of
-  `fbq_speed_family` and, on one system's envelope, of `fbq_pool_system`;
-  `family_solve` is the whole family loop, with the systems of
-  `family_stack`, the row sums of `finish_sums` and the drift identities
-  and energy rates of `metrics`.
-* `factor`, `lu_solve` and `lu_solve_transposed`: one system's elimination
-  with its factors kept, and the solves with them; `condition` is the
-  condition estimate that `fbq_speed_family` and `fbq_pool_system` book
-  for a failing system, and `checked` is `linsys._checked` with it.
+* `lockstep`: the one elimination of the compiled loops, over a stack of
+  systems, with its factors kept: the tiles of `fbq_speed_family` and each
+  system of `fbq_pool_system`; `solve_probability_stack` is a stack solve
+  with its checks, and `family_solve` is the whole family loop, with the
+  systems of `family_stack`, the row sums of `finish_sums` and the drift
+  identities and energy rates of `metrics`.
+* `lu_solve` and `lu_solve_transposed`: the solves with one system's
+  factors; `condition` is the condition estimate that `fbq_speed_family`
+  and `fbq_pool_system` book for a failing system, and `checked` is
+  `linsys._checked` with it.
 * `sturm_sequence`, `sign_changes` and `isolate_roots`: the zero search of
   `fbq_pool_roots`, behind `multi._roots_compiled`.
 * `pool_data`: the data that `fbq_pool_data` builds for every threshold of
@@ -122,7 +123,7 @@ def solve_probability_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     -NEG_PROB_TOL; values in [-NEG_PROB_TOL, 0) are roundoff and get clamped.
     """
     a, b = linsys._stack(a, b)
-    return checked(a, *lockstep(a, b))
+    return checked(a, *lockstep(a, b)[:4])
 
 
 def checked(a: np.ndarray, status, x, pivmin, summary):
@@ -134,69 +135,51 @@ def checked(a: np.ndarray, status, x, pivmin, summary):
 
 
 def lockstep(a: np.ndarray, b: np.ndarray):
-    """The elimination of the compiled `fbq_speed_family`, over the whole stack at once:
-    (status, x, pivmin, summary) as `linsys._summary` gives it, where status
-    is 0, _NOT_FINITE or _ZERO_ROW and pivmin holds each system's smallest
-    |pivot|.  For each column j the pivot is the first largest |t_rj|,
-    r >= j, rows r and j swap, and each row below loses t_rj / t_jj times
-    row j (a zero pivot divides by 1); back substitution then runs column by
-    column."""
+    """The elimination of the compiled loops over the stack of systems a
+    (B, n, n) and b (B, n), on copies: (status, x, pivmin, summary,
+    factors), where status is 0, _NOT_FINITE or _ZERO_ROW (the first pass
+    of `linsys._first_pass`, after which the rest is None but the summary,
+    `linsys._NO_SUMMARY`), pivmin holds each system's smallest |pivot| and
+    the summary is `linsys._summary`'s.  factors is (t, perm, scale): t
+    holds U on and above the diagonal and each multiplier l in place of
+    the t_rj it eliminated, perm the pivot row of each column and scale
+    each row's largest |a_ij|.  Each row and its b are divided by its
+    scale, b kept as column n of t; for each column j the pivot is the
+    first largest |t_rj|, r >= j, rows r and j swap from column j on, and
+    each row below loses l = t_rj / t_jj times row j (a zero pivot divides
+    by 1); back substitution then runs column by column.  As on a tile of
+    the compiled loop, a row whose l is 0 in every system of the stack is
+    skipped, and on one system that is the one-system elimination's rule,
+    which makes a pool's sparse boundary system cheap; the pivot row's
+    zero tail, which the compiled loop skips too, is not.  The skipped
+    products are zeros, so a skip moves no value but the sign of a zero
+    cell of the factors, and no bit of a solution with no zero pivot."""
     status, scale = linsys._first_pass(a, b)
     if status:
-        return status, None, None, linsys._NO_SUMMARY
-    t, y = a / scale[..., None], b / scale     # every row now has max |a_ij| = 1
-    count, n = y.shape
-    systems = np.arange(count)
-    pivots = np.empty((count, n))
+        return status, None, None, linsys._NO_SUMMARY, None
+    count, n = b.shape
+    t = np.concatenate([a, b[..., None]], axis=2) / scale[..., None]   # y in column n
+    y, perm = t[:, :, n], np.empty((count, n), dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(n):
-            p = j + np.argmax(np.abs(t[:, j:, j]), axis=1)
-            t[systems, j], t[systems, p] = t[systems, p], t[systems, j]
-            y[systems, j], y[systems, p] = y[systems, p], y[systems, j]
+            p = perm[:, j] = j + np.argmax(np.abs(t[:, j:, j]), axis=1)
+            k = np.flatnonzero(p != j)    # the systems whose rows swap
+            if k.size:
+                pair = np.array([np.full(k.size, j), p[k]])
+                t[k, pair, j:] = t[k, pair[::-1], j:]
             pivot = t[:, j, j]
-            pivots[:, j] = np.abs(pivot)
-            l = t[:, j + 1:, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
-            t[:, j + 1:, j + 1:] -= l[:, :, None] * t[:, None, j, j + 1:]
-            y[:, j + 1:] -= l * y[:, None, j]
+            l = t[:, j + 1:, j] = t[:, j + 1:, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+            live = np.flatnonzero(l.any(axis=0))    # a NaN counts as not 0
+            rows = slice(j + 1, None)
+            if live.size < n - j - 1:   # a slice where no row is skipped
+                rows, l = j + 1 + live, l[:, live]
+            t[:, rows, j + 1:] -= l[:, :, None] * t[:, None, j, j + 1:]
         for j in reversed(range(n)):
             y[:, j] /= t[:, j, j]
             y[:, :j] -= t[:, :j, j] * y[:, None, j]
-    pivmin = pivots.min(axis=1)
-    return 0, y, pivmin, linsys._summary(y, pivmin)
-
-
-def factor(a: np.ndarray, y: np.ndarray):
-    """The elimination of `lockstep` on one system, on copies of a and y,
-    with its factors kept as the compiled `lu_envelope` keeps them: (t, y,
-    perm, scale, norm), where t holds U on and above the diagonal and each
-    multiplier l in place of the t_rj it eliminated, y the solution, perm
-    the pivot row of each column, scale each row's largest |a_ij| and norm
-    the infinity norm of the row-scaled system, each row's |a_ij| / scale
-    summed in turn.  Rows swap from the pivot's column on.  The compiled
-    elimination works on the rows' envelopes, dense here, and skips only
-    products with a zero factor, so the two agree in every value but the
-    sign of a zero."""
-    t, y = np.array(a, dtype=float), np.array(y, dtype=float)
-    n = len(y)
-    scale = np.abs(t).max(axis=1)
-    t /= scale[:, None]
-    y /= scale
-    norm = max(add_up(row) for row in np.abs(t).tolist())
-    perm = []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(n):
-            p = j + int(np.argmax(np.abs(t[j:, j])))
-            t[[j, p], j:] = t[[p, j], j:]
-            y[[j, p]] = y[[p, j]]
-            perm.append(p)
-            l = t[j + 1:, j] / (1.0 if t[j, j] == 0.0 else t[j, j])
-            t[j + 1:, j] = l
-            t[j + 1:, j + 1:] -= l[:, None] * t[j, j + 1:]
-            y[j + 1:] -= l * y[j]
-        for j in reversed(range(n)):
-            y[j] /= t[j, j]
-            y[:j] -= t[:j, j] * y[j]
-    return t, y, perm, scale, norm
+    pivmin = np.abs(np.diagonal(t, axis1=1, axis2=2)).min(axis=1)
+    y = np.ascontiguousarray(y)
+    return 0, y, pivmin, linsys._summary(y, pivmin), (t[:, :, :n], perm, scale)
 
 
 def add_up(values) -> float:
@@ -208,8 +191,8 @@ def add_up(values) -> float:
 
 
 def lu_solve(t: np.ndarray, perm: list, y: np.ndarray) -> None:
-    """S x = y in place, with the factors of `factor`: its steps on y, then
-    the back substitution."""
+    """S x = y in place, with one system's factors of `lockstep`: its steps
+    on y, then the back substitution."""
     for j, p in enumerate(perm):
         y[[j, p]] = y[[p, j]]
         y[j + 1:] -= t[j + 1:, j] * y[j]
@@ -238,7 +221,8 @@ def condition(a: np.ndarray) -> float:
     infinity-norm condition number of a, row-scaled, as norm ||S^-T||_1 by
     Hager's method as LAPACK's dlacn2 runs it."""
     n = len(a)
-    t, _, perm, _, norm = factor(a, np.zeros(n))
+    t, perm, scale = (f[0] for f in lockstep(a[None], np.zeros((1, n)))[4])
+    norm = max(add_up(row) for row in np.abs(a / scale[:, None]).tolist())
     if (t.diagonal() == 0.0).any():
         return math.inf
 
@@ -493,10 +477,10 @@ def pool_taylor(model, K: int, pool, states: list, x: list) -> np.ndarray:
 def cascade(pool, b: np.ndarray):
     """The Taylor cascade of `fbq_pool_system` from b (3 x m): (status, g
     (2 x m), [u^T b0, max |b0| + max |b1|]), the check taken first.  The
-    bordered system [[A0, u], [v^T, 0]] with [b0, 0] gets the first pass of
-    `linsys._first_pass`, and a status other than 0 ends the cascade with g
-    None; else it is factored by `factor`, and [b1 - A1 g0, 0], scaled by
-    its row scales, solved by `lu_solve`; every product is a sum in turn,
+    bordered system [[A0, u], [v^T, 0]] with [b0, 0] is solved by
+    `lockstep`, whose first-pass status, if not 0, ends the cascade with g
+    None; else [b1 - A1 g0, 0], scaled by its row scales, is solved with
+    its factors by `lu_solve`; every product is a sum in turn,
     and a row of A0, A1 or A2 times x sums only the products of the row's
     tridiagonal entries."""
     m = pool.model.m
@@ -521,11 +505,11 @@ def cascade(pool, b: np.ndarray):
     check = [dot(u, b0), max(map(abs, b0)) + max(map(abs, b1))]
     border = np.zeros((m + 1, m + 1))
     border[:m, :m], border[:m, m], border[m, :m] = dense(*a0), u, v
-    status, _ = linsys._first_pass(border[None], np.array([b0 + [0.0]]))
+    status, y, _, _, factors = lockstep(border[None], np.array([b0 + [0.0]]))
     if status:
         return status, None, check
-    t, y, perm, scale, _ = factor(border, b0 + [0.0])
-    p0 = y[:m].tolist()
+    t, perm, scale = (f[0] for f in factors)
+    p0 = y[0, :m].tolist()
     c0 = (dot(u, b1) - u_a_x(a1, p0)) / uA1v
     g0 = [p + c0 * vi for p, vi in zip(p0, v)]
     y = np.array([(bi - row(a1, r, g0)) / s for r, (bi, s) in enumerate(zip(b1, scale))] + [0.0])
@@ -557,7 +541,7 @@ def solve_one(model, K: int, pool):
     system fails its first pass; it is not clamped."""
     states = [(i, j) for i in range(model.m) for j in range(max(0, K - i), model.m - i)]
     a, rhs = pool_fill(model, K, pool, states)
-    status, x, pivmin, summary = lockstep(a[None], rhs[None])
+    status, x, pivmin, summary, _ = lockstep(a[None], rhs[None])
     row = [float(status), *map(float, summary)] + [0.0] * (multi._G + 3 * model.m - multi._PIVMIN)
     if status:
         return None, row

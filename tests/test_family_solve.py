@@ -502,7 +502,8 @@ def family_loop(loops, family, levels):
 def assert_same_loop_results(got, expected):
     status, x, pivmin, summary = got
     assert (status, list(summary)) == (expected[0], list(expected[3]))
-    assert np.array_equal(x, expected[1]) and np.array_equal(pivmin, expected[2])
+    # bytes, so that a zero keeps its sign
+    assert x.tobytes() == expected[1].tobytes() and pivmin.tobytes() == expected[2].tobytes()
 
 
 def test_lockstep_loops_are_equal_on_the_pinned_searches_stacks(monkeypatch, compiled_loops):
@@ -533,41 +534,47 @@ def pivoting_stack(count, shared):
     return a, rng.uniform(0.0, 1.0, (count, 5))
 
 
-def seed7_profiles(count, shared):
-    """count K = 3 profiles of the seed7 family and the family: with shared,
-    one profile with its inner speeds moved by up to 1%, so that the tile's
-    systems pivot alike; else inner speeds drawn across the family's range."""
+def seed7_profiles(count, shared, K=3):
+    """count K-level profiles of the seed7 family and the family: with
+    shared, one profile with its inner speeds moved by up to 1%, so that the
+    tile's systems pivot alike; else inner speeds drawn across the family's
+    range."""
     b = PINS["bases"]["seed7"]
     rng = np.random.default_rng(42 + count)
     if shared:
-        inter = np.array([0.4, 0.7]) * rng.uniform(0.99, 1.01, (count, 2))
+        inter = np.linspace(0.4, 0.7, K - 1) * rng.uniform(0.99, 1.01, (count, K - 1))
     else:
-        inter = np.sort(rng.uniform(b["s0"], b["top"], (count, 2)), axis=1)
+        inter = np.sort(rng.uniform(b["s0"], b["top"], (count, K - 1)), axis=1)
     levels = np.column_stack([np.full(count, b["s0"]), inter, np.full(count, b["top"])])
-    return single._Family(base_model(b), 3), levels
+    return single._Family(base_model(b), K), levels
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-pivots", "own-pivots"])
 @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 17])
 def test_lockstep_is_equal_on_both_loops_wherever_a_system_sits(count, shared):
+    # bytes throughout, so that a zero keeps its sign
     a, b = pivoting_stack(count, shared)
     assert (np.abs(a).argmax(axis=1) != np.arange(5)).any(axis=1).all()   # every system pivots
     other_a, other_b = pivoting_stack(3, not shared)
     expected = lockstep(a.copy(), b.copy())
     np.testing.assert_allclose(expected[1], np.linalg.solve(a, b[..., None])[..., 0], rtol=1e-13)
     shifted = lockstep(np.concatenate([other_a, a]), np.concatenate([other_b, b]))[1]
-    assert np.array_equal(shifted[3:], expected[1])
+    assert shifted[3:].tobytes() == expected[1].tobytes()
     for k in range(count):
-        assert np.array_equal(lockstep(a[k:k + 1].copy(), b[k:k + 1].copy())[1][0], expected[1][k])
+        assert lockstep(a[k:k + 1].copy(), b[k:k + 1].copy())[1][0].tobytes() == expected[1][k].tobytes()
     # the compiled elimination, inside the family loop: the profiles' systems
-    # alone, after three other profiles, and one at a time
+    # alone, after three other profiles, and one at a time; a tile's rows
+    # share one envelope, the union over its lanes, which own pivots at
+    # K = 6 and 8 widen most
     loops = KERNELS.compiled()
-    family, levels = seed7_profiles(count + 3, shared)
-    expected = lockstep(*family_stack(family, levels[3:]))
-    assert_same_loop_results(family_loop(loops, family, levels[3:]), expected)
-    assert np.array_equal(family_loop(loops, family, levels)[1][3:], expected[1])
-    for k in range(count):
-        assert np.array_equal(family_loop(loops, family, levels[3 + k:4 + k])[1][0], expected[1][k])
+    for K in (3,) if shared else (3, 6, 8):
+        family, levels = seed7_profiles(count + 3, shared, K)
+        expected = lockstep(*family_stack(family, levels[3:]))
+        assert_same_loop_results(family_loop(loops, family, levels[3:]), expected)
+        assert family_loop(loops, family, levels)[1][3:].tobytes() == expected[1].tobytes(), K
+        for k in range(count):
+            alone = family_loop(loops, family, levels[3 + k:4 + k])[1][0]
+            assert alone.tobytes() == expected[1][k].tobytes(), K
 
 
 @pytest.mark.parametrize("faults", [("nan", "zero row", "singular", "negative"),

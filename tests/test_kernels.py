@@ -166,8 +166,10 @@ def test_cited_loops_are_defined_in_the_c_source():
 
 
 # helpers deleted from `_kernels.c`: the first passes of the tile and envelope
-# eliminations, now made by their row scaling, and the one-lane tile width
-DELETED_HELPERS = ("check_lanes", "env_check", "tile_width")
+# eliminations, now made by their row scaling; the one-lane tile width; and
+# the dense tile elimination with its lane products and the full envelopes,
+# now that one envelope elimination serves every system
+DELETED_HELPERS = ("check_lanes", "env_check", "tile_width", "lu_tile", "sub_products", "env_full")
 
 
 def test_deleted_helpers_are_cited_nowhere():
