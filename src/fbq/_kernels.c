@@ -56,14 +56,6 @@
  * fills its system again after the merge and books Hager's condition
  * estimate of it (lane_condition) for the error message.
  *
- * fbq_pool_roots is the zero search of reference.isolate_roots: Sturm sign
- * counts and bisection over the pool's leading minors (Wilkinson 1965), then
- * Brent's method (Brent 1973) on its determinant as scipy.optimize.brentq
- * runs it.  Its recurrences are reference.sturm_sequence and multi._det_at with
- * every float operation in their order, and the kernel root squares by
- * libm's pow, as CPython does, so the zeros, the counts and each failure's
- * data equal the Python search's.
- *
  * fbq_ctmc_rectangle solves one rectangle of fbq.ctmc's truncated chain
  * in one call: it finds the states that the fixed state reaches, fills the
  * band system of their balance equations, as reference.band_system does
@@ -73,11 +65,19 @@
  * the solution and sums both marginals in numpy's order (ctmc._finish),
  * so grid and marginals equal reference.rectangle's bit for bit.
  *
- * fbq_pool_data builds what every threshold of a pool of fbq.multi shares
- * (reference.pool_data): at each zero the left null vector of A(z_k), by the
- * twisted factorisation of the tridiagonal matrix, and the powers z_k^j;
- * A(z)'s Taylor coefficients at z = 1 and A0's null pair.  pool_matrix states
- * A(z)'s entries once, for it and the zero search.  fbq_pool_system then
+ * fbq_pool_data builds in one call what every threshold of a pool of
+ * fbq.multi shares, as reference.isolate_roots and then reference.pool_data
+ * do.  First the zero search (search_zeros): Sturm sign counts and
+ * bisection over the pool's leading minors (Wilkinson 1965), then Brent's
+ * method (Brent 1973) on its determinant as scipy.optimize.brentq runs it,
+ * over the recurrences of reference.sturm_sequence and multi._det_at.  Then,
+ * at each zero, the left null vector of A(z_k), by the twisted
+ * factorisation of the tridiagonal matrix, and the powers z_k^j; A(z)'s
+ * Taylor coefficients at z = 1 and A0's null pair.  Every float operation
+ * is the references' in their order, pool_matrix states A(z)'s entries once
+ * for both parts, and the kernel root squares by libm's pow, as CPython
+ * does, so the zeros, the counts, the data and each failure's data equal
+ * the Python set-up's.  fbq_pool_system then
  * solves the thresholds that a call hands it, each whole and in order,
  * into one outcome row per threshold, and stops at the first row that
  * fails (reference.solve_rows).  It fills each boundary system
@@ -1142,14 +1142,17 @@ struct pool {
     double *band;
 };
 
+/* Outcomes of fbq_pool_data: the zero search's, then the shared data's. */
 enum {
-    ROOTS_FOUND,
-    ROOTS_END_COUNTS,      /* the Sturm counts at 0 and below 1 are not m and 1 */
-    ROOTS_SPLIT_COUNTS,    /* a split point's count lies outside its ends' counts */
-    ROOTS_NO_SIGN_CHANGE,  /* the determinant keeps its sign on a bracket, or is NaN */
-    ROOTS_DISCRIMINANT,    /* the kernel root's discriminant is not positive */
-    ROOTS_NO_CONVERGENCE,  /* Brent's method took all its steps */
-    ROOTS_STACK_FULL       /* the bisection went deeper than ROOTS_STACK */
+    SETUP_DONE,
+    SETUP_END_COUNTS,      /* the Sturm counts at 0 and below 1 are not m and 1 */
+    SETUP_SPLIT_COUNTS,    /* a split point's count lies outside its ends' counts */
+    SETUP_NO_SIGN_CHANGE,  /* the determinant keeps its sign on a bracket, or is NaN */
+    SETUP_DISCRIMINANT,    /* the kernel root's discriminant is not positive */
+    SETUP_NO_CONVERGENCE,  /* Brent's method took all its steps */
+    SETUP_STACK_FULL,      /* the bisection went deeper than ROOTS_STACK */
+    SETUP_NULL_RESIDUAL,   /* a null vector's relative residual is above its bound, or NaN */
+    SETUP_DRIFT            /* u^T A1 v vanishes */
 };
 
 /* Halving an interval of [0, 1] until no float lies inside takes at most
@@ -1236,7 +1239,7 @@ static double det_at(const struct pool *p, double z, int *failed)
 #define MIN(a, b) ((a) < (b) ? (a) : (b))
 
 /* scipy.optimize.brentq on det_at over [xa, xb], as scipy's brentq.c runs
- * it, with its wrapper's stop at the first NaN value.  Returns ROOTS_FOUND
+ * it, with its wrapper's stop at the first NaN value.  Returns SETUP_DONE
  * with the zero in *root, or the status that stopped it; *evals counts the
  * evaluations. */
 static int brent(const struct pool *p, double xa, double xb, double xtol, double rtol,
@@ -1247,28 +1250,28 @@ static int brent(const struct pool *p, double xa, double xb, double xtol, double
     double fpre = det_at(p, xpre, &failed);
     if (failed) {
         *where = xpre;
-        return ROOTS_DISCRIMINANT;
+        return SETUP_DISCRIMINANT;
     }
     if (isnan(fpre))
-        return ROOTS_NO_SIGN_CHANGE;
+        return SETUP_NO_SIGN_CHANGE;
     double fcur = det_at(p, xcur, &failed);
     if (failed) {
         *where = xcur;
-        return ROOTS_DISCRIMINANT;
+        return SETUP_DISCRIMINANT;
     }
     if (isnan(fcur))
-        return ROOTS_NO_SIGN_CHANGE;
+        return SETUP_NO_SIGN_CHANGE;
     *evals += 2;
     if (fpre == 0) {
         *root = xpre;
-        return ROOTS_FOUND;
+        return SETUP_DONE;
     }
     if (fcur == 0) {
         *root = xcur;
-        return ROOTS_FOUND;
+        return SETUP_DONE;
     }
     if (signbit(fpre) == signbit(fcur))
-        return ROOTS_NO_SIGN_CHANGE;
+        return SETUP_NO_SIGN_CHANGE;
     for (int i = 0; i < maxiter; i++) {
         if (fpre != 0 && fcur != 0 && signbit(fpre) != signbit(fcur)) {
             xblk = xpre;
@@ -1287,7 +1290,7 @@ static int brent(const struct pool *p, double xa, double xb, double xtol, double
         double sbis = (xblk - xcur) / 2;
         if (fcur == 0 || fabs(sbis) < delta) {
             *root = xcur;
-            return ROOTS_FOUND;
+            return SETUP_DONE;
         }
         if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
             double stry;
@@ -1313,35 +1316,33 @@ static int brent(const struct pool *p, double xa, double xb, double xtol, double
         fcur = det_at(p, xcur, &failed);
         if (failed) {
             *where = xcur;
-            return ROOTS_DISCRIMINANT;
+            return SETUP_DISCRIMINANT;
         }
         if (isnan(fcur))
-            return ROOTS_NO_SIGN_CHANGE;
+            return SETUP_NO_SIGN_CHANGE;
         ++*evals;
     }
-    return ROOTS_NO_CONVERGENCE;
+    return SETUP_NO_CONVERGENCE;
 }
 
-/* The zero search of reference.isolate_roots: the Sturm counts at 0 and,
- * with D replaced by -dprime = -D'(1), just below 1; the bisection of
- * (0, 1) on a stack, in the Python loop's push and pop order, until each
- * interval holds one zero and ends below 1, each such bracket's ends going
- * to brackets[2k], brackets[2k + 1]; then Brent's method with tolerances
- * xtol and rtol and at most maxiter steps on each bracket in turn, its zero
- * going to roots[k].  The count drops from m - k to m - k - 1 across
- * bracket k.  info[0] and
- * info[1] get the number of sign counts and of determinant evaluations,
- * and a failure what its message needs: the two end counts in info[2 .. 3]
- * (ROOTS_END_COUNTS); the counts at lo, mid and hi in info[2 .. 4] and
- * those points in where[0 .. 2] (ROOTS_SPLIT_COUNTS); the index of the
- * bracket in info[2] (ROOTS_NO_SIGN_CHANGE); the point in where[0]
- * (ROOTS_DISCRIMINANT).  band is work of 3 m entries.  Returns ROOTS_FOUND
- * or the failure's status. */
-int fbq_pool_roots(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
-                   double dprime, double xtol, double rtol, int maxiter, double *band,
-                   double *brackets, double *roots, int64_t *info, double *where)
+/* The zero search of reference.isolate_roots on the pool p: the Sturm
+ * counts at 0 and, with D replaced by -dprime = -D'(1), just below 1; the
+ * bisection of (0, 1) on a stack, in the Python loop's push and pop order,
+ * until each interval holds one zero and ends below 1, each such bracket's
+ * ends going to brackets[2k], brackets[2k + 1]; then Brent's method with
+ * tolerances xtol and rtol and at most maxiter steps on each bracket in
+ * turn, its zero going to roots[k].  The count drops from m - k to m - k -
+ * 1 across bracket k.  info[0] and info[1] get the number of sign counts
+ * and of determinant evaluations, and a failure what its message needs:
+ * the two end counts in info[2 .. 3] (SETUP_END_COUNTS); the counts at lo,
+ * mid and hi in info[2 .. 4] and those points in where[0 .. 2]
+ * (SETUP_SPLIT_COUNTS); the index of the bracket in info[2]
+ * (SETUP_NO_SIGN_CHANGE); the point in where[0] (SETUP_DISCRIMINANT).
+ * Returns SETUP_DONE or the failure's status. */
+static int search_zeros(const struct pool *p, double dprime, double xtol, double rtol, int maxiter,
+                        double *brackets, double *roots, int64_t *info, double *where)
 {
-    struct pool p = {m, lam, mu1, mu2, q, rates, band};
+    int64_t m = p->m;
     struct span {
         double lo, hi;
         int64_t vlo, vhi;
@@ -1349,21 +1350,21 @@ int fbq_pool_roots(int64_t m, double lam, double mu1, double mu2, double q, cons
     int failed = 0;
     double below_one = -dprime;
     info[0] = info[1] = 0;
-    int64_t v0 = sturm_count(&p, 0.0, NULL, &failed);
+    int64_t v0 = sturm_count(p, 0.0, NULL, &failed);
     if (failed) {
         where[0] = 0.0;
-        return ROOTS_DISCRIMINANT;
+        return SETUP_DISCRIMINANT;
     }
-    int64_t v1 = sturm_count(&p, 1.0, &below_one, &failed);
+    int64_t v1 = sturm_count(p, 1.0, &below_one, &failed);
     if (failed) {
         where[0] = 1.0;
-        return ROOTS_DISCRIMINANT;
+        return SETUP_DISCRIMINANT;
     }
     info[0] = 2;
     if (v0 != m || v1 != 1) {
         info[2] = v0;
         info[3] = v1;
-        return ROOTS_END_COUNTS;
+        return SETUP_END_COUNTS;
     }
 
     int64_t found = 0;
@@ -1379,10 +1380,10 @@ int fbq_pool_roots(int64_t m, double lam, double mu1, double mu2, double q, cons
             continue;
         }
         double mid = 0.5 * (s.lo + s.hi);
-        int64_t v = sturm_count(&p, mid, NULL, &failed);
+        int64_t v = sturm_count(p, mid, NULL, &failed);
         if (failed) {
             where[0] = mid;
-            return ROOTS_DISCRIMINANT;
+            return SETUP_DISCRIMINANT;
         }
         info[0]++;
         if (!(s.vhi <= v && v <= s.vlo && s.lo < mid && mid < s.hi)) {
@@ -1392,22 +1393,22 @@ int fbq_pool_roots(int64_t m, double lam, double mu1, double mu2, double q, cons
             where[0] = s.lo;
             where[1] = mid;
             where[2] = s.hi;
-            return ROOTS_SPLIT_COUNTS;
+            return SETUP_SPLIT_COUNTS;
         }
         if (top + 2 >= ROOTS_STACK)
-            return ROOTS_STACK_FULL;
+            return SETUP_STACK_FULL;
         stack[++top] = (struct span){mid, s.hi, v, s.vhi};
         stack[++top] = (struct span){s.lo, mid, s.vlo, v};
     }
     for (int64_t k = 0; k < found; k++) {
-        int status = brent(&p, brackets[2 * k], brackets[2 * k + 1], xtol, rtol, maxiter,
+        int status = brent(p, brackets[2 * k], brackets[2 * k + 1], xtol, rtol, maxiter,
                            roots + k, info + 1, where);
-        if (status == ROOTS_NO_SIGN_CHANGE)
+        if (status == SETUP_NO_SIGN_CHANGE)
             info[2] = k;
-        if (status != ROOTS_FOUND)
+        if (status != SETUP_DONE)
             return status;
     }
-    return ROOTS_FOUND;
+    return SETUP_DONE;
 }
 
 /* The truncated chain of fbq.ctmc on the rectangle 0 <= i <= n1, 0 <= j <=
@@ -1877,7 +1878,7 @@ static void pool_finish(const struct pool *p, int64_t K, const double *x, int cl
 }
 
 /* The thresholds[0 .. count - 1] of the pool (m, lam, mu1, mu2, q) with the
- * rate table `rates` of fbq_pool_roots, solved whole in that order, one
+ * rate table `rates` of fbq_pool_data, solved whole in that order, one
  * outcome row each (ROW_G + 3 m entries at rows + k (ROW_G + 3 m)) and the
  * solution x of each after those of the thresholds before it, until a row
  * fails, as reference.solve_rows does.  For each K, pool_fill fills the
@@ -2003,30 +2004,36 @@ static double twisted_null(int64_t n, const double *lo, const double *d, const d
     return frob == 0.0 ? 0.0 : fabs(gamma) / (norm * frob);
 }
 
-enum { DATA_BUILT, DATA_SINGULAR, DATA_DRIFT };
-
 /* What every threshold of the pool (m, lam, mu1, mu2, q) with the rate
- * table `rates` shares, built from its m - 1 zeros (where the search found
- * the kernel root real) as reference.pool_data builds it, into data: the
+ * table `rates` shares, in one call: its m - 1 zeros in (0, 1), by
+ * search_zeros with D'(1) = dprime, its tolerances and maxiter, into
+ * zeros, with the search's totals and a failure's data in info and where;
+ * then, built from them as reference.pool_data builds it, into data: the
  * left null vector of each A(z_k)^T by twisted_null at data[k m ..]; the
  * powers z_k^j (j < m) by libm's pow, as CPython takes them, at data[(m - 1
  * + k) m + j]; A(z)'s Taylor coefficients A0, A1, A2 at z = 1 + t as
  * tridiagonals (tri_row), from the terms c1 t + c2 t^2 of y1(1 + t); A0's
- * null pair u, v; and u^T A1 v, by rows.  Returns DATA_SINGULAR at the
- * first null vector, in that order, whose relative residual *ratio is above
- * rtol or NaN, DATA_DRIFT if |u^T A1 v| is below 1e-12 of A1's largest
- * |entry|, else DATA_BUILT.  band is work of 5 m entries. */
+ * null pair u, v; and u^T A1 v, by rows.  Returns the search's failure,
+ * else SETUP_NULL_RESIDUAL at the first null vector, in that order, whose
+ * relative residual is above null_rtol or NaN, with that residual in
+ * where[0], SETUP_DRIFT if |u^T A1 v| is below 1e-12 of A1's largest
+ * |entry|, else SETUP_DONE.  band is work of 5 m entries, brackets of 2 m,
+ * info of 5 and where of 3. */
 int fbq_pool_data(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
-                  const double *zeros, double c1, double c2, double rtol, double *band,
-                  double *data, double *ratio)
+                  double dprime, double xtol, double rtol, int maxiter, double c1, double c2,
+                  double null_rtol, double *band, double *brackets, double *zeros, int64_t *info,
+                  double *where, double *data)
 {
     const struct pool p = {m, lam, mu1, mu2, q, rates, band};
+    int status = search_zeros(&p, dprime, xtol, rtol, maxiter, brackets, zeros, info, where);
+    if (status != SETUP_DONE)
+        return status;
     double *zpow = data + (m - 1) * m, *a0 = zpow + (m - 1) * m, *a1 = a0 + 3 * m - 2;
-    double *a2 = a1 + 3 * m - 2, *u = a2 + 3 * m - 2, *v = u + m;
+    double *a2 = a1 + 3 * m - 2, *u = a2 + 3 * m - 2, *v = u + m, *ratio = where;
     double uA1v = 0.0, big = 0.0;
     int failed = 0;
     *ratio = 0.0;
-    for (int64_t k = 0; k + 1 < m && *ratio <= rtol; k++) {
+    for (int64_t k = 0; k + 1 < m && *ratio <= null_rtol; k++) {
         pool_matrix(&p, zeros[k], &failed);
         double *lo = band, *d = lo + m, *up = d + m;
         *ratio = twisted_null(m, up, d, lo, up + m, up + 2 * m, data + k * m);
@@ -2048,12 +2055,12 @@ int fbq_pool_data(int64_t m, double lam, double mu1, double mu2, double q, const
     a0[2 * m - 2] = rates[2 * (m - 1)];
     a1[2 * m - 2] = rates[2 * (m - 1)] + mu2 - lam * c1;
     a2[2 * m - 2] = -lam * (c1 + c2);
-    if (*ratio <= rtol)   /* A0's left null vector is the right one of its transpose */
+    if (*ratio <= null_rtol)   /* A0's left null vector is the right one of its transpose */
         *ratio = twisted_null(m, a0 + 2 * m - 1, a0 + m - 1, a0, band, band + m, u);
-    if (*ratio <= rtol)
+    if (*ratio <= null_rtol)
         *ratio = twisted_null(m, a0, a0 + m - 1, a0 + 2 * m - 1, band, band + m, v);
-    if (!(*ratio <= rtol))
-        return DATA_SINGULAR;
+    if (!(*ratio <= null_rtol))
+        return SETUP_NULL_RESIDUAL;
     for (int64_t r = 0; r < m; r++) {
         double below = r > 0 ? a1[r - 1] * v[r - 1] : 0.0;
         double above = r + 1 < m ? a1[2 * m - 1 + r] * v[r + 1] : 0.0;
@@ -2062,5 +2069,5 @@ int fbq_pool_data(int64_t m, double lam, double mu1, double mu2, double q, const
     for (int64_t c = 0; c < 3 * m - 2; c++)   /* NaN if an entry is, as numpy's max */
         big = fabs(a1[c]) > big || a1[c] != a1[c] ? fabs(a1[c]) : big;
     v[m] = uA1v;
-    return fabs(uA1v) < 1e-12 * big ? DATA_DRIFT : DATA_BUILT;
+    return fabs(uA1v) < 1e-12 * big ? SETUP_DRIFT : SETUP_DONE;
 }

@@ -4,11 +4,12 @@ The source is compiled on first use with the system C compiler into the
 per-user cache, `$XDG_CACHE_HOME/fbq` or `~/.cache/fbq`, a private
 directory.  The library is named by the sha256 of the source and the flags,
 so an edited source gets a new library and later processes only load it.
-`compiled()` returns the six loops typed; every solver and the simulator
-run on them, and fbq has no other coding of them.  `fbq_pool_system`
-takes the thresholds of a pool that a call still needs and returns the
-number of outcome rows it wrote, one per threshold solved.  A process
-tries the build once and keeps the outcome: where the library cannot be
+`compiled()` returns the five loops typed; every solver and the simulator
+run on them, and fbq has no other coding of them.  `fbq_pool_data` makes
+a pool's set-up, its zeros and the data its thresholds share, in one
+call, and `fbq_pool_system` takes the thresholds of a pool that a call
+still needs and returns the number of outcome rows it wrote, one per
+threshold solved.  A process tries the build once and keeps the outcome: where the library cannot be
 built or loaded (no C compiler, no private cache directory), each call
 raises an OSError that names the cause.  No LAPACK is linked:
 `fbq_ctmc_rectangle` calls the dgbsv that `dgbsv()` reads from scipy's
@@ -54,8 +55,7 @@ _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fvect-cost-model=dynamic", "-fPIC", "-shared", "-pthread")
 
-Loops = collections.namedtuple("Loops", "jump_chain pool_roots ctmc_rectangle speed_family "
-                                        "pool_system pool_data")
+Loops = collections.namedtuple("Loops", "jump_chain ctmc_rectangle speed_family pool_system pool_data")
 
 
 def cpus() -> int:
@@ -65,7 +65,7 @@ def cpus() -> int:
 
 
 def compiled() -> Loops:
-    """The library's `fbq_jump_chain`, `fbq_pool_roots`, `fbq_ctmc_rectangle`,
+    """The library's `fbq_jump_chain`, `fbq_ctmc_rectangle`,
     `fbq_speed_family`, `fbq_pool_system` and `fbq_pool_data` with their C
     signatures; the library is built first if the cache lacks it.  Raises
     OSError, naming the cause, when it cannot be built or loaded here."""
@@ -103,12 +103,10 @@ def _bind(lib: ctypes.CDLL) -> Loops:
     """The loops of the loaded library `lib`, typed."""
     i32, i64, dbl = ctypes.c_int, ctypes.c_int64, ctypes.c_double
     p_dbl, p_i64 = ctypes.POINTER(dbl), ctypes.POINTER(i64)
-    chain, pool_roots = lib.fbq_jump_chain, lib.fbq_pool_roots
+    chain = lib.fbq_jump_chain
     chain.argtypes = [i64, i32, ctypes.POINTER(ctypes.c_uint32), p_dbl, p_dbl, p_dbl, p_i64, p_i64,
                       p_dbl, p_i64, i64, p_i64, p_i64, p_dbl, p_i64]
     chain.restype = None
-    pool_roots.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 3, i32, p_dbl, p_dbl, p_dbl, p_i64, p_dbl]
-    pool_roots.restype = i32
     ctmc_rectangle = lib.fbq_ctmc_rectangle
     ctmc_rectangle.argtypes = [ctypes.c_void_p, i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_dbl, p_dbl,
                                p_dbl, p_i64, p_dbl]
@@ -121,9 +119,10 @@ def _bind(lib: ctypes.CDLL) -> Loops:
     pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 3, i64, p_i64, *[dbl] * 6, p_dbl, p_dbl]
     pool_system.restype = i32
     pool_data = lib.fbq_pool_data
-    pool_data.argtypes = [i64, *[dbl] * 4, p_dbl, p_dbl, *[dbl] * 3, *[p_dbl] * 3]
+    pool_data.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 3, i32, *[dbl] * 3, p_dbl, p_dbl, p_dbl, p_i64,
+                          p_dbl, p_dbl]
     pool_data.restype = i32
-    return Loops(chain, pool_roots, ctmc_rectangle, family, pool_system, pool_data)
+    return Loops(chain, ctmc_rectangle, family, pool_system, pool_data)
 
 
 def _library() -> pathlib.Path:

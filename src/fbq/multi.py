@@ -6,9 +6,9 @@ functions g_0(z) .. g_{m-1}(z) through a tridiagonal matrix A(z) whose last
 diagonal entry absorbs the saturated region via the small kernel root y1(z).
 Cramer's rule gives g_i = D_i/D; the determinant D has exactly m-1 simple
 real zeros in (0,1), isolated by the sign counts of the Sturm sequence of
-leading principal minors and refined by Brent's method, in one call of the
-compiled search of `_kernels.c`.  Those zeros, the balance equations of the
-boundary states, and the idle-server identity
+leading principal minors and refined by Brent's method, in the one call
+of `_kernels.c` that sets the pool up.  Those zeros, the balance equations
+of the boundary states, and the idle-server identity
 
     E[servers not working] = m - rho1 - rho2
 
@@ -31,10 +31,10 @@ Everything that does not depend on K is computed once per pool (lam, mu1,
 mu2, q, m) and kept in a bounded cache shared by all thresholds and all
 calls, in one work buffer whose pointers are taken once: the table of
 rates k mu1 and (m - k) mu2 that every minor and determinant evaluation
-reads, the determinant zeros, and what one call of the compiled
-`fbq_pool_data` builds from them: the left null vector of A(z) and the
-powers z^j at each zero, by the twisted factorisation of the tridiagonal
-A(z), and the Taylor data of A(z) at z = 1 with the null pair of A(1).  The
+reads, and the pool's set-up, one call of the compiled `fbq_pool_data`:
+the determinant zeros, the left null vector of A(z) and the powers z^j
+at each zero, by the twisted factorisation of the tridiagonal A(z), and
+the Taylor data of A(z) at z = 1 with the null pair of A(1).  The
 same cache keeps each threshold's solution, or the type and message of the
 SolverError its solve raised, so a pool is solved once per threshold
 however many sweeps or cost vectors ask for it.  The thresholds that a
@@ -134,29 +134,39 @@ def _det_at(model: MultiServerModel, z: float) -> float:
     return cur
 
 
-# --- root isolation -----------------------------------------------------------
+# --- the set-up of a pool: its zeros and the data its thresholds share --------
 
 
-# outcomes of the compiled search, fbq_pool_roots in _kernels.c
-(_FOUND, _END_COUNTS, _SPLIT_COUNTS, _NO_SIGN_CHANGE, _DISCRIMINANT, _NO_CONVERGENCE,
- _STACK_FULL) = range(7)
+# outcomes of the compiled set-up, fbq_pool_data in _kernels.c: the zero
+# search's, then the shared data's
+(_DONE, _END_COUNTS, _SPLIT_COUNTS, _NO_SIGN_CHANGE, _DISCRIMINANT, _NO_CONVERGENCE, _STACK_FULL,
+ _NULL_RESIDUAL, _DRIFT) = range(9)
 _BRENT_MAXITER = 100   # scipy.optimize.brentq's default
 _TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
+SINGULAR_RTOL = 1e-6   # largest relative null-vector residual of a matrix expected singular
 
 
-def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, int]:
-    """The zeros of d_roots without its checks, with the number of sign
-    counts and of determinant evaluations they took, in one call of the
-    compiled `fbq_pool_roots` on the pool's work buffer: Sturm counts at 0
-    and, with D replaced by -D'(1), just below 1, bisection on the counts
-    and scipy's brentq loop on each bracket.  Each failure raises
-    SolverError with the counts or the bracket and D'(1), and brentq's
-    non-convergence RuntimeError."""
+def _setup_compiled(model: MultiServerModel, c1: float, c2: float) -> tuple:
+    """(zeros, counts, evals, shared) of the pool, from one call of the
+    compiled `fbq_pool_data` on its work buffer: the zeros of d_roots
+    without its checks, with the number of sign counts and of determinant
+    evaluations they took, and the data that every threshold shares, laid
+    out as `fbq_pool_system` reads it.  The search takes the Sturm counts
+    at 0 and, with D replaced by -D'(1), just below 1, bisects on the
+    counts and runs scipy's brentq loop on each bracket; each failure
+    raises SolverError with the counts or the bracket and D'(1), and
+    brentq's non-convergence RuntimeError.  The data are the left null
+    vectors of A(z_k) and the powers z_k^j at the zeros, and A(z)'s Taylor
+    coefficients at z = 1, from the terms c1 t + c2 t^2 of the small kernel
+    root y1(1 + t), with A0's null pair; SolverError names a null-vector
+    residual above SINGULAR_RTOL, or a vanishing u^T A1 v."""
     m, pool = model.m, _pool(model)
     dprime = dprime_at_1(model)
-    status = _kernels.compiled().pool_roots(m, model.lam, model.mu1, model.mu2, model.q, pool.c_rates,
-                                            dprime, _TINY, 4 * _EPS, _BRENT_MAXITER, pool.c_band,
-                                            pool.c_brackets, pool.c_zeros, pool.c_info, pool.c_where)
+    data = np.empty(2 * (m - 1) * m + 3 * (3 * m - 2) + 2 * m + 1)
+    status = _kernels.compiled().pool_data(m, model.lam, model.mu1, model.mu2, model.q, pool.c_rates,
+                                           dprime, _TINY, 4 * _EPS, _BRENT_MAXITER, c1, c2, SINGULAR_RTOL,
+                                           pool.c_band, pool.c_brackets, pool.c_zeros, pool.c_info,
+                                           pool.c_where, ctypes.c_double.from_buffer(data))
     counts, evals, *failed = pool.info.tolist()
     lo, mid, hi = pool.where.tolist()
 
@@ -180,9 +190,13 @@ def _roots_compiled(model: MultiServerModel) -> tuple[tuple[float, ...], int, in
         _y1_float(model, lo)     # raises the discriminant's SolverError at that point
         raise failure(f"the zero search stopped with status _DISCRIMINANT at z = {lo:.17g}, where "
                       "the kernel discriminant is positive")
-    if status != _FOUND:         # a full bisection stack, which no search of (0, 1) reaches
+    if status == _NULL_RESIDUAL:
+        raise SolverError(f"matrix expected singular has a null-vector residual of {lo:.3e} times its norm")
+    if status == _DRIFT:
+        raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
+    if status != _DONE:          # a full bisection stack, which no search of (0, 1) reaches
         raise failure("the zero search stopped with status _STACK_FULL")
-    return tuple(pool.zeros[:m - 1].tolist()), counts, evals
+    return tuple(pool.zeros[:m - 1].tolist()), counts, evals, data
 
 
 def d_roots(model: MultiServerModel) -> tuple[float, ...]:
@@ -202,7 +216,11 @@ def d_roots(model: MultiServerModel) -> tuple[float, ...]:
 
     The stability and lam > 0 checks run on every call; the search runs
     once per pool (lam, mu1, mu2, q, m) and its zeros are then served from
-    the pool cache, whatever the threshold, as the pool's one tuple.
+    the pool cache, whatever the threshold, as the pool's one tuple.  It
+    runs in the pool's set-up, which builds the data that every threshold
+    shares in the same call, so a failure of that data raises here too:
+    SolverError for a null-vector residual above SINGULAR_RTOL or a
+    vanishing drift at z = 1.
     """
     require_stable_multi(model)
     if model.lam == 0:
@@ -229,85 +247,60 @@ def dprime_at_1(model: MultiServerModel) -> float:
         raise SolverError(f"the Erlang sums of the m = {m} pool overflow a float ({exc})") from exc
 
 
-# --- threshold-independent data of a pool -------------------------------------
-
-
-SINGULAR_RTOL = 1e-6   # largest relative null-vector residual of a matrix expected singular
-
-_DATA_SINGULAR = 1   # fbq_pool_data's status for a residual above SINGULAR_RTOL; 2 is a vanishing drift
-
-
-def _data_compiled(model: MultiServerModel, zeros: np.ndarray, c1: float, c2: float) -> np.ndarray:
-    """The data that every threshold of the pool shares, from one call of
-    the compiled `fbq_pool_data`, laid out as `fbq_pool_system` reads it:
-    the left null vectors of A(z_k) and the powers z_k^j at the zeros, and
-    A(z)'s Taylor coefficients at z = 1, from the terms c1 t + c2 t^2 of the
-    small kernel root y1(1 + t), with A0's null pair.  SolverError names a
-    null-vector residual above SINGULAR_RTOL, or a vanishing u^T A1 v."""
-    m, pool = model.m, _pool(model)
-    data, dbl = np.empty(2 * (m - 1) * m + 3 * (3 * m - 2) + 2 * m + 1), ctypes.c_double.from_buffer
-    status = _kernels.compiled().pool_data(m, model.lam, model.mu1, model.mu2, model.q, pool.c_rates,
-                                           dbl(zeros) if m > 1 else None, c1, c2, SINGULAR_RTOL, pool.c_band,
-                                           dbl(data), pool.c_ratio)   # m = 1 has no zeros
-    if status == _DATA_SINGULAR:
-        raise SolverError(f"matrix expected singular has a null-vector residual of "
-                          f"{pool.ratio[0]:.3e} times its norm")
-    if status:
-        raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
-    return data
+# --- the pool cache -----------------------------------------------------------
 
 
 class _Pool:
     """Everything a solve of the pool (lam, mu1, mu2, q, m) needs that does
     not depend on the threshold, in one work buffer whose parts the compiled
     calls get as pointers taken on construction: the rate table (k mu1,
-    (m - k) mu2), a read-only (m, 2) array, and on first use the zeros, by
-    the compiled search `fbq_pool_roots` on its part of the buffer, and the
-    data that every threshold shares, from `fbq_pool_data`; and each
-    threshold's outcome, kept by K in `solutions`: its solution, or the type
-    and message of the SolverError its row raised, which every later solve
-    of K raises afresh without solving again (the exception's traceback
-    would hold the frames of the failed solve).  The zeros and the shared
-    data keep no failure: each solve that needs a part that failed builds it
-    again and raises the same message, before any threshold is solved.
+    (m - k) mu2), a read-only (m, 2) array, and on first use the pool's
+    set-up, `data`, from one call of `_setup_compiled`: the zeros, which the
+    compiled `fbq_pool_data` writes to its part of the buffer, and the data
+    that every threshold shares; and each threshold's outcome, kept by K in
+    `solutions`: its solution, or the type and message of the SolverError
+    its row raised, which every later solve of K raises afresh without
+    solving again (the exception's traceback would hold the frames of the
+    failed solve).  The set-up keeps no failure: each call that needs it
+    after it failed builds it again and raises the same message, before
+    any threshold is solved.
     """
 
     def __init__(self, model: MultiServerModel):
         m = model.m
         self.model = model
         self.solutions: dict[int, MultiServerSolution | tuple[type, str]] = {}
-        # rates (2 m), zeros (m), band (5 m), brackets (2 m), where (3), the
-        # null-vector ratio (1) and the search's info (5 int64)
-        work = np.zeros(10 * m + 9)
+        # rates (2 m), zeros (m), band (5 m), brackets (2 m), where (3) and
+        # the search's info (5 int64)
+        work = np.zeros(10 * m + 8)
         work[:2 * m] = [rate for k in range(m) for rate in (k * model.mu1, (m - k) * model.mu2)]
         self.rates = frozen(work[:2 * m].reshape(m, 2))
-        self.zeros, self.brackets = work[2 * m:3 * m], work[8 * m:10 * m]
-        self.where, self.ratio = work[10 * m:10 * m + 3], work[10 * m + 3:10 * m + 4]
-        self.info = work[10 * m + 4:].view(np.int64)
-        self.c_rates, self.c_zeros, self.c_band, self.c_brackets, self.c_where, self.c_ratio = (
-            ctypes.c_double.from_buffer(work, 8 * at) for at in (0, 2 * m, 3 * m, 8 * m, 10 * m, 10 * m + 3))
-        self.c_info = ctypes.c_int64.from_buffer(work, 8 * (10 * m + 4))
-
-    @functools.cached_property
-    def roots(self) -> tuple[float, ...]:
-        t0 = time.perf_counter()
-        roots, counts, evals = _roots_compiled(self.model)
-        log.debug("m = %d: %d zeros isolated, %d sign counts, %d D evaluations, %.3f s",
-                  self.model.m, len(roots), counts, evals, time.perf_counter() - t0)
-        return roots
+        self.zeros, self.brackets, self.where = work[2 * m:3 * m], work[8 * m:10 * m], work[10 * m:10 * m + 3]
+        self.info = work[10 * m + 3:].view(np.int64)
+        self.c_rates, self.c_zeros, self.c_band, self.c_brackets, self.c_where = (
+            ctypes.c_double.from_buffer(work, 8 * at) for at in (0, 2 * m, 3 * m, 8 * m, 10 * m))
+        self.c_info = ctypes.c_int64.from_buffer(work, 8 * (10 * m + 3))
 
     @functools.cached_property
     def data(self) -> tuple:
-        """(args, shared, y2(1), y2'(1)): the leading arguments of the
+        """(args, shared, y2(1), y2'(1), roots): the leading arguments of the
         compiled `fbq_pool_system` (the pool, its rate table, its zeros and
-        `shared`), the data of `_data_compiled`, and the large kernel root."""
-        model = self.model
+        `shared`), the data that every threshold shares, the large kernel
+        root and the zeros, from the terms of y1(1 + t) and one call of
+        `_setup_compiled`."""
+        model, t0 = self.model, time.perf_counter()
         y1s, y2s = kernel_root_pair_at_1(model.lam / (model.m * model.mu1), model.q, SERIES_ORDER)
-        self.zeros[:model.m - 1] = self.roots   # a no-op after the compiled search, which wrote them there
-        shared = _data_compiled(model, self.zeros[:model.m - 1], *y1s.c[1:3])     # y1(1) = 1
+        roots, counts, evals, shared = _setup_compiled(model, *y1s.c[1:3])     # y1(1) = 1
+        log.debug("m = %d: %d zeros isolated, %d sign counts, %d D evaluations, %.3f s",
+                  model.m, len(roots), counts, evals, time.perf_counter() - t0)
+        self.zeros[:model.m - 1] = roots   # a no-op after the compiled set-up, which wrote them there
         args = (model.m, model.lam, model.mu1, model.mu2, model.q, self.c_rates, self.c_zeros,
                 ctypes.c_double.from_buffer(shared))
-        return args, shared, y2s.c[0], y2s.c[1]
+        return args, shared, y2s.c[0], y2s.c[1], roots
+
+    @property
+    def roots(self) -> tuple[float, ...]:
+        return self.data[-1]
 
 
 @functools.lru_cache(maxsize=POOL_CACHE_SIZE)
@@ -374,7 +367,7 @@ def _pool_rows(model: MultiServerModel, thresholds: list[int], pool: _Pool) -> l
     and as a running one elsewhere; one row per zero z_k, from the left null
     vector of A(z_k), to which b is orthogonal; and the idle-or-stopped
     server identity.  K = 0's L1 is mmm_marginal's."""
-    args, _, y2, dy2 = pool.data
+    args, _, y2, dy2, _ = pool.data
     m, count = model.m, len(thresholds)
     width = _G + 3 * m
     sizes = [(m * (m + 1) - K * (K + 1)) // 2 for K in thresholds]   # len(_states(m, K))

@@ -92,12 +92,6 @@ class PowerSeries:
     def value(self) -> float:
         return self.c[0]
 
-    def derivative(self, n: int = 1) -> float:
-        """n-th derivative at the expansion point."""
-        if n > self.order:
-            raise ValueError(f"series of order {self.order} has no coefficient {n}")
-        return self.c[n] * math.factorial(n)
-
     def pow(self, p: int) -> "PowerSeries":
         out = PowerSeries.constant(1.0, self.order)
         for _ in range(p):

@@ -16,12 +16,12 @@ loop's order, so the two give equal results, errors included.
   factors; `condition` is the condition estimate that `fbq_speed_family`
   and `fbq_pool_system` book for a failing system, and `checked` is
   `linsys._checked` with it.
-* `sturm_sequence`, `sign_changes` and `isolate_roots`: the zero search of
-  `fbq_pool_roots`, behind `multi._roots_compiled`.
-* `pool_data`: the data that `fbq_pool_data` builds for every threshold of
-  a pool, behind `multi._data_compiled`, on `tridiagonal` (A(z) at the
-  zeros) and the twisted factorisations of `twisted_null` and
-  `null_vectors`; `shared_parts` splits that data into its parts.
+* `pool_setup`: a pool's set-up, the one call of `fbq_pool_data`, behind
+  `multi._setup_compiled`: `isolate_roots`, the zero search, on
+  `sturm_sequence` and `sign_changes`, and then `pool_data`, the data that
+  every threshold of the pool shares, on `tridiagonal` (A(z) at the zeros)
+  and the twisted factorisations of `twisted_null` and `null_vectors`;
+  `shared_parts` splits that data into its parts.
 * `pool_fill`, `pool_taylor`, `cascade` and `finish`: the boundary fill,
   the z = 1 Taylor sums, the Taylor cascade and the sums of a solution of
   `fbq_pool_system`; `solve_one` is one threshold's outcome row on them,
@@ -203,17 +203,21 @@ def lu_solve(t: np.ndarray, perm: list, y: np.ndarray) -> None:
 
 def lu_solve_transposed(t: np.ndarray, perm: list, y: np.ndarray) -> None:
     """S^T x = y in place: U^T column by column, then the transposes of
-    the steps in reverse, each a sum over the rows below in turn."""
+    the steps in reverse, each a sum over the rows below with a nonzero
+    multiplier, in turn."""
     n = len(y)
     for j in range(n):
         y[j] /= t[j, j]
         y[j + 1:] -= t[j, j + 1:] * y[j]
-    low = t.tolist()
+    cols, rows = np.nonzero(np.tril(t, -1).T)   # L's nonzeros by column, then by row
+    starts, x = np.searchsorted(cols, np.arange(n + 1)).tolist(), y.tolist()
+    terms = list(zip(rows.tolist(), t[rows, cols].tolist()))
     for j in reversed(range(n)):
-        v = float(y[j])
-        for r in range(j + 1, n):
-            v -= low[r][j] * float(y[r])
-        y[j], y[perm[j]] = y[perm[j]], v
+        v = x[j]
+        for r, multiplier in terms[starts[j]:starts[j + 1]]:
+            v -= multiplier * x[r]
+        x[j], x[perm[j]] = x[perm[j]], v
+    y[:] = x
 
 
 def condition(a: np.ndarray) -> float:
@@ -359,7 +363,7 @@ def sign_changes(seq) -> int:
 def isolate_roots(model) -> tuple[tuple[float, ...], int, int]:
     """The zeros of d_roots without its checks, with the number of sign
     counts and of determinant evaluations they took, and each failure's
-    type and message, as `multi._roots_compiled` gives them."""
+    type and message, as `multi._setup_compiled` gives them."""
     m = model.m
     dprime = multi.dprime_at_1(model)
 
@@ -583,7 +587,7 @@ def finish(model, K: int, pool, x: list, status: int, g, check: list, row: list)
         _, L1 = multi.mmm_marginal(m, model.rho1)
     else:
         L1 = add_up(i * gv1[i] for i in range(m)) + gm1 * (m * (1.0 - r) + r) / (1.0 - r) ** 2
-    _, _, y2v, y2d = pool.data
+    _, _, y2v, y2d, _ = pool.data
     L2 = add_up(gd1) + (gd1[m - 1] * (y2v - 1.0) - gv1[m - 1] * y2d) / (y2v - 1.0) ** 2
     p = [0.0] * m
     for (i, j), xc in zip(multi._states(m, K), x):
@@ -654,12 +658,19 @@ def tridiagonal(model, z: np.ndarray):
     return np.broadcast_to(-lam * z, above.shape), diag, above
 
 
+def pool_setup(model, c1: float, c2: float) -> tuple:
+    """`multi._setup_compiled` in Python: `isolate_roots`, then `pool_data`
+    at its zeros, with their errors."""
+    roots, counts, evals = isolate_roots(model)
+    return roots, counts, evals, pool_data(model, np.array(roots), c1, c2)
+
+
 def pool_data(model, zeros: np.ndarray, c1: float, c2: float) -> np.ndarray:
-    """`multi._data_compiled` in Python, with its errors: the left null
-    vectors of A(z_k) at the zeros and the powers z_k^j, then A0, A1, A2
-    of A(z) = A0 + A1 t + A2 t^2 + ..., t = z - 1, as closed forms in c1 and
-    c2, A0's null pair u, v and u^T A1 v, packed as `shared_parts` reads
-    them."""
+    """The shared data of `multi._setup_compiled`, with its errors: the
+    left null vectors of A(z_k) at the zeros and the powers z_k^j, then A0,
+    A1, A2 of A(z) = A0 + A1 t + A2 t^2 + ..., t = z - 1, as closed forms in
+    c1 and c2, A0's null pair u, v and u^T A1 v, packed as `shared_parts`
+    reads them."""
     lam, mu1, mu2, q, m = model.lam, model.mu1, model.mu2, model.q, model.m
     below, diag, above = tridiagonal(model, zeros)
     null = singular_nulls(above, diag, below)     # the right null vectors of A(z_k)^T
@@ -772,8 +783,7 @@ def rectangle(lam, q, fg, bg, fixed):
 REFERENCES = (
     (simulation, "_jump_chain", replications),
     (single._Family, "solve", family_solve),
-    (multi, "_roots_compiled", isolate_roots),
-    (multi, "_data_compiled", pool_data),
+    (multi, "_setup_compiled", pool_setup),
     (multi, "_pool_rows", solve_rows),
     (ctmc, "_band_rectangle", rectangle),
 )

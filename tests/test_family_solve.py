@@ -173,8 +173,8 @@ def test_index_built_grids_equal_the_itertools_grids(K, s0):
 
 
 def test_figure8_is_equal_on_both_pool_paths(on_both_paths):
-    # the compiled zero search and boundary fill (fbq_pool_roots and
-    # fbq_pool_system) against reference.isolate_roots and the Python fill
+    # the compiled set-up and boundary fill (fbq_pool_data and
+    # fbq_pool_system) against reference.pool_setup and the Python fill
     # (reference.pool_fill and pool_taylor); both paths make the same LAPACK calls
     compiled, python = on_both_paths(lambda: reproduce_figure(8).curves)
     assert compiled == python

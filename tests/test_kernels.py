@@ -3,10 +3,11 @@ the package's own compiler and flags, both as the package builds it and
 with its clone macro empty, each variant built once for the module; the
 two builds give the same bits; the ctypes signatures that
 `fbq._kernels.compiled` gives its loops are the C definitions' parameter
-lists, every Python function that its comments cite exists in fbq or in
-the test module `reference`, and every `fbq_*` loop that its comments, the
-package's modules or the README cite is defined in it; none of them, nor
-`reference`, cites a helper that was deleted from it."""
+lists, the statuses and row entries that Python reads by value equal the C
+enums they mirror, every Python function that its comments cite exists in
+fbq or in the test module `reference`, and every `fbq_*` loop that its
+comments, the package's modules or the README cite is defined in it; none
+of them, nor `reference`, cites a helper that was deleted from it."""
 
 import ctypes
 import functools
@@ -19,7 +20,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from fbq import _kernels, single
+from fbq import _kernels, ctmc, multi, single
 from fbq import simulation as SIM
 import reference
 from test_family_solve import PINS, THREADS, assert_same_bits, base_model, coarse_k3_family, family_call
@@ -133,6 +134,33 @@ def test_bound_loops_match_the_c_signatures():
         assert ret == "void" or fn.restype is C_TYPES[ret], name
 
 
+def c_enums():
+    """{name: value} of the enumerators of `_kernels.c`'s enums."""
+    source = re.sub(r"/\*.*?\*/", "", _kernels._SOURCE.read_text(), flags=re.S)
+    values = {}
+    for body in re.findall(r"\benum\s*\{(.*?)\}", source, re.S):
+        value = -1
+        for item in body.split(","):
+            name, _, given = item.partition("=")
+            value = int(given) if given.strip() else value + 1
+            values[name.strip()] = value
+    return values
+
+
+def test_python_mirrors_equal_the_c_enums():
+    # the set-up's statuses and the outcome rows' entries of the pool loops,
+    # and the rectangle's statuses, which Python reads by value; RECT_SOLVED
+    # is the 0 that ctmc reads as no failure
+    enums = c_enums()
+    pairs = [(name, module, "_" + name.split("_", 1)[1])
+             for prefix, module in (("SETUP_", multi), ("ROW_", multi), ("RECT_", ctmc))
+             for name in enums if name.startswith(prefix) and name != "RECT_SOLVED"]
+    pairs.append(("POOL_INCONSISTENT", multi, "_INCONSISTENT"))
+    assert len(pairs) == 9 + 15 + 5 + 1 and enums["RECT_SOLVED"] == 0
+    assert [(name, enums[name]) for name, *_ in pairs] == \
+        [(name, getattr(module, mirror)) for name, module, mirror in pairs]
+
+
 def test_python_names_in_the_comments_resolve_in_fbq():
     # a renamed or removed reference would leave the C comments citing code that is gone
     comments = " ".join(re.findall(r"/\*.*?\*/", _kernels._SOURCE.read_text(), re.S))
@@ -161,15 +189,18 @@ def documenting_texts():
 def test_cited_loops_are_defined_in_the_c_source():
     # a renamed or removed loop would leave the comments, docstrings or README citing code that is gone
     cited = {name for text in documenting_texts().values() for name in re.findall(r"\bfbq_(\w+)", text)}
-    assert len(cited) >= 6
+    assert len(cited) >= 5
     assert sorted(cited - set(c_definitions())) == []
 
 
 # helpers deleted from `_kernels.c`: the first passes of the tile and envelope
-# eliminations, now made by their row scaling; the one-lane tile width; and
-# the dense tile elimination with its lane products and the full envelopes,
-# now that one envelope elimination serves every system
-DELETED_HELPERS = ("check_lanes", "env_check", "tile_width", "lu_tile", "sub_products", "env_full")
+# eliminations, now made by their row scaling; the one-lane tile width; the
+# dense tile elimination with its lane products and the full envelopes, now
+# that one envelope elimination serves every system; and the pool's zero
+# search as an entry of its own, with the two Python wrappers of the search
+# and the shared data, now that one call of fbq_pool_data sets a pool up
+DELETED_HELPERS = ("check_lanes", "env_check", "tile_width", "lu_tile", "sub_products", "env_full",
+                   "fbq_pool_roots", "_roots_compiled", "_data_compiled")
 
 
 def test_deleted_helpers_are_cited_nowhere():

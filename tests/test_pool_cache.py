@@ -16,9 +16,10 @@ of seeded pools with m = 2..24, which every float zero must match to 2e-15
 relative.  The zeros of the seeded pools must also equal, bit for bit, those
 that the same Sturm search finds on plain-loop copies of the recurrences,
 which form every matrix entry from the rates inside the loop.  The compiled
-search must give the zeros, counts and error messages of the Python search
-reference.isolate_roots on the pinned, seeded and scanned pools, and a
-search that stops early must raise its status.
+set-up, one call of fbq_pool_data, must give the zeros, counts, shared
+data and error messages of its Python twin reference.pool_setup
+(reference.isolate_roots, then reference.pool_data) on the pinned, seeded
+and scanned pools, and a search that stops early must raise its status.
 
 The thresholds that a call still needs are solved whole, in order, by one
 call of the compiled loop fbq_pool_system, which writes one outcome row per
@@ -26,11 +27,11 @@ threshold and stops at the first that fails; its rows, least pivots
 included, must equal those of reference.solve_rows in float.hex on every
 threshold of pool_bits' pools, and each threshold that a failing sweep
 leaves unsolved must carry reference.lockstep's least pivot when solved
-alone.  The shared data comes from one call of the compiled
+alone.  The shared data comes from the same call of the compiled
 fbq_pool_data, whose null vectors are twisted factorisations; no LAPACK
 call is made.  A failure
-to build the shared data is the pool's: no threshold keeps it, and its
-message is the Python reference's, and so is the error of a boundary
+to build the shared data is the pool's: no threshold keeps it, d_roots
+raises it too, and its message is the Python reference's, and so is the error of a boundary
 system that fails the first pass of the loop's row scaling (a zero row, a
 NaN).  Every threshold of the seeded and pinned pools must agree, within
 the rounding of the two methods, with a solve that takes the null vectors
@@ -151,12 +152,12 @@ def count_calls(monkeypatch, *names):
 
 
 def test_threshold_independent_parts_are_built_once_per_pool(monkeypatch):
-    calls = count_calls(monkeypatch, "_data_compiled", "kernel_root_pair_at_1")
+    calls = count_calls(monkeypatch, "_setup_compiled", "kernel_root_pair_at_1")
     model = MultiServerModel(**POOL)
     sweep_thresholds(model)
     sweep_thresholds(model)
     solve_threshold(dataclasses.replace(model, threshold=2))
-    assert calls == {"_data_compiled": 1, "kernel_root_pair_at_1": 1}
+    assert calls == {"_setup_compiled": 1, "kernel_root_pair_at_1": 1}
 
 
 def count_rows(monkeypatch):
@@ -350,23 +351,24 @@ def test_a_served_solution_rejects_edits_and_the_next_serve_is_unchanged():
 
 def test_a_singular_residual_fails_the_pool_not_a_threshold(monkeypatch, on_both_paths):
     # with no residual allowed, the null vector at the first zero fails the
-    # shared data; no threshold keeps that failure, so each solve builds the
-    # data again and raises the same message, on both paths
+    # shared data; no threshold keeps that failure, so each solve, and each
+    # d_roots, builds the set-up again and raises the same message, on both
+    # paths
     model = MultiServerModel(**POOL, threshold=2)
     monkeypatch.setattr(multi, "SINGULAR_RTOL", 0.0)
 
     def raised():
         messages = []
-        for _ in range(2):
+        for call in (solve_threshold, solve_threshold, d_roots, d_roots):
             with pytest.raises(SolverError) as exc:
-                solve_threshold(model)
+                call(model)
             messages.append(str(exc.value))
             assert multi._pool(model).solutions == {}
         return messages
 
     compiled, python = on_both_paths(raised)
     assert compiled == python
-    assert compiled[0] == compiled[1]
+    assert len(set(compiled)) == 1
     assert re.fullmatch(r"matrix expected singular has a null-vector residual of "
                         r"\d\.\d{3}e-\d\d times its norm", compiled[0]), compiled[0]
 
@@ -432,18 +434,28 @@ def test_a_non_finite_right_hand_side_fails_the_first_pass_on_both_paths():
         [(ValueError, "array must not contain infs or NaNs")] * 2 * model.m
 
 
-def test_a_vanishing_drift_raises_the_references_message():
-    # A1's last diagonal entry holds -lam c1, so this c1 cancels u^T A1 v
+def test_a_vanishing_drift_raises_the_references_message(monkeypatch, on_both_paths):
+    # A1's last diagonal entry holds -lam c1, where c1 is the slope of
+    # y1(1 + t) that kernel_root_pair_at_1 hands the set-up, so this c1
+    # cancels u^T A1 v
     model = MultiServerModel(**POOL)
-    zeros = np.array(d_roots(model))
-    *_, u, v, uA1v = reference.shared_parts(model.m, multi._data_compiled(model, zeros, 0.0, 0.0))
-    c1 = uA1v / (model.lam * u[-1] * v[-1])
-    raised = []
-    for build in (multi._data_compiled, reference.pool_data):
+    *_, u, v, uA1v = reference.shared_parts(model.m, multi._pool(model).data[1])
+    pair = multi.kernel_root_pair_at_1
+    c1 = pair(model.lam / (model.m * model.mu1), model.q, multi.SERIES_ORDER)[0].c[1]
+    c1 += uA1v / (model.lam * u[-1] * v[-1])
+
+    def drifting(*args):
+        y1, y2 = pair(*args)
+        y1.c[1] = c1
+        return y1, y2
+    monkeypatch.setattr(multi, "kernel_root_pair_at_1", drifting)
+
+    def raised():
         with pytest.raises(SolverError) as exc:
-            build(model, zeros, c1, 0.0)
-        raised.append(str(exc.value))
-    assert raised == ["transform system is degenerate at z = 1 (vanishing drift)"] * 2
+            solve_threshold(model)
+        return str(exc.value)
+
+    assert on_both_paths(raised) == ("transform system is degenerate at z = 1 (vanishing drift)",) * 2
 
 
 # --- the Sturm search on plain loops over the rates ---------------------------
@@ -503,17 +515,19 @@ def test_zeros_equal_the_plain_loop_cascade_bit_for_bit(monkeypatch):
     assert failed == []
 
 
-# --- the compiled zero search against reference.isolate_roots ---------------------
+# --- the compiled set-up against reference.pool_setup -----------------------------
 
 
-def search_outcome(search, model):
-    """The zeros in float.hex with the sign-count and evaluation totals, or
-    the type and message of the error."""
+def search_outcome(setup, model):
+    """The zeros in float.hex with the sign-count and evaluation totals and
+    the shared data's bytes, or the type and message of the error, of the
+    set-up with the kernel root's terms of the pool."""
+    y1 = multi.kernel_root_pair_at_1(model.lam / (model.m * model.mu1), model.q, multi.SERIES_ORDER)[0]
     try:
-        roots, counts, evals = search(model)
+        roots, counts, evals, shared = setup(model, *y1.c[1:3])
     except RuntimeError as exc:     # SolverError, or brentq's non-convergence
         return type(exc), str(exc)
-    return [z.hex() for z in roots], counts, evals
+    return [z.hex() for z in roots], counts, evals, shared.tobytes()
 
 
 def scanned_pools(count=322):
@@ -550,8 +564,8 @@ def test_compiled_search_equals_the_python_search_bit_for_bit():
     pools += [*seeded_pools(), *scanned_pools(), SQUARE_POOL, *FAILING_SEARCHES]
     failed = []
     for model in pools:
-        expected = search_outcome(reference.isolate_roots, model)
-        assert search_outcome(multi._roots_compiled, model) == expected, model
+        expected = search_outcome(reference.pool_setup, model)
+        assert search_outcome(multi._setup_compiled, model) == expected, model
         if len(expected) == 2:
             failed.append(expected[1].split(" at ")[0])
     assert failed == ["Sturm counts read 100, 1, 2", "Sturm counts read 2, 0, 1",
@@ -561,20 +575,20 @@ def test_compiled_search_equals_the_python_search_bit_for_bit():
 def test_compiled_search_raises_the_python_message(monkeypatch):
     monkeypatch.setattr(multi, "dprime_at_1", lambda model: -1.0)
     model = MultiServerModel(1.5, 1.0, 0.5, 0.3, 3)
-    expected = search_outcome(reference.isolate_roots, model)
+    expected = search_outcome(reference.pool_setup, model)
     assert expected == (SolverError, "Sturm counts read 3 at z = 0 and 0 below z = 1, not 3 and 1; "
                                      "D'(1) = -1")
-    assert search_outcome(multi._roots_compiled, model) == expected
+    assert search_outcome(multi._setup_compiled, model) == expected
 
 
 @pytest.mark.parametrize("status", ["_STACK_FULL", "_DISCRIMINANT"])
 def test_a_search_that_stops_early_raises_its_status(status, monkeypatch):
     # a full bisection stack, and a discriminant that the search found
     # nonpositive at z = 0 where _y1_float finds it positive
-    stub = KERNELS.compiled()._replace(pool_roots=lambda *args: getattr(multi, status))
+    stub = KERNELS.compiled()._replace(pool_data=lambda *args: getattr(multi, status))
     monkeypatch.setattr(KERNELS, "compiled", lambda: stub)
     with pytest.raises(SolverError, match=f"^the zero search stopped with status {status}.*; D'\\(1\\) = "):
-        multi._roots_compiled(MultiServerModel(**POOL))
+        multi._setup_compiled(MultiServerModel(**POOL), 0.0, 0.0)
 
 
 @pytest.mark.parametrize("m", [14, 17])
@@ -660,7 +674,7 @@ def test_each_threshold_agrees_with_the_svd_and_lstsq_reference(monkeypatch):
     failed = []
     for model in models + list(seeded_pools()):
         with monkeypatch.context() as patch:
-            patch.setattr(multi, "_data_compiled", reference.pool_data)
+            patch.setattr(multi, "_setup_compiled", reference.pool_setup)
             patch.setattr(reference, "null_vectors", svd_null_vectors)
             patch.setattr(multi, "_pool_rows",
                           functools.partial(reference.solve_rows, solve=reference_solve))
