@@ -1878,31 +1878,32 @@ static void pool_finish(const struct pool *p, int64_t K, const double *x, int cl
 }
 
 /* The thresholds[0 .. count - 1] of the pool (m, lam, mu1, mu2, q) with the
- * rate table `rates` of fbq_pool_data, solved whole in that order, one
- * outcome row each (ROW_G + 3 m entries at rows + k (ROW_G + 3 m)) and the
- * solution x of each after those of the thresholds before it, until a row
- * fails, as reference.solve_rows does.  For each K, pool_fill fills the
- * boundary system on its envelope, with the pool's zeros, the null vectors
- * and powers at the head of its fbq_pool_data `data` and idle = m - rho1 -
- * rho2; lu_system solves it into x, or returns 1 or 2 from its first pass
- * as linsys._first_pass would; note_system books the least |pivot| and the
- * summary as reference.lockstep would, on every row.  If a pivot is below
- * pivot_tol or a value below -neg_tol, the row gets the lu_condition
- * estimate from the same factors and nothing more is done.  Else
- * pool_taylor sums b from x, read clamped if a value is negative, and
- * pool_cascade takes b and the z = 1 part of `data` to g0 and g1, with the
- * solvability residual and scale, on the same work; a residual above 1e-7
- * max(scale, 1e-300), as Python's max takes it, makes the status
- * POOL_INCONSISTENT, and else pool_finish ends the row.  A row fails when
- * its status is not 0 or its system is singular or negative, and no later
- * threshold is solved.  Returns the number of rows written: the first
- * gets status 3 if the work cannot be allocated. */
+ * work of fbq_pool_data, its rate table `rates` and the zeros after it,
+ * solved whole in that order, one outcome row each (ROW_G + 3 m entries at
+ * rows + k (ROW_G + 3 m)) and the solution x of each after those of the
+ * thresholds before it, until a row fails, as reference.solve_rows does.
+ * For each K, pool_fill fills the boundary system on its envelope, with
+ * the pool's zeros, the null vectors and powers at the head of its
+ * fbq_pool_data `data` and idle = m - rho1 - rho2; lu_system solves it into
+ * x, or returns 1 or 2 from its first pass as linsys._first_pass would;
+ * note_system books the least |pivot| and the summary as reference.lockstep
+ * would, on every row.  If a pivot is below pivot_tol or a value below
+ * -neg_tol, the row gets the lu_condition estimate from the same factors
+ * and nothing more is done.  Else pool_taylor sums b from x, read clamped
+ * if a value is negative, and pool_cascade takes b and the z = 1 part of
+ * `data` to g0 and g1, with the solvability residual and scale, on the
+ * same work; a residual above 1e-7 max(scale, 1e-300), as Python's max
+ * takes it, makes the status POOL_INCONSISTENT, and else pool_finish ends
+ * the row.  A row fails when its status is not 0 or its system is singular
+ * or negative, and no later threshold is solved.  Returns the number of
+ * rows written: the first gets status 3 if the work cannot be allocated. */
 int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
-                    const double *zeros, const double *data, int64_t count, const int64_t *thresholds,
-                    double idle, double L1_at_0, double y2, double dy2, double pivot_tol,
-                    double neg_tol, double *x, double *rows)
+                    double L1_at_0, double y2, double dy2, double pivot_tol, double neg_tol,
+                    const double *data, double idle, int64_t count, const int64_t *thresholds, double *x,
+                    double *rows)
 {
     const struct pool p = {m, lam, mu1, mu2, q, rates, NULL};
+    const double *zeros = rates + 2 * m;
     int64_t width = ROW_G + 3 * m, big = m + 1, done = 0;
     for (int64_t k = 0; k < count; k++) {
         int64_t n = kept_before(m, thresholds[k], m);
@@ -2004,10 +2005,13 @@ static double twisted_null(int64_t n, const double *lo, const double *d, const d
     return frob == 0.0 ? 0.0 : fabs(gamma) / (norm * frob);
 }
 
-/* What every threshold of the pool (m, lam, mu1, mu2, q) with the rate
- * table `rates` shares, in one call: its m - 1 zeros in (0, 1), by
- * search_zeros with D'(1) = dprime, its tolerances and maxiter, into
- * zeros, with the search's totals and a failure's data in info and where;
+/* What every threshold of the pool (m, lam, mu1, mu2, q) shares, in one
+ * call on the pool's work, which holds the rate table (2 m) that
+ * multi._Pool writes, then zeros (m), band (5 m), brackets (2 m), where (3),
+ * info (5 int64) and data: its m - 1 zeros in (0, 1), by search_zeros with
+ * D'(1) = dprime, brentq's tolerances xtol = DBL_MIN and rtol = 4 DBL_EPSILON
+ * (numpy's tiny and 4 eps) and maxiter, into zeros, with the search's
+ * totals and a failure's data in info and where;
  * then, built from them as reference.pool_data builds it, into data: the
  * left null vector of each A(z_k)^T by twisted_null at data[k m ..]; the
  * powers z_k^j (j < m) by libm's pow, as CPython takes them, at data[(m - 1
@@ -2017,15 +2021,15 @@ static double twisted_null(int64_t n, const double *lo, const double *d, const d
  * else SETUP_NULL_RESIDUAL at the first null vector, in that order, whose
  * relative residual is above null_rtol or NaN, with that residual in
  * where[0], SETUP_DRIFT if |u^T A1 v| is below 1e-12 of A1's largest
- * |entry|, else SETUP_DONE.  band is work of 5 m entries, brackets of 2 m,
- * info of 5 and where of 3. */
-int fbq_pool_data(int64_t m, double lam, double mu1, double mu2, double q, const double *rates,
-                  double dprime, double xtol, double rtol, int maxiter, double c1, double c2,
-                  double null_rtol, double *band, double *brackets, double *zeros, int64_t *info,
-                  double *where, double *data)
+ * |entry|, else SETUP_DONE. */
+int fbq_pool_data(int64_t m, double lam, double mu1, double mu2, double q, double dprime, int maxiter,
+                  double c1, double c2, double null_rtol, double *work)
 {
+    double *rates = work, *zeros = work + 2 * m, *band = work + 3 * m, *brackets = work + 8 * m;
+    double *where = work + 10 * m, *data = work + 10 * m + 8;
+    int64_t *info = (int64_t *)(work + 10 * m + 3);
     const struct pool p = {m, lam, mu1, mu2, q, rates, band};
-    int status = search_zeros(&p, dprime, xtol, rtol, maxiter, brackets, zeros, info, where);
+    int status = search_zeros(&p, dprime, DBL_MIN, 4 * DBL_EPSILON, maxiter, brackets, zeros, info, where);
     if (status != SETUP_DONE)
         return status;
     double *zpow = data + (m - 1) * m, *a0 = zpow + (m - 1) * m, *a1 = a0 + 3 * m - 2;

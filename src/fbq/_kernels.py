@@ -116,11 +116,10 @@ def _bind(lib: ctypes.CDLL) -> Loops:
                        p_dbl, p_i64, p_dbl, p_dbl, p_dbl]
     family.restype = i32
     pool_system = lib.fbq_pool_system
-    pool_system.argtypes = [i64, *[dbl] * 4, *[p_dbl] * 3, i64, p_i64, *[dbl] * 6, p_dbl, p_dbl]
+    pool_system.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 5, p_dbl, dbl, i64, p_i64, p_dbl, p_dbl]
     pool_system.restype = i32
     pool_data = lib.fbq_pool_data
-    pool_data.argtypes = [i64, *[dbl] * 4, p_dbl, *[dbl] * 3, i32, *[dbl] * 3, p_dbl, p_dbl, p_dbl, p_i64,
-                          p_dbl, p_dbl]
+    pool_data.argtypes = [i64, *[dbl] * 5, i32, *[dbl] * 3, p_dbl]
     pool_data.restype = i32
     return Loops(chain, ctmc_rectangle, family, pool_system, pool_data)
 

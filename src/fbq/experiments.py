@@ -32,7 +32,7 @@ from .models import (
     check_stability_single,
     frozen,
 )
-from .multi import MultiServerSolution, evaluate_cost_multi, solve_threshold, sweep_thresholds
+from .multi import MultiServerSolution, solve_threshold, sweep_costs
 from .simulation import SimConfig, ThreePhaseModel, simulate, two_phase_approximation
 from .single import (
     SingleServerSolution,
@@ -182,11 +182,10 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     return SpeedProfile(levels, alpha=model.speeds.alpha), best_cost, curve
 
 
-def _threshold_cost_curve(sweep: list[MultiServerSolution], costs: CostCoefficients,
+def _threshold_cost_curve(model: MultiServerModel, costs: CostCoefficients,
                           label: str = "cost") -> PolicyCurve:
-    """Switch-off cost over the thresholds of a sweep_thresholds result."""
-    return PolicyCurve(label, [float(sol.threshold) for sol in sweep],
-                       [evaluate_cost_multi(sol, costs) for sol in sweep])
+    """Switch-off cost over the thresholds 0 .. m-1 of the model's pool (sweep_costs)."""
+    return PolicyCurve(label, [float(K) for K in range(model.m)], sweep_costs(model, costs))
 
 
 def optimize_threshold(model: MultiServerModel, costs: CostCoefficients):
@@ -194,8 +193,9 @@ def optimize_threshold(model: MultiServerModel, costs: CostCoefficients):
 
     Solver failures at individual thresholds propagate rather than being
     skipped, so a returned optimum always covers the full range 0 .. m-1.
+    The costs come from the pool's outcome rows; no solution is built.
     """
-    curve = _threshold_cost_curve(sweep_thresholds(model), costs)
+    curve = _threshold_cost_curve(model, costs)
     return int(curve.argmin()), curve
 
 
@@ -304,8 +304,8 @@ def _three_phase_figure(figure: int, params: dict, grid: list[float], seed: int,
 
 
 def _figure8() -> FigureResult:
-    sweep = sweep_thresholds(MultiServerModel(5.0, 1.0, 0.2, 0.1, 10))
-    curves = [_threshold_cost_curve(sweep, CostCoefficients(1.0, c2), f"c2={c2:g}")
+    model = MultiServerModel(5.0, 1.0, 0.2, 0.1, 10)
+    curves = [_threshold_cost_curve(model, CostCoefficients(1.0, c2), f"c2={c2:g}")
               for c2 in (0.5, 1.0, 1.5)]
     return FigureResult(
         figure=8,

@@ -28,26 +28,21 @@ state, on the threshold diagonal i + j = K >= 1, puts
 -i mu1 (1 - q + q z) z^(j+1) into b_(i-1).
 
 Everything that does not depend on K is computed once per pool (lam, mu1,
-mu2, q, m) and kept in a bounded cache shared by all thresholds and all
-calls, in one work buffer whose pointers are taken once: the table of
-rates k mu1 and (m - k) mu2 that every minor and determinant evaluation
-reads, and the pool's set-up, one call of the compiled `fbq_pool_data`:
-the determinant zeros, the left null vector of A(z) and the powers z^j
-at each zero, by the twisted factorisation of the tridiagonal A(z), and
-the Taylor data of A(z) at z = 1 with the null pair of A(1).  The
-same cache keeps each threshold's solution, or the type and message of the
-SolverError its solve raised, so a pool is solved once per threshold
-however many sweeps or cost vectors ask for it.  The thresholds that a
-call still needs are solved in order by one call of the compiled loop
-`fbq_pool_system` of `_kernels.c`, which stops at the first that fails and
-writes an outcome row per threshold, the solution built from it: it fills
-each boundary system on its envelope, factors it there by the envelope
-elimination that solves the speed families' tiles, on one system,
-sums the z = 1 Taylor vectors of b from the clamped solution, runs the
-Taylor cascade and sums L1, L2, U and p in Python's float order, with no
-BLAS or LAPACK call, so a pool gives the same bits on every CPU.
-Solutions are read-only values, and the cache serves each one's object to
-every caller.
+mu2, q, m) and kept in a bounded cache, in one work buffer that starts
+with the pool's rate table and where the pool's set-up, one call of the
+compiled `fbq_pool_data`, writes the determinant zeros, the left null
+vectors of A(z) and powers z^j at the zeros, and A(z)'s Taylor data at
+z = 1 with the null pair of A(1).
+The thresholds that a call still needs are solved in order by one call of
+the compiled loop `fbq_pool_system`, which fills and factors each boundary
+system on its envelope, runs the Taylor cascade and sums L1, L2, U and p
+in Python's float order, with no BLAS or LAPACK call, so a pool gives the
+same bits on every CPU; it stops at the first threshold that fails.  The
+cache keeps each threshold's outcome row and boundary probabilities, or
+the type and message of the SolverError it raised, so a pool is solved
+once per threshold however many sweeps or cost vectors ask for it: costs
+are scored from the rows' L and U, and a solution is built when first
+read, and that read-only object is served to every later caller.
 The closure by the zeros is the spectral-expansion closure of Mitrani &
 Chakka, "Spectral expansion solution for a class of Markov models",
 Performance Evaluation 23 (1995).
@@ -142,61 +137,57 @@ def _det_at(model: MultiServerModel, z: float) -> float:
 (_DONE, _END_COUNTS, _SPLIT_COUNTS, _NO_SIGN_CHANGE, _DISCRIMINANT, _NO_CONVERGENCE, _STACK_FULL,
  _NULL_RESIDUAL, _DRIFT) = range(9)
 _BRENT_MAXITER = 100   # scipy.optimize.brentq's default
-_TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
 SINGULAR_RTOL = 1e-6   # largest relative null-vector residual of a matrix expected singular
 
 
 def _setup_compiled(model: MultiServerModel, c1: float, c2: float) -> tuple:
     """(zeros, counts, evals, shared) of the pool, from one call of the
-    compiled `fbq_pool_data` on its work buffer: the zeros of d_roots
-    without its checks, with the number of sign counts and of determinant
-    evaluations they took, and the data that every threshold shares, laid
-    out as `fbq_pool_system` reads it.  The search takes the Sturm counts
-    at 0 and, with D replaced by -D'(1), just below 1, bisects on the
-    counts and runs scipy's brentq loop on each bracket; each failure
-    raises SolverError with the counts or the bracket and D'(1), and
-    brentq's non-convergence RuntimeError.  The data are the left null
-    vectors of A(z_k) and the powers z_k^j at the zeros, and A(z)'s Taylor
-    coefficients at z = 1, from the terms c1 t + c2 t^2 of the small kernel
-    root y1(1 + t), with A0's null pair; SolverError names a null-vector
-    residual above SINGULAR_RTOL, or a vanishing u^T A1 v."""
+    compiled `fbq_pool_data` on its work: the zeros of d_roots without its
+    checks, the sign counts and determinant evaluations they took, and the
+    data that every threshold shares, a view of the work.  The search
+    bisects on the Sturm counts, D replaced by -D'(1) just below 1, and runs
+    scipy's brentq loop on each bracket; a failure raises SolverError with
+    the counts or the bracket and D'(1), or brentq's RuntimeError.  The data
+    are the left null vectors of A(z_k) and the powers z_k^j, and A(z)'s
+    Taylor coefficients at z = 1, from the terms c1 t + c2 t^2 of y1(1 + t),
+    with A0's null pair; SolverError names a null-vector residual above
+    SINGULAR_RTOL, or a vanishing u^T A1 v."""
     m, pool = model.m, _pool(model)
     dprime = dprime_at_1(model)
-    data = np.empty(2 * (m - 1) * m + 3 * (3 * m - 2) + 2 * m + 1)
-    status = _kernels.compiled().pool_data(m, model.lam, model.mu1, model.mu2, model.q, pool.c_rates,
-                                           dprime, _TINY, 4 * _EPS, _BRENT_MAXITER, c1, c2, SINGULAR_RTOL,
-                                           pool.c_band, pool.c_brackets, pool.c_zeros, pool.c_info,
-                                           pool.c_where, ctypes.c_double.from_buffer(data))
-    counts, evals, *failed = pool.info.tolist()
-    lo, mid, hi = pool.where.tolist()
+    status = _kernels.compiled().pool_data(m, model.lam, model.mu1, model.mu2, model.q, dprime,
+                                           _BRENT_MAXITER, c1, c2, SINGULAR_RTOL, pool.c_work)
+    counts, evals, *failed = pool.work[10 * m + 3:10 * m + 8].view(np.int64).tolist()
+    if status != _DONE:
+        lo, mid, hi = pool.work[10 * m:10 * m + 3].tolist()
 
-    def failure(what: str) -> SolverError:
-        return SolverError(f"{what}; D'(1) = {dprime:.6g}")
+        def failure(what: str) -> SolverError:
+            return SolverError(f"{what}; D'(1) = {dprime:.6g}")
 
-    if status == _END_COUNTS:
-        raise failure(f"Sturm counts read {failed[0]} at z = 0 and {failed[1]} below "
-                      f"z = 1, not {m} and 1")
-    if status == _SPLIT_COUNTS:
-        raise failure(f"Sturm counts read {failed[0]}, {failed[1]}, {failed[2]} at z = {lo:.17g}, "
-                      f"{mid:.17g}, {hi:.17g}")
-    if status == _NO_SIGN_CHANGE:
-        k = failed[0]
-        lo, hi = pool.brackets[2 * k:2 * k + 2].tolist()
-        raise failure(f"determinant has no sign change on [{lo:.17g}, {hi:.17g}], where the "
-                      f"Sturm counts read {m - k} and {m - k - 1}")
-    if status == _NO_CONVERGENCE:
-        raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
-    if status == _DISCRIMINANT:
-        _y1_float(model, lo)     # raises the discriminant's SolverError at that point
-        raise failure(f"the zero search stopped with status _DISCRIMINANT at z = {lo:.17g}, where "
-                      "the kernel discriminant is positive")
-    if status == _NULL_RESIDUAL:
-        raise SolverError(f"matrix expected singular has a null-vector residual of {lo:.3e} times its norm")
-    if status == _DRIFT:
-        raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
-    if status != _DONE:          # a full bisection stack, which no search of (0, 1) reaches
+        if status == _END_COUNTS:
+            raise failure(f"Sturm counts read {failed[0]} at z = 0 and {failed[1]} below "
+                          f"z = 1, not {m} and 1")
+        if status == _SPLIT_COUNTS:
+            raise failure(f"Sturm counts read {failed[0]}, {failed[1]}, {failed[2]} at z = {lo:.17g}, "
+                          f"{mid:.17g}, {hi:.17g}")
+        if status == _NO_SIGN_CHANGE:
+            k = failed[0]
+            lo, hi = pool.work[8 * m + 2 * k:8 * m + 2 * k + 2].tolist()
+            raise failure(f"determinant has no sign change on [{lo:.17g}, {hi:.17g}], where the "
+                          f"Sturm counts read {m - k} and {m - k - 1}")
+        if status == _NO_CONVERGENCE:
+            raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+        if status == _DISCRIMINANT:
+            _y1_float(model, lo)     # raises the discriminant's SolverError at that point
+            raise failure(f"the zero search stopped with status _DISCRIMINANT at z = {lo:.17g}, where "
+                          "the kernel discriminant is positive")
+        if status == _NULL_RESIDUAL:
+            raise SolverError(f"matrix expected singular has a null-vector residual of {lo:.3e} times "
+                              "its norm")
+        if status == _DRIFT:
+            raise SolverError("transform system is degenerate at z = 1 (vanishing drift)")
+        # a full bisection stack, which no search of (0, 1) reaches
         raise failure("the zero search stopped with status _STACK_FULL")
-    return tuple(pool.zeros[:m - 1].tolist()), counts, evals, data
+    return tuple(pool.work[2 * m:3 * m - 1].tolist()), counts, evals, pool.work[10 * m + 8:]
 
 
 def d_roots(model: MultiServerModel) -> tuple[float, ...]:
@@ -205,22 +196,19 @@ def d_roots(model: MultiServerModel) -> tuple[float, ...]:
     The leading principal minors Q_0 .. Q_(m-1) of A(z) and D = Q_m form a
     Sturm sequence on (0, 1], where the off-diagonal products alpha_k lam z
     are positive (Wilkinson, The Algebraic Eigenvalue Problem, 1965): its
-    number V(z) of sign changes moves only where D vanishes.  V(0) = m, as
-    the minors alternate at 0, and V = 1 just below 1, as every minor is
-    positive at 1 and D'(1) > 0, so each zero lowers V by one.  Bisection on
-    V splits (0, 1) until each interval holds one zero, which Brent's method
-    (Brent 1973) on the determinant then refines.  End counts other than m
-    and 1, a rising count, or an interval where D keeps its sign raise
-    SolverError with the counts and D'(1).  Each pass reads the pool's rate
-    table, with the float operations of the plain recurrence in their order.
+    number V(z) of sign changes, m at 0 and 1 just below 1 as D'(1) > 0,
+    drops by one at each zero.  Bisection on V splits (0, 1) until each
+    interval holds one zero, which Brent's method (Brent 1973) refines.
+    End counts other than m and 1, a rising count, or an interval where D
+    keeps its sign raise SolverError with the counts and D'(1).  Each pass
+    reads the pool's rates in the float order of the plain recurrence.
 
-    The stability and lam > 0 checks run on every call; the search runs
-    once per pool (lam, mu1, mu2, q, m) and its zeros are then served from
-    the pool cache, whatever the threshold, as the pool's one tuple.  It
-    runs in the pool's set-up, which builds the data that every threshold
-    shares in the same call, so a failure of that data raises here too:
-    SolverError for a null-vector residual above SINGULAR_RTOL or a
-    vanishing drift at z = 1.
+    The stability and lam > 0 checks run on every call; the search runs in
+    the pool's set-up, once per pool (lam, mu1, mu2, q, m), and its zeros
+    are then served from the pool cache as the pool's one tuple.  The
+    set-up builds the data that every threshold shares in the same call,
+    so its failures raise here too: SolverError for a null-vector residual
+    above SINGULAR_RTOL or a vanishing drift at z = 1.
     """
     require_stable_multi(model)
     if model.lam == 0:
@@ -251,51 +239,41 @@ def dprime_at_1(model: MultiServerModel) -> float:
 
 
 class _Pool:
-    """Everything a solve of the pool (lam, mu1, mu2, q, m) needs that does
-    not depend on the threshold, in one work buffer whose parts the compiled
-    calls get as pointers taken on construction: the rate table (k mu1,
-    (m - k) mu2), a read-only (m, 2) array, and on first use the pool's
-    set-up, `data`, from one call of `_setup_compiled`: the zeros, which the
-    compiled `fbq_pool_data` writes to its part of the buffer, and the data
-    that every threshold shares; and each threshold's outcome, kept by K in
-    `solutions`: its solution, or the type and message of the SolverError
-    its row raised, which every later solve of K raises afresh without
-    solving again (the exception's traceback would hold the frames of the
-    failed solve).  The set-up keeps no failure: each call that needs it
-    after it failed builds it again and raises the same message, before
-    any threshold is solved.
-    """
+    """What the pool (lam, mu1, mu2, q, m) keeps, built from its first
+    caller's model: one work buffer, which the compiled calls get by one
+    pointer, with the rate table `rates` at its head and where the set-up,
+    `data`, writes on first use; and each threshold K's outcome once its
+    row passed: its row in `table` and in `solutions` its x, then the
+    solution that `_solution` builds from them when first read, or the
+    type and message of its SolverError, which every later solve of K
+    raises afresh without solving (an exception's traceback would hold the
+    frames of the failed solve).  A failed set-up is not kept: each call
+    that needs it builds it again and raises the same message."""
 
     def __init__(self, model: MultiServerModel):
         m = model.m
-        self.model = model
-        self.solutions: dict[int, MultiServerSolution | tuple[type, str]] = {}
-        # rates (2 m), zeros (m), band (5 m), brackets (2 m), where (3) and
-        # the search's info (5 int64)
-        work = np.zeros(10 * m + 8)
-        work[:2 * m] = [rate for k in range(m) for rate in (k * model.mu1, (m - k) * model.mu2)]
-        self.rates = frozen(work[:2 * m].reshape(m, 2))
-        self.zeros, self.brackets, self.where = work[2 * m:3 * m], work[8 * m:10 * m], work[10 * m:10 * m + 3]
-        self.info = work[10 * m + 3:].view(np.int64)
-        self.c_rates, self.c_zeros, self.c_band, self.c_brackets, self.c_where = (
-            ctypes.c_double.from_buffer(work, 8 * at) for at in (0, 2 * m, 3 * m, 8 * m, 10 * m))
-        self.c_info = ctypes.c_int64.from_buffer(work, 8 * (10 * m + 3))
+        self.model, self.solutions, self.table = model, {}, np.empty((m, _G + 3 * m))
+        # rates (2 m), zeros (m), band (5 m), brackets (2 m), where (3), the
+        # search's info (5 int64) and the shared data, as fbq_pool_data reads and writes them
+        self.work = np.zeros(10 * m + 8 + 2 * (m - 1) * m + 3 * (3 * m - 2) + 2 * m + 1)
+        self.work[:2 * m] = [rate for k in range(m) for rate in (k * model.mu1, (m - k) * model.mu2)]
+        self.rates = frozen(self.work[:2 * m].reshape(m, 2))   # (k mu1, (m - k) mu2), read-only
+        self.c_work = ctypes.c_double.from_buffer(self.work)
 
     @functools.cached_property
     def data(self) -> tuple:
-        """(args, shared, y2(1), y2'(1), roots): the leading arguments of the
-        compiled `fbq_pool_system` (the pool, its rate table, its zeros and
-        `shared`), the data that every threshold shares, the large kernel
-        root and the zeros, from the terms of y1(1 + t) and one call of
-        `_setup_compiled`."""
+        """(args, shared, y2(1), y2'(1), roots) from the terms of y1(1 + t) and
+        one call of `_setup_compiled`: the leading arguments of the compiled
+        `fbq_pool_system`, K = 0's L1 of mmm_marginal among them, which end
+        with `shared`, the data that every threshold shares."""
         model, t0 = self.model, time.perf_counter()
-        y1s, y2s = kernel_root_pair_at_1(model.lam / (model.m * model.mu1), model.q, SERIES_ORDER)
+        m = model.m
+        y1s, y2s = kernel_root_pair_at_1(model.lam / (m * model.mu1), model.q, SERIES_ORDER)
         roots, counts, evals, shared = _setup_compiled(model, *y1s.c[1:3])     # y1(1) = 1
         log.debug("m = %d: %d zeros isolated, %d sign counts, %d D evaluations, %.3f s",
-                  model.m, len(roots), counts, evals, time.perf_counter() - t0)
-        self.zeros[:model.m - 1] = roots   # a no-op after the compiled set-up, which wrote them there
-        args = (model.m, model.lam, model.mu1, model.mu2, model.q, self.c_rates, self.c_zeros,
-                ctypes.c_double.from_buffer(shared))
+                  m, len(roots), counts, evals, time.perf_counter() - t0)
+        args = (m, model.lam, model.mu1, model.mu2, model.q, self.c_work, _erlang_c(m, model.rho1, (m,))[1],
+                *y2s.c[:2], PIVOT_RTOL, NEG_PROB_TOL, ctypes.c_double.from_buffer(shared))
         return args, shared, y2s.c[0], y2s.c[1], roots
 
     @property
@@ -304,13 +282,16 @@ class _Pool:
 
 
 @functools.lru_cache(maxsize=POOL_CACHE_SIZE)
-def _pool_data(lam: float, mu1: float, mu2: float, q: float, m: int) -> _Pool:
-    return _Pool(MultiServerModel(lam, mu1, mu2, q, m))
+def _pool_data(lam: float, mu1: float, mu2: float, q: float, m: int) -> list[_Pool]:
+    return []   # the pool's one _Pool, which _pool puts there
 
 
 def _pool(model: MultiServerModel) -> _Pool:
     """The cached data of the model's pool; its threshold is not part of the key."""
-    return _pool_data(model.lam, model.mu1, model.mu2, model.q, model.m)
+    kept = _pool_data(model.lam, model.mu1, model.mu2, model.q, model.m)
+    if not kept:
+        kept.append(_Pool(model))
+    return kept[0]
 
 
 # --- the thresholds of a pool -------------------------------------------------
@@ -322,34 +303,42 @@ def _pool(model: MultiServerModel) -> _Pool:
 _INCONSISTENT = 4   # the status of a row whose b0 fails the solvability test at z = 1
 
 
-def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> list[MultiServerSolution]:
-    """Steady states under the given thresholds, each solved once per pool
-    and threshold: those not kept, up to the first kept failure, by one
-    `_pool_rows` call.  A row's SolverError is kept as its type and message
-    and raised afresh by every later call that reaches that threshold.
-    Each solution returned is the kept object."""
-    todo = []
+def _solve_thresholds(model: MultiServerModel, thresholds, pool: _Pool) -> _Pool:
+    """The pool, once the given thresholds not kept, up to the first kept
+    failure, are solved by one `_pool_rows` call and kept, else that failure
+    raised afresh.  A row with a status, a failed system or a negative value
+    goes through `_solution` at once, so that its error, clamp and log line
+    come with its solve; x is kept only once the row passed."""
+    kept, todo, failed = pool.solutions, [], None
     for K in thresholds:
-        kept = pool.solutions.get(K)
-        if kept is None:
+        outcome = kept.get(K)
+        if outcome is None:
             todo.append(K)
-        elif not isinstance(kept, MultiServerSolution):
+        elif type(outcome) is tuple:
+            failed = outcome
             break
     if todo:
         for K, (x, row) in zip(todo, _pool_rows(model, todo, pool)):
-            try:
-                pool.solutions[K] = _solution(model, K, x, row, pool)
-            except SolverError as exc:
-                pool.solutions[K] = type(exc), str(exc)
-                raise
-    out = []
-    for K in thresholds:
-        sol = pool.solutions[K]
-        if not isinstance(sol, MultiServerSolution):
-            kind, message = sol
-            raise kind(message)
-        out.append(sol)
-    return out
+            pool.table[K] = row
+            if row[_STATUS] or row[_SINGULAR] >= 0 or row[_BELOW] >= 0 or row[_NEGATIVES]:
+                try:
+                    x = _solution(model, K, x, row, pool)
+                except SolverError as exc:
+                    kept[K] = type(exc), str(exc)
+                    raise
+            kept[K] = x
+    if failed:
+        kind, message = failed
+        raise kind(message)
+    return pool
+
+
+def _read(model: MultiServerModel, K: int, pool: _Pool) -> MultiServerSolution:
+    """Threshold K's kept solution, built from its row and x on its first read."""
+    sol = pool.solutions[K]
+    if not isinstance(sol, MultiServerSolution):
+        sol = pool.solutions[K] = _solution(model, K, sol, pool.table[K], pool)
+    return sol
 
 
 @functools.lru_cache(maxsize=1024)
@@ -358,77 +347,78 @@ def _states(m: int, K: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(m) for j in range(max(0, K - i), m - i))
 
 
-def _pool_rows(model: MultiServerModel, thresholds: list[int], pool: _Pool) -> list[tuple[list, list]]:
+def _pool_rows(model: MultiServerModel, thresholds: list[int], pool: _Pool) -> list[tuple]:
     """(x, row) of each threshold that one call of the compiled loop
-    `fbq_pool_system` solves, in order until a row fails: the boundary
-    probabilities on the unknowns of `_states` and the outcome row (the
-    entries above).  Each boundary system holds the balance rows of the
-    states i + j <= m - 2, as a stopped state on the diagonal i + j = K >= 1
-    and as a running one elsewhere; one row per zero z_k, from the left null
-    vector of A(z_k), to which b is orthogonal; and the idle-or-stopped
-    server identity.  K = 0's L1 is mmm_marginal's."""
-    args, _, y2, dy2, _ = pool.data
+    `fbq_pool_system` solves, in order until a row fails, as read-only views
+    of its output: the boundary probabilities on the unknowns of `_states`,
+    from the balance rows of the states i + j <= m - 2, one row per zero z_k
+    and the idle-or-stopped identity, and the outcome row (entries above)."""
     m, count = model.m, len(thresholds)
     width = _G + 3 * m
     sizes = [(m * (m + 1) - K * (K + 1)) // 2 for K in thresholds]   # len(_states(m, K))
-    out = np.empty(count * width + sum(sizes))
-    L1_at_0 = mmm_marginal(m, model.rho1)[1] if 0 in thresholds else 0.0
-    done = _kernels.compiled().pool_system(*args, count, (ctypes.c_int64 * count)(*thresholds),
-                                           m - model.rho1 - model.rho2, L1_at_0, y2, dy2, PIVOT_RTOL,
-                                           NEG_PROB_TOL, ctypes.c_double.from_buffer(out, 8 * count * width),
+    ends = list(itertools.accumulate(sizes))
+    out = np.empty(count * width + ends[-1])
+    done = _kernels.compiled().pool_system(*pool.data[0], m - model.rho1 - model.rho2, count,
+                                           (ctypes.c_int64 * count)(*thresholds),
+                                           ctypes.c_double.from_buffer(out, 8 * count * width),
                                            ctypes.c_double.from_buffer(out))
-    rows = out[:done * width].reshape(done, width).tolist()
-    xs = iter(out[count * width:count * width + sum(sizes[:done])].tolist())
-    return [(list(itertools.islice(xs, n)), row) for n, row in zip(sizes, rows)]
+    rows, x = frozen(out)[:done * width].reshape(done, width), out[count * width:]
+    return [(x[end - n:end], row) for n, end, row in zip(sizes, ends, rows)]
 
 
-def _solution(model: MultiServerModel, K: int, x: list, row: list, pool: _Pool) -> MultiServerSolution:
-    """Threshold K's solution from its row and boundary probabilities x.
-    A row with a status, a failed system or a negative value goes through
-    linsys._checked, which raises its errors, quoting the row's condition
-    estimate, and clamps x; a failed solvability test at z = 1 (A(1) is
-    singular, so b0 must be orthogonal to its left null vector) raises."""
+def _solution(model: MultiServerModel, K: int, x, row, pool: _Pool) -> MultiServerSolution:
+    """Threshold K's solution from its row and boundary probabilities x, an
+    array or a list.  A row with a status, a failed system or a negative
+    value goes through linsys._checked, which raises its errors, quoting the
+    row's condition estimate, and clamps x; a failed solvability test at
+    z = 1 (b0 not orthogonal to A(1)'s left null vector) raises."""
+    row, x = np.asarray(row).tolist(), np.asarray(x)
     status, singular, below, negatives = row[:_PIVMIN]
     if status or singular >= 0 or below >= 0 or negatives:
-        x = _checked(row[_COND], int(status), np.array([x]), row[_PIVMIN:_COND],
-                     (int(singular), int(below), int(negatives)))[0].tolist()
+        x = _checked(row[_COND], int(status), x[None], row[_PIVMIN:_COND],
+                     (int(singular), int(below), int(negatives)))[0]
         if status == _INCONSISTENT:
             raise SolverError(f"solvability residual {row[_RESIDUAL]:.3e} at z = 1; boundary solve "
                               "inconsistent")
     m = model.m
-    return MultiServerSolution(FrozenDict(zip(_states(m, K), x)), tuple(row[_G:_G + m]), row[_GM], row[_L1],
-                               row[_L2], row[_L], row[_U], tuple(row[_G + 2 * m:]), row[_TAIL], pool.roots, K)
+    return MultiServerSolution(FrozenDict(zip(_states(m, K), x.tolist())), tuple(row[_G:_G + m]), row[_GM],
+                               row[_L1], row[_L2], row[_L], row[_U], tuple(row[_G + 2 * m:]), row[_TAIL],
+                               pool.roots, K)
 
 
 def solve_threshold(model: MultiServerModel) -> MultiServerSolution:
     """Steady state under the model's switch-off threshold (0: the uncontrolled pool).
 
-    The solution is kept in the pool cache by threshold, so a repeat solve
-    (here or in `sweep_thresholds`) returns the same object without solving
-    again.  A boundary solve that raised SolverError is kept as its type and
-    message: a repeat raises a new error of that type and text without
-    building or solving anything.
+    The threshold's outcome row is kept in the pool cache and its solution
+    built when first read, here or in `sweep_thresholds`, so a repeat solve
+    returns the same object without solving again.  A SolverError is kept as
+    its type and message, which a repeat raises without solving anything.
     """
     d_roots(model)   # checks the model and isolates the zeros on the pool's first solve
-    return _solve_thresholds(model, [model.threshold], _pool(model))[0]
+    return _read(model, model.threshold, _solve_thresholds(model, [model.threshold], _pool(model)))
 
 
 def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
     """Steady states under every threshold K = 0 .. m-1, in order (the
     model's own threshold is ignored).
 
-    The determinant zeros, the null vectors at them and the z = 1 Taylor
-    data come from the pool cache, so they are built once per pool however
-    many sweeps or solves use it.  Each threshold is solved once, by one
-    call of the compiled loop; later sweeps, solves and cost
-    vectors of the pool are served the kept solution object, as in
-    `solve_threshold`.  A failure at any threshold
-    propagates; a SolverError of its boundary solve is kept, as in
-    `solve_threshold`, so a repeat sweep raises it again at that threshold
-    without solving it.
+    Each threshold is solved once per pool, the ones still needed by one
+    call of the compiled loop; as in `solve_threshold`, a solution is built
+    when first read and then served to every later caller, and a kept
+    SolverError is raised again without solving.
     """
     d_roots(model)
-    return _solve_thresholds(model, range(model.m), _pool(model))
+    pool = _solve_thresholds(model, range(model.m), _pool(model))
+    return [_read(model, K, pool) for K in range(model.m)]
+
+
+def sweep_costs(model: MultiServerModel, costs: CostCoefficients) -> list[float]:
+    """evaluate_cost_multi of each solution of `sweep_thresholds`, to the
+    bit and with its errors, scored from the L and U of the pool's outcome
+    rows, so that no solution is built."""
+    d_roots(model)
+    table, c1, c2 = _solve_thresholds(model, range(model.m), _pool(model)).table, costs.c1, costs.c2
+    return [c1 * L + c2 * U for L, U in zip(table[:, _L].tolist(), table[:, _U].tolist())]
 
 
 def evaluate_cost_multi(solution, costs: CostCoefficients) -> float:
@@ -443,12 +433,17 @@ def mmm_marginal(m: int, rho1: float) -> tuple[list[float], float]:
     Where the closed form's powers or factorials overflow a float, the terms
     rho1^k / k! come from the recurrence t_k = t_(k-1) rho1 / k and are
     normalised at the end; SolverError only where those overflow too."""
+    return _erlang_c(m, rho1, range(m + 1))
+
+
+def _erlang_c(m: int, rho1: float, ks) -> tuple[list[float], float]:
+    """mmm_marginal's p_k for k in ks, which ends at m, and mean count, from only the terms they read."""
     if rho1 >= m:
         raise ModelError(f"foreground load {rho1} >= m = {m}")
     try:
         p0 = 1.0 / (sum(rho1**k / math.factorial(k) for k in range(m))
                     + m * rho1**m / ((m - rho1) * math.factorial(m)))
-        p = [p0 * rho1**i / math.factorial(i) for i in range(m + 1)]
+        p = [p0 * rho1**i / math.factorial(i) for i in ks]
     except OverflowError as exc:
         terms = [1.0]
         for k in range(1, m + 1):
@@ -456,10 +451,9 @@ def mmm_marginal(m: int, rho1: float) -> tuple[list[float], float]:
         total = sum(terms[:m]) + m * terms[m] / (m - rho1)
         if not math.isfinite(total):
             raise SolverError(f"the Erlang sums of the m = {m} pool overflow a float ({exc})") from exc
-        p = [t / total for t in terms]
+        p = [terms[k] / total for k in ks]
     rr = rho1 / m
-    L1 = rho1 + p[m] * rr / (1.0 - rr) ** 2
-    return p, L1
+    return p, rho1 + p[-1] * rr / (1.0 - rr) ** 2
 
 
 # --- consistency checks --------------------------------------------------------

@@ -8,7 +8,8 @@ loop's order, so the two give equal results, errors included.
   `replications`, each on its own seed, is `simulation._jump_chain`.
 * `lockstep`: the one elimination of the compiled loops, over a stack of
   systems, with its factors kept: the tiles of `fbq_speed_family` and each
-  system of `fbq_pool_system`; `solve_probability_stack` is a stack solve
+  system of `fbq_pool_system`, one system by `one_system_steps`;
+  `solve_probability_stack` is a stack solve
   with its checks, and `family_solve` is the whole family loop, with the
   systems of `family_stack`, the row sums of `finish_sums` and the drift
   identities and energy rates of `metrics`.
@@ -150,10 +151,11 @@ def lockstep(a: np.ndarray, b: np.ndarray):
     by 1); back substitution then runs column by column.  As on a tile of
     the compiled loop, a row whose l is 0 in every system of the stack is
     skipped, and on one system that is the one-system elimination's rule,
-    which makes a pool's sparse boundary system cheap; the pivot row's
-    zero tail, which the compiled loop skips too, is not.  The skipped
-    products are zeros, so a skip moves no value but the sign of a zero
-    cell of the factors, and no bit of a solution with no zero pivot."""
+    which makes a pool's sparse boundary system cheap (one system takes
+    `one_system_steps`); the pivot row's zero tail, which the compiled loop
+    skips too, is not.  The skipped products are zeros, so a skip moves no
+    value but the sign of a zero cell of the factors, and no bit of a
+    solution with no zero pivot."""
     status, scale = linsys._first_pass(a, b)
     if status:
         return status, None, None, linsys._NO_SUMMARY, None
@@ -161,25 +163,46 @@ def lockstep(a: np.ndarray, b: np.ndarray):
     t = np.concatenate([a, b[..., None]], axis=2) / scale[..., None]   # y in column n
     y, perm = t[:, :, n], np.empty((count, n), dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(n):
-            p = perm[:, j] = j + np.argmax(np.abs(t[:, j:, j]), axis=1)
-            k = np.flatnonzero(p != j)    # the systems whose rows swap
-            if k.size:
-                pair = np.array([np.full(k.size, j), p[k]])
-                t[k, pair, j:] = t[k, pair[::-1], j:]
-            pivot = t[:, j, j]
-            l = t[:, j + 1:, j] = t[:, j + 1:, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
-            live = np.flatnonzero(l.any(axis=0))    # a NaN counts as not 0
-            rows = slice(j + 1, None)
-            if live.size < n - j - 1:   # a slice where no row is skipped
-                rows, l = j + 1 + live, l[:, live]
-            t[:, rows, j + 1:] -= l[:, :, None] * t[:, None, j, j + 1:]
+        if count == 1:
+            one_system_steps(t[0], perm[0])
+        else:
+            for j in range(n):
+                p = perm[:, j] = j + np.argmax(np.abs(t[:, j:, j]), axis=1)
+                k = np.flatnonzero(p != j)    # the systems whose rows swap
+                if k.size:
+                    pair = np.array([np.full(k.size, j), p[k]])
+                    t[k, pair, j:] = t[k, pair[::-1], j:]
+                pivot = t[:, j, j]
+                l = t[:, j + 1:, j] = t[:, j + 1:, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+                live = np.flatnonzero(l.any(axis=0))    # a NaN counts as not 0
+                rows = slice(j + 1, None)
+                if live.size < n - j - 1:   # a slice where no row is skipped
+                    rows, l = j + 1 + live, l[:, live]
+                t[:, rows, j + 1:] -= l[:, :, None] * t[:, None, j, j + 1:]
         for j in reversed(range(n)):
             y[:, j] /= t[:, j, j]
             y[:, :j] -= t[:, :j, j] * y[:, None, j]
     pivmin = np.abs(np.diagonal(t, axis1=1, axis2=2)).min(axis=1)
     y = np.ascontiguousarray(y)
     return 0, y, pivmin, linsys._summary(y, pivmin), (t[:, :, :n], perm, scale)
+
+
+def one_system_steps(t: np.ndarray, perm: np.ndarray) -> None:
+    """The steps of `lockstep` on one system t (n x (n + 1), b as column n)
+    in place, with the pivot row of each column into perm: each step
+    updates only the rows whose multiplier is not 0, each cell by the
+    stack's operation."""
+    n = len(perm)
+    for j in range(n):
+        p = perm[j] = j + int(np.abs(t[j:, j]).argmax())
+        if p != j:
+            t[[j, p], j:] = t[[p, j], j:]
+        pivot = t[j, j]
+        l = t[j + 1:, j]
+        l /= pivot if pivot != 0.0 else 1.0
+        live = np.flatnonzero(l)    # a NaN counts as not 0
+        if live.size:
+            t[j + 1 + live, j + 1:] -= l[live, None] * t[j, j + 1:]
 
 
 def add_up(values) -> float:
@@ -660,8 +683,11 @@ def tridiagonal(model, z: np.ndarray):
 
 def pool_setup(model, c1: float, c2: float) -> tuple:
     """`multi._setup_compiled` in Python: `isolate_roots`, then `pool_data`
-    at its zeros, with their errors."""
+    at its zeros, with their errors; the zeros go to the pool's work, where
+    `fbq_pool_data` writes them."""
+    m = model.m
     roots, counts, evals = isolate_roots(model)
+    multi._pool(model).work[2 * m:3 * m - 1] = roots
     return roots, counts, evals, pool_data(model, np.array(roots), c1, c2)
 
 

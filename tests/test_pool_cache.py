@@ -313,6 +313,55 @@ def test_each_threshold_is_solved_once_per_pool(solves):
     assert solves[0] == model.m
 
 
+FIGURE8_COSTS = [CostCoefficients(1.0, c2) for c2 in (0.5, 1.0, 1.5)]
+
+
+def test_costs_are_scored_from_the_rows_with_the_bits_of_the_solutions(monkeypatch):
+    # optimize_threshold scores the L and U of a pool's outcome rows: on
+    # every pool of pool_bits and the pinned pools, under figure 8's cost
+    # vectors, its best and curve are those of evaluate_cost_multi on a cold
+    # sweep's solutions in float.hex, it builds no solution but the ones of
+    # rows that _checked clamps, a failing pool raises the sweep's type and
+    # message, and a later sweep serves the solution bits of a cold one
+    built, solution = [], multi._solution
+
+    def spy(model, K, *args):
+        built.append(K)
+        return solution(model, K, *args)
+
+    failed = []
+    for name, model in {**pool_bits.pools(), **pinned_pools()}.items():
+        _pool_data.cache_clear()
+        try:
+            cold = [solution_hex(sol) for sol in sweep_thresholds(model)]
+            want = [[evaluate_cost_multi(sol, costs) for sol in sweep_thresholds(model)]
+                    for costs in FIGURE8_COSTS]
+        except SolverError as exc:
+            cold, want = (type(exc), str(exc)), None
+        _pool_data.cache_clear()
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(multi, "_solution", spy)
+            for k, costs in enumerate(FIGURE8_COSTS):
+                if want is None:
+                    with pytest.raises(SolverError) as exc:
+                        optimize_threshold(model, costs)
+                    assert (type(exc.value), str(exc.value)) == cold, name
+                    continue
+                best, curve = optimize_threshold(model, costs)
+                assert curve.xs == [float(K) for K in range(model.m)], name
+                assert hex_list(curve.ys) == hex_list(want[k]), name
+                assert best == want[k].index(min(want[k])), name
+        if want is None:
+            failed.append(name)
+            continue
+        table = multi._pool(model).table
+        assert built == [K for K in range(model.m) if table[K, multi._NEGATIVES]], name
+        assert [solution_hex(sol) for sol in sweep_thresholds(model)] == cold, name
+    assert failed == [*(f"figure8_m{m}" for m in range(16, 25)), *(f"seed26_m{m}" for m in (18, 21, 24)),
+                      "failing_pool"]
+
+
 def test_a_failed_threshold_is_solved_once_and_raises_the_same_message_every_time(solves):
     pin = dict(PINS["failing_pool"])
     message = pin.pop("message")
@@ -432,6 +481,24 @@ def test_a_non_finite_right_hand_side_fails_the_first_pass_on_both_paths():
     nan_load = types.SimpleNamespace(**POOL, rho1=math.nan, rho2=model.rho2)
     assert first_pass_errors(nan_load, multi._pool(model)) == \
         [(ValueError, "array must not contain infs or NaNs")] * 2 * model.m
+
+
+def test_a_first_pass_error_keeps_nothing_and_every_call_solves_and_raises_it_again(solves):
+    # a ValueError of the first pass is not a SolverError, so no outcome of
+    # its threshold is kept: every later sweep, cost curve or solve solves
+    # that threshold again and raises the same error, and none returns
+    model = MultiServerModel(**POOL)
+    pool = multi._pool(model)
+    nan_null(pool.data[1][:(model.m - 1) * model.m].reshape(model.m - 1, model.m))
+    calls = [sweep_thresholds, solve_threshold,
+             *(functools.partial(optimize_threshold, costs=costs) for costs in FIGURE8_COSTS)]
+    for round_ in range(1, model.m + 2):
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call(model)
+            assert str(exc.value) == "array must not contain infs or NaNs"
+            assert pool.solutions == {}
+        assert solves[0] == round_ * len(calls)
 
 
 def test_a_vanishing_drift_raises_the_references_message(monkeypatch, on_both_paths):
