@@ -61,9 +61,9 @@
  * band system of their balance equations, as reference.band_system does
  * with a sparse graph search and bincounts, each cell summed in the
  * reference's order, and solves it by LAPACK's dgbsv, which it is handed
- * as a function pointer from scipy's cython_lapack; then it normalises
- * the solution and sums both marginals in numpy's order (ctmc._finish),
- * so grid and marginals equal reference.rectangle's bit for bit.
+ * as a function pointer from scipy's cython_lapack, and scatters the
+ * solution into the grid of states, which ctmc._finish then normalises, as
+ * it does every rectangle's.
  *
  * fbq_pool_data builds in one call what every threshold of a pool of
  * fbq.multi shares, as reference.isolate_roots and then reference.pool_data
@@ -1446,14 +1446,7 @@ typedef void dgbsv_fn(int *n, int *kl, int *ku, int *nrhs, double *ab, int *ldab
                       double *b, int *ldb, int *info);
 
 /* Outcomes of fbq_ctmc_rectangle. */
-enum { RECT_SOLVED, RECT_SINGULAR, RECT_TOTAL, RECT_NEGATIVE, RECT_EMPTY, RECT_NO_MEMORY };
-
-/* numpy's add.reduce of the contiguous a[0 .. n - 1]: its initial 0.0 plus
- * the pairwise sum, here that of the products a[i] 1.0, which are exact. */
-static double reduce_sum(int64_t n, const double *a, const double *ones)
-{
-    return 0.0 + pairwise_sum((int)n, a, ones);
-}
+enum { RECT_SOLVED, RECT_SINGULAR, RECT_EMPTY, RECT_NO_MEMORY };
 
 /* One rectangle of fbq.ctmc._stationary's band path in one call, as
  * reference.rectangle does it in numpy: the chain (n1, n2, lam, q, fg,
@@ -1469,20 +1462,15 @@ static double reduce_sum(int64_t n, const double *a, const double *ones)
  * its own outflow equals minus its inflow from `fixed`.  Each cell is
  * summed from 0 in move order, the order of reference.band_system's
  * bincounts, so the system is the reference's bit for bit, and dgbsv
- * solves it.  The solution, 1 at `fixed` and 0 elsewhere, is then
- * normalised as ctmc._finish does it in numpy: divided by its sum,
- * checked for a value below -1e-9, clipped at 0.0 and divided by its new
- * sum; grid gets it, fg_marginal its row sums and bg_marginal its column
- * sums, each sum in numpy's order (reduce_sum, and the column sums row by
- * row).
+ * solves it.  grid gets the solution, unnormalised: 1 at `fixed`, 0 at the
+ * states that `fixed` does not reach.
  * Returns RECT_SOLVED; RECT_EMPTY, with nothing written, when `fixed`
- * reaches no other state; RECT_SINGULAR when dgbsv finds a zero pivot;
- * RECT_TOTAL or RECT_NEGATIVE, with the total or the least value in
- * *value, when the first sum is not finite and positive or a value is
- * below -1e-9; RECT_NO_MEMORY when the work space cannot be allocated. */
+ * reaches no other state; RECT_SINGULAR, with grid unwritten, when dgbsv
+ * finds a zero pivot; RECT_NO_MEMORY when the work space cannot be
+ * allocated. */
 int fbq_ctmc_rectangle(dgbsv_fn *dgbsv, int64_t n1, int64_t n2, double lam, double q,
                        const double *fg, const double *bg, int64_t fixed, double *grid,
-                       double *fg_marginal, double *bg_marginal, int64_t *band, double *value)
+                       int64_t *band)
 {
     const struct chain c = {n1, n2, lam, q, fg, bg};
     int64_t states = (n1 + 1) * (n2 + 1), w = n2 + 1;
@@ -1532,8 +1520,7 @@ int fbq_ctmc_rectangle(dgbsv_fn *dgbsv, int64_t n1, int64_t n2, double lam, doub
         }
     }
     int64_t diag = kl + ku, height = diag + kl + 1;
-    double *ab = malloc((n * height + n + states) * sizeof *ab), *b = ab + n * height,
-           *ones = b + n;
+    double *ab = malloc((n * height + n) * sizeof *ab), *b = ab + n * height;
     int *ipiv = malloc(n * sizeof *ipiv);
     if (!ab || !ipiv) {
         free(ab);
@@ -1567,41 +1554,11 @@ int fbq_ctmc_rectangle(dgbsv_fn *dgbsv, int64_t n1, int64_t n2, double lam, doub
     band[1] = ku;
     int status = info > 0 ? RECT_SINGULAR : RECT_SOLVED;
     if (status == RECT_SOLVED) {
-        for (int64_t s = 0; s < states; s++) {
+        for (int64_t s = 0; s < states; s++)
             grid[s] = 0.0;
-            ones[s] = 1.0;
-        }
         for (int64_t k = 0; k < n; k++)
             grid[order[k]] = b[k];
         grid[fixed] = 1.0;
-        double total = reduce_sum(states, grid, ones), least = INFINITY;
-        if (!(isfinite(total) && total > 0.0)) {
-            *value = total;
-            status = RECT_TOTAL;
-        } else {
-            for (int64_t s = 0; s < states; s++) {
-                grid[s] /= total;
-                least = grid[s] < least ? grid[s] : least;
-            }
-            if (least < -1e-9) {
-                *value = least;
-                status = RECT_NEGATIVE;
-            }
-        }
-    }
-    if (status == RECT_SOLVED) {
-        for (int64_t s = 0; s < states; s++)
-            grid[s] = grid[s] > 0.0 ? grid[s] : 0.0;
-        double total = reduce_sum(states, grid, ones);
-        for (int64_t s = 0; s < states; s++)
-            grid[s] = grid[s] / total;
-        for (int64_t j = 0; j < w; j++)
-            bg_marginal[j] = 0.0;
-        for (int64_t i = 0; i <= n1; i++) {
-            fg_marginal[i] = reduce_sum(w, grid + i * w, ones);
-            for (int64_t j = 0; j < w; j++)
-                bg_marginal[j] += grid[i * w + j];
-        }
     }
     free(ab);
     free(ipiv);

@@ -108,8 +108,7 @@ def _bind(lib: ctypes.CDLL) -> Loops:
                       p_dbl, p_i64, i64, p_i64, p_i64, p_dbl, p_i64]
     chain.restype = None
     ctmc_rectangle = lib.fbq_ctmc_rectangle
-    ctmc_rectangle.argtypes = [ctypes.c_void_p, i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_dbl, p_dbl,
-                               p_dbl, p_i64, p_dbl]
+    ctmc_rectangle.argtypes = [ctypes.c_void_p, i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_dbl, p_i64]
     ctmc_rectangle.restype = i32
     family = lib.fbq_speed_family
     family.argtypes = [i64, i32, i64, p_i64, p_dbl, p_dbl, *[dbl] * 4, p_dbl, p_dbl, dbl, dbl, i32, p_dbl,

@@ -16,14 +16,13 @@ Numbered along the short axis first, those equations are a column
 diagonally dominant band matrix whose half-width is the short axis + 1, and
 LAPACK's band LU factors it; rectangles whose short axis has more than
 BAND_MAX levels go to SuperLU, which is faster there.  A band rectangle is
-one call of the compiled loop `fbq_ctmc_rectangle`: from the rate grids it
-finds the reachable states, fills the band system, solves it by the dgbsv
-of scipy's LAPACK, normalises the solution and sums both marginals, each
-float operation as numpy does it in `_finish`, so only `_grow`'s growth
-rule is left to Python.  SuperLU's systems, and the empty one of lam = 0,
-are assembled from the generator entries of `_transitions` by a
-breadth-first search of their graph and bincounts over them, and
-normalised by `_finish`.
+solved by one call of the compiled loop `fbq_ctmc_rectangle`: from the rate
+grids it finds the reachable states, fills the band system and solves it by
+the dgbsv of scipy's LAPACK.  SuperLU's systems, and the empty one of
+lam = 0, are assembled from the generator entries of `_transitions` by a
+breadth-first search of their graph and bincounts over them.  Every
+rectangle's solution, from either solver, is normalised and summed into its
+marginals by `_finish`.
 
 Each axis is sized to its own tail.  Above the modulation level the cut
 equations between foreground levels make the foreground marginal exactly
@@ -122,46 +121,44 @@ def _rates(model, n1, n2):
     return model.lam, model.q, fg, bg
 
 
-# outcomes of fbq_ctmc_rectangle besides a grid (0): a zero pivot, a total
-# probability that is not finite and positive, a probability below -1e-9, no
-# state reached from the fixed one, no memory for the work space
-_SINGULAR, _TOTAL, _NEGATIVE, _EMPTY, _NO_MEMORY = range(1, 6)
+# outcomes besides a solution (0): of fbq_ctmc_rectangle, a zero pivot, no
+# state reached from the fixed one and no memory for the work space; of
+# `_finish`, a total probability that is not finite and positive and a
+# probability below -1e-9
+_SINGULAR, _EMPTY, _NO_MEMORY, _TOTAL, _NEGATIVE = range(1, 6)
 
 
 def _band_rectangle(lam, q, fg, bg, fixed):
-    """The band path of `_stationary` in one call of the compiled
-    `fbq_ctmc_rectangle`, which finds the unknowns, fills their band
-    system, solves it by LAPACK's dgbsv and normalises the solution as
-    `_finish` does: the status (0 or one of _SINGULAR, _TOTAL and
-    _NEGATIVE), the offending total or probability, the grid, its two
-    marginals and the factorisation; None when `fixed` reaches no other
-    state."""
+    """The band path of `_stationary`: one call of the compiled
+    `fbq_ctmc_rectangle`, which finds the unknowns, fills their band system
+    and solves it by LAPACK's dgbsv, and then `_finish`.  Returns the status
+    (0 or one of _SINGULAR, _TOTAL and _NEGATIVE), the offending total or
+    probability, the grid, its two marginals and the factorisation; None
+    when `fixed` reaches no other state."""
     fg, bg = np.ascontiguousarray(fg, dtype=float), np.ascontiguousarray(bg, dtype=float)
     if fg.shape != bg.shape:   # the loop reads both over the whole grid
         raise ValueError(f"rate grids of shapes {fg.shape} and {bg.shape}")
-    (rows, cols), size = fg.shape, fg.size
-    # the grid, then its row sums and its column sums
-    out, band, value = np.empty(size + rows + cols), np.empty(2, np.int64), ctypes.c_double()
+    pi, band = np.empty(fg.size), np.empty(2, np.int64)
     # from_buffer views keep their arrays alive and pass as pointers
     dbl = ctypes.c_double.from_buffer
     status = _kernels.compiled().ctmc_rectangle(
-        _kernels.dgbsv(), rows - 1, cols - 1, lam, q, dbl(fg), dbl(bg), fixed, dbl(out),
-        dbl(out, 8 * size), dbl(out, 8 * (size + rows)), ctypes.c_int64.from_buffer(band),
-        ctypes.byref(value))
+        _kernels.dgbsv(), fg.shape[0] - 1, fg.shape[1] - 1, lam, q, dbl(fg), dbl(bg), fixed, dbl(pi),
+        ctypes.c_int64.from_buffer(band))
     if status == _EMPTY:
         return None
     if status == _NO_MEMORY:
-        raise MemoryError(f"no work space for the band system of {size} states")
+        raise MemoryError(f"no work space for the band system of {fg.size} states")
     solver = "band LU kl={} ku={}".format(*band.tolist())
     if status:
-        return status, value.value, None, None, solver
-    return 0, 0.0, out[:size].reshape(fg.shape), (out[size:size + rows], out[size + rows:]), solver
+        return _SINGULAR, 0.0, None, None, solver
+    return (*_finish(pi, fg.shape), solver)
 
 
 def _finish(pi, shape):
-    """`_stationary`'s normalisation of the solution `pi` in numpy, which the
-    compiled rectangle mirrors: the status (0, _TOTAL or _NEGATIVE), the
-    offending value, the grid of `shape` and its marginals."""
+    """`_stationary`'s normalisation of the flat solution `pi`, 1 at the
+    fixed state, of every rectangle, band or SuperLU: the status (0, _TOTAL
+    or _NEGATIVE), the offending value, the grid of `shape` and its
+    foreground and background marginals."""
     total = pi.sum()
     if not (np.isfinite(total) and total > 0.0):
         return _TOTAL, total, None, None
@@ -231,9 +228,9 @@ def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, tuple, str]:
     a band matrix of half-width the short axis + 1, which is column
     diagonally dominant, so a band LU factors it without row swaps; a
     rectangle whose short axis has more than BAND_MAX levels is solved with
-    SuperLU instead.  A band rectangle is found, filled, solved and
-    normalised by one compiled call (`_band_rectangle`), and SuperLU's, or
-    the empty one that lam = 0 leaves, by `_solve_sparse` and `_finish`.
+    SuperLU instead.  A band rectangle is found, filled and solved by one
+    compiled call (`_band_rectangle`), and SuperLU's, or the empty one that
+    lam = 0 leaves, by `_solve_sparse`; `_finish` normalises either.
     States that `fixed` does not reach get probability zero: they are
     transient, or they form a closed class the model's convention leaves
     empty.  A reducible or otherwise singular system raises SolverError
@@ -314,7 +311,7 @@ def _grow(model, fixed, n1, n2, max_n):
             n2 = min(_background_size(bg_marginal, n2, edges[1]), max_n)
 
 
-def _single_fields(model: SingleServerModel, grid, p) -> dict:
+def _single_fields(model: SingleServerModel, grid, fg_marginal, p) -> dict:
     """The boundary states i + j <= K, g0(1) and the energy rate."""
     K = model.K
     energy = sum(p[t] * model.speeds.power(t) for t in range(K))
@@ -323,14 +320,14 @@ def _single_fields(model: SingleServerModel, grid, p) -> dict:
     return dict(boundary=boundary, g0_at_1=float(grid[0, K:].sum()), energy_rate=float(energy))
 
 
-def _pool_fields(model: MultiServerModel, grid, p) -> dict:
-    """The boundary states, the operative servers U and the foreground marginal."""
+def _pool_fields(model: MultiServerModel, grid, fg_marginal, p) -> dict:
+    """The boundary states, the operative servers U = m (1 - p[K]) and the
+    foreground marginal up to i = m + 3."""
     m, thr = model.m, model.threshold
     boundary = FrozenDict(((i, j), float(grid[i, j]))
                           for i in range(m) for j in range(max(0, thr - i), m - i))
-    U = float(m * (1.0 - sum(float(grid[i, thr - i]) for i in range(thr + 1))))
-    fg = tuple(float(grid[i, :].sum()) for i in range(min(m + 4, len(grid))))
-    return dict(boundary=boundary, U=U, energy_rate=U, fg_marginal=fg)
+    U = float(m * (1.0 - p[thr]))
+    return dict(boundary=boundary, U=U, energy_rate=U, fg_marginal=tuple(fg_marginal[:m + 4].tolist()))
 
 
 def _chain(model):
@@ -369,4 +366,4 @@ def ctmc_solve(model, max_n: int = MAX_N) -> CtmcSolution:
     L2 = float(bg_marginal @ np.arange(n2 + 1))
     p = tuple(float(sum(grid[i, t - i] for i in range(t + 1))) for t in range(levels))
     return CtmcSolution(L1=L1, L2=L2, L=L1 + L2, p=p, tail_mass=1.0 - sum(p),
-                        truncation=(n1, n2), edge_mass=max(edges), **fields(model, grid, p))
+                        truncation=(n1, n2), edge_mass=max(edges), **fields(model, grid, fg_marginal, p))

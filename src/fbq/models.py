@@ -317,12 +317,26 @@ def single_model_to_json(model: SingleServerModel) -> dict:
     }
 
 
+def _number(name: str, value) -> float:
+    """A rate, probability, exponent or speed read from JSON; a boolean, a
+    string or null raises a ModelError naming the field instead of being
+    read as 1, 0 or the number it spells."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def single_model_from_json(doc: dict) -> SingleServerModel:
     try:
+        speeds = doc["speeds"]
+        if not isinstance(speeds, list):
+            raise ModelError(f"speeds must be a list of numbers, got {speeds!r}")
         return SingleServerModel(
-            lam=float(doc["lambda"]),
-            service=CoxianService(nu1=float(doc["nu1"]), nu2=float(doc["nu2"]), q=float(doc["q"])),
-            speeds=SpeedProfile(levels=tuple(doc["speeds"]), alpha=float(doc.get("alpha", 1.0))),
+            lam=_number("lambda", doc["lambda"]),
+            service=CoxianService(nu1=_number("nu1", doc["nu1"]), nu2=_number("nu2", doc["nu2"]),
+                                  q=_number("q", doc["q"])),
+            speeds=SpeedProfile(levels=tuple(_number(f"speeds[{n}]", s) for n, s in enumerate(speeds)),
+                                alpha=_number("alpha", doc.get("alpha", 1.0))),
         )
     except KeyError as exc:
         raise ModelError(f"missing model field {exc}") from exc
@@ -352,10 +366,10 @@ def _whole(name: str, value) -> int:
 def multi_model_from_json(doc: dict) -> MultiServerModel:
     try:
         return MultiServerModel(
-            lam=float(doc["lambda"]),
-            mu1=float(doc["mu1"]),
-            mu2=float(doc["mu2"]),
-            q=float(doc["q"]),
+            lam=_number("lambda", doc["lambda"]),
+            mu1=_number("mu1", doc["mu1"]),
+            mu2=_number("mu2", doc["mu2"]),
+            q=_number("q", doc["q"]),
             m=_whole("m", doc["m"]),
             threshold=_whole("threshold", doc.get("threshold", 0)),
         )

@@ -29,9 +29,9 @@ loop's order, so the two give equal results, errors included.
   and `solve_rows`, the thresholds in turn until a row fails, is
   `multi._pool_rows`.
 * `band_system`: the band system that `fbq_ctmc_rectangle` fills;
-  `rectangle` is that call whole, behind `ctmc._band_rectangle`: the
-  system solved by `scipy.linalg.lapack.dgbsv` and normalised by
-  `ctmc._finish`.
+  `rectangle` is `ctmc._band_rectangle` whole: that system solved by
+  `scipy.linalg.lapack.dgbsv` and normalised by `ctmc._finish`, the one
+  normalisation of every rectangle, the compiled call's included.
 
 `dense_matrix` is A(z) as a dense matrix, for the tests of its entries.
 

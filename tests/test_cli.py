@@ -73,6 +73,19 @@ class TestModelFiles:
         assert len(doc["roots"]) == 9
         assert doc["U"] == pytest.approx(9.6596177, rel=1e-6)
 
+    @pytest.mark.parametrize("command, doc, field", [
+        ("solve-single", {"lambda": True, "nu1": 5, "nu2": 1, "q": 0.1, "speeds": [0.5, 1]}, "lambda"),
+        ("solve-single", {"lambda": 2, "nu1": 5, "nu2": 1, "q": 0.1, "speeds": [0.5, True]}, "speeds[1]"),
+        ("solve-multi", {"lambda": 1, "mu1": True, "mu2": 0.5, "q": 0.2, "m": 3}, "mu1"),
+        ("solve-multi", {"lambda": 1, "mu1": 1, "mu2": 0.5, "q": False, "m": 3}, "q"),
+        ("solve-multi", {"lambda": "1", "mu1": 1, "mu2": 0.5, "q": 0.2, "m": 3}, "lambda")])
+    def test_boolean_or_string_field_exits_2(self, capsys, caplog, tmp_path, command, doc, field):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, command, "--model", str(path))
+        assert code == 2 and out == ""
+        assert f"{field} must be a number" in caplog.text
+
     def test_missing_file_exits_2(self, capsys):
         code, _ = run(capsys, "solve-single", "--model", "/nonexistent.json")
         assert code == 2

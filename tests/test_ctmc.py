@@ -1,9 +1,10 @@
 """Truncated-CTMC oracle (fbq.ctmc): the fixed-state stationary solve, its
-band LU against SuperLU, the compiled rectangle (fill, dgbsv and
-normalisation in one call) against its numpy reference
-(`reference.rectangle`) on the rectangles of the benchmark's oracle
-traffic and of seeded extreme-rate chains, the edge j = n2 of the
-rectangle, the size of each axis, error reporting and the growth log.
+band LU against SuperLU, the compiled rectangle (search, fill and dgbsv in
+one call) against its numpy reference (`reference.rectangle`) on the
+rectangles of the benchmark's oracle traffic and of seeded extreme-rate
+chains, the one normalisation (`ctmc._finish`) of every rectangle, the edge
+j = n2 of the rectangle, the size of each axis, error reporting and the
+growth log.
 
 data/ctmc_pins.json holds L, L1, L2, U, energy_rate, g0_at_1 and the boundary
 probabilities of 21 models (c02/c03 samples, q = 0, q = 0.9, a zero-speed
@@ -278,10 +279,11 @@ def test_band_lu_matches_superlu(model, n1, n2, monkeypatch):
         monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
         grid, _, how = _stationary(*_rates(model, n1, n2), i * (n2 + 1) + j)
         assert how.startswith(solver)
-        L1 = grid.sum(axis=1) @ np.arange(n1 + 1)
+        fg_marginal = grid.sum(axis=1)
+        L1 = fg_marginal @ np.arange(n1 + 1)
         L2 = grid.sum(axis=0) @ np.arange(n2 + 1)
-        # p only feeds the energy rate
-        solved.append(([L1, L2, L1 + L2], fields(model, grid, [0.0] * levels)["boundary"]))
+        # p feeds only the energy rate and U
+        solved.append(([L1, L2, L1 + L2], fields(model, grid, fg_marginal, [0.0] * levels)["boundary"]))
     (band, band_boundary), (superlu, superlu_boundary) = solved
     assert band == pytest.approx(superlu, rel=1e-12)
     for state, v in superlu_boundary.items():
@@ -339,14 +341,13 @@ def test_reducible_chain_raises_the_same_error_on_both_assemblies(n1, n2, on_bot
 
 def _rectangle_bits(out):
     """A rectangle's outcome (`ctmc._band_rectangle` or
-    `reference.rectangle`) with its arrays as bytes and the offending value
-    as its repr, which the message prints: a NaN total's sign bit depends on
-    the order of the operands of an add, which IEEE 754 leaves open."""
+    `reference.rectangle`) with its arrays and the offending value as
+    bytes."""
     if out is None:
         return None
     status, value, grid, marginals, solver = out
     arrays = [] if grid is None else [grid, *marginals]
-    return status, repr(float(value)), [a.tobytes() for a in arrays], solver
+    return status, np.float64(value).tobytes(), [a.tobytes() for a in arrays], solver
 
 
 def _oracle_models(seed):
@@ -415,6 +416,33 @@ def test_compiled_rectangle_equals_the_numpy_path_on_extreme_rates(on_both_paths
                     compiled, python = on_both_paths(lambda: raised(lambda: _stationary(*chain)))
                     assert compiled == python
     assert seen == {0, ctmc._SINGULAR, ctmc._TOTAL, ctmc._NEGATIVE}
+
+
+@pytest.mark.parametrize("band_max, solver", [(ctmc.BAND_MAX, "band LU"), (0, "SuperLU")])
+def test_every_rectangle_is_normalised_by_one_finish(band_max, solver, monkeypatch):
+    # whichever solver solves a rectangle, `_finish` alone normalises it,
+    # once: [its shape, the shapes that `_finish` saw, its solver] per rectangle
+    finish, stationary, rectangles = ctmc._finish, ctmc._stationary, []
+
+    def spy_finish(pi, shape):
+        rectangles[-1][1].append(shape)
+        return finish(pi, shape)
+
+    def spy_stationary(lam, q, fg, bg, fixed):
+        rectangles.append([fg.shape, []])
+        out = stationary(lam, q, fg, bg, fixed)
+        rectangles[-1].append(out[2])
+        return out
+
+    monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
+    monkeypatch.setattr(ctmc, "_finish", spy_finish)
+    monkeypatch.setattr(ctmc, "_stationary", spy_stationary)
+    ctmc_solve(SingleServerModel(1.6, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 0.8, 1.0))))
+    ctmc_solve(MultiServerModel(1.2, 1.0, 0.6, 1.0, 4, threshold=2))
+    assert [shape for shape, *_ in rectangles] == [(30, 17), (30, 65), (30, 109),
+                                                    (30, 17), (30, 65), (30, 162)]
+    for shape, finished, how in rectangles:
+        assert finished == [shape] and how.startswith(solver)
 
 
 def test_compiled_assembly_rejects_rate_grids_of_different_shapes():

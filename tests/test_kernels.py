@@ -156,7 +156,7 @@ def test_python_mirrors_equal_the_c_enums():
              for prefix, module in (("SETUP_", multi), ("ROW_", multi), ("RECT_", ctmc))
              for name in enums if name.startswith(prefix) and name != "RECT_SOLVED"]
     pairs.append(("POOL_INCONSISTENT", multi, "_INCONSISTENT"))
-    assert len(pairs) == 9 + 15 + 5 + 1 and enums["RECT_SOLVED"] == 0
+    assert len(pairs) == 9 + 15 + 3 + 1 and enums["RECT_SOLVED"] == 0
     assert [(name, enums[name]) for name, *_ in pairs] == \
         [(name, getattr(module, mirror)) for name, module, mirror in pairs]
 
@@ -198,9 +198,12 @@ def test_cited_loops_are_defined_in_the_c_source():
 # dense tile elimination with its lane products and the full envelopes, now
 # that one envelope elimination serves every system; and the pool's zero
 # search as an entry of its own, with the two Python wrappers of the search
-# and the shared data, now that one call of fbq_pool_data sets a pool up
+# and the shared data, now that one call of fbq_pool_data sets a pool up;
+# and the CTMC rectangle's C normalisation, its sum and its two statuses,
+# now that ctmc._finish normalises every rectangle
 DELETED_HELPERS = ("check_lanes", "env_check", "tile_width", "lu_tile", "sub_products", "env_full",
-                   "fbq_pool_roots", "_roots_compiled", "_data_compiled")
+                   "fbq_pool_roots", "_roots_compiled", "_data_compiled", "reduce_sum", "RECT_TOTAL",
+                   "RECT_NEGATIVE")
 
 
 def test_deleted_helpers_are_cited_nowhere():

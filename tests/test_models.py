@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,22 @@ class TestJson:
     def test_missing_field(self):
         with pytest.raises(ModelError):
             single_model_from_json({"lambda": 1.0})
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("lambda", True, "lambda"), ("nu1", "5", "nu1"), ("nu2", None, "nu2"), ("q", False, "q"),
+        ("alpha", "2", "alpha"), ("speeds", [0.5, True], "speeds[1]"), ("speeds", ["0", 1.0], "speeds[0]"),
+        ("speeds", "0,1", "speeds")])
+    def test_single_rejects_booleans_and_strings_by_name(self, field, value, name):
+        doc = {"lambda": 1.0, "nu1": 5.0, "nu2": 1.0, "q": 0.1, "speeds": [0.5, 1.0], "alpha": 2.0,
+               field: value}
+        with pytest.raises(ModelError, match=rf"^{re.escape(name)} must be a"):
+            single_model_from_json(doc)
+
+    @pytest.mark.parametrize("field, value", [("lambda", "1"), ("mu1", True), ("mu2", None), ("q", False)])
+    def test_multi_rejects_booleans_and_strings_by_name(self, field, value):
+        doc = {"lambda": 1, "mu1": 1, "mu2": 0.5, "q": 0.2, "m": 3, "threshold": 1, field: value}
+        with pytest.raises(ModelError, match=rf"^{field} must be a number, got {re.escape(repr(value))}$"):
+            multi_model_from_json(doc)
 
     def test_numpy_counts_are_stored_as_ints_and_dump(self):
         m = MultiServerModel(1.0, 1.0, 0.5, 0.2, np.int64(3), threshold=np.int64(1))
