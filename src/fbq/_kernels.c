@@ -56,14 +56,15 @@
  * fills its system again after the merge and books Hager's condition
  * estimate of it (lane_condition) for the error message.
  *
- * fbq_ctmc_rectangle solves one rectangle of fbq.ctmc's truncated chain
- * in one call: it finds the states that the fixed state reaches, fills the
- * band system of their balance equations, as reference.band_system does
- * with a sparse graph search and bincounts, each cell summed in the
- * reference's order, and solves it by LAPACK's dgbsv, which it is handed
- * as a function pointer from scipy's cython_lapack, and scatters the
- * solution into the grid of states, which ctmc._finish then normalises, as
- * it does every rectangle's.
+ * fbq_ctmc_rectangle assembles every rectangle of fbq.ctmc's truncated
+ * chain in one call: it finds the states that the fixed state reaches,
+ * numbers them and writes the columns of their balance equations once, as
+ * CSC, each entry summed in the order of reference.band_system's graph
+ * search and bincounts.  A band rectangle's columns it copies into the
+ * band layout and solves there by LAPACK's dgbsv, which it is handed as a
+ * function pointer from scipy's cython_lapack; handed NULL, it leaves the
+ * CSC to SuperLU.  ctmc._stationary scatters either solution into the grid
+ * of states, and ctmc._finish normalises it.
  *
  * fbq_pool_data builds in one call what every threshold of a pool of
  * fbq.multi shares, as reference.isolate_roots and then reference.pool_data
@@ -1420,7 +1421,7 @@ struct chain {
     const double *fg, *bg;
 };
 
-/* The moves out of state s that fbq.ctmc._transitions keeps, in its order:
+/* The moves out of state s that reference.transitions keeps, in its order:
  * arrival, foreground leaving, foreground joining the background (as (i -
  * 1, n2) on the edge j = n2), background completion, each only where it is
  * allowed and its rate is > 0.  Their targets go to to[], their rates to
@@ -1446,38 +1447,42 @@ typedef void dgbsv_fn(int *n, int *kl, int *ku, int *nrhs, double *ab, int *ldab
                       double *b, int *ldb, int *info);
 
 /* Outcomes of fbq_ctmc_rectangle. */
-enum { RECT_SOLVED, RECT_SINGULAR, RECT_EMPTY, RECT_NO_MEMORY };
+enum { RECT_SOLVED, RECT_SINGULAR, RECT_NO_MEMORY };
 
-/* One rectangle of fbq.ctmc._stationary's band path in one call, as
- * reference.rectangle does it in numpy: the chain (n1, n2, lam, q, fg,
- * bg), state (i, j) at flat index i (n2 + 1) + j, with the state `fixed`
+/* One rectangle of fbq.ctmc._stationary in one call, as reference.rectangle
+ * does it in numpy: the chain (n1, n2, lam, q, fg, bg) on its `states`
+ * states, state (i, j) at flat index i (n2 + 1) + j, with the state `fixed`
  * set to 1.  A breadth-first search from `fixed` finds the states it
- * reaches, keeping each state's moves (chain_moves); the others among
- * them, the unknowns, are numbered along the short axis first: in order of
- * their flat index, or of j (n1 + 1) + i when n2 > n1.  band gets kl and
- * ku, the farthest entries below and above the diagonal, and their balance
- * equations are filled into dgbsv's column-major band, n columns of 2 kl +
- * ku + 1 rows with entry (r, c) in row kl + ku + r - c of column c, with
- * the right-hand side: each unknown's inflow from the other unknowns minus
- * its own outflow equals minus its inflow from `fixed`.  Each cell is
- * summed from 0 in move order, the order of reference.band_system's
- * bincounts, so the system is the reference's bit for bit, and dgbsv
- * solves it.  grid gets the solution, unnormalised: 1 at `fixed`, 0 at the
- * states that `fixed` does not reach.
- * Returns RECT_SOLVED; RECT_EMPTY, with nothing written, when `fixed`
- * reaches no other state; RECT_SINGULAR, with grid unwritten, when dgbsv
- * finds a zero pivot; RECT_NO_MEMORY when the work space cannot be
- * allocated. */
+ * reaches, keeping each one's moves (chain_moves); the others among them,
+ * the n unknowns, are numbered along the short axis first: in order of
+ * their flat index, or of j (n1 + 1) + i when n2 > n1.  Their balance
+ * equations, each unknown's inflow from the other unknowns minus its own
+ * outflow equals minus its inflow from `fixed`, are written once, column
+ * by column, in CSC form: column k holds one entry per unknown that
+ * unknown k moves to, its rates summed from 0.0 in move order, and then the
+ * diagonal, 0.0 plus the outflow negated, so each entry is the cell that
+ * reference.band_system's bincounts sum, bit for bit.  index[0 .. 2] gets
+ * n and kl and ku, the farthest entries below and above the diagonal;
+ * index[3 + k] the state of unknown k; index[3 + states + k], k = 0 .. n,
+ * the first entry of column k; index[4 + 2 states + e] the row of entry e;
+ * value[k] the right-hand side and value[states + e] entry e.  Given
+ * dgbsv, the columns are copied into its column-major band, n columns of
+ * 2 kl + ku + 1 rows with entry (r, c) in row kl + ku + r - c of column c,
+ * and dgbsv solves the system in place, the solution over the right-hand
+ * side; given NULL, the system is left to SuperLU.  Returns RECT_SOLVED;
+ * RECT_SINGULAR when dgbsv finds a zero pivot; RECT_NO_MEMORY when the
+ * work space cannot be allocated. */
 int fbq_ctmc_rectangle(dgbsv_fn *dgbsv, int64_t n1, int64_t n2, double lam, double q,
-                       const double *fg, const double *bg, int64_t fixed, double *grid,
-                       int64_t *band)
+                       const double *fg, const double *bg, int64_t fixed, int64_t *index, double *value)
 {
     const struct chain c = {n1, n2, lam, q, fg, bg};
     int64_t states = (n1 + 1) * (n2 + 1), w = n2 + 1;
-    int64_t *pos = malloc(states * (6 * sizeof(int64_t) + 4 * sizeof(double) + sizeof(int)));
+    int64_t *order = index + 3, *colptr = order + states, *rowind = colptr + states + 1;
+    double *b = value, *entry = value + states;
+    int64_t *pos = malloc(states * (5 * sizeof(int64_t) + 4 * sizeof(double) + sizeof(int)));
     if (!pos)
         return RECT_NO_MEMORY;
-    int64_t *order = pos + states, *to = order + states;
+    int64_t *to = pos + states;
     double *rate = (double *)(to + 4 * states);
     int *moves = (int *)(rate + 4 * states);
     /* order is the search's queue until the unknowns are numbered; pos
@@ -1505,42 +1510,28 @@ int fbq_ctmc_rectangle(dgbsv_fn *dgbsv, int64_t n1, int64_t n2, double lam, doub
             order[n++] = s;
         }
     }
-    if (!n) {
-        free(pos);
-        return RECT_EMPTY;
-    }
+    colptr[0] = 0;
     for (int64_t k = 0; k < n; k++) {
-        int64_t s = order[k];
+        int64_t end = colptr[k], s = order[k];
+        double out = 0.0;
         for (int m = 0; m < moves[s]; m++) {
             int64_t r = pos[to[4 * s + m]];
-            if (r >= 0) {
+            out += rate[4 * s + m];
+            if (r < 0)
+                continue;
+            /* two moves share a target only when they follow each other:
+             * the foreground's two on the edge j = n2 */
+            if (end == colptr[k] || rowind[end - 1] != r) {
+                rowind[end] = r;
+                entry[end++] = 0.0;
                 kl = r - k > kl ? r - k : kl;
                 ku = k - r > ku ? k - r : ku;
             }
+            entry[end - 1] += rate[4 * s + m];
         }
-    }
-    int64_t diag = kl + ku, height = diag + kl + 1;
-    double *ab = malloc((n * height + n) * sizeof *ab), *b = ab + n * height;
-    int *ipiv = malloc(n * sizeof *ipiv);
-    if (!ab || !ipiv) {
-        free(ab);
-        free(ipiv);
-        free(pos);
-        return RECT_NO_MEMORY;
-    }
-    for (int64_t k = 0; k < n; k++) {
-        int64_t s = order[k];
-        double out = 0.0, *col = ab + k * height;
-        /* rows 0 .. kl - 1 are dgbsv's room for fill, which it zeroes
-         * before it uses them */
-        for (int64_t r = kl; r < height; r++)
-            col[r] = 0.0;
-        for (int m = 0; m < moves[s]; m++) {
-            out += rate[4 * s + m];
-            if (pos[to[4 * s + m]] >= 0)
-                col[diag + pos[to[4 * s + m]] - k] += rate[4 * s + m];
-        }
-        col[diag] += -out;
+        rowind[end] = k;
+        entry[end++] = 0.0 + -out;
+        colptr[k + 1] = end;
         b[k] = 0.0;
     }
     for (int m = 0; m < moves[fixed]; m++)
@@ -1548,22 +1539,30 @@ int fbq_ctmc_rectangle(dgbsv_fn *dgbsv, int64_t n1, int64_t n2, double lam, doub
             b[pos[to[4 * fixed + m]]] += rate[4 * fixed + m];
     for (int64_t k = 0; k < n; k++)
         b[k] = -b[k];
+    free(pos);
+    index[0] = n;
+    index[1] = kl;
+    index[2] = ku;
+    if (!dgbsv || !n)
+        return RECT_SOLVED;
+    int64_t diag = kl + ku, height = diag + kl + 1;
+    double *ab = malloc(n * (height * sizeof *ab + sizeof(int)));
+    if (!ab)
+        return RECT_NO_MEMORY;
+    int *ipiv = (int *)(ab + n * height);
+    for (int64_t k = 0; k < n; k++) {
+        double *col = ab + k * height;
+        /* rows 0 .. kl - 1 are dgbsv's room for fill, which it zeroes
+         * before it uses them */
+        for (int64_t r = kl; r < height; r++)
+            col[r] = 0.0;
+        for (int64_t e = colptr[k]; e < colptr[k + 1]; e++)
+            col[diag + rowind[e] - k] = entry[e];
+    }
     int nn = (int)n, ikl = (int)kl, iku = (int)ku, nrhs = 1, ld = (int)height, info = 0;
     dgbsv(&nn, &ikl, &iku, &nrhs, ab, &ld, ipiv, b, &nn, &info);
-    band[0] = kl;
-    band[1] = ku;
-    int status = info > 0 ? RECT_SINGULAR : RECT_SOLVED;
-    if (status == RECT_SOLVED) {
-        for (int64_t s = 0; s < states; s++)
-            grid[s] = 0.0;
-        for (int64_t k = 0; k < n; k++)
-            grid[order[k]] = b[k];
-        grid[fixed] = 1.0;
-    }
     free(ab);
-    free(ipiv);
-    free(pos);
-    return status;
+    return info > 0 ? RECT_SINGULAR : RECT_SOLVED;
 }
 
 /* The unknowns of threshold K of the pool of m servers are the states (i, j)

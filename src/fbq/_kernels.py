@@ -14,7 +14,8 @@ built or loaded (no C compiler, no private cache directory), each call
 raises an OSError that names the cause.  No LAPACK is linked:
 `fbq_ctmc_rectangle` calls the dgbsv that `dgbsv()` reads from scipy's
 `cython_lapack` capsule, on first use, as the function pointer its first
-argument takes.
+argument takes; given NULL there, it leaves the system it assembles to
+SuperLU.
 
 The flags are `-O2`; `-ffp-contract=off`, so that no multiply and add is
 fused and each loop does its Python reference's float operations;
@@ -108,7 +109,7 @@ def _bind(lib: ctypes.CDLL) -> Loops:
                       p_dbl, p_i64, i64, p_i64, p_i64, p_dbl, p_i64]
     chain.restype = None
     ctmc_rectangle = lib.fbq_ctmc_rectangle
-    ctmc_rectangle.argtypes = [ctypes.c_void_p, i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_dbl, p_i64]
+    ctmc_rectangle.argtypes = [ctypes.c_void_p, i64, i64, dbl, dbl, p_dbl, p_dbl, i64, p_i64, p_dbl]
     ctmc_rectangle.restype = i32
     family = lib.fbq_speed_family
     family.argtypes = [i64, i32, i64, p_i64, p_dbl, p_dbl, *[dbl] * 4, p_dbl, p_dbl, dbl, dbl, i32, p_dbl,

@@ -15,13 +15,14 @@ reaches are solved and the vector is normalised afterwards (Stewart,
 Numbered along the short axis first, those equations are a column
 diagonally dominant band matrix whose half-width is the short axis + 1, and
 LAPACK's band LU factors it; rectangles whose short axis has more than
-BAND_MAX levels go to SuperLU, which is faster there.  A band rectangle is
-solved by one call of the compiled loop `fbq_ctmc_rectangle`: from the rate
-grids it finds the reachable states, fills the band system and solves it by
-the dgbsv of scipy's LAPACK.  SuperLU's systems, and the empty one of
-lam = 0, are assembled from the generator entries of `_transitions` by a
-breadth-first search of their graph and bincounts over them.  Every
-rectangle's solution, from either solver, is normalised and summed into its
+BAND_MAX levels go to SuperLU, which is faster there.  Every rectangle is
+assembled by one call of the compiled loop `fbq_ctmc_rectangle`: from the
+rate grids it finds the reachable states, numbers them and writes their
+balance equations once, as CSC.  A band rectangle's columns it copies into
+LAPACK's band layout and solves in the same call, by the dgbsv of scipy's
+LAPACK; SuperLU solves the others from the CSC; lam = 0 leaves no unknown
+and nothing to solve.  Every rectangle's solution, from either solver, is
+scattered into the grid of states, normalised and summed into its
 marginals by `_finish`.
 
 Each axis is sized to its own tail.  Above the modulation level the cut
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import _kernels
@@ -87,33 +87,6 @@ class CtmcSolution:
     fg_marginal: tuple[float, ...] | None = None  # multiserver: P(foreground = i), i <= m
 
 
-def _transitions(lam, q, fg, bg):
-    """Generator entries (from, to, rate) on the grid of the rate arrays.
-
-    `fg[i, j]` and `bg[i, j]` are the foreground and background completion
-    rates in state (i, j), 0 <= i <= n1, 0 <= j <= n2, zero where that class
-    is not served.  Arrivals at i = n1 are blocked.  A foreground completion
-    leaves with probability 1 - q and joins the background queue with
-    probability q; on the edge j = n2 it joins as (i - 1, n2).
-    """
-    n1, n2 = fg.shape[0] - 1, fg.shape[1] - 1
-    i, j = np.indices(fg.shape)
-    src = i * (n2 + 1) + j
-    moves = (
-        (i < n1, src + (n2 + 1), np.full(src.shape, float(lam))),
-        (i > 0, src - (n2 + 1), fg * (1.0 - q)),
-        (i > 0, src - (n2 + 1) + (j < n2), fg * q),
-        (j > 0, src - 1, bg),
-    )
-    rows, cols, rates = [], [], []
-    for allowed, dst, rate in moves:
-        keep = allowed & (rate > 0.0)
-        rows.append(src[keep])
-        cols.append(dst[keep])
-        rates.append(rate[keep])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(rates)
-
-
 def _rates(model, n1, n2):
     """The model's chain on the rectangle (n1, n2): lam, q and the
     foreground and background completion rates on its grid of states."""
@@ -121,105 +94,73 @@ def _rates(model, n1, n2):
     return model.lam, model.q, fg, bg
 
 
-# outcomes besides a solution (0): of fbq_ctmc_rectangle, a zero pivot, no
-# state reached from the fixed one and no memory for the work space; of
-# `_finish`, a total probability that is not finite and positive and a
-# probability below -1e-9
-_SINGULAR, _EMPTY, _NO_MEMORY, _TOTAL, _NEGATIVE = range(1, 6)
+# outcomes of fbq_ctmc_rectangle besides a solution (0): a zero pivot and
+# no memory for the work space
+_SINGULAR, _NO_MEMORY = 1, 2
 
 
-def _band_rectangle(lam, q, fg, bg, fixed):
-    """The band path of `_stationary`: one call of the compiled
-    `fbq_ctmc_rectangle`, which finds the unknowns, fills their band system
-    and solves it by LAPACK's dgbsv, and then `_finish`.  Returns the status
-    (0 or one of _SINGULAR, _TOTAL and _NEGATIVE), the offending total or
-    probability, the grid, its two marginals and the factorisation; None
-    when `fixed` reaches no other state."""
+def _rectangle(lam, q, fg, bg, fixed, band):
+    """One call of the compiled `fbq_ctmc_rectangle` on the chain (lam, q,
+    fg, bg) with the state `fixed` set to 1: it finds the states that
+    `fixed` reaches, numbers them along the short axis first and writes
+    their balance equations as CSC, and with `band` solves them by LAPACK's
+    dgbsv.  Returns whether dgbsv met a zero pivot, the unknowns' states in
+    numbering order, and then with `band` the solution and the band's
+    (kl, ku), without it the right-hand side and the CSC matrix."""
     fg, bg = np.ascontiguousarray(fg, dtype=float), np.ascontiguousarray(bg, dtype=float)
     if fg.shape != bg.shape:   # the loop reads both over the whole grid
         raise ValueError(f"rate grids of shapes {fg.shape} and {bg.shape}")
-    pi, band = np.empty(fg.size), np.empty(2, np.int64)
+    states = fg.size
+    # n, kl and ku, the unknowns' states, the column pointers and the rows
+    # of at most 5 entries a column; the right-hand side and the entries
+    index, value = np.empty(7 * states + 4, np.int64), np.empty(6 * states)
     # from_buffer views keep their arrays alive and pass as pointers
     dbl = ctypes.c_double.from_buffer
     status = _kernels.compiled().ctmc_rectangle(
-        _kernels.dgbsv(), fg.shape[0] - 1, fg.shape[1] - 1, lam, q, dbl(fg), dbl(bg), fixed, dbl(pi),
-        ctypes.c_int64.from_buffer(band))
-    if status == _EMPTY:
-        return None
+        _kernels.dgbsv() if band else None, fg.shape[0] - 1, fg.shape[1] - 1, lam, q, dbl(fg), dbl(bg),
+        fixed, ctypes.c_int64.from_buffer(index), dbl(value))
     if status == _NO_MEMORY:
-        raise MemoryError(f"no work space for the band system of {fg.size} states")
-    solver = "band LU kl={} ku={}".format(*band.tolist())
-    if status:
-        return _SINGULAR, 0.0, None, None, solver
-    return (*_finish(pi, fg.shape), solver)
+        raise MemoryError(f"no work space for the system of {states} states")
+    n, kl, ku = index[:3].tolist()
+    order, b = index[3:3 + n], value[:n]
+    if band:
+        return status == _SINGULAR, order, b, (kl, ku)
+    colptr = index[3 + states:4 + states + n]
+    rows = index[4 + 2 * states:][:colptr[-1]]
+    return False, order, b, sp.csc_matrix((value[states:][:rows.size], rows, colptr), shape=(n, n))
+
+
+def _truncation(shape):
+    return f"truncation ({shape[0] - 1}, {shape[1] - 1})"
 
 
 def _finish(pi, shape):
     """`_stationary`'s normalisation of the flat solution `pi`, 1 at the
-    fixed state, of every rectangle, band or SuperLU: the status (0, _TOTAL
-    or _NEGATIVE), the offending value, the grid of `shape` and its
-    foreground and background marginals."""
+    fixed state, of every rectangle, band or SuperLU: the grid of `shape`
+    and its foreground and background marginals.  A total probability that
+    is not finite and positive, or a probability below -1e-9, raises
+    SolverError."""
     total = pi.sum()
-    if not (np.isfinite(total) and total > 0.0):
-        return _TOTAL, total, None, None
+    if not (math.isfinite(total) and total > 0.0):
+        raise SolverError(f"stationary solve at {_truncation(shape)} produced total probability "
+                          f"{total:.3e}")
     pi /= total
-    # tiny negative entries are factorisation noise
+    # tiny negative entries are factorisation noise; np.maximum is what
+    # np.clip(pi, 0.0, None) calls, here without a copy
     floor = pi.min()
     if floor < -1e-9:
-        return _NEGATIVE, floor, None, None
-    pi = np.clip(pi, 0.0, None)
-    grid = (pi / pi.sum()).reshape(shape)
-    return 0, 0.0, grid, (grid.sum(axis=1), grid.sum(axis=0))
-
-
-def _solve_sparse(rows, cols, rates, shape, fixed):
-    """`_stationary`'s SuperLU solve from the generator entries (from, to,
-    rate): the unknown states, their solution, whether the system is
-    singular, and the factorisation.  The reachable states come from a
-    breadth-first search of the transition graph and the equations from
-    bincounts over the entries."""
-    nstates = shape[0] * shape[1]
-    # the transition graph in CSR form: row pointers from the row counts, and
-    # the target states sorted by source state
-    indptr = np.zeros(nstates + 1, dtype=rows.dtype)
-    np.cumsum(np.bincount(rows, minlength=nstates), out=indptr[1:])
-    graph = sp.csr_matrix((np.ones(rows.size), cols[np.argsort(rows, kind="stable")], indptr),
-                          shape=(nstates, nstates))
-    live = csgraph.breadth_first_order(graph, fixed, return_predecessors=False)
-    unknown = np.sort(live[live != fixed])
-    pos = np.full(nstates, -1)
-    pos[unknown] = np.arange(unknown.size)
-    at_from, at_to = pos[rows], pos[cols]
-    inner = (at_from >= 0) & (at_to >= 0)
-    diag = np.arange(unknown.size)
-    outflow = np.bincount(rows, weights=rates, minlength=nstates)
-    # balance of every unknown state: inflow from the other unknowns minus
-    # its own outflow equals minus the inflow from the fixed state
-    values = np.concatenate([rates[inner], -outflow[unknown]])
-    eq, var = np.concatenate([at_to[inner], diag]), np.concatenate([at_from[inner], diag])
-    fed = (rows == fixed) & (at_to >= 0)
-    b = -np.bincount(at_to[fed], weights=rates[fed], minlength=unknown.size)
-    a = sp.csc_matrix((values, (eq, var)), shape=(unknown.size, unknown.size))
-    # fill-reducing order of A + A^T, except when no foreground completion
-    # leaves the system, i.e. no move (i, j) -> (i - 1, j) below the edge
-    # j = n2 (q = 1): on those thin rectangles SuperLU's minimum degree
-    # order of A + A^T took 100-300 times as long as COLAMD's column order
-    leaves = np.any((rows - cols == shape[1]) & (rows % shape[1] < shape[1] - 1))
-    ordering = "MMD_AT_PLUS_A" if leaves else "COLAMD"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", spla.MatrixRankWarning)
-        try:
-            x, singular = spla.spsolve(a, b, ordering), False
-        except spla.MatrixRankWarning:
-            x, singular = None, True
-    return unknown, x, singular, f"SuperLU {ordering}"
+        raise SolverError(f"stationary solve at {_truncation(shape)} produced probability {floor:.3e}")
+    np.maximum(pi, 0.0, out=pi)
+    pi /= pi.sum()
+    grid = pi.reshape(shape)
+    return grid, (grid.sum(axis=1), grid.sum(axis=0))
 
 
 def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, tuple, str]:
-    """Stationary vector of the chain (lam, q, fg, bg) of `_transitions` on
-    the grid of fg's shape, summing to 1, its foreground and background
-    marginals, and the factorisation that solved its equations ("band LU
-    ..." or "SuperLU ...").
+    """Stationary vector of the chain (lam, q, fg, bg) on the grid of fg's
+    shape, summing to 1, its foreground and background marginals, and the
+    factorisation that solved its equations ("band LU ...", "SuperLU ..."
+    or "no factorisation" when `fixed` reaches no other state).
 
     `fixed` is the flat index of a recurrent state.  Its probability is set
     to 1 and its balance equation dropped; the balance equations of the
@@ -228,34 +169,41 @@ def _stationary(lam, q, fg, bg, fixed) -> tuple[np.ndarray, tuple, str]:
     a band matrix of half-width the short axis + 1, which is column
     diagonally dominant, so a band LU factors it without row swaps; a
     rectangle whose short axis has more than BAND_MAX levels is solved with
-    SuperLU instead.  A band rectangle is found, filled and solved by one
-    compiled call (`_band_rectangle`), and SuperLU's, or the empty one that
-    lam = 0 leaves, by `_solve_sparse`; `_finish` normalises either.
-    States that `fixed` does not reach get probability zero: they are
-    transient, or they form a closed class the model's convention leaves
-    empty.  A reducible or otherwise singular system raises SolverError
-    instead of returning NaN.
+    SuperLU instead.  Every system is found and assembled by one compiled
+    call (`_rectangle`), which solves a band one too; its solution is
+    scattered into the grid and `_finish` normalises it.  States that
+    `fixed` does not reach get probability zero: they are transient, or
+    they form a closed class the model's convention leaves empty.  A
+    reducible or otherwise singular system raises SolverError instead of
+    returning NaN.
     """
-    shape = fg.shape
-    at = f"truncation ({shape[0] - 1}, {shape[1] - 1})"
-    solved = min(shape) <= BAND_MAX and _band_rectangle(lam, q, fg, bg, fixed)
-    if not solved:
-        unknown, x, singular, solver = _solve_sparse(*_transitions(lam, q, fg, bg), shape, fixed)
-        if singular:
-            solved = _SINGULAR, 0.0, None, None, solver
-        else:
-            pi = np.zeros(shape[0] * shape[1])
-            pi[unknown] = x
-            pi[fixed] = 1.0
-            solved = (*_finish(pi, shape), solver)
-    status, value, grid, marginals, solver = solved
-    if status == _SINGULAR:
-        raise SolverError(f"stationary equations are singular at {at}: the truncated chain is reducible")
-    if status == _TOTAL:
-        raise SolverError(f"stationary solve at {at} produced total probability {value:.3e}")
-    if status == _NEGATIVE:
-        raise SolverError(f"stationary solve at {at} produced probability {value:.3e}")
-    return grid, marginals, solver
+    band = min(fg.shape) <= BAND_MAX
+    singular, order, x, system = _rectangle(lam, q, fg, bg, fixed, band)
+    if not order.size:
+        solver = "no factorisation"
+    elif band:
+        solver = "band LU kl={} ku={}".format(*system)
+    else:
+        # fill-reducing order of A + A^T, except when no foreground
+        # completion leaves the system below the edge j = n2 (q = 1): on
+        # those thin rectangles SuperLU's minimum degree order of A + A^T
+        # took 100-300 times as long as COLAMD's column order
+        ordering = "MMD_AT_PLUS_A" if (fg[1:, :-1] * (1 - q) > 0).any() else "COLAMD"
+        solver = f"SuperLU {ordering}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", spla.MatrixRankWarning)
+            try:
+                # by position: perfbench's tracer wraps spsolve in a probe of (a, *_)
+                x = spla.spsolve(system, x, ordering)
+            except spla.MatrixRankWarning:
+                singular = True
+    if singular:
+        raise SolverError(f"stationary equations are singular at {_truncation(fg.shape)}: the truncated "
+                          "chain is reducible")
+    pi = np.zeros(fg.size)
+    pi[order] = x
+    pi[fixed] = 1.0
+    return (*_finish(pi, fg.shape), solver)
 
 
 def _foreground_size(base, ratio):

@@ -320,10 +320,14 @@ def single_model_to_json(model: SingleServerModel) -> dict:
 def _number(name: str, value) -> float:
     """A rate, probability, exponent or speed read from JSON; a boolean, a
     string or null raises a ModelError naming the field instead of being
-    read as 1, 0 or the number it spells."""
+    read as 1, 0 or the number it spells, and so does an integer too large
+    for a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ModelError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelError(f"{name} is too large for a float") from None
 
 
 def single_model_from_json(doc: dict) -> SingleServerModel:

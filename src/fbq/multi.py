@@ -210,10 +210,7 @@ def d_roots(model: MultiServerModel) -> tuple[float, ...]:
     so its failures raise here too: SolverError for a null-vector residual
     above SINGULAR_RTOL or a vanishing drift at z = 1.
     """
-    require_stable_multi(model)
-    if model.lam == 0:
-        raise ModelError("arrival rate must be positive to solve the chain")
-    return _pool(model).roots
+    return _checked_pool(model).roots
 
 
 def dprime_at_1(model: MultiServerModel) -> float:
@@ -292,6 +289,18 @@ def _pool(model: MultiServerModel) -> _Pool:
     if not kept:
         kept.append(_Pool(model))
     return kept[0]
+
+
+def _checked_pool(model: MultiServerModel) -> _Pool:
+    """The model's pool, set up, after the checks that every solve of it
+    makes: stability, then lam > 0.  The set-up runs on the pool's first
+    call and raises its failures here."""
+    require_stable_multi(model)
+    if model.lam == 0:
+        raise ModelError("arrival rate must be positive to solve the chain")
+    pool = _pool(model)
+    pool.data   # builds the set-up on the pool's first call
+    return pool
 
 
 # --- the thresholds of a pool -------------------------------------------------
@@ -394,8 +403,7 @@ def solve_threshold(model: MultiServerModel) -> MultiServerSolution:
     returns the same object without solving again.  A SolverError is kept as
     its type and message, which a repeat raises without solving anything.
     """
-    d_roots(model)   # checks the model and isolates the zeros on the pool's first solve
-    return _read(model, model.threshold, _solve_thresholds(model, [model.threshold], _pool(model)))
+    return _read(model, model.threshold, _solve_thresholds(model, [model.threshold], _checked_pool(model)))
 
 
 def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
@@ -407,8 +415,7 @@ def sweep_thresholds(model: MultiServerModel) -> list[MultiServerSolution]:
     when first read and then served to every later caller, and a kept
     SolverError is raised again without solving.
     """
-    d_roots(model)
-    pool = _solve_thresholds(model, range(model.m), _pool(model))
+    pool = _solve_thresholds(model, range(model.m), _checked_pool(model))
     return [_read(model, K, pool) for K in range(model.m)]
 
 
@@ -416,8 +423,7 @@ def sweep_costs(model: MultiServerModel, costs: CostCoefficients) -> list[float]
     """evaluate_cost_multi of each solution of `sweep_thresholds`, to the
     bit and with its errors, scored from the L and U of the pool's outcome
     rows, so that no solution is built."""
-    d_roots(model)
-    table, c1, c2 = _solve_thresholds(model, range(model.m), _pool(model)).table, costs.c1, costs.c2
+    table, c1, c2 = _solve_thresholds(model, range(model.m), _checked_pool(model)).table, costs.c1, costs.c2
     return [c1 * L + c2 * U for L, U in zip(table[:, _L].tolist(), table[:, _U].tolist())]
 
 

@@ -28,10 +28,11 @@ loop's order, so the two give equal results, errors included.
   `fbq_pool_system`; `solve_one` is one threshold's outcome row on them,
   and `solve_rows`, the thresholds in turn until a row fails, is
   `multi._pool_rows`.
-* `band_system`: the band system that `fbq_ctmc_rectangle` fills;
-  `rectangle` is `ctmc._band_rectangle` whole: that system solved by
-  `scipy.linalg.lapack.dgbsv` and normalised by `ctmc._finish`, the one
-  normalisation of every rectangle, the compiled call's included.
+* `band_system`: the system that `fbq_ctmc_rectangle` assembles, from the
+  generator entries of `transitions`, in the band layout and as a CSC
+  matrix; `rectangle` is `ctmc._rectangle`, the one assembly of every
+  rectangle: a band system solved by `scipy.linalg.lapack.dgbsv`, or the
+  CSC matrix that SuperLU solves.
 
 `dense_matrix` is A(z) as a dense matrix, for the tests of its entries.
 
@@ -749,21 +750,46 @@ def dense_matrix(model, z: float) -> np.ndarray:
 # --- the band system of the CTMC oracle --------------------------------------------
 
 
+def transitions(lam, q, fg, bg):
+    """Generator entries (from, to, rate) on the grid of the rate arrays.
+
+    `fg[i, j]` and `bg[i, j]` are the foreground and background completion
+    rates in state (i, j), 0 <= i <= n1, 0 <= j <= n2, zero where that class
+    is not served.  Arrivals at i = n1 are blocked.  A foreground completion
+    leaves with probability 1 - q and joins the background queue with
+    probability q; on the edge j = n2 it joins as (i - 1, n2).
+    """
+    n1, n2 = fg.shape[0] - 1, fg.shape[1] - 1
+    i, j = np.indices(fg.shape)
+    src = i * (n2 + 1) + j
+    moves = (
+        (i < n1, src + (n2 + 1), np.full(src.shape, float(lam))),
+        (i > 0, src - (n2 + 1), fg * (1.0 - q)),
+        (i > 0, src - (n2 + 1) + (j < n2), fg * q),
+        (j > 0, src - 1, bg),
+    )
+    rows, cols, rates = [], [], []
+    for allowed, dst, rate in moves:
+        keep = allowed & (rate > 0.0)
+        rows.append(src[keep])
+        cols.append(dst[keep])
+        rates.append(rate[keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(rates)
+
+
 def band_system(lam, q, fg, bg, fixed):
-    """The band system of `fbq_ctmc_rectangle` from the generator entries of
-    `ctmc._transitions`: the states that `fixed` reaches, by a breadth-first
+    """The system of `fbq_ctmc_rectangle` from the generator entries of
+    `transitions`: the states that `fixed` reaches, by a breadth-first
     search of the transition graph, numbered along the short axis first,
-    and the band system of their balance equations, scattered into dgbsv's
-    layout by bincounts, which sum each cell in move order.  Returns the
-    unknown states in numbering order, ab, kl, ku and b, or None when
-    `fixed` reaches no other state."""
-    rows, cols, rates = ctmc._transitions(lam, q, fg, bg)
+    and their balance equations, scattered into dgbsv's band layout by
+    bincounts, which sum each cell in move order, and as a CSC matrix.
+    Returns the unknown states in numbering order, ab, kl, ku, b and the
+    CSC matrix."""
+    rows, cols, rates = transitions(lam, q, fg, bg)
     (n1, n2), nstates = (fg.shape[0] - 1, fg.shape[1] - 1), fg.size
     graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(nstates, nstates))
     live = csgraph.breadth_first_order(graph, fixed, return_predecessors=False)
     unknown = live[live != fixed]
-    if not unknown.size:
-        return None
     i, j = np.divmod(unknown, n2 + 1)
     unknown = unknown[np.argsort(j * (n1 + 1) + i if n2 > n1 else unknown)]
     pos = np.full(nstates, -1)
@@ -773,36 +799,33 @@ def band_system(lam, q, fg, bg, fixed):
     diag = np.arange(unknown.size)
     outflow = np.bincount(rows, weights=rates, minlength=nstates)
     # balance of every unknown state: inflow from the other unknowns minus
-    # its own outflow equals minus the inflow from the fixed state
-    values = np.concatenate([rates[inner], -outflow[unknown]])
+    # its own outflow equals minus the inflow from the fixed state; the
+    # diagonal is summed from 0.0 too, so an absorbing state gets +0.0
+    values = np.concatenate([rates[inner], 0.0 - outflow[unknown]])
     eq, var = np.concatenate([at_to[inner], diag]), np.concatenate([at_from[inner], diag])
     fed = (rows == fixed) & (at_to >= 0)
     b = -np.bincount(at_to[fed], weights=rates[fed], minlength=unknown.size)
-    kl, ku = int((eq - var).max()), int((var - eq).max())
+    kl, ku = int((eq - var).max(initial=0)), int((var - eq).max(initial=0))
     height = 2 * kl + ku + 1
     # entry (r, c) sits in row kl + ku + r - c of column c of the band
     # layout; the first kl rows are dgbsv's room for fill
     ab = np.bincount(var * height + kl + ku + eq - var, weights=values, minlength=unknown.size * height)
-    return unknown, ab.reshape(unknown.size, height).T, kl, ku, b
+    a = sp.csc_matrix((values, (eq, var)), shape=(unknown.size,) * 2)
+    return unknown, ab.reshape(unknown.size, height).T, kl, ku, b, a
 
 
-def rectangle(lam, q, fg, bg, fixed):
-    """`ctmc._band_rectangle` in numpy: the system of `band_system` solved
-    by scipy's dgbsv and normalised by `ctmc._finish`.  Returns the status,
-    the offending value, the grid, its marginals and the factorisation, or
-    None when `fixed` reaches no other state."""
-    system = band_system(lam, q, fg, bg, fixed)
-    if system is None:
-        return None
-    unknown, ab, kl, ku, b = system
-    solver = f"band LU kl={kl} ku={ku}"
+def rectangle(lam, q, fg, bg, fixed, band):
+    """`ctmc._rectangle` in numpy: the system of `band_system`, solved with
+    `band` by scipy's dgbsv.  Returns whether dgbsv met a zero pivot, the
+    unknown states, and then with `band` the solution and (kl, ku), without
+    it the right-hand side and the CSC matrix."""
+    unknown, ab, kl, ku, b, a = band_system(lam, q, fg, bg, fixed)
+    if not band:
+        return False, unknown, b, a
+    if not unknown.size:
+        return False, unknown, b, (kl, ku)
     _, _, x, info = lapack.dgbsv(kl, ku, ab, b[:, None], overwrite_ab=1, overwrite_b=1)
-    if info > 0:
-        return ctmc._SINGULAR, 0.0, None, None, solver
-    pi = np.zeros(fg.size)
-    pi[unknown] = x[:, 0]
-    pi[fixed] = 1.0
-    return (*ctmc._finish(pi, fg.shape), solver)
+    return info > 0, unknown, x[:, 0], (kl, ku)
 
 
 # (owner, name, reference) of each compiled entry point
@@ -811,5 +834,5 @@ REFERENCES = (
     (single._Family, "solve", family_solve),
     (multi, "_setup_compiled", pool_setup),
     (multi, "_pool_rows", solve_rows),
-    (ctmc, "_band_rectangle", rectangle),
+    (ctmc, "_rectangle", rectangle),
 )

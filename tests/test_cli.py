@@ -86,6 +86,13 @@ class TestModelFiles:
         assert code == 2 and out == ""
         assert f"{field} must be a number" in caplog.text
 
+    def test_an_integer_too_large_for_a_float_exits_2(self, capsys, caplog, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"lambda": 1' + "0" * 400 + ', "mu1": 1, "mu2": 0.5, "q": 0.2, "m": 3}')
+        code, out = run(capsys, "solve-multi", "--model", str(path))
+        assert code == 2 and out == ""
+        assert "lambda is too large for a float" in caplog.text
+
     def test_missing_file_exits_2(self, capsys):
         code, _ = run(capsys, "solve-single", "--model", "/nonexistent.json")
         assert code == 2

@@ -37,7 +37,6 @@ from fbq.ctmc import (
     _grow,
     _rates,
     _stationary,
-    _transitions,
     ctmc_solve,
 )
 from fbq.models import CoxianService, MultiServerModel, SingleServerModel, SolverError, SpeedProfile
@@ -126,7 +125,7 @@ def _dense(rows, cols, rates, n1, n2):
 ], ids=["single-K3", "single-q1", "single-zero-speed-q0", "pool-m3", "pool-q1", "pool-q0"])
 def test_builders_match_the_per_state_loop(model):
     for n1, n2 in ((1, 5), (5, 1), (5, 5)):
-        got = _dense(*_transitions(*_rates(model, n1, n2)), n1, n2)
+        got = _dense(*reference.transitions(*_rates(model, n1, n2)), n1, n2)
         want = _dense(*_loop_rates(model, n1, n2), n1, n2)
         np.testing.assert_array_equal(got, want)
         assert np.count_nonzero(got.diagonal()) == 0
@@ -187,11 +186,14 @@ def test_reducible_chain_raises_the_same_error_on_both_paths(n1, n2, monkeypatch
     assert messages[0] == messages[1]
 
 
-def test_zero_arrival_rate_leaves_only_the_fixed_state():
+def test_zero_arrival_rate_leaves_only_the_fixed_state(caplog):
     # no state is reachable from the fixed one, so no system is solved
     single = SingleServerModel(0.0, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 1.0)))
     pool = MultiServerModel(0.0, 1.0, 0.5, 0.3, 3, threshold=1)
-    assert ctmc_solve(single).L == 0.0 and ctmc_solve(pool).L == 1.0
+    with caplog.at_level(logging.DEBUG, logger="fbq.ctmc"):
+        assert ctmc_solve(single).L == 0.0 and ctmc_solve(pool).L == 1.0
+    lines = [r.getMessage() for r in caplog.records if r.name == "fbq.ctmc"]
+    assert len(lines) == 2 and all(line.endswith(", no factorisation") for line in lines)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
@@ -311,43 +313,55 @@ EDGE_MODELS = [
 ]
 
 
+# the band LU, and SuperLU on every rectangle
+SOLVERS = ((ctmc.BAND_MAX, "band LU"), (0, "SuperLU"))
+
+
 @pytest.mark.parametrize("n1,n2", [(12, 30), (30, 12)], ids=["wide", "tall"])
 @pytest.mark.parametrize("model", [*_accuracy_models(), *EDGE_MODELS])
-def test_stationary_is_equal_on_both_assemblies(model, n1, n2, on_both_paths):
-    # the grid and its marginals, signed zeros included
-    compiled, python = on_both_paths(lambda: _stationary_bits(model, n1, n2))
-    assert compiled == python
-    # lam = 0 leaves no equation to assemble, so SuperLU's path solves it
-    assert compiled[2].startswith("SuperLU" if model.lam == 0 else "band LU")
+def test_stationary_is_equal_on_both_assemblies(model, n1, n2, on_both_paths, monkeypatch):
+    # the grid and its marginals, signed zeros included, from either solver
+    for band_max, solver in SOLVERS:
+        monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
+        compiled, python = on_both_paths(lambda: _stationary_bits(model, n1, n2))
+        assert compiled == python
+        # lam = 0 leaves no equation to solve
+        assert compiled[2].startswith("no factorisation" if model.lam == 0 else solver)
 
 
 @pytest.mark.parametrize("model", [*(pytest.param(_model(p["model"]), id=p["label"]) for p in PINS["models"]),
                                    *EDGE_MODELS])
-def test_ctmc_solve_is_equal_on_both_assemblies(model, on_both_paths):
-    compiled, python = on_both_paths(lambda: ctmc_solve(model))
-    assert compiled == python
+def test_ctmc_solve_is_equal_on_both_assemblies(model, on_both_paths, monkeypatch):
+    for band_max, _ in SOLVERS:
+        monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
+        compiled, python = on_both_paths(lambda: ctmc_solve(model))
+        assert compiled == python
 
 
 @pytest.mark.parametrize("n1,n2", [(30, 16), (16, 30)])
-def test_reducible_chain_raises_the_same_error_on_both_assemblies(n1, n2, on_both_paths):
+def test_reducible_chain_raises_the_same_error_on_both_assemblies(n1, n2, on_both_paths, monkeypatch):
     def message():
         with pytest.raises(SolverError, match=rf"singular at truncation \({n1}, {n2}\)") as err:
             _stationary(*_absorbing_edge(n1, n2), 0)
         return str(err.value)
 
-    compiled, python = on_both_paths(message)
-    assert compiled == python
+    for band_max, _ in SOLVERS:
+        monkeypatch.setattr(ctmc, "BAND_MAX", band_max)
+        compiled, python = on_both_paths(message)
+        assert compiled == python
 
 
 def _rectangle_bits(out):
-    """A rectangle's outcome (`ctmc._band_rectangle` or
-    `reference.rectangle`) with its arrays and the offending value as
-    bytes."""
-    if out is None:
-        return None
-    status, value, grid, marginals, solver = out
-    arrays = [] if grid is None else [grid, *marginals]
-    return status, np.float64(value).tobytes(), [a.tobytes() for a in arrays], solver
+    """A rectangle's system or solution (`ctmc._rectangle` or
+    `reference.rectangle`) as bytes: whether dgbsv met a zero pivot, the
+    unknowns' states, the solution (unless singular) or the right-hand
+    side, and the band's (kl, ku) or the CSC matrix with the rows of each
+    column sorted, as SuperLU reads it."""
+    singular, order, x, system = out
+    if sp.issparse(system):
+        a = system.sorted_indices()
+        system = a.shape, a.data.tobytes(), a.indices.tolist(), a.indptr.tolist()
+    return singular, order.tolist(), None if singular else x.tobytes(), system
 
 
 def _oracle_models(seed):
@@ -363,16 +377,17 @@ def _oracle_models(seed):
 
 def test_compiled_rectangle_equals_the_numpy_path_on_the_oracle_traffic(monkeypatch):
     # every rectangle that ctmc_solve visits for the benchmark's oracle
-    # traffic on two seeds and for the pinned models: grid, marginals and
-    # factorisation, signed zeros included
-    compiled, rectangles = ctmc._band_rectangle, []
+    # traffic on two seeds and for the pinned models: the band LU's
+    # solution and the CSC system that SuperLU would get, signed zeros
+    # included
+    compiled, rectangles = ctmc._rectangle, []
 
     def spy(*args):
-        rectangles.append(args)
+        rectangles.append(args[:-1])
         return compiled(*args)
 
     models = [*_oracle_models(1), *_oracle_models(9001), *(_model(p["model"]) for p in PINS["models"])]
-    monkeypatch.setattr(ctmc, "_band_rectangle", spy)
+    monkeypatch.setattr(ctmc, "_rectangle", spy)
     for model in models:
         ctmc_solve(model)
     assert len(models) == 291 and len(rectangles) > 500
@@ -383,8 +398,9 @@ def test_compiled_rectangle_equals_the_numpy_path_on_the_oracle_traffic(monkeypa
         for n1, n2 in ((64, 300), (300, 64)):
             rectangles.append((*_rates(model, n1, n2), i * (n2 + 1) + j))
     for args in rectangles:
-        got, want = _rectangle_bits(compiled(*args)), _rectangle_bits(reference.rectangle(*args))
-        assert got == want and got[0] == 0
+        for band in (True, False):
+            got = _rectangle_bits(compiled(*args, band))
+            assert got == _rectangle_bits(reference.rectangle(*args, band)) and not got[0]
 
 
 def _extreme_chains(count):
@@ -404,18 +420,31 @@ def _extreme_chains(count):
         yield lam, q, fg, bg, int(rng.integers(0, fg.size))
 
 
+def _outcome(chain):
+    """What `_stationary` makes of `chain`: "solved", or which of its
+    SolverErrors it raised: "singular", "total probability" or
+    "probability"."""
+    try:
+        _stationary(*chain)
+    except SolverError as exc:
+        return next(kind for kind in ("singular", "total probability", "probability") if kind in str(exc))
+    return "solved"
+
+
 def test_compiled_rectangle_equals_the_numpy_path_on_extreme_rates(on_both_paths):
     seen = set()
     with np.errstate(all="ignore"):
         for chain in _extreme_chains(3_000):
-            got = _rectangle_bits(ctmc._band_rectangle(*chain))
-            assert got == _rectangle_bits(reference.rectangle(*chain)), chain
-            if got is not None and got[0] not in seen:
-                seen.add(got[0])
-                if got[0]:   # and the message that _stationary raises on each failure
+            for band in (True, False):
+                got = _rectangle_bits(ctmc._rectangle(*chain, band))
+                assert got == _rectangle_bits(reference.rectangle(*chain, band)), chain
+            outcome = _outcome(chain)
+            if outcome not in seen:
+                seen.add(outcome)
+                if outcome != "solved":   # and the message that _stationary raises on each failure
                     compiled, python = on_both_paths(lambda: raised(lambda: _stationary(*chain)))
                     assert compiled == python
-    assert seen == {0, ctmc._SINGULAR, ctmc._TOTAL, ctmc._NEGATIVE}
+    assert seen == {"solved", "singular", "total probability", "probability"}
 
 
 @pytest.mark.parametrize("band_max, solver", [(ctmc.BAND_MAX, "band LU"), (0, "SuperLU")])
@@ -447,7 +476,7 @@ def test_every_rectangle_is_normalised_by_one_finish(band_max, solver, monkeypat
 
 def test_compiled_assembly_rejects_rate_grids_of_different_shapes():
     with pytest.raises(ValueError, match=r"shapes \(3, 4\) and \(3, 1\)"):
-        ctmc._band_rectangle(1.0, 0.5, np.ones((3, 4)), np.ones((3, 1)), 0)
+        ctmc._rectangle(1.0, 0.5, np.ones((3, 4)), np.ones((3, 1)), 0, True)
 
 
 def test_high_load_matches_solve_general():
@@ -485,8 +514,8 @@ def test_debug_log_names_the_factorisation(caplog, monkeypatch):
 
 
 def test_debug_log_names_the_assembly(caplog, monkeypatch, on_both_paths):
-    # the factorisation names the assembly too: `fbq_ctmc_rectangle` (or its
-    # reference) fills every band system, `_solve_sparse` every SuperLU one
+    # the factorisation names the solver of the one assembly,
+    # `fbq_ctmc_rectangle` (or its reference), on both paths
     model = SingleServerModel(1.6, CoxianService(5.0, 1.0, 0.3), SpeedProfile((0.5, 0.8, 1.0)))
 
     def solvers(band_max):

@@ -233,6 +233,15 @@ class TestJson:
         with pytest.raises(ModelError, match=rf"^{field} must be a number, got {re.escape(repr(value))}$"):
             multi_model_from_json(doc)
 
+    @pytest.mark.parametrize("read, doc, name", [
+        (multi_model_from_json, {"lambda": 10**400, "mu1": 1, "mu2": 0.5, "q": 0.2, "m": 3}, "lambda"),
+        (multi_model_from_json, {"lambda": 1, "mu1": 1, "mu2": -10**400, "q": 0.2, "m": 3}, "mu2"),
+        (single_model_from_json, {"lambda": 1, "nu1": 5, "nu2": 1, "q": 0.1, "speeds": [0.5, 10**400]},
+         "speeds[1]")])
+    def test_an_integer_too_large_for_a_float_is_named(self, read, doc, name):
+        with pytest.raises(ModelError, match=rf"^{re.escape(name)} is too large for a float$"):
+            read(doc)
+
     def test_numpy_counts_are_stored_as_ints_and_dump(self):
         m = MultiServerModel(1.0, 1.0, 0.5, 0.2, np.int64(3), threshold=np.int64(1))
         assert type(m.m) is type(m.threshold) is int
