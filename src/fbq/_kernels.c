@@ -54,7 +54,12 @@
  * batched too (Dongarra et al., Procedia Computer Science 108, 2017).
  * When a profile fails, singular or with a negative probability, the call
  * fills its system again after the merge and books Hager's condition
- * estimate of it (lane_condition) for the error message.
+ * estimate of it (lane_condition) for the error message.  A speed search
+ * reads only L and the energy rate, so it scores its grids by the same
+ * call with no x or p (single._Family.scores): each thread keeps its
+ * tile's solutions in its own tile work and writes those two rows alone;
+ * a family that fails or would be clamped is solved again by the full
+ * call (reference.family_scores).
  *
  * fbq_ctmc_rectangle assembles every rectangle of fbq.ctmc's truncated
  * chain in one call: it finds the states that the fixed state reaches,
@@ -809,10 +814,11 @@ static double lane_condition(const struct family *f, double *t)
  * the tile e, y of the `used` systems k0, k0 + 1, ..., from the family
  * f's envelopes, the lanes past `used` holding copies of the first, whose
  * results are dropped; unless lu_envelope returns a first-pass status,
- * which solve_tile returns, each solution goes to x[k] and is booked by
- * note_system.  A clone per vector width (FBQ_CLONES), as family_tiles. */
+ * which solve_tile returns, the solution of system k0 + s goes to
+ * xs[s n .. s n + n - 1] and is booked by note_system.  A clone per vector
+ * width (FBQ_CLONES), as family_tiles. */
 FBQ_CLONES static int solve_tile(const struct family *f, struct envelope *e, int used, int64_t k0,
-                                 double *y, double pivot_tol, double neg_tol, double *x,
+                                 double *y, double pivot_tol, double neg_tol, double *xs,
                                  double *pivmin, int64_t *summary)
 {
     int n = f->n;
@@ -821,7 +827,7 @@ FBQ_CLONES static int solve_tile(const struct family *f, struct envelope *e, int
         e->first[i] = f->env[i];
     int status = lu_envelope(e, LU_TILE, y, least);
     for (int s = 0; s < used && !status; s++) {
-        double *xk = x + (k0 + s) * n;
+        double *xk = xs + s * n;
         for (int r = 0; r < n; r++)
             xk[r] = y[r * LU_TILE + s];
         note_system(k0 + s, n, least[s], xk, pivot_tol, neg_tol, pivmin, summary);
@@ -912,7 +918,9 @@ static double pairwise_sum(int n, const double *a, const double *b)
 /* The finish of single._Family.solve from the solution x of the profile
  * with speed levels lev and power draws pw (lev[t] ** alpha, by numpy):
  * p[t] = P(level t) for t < K, and out[0], out[stride], ... out[5 stride]
- * get the tail mass, g0(1), L1, L2, L and the energy rate.  The row sums
+ * get the tail mass, g0(1), L1, L2, L and the energy rate, or, with
+ * scores set, out[0] and out[stride] get L and the energy rate alone
+ * (single._Family.scores).  The row sums
  * first: the tail mass 1 - sum p, pi_idle_fg = sum_j pi_0j, iw = sum i w_ij,
  * jw = sum j w_ij and w_busy = sum_{i>0} w_ij, with w_ij = (1 - s_{i+j} /
  * s_K) pi_ij.  p[t] is its level's first pi plus (-0.0 plus the others in
@@ -926,8 +934,8 @@ static double pairwise_sum(int n, const double *a, const double *b)
 static inline __attribute__((always_inline)) void finish_system(const struct family *f,
                                                                 const double *lev,
                                                                 const double *pw, const double *x,
-                                                                int clamp, double *p, double *out,
-                                                                int64_t stride)
+                                                                int clamp, int scores, double *p,
+                                                                double *out, int64_t stride)
 {
     int K = f->K;
     double total = 0.0, idle = 0.0, iw = 0.0, jw = 0.0, busy = 0.0;
@@ -955,12 +963,18 @@ static inline __attribute__((always_inline)) void finish_system(const struct fam
     double R = rho1 + q * f->rho2;
     double L2 = (jw + q * R * L1 + q * f->rho2) / (1.0 - R);
     double energy = K <= PAIRWISE_BLOCK ? block_sum(K, p, pw) : pairwise_sum(K, p, pw);
+    double L = L1 + L2, rate = (0.0 + energy) + pw[K] * tail;
+    if (scores) {
+        out[0] = L;
+        out[stride] = rate;
+        return;
+    }
     out[0] = tail;
     out[stride] = 1.0 - rho1 - idle - busy;
     out[2 * stride] = L1;
     out[3 * stride] = L2;
-    out[4 * stride] = L1 + L2;
-    out[5 * stride] = (0.0 + energy) + pw[K] * tail;
+    out[4 * stride] = L;
+    out[5 * stride] = rate;
 }
 
 /* A family is split over as many threads as each get FAMILY_SHARE profiles
@@ -971,8 +985,9 @@ static inline __attribute__((always_inline)) void finish_system(const struct fam
 enum { FAMILY_RUN = 4, FAMILY_SHARE = 128 };
 
 /* What the threads of one fbq_speed_family call share: the family, its
- * profiles and outputs, the next tile that no thread has claimed, and the
- * first-pass outcomes found so far (lu_envelope's statuses as bits). */
+ * profiles and outputs (x and p NULL when the call scores the family),
+ * the next tile that no thread has claimed, and the first-pass outcomes
+ * found so far (lu_envelope's statuses as bits). */
 struct family_job {
     const struct family *f;
     const double *levels, *power;
@@ -984,8 +999,9 @@ struct family_job {
 };
 
 /* One thread's share of a job: its own tile, with the work of its
- * envelopes, and, once it is done, the note_system summary of the systems
- * it solved. */
+ * envelopes and, for a call that scores the family, room for the tile's
+ * solutions and one profile's level masses, and, once it is done, the
+ * note_system summary of the systems it solved. */
 struct family_part {
     struct family_job *job;
     double *tile;
@@ -996,7 +1012,9 @@ struct family_part {
 /* Claims FAMILY_RUN tiles at a time until none is left; fills each tile by
  * fill_lanes, solves it by solve_tile, whose row scaling makes the first
  * pass, and, while no tile anywhere has failed that pass, finishes each
- * profile, unclamped, by finish_system.  Stops once a non-finite entry has
+ * profile, unclamped, by finish_system.  A call that scores the family
+ * keeps each tile's solutions and level masses in the thread's own tile
+ * work and writes L and the energy rate alone.  Stops once a non-finite entry has
  * been found anywhere, since that decides the call's status.  A thread
  * claims tiles in increasing order, so its summary holds the first of its
  * systems to be singular and the first with a value below -neg_tol.  A
@@ -1010,20 +1028,22 @@ FBQ_CLONES static void *family_tiles(void *arg)
     struct family_part *part = arg;
     struct family_job *job = part->job;
     const struct family *f = job->f;
-    int n = f->n;
+    int n = f->n, K = f->K, scores = !job->x;
     double *t = part->tile, *y = t + LU_TILE * n * n, *lv = y + LU_TILE * n;
+    double *xs = lv + LU_TILE * (K + 1), *ps = xs + LU_TILE * n;
     int64_t summary[3] = {-1, -1, 0}, first;
     struct envelope e;
-    env_init(&e, n, LU_TILE, t, lv + LU_TILE * (f->K + 1));
+    env_init(&e, n, LU_TILE, t, ps + K);
     while ((first = atomic_fetch_add_explicit(&job->next, FAMILY_RUN, memory_order_relaxed)) <
            job->tiles) {
         for (int64_t tile = first; tile < first + FAMILY_RUN && tile < job->tiles; tile++) {
             int64_t k0 = tile * LU_TILE;
             int used = job->count - k0 < LU_TILE ? (int)(job->count - k0) : LU_TILE;
-            const double *lev = job->levels + k0 * (f->K + 1);
+            const double *lev = job->levels + k0 * (K + 1);
+            double *x = scores ? xs : job->x + k0 * n;
             fill_lanes(f, lev, used, t, y, lv);
-            int seen = solve_tile(f, &e, used, k0, y, job->pivot_tol, job->neg_tol, job->x,
-                                  job->pivmin, summary);
+            int seen = solve_tile(f, &e, used, k0, y, job->pivot_tol, job->neg_tol, x, job->pivmin,
+                                  summary);
             if (seen)
                 atomic_fetch_or_explicit(&job->seen, seen, memory_order_relaxed);
             seen = atomic_load_explicit(&job->seen, memory_order_relaxed);
@@ -1031,9 +1051,11 @@ FBQ_CLONES static void *family_tiles(void *arg)
                 goto done;
             if (seen)
                 continue;
-            for (int64_t k = k0; k < k0 + used; k++)
-                finish_system(f, job->levels + k * (f->K + 1), job->power + k * (f->K + 1),
-                              job->x + k * n, 0, job->p + k * f->K, job->out + k, job->count);
+            for (int s = 0; s < used; s++) {
+                int64_t k = k0 + s;
+                finish_system(f, lev + s * (K + 1), job->power + k * (K + 1), x + s * n, 0, scores,
+                              scores ? ps : job->p + k * K, job->out + k, job->count);
+            }
         }
     }
 done:
@@ -1061,6 +1083,15 @@ done:
  * filled again by fill_lanes after the merge, and lane_condition takes the
  * estimate from lane 0 on that tile.
  *
+ * With x and p NULL the call scores the family (single._Family.scores): a
+ * speed search reads only each profile's L and energy rate, so each
+ * thread keeps its tile's solutions in its own tile work, finish_system
+ * runs unclamped as on a full call, and out (2, count) gets the rows of L
+ * and the energy rate alone.  It books no condition estimate and runs no
+ * clamped finish: a family whose call reports a status, a singular
+ * profile, a value below -neg_tol or any negative value is solved again by
+ * a full call (reference.family_scores).
+ *
  * A family of 2 FAMILY_SHARE profiles or more is solved by up to `threads`
  * threads, the calling one among them (family_tiles), which are started
  * and joined within the call, so none outlives it and a fork after it is
@@ -1084,7 +1115,7 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
     int parts = shares < 2 || threads < 2 ? 1 : (shares < threads ? (int)shares : threads);
     /* each thread's tile ends 64 bytes or more before the next begins, so
      * that no cache line is written by two threads */
-    size_t tile = sizeof(double) * LU_TILE * (n * (n + 1) + K + 1) + env_bytes(n, LU_TILE);
+    size_t tile = sizeof(double) * (LU_TILE * (n * (n + 2) + K + 1) + K) + env_bytes(n, LU_TILE);
     tile = (tile + 127) / 64 * 64;
     struct family_part *part = malloc(parts * (sizeof *part + tile) + 2 * sizeof(int) * n);
     if (!part)
@@ -1117,7 +1148,7 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
         summary[2] += part[i].summary[2];
     }
     double est = 0.0;
-    if (!seen && (summary[0] >= 0 || summary[1] >= 0)) {
+    if (!seen && x && (summary[0] >= 0 || summary[1] >= 0)) {
         int64_t k = summary[0] >= 0 ? summary[0] : summary[1];
         double *t = part->tile, *y = t + LU_TILE * f.n * f.n;
         fill_lanes(&f, levels + k * (K + 1), 1, t, y, y + LU_TILE * f.n);
@@ -1127,9 +1158,9 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
     if (seen)
         return seen & 1 ? 1 : 2;
     *cond = est;
-    if (summary[2] > 0)
+    if (x && summary[2] > 0)
         for (int64_t k = 0; k < count; k++)
-            finish_system(&f, levels + k * (K + 1), power + k * (K + 1), x + k * f.n, 1, p + k * K,
+            finish_system(&f, levels + k * (K + 1), power + k * (K + 1), x + k * f.n, 1, 0, p + k * K,
                           out + k, count);
     return 0;
 }

@@ -5,7 +5,11 @@ per-user cache, `$XDG_CACHE_HOME/fbq` or `~/.cache/fbq`, a private
 directory.  The library is named by the sha256 of the source and the flags,
 so an edited source gets a new library and later processes only load it.
 `compiled()` returns the five loops typed; every solver and the simulator
-run on them, and fbq has no other coding of them.  `fbq_pool_data` makes
+run on them, and fbq has no other coding of them.  `fbq_speed_family`
+solves a speed family, or, given no solution and level-mass buffers,
+scores it: a speed search reads only L and the energy rate, which that
+call writes alone, and `single._Family.scores` solves a family that fails
+or clamps again by the full call.  `fbq_pool_data` makes
 a pool's set-up, its zeros and the data its thresholds share, in one
 call, and `fbq_pool_system` takes the thresholds of a pool that a call
 still needs and returns the number of outcome rows it wrote, one per

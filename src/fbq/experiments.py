@@ -125,12 +125,15 @@ def _coarse_grid(fracs: list[float], K: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _search_grids(lo_frac: float, K: int):
-    """A speed search's coarse fractions from lo_frac on, its read-only coarse grid and refinement offsets."""
+    """A speed search's coarse fractions from lo_frac on, its read-only
+    coarse grid, the read-only starts of the grid's s_1 groups (each opens
+    with s_1 = s_{K-1}) and the refinement offsets."""
     fracs = tuple(f for f in (round(k * COARSE_STEP, 10) for k in range(1, round(1.0 / COARSE_STEP) + 1))
                   if f >= lo_frac)
     width = round(COARSE_STEP / FINE_STEP)
     span = tuple(round(d * FINE_STEP, 10) for d in range(-width + 1, width))
-    return fracs, frozen(_coarse_grid(fracs, K)), span
+    grid = _coarse_grid(fracs, K)
+    return fracs, frozen(grid), frozen(np.flatnonzero(grid[:, 0] == grid[:, -1])), span
 
 
 def _fine_grid(around: list[list[float]]) -> np.ndarray:
@@ -150,10 +153,14 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     The idle speed s_0 and the top speed s_K are taken from the base model;
     the K-1 intermediate levels are swept over multiples of COARSE_STEP
     times the top speed (with s_1 <= s_2), then re-swept once at FINE_STEP resolution
-    around the incumbent.  Both grids are solved as speed families of one
-    _Family, as solve_speed_family solves them, which gives the same costs
-    as solving their profiles one by one.  Returns (best profile, best cost,
-    coarse curve); for K = 3 the curve shows min-over-s2 cost as a function of s_1.
+    around the incumbent.  Both grids are scored as speed families of one
+    _Family: the search reads only L and the energy rate, which
+    _Family.scores writes alone in one compiled call, with the bits that
+    solve_speed_family gives them and so the costs of solving the profiles
+    one by one; a grid that fails or is clamped is solved again by the full
+    path, whose errors and clamped values it then gets.  Returns (best
+    profile, best cost, coarse curve); for K = 3 the curve shows
+    min-over-s2 cost as a function of s_1.
     """
     if K not in (2, 3):
         raise ModelError(f"intermediate-speed search supports K in {{2, 3}}, got {K}")
@@ -163,18 +170,17 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     s0, top = family.ends
     lo_frac = max(COARSE_STEP, s0 / top)
     # nondecreasing grid points, s_1 major; each s_1 group opens with s_1 = s_{K-1}
-    fracs, grid, span = _search_grids(lo_frac, K)
-    cost = evaluate_cost_single(family.profiles(grid * top), costs)
+    fracs, grid, starts, span = _search_grids(lo_frac, K)
+    cost = evaluate_cost_single(family.scores(family.levels(grid * top)), costs)
     best = int(np.argmin(cost))
     best_x, best_cost = tuple(grid[best].tolist()), float(cost[best])
-    starts = np.flatnonzero(grid[:, 0] == grid[:, -1])
     curve = PolicyCurve("cost" if K == 2 else "cost_min_over_s2", list(fracs),
                         np.minimum.reduceat(cost, starts).tolist())
 
     # one refinement pass around the incumbent
     around = [[f for f in (round(x + d, 10) for d in span) if lo_frac <= f <= 1.0] for x in best_x]
     near = _fine_grid(around)
-    cost = evaluate_cost_single(family.profiles(near * top), costs)
+    cost = evaluate_cost_single(family.scores(family.levels(near * top)), costs)
     k = int(np.argmin(cost))
     if cost[k] < best_cost:
         best_x, best_cost = tuple(near[k].tolist()), float(cost[k])

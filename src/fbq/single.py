@@ -29,6 +29,7 @@ so the general solver rejects it; the closed forms cover q = 1.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import logging
@@ -145,6 +146,10 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     first with a solved value below -NEG_PROB_TOL.  The message of the last
     two quotes the condition estimate that the same call books, from that
     profile's system filled again and factored alone.
+    A speed search reads only L and the energy rate, so it scores its grids
+    by the same call writing those two rows alone (_Family.scores); a grid
+    that fails or is clamped is solved again by this full path, whose
+    errors and bits it then gets.
     """
     inter = np.asarray(inter, dtype=float)
     if inter.ndim != 2 or len(inter) == 0:
@@ -172,6 +177,11 @@ def _check_levels(levels: np.ndarray) -> None:
         if (levels[np.flatnonzero(stopped)[0], :K] == 0).all():
             raise ModelError("all sub-threshold speeds are zero: use solve_zero_speed")
         raise ModelError("speed levels 1..K must be positive for the general solver")
+
+
+# L and the energy rate of each profile of a family (_Family.scores): all
+# that evaluate_cost_single reads
+Scores = collections.namedtuple("Scores", "L energy_rate")
 
 
 @dataclass(frozen=True)
@@ -241,7 +251,11 @@ class _Family:
     grid of profiles, as often as asked, each in one call of
     fbq_speed_family, which factors them by the one envelope elimination
     that a pool's systems get too, finishes their metrics and books the
-    condition estimate of a failing profile for its error message."""
+    condition estimate of a failing profile for its error message.  scores
+    gives a speed search the only two rows it reads, L and the energy
+    rate, from one call that writes them alone; a family that fails or is
+    clamped it solves again by the full path, so it gets that path's
+    errors and bits."""
 
     def __init__(self, model: SingleServerModel, K: int):
         require_stable_single(model)
@@ -279,30 +293,59 @@ class _Family:
         rate = lay.sign * np.array([0.0, model.service.nu1, model.service.nu2])[lay.nu_kind]
         self.coef = np.stack([lam * lay.lam_coef, rate, np.array([1.0, q, 1 - q])[lay.factor_kind]], axis=1)
 
-    def profiles(self, inter: np.ndarray) -> SpeedFamilySolution:
-        """solve_speed_family's solution for the (B, K-1) float array inter."""
+    def levels(self, inter: np.ndarray) -> np.ndarray:
+        """The (B, K+1) speed levels of the (B, K-1) float array inter of
+        intermediate speeds, once they pass _check_levels."""
         levels = np.empty((len(inter), self.K + 1))
         levels[:, 0], levels[:, -1] = self.ends
         levels[:, 1:-1] = inter
         _check_levels(levels)
+        return levels
+
+    def profiles(self, inter: np.ndarray) -> SpeedFamilySolution:
+        """solve_speed_family's solution for the (B, K-1) float array inter."""
+        levels = self.levels(inter)
         return SpeedFamilySolution(levels=levels, **self.solve(levels))
 
     def solve(self, levels: np.ndarray) -> dict:
         """Metrics of the profiles in `levels` (B, K+1), as arrays."""
+        count, n = len(levels), len(self.layout.states)
+        x, p, out = np.empty((count, n)), np.empty((count, self.K)), np.empty((6, count))
+        status, pivmin, summary, cond = self._call(levels, x, p, out)
+        x = _checked(cond, status, x, pivmin, summary)
+        return dict(zip(("tail_mass", "g0_at_1", "L1", "L2", "L", "energy_rate"), out), boundary=x, p=p)
+
+    def scores(self, levels: np.ndarray) -> Scores:
+        """L and the energy rate of the profiles in `levels` (B, K+1), the
+        two rows of solve that a speed search reads, from one call that
+        writes only them.  A family whose call reports a first-pass status,
+        a singular profile or any negative value is solved again by solve,
+        so its errors, messages and clamped values are solve's."""
+        out = np.empty((2, len(levels)))
+        status, _, (singular, _, negatives), _ = self._call(levels, None, None, out)
+        if status or singular >= 0 or negatives:
+            solved = self.solve(levels)
+            return Scores(solved["L"], solved["energy_rate"])
+        return Scores(*out)
+
+    def _call(self, levels, x, p, out):
+        """(status, pivmin, summary, condition estimate) of one
+        fbq_speed_family call on the profiles `levels`, which writes x, p
+        and out; with x and p None it scores them, writing L and the
+        energy rate alone into out (2, B)."""
         loops = _kernels.compiled()
-        K, count, n = self.K, len(levels), len(self.layout.states)
+        count = len(levels)
         levels = np.ascontiguousarray(levels, dtype=float)
         # numpy's power loop sets these bits; an idle stopped processor draws nothing
         power = (levels != 0.0).astype(float) if self.alpha == 0.0 else levels**self.alpha
-        x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
-        p, out, cond = np.empty((count, K)), np.empty((6, count)), ctypes.c_double()
+        pivmin, summary, cond = np.empty(count), np.empty(3, dtype=np.int64), ctypes.c_double()
         dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
-        status = loops.speed_family(count, K, len(self.at), i64(self.at), dbl(self.coef), dbl(self.shared),
+        status = loops.speed_family(count, self.K, len(self.at), i64(self.at), dbl(self.coef), dbl(self.shared),
                                     self.work, self.rho1, self.rho2, self.q, dbl(levels), dbl(power),
-                                    PIVOT_RTOL, NEG_PROB_TOL, _kernels.cpus(), dbl(x), dbl(pivmin),
-                                    i64(summary), dbl(p), dbl(out), ctypes.byref(cond))
-        x = _checked(cond.value, status, x, pivmin, summary.tolist())
-        return dict(zip(("tail_mass", "g0_at_1", "L1", "L2", "L", "energy_rate"), out), boundary=x, p=p)
+                                    PIVOT_RTOL, NEG_PROB_TOL, _kernels.cpus(), None if x is None else dbl(x),
+                                    dbl(pivmin), i64(summary), None if p is None else dbl(p), dbl(out),
+                                    ctypes.byref(cond))
+        return status, pivmin, summary.tolist(), cond.value
 
 
 def _drift_means(rho1, rho2, q, pi_idle_fg, iw, jw, w_busy):

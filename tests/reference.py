@@ -12,7 +12,8 @@ loop's order, so the two give equal results, errors included.
   `solve_probability_stack` is a stack solve
   with its checks, and `family_solve` is the whole family loop, with the
   systems of `family_stack`, the row sums of `finish_sums` and the drift
-  identities and energy rates of `metrics`.
+  identities and energy rates of `metrics`; `family_scores` is its L and
+  energy-rate rows, which a speed search reads.
 * `lu_solve` and `lu_solve_transposed`: the solves with one system's
   factors; `condition` is the condition estimate that `fbq_speed_family`
   and `fbq_pool_system` book for a failing system, and `checked` is
@@ -292,6 +293,13 @@ def family_solve(family, levels: np.ndarray) -> dict:
     `metrics`."""
     x = solve_probability_stack(*family_stack(family, levels))
     return metrics(family, x, levels, *finish_sums(family.K, levels, x))
+
+
+def family_scores(family, levels: np.ndarray) -> single.Scores:
+    """`single._Family.scores` on the references: the L and energy-rate rows
+    of `family_solve`, with its errors and clamped values."""
+    solved = family_solve(family, levels)
+    return single.Scores(solved["L"], solved["energy_rate"])
 
 
 def family_stack(family, levels: np.ndarray):
@@ -832,6 +840,7 @@ def rectangle(lam, q, fg, bg, fixed, band):
 REFERENCES = (
     (simulation, "_jump_chain", replications),
     (single._Family, "solve", family_solve),
+    (single._Family, "scores", family_scores),
     (multi, "_setup_compiled", pool_setup),
     (multi, "_pool_rows", solve_rows),
     (ctmc, "_rectangle", rectangle),

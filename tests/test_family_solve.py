@@ -450,15 +450,15 @@ def test_checked_clamps_roundoff_negatives_of_a_stack():
 
 
 def pinned_search_families(monkeypatch):
-    """Every (family, speed levels) that the pinned searches solve."""
+    """Every (family, speed levels) that the pinned searches score."""
     families = []
-    solve = single._Family.solve
+    scores = single._Family.scores
 
     def spy(family, levels):
         families.append((family, levels.copy()))
-        return solve(family, levels)
+        return scores(family, levels)
     with monkeypatch.context() as m:
-        m.setattr(single._Family, "solve", spy)
+        m.setattr(single._Family, "scores", spy)
         for pin in PINS["searches"]:
             b = PINS["bases"][pin["base"]]
             optimize_intermediate_speeds(base_model(b), pin["K"], CostCoefficients(b["c1"], b["c2"]))
@@ -474,21 +474,26 @@ def pinned_search_stacks(monkeypatch):
     return stacks
 
 
-def family_call(loops, family, levels, threads):
+def family_call(loops, family, levels, threads, scores=False):
     """(status, x, pivmin, summary, p, out, cond) of the compiled
     fbq_speed_family on the profiles `levels` of `family`, run on up to
     `threads` threads; out holds the tail mass, g0(1), L1, L2, L and the
-    energy rate, and cond the condition estimate of a failing profile."""
+    energy rate, and cond the condition estimate of a failing profile.
+    With scores, the call that single._Family.scores makes: x and p are
+    None, out holds L and the energy rate alone, and no estimate is booked."""
     levels = np.ascontiguousarray(levels, dtype=float)
     power = (levels != 0.0).astype(float) if family.alpha == 0.0 else levels**family.alpha
     count, n = len(levels), len(family.layout.states)
     x, pivmin, summary = np.empty((count, n)), np.empty(count), np.empty(3, dtype=np.int64)
     p, out, cond = np.empty((count, family.K)), np.empty((6, count)), ctypes.c_double()
+    if scores:
+        x, p, out = None, None, np.empty((2, count))
     dbl, i64 = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
     status = loops.speed_family(count, family.K, len(family.at), i64(family.at), dbl(family.coef),
                                 dbl(family.shared), family.work, family.rho1, family.rho2, family.q,
                                 dbl(levels), dbl(power), LINSYS.PIVOT_RTOL, LINSYS.NEG_PROB_TOL, threads,
-                                dbl(x), dbl(pivmin), i64(summary), dbl(p), dbl(out), ctypes.byref(cond))
+                                None if scores else dbl(x), dbl(pivmin), i64(summary),
+                                None if scores else dbl(p), dbl(out), ctypes.byref(cond))
     return status, x, pivmin, summary.tolist(), p, out, cond.value
 
 
@@ -746,8 +751,8 @@ def test_the_compiled_finish_equals_its_numpy_twin(alpha, monkeypatch):
 
 
 def test_a_search_builds_one_family_and_its_grids_once_per_lower_bound(monkeypatch):
-    calls = {"_Family": 0, "_coarse_grid": 0}
-    init, coarse = single._Family.__init__, EXPERIMENTS._coarse_grid
+    calls = {"_Family": 0, "_coarse_grid": 0, "group starts": 0}
+    init, coarse, flatnonzero = single._Family.__init__, EXPERIMENTS._coarse_grid, np.flatnonzero
 
     def counted_init(family, *args):
         calls["_Family"] += 1
@@ -756,17 +761,26 @@ def test_a_search_builds_one_family_and_its_grids_once_per_lower_bound(monkeypat
     def counted_grid(*args):
         calls["_coarse_grid"] += 1
         return coarse(*args)
+
+    def counted_flatnonzero(a):   # the curve's group starts, the one flatnonzero of fbq.experiments
+        if sys._getframe(1).f_globals["__name__"] == EXPERIMENTS.__name__:
+            calls["group starts"] += 1
+        return flatnonzero(a)
     monkeypatch.setattr(single._Family, "__init__", counted_init)
     monkeypatch.setattr(EXPERIMENTS, "_coarse_grid", counted_grid)
+    monkeypatch.setattr(np, "flatnonzero", counted_flatnonzero)
     EXPERIMENTS._search_grids.cache_clear()
     b = PINS["bases"]["figure4"]
-    optimize_intermediate_speeds(base_model(b), 3, CostCoefficients(b["c1"], b["c2"]))
-    assert calls == {"_Family": 1, "_coarse_grid": 1}   # one family for the coarse and the fine grid
-    # another model with the same lower bound reuses the grids
+    _, _, curve = optimize_intermediate_speeds(base_model(b), 3, CostCoefficients(b["c1"], b["c2"]))
+    # one family for the coarse and the fine grid, one set of group starts per grid
+    assert calls == {"_Family": 1, "_coarse_grid": 1, "group starts": 1}
+    # another model with the same lower bound reuses the grids and their starts
     optimize_intermediate_speeds(base_model(dict(b, lam=2.0)), 3, CostCoefficients(b["c1"], 5.0))
-    assert calls == {"_Family": 2, "_coarse_grid": 1}
-    fracs, grid, span = EXPERIMENTS._search_grids(COARSE_STEP, 3)
+    assert calls == {"_Family": 2, "_coarse_grid": 1, "group starts": 1}
+    fracs, grid, starts, span = EXPERIMENTS._search_grids(COARSE_STEP, 3)
     assert not grid.flags.writeable and len(grid) == 5050
+    assert not starts.flags.writeable and len(starts) == len(fracs) == len(curve.ys) == 100
+    assert starts.tobytes() == flatnonzero(grid[:, 0] == grid[:, -1]).tobytes()
     assert isinstance(fracs, tuple) and isinstance(span, tuple)
 
 
@@ -797,3 +811,129 @@ def test_a_process_pinned_to_one_cpu_gets_the_same_bits():
     assert [run.returncode for run in runs] == [0, 0]
     assert (int(free_cpus), int(pinned_cpus)) == (len(os.sched_getaffinity(0)), 1)
     assert free == pinned
+
+
+# --- scoring a search's grids --------------------------------------------------
+
+
+def hexes(values):
+    return [v.hex() for v in np.asarray(values).tolist()]
+
+
+def counted_solves(monkeypatch):
+    """A list that gets one entry per call of single._Family.solve."""
+    calls, solve = [], single._Family.solve
+
+    def counted(family, levels):
+        calls.append(len(levels))
+        return solve(family, levels)
+    monkeypatch.setattr(single._Family, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5, 2.0])
+@pytest.mark.parametrize("base", sorted(PINS["bases"]))
+def test_scores_are_the_bits_of_the_full_solve(base, alpha, monkeypatch):
+    # figure4 and seed3 have s_0 = 0, seed7 s_0 > 0; the coarse K = 3
+    # family of a search and random K = 2 .. 8 families on both sides of SPLIT
+    b = dict(PINS["bases"][base], alpha=alpha)
+    rng = np.random.default_rng(53)
+    family = single._Family(base_model(b), 3)
+    grid = EXPERIMENTS._search_grids(max(COARSE_STEP, b["s0"] / b["top"]), 3)[1]
+    families = [(family, family.levels(grid * b["top"]))]
+    for K in range(2, 9):
+        family = single._Family(base_model(b), K)
+        for count in (SPLIT - 5, SPLIT + 13):
+            families.append((family, family.levels(np.sort(rng.uniform(b["s0"], b["top"], (count, K - 1)),
+                                                           axis=1))))
+    assert len(families[0][1]) == (5050 if b["s0"] == 0 else 4465)   # s_1 from 0.07 on seed7
+    solves = counted_solves(monkeypatch)
+    for family, levels in families:
+        for threads in THREADS:
+            monkeypatch.setattr(KERNELS, "cpus", lambda: threads)
+            got = family.scores(levels)
+            full = family.solve(levels)
+            assert hexes(got.L) == hexes(full["L"]), (family.K, len(levels), threads)
+            assert hexes(got.energy_rate) == hexes(full["energy_rate"]), (family.K, len(levels), threads)
+            costs = CostCoefficients(b["c1"], b["c2"])
+            assert (hexes(single.evaluate_cost_single(got, costs))
+                    == hexes(costs.c1 * full["L"] + costs.c2 * full["energy_rate"]))
+    assert len(solves) == len(families) * len(THREADS)   # the scores were never solved again
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5, 2.0])
+@pytest.mark.parametrize("pin", PINS["searches"], ids=lambda p: f"{p['base']}-K{p['K']}")
+def test_a_search_gets_the_bits_of_its_full_solves(pin, alpha, monkeypatch):
+    b = dict(PINS["bases"][pin["base"]], alpha=alpha)
+
+    def search():
+        profile, cost, curve = optimize_intermediate_speeds(base_model(b), pin["K"],
+                                                            CostCoefficients(b["c1"], b["c2"]))
+        return hexes(profile.levels), cost.hex(), hexes(curve.xs), hexes(curve.ys)
+
+    for threads in THREADS:
+        monkeypatch.setattr(KERNELS, "cpus", lambda: threads)
+        scored = search()
+        with monkeypatch.context() as m:
+            m.setattr(single._Family, "scores",
+                      lambda family, levels: single.Scores(*(family.solve(levels)[f] for f in ("L", "energy_rate"))))
+            assert search() == scored, threads
+
+
+def raised_outcome(run):
+    """The type and message of the error that run() raises."""
+    with pytest.raises(Exception) as exc:
+        run()
+    return type(exc.value), str(exc.value)
+
+
+SCORE_FAULTS = {"not-finite": NOT_FINITE, "zero-row": ZERO_ROW, "singular": SINGULAR_ROW,
+                "negative": NEGATIVE_ROW}
+
+
+@pytest.mark.parametrize("fault", SCORE_FAULTS.values(), ids=SCORE_FAULTS)
+@pytest.mark.parametrize("count, k", [(1, 0), (300, 290)], ids=["alone", "later-tile-of-300"])
+def test_a_failing_family_scores_with_the_error_of_its_full_solve(fault, count, k, monkeypatch):
+    family, levels = fault_levels(count, {k: fault})
+    solves = counted_solves(monkeypatch)
+    for threads in THREADS:
+        monkeypatch.setattr(KERNELS, "cpus", lambda: threads)
+        expected = raised_outcome(lambda: family.solve(levels))
+        assert expected[0] in (ValueError, SolverError)
+        assert raised_outcome(lambda: family.scores(levels)) == expected, threads
+    assert len(solves) == 2 * len(THREADS)   # scores solved the family again
+    # through a search whose coarse grid is these speeds (the top speed is 1)
+    model = base_model(FAILING_BASE)
+    _, _, starts, span = EXPERIMENTS._search_grids(COARSE_STEP, 3)
+    monkeypatch.setattr(EXPERIMENTS, "_search_grids", lambda lo_frac, K: ((), levels[:, 1:-1], starts, span))
+    expected = raised_outcome(lambda: solve_speed_family(model, levels[:, 1:-1]))
+    assert raised_outcome(lambda: optimize_intermediate_speeds(model, 3, CostCoefficients(1.0, 1.0))) == expected
+    if fault in (SINGULAR_ROW, NEGATIVE_ROW):
+        assert expected == (SolverError, FAILING_MESSAGES[fault])
+
+
+def test_a_clamped_family_scores_the_clamped_bits(monkeypatch, compiled_loops):
+    # at q = 0 the figure-4 K = 3 family holds roundoff negatives, which the
+    # full solve clamps: the scoring call reports them and scores solves it again
+    family, levels = coarse_k3_family(dict(PINS["bases"]["figure4"], q=0.0))
+    assert family_call(compiled_loops, family, levels, 1, scores=True)[3][2] > 0
+    solves = counted_solves(monkeypatch)
+    for threads in THREADS:
+        monkeypatch.setattr(KERNELS, "cpus", lambda: threads)
+        full = family.solve(levels)
+        got = family.scores(levels)
+        assert (hexes(got.L), hexes(got.energy_rate)) == (hexes(full["L"]), hexes(full["energy_rate"]))
+    assert len(solves) == 2 * len(THREADS)
+
+
+def test_the_scoring_call_writes_the_L_and_energy_rows_of_the_full_call(monkeypatch, compiled_loops):
+    families = [(f, levels) for f, levels in pinned_search_families(monkeypatch)]
+    families.append(coarse_k3_family(dict(PINS["bases"]["figure4"], q=0.0)))   # clamped
+    for family, levels in families:
+        for threads in THREADS:
+            full = family_call(compiled_loops, family, levels, threads)
+            got = family_call(compiled_loops, family, levels, threads, scores=True)
+            assert (got[0], got[3]) == (full[0], full[3]), (family.K, len(levels), threads)
+            assert got[2].tobytes() == full[2].tobytes() and got[6] == 0.0
+            if not full[3][2]:    # unclamped, as the scoring call leaves every value
+                assert got[5].tobytes() == full[5][4:].tobytes(), (family.K, len(levels), threads)

@@ -105,10 +105,11 @@ def test_clones_give_the_bits_of_the_baseline_build(baseline_loops, monkeypatch)
     assert [f.K for f, _ in families] == [3, 3, 2, 4, 8] and len(families[0][1]) == 5050
     for family, levels in families:
         for threads in THREADS[:2]:
-            expected = family_call(baseline_loops, family, levels, threads)
-            assert expected[0] == 0
-            assert_same_bits(family_call(dispatched, family, levels, threads), expected,
-                             (family.K, len(levels), threads))
+            for scores in (False, True):   # the full call and the one that single._Family.scores makes
+                expected = family_call(baseline_loops, family, levels, threads, scores)
+                assert expected[0] == 0
+                assert_same_bits(family_call(dispatched, family, levels, threads, scores), expected,
+                                 (family.K, len(levels), threads, scores))
     assert family_call(dispatched, *families[1], 1)[3][2] > 0   # the clamped finish
     for chain in sorted(CHAINS):
         assert chain_run(dispatched, chain, monkeypatch) == chain_run(baseline_loops, chain, monkeypatch), chain
