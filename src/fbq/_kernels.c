@@ -40,11 +40,14 @@
  * their outcomes are merged into the one-thread outcome; a system's float
  * operations do not depend on the thread that runs them, so the bits do
  * not depend on the thread count.  The thread that solves a tile also
- * finishes each profile (finish_system):
- * its level masses and row sums, then g0(1), L1, L2, L and the energy rate
- * by the mean-drift identities, from the power draws that numpy computes,
- * unclamped; after the join the calling thread finishes every profile
- * again, clamped, only where the family holds a negative value.
+ * finishes each profile, once (finish_system): its level masses and row
+ * sums, then g0(1), L1, L2, L and the energy rate by the mean-drift
+ * identities, from the power draws that numpy computes.  Every finish,
+ * a family's and a pool's, reads each solved value clamped (clamped), as
+ * linsys._checked clamps the solution it returns: a roundoff negative, or
+ * -0.0, counts as 0.0.  A sum that starts at +0.0 takes a zero of either
+ * sign without a change, so where no value is negative the clamp can move
+ * no bit but the sign of a level mass whose values are all -0.0.
  * reference.family_solve finishes them in that order, by numpy's array
  * operations (reference.finish_sums and reference.metrics), and the two
  * agree bit for bit, each float operation done in numpy's order.
@@ -57,9 +60,10 @@
  * estimate of it (lane_condition) for the error message.  A speed search
  * reads only L and the energy rate, so it scores its grids by the same
  * call with no x or p (single._Family.scores): each thread keeps its
- * tile's solutions in its own tile work and writes those two rows alone;
- * a family that fails or would be clamped is solved again by the full
- * call (reference.family_scores).
+ * tile's solutions in its own tile work and writes those two rows alone,
+ * the first two of a full call's; a search solves a grid again by the
+ * full call only for its error, when a profile fails
+ * (reference.family_scores).
  *
  * fbq_ctmc_rectangle assembles every rectangle of fbq.ctmc's truncated
  * chain in one call: it finds the states that the fixed state reaches,
@@ -93,7 +97,7 @@
  * it scales by, and factors it, visiting at each column only the rows whose
  * envelope reaches it, with the float operations of reference.lockstep on
  * one system in their order.  Then it sums the Taylor vectors b0, b1, b2
- * of the z = 1 cascade from the clamped solution in the order of the
+ * of the z = 1 cascade from the solution, read clamped, in the order of the
  * unknowns (reference.pool_taylor), and runs the cascade on the bordered
  * system [[A0, u], [v^T, 0]], on its envelopes too, with row sums in its
  * own order (reference.cascade), and sums the solution's L1, L2, U and p
@@ -332,6 +336,13 @@ static inline __attribute__((always_inline)) void note_system(int64_t k, int n, 
                 summary[1] = k;
         }
     }
+}
+
+/* A solved probability v as every finish reads it and as linsys._checked
+ * clamps it: a value that is not above 0, -0.0 too, as 0.0, a NaN as it is. */
+static inline __attribute__((always_inline)) double clamped(double v)
+{
+    return v > 0.0 || v != v ? v : 0.0;
 }
 
 /* A tile of `lanes` n x n systems on its row envelopes: entry (r, c) of
@@ -916,10 +927,10 @@ static double pairwise_sum(int n, const double *a, const double *b)
 }
 
 /* The finish of single._Family.solve from the solution x of the profile
- * with speed levels lev and power draws pw (lev[t] ** alpha, by numpy):
- * p[t] = P(level t) for t < K, and out[0], out[stride], ... out[5 stride]
- * get the tail mass, g0(1), L1, L2, L and the energy rate, or, with
- * scores set, out[0] and out[stride] get L and the energy rate alone
+ * with speed levels lev and power draws pw (lev[t] ** alpha, by numpy),
+ * each value of x read clamped: p[t] = P(level t) for t < K, and out[0],
+ * out[stride], ... out[5 stride] get L, the energy rate, the tail mass,
+ * g0(1), L1 and L2, or, with scores set, the first two alone
  * (single._Family.scores).  The row sums
  * first: the tail mass 1 - sum p, pi_idle_fg = sum_j pi_0j, iw = sum i w_ij,
  * jw = sum j w_ij and w_busy = sum_{i>0} w_ij, with w_ij = (1 - s_{i+j} /
@@ -929,22 +940,19 @@ static double pairwise_sum(int n, const double *a, const double *b)
  * order that Python evaluates them, with its scalar parts such as
  * 1.0 - rho1 and q * R formed first, and the energy rate 0.0 plus the
  * pairwise sum of p[t] pw[t], plus pw[K] times the tail mass, as
- * reference.metrics computes them.  With clamp set, x is read as
- * linsys._checked clamps it, a value below 0 or -0.0 as 0.0. */
+ * reference.metrics computes them. */
 static inline __attribute__((always_inline)) void finish_system(const struct family *f,
                                                                 const double *lev,
                                                                 const double *pw, const double *x,
-                                                                int clamp, int scores, double *p,
-                                                                double *out, int64_t stride)
+                                                                int scores, double *p, double *out,
+                                                                int64_t stride)
 {
     int K = f->K;
     double total = 0.0, idle = 0.0, iw = 0.0, jw = 0.0, busy = 0.0;
     for (int t = 0, u = 0; t < K; t++) {
         double first = 0.0, rest = -0.0;
         for (int i = 0; i <= t; i++, u++) {
-            double v = x[u];
-            if (clamp && !(v > 0.0) && v == v)
-                v = 0.0;
+            double v = clamped(x[u]);
             double w = (1.0 - lev[t] / lev[K]) * v;
             if (i == 0)
                 first = v;
@@ -963,18 +971,14 @@ static inline __attribute__((always_inline)) void finish_system(const struct fam
     double R = rho1 + q * f->rho2;
     double L2 = (jw + q * R * L1 + q * f->rho2) / (1.0 - R);
     double energy = K <= PAIRWISE_BLOCK ? block_sum(K, p, pw) : pairwise_sum(K, p, pw);
-    double L = L1 + L2, rate = (0.0 + energy) + pw[K] * tail;
-    if (scores) {
-        out[0] = L;
-        out[stride] = rate;
-        return;
+    out[0] = L1 + L2;
+    out[stride] = (0.0 + energy) + pw[K] * tail;
+    if (!scores) {
+        out[2 * stride] = tail;
+        out[3 * stride] = 1.0 - rho1 - idle - busy;
+        out[4 * stride] = L1;
+        out[5 * stride] = L2;
     }
-    out[0] = tail;
-    out[stride] = 1.0 - rho1 - idle - busy;
-    out[2 * stride] = L1;
-    out[3 * stride] = L2;
-    out[4 * stride] = L;
-    out[5 * stride] = rate;
 }
 
 /* A family is split over as many threads as each get FAMILY_SHARE profiles
@@ -1012,7 +1016,8 @@ struct family_part {
 /* Claims FAMILY_RUN tiles at a time until none is left; fills each tile by
  * fill_lanes, solves it by solve_tile, whose row scaling makes the first
  * pass, and, while no tile anywhere has failed that pass, finishes each
- * profile, unclamped, by finish_system.  A call that scores the family
+ * profile by finish_system, which reads its values clamped: that is the
+ * profile's only finish.  A call that scores the family
  * keeps each tile's solutions and level masses in the thread's own tile
  * work and writes L and the energy rate alone.  Stops once a non-finite entry has
  * been found anywhere, since that decides the call's status.  A thread
@@ -1053,7 +1058,7 @@ FBQ_CLONES static void *family_tiles(void *arg)
                 continue;
             for (int s = 0; s < used; s++) {
                 int64_t k = k0 + s;
-                finish_system(f, lev + s * (K + 1), job->power + k * (K + 1), x + s * n, 0, scores,
+                finish_system(f, lev + s * (K + 1), job->power + k * (K + 1), x + s * n, scores,
                               scores ? ps : job->p + k * K, job->out + k, job->count);
             }
         }
@@ -1074,9 +1079,9 @@ done:
  * else 2 if a row is all zeros, each with summary (-1, -1, 0), else 0 once
  * every system is solved, or 3 if the tiles cannot be allocated.  With
  * status 0, p (count, K) holds each profile's level masses and the rows
- * of out (6, count) its tail mass, g0(1), L1, L2, L and energy rate, by
- * finish_system from the profile's row of `power` (count, K + 1), with x
- * clamped if any value in the family is negative; and cond holds the
+ * of out (6, count) its L, energy rate, tail mass, g0(1), L1 and L2, by
+ * finish_system from the profile's row of `power` (count, K + 1) and its
+ * x read clamped (x itself is left as solved); and cond holds the
  * condition estimate of the profile whose error linsys._checked raises,
  * the first singular one (summary[0]), else the first with a value below
  * -neg_tol (summary[1]), or 0 if there is none.  That profile's system is
@@ -1086,11 +1091,11 @@ done:
  * With x and p NULL the call scores the family (single._Family.scores): a
  * speed search reads only each profile's L and energy rate, so each
  * thread keeps its tile's solutions in its own tile work, finish_system
- * runs unclamped as on a full call, and out (2, count) gets the rows of L
- * and the energy rate alone.  It books no condition estimate and runs no
- * clamped finish: a family whose call reports a status, a singular
- * profile, a value below -neg_tol or any negative value is solved again by
- * a full call (reference.family_scores).
+ * runs as on a full call, and out (2, count) gets the full call's first
+ * two rows, L and the energy rate, alone.  It books no condition estimate:
+ * a family whose call reports a status, a singular profile or a value
+ * below -neg_tol is solved again by a full call for its error
+ * (reference.family_scores).
  *
  * A family of 2 FAMILY_SHARE profiles or more is solved by up to `threads`
  * threads, the calling one among them (family_tiles), which are started
@@ -1100,10 +1105,9 @@ done:
  * lowest singular system and the lowest with a value below -neg_tol over
  * the threads' summaries, and the sum of their counts of negative values.
  * Each system gets the same float operations on whichever thread solves
- * it, and so does its finish: the solving thread finishes it unclamped, and
- * the calling thread finishes every profile again, clamped, after the join
- * if that count is above 0.  So every output is the same bits for any thread
- * count.  A thread that cannot be started leaves its tiles to the others. */
+ * it, and so does its finish, which the solving thread runs, so every
+ * output is the same bits for any thread count.  A thread that cannot be
+ * started leaves its tiles to the others. */
 int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, const double *coef,
                      const double *shared, double work, double rho1, double rho2, double q,
                      const double *levels, const double *power, double pivot_tol, double neg_tol,
@@ -1158,10 +1162,6 @@ int fbq_speed_family(int64_t count, int K, int64_t entries, const int64_t *at, c
     if (seen)
         return seen & 1 ? 1 : 2;
     *cond = est;
-    if (x && summary[2] > 0)
-        for (int64_t k = 0; k < count; k++)
-            finish_system(&f, levels + k * (K + 1), power + k * (K + 1), x + k * f.n, 1, 0, p + k * K,
-                          out + k, count);
     return 0;
 }
 
@@ -1690,9 +1690,8 @@ static void add_taylor(double *b, int64_t m, int64_t t, double c0, double c1, do
 /* The Taylor vectors b0, b1, b2 (b, 3 x m) of threshold K of the pool p
  * from the solved boundary probabilities x, summed from 0 in the order of
  * the unknowns: a running state's term of b_i, a stopped state's term of
- * b_(i-1) (i >= 1) and then of b_i.  With clamp set, x is read as
- * linsys._checked clamps it, a value below 0 or -0.0 as 0.0. */
-static void pool_taylor(const struct pool *p, int64_t K, const double *x, int clamp, double *b)
+ * b_(i-1) (i >= 1) and then of b_i, each value of x read clamped. */
+static void pool_taylor(const struct pool *p, int64_t K, const double *x, double *b)
 {
     const double *r = p->rates;
     int64_t m = p->m;
@@ -1700,9 +1699,7 @@ static void pool_taylor(const struct pool *p, int64_t K, const double *x, int cl
         b[c] = 0.0;
     for (int64_t i = 0, c = 0; i < m; i++) {
         for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++) {
-            double v = x[c];
-            if (clamp && !(v > 0.0) && v == v)
-                v = 0.0;
+            double v = clamped(x[c]);
             if (K && i + j == K) {
                 double c0 = (double)(-i) * p->mu1;
                 if (i > 0)
@@ -1816,8 +1813,8 @@ enum { ROW_STATUS, ROW_SINGULAR, ROW_BELOW, ROW_NEGATIVES, ROW_PIVMIN, ROW_COND,
 enum { POOL_INCONSISTENT = 4 };
 
 /* The finish of threshold K of the pool p (multi.MultiServerSolution's
- * fields, as reference.finish sums them) from x, read clamped with clamp
- * set, and g0, g1 at row + ROW_G, into row: each operation in the order
+ * fields, as reference.finish sums them) from x, each value read
+ * clamped, and g0, g1 at row + ROW_G, into row: each operation in the order
  * that Python evaluates it.  r = lam / (m mu1) and g_m(1) = r g0[m - 1];
  * L1 is L1_at_0, the M/M/m value multi.mmm_marginal gives, at K = 0, else
  * the sum of i g0[i] added in turn to 0.0 (sum() in CPython 3.11) plus g_m(1)
@@ -1827,8 +1824,8 @@ enum { POOL_INCONSISTENT = 4 };
  * p[t] adds the clamped x of the diagonal i + j = t in the order of the
  * unknowns to 0.0, U = m (1 - p[K]) and the tail mass is 1 minus the sum
  * of p. */
-static void pool_finish(const struct pool *p, int64_t K, const double *x, int clamp, double L1_at_0,
-                        double y2, double dy2, double *row)
+static void pool_finish(const struct pool *p, int64_t K, const double *x, double L1_at_0, double y2,
+                        double dy2, double *row)
 {
     static volatile double two = 2.0;   /* as in one_minus_y1 */
     int64_t m = p->m;
@@ -1846,14 +1843,9 @@ static void pool_finish(const struct pool *p, int64_t K, const double *x, int cl
     L2 += (g1[m - 1] * (y2 - 1.0) - g0[m - 1] * dy2) / pow(y2 - 1.0, two);
     for (int64_t t = 0; t < m; t++)
         pk[t] = 0.0;
-    for (int64_t i = 0, c = 0; i < m; i++) {
-        for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++) {
-            double v = x[c];
-            if (clamp && !(v > 0.0) && v == v)
-                v = 0.0;
-            pk[i + j] += v;
-        }
-    }
+    for (int64_t i = 0, c = 0; i < m; i++)
+        for (int64_t j = K > i ? K - i : 0; i + j < m; j++, c++)
+            pk[i + j] += clamped(x[c]);
     for (int64_t t = 0; t < m; t++)
         total += pk[t];
     row[ROW_L1] = L1;
@@ -1876,8 +1868,9 @@ static void pool_finish(const struct pool *p, int64_t K, const double *x, int cl
  * note_system books the least |pivot| and the summary as reference.lockstep
  * would, on every row.  If a pivot is below pivot_tol or a value below
  * -neg_tol, the row gets the lu_condition estimate from the same factors
- * and nothing more is done.  Else pool_taylor sums b from x, read clamped
- * if a value is negative, and pool_cascade takes b and the z = 1 part of
+ * and nothing more is done.  Else pool_taylor sums b from x, each value
+ * read clamped (x itself is left as solved, for linsys._checked to clamp),
+ * and pool_cascade takes b and the z = 1 part of
  * `data` to g0 and g1, with the solvability residual and scale, on the
  * same work; a residual above 1e-7 max(scale, 1e-300), as Python's max
  * takes it, makes the status POOL_INCONSISTENT, and else pool_finish ends
@@ -1917,7 +1910,7 @@ int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, con
             if (summary[0] >= 0 || summary[1] >= 0) {
                 row[ROW_COND] = lu_condition(&e, work, work + n);
             } else {
-                pool_taylor(&p, K, xk, summary[2] > 0, b);
+                pool_taylor(&p, K, xk, b);
                 env_init(&e, (int)(m + 1), 1, t, b + 3 * m);
                 status = pool_cascade(m, data + 2 * (m - 1) * m, b, &e, work, row + ROW_G,
                                       row + ROW_RESIDUAL);
@@ -1925,7 +1918,7 @@ int fbq_pool_system(int64_t m, double lam, double mu1, double mu2, double q, con
                 if (!status && fabs(row[ROW_RESIDUAL]) > 1e-7 * (1e-300 > scale ? 1e-300 : scale))
                     status = POOL_INCONSISTENT;
                 else if (!status)
-                    pool_finish(&p, K, xk, summary[2] > 0, L1_at_0, y2, dy2, row);
+                    pool_finish(&p, K, xk, L1_at_0, y2, dy2, row);
             }
         }
         row[ROW_STATUS] = status;

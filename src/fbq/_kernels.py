@@ -8,8 +8,10 @@ so an edited source gets a new library and later processes only load it.
 run on them, and fbq has no other coding of them.  `fbq_speed_family`
 solves a speed family, or, given no solution and level-mass buffers,
 scores it: a speed search reads only L and the energy rate, which that
-call writes alone, and `single._Family.scores` solves a family that fails
-or clamps again by the full call.  `fbq_pool_data` makes
+call writes alone.  Every finish, a family's or a pool's, reads each
+solved value clamped, a roundoff negative as 0.0, so a score has the full
+call's bits, and `single._Family.scores` solves a family again by the full
+call only for the error of a failing profile.  `fbq_pool_data` makes
 a pool's set-up, its zeros and the data its thresholds share, in one
 call, and `fbq_pool_system` takes the thresholds of a pool that a call
 still needs and returns the number of outcome rows it wrote, one per

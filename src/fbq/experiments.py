@@ -157,8 +157,9 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     _Family: the search reads only L and the energy rate, which
     _Family.scores writes alone in one compiled call, with the bits that
     solve_speed_family gives them and so the costs of solving the profiles
-    one by one; a grid that fails or is clamped is solved again by the full
-    path, whose errors and clamped values it then gets.  Returns (best
+    one by one, roundoff negatives read clamped as there; a grid is solved
+    again by the full path only when a profile fails, for that path's
+    error.  Returns (best
     profile, best cost, coarse curve); for K = 3 the curve shows
     min-over-s2 cost as a function of s_1.
     """

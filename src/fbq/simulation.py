@@ -14,7 +14,8 @@ that order.
 A run is REPLICATIONS independent replications, however many CPUs there
 are.  Replication r continues the Mersenne Twister stream of
 `random.Random(seed + r * 2**64)`, so replication 0 draws the seed's own
-stream and no two replications of seeds below 2**64 share one.  Each
+stream and no two replications share one; a seed must lie in [0, 2**64),
+since random.Random seeds by the absolute value.  Each
 starts from the empty system, warms up for `warmup_jobs` arrivals and
 then takes its share of the `batch_count` batches of arrivals, the last
 replication the remainder; the averages and a 95% half-width come from
@@ -118,6 +119,8 @@ class SimConfig:
                 raise ModelError(f"{name} must be an integer, got {value!r}")
             # a Python int, which random.Random takes as a seed and numpy integers are not
             object.__setattr__(self, name, int(value))
+        if not 0 <= self.seed < 2**64:   # so that seed + r * 2**64 names one stream per seed and r
+            raise ModelError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.warmup_jobs < 0:
             raise ModelError(f"warmup_jobs must be nonnegative, got {self.warmup_jobs}")
         if self.jobs < 10 * self.warmup_jobs:

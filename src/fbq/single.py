@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, linsys
 from .linsys import NEG_PROB_TOL, PIVOT_RTOL, _checked
 from .models import (
     CostCoefficients,
@@ -147,9 +147,10 @@ def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
     two quotes the condition estimate that the same call books, from that
     profile's system filled again and factored alone.
     A speed search reads only L and the energy rate, so it scores its grids
-    by the same call writing those two rows alone (_Family.scores); a grid
-    that fails or is clamped is solved again by this full path, whose
-    errors and bits it then gets.
+    by the same call writing those two rows alone (_Family.scores).  Both
+    calls finish each profile from its solved values read clamped, so a
+    score is the bits of this path's L and energy rate, and a search solves
+    a grid again by this path only for its error.
     """
     inter = np.asarray(inter, dtype=float)
     if inter.ndim != 2 or len(inter) == 0:
@@ -253,9 +254,9 @@ class _Family:
     that a pool's systems get too, finishes their metrics and books the
     condition estimate of a failing profile for its error message.  scores
     gives a speed search the only two rows it reads, L and the energy
-    rate, from one call that writes them alone; a family that fails or is
-    clamped it solves again by the full path, so it gets that path's
-    errors and bits."""
+    rate, from one call that writes them alone, with the full path's bits,
+    since every finish reads the solved values clamped; a family that
+    fails it solves again by the full path, for that path's error."""
 
     def __init__(self, model: SingleServerModel, K: int):
         require_stable_single(model)
@@ -313,19 +314,24 @@ class _Family:
         x, p, out = np.empty((count, n)), np.empty((count, self.K)), np.empty((6, count))
         status, pivmin, summary, cond = self._call(levels, x, p, out)
         x = _checked(cond, status, x, pivmin, summary)
-        return dict(zip(("tail_mass", "g0_at_1", "L1", "L2", "L", "energy_rate"), out), boundary=x, p=p)
+        return dict(zip(("L", "energy_rate", "tail_mass", "g0_at_1", "L1", "L2"), out), boundary=x, p=p)
 
     def scores(self, levels: np.ndarray) -> Scores:
         """L and the energy rate of the profiles in `levels` (B, K+1), the
-        two rows of solve that a speed search reads, from one call that
-        writes only them.  A family whose call reports a first-pass status,
-        a singular profile or any negative value is solved again by solve,
-        so its errors, messages and clamped values are solve's."""
+        first two rows of solve and all that a speed search reads, from one
+        call that writes only them.  Both calls finish each profile from its
+        values read clamped, so a family of roundoff negatives scores as it
+        solves, and its clamp count is logged as solve logs it.  A family
+        whose call reports a first-pass status, a singular profile or a
+        value below -NEG_PROB_TOL is solved again by solve for its error and
+        message."""
         out = np.empty((2, len(levels)))
-        status, _, (singular, _, negatives), _ = self._call(levels, None, None, out)
-        if status or singular >= 0 or negatives:
+        status, _, (singular, below, negatives), _ = self._call(levels, None, None, out)
+        if status or singular >= 0 or below >= 0:
             solved = self.solve(levels)
             return Scores(solved["L"], solved["energy_rate"])
+        if negatives:
+            linsys.log.debug("clamping %d slightly negative probabilities", negatives)
         return Scores(*out)
 
     def _call(self, levels, x, p, out):

@@ -289,15 +289,15 @@ def condition(a: np.ndarray) -> float:
 
 def family_solve(family, levels: np.ndarray) -> dict:
     """`single._Family.solve` on the references: the numpy assembly, the
-    lockstep solve, the row sums of `finish_sums` and the metrics of
-    `metrics`."""
+    lockstep solve, the row sums of `finish_sums` on x read clamped and the
+    metrics of `metrics`."""
     x = solve_probability_stack(*family_stack(family, levels))
-    return metrics(family, x, levels, *finish_sums(family.K, levels, x))
+    return metrics(family, x, levels, *finish_sums(family.K, levels, np.clip(x, 0.0, None)))
 
 
 def family_scores(family, levels: np.ndarray) -> single.Scores:
     """`single._Family.scores` on the references: the L and energy-rate rows
-    of `family_solve`, with its errors and clamped values."""
+    of `family_solve`, with its errors."""
     solved = family_solve(family, levels)
     return single.Scores(solved["L"], solved["energy_rate"])
 
@@ -572,9 +572,9 @@ def solve_one(model, K: int, pool):
     `fbq_pool_system` writes them: the system of `pool_fill` solved by
     `lockstep`, its status, summary and least pivot on every row, and the
     `condition` estimate of a singular or negative system; else b from
-    `pool_taylor` on x, clamped if a value is negative, and the row's
-    cascade and sums from `cascade` and `finish`.  x is None where the
-    system fails its first pass; it is not clamped."""
+    `pool_taylor` on x read clamped, and the row's cascade and sums from
+    `cascade` and `finish`.  x is None where the system fails its first
+    pass; it is returned as solved, not clamped."""
     states = [(i, j) for i in range(model.m) for j in range(max(0, K - i), model.m - i)]
     a, rhs = pool_fill(model, K, pool, states)
     status, x, pivmin, summary, _ = lockstep(a[None], rhs[None])
@@ -586,7 +586,7 @@ def solve_one(model, K: int, pool):
     if summary[0] >= 0 or summary[1] >= 0:
         row[multi._COND] = condition(a)
         return x, row
-    clamped = np.clip(x, 0.0, None).tolist() if summary[2] else x
+    clamped = np.clip(x, 0.0, None).tolist()
     b = pool_taylor(model, K, pool, states, clamped)
     return x, finish(model, K, pool, clamped, *cascade(pool, b), row)
 

@@ -93,6 +93,12 @@ class TestModelFiles:
         assert code == 2 and out == ""
         assert "lambda is too large for a float" in caplog.text
 
+    def test_a_negative_seed_exits_2(self, capsys, caplog):
+        code, out = run(capsys, "simulate", "--lambda", "2", "--nu1", "5", "--nu2", "1", "--q", "0.1",
+                        "--speeds", "0,1", "--seed", "-5")
+        assert code == 2 and out == ""
+        assert "seed must lie in [0, 2**64), got -5" in caplog.text
+
     def test_missing_file_exits_2(self, capsys):
         code, _ = run(capsys, "solve-single", "--model", "/nonexistent.json")
         assert code == 2

@@ -18,6 +18,7 @@ fill of fbq.multi with their Python references, which must be equal too.
 import ctypes
 import itertools
 import json
+import logging
 import os
 import pathlib
 import platform
@@ -207,26 +208,33 @@ def test_family_bits_do_not_depend_on_the_blas_kernel(blas_kernel_bits):
     assert len(outs) == 1
 
 
-def test_profile_result_independent_of_its_batch():
-    b = PINS["bases"]["seed7"]
-    model = base_model(b)
-    rng = np.random.default_rng(7)
-    inter = np.sort(rng.uniform(b["s0"], b["top"], (256 + 12, 2)), axis=1)
-    family = solve_speed_family(model, inter)
-    shifted = solve_speed_family(model, inter[5:])            # moves every tile boundary
-    boundary = solve_speed_family(model, inter[256 - 2:256 + 2])
-    for k in (0, 6, 256 - 1, 256, 256 + 11):
-        alone = solve_speed_family(model, inter[k:k + 1])
-        one = solve_general(base_model(b, (b["s0"], *inter[k], b["top"])))
-        for f in FIELDS:
-            got = [getattr(family, f)[k], getattr(one, f)]
-            if k >= 5:
-                got.append(getattr(shifted, f)[k - 5])
-            assert got == [getattr(alone, f)[0]] * len(got), f"{k} {f}"
-    for k in range(4):
-        alone = solve_speed_family(model, inter[256 - 2 + k:256 - 1 + k])
-        for f in FIELDS:
-            assert getattr(boundary, f)[k] == getattr(alone, f)[0]
+def test_profile_result_independent_of_its_batch(compiled_loops):
+    # the q = 0 figure-4 family holds roundoff negatives, which are clamped,
+    # and so do some of its profiles alone; profile 4 holds a -0.0 and no
+    # negative value, so it is clamped only inside the family
+    for b in (PINS["bases"]["seed7"], dict(PINS["bases"]["figure4"], q=0.0)):
+        model = base_model(b)
+        rng = np.random.default_rng(7)
+        inter = np.sort(rng.uniform(b["s0"], b["top"], (256 + 12, 2)), axis=1)
+        family = solve_speed_family(model, inter)
+        shifted = solve_speed_family(model, inter[5:])            # moves every tile boundary
+        boundary = solve_speed_family(model, inter[256 - 2:256 + 2])
+        clamps = family_call(compiled_loops, single._Family(model, 3), family.levels.copy(), 1)[3][2] > 0
+        assert clamps == (b["q"] == 0.0)
+        for k in (0, 4, 6, 256 - 1, 256, 256 + 11):
+            alone = solve_speed_family(model, inter[k:k + 1])
+            one = solve_general(base_model(b, (b["s0"], *inter[k], b["top"])))
+            for f in FIELDS:
+                got = [getattr(family, f)[k], getattr(one, f)]
+                if k >= 5:
+                    got.append(getattr(shifted, f)[k - 5])
+                assert got == [getattr(alone, f)[0]] * len(got), f"{k} {f}"
+            for f in FAMILY_FIELDS:
+                assert getattr(family, f)[k].tolist() == getattr(alone, f)[0].tolist(), f"{k} {f}"
+        for k in range(4):
+            alone = solve_speed_family(model, inter[256 - 2 + k:256 - 1 + k])
+            for f in FIELDS:
+                assert getattr(boundary, f)[k] == getattr(alone, f)[0]
 
 
 @pytest.mark.parametrize("s0,bad", [
@@ -477,10 +485,10 @@ def pinned_search_stacks(monkeypatch):
 def family_call(loops, family, levels, threads, scores=False):
     """(status, x, pivmin, summary, p, out, cond) of the compiled
     fbq_speed_family on the profiles `levels` of `family`, run on up to
-    `threads` threads; out holds the tail mass, g0(1), L1, L2, L and the
-    energy rate, and cond the condition estimate of a failing profile.
+    `threads` threads; out holds L, the energy rate, the tail mass, g0(1),
+    L1 and L2, and cond the condition estimate of a failing profile.
     With scores, the call that single._Family.scores makes: x and p are
-    None, out holds L and the energy rate alone, and no estimate is booked."""
+    None, out holds the first two rows alone, and no estimate is booked."""
     levels = np.ascontiguousarray(levels, dtype=float)
     power = (levels != 0.0).astype(float) if family.alpha == 0.0 else levels**family.alpha
     count, n = len(levels), len(family.layout.states)
@@ -744,7 +752,7 @@ def test_the_compiled_finish_equals_its_numpy_twin(alpha, monkeypatch):
             monkeypatch.setattr(KERNELS, "cpus", lambda: threads)
             got = family.solve(levels)
             x = got["boundary"]
-            expected = metrics(family, x, levels, *finish_sums(family.K, levels, x))
+            expected = metrics(family, x, levels, *finish_sums(family.K, levels, np.clip(x, 0.0, None)))
             assert sorted(got) == sorted(expected)
             for f, value in expected.items():   # bytes, so that a zero keeps its sign
                 assert got[f].tobytes() == value.tobytes(), (family.K, len(levels), threads, f)
@@ -913,8 +921,8 @@ def test_a_failing_family_scores_with_the_error_of_its_full_solve(fault, count, 
 
 
 def test_a_clamped_family_scores_the_clamped_bits(monkeypatch, compiled_loops):
-    # at q = 0 the figure-4 K = 3 family holds roundoff negatives, which the
-    # full solve clamps: the scoring call reports them and scores solves it again
+    # at q = 0 the figure-4 K = 3 family holds roundoff negatives: both calls
+    # finish it from its values read clamped, so scores solves it no second time
     family, levels = coarse_k3_family(dict(PINS["bases"]["figure4"], q=0.0))
     assert family_call(compiled_loops, family, levels, 1, scores=True)[3][2] > 0
     solves = counted_solves(monkeypatch)
@@ -923,7 +931,27 @@ def test_a_clamped_family_scores_the_clamped_bits(monkeypatch, compiled_loops):
         full = family.solve(levels)
         got = family.scores(levels)
         assert (hexes(got.L), hexes(got.energy_rate)) == (hexes(full["L"]), hexes(full["energy_rate"]))
-    assert len(solves) == 2 * len(THREADS)
+    assert len(solves) == len(THREADS)   # the test's own full solves alone
+
+
+def test_a_clamped_search_logs_its_clamp_count_once_per_grid(monkeypatch, caplog, compiled_loops):
+    # the q = 0 figure-4 K = 3 search scores grids of roundoff negatives: each
+    # scoring call logs its count on fbq.linsys, as a full solve would, and
+    # no full solve runs
+    b = dict(PINS["bases"]["figure4"], q=0.0)
+    counts, scores = [], single._Family.scores
+
+    def spy(family, levels):
+        counts.append(family_call(compiled_loops, family, levels, 1, scores=True)[3][2])
+        return scores(family, levels)
+    monkeypatch.setattr(single._Family, "scores", spy)
+    solves = counted_solves(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="fbq.linsys"):
+        optimize_intermediate_speeds(base_model(b), 3, CostCoefficients(b["c1"], b["c2"]))
+    assert len(counts) == 2 and counts[0] > 0   # the coarse grid and the fine one
+    lines = [r.getMessage() for r in caplog.records if r.name == "fbq.linsys"]
+    assert lines == [f"clamping {n} slightly negative probabilities" for n in counts if n]
+    assert solves == []
 
 
 def test_the_scoring_call_writes_the_L_and_energy_rows_of_the_full_call(monkeypatch, compiled_loops):
@@ -935,5 +963,4 @@ def test_the_scoring_call_writes_the_L_and_energy_rows_of_the_full_call(monkeypa
             got = family_call(compiled_loops, family, levels, threads, scores=True)
             assert (got[0], got[3]) == (full[0], full[3]), (family.K, len(levels), threads)
             assert got[2].tobytes() == full[2].tobytes() and got[6] == 0.0
-            if not full[3][2]:    # unclamped, as the scoring call leaves every value
-                assert got[5].tobytes() == full[5][4:].tobytes(), (family.K, len(levels), threads)
+            assert got[5].tobytes() == full[5][:2].tobytes(), (family.K, len(levels), threads)

@@ -239,6 +239,14 @@ def test_config_rejects_non_integer_or_negative_counts(field, value):
                   **{"jobs": 30_000, "warmup_jobs": 1_000, field: value})
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64])
+def test_config_rejects_a_seed_that_would_share_its_streams(seed):
+    # random.Random(-5) is random.Random(5), and 2**64 is replication 1 of seed 0
+    with pytest.raises(ModelError, match="seed must lie in"):
+        SimConfig(model=ThreePhaseModel(1.5, 5.0, 1.0, 0.5, 0.1, 0.5), jobs=30_000, warmup_jobs=1_000,
+                  seed=seed)
+
+
 def test_config_takes_numpy_integers_as_counts():
     model = ThreePhaseModel(1.5, 5.0, 1.0, 0.5, 0.1, 0.5)
     counts = {"jobs": 30_000, "warmup_jobs": 1_000, "seed": 7, "batch_count": 20}
