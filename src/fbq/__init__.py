@@ -18,11 +18,9 @@ from .models import (
 from .series import PowerSeries
 from .single import (
     SingleServerSolution,
-    SpeedFamilySolution,
     evaluate_cost_single,
     solve_general,
     solve_k1_closed_form,
-    solve_speed_family,
     solve_zero_speed,
     verify_single,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "SingleServerModel",
     "SingleServerSolution",
     "SolverError",
-    "SpeedFamilySolution",
     "SpeedProfile",
     "ThreePhaseModel",
     "UnstableModelError",
@@ -99,7 +96,6 @@ __all__ = [
     "solve",
     "solve_general",
     "solve_k1_closed_form",
-    "solve_speed_family",
     "solve_threshold",
     "solve_zero_speed",
     "sweep_thresholds",

@@ -55,10 +55,13 @@ def solve(model: SingleServerModel | MultiServerModel) -> SingleServerSolution |
 
     A profile whose sub-threshold speeds are all zero gets the zero-speed
     closed form, any other two-speed profile (K = 1) the K = 1 closed form,
-    every other profile solve_general, and a pool solve_threshold.
+    every other profile solve_general, and a pool solve_threshold; any
+    other model raises TypeError.
     """
     if isinstance(model, MultiServerModel):
         return solve_threshold(model)
+    if not isinstance(model, SingleServerModel):
+        raise TypeError(f"no exact solver for {type(model).__name__}")
     if all(s == 0 for s in model.speeds.levels[: model.K]):
         return solve_zero_speed(model)
     if model.K == 1:
@@ -156,10 +159,10 @@ def optimize_intermediate_speeds(model: SingleServerModel, K: int, costs: CostCo
     around the incumbent.  Both grids are scored as speed families of one
     _Family: the search reads only L and the energy rate, which
     _Family.scores writes alone in one compiled call, with the bits that
-    solve_speed_family gives them and so the costs of solving the profiles
-    one by one, roundoff negatives read clamped as there; a grid is solved
-    again by the full path only when a profile fails, for that path's
-    error.  Returns (best
+    _Family.solve gives them and so the costs of solving the profiles one
+    by one with solve_general, roundoff negatives read clamped as there; a
+    grid is solved again by the full path only when a profile fails, for
+    that path's error.  Returns (best
     profile, best cost, coarse curve); for K = 3 the curve shows
     min-over-s2 cost as a function of s_1.
     """

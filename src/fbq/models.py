@@ -1,7 +1,8 @@
 """Domain types shared by every solver: Coxian-2 service, speed profiles,
 single- and multi-server model definitions, stability checks, the JSON
-wire format used by the CLI, and the read-only containers and shared JSON
-fields of solutions.
+wire format used by the CLI, the read-only containers and shared JSON
+fields of solutions, and the Scores (L and energy rate) that the cost
+evaluators read.
 
 Rate conventions.  A job consists of an exponential first phase (rate nu1)
 followed, with probability q, by an exponential second phase (rate nu2).
@@ -16,6 +17,7 @@ working and the two completion rates, zero for an empty queue, in state (i, j).
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -274,6 +276,12 @@ class CostCoefficients:
         require_finite(c1=self.c1, c2=self.c2)
         if self.c1 < 0 or self.c2 < 0:
             raise ModelError(f"cost coefficients must be nonnegative, got c1={self.c1}, c2={self.c2}")
+
+
+# L and the energy rate of each profile of a speed family (single._Family.scores)
+# or of each threshold of a pool (multi.sweep_costs): all that the cost
+# evaluators read
+Scores = collections.namedtuple("Scores", "L energy_rate")
 
 
 def check_stability_single(model: SingleServerModel) -> bool:

@@ -67,6 +67,7 @@ from .models import (
     FrozenDict,
     ModelError,
     MultiServerModel,
+    Scores,
     SolverError,
     frozen,
     require_stable_multi,
@@ -225,8 +226,7 @@ def dprime_at_1(model: MultiServerModel) -> float:
     if rho1 == m:
         raise ModelError("rho1 equals the server count; derivative form is singular")
     try:
-        bracket = sum(rho1**j / math.factorial(j) for j in range(m))
-        bracket += m * rho1**m / ((m - rho1) * math.factorial(m))
+        bracket = _erlang_sum(m, rho1)   # first, so that an overflow in the sum is the one reported
         return mu1 ** (m - 1) * math.factorial(m - 1) * mu2 * (m - rho1 - rho2) * bracket
     except OverflowError as exc:
         raise SolverError(f"the Erlang sums of the m = {m} pool overflow a float ({exc})") from exc
@@ -423,8 +423,8 @@ def sweep_costs(model: MultiServerModel, costs: CostCoefficients) -> list[float]
     """evaluate_cost_multi of each solution of `sweep_thresholds`, to the
     bit and with its errors, scored from the L and U of the pool's outcome
     rows, so that no solution is built."""
-    table, c1, c2 = _solve_thresholds(model, range(model.m), _checked_pool(model)).table, costs.c1, costs.c2
-    return [c1 * L + c2 * U for L, U in zip(table[:, _L].tolist(), table[:, _U].tolist())]
+    table = _solve_thresholds(model, range(model.m), _checked_pool(model)).table
+    return evaluate_cost_multi(Scores(table[:, _L], table[:, _U]), costs).tolist()
 
 
 def evaluate_cost_multi(solution, costs: CostCoefficients) -> float:
@@ -442,13 +442,19 @@ def mmm_marginal(m: int, rho1: float) -> tuple[list[float], float]:
     return _erlang_c(m, rho1, range(m + 1))
 
 
+def _erlang_sum(m: int, rho1: float) -> float:
+    """The Erlang-C sum, sum_{j<m} rho1^j / j! + m rho1^m / ((m - rho1) m!)
+    of dprime_at_1 and _erlang_c; OverflowError where a term overflows a float."""
+    return (sum(rho1**j / math.factorial(j) for j in range(m))
+            + m * rho1**m / ((m - rho1) * math.factorial(m)))
+
+
 def _erlang_c(m: int, rho1: float, ks) -> tuple[list[float], float]:
     """mmm_marginal's p_k for k in ks, which ends at m, and mean count, from only the terms they read."""
     if rho1 >= m:
         raise ModelError(f"foreground load {rho1} >= m = {m}")
     try:
-        p0 = 1.0 / (sum(rho1**k / math.factorial(k) for k in range(m))
-                    + m * rho1**m / ((m - rho1) * math.factorial(m)))
+        p0 = 1.0 / _erlang_sum(m, rho1)
         p = [p0 * rho1**i / math.factorial(i) for i in ks]
     except OverflowError as exc:
         terms = [1.0]

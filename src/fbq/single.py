@@ -21,15 +21,15 @@ no limit at z = 1 is taken.  Closed forms are provided for the two-speed case
 K = 1 and for profiles whose sub-threshold speeds are all zero.
 
 Profiles that share (lambda, service, s_0, s_K, K) share everything but the
-sub-threshold balance rows and the work-conservation row, so
-solve_speed_family solves a whole family of them at once; solve_general is
-its one-profile case.  At q = 1 the Maclaurin conditions vanish identically,
-so the general solver rejects it; the closed forms cover q = 1.
+sub-threshold balance rows and the work-conservation row, so _Family solves
+a whole family of them in one compiled call: a speed search scores its
+grids through it, and solve_general is its one-profile solve.  At q = 1 the
+Maclaurin conditions vanish identically, so the general solver rejects it;
+the closed forms cover q = 1.
 """
 
 from __future__ import annotations
 
-import collections
 import ctypes
 import functools
 import logging
@@ -45,7 +45,7 @@ from .models import (
     FrozenDict,
     SingleServerModel,
     ModelError,
-    frozen,
+    Scores,
     require_stable_single,
     solution_json,
 )
@@ -81,81 +81,14 @@ def solve_general(model: SingleServerModel) -> SingleServerSolution:
     """Exact solution for an arbitrary speed staircase (positive above idle).
 
     Speeds s_1 .. s_K must be positive; all-zero sub-threshold profiles have
-    their own closed form in solve_zero_speed.  This is the one-profile
-    family of solve_speed_family.
+    their own closed form in solve_zero_speed.  The model's profile is
+    solved as the one profile of a _Family, so it gets every check and the
+    bits that it gets in any family.
     """
-    return solve_speed_family(model, [model.speeds.levels[1:-1]]).solution(0)
-
-
-@dataclass(frozen=True, eq=False)
-class SpeedFamilySolution:
-    """Stationary metrics of a family of speed profiles, one read-only row per profile."""
-
-    levels: np.ndarray       # (B, K+1) speed levels s_0 .. s_K
-    boundary: np.ndarray     # (B, (K+1)(K+2)/2) pi_{i,j} by level i+j, then by i
-    g0_at_1: np.ndarray      # each field below is (B,) unless noted
-    L1: np.ndarray
-    L2: np.ndarray
-    L: np.ndarray
-    p: np.ndarray            # (B, K)
-    tail_mass: np.ndarray
-    energy_rate: np.ndarray
-
-    def __post_init__(self):
-        for array in vars(self).values():
-            frozen(array)
-
-    def __reduce__(self):      # through __init__, so that copies are read-only too
-        return SpeedFamilySolution, tuple(vars(self).values())
-
-    def solution(self, k: int) -> SingleServerSolution:
-        """The SingleServerSolution of profile k."""
-        K = self.levels.shape[1] - 1
-        return SingleServerSolution(
-            boundary=FrozenDict(zip(_layout(K).states, self.boundary[k].tolist())),
-            g0_at_1=float(self.g0_at_1[k]),
-            L1=float(self.L1[k]),
-            L2=float(self.L2[k]),
-            L=float(self.L[k]),
-            p=tuple(self.p[k].tolist()),
-            tail_mass=float(self.tail_mass[k]),
-            energy_rate=float(self.energy_rate[k]),
-        )
-
-
-def solve_speed_family(model: SingleServerModel, inter) -> SpeedFamilySolution:
-    """Exact solutions of the profiles (s_0, inter[k], s_K) for every row k.
-
-    The arrival rate, service, power exponent and the end speeds s_0, s_K
-    come from `model` (its intermediate levels are ignored); `inter` is a
-    (B, K-1) array of intermediate speeds s_1 .. s_{K-1}.  The kernel-root
-    series and the Maclaurin rows depend only on (lam, service, s_K, K), so
-    they are built once (_Family); the sub-threshold balance rows and the
-    work-conservation row depend on the profile's speeds and are filled per
-    profile.  One call of the compiled loop fbq_speed_family fills the B
-    systems, solves them by its envelope elimination on tiles of systems in
-    lockstep and computes every metric; only the power draws s^alpha are
-    taken in numpy, whose power loop sets their bits.
-    A family of 256 profiles or more is split over a thread per CPU that
-    the process may use (`_kernels.cpus()`), inside that call; the threads
-    are joined before it returns.  Every profile gets every check of a
-    single solve and the answer it gets alone, bit for bit, on any CPU and
-    on any thread count.  A family that fails raises one
-    error, whatever its size: a non-finite entry in any system first, then
-    a zero row, then the first profile with a singular system, then the
-    first with a solved value below -NEG_PROB_TOL.  The message of the last
-    two quotes the condition estimate that the same call books, from that
-    profile's system filled again and factored alone.
-    A speed search reads only L and the energy rate, so it scores its grids
-    by the same call writing those two rows alone (_Family.scores).  Both
-    calls finish each profile from its solved values read clamped, so a
-    score is the bits of this path's L and energy rate, and a search solves
-    a grid again by this path only for its error.
-    """
-    inter = np.asarray(inter, dtype=float)
-    if inter.ndim != 2 or len(inter) == 0:
-        raise ModelError(f"a speed family needs a (B, K-1) array of speeds with B >= 1, got {inter.shape}")
-    return _Family(model, inter.shape[1] + 1).profiles(inter)
+    family = _Family(model, model.K)
+    solved = {f: v[0].tolist() for f, v in family.solve(family.levels([model.speeds.levels[1:-1]])).items()}
+    return SingleServerSolution(boundary=FrozenDict(zip(family.layout.states, solved.pop("boundary"))),
+                                p=tuple(solved.pop("p")), **solved)
 
 
 def _check_levels(levels: np.ndarray) -> None:
@@ -178,11 +111,6 @@ def _check_levels(levels: np.ndarray) -> None:
         if (levels[np.flatnonzero(stopped)[0], :K] == 0).all():
             raise ModelError("all sub-threshold speeds are zero: use solve_zero_speed")
         raise ModelError("speed levels 1..K must be positive for the general solver")
-
-
-# L and the energy rate of each profile of a family (_Family.scores): all
-# that evaluate_cost_single reads
-Scores = collections.namedtuple("Scores", "L energy_rate")
 
 
 @dataclass(frozen=True)
@@ -248,15 +176,29 @@ class _Family:
     rows of the boundary system, the arriving work of its work-conservation
     row, the top-speed loads of the mean-drift identities, and the balance
     entries as the compiled loop reads them, which also set the row
-    envelopes that every tile of the family starts from.  profiles solves a
-    grid of profiles, as often as asked, each in one call of
-    fbq_speed_family, which factors them by the one envelope elimination
-    that a pool's systems get too, finishes their metrics and books the
-    condition estimate of a failing profile for its error message.  scores
-    gives a speed search the only two rows it reads, L and the energy
-    rate, from one call that writes them alone, with the full path's bits,
-    since every finish reads the solved values clamped; a family that
-    fails it solves again by the full path, for that path's error."""
+    envelopes that every tile of the family starts from.
+
+    levels checks a grid of profiles, and solve gives every metric of the
+    grid, as often as asked, in one call of fbq_speed_family: it fills the
+    systems, solves them by the one envelope elimination that a pool's
+    systems get too, on tiles of systems in lockstep, and finishes their
+    metrics; only the power draws s^alpha are taken in numpy, whose power
+    loop sets their bits.  A grid of 256 profiles or more is split over a
+    thread per CPU that the process may use (`_kernels.cpus()`), inside
+    that call; the threads are joined before it returns.  Every profile
+    gets every check of solve_general, its one-profile solve, and the
+    answer it gets alone, bit for bit, at any position in the grid, on any
+    CPU and on any thread count.  A grid that fails raises one error,
+    whatever its size: a non-finite entry in any system first, then a zero
+    row, then the first profile with a singular system, then the first
+    with a solved value below -NEG_PROB_TOL.  The message of the last two
+    quotes the condition estimate that the same call books, from that
+    profile's system filled again and factored alone.
+
+    scores gives a speed search the only two rows it reads, L and the
+    energy rate, from one call that writes them alone, with solve's bits,
+    since every finish reads the solved values clamped; a grid that fails
+    it is solved again by solve, for that path's error."""
 
     def __init__(self, model: SingleServerModel, K: int):
         require_stable_single(model)
@@ -302,11 +244,6 @@ class _Family:
         levels[:, 1:-1] = inter
         _check_levels(levels)
         return levels
-
-    def profiles(self, inter: np.ndarray) -> SpeedFamilySolution:
-        """solve_speed_family's solution for the (B, K-1) float array inter."""
-        levels = self.levels(inter)
-        return SpeedFamilySolution(levels=levels, **self.solve(levels))
 
     def solve(self, levels: np.ndarray) -> dict:
         """Metrics of the profiles in `levels` (B, K+1), as arrays."""
@@ -453,7 +390,7 @@ def solve_zero_speed(model: SingleServerModel) -> SingleServerSolution:
 
 def evaluate_cost_single(solution, costs: CostCoefficients):
     """Linear holding + energy cost c1 L + c2 energy_rate of any solution,
-    or of each profile of a SpeedFamilySolution."""
+    or of each profile of a family's Scores (_Family.scores)."""
     return costs.c1 * solution.L + costs.c2 * solution.energy_rate
 
 

@@ -49,7 +49,7 @@ import numpy as np
 import fbq
 from fbq.models import MultiServerModel, SolverError
 from fbq.multi import sweep_thresholds
-from fbq.single import solve_speed_family
+from fbq.single import _Family
 pools, b = json.loads(sys.argv[1])
 out = []
 for spec in pools:
@@ -67,11 +67,12 @@ for spec in pools:
 model = fbq.SingleServerModel(b['lam'], fbq.CoxianService(b['nu1'], b['nu2'], b['q']),
                               fbq.SpeedProfile((b['s0'], b['top']), alpha=b['alpha']))
 inter = np.sort(np.random.default_rng(5).uniform(b['s0'], b['top'], (40, 2)), axis=1)
-family = solve_speed_family(model, inter)
+family = _Family(model, 3)
+solved = family.solve(family.levels(inter))
 print(json.dumps({
     "pools": [hashlib.sha256(repr(out).encode()).hexdigest(), len(out)],
-    "family": np.concatenate([family.boundary.ravel(), family.g0_at_1, family.L1, family.L2,
-                              family.energy_rate]).tobytes().hex()}))
+    "family": np.concatenate([solved[f].ravel() for f in ("boundary", "g0_at_1", "L1", "L2", "energy_rate")]
+                             ).tobytes().hex()}))
 """
 
 

@@ -23,6 +23,7 @@ from fbq.models import (
     SpeedProfile,
     UnstableModelError,
 )
+from fbq.simulation import ThreePhaseModel
 
 # every curve value of figures 3, 4 and 8, recorded while the single-server
 # mean counts still came from z = 1 limit passes; figure 5's points are
@@ -48,6 +49,12 @@ class TestSpecs:
         assert c.argmin() == 1.0
         with pytest.raises(ModelError):
             PolicyCurve("x", [0.0, 0.0], [1.0, 1.0])
+
+
+def test_solve_rejects_a_model_without_an_exact_solver_by_type():
+    # the three-phase model is simulated only
+    with pytest.raises(TypeError, match="^no exact solver for ThreePhaseModel$"):
+        experiments.solve(ThreePhaseModel(1.0, 5.0, 1.0, 0.5, 0.1, 0.5))
 
 
 class TestSpeedOptimizer:

@@ -1,4 +1,4 @@
-"""Family solves of speed profiles (fbq.single.solve_speed_family) and the
+"""Family solves of speed profiles (fbq.single._Family.solve) and the
 stacked solves under them (fbq.linsys).
 
 data/family_solve_pins.json holds searches and figure-5 points recorded from
@@ -52,7 +52,7 @@ from fbq.models import (
 )
 from fbq.multi import sweep_thresholds
 from fbq import single
-from fbq.single import solve_general, solve_speed_family
+from fbq.single import solve_general
 from reference import condition, family_stack, finish_sums, lockstep, metrics, solve_probability_stack
 
 PINS = json.loads((pathlib.Path(__file__).parent / "data" / "family_solve_pins.json").read_text())
@@ -73,6 +73,16 @@ def raised(run):
 def base_model(b, levels=None):
     return SingleServerModel(b["lam"], CoxianService(b["nu1"], b["nu2"], b["q"]),
                              SpeedProfile(levels or (b["s0"], b["top"]), alpha=b["alpha"]))
+
+
+def solved_family(model, inter):
+    """_Family(model, K).solve of the profiles (s_0, inter[k], s_K), with K - 1
+    the width of inter: its dict, with the profiles' speed levels added under
+    "levels"."""
+    inter = np.asarray(inter, dtype=float)
+    family = single._Family(model, inter.shape[1] + 1)
+    levels = family.levels(inter)
+    return dict(family.solve(levels), levels=levels)
 
 
 @pytest.mark.parametrize("pin", PINS["searches"], ids=lambda p: f"{p['base']}-K{p['K']}")
@@ -120,9 +130,9 @@ def test_family_straddling_a_chunk_is_equal_on_both_lu_paths(on_both_paths):
         b = dict(PINS["bases"]["seed7"], **change)
         for K in (2, 3, 4, 8):
             inter = np.sort(rng.uniform(b["s0"], b["top"], (256 + 12, K - 1)), axis=1)
-            compiled, python = on_both_paths(lambda: solve_speed_family(base_model(b), inter))
+            compiled, python = on_both_paths(lambda: solved_family(base_model(b), inter))
             for f in FAMILY_FIELDS:   # bytes, so that a zero keeps its sign
-                assert getattr(compiled, f).tobytes() == getattr(python, f).tobytes(), (name, K, f)
+                assert compiled[f].tobytes() == python[f].tobytes(), (name, K, f)
 
 
 # q = 0 with a slow phase 2: s_1 = 1e-20 gives a singular system, s_1 = 1e-8
@@ -139,8 +149,8 @@ def test_failing_profiles_in_a_later_chunk_raise_the_same_error_on_both_lu_paths
                                                                                  on_both_paths):
     model = base_model(FAILING_BASE)
     inter = [GOOD] * 256 + second_chunk
-    compiled, python = on_both_paths(lambda: raised(lambda: solve_speed_family(model, inter)))
-    assert compiled == python == raised(lambda: solve_speed_family(model, [fails_as]))
+    compiled, python = on_both_paths(lambda: raised(lambda: solved_family(model, inter)))
+    assert compiled == python == raised(lambda: solved_family(model, [fails_as]))
     assert compiled.startswith("singular" if fails_as is SINGULAR else "solved probability"), compiled
 
 
@@ -149,8 +159,8 @@ def test_a_singular_profile_wins_over_an_earlier_negative_one_however_far_apart(
     # before the first negative value, 301 profiles earlier here
     model = base_model(FAILING_BASE)
     inter = [NEGATIVE] + [GOOD] * 300 + [SINGULAR]
-    compiled, python = on_both_paths(lambda: raised(lambda: solve_speed_family(model, inter)))
-    assert compiled == python == raised(lambda: solve_speed_family(model, [SINGULAR]))
+    compiled, python = on_both_paths(lambda: raised(lambda: solved_family(model, inter)))
+    assert compiled == python == raised(lambda: solved_family(model, [SINGULAR]))
     assert compiled.startswith("singular linear system"), compiled
 
 
@@ -216,25 +226,25 @@ def test_profile_result_independent_of_its_batch(compiled_loops):
         model = base_model(b)
         rng = np.random.default_rng(7)
         inter = np.sort(rng.uniform(b["s0"], b["top"], (256 + 12, 2)), axis=1)
-        family = solve_speed_family(model, inter)
-        shifted = solve_speed_family(model, inter[5:])            # moves every tile boundary
-        boundary = solve_speed_family(model, inter[256 - 2:256 + 2])
-        clamps = family_call(compiled_loops, single._Family(model, 3), family.levels.copy(), 1)[3][2] > 0
+        family = solved_family(model, inter)
+        shifted = solved_family(model, inter[5:])            # moves every tile boundary
+        boundary = solved_family(model, inter[256 - 2:256 + 2])
+        clamps = family_call(compiled_loops, single._Family(model, 3), family["levels"], 1)[3][2] > 0
         assert clamps == (b["q"] == 0.0)
         for k in (0, 4, 6, 256 - 1, 256, 256 + 11):
-            alone = solve_speed_family(model, inter[k:k + 1])
+            alone = solved_family(model, inter[k:k + 1])
             one = solve_general(base_model(b, (b["s0"], *inter[k], b["top"])))
             for f in FIELDS:
-                got = [getattr(family, f)[k], getattr(one, f)]
+                got = [family[f][k], getattr(one, f)]
                 if k >= 5:
-                    got.append(getattr(shifted, f)[k - 5])
-                assert got == [getattr(alone, f)[0]] * len(got), f"{k} {f}"
+                    got.append(shifted[f][k - 5])
+                assert got == [alone[f][0]] * len(got), f"{k} {f}"
             for f in FAMILY_FIELDS:
-                assert getattr(family, f)[k].tolist() == getattr(alone, f)[0].tolist(), f"{k} {f}"
+                assert family[f][k].tolist() == alone[f][0].tolist(), f"{k} {f}"
         for k in range(4):
-            alone = solve_speed_family(model, inter[256 - 2 + k:256 - 1 + k])
+            alone = solved_family(model, inter[256 - 2 + k:256 - 1 + k])
             for f in FIELDS:
-                assert getattr(boundary, f)[k] == getattr(alone, f)[0]
+                assert boundary[f][k] == alone[f][0]
 
 
 @pytest.mark.parametrize("s0,bad", [
@@ -249,7 +259,7 @@ def test_one_invalid_profile_fails_the_family_as_it_fails_alone(s0, bad):
         solve_general(base_model(b, (s0, *bad, b["top"])))
     inter = [(0.3, 0.4)] * 300 + [bad] + [(0.5, 0.7)] * 5
     with pytest.raises(ModelError) as family:
-        solve_speed_family(base_model(b), inter)
+        solved_family(base_model(b), inter)
     assert type(family.value) is type(alone.value)
 
 
@@ -304,12 +314,7 @@ def test_a_non_finite_speed_fails_the_family_naming_its_profile(inter):
     # as SpeedProfile rejects a non-finite speed, before any system is filled
     b = PINS["bases"]["figure4"]
     with pytest.raises(ModelError, match=rf"speeds must be finite: \(0\.0, {inter[-1][0]}, 1\.0\)"):
-        solve_speed_family(base_model(b), inter)
-
-
-def test_family_needs_profiles():
-    with pytest.raises(ModelError):
-        solve_speed_family(base_model(PINS["bases"]["figure4"]), np.empty((0, 2)))
+        solved_family(base_model(b), inter)
 
 
 class TestStackChecks:
@@ -695,8 +700,8 @@ def test_the_outcome_of_a_split_family_is_the_one_thread_outcome(faults, status,
         messages = set()
         for cpus in THREADS:
             monkeypatch.setattr(KERNELS, "cpus", lambda: cpus)
-            messages.add(raised(lambda: solve_speed_family(base_model(FAILING_BASE), levels[:, 1:-1])))
-        assert messages == {raised(lambda: solve_speed_family(base_model(FAILING_BASE), [SINGULAR]))}
+            messages.add(raised(lambda: solved_family(base_model(FAILING_BASE), levels[:, 1:-1])))
+        assert messages == {raised(lambda: solved_family(base_model(FAILING_BASE), [SINGULAR]))}
 
 
 # the pinned messages of a lone SINGULAR_ROW and NEGATIVE_ROW profile, which
@@ -722,7 +727,7 @@ def test_a_failing_family_books_the_estimate_of_its_failing_profile(row, count, 
     assert (got[3][0] == k) if row == SINGULAR_ROW else (got[3][:2] == [-1, k])
     assert got[6].hex() == condition(family_stack(family, levels)[0][k]).hex()
     monkeypatch.setattr(KERNELS, "cpus", lambda: threads)
-    message = raised(lambda: solve_speed_family(base_model(FAILING_BASE), levels[:, 1:-1]))
+    message = raised(lambda: solved_family(base_model(FAILING_BASE), levels[:, 1:-1]))
     assert message == FAILING_MESSAGES[row]
 
 
@@ -797,13 +802,14 @@ import hashlib, os, sys
 import fbq
 from fbq import _kernels
 from fbq.experiments import COARSE_STEP, _coarse_grid, reproduce_figure
-from fbq.single import solve_speed_family
+from fbq.single import _Family
 if sys.argv[1] != "free":
     os.sched_setaffinity(0, {int(sys.argv[1])})
 model = fbq.SingleServerModel(2.5, fbq.CoxianService(5.0, 1.0, 0.1), fbq.SpeedProfile((0.0, 1.0), alpha=2.0))
 fracs = [round(k * COARSE_STEP, 10) for k in range(1, round(1.0 / COARSE_STEP) + 1)]
-family = solve_speed_family(model, _coarse_grid(fracs, 3))
-digest = hashlib.sha256(b"".join(array.tobytes() for array in vars(family).values()))
+family = _Family(model, 3)
+solved = family.solve(family.levels(_coarse_grid(fracs, 3)))
+digest = hashlib.sha256(b"".join(array.tobytes() for array in solved.values()))
 digest.update(repr(reproduce_figure(6, sim_jobs=20_000).curves).encode())
 print(_kernels.cpus(), digest.hexdigest())
 """
@@ -914,7 +920,7 @@ def test_a_failing_family_scores_with_the_error_of_its_full_solve(fault, count, 
     model = base_model(FAILING_BASE)
     _, _, starts, span = EXPERIMENTS._search_grids(COARSE_STEP, 3)
     monkeypatch.setattr(EXPERIMENTS, "_search_grids", lambda lo_frac, K: ((), levels[:, 1:-1], starts, span))
-    expected = raised_outcome(lambda: solve_speed_family(model, levels[:, 1:-1]))
+    expected = raised_outcome(lambda: solved_family(model, levels[:, 1:-1]))
     assert raised_outcome(lambda: optimize_intermediate_speeds(model, 3, CostCoefficients(1.0, 1.0))) == expected
     if fault in (SINGULAR_ROW, NEGATIVE_ROW):
         assert expected == (SolverError, FAILING_MESSAGES[fault])

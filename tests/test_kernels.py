@@ -204,10 +204,13 @@ def test_cited_loops_are_defined_in_the_c_source():
 # now that ctmc._finish normalises every rectangle; and the numpy assembly
 # of the SuperLU rectangles, its generator entries, the band path's own
 # wrapper and the status of an empty system, now that one call of
-# fbq_ctmc_rectangle assembles every rectangle
+# fbq_ctmc_rectangle assembles every rectangle; and the public speed-family
+# solve with its solution type, now that solve_general and a search's
+# scores reach a family through single._Family
 DELETED_HELPERS = ("check_lanes", "env_check", "tile_width", "lu_tile", "sub_products", "env_full",
                    "fbq_pool_roots", "_roots_compiled", "_data_compiled", "reduce_sum", "RECT_TOTAL",
-                   "RECT_NEGATIVE", "_solve_sparse", "_transitions", "_band_rectangle", "RECT_EMPTY", "_EMPTY")
+                   "RECT_NEGATIVE", "_solve_sparse", "_transitions", "_band_rectangle", "RECT_EMPTY", "_EMPTY",
+                   "solve_speed_family", "SpeedFamilySolution")
 
 
 def test_deleted_helpers_are_cited_nowhere():

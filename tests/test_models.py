@@ -28,8 +28,7 @@ from fbq.baselines import _las_terms
 from fbq.ctmc import ctmc_solve
 from fbq.multi import evaluate_cost_multi, solve_threshold
 from fbq.simulation import ThreePhaseModel
-from fbq.single import (evaluate_cost_single, solve_general, solve_k1_closed_form, solve_speed_family,
-                        solve_zero_speed)
+from fbq.single import evaluate_cost_single, solve_general, solve_k1_closed_form, solve_zero_speed
 
 
 def density(svc):
@@ -288,16 +287,11 @@ def test_rates_on_index_arrays_equal_the_per_state_calls(model):
 # --- solutions are read-only values that survive pickle and deepcopy ----------
 
 
-def _family():
-    return solve_speed_family(single(0.6, 1.0, 0.5, 0.3, speeds=(0.2, 0.5, 1.0)), [[0.3], [0.5], [0.8]])
-
-
 POOL = MultiServerModel(2.0, 1.1, 0.7, 0.4, 4, threshold=2)
 SOLUTIONS = {
     "multi": lambda: solve_threshold(POOL),
-    "single": lambda: _family().solution(1),
+    "single": lambda: solve_general(single(0.6, 1.0, 0.5, 0.3, speeds=(0.2, 0.5, 1.0))),
     "zero_speed": lambda: solve_zero_speed(single(0.6, 1.0, 0.5, 0.3, speeds=(0.0, 0.0, 1.0))),
-    "family": _family,
     "ctmc_pool": lambda: ctmc_solve(POOL),
     "ctmc_single": lambda: ctmc_solve(single(0.6, 1.0, 0.5, 0.3, speeds=(0.2, 0.5, 1.0))),
 }
